@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench bench-gate
+.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench bench-gate scoreboard scoreboard-compare
 
 # full suite
 test:
@@ -71,3 +71,17 @@ bench-gate:
 # accounting per backend).  BENCH_ARGS="--quick" for CI scale.
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_driver.py $(BENCH_ARGS)
+
+# The repo's benchmark (bench/README.md, BENCHMARK.json): six workloads,
+# every end-to-end metric by name, outputs checked.  This — not `make
+# bench` above, which it supersedes — is how a performance claim is
+# checked: run it on the parent commit and on the change (ten sets each,
+# alternating, for a claim), then compare.  SCOREBOARD_ARGS="--seed 7
+# --trace 1" for another seed or the per-layer ledger.
+scoreboard:
+	python3 bench/run.py --out .bench_tmp/set.json $(SCOREBOARD_ARGS)
+
+# make scoreboard-compare BASE=parent.json NEW=change.json
+# (each a set written by --out, or a JSON list of sets)
+scoreboard-compare:
+	python3 bench/run.py --compare $(BASE) $(NEW)

@@ -49,6 +49,7 @@ that down.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -56,7 +57,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..kernels import IterativeKernel, LockingKernelStats, RecursiveKernel
+from ..kernels import (
+    IterativeKernel,
+    KernelStats,
+    LockingKernelStats,
+    RecursiveKernel,
+)
 from ..kernels.openmp import OmpRuntime
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
 from ..sparkle.backend import ALIAS_X
@@ -790,7 +796,7 @@ class GepSparkSolver:
         # ---- wave 1: kernel A on the pivot tile --------------------------
         def a_body(tc):
             x_in = tracker.get((k, k, k))
-            return self._updated_tile(
+            return self._updated_tile_task(
                 "A", x_in, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n
             )
 
@@ -1034,9 +1040,33 @@ class GepSparkSolver:
                 self._kernel_blob = None
         return self._kernel_blob  # type: ignore[return-value]
 
-    def _updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n):
+    @contextlib.contextmanager
+    def _task_stats(self):
+        """A task-local stats sink (``None`` when stats are off).
+
+        Kernels record into it lock-free; it is merged into the shared
+        :class:`LockingKernelStats` once, on exit — whatever the task
+        counted before failing included — so the lock is taken per task
+        rather than per tile.
+        """
+        if self.stats is None:
+            yield None
+            return
+        sink = KernelStats(keep_log=self.stats.keep_log)
+        try:
+            yield sink
+        finally:
+            self.stats.merge(sink)
+
+    def _updated_tile_task(self, *call):
+        """:meth:`_updated_tile` as a whole task (stage A's single call)."""
+        with self._task_stats() as sink:
+            return self._updated_tile(*call, sink)
+
+    def _updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
         """Apply one tile kernel *without mutating* ``tile``; return the
-        updated array.
+        updated array.  Work counts go to ``sink``, the calling task's
+        local stats (``None`` when stats are off).
 
         ``u``/``v``/``w`` may be the :data:`~repro.sparkle.backend.
         ALIAS_X` sentinel, meaning "this operand is the tile itself"
@@ -1054,7 +1084,7 @@ class GepSparkSolver:
                 try:
                     out, stats = backend.run_kernel(
                         blob, case, arr, u, v, w, gi0, gj0, gk0, n,
-                        want_stats=self.stats is not None,
+                        want_stats=sink is not None,
                     )
                 except PoisonTaskError:
                     if not self.degrade_on_crash:
@@ -1064,12 +1094,14 @@ class GepSparkSolver:
                     # math); the full processes→threads degradation
                     # lands at the next outer-iteration boundary.
                 else:
-                    if stats is not None and self.stats is not None:
-                        self.stats.merge(stats)
+                    if stats is not None and sink is not None:
+                        sink.merge(stats)
                     return out
-        return self._thread_updated_tile(case, tile, u, v, w, gi0, gj0, gk0, n)
+        return self._thread_updated_tile(
+            case, tile, u, v, w, gi0, gj0, gk0, n, sink
+        )
 
-    def _thread_updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n):
+    def _thread_updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
         """The deterministic thread path: private copy, aliases resolved
         against it, kernel run in place (never mutates ``tile``)."""
         if isinstance(tile, CowTile):
@@ -1079,7 +1111,7 @@ class GepSparkSolver:
         u2 = x if u is ALIAS_X else u
         v2 = x if v is ALIAS_X else v
         w2 = x if w is ALIAS_X else w
-        self.kernel.run(case, x, u2, v2, w2, gi0, gj0, gk0, n, stats=self.stats)
+        self.kernel.run(case, x, u2, v2, w2, gi0, gj0, gk0, n, stats=sink)
         return x
 
     def _batch_enabled(self) -> bool:
@@ -1101,12 +1133,14 @@ class GepSparkSolver:
         fused path (one IPC round-trip per worker); otherwise each call
         dispatches on its own.  Both produce bit-identical arrays, so
         dispatch mode can never change results — only round-trip counts.
+        The task's kernel stats are merged into the shared sink once.
         """
-        if calls and self._batch_enabled():
-            return self._updated_tiles_batch(calls)
-        return [self._updated_tile(*c) for c in calls]
+        with self._task_stats() as sink:
+            if calls and self._batch_enabled():
+                return self._updated_tiles_batch(calls, sink)
+            return [self._updated_tile(*c, sink) for c in calls]
 
-    def _updated_tiles_batch(self, calls: list) -> list:
+    def _updated_tiles_batch(self, calls: list, sink) -> list:
         """Batched offload with per-call poison handling.
 
         A :class:`PoisonTaskError` names the exact quarantined call
@@ -1127,7 +1161,7 @@ class GepSparkSolver:
                 bcalls.append((case, arr, u, v, w, gi0, gj0, gk0, n))
             try:
                 outs = backend.run_kernel_batch(
-                    blob, bcalls, want_stats=self.stats is not None
+                    blob, bcalls, want_stats=sink is not None
                 )
             except PoisonTaskError as exc:
                 if not self.degrade_on_crash:
@@ -1144,16 +1178,16 @@ class GepSparkSolver:
                     # not happen): fall back to per-call dispatch, which
                     # handles its own poison, rather than loop forever.
                     for idx in pending:
-                        results[idx] = self._updated_tile(*calls[idx])
+                        results[idx] = self._updated_tile(*calls[idx], sink)
                     break
                 for idx in poisoned:
-                    results[idx] = self._thread_updated_tile(*calls[idx])
+                    results[idx] = self._thread_updated_tile(*calls[idx], sink)
                     pending.remove(idx)
                 continue
             for pos, idx in enumerate(pending):
                 out, stats = outs[pos]
-                if stats is not None and self.stats is not None:
-                    self.stats.merge(stats)
+                if stats is not None and sink is not None:
+                    sink.merge(stats)
                 results[idx] = out
             break
         return results
@@ -1169,7 +1203,7 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile
+        runner = self._updated_tile_task
 
         # ---- stage 1: kernel A on the pivot tile, with consumer copies
         needs_w = spec.needs_w
@@ -1296,7 +1330,7 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile
+        runner = self._updated_tile_task
 
         # ---- stage 1: kernel A; collect to the driver, stage to storage
         def a_rec(tile):
@@ -1373,7 +1407,7 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile
+        runner = self._updated_tile_task
 
         def a_rec(tile):
             return runner("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)

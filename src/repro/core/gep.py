@@ -108,6 +108,28 @@ class GepSpec(abc.ABC):
         ``u_col``/``v_row`` before writing into ``x``.
         """
 
+    def apply_steps(
+        self,
+        x: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray | None,
+        pivot: int,
+    ) -> None:
+        """All ``pivot`` steps of one tile update, unmasked, in ``k`` order.
+
+        The tile kernels' mask-free fast path: equal to calling
+        :meth:`apply_k` with ``u[:, kk]``, ``v[kk, :]``, ``w[kk, kk]`` and
+        no mask for ``kk = 0 .. pivot-1`` — which is the default.
+        Overrides may fuse the steps but must keep that result exactly,
+        including when ``u``/``v``/``w`` alias ``x``.
+        """
+        w_diag = None if w is None else w.diagonal()
+        for kk in range(pivot):
+            self.apply_k(
+                x, u[:, kk], v[kk, :], None if w is None else w_diag[kk], None
+            )
+
     def sigma_mask(
         self, gi0: int, gj0: int, shape: tuple[int, int], gk: int
     ) -> np.ndarray | None:
@@ -209,6 +231,11 @@ class SemiringGep(GepSpec):
         else:
             x[mask] = sr.add(x[mask], cand[mask])
 
+    def apply_steps(self, x, u, v, w, pivot):
+        # One semiring product ``x ⊕= u ⊗ v`` instead of ``pivot`` rank-1
+        # steps; the semiring decides how far it may fuse them.
+        self.semiring.fold_steps(x, u, v)
+
     def pad_value(self, i, j):
         return self.semiring.one if i == j else self.semiring.zero
 
@@ -267,6 +294,18 @@ class GaussianEliminationGep(GepSpec):
             x -= update
         else:
             x[mask] -= update[mask]
+
+    def apply_steps(self, x, u, v, w, pivot):
+        # The same multiply / divide / subtract per step as apply_k, in
+        # the same order, through one reused buffer.  GE steps are never
+        # re-associated: floating-point subtraction rounds.  The buffer
+        # is complete before ``x`` is written, so aliasing stays safe.
+        update = np.empty(x.shape, dtype=np.result_type(u, v))
+        w_diag = w.diagonal()
+        for kk in range(pivot):
+            np.multiply(u[:, kk, None], v[None, kk, :], out=update)
+            update /= w_diag[kk]
+            x -= update
 
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)

@@ -17,7 +17,8 @@ over the tropical semiring with zero diagonal, ``rkleene(A) ==
 floyd_warshall(A)``; over the boolean semiring it is transitive closure.
 The tests pin both equivalences down — a strong independent check of the
 GEP machinery, since R-Kleene shares no code path with the blocked
-A/B/C/D kernels (it is built on semiring ``matmul``).
+A/B/C/D kernels above the semiring itself: it is built on semiring
+``matmul``, and its base case on the semiring's ``fold_steps``.
 
 Base cases run the unblocked semiring GEP fold, and the multiply-heavy
 structure is why the approach maps well to GPUs (the survey's point).
@@ -35,12 +36,10 @@ __all__ = ["rkleene_closure", "apsp_rkleene", "transitive_closure_rkleene"]
 def _base_closure(sr: Semiring, a: np.ndarray) -> np.ndarray:
     """Closure of a small block: the scalar Floyd-Warshall-style fold
     ``a[i,j] ⊕= a[i,k] ⊙ a[k,j]`` with reflexive ``one`` on the diagonal."""
-    n = a.shape[0]
-    out = sr.add(a, sr.eye(n))
-    for k in range(n):
-        cand = sr.mul(out[:, k : k + 1], out[k : k + 1, :])
-        out = sr.add(out, cand)
-    return out
+    out = sr.add(a, sr.eye(a.shape[0]))
+    # u and v alias the block itself, so this is fold_steps' sequential
+    # branch: step k reads the row and column steps < k produced.
+    return sr.fold_steps(out, out, out)
 
 
 def rkleene_closure(

@@ -21,10 +21,34 @@ offset ``(gi0, gj0)``, and for each global pivot step ``gk = gk0 + kk``:
 * ``w[kk, kk]`` holds ``c[gk, gk]``  (W: the pivot tile).
 
 The aliasing pattern encodes the case: A passes ``u is v is w is x``,
-B passes ``v is x``, C passes ``u is x``, D passes four distinct tiles.
-Reads of aliased views stay correct because Σ_G (or semiring identity
-no-ops) pins row/column ``kk`` during step ``kk``, and because
-``GepSpec.apply_k`` materializes the combination before writing.
+B passes ``v is x``, C passes ``u is x``, D passes four distinct tiles
+(and the recursive kernel passes sub-*views* that may overlap ``x``
+without being the same object).  Reads of aliased views stay correct
+because Σ_G (or semiring identity no-ops) pins row/column ``kk`` during
+step ``kk``, and because every step materializes its combination before
+writing ``x``.
+
+Tiles that need a Σ_G mask, or whose pivot range is partly inactive, go
+step by step through ``GepSpec.apply_k``.  Every other tile — all of
+FW/TC, and GE's trailing tiles — is one ``GepSpec.apply_steps`` call:
+
+* **Semiring specs** forward to ``Semiring.fold_steps(x, u, v)``.  For
+  the idempotent semirings (min-plus, max-plus, boolean) operands that
+  cannot share memory with ``x`` (identity, then ``np.may_share_memory``,
+  conservatively) are folded as a k-chunked 3-D broadcast, ⊕-reduced
+  over ``k`` and merged into ``x`` once per chunk; ``min``/``max``/``or``
+  select an operand and never round, so re-associating the steps cannot
+  change a value.  Aliased operands keep sequential ``k`` order (each
+  step reads what the previous wrote) with one reused buffer.  Other
+  semirings keep the sequential ``mul`` + ``add_inplace`` default.
+* **The tropical ±inf guard runs once per call**, not once per step: the
+  fold runs unguarded, ``np.minimum``/``np.maximum`` keep a NaN once a
+  cell has one, so ``isnan(x).any()`` afterwards detects every
+  ``inf + (-inf)``; on a hit the tile is restored and redone through the
+  guarded sequential default.  Results are identical either way.
+* **GE** runs its steps in order through one reused buffer — the same
+  multiply, divide and subtract per step.  Floating-point subtraction
+  rounds, so GE steps are never re-associated.
 """
 
 from __future__ import annotations
@@ -54,7 +78,7 @@ def gep_tile_update(
 
     ``w`` may be ``None`` when the spec declares ``needs_w = False``
     (semiring folds): the pivot extent is then taken from ``u``, and the
-    ``c[k,k]`` argument passed to ``apply_k`` is ``None``.
+    spec receives ``None`` for ``c[k,k]``.
     """
     if w is None:
         if spec.needs_w:
@@ -70,19 +94,15 @@ def gep_tile_update(
         raise ValueError(f"V tile shape {v.shape} != {(pivot, x.shape[1])}")
     # Fast path: when no step of this tile's pivot range needs a Σ_G
     # mask (checked once — mask-freedom is monotone in gk) and every
-    # step is active, the per-``kk`` spec probes (two Python calls plus
-    # possible mask-array allocation each) hoist out of the loop
-    # entirely.  This is the hot shape: FW/TC tiles are never masked,
-    # and GE tiles strictly below/right of the pivot stop being masked
-    # as soon as ``gi0 > gk`` / ``gj0 > gk``.
+    # step is active, the whole pivot range is one ``apply_steps`` call
+    # and the spec fuses the steps as far as its arithmetic allows.
+    # This is the hot shape: FW/TC tiles are never masked, and GE tiles
+    # strictly below/right of the pivot stop being masked as soon as
+    # ``gi0 > gk`` / ``gj0 > gk``.
     if spec.sigma_mask_free(gi0, gj0, x.shape, gk0, gk0 + pivot) and all(
         spec.k_active(gk0 + kk, n_global) for kk in range(pivot)
     ):
-        w_diag = None if w is None else w.diagonal()
-        for kk in range(pivot):
-            spec.apply_k(
-                x, u[:, kk], v[kk, :], None if w is None else w_diag[kk], None
-            )
+        spec.apply_steps(x, u, v, w, pivot)
         if stats is not None:
             stats.record_base(case, x.shape[0], x.shape[1], pivot, x.size * pivot)
         return

@@ -23,9 +23,64 @@ import numpy as np
 
 __all__ = ["Semiring", "SemiringError"]
 
+#: upper bound, in elements, on the (k, rows, cols) broadcast temporary of
+#: :func:`fold_steps_idempotent` — 256 KiB of doubles, cache-resident: all
+#: 8 pivot steps of an 8x8 tile at once, 3 at a time on 96x96.
+_FOLD_CHUNK_ELEMS = 32768
+
 
 class SemiringError(ValueError):
     """Raised for operations a particular semiring does not support."""
+
+
+def fold_steps_idempotent(
+    x: np.ndarray, u: np.ndarray, v: np.ndarray, otimes: np.ufunc, oplus: np.ufunc
+) -> None:
+    """Raw-ufunc :meth:`Semiring.fold_steps` for an idempotent, exact ⊕.
+
+    *Independent operands* (neither ``u`` nor ``v`` can share memory with
+    ``x`` — kernel case D): the rank-1 steps are taken a chunk at a
+    time as one ``(k, rows, cols)`` broadcast ``u[i,k] ⊙ v[k,j]``,
+    ⊕-reduced over ``k`` and folded into ``x`` once per chunk.  ``min``,
+    ``max`` and ``or`` pick one of their operands and never round, and
+    NumPy reduces a non-contiguous leading axis by repeated elementwise
+    ⊕ (same tie-breaking on ``±0.0`` as the sequential loop), so the
+    re-association changes no bit.  The chunk is bounded by
+    ``_FOLD_CHUNK_ELEMS``.
+
+    *Aliased operands* (decided by identity, then conservatively by
+    ``np.may_share_memory``), single-cell tiles (whose k axis would be
+    the contiguous one) and tiles too large for a two-step chunk keep
+    sequential k order through one preallocated buffer: two ufunc calls
+    per step, the ⊙ materialized before ``x`` is written.
+
+    Nothing here guards ``inf + (-inf)``; the tropical semirings wrap
+    this call in their once-per-call guard.
+    """
+    pivot = u.shape[1]
+    chunk = min(pivot, _FOLD_CHUNK_ELEMS // max(1, x.size))
+    if (
+        x.size < 2
+        or chunk < 2
+        or u is x
+        or v is x
+        or np.may_share_memory(x, u)
+        or np.may_share_memory(x, v)
+    ):
+        buf = np.empty_like(x)
+        for k in range(pivot):
+            otimes(u[:, k, None], v[None, k, :], out=buf)
+            oplus(x, buf, out=x)
+        return
+    buf = np.empty((chunk,) + x.shape, dtype=x.dtype)
+    red = np.empty_like(x)
+    ut = u.T
+    for k0 in range(0, pivot, chunk):
+        k1 = min(k0 + chunk, pivot)
+        cand = buf[: k1 - k0]
+        otimes(ut[k0:k1, :, None], v[k0:k1, None, :], out=cand)
+        oplus.reduce(cand, axis=0, out=red)
+        oplus(x, red, out=x)
 
 
 class Semiring(abc.ABC):
@@ -72,6 +127,20 @@ class Semiring(abc.ABC):
         out[...] = self.add(out, b)
         return out
 
+    def fold_steps(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``x[i,j] ⊕= u[i,k] ⊙ v[k,j]`` for ``k = 0 .. K-1`` in order, in place.
+
+        ``u`` is ``(rows, K)`` and ``v`` is ``(K, cols)``; either may
+        alias ``x`` (the GEP kernels' A/B/C cases), so every step
+        materializes its ⊙-combination before ⊕-ing it into ``x``.  The
+        default is the sequential rank-1 loop, valid for any semiring;
+        idempotent semirings override it with
+        :func:`fold_steps_idempotent`.
+        """
+        for k in range(u.shape[1]):
+            self.add_inplace(x, self.mul(u[:, k, None], v[None, k, :]))
+        return x
+
     def star(self, a: Any) -> Any:
         """Kleene closure ``a* = one ⊕ a ⊕ a⊙a ⊕ ...`` of a scalar.
 
@@ -84,8 +153,6 @@ class Semiring(abc.ABC):
     # ------------------------------------------------------------------
     def add_reduce(self, a: np.ndarray, axis: int | None = None) -> np.ndarray:
         """⊕-reduction along an axis (default: all elements)."""
-        out = np.full((), self.zero, dtype=self.dtype) if axis is None else None
-        result = a
         if axis is None:
             flat = a.reshape(-1)
             acc = self.zero
@@ -134,18 +201,15 @@ class Semiring(abc.ABC):
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Semiring matrix product ``C[i,j] = ⊕_k a[i,k] ⊙ b[k,j]``.
 
-        Implemented as a per-``k`` rank-1 fold so only vectorized ⊕/⊙ are
-        required of subclasses.  Concrete semirings override with faster
+        Implemented as :meth:`fold_steps` into a ``zero`` matrix, so only
+        vectorized ⊕/⊙ are required of subclasses.  Concrete semirings override with faster
         formulations where possible (e.g. ``@`` for the real field).
         """
         a = self.asarray(a)
         b = self.asarray(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise SemiringError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        out = self.zeros((a.shape[0], b.shape[1]))
-        for k in range(a.shape[1]):
-            out[...] = self.add(out, self.mul(a[:, k : k + 1], b[k : k + 1, :]))
-        return out
+        return self.fold_steps(self.zeros((a.shape[0], b.shape[1])), a, b)
 
     def matpow(self, a: np.ndarray, p: int) -> np.ndarray:
         """Semiring matrix power by repeated squaring (``p >= 0``)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Semiring
+from .base import Semiring, fold_steps_idempotent
 
 __all__ = ["Boolean"]
 
@@ -32,6 +32,13 @@ class Boolean(Semiring):
 
     def mul(self, a, b):
         return np.logical_and(a, b)
+
+    def fold_steps(self, x, u, v):
+        """Fused and/or fold — exact in any order, and nothing to guard."""
+        if not (x.dtype == u.dtype == v.dtype == self.dtype):
+            return super().fold_steps(x, u, v)
+        fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
+        return x
 
     def star(self, a):
         """``a* = True`` for every boolean ``a`` (closure always reachable)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Semiring
+from .base import Semiring, fold_steps_idempotent
 
 __all__ = ["MinPlus", "MaxPlus"]
 
@@ -30,6 +30,36 @@ def _plus_with_infinities(a: np.ndarray, b: np.ndarray, annihilator: float) -> n
     return out
 
 
+def _fold_steps_guarded_once(
+    sr: Semiring, x: np.ndarray, u: np.ndarray, v: np.ndarray, oplus: np.ufunc
+) -> np.ndarray:
+    """Tropical :meth:`Semiring.fold_steps` with the ``inf + (-inf)`` guard
+    run once per call instead of once per step, with identical results.
+
+    The fold runs on raw ``np.add`` / ``oplus``.  ``np.minimum`` and
+    ``np.maximum`` (and their reductions) propagate NaN, and once a cell
+    of ``x`` is NaN every later ⊕ keeps it NaN, so a NaN anywhere in the
+    final ``x`` is a complete detector for "some ⊙ produced NaN (or an
+    operand held one)".  No NaN means every candidate was NaN-free, so
+    the per-step guard would have been a no-op at every step and the
+    values are the guarded ones.  On a NaN the tile is restored and the
+    call redone through the guarded sequential default — rare: it takes
+    opposite infinities (or NaN) in the operands.
+
+    Tables in another dtype than the semiring's stay on the default so
+    ``out=`` never casts.
+    """
+    if not (x.dtype == u.dtype == v.dtype == sr.dtype):
+        return Semiring.fold_steps(sr, x, u, v)
+    pristine = x.copy()
+    with np.errstate(invalid="ignore"):
+        fold_steps_idempotent(x, u, v, np.add, oplus)
+    if np.isnan(x).any():
+        x[...] = pristine
+        Semiring.fold_steps(sr, x, u, v)
+    return x
+
+
 class MinPlus(Semiring):
     """The tropical semiring ``(R ∪ {+inf}, min, +, +inf, 0)``."""
 
@@ -47,6 +77,9 @@ class MinPlus(Semiring):
 
     def mul(self, a, b):
         return _plus_with_infinities(np.asarray(a), np.asarray(b), self.zero)
+
+    def fold_steps(self, x, u, v):
+        return _fold_steps_guarded_once(self, x, u, v, np.minimum)
 
     def star(self, a):
         """``a* = min(0, a, a+a, ...)``: 0 for ``a >= 0``, ``-inf`` otherwise.
@@ -92,6 +125,9 @@ class MaxPlus(Semiring):
 
     def mul(self, a, b):
         return _plus_with_infinities(np.asarray(a), np.asarray(b), self.zero)
+
+    def fold_steps(self, x, u, v):
+        return _fold_steps_guarded_once(self, x, u, v, np.maximum)
 
     def star(self, a):
         """0 for ``a <= 0`` (no gain cycles), ``+inf`` otherwise."""

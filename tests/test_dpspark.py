@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.api import run_gep
+from repro.core.blocked import blocked_gep_inplace
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import (
     FloydWarshallGep,
@@ -10,6 +12,7 @@ from repro.core.gep import (
     TransitiveClosureGep,
     gep_reference_vectorized,
 )
+from repro.kernels import KernelStats
 from repro.sparkle import FaultPlan, FaultSpec, GridPartitioner, SparkleContext
 from repro.baselines import numpy_floyd_warshall
 
@@ -108,6 +111,64 @@ def test_kernel_stats_updates_exact():
     got, report = _solve(spec, t, "im", "iterative", 3)
     expect = sum((n - 1 - k) ** 2 for k in range(n))
     assert report.kernel_stats.updates == expect
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("strategy", ["im", "cb"])
+@pytest.mark.parametrize("kernel", ["iterative", "recursive"])
+def test_task_local_kernel_stats_equal_the_serial_oracle(name, strategy, kernel):
+    """Tasks record into a private ``KernelStats`` and merge once; what
+    the report carries must be what one serial sink sees on the blocked
+    oracle — totals, per-case invocations, and the invocation log as a
+    multiset (tasks finish in any order)."""
+    spec, make = SPECS[name]
+    n, r = 18, 4
+    t = make(n, seed=6)
+    oracle = KernelStats(keep_log=True)
+    local_kernel = make_kernel(spec, kernel, r_shared=2, base_size=4)
+    expect = blocked_gep_inplace(spec, t.copy(), r, local_kernel, stats=oracle)
+
+    with SparkleContext(num_executors=3, cores_per_executor=2) as sc:
+        solver = GepSparkSolver(
+            spec, sc, r=r, strategy=strategy,
+            kernel=make_kernel(spec, kernel, r_shared=2, base_size=4),
+        )
+        solver.stats.keep_log = True
+        got, report = solver.solve(t)
+    assert_tables_equal(got, expect)
+    stats = report.kernel_stats
+    assert stats.updates == oracle.updates
+    assert stats.invocations == oracle.invocations
+    assert stats.recursion_calls == oracle.recursion_calls
+    assert stats.parallel_stages == oracle.parallel_stages
+    assert stats.max_parallel_width == oracle.max_parallel_width
+    key = lambda inv: (inv.case, inv.rows, inv.cols, inv.pivot, inv.updates)
+    assert sorted(stats.log, key=key) == sorted(oracle.log, key=key)
+    assert report.summary()["kernel_invocations"] == oracle.total_invocations
+
+
+def test_negative_cycle_table_with_infinities_matches_reference():
+    """End to end through the hoisted guard: a table with a negative
+    cycle, unreachable pairs (+inf) and already-diverged distances (-inf)
+    makes ``inf + (-inf)`` occur inside tile kernels (tiles straddle the
+    two components); the spark engine
+    must still equal the per-``k`` guarded reference."""
+    rng = np.random.default_rng(11)
+    n, cut = 24, 14
+    t = rng.integers(1, 9, size=(n, n)).astype(float)
+    t[rng.random((n, n)) < 0.4] = np.inf
+    t[:cut, cut:] = t[cut:, :cut] = np.inf  # two components: +inf survives
+    np.fill_diagonal(t, 0.0)
+    t[2, 7], t[7, 2] = -5.0, 1.0  # negative cycle 2 -> 7 -> 2
+    t[3, 9] = -np.inf  # an already-diverged distance in the input
+    spec = FloydWarshallGep()
+    want, _ = run_gep(spec, t, engine="reference")
+    assert np.isneginf(want).any() and np.isposinf(want).any()
+    for kernel in ("iterative", "recursive"):
+        got, _ = run_gep(
+            spec, t, engine="spark", r=4, kernel=kernel, base_size=4
+        )
+        assert got.tobytes() == want.tobytes()
 
 
 def test_driver_survives_task_failures():

@@ -1,6 +1,8 @@
 """Tile kernels: iterative vs scalar loop, recursive vs iterative,
 aliasing cases, stats accounting, OpenMP runtime behaviour."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.core.blocked import blocked_gep_inplace
 from repro.core.gep import (
     FloydWarshallGep,
     GaussianEliminationGep,
+    SemiringGep,
     TransitiveClosureGep,
     gep_reference_vectorized,
 )
@@ -23,6 +26,8 @@ from repro.kernels import (
     gep_tile_update,
     gep_tile_update_loop,
 )
+from repro.semiring import MinPlus, Semiring, get_semiring, tropical
+from repro.semiring import base as semiring_base
 
 from .conftest import assert_tables_equal, fw_table, ge_table, tc_table
 
@@ -387,3 +392,191 @@ def test_property_recursive_ge_equals_reference(n, r_shared, base, seed):
     got = t.copy()
     RecursiveKernel(spec, r_shared, base).run("A", got, got, got, got, 0, 0, 0, n)
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# fused semiring fold (``apply_steps`` / ``Semiring.fold_steps``)
+# ----------------------------------------------------------------------
+_INF, _NAN = float("inf"), float("nan")
+#: value alphabets per semiring: ``tame`` keeps every pivot-diagonal
+#: entry on the side of ``one`` where pivot-row/column updates are
+#: no-ops (the precondition for the scalar in-place loop to agree with
+#: a vectorized step on aliased tiles); ``wild`` adds the other sign and
+#: the annihilator's opposite infinity — what trips the guard.
+_ALPHABETS = {
+    "tropical": ([0.0, -0.0, 1.0, 2.5, _INF, _NAN], [-1.0, -3.0, -_INF]),
+    "maxplus": ([0.0, -0.0, -1.0, -2.5, -_INF, _NAN], [1.0, 3.0, _INF]),
+    "boolean": ([False, True], []),
+}
+
+
+def _per_k_loop(spec, x, u, v):
+    """The sequential reference: one guarded ``apply_k`` per pivot step."""
+    for kk in range(u.shape[1]):
+        spec.apply_k(x, u[:, kk], v[kk, :], None, None)
+
+
+def _case_operands(case, x, u, v):
+    """Alias ``u``/``v`` to ``x`` the way kernel case ``case`` does."""
+    return (x if case in "AC" else u), (x if case in "AB" else v)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_fused_fold_equals_sequential_steps(data):
+    """semiring x case x ragged shape x {±inf, -0.0, NaN}: the fused fast
+    path is bit-identical to the per-``k`` ``apply_k`` loop (NaN positions
+    and zero signs included) and equal to the scalar loop."""
+    name = data.draw(st.sampled_from(sorted(_ALPHABETS)))
+    case = data.draw(st.sampled_from("ABCD"))
+    tame, wild = _ALPHABETS[name]
+    wild_draw = data.draw(st.booleans())
+    values = st.sampled_from(tame + (wild if wild_draw else []))
+    pivot = data.draw(st.integers(1, 7))
+    mi = pivot if case in "AB" else data.draw(st.integers(1, 7))
+    mj = pivot if case in "AC" else data.draw(st.integers(1, 7))
+    spec = SemiringGep(name)
+
+    def tile(rows, cols):
+        cells = data.draw(
+            st.lists(values, min_size=rows * cols, max_size=rows * cols)
+        )
+        return np.array(cells, dtype=spec.dtype).reshape(rows, cols)
+
+    x0, u0, v0 = tile(mi, mj), tile(mi, pivot), tile(pivot, mj)
+    # a small budget makes multi-chunk folds (and chunk < 2) reachable
+    budget = data.draw(st.sampled_from([1, 16, 64, 32768]))
+
+    fused = x0.copy()
+    u, v = _case_operands(case, fused, u0, v0)
+    with mock.patch.object(semiring_base, "_FOLD_CHUNK_ELEMS", budget):
+        gep_tile_update(spec, fused, u, v, None, 3, 5, 0, 64)
+
+    stepped = x0.copy()
+    _per_k_loop(spec, stepped, *_case_operands(case, stepped, u0, v0))
+    assert fused.tobytes() == stepped.tobytes()
+    assert np.array_equal(fused, stepped, equal_nan=name != "boolean")
+
+    if case == "D" or not wild_draw:
+        looped = x0.copy()
+        lu, lv = _case_operands(case, looped, u0, v0)
+        gep_tile_update_loop(spec, looped, lu, lv, None, 3, 5, 0, 64)
+        assert np.array_equal(fused, looped, equal_nan=name != "boolean")
+
+
+def test_single_cell_tile_keeps_zero_signs(fw_spec):
+    """On a 1x1 tile the k axis of the broadcast is the contiguous one,
+    which NumPy reduces in SIMD lane order — a different tie-break on
+    ``±0.0`` than the step loop's.  Such tiles stay sequential."""
+    rng = np.random.default_rng(0)
+    cells = np.array([0.0, -0.0, 1.0, np.inf])
+    for _ in range(300):
+        x0, u, v = (rng.choice(cells, size=s) for s in ((1, 1), (1, 32), (32, 1)))
+        got, want = x0.copy(), x0.copy()
+        gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
+        _per_k_loop(fw_spec, want, u, v)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_overlapping_subviews_take_the_sequential_branch(fw_spec):
+    """Recursive-kernel shape: ``v`` is a *different view object* over the
+    same cells as ``x`` (so ``v is x`` is false).  Re-associating would
+    read stale pivot rows; ``may_share_memory`` must route the call to
+    the sequential branch."""
+    rng = np.random.default_rng(5)
+    base = rng.integers(1, 30, size=(4, 8)).astype(np.float64)
+    pristine = base.copy()
+    x, u, v = base[:, 4:], base[:, :4], base[:, 4:]
+    assert v is not x and np.may_share_memory(x, v)
+    gep_tile_update(fw_spec, x, u, v, None, 0, 4, 0, 8)
+
+    stepped = pristine.copy()
+    _per_k_loop(fw_spec, stepped[:, 4:], stepped[:, :4], stepped[:, 4:])
+    assert base.tobytes() == stepped.tobytes()
+    # the input discriminates: with v detached (independent operands,
+    # hence the fused branch) the answer is a different one
+    detached = pristine[:, 4:].copy()
+    gep_tile_update(
+        fw_spec, detached, pristine[:, :4], pristine[:, 4:].copy(), None, 0, 4, 0, 8
+    )
+    assert not np.array_equal(detached, base[:, 4:])
+
+
+@pytest.mark.parametrize("name", ["counting", "real"])
+def test_non_idempotent_semirings_keep_the_default_fold(name):
+    """``+`` rounds (or overflows) and is not idempotent: these semirings
+    must not inherit a re-associating ``fold_steps``."""
+    sr = get_semiring(name)
+    assert type(sr).fold_steps is Semiring.fold_steps
+    spec = SemiringGep(sr)
+    rng = np.random.default_rng(2)
+    x0, u, v = (rng.integers(0, 5, size=(5, 5)).astype(sr.dtype) for _ in range(3))
+    got, want = x0.copy(), x0.copy()
+    gep_tile_update(spec, got, u, v, None, 0, 5, 10, 64)
+    _per_k_loop(spec, want, u, v)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float32_table_keeps_the_default_fold(fw_spec, monkeypatch):
+    """A table in another dtype than the semiring's never reaches the
+    ``out=`` ufunc path (which would cast): same bits as per-``k``."""
+    def boom(*a, **k):
+        raise AssertionError("fused fold reached with a foreign dtype")
+
+    monkeypatch.setattr(tropical, "fold_steps_idempotent", boom)
+    rng = np.random.default_rng(3)
+    x0, u, v = (rng.random((6, 6)).astype(np.float32) for _ in range(3))
+    got, want = x0.copy(), x0.copy()
+    gep_tile_update(fw_spec, got, u, v, None, 0, 6, 12, 64)
+    _per_k_loop(fw_spec, want, u, v)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+class TestGuardFallback:
+    """The ±inf guard runs once per kernel call: a clean tile never takes
+    a guarded step, a tile whose fold meets ``inf + (-inf)`` is redone,
+    whole, through the guarded sequential default."""
+
+    @staticmethod
+    def _count_guarded(monkeypatch):
+        calls = {"fold": 0, "mul": 0}
+        default_fold, guarded_mul = Semiring.fold_steps, MinPlus.mul
+
+        def counting_fold(self, x, u, v):
+            calls["fold"] += 1
+            return default_fold(self, x, u, v)
+
+        def counting_mul(self, a, b):
+            calls["mul"] += 1
+            return guarded_mul(self, a, b)
+
+        monkeypatch.setattr(Semiring, "fold_steps", counting_fold)
+        monkeypatch.setattr(MinPlus, "mul", counting_mul)
+        return calls
+
+    def test_clean_tile_takes_no_guarded_step(self, fw_spec, monkeypatch):
+        calls = self._count_guarded(monkeypatch)
+        t = fw_table(12, seed=4)
+        x = t[4:8, 8:12].copy()
+        gep_tile_update(
+            fw_spec, x, t[4:8, 0:4].copy(), t[0:4, 8:12].copy(), None, 4, 8, 0, 12
+        )
+        assert calls == {"fold": 0, "mul": 0}
+
+    def test_opposite_infinities_redo_the_call_guarded(self, fw_spec, monkeypatch):
+        rng = np.random.default_rng(9)
+        x0, u, v = (rng.integers(1, 20, size=(4, 4)).astype(float) for _ in range(3))
+        u[1, 2] = np.inf
+        v[2, 3] = -np.inf
+        want = x0.copy()
+        _per_k_loop(fw_spec, want, u, v)  # today's result, computed first
+
+        calls = self._count_guarded(monkeypatch)
+        got = x0.copy()
+        gep_tile_update(fw_spec, got, u, v, None, 4, 8, 0, 12)
+        assert calls == {"fold": 1, "mul": 4}  # one redo, one mul per step
+        assert got.tobytes() == want.tobytes()
+        assert not np.isnan(got).any()
+        assert got[0, 3] == -np.inf  # finite + (-inf) still wins the min
+        assert got[1, 3] == min(x0[1, 3], *(u[1, k] + v[k, 3] for k in (0, 1, 3)))

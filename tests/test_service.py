@@ -800,11 +800,16 @@ class TestLifecycle:
         gate = threading.Event()
         service = SolverService(sc)
         original = service._solve
+        entered = threading.Event()
         service._solve = lambda req, offload: (
+            entered.set(),
             gate.wait(60),
             original(req, offload),
-        )[1]
+        )[2]
         running = service.submit(_request(seed=0))
+        # stop(drain=False) fails whatever is still queued: the first
+        # request must be in flight, not merely submitted, before it runs
+        assert entered.wait(30)
         queued = service.submit(_request(seed=1))
         stopper = threading.Thread(
             target=service.stop, kwargs={"drain": False}, daemon=True
