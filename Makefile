@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench bench-gate scoreboard scoreboard-compare
+.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench scoreboard scoreboard-compare
 
 # full suite
 test:
@@ -23,8 +23,8 @@ robustness:
 supervision:
 	$(PYTEST) -q -m supervision
 
-# batched dispatch plane: differential dispatch-mode property, tile
-# affinity, gang stages
+# kernel-offload plane: threads-vs-processes differential property,
+# exact round-trip counts, tile affinity
 batching:
 	$(PYTEST) -q -m batching
 
@@ -39,8 +39,10 @@ service:
 soak:
 	$(PYTEST) -q -m resilience
 
-# performance-claim gates (multicore wall-clock assertions; they
-# self-skip on hosts with < 4 cores, so this is always safe to run)
+# performance-claim gates: the pipelining overlap/barrier-wait gates of
+# tests/test_bench_gate.py and the processes-vs-threads wall gate of
+# tests/test_backend.py (wall-clock claims self-skip on hosts with too
+# few cores, so this is always safe to run)
 perf:
 	$(PYTEST) -q -m perf
 
@@ -59,12 +61,6 @@ tenancy:
 # robustness gate: tier-1, then chaos/durability/memory/service, then
 # pipelining and tenancy, then perf gates
 smoke: tier1 robustness batching service pipeline tenancy perf
-
-# tier-2 dispatch bench gate: fail unless batched dispatch cuts IPC
-# round-trips >= 10x without a wall-clock regression (the wall claim
-# self-skips on single-core hosts)
-bench-gate:
-	$(PYTEST) -q -m perf tests/test_bench_gate.py
 
 # A/B the thread and process data planes on the pinned FW-APSP workload
 # and write BENCH_engine.json (wall-clock, shuffle bytes, zero-copy

@@ -45,8 +45,6 @@ def run_once(
     r: int,
     strategy: str,
     heartbeat_interval: float | None = None,
-    dispatch: str = "tile",
-    gang_stages: bool = False,
     pipeline_depth: int = 1,
 ):
     ctx_kw = {}
@@ -56,8 +54,6 @@ def run_once(
         num_executors=4,
         cores_per_executor=2,
         backend=backend,
-        dispatch=dispatch,
-        gang_stages=gang_stages,
         pipeline_depth=pipeline_depth,
         **ctx_kw,
     ) as sc:
@@ -75,19 +71,13 @@ def run_once(
         m = report.engine_metrics
         return out, {
             "backend": backend,
-            "dispatch": dispatch,
-            "gang_stages": gang_stages,
             "wall_seconds": round(wall, 4),
             "jobs": len(m.jobs),
             "stages": m.total_stages,
             "tasks": m.total_tasks,
             "tasks_per_solve": m.total_tasks,
             "dispatch_round_trips": m.dispatch_round_trips,
-            "batch_dispatches": m.batch_dispatches,
-            "batched_kernel_calls": m.batched_kernel_calls,
             "affinity_hit_rate": m.dispatch_summary()["affinity_hit_rate"],
-            "gang_dispatches": m.gang_dispatches,
-            "gang_retries": m.gang_retries,
             "shuffle_total_bytes_written": sc._shuffle_manager.total_bytes_written,
             "shuffle_bytes_deduplicated": m.shuffle_bytes_deduplicated,
             "serialized_shuffle_writes": m.serialized_shuffle_writes,
@@ -341,19 +331,10 @@ def main(argv=None) -> int:
     print(f"bench: FW-APSP n={n} grid={args.grid}x{args.grid} (r={r}) "
           f"strategy={args.strategy} seed={args.seed}")
     table = random_digraph_weights(n, 0.3, seed=args.seed)
-    # The dispatch plane A/B: per-tile IPC (the historical loss to
-    # threads), batched per-worker round-trips, and barrier gangs.
-    configs = [
-        ("threads", {}),
-        ("processes", {}),
-        ("processes-batch", {"dispatch": "batch"}),
-        ("processes-gang", {"dispatch": "batch", "gang_stages": True}),
-    ]
     runs = {}
     baseline = None
-    for label, kw in configs:
-        backend = "threads" if label == "threads" else "processes"
-        out, rec = run_once(backend, table.copy(), r, args.strategy, **kw)
+    for label in ("threads", "processes"):
+        out, rec = run_once(label, table.copy(), r, args.strategy)
         if baseline is None:
             baseline = out
         elif not np.array_equal(baseline, out):
@@ -422,7 +403,6 @@ def main(argv=None) -> int:
 
     cpus = os.cpu_count() or 1
     t, p = runs["threads"], runs["processes"]
-    b = runs["processes-batch"]
     report = {
         "workload": {
             "spec": "fw-apsp",
@@ -445,27 +425,9 @@ def main(argv=None) -> int:
             ),
             "shuffle_bytes_saved": t["shuffle_total_bytes_written"]
             - p["shuffle_total_bytes_written"],
-            # the batching headline: driver<->worker IPC round-trips,
-            # per-tile vs fused per-worker batches (host-independent)
-            "round_trip_reduction": round(
-                p["dispatch_round_trips"] / b["dispatch_round_trips"], 2
-            )
-            if b["dispatch_round_trips"]
-            else None,
-            "batch_speedup_vs_per_tile": round(
-                p["wall_seconds"] / b["wall_seconds"], 4
-            ),
             # parallel-kernel wall-clock wins need real cores; recorded
             # honestly instead of asserted on undersized hosts
             "speedup_claim_applicable": cpus >= 4,
-            # overwritten with PASS/SKIPPED by tests/test_bench_gate.py;
-            # pre-seeded here so the field always exists with a reason
-            "wall_clock_gate": (
-                "not run (make bench-gate)"
-                if cpus >= 2
-                else f"SKIPPED: <2 cores (host has {cpus}; the wall-clock "
-                     "claim needs real hardware parallelism)"
-            ),
         },
         "pipeline": {
             "depth": 2,
@@ -475,8 +437,6 @@ def main(argv=None) -> int:
             "barrier_wall_seconds": t["wall_seconds"],
             "barrier_wait_reduction": wait_reduction,
             "bit_identical": True,
-            # overwritten with PASS/SKIPPED by tests/test_bench_gate.py
-            "barrier_wait_gate": "not run (make bench-gate)",
         },
         "service": service_rec,
         "fairness": fairness_rec,

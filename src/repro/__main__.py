@@ -114,16 +114,6 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dispatch == "batch" and args.backend != "processes":
-        print(
-            "--dispatch batch requires --backend processes (the threads "
-            "backend runs kernels in-process; there is nothing to batch)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.gang_stages and args.dispatch != "batch":
-        print("--gang-stages requires --dispatch batch", file=sys.stderr)
-        return 2
     if args.affinity == "off" and args.backend != "processes":
         print("--affinity off requires --backend processes", file=sys.stderr)
         return 2
@@ -159,8 +149,6 @@ def _cmd_solve(args) -> int:
             memory_budget_bytes=args.memory_budget,
             spill_dir=args.spill_dir or None,
             backend=args.backend,
-            dispatch=args.dispatch,
-            gang_stages=args.gang_stages,
             affinity=args.affinity != "off",
             pipeline_depth=args.pipeline_depth,
             **ctx_supervision_kw,
@@ -667,18 +655,6 @@ def main(argv: list[str] | None = None) -> int:
              "deterministic in-process pool) or processes (one worker "
              "process per executor; kernel tile updates run on multiple "
              "cores via shared-memory transport — bit-identical results)")
-    solve.add_argument(
-        "--dispatch", choices=("tile", "batch"), default="tile",
-        help="process-backend kernel dispatch: tile (default; one IPC "
-             "round-trip per tile update) or batch (fuse a stage's tile "
-             "updates into one round-trip per worker; bit-identical "
-             "results); requires --backend processes")
-    solve.add_argument(
-        "--gang-stages", action="store_true",
-        help="dispatch each batched kernel wave as a barrier gang spread "
-             "across the whole worker pool, with all-or-nothing retry on "
-             "member failure (JAMPI-style gang scheduling); requires "
-             "--dispatch batch")
     solve.add_argument(
         "--affinity", choices=("on", "off"), default="on",
         help="tile-affinity scheduling for the process backend: keep "

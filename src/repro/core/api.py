@@ -1,7 +1,7 @@
 """Shared execution plumbing for the public solvers.
 
 Every solver (FW-APSP, GE, transitive closure, generic semiring
-closure) funnels through :func:`run_gep`, which dispatches on engine:
+closure) funnels through :func:`run_gep`, which selects the engine:
 
 * ``"reference"`` — per-``k`` vectorized whole-table GEP (ground truth);
 * ``"local"`` — single-node blocked execution (grid of tiles, any
@@ -52,8 +52,6 @@ def run_gep(
     task_deadline: float | None = None,
     max_task_failures: int | None = None,
     degrade_on_crash: bool = False,
-    dispatch: str = "tile",
-    gang_stages: bool = False,
     affinity: bool = True,
     pipeline_depth: int = 1,
 ) -> tuple[np.ndarray, SolveReport | None]:
@@ -79,13 +77,9 @@ def run_gep(
     solver's processes→threads fallback once a kernel call is
     quarantined as poison.
 
-    ``dispatch``/``gang_stages``/``affinity`` tune the process
-    backend's kernel-offload plane of an owned spark context:
-    ``dispatch="batch"`` fuses a stage's tile updates into one
-    round-trip per worker, ``gang_stages=True`` spreads each batch
-    across the whole worker pool as a barrier gang with all-or-nothing
-    retry, and ``affinity=False`` disables tile-affinity routing.
-    Pass a pre-configured ``sc`` otherwise.
+    ``affinity=False`` disables the process backend's tile-affinity
+    routing on an owned spark context (pass a pre-configured ``sc``
+    otherwise).
 
     ``pipeline_depth`` (spark engine, owned context) arms wavefront
     pipelining: ``>= 2`` overlaps that many outer iterations under the
@@ -131,20 +125,12 @@ def run_gep(
         )
     if degrade_on_crash and engine != "spark":
         raise ValueError("degrade_on_crash requires engine='spark'")
-    dispatch_kw = {
-        "dispatch": dispatch != "tile",
-        "gang_stages": gang_stages,
-        "affinity": not affinity,
-    }
-    dispatch_set = {k for k, v in dispatch_kw.items() if v}
-    if dispatch_set and engine != "spark":
-        names = "/".join(sorted(dispatch_set))
-        verb = "requires" if len(dispatch_set) == 1 else "require"
-        raise ValueError(f"{names} {verb} engine='spark'")
-    if dispatch_set and sc is not None:
+    if not affinity and engine != "spark":
+        raise ValueError("affinity requires engine='spark'")
+    if not affinity and sc is not None:
         raise ValueError(
-            "dispatch options apply to an owned context; construct the "
-            "SparkleContext with dispatch/gang_stages/affinity instead"
+            "affinity applies to an owned context; construct the "
+            "SparkleContext with affinity= instead"
         )
     if pipeline_depth != 1:
         if pipeline_depth < 1:
@@ -190,8 +176,6 @@ def run_gep(
                 memory_budget_bytes=memory_budget_bytes,
                 spill_dir=spill_dir,
                 backend=backend,
-                dispatch=dispatch,
-                gang_stages=gang_stages,
                 affinity=affinity,
                 pipeline_depth=pipeline_depth,
                 **ctx_kw,
@@ -259,8 +243,6 @@ class GepRunOptions(dict):
             "task_deadline",
             "max_task_failures",
             "degrade_on_crash",
-            "dispatch",
-            "gang_stages",
             "affinity",
             "pipeline_depth",
         }

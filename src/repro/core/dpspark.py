@@ -31,13 +31,14 @@ recovery can never corrupt the DP table.  A run's recovery cost is
 surfaced on :attr:`SolveReport.recovery`.
 
 Data plane.  Kernel invocations go through :meth:`GepSparkSolver.
-_updated_tile`, which never mutates its input.  On the default thread
-backend it takes the historical defensive ``tile.copy()`` (the
-retry-purity contract above) — unless the tile arrives as an *owned*
-:class:`~repro.sparkle.serialize.CowTile`, in which case the copy is
-skipped and metered as ``copies_eliminated``.  On the process backend
-(``SparkleContext(backend="processes")``) picklable kernels are
-offloaded to worker processes: the tile is staged into a shared-memory
+_run_tile_batch` — one call per task — which never mutates its inputs.
+On the default thread backend it takes the historical defensive
+``tile.copy()`` (the retry-purity contract above) — unless the tile
+arrives as an *owned* :class:`~repro.sparkle.serialize.CowTile`, in
+which case the copy is skipped and metered as ``copies_eliminated``.
+On the process backend (``SparkleContext(backend="processes")``)
+picklable kernels are offloaded to worker processes, a task's tile
+updates in one round-trip: each tile is staged into a shared-memory
 scratch segment (that staging *is* the private copy), operands already
 resident in the arena (CB storage blocks, broadcast tiles, cached
 partitions) travel as segment names instead of bytes, and intra-tile
@@ -52,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import pickle
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,6 +66,7 @@ from ..kernels import (
     RecursiveKernel,
 )
 from ..kernels.openmp import OmpRuntime
+from ..poly.dependence import iteration_read_versions
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
 from ..sparkle.backend import ALIAS_X
 from ..sparkle.durable import SolveJournal
@@ -75,6 +78,7 @@ from ..sparkle.errors import (
     ResumeMismatchError,
 )
 from ..sparkle.metrics import EngineMetrics
+from ..sparkle.pipeline import TileTracker
 from ..sparkle.rdd import CheckpointedRDD
 from ..sparkle.requests import solve_fingerprint
 from .blocked import b_range, c_range, grid_bounds
@@ -168,6 +172,18 @@ class SolveReport:
         if self.extras:
             out["extras"] = dict(self.extras)
         return out
+
+
+@dataclass
+class _DriverState:
+    """Per-solve bookkeeping shared by the barrier and pipelined loops."""
+
+    active_strategy: str
+    resumed_from: int | None
+    degraded_at: int | None = None
+    backend_degraded_at: int | None = None
+    completed: int = 0
+    partial: bool = False
 
 
 class GepSparkSolver:
@@ -325,8 +341,6 @@ class GepSparkSolver:
 
     def solve(self, table: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Run the full GEP on ``table``; returns (result, report)."""
-        import time
-
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("GEP requires a square table")
         if getattr(self.sc, "pipeline_depth", 1) > 1:
@@ -359,71 +373,20 @@ class GepSparkSolver:
                 dp, start_k, resumed_from = restored
         if dp is None:
             if journal is not None:
-                journal.reset()
-                journal.append(
-                    {
-                        "kind": "begin",
-                        "fingerprint": fingerprint,
-                        "spec": self.spec.name,
-                        "strategy": self.strategy,
-                        "n": n,
-                        "r": self.r,
-                        "nt": nt,
-                    }
-                )
-                self.sc.metrics.journal_appends += 1
+                self._journal_begin(journal, fingerprint, n, nt)
             dp = self._initial_rdd(table, bounds, nt)
 
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
-        completed = 0
-        partial = False
+        state = _DriverState(self.strategy, resumed_from)
         mm = getattr(self.sc, "memory_manager", None)
         sup = getattr(self.sc, "supervisor", None)
-        plan = self.sc.fault_plan
-        active_strategy = self.strategy
-        degraded_at: int | None = None
-        backend_degraded_at: int | None = None
         for k in range(start_k, nt):
             if not active(k):
                 continue
-            if (
-                self.degrade_on_crash
-                and sup is not None
-                and not self._offload_disabled
-                and sup.degrade_pending()
-            ):
-                # Backend degradation at the iteration boundary: a task
-                # was quarantined as poison mid-iteration (its tile
-                # already recomputed on the thread path); finish the
-                # solve without kernel offload — same math, same bits,
-                # no process boundary left to crash.
-                self._offload_disabled = True
-                backend_degraded_at = k
-                self.sc.metrics.backend_degradations += 1
-            if mm is not None and plan is not None:
-                # Chaos: a seeded mid-solve budget shrink (the cluster
-                # losing memory headroom).  Driver-side and keyed only by
-                # the iteration, so the decision — and every pressure
-                # transition it causes — is deterministic per seed.
-                factor = plan.mem_squeeze(k)
-                if factor < 1.0:
-                    mm.squeeze(factor)
-            if (
-                self.degrade_on_pressure
-                and mm is not None
-                and active_strategy == "im"
-                and mm.critical_since_last_check()
-            ):
-                # Graceful degradation at the iteration boundary: finish
-                # the solve Collect-Broadcast style (bit-identical, but
-                # its working set lives in shared storage, which the
-                # governor deliberately does not budget — paper §IV-C).
-                active_strategy = "cb"
-                degraded_at = k
-                self.sc.metrics.strategy_degradations += 1
-            if active_strategy == "im":
+            self._iteration_boundary(k, state)
+            if state.active_strategy == "im":
                 dp = self._im_iteration(dp, k, bounds, nt, n)
-            elif active_strategy == "cb":
+            elif state.active_strategy == "cb":
                 dp = self._cb_iteration(dp, k, bounds, nt, n)
             else:
                 dp = self._bcast_iteration(dp, k, bounds, nt, n)
@@ -447,14 +410,88 @@ class GepSparkSolver:
                 self.sc.run_job(dp, _drain_iterator, action="pressure_probe")
             if self.on_iteration is not None:
                 self.on_iteration(k)
-            completed += 1
-            if self.max_iterations is not None and completed >= self.max_iterations:
-                partial = any(active(kk) for kk in range(k + 1, nt))
+            state.completed += 1
+            if (
+                self.max_iterations is not None
+                and state.completed >= self.max_iterations
+            ):
+                state.partial = any(active(kk) for kk in range(k + 1, nt))
                 break
         result = self._assemble(dp, bounds, n, dtype=self.spec.dtype)
-        if journal is not None and not partial:
+        if journal is not None and not state.partial:
             journal.append({"kind": "done"})
             self.sc.metrics.journal_appends += 1
+        return result, self._report(state, n, nt, start)
+
+    # ------------------------------------------------------------------
+    # driver scaffolding shared by the barrier and pipelined loops
+    # ------------------------------------------------------------------
+    def _journal_begin(self, journal, fingerprint: str, n: int, nt: int) -> None:
+        """Start a fresh journal with this solve's identity record."""
+        journal.reset()
+        journal.append(
+            {
+                "kind": "begin",
+                "fingerprint": fingerprint,
+                "spec": self.spec.name,
+                "strategy": self.strategy,
+                "n": n,
+                "r": self.r,
+                "nt": nt,
+            }
+        )
+        self.sc.metrics.journal_appends += 1
+
+    def _iteration_boundary(self, k: int, state: "_DriverState") -> None:
+        """Degrade checks (and the chaos squeeze) before iteration ``k``."""
+        metrics = self.sc.metrics
+        mm = getattr(self.sc, "memory_manager", None)
+        sup = getattr(self.sc, "supervisor", None)
+        plan = self.sc.fault_plan
+        if (
+            self.degrade_on_crash
+            and sup is not None
+            and not self._offload_disabled
+            and sup.degrade_pending()
+        ):
+            # Backend degradation at the iteration boundary: a task
+            # was quarantined as poison mid-iteration (its tile
+            # already recomputed on the thread path); finish the
+            # solve without kernel offload — same math, same bits,
+            # no process boundary left to crash.
+            self._offload_disabled = True
+            state.backend_degraded_at = k
+            metrics.backend_degradations += 1
+        if mm is not None and plan is not None:
+            # Chaos: a seeded mid-solve budget shrink (the cluster
+            # losing memory headroom).  Driver-side and keyed only by
+            # the iteration, so the decision — and every pressure
+            # transition it causes — is deterministic per seed.
+            factor = plan.mem_squeeze(k)
+            if factor < 1.0:
+                mm.squeeze(factor)
+        if (
+            self.degrade_on_pressure
+            and mm is not None
+            and state.active_strategy == "im"
+            and mm.critical_since_last_check()
+        ):
+            # Graceful degradation at the iteration boundary: finish
+            # the solve Collect-Broadcast style (bit-identical, but
+            # its working set lives in shared storage, which the
+            # governor deliberately does not budget — paper §IV-C).
+            # Pipelined IM stages operands through the tracker, not
+            # the shuffle, so there the degrade keeps its meaning as
+            # "stop coupling operands through governed pools".
+            state.active_strategy = "cb"
+            state.degraded_at = k
+            metrics.strategy_degradations += 1
+
+    def _report(
+        self, state: "_DriverState", n: int, nt: int, start: float
+    ) -> SolveReport:
+        """Assemble the :class:`SolveReport` and its ``extras``."""
+        sc = self.sc
         report = SolveReport(
             spec_name=self.spec.name,
             strategy=self.strategy,
@@ -462,40 +499,43 @@ class GepSparkSolver:
             r=self.r,
             kernel=self.kernel.describe(),
             num_partitions=self.num_partitions,
-            engine_metrics=self.sc.metrics,
+            engine_metrics=sc.metrics,
             kernel_stats=self.stats,
             wall_seconds=time.perf_counter() - start,
         )
-        if partial:
-            report.extras["partial"] = {
-                "iterations_completed": completed,
+        extras = report.extras
+        if state.partial:
+            extras["partial"] = {
+                "iterations_completed": state.completed,
                 "grid_iterations": nt,
             }
-        if resumed_from is not None:
-            report.extras["resumed_from_iteration"] = resumed_from
-        if degraded_at is not None:
-            report.extras["degraded"] = {
+        if state.resumed_from is not None:
+            extras["resumed_from_iteration"] = state.resumed_from
+        if state.degraded_at is not None:
+            extras["degraded"] = {
                 "from": "im",
                 "to": "cb",
-                "at_iteration": degraded_at,
+                "at_iteration": state.degraded_at,
             }
-        if backend_degraded_at is not None:
-            report.extras["backend_degradations"] = [
+        if state.backend_degraded_at is not None:
+            sup = getattr(sc, "supervisor", None)
+            extras["backend_degradations"] = [
                 {
                     "from": "processes",
                     "to": "threads",
-                    "at_iteration": backend_degraded_at,
+                    "at_iteration": state.backend_degraded_at,
                     "quarantined_tasks": (
                         len(sup.quarantined()) if sup is not None else 0
                     ),
                 }
             ]
+        mm = getattr(sc, "memory_manager", None)
         if mm is not None:
-            report.extras["memory_budget"] = mm.usage()
-        if self.sc.fault_plan is not None:
-            report.extras["chaos"] = self.sc.fault_plan.describe()
-            report.extras["faults_injected"] = self.sc.fault_plan.fired()
-        return result, report
+            extras["memory_budget"] = mm.usage()
+        if sc.fault_plan is not None:
+            extras["chaos"] = sc.fault_plan.describe()
+            extras["faults_injected"] = sc.fault_plan.fired()
+        return report
 
     # ------------------------------------------------------------------
     # wavefront pipeline (DESIGN.md §17): dependence-admitted iterations
@@ -519,11 +559,6 @@ class GepSparkSolver:
         barrier mode: the kernels, operand versions, and retry-purity
         contract are all the same — only admission timing moves.
         """
-        import time
-
-        from ..poly.dependence import iteration_read_versions
-        from ..sparkle.pipeline import TileTracker
-
         start = time.perf_counter()
         sc = self.sc
         depth = sc.pipeline_depth
@@ -551,19 +586,7 @@ class GepSparkSolver:
                 tiles0, start_k, resumed_from = restored
         if tiles0 is None:
             if journal is not None:
-                journal.reset()
-                journal.append(
-                    {
-                        "kind": "begin",
-                        "fingerprint": fingerprint,
-                        "spec": self.spec.name,
-                        "strategy": self.strategy,
-                        "n": n,
-                        "r": self.r,
-                        "nt": nt,
-                    }
-                )
-                metrics.journal_appends += 1
+                self._journal_begin(journal, fingerprint, n, nt)
             tiles0 = [
                 (
                     (i, j),
@@ -583,20 +606,12 @@ class GepSparkSolver:
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
         self._bcast_lock = threading.Lock()
         all_keys = [(i, j) for i in range(nt) for j in range(nt)]
-        mm = getattr(sc, "memory_manager", None)
-        sup = getattr(sc, "supervisor", None)
-        plan = sc.fault_plan
-        active_strategy = self.strategy
-        degraded_at: int | None = None
-        backend_degraded_at: int | None = None
-        completed = 0
-        partial = False
+        state = _DriverState(self.strategy, resumed_from)
         submitted: list[int] = []  # active iterations in flight, unsealed
         stop_level = nt
 
         def seal(k: int) -> None:
             """Driver-side commit of iteration ``k`` once it fully settles."""
-            nonlocal completed
             tracker.wait_all([(k + 1, i, j) for (i, j) in all_keys])
             if journal is not None:
                 for (i, j) in all_keys:
@@ -611,7 +626,7 @@ class GepSparkSolver:
                             store.delete(("snap", old, i, j))
             if self.on_iteration is not None:
                 self.on_iteration(k)
-            completed += 1
+            state.completed += 1
             # Levels <= k can no longer be read: iteration k's tasks are
             # all done and k+1 reads versions >= k+1.  Bounds live tiles
             # to the lookahead window.
@@ -625,34 +640,9 @@ class GepSparkSolver:
                     continue
                 while len(submitted) >= depth:
                     seal(submitted.pop(0))
-                if (
-                    self.degrade_on_crash
-                    and sup is not None
-                    and not self._offload_disabled
-                    and sup.degrade_pending()
-                ):
-                    self._offload_disabled = True
-                    backend_degraded_at = k
-                    metrics.backend_degradations += 1
-                if mm is not None and plan is not None:
-                    factor = plan.mem_squeeze(k)
-                    if factor < 1.0:
-                        mm.squeeze(factor)
-                if (
-                    self.degrade_on_pressure
-                    and mm is not None
-                    and active_strategy == "im"
-                    and mm.critical_since_last_check()
-                ):
-                    # Pipelined IM stages operands through the tracker,
-                    # not the shuffle, so the degrade keeps its meaning
-                    # as "stop coupling operands through governed pools":
-                    # remaining iterations switch to CB shared storage.
-                    active_strategy = "cb"
-                    degraded_at = k
-                    metrics.strategy_degradations += 1
+                self._iteration_boundary(k, state)
                 self._submit_pipelined_iteration(
-                    k, bounds, nt, n, tracker, active_strategy
+                    k, bounds, nt, n, tracker, state.active_strategy
                 )
                 submitted.append(k)
                 metrics.pipeline_iterations += 1
@@ -661,9 +651,9 @@ class GepSparkSolver:
                 )
                 if (
                     self.max_iterations is not None
-                    and completed + len(submitted) >= self.max_iterations
+                    and state.completed + len(submitted) >= self.max_iterations
                 ):
-                    partial = any(active(kk) for kk in range(k + 1, nt))
+                    state.partial = any(active(kk) for kk in range(k + 1, nt))
                     stop_level = k + 1
                     break
             while submitted:
@@ -686,55 +676,16 @@ class GepSparkSolver:
             # never pruned, and leaking them would poison the service's
             # pressure readings for every later request on this context.
             tracker.close()
-        if journal is not None and not partial:
+        if journal is not None and not state.partial:
             journal.append({"kind": "done"})
             metrics.journal_appends += 1
-        report = SolveReport(
-            spec_name=self.spec.name,
-            strategy=self.strategy,
-            n=n,
-            r=self.r,
-            kernel=self.kernel.describe(),
-            num_partitions=self.num_partitions,
-            engine_metrics=metrics,
-            kernel_stats=self.stats,
-            wall_seconds=time.perf_counter() - start,
-        )
+        report = self._report(state, n, nt, start)
         report.extras["pipeline"] = {
             "depth": depth,
             "depth_achieved": metrics.pipeline_depth_achieved,
             "iterations": metrics.pipeline_iterations,
             "waves": metrics.pipeline_waves,
         }
-        if partial:
-            report.extras["partial"] = {
-                "iterations_completed": completed,
-                "grid_iterations": nt,
-            }
-        if resumed_from is not None:
-            report.extras["resumed_from_iteration"] = resumed_from
-        if degraded_at is not None:
-            report.extras["degraded"] = {
-                "from": "im",
-                "to": "cb",
-                "at_iteration": degraded_at,
-            }
-        if backend_degraded_at is not None:
-            report.extras["backend_degradations"] = [
-                {
-                    "from": "processes",
-                    "to": "threads",
-                    "at_iteration": backend_degraded_at,
-                    "quarantined_tasks": (
-                        len(sup.quarantined()) if sup is not None else 0
-                    ),
-                }
-            ]
-        if mm is not None:
-            report.extras["memory_budget"] = mm.usage()
-        if plan is not None:
-            report.extras["chaos"] = plan.describe()
-            report.extras["faults_injected"] = plan.fired()
         return out, report
 
     def _submit_pipelined_iteration(
@@ -750,8 +701,6 @@ class GepSparkSolver:
         staging happens in ``on_result`` before the producing tile
         settles.
         """
-        from ..poly.dependence import iteration_read_versions
-
         sc = self.sc
         sched = sc._scheduler
         spec, part = self.spec, self.partitioner
@@ -796,9 +745,9 @@ class GepSparkSolver:
         # ---- wave 1: kernel A on the pivot tile --------------------------
         def a_body(tc):
             x_in = tracker.get((k, k, k))
-            return self._updated_tile_task(
-                "A", x_in, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n
-            )
+            return batch(
+                [("A", x_in, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)]
+            )[0]
 
         def a_result(x):
             if strategy == "cb":
@@ -1058,49 +1007,6 @@ class GepSparkSolver:
         finally:
             self.stats.merge(sink)
 
-    def _updated_tile_task(self, *call):
-        """:meth:`_updated_tile` as a whole task (stage A's single call)."""
-        with self._task_stats() as sink:
-            return self._updated_tile(*call, sink)
-
-    def _updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
-        """Apply one tile kernel *without mutating* ``tile``; return the
-        updated array.  Work counts go to ``sink``, the calling task's
-        local stats (``None`` when stats are off).
-
-        ``u``/``v``/``w`` may be the :data:`~repro.sparkle.backend.
-        ALIAS_X` sentinel, meaning "this operand is the tile itself"
-        (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) — resolved against
-        the private copy on the thread path, or re-established against
-        the shared-memory scratch view by the worker on the process
-        path.  Never mutating ``tile`` is the retry-purity contract:
-        retried and speculative attempts must see pristine inputs.
-        """
-        backend = self.sc._executors.backend
-        if backend.supports_kernel_offload and not self._offload_disabled:
-            blob = self._offload_blob()
-            if blob is not None:
-                arr = tile.array if isinstance(tile, CowTile) else tile
-                try:
-                    out, stats = backend.run_kernel(
-                        blob, case, arr, u, v, w, gi0, gj0, gk0, n,
-                        want_stats=sink is not None,
-                    )
-                except PoisonTaskError:
-                    if not self.degrade_on_crash:
-                        raise
-                    # Quarantined as poison: recompute this one call on
-                    # the driver's thread path below (bit-identical
-                    # math); the full processes→threads degradation
-                    # lands at the next outer-iteration boundary.
-                else:
-                    if stats is not None and sink is not None:
-                        sink.merge(stats)
-                    return out
-        return self._thread_updated_tile(
-            case, tile, u, v, w, gi0, gj0, gk0, n, sink
-        )
-
     def _thread_updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
         """The deterministic thread path: private copy, aliases resolved
         against it, kernel run in place (never mutates ``tile``)."""
@@ -1114,51 +1020,54 @@ class GepSparkSolver:
         self.kernel.run(case, x, u2, v2, w2, gi0, gj0, gk0, n, stats=sink)
         return x
 
-    def _batch_enabled(self) -> bool:
-        """Whether tile updates should fuse into batched offloads."""
-        backend = self.sc._executors.backend
-        return (
-            getattr(backend, "dispatch", "tile") == "batch"
-            and backend.supports_kernel_offload
-            and not self._offload_disabled
-            and self._offload_blob() is not None
-        )
-
     def _run_tile_batch(self, calls: list) -> list:
-        """Update a partition's worth of tiles; returns arrays in order.
+        """Update one task's tiles *without mutating* them; returns the
+        updated arrays in call order.
 
         ``calls`` entries are ``(case, tile, u, v, w, gi0, gj0, gk0,
-        n)`` exactly as :meth:`_updated_tile` takes them.  Under
-        ``dispatch="batch"`` the whole list goes through the backend's
-        fused path (one IPC round-trip per worker); otherwise each call
-        dispatches on its own.  Both produce bit-identical arrays, so
-        dispatch mode can never change results — only round-trip counts.
-        The task's kernel stats are merged into the shared sink once.
-        """
-        with self._task_stats() as sink:
-            if calls and self._batch_enabled():
-                return self._updated_tiles_batch(calls, sink)
-            return [self._updated_tile(*c, sink) for c in calls]
+        n)``.  ``u``/``v``/``w`` may be the :data:`~repro.sparkle.
+        backend.ALIAS_X` sentinel, meaning "this operand is the tile
+        itself" (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) — resolved
+        against the private copy on the thread path, or re-established
+        against the shared-memory scratch view by the worker on the
+        process path.  Never mutating the input tiles is the
+        retry-purity contract: retried and speculative attempts must see
+        pristine inputs.
 
-    def _updated_tiles_batch(self, calls: list, sink) -> list:
-        """Batched offload with per-call poison handling.
-
-        A :class:`PoisonTaskError` names the exact quarantined call
-        (the batch error-attribution contract); under
-        ``degrade_on_crash`` that one call is recomputed on the thread
-        path and the remainder re-batched, mirroring the per-tile
-        degradation semantics call for call.
+        Whenever kernel offload is available the whole list — stage A's
+        single call included — goes to a worker in one round-trip;
+        otherwise each call runs on the thread path.  Both produce
+        bit-identical arrays.  The task's kernel stats are merged into
+        the shared sink once.
         """
         backend = self.sc._executors.backend
-        blob = self._offload_blob()
+        blob = (
+            self._offload_blob()
+            if backend.supports_kernel_offload and not self._offload_disabled
+            else None
+        )
+        with self._task_stats() as sink:
+            if blob is not None:
+                return self._updated_tiles_batch(backend, blob, calls, sink)
+            return [self._thread_updated_tile(*c, sink) for c in calls]
+
+    def _updated_tiles_batch(self, backend, blob: bytes, calls: list, sink) -> list:
+        """Offload one task's calls, with per-call poison handling.
+
+        A :class:`PoisonTaskError` names the exact quarantined call (the
+        error-attribution contract); under ``degrade_on_crash`` that one
+        call is recomputed on the thread path (bit-identical math) and
+        the remainder re-offloaded — the full processes→threads
+        degradation lands at the next outer-iteration boundary.
+        """
         results: list = [None] * len(calls)
         pending = list(range(len(calls)))
         while pending:
             bcalls = []
             for idx in pending:
-                case, tile, u, v, w, gi0, gj0, gk0, n = calls[idx]
+                case, tile, *rest = calls[idx]
                 arr = tile.array if isinstance(tile, CowTile) else tile
-                bcalls.append((case, arr, u, v, w, gi0, gj0, gk0, n))
+                bcalls.append((case, arr, *rest))
             try:
                 outs = backend.run_kernel_batch(
                     blob, bcalls, want_stats=sink is not None
@@ -1166,26 +1075,20 @@ class GepSparkSolver:
             except PoisonTaskError as exc:
                 if not self.degrade_on_crash:
                     raise
+                # An attribution matching no pending call (should not
+                # happen) recomputes the whole remainder rather than
+                # loop forever.
                 poisoned = [
                     idx
                     for idx in pending
                     if calls[idx][0] == exc.case
-                    and (calls[idx][5], calls[idx][6], calls[idx][7])
-                    == exc.coordinate
-                ]
-                if not poisoned:
-                    # Attribution did not match any pending call (should
-                    # not happen): fall back to per-call dispatch, which
-                    # handles its own poison, rather than loop forever.
-                    for idx in pending:
-                        results[idx] = self._updated_tile(*calls[idx], sink)
-                    break
+                    and tuple(calls[idx][5:8]) == exc.coordinate
+                ] or list(pending)
                 for idx in poisoned:
                     results[idx] = self._thread_updated_tile(*calls[idx], sink)
                     pending.remove(idx)
                 continue
-            for pos, idx in enumerate(pending):
-                out, stats = outs[pos]
+            for idx, (out, stats) in zip(pending, outs):
                 if stats is not None and sink is not None:
                     sink.merge(stats)
                 results[idx] = out
@@ -1203,14 +1106,14 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile_task
+        batch = self._run_tile_batch
 
         # ---- stage 1: kernel A on the pivot tile, with consumer copies
         needs_w = spec.needs_w
 
         def a_rec(kv):
             (key, tile) = kv
-            x = runner("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)
+            (x,) = batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])
             out = [(key, ("x", x))]
             for bk_ in b_keys:
                 out.append((bk_, ("uw", x)))
@@ -1238,11 +1141,9 @@ class GepSparkSolver:
 
         # ---- stage 2: kernels B and C, coupled with pivot copies.
         # One map_partitions over the coupled records: the partition's B
-        # and C updates fuse into a single kernel batch (one offload
-        # round-trip per worker under --dispatch batch), then fan out
-        # the same consumer copies flatMap(bc_rec) emitted per record.
-        batch = self._run_tile_batch
-
+        # and C updates form a single kernel batch (one offload
+        # round-trip on the process backend), then fan out the consumer
+        # copies per record.
         def bc_part(it, _split):
             items = list(it)
             calls = []
@@ -1330,11 +1231,11 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile_task
+        batch = self._run_tile_batch
 
         # ---- stage 1: kernel A; collect to the driver, stage to storage
         def a_rec(tile):
-            return runner("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)
+            return batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])[0]
 
         a_block = dp.filter(lambda kv: kv[0] == (k, k)).mapValues(a_rec).cache()
         for _key, arr in a_block.collect():
@@ -1345,11 +1246,9 @@ class GepSparkSolver:
             return self.sc.union([untouched, a_block]).partitionBy(partitioner=part)
 
         # ---- stage 2: kernels B and C, reading the pivot from storage;
-        # the partition's updates fuse into one kernel batch (the
-        # storage get per record is kept so staging accounting and
-        # transient-fault decisions match per-record dispatch exactly).
-        batch = self._run_tile_batch
-
+        # the partition's updates form one kernel batch (the storage get
+        # per record is kept so staging accounting and transient-fault
+        # decisions stay per record).
         def bc_part(it, _split):
             items = list(it)
             calls = []
@@ -1407,10 +1306,10 @@ class GepSparkSolver:
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
         gk0 = bounds[k]
-        runner = self._updated_tile_task
+        batch = self._run_tile_batch
 
         def a_rec(tile):
-            return runner("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)
+            return batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])[0]
 
         a_block = dp.filter(lambda kv: kv[0] == (k, k)).mapValues(a_rec).cache()
         collected = a_block.collect()
@@ -1419,8 +1318,6 @@ class GepSparkSolver:
         if not bs and not cs:
             untouched = dp.filter(lambda kv: kv[0] != (k, k))
             return self.sc.union([untouched, a_block]).partitionBy(partitioner=part)
-
-        batch = self._run_tile_batch
 
         def bc_part(it, _split):
             items = list(it)

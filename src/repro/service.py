@@ -18,8 +18,8 @@ through four defensive layers before an engine pass runs:
    storage pool (squeezes evict it before it can go stale).
 3. **Deadlines** — a per-request wall-clock budget covers queueing and
    the pass itself.  Mid-flight it propagates into the scheduler's
-   stage/attempt boundaries (``set_job_deadline``) and the supervisor's
-   per-kernel-call deadline, so an overrun SIGKILLs stuck workers and
+   stage/attempt boundaries and the process backend's offload waits
+   (``set_job_deadline``), so an overrun SIGKILLs stuck workers and
    reaps their segments via the PR 5 crash protocol rather than leaking.
 4. **Retry + circuit breaker** — transient engine faults are retried
    with bounded backoff; repeated :class:`~repro.sparkle.errors.WorkerCrashed`
@@ -1412,14 +1412,15 @@ class SolverService:
     ) -> np.ndarray:
         """One solver pass with deadline plumbing and state reclamation.
 
-        The request deadline reaches three layers: the scheduler checks
-        it at stage and attempt boundaries (cheap, cooperative), and —
-        for offloaded passes — the supervisor's per-call deadline is
-        clamped to the remaining budget, so a kernel call stuck in a
-        worker is SIGKILLed and reaped (shm segments included) by the
-        PR 5 crash protocol instead of outliving the request.  Safe to
-        mutate shared context state here because passes are serialized
-        on the dispatcher thread; everything is restored in ``finally``.
+        The request deadline reaches two layers through
+        ``set_job_deadline``: the scheduler checks it at stage and
+        attempt boundaries (cheap, cooperative), and — for offloaded
+        passes — the process backend caps every offload wait at it, so
+        a kernel stuck in a worker is SIGKILLed and reaped (shm segments
+        included) by the PR 5 crash protocol instead of outliving the
+        request.  Safe to mutate shared context state here because
+        passes are serialized on the dispatcher thread; everything is
+        restored in ``finally``.
         """
         sc = self.sc
         with self._metrics_lock:
@@ -1445,20 +1446,11 @@ class SolverService:
             request = replace(request, strategy="cb")
             with self._metrics_lock:
                 self.metrics.brownout_degrades += 1
-        saved_task_deadline = sc.supervision.task_deadline
         sc._scheduler.set_job_deadline(deadline_at)
-        if deadline_at is not None:
-            remaining = max(deadline_at - time.monotonic(), 0.001)
-            sc.supervision.override_task_deadline(
-                remaining
-                if saved_task_deadline is None
-                else min(saved_task_deadline, remaining)
-            )
         try:
             return self._solve(request, offload)
         finally:
             sc._scheduler.set_job_deadline(None)
-            sc.supervision.override_task_deadline(saved_task_deadline)
             sc.pipeline_depth = saved_depth
             sc.reclaim_solve_state()
 

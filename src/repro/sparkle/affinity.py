@@ -7,18 +7,19 @@ that has already attached the shared-memory slabs holding a tile's
 operands (and whose page cache is warm with them) services that tile
 cheaper than a cold worker.  :class:`AffinityRegistry` is the driver's
 memory of that placement — tile coordinate → worker slot — consulted on
-every kernel dispatch (DESIGN.md §14).
+every kernel offload (DESIGN.md §14).
 
 Semantics:
 
-* **route** — a tile already homed on a worker keeps landing there
-  (``affinity_hits``); a first-touch tile is homed on the caller's
-  default slot (``affinity_misses``).  Hit rate on a steady grid (every
+* **route_batch** — a batch lands on the worker most of its tiles are
+  already homed on (``affinity_hits`` for those, ``affinity_misses``
+  for the rest, which are re-homed there); with no homed tile it lands
+  on the caller's default slot.  Hit rate on a steady grid (every
   iteration touches the same tiles) converges to ``1 - 1/iterations``.
 * **rebalance** — when a worker is quarantined, respawned, or
   blacklisted, every tile homed on it is evicted
   (``affinity_rebalances``); those tiles re-home gracefully on their
-  next dispatch instead of chasing a dead slot.
+  next offload instead of chasing a dead slot.
 * **reset** — the registry is scoped to one solve; the GEP solver
   resets it at solve start so placements never leak across solves.
 
@@ -51,20 +52,8 @@ class AffinityRegistry:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route(self, key: Hashable, default: int) -> int:
-        """Slot for one tile: its home if known, else home it on
-        ``default``.  Meters a hit or a miss either way."""
-        with self._lock:
-            slot = self._home.get(key)
-            if slot is not None:
-                self._meter(hits=1)
-                return slot
-            self._home[key] = default % self.num_workers
-            self._meter(misses=1)
-            return default % self.num_workers
-
     def route_batch(self, keys: Sequence[Hashable], default: int) -> int:
-        """One slot for a whole batch (the non-gang fused dispatch).
+        """One slot for a whole batch (one task's tile updates).
 
         Majority vote over the homed tiles picks the slot (ties break to
         the lowest slot id, deterministically); with no homed tile the
@@ -90,26 +79,6 @@ class AffinityRegistry:
             for key in keys:
                 self._home[key] = chosen
             return chosen
-
-    def route_many(
-        self, keys: Sequence[Hashable], defaults: Sequence[int]
-    ) -> list[int]:
-        """Per-tile routing for a gang wave: each tile goes to its home
-        (hit) or is homed on its own default (miss)."""
-        out = []
-        hits = misses = 0
-        with self._lock:
-            for key, default in zip(keys, defaults):
-                slot = self._home.get(key)
-                if slot is None:
-                    slot = default % self.num_workers
-                    self._home[key] = slot
-                    misses += 1
-                else:
-                    hits += 1
-                out.append(slot)
-            self._meter(hits=hits, misses=misses)
-        return out
 
     # ------------------------------------------------------------------
     # rebalance & lifecycle

@@ -12,15 +12,18 @@ pluggable (DESIGN.md §12):
 * :class:`ProcessBackend` — orchestration still runs on threads (the
   thunks are not picklable, by design), but the *kernel math* — the
   A/B‖C/D tile updates that dominate wall-clock — is offloaded to a
-  ``ProcessPoolExecutor`` with one worker per simulated executor.  The
-  tile being updated is staged into a shared-memory scratch segment;
-  operands already resident in shared memory (CB storage, broadcast
-  values, cached partitions — see :class:`~.serialize.SegmentArena`)
-  are passed as segment descriptors, i.e. zero-copy; everything else
-  ships inline.  Workers attach, update in place, and return only
-  kernel stats — the result comes back through the segment.
+  worker process per simulated executor.  There is one offload
+  protocol (DESIGN.md §14): a task's tile updates travel as one batch
+  to one worker — a single call is a batch of one.  Each tile being
+  updated is staged into a shared-memory scratch segment; operands
+  already resident in shared memory (CB storage, broadcast values,
+  cached partitions — see :class:`~.serialize.SegmentArena`) are
+  passed as segment descriptors, i.e. zero-copy; everything else ships
+  once per batch in an identity-deduped operand pool.  Workers attach,
+  update in place, and return only kernel stats — the results come
+  back through the segments.
 
-Determinism: kernel offload is synchronous per call and numerically
+Determinism: kernel offload is synchronous per task and numerically
 identical (the worker runs the same NumPy ops on the same bits), so a
 process-backend solve is bit-identical to a thread-backend one; task
 *scheduling* still honours the chaos plane's ``serialize_tasks``
@@ -36,13 +39,13 @@ disable ``resource_tracker`` registration for shared memory — the
 driver's arena is the single owner responsible for unlinking, and a
 worker exiting must never reap segments the driver still serves.
 
-Supervision (DESIGN.md §13): every offloaded kernel call runs under the
+Supervision (DESIGN.md §13): every offloaded batch runs under the
 :mod:`~repro.sparkle.supervisor` layer — workers heartbeat into a
-shared-memory board watched by a driver watchdog, calls carry optional
+shared-memory board watched by a driver watchdog, batches carry optional
 wall-clock deadlines, and a worker death (``BrokenProcessPool``) runs
-the crash protocol: reclaim the dead call's orphaned scratch segment,
+the crash protocol: reclaim the dead batch's orphaned scratch segments,
 respawn the pool under deterministic bounded backoff, count the failure
-against the call's poison budget, and surface a *retryable*
+against the culprit call's poison budget, and surface a *retryable*
 :class:`~.errors.WorkerCrashed` / :class:`~.errors.TaskDeadlineExceeded`
 so the DAGScheduler's attempt machinery re-runs the task.  A call that
 kills ``max_task_failures`` fresh workers is quarantined with
@@ -95,17 +98,14 @@ class ExecutionBackend:
     """Contract the executor pool and the GEP drivers program against."""
 
     name: str = "abstract"
-    #: whether :meth:`run_kernel` is available (drivers fall back to the
-    #: copy-then-update-in-place thread path when it is not)
+    #: whether :meth:`run_kernel_batch` is available (drivers fall back
+    #: to the copy-then-update-in-place thread path when it is not)
     supports_kernel_offload: bool = False
-    #: dispatch mode the drivers key their fusion decision on:
-    #: ``"tile"`` = one offload round-trip per tile update (historical),
-    #: ``"batch"`` = fused per-worker batches via :meth:`run_kernel_batch`
-    dispatch: str = "tile"
-    #: gang (barrier) stage mode — only meaningful with ``dispatch="batch"``
-    gang_stages: bool = False
     #: tile → worker placement registry (process backend only)
     affinity: Any = None
+    #: absolute ``time.monotonic()`` ceiling for offload waits, armed by
+    #: ``DAGScheduler.set_job_deadline`` (``None`` = no request deadline)
+    job_deadline: float | None = None
     #: supervision layer (process backend only; ``None`` means no real
     #: process boundary, so there is nothing to supervise)
     supervisor: Any = None
@@ -116,27 +116,10 @@ class ExecutionBackend:
     ) -> list[Any]:
         raise NotImplementedError
 
-    def run_kernel(
-        self,
-        kernel_blob: bytes,
-        case: str,
-        x: np.ndarray,
-        u: Any,
-        v: Any,
-        w: Any,
-        gi0: int,
-        gj0: int,
-        gk0: int,
-        n_global: int,
-        want_stats: bool = False,
-    ):
-        """Offloaded tile update; returns ``(fresh_updated_tile, stats)``."""
-        raise NotImplementedError(f"{self.name} backend has no kernel offload")
-
     def run_kernel_batch(
         self, kernel_blob: bytes, calls: list, want_stats: bool = False
     ) -> list:
-        """Fused offload of many tile updates (one round-trip per worker).
+        """Offload one task's tile updates in a single worker round-trip.
 
         ``calls`` is a list of ``(case, x, u, v, w, gi0, gj0, gk0,
         n_global)`` tuples; returns ``[(fresh_tile, stats), ...]`` in
@@ -266,120 +249,28 @@ def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker si
         _attach_worker(*supervision_args)
 
 
-def _resolve_operand(desc, x, attached, opened, pool=None, attach=None):
+def _resolve_operand(desc, x, pool, attach):
     """Materialize one of u/v/w from its transport descriptor.
 
-    ``pool`` is the batch's identity-deduped inline-operand list (the
-    ``"pool"`` kind only appears in batch envelopes); ``attach``, when
-    given, is a name → ``SharedMemory`` cache so a segment referenced by
-    several envelopes of one batch is attached once.
+    ``pool`` is the batch's identity-deduped inline-operand list;
+    ``attach`` is a name → ``SharedMemory`` cache so a segment referenced
+    by several envelopes of one batch is attached once.
     """
     if desc is None:
         return None
     kind = desc[0]
     if kind == "alias-x":
         return x
-    if kind == "alias":
-        return attached[desc[1]]
-    if kind == "inline":
-        return desc[1]
     if kind == "pool":
         return pool[desc[1]]
     if kind == "shm":
-        from multiprocessing import shared_memory
-
         _, name, offset, shape, dtype = desc
-        if attach is not None:
-            shm = attach(name)
-        else:
-            shm = shared_memory.SharedMemory(name=name)
-            opened.append(shm)
         arr = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
+            shape, dtype=np.dtype(dtype), buffer=attach(name).buf, offset=offset
         )
         arr.flags.writeable = False
         return arr
     raise ValueError(f"unknown operand descriptor {kind!r}")
-
-
-def _kernel_task(
-    token: int,
-    inject: str | None,
-    kernel_blob: bytes,
-    case: str,
-    xdesc: tuple[str, tuple[int, ...], str],
-    udesc,
-    vdesc,
-    wdesc,
-    gi0: int,
-    gj0: int,
-    gk0: int,
-    n_global: int,
-    want_stats: bool,
-):  # pragma: no cover - exercised in worker processes
-    """Worker body: attach the scratch tile, update it in place.
-
-    The updated tile travels back through shared memory — the return
-    value is only the kernel's work accounting (or ``None``).
-
-    ``token`` publishes this call on the heartbeat board so the driver
-    can map a deadline overrun back to this pid; ``inject`` is a
-    driver-decided real process fault (``worker_kill``/``worker_hang``/
-    ``worker_oom``) the worker executes on itself before touching the
-    kernel — the fault fires at the OS boundary, not as a simulation.
-    """
-    from multiprocessing import shared_memory
-
-    from ..kernels.stats import KernelStats
-    from .supervisor import worker_begin_task, worker_end_task, worker_self_fault
-
-    worker_begin_task(token)
-    if inject is not None:
-        worker_self_fault(inject)
-    kernel = _WORKER_KERNEL_CACHE.get(kernel_blob)
-    if kernel is None:
-        kernel = pickle.loads(kernel_blob)
-        if len(_WORKER_KERNEL_CACHE) > 32:
-            _WORKER_KERNEL_CACHE.clear()
-        _WORKER_KERNEL_CACHE[kernel_blob] = kernel
-    name, shape, dtype = xdesc
-    xshm = shared_memory.SharedMemory(name=name)
-    opened = [xshm]
-    try:
-
-        def _run():
-            x = np.ndarray(shape, dtype=np.dtype(dtype), buffer=xshm.buf)
-            attached = {"x": x}
-            operands = {}
-            for role, desc in (("u", udesc), ("v", vdesc), ("w", wdesc)):
-                arr = _resolve_operand(desc, x, attached, opened)
-                attached[role] = arr
-                operands[role] = arr
-            stats = KernelStats() if want_stats else None
-            kernel.run(
-                case,
-                x,
-                operands["u"],
-                operands["v"],
-                operands["w"],
-                gi0,
-                gj0,
-                gk0,
-                n_global,
-                stats=stats,
-            )
-            return stats
-
-        # Views live only inside _run's frame, so the close() below is
-        # not blocked by exported buffers.
-        return _run()
-    finally:
-        worker_end_task()
-        for shm in opened:
-            try:
-                shm.close()
-            except BufferError:
-                pass
 
 
 def _kernel_batch_task(
@@ -388,7 +279,8 @@ def _kernel_batch_task(
     envs: list,
     want_stats: bool,
 ):  # pragma: no cover - exercised in worker processes
-    """Worker body for one fused batch: many tile updates, one round-trip.
+    """Worker body of the offload protocol: one task's tile updates, one
+    round-trip (a single call is a batch of one).
 
     ``pool`` is the batch's identity-deduped inline-operand list (the
     pivot fan-out crosses the IPC boundary once per batch, not once per
@@ -423,52 +315,26 @@ def _kernel_batch_task(
             segments[name] = shm
         return shm
 
+    def _run(case, xdesc, udesc, vdesc, wdesc, gi0, gj0, gk0, n_global):
+        # Views live only inside this frame, so the close() below is
+        # not blocked by exported buffers.
+        name, shape, dtype = xdesc
+        x = np.ndarray(shape, dtype=np.dtype(dtype), buffer=_attach(name).buf)
+        u, v, w = (
+            _resolve_operand(desc, x, pool, _attach)
+            for desc in (udesc, vdesc, wdesc)
+        )
+        stats = KernelStats() if want_stats else None
+        kernel.run(case, x, u, v, w, gi0, gj0, gk0, n_global, stats=stats)
+        return stats
+
     out_stats: list | None = [] if want_stats else None
     try:
-        for token, inject, case, xdesc, udesc, vdesc, wdesc, gi0, gj0, gk0, n_global in envs:
+        for token, inject, *call in envs:
             worker_begin_task(token)
             if inject is not None:
                 worker_self_fault(inject)
-            name, shape, dtype = xdesc
-            xshm = _attach(name)
-
-            def _run(
-                xshm=xshm,
-                shape=shape,
-                dtype=dtype,
-                case=case,
-                udesc=udesc,
-                vdesc=vdesc,
-                wdesc=wdesc,
-                gi0=gi0,
-                gj0=gj0,
-                gk0=gk0,
-                n_global=n_global,
-            ):
-                x = np.ndarray(shape, dtype=np.dtype(dtype), buffer=xshm.buf)
-                operands = {}
-                for role, desc in (("u", udesc), ("v", vdesc), ("w", wdesc)):
-                    operands[role] = _resolve_operand(
-                        desc, x, {}, None, pool=pool, attach=_attach
-                    )
-                stats = KernelStats() if want_stats else None
-                kernel.run(
-                    case,
-                    x,
-                    operands["u"],
-                    operands["v"],
-                    operands["w"],
-                    gi0,
-                    gj0,
-                    gk0,
-                    n_global,
-                    stats=stats,
-                )
-                return stats
-
-            # Views live only inside _run's frame, so the close() below
-            # is not blocked by exported buffers.
-            stats = _run()
+            stats = _run(*call)
             if out_stats is not None:
                 out_stats.append(stats)
             worker_end_task()
@@ -483,15 +349,17 @@ def _kernel_batch_task(
 
 
 class _MemberDeadline(RuntimeError):
-    """Internal: a member batch was SIGKILLed for deadline overrun.
+    """Internal: a batch's worker was SIGKILLed for deadline overrun.
 
     Wraps the resulting pool breakage so the elapsed time survives to
-    the crash handler (the batch analogue of ``deadline_note``).
+    the crash handler, which must tell an enforced deadline from a
+    spontaneous death.
     """
 
-    def __init__(self, elapsed: float, cause: BaseException) -> None:
-        super().__init__(f"member batch SIGKILLed after {elapsed:.3f}s")
+    def __init__(self, elapsed: float, budget: float, cause: BaseException) -> None:
+        super().__init__(f"batch SIGKILLed after {elapsed:.3f}s")
         self.elapsed = elapsed
+        self.budget = budget
         self.cause = cause
 
 
@@ -510,8 +378,6 @@ class ProcessBackend(ThreadBackend):
         start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
         fault_plan=None,
-        dispatch: str = "tile",
-        gang_stages: bool = False,
         affinity: bool = True,
     ) -> None:
         super().__init__(total_slots, metrics=metrics)
@@ -523,13 +389,7 @@ class ProcessBackend(ThreadBackend):
 
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if dispatch not in ("tile", "batch"):
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
-        if gang_stages and dispatch != "batch":
-            raise ValueError("gang_stages requires dispatch='batch'")
         self.num_workers = num_workers
-        self.dispatch = dispatch
-        self.gang_stages = gang_stages
         self.affinity = (
             AffinityRegistry(num_workers, metrics=metrics) if affinity else None
         )
@@ -557,8 +417,8 @@ class ProcessBackend(ThreadBackend):
         # One single-worker pool per slot, created eagerly: fork from
         # the constructor's (driver) thread, before executor threads and
         # their locks exist.  A targeted submit queue per worker is what
-        # lets affinity routing and batch fusion address a *specific*
-        # worker — a shared ProcessPoolExecutor queue cannot.  Slot i is
+        # lets affinity routing address a *specific* worker — a shared
+        # ProcessPoolExecutor queue cannot.  Slot i is
         # also heartbeat-board row i (fixed-slot claim in worker init).
         self._pools: list | None = [
             self._make_pool(start_method, slot) for slot in range(num_workers)
@@ -615,108 +475,131 @@ class ProcessBackend(ThreadBackend):
             self.affinity.invalidate_worker(executor % self.num_workers)
 
     # -- offload -------------------------------------------------------
-    def _operand_desc(self, arr, x, seen: dict[int, str], role: str):
-        """Transport descriptor for one of u/v/w (cheapest available)."""
+    def _batch_operand_desc(self, arr, x, pool: OperandPool):
+        """Transport descriptor for one of u/v/w (cheapest available).
+
+        Shared-memory residents go by name, zero-copy; everything else
+        is interned in the batch's operand pool by identity, so an
+        operand shared by many calls (the pivot fan-out) ships once per
+        batch.
+        """
         if arr is None:
             return None
         if arr is ALIAS_X or arr is x:
             return ("alias-x",)
-        known = seen.get(id(arr))
-        if known is not None:
-            return ("alias", known)
-        seen[id(arr)] = role
         shm_name = getattr(arr, "shm_name", None)
         # Attach-by-name only while the slab is still registered: a
         # block retired between fetch and offload (release_nested) keeps
-        # this view readable but unlinks the name — ship inline then.
+        # this view readable but unlinks the name — ship it pooled then.
         if (
             shm_name is not None
             and isinstance(arr, ShmArray)
             and self.arena.is_live(shm_name)
         ):
             return ("shm", shm_name, int(arr.shm_offset), arr.shape, arr.dtype.str)
-        return ("inline", np.ascontiguousarray(arr))
+        return ("pool", pool.add(arr))
+
+    def _route_batch(self, calls: list) -> int:
+        """Worker slot for one batch (DESIGN.md §14 placement policy):
+        majority vote of the tiles' homes (affinity), else the calling
+        task's partition — so a task costs one round-trip."""
+        default = self._default_slot()
+        if self.affinity is None:
+            return default % self.num_workers
+        return self.affinity.route_batch([(c[5], c[6]) for c in calls], default)
 
     def run_kernel(
-        self,
-        kernel_blob: bytes,
-        case: str,
-        x: np.ndarray,
-        u: Any,
-        v: Any,
-        w: Any,
-        gi0: int,
-        gj0: int,
-        gk0: int,
-        n_global: int,
+        self, kernel_blob, case, x, u, v, w, gi0, gj0, gk0, n_global,
         want_stats: bool = False,
     ):
-        """Stage X to scratch shm, update it in a worker, copy it out.
+        """One tile update — a batch of one; ``(fresh_tile, stats)``."""
+        call = (case, x, u, v, w, gi0, gj0, gk0, n_global)
+        return self.run_kernel_batch(kernel_blob, [call], want_stats)[0]
+
+    def run_kernel_batch(
+        self, kernel_blob: bytes, calls: list, want_stats: bool = False
+    ) -> list:
+        """Stage each X to scratch shm, update them all in one worker
+        round-trip, copy them out.
 
         The scratch staging *is* the defensive copy the thread path
         takes (`tile.copy()`), so each offloaded call counts one copy
-        eliminated.  The scratch segment is freed in ``finally`` —
-        chaos-injected task deaths cannot leak it (and the scheduler's
-        end-of-stage :meth:`stage_complete` sweep backstops even that).
+        eliminated.  The batch ships a single envelope list plus an
+        identity-deduped operand pool; the worker updates every scratch
+        tile in place and returns only the stats list.  Scratch segments
+        are freed in ``finally`` — chaos-injected task deaths cannot
+        leak them (and the scheduler's end-of-stage
+        :meth:`stage_complete` sweep backstops even that).
 
-        Supervised: the wait honours ``task_deadline``, a worker death
-        runs the crash protocol (:meth:`_handle_worker_death`), and a
-        seeded real process fault may be shipped along with the call.
+        Supervised: the wait honours ``task_deadline`` and the job
+        deadline (:meth:`_await_member`), a seeded real process fault
+        may be shipped along with a call, and a worker death runs the
+        crash protocol (:meth:`_handle_member_death`) with the culprit
+        *call* attributed — quarantine names the exact tile even though
+        the whole batch died with the worker.
         """
         from concurrent.futures.process import BrokenProcessPool
 
+        if not calls:
+            return []
         sup = self.supervisor
-        coordinate = (gi0, gj0, gk0)
         kernel_id = hashlib.blake2b(kernel_blob, digest_size=4).hexdigest()
-        task_sig = (kernel_id, case, gi0, gj0, gk0)
-        if sup.is_quarantined(task_sig):
-            raise PoisonTaskError(
-                f"kernel call case={case} tile@{coordinate} is quarantined "
-                f"(killed {sup.failures(task_sig)} workers)",
-                coordinate=coordinate,
-                case=case,
-                kernel_id=kernel_id,
-                failures=sup.failures(task_sig),
-            )
-        inject = (
-            self.fault_plan.worker_fault(case, gi0, gj0, gk0)
-            if self.fault_plan is not None
-            else None
-        )
-        default = self._default_slot()
-        if self.affinity is not None:
-            slot = self.affinity.route((gi0, gj0), default)
-        else:
-            slot = default % self.num_workers
+        for case, _x, _u, _v, _w, gi0, gj0, gk0, _n in calls:
+            sig = (kernel_id, case, gi0, gj0, gk0)
+            if sup.is_quarantined(sig):
+                coordinate = (gi0, gj0, gk0)
+                raise PoisonTaskError(
+                    f"kernel call case={case} tile@{coordinate} is quarantined "
+                    f"(killed {sup.failures(sig)} workers)",
+                    coordinate=coordinate,
+                    case=case,
+                    kernel_id=kernel_id,
+                    failures=sup.failures(sig),
+                )
+        slot = self._route_batch(calls)
         pool, generation = self._slot_pool(slot)
-        name, staged = self.arena.stage_scratch(x)
+        opool = OperandPool()
+        envs, names, views = [], [], []
         try:
-            xdesc = (name, staged.shape, staged.dtype.str)
-            seen: dict[int, str] = {}
-            udesc = self._operand_desc(u, x, seen, "u")
-            vdesc = self._operand_desc(v, x, seen, "v")
-            wdesc = self._operand_desc(w, x, seen, "w")
-            token = sup.next_token()
-            deadline_note: dict[str, float] = {}
+            for case, x, u, v, w, gi0, gj0, gk0, n_global in calls:
+                inject = (
+                    self.fault_plan.worker_fault(case, gi0, gj0, gk0)
+                    if self.fault_plan is not None
+                    else None
+                )
+                name, staged = self.arena.stage_scratch(x)
+                names.append(name)
+                views.append(staged)
+                envs.append(
+                    (
+                        sup.next_token(),
+                        inject,
+                        case,
+                        (name, staged.shape, staged.dtype.str),
+                        self._batch_operand_desc(u, x, opool),
+                        self._batch_operand_desc(v, x, opool),
+                        self._batch_operand_desc(w, x, opool),
+                        gi0,
+                        gj0,
+                        gk0,
+                        n_global,
+                    )
+                )
             try:
                 fut = pool.submit(
-                    _kernel_task,
-                    token,
-                    inject,
-                    kernel_blob,
-                    case,
-                    xdesc,
-                    udesc,
-                    vdesc,
-                    wdesc,
-                    gi0,
-                    gj0,
-                    gk0,
-                    n_global,
-                    want_stats,
+                    _kernel_batch_task, kernel_blob, opool.payload(), envs, want_stats
                 )
-                stats = self._await_result(fut, token, slot, deadline_note)
+                if self._metrics is not None:
+                    self._metrics.dispatch_round_trips += 1
+                stats_list = self._await_member(fut, slot, len(calls))
+            except TaskDeadlineExceeded:
+                # Still-queued batch cancelled outright: retryable, no
+                # worker was harmed.
+                raise
             except RuntimeError as exc:
+                deadline = exc if isinstance(exc, _MemberDeadline) else None
+                if deadline is not None:
+                    exc = deadline.cause
                 # BrokenProcessPool, or a plain RuntimeError from
                 # submitting against a pool a concurrent crash handler
                 # already swapped out ("cannot schedule new futures
@@ -730,270 +613,62 @@ class ProcessBackend(ThreadBackend):
                         )
                     if not stale:
                         raise
-                self._handle_worker_death(
-                    slot,
-                    generation,
-                    name,
-                    task_sig,
-                    coordinate,
-                    case,
-                    kernel_id,
-                    inject=inject,
-                    cause=exc,
-                    deadline_elapsed=deadline_note.get("elapsed"),
-                )
-            out = np.array(staged)  # fresh, caller-owned result tile
+                raise self._handle_member_death(
+                    slot, generation, envs, kernel_id, deadline
+                ) from exc
             if self._metrics is not None:
-                self._metrics.kernel_offloads += 1
-                self._metrics.copies_eliminated += 1
-                self._metrics.dispatch_round_trips += 1
-            return out, stats
-        finally:
-            del staged
-            self.arena.free(name)
-
-    # -- batched offload -----------------------------------------------
-    def _batch_operand_desc(self, arr, x, pool: OperandPool):
-        """Transport descriptor for one batched operand.
-
-        Identity dedup happens at the pool level — an operand shared by
-        many calls of the batch (the pivot fan-out) ships once per
-        batch, the per-batch broadcast dedup.  Shared-memory residents
-        still go by name, zero-copy, exactly as in tile dispatch.
-        """
-        if arr is None:
-            return None
-        if arr is ALIAS_X or arr is x:
-            return ("alias-x",)
-        shm_name = getattr(arr, "shm_name", None)
-        if (
-            shm_name is not None
-            and isinstance(arr, ShmArray)
-            and self.arena.is_live(shm_name)
-        ):
-            return ("shm", shm_name, int(arr.shm_offset), arr.shape, arr.dtype.str)
-        return ("pool", pool.add(arr))
-
-    def _route_calls(self, calls: list) -> list[int]:
-        """Worker slot per call (DESIGN.md §14 placement policy).
-
-        Non-gang: the whole batch lands on ONE worker — majority vote of
-        the tiles' homes (affinity), else the calling task's partition —
-        so a stage costs one round-trip per worker.  Gang: each call
-        routes to its tile's home so the wave spreads across all
-        workers; first-touch tiles spread deterministically by tile
-        index (``gi0``/``gj0`` are multiples of the tile size, so a
-        plain coordinate modulo would collapse every tile onto slot 0).
-        """
-        W = self.num_workers
-        keys = [(c[5], c[6]) for c in calls]
-        if self.gang_stages:
-            defaults = []
-            for c in calls:
-                th, tw = c[1].shape[0] or 1, c[1].shape[1] or 1
-                ti, tj = c[5] // th, c[6] // tw
-                defaults.append((ti * 31 + tj * 17) % W)
-            if self.affinity is not None:
-                return self.affinity.route_many(keys, defaults)
-            return defaults
-        default = self._default_slot()
-        if self.affinity is not None:
-            slot = self.affinity.route_batch(keys, default)
-        else:
-            slot = default % W
-        return [slot] * len(calls)
-
-    def run_kernel_batch(
-        self, kernel_blob: bytes, calls: list, want_stats: bool = False
-    ) -> list:
-        """Fused offload: one IPC round-trip per worker, not per tile.
-
-        Each member batch (one worker's share of ``calls``) ships a
-        single envelope list plus an identity-deduped operand pool; the
-        worker updates every scratch tile in place and returns only the
-        stats list.  All members settle before any error propagates, so
-        a crashed member cannot leave another member racing the arena
-        sweep.  A member death runs the same crash protocol as tile
-        dispatch, with the culprit *call* attributed via the
-        driver-shipped fault or the token left on the dead worker's
-        heartbeat-board row — quarantine still names the exact tile.
-        Under gang mode the raised error fails the whole task attempt,
-        and the scheduler's retry re-runs the entire wave: all-or-
-        nothing semantics through the existing attempt machinery.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not calls:
-            return []
-        sup = self.supervisor
-        kernel_id = hashlib.blake2b(kernel_blob, digest_size=4).hexdigest()
-        sigs = []
-        for case, _x, _u, _v, _w, gi0, gj0, gk0, _n in calls:
-            sig = (kernel_id, case, gi0, gj0, gk0)
-            sigs.append(sig)
-            if sup.is_quarantined(sig):
-                coordinate = (gi0, gj0, gk0)
-                raise PoisonTaskError(
-                    f"kernel call case={case} tile@{coordinate} is quarantined "
-                    f"(killed {sup.failures(sig)} workers)",
-                    coordinate=coordinate,
-                    case=case,
-                    kernel_id=kernel_id,
-                    failures=sup.failures(sig),
-                )
-        injects = [
-            self.fault_plan.worker_fault(c[0], c[5], c[6], c[7])
-            if self.fault_plan is not None
-            else None
-            for c in calls
-        ]
-        slots = self._route_calls(calls)
-        members: dict[int, list[int]] = {}
-        for idx, slot in enumerate(slots):
-            members.setdefault(slot, []).append(idx)
-        if self.gang_stages and self._metrics is not None:
-            self._metrics.gang_dispatches += 1
-        results: list = [None] * len(calls)
-        views: dict[int, Any] = {}
-        all_names: list[str] = []
-        first_error: BaseException | None = None
-        try:
-            pending = []
-            for slot, idxs in sorted(members.items()):
-                pool, generation = self._slot_pool(slot)
-                opool = OperandPool()
-                envs = []
-                tokens = []
-                names = []
-                for idx in idxs:
-                    case, x, u, v, w, gi0, gj0, gk0, n_global = calls[idx]
-                    name, staged = self.arena.stage_scratch(x)
-                    all_names.append(name)
-                    names.append(name)
-                    views[idx] = staged
-                    token = sup.next_token()
-                    tokens.append(token)
-                    envs.append(
-                        (
-                            token,
-                            injects[idx],
-                            case,
-                            (name, staged.shape, staged.dtype.str),
-                            self._batch_operand_desc(u, x, opool),
-                            self._batch_operand_desc(v, x, opool),
-                            self._batch_operand_desc(w, x, opool),
-                            gi0,
-                            gj0,
-                            gk0,
-                            n_global,
-                        )
-                    )
-                fut = pool.submit(
-                    _kernel_batch_task,
-                    kernel_blob,
-                    opool.payload(),
-                    envs,
-                    want_stats,
-                )
-                if self._metrics is not None:
-                    self._metrics.dispatch_round_trips += 1
-                    self._metrics.batch_dispatches += 1
-                pending.append((slot, idxs, fut, tokens, names, generation))
-            for slot, idxs, fut, tokens, names, generation in pending:
-                try:
-                    stats_list = self._await_member(fut, slot, len(idxs))
-                except TaskDeadlineExceeded as exc:
-                    # Still-queued member cancelled outright: retryable,
-                    # no worker was harmed, keep settling the rest.
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                except RuntimeError as exc:
-                    deadline_elapsed = None
-                    if isinstance(exc, _MemberDeadline):
-                        deadline_elapsed = exc.elapsed
-                        exc = exc.cause
-                    if not isinstance(exc, BrokenProcessPool):
-                        with self._pool_lock:
-                            stale = (
-                                self._pools is not None
-                                and self._generations[slot] != generation
-                            )
-                        if not stale:
-                            raise
-                    err = self._handle_member_death(
-                        slot,
-                        generation,
-                        idxs,
-                        tokens,
-                        names,
-                        sigs,
-                        calls,
-                        injects,
-                        kernel_id,
-                        cause=exc,
-                        deadline_elapsed=deadline_elapsed,
-                    )
-                    if first_error is None:
-                        first_error = err
-                    continue
-                for pos, idx in enumerate(idxs):
-                    stats = stats_list[pos] if stats_list is not None else None
-                    results[idx] = (np.array(views[idx]), stats)
-                if self._metrics is not None:
-                    n = len(idxs)
-                    self._metrics.kernel_offloads += n
-                    self._metrics.copies_eliminated += n
-                    self._metrics.batched_kernel_calls += n
-            if first_error is not None:
-                if (
-                    self.gang_stages
-                    and self._metrics is not None
-                    and isinstance(
-                        first_error, (WorkerCrashed, TaskDeadlineExceeded)
-                    )
-                ):
-                    # Retryable gang failure: the scheduler re-runs the
-                    # whole wave (all-or-nothing).
-                    self._metrics.gang_retries += 1
-                raise first_error
-            return results
+                self._metrics.kernel_offloads += len(calls)
+                self._metrics.copies_eliminated += len(calls)
+            if stats_list is None:
+                stats_list = [None] * len(views)
+            # np.array: fresh, caller-owned result tiles
+            return [(np.array(x), stats) for x, stats in zip(views, stats_list)]
         finally:
             views.clear()
-            for name in all_names:
+            for name in names:
                 self.arena.free(name)
 
+    # -- supervision ---------------------------------------------------
     def _await_member(self, fut, slot: int, ncalls: int):
-        """Wait for one member batch under a scaled deadline.
+        """Wait for one batch under its wall-clock budget.
 
-        The per-call ``task_deadline`` budget multiplies by the member's
-        call count — a batch of 20 legitimately runs 20 kernels.  On
-        overrun: cancel a still-queued member outright (retryable,
-        typed), else SIGKILL the slot's worker and let the resulting
-        pool breakage carry the elapsed time to the crash handler via
-        :class:`_MemberDeadline`.
+        The per-call ``task_deadline`` multiplies by the batch's call
+        count — a batch of 20 legitimately runs 20 kernels — but the
+        job deadline (a request's absolute ceiling) caps the product:
+        a stuck batch must not outlive its request N-fold.  On overrun:
+        cancel a still-queued batch outright (retryable, typed), else
+        SIGKILL the slot's worker and let the resulting pool breakage
+        carry the elapsed time to the crash handler via
+        :class:`_MemberDeadline`.  No budget at all: a plain blocking
+        wait (a hang is still covered by the watchdog, whose SIGKILL
+        breaks the pool and wakes us with ``BrokenProcessPool``).
         """
-        deadline = self.supervision.task_deadline
-        if deadline is None:
-            return fut.result()
-        budget = deadline * max(ncalls, 1)
-        sup = self.supervisor
         start = time.monotonic()
-        killed = False
+        budget = None
+        if self.supervision.task_deadline is not None:
+            budget = self.supervision.task_deadline * ncalls
+        if self.job_deadline is not None:
+            ceiling = max(self.job_deadline - start, 0.001)
+            budget = ceiling if budget is None else min(budget, ceiling)
+        if budget is None:
+            return fut.result()
+        sup = self.supervisor
         kill_elapsed = None
         while True:
             try:
                 return fut.result(timeout=0.05)
             except FuturesTimeoutError:
                 elapsed = time.monotonic() - start
-                if elapsed <= budget or killed:
+                if elapsed <= budget or kill_elapsed is not None:
                     continue
                 if self._metrics is not None:
                     self._metrics.deadlines_exceeded += 1
                 if fut.cancel():
+                    # Never started — queue latency, not the task's
+                    # fault; retryable without touching any worker.
                     raise TaskDeadlineExceeded(
                         f"batch of {ncalls} still queued after "
-                        f"{elapsed:.3f}s (budget {budget}s)",
+                        f"{elapsed:.3f}s (budget {budget:.3f}s)",
                         deadline=budget,
                         elapsed=elapsed,
                     ) from None
@@ -1002,202 +677,81 @@ class ProcessBackend(ThreadBackend):
                 if pid is not None:
                     sup._signal(pid, signal.SIGKILL)
                 else:
+                    # No shm board at all: no way to target the one
+                    # worker — reap them all rather than hang.
                     sup.kill_workers()
-                killed = True
             except RuntimeError as exc:
-                if killed and kill_elapsed is not None:
-                    raise _MemberDeadline(kill_elapsed, exc) from exc
+                if kill_elapsed is not None:
+                    raise _MemberDeadline(kill_elapsed, budget, exc) from exc
                 raise
 
     def _handle_member_death(
         self,
         slot: int,
         generation: int,
-        idxs: list[int],
-        tokens: list[int],
-        names: list[str],
-        sigs: list,
-        calls: list,
-        injects: list,
+        envs: list,
         kernel_id: str,
-        *,
-        cause: BaseException,
-        deadline_elapsed: float | None,
+        deadline: "_MemberDeadline | None",
     ) -> BaseException:
-        """Crash protocol for one dead member batch; returns the typed
-        error (the caller settles the remaining members before raising).
+        """The crash protocol: reclaim, respawn, count; returns the typed
+        error for the caller to raise — :class:`PoisonTaskError` once
+        the culprit call has spent its ``max_task_failures`` budget,
+        else the retryable :class:`TaskDeadlineExceeded` /
+        :class:`WorkerCrashed` that the scheduler's attempt machinery
+        backs off and re-runs.
 
         Culprit attribution, in priority order: the call carrying a
         driver-shipped fault; the call whose token the dead worker last
         published on its board row (read *before* the respawn resets the
-        row); the member's first call.  The failure is counted against
+        row); the batch's first call.  The failure is counted against
         that one call's poison budget, so quarantine names the exact
         tile even though the whole batch died with the worker.
         """
         sup = self.supervisor
-        culprit = next((idx for idx in idxs if injects[idx] is not None), None)
+        culprit = next((env for env in envs if env[1] is not None), None)
         if culprit is None:
             tok = sup.token_for_slot(slot)
-            if tok:
-                for pos, idx in enumerate(idxs):
-                    if tokens[pos] == tok:
-                        culprit = idx
-                        break
-        if culprit is None:
-            culprit = idxs[0]
+            culprit = next((env for env in envs if env[0] == tok), envs[0])
         if self._metrics is not None:
             self._metrics.worker_crashes += 1
         # The dead worker can no longer write its scratch tiles: reclaim
-        # the member's orphans now (the outer ``finally`` free is
+        # the orphans now (run_kernel_batch's ``finally`` free is
         # idempotent and becomes a no-op).
-        for name in names:
-            if self.arena.free(name) and self._metrics is not None:
+        for env in envs:
+            if self.arena.free(env[3][0]) and self._metrics is not None:
                 self._metrics.orphan_segments_reclaimed += 1
         self._respawn_slot(slot, generation)
-        task_sig = sigs[culprit]
-        case = calls[culprit][0]
-        coordinate = (calls[culprit][5], calls[culprit][6], calls[culprit][7])
+        _token, inject, case, *_descs, gi0, gj0, gk0, _n = culprit
+        task_sig = (kernel_id, case, gi0, gj0, gk0)
+        coordinate = (gi0, gj0, gk0)
         failures = sup.record_failure(task_sig)
-        inject = injects[culprit]
-        reason = inject or (
-            "deadline" if deadline_elapsed is not None else "crash"
-        )
-        err: BaseException
+        reason = inject or ("deadline" if deadline is not None else "crash")
         if failures >= self.supervision.max_task_failures:
             sup.quarantine(task_sig)
-            err = PoisonTaskError(
-                f"batched kernel call case={case} tile@{coordinate} killed "
-                f"{failures} fresh workers ({reason}); quarantined as poison",
-                coordinate=coordinate,
-                case=case,
-                kernel_id=kernel_id,
-                failures=failures,
-            )
-        elif deadline_elapsed is not None:
-            err = TaskDeadlineExceeded(
-                f"batch of {len(idxs)} (culprit case={case} "
-                f"tile@{coordinate}) SIGKILLed after {deadline_elapsed:.3f}s",
-                deadline=self.supervision.task_deadline,
-                elapsed=deadline_elapsed,
-            )
-        else:
-            err = WorkerCrashed(
-                f"worker died mid-batch ({reason}) on case={case} "
-                f"tile@{coordinate} (batch of {len(idxs)}); slot {slot} "
-                f"respawned (failure {failures}/"
-                f"{self.supervision.max_task_failures})",
-                reason=reason,
-                slot=slot,
-            )
-        err.__cause__ = cause
-        return err
-
-    # -- supervision ---------------------------------------------------
-    def _await_result(self, fut, token: int, slot: int, deadline_note: dict):
-        """Wait for a worker result under the per-call deadline.
-
-        No deadline: a plain blocking wait (a hang is still covered by
-        the watchdog, whose SIGKILL breaks the pool and wakes us with
-        ``BrokenProcessPool``).  With a deadline: poll-wait; on overrun,
-        cancel a still-queued call outright, else SIGKILL the worker
-        executing it — ``deadline_note`` tells the crash handler this
-        breakage was a deadline enforcement, not a spontaneous death.
-        """
-        deadline = self.supervision.task_deadline
-        if deadline is None:
-            return fut.result()
-        sup = self.supervisor
-        start = time.monotonic()
-        killed = False
-        while True:
-            try:
-                return fut.result(timeout=0.05)
-            except FuturesTimeoutError:
-                elapsed = time.monotonic() - start
-                if elapsed <= deadline or killed:
-                    continue
-                if self._metrics is not None:
-                    self._metrics.deadlines_exceeded += 1
-                if fut.cancel():
-                    # Never started — queue latency, not the task's
-                    # fault; retryable without touching any worker.
-                    raise TaskDeadlineExceeded(
-                        f"kernel call still queued after {elapsed:.3f}s "
-                        f"(deadline {deadline}s)",
-                        deadline=deadline,
-                        elapsed=elapsed,
-                    ) from None
-                deadline_note["elapsed"] = elapsed
-                pid = sup.pid_for_token(token)
-                if pid is None:
-                    # Call between submit and begin — the slot's own
-                    # board row still names the worker executing it.
-                    pid = sup.pid_for_slot(slot)
-                if pid is not None:
-                    sup._signal(pid, signal.SIGKILL)
-                else:
-                    # No shm board at all: no way to target the one
-                    # worker — reap them all rather than hang.
-                    sup.kill_workers()
-                killed = True  # pool break delivers BrokenProcessPool
-
-    def _handle_worker_death(
-        self,
-        slot: int,
-        generation: int,
-        scratch_name: str,
-        task_sig: tuple,
-        coordinate: tuple,
-        case: str,
-        kernel_id: str,
-        *,
-        inject: str | None,
-        cause: BaseException,
-        deadline_elapsed: float | None,
-    ):
-        """The crash protocol: reclaim, respawn, count, raise typed.
-
-        Always raises — :class:`PoisonTaskError` once the call has spent
-        its ``max_task_failures`` budget, else the retryable
-        :class:`TaskDeadlineExceeded` / :class:`WorkerCrashed` that the
-        scheduler's attempt machinery backs off and re-runs.
-        """
-        if self._metrics is not None:
-            self._metrics.worker_crashes += 1
-        # The dead worker can no longer write its scratch tile: reclaim
-        # the orphan immediately (run_kernel's ``finally`` free is
-        # idempotent and becomes a no-op).
-        if self.arena.free(scratch_name) and self._metrics is not None:
-            self._metrics.orphan_segments_reclaimed += 1
-        self._respawn_slot(slot, generation)
-        sup = self.supervisor
-        failures = sup.record_failure(task_sig)
-        reason = inject or ("deadline" if deadline_elapsed is not None else "crash")
-        if failures >= self.supervision.max_task_failures:
-            sup.quarantine(task_sig)
-            raise PoisonTaskError(
+            return PoisonTaskError(
                 f"kernel call case={case} tile@{coordinate} killed "
                 f"{failures} fresh workers ({reason}); quarantined as poison",
                 coordinate=coordinate,
                 case=case,
                 kernel_id=kernel_id,
                 failures=failures,
-            ) from cause
-        if deadline_elapsed is not None:
-            raise TaskDeadlineExceeded(
-                f"kernel call case={case} tile@{coordinate} SIGKILLed after "
-                f"{deadline_elapsed:.3f}s (deadline "
-                f"{self.supervision.task_deadline}s)",
-                deadline=self.supervision.task_deadline,
-                elapsed=deadline_elapsed,
-            ) from cause
-        raise WorkerCrashed(
+            )
+        if deadline is not None:
+            return TaskDeadlineExceeded(
+                f"kernel call case={case} tile@{coordinate} (batch of "
+                f"{len(envs)}) SIGKILLed after {deadline.elapsed:.3f}s "
+                f"(budget {deadline.budget:.3f}s)",
+                deadline=deadline.budget,
+                elapsed=deadline.elapsed,
+            )
+        return WorkerCrashed(
             f"worker died mid-kernel ({reason}) on case={case} "
-            f"tile@{coordinate}; slot {slot} respawned (failure {failures}/"
+            f"tile@{coordinate} (batch of {len(envs)}); slot {slot} "
+            f"respawned (failure {failures}/"
             f"{self.supervision.max_task_failures})",
             reason=reason,
             slot=slot,
-        ) from cause
+        )
 
     def _respawn_slot(self, slot: int, observed_generation: int) -> None:
         """Reap one slot's broken pool and start a fresh generation.
@@ -1285,25 +839,18 @@ def make_backend(
     metrics=None,
     supervision: SupervisionConfig | None = None,
     fault_plan=None,
-    dispatch: str = "tile",
-    gang_stages: bool = False,
     affinity: bool = True,
 ) -> ExecutionBackend:
     """Build a backend by CLI name (``threads`` | ``processes``).
 
-    ``supervision``/``fault_plan`` only bite under ``processes`` — the
-    thread backend has no process boundary, so there is nothing to
-    heartbeat, kill, or respawn (its tasks run under the scheduler's
-    own simulated-fault machinery instead).  ``dispatch``/
-    ``gang_stages``/``affinity`` likewise: without kernel offload there
-    is no round-trip to batch and no worker to prefer, so the thread
-    backend records the requested mode and ignores it.
+    ``supervision``/``fault_plan``/``affinity`` only bite under
+    ``processes`` — the thread backend has no process boundary, so there
+    is nothing to heartbeat, kill, respawn or prefer (its tasks run
+    under the scheduler's own simulated-fault machinery instead).
     """
     if name == "threads":
         backend = ThreadBackend(total_slots, metrics=metrics)
         backend.supervision = supervision
-        backend.dispatch = dispatch
-        backend.gang_stages = gang_stages
         return backend
     if name == "processes":
         return ProcessBackend(
@@ -1312,8 +859,6 @@ def make_backend(
             metrics=metrics,
             supervision=supervision,
             fault_plan=fault_plan,
-            dispatch=dispatch,
-            gang_stages=gang_stages,
             affinity=affinity,
         )
     raise ValueError(f"unknown backend {name!r} (expected one of {BACKENDS})")

@@ -112,24 +112,13 @@ class SparkleContext:
         the watchdog.  Ignored by the thread backend (no process
         boundary to supervise).
     task_deadline:
-        Optional per-offloaded-kernel-call wall-clock ceiling (seconds);
-        overruns cancel or kill and retry under the scheduler's backoff.
+        Optional per-offloaded-kernel-call wall-clock budget (seconds;
+        a task's batch of N calls gets N × this); overruns cancel or
+        kill and retry under the scheduler's backoff.
     max_task_failures:
         Worker deaths one kernel call may cause before it is
         quarantined as poison
         (:class:`~repro.sparkle.errors.PoisonTaskError`).
-    dispatch:
-        Kernel-offload dispatch mode of the process backend (DESIGN.md
-        §14): ``"tile"`` (historical; one driver↔worker round-trip per
-        tile update) or ``"batch"`` (a stage's tile updates fuse into
-        per-worker batches — one round-trip per worker per wave).
-        Results are bit-identical across modes.  Ignored by the thread
-        backend (no round-trip to batch).
-    gang_stages:
-        Barrier stage mode (JAMPI-style): dispatch an entire kernel
-        wave as one gang spread across all workers, with all-or-nothing
-        retry through the scheduler's attempt machinery.  Requires
-        ``dispatch="batch"``.
     affinity:
         Tile-affinity scheduling: keep each tile landing on the worker
         whose arena slab already holds it (Spark preferred locations in
@@ -167,8 +156,6 @@ class SparkleContext:
         heartbeat_interval: float = 0.25,
         task_deadline: float | None = None,
         max_task_failures: int = 3,
-        dispatch: str = "tile",
-        gang_stages: bool = False,
         affinity: bool = True,
         pipeline_depth: int = 1,
     ) -> None:
@@ -185,18 +172,10 @@ class SparkleContext:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if dispatch not in ("tile", "batch"):
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; expected 'tile' or 'batch'"
-            )
-        if gang_stages and dispatch != "batch":
-            raise ValueError("gang_stages requires dispatch='batch'")
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
         self.pipeline_depth = pipeline_depth
         self.backend = backend
-        self.dispatch = dispatch
-        self.gang_stages = gang_stages
         self.affinity = affinity
         self.metrics = EngineMetrics()
         self.metrics.backend = backend
@@ -215,8 +194,6 @@ class SparkleContext:
             backend=backend,
             supervision=self.supervision,
             fault_plan=fault_plan,
-            dispatch=dispatch,
-            gang_stages=gang_stages,
             affinity=affinity,
         )
         #: shared-memory arena of the process backend (None for threads)

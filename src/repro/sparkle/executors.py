@@ -43,8 +43,6 @@ class ExecutorPool:
         backend: str | ExecutionBackend = "threads",
         supervision=None,
         fault_plan=None,
-        dispatch: str = "tile",
-        gang_stages: bool = False,
         affinity: bool = True,
     ) -> None:
         if num_executors < 1 or cores_per_executor < 1:
@@ -63,8 +61,6 @@ class ExecutorPool:
                 metrics=metrics,
                 supervision=supervision,
                 fault_plan=fault_plan,
-                dispatch=dispatch,
-                gang_stages=gang_stages,
                 affinity=affinity,
             )
         self._lock = threading.Lock()

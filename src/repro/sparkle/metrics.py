@@ -207,25 +207,17 @@ class EngineMetrics:
     orphan_segments_reclaimed: int = 0
     #: processes→threads backend degradations taken under --degrade-on-crash
     backend_degradations: int = 0
-    # ---- dispatch counters (batching / affinity / gang stages) ---------
-    #: driver↔worker IPC round-trips made by kernel dispatch (one per
-    #: offloaded tile under ``--dispatch tile``, one per member batch
-    #: under ``--dispatch batch`` — THE multicore-gap metric)
+    # ---- offload counters (round-trips / affinity) ----------------------
+    #: driver↔worker IPC round-trips made by kernel offload: one per
+    #: kernel-running task — THE multicore-gap metric (the tile updates
+    #: those round-trips carried are ``kernel_offloads``)
     dispatch_round_trips: int = 0
-    #: member batches shipped by the fused dispatch path
-    batch_dispatches: int = 0
-    #: kernel calls that travelled inside a member batch
-    batched_kernel_calls: int = 0
-    #: kernel dispatches routed to the worker already holding the tile
+    #: offloaded tile updates routed to the worker already holding the tile
     affinity_hits: int = 0
     #: first-touch (or re-homed) tile placements
     affinity_misses: int = 0
     #: tile placements spilled by worker quarantine/respawn/blacklist
     affinity_rebalances: int = 0
-    #: barrier waves dispatched as one gang (``--gang-stages``)
-    gang_dispatches: int = 0
-    #: gang waves that failed retryably and were re-run all-or-nothing
-    gang_retries: int = 0
     # ---- pipeline counters (wavefront iteration overlap) ----------------
     #: the context's configured lookahead (1 = barrier mode)
     pipeline_depth: int = 1
@@ -329,20 +321,16 @@ class EngineMetrics:
         }
 
     def dispatch_summary(self) -> dict[str, Any]:
-        """Kernel-dispatch accounting (batching / affinity / gang)."""
+        """Kernel-offload accounting (round-trips / affinity)."""
         routed = self.affinity_hits + self.affinity_misses
         return {
             "dispatch_round_trips": self.dispatch_round_trips,
-            "batch_dispatches": self.batch_dispatches,
-            "batched_kernel_calls": self.batched_kernel_calls,
             "affinity_hits": self.affinity_hits,
             "affinity_misses": self.affinity_misses,
             "affinity_rebalances": self.affinity_rebalances,
             "affinity_hit_rate": (
                 round(self.affinity_hits / routed, 6) if routed else None
             ),
-            "gang_dispatches": self.gang_dispatches,
-            "gang_retries": self.gang_retries,
         }
 
     def pipeline_summary(self) -> dict[str, Any]:

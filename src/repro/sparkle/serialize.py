@@ -212,7 +212,7 @@ def pack_map_output(
 class OperandPool:
     """Identity-deduplicated inline-operand pool for one batch envelope.
 
-    A batched kernel dispatch fuses many tile updates into one
+    A kernel offload ships one task's tile updates in one
     round-trip; their operands overlap heavily (every D update in an
     iteration reads the same pivot row/column tiles).  Instead of
     inlining each operand per call, the batch ships one flat list of

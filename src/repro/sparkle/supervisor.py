@@ -88,9 +88,9 @@ class SupervisionConfig:
         ``BrokenProcessPool`` still works; hangs go undetected unless a
         task deadline is set).
     task_deadline:
-        Per-kernel-call wall-clock ceiling in seconds; ``None`` disables.
-        An overrun cancels the call if still queued, else SIGKILLs the
-        worker running it.
+        Per-kernel-call wall-clock budget in seconds; ``None`` disables.
+        A task's batch of N calls gets N × this; an overrun cancels the
+        batch if still queued, else SIGKILLs the worker running it.
     max_task_failures:
         Worker deaths one task may cause before it is quarantined as
         poison (:class:`~repro.sparkle.errors.PoisonTaskError`).
@@ -123,20 +123,6 @@ class SupervisionConfig:
     def heartbeats_enabled(self) -> bool:
         return bool(self.heartbeat_interval)
 
-    def override_task_deadline(self, deadline: float | None) -> None:
-        """Driver-side escape hatch through the frozen config.
-
-        The process backend reads ``task_deadline`` at dispatch/await
-        time, so re-pointing it here retargets every kernel call issued
-        afterwards.  Used by the solver service to clamp each serialized
-        engine pass to its request's remaining wall-clock budget (and to
-        restore the configured value after) — callers must serialize
-        passes themselves; this is a plain unsynchronized write.
-        """
-        if deadline is not None and deadline <= 0:
-            raise ValueError("task_deadline must be > 0 (None disables)")
-        object.__setattr__(self, "task_deadline", deadline)
-
     @property
     def miss_after(self) -> float:
         """Silence that flags a worker as hung (the ISSUE's 2× bound)."""
@@ -168,16 +154,6 @@ class HeartbeatBoard:
         if self.cells is None:
             return []
         return [int(p) for p in self.cells[:, COL_PID] if int(p) > 0]
-
-    def pid_for_token(self, token: int) -> int | None:
-        """Which live worker is executing supervised call ``token``."""
-        if self.cells is None or token <= 0:
-            return None
-        for slot in range(self.slots):
-            if int(self.cells[slot, COL_TOKEN]) == token:
-                pid = int(self.cells[slot, COL_PID])
-                return pid or None
-        return None
 
     def snapshot(self) -> list[dict]:
         """Row view for reporting (``repro workers``)."""
@@ -281,10 +257,6 @@ class WorkerSupervisor:
 
     def next_token(self) -> int:
         return next(self._tokens)
-
-    def pid_for_token(self, token: int) -> int | None:
-        with self._board_lock:
-            return self.board.pid_for_token(token) if self.board else None
 
     def pid_for_slot(self, slot: int) -> int | None:
         """The pid claimed on board row ``slot`` (fixed-slot pools)."""

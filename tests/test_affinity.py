@@ -1,8 +1,8 @@
 """Tile-affinity scheduling: the driver's placement memory.
 
 Two layers under test (DESIGN.md §14): the :class:`AffinityRegistry`
-unit semantics (route / majority-vote batch routing / gang routing /
-rebalance / reset, all metered), and the solve-level claims — a steady
+unit semantics (majority-vote batch routing / rebalance / reset, all
+metered), and the solve-level claims — a steady
 grid converges to a >= 90% hit rate, a quarantined worker's tiles spill
 and re-home gracefully, and placements never leak across solves.
 """
@@ -37,18 +37,17 @@ class TestAffinityRegistry:
     def test_route_homes_then_sticks(self):
         m = EngineMetrics()
         reg = AffinityRegistry(4, metrics=m)
-        assert reg.route((0, 8), default=2) == 2  # first touch: miss
-        assert reg.route((0, 8), default=3) == 2  # sticks to its home
-        assert reg.route((8, 0), default=7) == 3  # defaults wrap mod W
+        assert reg.route_batch([(0, 8)], default=2) == 2  # first touch: miss
+        assert reg.route_batch([(0, 8)], default=3) == 2  # sticks to its home
+        assert reg.route_batch([(8, 0)], default=7) == 3  # defaults wrap mod W
         assert (m.affinity_hits, m.affinity_misses) == (1, 2)
         assert len(reg) == 2
 
     def test_route_batch_majority_vote_rehomes_all(self):
         m = EngineMetrics()
         reg = AffinityRegistry(4, metrics=m)
-        reg.route("a", 1)
-        reg.route("b", 1)
-        reg.route("c", 2)
+        reg.route_batch(["a", "b"], 1)
+        reg.route_batch(["c"], 2)
         m2 = EngineMetrics()
         reg._metrics = m2
         chosen = reg.route_batch(["a", "b", "c", "d"], default=0)
@@ -59,31 +58,24 @@ class TestAffinityRegistry:
 
     def test_route_batch_tie_breaks_to_lowest_slot(self):
         reg = AffinityRegistry(4)
-        reg.route("a", 3)
-        reg.route("b", 1)
+        reg.route_batch(["a"], 3)
+        reg.route_batch(["b"], 1)
         assert reg.route_batch(["a", "b"], default=0) == 1
         # empty batch: the default wins, nothing is homed
         assert reg.route_batch([], default=9) == 1  # 9 % 4
         assert len(reg) == 2
 
-    def test_route_many_is_per_tile(self):
-        reg = AffinityRegistry(4)
-        reg.route("a", 0)
-        slots = reg.route_many(["a", "b", "c"], [3, 1, 2])
-        assert slots == [0, 1, 2]  # a goes home; b/c take their defaults
-        assert reg.route_many(["b", "c"], [0, 0]) == [1, 2]
-
     def test_invalidate_worker_spills_and_meters(self):
         m = EngineMetrics()
         reg = AffinityRegistry(4, metrics=m)
         for i in range(6):
-            reg.route(i, i % 2)  # slots 0 and 1, three tiles each
+            reg.route_batch([i], i % 2)  # slots 0 and 1, three tiles each
         assert reg.invalidate_worker(1) == 3
         assert m.affinity_rebalances == 3
         assert len(reg) == 3
-        # spilled tiles re-home on their next dispatch instead of
+        # spilled tiles re-home on their next offload instead of
         # chasing the dead slot
-        assert reg.route(1, default=3) == 3
+        assert reg.route_batch([1], default=3) == 3
 
     def test_reset_forgets_everything(self):
         reg = AffinityRegistry(2)
@@ -114,7 +106,7 @@ def test_steady_grid_hit_rate_at_least_90_percent():
     first iteration misses: hit rate converges to 1 - 1/r.  At r=16
     that is 0.9375 — comfortably over the 90% acceptance bar."""
     table = fw_table(48, seed=2)
-    with SparkleContext(2, 2, backend="processes", dispatch="batch") as sc:
+    with SparkleContext(2, 2, backend="processes") as sc:
         out, _ = _solve(sc, table, r=16)
         summ = sc.metrics.dispatch_summary()
     baseline = fw_table(48, seed=2)
@@ -140,7 +132,6 @@ def test_quarantined_worker_spills_affinity_and_rebalances():
         2,
         2,
         backend="processes",
-        dispatch="batch",
         fault_plan=plan,
         heartbeat_interval=0.1,
     ) as sc:
@@ -159,7 +150,7 @@ def test_no_affinity_leak_across_solves():
     """The registry is scoped to one solve: a second solve on the same
     context starts from an empty placement table (different grid sizes
     would otherwise inherit stale homes)."""
-    with SparkleContext(2, 2, backend="processes", dispatch="batch") as sc:
+    with SparkleContext(2, 2, backend="processes") as sc:
         reg = sc._executors.backend.affinity
         out1, _ = _solve(sc, fw_table(24, seed=4), r=4)
         assert len(reg) > 0, "first solve should have homed tiles"
@@ -181,7 +172,7 @@ def test_affinity_off_still_bit_identical():
     outs = {}
     for affinity in (True, False):
         with SparkleContext(
-            2, 2, backend="processes", dispatch="batch", affinity=affinity
+            2, 2, backend="processes", affinity=affinity
         ) as sc:
             outs[affinity], _ = _solve(sc, table, r=4)
             if not affinity:

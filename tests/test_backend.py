@@ -54,7 +54,7 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None, sc_kw=None):
+def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None):
     """One solve on an owned context; returns (result, report, leftovers).
 
     ``leftovers`` is the list of ``/dev/shm`` entries still carrying the
@@ -65,7 +65,6 @@ def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None, sc_kw=N
         cores_per_executor=2,
         backend=backend,
         fault_plan=fault_plan,
-        **(sc_kw or {}),
     ) as sc:
         solver = GepSparkSolver(
             spec,
@@ -120,18 +119,6 @@ def test_property_backends_bit_identical(name, strategy, n, r, seed):
     assert p_rep.engine_metrics.backend == "processes"
 
 
-# Every way a tile update can reach a kernel: in-process, one IPC
-# round-trip per tile, one round-trip per worker per stage, and a
-# barrier gang spread over the whole pool.  All four must be
-# bit-identical with the same scheduler shape (DESIGN.md §14).
-DISPATCH_MODES = [
-    ("threads", {}),
-    ("processes", {"dispatch": "tile"}),
-    ("processes", {"dispatch": "batch"}),
-    ("processes", {"dispatch": "batch", "gang_stages": True}),
-]
-
-
 @needs_shm
 @pytest.mark.batching
 @given(
@@ -146,15 +133,16 @@ DISPATCH_MODES = [
 def test_property_dispatch_modes_bit_identical(
     name, strategy, n, r, seed, chaos_seed
 ):
-    """The batching tentpole's differential property: every dispatch
-    mode produces the same bits AND replays the same scheduler shape
-    (jobs/stages/tasks) — batching fuses IPC round-trips, never the
-    RDD graph — with or without seeded chaos, leaking nothing."""
+    """The offload protocol's differential property: in-process and
+    offloaded tile updates produce the same bits AND replay the same
+    scheduler shape (jobs/stages/tasks) — offload batches IPC
+    round-trips, never the RDD graph — with or without seeded chaos,
+    leaking nothing (DESIGN.md §14)."""
     spec_cls, make = SPECS[name]
     spec = spec_cls()
     table = make(n, seed=seed)
     results = {}
-    for backend, kw in DISPATCH_MODES:
+    for backend in BACKENDS:
         plan = (
             None
             if chaos_seed is None
@@ -164,67 +152,73 @@ def test_property_dispatch_modes_bit_identical(
             )
         )
         out, report, leftovers = _solve(
-            backend,
-            spec,
-            table.copy(),
-            strategy=strategy,
-            r=r,
-            fault_plan=plan,
-            sc_kw=kw,
+            backend, spec, table.copy(), strategy=strategy, r=r, fault_plan=plan
         )
-        assert leftovers == [], (
-            f"leaked shm segments on {backend}/{kw}: {leftovers}"
-        )
-        results[(backend, tuple(sorted(kw)))] = (out, report)
-    (ref_out, ref_rep), *rest = results.values()
-    for mode, (out, rep) in zip(DISPATCH_MODES[1:], rest):
-        assert np.array_equal(ref_out, out), f"{mode} output diverges"
-        assert _shape_claims(ref_rep) == _shape_claims(rep), (
-            f"{mode} scheduler shape diverges"
-        )
+        assert leftovers == [], f"leaked shm segments on {backend}: {leftovers}"
+        results[backend] = (out, report)
+    ref_out, ref_rep = results["threads"]
+    out, rep = results["processes"]
+    assert np.array_equal(ref_out, out), "processes output diverges"
+    assert _shape_claims(ref_rep) == _shape_claims(rep), (
+        "processes scheduler shape diverges"
+    )
 
 
 @needs_shm
 @pytest.mark.batching
 def test_batch_dispatch_cuts_round_trips():
-    """The whole point: batched dispatch crosses the IPC boundary once
-    per worker per stage instead of once per tile, while the per-tile
-    work accounting (kernel_offloads) stays identical."""
+    """The whole point, as exact counts: the driver crosses the IPC
+    boundary once per kernel-running task — not once per tile — while
+    every tile update is still accounted (kernel_offloads)."""
     spec = FloydWarshallGep()
-    table = fw_table(24, seed=1)
-    metrics = {}
-    for mode in ("tile", "batch"):
-        out, report, _ = _solve(
-            "processes", spec, table.copy(), r=4, sc_kw={"dispatch": mode}
+    nt = 12
+    with SparkleContext(2, 1, backend="processes") as sc:
+        solver = GepSparkSolver(
+            spec, sc, r=nt, kernel=make_kernel(spec, "iterative"),
+            strategy="im", collect_stats=True,
         )
-        metrics[mode] = (out, report.engine_metrics)
-    t_out, t_m = metrics["tile"]
-    b_out, b_m = metrics["batch"]
-    assert np.array_equal(t_out, b_out)
-    assert t_m.kernel_offloads == b_m.kernel_offloads > 0
-    assert t_m.dispatch_round_trips == t_m.kernel_offloads
-    assert b_m.dispatch_round_trips < t_m.dispatch_round_trips
-    assert b_m.batch_dispatches > 0
-    # Every offload is accounted exactly once: batched calls plus the
-    # single-tile per-call dispatches (the A-stage pivot update has
-    # nothing to fuse) cover the total.
-    per_tile_calls = b_m.dispatch_round_trips - b_m.batch_dispatches
-    assert b_m.batched_kernel_calls + per_tile_calls == b_m.kernel_offloads
+        _, report = solver.solve(fw_table(96, seed=1))
+    # Kernel-running tasks per iteration: the A task, plus one task per
+    # partition holding a B/C tile, plus one per partition holding a D tile.
+    home = solver.partitioner.partition
+    kernel_tasks = 0
+    for k in range(nt):
+        rest = [t for t in range(nt) if t != k]
+        bc = {home((k, t)) for t in rest} | {home((t, k)) for t in rest}
+        d = {home((i, j)) for i in rest for j in rest}
+        kernel_tasks += 1 + len(bc) + len(d)
+    m = report.engine_metrics
+    assert m.tasks_retried == 0
+    assert m.dispatch_round_trips == kernel_tasks
+    assert m.kernel_offloads == report.kernel_stats.total_invocations == nt**3
+    assert m.dispatch_round_trips < m.kernel_offloads
 
 
 @pytest.mark.batching
-def test_dispatch_validation():
-    with pytest.raises(ValueError, match="dispatch"):
-        SparkleContext(2, 1, backend="processes", dispatch="fused")
-    with pytest.raises(ValueError, match="gang_stages"):
+def test_dispatch_validation(capsys):
+    """The removed offload options fail loudly; ``affinity`` is the one
+    owned-context option left."""
+    from repro.__main__ import main as cli_main
+
+    for command in (["solve", "apsp"], ["serve", "--socket", "unused.sock"]):
+        for flag in (["--dispatch", "batch"], ["--gang-stages"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(command + flag)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="dispatch"):
+        SparkleContext(2, 1, backend="processes", dispatch="batch")
+    with pytest.raises(TypeError, match="gang_stages"):
         SparkleContext(2, 1, backend="processes", gang_stages=True)
     spec = FloydWarshallGep()
     t = fw_table(8, seed=0)
+    with pytest.raises(TypeError, match="dispatch"):
+        run_gep(spec, t, engine="spark", dispatch="batch")
     with pytest.raises(ValueError, match="engine='spark'"):
-        run_gep(spec, t, engine="local", dispatch="batch")
+        run_gep(spec, t, engine="local", affinity=False)
     with SparkleContext(1, 1) as sc:
         with pytest.raises(ValueError, match="owned context"):
-            run_gep(spec, t, engine="spark", dispatch="batch", sc=sc)
+            run_gep(spec, t, engine="spark", affinity=False, sc=sc)
 
 
 @needs_shm

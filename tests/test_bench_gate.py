@@ -1,13 +1,9 @@
-"""Bench gate for the batched dispatch plane (tier-2, ``make bench-gate``).
+"""Bench gate for wavefront pipelining (tier-2, ``-m perf``).
 
-The regression this locks down: BENCH_engine.json once recorded the
-process backend *losing* to threads because every tile update paid its
-own IPC round-trip.  Batched dispatch must (a) cut driver<->worker
-round-trips by at least 10x at gate scale and (b) never regress
-wall-clock by more than 10% against per-tile dispatch.  The round-trip
-claim is a pure counter comparison and runs everywhere; the wall-clock
-claim needs real parallelism and skips on single-core hosts (the
-``multi_worker`` fixture).
+Depth 2 must really overlap stage windows and stay bit-identical (a
+counter claim, runs everywhere) and cut per-stage idle executor-seconds
+by >= 30% at bench scale (a wall-clock claim: needs real parallelism,
+so it skips — with a recorded reason — on single-core hosts).
 """
 
 from __future__ import annotations
@@ -23,73 +19,13 @@ import pytest
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
 from repro.sparkle import SparkleContext
-from repro.sparkle.serialize import shm_supported
 
 from .conftest import fw_table
 
-pytestmark = [
-    pytest.mark.perf,
-    pytest.mark.batching,
-    pytest.mark.slow,
-    pytest.mark.skipif(
-        not shm_supported(), reason="needs multiprocessing.shared_memory"
-    ),
-]
+pytestmark = [pytest.mark.perf, pytest.mark.slow]
 
 GATE_N = 96
 GATE_R = 12
-MIN_ROUND_TRIP_REDUCTION = 10.0
-MAX_WALL_REGRESSION = 1.10
-
-_RESULTS: dict[str, dict] = {}
-
-
-def _measure():
-    """Run the pinned gate workload once per dispatch mode (cached
-    across the gate's tests) and collect wall + dispatch counters."""
-    if _RESULTS:
-        return _RESULTS
-    spec = FloydWarshallGep()
-    table = fw_table(GATE_N, seed=0)
-    for mode in ("tile", "batch"):
-        with SparkleContext(
-            2, 2, backend="processes", dispatch=mode
-        ) as sc:
-            solver = GepSparkSolver(
-                spec,
-                sc,
-                r=GATE_R,
-                kernel=make_kernel(spec, "iterative"),
-                strategy="im",
-                # one partition per worker slot: the tuned configuration
-                # (matches bench_driver.py); more partitions only shrink
-                # each batch
-                num_partitions=4,
-            )
-            t0 = time.perf_counter()
-            out, _ = solver.solve(table.copy())
-            wall = time.perf_counter() - t0
-            _RESULTS[mode] = {
-                "out": out,
-                "wall": wall,
-                **sc.metrics.dispatch_summary(),
-            }
-    return _RESULTS
-
-
-def test_gate_round_trip_reduction():
-    res = _measure()
-    assert np.array_equal(res["tile"]["out"], res["batch"]["out"])
-    tile_rt = res["tile"]["dispatch_round_trips"]
-    batch_rt = res["batch"]["dispatch_round_trips"]
-    assert tile_rt > 0 and batch_rt > 0, "gate workload must offload"
-    reduction = tile_rt / batch_rt
-    assert reduction >= MIN_ROUND_TRIP_REDUCTION, (
-        f"batched dispatch only cut round-trips {reduction:.1f}x "
-        f"({tile_rt} -> {batch_rt}); the gate requires "
-        f">= {MIN_ROUND_TRIP_REDUCTION:.0f}x"
-    )
-
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: where gate outcomes are recorded: git-ignored, so a test run leaves
@@ -108,37 +44,6 @@ def _record_gate(section: str, key: str, status: str, path: Path) -> None:
     report.setdefault(section, {})[key] = status
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n")
-
-
-def _record_wall_gate(status: str, path: Path = GATE_RECORD) -> None:
-    """Record the wall-clock gate outcome (``derived.wall_clock_gate``).
-
-    A skip on an undersized host must be an explicit, auditable record
-    (``"SKIPPED: ..."``) rather than silence — otherwise a 1-core CI
-    container looks identical to a passing gate.
-    """
-    _record_gate("derived", "wall_clock_gate", status, path)
-
-
-def test_gate_no_wall_clock_regression():
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        reason = (
-            f"SKIPPED: <2 cores (host has {cores}; the wall-clock claim "
-            "needs real hardware parallelism)"
-        )
-        _record_wall_gate(reason)
-        pytest.skip(reason)
-    res = _measure()
-    tile_wall, batch_wall = res["tile"]["wall"], res["batch"]["wall"]
-    assert batch_wall <= tile_wall * MAX_WALL_REGRESSION, (
-        f"batched dispatch regressed wall-clock: {batch_wall:.2f}s vs "
-        f"{tile_wall:.2f}s per-tile (limit {MAX_WALL_REGRESSION:.0%})"
-    )
-    _record_wall_gate(
-        f"PASS: batch {batch_wall:.2f}s vs tile {tile_wall:.2f}s "
-        f"(limit {MAX_WALL_REGRESSION:.0%}, {cores} cores)"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +82,12 @@ def _measure_pipelined():
 
 
 def _record_pipeline_gate(status: str, path: Path = GATE_RECORD) -> None:
-    """Record the barrier-wait gate outcome (``pipeline.barrier_wait_gate``)
-    — same honesty contract as :func:`_record_wall_gate`: a skip must be
-    auditable, not silent."""
+    """Record the barrier-wait gate outcome (``pipeline.barrier_wait_gate``).
+
+    A skip on an undersized host must be an explicit, auditable record
+    (``"SKIPPED: ..."``) rather than silence — otherwise a 1-core CI
+    container looks identical to a passing gate.
+    """
     _record_gate("pipeline", "barrier_wait_gate", status, path)
 
 
@@ -200,7 +108,7 @@ def test_gate_barrier_wait_reduction():
     """Timing half: depth 2 must cut per-stage idle executor-seconds by
     >= 30% at bench scale.  The interval accounting is wall-clock-based,
     so on a single-core host it measures OS scheduling noise, not
-    overlap — skip with a recorded reason, exactly like the wall gate."""
+    overlap — skip with a recorded reason."""
     cores = os.cpu_count() or 1
     if cores < 2:
         reason = (
@@ -227,15 +135,15 @@ def test_gate_barrier_wait_reduction():
 
 
 def test_gate_records_leave_tracked_files_alone(tmp_path):
-    """Runs last: both recorders merge their keys into the file they are
-    given, and neither they nor the gates above (which record to the
+    """Runs last: the recorder merges its keys into the file it is
+    given, and neither it nor the gates above (which record to the
     default, git-ignored path) changed a byte of ``BENCH_engine.json``
     since this module was imported."""
     record = tmp_path / "gate.json"
-    _record_wall_gate("PASS: probe", record)
+    _record_gate("derived", "probe", "PASS: probe", record)
     _record_pipeline_gate("SKIPPED: probe", record)
     assert json.loads(record.read_text()) == {
-        "derived": {"wall_clock_gate": "PASS: probe"},
+        "derived": {"probe": "PASS: probe"},
         "pipeline": {"barrier_wait_gate": "SKIPPED: probe"},
     }
     now = _TRACKED_REPORT.read_bytes() if _TRACKED_REPORT.exists() else None

@@ -131,6 +131,15 @@ class SlowKernel:
         return getattr(self.inner, name)
 
 
+class SlowDKernel(SlowKernel):
+    """Sleeps only in case D — the case whose calls batch many per task."""
+
+    def run(self, case, *args, **kwargs):
+        if case == "D":
+            time.sleep(self.delay)
+        return self.inner.run(case, *args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # typed service errors (satellite: pickle-safety regression)
 # ---------------------------------------------------------------------------
@@ -472,6 +481,38 @@ class TestDeadlines:
                 )
                 # the stuck pass's temporary task deadline was restored
                 assert sc.supervision.task_deadline is None
+        finally:
+            sc.stop()
+        assert glob.glob(f"/dev/shm/{prefix}*") == []
+
+    @pytest.mark.timeout(240)
+    def test_deadline_is_a_ceiling_not_a_per_call_budget(self):
+        """A stuck batch of N kernel calls is killed at the request
+        deadline, not N deadlines later (at r=8 on 4 partitions a D task
+        carries ~12 calls).  The waiter's own ticket times out at the
+        deadline either way, so the stuck *pass* is what is timed: a
+        follow-up request queues behind its kill/respawn/cleanup."""
+        sc = _context(backend="processes", heartbeat_interval=0.0)
+        prefix = sc._executors.backend.arena.prefix
+        try:
+            with SolverService(sc) as service:
+                stuck = SolveRequest(
+                    spec=SPEC,
+                    table=_table(24, 8),
+                    r=8,
+                    kernel=SlowDKernel(KERNEL, 60.0),
+                    deadline=1.0,
+                )
+                started = time.monotonic()
+                with pytest.raises(RequestDeadlineExceeded):
+                    service.solve(stuck, timeout=120)
+                response = service.solve(_request(seed=8), timeout=120)
+                # ~2.4 s measured: 1 s of budget + SIGKILL/respawn + the
+                # follow-up solve; ~14 s when the deadline is per call
+                assert time.monotonic() - started < 6.0
+                assert np.array_equal(response.result, _reference(8))
+                assert sc.supervision.task_deadline is None
+                assert sc._executors.backend.job_deadline is None
         finally:
             sc.stop()
         assert glob.glob(f"/dev/shm/{prefix}*") == []

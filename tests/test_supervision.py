@@ -180,9 +180,6 @@ class TestHeartbeatBoard:
             board.cells[0, COL_TOKEN] = 42
             board.cells[1, COL_PID] = 5678
             assert sorted(board.pids()) == [1234, 5678]
-            assert board.pid_for_token(42) == 1234
-            assert board.pid_for_token(99) is None
-            assert board.pid_for_token(0) is None
             snap = board.snapshot()
             assert snap[0] == {"slot": 0, "pid": 1234, "beat": 7, "token": 42}
             board.reset()
