@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench scoreboard scoreboard-compare
+.PHONY: test tier1 robustness supervision batching service soak perf tenancy smoke bench scoreboard scoreboard-compare
 
 # full suite
 test:
@@ -39,18 +39,11 @@ service:
 soak:
 	$(PYTEST) -q -m resilience
 
-# performance-claim gates: the pipelining overlap/barrier-wait gates of
-# tests/test_bench_gate.py and the processes-vs-threads wall gate of
+# performance-claim gate: the processes-vs-threads wall gate of
 # tests/test_backend.py (wall-clock claims self-skip on hosts with too
 # few cores, so this is always safe to run)
 perf:
 	$(PYTEST) -q -m perf
-
-# wavefront pipelining: dependence-driven stage admission, pipelined vs
-# barrier differentials (all strategies, chaos, crash-resume), overlap
-# metrics
-pipeline:
-	$(PYTEST) -q -m pipeline
 
 # tenant isolation plane: enforced quotas, token-bucket rate limits,
 # weighted deficit-round-robin fairness, the brownout ladder, and the
@@ -59,8 +52,8 @@ tenancy:
 	$(PYTEST) -q -m tenancy
 
 # robustness gate: tier-1, then chaos/durability/memory/service, then
-# pipelining and tenancy, then perf gates
-smoke: tier1 robustness batching service pipeline tenancy perf
+# tenancy, then the perf gate
+smoke: tier1 robustness batching service tenancy perf
 
 # A/B the thread and process data planes on the pinned FW-APSP workload
 # and write BENCH_engine.json (wall-clock, shuffle bytes, zero-copy

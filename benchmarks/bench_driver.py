@@ -45,7 +45,6 @@ def run_once(
     r: int,
     strategy: str,
     heartbeat_interval: float | None = None,
-    pipeline_depth: int = 1,
 ):
     ctx_kw = {}
     if heartbeat_interval is not None:
@@ -54,7 +53,6 @@ def run_once(
         num_executors=4,
         cores_per_executor=2,
         backend=backend,
-        pipeline_depth=pipeline_depth,
         **ctx_kw,
     ) as sc:
         spec = FloydWarshallGep()
@@ -86,7 +84,6 @@ def run_once(
             "shm_segments_created": m.shm_segments_created,
             "shm_segments_freed": m.shm_segments_freed,
             "shm_bytes_shared": m.shm_bytes_shared,
-            "pipeline": m.pipeline_summary(),
         }
 
 
@@ -358,28 +355,6 @@ def main(argv=None) -> int:
     print(f"  {'no-heartbeat':12s} wall={unsup['wall_seconds']:8.3f}s "
           f"(supervision off)")
 
-    # Wavefront pipelining: the same threads workload at depth 2, priced
-    # against the barrier-mode threads run above.  The headline is
-    # barrier-wait executor-seconds (idle tail inside each stage window)
-    # — host-independent accounting; the wall-clock win needs real
-    # cores, like every other parallelism claim here.
-    out, piped = run_once(
-        "threads", table.copy(), r, args.strategy, pipeline_depth=2
-    )
-    if not np.array_equal(baseline, out):
-        raise SystemExit("pipelined run diverges — refusing to report")
-    barrier_pipe = runs["threads"]["pipeline"]
-    piped_pipe = piped["pipeline"]
-    barrier_wait = barrier_pipe["barrier_wait_seconds"]
-    pipe_wait = piped_pipe["barrier_wait_seconds"]
-    wait_reduction = (
-        round(1.0 - pipe_wait / barrier_wait, 4) if barrier_wait > 0 else None
-    )
-    print(f"  {'pipelined':15s} wall={piped['wall_seconds']:8.3f}s "
-          f"barrier_wait={pipe_wait:.3f}s (vs {barrier_wait:.3f}s) "
-          f"overlapped={piped_pipe['overlapped_stages']} "
-          f"depth_achieved={piped_pipe['pipeline_depth_achieved']}")
-
     # The request plane: concurrent clients through one shared context.
     service_rec = run_service_bench(r, args.strategy)
     print(f"  {'service':15s} {service_rec['requests_per_second']}req/s "
@@ -428,15 +403,6 @@ def main(argv=None) -> int:
             # parallel-kernel wall-clock wins need real cores; recorded
             # honestly instead of asserted on undersized hosts
             "speedup_claim_applicable": cpus >= 4,
-        },
-        "pipeline": {
-            "depth": 2,
-            "barrier_mode": barrier_pipe,
-            "pipelined": piped_pipe,
-            "pipelined_wall_seconds": piped["wall_seconds"],
-            "barrier_wall_seconds": t["wall_seconds"],
-            "barrier_wait_reduction": wait_reduction,
-            "bit_identical": True,
         },
         "service": service_rec,
         "fairness": fairness_rec,

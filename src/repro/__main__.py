@@ -117,12 +117,6 @@ def _cmd_solve(args) -> int:
     if args.affinity == "off" and args.backend != "processes":
         print("--affinity off requires --backend processes", file=sys.stderr)
         return 2
-    if args.pipeline_depth < 1:
-        print("--pipeline-depth must be >= 1", file=sys.stderr)
-        return 2
-    if args.pipeline_depth > 1 and args.engine != "spark":
-        print("--pipeline-depth requires --engine spark", file=sys.stderr)
-        return 2
 
     table = _load_or_generate(args)
     kw = dict(
@@ -150,7 +144,6 @@ def _cmd_solve(args) -> int:
             spill_dir=args.spill_dir or None,
             backend=args.backend,
             affinity=args.affinity != "off",
-            pipeline_depth=args.pipeline_depth,
             **ctx_supervision_kw,
         )
         if args.engine == "spark"
@@ -206,8 +199,6 @@ def _cmd_solve(args) -> int:
                 print("chaos:", fault_plan.describe(),
                       "| injected:", fault_plan.fired())
                 print("recovery:", report.engine_metrics.recovery_summary())
-            if args.pipeline_depth > 1:
-                print("pipeline:", report.engine_metrics.pipeline_summary())
             if args.backend == "processes":
                 print("data plane:", report.engine_metrics.data_plane_summary())
                 print("dispatch:", report.engine_metrics.dispatch_summary())
@@ -455,9 +446,6 @@ def _cmd_serve(args) -> int:
     if args.resume and not args.journal_dir:
         print("--resume requires --journal-dir", file=sys.stderr)
         return 2
-    if args.pipeline_depth < 1:
-        print("--pipeline-depth must be >= 1", file=sys.stderr)
-        return 2
     policies, err = _parse_tenant_policies(args)
     if err is not None:
         print(err, file=sys.stderr)
@@ -473,7 +461,6 @@ def _cmd_serve(args) -> int:
         cores_per_executor=args.cores,
         backend=args.backend,
         memory_budget_bytes=args.memory_budget,
-        pipeline_depth=args.pipeline_depth,
     )
     config = ServiceConfig(
         max_queue_depth=args.max_queue_depth,
@@ -557,13 +544,10 @@ def _cmd_request(args) -> int:
         return 1
     if args.stats:
         per_tenant = reply.pop("per_tenant", {}) or {}
-        pipeline = reply.pop("pipeline", {}) or {}
         ledgers = reply.pop("tenants", {}) or {}
         for key, value in sorted(reply.items()):
             if key != "status":
                 print(f"{key:28s} {value}")
-        for key, value in sorted(pipeline.items()):
-            print(f"pipeline.{key:19s} {value}")
         for tenant, counters in sorted(per_tenant.items()):
             print(f"tenant {tenant:20s} requests={counters['requests']} "
                   f"sheds={counters['sheds']} "
@@ -660,13 +644,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tile-affinity scheduling for the process backend: keep "
              "routing each tile to the worker whose shared-memory slab "
              "already holds it (default on)")
-    solve.add_argument(
-        "--pipeline-depth", dest="pipeline_depth", type=int, default=1,
-        metavar="N",
-        help="wavefront pipelining for the spark engine: overlap up to N "
-             "outer iterations under the derived tile-level dependence "
-             "relation (bit-identical results; default 1 = strict "
-             "per-iteration barriers)")
     solve.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="durable checkpoint/journal directory for the spark engine: "
@@ -765,10 +742,6 @@ def main(argv: list[str] | None = None) -> int:
                        default=None, metavar="BYTES",
                        help="unified engine memory budget; also gates "
                             "request admission (critical pressure sheds)")
-    serve.add_argument("--pipeline-depth", dest="pipeline_depth", type=int,
-                       default=1, metavar="N",
-                       help="wavefront pipelining depth for the service "
-                            "engine (default 1 = strict barriers)")
     serve.add_argument("--max-queue-depth", dest="max_queue_depth", type=int,
                        default=16,
                        help="bounded request queue; overflow is shed with a "
@@ -816,8 +789,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--no-brownout", dest="no_brownout",
                        action="store_true",
                        help="disable the brownout degradation ladder "
-                            "(clamp pipeline depth -> degrade IM->CB -> "
-                            "shed lowest-weight tenants)")
+                            "(degrade IM->CB -> shed lowest-weight "
+                            "tenants)")
     serve.set_defaults(func=_cmd_serve)
 
     request = sub.add_parser(

@@ -53,7 +53,6 @@ def run_gep(
     max_task_failures: int | None = None,
     degrade_on_crash: bool = False,
     affinity: bool = True,
-    pipeline_depth: int = 1,
 ) -> tuple[np.ndarray, SolveReport | None]:
     """Run one GEP computation; returns ``(result, report_or_None)``.
 
@@ -80,11 +79,6 @@ def run_gep(
     ``affinity=False`` disables the process backend's tile-affinity
     routing on an owned spark context (pass a pre-configured ``sc``
     otherwise).
-
-    ``pipeline_depth`` (spark engine, owned context) arms wavefront
-    pipelining: ``>= 2`` overlaps that many outer iterations under the
-    derived tile-level dependence relation (DESIGN.md §17), with
-    bit-identical results.  ``1`` keeps strict per-iteration barriers.
     """
     table = np.asarray(table)
     if engine != "spark" and (checkpoint_dir is not None or resume):
@@ -132,16 +126,6 @@ def run_gep(
             "affinity applies to an owned context; construct the "
             "SparkleContext with affinity= instead"
         )
-    if pipeline_depth != 1:
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        if engine != "spark":
-            raise ValueError("pipeline_depth requires engine='spark'")
-        if sc is not None:
-            raise ValueError(
-                "pipeline_depth applies to an owned context; construct the "
-                "SparkleContext with pipeline_depth instead"
-            )
     if engine == "reference":
         return gep_reference_vectorized(spec, table), None
 
@@ -177,7 +161,6 @@ def run_gep(
                 spill_dir=spill_dir,
                 backend=backend,
                 affinity=affinity,
-                pipeline_depth=pipeline_depth,
                 **ctx_kw,
             )
         elif checkpoint_dir is not None:
@@ -244,7 +227,6 @@ class GepRunOptions(dict):
             "max_task_failures",
             "degrade_on_crash",
             "affinity",
-            "pipeline_depth",
         }
     )
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import contextlib
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -66,7 +65,6 @@ from ..kernels import (
     RecursiveKernel,
 )
 from ..kernels.openmp import OmpRuntime
-from ..poly.dependence import iteration_read_versions
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
 from ..sparkle.backend import ALIAS_X
 from ..sparkle.durable import SolveJournal
@@ -78,7 +76,6 @@ from ..sparkle.errors import (
     ResumeMismatchError,
 )
 from ..sparkle.metrics import EngineMetrics
-from ..sparkle.pipeline import TileTracker
 from ..sparkle.rdd import CheckpointedRDD
 from ..sparkle.requests import solve_fingerprint
 from .blocked import b_range, c_range, grid_bounds
@@ -176,7 +173,7 @@ class SolveReport:
 
 @dataclass
 class _DriverState:
-    """Per-solve bookkeeping shared by the barrier and pipelined loops."""
+    """Per-solve bookkeeping of the solve loop."""
 
     active_strategy: str
     resumed_from: int | None
@@ -343,8 +340,6 @@ class GepSparkSolver:
         """Run the full GEP on ``table``; returns (result, report)."""
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("GEP requires a square table")
-        if getattr(self.sc, "pipeline_depth", 1) > 1:
-            return self._pipelined_solve(table)
         start = time.perf_counter()
         # Tile placements are scoped to one solve: a context reused for
         # several solves must not route this grid by a previous grid's
@@ -364,17 +359,20 @@ class GepSparkSolver:
                 self.spec.k_active(g, n) for g in range(bounds[k], bounds[k + 1])
             )
 
-        dp = None
+        tiles = None
         start_k = 0
         resumed_from: int | None = None
         if journal is not None and self.resume and journal.exists:
-            restored = self._resume_rdd(journal, store, fingerprint, nt)
+            restored = self._try_resume(journal, store, fingerprint, nt)
             if restored is not None:
-                dp, start_k, resumed_from = restored
-        if dp is None:
+                tiles, start_k, resumed_from = restored
+        if tiles is None:
             if journal is not None:
                 self._journal_begin(journal, fingerprint, n, nt)
-            dp = self._initial_rdd(table, bounds, nt)
+            tiles = self._initial_tiles(table, bounds, nt)
+        dp = self.sc.parallelize(tiles, self.num_partitions).partitionBy(
+            partitioner=self.partitioner
+        )
 
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
         state = _DriverState(self.strategy, resumed_from)
@@ -424,7 +422,7 @@ class GepSparkSolver:
         return result, self._report(state, n, nt, start)
 
     # ------------------------------------------------------------------
-    # driver scaffolding shared by the barrier and pipelined loops
+    # solve-loop scaffolding
     # ------------------------------------------------------------------
     def _journal_begin(self, journal, fingerprint: str, n: int, nt: int) -> None:
         """Start a fresh journal with this solve's identity record."""
@@ -480,9 +478,6 @@ class GepSparkSolver:
             # the solve Collect-Broadcast style (bit-identical, but
             # its working set lives in shared storage, which the
             # governor deliberately does not budget — paper §IV-C).
-            # Pipelined IM stages operands through the tracker, not
-            # the shuffle, so there the degrade keeps its meaning as
-            # "stop coupling operands through governed pools".
             state.active_strategy = "cb"
             state.degraded_at = k
             metrics.strategy_degradations += 1
@@ -536,329 +531,6 @@ class GepSparkSolver:
             extras["chaos"] = sc.fault_plan.describe()
             extras["faults_injected"] = sc.fault_plan.fired()
         return report
-
-    # ------------------------------------------------------------------
-    # wavefront pipeline (DESIGN.md §17): dependence-admitted iterations
-    # ------------------------------------------------------------------
-    def _pipelined_solve(self, table: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """Overlapped outer iterations under the derived tile relation.
-
-        Tiles are keyed ``(level, i, j)`` in a
-        :class:`~repro.sparkle.pipeline.TileTracker`, where ``level`` is
-        the tile's *version*: its value after iterations ``< level``.
-        Each iteration's A/B‖C/D waves are admitted per-tile the moment
-        their gates settle (gates derived from
-        :func:`~repro.poly.dependence.iteration_read_versions`, the same
-        Bernstein machinery that schedules the barrier mode), so
-        iteration ``k+1``'s pivot generation runs while ``k``'s trailing
-        D wave is still in flight — bounded by ``sc.pipeline_depth``
-        unsealed iterations.  The journal seals iteration ``k`` (snapshot
-        blocks, then the commit record — the PR 2 protocol, on the driver
-        thread, in ``k`` order) only once all of ``k``'s tiles settled,
-        so resume correctness is unchanged.  Results are bit-identical to
-        barrier mode: the kernels, operand versions, and retry-purity
-        contract are all the same — only admission timing moves.
-        """
-        start = time.perf_counter()
-        sc = self.sc
-        depth = sc.pipeline_depth
-        sc._executors.backend.reset_affinity()
-        n = table.shape[0]
-        bounds = grid_bounds(n, self.r)
-        nt = len(bounds) - 1
-        store = sc.durable_store
-        journal = SolveJournal(store.root) if store is not None else None
-        fingerprint = self._fingerprint(table, n, nt) if journal is not None else None
-        metrics = sc.metrics
-        sched = sc._scheduler
-
-        def active(k: int) -> bool:
-            return any(
-                self.spec.k_active(g, n) for g in range(bounds[k], bounds[k + 1])
-            )
-
-        tiles0 = None
-        start_k = 0
-        resumed_from: int | None = None
-        if journal is not None and self.resume and journal.exists:
-            restored = self._try_resume(journal, store, fingerprint, nt)
-            if restored is not None:
-                tiles0, start_k, resumed_from = restored
-        if tiles0 is None:
-            if journal is not None:
-                self._journal_begin(journal, fingerprint, n, nt)
-            tiles0 = [
-                (
-                    (i, j),
-                    np.ascontiguousarray(
-                        table[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]],
-                        dtype=self.spec.dtype,
-                    ),
-                )
-                for i in range(nt)
-                for j in range(nt)
-            ]
-
-        tracker = TileTracker(memory=getattr(sc, "memory_manager", None))
-        for (i, j), tile in tiles0:
-            tracker.settle((start_k, i, j), tile)
-
-        self._kept_snapshots = [resumed_from] if resumed_from is not None else []
-        self._bcast_lock = threading.Lock()
-        all_keys = [(i, j) for i in range(nt) for j in range(nt)]
-        state = _DriverState(self.strategy, resumed_from)
-        submitted: list[int] = []  # active iterations in flight, unsealed
-        stop_level = nt
-
-        def seal(k: int) -> None:
-            """Driver-side commit of iteration ``k`` once it fully settles."""
-            tracker.wait_all([(k + 1, i, j) for (i, j) in all_keys])
-            if journal is not None:
-                for (i, j) in all_keys:
-                    store.put(("snap", k, i, j), tracker.get((k + 1, i, j)))
-                journal.append({"kind": "iteration", "k": k})
-                metrics.journal_appends += 1
-                self._kept_snapshots.append(k)
-                while len(self._kept_snapshots) > 2:
-                    old = self._kept_snapshots.pop(0)
-                    for i in range(nt):
-                        for j in range(nt):
-                            store.delete(("snap", old, i, j))
-            if self.on_iteration is not None:
-                self.on_iteration(k)
-            state.completed += 1
-            # Levels <= k can no longer be read: iteration k's tasks are
-            # all done and k+1 reads versions >= k+1.  Bounds live tiles
-            # to the lookahead window.
-            tracker.prune_below(k + 1)
-
-        try:
-            for k in range(start_k, nt):
-                if not active(k):
-                    for key in all_keys:
-                        tracker.forward((k,) + key, (k + 1,) + key)
-                    continue
-                while len(submitted) >= depth:
-                    seal(submitted.pop(0))
-                self._iteration_boundary(k, state)
-                self._submit_pipelined_iteration(
-                    k, bounds, nt, n, tracker, state.active_strategy
-                )
-                submitted.append(k)
-                metrics.pipeline_iterations += 1
-                metrics.pipeline_depth_achieved = max(
-                    metrics.pipeline_depth_achieved, len(submitted)
-                )
-                if (
-                    self.max_iterations is not None
-                    and state.completed + len(submitted) >= self.max_iterations
-                ):
-                    state.partial = any(active(kk) for kk in range(k + 1, nt))
-                    stop_level = k + 1
-                    break
-            while submitted:
-                seal(submitted.pop(0))
-            tracker.wait_all([(stop_level, i, j) for (i, j) in all_keys])
-        except BaseException as exc:
-            tracker.abort(exc)
-            sched.pipeline_drain()
-            tracker.close()
-            raise
-        sched.pipeline_drain()
-
-        try:
-            out = np.empty((n, n), dtype=self.spec.dtype)
-            for (i, j) in all_keys:
-                tile = tracker.get((stop_level, i, j))
-                out[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]] = tile
-        finally:
-            # Return the final level's governor charges: result tiles are
-            # never pruned, and leaking them would poison the service's
-            # pressure readings for every later request on this context.
-            tracker.close()
-        if journal is not None and not state.partial:
-            journal.append({"kind": "done"})
-            metrics.journal_appends += 1
-        report = self._report(state, n, nt, start)
-        report.extras["pipeline"] = {
-            "depth": depth,
-            "depth_achieved": metrics.pipeline_depth_achieved,
-            "iterations": metrics.pipeline_iterations,
-            "waves": metrics.pipeline_waves,
-        }
-        return out, report
-
-    def _submit_pipelined_iteration(
-        self, k: int, bounds: list[int], nt: int, n: int, tracker, strategy: str
-    ) -> None:
-        """Register iteration ``k``'s A, B‖C, and D waves with the tracker.
-
-        Gates come from the derived per-point read versions: a pre-read
-        of tile ``t`` gates on ``(k, t)``, a post-read on ``(k+1, t)``.
-        Operand *staging* differs per strategy (tracker refs for IM,
-        shared storage for CB, broadcast variables for bcast) but the
-        gate structure — and therefore legality — is identical, because
-        staging happens in ``on_result`` before the producing tile
-        settles.
-        """
-        sc = self.sc
-        sched = sc._scheduler
-        spec, part = self.spec, self.partitioner
-        storage = sc.shared_storage
-        bs = b_range(spec, k, nt)
-        cs = c_range(spec, k, nt)
-        b_keys = frozenset((k, j) for j in bs)
-        c_keys = frozenset((i, k) for i in cs)
-        d_keys = frozenset((i, j) for i in cs for j in bs)
-        gk0 = bounds[k]
-        needs_w = spec.needs_w
-        versions = {
-            va.point: va for va in iteration_read_versions(spec, k, nt)
-        }
-        trace = sc.metrics.new_job(f"pipeline_k{k}")
-        batch = self._run_tile_batch
-        # bcast staging boxes, filled under the lock in on_result before
-        # the produced tiles settle (so gated readers always find them).
-        pivot_box: dict[str, Any] = {}
-        band_box: dict[tuple[int, int], Any] = {}
-
-        def gates_for(key: tuple[int, int]) -> list[tuple[int, int, int]]:
-            va = versions[(k,) + key]
-            return sorted((k,) + t for t in va.pre_reads) + sorted(
-                (k + 1,) + t for t in va.post_reads
-            )
-
-        def pivot_operand():
-            if strategy == "im":
-                return tracker.get((k + 1, k, k))
-            if strategy == "cb":
-                return storage.get(("pivot", k))
-            return pivot_box["bc"].value
-
-        def band_operand(key: tuple[int, int]):
-            if strategy == "im":
-                return tracker.get((k + 1,) + key)
-            if strategy == "cb":
-                return storage.get(("bc", k, key))
-            return band_box[key].value
-
-        # ---- wave 1: kernel A on the pivot tile --------------------------
-        def a_body(tc):
-            x_in = tracker.get((k, k, k))
-            return batch(
-                [("A", x_in, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)]
-            )[0]
-
-        def a_result(x):
-            if strategy == "cb":
-                storage.put(("pivot", k), x)
-            elif strategy == "bcast":
-                with self._bcast_lock:
-                    pivot_box["bc"] = sc.broadcast(x)
-            tracker.settle((k + 1, k, k), x)
-
-        sched.submit_wave(
-            trace,
-            "A",
-            [(part.partition((k, k)), gates_for((k, k)), a_body, a_result)],
-            tracker,
-        )
-
-        # ---- wave 2: kernels B and C, grouped by home partition ----------
-        bc_groups: dict[int, list[tuple[int, int]]] = {}
-        for key in [(k, j) for j in bs] + [(i, k) for i in cs]:
-            bc_groups.setdefault(part.partition(key), []).append(key)
-
-        def make_bc_task(p: int, keys: list[tuple[int, int]]):
-            gates: list = []
-            seen: set = set()
-            for key in keys:
-                for g in gates_for(key):
-                    if g not in seen:
-                        seen.add(g)
-                        gates.append(g)
-
-            def body(tc):
-                calls = []
-                for i, j in keys:
-                    x_in = tracker.get((k, i, j))
-                    pivot = pivot_operand()
-                    if i == k:
-                        calls.append(
-                            ("B", x_in, pivot, ALIAS_X, pivot, gk0, bounds[j], gk0, n)
-                        )
-                    else:
-                        calls.append(
-                            ("C", x_in, ALIAS_X, pivot, pivot, bounds[i], gk0, gk0, n)
-                        )
-                return batch(calls)
-
-            def on_result(outs):
-                if strategy == "cb":
-                    for key, x in zip(keys, outs):
-                        storage.put(("bc", k, key), x)
-                elif strategy == "bcast":
-                    with self._bcast_lock:
-                        for key, x in zip(keys, outs):
-                            band_box[key] = sc.broadcast(x)
-                for key, x in zip(keys, outs):
-                    tracker.settle((k + 1,) + key, x)
-
-            return (p, gates, body, on_result)
-
-        if bc_groups:
-            sched.submit_wave(
-                trace,
-                "BC",
-                [make_bc_task(p, bc_groups[p]) for p in sorted(bc_groups)],
-                tracker,
-            )
-
-        # ---- wave 3: kernels D, grouped by home partition ----------------
-        d_groups: dict[int, list[tuple[int, int]]] = {}
-        for i in cs:
-            for j in bs:
-                key = (i, j)
-                d_groups.setdefault(part.partition(key), []).append(key)
-
-        def make_d_task(p: int, keys: list[tuple[int, int]]):
-            gates: list = []
-            seen: set = set()
-            for key in keys:
-                for g in gates_for(key):
-                    if g not in seen:
-                        seen.add(g)
-                        gates.append(g)
-
-            def body(tc):
-                calls = []
-                for i, j in keys:
-                    x_in = tracker.get((k, i, j))
-                    u = band_operand((i, k))
-                    v = band_operand((k, j))
-                    w = pivot_operand() if needs_w else None
-                    calls.append(("D", x_in, u, v, w, bounds[i], bounds[j], gk0, n))
-                return batch(calls)
-
-            def on_result(outs):
-                for key, x in zip(keys, outs):
-                    tracker.settle((k + 1,) + key, x)
-
-            return (p, gates, body, on_result)
-
-        if d_groups:
-            sched.submit_wave(
-                trace,
-                "D",
-                [make_d_task(p, d_groups[p]) for p in sorted(d_groups)],
-                tracker,
-            )
-
-        # ---- untouched tiles forward to the next version unchanged -------
-        touched = {(k, k)} | b_keys | c_keys | d_keys
-        for key in [(i, j) for i in range(nt) for j in range(nt)]:
-            if key not in touched:
-                tracker.forward((k,) + key, (k + 1,) + key)
 
     # ------------------------------------------------------------------
     # durability: write-ahead journal + snapshot/restore
@@ -944,21 +616,10 @@ class GepSparkSolver:
             return tiles, k + 1, k
         return None
 
-    def _resume_rdd(self, journal, store, fingerprint: str, nt: int):
-        """RDD-path resume: restored tiles re-parallelized (barrier mode)."""
-        restored = self._try_resume(journal, store, fingerprint, nt)
-        if restored is None:
-            return None
-        tiles, start_k, resumed_from = restored
-        dp = self.sc.parallelize(tiles, self.num_partitions).partitionBy(
-            partitioner=self.partitioner
-        )
-        return dp, start_k, resumed_from
-
     # ------------------------------------------------------------------
     # setup / teardown
     # ------------------------------------------------------------------
-    def _initial_rdd(self, table: np.ndarray, bounds: list[int], nt: int):
+    def _initial_tiles(self, table: np.ndarray, bounds: list[int], nt: int):
         tiles = []
         for i in range(nt):
             for j in range(nt):
@@ -967,9 +628,7 @@ class GepSparkSolver:
                     dtype=self.spec.dtype,
                 )
                 tiles.append(((i, j), tile))
-        return self.sc.parallelize(tiles, self.num_partitions).partitionBy(
-            partitioner=self.partitioner
-        )
+        return tiles
 
     def _assemble(self, dp, bounds: list[int], n: int, dtype) -> np.ndarray:
         out = np.empty((n, n), dtype=dtype)

@@ -177,10 +177,9 @@ def cross_iteration_edges(
 
     For each updated point of iteration ``kb + 1``, the set of iteration
     ``kb`` points whose writes it depends on (RAW through its reads, plus
-    the WAW edge on its own output tile).  This is the legality relation
-    the wavefront pipeline admits stages under: a ``kb + 1`` point may
-    start as soon as these producers — not the whole of iteration ``kb``
-    — have settled.
+    the WAW edge on its own output tile).  This is the derived legality
+    relation between consecutive iterations: a ``kb + 1`` point depends
+    on these producers only, not on the whole of iteration ``kb``.
     """
     tiled = TiledGep(spec)
     writes = {

@@ -35,9 +35,9 @@ through four defensive layers before an engine pass runs:
    dispatcher queue is weighted deficit-round-robin across tenants, so
    a hog saturates only its own weight; and a deterministic
    :class:`~repro.sparkle.tenancy.BrownoutLadder` degrades gracefully
-   under pressure — clamp ``pipeline_depth`` to 1, serve IM requests
-   on the bit-identical CB strategy, then shed lowest-weight tenants
-   with ``retry_after`` — with every transition metered clear-on-read.
+   under pressure — serve IM requests on the bit-identical CB
+   strategy, then shed lowest-weight tenants with ``retry_after`` —
+   with every transition metered clear-on-read.
 
 Engine passes are **serialized** through one dispatcher thread:
 concurrent passes over a shared context would interleave stage ids,
@@ -244,7 +244,7 @@ class ServiceConfig:
         peak engine footprint, not just the input.
     brownout:
         Arm the :class:`~repro.sparkle.tenancy.BrownoutLadder`
-        (clamp → degrade → shed under pressure); off leaves only the
+        (degrade → shed under pressure); off leaves only the
         PR 7 admission gates.
     """
 
@@ -1238,7 +1238,7 @@ class SolverService:
         waiting (equal weights shed nobody here — the plain admission
         gates still apply to everyone).
         """
-        if not self.config.brownout or self.ladder.level < 3:
+        if not self.config.brownout or self.ladder.level < 2:
             return
         weight = self._weight(tenant)
         contenders = set(self._queue.tenants()) | {tenant}
@@ -1428,21 +1428,12 @@ class SolverService:
             self.metrics.tenant_event(request.tenant, "engine_passes")
             if sc.backend == "processes" and not offload:
                 self.metrics.circuit_failovers += 1
-        # Brownout effects, applied per pass from the ladder's current
-        # rung (passes are serialized, so mutating shared context state
-        # here is safe; everything restores in ``finally``):
-        # rung >= clamp collapses the pipeline lookahead to barrier mode
-        # (the cheapest lever — trims the tracker's live-tile window),
-        # rung >= degrade serves IM requests on the CB strategy (the
-        # PR 3 latch: bit-identical output, shared-storage staging
-        # instead of governed shuffle pools).
+        # Brownout effect, applied per pass from the ladder's current
+        # rung: at ``degrade`` and above IM requests are served on the
+        # CB strategy (the PR 3 latch: bit-identical output,
+        # shared-storage staging instead of governed shuffle pools).
         brownout = self.ladder.level if self.config.brownout else 0
-        saved_depth = getattr(sc, "pipeline_depth", 1)
-        if brownout >= 1 and saved_depth > 1:
-            sc.pipeline_depth = 1
-            with self._metrics_lock:
-                self.metrics.brownout_clamps += 1
-        if brownout >= 2 and request.strategy == "im":
+        if brownout >= 1 and request.strategy == "im":
             request = replace(request, strategy="cb")
             with self._metrics_lock:
                 self.metrics.brownout_degrades += 1
@@ -1451,7 +1442,6 @@ class SolverService:
             return self._solve(request, offload)
         finally:
             sc._scheduler.set_job_deadline(None)
-            sc.pipeline_depth = saved_depth
             sc.reclaim_solve_state()
 
     def _solve(self, request: SolveRequest, offload: bool) -> np.ndarray:
@@ -2117,7 +2107,6 @@ def _handle_conn(
                 _send_msg(conn, {
                     "status": "ok",
                     **service.metrics.summary(),
-                    "pipeline": service.sc.metrics.pipeline_summary(),
                     "tenants": mm.tenant_usage() if mm is not None else {},
                 })
                 return

@@ -124,13 +124,6 @@ class SparkleContext:
         whose arena slab already holds it (Spark preferred locations in
         miniature), with graceful rebalance on quarantine/respawn.
         Metered as ``affinity_hits``/``affinity_misses``.
-    pipeline_depth:
-        Wavefront pipelining lookahead (DESIGN.md §17): how many outer
-        GEP iterations may be in flight at once.  ``1`` (default) keeps
-        today's strict per-iteration barriers; ``>= 2`` lets the solver
-        admit iteration ``k+1``'s stages as soon as their tile-level
-        dependence gates settle, overlapping them with iteration ``k``'s
-        trailing D wave.  Results stay bit-identical.
     """
 
     def __init__(
@@ -157,7 +150,6 @@ class SparkleContext:
         task_deadline: float | None = None,
         max_task_failures: int = 3,
         affinity: bool = True,
-        pipeline_depth: int = 1,
     ) -> None:
         self.num_executors = num_executors
         self.cores_per_executor = cores_per_executor
@@ -172,14 +164,10 @@ class SparkleContext:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        self.pipeline_depth = pipeline_depth
         self.backend = backend
         self.affinity = affinity
         self.metrics = EngineMetrics()
         self.metrics.backend = backend
-        self.metrics.pipeline_depth = pipeline_depth
         self.failure_injector = failure_injector
         self.fault_plan = fault_plan
         self.supervision = SupervisionConfig(
@@ -353,7 +341,6 @@ class SparkleContext:
     # ------------------------------------------------------------------
     def stop(self) -> None:
         if not self._stopped:
-            self._scheduler.close()
             self._executors.shutdown()
             if self._spill_tmpdir is not None:
                 shutil.rmtree(self._spill_tmpdir, ignore_errors=True)

@@ -38,8 +38,7 @@ class TaskRecord:
     kernel_updates: int = 0
     kernel_invocations: int = 0
     wall_seconds: float = 0.0
-    #: perf_counter timestamps of the winning attempt's span — the raw
-    #: material for barrier-wait / overlap accounting (pipeline_summary)
+    #: perf_counter timestamps of the winning attempt's span
     start_ts: float = 0.0
     end_ts: float = 0.0
     #: total scheduler backoff slept before the winning attempt
@@ -218,15 +217,6 @@ class EngineMetrics:
     affinity_misses: int = 0
     #: tile placements spilled by worker quarantine/respawn/blacklist
     affinity_rebalances: int = 0
-    # ---- pipeline counters (wavefront iteration overlap) ----------------
-    #: the context's configured lookahead (1 = barrier mode)
-    pipeline_depth: int = 1
-    #: maximum outer iterations simultaneously in flight (unsealed)
-    pipeline_depth_achieved: int = 0
-    #: outer iterations executed through the pipelined admission path
-    pipeline_iterations: int = 0
-    #: dependence-admitted waves (stages launched per-tile, not barriered)
-    pipeline_waves: int = 0
 
     def new_job(self, action: str) -> JobTrace:
         trace = JobTrace(job_id=len(self.jobs), action=action)
@@ -333,80 +323,6 @@ class EngineMetrics:
             ),
         }
 
-    def pipeline_summary(self) -> dict[str, Any]:
-        """Barrier-wait / overlap accounting (wavefront pipeline view).
-
-        ``barrier_wait_seconds`` is the idle executor-time trapped inside
-        stage windows: for every executed stage, each participating
-        executor is charged the stage's span minus the time it actually
-        spent busy (on *any* task, any stage) inside that window.  In
-        barrier mode nothing foreign overlaps a stage, so this is the
-        exact tail-wait behind the slowest task; in pipelined mode
-        cross-stage work fills the holes and the same formula credits it.
-        """
-        busy: dict[int, list[tuple[float, float]]] = {}
-        windows: list[tuple[float, float, frozenset[int]]] = []
-        for job in self.jobs:
-            for stage in job.stages:
-                spans = [
-                    (t.start_ts, t.end_ts, t.executor)
-                    for t in stage.tasks
-                    if t.end_ts > t.start_ts
-                ]
-                if not spans:
-                    continue
-                lo = min(s for s, _, _ in spans)
-                hi = max(e for _, e, _ in spans)
-                windows.append((lo, hi, frozenset(ex for _, _, ex in spans)))
-                for s, e, ex in spans:
-                    busy.setdefault(ex, []).append((s, e))
-        merged: dict[int, list[tuple[float, float]]] = {}
-        for ex, spans in busy.items():
-            spans.sort()
-            out: list[tuple[float, float]] = []
-            for s, e in spans:
-                if out and s <= out[-1][1]:
-                    if e > out[-1][1]:
-                        out[-1] = (out[-1][0], e)
-                else:
-                    out.append((s, e))
-            merged[ex] = out
-        wait = 0.0
-        for lo, hi, executors in windows:
-            for ex in executors:
-                covered = 0.0
-                for s, e in merged[ex]:
-                    if e <= lo:
-                        continue
-                    if s >= hi:
-                        break
-                    covered += min(e, hi) - max(s, lo)
-                wait += max(0.0, (hi - lo) - covered)
-        overlapped = 0
-        ordered = sorted(range(len(windows)), key=lambda i: windows[i][0])
-        prev_hi = float("-inf")
-        flagged = [False] * len(windows)
-        prev_idx: int | None = None
-        for i in ordered:
-            lo, hi, _ = windows[i]
-            if lo < prev_hi:
-                flagged[i] = True
-                if prev_idx is not None:
-                    flagged[prev_idx] = True
-            if hi > prev_hi:
-                prev_hi = hi
-                prev_idx = i
-        overlapped = sum(flagged)
-        return {
-            "pipeline_depth": self.pipeline_depth,
-            "pipeline_depth_achieved": self.pipeline_depth_achieved,
-            "pipeline_iterations": self.pipeline_iterations,
-            "pipeline_waves": self.pipeline_waves,
-            "stage_windows": len(windows),
-            "overlapped_stages": overlapped,
-            "barrier_wait_seconds": round(wait, 6),
-        }
-
     def durability_summary(self) -> dict[str, Any]:
         """Journal/checkpoint-store accounting for one run."""
         return {
@@ -438,14 +354,6 @@ class EngineMetrics:
         out.update(self.data_plane_summary())
         out.update(self.supervision_summary())
         out.update(self.dispatch_summary())
-        # The flat summary is a determinism contract: identical-seed runs
-        # must produce identical summaries (test_chaos pins this), so the
-        # wall-clock-derived pipeline fields stay in pipeline_summary()
-        # only and the rollup carries just the counters.
-        pipe = self.pipeline_summary()
-        del pipe["barrier_wait_seconds"]
-        del pipe["overlapped_stages"]
-        out.update(pipe)
         return out
 
 
@@ -532,15 +440,13 @@ class ServiceMetrics:
     rate_limited: int = 0
     #: requests shed at the ladder's ``shed`` rung (lowest-weight tenants)
     brownout_sheds: int = 0
-    #: engine passes run with ``pipeline_depth`` clamped to 1 (rung >= clamp)
-    brownout_clamps: int = 0
     #: engine passes degraded IM→CB by the ladder (rung >= degrade)
     brownout_degrades: int = 0
     #: total ladder transitions (monotone; the summary surface)
     brownout_transition_count: int = 0
-    #: current ladder rung name (``normal``/``clamp``/``degrade``/``shed``)
+    #: current ladder rung name (``normal``/``degrade``/``shed``)
     brownout_level: str = "normal"
-    #: transition strings (``"normal->clamp"``, …) since the last drain —
+    #: transition strings (``"normal->degrade"``, …) since the last drain —
     #: clear-on-read like ``MemoryManager.critical_since_last_check``, so
     #: spiky episodes between two probes are never missed
     brownout_transitions: list[str] = field(default_factory=list)
@@ -627,7 +533,6 @@ class ServiceMetrics:
             "quota_rejections": self.quota_rejections,
             "rate_limited": self.rate_limited,
             "brownout_sheds": self.brownout_sheds,
-            "brownout_clamps": self.brownout_clamps,
             "brownout_degrades": self.brownout_degrades,
             "brownout_transition_count": self.brownout_transition_count,
             "brownout_level": self.brownout_level,

@@ -111,19 +111,6 @@ class Stage:
         return "shuffle-map" if self.shuffle_dep is not None else "result"
 
 
-class _WaveStage:
-    """Stage stand-in for dependence-admitted pipeline waves.
-
-    Pipeline waves have no RDD or shuffle dependency — only an id, which
-    is all the retry/chaos/backoff machinery keys on.
-    """
-
-    __slots__ = ("id",)
-
-    def __init__(self, stage_id: int) -> None:
-        self.id = stage_id
-
-
 class DAGScheduler:
     """Builds and runs the stage graph for one context."""
 
@@ -168,15 +155,6 @@ class DAGScheduler:
         # stops burning engine time without interrupting a kernel
         # mid-update (which would forfeit bit-identity guarantees).
         self._job_deadline: float | None = None
-        # Wavefront pipeline state (DESIGN.md §17).  Pipelined tasks are
-        # admitted per-tile, so there is no stage barrier at which the
-        # backend could safely sweep scratch; instead an in-flight count
-        # gates the sweep to quiescent instants, under this lock.
-        self._pipeline_lock = threading.Lock()
-        self._pipeline_cond = threading.Condition(self._pipeline_lock)
-        self._pipeline_inflight = 0
-        self._pipeline_queued = 0
-        self._pipeline_lane = None  # FIFO lane for serialized (chaos) runs
 
     # ------------------------------------------------------------------
     # request-plane deadline
@@ -387,128 +365,6 @@ class DAGScheduler:
         record.tasks = self._run_tasks([make_task(p) for p in range(stage.num_tasks)])
         trace.stages.append(record)
         return results
-
-    # ------------------------------------------------------------------
-    # wavefront pipeline: dependence-driven stage admission (§17)
-    # ------------------------------------------------------------------
-    def submit_wave(self, trace, kind: str, tasks, tracker) -> StageRecord:
-        """Admit a wave of tasks as their tile-level gates settle.
-
-        ``tasks`` is a list of ``(partition, gates, body, on_result)``:
-        each task registers with ``tracker`` and launches the moment its
-        gates (``(level, i, j)`` keys) are all settled — possibly
-        immediately — instead of at a global stage barrier.  ``body``
-        runs inside the full existing task machinery (chaos injection,
-        retries, speculation, backoff, blacklisting, deadline checks,
-        memory admission); ``on_result`` runs after success to settle the
-        wave's outputs.  Failures abort the tracker, surfacing the typed
-        exception on the driver's next ``wait_all``.
-
-        Returns the wave's :class:`StageRecord` (already on ``trace``);
-        task records append to it as tasks finish.
-        """
-        stage = _WaveStage(self._new_stage_id())
-        record = StageRecord(stage.id, f"pipeline:{kind}", -1, len(tasks))
-        trace.stages.append(record)
-        self.ctx.metrics.pipeline_waves += 1
-        mm = getattr(self.ctx, "memory_manager", None)
-        plan = self.ctx.fault_plan
-        serial = plan is not None and plan.serialize_tasks
-        for partition, gates, body, on_result in tasks:
-
-            def launch(partition=partition, body=body, on_result=on_result):
-                self._pipeline_submit(
-                    lambda: self._run_pipeline_task(
-                        stage, record, partition, body, on_result, tracker, mm
-                    ),
-                    serial,
-                )
-
-            tracker.when(gates, launch)
-        return record
-
-    def _pipeline_submit(self, thunk, serial: bool) -> None:
-        with self._pipeline_lock:
-            self._pipeline_queued += 1
-        if serial:
-            # Serialized chaos runs need a deterministic task order; a
-            # single FIFO lane preserves admission order the way barrier
-            # mode's in-order loop does.
-            lane = self._ensure_pipeline_lane()
-            lane.submit(thunk)
-        else:
-            self.ctx._executors.backend._ensure_pool().submit(thunk)
-
-    def _ensure_pipeline_lane(self):
-        if self._pipeline_lane is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pipeline_lane = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="pipeline-lane"
-            )
-        return self._pipeline_lane
-
-    def _run_pipeline_task(
-        self, stage, record, partition: int, body, on_result, tracker, mm
-    ) -> None:
-        try:
-            if tracker.error is None:
-                with self._pipeline_lock:
-                    self._pipeline_inflight += 1
-                try:
-                    result_cell: dict[str, Any] = {}
-
-                    def wrapped(tc: TaskContext) -> int:
-                        result_cell["out"] = body(tc)
-                        return 0
-
-                    def attempt() -> TaskRecord:
-                        return self._attempt_with_retries(stage, partition, wrapped)
-
-                    runner = attempt if mm is None else self._admitted(attempt, mm)
-                    task_record = runner()
-                    record.tasks.append(task_record)
-                    on_result(result_cell["out"])
-                except BaseException as exc:  # noqa: BLE001 - typed abort
-                    tracker.abort(exc)
-                finally:
-                    with self._pipeline_lock:
-                        self._pipeline_inflight -= 1
-                        if self._pipeline_inflight == 0:
-                            # Quiescent instant: no pipelined kernel can
-                            # be holding backend scratch, so the sweep
-                            # that barrier mode runs per stage is safe
-                            # here.  Held under the lock so no new task
-                            # can stage scratch mid-sweep.
-                            self.ctx._executors.backend.stage_complete()
-        finally:
-            with self._pipeline_cond:
-                self._pipeline_queued -= 1
-                if self._pipeline_queued == 0:
-                    self._pipeline_cond.notify_all()
-
-    def pipeline_drain(self, timeout: float | None = 60.0) -> None:
-        """Block until no pipelined task is queued or running.
-
-        The driver calls this on both success and failure before handing
-        the context to anyone else (next request, teardown): a zombie
-        task finishing after an abort must not race the service's
-        between-requests state sweep.
-        """
-        with self._pipeline_cond:
-            while self._pipeline_queued > 0:
-                if not self._pipeline_cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"pipeline drain stalled with "
-                        f"{self._pipeline_queued} tasks outstanding"
-                    )
-
-    def close(self) -> None:
-        """Release pipeline resources (context stop)."""
-        lane = self._pipeline_lane
-        self._pipeline_lane = None
-        if lane is not None:
-            lane.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # retry loop & recovery

@@ -199,16 +199,17 @@ class DeficitRoundRobin:
 
 
 #: brownout ladder rungs, in escalation order
-BROWNOUT_LEVELS = ("normal", "clamp", "degrade", "shed")
+BROWNOUT_LEVELS = ("normal", "degrade", "shed")
 
 
 class BrownoutLadder:
     """Deterministic graceful-degradation state machine.
 
     Maps (governor pressure level, dispatcher queue depth) to one of
-    four rungs — ``normal`` → ``clamp`` (pipeline depth forced to 1) →
-    ``degrade`` (IM requests served on the CB strategy, the PR 3 latch)
-    → ``shed`` (lowest-weight tenants refused with ``retry_after``).
+    three rungs — ``normal`` → ``degrade`` (IM requests served on the
+    CB strategy, the PR 3 latch) → ``shed`` (lowest-weight tenants
+    refused with ``retry_after``): severity score <= 1 is ``normal``,
+    2 is ``degrade``, >= 3 is ``shed``.
     Escalation jumps straight to the computed target; de-escalation
     steps down one rung per evaluation, so a single quiet sample between
     two pressure spikes cannot flap the service all the way back to
@@ -236,7 +237,7 @@ class BrownoutLadder:
             score += 1
         if queue_depth >= self.max_queue_depth:
             score += 1
-        return min(score, len(BROWNOUT_LEVELS) - 1)
+        return min(max(score - 1, 0), len(BROWNOUT_LEVELS) - 1)
 
     def evaluate(self, pressure: str, queue_depth: int) -> str | None:
         """Advance the ladder; return ``"old->new"`` on a transition."""

@@ -196,12 +196,16 @@ def test_batch_dispatch_cuts_round_trips():
 
 @pytest.mark.batching
 def test_dispatch_validation(capsys):
-    """The removed offload options fail loudly; ``affinity`` is the one
-    owned-context option left."""
+    """The removed offload and pipelining options fail loudly;
+    ``affinity`` is the one owned-context option left."""
     from repro.__main__ import main as cli_main
 
     for command in (["solve", "apsp"], ["serve", "--socket", "unused.sock"]):
-        for flag in (["--dispatch", "batch"], ["--gang-stages"]):
+        for flag in (
+            ["--dispatch", "batch"],
+            ["--gang-stages"],
+            ["--pipeline-depth", "2"],
+        ):
             with pytest.raises(SystemExit) as excinfo:
                 cli_main(command + flag)
             assert excinfo.value.code == 2
@@ -210,10 +214,14 @@ def test_dispatch_validation(capsys):
         SparkleContext(2, 1, backend="processes", dispatch="batch")
     with pytest.raises(TypeError, match="gang_stages"):
         SparkleContext(2, 1, backend="processes", gang_stages=True)
+    with pytest.raises(TypeError, match="pipeline_depth"):
+        SparkleContext(2, 1, pipeline_depth=2)
     spec = FloydWarshallGep()
     t = fw_table(8, seed=0)
     with pytest.raises(TypeError, match="dispatch"):
         run_gep(spec, t, engine="spark", dispatch="batch")
+    with pytest.raises(TypeError, match="pipeline_depth"):
+        run_gep(spec, t, engine="spark", pipeline_depth=2)
     with pytest.raises(ValueError, match="engine='spark'"):
         run_gep(spec, t, engine="local", affinity=False)
     with SparkleContext(1, 1) as sc:

@@ -10,10 +10,13 @@ from repro.poly import (
     LinearConstraint,
     TileStatus,
     TiledGep,
+    asap_levels,
     bernstein_dependent,
+    cross_iteration_edges,
     TileAccess,
     gep_domain_constraints,
     index_set_split,
+    iteration_read_versions,
     poly_schedule,
     schedule_iteration,
 )
@@ -172,3 +175,62 @@ def test_poly_schedule_equals_methodology_one(spec, nb):
         for stage_tiles in poly_schedule(spec, nb)
     ]
     assert a == p
+
+
+# ----------------------------------------------------------------------
+# derived legality: ASAP levels and the cross-iteration relation
+# ----------------------------------------------------------------------
+class TestDerivedDependences:
+    @pytest.mark.parametrize("spec", [FW, GE, TC], ids=["fw", "ge", "tc"])
+    @pytest.mark.parametrize("nb", [1, 2, 4])
+    def test_asap_levels_pin_the_wavefront(self, spec, nb):
+        """Computed levels are exactly rank(A)=0, rank(B)=rank(C)=1,
+        rank(D)=2 — the A -> (B || C) -> D wavefront, derived not
+        asserted."""
+        expected_rank = {"A": 0, "B": 1, "C": 1, "D": 2}
+        for kb in range(nb):
+            tiles, level = asap_levels(spec, kb, nb)
+            assert len(tiles) == len(level)
+            for tile, lv in zip(tiles, level):
+                assert lv == expected_rank[tile.case], (kb, tile)
+            # consistency with the staged view
+            stages = schedule_iteration(spec, kb, nb)
+            assert [t.case for st_ in stages for t in st_] == sorted(
+                (t.case for t in tiles), key=expected_rank.get
+            )
+
+    def test_read_versions_fw_k0(self):
+        """Version split for FW kb=0, nb=2: A reads its own tile pre;
+        B/C read the pivot post-update; D reads its row/col/pivot
+        operands post-update."""
+        va = {v.point: v for v in iteration_read_versions(FW, 0, 2)}
+        a = va[(0, 0, 0)]
+        assert a.case == "A" and a.post_reads == frozenset()
+        b = va[(0, 0, 1)]
+        assert b.case == "B"
+        assert b.pre_reads == frozenset({(0, 1)})
+        assert b.post_reads == frozenset({(0, 0)})
+        d = va[(0, 1, 1)]
+        assert d.case == "D"
+        assert d.pre_reads == frozenset({(1, 1)})
+        assert d.post_reads == frozenset({(1, 0), (0, 1), (0, 0)})
+
+    def test_cross_iteration_edges_fw(self):
+        """Iteration 1's pivot work depends only on iteration 0's writes
+        to the tiles it reads — not on all of iteration 0."""
+        edges = cross_iteration_edges(FW, 0, 3)
+        # next pivot A(1,1,1) needs k=0's D on (1,1) only
+        assert edges[(1, 1, 1)] == frozenset({(0, 1, 1)})
+        # B(1,1,2): reads (1,2) and pivot (1,1); both written at k=0
+        assert edges[(1, 1, 2)] == frozenset({(0, 1, 2), (0, 1, 1)})
+        # D(1,0,0): reads (0,0),(0,1),(1,0),(1,1) - all written at k=0
+        assert edges[(1, 0, 0)] == frozenset(
+            {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)}
+        )
+
+    def test_cross_iteration_edges_shrink_for_ge(self):
+        """GE's trailing submatrix shrinks: points outside iteration
+        kb+1's active region simply do not appear."""
+        edges = cross_iteration_edges(GE, 0, 3)
+        assert (1, 0, 0) not in edges  # row 0 is retired after k=0
+        assert (1, 1, 1) in edges

@@ -5,11 +5,10 @@ validation, token-bucket rate limiting under a fake clock, weighted
 deficit-round-robin fairness, the brownout ladder's deterministic
 transitions), their composition inside :class:`repro.service.
 SolverService` (enforced byte quotas on the governor's tenant ledger,
-per-tenant rate gates, brownout clamp/degrade/shed effects on live
+per-tenant rate gates, brownout degrade/shed effects on live
 engine passes), the ``noisy_neighbor`` seeded chaos storm fairness
-acceptance, the ``send_request`` retry_after sleep schedule, the
-TileTracker governor charge (PR 9 follow-up), and the hypothesis
-property that multi-tenant WAL replay after a crash settles each
+acceptance, the ``send_request`` retry_after sleep schedule, and the
+hypothesis property that multi-tenant WAL replay after a crash settles each
 tenant's work exactly once, bit-identical, metered to the right tenant.
 """
 
@@ -54,8 +53,6 @@ from repro.sparkle import (
     SparkleContext,
     TenantQuotaExceededError,
 )
-from repro.sparkle.memory import MemoryManager
-from repro.sparkle.pipeline import TileTracker
 from repro.sparkle.tenancy import (
     BROWNOUT_LEVELS,
     BrownoutLadder,
@@ -234,34 +231,56 @@ class TestBrownoutLadder:
     def test_target_scores(self):
         ladder = BrownoutLadder(max_queue_depth=8)
         assert ladder.target("ok", 0) == 0
-        assert ladder.target("pressured", 0) == 1
-        assert ladder.target("critical", 0) == 2
-        assert ladder.target("ok", 5) == 1  # depth > max//2
-        assert ladder.target("ok", 8) == 2  # both depth bumps
-        assert ladder.target("pressured", 8) == 3
-        assert ladder.target("critical", 8) == 3  # capped at shed
+        assert ladder.target("pressured", 0) == 0  # score 1 is still normal
+        assert ladder.target("critical", 0) == 1
+        assert ladder.target("ok", 5) == 0  # depth > max//2
+        assert ladder.target("ok", 8) == 1  # both depth bumps
+        assert ladder.target("pressured", 8) == 2
+        assert ladder.target("critical", 8) == 2  # capped at shed
 
     def test_escalates_in_one_jump_decays_one_rung_at_a_time(self):
         ladder = BrownoutLadder(max_queue_depth=4)
         observations = [
             ("ok", 0),
-            ("critical", 4),  # straight to shed
-            ("ok", 0),        # one quiet sample: only one rung back
+            ("pressured", 0),  # score 1: still normal
+            ("pressured", 3),
             ("ok", 0),
+            ("critical", 4),   # straight to shed
+            ("ok", 0),         # one quiet sample: only one rung back
+            ("critical", 0),   # holds degrade
             ("ok", 0),
-            ("ok", 0),        # already normal: no transition
+            ("ok", 0),         # already normal: no transition
+            ("ok", 0),
+            ("ok", 4),
+            ("pressured", 4),
+            ("ok", 0),
         ]
-        transitions = [ladder.evaluate(p, d) for p, d in observations]
+        transitions, rungs = [], []
+        for pressure, depth in observations:
+            transitions.append(ladder.evaluate(pressure, depth))
+            rungs.append(ladder.name)
         assert transitions == [
             None,
+            None,
+            "normal->degrade",
+            "degrade->normal",
             "normal->shed",
             "shed->degrade",
-            "degrade->clamp",
-            "clamp->normal",
             None,
+            "degrade->normal",
+            None,
+            None,
+            "normal->degrade",
+            "degrade->shed",
+            "shed->degrade",
         ]
-        assert ladder.name == "normal"
-        assert BROWNOUT_LEVELS == ("normal", "clamp", "degrade", "shed")
+        # The decisions the service takes from the rung: an IM pass is
+        # served on CB at degrade and above, tenants are shed at shed.
+        degraded = [i for i, r in enumerate(rungs) if r != "normal"]
+        shed = [i for i, r in enumerate(rungs) if r == "shed"]
+        assert degraded == [2, 4, 5, 6, 10, 11, 12]
+        assert shed == [4, 11]
+        assert BROWNOUT_LEVELS == ("normal", "degrade", "shed")
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +439,11 @@ class TestRateLimit:
 
 
 # ---------------------------------------------------------------------------
-# brownout effects on live passes: clamp, degrade (bit-identical), shed
+# brownout effects on live passes: degrade (bit-identical), shed
 # ---------------------------------------------------------------------------
 
 
 class TestBrownoutEffects:
-    @pytest.mark.timeout(120)
-    def test_clamp_rung_forces_pipeline_depth_1_and_restores(self):
-        sc = _context(pipeline_depth=4)
-        service = SolverService(sc)
-        observed = []
-        service._solve = lambda req, offload: (
-            observed.append((sc.pipeline_depth, req.strategy)),
-            np.zeros((2, 2), dtype=SPEC.dtype),
-        )[1]
-        try:
-            service.ladder.level = 1  # clamp
-            service._run_engine_pass(_request(0), None, offload=False)
-            assert observed == [(1, "im")]  # depth clamped, strategy kept
-            assert sc.pipeline_depth == 4  # restored after the pass
-            assert service.metrics.brownout_clamps == 1
-        finally:
-            service.stop()
-            sc.stop()
-
     @pytest.mark.timeout(180)
     def test_degrade_rung_serves_im_on_cb_bit_identical(self):
         sc = _context()
@@ -455,7 +455,7 @@ class TestBrownoutEffects:
             original(req, offload),
         )[1]
         try:
-            service.ladder.level = 2  # degrade
+            service.ladder.level = 1  # degrade
             out = service._run_engine_pass(
                 _request(0, strategy="im"), None, offload=False
             )
@@ -468,20 +468,19 @@ class TestBrownoutEffects:
 
     @pytest.mark.timeout(120)
     def test_disarmed_brownout_leaves_passes_alone(self):
-        sc = _context(pipeline_depth=4)
+        sc = _context()
         service = SolverService(sc, config=ServiceConfig(brownout=False))
         observed = []
         service._solve = lambda req, offload: (
-            observed.append((sc.pipeline_depth, req.strategy)),
+            observed.append(req.strategy),
             np.zeros((2, 2), dtype=SPEC.dtype),
         )[1]
         try:
-            service.ladder.level = 3
+            service.ladder.level = 2
             service._run_engine_pass(
                 _request(0, strategy="im"), None, offload=False
             )
-            assert observed == [(4, "im")]
-            assert service.metrics.brownout_clamps == 0
+            assert observed == ["im"]
             assert service.metrics.brownout_degrades == 0
         finally:
             service.stop()
@@ -782,50 +781,6 @@ class TestSendRequestRetrySchedule:
             base = min(0.05 * 2**attempt, 2.0)
             assert base * 0.5 <= slept < base * 1.5, (attempt, slept)
         os.rmdir(os.path.dirname(missing))
-
-
-# ---------------------------------------------------------------------------
-# TileTracker charges the governor (PR 9 follow-up satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestTrackerGovernorCharge:
-    def test_settle_charges_prune_and_close_release(self):
-        mm = MemoryManager(1 << 20)
-        tracker = TileTracker(memory=mm)
-        tile = np.ones((16, 16))
-        tracker.settle((0, 0, 0), tile)
-        tracker.settle((1, 0, 0), tile)
-        usage = mm.usage()
-        owner_held = usage["by_owner"]["execution"]["pipeline-tracker"]
-        assert owner_held == 2 * tile.nbytes
-        tracker.prune_below(1)  # drops version 0
-        held = mm.usage()["by_owner"]["execution"].get("pipeline-tracker", 0)
-        assert held == tile.nbytes
-        tracker.close()  # the final window releases at end of solve
-        assert "pipeline-tracker" not in mm.usage()["by_owner"]["execution"]
-        assert mm.usage()["live_bytes"] == 0
-
-    def test_memoryless_tracker_still_works(self):
-        tracker = TileTracker()
-        tracker.settle((0, 0, 0), np.ones(4))
-        tracker.prune_below(1)
-        tracker.close()
-
-    @pytest.mark.pipeline
-    @pytest.mark.timeout(180)
-    def test_pipelined_solve_leaves_no_tracker_charge_behind(self):
-        sc = _context(memory_budget_bytes=256 << 20, pipeline_depth=2)
-        try:
-            solver = GepSparkSolver(
-                SPEC, sc, r=4, kernel=KERNEL, collect_stats=False
-            )
-            out, _ = solver.solve(_table(16, 0))
-            assert out.tobytes() == _reference(0, n=16, r=4).tobytes()
-            ledger = sc.memory_manager.usage()["by_owner"]["execution"]
-            assert "pipeline-tracker" not in ledger
-        finally:
-            sc.stop()
 
 
 # ---------------------------------------------------------------------------
