@@ -24,7 +24,7 @@ supervision:
 	$(PYTEST) -q -m supervision
 
 # kernel-offload plane: threads-vs-processes differential property,
-# exact round-trip counts, tile affinity
+# exact round-trip counts, partition -> worker placement
 batching:
 	$(PYTEST) -q -m batching
 
@@ -56,7 +56,7 @@ tenancy:
 smoke: tier1 robustness batching service tenancy perf
 
 # A/B the thread and process data planes on the pinned FW-APSP workload
-# and write BENCH_engine.json (wall-clock, shuffle bytes, zero-copy
+# and write BENCH_engine.json (wall-clock, shuffle bytes, shared-memory
 # accounting per backend).  BENCH_ARGS="--quick" for CI scale.
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_driver.py $(BENCH_ARGS)

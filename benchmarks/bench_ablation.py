@@ -17,7 +17,7 @@ from repro.kernels import (
     iterative_gep_misses,
     recursive_gep_misses,
 )
-from repro.sparkle import GridPartitioner, SparkleContext
+from repro.sparkle import FaultPlan, FaultSpec, GridPartitioner, SparkleContext
 from repro.workloads import diagonally_dominant, random_digraph_weights
 
 
@@ -88,16 +88,10 @@ def test_bench_failure_recovery_overhead(benchmark):
     table = random_digraph_weights(n, 0.3, seed=8)
 
     def run():
-        killed = set()
-
-        def injector(stage, part, attempt):
-            key = (stage, part)
-            if attempt == 1 and len(killed) < 8 and key not in killed:
-                killed.add(key)
-                return True
-            return False
-
-        with SparkleContext(2, 2, failure_injector=injector) as sc:
+        # a fresh plan per round (its ledger accumulates); ~5 % of first
+        # attempts die, tasks stay concurrent as in a fault-free solve
+        plan = FaultPlan(8, [FaultSpec("kill", rate=0.05)], serialize_tasks=False)
+        with SparkleContext(2, 2, fault_plan=plan) as sc:
             solver = GepSparkSolver(
                 spec, sc, r=4, kernel=make_kernel(spec, "iterative"),
                 strategy="im", collect_stats=False,

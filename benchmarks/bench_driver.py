@@ -3,14 +3,12 @@
 Runs the same seeded workload — Floyd-Warshall APSP on an ``--grid`` x
 ``--grid`` tile grid (the acceptance configuration is 8x8 over a
 1024^2 table) — once per backend, and writes ``BENCH_engine.json``
-with wall-clock, shuffle-byte and zero-copy accounting per backend.
+with wall-clock, shuffle-byte and shared-memory accounting per backend.
 
 The wall-clock *speedup* claim only applies on multicore hosts; the
 report records ``cpu_count`` and sets ``speedup_claim_applicable``
 accordingly rather than pretending a 1-core container can demonstrate
-parallel kernel execution.  The shuffle-byte reduction (pickle-5
-out-of-band dedup) is host-independent and asserted unconditionally
-by ``tests/test_backend.py``.
+parallel kernel execution.
 
 Usage::
 
@@ -75,12 +73,8 @@ def run_once(
             "tasks": m.total_tasks,
             "tasks_per_solve": m.total_tasks,
             "dispatch_round_trips": m.dispatch_round_trips,
-            "affinity_hit_rate": m.dispatch_summary()["affinity_hit_rate"],
             "shuffle_total_bytes_written": sc._shuffle_manager.total_bytes_written,
-            "shuffle_bytes_deduplicated": m.shuffle_bytes_deduplicated,
-            "serialized_shuffle_writes": m.serialized_shuffle_writes,
             "kernel_offloads": m.kernel_offloads,
-            "copies_eliminated": m.copies_eliminated,
             "shm_segments_created": m.shm_segments_created,
             "shm_segments_freed": m.shm_segments_freed,
             "shm_bytes_shared": m.shm_bytes_shared,
@@ -340,8 +334,7 @@ def main(argv=None) -> int:
         print(f"  {label:15s} wall={rec['wall_seconds']:8.3f}s "
               f"shuffle={rec['shuffle_total_bytes_written']:>12,d}B "
               f"offloads={rec['kernel_offloads']} "
-              f"round_trips={rec['dispatch_round_trips']} "
-              f"copies_eliminated={rec['copies_eliminated']}")
+              f"round_trips={rec['dispatch_round_trips']}")
 
     # Supervision overhead: the same process-backend workload with the
     # heartbeat/watchdog machinery disabled.  The delta prices the
@@ -398,8 +391,6 @@ def main(argv=None) -> int:
             "speedup_processes_vs_threads": round(
                 t["wall_seconds"] / p["wall_seconds"], 4
             ),
-            "shuffle_bytes_saved": t["shuffle_total_bytes_written"]
-            - p["shuffle_total_bytes_written"],
             # parallel-kernel wall-clock wins need real cores; recorded
             # honestly instead of asserted on undersized hosts
             "speedup_claim_applicable": cpus >= 4,

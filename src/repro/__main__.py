@@ -114,9 +114,6 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.affinity == "off" and args.backend != "processes":
-        print("--affinity off requires --backend processes", file=sys.stderr)
-        return 2
 
     table = _load_or_generate(args)
     kw = dict(
@@ -143,7 +140,6 @@ def _cmd_solve(args) -> int:
             memory_budget_bytes=args.memory_budget,
             spill_dir=args.spill_dir or None,
             backend=args.backend,
-            affinity=args.affinity != "off",
             **ctx_supervision_kw,
         )
         if args.engine == "spark"
@@ -201,7 +197,6 @@ def _cmd_solve(args) -> int:
                 print("recovery:", report.engine_metrics.recovery_summary())
             if args.backend == "processes":
                 print("data plane:", report.engine_metrics.data_plane_summary())
-                print("dispatch:", report.engine_metrics.dispatch_summary())
                 print(
                     "supervision:",
                     report.engine_metrics.supervision_summary(),
@@ -639,11 +634,6 @@ def main(argv: list[str] | None = None) -> int:
              "deterministic in-process pool) or processes (one worker "
              "process per executor; kernel tile updates run on multiple "
              "cores via shared-memory transport — bit-identical results)")
-    solve.add_argument(
-        "--affinity", choices=("on", "off"), default="on",
-        help="tile-affinity scheduling for the process backend: keep "
-             "routing each tile to the worker whose shared-memory slab "
-             "already holds it (default on)")
     solve.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="durable checkpoint/journal directory for the spark engine: "

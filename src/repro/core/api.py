@@ -40,92 +40,34 @@ def run_gep(
     partitioner=None,
     collect_stats: bool = False,
     checkpoint_every: int | None = None,
-    checkpoint_dir: str | None = None,
     resume: bool = False,
     max_iterations: int | None = None,
     on_iteration=None,
-    memory_budget_bytes: int | None = None,
-    spill_dir: str | None = None,
     degrade_on_pressure: bool = False,
-    backend: str = "threads",
-    heartbeat_interval: float | None = None,
-    task_deadline: float | None = None,
-    max_task_failures: int | None = None,
     degrade_on_crash: bool = False,
-    affinity: bool = True,
 ) -> tuple[np.ndarray, SolveReport | None]:
     """Run one GEP computation; returns ``(result, report_or_None)``.
 
     ``table`` is never mutated.  See :class:`~repro.core.dpspark.
-    GepSparkSolver` for the distributed-engine parameters.
-    ``checkpoint_dir``/``resume``/``max_iterations``/``on_iteration``
-    arm the durable write-ahead journal and crash-resume (spark engine
-    only).  ``memory_budget_bytes``/``spill_dir`` attach the unified
-    memory governor to an owned context (spark engine only; pass a
-    pre-budgeted ``sc`` otherwise), and ``degrade_on_pressure`` arms
-    the solver's IM→CB fallback under critical pressure.  ``backend``
-    picks the execution data plane of an owned spark context
-    (``"threads"`` default, or ``"processes"`` for multicore kernel
-    offload — bit-identical results; construct ``sc`` with ``backend=``
-    yourself to combine with a shared context).
-
-    ``heartbeat_interval``/``task_deadline``/``max_task_failures``
-    tune the worker supervision layer of an owned spark context (see
-    :class:`~repro.sparkle.supervisor.SupervisionConfig`; pass a
-    pre-configured ``sc`` otherwise), and ``degrade_on_crash`` arms the
-    solver's processes→threads fallback once a kernel call is
-    quarantined as poison.
-
-    ``affinity=False`` disables the process backend's tile-affinity
-    routing on an owned spark context (pass a pre-configured ``sc``
-    otherwise).
+    GepSparkSolver` for the distributed-engine parameters.  The spark
+    engine runs on ``sc``, or on a default ``SparkleContext()`` that
+    lives for this one call when ``sc`` is ``None``; everything about
+    the context — checkpoint directory, memory budget, backend,
+    supervision — is configured on the ``SparkleContext`` the caller
+    passes.  ``resume``/``max_iterations``/``on_iteration`` drive the
+    durable write-ahead journal and crash-resume of a context that has
+    a checkpoint directory, ``degrade_on_pressure`` arms the solver's
+    IM→CB fallback under critical memory pressure, and
+    ``degrade_on_crash`` its processes→threads fallback once a kernel
+    call is quarantined as poison (all spark engine only).
     """
     table = np.asarray(table)
-    if engine != "spark" and (checkpoint_dir is not None or resume):
-        raise ValueError("checkpoint_dir/resume require engine='spark'")
-    if engine != "spark" and (
-        memory_budget_bytes is not None or degrade_on_pressure
-    ):
-        raise ValueError(
-            "memory_budget_bytes/degrade_on_pressure require engine='spark'"
-        )
-    if backend != "threads" and engine != "spark":
-        raise ValueError("backend requires engine='spark'")
-    if backend != "threads" and sc is not None:
-        raise ValueError(
-            "backend applies to an owned context; construct the "
-            "SparkleContext with backend= instead"
-        )
-    if sc is not None and memory_budget_bytes is not None:
-        raise ValueError(
-            "memory_budget_bytes applies to an owned context; construct the "
-            "SparkleContext with memory_budget_bytes instead"
-        )
-    supervision_kw = {
-        "heartbeat_interval": heartbeat_interval,
-        "task_deadline": task_deadline,
-        "max_task_failures": max_task_failures,
-    }
-    supervision_set = {k for k, v in supervision_kw.items() if v is not None}
-    if supervision_set and engine != "spark":
-        names = "/".join(sorted(supervision_set))
-        verb = "requires" if len(supervision_set) == 1 else "require"
-        raise ValueError(f"{names} {verb} engine='spark'")
-    if supervision_set and sc is not None:
-        raise ValueError(
-            "supervision options apply to an owned context; construct the "
-            "SparkleContext with heartbeat_interval/task_deadline/"
-            "max_task_failures instead"
-        )
+    if engine != "spark" and resume:
+        raise ValueError("resume requires engine='spark'")
+    if engine != "spark" and degrade_on_pressure:
+        raise ValueError("degrade_on_pressure requires engine='spark'")
     if degrade_on_crash and engine != "spark":
         raise ValueError("degrade_on_crash requires engine='spark'")
-    if not affinity and engine != "spark":
-        raise ValueError("affinity requires engine='spark'")
-    if not affinity and sc is not None:
-        raise ValueError(
-            "affinity applies to an owned context; construct the "
-            "SparkleContext with affinity= instead"
-        )
     if engine == "reference":
         return gep_reference_vectorized(spec, table), None
 
@@ -154,17 +96,7 @@ def run_gep(
     if engine == "spark":
         owns_ctx = sc is None
         if owns_ctx:
-            ctx_kw = {k: v for k, v in supervision_kw.items() if v is not None}
-            sc = SparkleContext(
-                checkpoint_dir=checkpoint_dir,
-                memory_budget_bytes=memory_budget_bytes,
-                spill_dir=spill_dir,
-                backend=backend,
-                affinity=affinity,
-                **ctx_kw,
-            )
-        elif checkpoint_dir is not None:
-            sc.setCheckpointDir(checkpoint_dir)
+            sc = SparkleContext()
         try:
             kern = make_kernel(
                 spec,
@@ -214,19 +146,11 @@ class GepRunOptions(dict):
             "partitioner",
             "collect_stats",
             "checkpoint_every",
-            "checkpoint_dir",
             "resume",
             "max_iterations",
             "on_iteration",
-            "memory_budget_bytes",
-            "spill_dir",
             "degrade_on_pressure",
-            "backend",
-            "heartbeat_interval",
-            "task_deadline",
-            "max_task_failures",
             "degrade_on_crash",
-            "affinity",
         }
     )
 

@@ -33,15 +33,13 @@ surfaced on :attr:`SolveReport.recovery`.
 Data plane.  Kernel invocations go through :meth:`GepSparkSolver.
 _run_tile_batch` — one call per task — which never mutates its inputs.
 On the default thread backend it takes the historical defensive
-``tile.copy()`` (the retry-purity contract above) — unless the tile
-arrives as an *owned* :class:`~repro.sparkle.serialize.CowTile`, in
-which case the copy is skipped and metered as ``copies_eliminated``.
+``tile.copy()`` (the retry-purity contract above).
 On the process backend (``SparkleContext(backend="processes")``)
 picklable kernels are offloaded to worker processes, a task's tile
 updates in one round-trip: each tile is staged into a shared-memory
 scratch segment (that staging *is* the private copy), operands already
-resident in the arena (CB storage blocks, broadcast tiles, cached
-partitions) travel as segment names instead of bytes, and intra-tile
+resident in the arena (CB storage blocks, broadcast tiles)
+travel as segment names instead of bytes, and intra-tile
 aliasing (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) is re-established
 worker-side via the :data:`~repro.sparkle.backend.ALIAS_X` sentinel.
 Both paths are bit-identical; the backend-parity property test pins
@@ -68,7 +66,6 @@ from ..kernels.openmp import OmpRuntime
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
 from ..sparkle.backend import ALIAS_X
 from ..sparkle.durable import SolveJournal
-from ..sparkle.serialize import CowTile
 from ..sparkle.errors import (
     BlockNotFoundError,
     CorruptBlockError,
@@ -341,10 +338,6 @@ class GepSparkSolver:
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("GEP requires a square table")
         start = time.perf_counter()
-        # Tile placements are scoped to one solve: a context reused for
-        # several solves must not route this grid by a previous grid's
-        # homes (no cross-solve affinity leaks).
-        self.sc._executors.backend.reset_affinity()
         n = table.shape[0]
         bounds = grid_bounds(n, self.r)
         nt = len(bounds) - 1
@@ -669,10 +662,7 @@ class GepSparkSolver:
     def _thread_updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
         """The deterministic thread path: private copy, aliases resolved
         against it, kernel run in place (never mutates ``tile``)."""
-        if isinstance(tile, CowTile):
-            x = tile.writable(self.sc.metrics)
-        else:
-            x = tile.copy()
+        x = tile.copy()
         u2 = x if u is ALIAS_X else u
         v2 = x if v is ALIAS_X else v
         w2 = x if w is ALIAS_X else w
@@ -722,14 +712,9 @@ class GepSparkSolver:
         results: list = [None] * len(calls)
         pending = list(range(len(calls)))
         while pending:
-            bcalls = []
-            for idx in pending:
-                case, tile, *rest = calls[idx]
-                arr = tile.array if isinstance(tile, CowTile) else tile
-                bcalls.append((case, arr, *rest))
             try:
                 outs = backend.run_kernel_batch(
-                    blob, bcalls, want_stats=sink is not None
+                    blob, [calls[idx] for idx in pending], want_stats=sink is not None
                 )
             except PoisonTaskError as exc:
                 if not self.degrade_on_crash:

@@ -40,8 +40,8 @@ through four defensive layers before an engine pass runs:
    with every transition metered clear-on-read.
 
 Engine passes are **serialized** through one dispatcher thread:
-concurrent passes over a shared context would interleave stage ids,
-affinity resets, and metrics.  Concurrency lives entirely in the
+concurrent passes over a shared context would interleave stage ids
+and metrics.  Concurrency lives entirely in the
 request plane — which is exactly what the single-flight/caching layers
 exploit.  Between passes :meth:`SparkleContext.reclaim_solve_state`
 drops shuffle outputs, cached blocks, and shared-storage tiles so a

@@ -54,14 +54,11 @@ The data plane is pluggable (:mod:`repro.sparkle.backend`): the default
 while ``SparkleContext(backend="processes")`` runs one worker process
 per simulated executor and offloads kernel tile updates past the GIL —
 tiles travel through ``multiprocessing.shared_memory`` segments
-(:class:`~repro.sparkle.serialize.SegmentArena`) and shuffle map
-outputs are staged as pickle-protocol-5 streams whose out-of-band tile
-buffers are deduplicated by identity
-(:class:`~repro.sparkle.serialize.SerializedMapOutput`).  Both backends
-produce bit-identical results.
+(:class:`~repro.sparkle.serialize.SegmentArena`).  Tasks, shuffle and
+cache stay on driver threads under both backends, which produce
+bit-identical results and identical scheduler / byte counts.
 """
 
-from .affinity import AffinityRegistry
 from .backend import (
     ALIAS_X,
     BACKENDS,
@@ -116,9 +113,7 @@ from .partitioner import GridPartitioner, HashPartitioner, Partitioner, RangePar
 from .rdd import RDD, Aggregator
 from .scheduler import TaskContext
 from .serialize import (
-    CowTile,
     SegmentArena,
-    SerializedMapOutput,
     ShmArray,
     purge_segments,
     release_nested,
@@ -129,16 +124,13 @@ from .supervisor import HeartbeatBoard, SupervisionConfig, WorkerSupervisor
 
 __all__ = [
     "SparkleContext",
-    "AffinityRegistry",
     "ALIAS_X",
     "BACKENDS",
     "ExecutionBackend",
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "CowTile",
     "SegmentArena",
-    "SerializedMapOutput",
     "ShmArray",
     "release_nested",
     "share_nested",

@@ -16,20 +16,22 @@ pluggable (DESIGN.md §12):
   protocol (DESIGN.md §14): a task's tile updates travel as one batch
   to one worker — a single call is a batch of one.  Each tile being
   updated is staged into a shared-memory scratch segment; operands
-  already resident in shared memory (CB storage, broadcast values,
-  cached partitions — see :class:`~.serialize.SegmentArena`) are
+  already resident in shared memory (CB storage, broadcast values —
+  see :class:`~.serialize.SegmentArena`) are
   passed as segment descriptors, i.e. zero-copy; everything else ships
   once per batch in an identity-deduped operand pool.  Workers attach,
   update in place, and return only kernel stats — the results come
-  back through the segments.
+  back through the segments.  That is the *only* difference from the
+  thread backend: tasks, shuffle staging and the RDD cache stay on
+  driver threads, so every scheduler and byte count is the same on
+  both.
 
 Determinism: kernel offload is synchronous per task and numerically
 identical (the worker runs the same NumPy ops on the same bits), so a
 process-backend solve is bit-identical to a thread-backend one; task
 *scheduling* still honours the chaos plane's ``serialize_tasks``
 contract because the offload happens inside the task body.  Caveats are
-documented in DESIGN.md §12 (worker wall-clock attribution, physical
-vs logical shuffle bytes).
+documented in DESIGN.md §12 (worker wall-clock attribution).
 
 Worker lifecycle: the pool is created eagerly in the driver's
 constructor thread (forking later, mid-solve, from a many-threaded
@@ -70,7 +72,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .affinity import AffinityRegistry
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
 from .serialize import OperandPool, SegmentArena, ShmArray, shm_supported
@@ -101,8 +102,6 @@ class ExecutionBackend:
     #: whether :meth:`run_kernel_batch` is available (drivers fall back
     #: to the copy-then-update-in-place thread path when it is not)
     supports_kernel_offload: bool = False
-    #: tile → worker placement registry (process backend only)
-    affinity: Any = None
     #: absolute ``time.monotonic()`` ceiling for offload waits, armed by
     #: ``DAGScheduler.set_job_deadline`` (``None`` = no request deadline)
     job_deadline: float | None = None
@@ -126,12 +125,6 @@ class ExecutionBackend:
         call order.
         """
         raise NotImplementedError(f"{self.name} backend has no kernel offload")
-
-    def reset_affinity(self) -> None:
-        """Solve-boundary hook: forget tile placements; default no-op."""
-
-    def invalidate_affinity(self, executor: int) -> None:
-        """Executor blacklisted: spill its tile placements; default no-op."""
 
     def stage_complete(self) -> None:
         """End-of-stage hook (scratch sweeps); default no-op."""
@@ -378,7 +371,6 @@ class ProcessBackend(ThreadBackend):
         start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
         fault_plan=None,
-        affinity: bool = True,
     ) -> None:
         super().__init__(total_slots, metrics=metrics)
         if not shm_supported():  # pragma: no cover - platform gate
@@ -390,9 +382,6 @@ class ProcessBackend(ThreadBackend):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.affinity = (
-            AffinityRegistry(num_workers, metrics=metrics) if affinity else None
-        )
         self.arena = SegmentArena(metrics=metrics)
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -417,7 +406,7 @@ class ProcessBackend(ThreadBackend):
         # One single-worker pool per slot, created eagerly: fork from
         # the constructor's (driver) thread, before executor threads and
         # their locks exist.  A targeted submit queue per worker is what
-        # lets affinity routing address a *specific* worker — a shared
+        # lets placement address a *specific* worker — a shared
         # ProcessPoolExecutor queue cannot.  Slot i is
         # also heartbeat-board row i (fixed-slot claim in worker init).
         self._pools: list | None = [
@@ -451,9 +440,12 @@ class ProcessBackend(ThreadBackend):
 
     # -- placement -----------------------------------------------------
     def _default_slot(self) -> int:
-        """First-touch placement: the running task's partition (the same
+        """Worker slot for one batch (DESIGN.md §14 placement rule): the
+        running task's partition modulo the worker count (the same
         modulo the executor pool uses for task placement), else
-        round-robin for calls outside any task."""
+        round-robin for calls outside any task.  A tile's partition is a
+        pure function of the partitioner, so its updates keep landing on
+        the same worker without any placement memory."""
         task = CURRENT_TASK.get()
         if task is not None:
             return task.partition % self.num_workers
@@ -465,14 +457,6 @@ class ProcessBackend(ThreadBackend):
             if self._pools is None:
                 raise RuntimeError("process backend is shut down")
             return self._pools[slot], self._generations[slot]
-
-    def reset_affinity(self) -> None:
-        if self.affinity is not None:
-            self.affinity.reset()
-
-    def invalidate_affinity(self, executor: int) -> None:
-        if self.affinity is not None:
-            self.affinity.invalidate_worker(executor % self.num_workers)
 
     # -- offload -------------------------------------------------------
     def _batch_operand_desc(self, arr, x, pool: OperandPool):
@@ -489,7 +473,7 @@ class ProcessBackend(ThreadBackend):
             return ("alias-x",)
         shm_name = getattr(arr, "shm_name", None)
         # Attach-by-name only while the slab is still registered: a
-        # block retired between fetch and offload (release_nested) keeps
+        # value retired between fetch and offload (release_nested) keeps
         # this view readable but unlinks the name — ship it pooled then.
         if (
             shm_name is not None
@@ -498,15 +482,6 @@ class ProcessBackend(ThreadBackend):
         ):
             return ("shm", shm_name, int(arr.shm_offset), arr.shape, arr.dtype.str)
         return ("pool", pool.add(arr))
-
-    def _route_batch(self, calls: list) -> int:
-        """Worker slot for one batch (DESIGN.md §14 placement policy):
-        majority vote of the tiles' homes (affinity), else the calling
-        task's partition — so a task costs one round-trip."""
-        default = self._default_slot()
-        if self.affinity is None:
-            return default % self.num_workers
-        return self.affinity.route_batch([(c[5], c[6]) for c in calls], default)
 
     def run_kernel(
         self, kernel_blob, case, x, u, v, w, gi0, gj0, gk0, n_global,
@@ -523,10 +498,9 @@ class ProcessBackend(ThreadBackend):
         round-trip, copy them out.
 
         The scratch staging *is* the defensive copy the thread path
-        takes (`tile.copy()`), so each offloaded call counts one copy
-        eliminated.  The batch ships a single envelope list plus an
-        identity-deduped operand pool; the worker updates every scratch
-        tile in place and returns only the stats list.  Scratch segments
+        takes (`tile.copy()`).  The batch ships a single envelope list
+        plus an identity-deduped operand pool; the worker updates every
+        scratch tile in place and returns only the stats list.  Scratch segments
         are freed in ``finally`` — chaos-injected task deaths cannot
         leak them (and the scheduler's end-of-stage
         :meth:`stage_complete` sweep backstops even that).
@@ -556,7 +530,7 @@ class ProcessBackend(ThreadBackend):
                     kernel_id=kernel_id,
                     failures=sup.failures(sig),
                 )
-        slot = self._route_batch(calls)
+        slot = self._default_slot()
         pool, generation = self._slot_pool(slot)
         opool = OperandPool()
         envs, names, views = [], [], []
@@ -618,7 +592,6 @@ class ProcessBackend(ThreadBackend):
                 ) from exc
             if self._metrics is not None:
                 self._metrics.kernel_offloads += len(calls)
-                self._metrics.copies_eliminated += len(calls)
             if stats_list is None:
                 stats_list = [None] * len(views)
             # np.array: fresh, caller-owned result tiles
@@ -762,9 +735,7 @@ class ProcessBackend(ThreadBackend):
         bounded backoff *inside* the lock so stampeding threads queue
         behind one respawn instead of interleaving kill/create cycles.
         Other slots' workers keep running — a crash costs one worker's
-        warm state, not the whole plane's.  The dead slot's tile
-        placements are spilled afterwards so affinity re-homes them
-        instead of chasing a cold respawn.
+        warm state, not the whole plane's.
         """
         sup = self.supervisor
         with self._pool_lock:
@@ -788,8 +759,6 @@ class ProcessBackend(ThreadBackend):
             self._generations[slot] += 1
             if self._metrics is not None:
                 self._metrics.workers_respawned += 1
-        if self.affinity is not None:
-            self.affinity.invalidate_worker(slot)
 
     # -- lifecycle -----------------------------------------------------
     def stage_complete(self) -> None:
@@ -839,13 +808,12 @@ def make_backend(
     metrics=None,
     supervision: SupervisionConfig | None = None,
     fault_plan=None,
-    affinity: bool = True,
 ) -> ExecutionBackend:
     """Build a backend by CLI name (``threads`` | ``processes``).
 
-    ``supervision``/``fault_plan``/``affinity`` only bite under
+    ``supervision``/``fault_plan`` only bite under
     ``processes`` — the thread backend has no process boundary, so there
-    is nothing to heartbeat, kill, respawn or prefer (its tasks run
+    is nothing to heartbeat, kill or respawn (its tasks run
     under the scheduler's own simulated-fault machinery instead).
     """
     if name == "threads":
@@ -859,6 +827,5 @@ def make_backend(
             metrics=metrics,
             supervision=supervision,
             fault_plan=fault_plan,
-            affinity=affinity,
         )
     raise ValueError(f"unknown backend {name!r} (expected one of {BACKENDS})")

@@ -58,10 +58,6 @@ class SparkleContext:
     cache_capacity_bytes:
         Optional LRU bound on ``RDD.cache()`` storage (evicted blocks
         recompute from lineage, Spark's MEMORY_ONLY semantics).
-    failure_injector:
-        ``f(stage_id, partition, attempt) -> bool``; returning True kills
-        that attempt (testing lineage recovery).  Legacy hook — prefer
-        ``fault_plan``.
     fault_plan:
         A :class:`~repro.sparkle.chaos.FaultPlan` arming seeded task
         exceptions, executor loss, stragglers, transient storage /
@@ -101,8 +97,8 @@ class SparkleContext:
         Execution backend: ``"threads"`` (default — the historical
         deterministic in-process pool) or ``"processes"`` (one worker
         process per simulated executor; kernel tile updates run past the
-        GIL, tiles move through shared-memory segments and pickle-5
-        out-of-band buffers).  Results are bit-identical across
+        GIL, tiles move through shared-memory segments).  Results and
+        every scheduler / byte count are identical across
         backends; ``"threads"`` remains the reference data plane for
         the chaos / durability / memory determinism contracts.
     heartbeat_interval:
@@ -119,11 +115,6 @@ class SparkleContext:
         Worker deaths one kernel call may cause before it is
         quarantined as poison
         (:class:`~repro.sparkle.errors.PoisonTaskError`).
-    affinity:
-        Tile-affinity scheduling: keep each tile landing on the worker
-        whose arena slab already holds it (Spark preferred locations in
-        miniature), with graceful rebalance on quarantine/respawn.
-        Metered as ``affinity_hits``/``affinity_misses``.
     """
 
     def __init__(
@@ -134,7 +125,6 @@ class SparkleContext:
         shuffle_capacity_bytes: int | None = None,
         storage_capacity_bytes: int | None = None,
         cache_capacity_bytes: int | None = None,
-        failure_injector: Callable[[int, int, int], bool] | None = None,
         max_task_retries: int = 3,
         fault_plan: FaultPlan | None = None,
         speculation: bool = True,
@@ -149,7 +139,6 @@ class SparkleContext:
         heartbeat_interval: float = 0.25,
         task_deadline: float | None = None,
         max_task_failures: int = 3,
-        affinity: bool = True,
     ) -> None:
         self.num_executors = num_executors
         self.cores_per_executor = cores_per_executor
@@ -165,10 +154,8 @@ class SparkleContext:
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         self.backend = backend
-        self.affinity = affinity
         self.metrics = EngineMetrics()
         self.metrics.backend = backend
-        self.failure_injector = failure_injector
         self.fault_plan = fault_plan
         self.supervision = SupervisionConfig(
             heartbeat_interval=heartbeat_interval or 0.0,
@@ -182,7 +169,6 @@ class SparkleContext:
             backend=backend,
             supervision=self.supervision,
             fault_plan=fault_plan,
-            affinity=affinity,
         )
         #: shared-memory arena of the process backend (None for threads)
         self.arena = getattr(self._executors.backend, "arena", None)
@@ -220,16 +206,12 @@ class SparkleContext:
             memory=self.memory_manager,
             spill=self.spill_store,
             metrics=self.metrics,
-            # Process backend: stage map outputs as pickle-5 streams with
-            # identity-deduplicated out-of-band buffers (physical bytes).
-            serialize=(backend == "processes"),
         )
         self._block_manager = BlockManager(
             cache_capacity_bytes,
             memory=self.memory_manager,
             spill=self.spill_store,
             metrics=self.metrics,
-            arena=self.arena,
         )
         self.durable_store: DurableBlockStore | None = None
         self.shared_storage = SharedStorage(

@@ -55,7 +55,7 @@ class TaskError(SparkleError):
 
 
 class TaskKilled(SparkleError):
-    """Raised by the failure injector to simulate an executor fault.
+    """Raised by the chaos plane's ``kill`` fault to simulate a task death.
 
     The scheduler treats it as retryable: the task is recomputed from
     lineage, which is the RDD fault-tolerance story the paper's §II
@@ -186,9 +186,9 @@ class WorkerCrashed(SparkleError):
         super().__init__(message)
         self.pid = pid
         self.reason = reason
-        #: worker slot (== executor id) that died — under affinity
-        #: routing this may differ from the partition's nominal
-        #: executor, and fault accounting should charge the real victim
+        #: worker slot (== executor id) that died — after a blacklisting
+        #: this may differ from the partition's nominal executor, and
+        #: fault accounting should charge the real victim
         self.slot = slot
 
     def __reduce__(self):

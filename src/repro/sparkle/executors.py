@@ -43,7 +43,6 @@ class ExecutorPool:
         backend: str | ExecutionBackend = "threads",
         supervision=None,
         fault_plan=None,
-        affinity: bool = True,
     ) -> None:
         if num_executors < 1 or cores_per_executor < 1:
             raise ValueError("executors and cores must be >= 1")
@@ -61,7 +60,6 @@ class ExecutorPool:
                 metrics=metrics,
                 supervision=supervision,
                 fault_plan=fault_plan,
-                affinity=affinity,
             )
         self._lock = threading.Lock()
         self._blacklisted: set[int] = set()
@@ -113,10 +111,6 @@ class ExecutorPool:
             self._healthy = tuple(
                 e for e in range(self.num_executors) if e not in self._blacklisted
             )
-        # Spill the dead executor's tile placements (outside the lock;
-        # the registry has its own) so affinity re-homes them instead of
-        # chasing a blacklisted worker.
-        self.backend.invalidate_affinity(executor)
         return True
 
     # ------------------------------------------------------------------

@@ -152,10 +152,7 @@ class MemoryManager:
 
         Byte exactness holds across execution backends: a tile re-homed
         into a shared-memory segment (process backend) reports the same
-        ``ndarray.nbytes`` as its in-process original, and serialized
-        shuffle staging reserves the *physical* (deduplicated) payload
-        size — so the ledger always matches resident bytes, never a
-        logical overcount.
+        ``ndarray.nbytes`` as its in-process original.
         """
         if pool not in POOLS:
             raise ValueError(f"unknown memory pool {pool!r}")

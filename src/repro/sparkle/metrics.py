@@ -174,23 +174,21 @@ class EngineMetrics:
     last_executor_protected: int = 0
     #: aborted shuffle-map stages whose partial outputs were reclaimed
     shuffle_partial_cleanups: int = 0
-    # ---- data plane counters (execution backend / zero-copy) ----------
+    # ---- data plane counters (execution backend / kernel offload) -----
     #: which execution backend the context ran (``threads``/``processes``)
     backend: str = "threads"
     #: kernel tile updates offloaded to worker processes
     kernel_offloads: int = 0
-    #: defensive ``tile.copy()`` calls the data plane made redundant
-    copies_eliminated: int = 0
+    #: driver↔worker IPC round-trips made by kernel offload: one per
+    #: kernel-running task — THE multicore-gap metric (the tile updates
+    #: those round-trips carried are ``kernel_offloads``)
+    dispatch_round_trips: int = 0
     #: shared-memory segments created by the arena
     shm_segments_created: int = 0
     #: shared-memory segments unlinked (must equal created at stop)
     shm_segments_freed: int = 0
     #: payload bytes placed into shared-memory segments
     shm_bytes_shared: int = 0
-    #: map outputs staged via pickle-5 out-of-band serialization
-    serialized_shuffle_writes: int = 0
-    #: logical-minus-physical staged bytes saved by buffer identity dedup
-    shuffle_bytes_deduplicated: int = 0
     # ---- supervision counters (worker liveness / crash protocol) -------
     #: workers whose heartbeat went silent past the watchdog threshold
     heartbeats_missed: int = 0
@@ -206,17 +204,6 @@ class EngineMetrics:
     orphan_segments_reclaimed: int = 0
     #: processes→threads backend degradations taken under --degrade-on-crash
     backend_degradations: int = 0
-    # ---- offload counters (round-trips / affinity) ----------------------
-    #: driver↔worker IPC round-trips made by kernel offload: one per
-    #: kernel-running task — THE multicore-gap metric (the tile updates
-    #: those round-trips carried are ``kernel_offloads``)
-    dispatch_round_trips: int = 0
-    #: offloaded tile updates routed to the worker already holding the tile
-    affinity_hits: int = 0
-    #: first-touch (or re-homed) tile placements
-    affinity_misses: int = 0
-    #: tile placements spilled by worker quarantine/respawn/blacklist
-    affinity_rebalances: int = 0
 
     def new_job(self, action: str) -> JobTrace:
         trace = JobTrace(job_id=len(self.jobs), action=action)
@@ -286,16 +273,14 @@ class EngineMetrics:
         }
 
     def data_plane_summary(self) -> dict[str, Any]:
-        """Backend / zero-copy transport accounting for one run."""
+        """Backend / kernel-offload / shared-memory accounting for one run."""
         return {
             "backend": self.backend,
             "kernel_offloads": self.kernel_offloads,
-            "copies_eliminated": self.copies_eliminated,
+            "dispatch_round_trips": self.dispatch_round_trips,
             "shm_segments_created": self.shm_segments_created,
             "shm_segments_freed": self.shm_segments_freed,
             "shm_bytes_shared": self.shm_bytes_shared,
-            "serialized_shuffle_writes": self.serialized_shuffle_writes,
-            "shuffle_bytes_deduplicated": self.shuffle_bytes_deduplicated,
         }
 
     def supervision_summary(self) -> dict[str, Any]:
@@ -308,19 +293,6 @@ class EngineMetrics:
             "poison_tasks": self.poison_tasks,
             "orphan_segments_reclaimed": self.orphan_segments_reclaimed,
             "backend_degradations": self.backend_degradations,
-        }
-
-    def dispatch_summary(self) -> dict[str, Any]:
-        """Kernel-offload accounting (round-trips / affinity)."""
-        routed = self.affinity_hits + self.affinity_misses
-        return {
-            "dispatch_round_trips": self.dispatch_round_trips,
-            "affinity_hits": self.affinity_hits,
-            "affinity_misses": self.affinity_misses,
-            "affinity_rebalances": self.affinity_rebalances,
-            "affinity_hit_rate": (
-                round(self.affinity_hits / routed, 6) if routed else None
-            ),
         }
 
     def durability_summary(self) -> dict[str, Any]:
@@ -353,7 +325,6 @@ class EngineMetrics:
         out.update(self.memory_summary())
         out.update(self.data_plane_summary())
         out.update(self.supervision_summary())
-        out.update(self.dispatch_summary())
         return out
 
 

@@ -398,7 +398,6 @@ class DAGScheduler:
         """Run one task, retrying injected/transient failures from lineage."""
         ctx = self.ctx
         metrics = ctx.metrics
-        injector = ctx.failure_injector
         last_exc: BaseException | None = None
         backoff_total = 0.0
         for local_attempt in range(1, self.max_task_retries + 2):
@@ -418,11 +417,6 @@ class DAGScheduler:
             start = time.perf_counter()
             token = CURRENT_TASK.set(tc)
             try:
-                if injector is not None and injector(stage.id, partition, attempt):
-                    raise TaskKilled(
-                        f"injected failure: stage {stage.id} partition {partition} "
-                        f"attempt {attempt}"
-                    )
                 shuffle_written, speculative_win = self._run_attempt(
                     stage, partition, attempt, tc, body
                 )
@@ -439,9 +433,9 @@ class DAGScheduler:
                 if isinstance(exc, ExecutorLost):
                     faulty = exc.executor
                 elif isinstance(exc, WorkerCrashed) and exc.slot is not None:
-                    # Affinity routing may have run this task's kernels
-                    # on a worker other than the partition's nominal
-                    # executor; charge the fault to the slot that died.
+                    # After a blacklisting, the worker slot (partition
+                    # mod workers) need not be the partition's executor;
+                    # charge the fault to the slot that died.
                     faulty = exc.slot % ctx._executors.num_executors
                 else:
                     faulty = ctx._executors.executor_for(partition)

@@ -1,55 +1,39 @@
-"""Zero-copy tile transport: pickle-5 buffers, shared memory, CoW tiles.
+"""Tile transport across the process boundary: operand pool, shared memory.
 
-Three building blocks for the multicore data plane (DESIGN.md §12):
+Two building blocks for the multicore data plane (DESIGN.md §12):
 
-* :class:`SerializedMapOutput` / :func:`pack_map_output` — shuffle map
-  outputs serialized with pickle protocol 5, NumPy tile payloads carried
-  *out-of-band* in a per-map-task buffer pool deduplicated by object
-  identity.  The GEP pivot fan-out stages the same array object to
-  ``2(r-k-1) + (r-k-1)^2`` consumers; with the pool, that is **one**
-  physical buffer instead of one logical copy per consumer, which is
-  where the shuffle ``total_bytes_written`` drop comes from.
-  Deserialization reconstructs tiles as read-only zero-copy views over
-  the staged buffers — consumers must copy before mutating (they already
-  do: the retry-purity contract).
+* :class:`OperandPool` — the identity-deduplicated inline-operand list
+  one kernel-offload batch ships with its envelopes.
 
 * :class:`SegmentArena` / :class:`ShmArray` — tracked
   ``multiprocessing.shared_memory`` segments holding tile payloads that
   worker processes attach by name (the process backend's zero-copy
-  operand path for CB shared storage, broadcast values and cached
-  partitions).  Long-lived payloads are packed into large **slab**
-  segments at 64-byte-aligned offsets — one ``mmap`` (and one kernel
-  file descriptor) per slab instead of per tile, so a solve caching
-  thousands of tiles cannot exhaust the descriptor table.  Slabs are
-  refcounted per allocation: :func:`release_nested` (called by the
-  block cache / shared storage when a block retires) drops a slab as
-  soon as its last allocation is released.  Every segment is registered
-  at creation and freed either by refcount, explicitly, by the
-  per-stage scratch sweep, or by :meth:`SegmentArena.
-  cleanup` on context stop — segment cleanup is guaranteed even when
-  chaos faults abort the task that allocated it.  ``unlink`` (removing
-  the ``/dev/shm`` entry) is never skipped; the *unmap* is deferred to
-  reference counting — every view the arena hands out pins its
-  ``SharedMemory`` object, because a NumPy array over ``shm.buf`` does
-  **not** hold a buffer export (``close()`` would happily unmap under a
-  live view, and e.g. a cache-hit ``collect()`` result held past
+  operand path for CB shared storage and broadcast values).  Long-lived
+  payloads are packed into large **slab** segments at 64-byte-aligned
+  offsets — one ``mmap`` (and one kernel file descriptor) per slab
+  instead of per tile, so a solve storing thousands of tiles cannot
+  exhaust the descriptor table.  Slabs are refcounted per allocation:
+  :func:`release_nested` (called by shared storage when a value
+  retires) drops a slab as soon as its last allocation is released.
+  Every segment is registered at creation and freed either by refcount,
+  explicitly, by the per-stage scratch sweep, or by
+  :meth:`SegmentArena.cleanup` on context stop — segment cleanup is
+  guaranteed even when chaos faults abort the task that allocated it.
+  ``unlink`` (removing the ``/dev/shm`` entry) is never skipped; the
+  *unmap* is deferred to reference counting — every view the arena
+  hands out pins its ``SharedMemory`` object, because a NumPy array
+  over ``shm.buf`` does **not** hold a buffer export (``close()`` would
+  happily unmap under a live view, and e.g. a broadcast value held past
   ``ctx.stop()`` would then read unmapped memory).
-
-* :class:`CowTile` — a copy-on-write wrapper making tile ownership
-  explicit: ``writable()`` returns the wrapped array directly when the
-  producer handed over ownership (counted as a copy eliminated) and a
-  private copy otherwise.  The kernel wrappers in ``core/dpspark.py``
-  route their defensive copies through this policy.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import pickle
 import threading
 import uuid
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -59,20 +43,14 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "SerializedMapOutput",
-    "pack_map_output",
     "OperandPool",
     "SegmentArena",
     "ShmArray",
     "share_nested",
     "release_nested",
-    "CowTile",
     "shm_supported",
     "purge_segments",
 ]
-
-PICKLE_PROTOCOL = 5
-
 
 def shm_supported() -> bool:
     """Whether POSIX shared memory is available on this platform."""
@@ -106,109 +84,6 @@ def purge_segments(prefix: str) -> int:
     return removed
 
 
-# ----------------------------------------------------------------------
-# pickle-5 out-of-band shuffle serialization
-# ----------------------------------------------------------------------
-class SerializedMapOutput:
-    """One map task's buckets, serialized with a shared buffer pool.
-
-    ``streams[rp]`` is the pickle stream for reduce partition ``rp``;
-    ``buffer_index[rp]`` lists, in consumption order, which pool entries
-    that stream's out-of-band buffers are.  A tile referenced by many
-    buckets (the pivot fan-out) appears once in ``pool`` — ``nbytes``
-    (physical staged bytes) is therefore at most, and usually far below,
-    ``logical_nbytes`` (per-destination accounting).
-    """
-
-    __slots__ = ("streams", "buffer_index", "pool", "nbytes", "logical_nbytes")
-
-    def __init__(
-        self,
-        streams: dict[int, bytes],
-        buffer_index: dict[int, tuple[int, ...]],
-        pool: list,
-        nbytes: int,
-        logical_nbytes: int,
-    ) -> None:
-        self.streams = streams
-        self.buffer_index = buffer_index
-        self.pool = pool
-        self.nbytes = nbytes
-        self.logical_nbytes = logical_nbytes
-
-    def bucket(self, reduce_partition: int) -> list:
-        """Deserialize one bucket (zero-copy, read-only tile views)."""
-        stream = self.streams.get(reduce_partition)
-        if stream is None:
-            return []
-        buffers = [self.pool[i] for i in self.buffer_index[reduce_partition]]
-        return pickle.loads(stream, buffers=buffers)
-
-    def reduce_partitions(self) -> Iterable[int]:
-        return self.streams.keys()
-
-    # Spilling a staged output pickles it (DurableBlockStore); the pool
-    # may hold memoryviews of live producer arrays, so materialize them.
-    def __reduce__(self):
-        return (
-            SerializedMapOutput,
-            (
-                self.streams,
-                self.buffer_index,
-                [bytes(b) for b in self.pool],
-                self.nbytes,
-                self.logical_nbytes,
-            ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SerializedMapOutput(buckets={len(self.streams)}, "
-            f"pool={len(self.pool)}, nbytes={self.nbytes}, "
-            f"logical={self.logical_nbytes})"
-        )
-
-
-def pack_map_output(
-    buckets: dict[int, list], logical_nbytes: int
-) -> SerializedMapOutput:
-    """Serialize one map task's buckets with identity-deduped buffers.
-
-    Buffers are deduplicated across *all* buckets of the map output by
-    the identity of their exporting object, so an array fanned out to
-    every reducer is staged physically once.  Pool entries are read-only
-    views of the producer arrays (zero-copy staging) — they pin the
-    producer alive exactly as the previous by-reference staging did.
-    """
-    pool: list = []
-    pool_ids: dict[int, int] = {}
-    streams: dict[int, bytes] = {}
-    buffer_index: dict[int, tuple[int, ...]] = {}
-    for rp, items in buckets.items():
-        idxs: list[int] = []
-
-        def _stash(pb: pickle.PickleBuffer, idxs=idxs) -> None:
-            view = pb.raw()
-            owner = view.obj
-            key = id(owner) if owner is not None else id(view)
-            idx = pool_ids.get(key)
-            if idx is None:
-                idx = len(pool)
-                pool.append(view.toreadonly())
-                pool_ids[key] = idx
-            idxs.append(idx)
-            return None  # falsy: keep the buffer out-of-band
-
-        streams[rp] = pickle.dumps(
-            items, protocol=PICKLE_PROTOCOL, buffer_callback=_stash
-        )
-        buffer_index[rp] = tuple(idxs)
-    nbytes = sum(len(s) for s in streams.values()) + sum(
-        b.nbytes for b in pool
-    )
-    return SerializedMapOutput(streams, buffer_index, pool, nbytes, logical_nbytes)
-
-
 class OperandPool:
     """Identity-deduplicated inline-operand pool for one batch envelope.
 
@@ -220,9 +95,8 @@ class OperandPool:
     — the pivot crosses the IPC boundary once per batch, not once per
     tile (the per-batch broadcast dedup of DESIGN.md §14).
 
-    Dedup is by the identity of the array object, mirroring
-    :func:`pack_map_output`; arrays are made contiguous on first add so
-    the worker can wrap them without a copy.
+    Dedup is by the identity of the array object; arrays are made
+    contiguous on first add so the worker can wrap them without a copy.
     """
 
     __slots__ = ("_arrays", "_ids")
@@ -265,8 +139,8 @@ class ShmArray(np.ndarray):
     mapping could be unmapped (by ``close()`` during cleanup, or by the
     ``SharedMemory`` destructor) while the view is still readable —
     a use-after-free.  With it, the unmap happens exactly when the last
-    view dies, no matter how long a consumer keeps a ``collect()``
-    result past ``ctx.stop()``.
+    view dies, no matter how long a consumer keeps a broadcast or
+    shared-storage value past ``ctx.stop()``.
     """
 
     shm_name: str | None = None
@@ -292,14 +166,14 @@ class SegmentArena:
     Two classes of segments:
 
     * **slabs** (:meth:`share_array`) — long-lived tile payloads
-      (CB storage, broadcast values, cached partitions) packed at
+      (CB storage, broadcast values) packed at
       aligned offsets into large segments that worker processes attach
       read-only by ``(name, offset)``.  One ``mmap`` — and one kernel
-      file descriptor — per *slab*, not per tile: a solve caching
-      thousands of partitions stays within any sane descriptor limit.
+      file descriptor — per *slab*, not per tile: a solve storing
+      thousands of tiles stays within any sane descriptor limit.
       Slabs are refcounted per allocation; :meth:`release_view` (via
-      :func:`release_nested`, called when a cached block or storage
-      value retires) frees a slab as soon as its last allocation is
+      :func:`release_nested`, called when a storage value retires)
+      frees a slab as soon as its last allocation is
       released, so shm pages track the engine's real working set
       instead of accumulating until stop.
     * **scratch** (:meth:`stage_scratch`) — per-kernel-call staging of
@@ -429,7 +303,7 @@ class SegmentArena:
     def _destroy(shm) -> None:
         # Unlink only.  close() would unmap immediately — NumPy views
         # over shm.buf hold no buffer export, so a still-referenced
-        # view (say a cache-hit collect() result kept past ctx.stop())
+        # view (say a broadcast value kept past ctx.stop())
         # would read unmapped memory.  Views pin the SharedMemory
         # object (ShmArray.shm_obj), so dropping our reference defers
         # the unmap to the death of the last view.
@@ -533,7 +407,7 @@ def share_nested(
     Handles the shapes the engine stores: bare arrays, ``(key, array)``
     pairs, role tuples ``(key, (role, array))``, dicts of arrays, and
     lists thereof.  A per-call ``seen`` map dedups by producer identity,
-    so a pivot tile fanned out across many items of one cached partition
+    so a pivot tile fanned out across many items of one stored value
     lands in a single segment.  Non-array values pass through untouched.
     """
     if _seen is None:
@@ -560,9 +434,9 @@ def release_nested(
 ) -> int:
     """Release every arena allocation reachable from ``value``.
 
-    The inverse of :func:`share_nested`, called when the engine retires
-    a block (cache eviction / overwrite, shared-storage replacement):
-    each distinct :class:`ShmArray` leaf gives back its slab refcount,
+    The inverse of :func:`share_nested`, called when shared storage
+    retires a value (overwrite / ``clear()``): each distinct
+    :class:`ShmArray` leaf gives back its slab refcount,
     so shm pages are reclaimed as the working set turns over rather
     than accumulating until context stop.  Returns the number of
     allocations released.  Identity-deduped per call, mirroring the
@@ -582,40 +456,3 @@ def release_nested(
     if isinstance(value, dict):
         return sum(release_nested(arena, v, _seen) for v in value.values())
     return 0
-
-
-# ----------------------------------------------------------------------
-# copy-on-write tiles
-# ----------------------------------------------------------------------
-class CowTile:
-    """Explicit tile ownership: copy on write unless the array is owned.
-
-    ``owned=True`` asserts the producer handed the array over (nothing
-    else aliases it — e.g. a tile freshly materialized out of a shared-
-    memory scratch segment); ``writable()`` then returns it in place and
-    meters the avoided defensive copy.  ``owned=False`` (the default —
-    correct for every array reachable from RDD lineage, caches, shuffle
-    staging or broadcast values) copies, preserving the retry-purity
-    contract.
-    """
-
-    __slots__ = ("array", "owned")
-
-    def __init__(self, array: np.ndarray, *, owned: bool = False) -> None:
-        self.array = array
-        self.owned = bool(owned) and array.flags.writeable
-
-    def writable(self, metrics=None) -> np.ndarray:
-        """The array itself when owned, else a private copy."""
-        if self.owned:
-            self.owned = False  # ownership is consumed, not shared
-            if metrics is not None:
-                metrics.copies_eliminated += 1
-            return self.array
-        return self.array.copy()
-
-    def readonly(self) -> np.ndarray:
-        return self.array
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CowTile(shape={self.array.shape}, owned={self.owned})"

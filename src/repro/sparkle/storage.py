@@ -58,7 +58,6 @@ class BlockManager:
         memory=None,
         spill=None,
         metrics=None,
-        arena=None,
     ) -> None:
         from collections import OrderedDict
 
@@ -72,7 +71,6 @@ class BlockManager:
         self.capacity_bytes = capacity_bytes
         self.memory = memory
         self.spill = spill
-        self.arena = arena
         self._metrics = metrics
         self.evictions = 0
 
@@ -88,13 +86,6 @@ class BlockManager:
         level: str = "MEMORY_AND_DISK",
     ) -> None:
         key = (rdd_id, partition)
-        if self.arena is not None:
-            # Process backend: park cached tile payloads in shared
-            # memory so later kernel offloads pass them as segment
-            # descriptors (zero-copy) instead of re-serializing.  The
-            # shared views are read-only — consumers copy before
-            # mutating, which is the engine-wide retry-purity rule.
-            items = share_nested(self.arena, items)
         nbytes = sum(sizeof_block(x) for x in items)
         if self.memory is not None:
             self._put_governed(key, items, nbytes, level)
@@ -105,20 +96,15 @@ class BlockManager:
                 and nbytes > self.capacity_bytes
             ):
                 return  # single block larger than the cache: skip caching
-            old = self._blocks.get(key)
             self._live_bytes += nbytes - self._bytes.get(key, 0)
             self._blocks[key] = items
             self._blocks.move_to_end(key)
             self._bytes[key] = nbytes
-            if old is not None and self.arena is not None and old is not items:
-                release_nested(self.arena, old)
             if self.capacity_bytes is not None:
                 while self._live_bytes > self.capacity_bytes and len(self._blocks) > 1:
-                    victim, victim_items = self._blocks.popitem(last=False)
+                    victim, _ = self._blocks.popitem(last=False)
                     self._live_bytes -= self._bytes.pop(victim)
                     self.evictions += 1
-                    if self.arena is not None:
-                        release_nested(self.arena, victim_items)
 
     def _put_governed(
         self, key: tuple[int, int], items: list, nbytes: int, level: str
@@ -156,11 +142,6 @@ class BlockManager:
         self.memory.release("storage", owner, nbytes)
         if self.spill is not None and level == "MEMORY_AND_DISK":
             self._spill_items(victim, items, nbytes)
-        # Spill pickles (copies) the payload, so the shm allocation is
-        # releasable either way — the ledger and the resident shm pages
-        # shrink together.
-        if self.arena is not None:
-            release_nested(self.arena, items)
 
     def _spill_items(self, key: tuple[int, int], items: list, nbytes: int) -> None:
         self.spill.put(self._spill_key(key), items)
@@ -170,15 +151,13 @@ class BlockManager:
             self._metrics.spill_bytes_written += nbytes
 
     def _drop_locked(self, key: tuple[int, int]) -> None:
-        items = self._blocks.pop(key, None)
+        self._blocks.pop(key, None)
         nbytes = self._bytes.pop(key, 0)
         self._levels.pop(key, None)
         owner = self._owners.pop(key, None)
         self._live_bytes -= nbytes
         if self.memory is not None and nbytes:
             self.memory.release("storage", owner, nbytes)
-        if self.arena is not None and items is not None:
-            release_nested(self.arena, items)
 
     def get(self, rdd_id: int, partition: int) -> list | None:
         key = (rdd_id, partition)
@@ -225,8 +204,8 @@ class BlockManager:
         The solver service's between-requests sweep: cached partitions
         belong to the previous solve's (now dead) RDDs, so on a
         long-lived context they are a leak, not a cache.  Governor
-        reservations and arena refcounts release through the same
-        :meth:`_drop_locked` path as normal eviction.
+        reservations release through the same :meth:`_drop_locked` path
+        as normal eviction.
         """
         with self._lock:
             freed = self._live_bytes

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import signal
 
 import numpy as np
@@ -71,19 +70,6 @@ elif not _HAVE_PYTEST_TIMEOUT:  # pragma: no cover - non-POSIX fallback
         config.addinivalue_line(
             "markers", "timeout(seconds): per-test wall-clock ceiling"
         )
-
-
-@pytest.fixture
-def multi_worker():
-    """Skip tests whose assertion only holds with real hardware
-    parallelism (wall-clock comparisons between worker placements);
-    correctness tests should NOT use this — the process backend is
-    bit-identical regardless of core count."""
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        pytest.skip(f"needs >= 2 cores for a meaningful timing claim "
-                    f"(host has {cores})")
-    return cores
 
 
 @pytest.fixture

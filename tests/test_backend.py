@@ -1,10 +1,11 @@
 """Multicore data plane: backend parity, shm hygiene, zero-copy units.
 
 The tentpole contract under test (DESIGN.md §12): the process backend is
-a pure *data-plane* substitution — bit-identical results, identical
-scheduler shape (jobs/stages/tasks), identical kernel work accounting —
-while tiles move through pickle-5 out-of-band buffers and shared-memory
-segments instead of by reference.  Plus the hygiene guarantees: no
+the thread backend plus kernel offload — bit-identical results,
+identical scheduler shape (jobs/stages/tasks), identical shuffle /
+collect / storage bytes, identical kernel work accounting — while the
+tiles a kernel touches move through shared-memory segments instead of
+by reference.  Plus the hygiene guarantees: no
 ``/dev/shm`` segment and no worker process outlives the context, even
 when chaos faults kill tasks mid-kernel.
 """
@@ -30,12 +31,10 @@ from repro.core.gep import (
 )
 from repro.sparkle import FaultPlan, FaultSpec, SparkleContext
 from repro.sparkle.backend import BACKENDS, ProcessBackend, make_backend
+from repro.sparkle.chaos import CURRENT_TASK
 from repro.sparkle.serialize import (
-    CowTile,
     SegmentArena,
-    SerializedMapOutput,
     ShmArray,
-    pack_map_output,
     release_nested,
     share_nested,
     shm_supported,
@@ -169,10 +168,21 @@ def test_property_dispatch_modes_bit_identical(
 def test_batch_dispatch_cuts_round_trips():
     """The whole point, as exact counts: the driver crosses the IPC
     boundary once per kernel-running task — not once per tile — while
-    every tile update is still accounted (kernel_offloads)."""
+    every tile update is still accounted (kernel_offloads).  And the
+    placement rule: a task on partition ``p`` sends its batch to worker
+    ``p % num_workers``."""
     spec = FloydWarshallGep()
     nt = 12
+    routed = []
     with SparkleContext(2, 1, backend="processes") as sc:
+        backend = sc._executors.backend
+        slot_pool = backend._slot_pool
+
+        def recording_slot_pool(slot):
+            routed.append((CURRENT_TASK.get().partition, slot))
+            return slot_pool(slot)
+
+        backend._slot_pool = recording_slot_pool
         solver = GepSparkSolver(
             spec, sc, r=nt, kernel=make_kernel(spec, "iterative"),
             strategy="im", collect_stats=True,
@@ -192,19 +202,25 @@ def test_batch_dispatch_cuts_round_trips():
     assert m.dispatch_round_trips == kernel_tasks
     assert m.kernel_offloads == report.kernel_stats.total_invocations == nt**3
     assert m.dispatch_round_trips < m.kernel_offloads
+    assert len(routed) == kernel_tasks
+    assert all(slot == partition % 2 for partition, slot in routed)
+    assert {slot for _, slot in routed} == {0, 1}, "both workers take batches"
 
 
 @pytest.mark.batching
 def test_dispatch_validation(capsys):
-    """The removed offload and pipelining options fail loudly;
-    ``affinity`` is the one owned-context option left."""
+    """The removed offload, pipelining, affinity, fault-hook and staging
+    options fail loudly."""
     from repro.__main__ import main as cli_main
+    from repro.sparkle.shuffle import ShuffleManager
+    from repro.sparkle.storage import BlockManager
 
     for command in (["solve", "apsp"], ["serve", "--socket", "unused.sock"]):
         for flag in (
             ["--dispatch", "batch"],
             ["--gang-stages"],
             ["--pipeline-depth", "2"],
+            ["--affinity", "off"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 cli_main(command + flag)
@@ -216,17 +232,22 @@ def test_dispatch_validation(capsys):
         SparkleContext(2, 1, backend="processes", gang_stages=True)
     with pytest.raises(TypeError, match="pipeline_depth"):
         SparkleContext(2, 1, pipeline_depth=2)
+    with pytest.raises(TypeError, match="affinity"):
+        SparkleContext(2, 1, affinity=False)
+    with pytest.raises(TypeError, match="failure_injector"):
+        SparkleContext(2, 1, failure_injector=lambda stage, part, attempt: False)
+    with pytest.raises(TypeError, match="serialize"):
+        ShuffleManager(serialize=True)
+    with pytest.raises(TypeError, match="arena"):
+        BlockManager(arena=object())
     spec = FloydWarshallGep()
     t = fw_table(8, seed=0)
     with pytest.raises(TypeError, match="dispatch"):
         run_gep(spec, t, engine="spark", dispatch="batch")
     with pytest.raises(TypeError, match="pipeline_depth"):
         run_gep(spec, t, engine="spark", pipeline_depth=2)
-    with pytest.raises(ValueError, match="engine='spark'"):
-        run_gep(spec, t, engine="local", affinity=False)
-    with SparkleContext(1, 1) as sc:
-        with pytest.raises(ValueError, match="owned context"):
-            run_gep(spec, t, engine="spark", affinity=False, sc=sc)
+    with pytest.raises(TypeError, match="backend"):
+        run_gep(spec, t, engine="spark", backend="processes")
 
 
 @needs_shm
@@ -247,12 +268,24 @@ def test_kernel_stats_identical_across_backends(strategy):
                 collect_stats=True,
             )
             out, report = solver.solve(table.copy())
-            stats[backend] = (out, report.kernel_stats)
-    t_out, t_stats = stats["threads"]
-    p_out, p_stats = stats["processes"]
+            stats[backend] = (out, report.kernel_stats, sc.metrics.summary())
+    t_out, t_stats, t_summary = stats["threads"]
+    p_out, p_stats, p_summary = stats["processes"]
     assert np.array_equal(t_out, p_out)
     assert t_stats.updates == p_stats.updates
     assert dict(t_stats.invocations) == dict(p_stats.invocations)
+    # ... and the engine meters the same plan and the same bytes: tasks,
+    # shuffle and cache never leave the driver's threads on either backend
+    for counter in (
+        "jobs",
+        "stages",
+        "tasks",
+        "shuffle_bytes",
+        "remote_shuffle_bytes",
+        "collect_bytes",
+        "storage_bytes_read",
+    ):
+        assert t_summary[counter] == p_summary[counter], counter
 
 
 @needs_shm
@@ -262,7 +295,6 @@ def test_process_backend_actually_offloads():
     _, report, _ = _solve("processes", spec, fw_table(24, seed=1), r=3)
     m = report.engine_metrics
     assert m.kernel_offloads > 0
-    assert m.copies_eliminated >= m.kernel_offloads
     assert m.shm_segments_created > 0
 
 
@@ -289,13 +321,28 @@ def test_unpicklable_kernel_falls_back_to_threads_path():
 
 
 def test_run_gep_backend_validation():
+    """``run_gep`` configures no context: the backend (and every other
+    context option) is chosen on the ``SparkleContext`` passed as ``sc``."""
+    from repro.core import floyd_warshall
+
     spec = FloydWarshallGep()
     t = fw_table(8, seed=0)
-    with pytest.raises(ValueError, match="engine='spark'"):
-        run_gep(spec, t, engine="local", backend="processes")
-    with SparkleContext(1, 1) as sc:
-        with pytest.raises(ValueError, match="owned context"):
-            run_gep(spec, t, engine="spark", backend="processes", sc=sc)
+    removed = {
+        "checkpoint_dir": "ck",
+        "memory_budget_bytes": 1 << 20,
+        "spill_dir": "spill",
+        "backend": "processes",
+        "heartbeat_interval": 0.1,
+        "task_deadline": 1.0,
+        "max_task_failures": 2,
+        "affinity": False,
+    }
+    for name, value in removed.items():
+        for engine in ("local", "spark"):
+            with pytest.raises(TypeError, match=name):
+                run_gep(spec, t, engine=engine, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            floyd_warshall(t, engine="spark", **{name: value})
     with pytest.raises(ValueError, match="unknown backend"):
         SparkleContext(1, 1, backend="fibers")
 
@@ -361,62 +408,6 @@ def test_make_backend_threads_has_no_arena():
         backend.shutdown()
     with pytest.raises(ValueError):
         make_backend("green-threads", total_slots=2, num_workers=2, metrics=None)
-
-
-# ----------------------------------------------------------------------
-# serialized shuffle: physical-byte dedup
-# ----------------------------------------------------------------------
-@needs_shm
-def test_serialized_shuffle_reduces_total_bytes_written():
-    """The IM pivot fan-out stages each tile once physically — the
-    acceptance criterion's shuffle ``total_bytes_written`` drop."""
-    spec = FloydWarshallGep()
-    table = fw_table(48, seed=2)
-    written = {}
-    out = {}
-    for backend in BACKENDS:
-        with SparkleContext(2, 2, backend=backend) as sc:
-            solver = GepSparkSolver(
-                spec, sc, r=4, kernel=make_kernel(spec, "iterative"), strategy="im"
-            )
-            out[backend], _ = solver.solve(table.copy())
-            written[backend] = sc._shuffle_manager.total_bytes_written
-            if backend == "processes":
-                assert sc.metrics.serialized_shuffle_writes > 0
-                assert sc.metrics.shuffle_bytes_deduplicated > 0
-    assert np.array_equal(out["threads"], out["processes"])
-    assert written["processes"] < written["threads"]
-
-
-def test_pack_map_output_dedups_fanned_out_buffers():
-    tile = np.arange(64, dtype=np.float64).reshape(8, 8)
-    buckets = {rp: [((0, rp), ("u", tile))] for rp in range(5)}
-    logical = tile.nbytes * 5
-    smo = pack_map_output(buckets, logical)
-    assert smo.logical_nbytes == logical
-    # one physical buffer for five logical destinations
-    assert len(smo.pool) == 1
-    assert smo.nbytes < logical
-    for rp in range(5):
-        [(key, (role, arr))] = smo.bucket(rp)
-        assert key == (0, rp) and role == "u"
-        assert np.array_equal(arr, tile)
-        assert not arr.flags.writeable, "reconstructed tiles must be read-only"
-    assert smo.bucket(99) == []
-
-
-def test_serialized_map_output_survives_spill_pickle():
-    """Spilling a staged output pickles it; the pool materializes."""
-    a = np.random.default_rng(0).random((6, 6))
-    b = np.random.default_rng(1).random((6, 6))
-    smo = pack_map_output({0: [("k0", a)], 1: [("k1", b), ("k0b", a)]}, 3 * a.nbytes)
-    revived = pickle.loads(pickle.dumps(smo))
-    assert isinstance(revived, SerializedMapOutput)
-    [(k0, ra)] = revived.bucket(0)
-    assert k0 == "k0" and np.array_equal(ra, a)
-    [(k1, rb), (k0b, ra2)] = revived.bucket(1)
-    assert np.array_equal(rb, b) and np.array_equal(ra2, a)
-    assert revived.nbytes == smo.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -520,18 +511,24 @@ class TestSegmentArena:
         assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
 
     def test_block_retirement_releases_segments(self):
-        """Cache eviction gives shm pages back mid-run (not at stop)."""
-        from repro.sparkle.storage import BlockManager
+        """Shared storage gives shm pages back mid-run (not at stop):
+        an overwritten value and ``clear()`` both release their slabs."""
+        from repro.sparkle.storage import SharedStorage
 
         arena = SegmentArena(slab_bytes=512)
-        bm = BlockManager(capacity_bytes=4096, arena=arena)
+        storage = SharedStorage(None, arena=arena)
         for i in range(10):
-            bm.put(0, i, [(i, np.full((8, 8), float(i)))])  # 512 B payload
-        assert bm.evictions > 0
-        # every evicted block's slab was reclaimed; only slabs backing
-        # still-cached blocks (plus the open slab) remain
-        assert arena.num_segments <= bm.num_blocks + 1
-        arena.cleanup()
+            storage.put("pivot", np.full((8, 8), float(i)))  # 512 B: a slab each
+            # the overwritten value's slab was reclaimed at once
+            assert arena.num_segments == 1
+        for j in range(4):
+            storage.put(("band", j), np.full((8, 8), float(j)))
+        assert arena.num_segments == 5
+        storage.clear()
+        # every full slab went with its value; only the open slab remains
+        assert arena.num_segments == 1
+        assert arena.cleanup() == 1
+        assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
 
     def test_share_nested_dedups_by_identity(self):
         arena = SegmentArena()
@@ -553,42 +550,6 @@ class TestSegmentArena:
         finally:
             del shared, a0
             arena.cleanup()
-
-
-# ----------------------------------------------------------------------
-# copy-on-write tiles
-# ----------------------------------------------------------------------
-class TestCowTile:
-    def test_unowned_copies(self):
-        src = np.ones((3, 3))
-        tile = CowTile(src)
-        out = tile.writable()
-        assert out is not src
-        out[0, 0] = 9.0
-        assert src[0, 0] == 1.0
-
-    def test_owned_hands_over_and_meters(self):
-        class M:
-            copies_eliminated = 0
-
-        src = np.ones((3, 3))
-        tile = CowTile(src, owned=True)
-        m = M()
-        out = tile.writable(m)
-        assert out is src
-        assert m.copies_eliminated == 1
-        # ownership is consumed: a second writable() must copy
-        out2 = tile.writable(m)
-        assert out2 is not src
-        assert m.copies_eliminated == 1
-
-    def test_readonly_array_never_claims_ownership(self):
-        src = np.ones((2, 2))
-        src.flags.writeable = False
-        tile = CowTile(src, owned=True)
-        assert not tile.owned
-        out = tile.writable()
-        assert out is not src and out.flags.writeable
 
 
 # ----------------------------------------------------------------------

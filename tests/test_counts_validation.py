@@ -5,7 +5,10 @@ This is the load-bearing validation of the reproduction strategy
 the drivers shuffle/collect/store, and these tests hold it to that on
 real engine runs.  Byte comparisons allow a small per-record envelope
 (keys/role tags around each tile payload); discrete counters (storage
-puts/gets, kernel updates) must match exactly.
+puts/gets, kernel updates) must match exactly.  Every engine run is
+checked on both execution backends: the process backend differs from
+the thread backend only in where the kernel runs, so it is held to the
+same envelope.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.core.gep import (
 )
 from repro.kernels import IterativeKernel, KernelStats
 from repro.sparkle import SparkleContext
+from repro.sparkle.serialize import shm_supported
 
 from .conftest import fw_table, ge_table, tc_table
 
@@ -32,13 +36,24 @@ SPECS = {
 }
 
 
+BACKENDS = ("threads", "processes") if shm_supported() else ("threads",)
+
+
 def _run(spec, table, strategy, r):
-    with SparkleContext(num_executors=2, cores_per_executor=2) as sc:
-        solver = GepSparkSolver(
-            spec, sc, r=r, kernel=make_kernel(spec, "iterative"), strategy=strategy
-        )
-        _out, report = solver.solve(table)
-        return report
+    """One report per backend, so each caller holds both to its claim."""
+    for backend in BACKENDS:
+        with SparkleContext(
+            num_executors=2, cores_per_executor=2, backend=backend
+        ) as sc:
+            solver = GepSparkSolver(
+                spec,
+                sc,
+                r=r,
+                kernel=make_kernel(spec, "iterative"),
+                strategy=strategy,
+            )
+            _out, report = solver.solve(table)
+            yield report
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -48,12 +63,14 @@ def test_im_shuffle_bytes_match_counts(name, r):
     n = 24
     t = make(n, seed=1)
     counts = analyze_solve(spec, n, r)
-    report = _run(spec, t, "im", r)
     blocks = counts.total_shuffle_blocks("im")
     payload = blocks * counts.tile_bytes(dtype_bytes)
-    measured = report.engine_metrics.total_shuffle_bytes
-    # Envelope: each shuffled record adds key/tag bytes on top of the tile.
-    assert payload <= measured <= payload + blocks * 64
+    for report in _run(spec, t, "im", r):
+        measured = report.engine_metrics.total_shuffle_bytes
+        # Envelope: each shuffled record adds key/tag bytes on top of the tile.
+        assert payload <= measured <= payload + blocks * 64, (
+            report.engine_metrics.backend
+        )
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -63,19 +80,20 @@ def test_cb_shuffle_collect_storage_match_counts(name, r):
     n = 24
     t = make(n, seed=2)
     counts = analyze_solve(spec, n, r)
-    report = _run(spec, t, "cb", r)
-    m = report.engine_metrics
-
     blocks = counts.total_shuffle_blocks("cb")
     payload = blocks * counts.tile_bytes(dtype_bytes)
-    assert payload <= m.total_shuffle_bytes <= payload + blocks * 64
-
     collect_blocks = counts.total_collect_blocks() + counts.final_collect_blocks
     collect_payload = collect_blocks * counts.tile_bytes(dtype_bytes)
-    assert collect_payload <= m.total_collect_bytes <= collect_payload + collect_blocks * 64
-
-    assert m.storage_puts == sum(it.cb_storage_puts for it in counts.iterations)
-    assert m.storage_gets == sum(it.cb_storage_gets for it in counts.iterations)
+    for report in _run(spec, t, "cb", r):
+        m = report.engine_metrics
+        assert payload <= m.total_shuffle_bytes <= payload + blocks * 64, m.backend
+        assert (
+            collect_payload
+            <= m.total_collect_bytes
+            <= collect_payload + collect_blocks * 64
+        ), m.backend
+        assert m.storage_puts == sum(it.cb_storage_puts for it in counts.iterations)
+        assert m.storage_gets == sum(it.cb_storage_gets for it in counts.iterations)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -85,8 +103,8 @@ def test_kernel_update_counts_exact(name, r):
     n = 24
     t = make(n, seed=3)
     counts = analyze_solve(spec, n, r)
-    report = _run(spec, t, "im", r)
-    assert report.kernel_stats.updates == counts.total_updates()
+    for report in _run(spec, t, "im", r):
+        assert report.kernel_stats.updates == counts.total_updates()
 
 
 @pytest.mark.parametrize("name", SPECS)

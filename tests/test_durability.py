@@ -565,6 +565,7 @@ class TestCli:
         script = textwrap.dedent(f"""
             import os, signal
             from repro.core import floyd_warshall
+            from repro.sparkle import SparkleContext
             from repro.workloads import random_digraph_weights
 
             w = random_digraph_weights(16, 0.3, seed=0)
@@ -573,9 +574,9 @@ class TestCli:
                 if k == 1:
                     os.kill(os.getpid(), signal.SIGKILL)
 
-            floyd_warshall(w, engine="spark", r=4, kernel="iterative",
-                           r_shared=4, checkpoint_dir={str(ckdir)!r},
-                           on_iteration=die)
+            with SparkleContext(checkpoint_dir={str(ckdir)!r}) as sc:
+                floyd_warshall(w, engine="spark", r=4, kernel="iterative",
+                               r_shared=4, sc=sc, on_iteration=die)
         """)
         proc = subprocess.run(
             [sys.executable, "-c", script],

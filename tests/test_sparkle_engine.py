@@ -150,21 +150,6 @@ class TestFailureRecovery:
             assert sc.metrics.tasks_retried >= 4
             assert plan.fired()["kill"] >= 4
 
-    def test_legacy_injector_hook_still_works(self):
-        killed = set()
-
-        def injector(stage, part, attempt):
-            if attempt == 1 and (stage, part) not in killed:
-                killed.add((stage, part))
-                return True
-            return False
-
-        with SparkleContext(2, 2, failure_injector=injector) as sc:
-            assert sc.parallelize(range(4), 2).map(lambda x: x * 2).collect() == [
-                0, 2, 4, 6,
-            ]
-            assert sc.metrics.tasks_retried == 2
-
     def test_persistent_failure_aborts(self):
         plan = FaultPlan(3, [FaultSpec("kill", rate=1.0, max_attempt=99)])
         with SparkleContext(
