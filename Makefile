@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak perf tenancy smoke bench scoreboard scoreboard-compare
+.PHONY: test tier1 robustness supervision batching service soak tenancy smoke bench scoreboard scoreboard-compare
 
 # full suite
 test:
@@ -39,12 +39,6 @@ service:
 soak:
 	$(PYTEST) -q -m resilience
 
-# performance-claim gate: the processes-vs-threads wall gate of
-# tests/test_backend.py (wall-clock claims self-skip on hosts with too
-# few cores, so this is always safe to run)
-perf:
-	$(PYTEST) -q -m perf
-
 # tenant isolation plane: enforced quotas, token-bucket rate limits,
 # weighted deficit-round-robin fairness, the brownout ladder, and the
 # seeded noisy-neighbor storm
@@ -52,8 +46,8 @@ tenancy:
 	$(PYTEST) -q -m tenancy
 
 # robustness gate: tier-1, then chaos/durability/memory/service, then
-# tenancy, then the perf gate
-smoke: tier1 robustness batching service tenancy perf
+# tenancy
+smoke: tier1 robustness batching service tenancy
 
 # A/B the thread and process data planes on the pinned FW-APSP workload
 # and write BENCH_engine.json (wall-clock, shuffle bytes, shared-memory

@@ -208,7 +208,7 @@ def _cmd_solve(args) -> int:
                         f"({d['quarantined_tasks']} poison task(s) "
                         f"quarantined)"
                     )
-            if args.memory_budget is not None:
+            if ctx.memory_manager.bounded:
                 print("memory:", report.engine_metrics.memory_summary())
                 if report.extras.get("degraded"):
                     d = report.extras["degraded"]
@@ -445,12 +445,6 @@ def _cmd_serve(args) -> int:
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    if args.memory_budget is None and any(
-        p.quota_bytes is not None for p in (policies or {}).values()
-    ):
-        print("--tenant-quota requires --memory-budget (quotas are "
-              "attributed through the memory governor)", file=sys.stderr)
-        return 2
     sc = SparkleContext(
         num_executors=args.executors,
         cores_per_executor=args.cores,
@@ -652,8 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         "--memory-budget", dest="memory_budget", type=int, default=None,
         metavar="BYTES",
         help="unified memory budget for the spark engine: RDD cache and "
-             "shuffle staging share BYTES, overflow spills to disk instead "
-             "of failing, and task launches queue under pressure")
+             "shuffle staging share BYTES, overflow spills to disk and "
+             "task launches queue under pressure (default: unbounded)")
     solve.add_argument(
         "--spill-dir", dest="spill_dir", metavar="DIR", default=None,
         help="spill store directory (default: <checkpoint-dir>/spill, else "

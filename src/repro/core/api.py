@@ -11,6 +11,7 @@ closure) funnels through :func:`run_gep`, which selects the engine:
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 import numpy as np
@@ -132,26 +133,11 @@ def run_gep(
 class GepRunOptions(dict):
     """Keyword bag forwarded to :func:`run_gep` by the solver wrappers."""
 
+    #: ``run_gep``'s keyword-only parameters, read off its signature
     KNOWN = frozenset(
-        {
-            "engine",
-            "r",
-            "kernel",
-            "r_shared",
-            "base_size",
-            "omp_threads",
-            "strategy",
-            "sc",
-            "num_partitions",
-            "partitioner",
-            "collect_stats",
-            "checkpoint_every",
-            "resume",
-            "max_iterations",
-            "on_iteration",
-            "degrade_on_pressure",
-            "degrade_on_crash",
-        }
+        name
+        for name, p in inspect.signature(run_gep).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
     )
 
     def __init__(self, **kw: Any) -> None:

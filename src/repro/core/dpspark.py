@@ -12,8 +12,9 @@ A → (B ‖ C) → D stage pattern:
   updated tile, the *copies* its consumers need (the pivot tile fans
   out to ``2(r-k-1) + (r-k-1)^2`` copies for GE); wide
   ``combineByKey`` transformations couple each consumer tile with its
-  operands.  Entirely RDD-resident, but shuffle-heavy, and constrained
-  by the shuffle staging capacity (the paper's SSD limit).
+  operands.  Entirely RDD-resident, but shuffle-heavy: its staged
+  copies are what the memory governor budgets (the paper's staging /
+  memory wall).
 * **CB (Collect-Broadcast, Listing 2)** — pivot-generation tiles are
   ``collect()``-ed to the driver and re-distributed through shared
   persistent storage; consumer kernels read their operands from storage
@@ -75,7 +76,7 @@ from ..sparkle.errors import (
 from ..sparkle.metrics import EngineMetrics
 from ..sparkle.rdd import CheckpointedRDD
 from ..sparkle.requests import solve_fingerprint
-from .blocked import b_range, c_range, grid_bounds
+from .blocked import b_range, c_range, grid_bounds, updated_tiles
 from .gep import GepSpec
 
 __all__ = ["GepSparkSolver", "SolveReport", "make_kernel"]
@@ -238,8 +239,9 @@ class GepSparkSolver:
         bit-identical per iteration, so the degraded result is
         bit-identical too; the switch is recorded on
         ``report.extras["degraded"]`` and metered as
-        ``strategy_degradations``.  No-op without a memory governor or
-        for non-IM strategies.
+        ``strategy_degradations``.  No-op without a memory budget (an
+        unbounded governor never reaches ``critical``) or for non-IM
+        strategies.
     degrade_on_crash:
         Graceful degradation under worker-crash storms: when the
         process backend quarantines a poison task
@@ -369,7 +371,7 @@ class GepSparkSolver:
 
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
         state = _DriverState(self.strategy, resumed_from)
-        mm = getattr(self.sc, "memory_manager", None)
+        mm = self.sc.memory_manager
         sup = getattr(self.sc, "supervisor", None)
         for k in range(start_k, nt):
             if not active(k):
@@ -377,10 +379,9 @@ class GepSparkSolver:
             self._iteration_boundary(k, state)
             if state.active_strategy == "im":
                 dp = self._im_iteration(dp, k, bounds, nt, n)
-            elif state.active_strategy == "cb":
-                dp = self._cb_iteration(dp, k, bounds, nt, n)
             else:
-                dp = self._bcast_iteration(dp, k, bounds, nt, n)
+                operands = _OPERANDS[state.active_strategy](self.sc, k)
+                dp = self._collect_iteration(dp, k, bounds, nt, n, operands)
             if (
                 self.checkpoint_every is not None
                 and (k + 1) % self.checkpoint_every == 0
@@ -388,7 +389,7 @@ class GepSparkSolver:
                 dp = dp.checkpoint()
             if journal is not None:
                 dp = self._journal_iteration(journal, store, dp, k, nt)
-            elif (self.degrade_on_pressure and mm is not None) or (
+            elif (self.degrade_on_pressure and mm.bounded) or (
                 self.degrade_on_crash and sup is not None
             ):
                 # The DP lineage is lazy: without the journal's
@@ -436,7 +437,7 @@ class GepSparkSolver:
     def _iteration_boundary(self, k: int, state: "_DriverState") -> None:
         """Degrade checks (and the chaos squeeze) before iteration ``k``."""
         metrics = self.sc.metrics
-        mm = getattr(self.sc, "memory_manager", None)
+        mm = self.sc.memory_manager
         sup = getattr(self.sc, "supervisor", None)
         plan = self.sc.fault_plan
         if (
@@ -453,17 +454,17 @@ class GepSparkSolver:
             self._offload_disabled = True
             state.backend_degraded_at = k
             metrics.backend_degradations += 1
-        if mm is not None and plan is not None:
+        if mm.bounded and plan is not None:
             # Chaos: a seeded mid-solve budget shrink (the cluster
             # losing memory headroom).  Driver-side and keyed only by
             # the iteration, so the decision — and every pressure
-            # transition it causes — is deterministic per seed.
+            # transition it causes — is deterministic per seed.  Only a
+            # budget can shrink, so an unbudgeted run draws no squeeze.
             factor = plan.mem_squeeze(k)
             if factor < 1.0:
                 mm.squeeze(factor)
         if (
             self.degrade_on_pressure
-            and mm is not None
             and state.active_strategy == "im"
             and mm.critical_since_last_check()
         ):
@@ -517,9 +518,8 @@ class GepSparkSolver:
                     ),
                 }
             ]
-        mm = getattr(sc, "memory_manager", None)
-        if mm is not None:
-            extras["memory_budget"] = mm.usage()
+        if sc.memory_manager.bounded:
+            extras["memory_budget"] = sc.memory_manager.usage()
         if sc.fault_plan is not None:
             extras["chaos"] = sc.fault_plan.describe()
             extras["faults_injected"] = sc.fault_plan.fired()
@@ -749,15 +749,15 @@ class GepSparkSolver:
         b_keys = frozenset((k, j) for j in bs)
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
-        gk0 = bounds[k]
         batch = self._run_tile_batch
+        a_call, bc_call, d_call = _call_builders(k, bounds, n)
 
         # ---- stage 1: kernel A on the pivot tile, with consumer copies
         needs_w = spec.needs_w
 
         def a_rec(kv):
             (key, tile) = kv
-            (x,) = batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])
+            (x,) = batch([a_call(tile)])
             out = [(key, ("x", x))]
             for bk_ in b_keys:
                 out.append((bk_, ("uw", x)))
@@ -790,19 +790,10 @@ class GepSparkSolver:
         # copies per record.
         def bc_part(it, _split):
             items = list(it)
-            calls = []
-            for key, roles in items:
-                i, j = key
-                if i == k:  # B: pivot row; V aliases X
-                    pivot = roles["uw"]
-                    calls.append(
-                        ("B", roles["x"], pivot, ALIAS_X, pivot, gk0, bounds[j], gk0, n)
-                    )
-                else:  # C: pivot column; U aliases X
-                    pivot = roles["vw"]
-                    calls.append(
-                        ("C", roles["x"], ALIAS_X, pivot, pivot, bounds[i], gk0, gk0, n)
-                    )
+            calls = [
+                bc_call(key, roles["x"], roles["uw" if key[0] == k else "vw"])
+                for key, roles in items
+            ]
             out = []
             for (key, _roles), x in zip(items, batch(calls)):
                 i, j = key
@@ -837,10 +828,7 @@ class GepSparkSolver:
         def d_part(it, _split):
             items = list(it)
             calls = [
-                (
-                    "D", roles["x"], roles["u"], roles["v"], roles.get("w"),
-                    bounds[key[0]], bounds[key[1]], gk0, n,
-                )
+                d_call(key, roles["x"], roles["u"], roles["v"], roles.get("w"))
                 for key, roles in items
             ]
             return [
@@ -865,148 +853,122 @@ class GepSparkSolver:
         ).partitionBy(partitioner=part)
 
     # ------------------------------------------------------------------
-    # Collect-Broadcast strategy (Listing 2)
+    # Collect-Broadcast strategy (Listing 2) and its broadcast ablation
     # ------------------------------------------------------------------
-    def _cb_iteration(self, dp, k: int, bounds: list[int], nt: int, n: int):
-        spec, part, storage = self.spec, self.partitioner, self.sc.shared_storage
-        bs = b_range(spec, k, nt)
-        cs = c_range(spec, k, nt)
-        b_keys = frozenset((k, j) for j in bs)
-        c_keys = frozenset((i, k) for i in cs)
-        d_keys = frozenset((i, j) for i in cs for j in bs)
-        gk0 = bounds[k]
+    def _collect_iteration(
+        self, dp, k: int, bounds: list[int], nt: int, n: int, operands
+    ):
+        """One CB-style iteration: pivot-generation tiles are collected
+        to the driver, published through ``operands`` (shared storage
+        for ``cb``, broadcast variables for ``bcast``) and read back by
+        the consumer kernels instead of being shuffled."""
+        publish_pivot, publish_band = operands
+        spec, part = self.spec, self.partitioner
+        tiles = updated_tiles(spec, k, nt)
+        bc_keys = frozenset(tiles["B"] + tiles["C"])
+        d_keys = frozenset(tiles["D"])
         batch = self._run_tile_batch
+        a_call, bc_call, d_call = _call_builders(k, bounds, n)
 
-        # ---- stage 1: kernel A; collect to the driver, stage to storage
+        # ---- stage 1: kernel A; collect to the driver and publish
         def a_rec(tile):
-            return batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])[0]
+            return batch([a_call(tile)])[0]
 
         a_block = dp.filter(lambda kv: kv[0] == (k, k)).mapValues(a_rec).cache()
-        for _key, arr in a_block.collect():
-            storage.put(("pivot", k), arr)
+        pivot = publish_pivot(a_block.collect()[0][1])
 
-        if not bs and not cs:
+        if not bc_keys:
             untouched = dp.filter(lambda kv: kv[0] != (k, k))
             return self.sc.union([untouched, a_block]).partitionBy(partitioner=part)
 
-        # ---- stage 2: kernels B and C, reading the pivot from storage;
-        # the partition's updates form one kernel batch (the storage get
-        # per record is kept so staging accounting and transient-fault
+        # ---- stage 2: kernels B and C, reading the published pivot;
+        # the partition's updates form one kernel batch (the read per
+        # record is kept so staging accounting and transient-fault
         # decisions stay per record).
         def bc_part(it, _split):
             items = list(it)
-            calls = []
-            for key, tile in items:
-                i, j = key
-                pivot = storage.get(("pivot", k))
-                if i == k:
-                    calls.append(
-                        ("B", tile, pivot, ALIAS_X, pivot, gk0, bounds[j], gk0, n)
-                    )
-                else:
-                    calls.append(
-                        ("C", tile, ALIAS_X, pivot, pivot, bounds[i], gk0, gk0, n)
-                    )
+            calls = [bc_call(key, tile, pivot()) for key, tile in items]
             return [(key, x) for (key, _t), x in zip(items, batch(calls))]
 
-        bc_keys = b_keys | c_keys
         bc_blocks = (
             dp.filter(lambda kv: kv[0] in bc_keys).map_partitions(bc_part).cache()
         )
-        for key, arr in bc_blocks.collect():
-            storage.put(("bc", k, key), arr)
+        band = publish_band(bc_blocks.collect())
 
-        # ---- stage 3: kernels D, reading operands from storage (lazy)
-        needs_w = spec.needs_w
-
+        # ---- stage 3: kernels D, reading the published operands (lazy)
         def d_part(it, _split):
             items = list(it)
-            calls = []
-            for key, tile in items:
-                i, j = key
-                u = storage.get(("bc", k, (i, k)))
-                v = storage.get(("bc", k, (k, j)))
-                w = storage.get(("pivot", k)) if needs_w else None
-                calls.append(("D", tile, u, v, w, bounds[i], bounds[j], gk0, n))
-            return [(key, x) for (key, _t), x in zip(items, batch(calls))]
-
-        d_blocks = dp.filter(lambda kv: kv[0] in d_keys).map_partitions(d_part)
-
-        touched = {(k, k)} | bc_keys | d_keys
-        untouched = dp.filter(lambda kv: kv[0] not in touched)
-        return self.sc.union(
-            [untouched, a_block, bc_blocks, d_blocks]
-        ).partitionBy(partitioner=part)
-
-
-    # ------------------------------------------------------------------
-    # Broadcast strategy (ablation): CB with broadcast variables
-    # ------------------------------------------------------------------
-    def _bcast_iteration(self, dp, k: int, bounds: list[int], nt: int, n: int):
-        spec, part = self.spec, self.partitioner
-        bs = b_range(spec, k, nt)
-        cs = c_range(spec, k, nt)
-        b_keys = frozenset((k, j) for j in bs)
-        c_keys = frozenset((i, k) for i in cs)
-        d_keys = frozenset((i, j) for i in cs for j in bs)
-        gk0 = bounds[k]
-        batch = self._run_tile_batch
-
-        def a_rec(tile):
-            return batch([("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)])[0]
-
-        a_block = dp.filter(lambda kv: kv[0] == (k, k)).mapValues(a_rec).cache()
-        collected = a_block.collect()
-        pivot_bc = self.sc.broadcast(collected[0][1])
-
-        if not bs and not cs:
-            untouched = dp.filter(lambda kv: kv[0] != (k, k))
-            return self.sc.union([untouched, a_block]).partitionBy(partitioner=part)
-
-        def bc_part(it, _split):
-            items = list(it)
-            calls = []
-            for key, tile in items:
-                i, j = key
-                pivot = pivot_bc.value
-                if i == k:
-                    calls.append(
-                        ("B", tile, pivot, ALIAS_X, pivot, gk0, bounds[j], gk0, n)
-                    )
-                else:
-                    calls.append(
-                        ("C", tile, ALIAS_X, pivot, pivot, bounds[i], gk0, gk0, n)
-                    )
-            return [(key, x) for (key, _t), x in zip(items, batch(calls))]
-
-        bc_keys = b_keys | c_keys
-        bc_blocks = (
-            dp.filter(lambda kv: kv[0] in bc_keys).map_partitions(bc_part).cache()
-        )
-        band_bc = self.sc.broadcast(dict(bc_blocks.collect()))
-        needs_w = spec.needs_w
-
-        def d_part(it, _split):
-            items = list(it)
-            calls = []
-            for key, tile in items:
-                i, j = key
-                band = band_bc.value
-                calls.append(
-                    (
-                        "D", tile, band[(i, k)], band[(k, j)],
-                        pivot_bc.value if needs_w else None,
-                        bounds[i], bounds[j], gk0, n,
-                    )
+            calls = [
+                d_call(
+                    key, tile, band((key[0], k)), band((k, key[1])),
+                    pivot() if spec.needs_w else None,
                 )
+                for key, tile in items
+            ]
             return [(key, x) for (key, _t), x in zip(items, batch(calls))]
 
         d_blocks = dp.filter(lambda kv: kv[0] in d_keys).map_partitions(d_part)
+
         touched = {(k, k)} | bc_keys | d_keys
         untouched = dp.filter(lambda kv: kv[0] not in touched)
         return self.sc.union(
             [untouched, a_block, bc_blocks, d_blocks]
         ).partitionBy(partitioner=part)
+
+
+def _storage_operands(sc: SparkleContext, k: int):
+    """CB: iteration ``k``'s operands go through shared persistent
+    storage.  Each publisher returns the reader consumer tasks call."""
+    storage = sc.shared_storage
+
+    def publish_pivot(tile):
+        storage.put(("pivot", k), tile)
+        return lambda: storage.get(("pivot", k))
+
+    def publish_band(blocks: list):
+        for key, tile in blocks:
+            storage.put(("bc", k, key), tile)
+        return lambda key: storage.get(("bc", k, key))
+
+    return publish_pivot, publish_band
+
+
+def _broadcast_operands(sc: SparkleContext, k: int):
+    """bcast (ablation): the same operands as two broadcast variables."""
+
+    def publish_pivot(tile):
+        pivot_bc = sc.broadcast(tile)
+        return lambda: pivot_bc.value
+
+    def publish_band(blocks: list):
+        band_bc = sc.broadcast(dict(blocks))
+        return lambda key: band_bc.value[key]
+
+    return publish_pivot, publish_band
+
+
+_OPERANDS = {"cb": _storage_operands, "bcast": _broadcast_operands}
+
+
+def _call_builders(k: int, bounds: list[int], n: int):
+    """Iteration ``k``'s ``_run_tile_batch`` entries, one builder per
+    kernel case — the single place every strategy's calls are shaped."""
+    gk0 = bounds[k]
+
+    def a_call(tile) -> tuple:
+        return ("A", tile, ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n)
+
+    def bc_call(key, tile, pivot) -> tuple:
+        i, j = key
+        if i == k:  # B: pivot row; V aliases X
+            return ("B", tile, pivot, ALIAS_X, pivot, gk0, bounds[j], gk0, n)
+        # C: pivot column; U aliases X
+        return ("C", tile, ALIAS_X, pivot, pivot, bounds[i], gk0, gk0, n)
+
+    def d_call(key, tile, u, v, w) -> tuple:
+        return ("D", tile, u, v, w, bounds[key[0]], bounds[key[1]], gk0, n)
+
+    return a_call, bc_call, d_call
 
 
 def _drain_iterator(it) -> int:

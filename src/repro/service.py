@@ -102,7 +102,6 @@ from .sparkle.errors import (
     ServiceOverloadedError,
     ShuffleFetchFailed,
     SparkleError,
-    StorageCapacityError,
     TaskDeadlineExceeded,
     TaskKilled,
     TenantQuotaExceededError,
@@ -147,7 +146,6 @@ SERVICE_RETRYABLE = (
     TransientIOError,
     ShuffleFetchFailed,
     BlockNotFoundError,
-    StorageCapacityError,
     JobAborted,
 )
 
@@ -518,14 +516,12 @@ class ResultCache:
                 return True
             while len(self._entries) >= self.max_entries:
                 self._evict_lru_locked()
-            while not self._reserve(entry.nbytes):
+            while not self._memory.reserve("storage", self.OWNER, entry.nbytes):
                 if not self._entries:
                     return False
                 self._evict_lru_locked()
-            if (
-                tenant is not None
-                and self._memory is not None
-                and not self._memory.charge_tenant(tenant, entry.nbytes)
+            if tenant is not None and not self._memory.charge_tenant(
+                tenant, entry.nbytes
             ):
                 self._memory.release("storage", self.OWNER, entry.nbytes)
                 return False
@@ -552,16 +548,9 @@ class ResultCache:
         ``release`` calls inside ``_drop_locked`` cannot deadlock.
         """
         with self._lock:
-            while self._entries and self._memory is not None:
-                if self._memory.pressure() == PRESSURE_OK:
-                    break
+            while self._entries and self._memory.pressure() != PRESSURE_OK:
                 self._drop_locked(next(iter(self._entries)))
                 self._metrics.cache_invalidations += 1
-
-    def _reserve(self, nbytes: int) -> bool:
-        if self._memory is None:
-            return True
-        return self._memory.reserve("storage", self.OWNER, nbytes)
 
     def _evict_lru_locked(self) -> None:
         self._drop_locked(next(iter(self._entries)))
@@ -569,10 +558,9 @@ class ResultCache:
 
     def _drop_locked(self, fingerprint: str) -> None:
         entry = self._entries.pop(fingerprint)
-        if self._memory is not None:
-            self._memory.release("storage", self.OWNER, entry.nbytes)
-            if entry.tenant is not None:
-                self._memory.release_tenant(entry.tenant, entry.nbytes)
+        self._memory.release("storage", self.OWNER, entry.nbytes)
+        if entry.tenant is not None:
+            self._memory.release_tenant(entry.tenant, entry.nbytes)
 
 
 class CircuitBreaker:
@@ -946,27 +934,15 @@ class SolverService:
         self._auto_keys = itertools.count()
         if journal is not None:
             journal.bind_metrics(self.metrics, self._metrics_lock)
-        quota_tenants = sorted(
-            tenant
-            for tenant, policy in self._policies.items()
-            if policy.quota_bytes is not None
-        )
-        if sc.memory_manager is not None:
-            for tenant in quota_tenants:
-                sc.memory_manager.set_tenant_quota(
-                    tenant, self._policies[tenant].quota_bytes
-                )
-        elif quota_tenants:
-            raise ValueError(
-                "tenant quotas are attributed through the memory governor; "
-                f"quotas for {quota_tenants} require a context built with "
-                "memory_budget_bytes"
-            )
+        # The tenant ledger is an overlay on the governor, independent
+        # of whether the governor has a byte budget.
+        for tenant, policy in sorted(self._policies.items()):
+            if policy.quota_bytes is not None:
+                sc.memory_manager.set_tenant_quota(tenant, policy.quota_bytes)
         self.cache = ResultCache(
             self.config.cache_entries, sc.memory_manager, self.metrics
         )
-        if sc.memory_manager is not None:
-            sc.memory_manager.add_squeeze_listener(self.cache.on_squeeze)
+        sc.memory_manager.add_squeeze_listener(self.cache.on_squeeze)
         self.breaker = CircuitBreaker(
             self.config.breaker_threshold,
             self.config.breaker_cooldown,
@@ -1269,7 +1245,7 @@ class SolverService:
         """
         tenant = request.tenant
         mm = self.sc.memory_manager
-        if tenant is None or mm is None:
+        if tenant is None:
             return 0
         charge = int(request.table.nbytes) * self.config.tenant_charge_factor
         if mm.charge_tenant(tenant, charge, force=force):
@@ -1291,15 +1267,13 @@ class SolverService:
     def _release_tenant_charge(self, tenant: str | None, charge: int) -> None:
         if tenant is None or charge == 0:
             return
-        if self.sc.memory_manager is not None:
-            self.sc.memory_manager.release_tenant(tenant, charge)
+        self.sc.memory_manager.release_tenant(tenant, charge)
 
     def _evaluate_brownout_locked(self) -> int:
         """Advance the ladder from (pressure, queue depth); meter it."""
         if not self.config.brownout:
             return 0
-        mm = self.sc.memory_manager
-        level = mm.pressure() if mm is not None else PRESSURE_OK
+        level = self.sc.memory_manager.pressure()
         depth = len(self._queue) + (1 if self._running is not None else 0)
         transition = self.ladder.evaluate(level, depth)
         if transition is not None:
@@ -1310,8 +1284,7 @@ class SolverService:
         return self.ladder.level
 
     def _admit_locked(self, fingerprint: str) -> None:
-        mm = self.sc.memory_manager
-        level = mm.pressure() if mm is not None else PRESSURE_OK
+        level = self.sc.memory_manager.pressure()
         depth = len(self._queue) + (1 if self._running is not None else 0)
         if level == PRESSURE_CRITICAL:
             with self._metrics_lock:
@@ -1602,8 +1575,7 @@ class SolverService:
         self._dispatcher.join(timeout=timeout)
         if self._dispatcher.is_alive():  # pragma: no cover — deadlock guard
             raise RuntimeError("service dispatcher failed to stop")
-        if self.sc.memory_manager is not None:
-            self.sc.memory_manager.remove_squeeze_listener(self.cache.on_squeeze)
+        self.sc.memory_manager.remove_squeeze_listener(self.cache.on_squeeze)
         self.cache.clear()
         if self._journal is not None:
             # Every flight has settled; checkpoint the WAL down to the
@@ -2103,11 +2075,10 @@ def _handle_conn(
             return
         try:
             if payload.get("op") == "stats":
-                mm = service.sc.memory_manager
                 _send_msg(conn, {
                     "status": "ok",
                     **service.metrics.summary(),
-                    "tenants": mm.tenant_usage() if mm is not None else {},
+                    "tenants": service.sc.memory_manager.tenant_usage(),
                 })
                 return
             request = _build_request(payload)

@@ -4,8 +4,8 @@ Spark execution model (the paper's execution substrate).
 Implements the §II concepts the GEP drivers rely on: lazily evaluated
 RDDs with lineage, narrow vs wide dependencies, DAG scheduling into
 stages split at shuffles, tasks on a pool of simulated executors,
-hash/custom partitioners, shuffle with byte accounting and staging
-capacity, broadcast variables, driver ``collect()``, shared persistent
+hash/custom partitioners, shuffle with byte accounting, broadcast
+variables, driver ``collect()``, shared persistent
 storage for the Collect-Broadcast strategy, lineage-based task retry,
 and an execution trace for the cluster cost model.
 
@@ -25,14 +25,14 @@ a write-ahead solve journal that the GEP drivers use for
 determinism contract.
 
 Memory exhaustion — the paper's headline IM failure mode — is governed
-by :mod:`repro.sparkle.memory`: a context constructed with
-``memory_budget_bytes`` shares one byte budget between shuffle staging
-(execution) and the RDD cache (storage), spills overflow to a
-checksummed disk store instead of failing, queues task launches under
-pressure (admission control), and exposes ``ok``/``pressured``/
-``critical`` pressure levels that the GEP drivers can react to by
-degrading IM→CB mid-solve; the ``mem_squeeze`` chaos kind shrinks the
-budget mid-run under the seeded determinism contract.
+by :mod:`repro.sparkle.memory`: every context has a governor (unbounded
+unless built with ``memory_budget_bytes``), and a budgeted one shares
+one byte budget between shuffle staging (execution) and the RDD cache
+(storage), spills overflow to a checksummed disk store, queues task
+launches under pressure (admission control), and exposes ``ok``/
+``pressured``/``critical`` pressure levels that the GEP drivers can
+react to by degrading IM→CB mid-solve; the ``mem_squeeze`` chaos kind
+shrinks the budget mid-run under the seeded determinism contract.
 
 Worker liveness is supervised (:mod:`repro.sparkle.supervisor`): under
 the process backend, workers heartbeat into a shared-memory board
@@ -88,7 +88,6 @@ from .errors import (
     ShuffleFetchFailed,
     TenantQuotaExceededError,
     SparkleError,
-    StorageCapacityError,
     TaskDeadlineExceeded,
     TaskError,
     TaskKilled,
@@ -154,7 +153,6 @@ __all__ = [
     "TransientIOError",
     "ShuffleFetchFailed",
     "JobAborted",
-    "StorageCapacityError",
     "BlockNotFoundError",
     "CorruptBlockError",
     "JournalError",

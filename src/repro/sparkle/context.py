@@ -50,14 +50,6 @@ class SparkleContext:
     default_parallelism:
         Default partition count for wide transformations; the paper's
         guideline is 2x the total core count, which is also our default.
-    shuffle_capacity_bytes:
-        Optional cap on live shuffle staging (models local SSD size; see
-        :class:`~repro.sparkle.errors.StorageCapacityError`).
-    storage_capacity_bytes:
-        Optional cap on the CB shared storage.
-    cache_capacity_bytes:
-        Optional LRU bound on ``RDD.cache()`` storage (evicted blocks
-        recompute from lineage, Spark's MEMORY_ONLY semantics).
     fault_plan:
         A :class:`~repro.sparkle.chaos.FaultPlan` arming seeded task
         exceptions, executor loss, stragglers, transient storage /
@@ -81,13 +73,15 @@ class SparkleContext:
         iteration snapshots here for ``--resume``.  ``None`` keeps the
         historical all-in-memory behavior.
     memory_budget_bytes:
-        Attach the unified memory governor (:class:`~repro.sparkle.
-        memory.MemoryManager`): RDD-cache puts and shuffle staging share
-        one byte budget, overflow spills to disk instead of raising
-        :class:`~repro.sparkle.errors.StorageCapacityError`, and task
-        launches queue when a working-set quantum does not fit
-        (scheduler backpressure).  ``None`` (the default) keeps the
-        ungoverned legacy engine, including its capacity failure modes.
+        Byte budget of the unified memory governor (:class:`~repro.
+        sparkle.memory.MemoryManager`, always present as
+        ``memory_manager``): RDD-cache puts and shuffle staging share
+        it, overflow spills to disk, and task launches queue when a
+        working-set quantum does not fit (scheduler backpressure).
+        ``None`` (the default) makes the governor unbounded: the same
+        ledgers, but every reservation fits, nothing spills and no task
+        waits.  CB shared storage is never budgeted (the paper's §IV-C
+        asymmetry).
     spill_dir:
         Directory for the spill store backing MEMORY_AND_DISK eviction
         and shuffle spill.  Defaults to ``<checkpoint_dir>/spill`` when
@@ -122,9 +116,6 @@ class SparkleContext:
         num_executors: int = 4,
         cores_per_executor: int = 2,
         default_parallelism: int | None = None,
-        shuffle_capacity_bytes: int | None = None,
-        storage_capacity_bytes: int | None = None,
-        cache_capacity_bytes: int | None = None,
         max_task_retries: int = 3,
         fault_plan: FaultPlan | None = None,
         speculation: bool = True,
@@ -174,20 +165,20 @@ class SparkleContext:
         self.arena = getattr(self._executors.backend, "arena", None)
         #: worker supervisor of the process backend (None for threads)
         self.supervisor = getattr(self._executors.backend, "supervisor", None)
-        self.memory_manager: MemoryManager | None = None
+        #: the memory governor — always present, unbounded without a budget
+        self.memory_manager = MemoryManager(
+            memory_budget_bytes,
+            metrics=self.metrics,
+            task_quantum_bytes=(
+                max(1, memory_budget_bytes // (4 * self._executors.total_slots))
+                if memory_budget_bytes is not None
+                else None
+            ),
+            executor_resolver=self._executors.executor_for,
+        )
         self.spill_store: DurableBlockStore | None = None
         self._spill_tmpdir: str | None = None
-        if memory_budget_bytes is not None:
-            if memory_budget_bytes < 1:
-                raise ValueError("memory_budget_bytes must be >= 1")
-            self.memory_manager = MemoryManager(
-                memory_budget_bytes,
-                metrics=self.metrics,
-                task_quantum_bytes=max(
-                    1, memory_budget_bytes // (4 * self._executors.total_slots)
-                ),
-                executor_resolver=self._executors.executor_for,
-            )
+        if self.memory_manager.bounded:
             if spill_dir is None:
                 if checkpoint_dir is not None:
                     spill_dir = str(Path(checkpoint_dir) / "spill")
@@ -201,24 +192,17 @@ class SparkleContext:
                 spill_dir, metrics=self.metrics, fault_plan=fault_plan, sync=False
             )
         self._shuffle_manager = ShuffleManager(
-            shuffle_capacity_bytes,
+            self.memory_manager,
             fault_plan=fault_plan,
-            memory=self.memory_manager,
             spill=self.spill_store,
             metrics=self.metrics,
         )
         self._block_manager = BlockManager(
-            cache_capacity_bytes,
-            memory=self.memory_manager,
-            spill=self.spill_store,
-            metrics=self.metrics,
+            self.memory_manager, spill=self.spill_store, metrics=self.metrics
         )
         self.durable_store: DurableBlockStore | None = None
         self.shared_storage = SharedStorage(
-            self.metrics,
-            storage_capacity_bytes,
-            fault_plan=fault_plan,
-            arena=self.arena,
+            self.metrics, fault_plan=fault_plan, arena=self.arena
         )
         self._scheduler = DAGScheduler(
             self,

@@ -19,7 +19,6 @@ __all__ = [
     "ExecutorLost",
     "TransientIOError",
     "ShuffleFetchFailed",
-    "StorageCapacityError",
     "BlockNotFoundError",
     "CorruptBlockError",
     "JournalError",
@@ -104,16 +103,6 @@ class ShuffleFetchFailed(SparkleError):
 
     def __reduce__(self):
         return (type(self), (self.shuffle_id, self.missing))
-
-
-class StorageCapacityError(SparkleError):
-    """Shuffle spill or shared-storage staging exceeded local capacity.
-
-    Models the paper's observation (§IV-C) that IM executions are
-    "constrained by the size of the underlying SSDs": wide transformations
-    stage intermediate data on local disk before shuffling, and large
-    inputs (or small inputs with many replicates) can fail outright.
-    """
 
 
 class BlockNotFoundError(SparkleError, KeyError):

@@ -4,13 +4,17 @@ The paper's headline failure mode (§IV-C, §V) is memory exhaustion: the
 In-Memory strategy materializes up to three copies of every tile through
 its wide transformations and stops scaling once that working set
 outgrows executor memory, while Collect-Broadcast survives by staging
-pivot tiles in shared storage.  Before this module the engine reproduced
-the *failure* faithfully — the block cache silently dropped blocks and
-shuffle staging raised :class:`~repro.sparkle.errors.
-StorageCapacityError`.  :class:`MemoryManager` is the third leg of the
-robustness story: a Spark-style unified memory manager that lets a
-budgeted run *complete*, via spill-to-disk and scheduler backpressure,
+pivot tiles in shared storage.  :class:`MemoryManager` is the third leg
+of the robustness story: a Spark-style unified memory manager that lets
+a budgeted run *complete*, via spill-to-disk and scheduler backpressure,
 bit-identical to an unbudgeted one.
+
+Every context has one.  Without a budget it is *unbounded*
+(:attr:`MemoryManager.bounded` is False): the same ledgers, but every
+reservation fits, pressure stays ``ok`` and admission never waits — so
+the shuffle, the block cache and the service cache have one
+reserve-then-store path, and whether a budget exists is known here and
+nowhere else.
 
 Design (mirroring Spark's ``UnifiedMemoryManager``):
 
@@ -37,6 +41,7 @@ Design (mirroring Spark's ``UnifiedMemoryManager``):
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Callable
@@ -67,13 +72,15 @@ class MemoryManager:
     ----------
     budget_bytes:
         Total bytes shared by the execution and storage pools (the
-        simulated cluster's aggregate usable memory).
+        simulated cluster's aggregate usable memory); ``None`` for an
+        unbounded manager, whose budget reads ``math.inf``.
     metrics:
         Optional :class:`~.metrics.EngineMetrics`; pressure transitions,
         admission waits, squeezes and forced grants are recorded there.
     task_quantum_bytes:
         Nominal execution reservation charged per admitted task (the
-        scheduler's backpressure unit).  Defaults to ``budget // 8``.
+        scheduler's backpressure unit).  Defaults to ``budget // 8``
+        (0 when unbounded: there is nothing to push back against).
     pressured_at / critical_at:
         Occupancy fractions at which pressure escalates.
     executor_resolver:
@@ -85,7 +92,7 @@ class MemoryManager:
 
     def __init__(
         self,
-        budget_bytes: int,
+        budget_bytes: int | None,
         *,
         metrics=None,
         task_quantum_bytes: int | None = None,
@@ -93,21 +100,22 @@ class MemoryManager:
         critical_at: float = 0.90,
         executor_resolver: Callable[[int], int] | None = None,
     ) -> None:
-        if budget_bytes < 1:
+        if budget_bytes is not None and budget_bytes < 1:
             raise ValueError("budget_bytes must be >= 1")
         if not 0.0 < pressured_at <= critical_at <= 1.0:
             raise ValueError("require 0 < pressured_at <= critical_at <= 1")
-        self.initial_budget_bytes = int(budget_bytes)
-        self.budget_bytes = int(budget_bytes)
+        # An infinite budget makes "fits", the occupancy ratio and the
+        # admission test come out right with no unbounded special case.
+        budget = math.inf if budget_bytes is None else int(budget_bytes)
+        self.initial_budget_bytes = budget
+        self.budget_bytes = budget
         self.pressured_at = pressured_at
         self.critical_at = critical_at
-        self.task_quantum_bytes = (
-            int(task_quantum_bytes)
-            if task_quantum_bytes is not None
-            else max(1, budget_bytes // 8)
-        )
-        if self.task_quantum_bytes < 1:
+        if task_quantum_bytes is None:
+            task_quantum_bytes = max(1, budget // 8) if self.bounded else 0
+        if self.bounded and task_quantum_bytes < 1:
             raise ValueError("task_quantum_bytes must be >= 1")
+        self.task_quantum_bytes = int(task_quantum_bytes)
         self.executor_resolver = executor_resolver
         self._metrics = metrics
         self._cond = threading.Condition()
@@ -124,6 +132,18 @@ class MemoryManager:
         # execution/storage by their real owners
         self._tenant_quota: dict[str, int] = {}
         self._tenant_held: dict[str, int] = {}
+
+    @property
+    def bounded(self) -> bool:
+        """Whether a byte budget exists.
+
+        The one question code outside this module may ask about the
+        budget — to create a spill store, consult the chaos
+        ``mem_squeeze``, run the degrade probe job or print the budget.
+        Everything else (reserve, pressure, admission, tenant overlay)
+        is called unconditionally.
+        """
+        return self.budget_bytes != math.inf
 
     # ------------------------------------------------------------------
     # owner attribution
@@ -241,8 +261,12 @@ class MemoryManager:
         succeeds), so at least one task always runs, finishes, and
         releases — every waiter eventually wakes.  Wait time and count
         are metered (``admission_waits`` / ``admission_wait_seconds``).
+        A zero quantum (the unbounded manager's) reserves nothing, so it
+        is admitted without touching the ledgers.
         """
         quantum = self.task_quantum_bytes
+        if quantum == 0:
+            return 0
         waited = False
         start = 0.0
         with self._cond:
@@ -272,6 +296,8 @@ class MemoryManager:
 
     def finish_task(self, grant: int, owner: Any = "tasks") -> None:
         """Release an admission grant from :meth:`admit_task`."""
+        if grant == 0:
+            return
         with self._cond:
             self._admitted_tasks -= 1
             self._account_locked("execution", owner, -grant)
@@ -348,9 +374,12 @@ class MemoryManager:
         Used by the ``mem_squeeze`` chaos kind; the budget never drops
         below one task quantum so admission stays live.  Returns the new
         budget and re-derives the pressure level (which may transition).
+        A no-op on an unbounded manager.
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError("squeeze factor must be in (0, 1]")
+        if not self.bounded:
+            return self.budget_bytes
         with self._cond:
             floor = self.task_quantum_bytes
             self.budget_bytes = max(floor, int(self.budget_bytes * factor))

@@ -154,13 +154,13 @@ class RDD:
         """Keep computed partitions across jobs at ``storage_level``.
 
         ``MEMORY_AND_DISK`` (the default, and Spark's recommended level
-        for iterative workloads) lets a governed
+        for iterative workloads) lets the
         :class:`~repro.sparkle.storage.BlockManager` spill evicted
         partitions to disk instead of discarding them;
         ``MEMORY_ONLY`` opts out of the disk hop — eviction drops the
-        block and it is recomputed from lineage.  Without a memory
-        governor the level is recorded but both behave like the
-        historical in-memory cache.
+        block and it is recomputed from lineage.  Only a context with a
+        ``memory_budget_bytes`` ever evicts; without one both levels
+        keep every block in memory.
         """
         if storage_level not in ("MEMORY_ONLY", "MEMORY_AND_DISK"):
             raise ValueError(

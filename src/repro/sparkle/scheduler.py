@@ -250,9 +250,8 @@ class DAGScheduler:
     def _run_tasks(self, thunks: list[Callable[[], Any]]) -> list[Any]:
         plan = self.ctx.fault_plan
         sequential = plan is not None and plan.serialize_tasks
-        mm = getattr(self.ctx, "memory_manager", None)
-        if mm is not None:
-            thunks = [self._admitted(t, mm) for t in thunks]
+        mm = self.ctx.memory_manager
+        thunks = [self._admitted(t, mm) for t in thunks]
         try:
             return self.ctx._executors.run_tasks(thunks, sequential=sequential)
         finally:

@@ -6,22 +6,19 @@ intermediate data to local SSD before it is shuffled); reduce-side tasks
 fetch and concatenate buckets in map-partition order, which keeps results
 deterministic regardless of task execution order.
 
-Byte accounting is exact (NumPy payloads report ``nbytes``), and an
-optional per-context capacity models the SSD-size failure mode: exceeding
-it raises :class:`~repro.sparkle.errors.StorageCapacityError`, mirroring
-the execution failures the paper reports for large IM configurations.
-
-With a :class:`~repro.sparkle.memory.MemoryManager` and a spill store
-attached (a context constructed with ``memory_budget_bytes``), that
-failure mode disappears: staged buckets reserve execution bytes against
-the unified budget, and when a reservation fails the *oldest* staged
-outputs are spilled to disk (checksummed, crash-atomic — the
-:class:`~repro.sparkle.durable.DurableBlockStore` machinery) instead of
-the write erroring out.  Reducers transparently read spilled outputs
-back; a spilled block that fails its checksum is treated as a missing
-map output (:class:`~repro.sparkle.errors.ShuffleFetchFailed`) and
-recomputed from lineage — corruption degrades to recomputation, never to
-wrong data.
+Byte accounting is exact (NumPy payloads report ``nbytes``).  Every
+write reserves its staged bytes from the execution pool of the context's
+:class:`~repro.sparkle.memory.MemoryManager`; on an unbounded manager
+the reservation always fits.  Under a budget (a context constructed with
+``memory_budget_bytes``, which also attaches a spill store) a failed
+reservation spills the *oldest* staged outputs to disk (checksummed,
+crash-atomic — the :class:`~repro.sparkle.durable.DurableBlockStore`
+machinery) until the write fits — the staging wall the paper reports
+for large IM configurations, survived instead of hit.  Reducers
+transparently read spilled outputs back; a spilled block that fails its
+checksum is treated as a missing map output
+(:class:`~repro.sparkle.errors.ShuffleFetchFailed`) and recomputed from
+lineage — corruption degrades to recomputation, never to wrong data.
 
 Fault tolerance: a reducer that finds map outputs missing raises
 :class:`~repro.sparkle.errors.ShuffleFetchFailed` naming exactly the
@@ -43,7 +40,6 @@ from .errors import (
     CorruptBlockError,
     BlockNotFoundError,
     ShuffleFetchFailed,
-    StorageCapacityError,
     TransientIOError,
 )
 
@@ -77,14 +73,12 @@ class ShuffleManager:
 
     def __init__(
         self,
-        capacity_bytes: int | None = None,
+        memory,
         fault_plan=None,
         *,
-        memory=None,
         spill=None,
         metrics=None,
     ) -> None:
-        self.capacity_bytes = capacity_bytes
         self.fault_plan = fault_plan
         self.memory = memory
         self.spill = spill
@@ -137,35 +131,19 @@ class ShuffleManager:
         nbytes = sum(_pair_size(item) for items in buckets.values() for item in items)
         key = (shuffle_id, map_partition)
         with self._lock:
-            if self.memory is not None:
-                self._write_governed_locked(key, buckets, nbytes)
-                self.total_bytes_written += nbytes
-                return nbytes
-            if self.capacity_bytes is not None:
-                live = sum(self._bytes_by_shuffle.values()) - self._output_bytes.get(key, 0)
-                if live + nbytes > self.capacity_bytes:
-                    raise StorageCapacityError(
-                        f"shuffle spill of {nbytes} B exceeds local staging "
-                        f"capacity ({live} B live of {self.capacity_bytes} B)"
-                    )
-            # Idempotent overwrite: retried/speculative map tasks re-stage
-            # the same output.
-            stale = self._output_bytes.pop(key, 0)
-            self._outputs[key] = buckets
-            self._output_bytes[key] = nbytes
-            self._bytes_by_shuffle[shuffle_id] = (
-                self._bytes_by_shuffle.get(shuffle_id, 0) - stale + nbytes
-            )
+            self._stage_locked(key, buckets, nbytes)
             self.total_bytes_written += nbytes
         return nbytes
 
-    def _write_governed_locked(
+    def _stage_locked(
         self, key: tuple[int, int], buckets: dict[int, list], nbytes: int
     ) -> None:
         """Reserve-then-stage; spill oldest staged outputs until it fits."""
         mm = self.memory
         owner = mm.current_owner()
-        self._discard_locked(key)  # idempotent overwrite of retried stages
+        # Idempotent overwrite: retried/speculative map tasks re-stage
+        # the same output.
+        self._discard_locked(key)
         reserved = mm.reserve("execution", owner, nbytes)
         while not reserved and self._outputs:
             self._spill_oldest_locked()
@@ -220,7 +198,7 @@ class ShuffleManager:
                 self._bytes_by_shuffle.get(key[0], 0) - stale
             )
             owner = self._owners.pop(key, None)
-            if self.memory is not None and stale:
+            if stale:
                 self.memory.release("execution", owner, stale)
         if key in self._spilled:
             self._spilled.discard(key)

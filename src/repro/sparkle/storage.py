@@ -23,7 +23,6 @@ from ..util import sizeof_block
 from .errors import (
     BlockNotFoundError,
     CorruptBlockError,
-    StorageCapacityError,
     TransientIOError,
 )
 from .serialize import release_nested, share_nested
@@ -34,31 +33,22 @@ __all__ = ["BlockManager", "SharedStorage"]
 class BlockManager:
     """In-memory cache of computed RDD partitions.
 
-    Without a :class:`~repro.sparkle.memory.MemoryManager` this is the
-    historical LRU cache (Spark's MEMORY_ONLY): an optional byte
-    capacity drops the least-recently-used partition when full, which is
-    safe — a dropped block is simply recomputed from lineage on next
-    access.
-
-    With a governor (``memory``) and a spill store (``spill``, a
-    :class:`~repro.sparkle.durable.DurableBlockStore`), puts reserve
-    storage bytes against the unified budget and eviction becomes
-    MEMORY_AND_DISK: victims are written to the spill store (crash-
-    atomic, checksummed) instead of discarded, and a memory miss falls
-    back to a verifying disk read.  A spilled block that fails its
-    checksum is *never* served — it is dropped and the caller recomputes
-    from lineage, metered as ``corrupt_blocks_detected``.  Blocks
-    persisted MEMORY_ONLY opt out of the disk hop and evict by dropping.
+    Puts reserve storage bytes from ``memory`` (the context's
+    :class:`~repro.sparkle.memory.MemoryManager`); on an unbounded
+    manager every put fits.  Under a budget the least-recently-used
+    blocks are evicted until the reservation fits, and with a spill
+    store (``spill``, a :class:`~repro.sparkle.durable.
+    DurableBlockStore`) eviction is MEMORY_AND_DISK: victims are written
+    to the spill store (crash-atomic, checksummed) instead of discarded,
+    and a memory miss falls back to a verifying disk read.  A spilled
+    block that fails its checksum is *never* served — it is dropped and
+    the caller recomputes from lineage, metered as
+    ``corrupt_blocks_detected``.  Blocks persisted MEMORY_ONLY opt out
+    of the disk hop and evict by dropping, which is safe — a dropped
+    block is simply recomputed from lineage on next access.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int | None = None,
-        *,
-        memory=None,
-        spill=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, memory, *, spill=None, metrics=None) -> None:
         from collections import OrderedDict
 
         self._blocks: "OrderedDict[tuple[int, int], list]" = OrderedDict()
@@ -68,7 +58,6 @@ class BlockManager:
         self._spilled: set[tuple[int, int]] = set()
         self._live_bytes = 0
         self._lock = threading.Lock()
-        self.capacity_bytes = capacity_bytes
         self.memory = memory
         self.spill = spill
         self._metrics = metrics
@@ -85,31 +74,9 @@ class BlockManager:
         items: list,
         level: str = "MEMORY_AND_DISK",
     ) -> None:
+        """Reserve-then-cache; evict-to-disk until the reservation fits."""
         key = (rdd_id, partition)
         nbytes = sum(sizeof_block(x) for x in items)
-        if self.memory is not None:
-            self._put_governed(key, items, nbytes, level)
-            return
-        with self._lock:
-            if (
-                self.capacity_bytes is not None
-                and nbytes > self.capacity_bytes
-            ):
-                return  # single block larger than the cache: skip caching
-            self._live_bytes += nbytes - self._bytes.get(key, 0)
-            self._blocks[key] = items
-            self._blocks.move_to_end(key)
-            self._bytes[key] = nbytes
-            if self.capacity_bytes is not None:
-                while self._live_bytes > self.capacity_bytes and len(self._blocks) > 1:
-                    victim, _ = self._blocks.popitem(last=False)
-                    self._live_bytes -= self._bytes.pop(victim)
-                    self.evictions += 1
-
-    def _put_governed(
-        self, key: tuple[int, int], items: list, nbytes: int, level: str
-    ) -> None:
-        """Reserve-then-cache; evict-to-disk until the reservation fits."""
         mm = self.memory
         owner = mm.current_owner()
         with self._lock:
@@ -127,9 +94,12 @@ class BlockManager:
                 self._owners[key] = owner
                 self._live_bytes += nbytes
                 return
-        # No memory even with an empty cache: disk-only residency.
+        # No memory even with an empty cache: disk-only residency.  The
+        # disk write happens outside the lock; the bookkeeping does not.
         if self.spill is not None and level == "MEMORY_AND_DISK":
-            self._spill_items(key, items, nbytes)
+            self.spill.put(self._spill_key(key), items)
+            with self._lock:
+                self._note_spilled_locked(key, nbytes)
 
     def _evict_one_locked(self) -> None:
         """Evict the LRU block — to the spill store when its level allows."""
@@ -141,10 +111,10 @@ class BlockManager:
         self.evictions += 1
         self.memory.release("storage", owner, nbytes)
         if self.spill is not None and level == "MEMORY_AND_DISK":
-            self._spill_items(victim, items, nbytes)
+            self.spill.put(self._spill_key(victim), items)
+            self._note_spilled_locked(victim, nbytes)
 
-    def _spill_items(self, key: tuple[int, int], items: list, nbytes: int) -> None:
-        self.spill.put(self._spill_key(key), items)
+    def _note_spilled_locked(self, key: tuple[int, int], nbytes: int) -> None:
         self._spilled.add(key)
         if self._metrics is not None:
             self._metrics.blocks_spilled += 1
@@ -156,7 +126,7 @@ class BlockManager:
         self._levels.pop(key, None)
         owner = self._owners.pop(key, None)
         self._live_bytes -= nbytes
-        if self.memory is not None and nbytes:
+        if nbytes:
             self.memory.release("storage", owner, nbytes)
 
     def get(self, rdd_id: int, partition: int) -> list | None:
@@ -237,8 +207,9 @@ class BlockManager:
 class SharedStorage:
     """Driver-mediated key/value store with byte accounting.
 
-    ``capacity_bytes`` bounds the live staged volume (the auxiliary
-    storage CB trades for shuffle efficiency).  An attached
+    The auxiliary storage CB trades for shuffle efficiency; it is
+    deliberately not charged to the memory governor (the paper's §IV-C
+    asymmetry: CB survives where IM hits the memory wall).  An attached
     :class:`~repro.sparkle.chaos.FaultPlan` can flake executor-side reads
     transiently (:class:`~repro.sparkle.errors.TransientIOError`, retried
     by the scheduler); driver-side reads are never faulted.  A missing
@@ -251,7 +222,6 @@ class SharedStorage:
     def __init__(
         self,
         metrics,
-        capacity_bytes: int | None = None,
         fault_plan=None,
         backing=None,
         arena=None,
@@ -261,7 +231,6 @@ class SharedStorage:
         self._live_bytes = 0
         self._lock = threading.Lock()
         self._metrics = metrics
-        self.capacity_bytes = capacity_bytes
         self.fault_plan = fault_plan
         self.backing = backing
         self.arena = arena
@@ -279,16 +248,10 @@ class SharedStorage:
             value = share_nested(self.arena, value)
         nbytes = sizeof_block(value)
         with self._lock:
-            live = self._live_bytes - self._bytes.get(key, 0)
-            if self.capacity_bytes is not None and live + nbytes > self.capacity_bytes:
-                raise StorageCapacityError(
-                    f"shared storage put of {nbytes} B exceeds capacity "
-                    f"({live} B live of {self.capacity_bytes} B)"
-                )
             old = self._data.get(key)
             self._data[key] = value
+            self._live_bytes += nbytes - self._bytes.get(key, 0)
             self._bytes[key] = nbytes
-            self._live_bytes = live + nbytes
             if old is not None and self.arena is not None and old is not value:
                 release_nested(self.arena, old)
             if self._metrics is not None:

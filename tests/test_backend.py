@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
-import os
 import pickle
 
 import numpy as np
@@ -209,11 +208,12 @@ def test_batch_dispatch_cuts_round_trips():
 
 @pytest.mark.batching
 def test_dispatch_validation(capsys):
-    """The removed offload, pipelining, affinity, fault-hook and staging
-    options fail loudly."""
+    """The removed offload, pipelining, affinity, fault-hook, staging and
+    capacity options fail loudly."""
     from repro.__main__ import main as cli_main
+    from repro.sparkle.memory import MemoryManager
     from repro.sparkle.shuffle import ShuffleManager
-    from repro.sparkle.storage import BlockManager
+    from repro.sparkle.storage import BlockManager, SharedStorage
 
     for command in (["solve", "apsp"], ["serve", "--socket", "unused.sock"]):
         for flag in (
@@ -240,6 +240,22 @@ def test_dispatch_validation(capsys):
         ShuffleManager(serialize=True)
     with pytest.raises(TypeError, match="arena"):
         BlockManager(arena=object())
+    # the capacity limits of the ungoverned engine, and their error
+    for knob in (
+        "shuffle_capacity_bytes", "storage_capacity_bytes", "cache_capacity_bytes"
+    ):
+        with pytest.raises(TypeError, match=knob):
+            SparkleContext(2, 1, **{knob: 1 << 20})
+    mm = MemoryManager(None)
+    for build in (
+        lambda: ShuffleManager(mm, capacity_bytes=1),
+        lambda: BlockManager(mm, capacity_bytes=1),
+        lambda: SharedStorage(None, capacity_bytes=1),
+    ):
+        with pytest.raises(TypeError, match="capacity_bytes"):
+            build()
+    with pytest.raises(ImportError):
+        from repro.sparkle import StorageCapacityError  # noqa: F401
     spec = FloydWarshallGep()
     t = fw_table(8, seed=0)
     with pytest.raises(TypeError, match="dispatch"):
@@ -603,31 +619,3 @@ def test_cached_partitions_survive_downstream_mutation_attempts(backend):
     for k in first:
         assert np.array_equal(first[k], blocks[k])
         assert np.array_equal(second[k], blocks[k])
-
-
-# ----------------------------------------------------------------------
-# perf gate (multicore hosts only; recorded by `make bench` elsewhere)
-# ----------------------------------------------------------------------
-@pytest.mark.perf
-@pytest.mark.slow
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="speedup claim needs >= 4 cores"
-)
-@needs_shm
-def test_process_backend_faster_on_multicore_host():
-    import time
-
-    spec = FloydWarshallGep()
-    table = fw_table(512, seed=0)
-    walls = {}
-    for backend in BACKENDS:
-        with SparkleContext(4, 2, backend=backend) as sc:
-            solver = GepSparkSolver(
-                spec, sc, r=8, kernel=make_kernel(spec, "iterative"), strategy="im"
-            )
-            t0 = time.perf_counter()
-            out, _ = solver.solve(table.copy())
-            walls[backend] = time.perf_counter() - t0
-    # Generous bound: any real win keeps this comfortably true, while
-    # scheduler noise on a loaded CI box does not flake it.
-    assert walls["processes"] < walls["threads"] * 1.1

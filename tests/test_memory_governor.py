@@ -1,19 +1,16 @@
 """Unified memory governor: spill-to-disk, backpressure, degradation.
 
-The invariant under test is the robustness counterpart of the capacity
-failure mode the seed engine reproduced faithfully: a solve whose
-working set exceeds the memory budget must *complete* — by spilling
-cached blocks and staged shuffle outputs to checksummed disk, queueing
-task launches under pressure, and (when armed) degrading IM→CB at an
-outer-iteration boundary — and the result must be bit-identical to an
-unbudgeted run.  The same configuration on the ungoverned engine fails
-with :class:`StorageCapacityError`, which pins down exactly what the
-governor buys.  The ``mem_squeeze`` chaos kind shrinks the budget
-mid-solve under the seeded determinism contract: same seed, same
-pressure-transition trace, same counters.
+The invariant under test: a solve whose working set exceeds the memory
+budget must *complete* — by spilling cached blocks and staged shuffle
+outputs to checksummed disk, queueing task launches under pressure, and
+(when armed) degrading IM→CB at an outer-iteration boundary — and the
+result must be bit-identical to an unbudgeted run.  The ``mem_squeeze``
+chaos kind shrinks the budget mid-solve under the seeded determinism
+contract: same seed, same pressure-transition trace, same counters.
 """
 
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -26,6 +23,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main as cli_main
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
+from repro.service import SolverService
 from repro.sparkle import (
     EngineMetrics,
     FaultPlan,
@@ -35,11 +33,12 @@ from repro.sparkle import (
     PRESSURE_OK,
     PRESSURE_PRESSURED,
     ShuffleFetchFailed,
+    SolveRequest,
     SparkleContext,
-    StorageCapacityError,
     TaskError,
 )
 from repro.sparkle.durable import DurableBlockStore
+from repro.sparkle.serialize import shm_supported
 from repro.sparkle.shuffle import ShuffleManager
 from repro.sparkle.storage import BlockManager
 
@@ -51,9 +50,8 @@ SPEC = FloydWarshallGep()
 TABLE = fw_table(16, seed=3)
 R = 4
 
-#: Deliberately below the IM working set for TABLE/R: the ungoverned
-#: engine overflows this as a shuffle staging capacity, the governed
-#: engine completes under it as a memory budget.
+#: Deliberately below the IM working set for TABLE/R: the engine
+#: completes under it as a memory budget only by spilling.
 TIGHT_BUDGET = 2048
 
 
@@ -70,14 +68,12 @@ def spark_solve(
     budget=None,
     plan=None,
     degrade=False,
-    shuffle_capacity=None,
     spill_dir=None,
 ):
     sc = SparkleContext(
         2,
         1,
         fault_plan=plan,
-        shuffle_capacity_bytes=shuffle_capacity,
         memory_budget_bytes=budget,
         spill_dir=spill_dir,
     )
@@ -228,7 +224,7 @@ class TestBlockManagerSpill:
         metrics = EngineMetrics()
         mm = MemoryManager(budget, metrics=metrics, task_quantum_bytes=1)
         store = DurableBlockStore(tmp_path / "spill", metrics=metrics, sync=False)
-        bm = BlockManager(memory=mm, spill=store, metrics=metrics)
+        bm = BlockManager(mm, spill=store, metrics=metrics)
         return bm, mm, store, metrics
 
     def test_eviction_spills_and_reads_back(self, tmp_path):
@@ -262,7 +258,55 @@ class TestBlockManagerSpill:
         bm.put(0, 0, [big])
         assert bm.num_blocks == 0
         assert bm.num_spilled == 1
-        np.testing.assert_array_equal(bm.get(0, 0)[0], big)
+        assert metrics.blocks_spilled == 1
+        assert metrics.spill_bytes_written == 256
+        assert bm.contains(0, 0)
+        np.testing.assert_array_equal(bm.get(0, 0)[0], big)  # verified read
+        assert metrics.spill_reads == 1
+        assert mm.live_bytes == 0
+
+    def test_disk_only_puts_race_sweeps_without_tearing_bookkeeping(self, tmp_path):
+        # Disk-only puts write outside the lock but must book `_spilled`
+        # under it: evict_rdd / contains iterate and read that set.
+        bm, mm, store, metrics = self.make(tmp_path, 64)
+        big = [np.zeros(32)]  # 256 B > budget: every put is disk-only
+        errors, stop = [], threading.Event()
+
+        def guarded(body):
+            def run():
+                try:
+                    while not stop.is_set():
+                        body()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        counters = [0, 0, 0]
+
+        def putter(rdd_id):
+            def body():
+                counters[rdd_id] += 1
+                bm.put(rdd_id, counters[rdd_id] % 64, big)
+            return body
+
+        def sweep():
+            bm.evict_rdd(0)
+            bm.contains(1, 3)
+
+        threads = [guarded(putter(i)) for i in range(3)] + [guarded(sweep)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
         assert mm.live_bytes == 0
 
     def test_corrupt_spill_is_never_served(self, tmp_path):
@@ -302,7 +346,7 @@ class TestShuffleManagerSpill:
         metrics = EngineMetrics()
         mm = MemoryManager(budget, metrics=metrics, task_quantum_bytes=1)
         store = DurableBlockStore(tmp_path / "spill", metrics=metrics, sync=False)
-        sm = ShuffleManager(memory=mm, spill=store, metrics=metrics)
+        sm = ShuffleManager(mm, spill=store, metrics=metrics)
         return sm, mm, store, metrics
 
     def test_overflow_spills_oldest_and_fetches_back(self, tmp_path):
@@ -321,7 +365,7 @@ class TestShuffleManagerSpill:
     def test_no_spill_store_drops_oldest_for_recompute(self, tmp_path):
         metrics = EngineMetrics()
         mm = MemoryManager(300, metrics=metrics, task_quantum_bytes=1)
-        sm = ShuffleManager(memory=mm, metrics=metrics)
+        sm = ShuffleManager(mm, metrics=metrics)
         sid = sm.new_shuffle_id()
         for mp in range(3):
             sm.write(sid, mp, bucket(np.ones(16)))
@@ -372,16 +416,28 @@ class TestShuffleManagerSpill:
 # ----------------------------------------------------------------------
 class TestStageAbortCleanup:
     def test_capacity_overflow_mid_stage_leaves_nothing_staged(self):
-        # Legacy (ungoverned) staging capacity: each of the 4 map tasks
-        # stages ~320 B, so the stage overflows after the first write.
-        with SparkleContext(2, 1, shuffle_capacity_bytes=500) as sc:
-            pairs = sc.parallelize(range(16), 4).map(
-                lambda x: (x % 4, np.ones(8))
-            )
+        # The last of the 4 map tasks dies once another has staged its
+        # ~320 B, so the abort finds a partially materialized shuffle.
+        staged_at_abort = []
+        with SparkleContext(2, 1) as sc:
+            sm = sc._shuffle_manager
+
+            def mapper(x):
+                if x == 15:
+                    deadline = time.monotonic() + 5.0
+                    while sm.live_bytes() == 0 and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    staged_at_abort.append(sm.live_bytes())
+                    raise ValueError("map task dies mid-stage")
+                return (x % 4, np.ones(8))
+
+            pairs = sc.parallelize(range(16), 4).map(mapper)
             with pytest.raises(TaskError) as exc_info:
                 pairs.reduceByKey(lambda a, b: a + b).collect()
-            assert isinstance(exc_info.value.__cause__, StorageCapacityError)
-            assert sc._shuffle_manager.live_bytes() == 0
+            assert isinstance(exc_info.value.__cause__, ValueError)
+            assert staged_at_abort[0] > 0
+            assert sm.live_bytes() == 0
+            assert sc.memory_manager.live_bytes == 0
             assert sc.metrics.shuffle_partial_cleanups >= 1
 
 
@@ -390,16 +446,10 @@ class TestStageAbortCleanup:
 # ----------------------------------------------------------------------
 class TestBudgetedSolve:
     def test_ungoverned_engine_fails_where_governor_completes(self):
-        expected = expected_result()
-        # Pre-governor failure mode: the same byte ceiling as a staging
-        # capacity kills the solve with StorageCapacityError...
-        with pytest.raises(TaskError) as exc_info:
-            spark_solve(TABLE, shuffle_capacity=TIGHT_BUDGET)
-        assert isinstance(exc_info.value.__cause__, StorageCapacityError)
-        # ...while the governed engine completes under it, bit-identical,
-        # by spilling to disk.
+        # A budget below the IM working set completes, bit-identical to
+        # the unbudgeted run, by spilling to disk.
         out, report, metrics = spark_solve(TABLE, budget=TIGHT_BUDGET)
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out, expected_result())
         mem = report.memory
         assert mem["spill_bytes_written"] > 0
         assert mem["shuffle_blocks_spilled"] > 0
@@ -478,6 +528,70 @@ class TestBudgetedSolve:
             TABLE, budget=budget, plan=plan, degrade=True, strategy=strategy
         )
         assert np.array_equal(out, expected_result())
+
+
+# ----------------------------------------------------------------------
+# Ledger conservation: every context has a governor, and it ends at zero
+# ----------------------------------------------------------------------
+def assert_ledgers_zero(mm):
+    usage = mm.usage()
+    assert usage["live_bytes"] == 0
+    assert usage["execution_bytes"] == usage["storage_bytes"] == 0
+    assert usage["by_owner"] == {"execution": {}, "storage": {}}
+    assert usage["admitted_tasks"] == 0
+    assert usage["tenants"] == {}
+
+
+@pytest.mark.parametrize("budget", [None, 8 * TIGHT_BUDGET])
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "threads",
+        pytest.param(
+            "processes",
+            marks=pytest.mark.skipif(
+                not shm_supported(),
+                reason="multiprocessing.shared_memory unavailable",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("strategy", ["im", "cb", "bcast"])
+def test_ledgers_return_to_zero_on_every_context(strategy, backend, budget):
+    with SparkleContext(2, 1, backend=backend, memory_budget_bytes=budget) as sc:
+        mm = sc.memory_manager
+        assert mm.bounded is (budget is not None)
+        solver = GepSparkSolver(
+            SPEC, sc, r=R, kernel=make_kernel(SPEC, "iterative"), strategy=strategy
+        )
+        out, report = solver.solve(TABLE)
+        assert np.array_equal(out, expected_result())
+        assert ("memory_budget" in report.extras) is mm.bounded
+        if not mm.bounded:
+            assert sc.spill_store is None
+            assert sc.metrics.forced_grants == sc.metrics.admission_waits == 0
+            assert sc.metrics.pressure_transitions == []
+        sc.reclaim_solve_state()
+        assert_ledgers_zero(mm)
+
+
+@pytest.mark.timeout(120)
+def test_ledgers_return_to_zero_after_a_service_round():
+    request = SolveRequest(
+        spec=SPEC, table=TABLE, r=R, kernel=make_kernel(SPEC, "iterative"),
+        tenant="acme",
+    )
+    with SparkleContext(2, 1) as sc:
+        service = SolverService(sc)
+        try:
+            miss = service.solve(request, timeout=60)
+            hit = service.solve(request, timeout=60)
+            assert (miss.from_cache, hit.from_cache) == (False, True)
+            # the cached result is charged to the (unbounded) ledgers
+            assert sc.memory_manager.usage()["tenants"]["acme"]["held_bytes"] > 0
+        finally:
+            service.stop()
+        assert_ledgers_zero(sc.memory_manager)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ from repro.sparkle import (
     SparkleContext,
     WorkerCrashed,
 )
-from repro.sparkle.memory import PRESSURE_CRITICAL
+from repro.sparkle.memory import PRESSURE_CRITICAL, MemoryManager
 from repro.sparkle.metrics import ServiceMetrics
 from repro.workloads import random_digraph_weights
 
@@ -389,7 +389,7 @@ class TestResultCache:
 
     def test_lru_capacity_eviction(self):
         metrics = ServiceMetrics()
-        cache = ResultCache(2, None, metrics)
+        cache = ResultCache(2, MemoryManager(None), metrics)
         a, b, c = (np.full((2, 2), float(i)) for i in range(3))
         cache.put("a", a)
         cache.put("b", b)

@@ -1,5 +1,5 @@
 """sparkle engine: scheduler, shuffle, metrics, failure recovery,
-broadcast, storage capacities."""
+broadcast, shared storage, block cache."""
 
 import threading
 import time
@@ -14,10 +14,10 @@ from repro.sparkle import (
     JobAborted,
     ShuffleFetchFailed,
     SparkleContext,
-    StorageCapacityError,
     TaskError,
 )
 from repro.sparkle.executors import ExecutorPool
+from repro.sparkle.memory import MemoryManager
 from repro.sparkle.shuffle import ShuffleManager
 from repro.util import sizeof_block
 
@@ -99,18 +99,8 @@ class TestShuffleAccounting:
             sc.parallelize([arr, arr], 2).collect()
             assert sc.metrics.jobs[-1].collect_bytes == 2 * arr.nbytes
 
-    def test_capacity_limit_enforced(self):
-        with SparkleContext(
-            2, 2, shuffle_capacity_bytes=100
-        ) as sc:
-            big = np.ones(1000)
-            rdd = sc.parallelize([(1, big)], 1).partitionBy(2)
-            with pytest.raises(TaskError) as err:
-                rdd.collect()
-            assert isinstance(err.value.__cause__, StorageCapacityError)
-
     def test_manager_fetch_order_is_map_partition_order(self):
-        sm = ShuffleManager()
+        sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
         sm.write(sid, 1, {0: [("k", "late")]})
         sm.write(sid, 0, {0: [("k", "early")]})
@@ -118,7 +108,7 @@ class TestShuffleAccounting:
         assert [v for _k, v in items] == ["early", "late"]
 
     def test_manager_missing_output_raises_fetch_failed(self):
-        sm = ShuffleManager()
+        sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
         sm.write(sid, 0, {0: []})
         with pytest.raises(ShuffleFetchFailed) as err:
@@ -127,7 +117,7 @@ class TestShuffleAccounting:
         assert err.value.missing == (1,)
 
     def test_manager_release_frees_bytes(self):
-        sm = ShuffleManager()
+        sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
         sm.write(sid, 0, {0: [(1, np.ones(10))]})
         assert sm.live_bytes() > 0
@@ -287,11 +277,6 @@ class TestBroadcastAndStorage:
             assert sc.shared_storage.contains(("pivot", 0))
             assert len(sc.shared_storage) == 1
 
-    def test_shared_storage_capacity(self):
-        with SparkleContext(1, 1, storage_capacity_bytes=64) as sc:
-            with pytest.raises(StorageCapacityError):
-                sc.shared_storage.put("big", np.ones(100))
-
     def test_shared_storage_missing_key(self):
         with SparkleContext(1, 1) as sc:
             # typed (and still a KeyError for dict-idiom callers)
@@ -317,7 +302,7 @@ class TestBroadcastAndStorage:
 
         arr = np.ones(64)
         blk = sizeof_block(arr)  # puts size each item, not the list
-        bm = BlockManager(capacity_bytes=3 * blk)
+        bm = BlockManager(MemoryManager(3 * blk))
         for rdd_id in range(5):
             bm.put(rdd_id, 0, [arr])
         assert bm.live_bytes <= 3 * blk

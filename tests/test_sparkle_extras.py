@@ -85,11 +85,11 @@ class TestCoalesce:
 class TestCacheEviction:
     def test_lru_eviction_recomputes(self):
         calls = []
-        with SparkleContext(1, 1, cache_capacity_bytes=1500) as ctx:
+        with SparkleContext(1, 1, memory_budget_bytes=1500) as ctx:
             rdd = (
                 ctx.parallelize(range(6), 3)
                 .map(lambda x: (calls.append(x), np.ones(32) * x)[1])
-                .cache()
+                .persist("MEMORY_ONLY")
             )
             rdd.count()
             first = len(calls)
@@ -98,8 +98,12 @@ class TestCacheEviction:
             assert len(calls) > first  # evicted partitions recomputed
 
         # Results stay correct regardless of eviction.
-        with SparkleContext(1, 1, cache_capacity_bytes=1500) as ctx:
-            rdd = ctx.parallelize(range(6), 3).map(lambda x: x * 2).cache()
+        with SparkleContext(1, 1, memory_budget_bytes=1500) as ctx:
+            rdd = (
+                ctx.parallelize(range(6), 3)
+                .map(lambda x: x * 2)
+                .persist("MEMORY_ONLY")
+            )
             assert rdd.collect() == rdd.collect() == [x * 2 for x in range(6)]
 
     def test_unbounded_cache_never_evicts(self):
@@ -111,8 +115,12 @@ class TestCacheEviction:
             assert ctx._block_manager.live_bytes > 0
 
     def test_oversized_block_not_cached(self):
-        with SparkleContext(1, 1, cache_capacity_bytes=100) as ctx:
-            rdd = ctx.parallelize([0], 1).map(lambda x: np.ones(1000)).cache()
+        with SparkleContext(1, 1, memory_budget_bytes=100) as ctx:
+            rdd = (
+                ctx.parallelize([0], 1)
+                .map(lambda x: np.ones(1000))
+                .persist("MEMORY_ONLY")
+            )
             rdd.count()
             assert ctx._block_manager.num_blocks == 0
 

@@ -300,36 +300,64 @@ class TestQuotaEnforcement:
         assert (clone.tenant, clone.used_bytes, clone.quota_bytes,
                 clone.retry_after) == ("acme", 10, 8, 0.5)
 
-    def test_quota_without_governor_is_refused_loudly(self):
-        # quotas are attributed through the memory governor: a context
-        # without a budget cannot enforce them, and silent non-enforcement
-        # would be a security hole — so construction fails.
+    @pytest.mark.timeout(120)
+    def test_quota_on_unbudgeted_context_is_enforced(self):
+        # the tenant ledger is an overlay on the governor, independent
+        # of its byte budget: a context built without one still has a
+        # (unbounded) governor, so quotas are enforced, not refused
+        charge = _table().nbytes * 3  # tenant_charge_factor default
         sc = _context()  # no memory_budget_bytes
-        assert sc.memory_manager is None
+        assert not sc.memory_manager.bounded
         config = ServiceConfig(
-            tenant_policies={"capped": TenantPolicy(quota_bytes=1 << 20)},
+            tenant_policies={"capped": TenantPolicy(quota_bytes=charge)},
         )
+        service = SolverService(sc, config=config)
+        gate = _gate_solves(service)
         try:
-            with pytest.raises(ValueError, match="memory governor"):
-                SolverService(sc, config=config)
-            # weight/rate-only policies are fine without a governor
-            service = SolverService(sc, config=ServiceConfig(
-                tenant_policies={"capped": TenantPolicy(weight=2, rate=10.0)},
-            ))
-            service.stop()
+            first = service.submit(_request(0, tenant="capped"))
+            with pytest.raises(TenantQuotaExceededError) as exc_info:
+                service.submit(_request(1, tenant="capped"))
+            assert exc_info.value.tenant == "capped"
+            assert exc_info.value.used_bytes == charge
+            assert exc_info.value.quota_bytes == charge
+            other = service.submit(_request(2, tenant="free"))
+            assert service.metrics.quota_rejections == 1
+            gate.set()
+            assert first.result(120).result.tobytes() == _reference(0).tobytes()
+            assert other.result(120)
         finally:
+            gate.set()
+            service.stop()
             sc.stop()
 
-    def test_serve_cli_refuses_quota_without_memory_budget(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve",
-             "--socket", str(tmp_path / "t.sock"),
+    @pytest.mark.timeout(120)
+    def test_serve_cli_accepts_quota_without_memory_budget(self):
+        sock_dir = tempfile.mkdtemp(prefix="repro-tnc-")
+        sock = os.path.join(sock_dir, "s.sock")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--executors", "2", "--cores", "1",
              "--tenant-quota", "capped=1048576"],
-            capture_output=True, text=True, timeout=60,
+            cwd=str(REPO_ROOT),
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        assert proc.returncode == 2
-        assert "--tenant-quota requires --memory-budget" in proc.stderr
+        try:
+            _wait_ready(sock, proc)
+            stats = send_request(sock, {"op": "stats"}, retries=2)
+            assert stats["tenants"] == {
+                "capped": {"held_bytes": 0, "quota_bytes": 1048576}
+            }
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, f"drain failed:\n{out}"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(sock_dir)
 
     @pytest.mark.timeout(120)
     def test_breach_refuses_only_the_breacher_and_releases_on_settle(self):
