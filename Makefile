@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak tenancy smoke bench scoreboard scoreboard-compare
+.PHONY: test tier1 robustness supervision batching service soak tenancy smoke bench scoreboard scoreboard-compare scoreboard-pairs
 
 # full suite
 test:
@@ -68,3 +68,11 @@ scoreboard:
 # (each a set written by --out, or a JSON list of sets)
 scoreboard-compare:
 	python3 bench/run.py --compare $(BASE) $(NEW)
+
+# The protocol of a performance claim in one command: PAIRS alternating
+# parent/change runs of each workload (a fresh seed per pair, each side
+# running its own bench/), the per-pair win tally, then --compare.
+# make scoreboard-pairs PARENT=HEAD~1 WORKLOADS="fw_fine_im ge_fine_cb" PAIRS=10
+PAIRS ?= 10
+scoreboard-pairs:
+	python3 benchmarks/pairs.py --parent $(PARENT) --workloads "$(WORKLOADS)" --pairs $(PAIRS)

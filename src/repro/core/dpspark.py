@@ -33,8 +33,14 @@ surfaced on :attr:`SolveReport.recovery`.
 
 Data plane.  Kernel invocations go through :meth:`GepSparkSolver.
 _run_tile_batch` — one call per task — which never mutates its inputs.
-On the default thread backend it takes the historical defensive
-``tile.copy()`` (the retry-purity contract above).
+On the default thread backend the iterative kernel takes the task's
+case-D tiles a *stack* at a time (:meth:`~repro.kernels.IterativeKernel.
+run_stacks`: equal geometry, as many as fit its fold budget — 64 8x8
+tiles a call, none from 26x26 up) and the stack of the inputs is the
+private copy of the retry-purity contract above; every other call — A,
+B and C (their operands alias the tile), tiles too large to stack, the
+recursive kernel — takes the historical defensive ``tile.copy()`` and
+one kernel call each.  Every result owns its memory either way.
 On the process backend (``SparkleContext(backend="processes")``)
 picklable kernels are offloaded to worker processes, a task's tile
 updates in one round-trip: each tile is staged into a shared-memory
@@ -684,10 +690,14 @@ class GepSparkSolver:
         pristine inputs.
 
         Whenever kernel offload is available the whole list — stage A's
-        single call included — goes to a worker in one round-trip;
-        otherwise each call runs on the thread path.  Both produce
-        bit-identical arrays.  The task's kernel stats are merged into
-        the shared sink once.
+        single call included — goes to a worker in one round-trip (one
+        kernel call per envelope there: the per-call heartbeat token is
+        what attributes a crash to a tile).  Otherwise the list runs on
+        the thread path: the kernel's ``run_stacks``, where it has one,
+        updates the D tiles it can stack, and each remaining call runs
+        alone on its private copy.  All of these produce bit-identical
+        arrays.  The task's kernel stats are merged into the shared sink
+        once.
         """
         backend = self.sc._executors.backend
         blob = (
@@ -698,7 +708,15 @@ class GepSparkSolver:
         with self._task_stats() as sink:
             if blob is not None:
                 return self._updated_tiles_batch(backend, blob, calls, sink)
-            return [self._thread_updated_tile(*c, sink) for c in calls]
+            # whatever the kernel did not stack (None) goes tile by tile
+            run_stacks = getattr(self.kernel, "run_stacks", None)
+            results = (
+                run_stacks(calls, sink) if run_stacks else [None] * len(calls)
+            )
+            for idx, call in enumerate(calls):
+                if results[idx] is None:
+                    results[idx] = self._thread_updated_tile(*call, sink)
+            return results
 
     def _updated_tiles_batch(self, backend, blob: bytes, calls: list, sink) -> list:
         """Offload one task's calls, with per-call poison handling.

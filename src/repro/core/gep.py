@@ -123,7 +123,18 @@ class GepSpec(abc.ABC):
         no mask for ``kk = 0 .. pivot-1`` — which is the default.
         Overrides may fuse the steps but must keep that result exactly,
         including when ``u``/``v``/``w`` alias ``x``.
+
+        ``x`` may be a stack ``(M, rows, cols)`` with ``u`` ``(M, rows,
+        pivot)``, ``v`` ``(M, pivot, cols)`` and ``w`` one pivot tile for
+        the whole stack or ``(M, pivot, pivot)``: every tile gets exactly
+        the update it would get alone.  The default takes them one by
+        one.
         """
+        if x.ndim == 3:
+            for m in range(x.shape[0]):
+                wm = w if w is None or w.ndim == 2 else w[m]
+                self.apply_steps(x[m], u[m], v[m], wm, pivot)
+            return
         w_diag = None if w is None else w.diagonal()
         for kk in range(pivot):
             self.apply_k(
@@ -300,10 +311,14 @@ class GaussianEliminationGep(GepSpec):
         # the same order, through one reused buffer.  GE steps are never
         # re-associated: floating-point subtraction rounds.  The buffer
         # is complete before ``x`` is written, so aliasing stays safe.
+        # All three are elementwise, so over a stack (leading axis) each
+        # tile sees the operations it would see alone, step by step.
         update = np.empty(x.shape, dtype=np.result_type(u, v))
-        w_diag = w.diagonal()
+        w_diag = w.diagonal(axis1=-2, axis2=-1)
+        if w_diag.ndim == 2:  # a pivot tile per stacked tile
+            w_diag = w_diag.T[:, :, None, None]
         for kk in range(pivot):
-            np.multiply(u[:, kk, None], v[None, kk, :], out=update)
+            np.multiply(u[..., kk, None], v[..., None, kk, :], out=update)
             update /= w_diag[kk]
             x -= update
 

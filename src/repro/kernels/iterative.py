@@ -49,6 +49,43 @@ FW/TC, and GE's trailing tiles — is one ``GepSpec.apply_steps`` call:
 * **GE** runs its steps in order through one reused buffer — the same
   multiply, divide and subtract per step.  Floating-point subtraction
   rounds, so GE steps are never re-associated.
+
+Stacks
+------
+A call is cheap arithmetic behind a fixed cost (~30 µs of validation,
+predicates, buffers and ufunc dispatch), and on small tiles the cost is
+everything: an 8x8 tile does 512 cell updates per call.  So the unit of
+the fast path is a *stack*: ``x`` ``(M, rows, cols)``, ``u`` ``(M, rows,
+pivot)``, ``v`` ``(M, pivot, cols)``, ``w`` one pivot tile shared by the
+stack or ``(M, pivot, pivot)``, ``gi0`` / ``gj0`` sequences of ``M``
+offsets, one ``gk0``.  A 2-D tile is the stack of one — the same code,
+indexed from the last axes — and every tile of a stack ends with exactly
+the bits it would have alone:
+
+* the semiring fold keeps ``k`` as the *leading* axis of its chunked
+  broadcast ``(k, M, rows, cols)``, so the ⊕-reduction runs over ``k`` by
+  repeated elementwise ⊕ per cell, in step order, ``±0.0`` ties broken as
+  in the step loop, whatever ``M`` is;
+* GE stays sequential in ``k``: one multiply, one divide, one subtract
+  per step over the whole stack, all elementwise;
+* the tropical guard checks the stack for NaN once and restores and
+  redoes, alone and guarded, only the tiles that hold one;
+* Σ_G mask-freedom is checked per tile and ``k_active`` once per stack
+  (one pivot range); a stack with a masked tile or a partly inactive
+  range falls apart into its tiles, each taking the general path;
+* ``KernelStats`` records one base invocation per tile, as ever.
+
+:meth:`IterativeKernel.run_stacks` is where a task's call list becomes
+stacks: case-D calls only (four distinct tiles; A/B/C alias ``x`` and
+must read what earlier steps wrote), of equal geometry, pivot range and
+the spec's dtype, ``_FOLD_CHUNK_ELEMS // (cells x pivot)`` deep so the
+whole fold stays one cache-resident chunk — 64 tiles at 8x8, 8 at 16x16,
+2 at 25x25; from 26x26 up a tile already fills a call and nothing is
+stacked.  Stacking copies the inputs (that copy *is* the caller's private
+retry-purity copy) and every result is copied out to own its memory: a
+view would pin its whole stack behind one live tile and report the
+stack's bytes nowhere.  Single-cell tiles, foreign dtypes, ``pure_loop``
+and the odd tile out stay single calls.
 """
 
 from __future__ import annotations
@@ -56,6 +93,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.gep import GepSpec
+from ..semiring import base as _semiring_base
 from .stats import KernelStats
 
 __all__ = ["gep_tile_update", "gep_tile_update_loop", "IterativeKernel"]
@@ -67,8 +105,8 @@ def gep_tile_update(
     u: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
-    gi0: int,
-    gj0: int,
+    gi0,
+    gj0,
     gk0: int,
     n_global: int,
     stats: KernelStats | None = None,
@@ -79,32 +117,57 @@ def gep_tile_update(
     ``w`` may be ``None`` when the spec declares ``needs_w = False``
     (semiring folds): the pivot extent is then taken from ``u``, and the
     spec receives ``None`` for ``c[k,k]``.
+
+    ``x`` may also be a stack ``(M, rows, cols)`` of tiles sharing the
+    pivot range, with ``u`` ``(M, rows, pivot)``, ``v`` ``(M, pivot,
+    cols)``, ``w`` one pivot tile for all of them or ``(M, pivot,
+    pivot)``, and ``gi0`` / ``gj0`` sequences of the ``M`` offsets (see
+    the module docstring); a 2-D tile is the stack of one.
     """
     if w is None:
         if spec.needs_w:
             raise ValueError(f"spec {spec.name!r} requires the pivot tile W")
-        pivot = u.shape[1]
+        pivot = u.shape[-1]
     else:
-        pivot = w.shape[0]
-        if w.shape[0] != w.shape[1]:
+        pivot = w.shape[-1]
+        if w.shape not in ((pivot, pivot), x.shape[:-2] + (pivot, pivot)):
             raise ValueError(f"pivot tile must be square, got {w.shape}")
-    if u.shape != (x.shape[0], pivot):
-        raise ValueError(f"U tile shape {u.shape} != {(x.shape[0], pivot)}")
-    if v.shape != (pivot, x.shape[1]):
-        raise ValueError(f"V tile shape {v.shape} != {(pivot, x.shape[1])}")
+    shape = x.shape[-2:]
+    if u.shape != x.shape[:-1] + (pivot,):
+        raise ValueError(f"U tile shape {u.shape} != {x.shape[:-1] + (pivot,)}")
+    if v.shape != x.shape[:-2] + (pivot, shape[1]):
+        raise ValueError(
+            f"V tile shape {v.shape} != {x.shape[:-2] + (pivot, shape[1])}"
+        )
+    stacked = x.ndim == 3
+    offsets = list(zip(gi0, gj0, strict=True)) if stacked else [(gi0, gj0)]
+    if stacked and len(offsets) != len(x):
+        raise ValueError(f"{len(offsets)} offsets for a stack of {len(x)} tiles")
     # Fast path: when no step of this tile's pivot range needs a Σ_G
     # mask (checked once — mask-freedom is monotone in gk) and every
-    # step is active, the whole pivot range is one ``apply_steps`` call
-    # and the spec fuses the steps as far as its arithmetic allows.
-    # This is the hot shape: FW/TC tiles are never masked, and GE tiles
-    # strictly below/right of the pivot stop being masked as soon as
-    # ``gi0 > gk`` / ``gj0 > gk``.
-    if spec.sigma_mask_free(gi0, gj0, x.shape, gk0, gk0 + pivot) and all(
-        spec.k_active(gk0 + kk, n_global) for kk in range(pivot)
-    ):
+    # step is active (probed once for a whole stack), the whole pivot
+    # range is one ``apply_steps`` call and the spec fuses the steps as
+    # far as its arithmetic allows.  This is the hot shape: FW/TC tiles
+    # are never masked, and GE tiles strictly below/right of the pivot
+    # stop being masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
+    if all(
+        spec.sigma_mask_free(i0, j0, shape, gk0, gk0 + pivot) for i0, j0 in offsets
+    ) and all(spec.k_active(gk0 + kk, n_global) for kk in range(pivot)):
         spec.apply_steps(x, u, v, w, pivot)
         if stats is not None:
-            stats.record_base(case, x.shape[0], x.shape[1], pivot, x.size * pivot)
+            for _ in offsets:
+                stats.record_base(
+                    case, shape[0], shape[1], pivot, shape[0] * shape[1] * pivot
+                )
+        return
+    if stacked:
+        # Some tile is masked or the range partly inactive: each goes
+        # alone, step by step, exactly as it would unstacked.
+        for m, (i0, j0) in enumerate(offsets):
+            wm = w if w is None or w.ndim == 2 else w[m]
+            gep_tile_update(
+                spec, x[m], u[m], v[m], wm, i0, j0, gk0, n_global, stats, case
+            )
         return
     updates = 0
     for kk in range(pivot):
@@ -181,13 +244,14 @@ class IterativeKernel:
         u: np.ndarray,
         v: np.ndarray,
         w: np.ndarray,
-        gi0: int,
-        gj0: int,
+        gi0,
+        gj0,
         gk0: int,
         n_global: int,
         stats: KernelStats | None = None,
     ) -> None:
-        """Run one tile-kernel invocation (case ∈ {A, B, C, D})."""
+        """Run one tile-kernel invocation (case ∈ {A, B, C, D}) — or one
+        stack of them, in :func:`gep_tile_update`'s stacked form."""
         if self.pure_loop:
             gep_tile_update_loop(self.spec, x, u, v, w, gi0, gj0, gk0, n_global)
             if stats is not None:
@@ -197,6 +261,63 @@ class IterativeKernel:
             gep_tile_update(
                 self.spec, x, u, v, w, gi0, gj0, gk0, n_global, stats, case
             )
+
+    def run_stacks(self, calls: list, stats: KernelStats | None = None) -> list:
+        """Update the stackable case-D tiles of one task's call list.
+
+        ``calls`` entries are ``(case, tile, u, v, w, gi0, gj0, gk0,
+        n_global)``.  Case-D calls of equal tile geometry, pivot range
+        and the spec's dtype are stacked as deep as the whole fold fits
+        ``_FOLD_CHUNK_ELEMS`` — the stack is the private copy, the input
+        tiles are never written — and each stack is one :meth:`run`.
+        Returns a list aligned with ``calls``: the updated tile (owning
+        its memory, never a view of the stack) or ``None`` for every
+        call left to the caller — other cases, single-cell tiles,
+        foreign dtypes, tiles too large to stack two of, an odd one out.
+        """
+        results: list = [None] * len(calls)
+        if self.pure_loop:
+            return results
+        groups: dict[tuple, list[int]] = {}
+        for idx, call in enumerate(calls):
+            if call[0] != "D":
+                continue
+            _case, tile, u, v, w, _gi0, _gj0, gk0, n_global = call
+            alike = (
+                gk0, n_global, tile.shape, u.shape, v.shape,
+                tile.dtype, u.dtype, v.dtype,
+                None if w is None else (w.shape, w.dtype),
+            )
+            groups.setdefault(alike, []).append(idx)
+        dtype = self.spec.dtype
+        for members in groups.values():
+            _case, tile, u, v, w, _gi0, _gj0, gk0, n_global = calls[members[0]]
+            if (
+                not tile.ndim == u.ndim == v.ndim == 2
+                or not tile.dtype == u.dtype == v.dtype == dtype
+                or not (w is None or w.ndim == 2 and w.dtype == dtype)
+                or tile.size < 2
+            ):
+                continue
+            depth = _semiring_base._FOLD_CHUNK_ELEMS // max(1, tile.size * u.shape[1])
+            if depth < 2:
+                continue
+            for at in range(0, len(members), depth):
+                part = members[at : at + depth]
+                if len(part) < 2:
+                    continue
+                _cases, tiles, us, vs, ws, gi0s, gj0s, *_ = zip(
+                    *(calls[idx] for idx in part)
+                )
+                x = np.array(tiles)
+                one_w = all(other is w for other in ws)  # the pivot fan-out
+                self.run(
+                    "D", x, np.array(us), np.array(vs),
+                    w if one_w else np.array(ws), gi0s, gj0s, gk0, n_global, stats,
+                )
+                for idx, updated in zip(part, x):
+                    results[idx] = updated.copy()
+        return results
 
     def describe(self) -> dict:
         """Kernel metadata recorded into execution traces."""

@@ -38,29 +38,33 @@ def fold_steps_idempotent(
 ) -> None:
     """Raw-ufunc :meth:`Semiring.fold_steps` for an idempotent, exact ⊕.
 
+    ``x`` is one ``(rows, cols)`` tile or a stack ``(M, rows, cols)`` of
+    them with ``u`` ``(M, rows, K)`` and ``v`` ``(M, K, cols)``; the last
+    two axes are a tile's, so a 2-D tile is the stack of one.
+
     *Independent operands* (neither ``u`` nor ``v`` can share memory with
     ``x`` — kernel case D): the rank-1 steps are taken a chunk at a
-    time as one ``(k, rows, cols)`` broadcast ``u[i,k] ⊙ v[k,j]``,
+    time as one ``(k, [M,] rows, cols)`` broadcast ``u[i,k] ⊙ v[k,j]``,
     ⊕-reduced over ``k`` and folded into ``x`` once per chunk.  ``min``,
     ``max`` and ``or`` pick one of their operands and never round, and
     NumPy reduces a non-contiguous leading axis by repeated elementwise
-    ⊕ (same tie-breaking on ``±0.0`` as the sequential loop), so the
-    re-association changes no bit.  The chunk is bounded by
-    ``_FOLD_CHUNK_ELEMS``.
+    ⊕ (same tie-breaking on ``±0.0`` as the sequential loop — ``k`` is
+    the leading axis whatever the stack depth), so the re-association
+    changes no bit.  The chunk is bounded by ``_FOLD_CHUNK_ELEMS``.
 
     *Aliased operands* (decided by identity, then conservatively by
     ``np.may_share_memory``), single-cell tiles (whose k axis would be
-    the contiguous one) and tiles too large for a two-step chunk keep
+    the contiguous one) and folds too large for a two-step chunk keep
     sequential k order through one preallocated buffer: two ufunc calls
     per step, the ⊙ materialized before ``x`` is written.
 
     Nothing here guards ``inf + (-inf)``; the tropical semirings wrap
     this call in their once-per-call guard.
     """
-    pivot = u.shape[1]
+    pivot = u.shape[-1]
     chunk = min(pivot, _FOLD_CHUNK_ELEMS // max(1, x.size))
     if (
-        x.size < 2
+        x.shape[-2] * x.shape[-1] < 2
         or chunk < 2
         or u is x
         or v is x
@@ -69,16 +73,19 @@ def fold_steps_idempotent(
     ):
         buf = np.empty_like(x)
         for k in range(pivot):
-            otimes(u[:, k, None], v[None, k, :], out=buf)
+            otimes(u[..., k, None], v[..., None, k, :], out=buf)
             oplus(x, buf, out=x)
         return
     buf = np.empty((chunk,) + x.shape, dtype=x.dtype)
     red = np.empty_like(x)
-    ut = u.T
+    if x.ndim == 2:
+        ut, vt = u.T[:, :, None], v[:, None, :]
+    else:  # k leads, then the stack axis
+        ut, vt = u.transpose(2, 0, 1)[..., None], v.transpose(1, 0, 2)[:, :, None, :]
     for k0 in range(0, pivot, chunk):
         k1 = min(k0 + chunk, pivot)
         cand = buf[: k1 - k0]
-        otimes(ut[k0:k1, :, None], v[k0:k1, None, :], out=cand)
+        otimes(ut[k0:k1], vt[k0:k1], out=cand)
         oplus.reduce(cand, axis=0, out=red)
         oplus(x, red, out=x)
 
@@ -130,15 +137,16 @@ class Semiring(abc.ABC):
     def fold_steps(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``x[i,j] ⊕= u[i,k] ⊙ v[k,j]`` for ``k = 0 .. K-1`` in order, in place.
 
-        ``u`` is ``(rows, K)`` and ``v`` is ``(K, cols)``; either may
-        alias ``x`` (the GEP kernels' A/B/C cases), so every step
-        materializes its ⊙-combination before ⊕-ing it into ``x``.  The
-        default is the sequential rank-1 loop, valid for any semiring;
-        idempotent semirings override it with
+        ``u`` is ``(rows, K)`` and ``v`` is ``(K, cols)`` — or all three
+        carry one leading stack axis, each tile folded with its own
+        operands; either may alias ``x`` (the GEP kernels' A/B/C cases),
+        so every step materializes its ⊙-combination before ⊕-ing it
+        into ``x``.  The default is the sequential rank-1 loop, valid
+        for any semiring; idempotent semirings override it with
         :func:`fold_steps_idempotent`.
         """
-        for k in range(u.shape[1]):
-            self.add_inplace(x, self.mul(u[:, k, None], v[None, k, :]))
+        for k in range(u.shape[-1]):
+            self.add_inplace(x, self.mul(u[..., k, None], v[..., None, k, :]))
         return x
 
     def star(self, a: Any) -> Any:

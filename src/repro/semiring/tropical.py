@@ -44,7 +44,10 @@ def _fold_steps_guarded_once(
     the per-step guard would have been a no-op at every step and the
     values are the guarded ones.  On a NaN the tile is restored and the
     call redone through the guarded sequential default — rare: it takes
-    opposite infinities (or NaN) in the operands.
+    opposite infinities (or NaN) in the operands.  A stack
+    ``(M, rows, cols)`` is checked once, whole; only the tiles holding a
+    NaN are restored and redone, each alone — tiles of a stack never
+    read one another, so the rest already hold their guarded values.
 
     Tables in another dtype than the semiring's stay on the default so
     ``out=`` never casts.
@@ -55,8 +58,13 @@ def _fold_steps_guarded_once(
     with np.errstate(invalid="ignore"):
         fold_steps_idempotent(x, u, v, np.add, oplus)
     if np.isnan(x).any():
-        x[...] = pristine
-        Semiring.fold_steps(sr, x, u, v)
+        if x.ndim == 2:
+            x[...] = pristine
+            Semiring.fold_steps(sr, x, u, v)
+        else:
+            for m in np.flatnonzero(np.isnan(x).any(axis=(1, 2))):
+                x[m] = pristine[m]
+                Semiring.fold_steps(sr, x[m], u[m], v[m])
     return x
 
 

@@ -46,11 +46,6 @@ from .errors import (
 __all__ = ["ShuffleManager"]
 
 
-def _pair_size(item: tuple[Any, Any]) -> int:
-    key, value = item
-    return 16 + sizeof_block(value)  # key assumed small/fixed
-
-
 def pack_map_output(*_args, **_kwargs):
     """Tombstone of the deleted serialised staging path; nothing calls it.
 
@@ -86,10 +81,12 @@ class ShuffleManager:
         self._lock = threading.Lock()
         # (shuffle_id, map_partition) -> {reduce_partition: [items]}
         self._outputs: dict[tuple[int, int], dict[int, list]] = {}
-        self._output_bytes: dict[tuple[int, int], int] = {}
+        # (shuffle_id, map_partition) -> {reduce_partition: nbytes}: every
+        # staged output's buckets, sized once at write — kept in memory
+        # also while the buckets are spilled, dropped by _discard_locked
+        self._bucket_bytes: dict[tuple[int, int], dict[int, int]] = {}
         # keys whose buckets live in the spill store, not memory
         self._spilled: set[tuple[int, int]] = set()
-        self._spilled_bytes: dict[tuple[int, int], int] = {}
         self._owners: dict[tuple[int, int], Any] = {}
         self._bytes_by_shuffle: dict[int, int] = {}
         self._next_shuffle_id = 0
@@ -128,15 +125,31 @@ class ShuffleManager:
                 f"injected staging overflow: shuffle {shuffle_id} "
                 f"map partition {map_partition}"
             )
-        nbytes = sum(_pair_size(item) for items in buckets.values() for item in items)
+        # The one walk over the records: every later reader of a size
+        # (fetch, spill, release) looks it up.
+        sizes = {}
+        for reduce_partition, items in buckets.items():
+            size = 16 * len(items)  # key assumed small/fixed
+            for _key, value in items:
+                size += sizeof_block(value)
+            sizes[reduce_partition] = size
+        nbytes = sum(sizes.values())
         key = (shuffle_id, map_partition)
         with self._lock:
-            self._stage_locked(key, buckets, nbytes)
+            self._stage_locked(key, buckets, sizes, nbytes)
             self.total_bytes_written += nbytes
         return nbytes
 
+    def _output_bytes_locked(self, key: tuple[int, int]) -> int:
+        """Bytes of one staged output, in memory or spilled."""
+        return sum(self._bucket_bytes[key].values())
+
     def _stage_locked(
-        self, key: tuple[int, int], buckets: dict[int, list], nbytes: int
+        self,
+        key: tuple[int, int],
+        buckets: dict[int, list],
+        sizes: dict[int, int],
+        nbytes: int,
     ) -> None:
         """Reserve-then-stage; spill oldest staged outputs until it fits."""
         mm = self.memory
@@ -144,6 +157,7 @@ class ShuffleManager:
         # Idempotent overwrite: retried/speculative map tasks re-stage
         # the same output.
         self._discard_locked(key)
+        self._bucket_bytes[key] = sizes
         reserved = mm.reserve("execution", owner, nbytes)
         while not reserved and self._outputs:
             self._spill_oldest_locked()
@@ -158,7 +172,6 @@ class ShuffleManager:
             # budget rather than deadlock or fail the stage.
             mm.reserve("execution", owner, nbytes, force=True)
         self._outputs[key] = buckets
-        self._output_bytes[key] = nbytes
         self._owners[key] = owner
         self._bytes_by_shuffle[key[0]] = (
             self._bytes_by_shuffle.get(key[0], 0) + nbytes
@@ -168,7 +181,7 @@ class ShuffleManager:
         """Move the oldest in-memory staged output to the spill store."""
         victim = next(iter(self._outputs))
         buckets = self._outputs.pop(victim)
-        nbytes = self._output_bytes.pop(victim)
+        nbytes = self._output_bytes_locked(victim)
         owner = self._owners.pop(victim, None)
         self._bytes_by_shuffle[victim[0]] = (
             self._bytes_by_shuffle.get(victim[0], 0) - nbytes
@@ -176,23 +189,29 @@ class ShuffleManager:
         self.memory.release("execution", owner, nbytes)
         if self.spill is not None:
             self._spill_buckets_locked(victim, buckets, nbytes)
-        # Without a spill store the output is simply dropped: consumers
-        # hit ShuffleFetchFailed and recompute it from lineage.
+        else:
+            # Without a spill store the output is simply dropped:
+            # consumers hit ShuffleFetchFailed and recompute it from
+            # lineage.
+            del self._bucket_bytes[victim]
 
     def _spill_buckets_locked(
         self, key: tuple[int, int], buckets: dict[int, list], nbytes: int
     ) -> None:
         self.spill.put(self._spill_block_key(key), buckets)
         self._spilled.add(key)
-        self._spilled_bytes[key] = nbytes
         if self._metrics is not None:
             self._metrics.shuffle_blocks_spilled += 1
             self._metrics.spill_bytes_written += nbytes
 
-    def _discard_locked(self, key: tuple[int, int], drop_spill_file: bool = True) -> None:
-        """Forget a staged output (memory accounting + spill bookkeeping)."""
+    def _discard_locked(self, key: tuple[int, int], drop_spill_file: bool = True) -> int:
+        """Forget a staged output (memory accounting, bucket sizes and
+        spill bookkeeping) — the one way a staged output goes away.
+        Returns the in-memory bytes it held."""
+        sizes = self._bucket_bytes.pop(key, None)
+        stale = 0
         if key in self._outputs:
-            stale = self._output_bytes.pop(key, 0)
+            stale = sum(sizes.values())
             del self._outputs[key]
             self._bytes_by_shuffle[key[0]] = (
                 self._bytes_by_shuffle.get(key[0], 0) - stale
@@ -202,9 +221,9 @@ class ShuffleManager:
                 self.memory.release("execution", owner, stale)
         if key in self._spilled:
             self._spilled.discard(key)
-            self._spilled_bytes.pop(key, None)
             if drop_spill_file and self.spill is not None:
                 self.spill.delete(self._spill_block_key(key))
+        return stale
 
     def _fetch_one_locked(self, key: tuple[int, int]) -> dict[int, list]:
         """One map output's buckets, reading back from spill if needed."""
@@ -220,7 +239,7 @@ class ShuffleManager:
             raise ShuffleFetchFailed(key[0], (key[1],)) from None
         if self._metrics is not None:
             self._metrics.spill_reads += 1
-            self._metrics.spill_bytes_read += self._spilled_bytes.get(key, 0)
+            self._metrics.spill_bytes_read += self._output_bytes_locked(key)
         return buckets
 
     def fetch(
@@ -241,7 +260,7 @@ class ShuffleManager:
         scheduler can recompute them from lineage.
         """
         items: list = []
-        remote = 0
+        nbytes = remote = 0
         with self._lock:
             missing = tuple(
                 mp
@@ -252,13 +271,15 @@ class ShuffleManager:
             if missing:
                 raise ShuffleFetchFailed(shuffle_id, missing)
             for mp in range(num_map_partitions):
-                buckets = self._fetch_one_locked((shuffle_id, mp))
-                chunk = buckets.get(reduce_partition, [])
+                key = (shuffle_id, mp)
+                chunk = self._fetch_one_locked(key).get(reduce_partition)
+                if chunk is None:
+                    continue
                 items.extend(chunk)
+                size = self._bucket_bytes[key][reduce_partition]
+                nbytes += size
                 if remote_map_partition is not None and remote_map_partition(mp):
-                    remote += sum(_pair_size(item) for item in chunk)
-        nbytes = sum(_pair_size(item) for item in items)
-        with self._lock:
+                    remote += size
             self.total_bytes_read += nbytes
         return items, nbytes, remote
 
@@ -276,8 +297,7 @@ class ShuffleManager:
                 if k[0] == shuffle_id
             ]
             for key in keys:
-                freed += self._output_bytes.get(key, 0)
-                self._discard_locked(key)
+                freed += self._discard_locked(key)
             self._bytes_by_shuffle.pop(shuffle_id, None)
             return freed
 
@@ -293,8 +313,7 @@ class ShuffleManager:
         with self._lock:
             freed = 0
             for key in list(set(self._outputs) | self._spilled):
-                freed += self._output_bytes.get(key, 0)
-                self._discard_locked(key)
+                freed += self._discard_locked(key)
             self._bytes_by_shuffle.clear()
             return freed
 

@@ -255,3 +255,87 @@ def test_bcast_uses_less_shuffle_than_im():
         bc.engine_metrics.total_shuffle_bytes
         < im.engine_metrics.total_shuffle_bytes
     )
+
+
+@pytest.mark.parametrize(
+    "name, n, r, strategy, plan, work, kernel_calls",
+    [
+        # toy scale, then the benchmark's two fine-tile (8x8) shapes once
+        # each: fw_fine_im and ge_fine_cb
+        ("fw", 32, 4, "im", (1, 22, 168, 191_784, 293_160, 0), (32_768, 64), 40),
+        ("fw", 192, 24, "im",
+         (1, 122, 968, 43_773_744, 65_670_960, 0), (7_077_888, 13_824), 1_372),
+        ("ge", 256, 32, "cb",
+         (64, 97, 764, 17_842_176, 68_665_344, 16_506_880), (5_559_680, 11_440), 1_252),
+    ],
+)
+def test_stacked_d_calls_leave_plan_and_books_alone(
+    name, n, r, strategy, plan, work, kernel_calls, monkeypatch
+):
+    """A task's D tiles reach the kernel a stack at a time — far fewer
+    ``IterativeKernel.run`` calls — and nothing the engine counts may
+    notice: the blocked oracle's output, the plan (jobs / stages / tasks),
+    shuffle bytes written and read, storage bytes read, and one kernel
+    invocation recorded per tile, all at their pre-stacking values."""
+    from repro.kernels import IterativeKernel
+
+    ran = []
+    run = IterativeKernel.run
+    monkeypatch.setattr(
+        IterativeKernel, "run", lambda self, *a, **kw: ran.append(1) or run(self, *a, **kw)
+    )
+    spec, make = SPECS[name]
+    table = make(n, seed=1)
+    with SparkleContext(num_executors=2, cores_per_executor=1) as sc:
+        got, report = run_gep(
+            spec, table, engine="spark", r=r, strategy=strategy, sc=sc,
+            collect_stats=True,
+        )
+    assert len(ran) == kernel_calls
+    del ran[:]
+    want, _ = run_gep(spec, table, engine="local", r=r)
+    assert np.array_equal(got, want)
+    s = report.summary()
+    read = sum(
+        stage.shuffle_bytes_read
+        for job in report.engine_metrics.jobs
+        for stage in job.stages
+    )
+    assert (
+        s["jobs"], s["stages"], s["tasks"], s["shuffle_bytes"], read,
+        s["storage_bytes_read"],
+    ) == plan
+    assert (s["kernel_updates"], s["kernel_invocations"]) == work
+    assert len(ran) == work[1]  # the oracle still calls once per tile
+
+
+def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
+    """Retry purity on 8x8 tiles, where every D task is stacked: attempts
+    die before they start (``kill``) and after their kernels ran
+    (``overflow`` fails the map-output write), so tasks recompute from
+    the same inputs.  GE would double-subtract a mutated tile; no input
+    tile's bytes may ever change and every result owns its memory."""
+    spec, make = SPECS["ge"]
+    table = make(32, seed=4)
+    want, _ = run_gep(spec, table, engine="spark", r=4, strategy="im")
+
+    seen = []  # (input tile, its bytes when the kernel batch got it)
+    batch = GepSparkSolver._run_tile_batch
+
+    def watched(self, calls):
+        seen.extend((call[1], call[1].tobytes()) for call in calls)
+        results = batch(self, calls)
+        for out in results:
+            assert out.base is None and out.flags.writeable and out.flags.owndata
+        return results
+
+    monkeypatch.setattr(GepSparkSolver, "_run_tile_batch", watched)
+    plan = FaultPlan(
+        23, [FaultSpec("kill", rate=0.2), FaultSpec("overflow", rate=0.3)]
+    )
+    with SparkleContext(2, 1, fault_plan=plan) as sc:
+        got, _ = run_gep(spec, table, engine="spark", r=4, strategy="im", sc=sc)
+        assert sc.metrics.transient_io_failures >= 1
+        assert sc.metrics.tasks_retried > sc.metrics.transient_io_failures
+    assert got.tobytes() == want.tobytes()
+    assert seen and all(tile.tobytes() == before for tile, before in seen)

@@ -422,13 +422,14 @@ def _case_operands(case, x, u, v):
 
 
 @given(data=st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_property_fused_fold_equals_sequential_steps(data):
     """semiring x case x ragged shape x {±inf, -0.0, NaN}: the fused fast
     path is bit-identical to the per-``k`` ``apply_k`` loop (NaN positions
-    and zero signs included) and equal to the scalar loop."""
+    and zero signs included) and equal to the scalar loop; for case D, a
+    stack of 1..5 such tiles is bit-identical to as many separate calls."""
     name = data.draw(st.sampled_from(sorted(_ALPHABETS)))
-    case = data.draw(st.sampled_from("ABCD"))
+    case = data.draw(st.sampled_from("ABCDD"))  # D twice: it alone stacks
     tame, wild = _ALPHABETS[name]
     wild_draw = data.draw(st.booleans())
     values = st.sampled_from(tame + (wild if wild_draw else []))
@@ -463,19 +464,129 @@ def test_property_fused_fold_equals_sequential_steps(data):
         gep_tile_update_loop(spec, looped, lu, lv, None, 3, 5, 0, 64)
         assert np.array_equal(fused, looped, equal_nan=name != "boolean")
 
+    if case != "D":
+        return
+    depth = data.draw(st.integers(1, 5))
+    stack = [(x0, u0, v0)] + [
+        (tile(mi, mj), tile(mi, pivot), tile(pivot, mj)) for _ in range(depth - 1)
+    ]
+    pristine = [x.tobytes() for x, _u, _v in stack]
+    solo = []
+    for x, u, v in stack:
+        out = x.copy()
+        gep_tile_update(spec, out, u, v, None, 3, 5, 0, 64)
+        solo.append(out.tobytes())
+    xs, us, vs = (np.array(part) for part in zip(*stack))
+    calls = [("D", x, u, v, None, 3, 5, 0, 64) for x, u, v in stack]
+    with mock.patch.object(semiring_base, "_FOLD_CHUNK_ELEMS", budget):
+        # whatever the budget, a stack handed to the kernel is folded right
+        # (multi-chunk, or sequentially when two steps do not fit) ...
+        gep_tile_update(spec, xs, us, vs, None, [3] * depth, [5] * depth, 0, 64)
+        # ... and the task path stacks only what the budget allows (None:
+        # left to the tile-by-tile path), splitting deeper groups
+        outs = IterativeKernel(spec).run_stacks(calls)
+    assert [x.tobytes() for x in xs] == solo
+    room = budget // (x0.size * pivot)  # tiles per stack the budget allows
+    for at, (out, want) in enumerate(zip(outs, solo)):
+        odd_one_out = room >= 2 and depth % room == 1 and at == depth - 1
+        assert (out is None) == (x0.size < 2 or room < 2 or odd_one_out)
+        if out is not None:
+            assert out.tobytes() == want and out.base is None
+    assert [x.tobytes() for x, _u, _v in stack] == pristine
+
+
+def test_stack_depth_follows_the_fold_budget(fw_spec, monkeypatch):
+    """A stack is as deep as the whole fold fits ``_FOLD_CHUNK_ELEMS``:
+    64 tiles at 8x8, 8 at 16x16, 2 at 25x25, none from 26x26 up; a deeper
+    group splits, and a tile left over alone is not stacked."""
+    depths = []
+    run = IterativeKernel.run
+
+    def recording_run(self, case, x, *rest, **kw):
+        depths.append(len(x))
+        return run(self, case, x, *rest, **kw)
+
+    monkeypatch.setattr(IterativeKernel, "run", recording_run)
+    rng = np.random.default_rng(6)
+    for edge, tiles, stacks, alone in [
+        (8, 70, [64, 6], 0), (16, 17, [8, 8], 1), (25, 3, [2], 1), (26, 3, [], 3),
+    ]:
+        calls = [
+            ("D", *(rng.random((edge, edge)) for _ in range(3)), None, 0, 0, 0, 64)
+            for _ in range(tiles)
+        ]
+        del depths[:]
+        outs = IterativeKernel(fw_spec).run_stacks(calls)
+        assert depths == stacks
+        assert sum(out is None for out in outs) == alone
+
+
+_GE_CELLS = [0.0, -0.0, 1.0, -2.5, 3.0, 0.1, 1e308, -1e308, 1e-308, _INF, _NAN]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_ge_stack_equals_separate_tiles(data):
+    """GE twin of the stack check: ``apply_steps`` over a stack — one
+    pivot tile for all, or one per tile — gives every tile the bits it
+    gets alone (same multiply / divide / subtract, step by step)."""
+    spec = GaussianEliminationGep()
+    depth = data.draw(st.integers(1, 5))
+    mi, mj, pivot = (data.draw(st.integers(1, 6)) for _ in range(3))
+    shared_w = data.draw(st.booleans())
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        cells = data.draw(
+            st.lists(st.sampled_from(_GE_CELLS), min_size=size, max_size=size)
+        )
+        return np.array(cells, dtype=spec.dtype).reshape(shape)
+
+    xs, us, vs = draw(depth, mi, mj), draw(depth, mi, pivot), draw(depth, pivot, mj)
+    ws = draw(pivot, pivot) if shared_w else draw(depth, pivot, pivot)
+    offsets = [40 + 7 * m for m in range(depth)]  # below/right of the pivot: unmasked
+    calls = [
+        ("D", xs[m].copy(), us[m], vs[m], ws if shared_w else ws[m],
+         offsets[m], offsets[m], 0, 64)
+        for m in range(depth)
+    ]
+    with np.errstate(all="ignore"):
+        solo = []
+        for m in range(depth):
+            out = xs[m].copy()
+            spec.apply_steps(out, us[m], vs[m], ws if shared_w else ws[m], pivot)
+            solo.append(out.tobytes())
+        stats = KernelStats()
+        outs = IterativeKernel(spec).run_stacks(calls, stats)
+        spec.apply_steps(xs, us, vs, ws, pivot)
+    assert [x.tobytes() for x in xs] == solo
+    stacked = depth >= 2 and mi * mj >= 2
+    assert [out is not None for out in outs] == [stacked] * depth
+    assert stats.invocations == ({"D": depth} if stacked else {})
+    if stacked:
+        assert [out.tobytes() for out in outs] == solo
+
 
 def test_single_cell_tile_keeps_zero_signs(fw_spec):
     """On a 1x1 tile the k axis of the broadcast is the contiguous one,
     which NumPy reduces in SIMD lane order — a different tie-break on
-    ``±0.0`` than the step loop's.  Such tiles stay sequential."""
+    ``±0.0`` than the step loop's.  Such tiles stay sequential, and a
+    task's list of them is never stacked."""
     rng = np.random.default_rng(0)
     cells = np.array([0.0, -0.0, 1.0, np.inf])
-    for _ in range(300):
-        x0, u, v = (rng.choice(cells, size=s) for s in ((1, 1), (1, 32), (32, 1)))
-        got, want = x0.copy(), x0.copy()
-        gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
-        _per_k_loop(fw_spec, want, u, v)
-        assert got.tobytes() == want.tobytes()
+    kernel = IterativeKernel(fw_spec)
+    for _ in range(150):
+        pair = [
+            [rng.choice(cells, size=s) for s in ((1, 1), (1, 32), (32, 1))]
+            for _ in range(2)
+        ]
+        calls = [("D", x0, u, v, None, 40, 41, 0, 64) for x0, u, v in pair]
+        assert kernel.run_stacks(calls) == [None, None]
+        for x0, u, v in pair:
+            got, want = x0.copy(), x0.copy()
+            gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
+            _per_k_loop(fw_spec, want, u, v)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_overlapping_subviews_take_the_sequential_branch(fw_spec):
@@ -525,12 +636,18 @@ def test_float32_table_keeps_the_default_fold(fw_spec, monkeypatch):
 
     monkeypatch.setattr(tropical, "fold_steps_idempotent", boom)
     rng = np.random.default_rng(3)
-    x0, u, v = (rng.random((6, 6)).astype(np.float32) for _ in range(3))
-    got, want = x0.copy(), x0.copy()
-    gep_tile_update(fw_spec, got, u, v, None, 0, 6, 12, 64)
-    _per_k_loop(fw_spec, want, u, v)
-    assert got.dtype == np.float32
-    assert got.tobytes() == want.tobytes()
+    pair = [
+        [rng.random((6, 6)).astype(np.float32) for _ in range(3)] for _ in range(2)
+    ]
+    # ... and a task's list of such tiles is never stacked
+    calls = [("D", x0, u, v, None, 0, 6, 12, 64) for x0, u, v in pair]
+    assert IterativeKernel(fw_spec).run_stacks(calls) == [None, None]
+    for x0, u, v in pair:
+        got, want = x0.copy(), x0.copy()
+        gep_tile_update(fw_spec, got, u, v, None, 0, 6, 12, 64)
+        _per_k_loop(fw_spec, want, u, v)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGuardFallback:
@@ -580,3 +697,22 @@ class TestGuardFallback:
         assert not np.isnan(got).any()
         assert got[0, 3] == -np.inf  # finite + (-inf) still wins the min
         assert got[1, 3] == min(x0[1, 3], *(u[1, k] + v[k, 3] for k in (0, 1, 3)))
+
+    def test_one_tile_of_a_stack_trips_the_guard(self, fw_spec, monkeypatch):
+        """The guard checks the stack once; only the tile that met
+        ``inf + (-inf)`` is restored and redone, alone."""
+        rng = np.random.default_rng(11)
+        xs, us, vs = (rng.integers(1, 20, size=(4, 4, 4)).astype(float) for _ in range(3))
+        us[2, 1, 2] = np.inf
+        vs[2, 2, 3] = -np.inf
+        solo = []
+        for m in range(4):
+            out = xs[m].copy()
+            gep_tile_update(fw_spec, out, us[m], vs[m], None, 4, 8, 0, 12)
+            solo.append(out.tobytes())
+
+        calls = self._count_guarded(monkeypatch)
+        gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
+        assert calls == {"fold": 1, "mul": 4}  # one tile's steps, no more
+        assert [x.tobytes() for x in xs] == solo
+        assert not np.isnan(xs).any()

@@ -124,6 +124,97 @@ class TestShuffleAccounting:
         sm.release(sid)
         assert sm.live_bytes() == 0
 
+    def test_manager_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
+        """``write`` walks the records; ``fetch`` looks the sizes up."""
+        from repro.sparkle import shuffle
+
+        walked = []
+        monkeypatch.setattr(
+            shuffle, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+        )
+        sm = ShuffleManager(MemoryManager(None))
+        sid = sm.new_shuffle_id()
+        tile = np.ones((4, 4))
+        assert sm.write(sid, 0, {0: [(1, ("x", tile))], 1: [(2, tile), (3, tile)]}) == 441
+        assert sm.write(sid, 1, {1: [(4, ("u", tile))]}) == 153
+        assert len(walked) == 4
+        items, nbytes, remote = sm.fetch(sid, 1, 2, remote_map_partition=lambda mp: mp == 1)
+        assert [k for k, _v in items] == [2, 3, 4]
+        assert (nbytes, remote) == (2 * (16 + 128) + 153, 153)
+        assert sm.fetch(sid, 0, 2)[1:] == (153, 0)
+        assert sm.fetch(sid, 2, 2) == ([], 0, 0)  # nothing bucketed for it
+        assert len(walked) == 4
+        assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    def test_manager_discards_drop_the_bucket_sizes(self, tmp_path, spilled):
+        """Every way a staged output goes away — release, clear, a lost
+        executor, a retried map task's overwrite — takes its per-bucket
+        sizes along, whether the buckets sat in memory or on disk."""
+        from repro.sparkle.durable import DurableBlockStore
+
+        # 144 B a write: under a 300 B budget the oldest output spills
+        mm = MemoryManager(300 if spilled else None, task_quantum_bytes=1)
+        store = DurableBlockStore(tmp_path / "spill", sync=False) if spilled else None
+        sm = ShuffleManager(mm, spill=store)
+
+        def stage(sid):
+            for mp in range(3):
+                sm.write(sid, mp, {0: [(0, np.full(16, float(mp)))]})
+            assert sm.num_spilled == int(spilled)
+            assert set(sm._bucket_bytes) == {(sid, 0), (sid, 1), (sid, 2)}
+
+        first, second = sm.new_shuffle_id(), sm.new_shuffle_id()
+        stage(first)
+        sm.release(first)
+        assert sm._bucket_bytes == {}
+        stage(second)
+        assert sm.drop_executor_outputs(lambda mp: mp == 0) == [(second, 0)]
+        assert set(sm._bucket_bytes) == {(second, 1), (second, 2)}
+        sm.write(second, 1, {0: [(0, np.ones(2))], 3: [(1, np.ones(1))]})  # the retry
+        assert sm._bucket_bytes[(second, 1)] == {0: 32, 3: 24}
+        sm.clear()
+        assert sm._bucket_bytes == {} and sm.num_spilled == 0
+        assert mm.live_bytes == 0 and sm.live_bytes() == 0
+
+    def test_manager_corrupt_spill_block_leaves_no_bucket_sizes(self, tmp_path):
+        from repro.sparkle.durable import DurableBlockStore
+
+        store = DurableBlockStore(tmp_path / "spill", sync=False)
+        sm = ShuffleManager(MemoryManager(300, task_quantum_bytes=1), spill=store)
+        sid = sm.new_shuffle_id()
+        for mp in range(3):
+            sm.write(sid, mp, {0: [(0, np.ones(16))]})
+        path = store.blocks_dir / store._filename(repr(("shuffle", sid, 0)))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShuffleFetchFailed) as err:
+            sm.fetch(sid, 0, 3)
+        assert err.value.missing == (0,)
+        assert set(sm._bucket_bytes) == {(sid, 1), (sid, 2)}
+        assert sm.total_bytes_read == 0
+
+    def test_spilled_map_outputs_report_the_same_bytes_read(self):
+        """A budget that spills map outputs changes where the buckets
+        wait, not what a reducer is charged for them."""
+        from repro.core.api import run_gep
+        from repro.core.gep import FloydWarshallGep
+
+        table = np.random.default_rng(3).integers(1, 9, (16, 16)).astype(float)
+        per_stage = {}
+        for budget in (None, 2048):
+            with SparkleContext(2, 1, memory_budget_bytes=budget) as sc:
+                run_gep(FloydWarshallGep(), table, engine="spark", r=4, sc=sc)
+                assert (sc.metrics.shuffle_blocks_spilled > 0) == (budget is not None)
+                per_stage[budget] = [
+                    (stage.shuffle_bytes_read, stage.shuffle_bytes_remote)
+                    for job in sc.metrics.jobs
+                    for stage in job.stages
+                ]
+        assert per_stage[2048] == per_stage[None]
+        assert sum(read for read, _remote in per_stage[None]) > 0
+
 
 class TestFailureRecovery:
     def test_injected_failure_recovers_via_lineage(self):
