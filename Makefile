@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak tenancy smoke bench scoreboard scoreboard-compare scoreboard-pairs
+.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest
 
 # full suite
 test:
@@ -49,18 +49,12 @@ tenancy:
 # tenancy
 smoke: tier1 robustness batching service tenancy
 
-# A/B the thread and process data planes on the pinned FW-APSP workload
-# and write BENCH_engine.json (wall-clock, shuffle bytes, shared-memory
-# accounting per backend).  BENCH_ARGS="--quick" for CI scale.
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_driver.py $(BENCH_ARGS)
-
 # The repo's benchmark (bench/README.md, BENCHMARK.json): six workloads,
-# every end-to-end metric by name, outputs checked.  This — not `make
-# bench` above, which it supersedes — is how a performance claim is
-# checked: run it on the parent commit and on the change (ten sets each,
-# alternating, for a claim), then compare.  SCOREBOARD_ARGS="--seed 7
-# --trace 1" for another seed or the per-layer ledger.
+# every end-to-end metric by name, outputs checked.  This is how a
+# performance claim is checked: run it on the parent commit and on the
+# change (ten sets each, alternating, for a claim), then compare.
+# SCOREBOARD_ARGS="--seed 7 --trace 1" for another seed or the per-layer
+# ledger.
 scoreboard:
 	python3 bench/run.py --out .bench_tmp/set.json $(SCOREBOARD_ARGS)
 
@@ -76,3 +70,11 @@ scoreboard-compare:
 PAIRS ?= 10
 scoreboard-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --workloads "$(WORKLOADS)" --pairs $(PAIRS)
+
+# BENCH_engine.json, the tracked perf trajectory: one traced scoreboard
+# set, digested (five end-to-end metrics, overhead and all-CPUs ratios,
+# exact counts per workload; host; commit).  ~15 min.
+scoreboard-digest:
+	mkdir -p .bench_tmp/digest
+	python3 bench/run.py --trace 1 --out .bench_tmp/digest/set.json
+	python3 benchmarks/digest.py .bench_tmp/digest/set.json BENCH_engine.json

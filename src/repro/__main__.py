@@ -18,8 +18,7 @@ Commands
     JSON written with ``solve --report``.
 ``workers``
     Print the worker-supervision counters (crashes, respawns, missed
-    heartbeats, deadlines, poison quarantines, orphan reclamations,
-    backend degradations) from a solve report JSON written with
+    heartbeats, deadlines, poison quarantines, backend degradations) from a solve report JSON written with
     ``solve --report``.
 ``tune``
     Print the analytical tuning advice for a problem on a cluster preset.
@@ -362,7 +361,6 @@ def _cmd_workers(args) -> int:
         "heartbeats_missed",
         "deadlines_exceeded",
         "poison_tasks",
-        "orphan_segments_reclaimed",
         "backend_degradations",
     )
     if not any(key in summary for key in counters):

@@ -43,12 +43,13 @@ recursive kernel — takes the historical defensive ``tile.copy()`` and
 one kernel call each.  Every result owns its memory either way.
 On the process backend (``SparkleContext(backend="processes")``)
 picklable kernels are offloaded to worker processes, a task's tile
-updates in one round-trip: each tile is staged into a shared-memory
-scratch segment (that staging *is* the private copy), operands already
-resident in the arena (CB storage blocks, broadcast tiles)
-travel as segment names instead of bytes, and intra-tile
-aliasing (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) is re-established
-worker-side via the :data:`~repro.sparkle.backend.ALIAS_X` sentinel.
+updates in one round-trip: the tiles and every operand — shuffled,
+CB-stored or broadcast alike — are pickled out once each in the batch's
+operand pool, the worker updates its own copy of each tile (the pickle
+plus that copy *is* the private copy) and pickles the updated tiles
+back, and intra-tile aliasing (A's ``u=v=w=x``, B's ``v=x``, C's
+``u=x``) is re-established worker-side via the
+:data:`~repro.sparkle.backend.ALIAS_X` sentinel.
 Both paths are bit-identical; the backend-parity property test pins
 that down.
 """
@@ -684,10 +685,9 @@ class GepSparkSolver:
         backend.ALIAS_X` sentinel, meaning "this operand is the tile
         itself" (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) — resolved
         against the private copy on the thread path, or re-established
-        against the shared-memory scratch view by the worker on the
-        process path.  Never mutating the input tiles is the
-        retry-purity contract: retried and speculative attempts must see
-        pristine inputs.
+        against the worker's own copy of the tile on the process path.
+        Never mutating the input tiles is the retry-purity contract:
+        retried and speculative attempts must see pristine inputs.
 
         Whenever kernel offload is available the whole list — stage A's
         single call included — goes to a worker in one round-trip (one

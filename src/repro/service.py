@@ -1389,9 +1389,8 @@ class SolverService:
         ``set_job_deadline``: the scheduler checks it at stage and
         attempt boundaries (cheap, cooperative), and — for offloaded
         passes — the process backend caps every offload wait at it, so
-        a kernel stuck in a worker is SIGKILLed and reaped (shm segments
-        included) by the PR 5 crash protocol instead of outliving the
-        request.  Safe to mutate shared context state here because
+        a kernel stuck in a worker is SIGKILLed and reaped by the PR 5
+        crash protocol instead of outliving the request.  Safe to mutate shared context state here because
         passes are serialized on the dispatcher thread; everything is
         restored in ``finally``.
         """

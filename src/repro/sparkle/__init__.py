@@ -39,9 +39,9 @@ the process backend, workers heartbeat into a shared-memory board
 watched by a driver-side watchdog (silent workers are SIGKILLed),
 offloaded kernel calls can carry wall-clock deadlines
 (``TaskDeadlineExceeded``), and a worker death runs a full crash
-protocol — orphaned scratch segments are reclaimed, the pool respawns
-under deterministic bounded backoff, and the in-flight call retries
-through the scheduler's attempt machinery (``WorkerCrashed``).  A call
+protocol — the pool respawns under deterministic bounded backoff and
+the in-flight call retries through the scheduler's attempt machinery
+(``WorkerCrashed``).  A call
 that kills ``max_task_failures`` fresh workers is quarantined
 (``PoisonTaskError``); the GEP solver's ``--degrade-on-crash`` then
 falls back to the thread backend at the next outer-iteration boundary,
@@ -53,10 +53,11 @@ The data plane is pluggable (:mod:`repro.sparkle.backend`): the default
 ``threads`` backend is the historical deterministic in-process pool,
 while ``SparkleContext(backend="processes")`` runs one worker process
 per simulated executor and offloads kernel tile updates past the GIL —
-tiles travel through ``multiprocessing.shared_memory`` segments
-(:class:`~repro.sparkle.serialize.SegmentArena`).  Tasks, shuffle and
-cache stay on driver threads under both backends, which produce
-bit-identical results and identical scheduler / byte counts.
+a task's tiles and operands are pickled out to its worker in one batch
+envelope and the updated tiles pickled back; the heartbeat board is the
+only shared-memory segment.  Tasks, shuffle, cache, CB storage and
+broadcast values stay on driver threads under both backends, which
+produce bit-identical results and identical scheduler / byte counts.
 """
 
 from .backend import (
@@ -111,15 +112,13 @@ from .requests import SolveRequest, SolveResponse, solve_fingerprint
 from .partitioner import GridPartitioner, HashPartitioner, Partitioner, RangePartitioner
 from .rdd import RDD, Aggregator
 from .scheduler import TaskContext
-from .serialize import (
-    SegmentArena,
-    ShmArray,
+from .supervisor import (
+    HeartbeatBoard,
+    SupervisionConfig,
+    WorkerSupervisor,
     purge_segments,
-    release_nested,
-    share_nested,
     shm_supported,
 )
-from .supervisor import HeartbeatBoard, SupervisionConfig, WorkerSupervisor
 
 __all__ = [
     "SparkleContext",
@@ -129,10 +128,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "SegmentArena",
-    "ShmArray",
-    "release_nested",
-    "share_nested",
     "shm_supported",
     "RDD",
     "Aggregator",

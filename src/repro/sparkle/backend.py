@@ -13,18 +13,17 @@ pluggable (DESIGN.md §12):
   thunks are not picklable, by design), but the *kernel math* — the
   A/B‖C/D tile updates that dominate wall-clock — is offloaded to a
   worker process per simulated executor.  There is one offload
-  protocol (DESIGN.md §14): a task's tile updates travel as one batch
-  to one worker — a single call is a batch of one.  Each tile being
-  updated is staged into a shared-memory scratch segment; operands
-  already resident in shared memory (CB storage, broadcast values —
-  see :class:`~.serialize.SegmentArena`) are
-  passed as segment descriptors, i.e. zero-copy; everything else ships
-  once per batch in an identity-deduped operand pool.  Workers attach,
-  update in place, and return only kernel stats — the results come
-  back through the segments.  That is the *only* difference from the
-  thread backend: tasks, shuffle staging and the RDD cache stay on
-  driver threads, so every scheduler and byte count is the same on
-  both.
+  protocol (DESIGN.md §14) and one transport (§12): a task's tile
+  updates travel as one batch to one worker — a single call is a batch
+  of one — and the batch envelope is the only thing that crosses the
+  process boundary.  Every array a batch touches, the tiles being
+  updated and their operands alike, is interned once in the batch's
+  :class:`OperandPool` and pickled out with the envelopes; the worker
+  updates a private copy of each tile and pickles the updated tiles
+  back with their kernel stats.  That is the *only* difference from the
+  thread backend: tasks, shuffle staging, the RDD cache, CB storage and
+  broadcast values stay on driver threads and are held by reference, so
+  every scheduler and byte count is the same on both.
 
 Determinism: kernel offload is synchronous per task and numerically
 identical (the worker runs the same NumPy ops on the same bits), so a
@@ -38,16 +37,17 @@ constructor thread (forking later, mid-solve, from a many-threaded
 driver is the classic fork-safety trap) and torn down with
 ``shutdown(wait=True)`` so no worker outlives the context.  Workers
 disable ``resource_tracker`` registration for shared memory — the
-driver's arena is the single owner responsible for unlinking, and a
-worker exiting must never reap segments the driver still serves.
+driver owns the heartbeat board, the one segment there is, and a worker
+exiting must never unlink it.
 
 Supervision (DESIGN.md §13): every offloaded batch runs under the
 :mod:`~repro.sparkle.supervisor` layer — workers heartbeat into a
 shared-memory board watched by a driver watchdog, batches carry optional
 wall-clock deadlines, and a worker death (``BrokenProcessPool``) runs
-the crash protocol: reclaim the dead batch's orphaned scratch segments,
-respawn the pool under deterministic bounded backoff, count the failure
-against the culprit call's poison budget, and surface a *retryable*
+the crash protocol: respawn the pool under deterministic bounded
+backoff, count the failure against the culprit call's poison budget
+(the dead worker took only its own copies of the tiles with it, so
+there is nothing to reclaim), and surface a *retryable*
 :class:`~.errors.WorkerCrashed` / :class:`~.errors.TaskDeadlineExceeded`
 so the DAGScheduler's attempt machinery re-runs the task.  A call that
 kills ``max_task_failures`` fresh workers is quarantined with
@@ -74,8 +74,13 @@ import numpy as np
 
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
-from .serialize import OperandPool, SegmentArena, ShmArray, shm_supported
-from .supervisor import SupervisionConfig, WorkerSupervisor, _attach_worker
+from .metrics import EngineMetrics
+from .supervisor import (
+    SupervisionConfig,
+    WorkerSupervisor,
+    _attach_worker,
+    shm_supported,
+)
 
 __all__ = [
     "ALIAS_X",
@@ -83,6 +88,7 @@ __all__ = [
     "ExecutionBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "OperandPool",
     "make_backend",
 ]
 
@@ -91,6 +97,8 @@ __all__ = [
 #: aliasing pattern, so the alias must be re-established against
 #: whichever materialization of X the backend updates.
 ALIAS_X = object()
+#: what :data:`ALIAS_X` is in a batch envelope (pool indices are >= 0)
+_ALIAS_X_DESC = -1
 
 BACKENDS = ("threads", "processes")
 
@@ -126,9 +134,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError(f"{self.name} backend has no kernel offload")
 
-    def stage_complete(self) -> None:
-        """End-of-stage hook (scratch sweeps); default no-op."""
-
     def shutdown(self) -> None:
         raise NotImplementedError
 
@@ -149,7 +154,7 @@ class ThreadBackend(ExecutionBackend):
         if total_slots < 1:
             raise ValueError("total_slots must be >= 1")
         self.total_slots = total_slots
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
@@ -212,6 +217,44 @@ class ThreadBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
+# process backend: the batch envelope's array pool
+# ----------------------------------------------------------------------
+class OperandPool:
+    """Identity-deduplicated array pool of one batch envelope.
+
+    A kernel offload ships one task's tile updates in one round-trip;
+    the arrays they touch overlap heavily (every D update in an
+    iteration reads the same pivot row/column tiles).  Instead of
+    inlining each array per call, the batch ships one flat list and each
+    envelope names its tile and operands by pool index — the pivot
+    crosses the IPC boundary once per batch, not once per tile (the
+    per-batch broadcast dedup of DESIGN.md §14).
+
+    Dedup is by the identity of the array object; arrays are made
+    contiguous on first add.
+    """
+
+    __slots__ = ("_arrays", "_ids")
+
+    def __init__(self) -> None:
+        self._arrays: list[np.ndarray] = []
+        self._ids: dict[int, int] = {}
+
+    def add(self, arr: np.ndarray) -> int:
+        """Intern ``arr`` and return its pool index."""
+        idx = self._ids.get(id(arr))
+        if idx is None:
+            idx = len(self._arrays)
+            self._arrays.append(np.ascontiguousarray(arr))
+            self._ids[id(arr)] = idx
+        return idx
+
+    def payload(self) -> list[np.ndarray]:
+        """The flat array list to ship with the batch envelope."""
+        return self._arrays
+
+
+# ----------------------------------------------------------------------
 # process backend: worker-side machinery (must be module-level for fork
 # AND spawn start methods)
 # ----------------------------------------------------------------------
@@ -219,14 +262,15 @@ _WORKER_KERNEL_CACHE: dict[bytes, Any] = {}
 
 
 def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker side
-    """Keep worker resource trackers away from driver-owned segments,
-    then join the supervision layer.
+    """Keep the worker's resource tracker away from the driver-owned
+    heartbeat board, then join the supervision layer.
 
     Attaching a ``SharedMemory`` registers it with the *worker's*
-    resource tracker, which would unlink still-live segments (with a
-    leak warning) when the worker exits.  The driver's arena is the
-    sole owner; workers only ever attach and close.  The tracker patch
-    must land before the heartbeat board attach for the same reason.
+    resource tracker, which would unlink the still-live board (with a
+    leak warning) when the worker exits.  The driver's supervisor is its
+    sole owner — tiles never travel through shared memory, so the board
+    is the only segment a worker ever attaches — and the tracker patch
+    must land before that attach.
     """
     from multiprocessing import resource_tracker
 
@@ -242,28 +286,15 @@ def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker si
         _attach_worker(*supervision_args)
 
 
-def _resolve_operand(desc, x, pool, attach):
-    """Materialize one of u/v/w from its transport descriptor.
-
-    ``pool`` is the batch's identity-deduped inline-operand list;
-    ``attach`` is a name → ``SharedMemory`` cache so a segment referenced
-    by several envelopes of one batch is attached once.
-    """
+def _resolve_operand(desc, x, pool):
+    """Materialize one of u/v/w from its transport descriptor: absent,
+    the call's own tile (A/B/C aliasing), or an entry of the batch's
+    identity-deduped array pool."""
     if desc is None:
         return None
-    kind = desc[0]
-    if kind == "alias-x":
+    if desc == _ALIAS_X_DESC:
         return x
-    if kind == "pool":
-        return pool[desc[1]]
-    if kind == "shm":
-        _, name, offset, shape, dtype = desc
-        arr = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=attach(name).buf, offset=offset
-        )
-        arr.flags.writeable = False
-        return arr
-    raise ValueError(f"unknown operand descriptor {kind!r}")
+    return pool[desc]
 
 
 def _kernel_batch_task(
@@ -275,12 +306,17 @@ def _kernel_batch_task(
     """Worker body of the offload protocol: one task's tile updates, one
     round-trip (a single call is a batch of one).
 
-    ``pool`` is the batch's identity-deduped inline-operand list (the
-    pivot fan-out crosses the IPC boundary once per batch, not once per
-    tile); each envelope is ``(token, inject, case, xdesc, udesc, vdesc,
-    wdesc, gi0, gj0, gk0, n_global)``.  Segments named by several
-    envelopes are attached once through a batch-local cache and closed
-    at the end.
+    ``pool`` is the batch's identity-deduped array list (the pivot
+    fan-out crosses the IPC boundary once per batch, not once per tile);
+    each envelope is ``(token, inject, case, xi, udesc, vdesc, wdesc,
+    gi0, gj0, gk0, n_global)`` with ``xi`` the pool index of the tile to
+    update.  Returns ``[(updated_tile, stats), ...]`` in envelope order.
+
+    The kernel updates a private copy of ``pool[xi]``.  The copy is
+    required, not defensive: the pool dedups by identity and pickle
+    memoises, so an array that is one call's tile and another call's
+    operand arrives here as *one* object, and the other call must read
+    the values the driver sent.
 
     Error attribution: the worker publishes each envelope's ``token`` on
     its heartbeat-board row *before* running the call, and the row keeps
@@ -288,8 +324,6 @@ def _kernel_batch_task(
     leaves the culprit call's token behind for the driver to map back to
     the exact tile (DESIGN.md §14).
     """
-    from multiprocessing import shared_memory
-
     from ..kernels.stats import KernelStats
     from .supervisor import worker_begin_task, worker_end_task, worker_self_fault
 
@@ -299,46 +333,21 @@ def _kernel_batch_task(
         if len(_WORKER_KERNEL_CACHE) > 32:
             _WORKER_KERNEL_CACHE.clear()
         _WORKER_KERNEL_CACHE[kernel_blob] = kernel
-    segments: dict[str, Any] = {}
-
-    def _attach(name: str):
-        shm = segments.get(name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=name)
-            segments[name] = shm
-        return shm
-
-    def _run(case, xdesc, udesc, vdesc, wdesc, gi0, gj0, gk0, n_global):
-        # Views live only inside this frame, so the close() below is
-        # not blocked by exported buffers.
-        name, shape, dtype = xdesc
-        x = np.ndarray(shape, dtype=np.dtype(dtype), buffer=_attach(name).buf)
-        u, v, w = (
-            _resolve_operand(desc, x, pool, _attach)
-            for desc in (udesc, vdesc, wdesc)
-        )
-        stats = KernelStats() if want_stats else None
-        kernel.run(case, x, u, v, w, gi0, gj0, gk0, n_global, stats=stats)
-        return stats
-
-    out_stats: list | None = [] if want_stats else None
+    out = []
     try:
-        for token, inject, *call in envs:
+        for token, inject, case, xi, udesc, vdesc, wdesc, gi0, gj0, gk0, n in envs:
             worker_begin_task(token)
             if inject is not None:
                 worker_self_fault(inject)
-            stats = _run(*call)
-            if out_stats is not None:
-                out_stats.append(stats)
+            x = pool[xi].copy()
+            u, v, w = (_resolve_operand(d, x, pool) for d in (udesc, vdesc, wdesc))
+            stats = KernelStats() if want_stats else None
+            kernel.run(case, x, u, v, w, gi0, gj0, gk0, n, stats=stats)
+            out.append((x, stats))
             worker_end_task()
-        return out_stats
+        return out
     finally:
         worker_end_task()
-        for shm in segments.values():
-            try:
-                shm.close()
-            except BufferError:
-                pass
 
 
 class _MemberDeadline(RuntimeError):
@@ -375,14 +384,14 @@ class ProcessBackend(ThreadBackend):
         super().__init__(total_slots, metrics=metrics)
         if not shm_supported():  # pragma: no cover - platform gate
             raise RuntimeError(
-                "the process backend needs multiprocessing.shared_memory"
+                "the process backend's heartbeat board needs "
+                "multiprocessing.shared_memory"
             )
         import multiprocessing
 
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.arena = SegmentArena(metrics=metrics)
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
@@ -396,8 +405,7 @@ class ProcessBackend(ThreadBackend):
         self.supervisor = WorkerSupervisor(
             self.supervision,
             slots=num_workers,
-            prefix=self.arena.prefix,
-            metrics=metrics,
+            metrics=self._metrics,
             seed=fault_plan.seed if fault_plan is not None else 0,
         )
         self._pool_lock = threading.Lock()
@@ -414,7 +422,7 @@ class ProcessBackend(ThreadBackend):
         ]
         self._generations = [0] * num_workers
         # Reap on unclean-but-orderly exits (sys.exit, uncaught error):
-        # kill registered workers, unlink arena + board.  A SIGKILLed
+        # kill registered workers, unlink the board.  A SIGKILLed
         # driver never reaches atexit — that case is covered by the
         # worker-side janitor thread (supervisor._start_janitor).
         atexit.register(self._emergency_cleanup)
@@ -459,29 +467,17 @@ class ProcessBackend(ThreadBackend):
             return self._pools[slot], self._generations[slot]
 
     # -- offload -------------------------------------------------------
-    def _batch_operand_desc(self, arr, x, pool: OperandPool):
-        """Transport descriptor for one of u/v/w (cheapest available).
-
-        Shared-memory residents go by name, zero-copy; everything else
-        is interned in the batch's operand pool by identity, so an
-        operand shared by many calls (the pivot fan-out) ships once per
-        batch.
-        """
+    @staticmethod
+    def _batch_operand_desc(arr, x, pool: OperandPool):
+        """Transport descriptor for one of u/v/w: absent, the call's own
+        tile, or its index in the batch's pool — interned by identity,
+        so an operand shared by many calls (the pivot fan-out) ships
+        once per batch."""
         if arr is None:
             return None
         if arr is ALIAS_X or arr is x:
-            return ("alias-x",)
-        shm_name = getattr(arr, "shm_name", None)
-        # Attach-by-name only while the slab is still registered: a
-        # value retired between fetch and offload (release_nested) keeps
-        # this view readable but unlinks the name — ship it pooled then.
-        if (
-            shm_name is not None
-            and isinstance(arr, ShmArray)
-            and self.arena.is_live(shm_name)
-        ):
-            return ("shm", shm_name, int(arr.shm_offset), arr.shape, arr.dtype.str)
-        return ("pool", pool.add(arr))
+            return _ALIAS_X_DESC
+        return pool.add(arr)
 
     def run_kernel(
         self, kernel_blob, case, x, u, v, w, gi0, gj0, gk0, n_global,
@@ -494,16 +490,19 @@ class ProcessBackend(ThreadBackend):
     def run_kernel_batch(
         self, kernel_blob: bytes, calls: list, want_stats: bool = False
     ) -> list:
-        """Stage each X to scratch shm, update them all in one worker
-        round-trip, copy them out.
+        """Pickle the batch out, update every tile in one worker
+        round-trip, take the updated tiles from the reply.
 
-        The scratch staging *is* the defensive copy the thread path
-        takes (`tile.copy()`).  The batch ships a single envelope list
-        plus an identity-deduped operand pool; the worker updates every
-        scratch tile in place and returns only the stats list.  Scratch segments
-        are freed in ``finally`` — chaos-injected task deaths cannot
-        leak them (and the scheduler's end-of-stage
-        :meth:`stage_complete` sweep backstops even that).
+        One envelope list plus one identity-deduped :class:`OperandPool`
+        holding every array the batch touches — each call's tile beside
+        its operands — crosses the process boundary; the worker updates
+        a private copy of each tile and returns ``[(tile, stats), ...]``.
+        The pickle plus that copy *is* the defensive copy the thread
+        path takes (``tile.copy()``): the inputs are never written, and
+        a worker that dies mid-batch takes only its own copies with it,
+        so retry purity needs no reclaim step.  Each result is copied
+        out of the reply (an unpickled array is a view of a ``bytes``
+        object), so callers get writeable arrays that own their memory.
 
         Supervised: the wait honours ``task_deadline`` and the job
         deadline (:meth:`_await_member`), a seeded real process fault
@@ -533,73 +532,60 @@ class ProcessBackend(ThreadBackend):
         slot = self._default_slot()
         pool, generation = self._slot_pool(slot)
         opool = OperandPool()
-        envs, names, views = [], [], []
+        envs = []
+        for case, x, u, v, w, gi0, gj0, gk0, n_global in calls:
+            inject = (
+                self.fault_plan.worker_fault(case, gi0, gj0, gk0)
+                if self.fault_plan is not None
+                else None
+            )
+            envs.append(
+                (
+                    sup.next_token(),
+                    inject,
+                    case,
+                    opool.add(x),
+                    self._batch_operand_desc(u, x, opool),
+                    self._batch_operand_desc(v, x, opool),
+                    self._batch_operand_desc(w, x, opool),
+                    gi0,
+                    gj0,
+                    gk0,
+                    n_global,
+                )
+            )
         try:
-            for case, x, u, v, w, gi0, gj0, gk0, n_global in calls:
-                inject = (
-                    self.fault_plan.worker_fault(case, gi0, gj0, gk0)
-                    if self.fault_plan is not None
-                    else None
-                )
-                name, staged = self.arena.stage_scratch(x)
-                names.append(name)
-                views.append(staged)
-                envs.append(
-                    (
-                        sup.next_token(),
-                        inject,
-                        case,
-                        (name, staged.shape, staged.dtype.str),
-                        self._batch_operand_desc(u, x, opool),
-                        self._batch_operand_desc(v, x, opool),
-                        self._batch_operand_desc(w, x, opool),
-                        gi0,
-                        gj0,
-                        gk0,
-                        n_global,
+            fut = pool.submit(
+                _kernel_batch_task, kernel_blob, opool.payload(), envs, want_stats
+            )
+            self._metrics.dispatch_round_trips += 1
+            reply = self._await_member(fut, slot, len(calls))
+        except TaskDeadlineExceeded:
+            # Still-queued batch cancelled outright: retryable, no
+            # worker was harmed.
+            raise
+        except RuntimeError as exc:
+            deadline = exc if isinstance(exc, _MemberDeadline) else None
+            if deadline is not None:
+                exc = deadline.cause
+            # BrokenProcessPool, or a plain RuntimeError from
+            # submitting against a pool a concurrent crash handler
+            # already swapped out ("cannot schedule new futures
+            # after shutdown") — only the latter with an *unchanged*
+            # generation is a real programming error.
+            if not isinstance(exc, BrokenProcessPool):
+                with self._pool_lock:
+                    stale = (
+                        self._pools is not None
+                        and self._generations[slot] != generation
                     )
-                )
-            try:
-                fut = pool.submit(
-                    _kernel_batch_task, kernel_blob, opool.payload(), envs, want_stats
-                )
-                if self._metrics is not None:
-                    self._metrics.dispatch_round_trips += 1
-                stats_list = self._await_member(fut, slot, len(calls))
-            except TaskDeadlineExceeded:
-                # Still-queued batch cancelled outright: retryable, no
-                # worker was harmed.
-                raise
-            except RuntimeError as exc:
-                deadline = exc if isinstance(exc, _MemberDeadline) else None
-                if deadline is not None:
-                    exc = deadline.cause
-                # BrokenProcessPool, or a plain RuntimeError from
-                # submitting against a pool a concurrent crash handler
-                # already swapped out ("cannot schedule new futures
-                # after shutdown") — only the latter with an *unchanged*
-                # generation is a real programming error.
-                if not isinstance(exc, BrokenProcessPool):
-                    with self._pool_lock:
-                        stale = (
-                            self._pools is not None
-                            and self._generations[slot] != generation
-                        )
-                    if not stale:
-                        raise
-                raise self._handle_member_death(
-                    slot, generation, envs, kernel_id, deadline
-                ) from exc
-            if self._metrics is not None:
-                self._metrics.kernel_offloads += len(calls)
-            if stats_list is None:
-                stats_list = [None] * len(views)
-            # np.array: fresh, caller-owned result tiles
-            return [(np.array(x), stats) for x, stats in zip(views, stats_list)]
-        finally:
-            views.clear()
-            for name in names:
-                self.arena.free(name)
+                if not stale:
+                    raise
+            raise self._handle_member_death(
+                slot, generation, envs, kernel_id, deadline
+            ) from exc
+        self._metrics.kernel_offloads += len(calls)
+        return [(np.array(x), stats) for x, stats in reply]
 
     # -- supervision ---------------------------------------------------
     def _await_member(self, fut, slot: int, ncalls: int):
@@ -634,8 +620,7 @@ class ProcessBackend(ThreadBackend):
                 elapsed = time.monotonic() - start
                 if elapsed <= budget or kill_elapsed is not None:
                     continue
-                if self._metrics is not None:
-                    self._metrics.deadlines_exceeded += 1
+                self._metrics.deadlines_exceeded += 1
                 if fut.cancel():
                     # Never started — queue latency, not the task's
                     # fault; retryable without touching any worker.
@@ -666,7 +651,7 @@ class ProcessBackend(ThreadBackend):
         kernel_id: str,
         deadline: "_MemberDeadline | None",
     ) -> BaseException:
-        """The crash protocol: reclaim, respawn, count; returns the typed
+        """The crash protocol: respawn, count; returns the typed
         error for the caller to raise — :class:`PoisonTaskError` once
         the culprit call has spent its ``max_task_failures`` budget,
         else the retryable :class:`TaskDeadlineExceeded` /
@@ -685,14 +670,7 @@ class ProcessBackend(ThreadBackend):
         if culprit is None:
             tok = sup.token_for_slot(slot)
             culprit = next((env for env in envs if env[0] == tok), envs[0])
-        if self._metrics is not None:
-            self._metrics.worker_crashes += 1
-        # The dead worker can no longer write its scratch tiles: reclaim
-        # the orphans now (run_kernel_batch's ``finally`` free is
-        # idempotent and becomes a no-op).
-        for env in envs:
-            if self.arena.free(env[3][0]) and self._metrics is not None:
-                self._metrics.orphan_segments_reclaimed += 1
+        self._metrics.worker_crashes += 1
         self._respawn_slot(slot, generation)
         _token, inject, case, *_descs, gi0, gj0, gk0, _n = culprit
         task_sig = (kernel_id, case, gi0, gj0, gk0)
@@ -757,19 +735,14 @@ class ProcessBackend(ThreadBackend):
             sup.reset_slot(slot)
             self._pools[slot] = self._make_pool(self._respawn_method, slot)
             self._generations[slot] += 1
-            if self._metrics is not None:
-                self._metrics.workers_respawned += 1
+            self._metrics.workers_respawned += 1
 
     # -- lifecycle -----------------------------------------------------
-    def stage_complete(self) -> None:
-        self.arena.sweep_scratch()
-
     def _emergency_cleanup(self) -> None:  # pragma: no cover - atexit path
         """Last-resort reaper for drivers exiting without ``shutdown()``.
 
         Idempotent and exception-proof: kill every registered worker,
-        drop the pool, unlink the board and the arena's segments.  The
-        healthy-exit path unregisters this before it can run.
+        drop the pool, unlink the board.  The healthy-exit path unregisters this before it can run.
         """
         try:
             sup = self.supervisor
@@ -783,7 +756,6 @@ class ProcessBackend(ThreadBackend):
                     except Exception:
                         pass
             sup.destroy()
-            self.arena.cleanup()
         except Exception:
             pass
 
@@ -795,7 +767,6 @@ class ProcessBackend(ThreadBackend):
             for pool in pools:
                 pool.shutdown(wait=True, cancel_futures=True)
         self.supervisor.destroy()
-        self.arena.cleanup()
         atexit.unregister(self._emergency_cleanup)
         super().shutdown()
 

@@ -6,7 +6,6 @@ from typing import Any, Generic, TypeVar
 
 from ..util import sizeof_block
 from .errors import TransientIOError
-from .serialize import share_nested
 
 T = TypeVar("T")
 
@@ -16,16 +15,12 @@ __all__ = ["Broadcast"]
 class Broadcast(Generic[T]):
     """Read-only value shipped once to every executor.
 
-    In-process the value is shared by reference; the metrics charge
-    ``nbytes * num_executors`` of network traffic, which is what the cost
-    model prices.  With a shared-memory arena attached (process
-    backend), ndarray payloads — bare tiles or dicts/lists of tiles —
-    are re-homed into shared segments so offloaded kernels read them
-    zero-copy by segment name; the views are read-only, enforcing the
-    broadcast immutability contract that was previously convention.  An
-    attached :class:`~repro.sparkle.chaos.FaultPlan` can flake
-    executor-side reads transiently (the scheduler retries the reading
-    task).
+    The value is shared by reference on both backends (an offloaded
+    kernel that reads a broadcast tile gets it pickled in its batch's
+    operand pool); the metrics charge ``nbytes * num_executors`` of
+    network traffic, which is what the cost model prices.  An attached
+    :class:`~repro.sparkle.chaos.FaultPlan` can flake executor-side
+    reads transiently (the scheduler retries the reading task).
     """
 
     def __init__(
@@ -35,11 +30,8 @@ class Broadcast(Generic[T]):
         num_executors: int,
         metrics,
         fault_plan=None,
-        arena=None,
     ) -> None:
         self.id = bc_id
-        if arena is not None:
-            value = share_nested(arena, value)
         self._value = value
         self.nbytes = sizeof_block(value)
         self._destroyed = False

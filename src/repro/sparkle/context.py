@@ -91,10 +91,11 @@ class SparkleContext:
         Execution backend: ``"threads"`` (default — the historical
         deterministic in-process pool) or ``"processes"`` (one worker
         process per simulated executor; kernel tile updates run past the
-        GIL, tiles move through shared-memory segments).  Results and
-        every scheduler / byte count are identical across
-        backends; ``"threads"`` remains the reference data plane for
-        the chaos / durability / memory determinism contracts.
+        GIL — a task's tiles and their operands are pickled out to its
+        worker in one batch, the updated tiles pickled back).  Results
+        and every scheduler / byte count are identical across backends;
+        ``"threads"`` remains the reference data plane for the chaos /
+        durability / memory determinism contracts.
     heartbeat_interval:
         Process-backend supervision (DESIGN.md §13): seconds between
         expected worker heartbeats; a worker silent for twice this is
@@ -161,8 +162,6 @@ class SparkleContext:
             supervision=self.supervision,
             fault_plan=fault_plan,
         )
-        #: shared-memory arena of the process backend (None for threads)
-        self.arena = getattr(self._executors.backend, "arena", None)
         #: worker supervisor of the process backend (None for threads)
         self.supervisor = getattr(self._executors.backend, "supervisor", None)
         #: the memory governor — always present, unbounded without a budget
@@ -201,9 +200,7 @@ class SparkleContext:
             self.memory_manager, spill=self.spill_store, metrics=self.metrics
         )
         self.durable_store: DurableBlockStore | None = None
-        self.shared_storage = SharedStorage(
-            self.metrics, fault_plan=fault_plan, arena=self.arena
-        )
+        self.shared_storage = SharedStorage(self.metrics, fault_plan=fault_plan)
         self._scheduler = DAGScheduler(
             self,
             max_task_retries,
@@ -250,7 +247,6 @@ class SparkleContext:
             self.num_executors,
             self.metrics,
             fault_plan=self.fault_plan,
-            arena=self.arena,
         )
         self._next_broadcast_id += 1
         return bc
@@ -286,9 +282,10 @@ class SparkleContext:
         staged shuffle outputs, cached blocks, CB shared-storage keys
         (``("pivot", k)`` / ``("bc", k, key)``), scheduler stage/attempt
         maps, and unbounded job traces.  Everything here releases through
-        the same paths normal retirement uses (governor bytes, arena
-        refcounts, spill files), so a swept context is byte-identical to
-        a fresh one as far as the accounting ledgers can tell.
+        the same paths normal retirement uses (governor bytes, spill
+        files; CB storage values are plain references, dropped), so a
+        swept context is byte-identical to a fresh one as far as the
+        accounting ledgers can tell.
 
         ``keep_job_traces`` bounds the metrics trace ring; aggregate
         counters on :class:`~repro.sparkle.metrics.EngineMetrics` are

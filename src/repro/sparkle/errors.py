@@ -160,8 +160,8 @@ class WorkerCrashed(SparkleError):
     """A worker process died mid-kernel (SIGKILL, OOM kill, hard crash).
 
     Raised by the supervised process backend after it has already
-    respawned the pool and reclaimed the dead worker's orphaned scratch
-    segments.  Retryable: the scheduler re-runs the task attempt through
+    respawned the pool (the dead worker held only its own copies of the
+    batch's tiles, so there is nothing to reclaim).  Retryable: the scheduler re-runs the task attempt through
     the normal backoff machinery, and the retry lands on a fresh worker.
     """
 

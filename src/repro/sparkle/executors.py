@@ -21,7 +21,6 @@ uses to keep recovery traces reproducible.
 from __future__ import annotations
 
 import threading
-import time
 import warnings
 from typing import Any, Callable
 
@@ -131,13 +130,7 @@ class ExecutorPool:
         """The backend's thread pool (test/diagnostic hook)."""
         return self.backend._ensure_pool()
 
-    def run_task_timed(self, thunk: Callable[[], Any]) -> tuple[Any, float]:
-        """Run one task inline, returning ``(result, wall_seconds)``."""
-        start = time.perf_counter()
-        out = thunk()
-        return out, time.perf_counter() - start
-
     def shutdown(self) -> None:
         """Tear the backend down (threads joined, worker processes
-        reaped, shared-memory segments unlinked)."""
+        reaped, the heartbeat board unlinked)."""
         self.backend.shutdown()

@@ -35,8 +35,6 @@ class TaskRecord:
     #: portion of shuffle_bytes_read fetched from a different executor
     #: (crosses the simulated network; the partitioner-locality metric)
     shuffle_bytes_remote: int = 0
-    kernel_updates: int = 0
-    kernel_invocations: int = 0
     wall_seconds: float = 0.0
     #: perf_counter timestamps of the winning attempt's span
     start_ts: float = 0.0
@@ -45,7 +43,6 @@ class TaskRecord:
     backoff_seconds: float = 0.0
     #: True when a speculative copy beat a straggling original attempt
     speculative_win: bool = False
-    payload: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -183,12 +180,6 @@ class EngineMetrics:
     #: kernel-running task — THE multicore-gap metric (the tile updates
     #: those round-trips carried are ``kernel_offloads``)
     dispatch_round_trips: int = 0
-    #: shared-memory segments created by the arena
-    shm_segments_created: int = 0
-    #: shared-memory segments unlinked (must equal created at stop)
-    shm_segments_freed: int = 0
-    #: payload bytes placed into shared-memory segments
-    shm_bytes_shared: int = 0
     # ---- supervision counters (worker liveness / crash protocol) -------
     #: workers whose heartbeat went silent past the watchdog threshold
     heartbeats_missed: int = 0
@@ -200,8 +191,6 @@ class EngineMetrics:
     deadlines_exceeded: int = 0
     #: tasks quarantined after killing ``max_task_failures`` fresh workers
     poison_tasks: int = 0
-    #: orphaned scratch segments reclaimed after a worker death
-    orphan_segments_reclaimed: int = 0
     #: processes→threads backend degradations taken under --degrade-on-crash
     backend_degradations: int = 0
 
@@ -273,14 +262,11 @@ class EngineMetrics:
         }
 
     def data_plane_summary(self) -> dict[str, Any]:
-        """Backend / kernel-offload / shared-memory accounting for one run."""
+        """Backend / kernel-offload accounting for one run."""
         return {
             "backend": self.backend,
             "kernel_offloads": self.kernel_offloads,
             "dispatch_round_trips": self.dispatch_round_trips,
-            "shm_segments_created": self.shm_segments_created,
-            "shm_segments_freed": self.shm_segments_freed,
-            "shm_bytes_shared": self.shm_bytes_shared,
         }
 
     def supervision_summary(self) -> dict[str, Any]:
@@ -291,7 +277,6 @@ class EngineMetrics:
             "worker_crashes": self.worker_crashes,
             "deadlines_exceeded": self.deadlines_exceeded,
             "poison_tasks": self.poison_tasks,
-            "orphan_segments_reclaimed": self.orphan_segments_reclaimed,
             "backend_degradations": self.backend_degradations,
         }
 

@@ -85,8 +85,6 @@ class TaskContext:
         self.shuffle_bytes_read = 0
         self.shuffle_bytes_remote = 0
         self.records_out = 0
-        self.kernel_updates = 0
-        self.kernel_invocations = 0
 
 
 @dataclass
@@ -252,14 +250,7 @@ class DAGScheduler:
         sequential = plan is not None and plan.serialize_tasks
         mm = self.ctx.memory_manager
         thunks = [self._admitted(t, mm) for t in thunks]
-        try:
-            return self.ctx._executors.run_tasks(thunks, sequential=sequential)
-        finally:
-            # Stage boundary: the backend reclaims transient data-plane
-            # state (e.g. shared-memory scratch abandoned by a task a
-            # chaos fault killed mid-kernel).  Runs on abort too so
-            # injected failures cannot leak segments.
-            self.ctx._executors.backend.stage_complete()
+        return self.ctx._executors.run_tasks(thunks, sequential=sequential)
 
     @staticmethod
     def _admitted(thunk: Callable[[], Any], mm) -> Callable[[], Any]:
@@ -461,8 +452,6 @@ class DAGScheduler:
                 shuffle_bytes_written=shuffle_written,
                 shuffle_bytes_read=tc.shuffle_bytes_read,
                 shuffle_bytes_remote=tc.shuffle_bytes_remote,
-                kernel_updates=tc.kernel_updates,
-                kernel_invocations=tc.kernel_invocations,
                 wall_seconds=time.perf_counter() - start,
                 start_ts=start,
                 end_ts=time.perf_counter(),

@@ -25,7 +25,6 @@ from .errors import (
     CorruptBlockError,
     TransientIOError,
 )
-from .serialize import release_nested, share_nested
 
 __all__ = ["BlockManager", "SharedStorage"]
 
@@ -224,7 +223,6 @@ class SharedStorage:
         metrics,
         fault_plan=None,
         backing=None,
-        arena=None,
     ) -> None:
         self._data: dict[Any, Any] = {}
         self._bytes: dict[Any, int] = {}
@@ -233,27 +231,19 @@ class SharedStorage:
         self._metrics = metrics
         self.fault_plan = fault_plan
         self.backing = backing
-        self.arena = arena
 
     def put(self, key: Any, value: Any) -> int:
         """Store a block; returns its byte size.
 
-        With a shared-memory arena attached (process backend), ndarray
-        payloads are placed in shared segments: the CB pivot/band tiles
-        every consumer task reads become zero-copy operands for
-        offloaded kernels.  Byte accounting is unchanged — a shared
-        view reports the same exact ``nbytes``.
+        The value is held by reference on both backends (no copy on
+        ``put``); an offloaded kernel that reads a stored tile gets it
+        pickled in its batch's operand pool.
         """
-        if self.arena is not None:
-            value = share_nested(self.arena, value)
         nbytes = sizeof_block(value)
         with self._lock:
-            old = self._data.get(key)
             self._data[key] = value
             self._live_bytes += nbytes - self._bytes.get(key, 0)
             self._bytes[key] = nbytes
-            if old is not None and self.arena is not None and old is not value:
-                release_nested(self.arena, old)
             if self._metrics is not None:
                 self._metrics.storage_bytes_written += nbytes
                 self._metrics.storage_puts += 1
@@ -293,9 +283,6 @@ class SharedStorage:
     def clear(self) -> None:
         """Drop the in-memory view (durable backing blocks are kept)."""
         with self._lock:
-            if self.arena is not None:
-                for value in self._data.values():
-                    release_nested(self.arena, value)
             self._data.clear()
             self._bytes.clear()
             self._live_bytes = 0

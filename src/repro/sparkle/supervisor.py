@@ -35,7 +35,9 @@ Worker lifecycle (see DESIGN.md §13 for the full diagram)::
 
 Workers also run a *janitor* thread: if the driver pid they were
 spawned by disappears (SIGKILLed driver — ``atexit`` never runs), they
-purge every ``/dev/shm`` entry under the arena prefix and exit, so an
+purge every ``/dev/shm`` entry under the supervisor's prefix (the
+heartbeat board ``<prefix>-hb`` is the only one: tiles cross the process
+boundary pickled, never through shared memory) and exit, so an
 uncleanly-killed driver leaks neither processes nor segments.
 
 Everything here is deterministic under the chaos contract: respawn
@@ -53,16 +55,59 @@ import os
 import signal
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 
 from .chaos import deterministic_fraction
-from .serialize import purge_segments, shm_supported
+from .metrics import EngineMetrics
+
+try:  # pragma: no cover - stdlib on every supported platform
+    from multiprocessing import shared_memory as _shared_memory
+except ImportError:  # pragma: no cover
+    _shared_memory = None
 
 __all__ = [
     "SupervisionConfig",
     "HeartbeatBoard",
     "WorkerSupervisor",
+    "shm_supported",
+    "purge_segments",
 ]
+
+
+def shm_supported() -> bool:
+    """Whether POSIX shared memory is available on this platform."""
+    return _shared_memory is not None
+
+
+def purge_segments(prefix: str) -> int:
+    """Unlink every ``/dev/shm`` entry under a supervisor's prefix; last
+    resort.
+
+    The crash janitor: when the driver dies without running its
+    ``shutdown()`` (SIGKILL, power loss) nobody holds the
+    ``SharedMemory`` handle any more, so orphaned workers sweep the raw
+    names straight off the filesystem before exiting.  Harmless when the
+    tree is already clean; returns the number of entries removed.  Only
+    meaningful on platforms that expose POSIX shm as files (Linux
+    ``/dev/shm``).
+    """
+    if not prefix:
+        raise ValueError("refusing to purge an empty shm prefix")
+    root = "/dev/shm"
+    removed = 0
+    if not os.path.isdir(root):  # pragma: no cover - platform gate
+        return 0
+    for entry in os.listdir(root):
+        if not entry.startswith(prefix):
+            continue
+        try:
+            os.unlink(os.path.join(root, entry))
+            removed += 1
+        except OSError:  # pragma: no cover - raced with another reaper
+            pass
+    return removed
+
 
 # Board columns (int64 each).
 COL_PID = 0
@@ -134,13 +179,12 @@ class HeartbeatBoard:
 
     def __init__(self, slots: int, name: str) -> None:
         import numpy as np
-        from multiprocessing import shared_memory
 
         if slots < 1:
             raise ValueError("slots must be >= 1")
         self.slots = slots
         self.name = name
-        self._shm = shared_memory.SharedMemory(
+        self._shm = _shared_memory.SharedMemory(
             create=True, size=slots * BOARD_COLS * 8, name=name
         )
         self.cells = np.ndarray(
@@ -208,20 +252,22 @@ class WorkerSupervisor:
         config: SupervisionConfig,
         *,
         slots: int,
-        prefix: str,
+        prefix: str | None = None,
         metrics=None,
         seed: int = 0,
         kill=os.kill,
     ) -> None:
         self.config = config
         self.slots = slots
-        self.prefix = prefix
-        self.metrics = metrics
+        #: name prefix of everything this supervisor puts in ``/dev/shm``
+        #: (the board, ``<prefix>-hb``) — what the janitor purges
+        self.prefix = prefix or f"sparkle-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        self.metrics = metrics or EngineMetrics()
         self.seed = int(seed)
         self._kill = kill
         self.board: HeartbeatBoard | None = None
         if shm_supported():
-            self.board = HeartbeatBoard(slots, f"{prefix}-hb")
+            self.board = HeartbeatBoard(slots, f"{self.prefix}-hb")
         self._board_lock = threading.Lock()
         self._tokens = itertools.count(1)
         self._ledger_lock = threading.Lock()
@@ -377,8 +423,7 @@ class WorkerSupervisor:
                         continue
                     if not entry[2] and now - entry[1] > miss_after:
                         entry[2] = True
-                        if self.metrics is not None:
-                            self.metrics.heartbeats_missed += 1
+                        self.metrics.heartbeats_missed += 1
                         # Hang -> crash: the pool machinery takes over.
                         self._signal(pid, signal.SIGKILL)
 
@@ -401,8 +446,7 @@ class WorkerSupervisor:
                 return
             self._quarantined.add(task_sig)
             self._degrade_latch = True
-        if self.metrics is not None:
-            self.metrics.poison_tasks += 1
+        self.metrics.poison_tasks += 1
 
     def is_quarantined(self, task_sig: tuple) -> bool:
         with self._ledger_lock:
@@ -495,9 +539,8 @@ def _attach_worker(
         return
     try:
         import numpy as np
-        from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(name=board_name)
+        shm = _shared_memory.SharedMemory(name=board_name)
         cells = np.ndarray((slots, BOARD_COLS), dtype=np.int64, buffer=shm.buf)
         slot = None
         with claim_lock:

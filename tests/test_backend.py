@@ -1,13 +1,14 @@
-"""Multicore data plane: backend parity, shm hygiene, zero-copy units.
+"""Multicore data plane: backend parity, shm hygiene, the batch envelope.
 
 The tentpole contract under test (DESIGN.md §12): the process backend is
 the thread backend plus kernel offload — bit-identical results,
 identical scheduler shape (jobs/stages/tasks), identical shuffle /
 collect / storage bytes, identical kernel work accounting — while the
-tiles a kernel touches move through shared-memory segments instead of
-by reference.  Plus the hygiene guarantees: no
-``/dev/shm`` segment and no worker process outlives the context, even
-when chaos faults kill tasks mid-kernel.
+tiles a kernel touches cross the process boundary pickled in the batch
+envelope instead of by reference.  Plus the hygiene guarantees: the
+heartbeat board is the only ``/dev/shm`` entry of a context, and neither
+it nor a worker process outlives the context, even when chaos faults
+kill tasks mid-kernel.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from repro.core.gep import (
     GaussianEliminationGep,
     TransitiveClosureGep,
 )
-from repro.sparkle import FaultPlan, FaultSpec, SparkleContext
-from repro.sparkle.backend import BACKENDS, ProcessBackend, make_backend
-from repro.sparkle.chaos import CURRENT_TASK
-from repro.sparkle.serialize import (
-    SegmentArena,
-    ShmArray,
-    release_nested,
-    share_nested,
+from repro.sparkle import (
+    FaultPlan,
+    FaultSpec,
+    SparkleContext,
+    SupervisionConfig,
+    WorkerCrashed,
     shm_supported,
 )
+from repro.sparkle.backend import ALIAS_X, BACKENDS, ProcessBackend, make_backend
+from repro.sparkle.chaos import CURRENT_TASK
 
 from .conftest import fw_table, ge_table, tc_table
 
@@ -56,7 +57,8 @@ def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None):
     """One solve on an owned context; returns (result, report, leftovers).
 
     ``leftovers`` is the list of ``/dev/shm`` entries still carrying the
-    context arena's prefix *after* the context stopped — the leak probe.
+    context supervisor's prefix *after* the context stopped — the leak
+    probe.
     """
     with SparkleContext(
         num_executors=3,
@@ -72,7 +74,7 @@ def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None):
             strategy=strategy,
         )
         out, report = solver.solve(table)
-        prefix = sc.arena.prefix if sc.arena is not None else None
+        prefix = sc.supervisor.prefix if sc.supervisor is not None else None
     leftovers = (
         glob.glob(f"/dev/shm/{prefix}*") if prefix is not None else []
     )
@@ -208,9 +210,10 @@ def test_batch_dispatch_cuts_round_trips():
 
 @pytest.mark.batching
 def test_dispatch_validation(capsys):
-    """The removed offload, pipelining, affinity, fault-hook, staging and
-    capacity options fail loudly."""
+    """The removed offload, pipelining, affinity, fault-hook, staging,
+    shared-memory and capacity options fail loudly."""
     from repro.__main__ import main as cli_main
+    from repro.sparkle.broadcast import Broadcast
     from repro.sparkle.memory import MemoryManager
     from repro.sparkle.shuffle import ShuffleManager
     from repro.sparkle.storage import BlockManager, SharedStorage
@@ -240,6 +243,15 @@ def test_dispatch_validation(capsys):
         ShuffleManager(serialize=True)
     with pytest.raises(TypeError, match="arena"):
         BlockManager(arena=object())
+    # the shared-memory tile transport: arena, its options, its module
+    with pytest.raises(TypeError, match="arena"):
+        SharedStorage(None, arena=object())
+    with pytest.raises(TypeError, match="arena"):
+        Broadcast(0, None, 1, None, arena=object())
+    with pytest.raises(ImportError):
+        from repro.sparkle import SegmentArena  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.sparkle.serialize  # noqa: F401
     # the capacity limits of the ungoverned engine, and their error
     for knob in (
         "shuffle_capacity_bytes", "storage_capacity_bytes", "cache_capacity_bytes"
@@ -310,8 +322,7 @@ def test_process_backend_actually_offloads():
     spec = FloydWarshallGep()
     _, report, _ = _solve("processes", spec, fw_table(24, seed=1), r=3)
     m = report.engine_metrics
-    assert m.kernel_offloads > 0
-    assert m.shm_segments_created > 0
+    assert m.kernel_offloads > 0 and m.dispatch_round_trips > 0
 
 
 def test_unpicklable_kernel_falls_back_to_threads_path():
@@ -368,25 +379,35 @@ def test_run_gep_backend_validation():
 # ----------------------------------------------------------------------
 @needs_shm
 def test_no_shm_leak_after_clean_solve():
+    """Mid-solve — read after every offloaded batch, other tasks' batches
+    in flight — the context's only ``/dev/shm`` entry is the heartbeat
+    board; after ``stop()`` there is none."""
     spec = GaussianEliminationGep()
+    seen = set()
     with SparkleContext(2, 2, backend="processes") as sc:
-        arena = sc.arena
+        backend = sc._executors.backend
+        prefix = backend.supervisor.prefix
+        run_kernel_batch = backend.run_kernel_batch
+
+        def recording_batch(*args, **kwargs):
+            out = run_kernel_batch(*args, **kwargs)
+            seen.update(glob.glob(f"/dev/shm/{prefix}*"))
+            return out
+
+        backend.run_kernel_batch = recording_batch
         solver = GepSparkSolver(
             spec, sc, r=3, kernel=make_kernel(spec, "iterative"), strategy="cb"
         )
         solver.solve(ge_table(18, seed=5))
-        assert arena.num_segments > 0, "solve should have staged segments"
-        m = sc.metrics
-    assert arena.num_segments == 0
-    assert m.shm_segments_freed == m.shm_segments_created
-    assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
+        assert sc.metrics.kernel_offloads > 0
+    assert seen == {f"/dev/shm/{prefix}-hb"}
+    assert glob.glob(f"/dev/shm/{prefix}*") == []
 
 
 @needs_shm
 def test_no_shm_leak_under_chaos_kill():
-    """A chaos-killed task abandons its scratch segment mid-kernel; the
-    end-of-stage sweep must reclaim it and the retry must still produce
-    the fault-free answer."""
+    """A chaos-killed task dies between offloads; nothing of it is left
+    in ``/dev/shm`` and the retry still produces the fault-free answer."""
     spec = FloydWarshallGep()
     table = fw_table(20, seed=11)
     clean, _, _ = _solve("threads", spec, table.copy(), r=3)
@@ -401,7 +422,6 @@ def test_no_shm_leak_under_chaos_kill():
     assert m.tasks_retried > 0, "chaos plan should have fired"
     assert np.array_equal(out, clean)
     assert leftovers == []
-    assert m.shm_segments_freed == m.shm_segments_created
 
 
 @needs_shm
@@ -419,7 +439,6 @@ def test_make_backend_threads_has_no_arena():
     backend = make_backend("threads", total_slots=2, num_workers=2, metrics=None)
     try:
         assert not backend.supports_kernel_offload
-        assert getattr(backend, "arena", None) is None
     finally:
         backend.shutdown()
     with pytest.raises(ValueError):
@@ -427,145 +446,124 @@ def test_make_backend_threads_has_no_arena():
 
 
 # ----------------------------------------------------------------------
-# segment arena
+# the batch envelope: what crosses the process boundary, and back
 # ----------------------------------------------------------------------
+_FW = FloydWarshallGep()
+_FW_BLOB = pickle.dumps(make_kernel(_FW, "iterative"))
+
+
+def _thread_path(calls):
+    """The thread path's answer for ``calls``: a private copy each,
+    aliases resolved against it, the kernel run in place."""
+    kernel = make_kernel(_FW, "iterative")
+    outs = []
+    for case, tile, u, v, w, gi0, gj0, gk0, n in calls:
+        x = tile.copy()
+        u, v, w = (x if op is ALIAS_X else op for op in (u, v, w))
+        kernel.run(case, x, u, v, w, gi0, gj0, gk0, n)
+        outs.append(x)
+    return outs
+
+
+def _d_calls(count, dtype=np.float64, seed=0):
+    """``count`` independent case-D calls on 6x6 tiles of a 24x24 table."""
+    rng = np.random.default_rng(seed)
+
+    def tile():
+        return rng.uniform(1.0, 9.0, (6, 6)).astype(dtype)
+
+    return [("D", tile(), tile(), tile(), None, 6 * i, 12, 18, 24) for i in range(count)]
+
+
+def _process_backend(**kwargs):
+    return ProcessBackend(
+        2,
+        num_workers=1,
+        supervision=SupervisionConfig(
+            heartbeat_interval=0.0,
+            respawn_backoff_base=0.0,
+            respawn_backoff_jitter=0.0,
+        ),
+        **kwargs,
+    )
+
+
 @needs_shm
-class TestSegmentArena:
-    def test_share_array_roundtrip_readonly(self):
-        arena = SegmentArena()
-        try:
-            src = np.random.default_rng(3).random((5, 7))
-            view = arena.share_array(src)
-            assert isinstance(view, ShmArray)
-            assert view.shm_name is not None
-            assert not view.flags.writeable
-            assert np.array_equal(view, src)
-            # already-shared arrays pass through without a new segment
-            again = arena.share_array(view)
-            assert again.shm_name == view.shm_name
-            assert arena.num_segments == 1
-        finally:
-            del view, again
-            arena.cleanup()
-        assert arena.num_segments == 0
+def test_batch_shared_object_is_one_calls_tile_and_anothers_operand():
+    """The same ndarray object is call 0's X and call 1's ``u``: the pool
+    ships it once, so the worker must update a *private copy* of call
+    0's tile — call 1 reads the values the driver sent.  Fails if the
+    worker updates ``pool[xi]`` in place."""
+    (_, shared, u0, v0, _, *at0), (_, x1, _, v1, _, *at1) = _d_calls(2)
+    shared += 100.0  # call 0 pulls it far down ...
+    x1 += 50.0  # ... far enough to pull x1 down too, if call 1 saw the update
+    calls = [("D", shared, u0, v0, None, *at0), ("D", x1, shared, v1, None, *at1)]
+    before = shared.tobytes()
+    expect = _thread_path(calls)
+    (leaked,) = _thread_path([("D", x1, expect[0], v1, None, *at1)])
+    assert not np.array_equal(leaked, expect[1]), "inputs must tell the two apart"
+    with _process_backend() as backend:
+        batch = backend.run_kernel_batch(_FW_BLOB, calls)
+        singles = [backend.run_kernel(_FW_BLOB, *call) for call in calls]
+    for (out, _), (single, _), want in zip(batch, singles, expect):
+        assert out.tobytes() == single.tobytes() == want.tobytes()
+    assert shared.tobytes() == before
 
-    def test_derived_views_do_not_claim_a_segment(self):
-        """Only the arena's exact full-segment view carries ``shm_name``;
-        slices and arithmetic results must not pretend to be shareable."""
-        arena = SegmentArena()
-        try:
-            view = arena.share_array(np.ones((4, 4)))
-            assert view[1:, :].shm_name is None
-            assert (view + 1).shm_name is None
-            assert pickle.loads(pickle.dumps(np.asarray(view) + 0)).base is None
-        finally:
-            del view
-            arena.cleanup()
 
-    def test_scratch_sweep_reclaims_orphans(self):
-        arena = SegmentArena()
-        name, staged = arena.stage_scratch(np.zeros((3, 3)))
-        staged[...] = 7.0  # scratch views are writable
-        assert arena.num_segments == 1
-        del staged
-        assert arena.sweep_scratch() == 1
-        assert arena.num_segments == 0
-        assert not arena.free(name), "already freed"
-        assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
+@needs_shm
+def test_batch_results_round_trip_and_own_their_memory():
+    """A transposed (non-contiguous) tile and a float32 tile come back
+    bit-identical to the thread path; every result is a writeable array
+    that owns its memory, whatever pickle handed the driver."""
+    (case, x, u, v, w, *at), = _d_calls(1, seed=1)
+    calls = [
+        (case, x.T, u, v, w, *at),
+        *_d_calls(1, dtype=np.float32, seed=2),
+        ("A", x, ALIAS_X, ALIAS_X, ALIAS_X, 6, 6, 6, 24),
+        *_d_calls(1, seed=3),
+    ]
+    assert not calls[0][1].flags.c_contiguous
+    with _process_backend() as backend:
+        outs = backend.run_kernel_batch(_FW_BLOB, calls)
+    for (out, _), want, call in zip(outs, _thread_path(calls), calls):
+        assert out.dtype == call[1].dtype and out.tobytes() == want.tobytes()
+        assert out.base is None and out.flags.writeable
 
-    def test_slab_packing_bounds_segment_count(self):
-        """Many small tiles share one mapping (and one descriptor/fd) —
-        the defense against per-tile fd exhaustion on big solves."""
-        arena = SegmentArena()
-        try:
-            views = [
-                arena.share_array(np.full((8, 8), float(i))) for i in range(50)
-            ]
-            assert arena.num_segments == 1
-            names = {v.shm_name for v in views}
-            assert len(names) == 1
-            offsets = [v.shm_offset for v in views]
-            assert len(set(offsets)) == 50
-            assert all(o % 64 == 0 for o in offsets)
-            for i, v in enumerate(views):
-                assert np.all(np.asarray(v) == float(i))
-        finally:
-            del views
-            arena.cleanup()
 
-    def test_release_view_refcounts_slabs(self):
-        """A slab is unlinked when full and empty of live allocations;
-        released views stay readable (the mapping is pinned)."""
-        arena = SegmentArena(slab_bytes=1024)
-        big = np.arange(512, dtype=np.float64)  # 4 KB > slab -> own slab
-        v1 = arena.share_array(big)
-        v2 = arena.share_array(np.ones(512))  # forces a second slab
-        assert arena.num_segments == 2
-        assert arena.is_live(v1.shm_name)
-        assert arena.release_view(v1)
-        # v1's slab was full (no longer open) and now empty -> gone
-        assert not arena.is_live(v1.shm_name)
-        assert arena.num_segments == 1
-        assert np.array_equal(v1, big), "released view must stay readable"
-        # v2's slab is still the open slab: released but retained
-        assert arena.release_view(v2)
-        assert arena.num_segments == 1
-        assert arena.cleanup() == 1
-        assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
+class _KillOnce:
+    """Fault plan stand-in: ships ``worker_kill`` with the call at
+    ``coordinate``, the first time it is offloaded."""
 
-    def test_release_nested_mirrors_share_nested(self):
-        arena = SegmentArena(slab_bytes=128)
-        a, b = np.ones((4, 4)), np.zeros((4, 4))  # 128 B each: one per slab
-        shared = share_nested(arena, [("k1", a), ("k2", b), ("k1b", a)])
-        assert shared[0][1] is shared[2][1], "fan-out dedups on the way in"
-        assert arena.num_segments == 2
-        # the fanned-out array counts once: one release per allocation
-        assert release_nested(arena, shared) == 2
-        # a's slab was full -> reclaimed at once; b's is the open slab
-        assert arena.num_segments == 1
-        assert arena.cleanup() == 1
-        assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
+    seed = 0
 
-    def test_block_retirement_releases_segments(self):
-        """Shared storage gives shm pages back mid-run (not at stop):
-        an overwritten value and ``clear()`` both release their slabs."""
-        from repro.sparkle.storage import SharedStorage
+    def __init__(self, coordinate):
+        self.coordinate = coordinate
+        self.fired = False
 
-        arena = SegmentArena(slab_bytes=512)
-        storage = SharedStorage(None, arena=arena)
-        for i in range(10):
-            storage.put("pivot", np.full((8, 8), float(i)))  # 512 B: a slab each
-            # the overwritten value's slab was reclaimed at once
-            assert arena.num_segments == 1
-        for j in range(4):
-            storage.put(("band", j), np.full((8, 8), float(j)))
-        assert arena.num_segments == 5
-        storage.clear()
-        # every full slab went with its value; only the open slab remains
-        assert arena.num_segments == 1
-        assert arena.cleanup() == 1
-        assert glob.glob(f"/dev/shm/{arena.prefix}*") == []
+    def worker_fault(self, case, gi0, gj0, gk0):
+        if self.fired or (gi0, gj0, gk0) != self.coordinate:
+            return None
+        self.fired = True
+        return "worker_kill"
 
-    def test_share_nested_dedups_by_identity(self):
-        arena = SegmentArena()
-        try:
-            pivot = np.ones((4, 4))
-            items = [
-                ((0, 1), ("u", pivot)),
-                ((0, 2), ("u", pivot)),
-                {"w": pivot, "meta": "keep-me"},
-            ]
-            shared = share_nested(arena, items)
-            assert arena.num_segments == 1, "fan-out should share one segment"
-            assert shared[2]["meta"] == "keep-me"
-            a0 = shared[0][1][1]
-            assert a0.shm_name == shared[1][1][1].shm_name == shared[2]["w"].shm_name
-            assert np.array_equal(a0, pivot)
-            obj_arr = np.array([None, "x"], dtype=object)
-            assert share_nested(arena, obj_arr) is obj_arr
-        finally:
-            del shared, a0
-            arena.cleanup()
+
+@needs_shm
+@pytest.mark.timeout(120)
+def test_worker_killed_mid_batch_leaves_inputs_pristine():
+    """``worker_kill`` on call 2 of a batch of 4: the dead worker took
+    only its own copies with it — no input changed, and the retry
+    returns the fault-free bytes."""
+    calls = _d_calls(4, seed=4)
+    inputs = [arr for call in calls for arr in call[1:4]]
+    before = [arr.tobytes() for arr in inputs]
+    expect = _thread_path(calls)
+    with _process_backend(fault_plan=_KillOnce(tuple(calls[2][5:8]))) as backend:
+        with pytest.raises(WorkerCrashed):
+            backend.run_kernel_batch(_FW_BLOB, calls)
+        assert [arr.tobytes() for arr in inputs] == before
+        outs = backend.run_kernel_batch(_FW_BLOB, calls)
+    assert [out.tobytes() for out, _ in outs] == [x.tobytes() for x in expect]
+    assert [arr.tobytes() for arr in inputs] == before
 
 
 # ----------------------------------------------------------------------

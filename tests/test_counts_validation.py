@@ -24,8 +24,7 @@ from repro.core.gep import (
     TransitiveClosureGep,
 )
 from repro.kernels import IterativeKernel, KernelStats
-from repro.sparkle import SparkleContext
-from repro.sparkle.serialize import shm_supported
+from repro.sparkle import SparkleContext, shm_supported
 
 from .conftest import fw_table, ge_table, tc_table
 

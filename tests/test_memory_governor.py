@@ -36,9 +36,9 @@ from repro.sparkle import (
     SolveRequest,
     SparkleContext,
     TaskError,
+    shm_supported,
 )
 from repro.sparkle.durable import DurableBlockStore
-from repro.sparkle.serialize import shm_supported
 from repro.sparkle.shuffle import ShuffleManager
 from repro.sparkle.storage import BlockManager
 

@@ -460,7 +460,7 @@ class TestDeadlines:
     @pytest.mark.timeout(240)
     def test_deadline_kills_offloaded_pass_without_shm_leak(self):
         sc = _context(backend="processes", heartbeat_interval=0.0)
-        prefix = sc._executors.backend.arena.prefix
+        prefix = sc._executors.backend.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -493,7 +493,7 @@ class TestDeadlines:
         deadline either way, so the stuck *pass* is what is timed: a
         follow-up request queues behind its kill/respawn/cleanup."""
         sc = _context(backend="processes", heartbeat_interval=0.0)
-        prefix = sc._executors.backend.arena.prefix
+        prefix = sc._executors.backend.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -726,7 +726,7 @@ class TestRequestStorm:
             memory_budget_bytes=96 << 20,
             heartbeat_interval=0.0,
         )
-        prefix = sc._executors.backend.arena.prefix
+        prefix = sc._executors.backend.supervisor.prefix
         service = SolverService(
             sc,
             config=ServiceConfig(max_queue_depth=32, retries=3,
