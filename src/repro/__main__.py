@@ -303,6 +303,10 @@ def _cmd_memstat(args) -> int:
         ("strategy_degradations", ""),
         ("forced_grants", ""),
         ("shuffle_partial_cleanups", ""),
+        ("execution_peak_bytes", "B"),
+        ("storage_peak_bytes", "B"),
+        ("shuffles_released", ""),
+        ("cached_rdds_retired", ""),
     )
     if not any(key in summary for key, _unit in counters):
         print(

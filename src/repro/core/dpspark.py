@@ -389,6 +389,9 @@ class GepSparkSolver:
             else:
                 operands = _OPERANDS[state.active_strategy](self.sc, k)
                 dp = self._collect_iteration(dp, k, bounds, nt, n, operands)
+            # iteration k's intermediates and the previous generation get
+            # no reader beyond those just derived: free them as read
+            dp.seal()
             if (
                 self.checkpoint_every is not None
                 and (k + 1) % self.checkpoint_every == 0
@@ -562,8 +565,11 @@ class GepSparkSolver:
         crash in between resumes from ``k - 1`` and merely leaves
         unreferenced snapshot blocks for ``fsck`` to report.  Returns
         the materialized grid as a lineage-truncated RDD (the snapshot
-        is now the recovery point, Spark's reliable-checkpoint rule).
+        is now the recovery point, Spark's reliable-checkpoint rule) —
+        so the replaced lineage is sealed, ``dp`` included, and the
+        snapshot job frees what it is the last reader of.
         """
+        dp.seal(inclusive=True)
         parts = self.sc.run_job(dp, list, action="snapshot")
         for items in parts:
             for (i, j), tile in items:

@@ -276,35 +276,56 @@ class SparkleContext:
         return self.durable_store
 
     def reclaim_solve_state(self, keep_job_traces: int = 64) -> None:
-        """Release per-solve engine state between requests (service use).
+        """Release per-solve engine state between requests (the solver
+        service calls this after every engine pass).
 
-        A context that lives across many solves would otherwise accrete
-        staged shuffle outputs, cached blocks, CB shared-storage keys
-        (``("pivot", k)`` / ``("bc", k, key)``), scheduler stage/attempt
-        maps, and unbounded job traces.  Everything here releases through
-        the same paths normal retirement uses (governor bytes, spill
-        files; CB storage values are plain references, dropped), so a
-        swept context is byte-identical to a fresh one as far as the
-        accounting ledgers can tell.
+        Inside a solve the scheduler already frees each sealed shuffle
+        and cached RDD with its last reader; what is left when the solve
+        returns — its final generation, CB's shared-storage keys
+        (``("pivot", k)`` / ``("bc", k, key)``), anything recovery
+        re-staged, the scheduler's stage/attempt maps, unbounded job
+        traces — a context that lives across many solves would
+        otherwise accrete.  Everything releases through the same paths
+        normal retirement uses (governor bytes, spill files; CB storage
+        values are plain references, dropped), so a swept context is
+        byte-identical to a fresh one as far as the accounting ledgers
+        can tell.
 
         ``keep_job_traces`` bounds the metrics trace ring; aggregate
         counters on :class:`~repro.sparkle.metrics.EngineMetrics` are
         untouched (they are cheap and context-lifetime by design).
         """
         self._check_active()
+        self._release_solve_state()
+        if keep_job_traces >= 0 and len(self.metrics.jobs) > keep_job_traces:
+            del self.metrics.jobs[: len(self.metrics.jobs) - keep_job_traces]
+
+    def _release_solve_state(self) -> None:
+        """Let go of every staged shuffle output, cached block and
+        shared-storage value, and of the scheduler's stages (which hold
+        the RDD lineage, which holds this context)."""
         self._shuffle_manager.clear()
         self._block_manager.clear()
         self.shared_storage.clear()
         self._scheduler.reclaim()
-        if keep_job_traces >= 0 and len(self.metrics.jobs) > keep_job_traces:
-            del self.metrics.jobs[: len(self.metrics.jobs) - keep_job_traces]
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def stop(self) -> None:
+        """Shut the executors down and free what the context holds.
+
+        A stopped context holds no data: the stores are emptied (the
+        same release :meth:`reclaim_solve_state` performs, before the
+        spill directory goes), so the tiles of its solves die by
+        reference count the moment the caller's ``with`` block ends —
+        not at some later cyclic collection, which a benchmark life of
+        four solves never reaches.  Metrics and reports stay readable.
+        Idempotent.
+        """
         if not self._stopped:
             self._executors.shutdown()
+            self._release_solve_state()
             if self._spill_tmpdir is not None:
                 shutil.rmtree(self._spill_tmpdir, ignore_errors=True)
                 self._spill_tmpdir = None

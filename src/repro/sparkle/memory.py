@@ -122,6 +122,7 @@ class MemoryManager:
         # pool -> owner -> bytes
         self._ledger: dict[str, dict[Any, int]] = {p: {} for p in POOLS}
         self._pool_live: dict[str, int] = {p: 0 for p in POOLS}
+        self._pool_peak: dict[str, int] = {p: 0 for p in POOLS}
         self._live = 0
         self._admitted_tasks = 0
         self._level = PRESSURE_OK
@@ -207,7 +208,12 @@ class MemoryManager:
             ledger.pop(owner, None)
         else:
             ledger[owner] = held
-        self._pool_live[pool] += delta
+        live = self._pool_live[pool] + delta
+        self._pool_live[pool] = live
+        if live > self._pool_peak[pool]:
+            self._pool_peak[pool] = live
+            if self._metrics is not None:
+                setattr(self._metrics, f"{pool}_peak_bytes", live)
         self._live += delta
         self._update_level_locked()
 
@@ -430,6 +436,8 @@ class MemoryManager:
                 "level": self._level,
                 "execution_bytes": self._pool_live["execution"],
                 "storage_bytes": self._pool_live["storage"],
+                "execution_peak_bytes": self._pool_peak["execution"],
+                "storage_peak_bytes": self._pool_peak["storage"],
                 "by_owner": {
                     pool: dict(ledger)
                     for pool, ledger in self._ledger.items()

@@ -171,6 +171,13 @@ class EngineMetrics:
     last_executor_protected: int = 0
     #: aborted shuffle-map stages whose partial outputs were reclaimed
     shuffle_partial_cleanups: int = 0
+    #: high-water marks of the governor's two pools (live bytes)
+    execution_peak_bytes: int = 0
+    storage_peak_bytes: int = 0
+    #: sealed shuffles released / sealed persisted RDDs evicted when the
+    #: last stage of a job that read them completed
+    shuffles_released: int = 0
+    cached_rdds_retired: int = 0
     # ---- data plane counters (execution backend / kernel offload) -----
     #: which execution backend the context ran (``threads``/``processes``)
     backend: str = "threads"
@@ -259,6 +266,10 @@ class EngineMetrics:
             "strategy_degradations": self.strategy_degradations,
             "forced_grants": self.forced_grants,
             "shuffle_partial_cleanups": self.shuffle_partial_cleanups,
+            "execution_peak_bytes": self.execution_peak_bytes,
+            "storage_peak_bytes": self.storage_peak_bytes,
+            "shuffles_released": self.shuffles_released,
+            "cached_rdds_retired": self.cached_rdds_retired,
         }
 
     def data_plane_summary(self) -> dict[str, Any]:

@@ -129,6 +129,8 @@ class RDD:
         self.partitioner: Partitioner | None = None
         self._cached = False
         self._storage_level = "MEMORY_AND_DISK"
+        #: set by :meth:`seal`: no new RDD will be derived from this one
+        self.sealed = False
 
     # -- subclass surface ------------------------------------------------
     def num_partitions(self) -> int:
@@ -180,6 +182,27 @@ class RDD:
         self.ctx._block_manager.evict_rdd(self.id)
         return self
 
+    def seal(self, inclusive: bool = False) -> "RDD":
+        """Declare that nothing new will be derived from this RDD's
+        ancestors — what lets the engine free them.
+
+        Marks every RDD strictly upstream of this one ``sealed`` (with
+        ``inclusive`` this one too).  The scheduler releases a sealed
+        RDD's parent shuffle and cached partitions when the last stage
+        of a job that reads them completes; an unsealed RDD keeps both
+        across jobs (Spark's stage reuse).  Sealing never loses data: a
+        later job — or a retry — that needs a released output recomputes
+        it from lineage.  The walk stops at sealed nodes, so an
+        iterative driver's call per generation costs only the new nodes.
+        """
+        stack = [self] if inclusive else [dep.rdd for dep in self.deps]
+        while stack:
+            node = stack.pop()
+            if not node.sealed:
+                node.sealed = True
+                stack.extend(dep.rdd for dep in node.deps)
+        return self
+
     def checkpoint(self) -> "RDD":
         """Materialize now and truncate the lineage.
 
@@ -197,7 +220,15 @@ class RDD:
         checksums, and the returned :class:`DurableCheckpointRDD` falls
         back to recomputing this RDD's lineage if a stored block is
         later found corrupt.
+
+        The replaced lineage is sealed, this RDD included (Spark's
+        ``markCheckpointed``): the checkpoint job is its last reader, so
+        its staged shuffles and cached partitions are freed as that job
+        runs instead of living until :meth:`SparkleContext.stop`.  Go on
+        with the returned RDD: this one stays correct, but a later job
+        on it recomputes from lineage what the checkpoint let go.
         """
+        self.seal(inclusive=True)
         parts = self.ctx.run_job(self, list, action="checkpoint")
         store = getattr(self.ctx, "durable_store", None)
         if store is None:

@@ -1,12 +1,24 @@
 """DAG scheduler: jobs → stages → tasks (paper §II).
 
-An action submits the final RDD here.  The scheduler walks the lineage,
-cutting it at every :class:`~repro.sparkle.rdd.ShuffleDependency` into
-*stages* (maximal narrow-dependency pipelines), executes parent
-shuffle-map stages first, then the result stage.  Stages whose shuffle
-outputs are already materialized are skipped — Spark's stage reuse, which
-makes the iterative GEP drivers' per-iteration actions incremental
-instead of quadratic.
+An action submits the final RDD here.  The scheduler walks the lineage
+top-down from that RDD, cutting it at every
+:class:`~repro.sparkle.rdd.ShuffleDependency` into *stages* (maximal
+narrow-dependency pipelines), executes the missing parent shuffle-map
+stages first, then the result stage.  A parent stage whose shuffle
+outputs are already materialized is a leaf of the walk (Spark's
+``getMissingParentStages``): it is skipped — stage reuse, which makes
+the iterative GEP drivers' per-iteration actions incremental instead of
+quadratic — and its ancestors are neither visited nor needed.
+
+A shuffle lives as long as its readers.  Over the stages the walk
+touches, a job counts the readers of every parent shuffle and of every
+persisted RDD; when the last of them completes and the data was declared
+dead (:meth:`RDD.seal <repro.sparkle.rdd.RDD.seal>`: no new reader will
+be derived), the staged map outputs are released and the cached
+partitions evicted.  Unsealed data is kept across jobs exactly as
+before.  Safety is lineage, not the count: a task that needs a released
+output gets :class:`~.errors.ShuffleFetchFailed` and takes the
+recomputation path below, which recurses through released ancestors.
 
 Tasks (one per partition) run on the executor pool.  The retry loop is
 hardened against the chaos plane (:mod:`repro.sparkle.chaos`):
@@ -33,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .chaos import CURRENT_TASK, deterministic_fraction
@@ -98,7 +110,6 @@ class Stage:
     id: int
     rdd: RDD
     shuffle_dep: ShuffleDependency | None
-    parents: list["Stage"] = field(default_factory=list)
 
     @property
     def num_tasks(self) -> int:
@@ -131,7 +142,8 @@ class DAGScheduler:
         self.backoff_cap = backoff_cap
         self.backoff_jitter = backoff_jitter
         self._next_stage_id = 0
-        # ShuffleDependency -> Stage, so shared parents build once (also
+        # shuffle id -> Stage, created the first time a job's walk
+        # reaches the dependency, so a shared parent is one stage (also
         # the lookup for fetch-failure recomputation).
         self._shuffle_stages: dict[int, Stage] = {}
         self._executor_faults: dict[int, int] = {}
@@ -186,9 +198,15 @@ class DAGScheduler:
     # ------------------------------------------------------------------
     # stage graph construction
     # ------------------------------------------------------------------
-    def _parent_stages(self, rdd: RDD) -> list[Stage]:
-        """Shuffle-map stages directly feeding ``rdd``'s pipeline."""
-        parents: list[Stage] = []
+    @staticmethod
+    def _pipeline_inputs(
+        rdd: RDD,
+    ) -> tuple[list[tuple[ShuffleDependency, RDD]], list[RDD]]:
+        """What the stage ending at ``rdd`` reads: the shuffle
+        dependencies at its pipeline's upstream edge, each with the RDD
+        that fetches it, and the persisted RDDs inside the pipeline."""
+        shuffles: list[tuple[ShuffleDependency, RDD]] = []
+        cached: list[RDD] = []
         seen: set[int] = set()
         stack = [rdd]
         while stack:
@@ -196,18 +214,19 @@ class DAGScheduler:
             if node.id in seen:
                 continue
             seen.add(node.id)
+            if node._cached:
+                cached.append(node)
             for dep in node.deps:
                 if isinstance(dep, ShuffleDependency):
-                    parents.append(self._shuffle_map_stage(dep))
+                    shuffles.append((dep, node))
                 elif isinstance(dep, NarrowDependency):
                     stack.append(dep.rdd)
-        return parents
+        return shuffles, cached
 
     def _shuffle_map_stage(self, dep: ShuffleDependency) -> Stage:
         stage = self._shuffle_stages.get(dep.shuffle_id)
         if stage is None:
             stage = Stage(self._new_stage_id(), dep.rdd, dep)
-            stage.parents = self._parent_stages(dep.rdd)
             self._shuffle_stages[dep.shuffle_id] = stage
         return stage
 
@@ -224,25 +243,69 @@ class DAGScheduler:
     ) -> list[Any]:
         """Execute ``func`` over every partition of ``rdd``; ordered results."""
         result_stage = Stage(self._new_stage_id(), rdd, None)
-        result_stage.parents = self._parent_stages(rdd)
+        order: list[tuple[Stage, list, list]] = []
+        readers: dict[Any, int] = {}
+        self._plan(result_stage, order, readers, set())
         trace = self.ctx.metrics.new_job(action)
+        results: list[Any] = []
+        for stage, shuffles, cached in order:
+            self._check_deadline()
+            if stage.shuffle_dep is None:
+                results = self._run_result_stage(stage, func, trace)
+            else:
+                self._run_shuffle_map_stage(stage, trace)
+            self._release_read(shuffles, cached, readers)
+        return results
 
-        executed: set[int] = set()
+    def _plan(
+        self,
+        stage: Stage,
+        order: list[tuple[Stage, list, list]],
+        readers: dict[Any, int],
+        planned: set[int],
+    ) -> None:
+        """The top-down walk of one job.
 
-        def run_parents(stage: Stage) -> None:
-            for parent in stage.parents:
-                if parent.id in executed:
-                    continue
-                executed.add(parent.id)
-                run_parents(parent)
-                if self._shuffle_materialized(parent):
-                    continue  # stage reuse (skip)
-                self._check_deadline()
-                self._run_shuffle_map_stage(parent, trace)
+        Appends to ``order`` the stages that must run, parents first,
+        each with what its pipeline reads; ``readers`` counts, per
+        parent shuffle dependency and per persisted RDD, the stages of
+        this job that read it.  A materialized parent stage is a leaf:
+        it is counted as read, but its ancestors are not visited — so a
+        released ancestor costs a later job nothing.  (A method, not a
+        closure: a recursive closure is a reference cycle, and would
+        keep the stages — and the lineage behind them — past the job.)
+        """
+        shuffles, cached = self._pipeline_inputs(stage.rdd)
+        for dep, _reader in shuffles:
+            readers[dep] = readers.get(dep, 0) + 1
+            parent = self._shuffle_map_stage(dep)
+            if parent.id not in planned:
+                planned.add(parent.id)
+                if not self._shuffle_materialized(parent):
+                    self._plan(parent, order, readers, planned)
+        for node in cached:
+            readers[node] = readers.get(node, 0) + 1
+        order.append((stage, shuffles, cached))
 
-        run_parents(result_stage)
-        self._check_deadline()
-        return self._run_result_stage(result_stage, func, trace)
+    def _release_read(
+        self,
+        shuffles: list[tuple[ShuffleDependency, RDD]],
+        cached: list[RDD],
+        readers: dict[Any, int],
+    ) -> None:
+        """A stage completed (driver thread, every task joined): free
+        what it was the job's last reader of, if sealed."""
+        metrics = self.ctx.metrics
+        for dep, reader in shuffles:
+            readers[dep] -= 1
+            if readers[dep] == 0 and reader.sealed:
+                self.ctx._shuffle_manager.release(dep.shuffle_id)
+                metrics.shuffles_released += 1
+        for node in cached:
+            readers[node] -= 1
+            if readers[node] == 0 and node.sealed:
+                node.unpersist()
+                metrics.cached_rdds_retired += 1
 
     # ------------------------------------------------------------------
     def _run_tasks(self, thunks: list[Callable[[], Any]]) -> list[Any]:
@@ -274,10 +337,7 @@ class DAGScheduler:
     def _shuffle_materialized(self, stage: Stage) -> bool:
         dep = stage.shuffle_dep
         assert dep is not None
-        sm = self.ctx._shuffle_manager
-        return all(
-            sm.has_output(dep.shuffle_id, mp) for mp in range(stage.num_tasks)
-        )
+        return self.ctx._shuffle_manager.has_outputs(dep.shuffle_id, stage.num_tasks)
 
     def _run_shuffle_map_stage(self, stage: Stage, trace) -> None:
         dep = stage.shuffle_dep
@@ -576,14 +636,15 @@ class DAGScheduler:
                 self.ctx.metrics.partitions_recomputed += 1
 
     def reclaim(self) -> None:
-        """Forget per-solve stage state (the service's between-requests
-        sweep).
+        """Forget per-solve stage state (``SparkleContext``'s release
+        routine: the service's between-requests sweep, and ``stop``).
 
-        A long-lived context accretes one :class:`Stage` per shuffle
-        dependency and one attempt counter per (stage, partition) for
-        every solve it runs; after the solve's RDDs are dead this is
-        pure leak.  Executor fault counts survive on purpose — backend
-        health is context-lifetime knowledge, not per-solve.
+        A context accretes one :class:`Stage` per shuffle dependency and
+        one attempt counter per (stage, partition) for every solve it
+        runs; after the solve's RDDs are dead this is pure leak — and
+        the stages are what keep those RDDs, and through them a stopped
+        context, reachable.  Executor fault counts survive on purpose —
+        backend health is context-lifetime knowledge, not per-solve.
         """
         self._shuffle_stages.clear()
         with self._attempt_lock:

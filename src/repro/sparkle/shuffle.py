@@ -88,7 +88,11 @@ class ShuffleManager:
         # keys whose buckets live in the spill store, not memory
         self._spilled: set[tuple[int, int]] = set()
         self._owners: dict[tuple[int, int], Any] = {}
-        self._bytes_by_shuffle: dict[int, int] = {}
+        # shuffle_id -> its staged map partitions (the keys of
+        # _bucket_bytes, by shuffle): release() and has_outputs() look a
+        # shuffle up instead of scanning every staged key
+        self._staged_maps: dict[int, set[int]] = {}
+        self._live_bytes = 0
         self._next_shuffle_id = 0
         self.total_bytes_written = 0
         self.total_bytes_read = 0
@@ -98,13 +102,12 @@ class ShuffleManager:
         with self._lock:
             sid = self._next_shuffle_id
             self._next_shuffle_id += 1
-            self._bytes_by_shuffle[sid] = 0
             return sid
 
     def live_bytes(self) -> int:
         """In-memory staged bytes (spilled outputs live on disk)."""
         with self._lock:
-            return sum(self._bytes_by_shuffle.values())
+            return self._live_bytes
 
     @staticmethod
     def _spill_block_key(key: tuple[int, int]) -> tuple:
@@ -158,6 +161,7 @@ class ShuffleManager:
         # the same output.
         self._discard_locked(key)
         self._bucket_bytes[key] = sizes
+        self._staged_maps.setdefault(key[0], set()).add(key[1])
         reserved = mm.reserve("execution", owner, nbytes)
         while not reserved and self._outputs:
             self._spill_oldest_locked()
@@ -173,27 +177,22 @@ class ShuffleManager:
             mm.reserve("execution", owner, nbytes, force=True)
         self._outputs[key] = buckets
         self._owners[key] = owner
-        self._bytes_by_shuffle[key[0]] = (
-            self._bytes_by_shuffle.get(key[0], 0) + nbytes
-        )
+        self._live_bytes += nbytes
 
     def _spill_oldest_locked(self) -> None:
         """Move the oldest in-memory staged output to the spill store."""
         victim = next(iter(self._outputs))
-        buckets = self._outputs.pop(victim)
-        nbytes = self._output_bytes_locked(victim)
-        owner = self._owners.pop(victim, None)
-        self._bytes_by_shuffle[victim[0]] = (
-            self._bytes_by_shuffle.get(victim[0], 0) - nbytes
-        )
-        self.memory.release("execution", owner, nbytes)
-        if self.spill is not None:
-            self._spill_buckets_locked(victim, buckets, nbytes)
-        else:
+        if self.spill is None:
             # Without a spill store the output is simply dropped:
             # consumers hit ShuffleFetchFailed and recompute it from
             # lineage.
-            del self._bucket_bytes[victim]
+            self._discard_locked(victim)
+            return
+        buckets = self._outputs.pop(victim)
+        nbytes = self._output_bytes_locked(victim)
+        self._live_bytes -= nbytes
+        self.memory.release("execution", self._owners.pop(victim, None), nbytes)
+        self._spill_buckets_locked(victim, buckets, nbytes)
 
     def _spill_buckets_locked(
         self, key: tuple[int, int], buckets: dict[int, list], nbytes: int
@@ -209,13 +208,17 @@ class ShuffleManager:
         spill bookkeeping) — the one way a staged output goes away.
         Returns the in-memory bytes it held."""
         sizes = self._bucket_bytes.pop(key, None)
+        if sizes is None:
+            return 0
+        maps = self._staged_maps[key[0]]
+        maps.discard(key[1])
+        if not maps:
+            del self._staged_maps[key[0]]
         stale = 0
         if key in self._outputs:
             stale = sum(sizes.values())
             del self._outputs[key]
-            self._bytes_by_shuffle[key[0]] = (
-                self._bytes_by_shuffle.get(key[0], 0) - stale
-            )
+            self._live_bytes -= stale
             owner = self._owners.pop(key, None)
             if stale:
                 self.memory.release("execution", owner, stale)
@@ -262,11 +265,9 @@ class ShuffleManager:
         items: list = []
         nbytes = remote = 0
         with self._lock:
+            staged = self._staged_maps.get(shuffle_id, ())
             missing = tuple(
-                mp
-                for mp in range(num_map_partitions)
-                if (shuffle_id, mp) not in self._outputs
-                and (shuffle_id, mp) not in self._spilled
+                mp for mp in range(num_map_partitions) if mp not in staged
             )
             if missing:
                 raise ShuffleFetchFailed(shuffle_id, missing)
@@ -284,38 +285,33 @@ class ShuffleManager:
         return items, nbytes, remote
 
     def release(self, shuffle_id: int) -> int:
-        """Drop a shuffle's staged data (job finished or stage aborted).
+        """Drop one shuffle's staged data, in memory and spilled.
 
-        Returns the in-memory bytes reclaimed; spilled blocks for the
-        shuffle are deleted from the spill store as well.
+        Called by the scheduler when a sealed shuffle's last reader
+        stage of a job completes (``DAGScheduler.run_job`` — the hot
+        caller, ~40–120 times a solve) and when a shuffle-map stage
+        aborts.  A later fetch of a released output raises
+        :class:`~repro.sparkle.errors.ShuffleFetchFailed` and is
+        recomputed from lineage.  Returns the in-memory bytes reclaimed.
         """
         with self._lock:
-            freed = 0
-            keys = [
-                k
-                for k in set(self._outputs) | self._spilled
-                if k[0] == shuffle_id
-            ]
-            for key in keys:
-                freed += self._discard_locked(key)
-            self._bytes_by_shuffle.pop(shuffle_id, None)
-            return freed
+            return sum(
+                self._discard_locked((shuffle_id, mp))
+                for mp in list(self._staged_maps.get(shuffle_id, ()))
+            )
 
     def clear(self) -> int:
         """Drop every staged output of every shuffle; returns bytes freed.
 
-        Between-requests sweep for a long-lived context: once a solve's
-        final collect has run, its staged map outputs can never be
-        fetched again (the consuming RDDs are dead), but stage-reuse
-        bookkeeping would hold their bytes — and their governor
-        reservations — forever.
+        Called by ``SparkleContext.reclaim_solve_state`` (the service's
+        between-requests sweep) and ``SparkleContext.stop``: what a
+        solve left staged — its last generation, anything unsealed,
+        anything recovery re-staged — can never be fetched again once
+        its RDDs are dead, and would hold its bytes and governor
+        reservations for as long as the context is referenced.
         """
         with self._lock:
-            freed = 0
-            for key in list(set(self._outputs) | self._spilled):
-                freed += self._discard_locked(key)
-            self._bytes_by_shuffle.clear()
-            return freed
+            return sum(self._discard_locked(key) for key in list(self._bucket_bytes))
 
     def drop_executor_outputs(
         self, owns_map_partition: Callable[[int], bool]
@@ -330,19 +326,28 @@ class ShuffleManager:
         executor too — the paper's local-SSD staging is per-node.
         """
         with self._lock:
-            victims = [
-                k
-                for k in set(self._outputs) | self._spilled
-                if owns_map_partition(k[1])
-            ]
+            victims = [k for k in self._bucket_bytes if owns_map_partition(k[1])]
             for key in victims:
                 self._discard_locked(key)
             return victims
 
     def has_output(self, shuffle_id: int, map_partition: int) -> bool:
         with self._lock:
-            key = (shuffle_id, map_partition)
-            return key in self._outputs or key in self._spilled
+            return (shuffle_id, map_partition) in self._bucket_bytes
+
+    def has_outputs(self, shuffle_id: int, num_map_partitions: int) -> bool:
+        """Whether every map output of a shuffle is staged (in memory or
+        spilled) — the scheduler's "is this stage materialized", one
+        lock per stage."""
+        with self._lock:
+            staged = self._staged_maps.get(shuffle_id, ())
+            return all(mp in staged for mp in range(num_map_partitions))
+
+    @property
+    def num_shuffles(self) -> int:
+        """Shuffles with at least one staged map output."""
+        with self._lock:
+            return len(self._staged_maps)
 
     @property
     def num_spilled(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import signal
 
 import numpy as np
@@ -109,3 +110,29 @@ def assert_tables_equal(a: np.ndarray, b: np.ndarray, **kw) -> None:
         np.testing.assert_array_equal(a, b)
     else:
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9, **kw)
+
+
+def assert_quiescent(sc) -> None:
+    """The conservation invariant of a context at rest — swept by
+    ``reclaim_solve_state()`` or stopped: nothing staged, cached, stored
+    or spilled, every governor ledger and the tenant overlay at zero;
+    a stopped context also has no worker process and nothing in
+    ``/dev/shm``."""
+    usage = sc.memory_manager.usage()
+    assert usage["live_bytes"] == 0
+    assert usage["execution_bytes"] == usage["storage_bytes"] == 0
+    assert usage["by_owner"] == {"execution": {}, "storage": {}}
+    assert usage["admitted_tasks"] == 0
+    assert all(t["held_bytes"] == 0 for t in usage["tenants"].values())
+    shuffles, blocks, storage = (
+        sc._shuffle_manager, sc._block_manager, sc.shared_storage
+    )
+    assert (shuffles.num_shuffles, shuffles.live_bytes(), shuffles.num_spilled) == (0, 0, 0)
+    assert (blocks.num_blocks, blocks.live_bytes, blocks.num_spilled) == (0, 0, 0)
+    assert (len(storage), storage.live_bytes) == (0, 0)
+    if sc.spill_store is not None:
+        assert len(sc.spill_store) == 0
+        assert glob.glob(f"{sc.spill_store.blocks_dir}/*") == []
+    if sc._stopped and sc.supervisor is not None:
+        assert sc.supervisor.worker_pids() == []
+        assert glob.glob(f"/dev/shm/{sc.supervisor.prefix}*") == []

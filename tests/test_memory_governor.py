@@ -42,7 +42,7 @@ from repro.sparkle.durable import DurableBlockStore
 from repro.sparkle.shuffle import ShuffleManager
 from repro.sparkle.storage import BlockManager
 
-from .conftest import fw_table
+from .conftest import assert_quiescent, fw_table
 
 pytestmark = pytest.mark.memory
 
@@ -533,15 +533,6 @@ class TestBudgetedSolve:
 # ----------------------------------------------------------------------
 # Ledger conservation: every context has a governor, and it ends at zero
 # ----------------------------------------------------------------------
-def assert_ledgers_zero(mm):
-    usage = mm.usage()
-    assert usage["live_bytes"] == 0
-    assert usage["execution_bytes"] == usage["storage_bytes"] == 0
-    assert usage["by_owner"] == {"execution": {}, "storage": {}}
-    assert usage["admitted_tasks"] == 0
-    assert usage["tenants"] == {}
-
-
 @pytest.mark.parametrize("budget", [None, 8 * TIGHT_BUDGET])
 @pytest.mark.parametrize(
     "backend",
@@ -572,7 +563,7 @@ def test_ledgers_return_to_zero_on_every_context(strategy, backend, budget):
             assert sc.metrics.forced_grants == sc.metrics.admission_waits == 0
             assert sc.metrics.pressure_transitions == []
         sc.reclaim_solve_state()
-        assert_ledgers_zero(mm)
+        assert_quiescent(sc)
 
 
 @pytest.mark.timeout(120)
@@ -591,7 +582,7 @@ def test_ledgers_return_to_zero_after_a_service_round():
             assert sc.memory_manager.usage()["tenants"]["acme"]["held_bytes"] > 0
         finally:
             service.stop()
-        assert_ledgers_zero(sc.memory_manager)
+        assert_quiescent(sc)
 
 
 # ----------------------------------------------------------------------
