@@ -12,14 +12,12 @@ Commands
 ``fsck``
     Verify the integrity of a checkpoint directory (block checksums,
     manifest consistency, journal validity) and report any damage.
-``memstat``
-    Print the memory-governor counters (spill volume, pressure
-    transitions, admission waits, degradations) from a solve report
-    JSON written with ``solve --report``.
-``workers``
-    Print the worker-supervision counters (crashes, respawns, missed
-    heartbeats, deadlines, poison quarantines, backend degradations) from a solve report JSON written with
-    ``solve --report``.
+``memstat`` / ``workers``
+    Print one counter group of a solve report JSON written with
+    ``solve --report``: the memory governor's (spill volume, pressure
+    transitions, admission waits, degradations) or worker supervision's
+    (crashes, respawns, missed heartbeats, deadlines, poison
+    quarantines, backend degradations).
 ``tune``
     Print the analytical tuning advice for a problem on a cluster preset.
 ``experiments``
@@ -181,10 +179,10 @@ def _cmd_solve(args) -> int:
             print(f"GE eliminated: n={out.shape[0]}, "
                   f"|det|={abs(float(np.prod(np.diag(out)))):.4g}")
         if report is not None and report.engine_metrics is not None:
-            print("engine:", report.engine_metrics.summary())
+            metrics = report.engine_metrics
+            print("engine:", metrics.summary("plan"))
             if args.checkpoint_dir:
-                metrics = report.engine_metrics
-                print("durability:", metrics.durability_summary())
+                print("durability:", metrics.summary("durability"))
                 if report.extras.get("resumed_from_iteration") is not None:
                     print(
                         "resumed after journaled iteration "
@@ -193,13 +191,10 @@ def _cmd_solve(args) -> int:
             if fault_plan is not None:
                 print("chaos:", fault_plan.describe(),
                       "| injected:", fault_plan.fired())
-                print("recovery:", report.engine_metrics.recovery_summary())
+                print("recovery:", metrics.summary("recovery"))
             if args.backend == "processes":
-                print("data plane:", report.engine_metrics.data_plane_summary())
-                print(
-                    "supervision:",
-                    report.engine_metrics.supervision_summary(),
-                )
+                print("data plane:", metrics.summary("data_plane"))
+                print("supervision:", metrics.summary("supervision"))
                 for d in report.extras.get("backend_degradations") or []:
                     print(
                         f"degraded backend {d['from']}->{d['to']} at outer "
@@ -208,7 +203,7 @@ def _cmd_solve(args) -> int:
                         f"quarantined)"
                     )
             if ctx.memory_manager.bounded:
-                print("memory:", report.engine_metrics.memory_summary())
+                print("memory:", metrics.summary("memory"))
                 if report.extras.get("degraded"):
                     d = report.extras["degraded"]
                     print(
@@ -278,10 +273,21 @@ def _cmd_fsck(args) -> int:
     return 0 if clean else 1
 
 
-def _cmd_memstat(args) -> int:
+#: report subcommand -> (counter group it prints, how the error names it)
+_REPORT_GROUPS = {
+    "memstat": ("memory", "memory-governor"),
+    "workers": ("supervision", "worker-supervision"),
+}
+
+
+def _cmd_report_group(args) -> int:
+    """``memstat`` / ``workers``: one counter group of a solve report."""
     import json
     import os
 
+    from repro.sparkle import EngineMetrics
+
+    group, noun = _REPORT_GROUPS[args.command]
     if not os.path.isfile(args.report):
         print(f"no such report file: {args.report}", file=sys.stderr)
         return 2
@@ -291,104 +297,52 @@ def _cmd_memstat(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
-    counters = (
-        ("spill_bytes_written", "B"),
-        ("spill_bytes_read", "B"),
-        ("blocks_spilled", ""),
-        ("shuffle_blocks_spilled", ""),
-        ("spill_reads", ""),
-        ("admission_waits", ""),
-        ("admission_wait_seconds", "s"),
-        ("mem_squeezes", ""),
-        ("strategy_degradations", ""),
-        ("forced_grants", ""),
-        ("shuffle_partial_cleanups", ""),
-        ("execution_peak_bytes", "B"),
-        ("storage_peak_bytes", "B"),
-        ("shuffles_released", ""),
-        ("cached_rdds_retired", ""),
-    )
-    if not any(key in summary for key, _unit in counters):
+    counters = [c for c in EngineMetrics.schema(group) if c.key in summary]
+    if not counters:
         print(
-            "report has no memory-governor counters (was it written by "
+            f"report has no {noun} counters (was it written by "
             "'solve --report' on a spark run?)",
             file=sys.stderr,
         )
         return 2
-    label = summary.get("spec", "?")
     print(
-        f"memstat {args.report}: {label} "
+        f"{args.command} {args.report}: {summary.get('spec', '?')} "
         f"strategy={summary.get('strategy', '?')} n={summary.get('n', '?')}"
     )
-    for key, unit in counters:
-        if key in summary:
-            suffix = f" {unit}" if unit else ""
-            print(f"  {key:26s} {summary[key]}{suffix}")
-    transitions = summary.get("pressure_transitions") or []
-    print(f"  pressure_transitions       {len(transitions)}")
-    for hop in transitions:
-        print(f"    {hop}")
+    traces = []
+    for c in counters:
+        value = summary[c.key]
+        if isinstance(value, list):
+            traces.append((c.key, value))  # count + entries, after the scalars
+        else:
+            print(f"  {c.key:26s} {value}{' ' + c.unit if c.unit else ''}")
+    for key, entries in traces:
+        print(f"  {key:26s} {len(entries)}")
+        for entry in entries:
+            print(f"    {entry}")
     extras = summary.get("extras") or {}
-    if extras.get("degraded"):
-        d = extras["degraded"]
-        print(
-            f"  degraded: {d.get('from')}->{d.get('to')} at iteration "
-            f"{d.get('at_iteration')}"
-        )
-    budget = extras.get("memory_budget")
-    if budget:
-        print(
-            f"  budget: {budget.get('live_bytes')} B live of "
-            f"{budget.get('budget_bytes')} B "
-            f"(initial {budget.get('initial_budget_bytes')} B, "
-            f"level {budget.get('level')})"
-        )
-    return 0
-
-
-def _cmd_workers(args) -> int:
-    import json
-    import os
-
-    if not os.path.isfile(args.report):
-        print(f"no such report file: {args.report}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read report: {exc}", file=sys.stderr)
-        return 2
-    counters = (
-        "worker_crashes",
-        "workers_respawned",
-        "heartbeats_missed",
-        "deadlines_exceeded",
-        "poison_tasks",
-        "backend_degradations",
-    )
-    if not any(key in summary for key in counters):
-        print(
-            "report has no worker-supervision counters (was it written by "
-            "'solve --report' on a spark run?)",
-            file=sys.stderr,
-        )
-        return 2
-    label = summary.get("spec", "?")
-    print(
-        f"workers {args.report}: {label} "
-        f"strategy={summary.get('strategy', '?')} n={summary.get('n', '?')}"
-    )
-    for key in counters:
-        if key in summary:
-            print(f"  {key:26s} {summary[key]}")
-    extras = summary.get("extras") or {}
-    for d in extras.get("backend_degradations") or []:
-        print(
-            f"  degraded backend: {d.get('from')}->{d.get('to')} at "
-            f"iteration {d.get('at_iteration')} "
-            f"({d.get('quarantined_tasks')} poison task(s))"
-        )
+    if group == "memory":
+        if extras.get("degraded"):
+            d = extras["degraded"]
+            print(
+                f"  degraded: {d.get('from')}->{d.get('to')} at iteration "
+                f"{d.get('at_iteration')}"
+            )
+        budget = extras.get("memory_budget")
+        if budget:
+            print(
+                f"  budget: {budget.get('live_bytes')} B live of "
+                f"{budget.get('budget_bytes')} B "
+                f"(initial {budget.get('initial_budget_bytes')} B, "
+                f"level {budget.get('level')})"
+            )
+    else:
+        for d in extras.get("backend_degradations") or []:
+            print(
+                f"  degraded backend: {d.get('from')}->{d.get('to')} at "
+                f"iteration {d.get('at_iteration')} "
+                f"({d.get('quarantined_tasks')} poison task(s))"
+            )
     return 0
 
 
@@ -629,7 +583,8 @@ def main(argv: list[str] | None = None) -> int:
         help="spark-engine execution backend: threads (default, "
              "deterministic in-process pool) or processes (one worker "
              "process per executor; kernel tile updates run on multiple "
-             "cores via shared-memory transport — bit-identical results)")
+             "cores, tiles pickled in one batch per task — bit-identical "
+             "results)")
     solve.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="durable checkpoint/journal directory for the spark engine: "
@@ -707,13 +662,13 @@ def main(argv: list[str] | None = None) -> int:
     memstat = sub.add_parser(
         "memstat", help="print memory-governor counters from a solve report")
     memstat.add_argument("report", help="JSON file from 'solve --report'")
-    memstat.set_defaults(func=_cmd_memstat)
+    memstat.set_defaults(func=_cmd_report_group)
 
     workers = sub.add_parser(
         "workers",
         help="print worker-supervision counters from a solve report")
     workers.add_argument("report", help="JSON file from 'solve --report'")
-    workers.set_defaults(func=_cmd_workers)
+    workers.set_defaults(func=_cmd_report_group)
 
     serve = sub.add_parser(
         "serve",

@@ -141,9 +141,7 @@ class SolveReport:
         absorbed — the overhead the paper's §V failure reports leave
         unmeasured.
         """
-        if self.engine_metrics is None:
-            return None
-        return self.engine_metrics.recovery_summary()
+        return self.engine_metrics and self.engine_metrics.summary("recovery")
 
     @property
     def memory(self) -> dict[str, Any] | None:
@@ -152,9 +150,7 @@ class SolveReport:
         All zeros / empty when the run was not memory-budgeted; ``None``
         without an engine.
         """
-        if self.engine_metrics is None:
-            return None
-        return self.engine_metrics.memory_summary()
+        return self.engine_metrics and self.engine_metrics.summary("memory")
 
     def summary(self) -> dict[str, Any]:
         out = {

@@ -6,6 +6,7 @@ from typing import Any, Generic, TypeVar
 
 from ..util import sizeof_block
 from .errors import TransientIOError
+from .metrics import EngineMetrics
 
 T = TypeVar("T")
 
@@ -28,7 +29,7 @@ class Broadcast(Generic[T]):
         bc_id: int,
         value: T,
         num_executors: int,
-        metrics,
+        metrics=None,
         fault_plan=None,
     ) -> None:
         self.id = bc_id
@@ -36,9 +37,9 @@ class Broadcast(Generic[T]):
         self.nbytes = sizeof_block(value)
         self._destroyed = False
         self.fault_plan = fault_plan
-        if metrics is not None:
-            metrics.broadcast_bytes += self.nbytes * num_executors
-            metrics.broadcast_count += 1
+        metrics = metrics or EngineMetrics()
+        metrics.broadcast_bytes += self.nbytes * num_executors
+        metrics.broadcast_count += 1
 
     @property
     def value(self) -> T:

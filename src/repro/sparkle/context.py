@@ -56,15 +56,6 @@ class SparkleContext:
         broadcast / staging faults.  While attached (and
         ``plan.serialize_tasks``), stage tasks run in partition order so
         recovery traces are deterministic.
-    speculation:
-        Race straggling task attempts against a speculative copy (first
-        result wins, loser cancelled).
-    blacklist_threshold:
-        Faults an executor may accumulate before being excluded from
-        placement (0 disables blacklisting).
-    backoff_base / backoff_cap / backoff_jitter:
-        Retry backoff: ``base * 2^(attempt-2)`` seconds, capped, then
-        stretched by up to ``jitter`` of itself (deterministic per site).
     checkpoint_dir:
         Directory for the durable layer (:class:`~repro.sparkle.durable.
         DurableBlockStore`).  When set, ``RDD.checkpoint()`` becomes a
@@ -117,13 +108,7 @@ class SparkleContext:
         num_executors: int = 4,
         cores_per_executor: int = 2,
         default_parallelism: int | None = None,
-        max_task_retries: int = 3,
         fault_plan: FaultPlan | None = None,
-        speculation: bool = True,
-        blacklist_threshold: int = 4,
-        backoff_base: float = 0.001,
-        backoff_cap: float = 0.05,
-        backoff_jitter: float = 0.5,
         checkpoint_dir: str | None = None,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -201,15 +186,7 @@ class SparkleContext:
         )
         self.durable_store: DurableBlockStore | None = None
         self.shared_storage = SharedStorage(self.metrics, fault_plan=fault_plan)
-        self._scheduler = DAGScheduler(
-            self,
-            max_task_retries,
-            speculation=speculation,
-            blacklist_threshold=blacklist_threshold,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            backoff_jitter=backoff_jitter,
-        )
+        self._scheduler = DAGScheduler(self)
         self._next_rdd_id = 0
         self._next_broadcast_id = 0
         self._stopped = False

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import BlockNotFoundError, CorruptBlockError, JournalError
+from .metrics import EngineMetrics
 
 __all__ = ["DurableBlockStore", "FsckReport", "SolveJournal"]
 
@@ -131,9 +132,9 @@ class DurableBlockStore:
         Directory to own (created if needed); blocks land in
         ``root/blocks/``, the manifest at ``root/MANIFEST.json``.
     metrics:
-        Optional :class:`~.metrics.EngineMetrics` for byte/event
+        The :class:`~.metrics.EngineMetrics` that takes the byte/event
         accounting (``durable_*``, ``torn_writes_detected``,
-        ``corrupt_blocks_detected``).
+        ``corrupt_blocks_detected``); a private one when omitted.
     fault_plan:
         Optional :class:`~.chaos.FaultPlan` arming ``torn_write`` /
         ``corrupt_block`` injections.
@@ -164,7 +165,7 @@ class DurableBlockStore:
         self.root = Path(root)
         self.blocks_dir = self.root / "blocks"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self.fault_plan = fault_plan
         self.max_write_attempts = max_write_attempts
         self.sync = sync
@@ -233,8 +234,7 @@ class DurableBlockStore:
             _atomic_write(path, data, sync=self.sync)
             if _checksum(path.read_bytes()) == digest:
                 break
-            if self._metrics is not None:
-                self._metrics.torn_writes_detected += 1
+            self._metrics.torn_writes_detected += 1
         else:
             raise CorruptBlockError(
                 f"block {key_repr} still fails read-back verification after "
@@ -248,9 +248,8 @@ class DurableBlockStore:
                 "blake2b": digest,
             }
             self._commit_manifest_locked()
-        if self._metrics is not None:
-            self._metrics.durable_puts += 1
-            self._metrics.durable_bytes_written += len(payload)
+        self._metrics.durable_puts += 1
+        self._metrics.durable_bytes_written += len(payload)
         if plan is not None and plan.durable_fault("corrupt_block", key, 1):
             # Post-commit silent bitrot: the manifest checksum is for the
             # good bytes, the disk now holds bad ones.  Only a verifying
@@ -278,23 +277,20 @@ class DurableBlockStore:
         try:
             payload = path.read_bytes()
         except OSError as exc:
-            if self._metrics is not None:
-                self._metrics.corrupt_blocks_detected += 1
+            self._metrics.corrupt_blocks_detected += 1
             raise CorruptBlockError(
                 f"block {key_repr} is in the manifest but unreadable: {exc}",
                 key=key,
             ) from exc
         if _checksum(payload) != entry["blake2b"]:
-            if self._metrics is not None:
-                self._metrics.corrupt_blocks_detected += 1
+            self._metrics.corrupt_blocks_detected += 1
             raise CorruptBlockError(
                 f"block {key_repr} failed its checksum "
                 f"({len(payload)} B on disk, {entry['nbytes']} B recorded)",
                 key=key,
             )
-        if self._metrics is not None:
-            self._metrics.durable_gets += 1
-            self._metrics.durable_bytes_read += len(payload)
+        self._metrics.durable_gets += 1
+        self._metrics.durable_bytes_read += len(payload)
         return pickle.loads(payload)
 
     def contains(self, key: Any) -> bool:

@@ -26,6 +26,7 @@ from typing import Any, Callable
 
 from .backend import ExecutionBackend, make_backend
 from .errors import LastExecutorProtectedWarning
+from .metrics import EngineMetrics
 
 __all__ = ["ExecutorPool"]
 
@@ -48,7 +49,7 @@ class ExecutorPool:
         self.num_executors = num_executors
         self.cores_per_executor = cores_per_executor
         self.total_slots = num_executors * cores_per_executor
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         if isinstance(backend, ExecutionBackend):
             self.backend = backend
         else:
@@ -56,7 +57,7 @@ class ExecutorPool:
                 backend,
                 total_slots=self.total_slots,
                 num_workers=num_executors,
-                metrics=metrics,
+                metrics=self._metrics,
                 supervision=supervision,
                 fault_plan=fault_plan,
             )
@@ -97,8 +98,7 @@ class ExecutorPool:
             if not 0 <= executor < self.num_executors:
                 raise ValueError(f"no such executor {executor}")
             if len(self._healthy) <= 1:
-                if self._metrics is not None:
-                    self._metrics.last_executor_protected += 1
+                self._metrics.last_executor_protected += 1
                 warnings.warn(
                     f"refusing to blacklist executor {executor}: it is the "
                     f"last healthy executor of {self.num_executors}",

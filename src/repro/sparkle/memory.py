@@ -47,6 +47,7 @@ import time
 from typing import Any, Callable
 
 from .chaos import CURRENT_TASK
+from .metrics import EngineMetrics
 
 __all__ = [
     "MemoryManager",
@@ -75,8 +76,9 @@ class MemoryManager:
         simulated cluster's aggregate usable memory); ``None`` for an
         unbounded manager, whose budget reads ``math.inf``.
     metrics:
-        Optional :class:`~.metrics.EngineMetrics`; pressure transitions,
-        admission waits, squeezes and forced grants are recorded there.
+        The :class:`~.metrics.EngineMetrics` that records pressure
+        transitions, admission waits, squeezes and forced grants; a
+        private one when omitted.
     task_quantum_bytes:
         Nominal execution reservation charged per admitted task (the
         scheduler's backpressure unit).  Defaults to ``budget // 8``
@@ -117,7 +119,7 @@ class MemoryManager:
             raise ValueError("task_quantum_bytes must be >= 1")
         self.task_quantum_bytes = int(task_quantum_bytes)
         self.executor_resolver = executor_resolver
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self._cond = threading.Condition()
         # pool -> owner -> bytes
         self._ledger: dict[str, dict[Any, int]] = {p: {} for p in POOLS}
@@ -171,8 +173,8 @@ class MemoryManager:
         deadlock-freedom escape hatch for first reservations, metered as
         ``forced_grants`` when it actually oversubscribes.
 
-        Byte exactness holds across execution backends: a tile re-homed
-        into a shared-memory segment (process backend) reports the same
+        Byte exactness holds across execution backends: a tile that
+        came back pickled from a worker process reports the same
         ``ndarray.nbytes`` as its in-process original.
         """
         if pool not in POOLS:
@@ -183,7 +185,7 @@ class MemoryManager:
             fits = self._live + nbytes <= self.budget_bytes
             if not fits and not force:
                 return False
-            if not fits and self._metrics is not None:
+            if not fits:
                 self._metrics.forced_grants += 1
             self._account_locked(pool, owner, nbytes)
             return True
@@ -212,8 +214,7 @@ class MemoryManager:
         self._pool_live[pool] = live
         if live > self._pool_peak[pool]:
             self._pool_peak[pool] = live
-            if self._metrics is not None:
-                setattr(self._metrics, f"{pool}_peak_bytes", live)
+            setattr(self._metrics, f"{pool}_peak_bytes", live)
         self._live += delta
         self._update_level_locked()
 
@@ -229,10 +230,7 @@ class MemoryManager:
         else:
             level = PRESSURE_OK
         if level != self._level:
-            if self._metrics is not None:
-                self._metrics.pressure_transitions.append(
-                    f"{self._level}->{level}"
-                )
+            self._metrics.pressure_transitions.append(f"{self._level}->{level}")
             self._level = level
         if level == PRESSURE_CRITICAL:
             self._critical_seen = True
@@ -283,8 +281,7 @@ class MemoryManager:
                 if not waited:
                     waited = True
                     start = time.perf_counter()
-                    if self._metrics is not None:
-                        self._metrics.admission_waits += 1
+                    self._metrics.admission_waits += 1
                 # Event-driven, not a poll: every release()/
                 # finish_task()/squeeze() notifies this condition, so a
                 # waiter wakes as soon as capacity can have changed.
@@ -292,7 +289,7 @@ class MemoryManager:
                 # lost-wakeup bug, not a spin interval (asserted by the
                 # no-spin regression test).
                 self._cond.wait(timeout=5.0)
-            if waited and self._metrics is not None:
+            if waited:
                 self._metrics.admission_wait_seconds += (
                     time.perf_counter() - start
                 )
@@ -389,8 +386,7 @@ class MemoryManager:
         with self._cond:
             floor = self.task_quantum_bytes
             self.budget_bytes = max(floor, int(self.budget_bytes * factor))
-            if self._metrics is not None:
-                self._metrics.mem_squeezes += 1
+            self._metrics.mem_squeezes += 1
             self._update_level_locked()
             self._cond.notify_all()
             new_budget = self.budget_bytes

@@ -6,12 +6,21 @@ volume of the CB strategy, storage staging — is recorded here as the
 engine runs.  The cost model (:mod:`repro.cluster.costmodel`) replays a
 :class:`JobTrace` against a :class:`~repro.cluster.config.ClusterConfig`
 to produce simulated wall-clock.
+
+A counter is written down once: :func:`counter` declares its name,
+default, group and unit as a dataclass field, and ``summary()`` /
+``summary(group)`` / ``schema(group)`` of :class:`EngineMetrics` and
+:class:`ServiceMetrics` are generated from those declarations in
+declaration order.  Every component that counts takes a registry or
+builds a private one (``metrics or EngineMetrics()``), so no increment
+is guarded by a presence check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import functools
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar, NamedTuple
 
 __all__ = [
     "TaskRecord",
@@ -102,104 +111,180 @@ class JobTrace:
         return sum(s.shuffle_bytes_remote for s in self.stages)
 
 
-@dataclass
-class EngineMetrics:
-    """Context-lifetime counters plus the per-job traces."""
+class Counter(NamedTuple):
+    """One reported entry: its ``summary()`` key, group, unit and reader."""
 
-    jobs: list[JobTrace] = field(default_factory=list)
-    broadcast_bytes: int = 0
-    broadcast_count: int = 0
-    storage_bytes_written: int = 0
-    storage_bytes_read: int = 0
-    storage_puts: int = 0
-    storage_gets: int = 0
+    key: str
+    group: str
+    #: ``"B"`` bytes, ``"s"`` seconds, ``""`` a plain count or a label
+    unit: str
+    read: Callable[[Any], Any]
+
+
+def counter(
+    group: str,
+    unit: str = "",
+    default: Any = 0,
+    *,
+    key: str | None = None,
+    view: Callable[[Any], Any] | None = None,
+):
+    """Declare a counter field: default, group, unit — the one place.
+
+    ``default`` may be a factory (``list``, ``dict``).  ``key`` renames
+    the entry in ``summary()`` and ``view`` maps the stored value to the
+    reported one; seconds report rounded to 6 places and lists as a copy.
+    """
+    if view is None and unit == "s":
+        view = lambda seconds: round(seconds, 6)
+    elif view is None:
+        view = list if default is list else lambda value: value
+    meta = {"group": group, "unit": unit, "key": key, "view": view}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _reader(name: str, view: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda metrics: view(getattr(metrics, name))
+
+
+class _Registry:
+    """``schema()`` / ``summary()`` generated from :func:`counter` fields."""
+
+    #: computed entries, ``(field they follow in the flat view, Counter)``
+    _DERIVED: ClassVar[tuple[tuple[str, Counter], ...]] = ()
+
+    @classmethod
+    @functools.cache
+    def schema(cls, group: str | None = None) -> tuple[Counter, ...]:
+        """Reported entries in order; one group's when ``group`` is given."""
+        out: list[Counter] = []
+        for f in fields(cls):
+            meta = f.metadata
+            if meta:  # a field without metadata is a trace, not a counter
+                read = _reader(f.name, meta["view"])
+                out.append(
+                    Counter(meta["key"] or f.name, meta["group"], meta["unit"], read)
+                )
+            out.extend(c for after, c in cls._DERIVED if after == f.name)
+        return tuple(c for c in out if group is None or c.group == group)
+
+    def summary(self, group: str | None = None) -> dict[str, Any]:
+        """Flat counter view (tests, reports, bench); one group's if named."""
+        return {c.key: c.read(self) for c in self.schema(group)}
+
+
+@dataclass
+class EngineMetrics(_Registry):
+    """Context-lifetime counters plus the per-job traces.
+
+    Groups: ``plan`` (the plan-shape header derived from the job traces,
+    then broadcast / shared-storage staging), ``recovery``,
+    ``durability``, ``memory``, ``data_plane``, ``supervision``.
+    """
+
+    # ---- plan shape (what the cost model prices) -----------------------
+    #: the per-job traces; reported as their count, followed by the
+    #: header entries ``_DERIVED`` computes from them
+    jobs: list[JobTrace] = counter("plan", default=list, view=len)
+    broadcast_bytes: int = counter("plan", "B")
+    storage_bytes_written: int = counter("plan", "B")
+    storage_bytes_read: int = counter("plan", "B")
     # ---- recovery counters (chaos / fault tolerance) ------------------
-    tasks_retried: int = 0
+    tasks_retried: int = counter("recovery")
     #: map partitions recomputed from lineage after their shuffle outputs
     #: were dropped by an executor loss (the §II recovery story, measured)
-    partitions_recomputed: int = 0
-    speculative_launched: int = 0
-    speculative_wins: int = 0
-    stragglers_cancelled: int = 0
-    executor_loss_events: int = 0
-    transient_io_failures: int = 0
-    backoff_waits: int = 0
-    backoff_seconds_total: float = 0.0
-    blacklisted_executors: list[int] = field(default_factory=list)
-    # ---- durability counters (checkpoint store / solve journal) -------
-    durable_puts: int = 0
-    durable_gets: int = 0
-    durable_bytes_written: int = 0
-    durable_bytes_read: int = 0
+    partitions_recomputed: int = counter("recovery")
+    speculative_launched: int = counter("recovery")
+    speculative_wins: int = counter("recovery")
+    stragglers_cancelled: int = counter("recovery")
+    executor_loss_events: int = counter("recovery")
+    transient_io_failures: int = counter("recovery")
+    backoff_waits: int = counter("recovery")
+    backoff_seconds_total: float = counter("recovery", "s", 0.0)
+    blacklisted_executors: list[int] = counter(
+        "recovery", default=list, key="executors_blacklisted", view=len
+    )
     #: writes that landed truncated and were caught by read-back verify
-    torn_writes_detected: int = 0
+    torn_writes_detected: int = counter("recovery")
     #: checksummed reads that caught silent corruption (bitrot/tamper)
-    corrupt_blocks_detected: int = 0
+    corrupt_blocks_detected: int = counter("recovery")
     #: durable checkpoint blocks found corrupt and recomputed from lineage
-    checkpoint_recomputes: int = 0
+    checkpoint_recomputes: int = counter("recovery")
     #: SharedStorage memory misses served from the durable backing store
-    storage_backing_reads: int = 0
-    journal_appends: int = 0
+    storage_backing_reads: int = counter("recovery")
+    #: blacklist refusals that protected the last healthy executor
+    last_executor_protected: int = counter("recovery")
+    # ---- durability counters (checkpoint store / solve journal) -------
+    durable_puts: int = counter("durability")
+    durable_gets: int = counter("durability")
+    durable_bytes_written: int = counter("durability", "B")
+    durable_bytes_read: int = counter("durability", "B")
+    journal_appends: int = counter("durability")
     #: journal records replayed by a ``--resume`` recovery
-    journal_entries_replayed: int = 0
+    journal_entries_replayed: int = counter("durability")
     #: outer iteration a resumed solve restarted *after* (None = fresh)
-    resumed_from_iteration: int | None = None
+    resumed_from_iteration: int | None = counter("durability", default=None)
     # ---- memory governor counters (unified budget / spill) ------------
     #: bytes written to the spill store (cache blocks + shuffle buckets)
-    spill_bytes_written: int = 0
+    spill_bytes_written: int = counter("memory", "B")
     #: bytes read back from the spill store
-    spill_bytes_read: int = 0
+    spill_bytes_read: int = counter("memory", "B")
     #: cached RDD partitions evicted to disk instead of dropped
-    blocks_spilled: int = 0
+    blocks_spilled: int = counter("memory")
     #: staged shuffle map outputs moved to disk under memory pressure
-    shuffle_blocks_spilled: int = 0
+    shuffle_blocks_spilled: int = counter("memory")
     #: successful reads served from spilled blocks
-    spill_reads: int = 0
+    spill_reads: int = counter("memory")
     #: task launches the scheduler queued because a reservation failed
-    admission_waits: int = 0
-    admission_wait_seconds: float = 0.0
+    admission_waits: int = counter("memory")
+    admission_wait_seconds: float = counter("memory", "s", 0.0)
     #: pressure-level changes in order, e.g. ``["ok->pressured", ...]``
     #: (deterministic per chaos seed under serialized tasks)
-    pressure_transitions: list[str] = field(default_factory=list)
+    pressure_transitions: list[str] = counter("memory", default=list)
     #: ``mem_squeeze`` chaos injections applied to the budget
-    mem_squeezes: int = 0
+    mem_squeezes: int = counter("memory")
     #: IM→CB strategy switches taken under critical pressure
-    strategy_degradations: int = 0
+    strategy_degradations: int = counter("memory")
     #: reservations granted past the budget (deadlock-freedom escape)
-    forced_grants: int = 0
-    #: blacklist refusals that protected the last healthy executor
-    last_executor_protected: int = 0
+    forced_grants: int = counter("memory")
     #: aborted shuffle-map stages whose partial outputs were reclaimed
-    shuffle_partial_cleanups: int = 0
+    shuffle_partial_cleanups: int = counter("memory")
     #: high-water marks of the governor's two pools (live bytes)
-    execution_peak_bytes: int = 0
-    storage_peak_bytes: int = 0
+    execution_peak_bytes: int = counter("memory", "B")
+    storage_peak_bytes: int = counter("memory", "B")
     #: sealed shuffles released / sealed persisted RDDs evicted when the
     #: last stage of a job that read them completed
-    shuffles_released: int = 0
-    cached_rdds_retired: int = 0
+    shuffles_released: int = counter("memory")
+    cached_rdds_retired: int = counter("memory")
     # ---- data plane counters (execution backend / kernel offload) -----
     #: which execution backend the context ran (``threads``/``processes``)
-    backend: str = "threads"
+    backend: str = counter("data_plane", default="threads")
     #: kernel tile updates offloaded to worker processes
-    kernel_offloads: int = 0
+    kernel_offloads: int = counter("data_plane")
     #: driver↔worker IPC round-trips made by kernel offload: one per
     #: kernel-running task — THE multicore-gap metric (the tile updates
     #: those round-trips carried are ``kernel_offloads``)
-    dispatch_round_trips: int = 0
+    dispatch_round_trips: int = counter("data_plane")
     # ---- supervision counters (worker liveness / crash protocol) -------
     #: workers whose heartbeat went silent past the watchdog threshold
-    heartbeats_missed: int = 0
+    heartbeats_missed: int = counter("supervision")
     #: worker processes started by pool respawns (crash recovery)
-    workers_respawned: int = 0
+    workers_respawned: int = counter("supervision")
     #: worker-process deaths observed mid-kernel (BrokenProcessPool)
-    worker_crashes: int = 0
+    worker_crashes: int = counter("supervision")
     #: supervised kernel calls that ran past their task deadline
-    deadlines_exceeded: int = 0
+    deadlines_exceeded: int = counter("supervision")
     #: tasks quarantined after killing ``max_task_failures`` fresh workers
-    poison_tasks: int = 0
+    poison_tasks: int = counter("supervision")
     #: processes→threads backend degradations taken under --degrade-on-crash
-    backend_degradations: int = 0
+    backend_degradations: int = counter("supervision")
+    # ---- plan shape, continued: event counts of the staging volumes ----
+    # (declared last so the flat view keeps the key order reports pin)
+    broadcast_count: int = counter("plan")
+    storage_puts: int = counter("plan")
+    storage_gets: int = counter("plan")
 
     def new_job(self, action: str) -> JobTrace:
         trace = JobTrace(job_id=len(self.jobs), action=action)
@@ -226,106 +311,20 @@ class EngineMetrics:
     def total_collect_bytes(self) -> int:
         return sum(j.collect_bytes for j in self.jobs)
 
-    def recovery_summary(self) -> dict[str, Any]:
-        """Fault-recovery counters only (the chaos-test/report surface).
-
-        Quantifies recovery overhead the way the paper's §V reports
-        execution failures: how much extra work (retries, recomputed
-        lineage, speculative copies, backoff stalls) faults cost a run.
-        """
-        return {
-            "tasks_retried": self.tasks_retried,
-            "partitions_recomputed": self.partitions_recomputed,
-            "speculative_launched": self.speculative_launched,
-            "speculative_wins": self.speculative_wins,
-            "stragglers_cancelled": self.stragglers_cancelled,
-            "executor_loss_events": self.executor_loss_events,
-            "transient_io_failures": self.transient_io_failures,
-            "backoff_waits": self.backoff_waits,
-            "backoff_seconds_total": round(self.backoff_seconds_total, 6),
-            "executors_blacklisted": len(self.blacklisted_executors),
-            "torn_writes_detected": self.torn_writes_detected,
-            "corrupt_blocks_detected": self.corrupt_blocks_detected,
-            "checkpoint_recomputes": self.checkpoint_recomputes,
-            "storage_backing_reads": self.storage_backing_reads,
-            "last_executor_protected": self.last_executor_protected,
-        }
-
-    def memory_summary(self) -> dict[str, Any]:
-        """Memory-governor accounting for one run (spill/pressure view)."""
-        return {
-            "spill_bytes_written": self.spill_bytes_written,
-            "spill_bytes_read": self.spill_bytes_read,
-            "blocks_spilled": self.blocks_spilled,
-            "shuffle_blocks_spilled": self.shuffle_blocks_spilled,
-            "spill_reads": self.spill_reads,
-            "admission_waits": self.admission_waits,
-            "admission_wait_seconds": round(self.admission_wait_seconds, 6),
-            "pressure_transitions": list(self.pressure_transitions),
-            "mem_squeezes": self.mem_squeezes,
-            "strategy_degradations": self.strategy_degradations,
-            "forced_grants": self.forced_grants,
-            "shuffle_partial_cleanups": self.shuffle_partial_cleanups,
-            "execution_peak_bytes": self.execution_peak_bytes,
-            "storage_peak_bytes": self.storage_peak_bytes,
-            "shuffles_released": self.shuffles_released,
-            "cached_rdds_retired": self.cached_rdds_retired,
-        }
-
-    def data_plane_summary(self) -> dict[str, Any]:
-        """Backend / kernel-offload accounting for one run."""
-        return {
-            "backend": self.backend,
-            "kernel_offloads": self.kernel_offloads,
-            "dispatch_round_trips": self.dispatch_round_trips,
-        }
-
-    def supervision_summary(self) -> dict[str, Any]:
-        """Worker-liveness / crash-protocol accounting for one run."""
-        return {
-            "heartbeats_missed": self.heartbeats_missed,
-            "workers_respawned": self.workers_respawned,
-            "worker_crashes": self.worker_crashes,
-            "deadlines_exceeded": self.deadlines_exceeded,
-            "poison_tasks": self.poison_tasks,
-            "backend_degradations": self.backend_degradations,
-        }
-
-    def durability_summary(self) -> dict[str, Any]:
-        """Journal/checkpoint-store accounting for one run."""
-        return {
-            "durable_puts": self.durable_puts,
-            "durable_gets": self.durable_gets,
-            "durable_bytes_written": self.durable_bytes_written,
-            "durable_bytes_read": self.durable_bytes_read,
-            "journal_appends": self.journal_appends,
-            "journal_entries_replayed": self.journal_entries_replayed,
-            "resumed_from_iteration": self.resumed_from_iteration,
-        }
-
-    def summary(self) -> dict[str, Any]:
-        """Flat counter view used by tests and reports."""
-        out = {
-            "jobs": len(self.jobs),
-            "stages": self.total_stages,
-            "tasks": self.total_tasks,
-            "shuffle_bytes": self.total_shuffle_bytes,
-            "remote_shuffle_bytes": self.total_remote_shuffle_bytes,
-            "collect_bytes": self.total_collect_bytes,
-            "broadcast_bytes": self.broadcast_bytes,
-            "storage_bytes_written": self.storage_bytes_written,
-            "storage_bytes_read": self.storage_bytes_read,
-        }
-        out.update(self.recovery_summary())
-        out.update(self.durability_summary())
-        out.update(self.memory_summary())
-        out.update(self.data_plane_summary())
-        out.update(self.supervision_summary())
-        return out
+    _DERIVED = tuple(
+        ("jobs", Counter(key, "plan", unit, read))
+        for key, unit, read in (
+            ("stages", "", lambda m: m.total_stages),
+            ("tasks", "", lambda m: m.total_tasks),
+            ("shuffle_bytes", "B", lambda m: m.total_shuffle_bytes),
+            ("remote_shuffle_bytes", "B", lambda m: m.total_remote_shuffle_bytes),
+            ("collect_bytes", "B", lambda m: m.total_collect_bytes),
+        )
+    )
 
 
 @dataclass
-class ServiceMetrics:
+class ServiceMetrics(_Registry):
     """Request-plane counters for one :class:`~repro.service.SolverService`.
 
     Kept separate from :class:`EngineMetrics` deliberately: one engine
@@ -336,86 +335,87 @@ class ServiceMetrics:
     """
 
     # ---- admission -----------------------------------------------------
-    requests_received: int = 0
-    requests_admitted: int = 0
+    requests_received: int = counter("admission")
+    requests_admitted: int = counter("admission")
     #: admitted requests that waited in the bounded queue (depth > 0)
-    requests_queued: int = 0
+    requests_queued: int = counter("admission")
     #: requests refused at admission (queue full / critical pressure)
-    requests_shed: int = 0
+    requests_shed: int = counter("admission")
     #: requests refused because the service was draining for shutdown
-    draining_sheds: int = 0
+    draining_sheds: int = counter("admission")
     # ---- completion ----------------------------------------------------
-    requests_completed: int = 0
+    requests_completed: int = counter("completion")
     #: requests that returned a typed error (excluding sheds)
-    requests_failed: int = 0
+    requests_failed: int = counter("completion")
     #: requests cancelled by their per-request deadline
-    deadline_cancelled: int = 0
+    deadline_cancelled: int = counter("completion")
     # ---- single-flight / cache -----------------------------------------
     #: duplicate concurrent requests coalesced onto an in-flight solve
-    single_flight_coalesced: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    single_flight_coalesced: int = counter("cache")
+    cache_hits: int = counter("cache")
+    cache_misses: int = counter("cache")
     #: entries dropped by LRU capacity pressure
-    cache_evictions: int = 0
+    cache_evictions: int = counter("cache")
     #: entries dropped because a memory squeeze reclaimed their bytes
-    cache_invalidations: int = 0
+    cache_invalidations: int = counter("cache")
     #: cached payloads that failed their checksum on read (never served)
-    cache_integrity_failures: int = 0
+    cache_integrity_failures: int = counter("cache")
     # ---- engine passes / retry / breaker --------------------------------
     #: actual ``GepSparkSolver.solve`` invocations (one per coalesced
     #: flight attempt; THE single-flight assertion counter)
-    engine_passes: int = 0
+    engine_passes: int = counter("engine")
     #: service-level retries of a failed engine pass (with backoff)
-    retries: int = 0
-    circuit_trips: int = 0
+    retries: int = counter("engine")
+    circuit_trips: int = counter("engine")
     #: engine passes run with kernel offload forced off by an open breaker
-    circuit_failovers: int = 0
-    circuit_half_opens: int = 0
-    circuit_closes: int = 0
+    circuit_failovers: int = counter("engine")
+    circuit_half_opens: int = counter("engine")
+    circuit_closes: int = counter("engine")
     # ---- request journal / hot restart (DESIGN.md §16) -------------------
     #: admissions fsync-appended to the durable request WAL
-    journal_admits: int = 0
+    journal_admits: int = counter("journal")
     #: settlement records appended (completed / failed / deadline)
-    journal_settles: int = 0
+    journal_settles: int = counter("journal")
     #: torn/garbage WAL tail records truncated when the journal opened
-    journal_torn_records: int = 0
+    journal_torn_records: int = counter("journal")
     #: incomplete WAL entries re-submitted through admission by resume()
-    journal_replayed: int = 0
+    journal_replayed: int = counter("journal")
     #: WAL checkpoint/compaction passes (drain or stop)
-    journal_compactions: int = 0
+    journal_compactions: int = counter("journal")
     #: records dropped by compaction (settled + superseded history)
-    journal_records_compacted: int = 0
+    journal_records_compacted: int = counter("journal")
     #: cache entries rebuilt from the durable result spool on resume
-    results_rehydrated: int = 0
+    results_rehydrated: int = counter("journal")
     #: reconnecting clients served a prior settlement by idempotency key
     #: (no admission, no engine pass)
-    idempotent_replays: int = 0
+    idempotent_replays: int = counter("journal")
     #: submissions whose idempotency key the WAL already named in-flight
     #: (a client retrying across a restart) — coalesced, not re-admitted
-    resume_coalesced: int = 0
+    resume_coalesced: int = counter("journal")
     # ---- socket plane -----------------------------------------------------
     #: frames refused before payload read (length above the cap)
-    frames_rejected: int = 0
+    frames_rejected: int = counter("socket")
     #: per-connection client failures (vanished mid-frame / mid-reply)
-    client_disconnects: int = 0
+    client_disconnects: int = counter("socket")
     #: stale socket files (dead server, no listener) reclaimed on bind
-    stale_sockets_reclaimed: int = 0
+    stale_sockets_reclaimed: int = counter("socket")
     # ---- tenant isolation / brownout (DESIGN.md §18) ----------------------
     #: admissions refused because the tenant's byte quota was hit
-    quota_rejections: int = 0
+    quota_rejections: int = counter("tenancy")
     #: admissions refused by a tenant's token-bucket rate limit
-    rate_limited: int = 0
+    rate_limited: int = counter("tenancy")
     #: requests shed at the ladder's ``shed`` rung (lowest-weight tenants)
-    brownout_sheds: int = 0
+    brownout_sheds: int = counter("tenancy")
     #: engine passes degraded IM→CB by the ladder (rung >= degrade)
-    brownout_degrades: int = 0
+    brownout_degrades: int = counter("tenancy")
     #: total ladder transitions (monotone; the summary surface)
-    brownout_transition_count: int = 0
+    brownout_transition_count: int = counter("tenancy")
     #: current ladder rung name (``normal``/``degrade``/``shed``)
-    brownout_level: str = "normal"
+    brownout_level: str = counter("tenancy", default="normal")
     #: transition strings (``"normal->degrade"``, …) since the last drain —
     #: clear-on-read like ``MemoryManager.critical_since_last_check``, so
-    #: spiky episodes between two probes are never missed
+    #: spiky episodes between two probes are never missed; a trace, not a
+    #: counter: ``brownout_transition_count`` is what ``summary()`` reports
     brownout_transitions: list[str] = field(default_factory=list)
 
     def drain_brownout_transitions(self) -> list[str]:
@@ -433,7 +433,11 @@ class ServiceMetrics:
     #: "engine_passes", "quota_rejections", "rate_limited"}``; only
     #: requests that carry a tenant are metered here (totals above cover
     #: everyone)
-    per_tenant: dict[str, dict[str, int]] = field(default_factory=dict)
+    per_tenant: dict[str, dict[str, int]] = counter(
+        "tenancy",
+        default=dict,
+        view=lambda per: {t: dict(c) for t, c in sorted(per.items())},
+    )
 
     _TENANT_EVENTS = (
         "requests",
@@ -458,50 +462,10 @@ class ServiceMetrics:
         )
         counters[event] += 1
 
-    def summary(self) -> dict[str, Any]:
-        """Flat counter view (the ``repro serve`` / bench surface)."""
+    def _cache_hit_rate(self) -> float | None:
         looked_up = self.cache_hits + self.cache_misses
-        return {
-            "requests_received": self.requests_received,
-            "requests_admitted": self.requests_admitted,
-            "requests_queued": self.requests_queued,
-            "requests_shed": self.requests_shed,
-            "draining_sheds": self.draining_sheds,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "deadline_cancelled": self.deadline_cancelled,
-            "single_flight_coalesced": self.single_flight_coalesced,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": (
-                round(self.cache_hits / looked_up, 6) if looked_up else None
-            ),
-            "cache_evictions": self.cache_evictions,
-            "cache_invalidations": self.cache_invalidations,
-            "cache_integrity_failures": self.cache_integrity_failures,
-            "engine_passes": self.engine_passes,
-            "retries": self.retries,
-            "circuit_trips": self.circuit_trips,
-            "circuit_failovers": self.circuit_failovers,
-            "circuit_half_opens": self.circuit_half_opens,
-            "circuit_closes": self.circuit_closes,
-            "journal_admits": self.journal_admits,
-            "journal_settles": self.journal_settles,
-            "journal_torn_records": self.journal_torn_records,
-            "journal_replayed": self.journal_replayed,
-            "journal_compactions": self.journal_compactions,
-            "journal_records_compacted": self.journal_records_compacted,
-            "results_rehydrated": self.results_rehydrated,
-            "idempotent_replays": self.idempotent_replays,
-            "resume_coalesced": self.resume_coalesced,
-            "frames_rejected": self.frames_rejected,
-            "client_disconnects": self.client_disconnects,
-            "stale_sockets_reclaimed": self.stale_sockets_reclaimed,
-            "quota_rejections": self.quota_rejections,
-            "rate_limited": self.rate_limited,
-            "brownout_sheds": self.brownout_sheds,
-            "brownout_degrades": self.brownout_degrades,
-            "brownout_transition_count": self.brownout_transition_count,
-            "brownout_level": self.brownout_level,
-            "per_tenant": {t: dict(c) for t, c in sorted(self.per_tenant.items())},
-        }
+        return round(self.cache_hits / looked_up, 6) if looked_up else None
+
+    _DERIVED = (
+        ("cache_misses", Counter("cache_hit_rate", "cache", "", _cache_hit_rate)),
+    )

@@ -121,26 +121,30 @@ class Stage:
 
 
 class DAGScheduler:
-    """Builds and runs the stage graph for one context."""
+    """Builds and runs the stage graph for one context.
 
-    def __init__(
-        self,
-        ctx,
-        max_task_retries: int = 3,
-        *,
-        speculation: bool = True,
-        blacklist_threshold: int = 4,
-        backoff_base: float = 0.001,
-        backoff_cap: float = 0.05,
-        backoff_jitter: float = 0.5,
-    ) -> None:
+    The retry policy is the class attributes below — one value each in
+    use, so they are not constructor options; a test that needs another
+    sets the attribute on its context's scheduler.
+    """
+
+    #: retries of a task after its first attempt before the job aborts
+    max_task_retries: int = 3
+    #: race straggling task attempts against a speculative copy (first
+    #: result wins, loser cancelled)
+    speculation: bool = True
+    #: faults an executor may accumulate before it is excluded from
+    #: placement (0 disables blacklisting)
+    blacklist_threshold: int = 4
+    #: retry backoff: ``base * 2^(attempt-2)`` seconds, capped at
+    #: ``backoff_cap``, then stretched by up to ``backoff_jitter`` of
+    #: itself (deterministic per site)
+    backoff_base: float = 0.001
+    backoff_cap: float = 0.05
+    backoff_jitter: float = 0.5
+
+    def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self.max_task_retries = max_task_retries
-        self.speculation = speculation
-        self.blacklist_threshold = blacklist_threshold
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
         self._next_stage_id = 0
         # shuffle id -> Stage, created the first time a job's walk
         # reaches the dependency, so a shared parent is one stage (also

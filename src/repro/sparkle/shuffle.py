@@ -42,6 +42,7 @@ from .errors import (
     ShuffleFetchFailed,
     TransientIOError,
 )
+from .metrics import EngineMetrics
 
 __all__ = ["ShuffleManager"]
 
@@ -77,7 +78,7 @@ class ShuffleManager:
         self.fault_plan = fault_plan
         self.memory = memory
         self.spill = spill
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self._lock = threading.Lock()
         # (shuffle_id, map_partition) -> {reduce_partition: [items]}
         self._outputs: dict[tuple[int, int], dict[int, list]] = {}
@@ -199,9 +200,8 @@ class ShuffleManager:
     ) -> None:
         self.spill.put(self._spill_block_key(key), buckets)
         self._spilled.add(key)
-        if self._metrics is not None:
-            self._metrics.shuffle_blocks_spilled += 1
-            self._metrics.spill_bytes_written += nbytes
+        self._metrics.shuffle_blocks_spilled += 1
+        self._metrics.spill_bytes_written += nbytes
 
     def _discard_locked(self, key: tuple[int, int], drop_spill_file: bool = True) -> int:
         """Forget a staged output (memory accounting, bucket sizes and
@@ -240,9 +240,8 @@ class ShuffleManager:
             # missing map output so the scheduler recomputes from lineage.
             self._discard_locked(key)
             raise ShuffleFetchFailed(key[0], (key[1],)) from None
-        if self._metrics is not None:
-            self._metrics.spill_reads += 1
-            self._metrics.spill_bytes_read += self._output_bytes_locked(key)
+        self._metrics.spill_reads += 1
+        self._metrics.spill_bytes_read += self._output_bytes_locked(key)
         return buckets
 
     def fetch(

@@ -25,6 +25,7 @@ from .errors import (
     CorruptBlockError,
     TransientIOError,
 )
+from .metrics import EngineMetrics
 
 __all__ = ["BlockManager", "SharedStorage"]
 
@@ -59,7 +60,7 @@ class BlockManager:
         self._lock = threading.Lock()
         self.memory = memory
         self.spill = spill
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self.evictions = 0
 
     @staticmethod
@@ -115,9 +116,8 @@ class BlockManager:
 
     def _note_spilled_locked(self, key: tuple[int, int], nbytes: int) -> None:
         self._spilled.add(key)
-        if self._metrics is not None:
-            self._metrics.blocks_spilled += 1
-            self._metrics.spill_bytes_written += nbytes
+        self._metrics.blocks_spilled += 1
+        self._metrics.spill_bytes_written += nbytes
 
     def _drop_locked(self, key: tuple[int, int]) -> None:
         self._blocks.pop(key, None)
@@ -147,9 +147,8 @@ class BlockManager:
                 self._spilled.discard(key)
             self.spill.delete(self._spill_key(key))
             return None
-        if self._metrics is not None:
-            self._metrics.spill_reads += 1
-            self._metrics.spill_bytes_read += sum(sizeof_block(x) for x in items)
+        self._metrics.spill_reads += 1
+        self._metrics.spill_bytes_read += sum(sizeof_block(x) for x in items)
         return items
 
     def contains(self, rdd_id: int, partition: int) -> bool:
@@ -228,7 +227,7 @@ class SharedStorage:
         self._bytes: dict[Any, int] = {}
         self._live_bytes = 0
         self._lock = threading.Lock()
-        self._metrics = metrics
+        self._metrics = metrics or EngineMetrics()
         self.fault_plan = fault_plan
         self.backing = backing
 
@@ -244,9 +243,8 @@ class SharedStorage:
             self._data[key] = value
             self._live_bytes += nbytes - self._bytes.get(key, 0)
             self._bytes[key] = nbytes
-            if self._metrics is not None:
-                self._metrics.storage_bytes_written += nbytes
-                self._metrics.storage_puts += 1
+            self._metrics.storage_bytes_written += nbytes
+            self._metrics.storage_puts += 1
         if self.backing is not None:
             self.backing.put(("shared", key), value)
         return nbytes
@@ -256,9 +254,8 @@ class SharedStorage:
             raise TransientIOError(f"injected shared-storage read failure: {key!r}")
         with self._lock:
             if key in self._data:
-                if self._metrics is not None:
-                    self._metrics.storage_bytes_read += self._bytes[key]
-                    self._metrics.storage_gets += 1
+                self._metrics.storage_bytes_read += self._bytes[key]
+                self._metrics.storage_gets += 1
                 return self._data[key]
         if self.backing is not None and self.backing.contains(("shared", key)):
             # Memory lost the block (e.g. a restarted driver) but the
@@ -269,10 +266,9 @@ class SharedStorage:
                 self._data[key] = value
                 self._live_bytes += nbytes - self._bytes.get(key, 0)
                 self._bytes[key] = nbytes
-                if self._metrics is not None:
-                    self._metrics.storage_backing_reads += 1
-                    self._metrics.storage_bytes_read += nbytes
-                    self._metrics.storage_gets += 1
+                self._metrics.storage_backing_reads += 1
+                self._metrics.storage_bytes_read += nbytes
+                self._metrics.storage_gets += 1
             return value
         raise BlockNotFoundError(f"shared storage has no block {key!r}", key=key)
 

@@ -258,6 +258,13 @@ def test_dispatch_validation(capsys):
     ):
         with pytest.raises(TypeError, match=knob):
             SparkleContext(2, 1, **{knob: 1 << 20})
+    # the scheduler's retry policy: class attributes, not options
+    for knob in (
+        "max_task_retries", "speculation", "blacklist_threshold",
+        "backoff_base", "backoff_cap", "backoff_jitter",
+    ):
+        with pytest.raises(TypeError, match=knob):
+            SparkleContext(2, 1, **{knob: 1})
     mm = MemoryManager(None)
     for build in (
         lambda: ShuffleManager(mm, capacity_bytes=1),

@@ -101,7 +101,7 @@ def test_smoke_matrix(clean16, seed, strategy):
     assert plan.total_fired() > 0  # the mix is hot at these sizes
     assert metrics.tasks_retried > 0
     # the solver surfaces the chaos provenance on its report
-    assert report.recovery == metrics.recovery_summary()
+    assert report.recovery == metrics.summary("recovery")
     assert report.extras["chaos"] == plan.describe()
     assert report.extras["faults_injected"] == plan.fired()
     assert report.summary()["extras"]["faults_injected"] == plan.fired()

@@ -41,7 +41,7 @@ class TestLastExecutorProtection:
         assert metrics.last_executor_protected == 1
         assert pool.healthy_executors == (1,)
         # refusal shows up on the recovery report surface
-        assert metrics.recovery_summary()["last_executor_protected"] == 1
+        assert metrics.summary("recovery")["last_executor_protected"] == 1
 
     def test_single_executor_pool_is_always_protected(self):
         metrics = EngineMetrics()

@@ -28,7 +28,8 @@ pytestmark = pytest.mark.chaos
 class TestBackoff:
     def _scheduler(self, seed=0, **kw):
         plan = FaultPlan(seed) if seed is not None else None
-        sc = SparkleContext(1, 1, fault_plan=plan, **kw)
+        sc = SparkleContext(1, 1, fault_plan=plan)
+        vars(sc._scheduler).update(kw)
         return sc, sc._scheduler
 
     def test_sequence_is_deterministic(self):
@@ -94,7 +95,8 @@ class TestBackoff:
 
     def test_backoff_metered_on_retry(self):
         plan = FaultPlan(1, [FaultSpec("kill", rate=1.0)])
-        with SparkleContext(1, 1, fault_plan=plan, backoff_base=0.0005) as sc:
+        with SparkleContext(1, 1, fault_plan=plan) as sc:
+            sc._scheduler.backoff_base = 0.0005
             sc.parallelize([1, 2], 2).collect()
             assert sc.metrics.backoff_waits == 2  # one retry per partition
             assert sc.metrics.backoff_seconds_total > 0
@@ -123,7 +125,8 @@ class TestSpeculation:
 
     def test_straggler_wins_when_speculation_disabled(self):
         plan = FaultPlan(21, [FaultSpec("slow", rate=1.0, delay=0.01)])
-        with SparkleContext(2, 2, fault_plan=plan, speculation=False) as sc:
+        with SparkleContext(2, 2, fault_plan=plan) as sc:
+            sc._scheduler.speculation = False
             got = sc.parallelize(range(4), 2).map(lambda x: x + 1).collect()
             assert got == [1, 2, 3, 4]
             assert sc.metrics.speculative_launched == 0
@@ -153,7 +156,7 @@ class TestExecutorLossRecovery:
                     .reduceByKey(lambda a, b: a + b, 4)
                     .collect()
                 )
-                return got, sc.metrics.recovery_summary()
+                return got, sc.metrics.summary("recovery")
 
         clean, _ = run(None)
         # seed 6 at rate 0.3 loses executors both during the map stage and
@@ -257,7 +260,8 @@ class TestBlacklisting:
         # Every first attempt dies; executors accumulate faults and cross
         # the threshold, but at least one always stays healthy.
         plan = FaultPlan(29, [FaultSpec("kill", rate=1.0)])
-        with SparkleContext(3, 1, fault_plan=plan, blacklist_threshold=2) as sc:
+        with SparkleContext(3, 1, fault_plan=plan) as sc:
+            sc._scheduler.blacklist_threshold = 2
             got = sc.parallelize(range(12), 12).map(lambda x: -x).collect()
             assert got == [-x for x in range(12)]
             assert len(sc.metrics.blacklisted_executors) == 2
@@ -266,14 +270,16 @@ class TestBlacklisting:
 
     def test_threshold_zero_disables_blacklisting(self):
         plan = FaultPlan(29, [FaultSpec("kill", rate=1.0)])
-        with SparkleContext(3, 1, fault_plan=plan, blacklist_threshold=0) as sc:
+        with SparkleContext(3, 1, fault_plan=plan) as sc:
+            sc._scheduler.blacklist_threshold = 0
             sc.parallelize(range(12), 12).collect()
             assert sc.metrics.blacklisted_executors == []
             assert sc._executors.healthy_executors == (0, 1, 2)
 
     def test_lost_executor_attributed_and_blacklisted(self):
         plan = FaultPlan(31, [FaultSpec("lose", rate=1.0)])
-        with SparkleContext(2, 1, fault_plan=plan, blacklist_threshold=1) as sc:
+        with SparkleContext(2, 1, fault_plan=plan) as sc:
+            sc._scheduler.blacklist_threshold = 1
             sc.parallelize(range(4), 4).collect()
             assert len(sc.metrics.blacklisted_executors) == 1
             assert sc.metrics.executor_loss_events >= 1
@@ -286,25 +292,26 @@ class TestRetryExhaustion:
     def test_job_aborted_after_budget(self):
         # Faults past every retry: JobAborted carries the last cause.
         plan = FaultPlan(37, [FaultSpec("kill", rate=1.0, max_attempt=10**6)])
-        with SparkleContext(
-            1, 1, fault_plan=plan, max_task_retries=2, backoff_base=0.0001
-        ) as sc:
+        with SparkleContext(1, 1, fault_plan=plan) as sc:
+            sc._scheduler.max_task_retries = 2
+            sc._scheduler.backoff_base = 0.0001
             with pytest.raises(JobAborted, match="after 3 attempts"):
                 sc.parallelize([1], 1).collect()
             assert sc.metrics.tasks_retried == 3
 
     def test_abort_cause_is_executor_loss(self):
         plan = FaultPlan(41, [FaultSpec("lose", rate=1.0, max_attempt=10**6)])
-        with SparkleContext(
-            2, 1, fault_plan=plan, max_task_retries=1, blacklist_threshold=0
-        ) as sc:
+        with SparkleContext(2, 1, fault_plan=plan) as sc:
+            sc._scheduler.max_task_retries = 1
+            sc._scheduler.blacklist_threshold = 0
             with pytest.raises(JobAborted) as err:
                 sc.parallelize([1], 1).collect()
             assert isinstance(err.value.__cause__, ExecutorLost)
 
     def test_transient_exhaustion_aborts(self):
         plan = FaultPlan(43, [FaultSpec("storage", rate=1.0, max_attempt=10**6)])
-        with SparkleContext(1, 1, fault_plan=plan, max_task_retries=1) as sc:
+        with SparkleContext(1, 1, fault_plan=plan) as sc:
+            sc._scheduler.max_task_retries = 1
             sc.shared_storage.put("k", 1)
             storage = sc.shared_storage
             with pytest.raises(JobAborted) as err:

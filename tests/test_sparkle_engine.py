@@ -1,6 +1,7 @@
 """sparkle engine: scheduler, shuffle, metrics, failure recovery,
 broadcast, shared storage, block cache."""
 
+import dataclasses
 import threading
 import time
 
@@ -16,9 +17,13 @@ from repro.sparkle import (
     SparkleContext,
     TaskError,
 )
+from repro.sparkle.broadcast import Broadcast
+from repro.sparkle.durable import DurableBlockStore
 from repro.sparkle.executors import ExecutorPool
 from repro.sparkle.memory import MemoryManager
+from repro.sparkle.metrics import EngineMetrics, ServiceMetrics
 from repro.sparkle.shuffle import ShuffleManager
+from repro.sparkle.storage import BlockManager
 from repro.util import sizeof_block
 
 
@@ -233,9 +238,9 @@ class TestFailureRecovery:
 
     def test_persistent_failure_aborts(self):
         plan = FaultPlan(3, [FaultSpec("kill", rate=1.0, max_attempt=99)])
-        with SparkleContext(
-            1, 1, fault_plan=plan, max_task_retries=2, blacklist_threshold=0
-        ) as sc:
+        with SparkleContext(1, 1, fault_plan=plan) as sc:
+            sc._scheduler.max_task_retries = 2
+            sc._scheduler.blacklist_threshold = 0
             with pytest.raises(JobAborted):
                 sc.parallelize([1], 1).collect()
 
@@ -477,3 +482,102 @@ class TestDeterminism:
                 )
 
         assert run() == run()
+
+
+# The flat views, key for key in order: report JSON, bench children and
+# ``request --stats`` read them by name, so a rename or a dropped counter
+# is an interface change and has to show up here.
+ENGINE_KEYS = """
+jobs stages tasks shuffle_bytes remote_shuffle_bytes collect_bytes
+broadcast_bytes storage_bytes_written storage_bytes_read
+tasks_retried partitions_recomputed speculative_launched speculative_wins
+stragglers_cancelled executor_loss_events transient_io_failures backoff_waits
+backoff_seconds_total executors_blacklisted torn_writes_detected
+corrupt_blocks_detected checkpoint_recomputes storage_backing_reads
+last_executor_protected
+durable_puts durable_gets durable_bytes_written durable_bytes_read
+journal_appends journal_entries_replayed resumed_from_iteration
+spill_bytes_written spill_bytes_read blocks_spilled shuffle_blocks_spilled
+spill_reads admission_waits admission_wait_seconds pressure_transitions
+mem_squeezes strategy_degradations forced_grants shuffle_partial_cleanups
+execution_peak_bytes storage_peak_bytes shuffles_released cached_rdds_retired
+backend kernel_offloads dispatch_round_trips
+heartbeats_missed workers_respawned worker_crashes deadlines_exceeded
+poison_tasks backend_degradations
+broadcast_count storage_puts storage_gets
+""".split()
+SERVICE_KEYS = """
+requests_received requests_admitted requests_queued requests_shed
+draining_sheds requests_completed requests_failed deadline_cancelled
+single_flight_coalesced cache_hits cache_misses cache_hit_rate
+cache_evictions cache_invalidations cache_integrity_failures
+engine_passes retries circuit_trips circuit_failovers circuit_half_opens
+circuit_closes
+journal_admits journal_settles journal_torn_records journal_replayed
+journal_compactions journal_records_compacted results_rehydrated
+idempotent_replays resume_coalesced
+frames_rejected client_disconnects stale_sockets_reclaimed
+quota_rejections rate_limited brownout_sheds brownout_degrades
+brownout_transition_count brownout_level per_tenant
+""".split()
+
+
+class TestCounterRegistry:
+    @pytest.mark.parametrize(
+        "cls,golden,groups,renamed,traces",
+        [
+            (
+                EngineMetrics,
+                ENGINE_KEYS,
+                ["plan", "recovery", "durability", "memory", "data_plane",
+                 "supervision"],
+                {"blacklisted_executors": "executors_blacklisted"},
+                (),
+            ),
+            (
+                ServiceMetrics,
+                SERVICE_KEYS,
+                ["admission", "completion", "cache", "engine", "journal",
+                 "socket", "tenancy"],
+                {},
+                ("brownout_transitions",),
+            ),
+        ],
+    )
+    def test_every_counter_is_declared_once_and_reported(
+        self, cls, golden, groups, renamed, traces
+    ):
+        flat = cls().summary()
+        assert list(flat) == golden
+        # every field is a counter of exactly one known group and shows
+        # in the flat view — but for the traces, which carry no group
+        for f in dataclasses.fields(cls):
+            if f.name in traces:
+                assert not f.metadata
+                continue
+            assert f.metadata["group"] in groups, f.name
+            assert renamed.get(f.name, f.name) in flat, f.name
+        # the group views partition the flat view (derived entries —
+        # the engine's plan-shape header, cache_hit_rate — included)
+        views = [cls().summary(group) for group in groups]
+        assert all(views)
+        assert sum(len(view) for view in views) == len(flat)
+        assert {k: v for view in views for k, v in view.items()} == flat
+        assert [c.key for c in cls.schema()] == golden
+
+    def test_components_built_bare_count_into_a_private_registry(self, tmp_path):
+        store = DurableBlockStore(tmp_path)
+        store.put("k", [1, 2])
+        assert store.get("k") == [1, 2]
+        assert store._metrics.durable_puts == store._metrics.durable_gets == 1
+        # two 80 B blocks against 100 B: the first is evicted to the store
+        blocks = BlockManager(MemoryManager(100), spill=store)
+        blocks.put(0, 0, [np.ones(10)])
+        blocks.put(0, 1, [np.ones(10)])
+        assert blocks._metrics.blocks_spilled == 1
+        assert np.array_equal(blocks.get(0, 0)[0], np.ones(10))
+        assert blocks._metrics.spill_reads == 1
+        unbounded = BlockManager(MemoryManager(None))
+        unbounded.put(1, 0, ["x"])
+        assert unbounded.get(1, 0) == ["x"]
+        assert Broadcast(0, np.ones(4), 3).value.sum() == 4.0

@@ -406,7 +406,7 @@ class TestWorkerKillAcceptance:
             2, 2, backend="processes", fault_plan=plan, heartbeat_interval=0.1
         ) as sc:
             out, _report = _solve(sc, table)
-            summ = sc.metrics.supervision_summary()
+            summ = sc.metrics.summary("supervision")
             prefix = sc._executors.backend.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_kill"] >= 1
@@ -427,7 +427,7 @@ class TestWorkerKillAcceptance:
             2, 2, backend="processes", fault_plan=plan, heartbeat_interval=0.1
         ) as sc:
             out, _report = _solve(sc, table, strategy="im")
-            summ = sc.metrics.supervision_summary()
+            summ = sc.metrics.summary("supervision")
             prefix = sc._executors.backend.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_hang"] >= 1
@@ -464,7 +464,7 @@ class TestDegradeOnCrash:
                 degrade_on_crash=True,
             )
             out, report = solver.solve(table)
-            summ = sc.metrics.supervision_summary()
+            summ = sc.metrics.summary("supervision")
             prefix = sc._executors.backend.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert summ["poison_tasks"] >= 1
