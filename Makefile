@@ -1,15 +1,22 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest
+.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep
 
 # full suite
 test:
 	$(PYTEST) -q
 
-# the CI gate: fail-fast over everything
+# the CI gate: fail-fast over everything, and hermetic — a run that
+# creates, edits or deletes a file git can see fails
 tier1:
-	$(PYTEST) -x -q
+	@before="$$(git status --porcelain)"; \
+	$(PYTEST) -x -q || exit $$?; \
+	after="$$(git status --porcelain)"; \
+	if [ "$$before" != "$$after" ]; then \
+		echo "tier1 is not hermetic: git status --porcelain changed:"; \
+		echo "$$after"; exit 1; \
+	fi
 
 # seeded fault-injection + durability/crash-resume + memory-governor +
 # worker-supervision + request-plane + tenant-isolation suites (includes
@@ -78,3 +85,9 @@ scoreboard-digest:
 	mkdir -p .bench_tmp/digest
 	python3 bench/run.py --trace 1 --out .bench_tmp/digest/set.json
 	python3 benchmarks/digest.py .bench_tmp/digest/set.json BENCH_engine.json
+
+# Which spill paths still fire at which memory budget, on the three
+# engine shapes (EXPERIMENTS.md "Cache-block spill: measured, kept").
+# BUDGET_SWEEP_ARGS=--memory-only for the MEMORY_ONLY variant.  ~25 s.
+budget-sweep:
+	PYTHONPATH=src $(PYTHON) benchmarks/budget_sweep.py $(BUDGET_SWEEP_ARGS)

@@ -38,14 +38,9 @@ import numpy as np
 def _load_or_generate(args) -> np.ndarray:
     if args.input:
         return np.load(args.input)
-    from repro.workloads import diagonally_dominant, random_digraph_weights
+    from repro.workloads import make_problem
 
-    if args.problem == "ge":
-        return diagonally_dominant(args.n, seed=args.seed)
-    w = random_digraph_weights(args.n, args.density, seed=args.seed)
-    if args.problem == "tc":
-        return np.isfinite(w)
-    return w
+    return make_problem(args.problem, args.n, args.seed, args.density)[1]
 
 
 def _cmd_solve(args) -> int:
@@ -522,19 +517,10 @@ def _cmd_request(args) -> int:
 def _cmd_tune(args) -> int:
     from repro.cluster import haswell16, laptop, skylake16
     from repro.core import tune
-    from repro.core.gep import (
-        FloydWarshallGep,
-        GaussianEliminationGep,
-        TransitiveClosureGep,
-    )
+    from repro.workloads import PROBLEM_SPECS
 
     clusters = {"skylake16": skylake16, "haswell16": haswell16, "laptop": laptop}
-    specs = {
-        "apsp": FloydWarshallGep,
-        "ge": GaussianEliminationGep,
-        "tc": TransitiveClosureGep,
-    }
-    advice = tune(specs[args.problem](), args.n, clusters[args.cluster]())
+    advice = tune(PROBLEM_SPECS[args.problem](), args.n, clusters[args.cluster]())
     print(advice.describe())
     print("\ntop alternatives:")
     for r, plan, secs in advice.ranking[1:6]:

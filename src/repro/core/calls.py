@@ -10,10 +10,11 @@ gives those calls a concrete algebra:
 * :class:`Call` — one kernel invocation ``case(X, U, V, W)`` with its
   write region and read regions (from which *flexibility*, the paper's
   ``W(F) ∉ R(F)``, is derived);
-* :func:`expand_call` — the generic r-way body of a call: the same
-  case-dispatch rules the executable :class:`~repro.kernels.recursive.
-  RecursiveKernel` uses, but producing symbolic sub-calls.  Inlining a
-  2-way algorithm by one level (§IV-A step 1) is ``expand_call(c, 2)``.
+* :func:`expand_call` — the generic r-way body of a call: the Fig. 4
+  stages of :func:`~repro.core.blocked.rway_stages` (the ones the
+  executable :class:`~repro.kernels.recursive.RecursiveKernel` runs),
+  flattened into symbolic sub-calls.  Inlining a 2-way algorithm by one
+  level (§IV-A step 1) is ``expand_call(c, 2)``.
 
 The scheduler (:mod:`repro.core.scheduling`) then reorders flat call
 lists into minimal parallel stages using the paper's four dependency
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .blocked import CASE_FLAGS, fig4_stages
 from .gep import GepSpec
 
 __all__ = ["Region", "Call", "expand_call", "top_call", "render_program"]
@@ -120,59 +122,24 @@ def expand_call(spec: GepSpec, call: Call, r: int) -> list[Call]:
     scheduler is responsible for compressing them into parallel stages
     (§IV-A step 2).
     """
-    from ..kernels.recursive import CASE_FLAGS, case_of
-
     row_aliased, col_aliased = CASE_FLAGS[call.case]
     b = _uniform_splits(call.x.size, r)
-    out: list[Call] = []
-
-    def sub(region: Region, i: int, j: int) -> Region:
-        return region.sub(b, b, i, j)
-
-    for k in range(r):
-        def mk(i: int, j: int) -> Call:
-            sub_row = row_aliased and i == k
-            sub_col = col_aliased and j == k
-            u = sub(call.x if col_aliased else call.u, i, k)
-            v = sub(call.x if row_aliased else call.v, k, j)
-            w = (
-                sub(call.x, k, k)
-                if row_aliased and col_aliased
-                else sub(call.w, k, k)
-            )
-            return Call(case_of(sub_row, sub_col), sub(call.x, i, j), u, v, w)
-
-        if row_aliased:
-            rows = (
-                list(range(k + 1, r))
-                if spec.constrains_i
-                else [i for i in range(r) if i != k]
-            )
-        else:
-            rows = list(range(r))
-        if col_aliased:
-            cols = (
-                list(range(k + 1, r))
-                if spec.constrains_j
-                else [j for j in range(r) if j != k]
-            )
-        else:
-            cols = list(range(r))
-
-        if row_aliased and col_aliased:
-            out.append(mk(k, k))
-            out.extend(mk(k, j) for j in cols)
-            out.extend(mk(i, k) for i in rows)
-            out.extend(mk(i, j) for i in rows for j in cols)
-        elif row_aliased:
-            out.extend(mk(k, j) for j in range(r))
-            out.extend(mk(i, j) for i in rows for j in range(r))
-        elif col_aliased:
-            out.extend(mk(i, k) for i in range(r))
-            out.extend(mk(i, j) for j in cols for i in range(r))
-        else:
-            out.extend(mk(i, j) for i in range(r) for j in range(r))
-    return out
+    # An operand whose axis aliases the pivot lives in X itself.
+    usrc = call.x if col_aliased else call.u
+    vsrc = call.x if row_aliased else call.v
+    wsrc = call.x if call.case == "A" else call.w
+    return [
+        Call(
+            sub_case,
+            call.x.sub(b, b, i, j),
+            usrc.sub(b, b, i, k),
+            vsrc.sub(b, b, k, j),
+            wsrc.sub(b, b, k, k),
+        )
+        for k in range(r)
+        for stage in fig4_stages(spec, call.case, k, r, r)
+        for sub_case, i, j in stage
+    ]
 
 
 def render_program(stages: list[list[Call]]) -> str:

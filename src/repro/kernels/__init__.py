@@ -2,6 +2,7 @@
 divide-&-conquer, plus the simulated OpenMP runtime and the ideal-cache
 miss simulator that quantifies their locality difference."""
 
+from ..core.blocked import CASE_FLAGS, case_of
 from .cache_model import (
     CacheReport,
     LRUCache,
@@ -10,7 +11,7 @@ from .cache_model import (
 )
 from .iterative import IterativeKernel, gep_tile_update, gep_tile_update_loop
 from .openmp import OmpRuntime, SerialRuntime
-from .recursive import CASE_FLAGS, RecursiveKernel, case_of
+from .recursive import RecursiveKernel
 from .stats import KernelInvocation, KernelStats, LockingKernelStats
 
 __all__ = [

@@ -26,8 +26,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..core.blocked import CASE_FLAGS, fig4_stages
 from ..core.gep import GepSpec
-from .recursive import CASE_FLAGS, _splits
+from .recursive import _splits
 
 __all__ = ["LRUCache", "CacheReport", "iterative_gep_misses", "recursive_gep_misses"]
 
@@ -112,6 +113,11 @@ def _touch_tile(cache: LRUCache, t: _Table, i0: int, i1: int, j0: int, j1: int) 
         cache.access_range(t.array_id, start, nbytes)
 
 
+def _part(src: tuple[int, int], b: list[int], t: int) -> tuple[int, int]:
+    """Part ``t`` of the splits ``b`` of the range starting at ``src[0]``."""
+    return (src[0] + b[t], src[0] + b[t + 1])
+
+
 def iterative_gep_misses(
     spec: GepSpec,
     n: int,
@@ -158,11 +164,11 @@ def recursive_gep_misses(
 ) -> CacheReport:
     """Miss count of the r-way recursive kernel on an n x n table.
 
-    Replays the exact divide-&-conquer structure of
+    Walks the divide-&-conquer structure of
     :class:`~repro.kernels.recursive.RecursiveKernel` (same ``_splits``,
-    same case dispatch and stage order) and, at each base case, the
-    per-``k`` traffic of the iterative tile kernel restricted to the
-    tile — which is what the real kernel executes.
+    same :func:`~repro.core.blocked.rway_stages` schedule) and, at each
+    base case, the per-``k`` traffic of the iterative tile kernel
+    restricted to the tile — which is what the real kernel executes.
     """
     cache = LRUCache(capacity_bytes, line_bytes)
     t = _Table(n)
@@ -199,73 +205,22 @@ def recursive_gep_misses(
         bk = _splits(pivot, r_shared)
         bi = bk if row_aliased else _splits(extent_i, r_shared)
         bj = bk if col_aliased else _splits(extent_j, r_shared)
-        nk, ni, nj = len(bk) - 1, len(bi) - 1, len(bj) - 1
-        for k in range(nk):
-            wk_s = (wk[0] + bk[k], wk[0] + bk[k + 1])
-            gk_s = gk0 + bk[k]
+        ni, nj = len(bi) - 1, len(bj) - 1
+        # An operand whose axis aliases the pivot lives in x itself.
+        ui_src, uk_src = (xi, xj) if col_aliased else (ui, uk)
+        vk_src, vj_src = (xi, xj) if row_aliased else (vk, vj)
 
-            def call(sub_case, i, j):
-                xi_s = (xi[0] + bi[i], xi[0] + bi[i + 1])
-                xj_s = (xj[0] + bj[j], xj[0] + bj[j + 1])
-                if col_aliased:
-                    ui_s = (xi[0] + bi[i], xi[0] + bi[i + 1])
-                    uk_s = (xj[0] + bk[k], xj[0] + bk[k + 1])
-                else:
-                    ui_s = (ui[0] + bi[i], ui[0] + bi[i + 1])
-                    uk_s = (uk[0] + bk[k], uk[0] + bk[k + 1])
-                if row_aliased:
-                    vk_s = (xi[0] + bk[k], xi[0] + bk[k + 1])
-                    vj_s = (xj[0] + bj[j], xj[0] + bj[j + 1])
-                else:
-                    vk_s = (vk[0] + bk[k], vk[0] + bk[k + 1])
-                    vj_s = (vj[0] + bj[j], vj[0] + bj[j + 1])
-                rec(
-                    sub_case, xi_s, xj_s, ui_s, uk_s, vk_s, vj_s, wk_s,
-                    gi0 + bi[i], gj0 + bj[j], gk_s,
-                )
-
-            if row_aliased:
-                rows = (
-                    range(k + 1, ni)
-                    if spec.constrains_i
-                    else [i for i in range(ni) if i != k]
-                )
-            else:
-                rows = range(ni)
-            if col_aliased:
-                cols = (
-                    range(k + 1, nj)
-                    if spec.constrains_j
-                    else [j for j in range(nj) if j != k]
-                )
-            else:
-                cols = range(nj)
-
-            if row_aliased and col_aliased:
-                call("A", k, k)
-                for j in cols:
-                    call("B", k, j)
-                for i in rows:
-                    call("C", i, k)
-                for i in rows:
-                    for j in cols:
-                        call("D", i, j)
-            elif row_aliased:
-                for j in range(nj):
-                    call("B", k, j)
-                for i in rows:
-                    for j in range(nj):
-                        call("D", i, j)
-            elif col_aliased:
-                for i in range(ni):
-                    call("C", i, k)
-                for j in cols:
-                    for i in range(ni):
-                        call("D", i, j)
-            else:
-                for i in range(ni):
-                    for j in range(nj):
-                        call("D", i, j)
+        for k in range(len(bk) - 1):
+            for stage in fig4_stages(spec, case, k, ni, nj):
+                for sub_case, i, j in stage:
+                    rec(
+                        sub_case,
+                        _part(xi, bi, i), _part(xj, bj, j),
+                        _part(ui_src, bi, i), _part(uk_src, bk, k),
+                        _part(vk_src, bk, k), _part(vj_src, bj, j),
+                        _part(wk, bk, k),
+                        gi0 + bi[i], gj0 + bj[j], gk0 + bk[k],
+                    )
 
     full = (0, n)
     rec("A", full, full, full, full, full, full, full, 0, 0, 0)

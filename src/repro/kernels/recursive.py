@@ -14,14 +14,13 @@ case      rows=pivot?  cols=pivot?  paper function (GE instance)
 ========  ===========  ===========  =================================
 
 Each recursive call splits every axis into (at most) ``r`` near-equal
-parts and re-dispatches sub-tiles by the same aliasing classification;
-sub-calls execute in the dependency-minimal stage order derived by the
-inline-and-optimize methodology (A, then B‖C, then D within every
-sub-iteration), with each stage's independent calls issued to the
-simulated OpenMP runtime as one ``parallel_for``.  Reaching the base
-size, the iterative tile kernel runs.  The axis loop ranges follow the
-spec's Σ_G constraints (``i > k``/``j > k`` for GE, ``≠ k`` for FW),
-which reproduces Fig. 4's ranges exactly.
+parts and runs, per sub-iteration, the stages Fig. 4 prescribes — the
+schedule itself (case dispatch, A then B‖C then D, the Σ_G ranges) is
+data in :func:`repro.core.blocked.rway_stages`; this module only maps a
+stage's ``(sub_case, i, j)`` entries onto views and issues each stage's
+independent calls to the simulated OpenMP runtime as one
+``parallel_for``.  Reaching the base size, the iterative tile kernel
+runs.
 
 Everything operates on NumPy *views* of the caller's tile — the
 recursion allocates no copies (the guides' "views, not copies" rule, and
@@ -32,28 +31,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.blocked import CASE_FLAGS, fig4_stages
 from ..core.gep import GepSpec
 from ..util import near_equal_splits
 from .iterative import gep_tile_update
 from .openmp import OmpRuntime, SerialRuntime
 from .stats import KernelStats
 
-__all__ = ["RecursiveKernel", "CASE_FLAGS", "case_of"]
-
-#: case name -> (row_aliased, col_aliased)
-CASE_FLAGS: dict[str, tuple[bool, bool]] = {
-    "A": (True, True),
-    "B": (True, False),
-    "C": (False, True),
-    "D": (False, False),
-}
-
-
-def case_of(row_aliased: bool, col_aliased: bool) -> str:
-    """Inverse of :data:`CASE_FLAGS`."""
-    if row_aliased:
-        return "A" if col_aliased else "B"
-    return "C" if col_aliased else "D"
+__all__ = ["RecursiveKernel"]
 
 
 def _splits(extent: int, r: int) -> list[int]:
@@ -137,111 +122,43 @@ class RecursiveKernel:
         bk = _splits(pivot, r)
         bi = bk if row_aliased else _splits(x.shape[0], r)
         bj = bk if col_aliased else _splits(x.shape[1], r)
-        nk, ni, nj = len(bk) - 1, len(bi) - 1, len(bj) - 1
+        ni, nj = len(bi) - 1, len(bj) - 1
+        # An operand whose axis aliases the pivot lives in x itself.
+        usrc = x if col_aliased else u
+        vsrc = x if row_aliased else v
+        wsrc = x if case == "A" else w
 
-        def xs(i, j):
-            return x[bi[i] : bi[i + 1], bj[j] : bj[j + 1]]
-
-        def us(i, k):
-            # When columns alias the pivot, c[i-range, k-range] lives in x
-            # itself (and bj == bk); otherwise it comes from the U tile.
-            src = x if col_aliased else u
-            return src[bi[i] : bi[i + 1], bk[k] : bk[k + 1]]
-
-        def vs(k, j):
-            if row_aliased:
-                return x[bk[k] : bk[k + 1], bj[j] : bj[j + 1]]
-            return v[bk[k] : bk[k + 1], bj[j] : bj[j + 1]]
-
-        def ws(k):
-            if row_aliased and col_aliased:
-                return x[bk[k] : bk[k + 1], bk[k] : bk[k + 1]]
-            if w is None:
-                return None
-            return w[bk[k] : bk[k + 1], bk[k] : bk[k + 1]]
-
-        spec = self.spec
-        for k in range(nk):
-            gk_sub = gk0 + bk[k]
-            w_sub = ws(k)
+        for k in range(len(bk) - 1):
+            k0, k1 = bk[k], bk[k + 1]
+            w_sub = None if wsrc is None else wsrc[k0:k1, k0:k1]
 
             def call(sub_case, i, j):
+                i0, i1, j0, j1 = bi[i], bi[i + 1], bj[j], bj[j + 1]
                 self._rec(
                     sub_case,
-                    xs(i, j),
-                    us(i, k),
-                    vs(k, j),
+                    x[i0:i1, j0:j1],
+                    usrc[i0:i1, k0:k1],
+                    vsrc[k0:k1, j0:j1],
                     w_sub,
-                    gi0 + bi[i],
-                    gj0 + bj[j],
-                    gk_sub,
+                    gi0 + i0,
+                    gj0 + j0,
+                    gk0 + k0,
                     n_global,
                     stats,
                 )
 
-            # Row/column index ranges at this sub-iteration, following Σ_G.
-            if row_aliased:
-                other_rows = (
-                    range(k + 1, ni)
-                    if spec.constrains_i
-                    else [i for i in range(ni) if i != k]
-                )
-            else:
-                other_rows = range(ni)
-            if col_aliased:
-                other_cols = (
-                    range(k + 1, nj)
-                    if spec.constrains_j
-                    else [j for j in range(nj) if j != k]
-                )
-            else:
-                other_cols = range(nj)
-
-            if row_aliased and col_aliased:
-                # Stage 1: the sub-pivot. Stage 2: B row ‖ C column.
-                # Stage 3: the trailing D sub-grid (paper Fig. 4, A_GE).
-                call("A", k, k)
-                self._par(
-                    [("B", k, j) for j in other_cols]
-                    + [("C", i, k) for i in other_rows],
-                    call,
-                    stats,
-                )
-                self._par(
-                    [("D", i, j) for i in other_rows for j in other_cols],
-                    call,
-                    stats,
-                )
-            elif row_aliased:
-                # Paper Fig. 4, B_GE: all columns get B at the sub-pivot
-                # row, then D below (Σ_G rows) across all columns.
-                self._par([("B", k, j) for j in range(nj)], call, stats)
-                self._par(
-                    [("D", i, j) for i in other_rows for j in range(nj)],
-                    call,
-                    stats,
-                )
-            elif col_aliased:
-                # Paper Fig. 4, C_GE: mirror image of B_GE.
-                self._par([("C", i, k) for i in range(ni)], call, stats)
-                self._par(
-                    [("D", i, j) for j in other_cols for i in range(ni)],
-                    call,
-                    stats,
-                )
-            else:
-                # Paper Fig. 4, D_GE: one fully parallel stage per k.
-                self._par(
-                    [("D", i, j) for i in range(ni) for j in range(nj)],
-                    call,
-                    stats,
-                )
+            stages = fig4_stages(self.spec, case, k, ni, nj)
+            if case == "A":
+                # The one-call sub-pivot stage runs inline, not as a
+                # parallel-for of width 1.
+                call(*stages[0][0])
+                stages = stages[1:]
+            for stage in stages:
+                self._par(stage, call, stats)
 
     # ------------------------------------------------------------------
     def _par(self, items, call, stats) -> None:
         """Issue one stage of independent sub-calls to the OpenMP runtime."""
-        if not items:
-            return
         if stats is not None:
             stats.record_parallel_for(len(items))
         self.runtime.parallel_for(

@@ -91,7 +91,6 @@ from .sparkle.chaos import deterministic_fraction
 from .sparkle.durable import DurableBlockStore, SolveJournal
 from .sparkle.errors import (
     BlockNotFoundError,
-    CircuitOpenError,
     CorruptBlockError,
     ExecutorLost,
     FrameTooLargeError,
@@ -157,12 +156,12 @@ _BREAKER_FAULTS = (WorkerCrashed, PoisonTaskError)
 def is_retryable(exc: BaseException) -> bool:
     """Should a client resubmit after this failure?
 
-    Overload sheds and open-circuit rejections are retryable by
-    definition (they carry ``retry_after`` hints); engine faults follow
+    Overload sheds are retryable by definition (they carry
+    ``retry_after`` hints); engine faults follow
     :data:`SERVICE_RETRYABLE`.  Deadline overruns are not retryable —
     the same budget will be exceeded again.
     """
-    if isinstance(exc, (ServiceOverloadedError, CircuitOpenError)):
+    if isinstance(exc, ServiceOverloadedError):
         return True
     if isinstance(exc, ServiceDrainingError):
         # The drain always precedes a restart (or a peer): retry there.
@@ -204,62 +203,35 @@ class ServiceConfig:
         bounded by the storage pool (reservations fail → evict).
     retries:
         Engine passes retried per flight after a retryable fault.
-    retry_backoff_base / retry_backoff_cap:
-        Bounded exponential backoff between passes:
-        ``min(base · 2^(attempt-1), cap)`` seconds.
-    breaker_threshold:
-        Consecutive breaker-countable faults (worker crashes / poison
-        quarantines) before the circuit opens and passes fail over to
-        the thread path.
-    breaker_cooldown:
-        Seconds an open circuit waits before half-opening one probe
-        pass back onto the process backend.
-    shed_retry_after:
-        ``retry_after`` hint attached to overload sheds, seconds.
     default_deadline:
         Applied to requests that carry none (``None`` = unlimited).
     max_frame_bytes:
         Socket frames announcing more than this many payload bytes are
         refused with :class:`FrameTooLargeError` before any payload is
         read (allocation-bomb guard).
-    drain_retry_after:
-        ``retry_after`` hint attached to :class:`ServiceDrainingError`
-        sheds — how long a client should wait before retrying against
-        the restarted instance.
     tenant_policies:
         ``tenant -> TenantPolicy`` isolation knobs (DESIGN.md §18):
         DRR weight, byte quota on the governor's tenant ledger, and
         token-bucket admission rate.  Tenants absent from the map get
-        ``default_tenant_weight``, no quota, and no rate limit.
-    default_tenant_weight:
-        DRR weight for tenants without a policy (and for anonymous
-        requests, which all share the ``None`` tenant queue).
-    tenant_charge_factor:
-        In-flight quota charge per admitted flight, as a multiple of
-        the request table's bytes.  Defaults to 3 — the IM strategy's
-        worst case of three simultaneously materialized table copies
-        (the paper's §IV-C working-set bound) — so the quota prices
-        peak engine footprint, not just the input.
+        :attr:`SolverService.default_tenant_weight`, no quota, and no
+        rate limit.
     brownout:
         Arm the :class:`~repro.sparkle.tenancy.BrownoutLadder`
         (degrade → shed under pressure); off leaves only the
         PR 7 admission gates.
+
+    The retry backoff, the ``retry_after`` hints, the default tenant
+    weight and the quota charge factor are :class:`SolverService` class
+    attributes, and the breaker's threshold and cooldown are
+    :class:`CircuitBreaker`'s — one value each in use, so not options.
     """
 
     max_queue_depth: int = 16
     cache_entries: int = 32
     retries: int = 2
-    retry_backoff_base: float = 0.02
-    retry_backoff_cap: float = 0.25
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 2.0
-    shed_retry_after: float = 0.25
     default_deadline: float | None = None
     max_frame_bytes: int = 256 * 1024 * 1024
-    drain_retry_after: float = 1.0
     tenant_policies: dict[str, TenantPolicy] = field(default_factory=dict)
-    default_tenant_weight: int = 1
-    tenant_charge_factor: int = 3
     brownout: bool = True
 
     def __post_init__(self) -> None:
@@ -269,14 +241,8 @@ class ServiceConfig:
             raise ValueError("cache_entries must be >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         if self.max_frame_bytes < 4096:
             raise ValueError("max_frame_bytes must be >= 4096")
-        if self.default_tenant_weight < 1:
-            raise ValueError("default_tenant_weight must be >= 1")
-        if self.tenant_charge_factor < 1:
-            raise ValueError("tenant_charge_factor must be >= 1")
 
 
 class SolveTicket:
@@ -514,17 +480,20 @@ class ResultCache:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
                 return True
+            # The quota is asked first: a refused put must not have
+            # evicted anyone to make room for itself.
+            if tenant is not None and not self._memory.charge_tenant(
+                tenant, entry.nbytes
+            ):
+                return False
             while len(self._entries) >= self.max_entries:
                 self._evict_lru_locked()
             while not self._memory.reserve("storage", self.OWNER, entry.nbytes):
                 if not self._entries:
+                    if tenant is not None:
+                        self._memory.release_tenant(tenant, entry.nbytes)
                     return False
                 self._evict_lru_locked()
-            if tenant is not None and not self._memory.charge_tenant(
-                tenant, entry.nbytes
-            ):
-                self._memory.release("storage", self.OWNER, entry.nbytes)
-                return False
             self._entries[fingerprint] = entry
             return True
 
@@ -566,20 +535,22 @@ class ResultCache:
 class CircuitBreaker:
     """Closed → open → half-open breaker over the process backend.
 
-    ``breaker_threshold`` consecutive worker-crash/poison faults open
-    the circuit: subsequent passes run with offload disabled (the
-    thread path — bit-identical, just slower), and the supervisor's
-    degrade latch is forced so the solver's own ``degrade_on_crash``
-    machinery agrees.  After ``cooldown`` seconds one probe pass
-    half-opens back onto processes; success closes the circuit,
-    another fault reopens it.
+    ``threshold`` consecutive worker-crash/poison faults open the
+    circuit: subsequent passes run with offload disabled (the thread
+    path — bit-identical, just slower).  After ``cooldown`` seconds one
+    probe pass half-opens back onto processes; success closes the
+    circuit, another fault reopens it.
     """
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
 
-    def __init__(self, threshold: int, cooldown: float, metrics: ServiceMetrics) -> None:
-        self.threshold = threshold
-        self.cooldown = cooldown
+    #: consecutive breaker-countable faults (worker crashes / poison
+    #: quarantines) before the circuit opens
+    threshold: int = 3
+    #: seconds an open circuit waits before half-opening one probe pass
+    cooldown: float = 2.0
+
+    def __init__(self, metrics: ServiceMetrics) -> None:
         self._metrics = metrics
         self._lock = threading.Lock()
         self.state = self.CLOSED
@@ -905,7 +876,29 @@ class SolverService:
     at a time on the internal dispatcher thread (see module docstring
     for why), with admission, dedup, caching, deadlines, retry, and the
     circuit breaker layered in front.
+
+    The class attributes below have one value in use, so they are not
+    :class:`ServiceConfig` fields; a test that needs another sets the
+    attribute on its service.
     """
+
+    #: bounded exponential backoff between engine passes of one flight:
+    #: ``min(base · 2^(attempt-1), cap)`` seconds
+    retry_backoff_base: float = 0.02
+    retry_backoff_cap: float = 0.25
+    #: ``retry_after`` hint attached to overload sheds, seconds
+    shed_retry_after: float = 0.25
+    #: ``retry_after`` hint attached to :class:`ServiceDrainingError`
+    #: sheds — how long to wait before retrying the restarted instance
+    drain_retry_after: float = 1.0
+    #: DRR weight of a tenant without a policy (and of anonymous
+    #: requests, which all share the ``None`` tenant queue)
+    default_tenant_weight: int = 1
+    #: in-flight quota charge per admitted flight, as a multiple of the
+    #: request table's bytes: IM's worst case of three simultaneously
+    #: materialized table copies (the paper's §IV-C working-set bound),
+    #: so the quota prices peak engine footprint, not just the input
+    tenant_charge_factor: int = 3
 
     def __init__(
         self,
@@ -943,11 +936,7 @@ class SolverService:
             self.config.cache_entries, sc.memory_manager, self.metrics
         )
         sc.memory_manager.add_squeeze_listener(self.cache.on_squeeze)
-        self.breaker = CircuitBreaker(
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-            self.metrics,
-        )
+        self.breaker = CircuitBreaker(self.metrics)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="solver-service", daemon=True
         )
@@ -1014,7 +1003,7 @@ class SolverService:
                 raise ServiceDrainingError(
                     "service is draining for shutdown; retry against the "
                     "restarted instance",
-                    retry_after=self.config.drain_retry_after,
+                    retry_after=self.drain_retry_after,
                 )
             replayed = self._settled_replay_locked(request, fingerprint, deadline_at)
             if replayed is not None:
@@ -1181,7 +1170,7 @@ class SolverService:
         return (
             policy.weight
             if policy is not None
-            else self.config.default_tenant_weight
+            else self.default_tenant_weight
         )
 
     def _rate_gate_locked(self, tenant: str | None) -> None:
@@ -1229,7 +1218,7 @@ class SolverService:
             f"to heavier queued tenants",
             level="brownout",
             queue_depth=len(self._queue),
-            retry_after=self.config.shed_retry_after,
+            retry_after=self.shed_retry_after,
         )
 
     def _charge_tenant_locked(
@@ -1247,7 +1236,7 @@ class SolverService:
         mm = self.sc.memory_manager
         if tenant is None:
             return 0
-        charge = int(request.table.nbytes) * self.config.tenant_charge_factor
+        charge = int(request.table.nbytes) * self.tenant_charge_factor
         if mm.charge_tenant(tenant, charge, force=force):
             return charge
         usage = mm.tenant_usage().get(tenant, {})
@@ -1261,7 +1250,7 @@ class SolverService:
             tenant=tenant,
             used_bytes=usage.get("held_bytes", 0),
             quota_bytes=usage.get("quota_bytes"),
-            retry_after=self.config.shed_retry_after,
+            retry_after=self.shed_retry_after,
         )
 
     def _release_tenant_charge(self, tenant: str | None, charge: int) -> None:
@@ -1293,7 +1282,7 @@ class SolverService:
                 "shedding new work: memory pressure is critical",
                 level=level,
                 queue_depth=depth,
-                retry_after=self.config.shed_retry_after,
+                retry_after=self.shed_retry_after,
             )
         limit = self.config.max_queue_depth
         if level != PRESSURE_OK:
@@ -1305,7 +1294,7 @@ class SolverService:
                 f"request queue full ({depth} >= {limit} under {level} pressure)",
                 level=level,
                 queue_depth=depth,
-                retry_after=self.config.shed_retry_after,
+                retry_after=self.shed_retry_after,
             )
         with self._metrics_lock:
             self.metrics.requests_admitted += 1
@@ -1365,8 +1354,8 @@ class SolverService:
                         self.metrics.retries += 1
                     time.sleep(
                         min(
-                            cfg.retry_backoff_base * (2 ** (attempt - 1)),
-                            cfg.retry_backoff_cap,
+                            self.retry_backoff_base * (2 ** (attempt - 1)),
+                            self.retry_backoff_cap,
                         )
                     )
                 continue
@@ -1852,39 +1841,33 @@ def _recv_msg(sock: socket.socket, max_bytes: int | None = None) -> Any:
     return pickle.loads(_recv_exact(sock, length))
 
 
-def _build_request(payload: dict[str, Any]) -> SolveRequest:
+def _build_request(
+    payload: dict[str, Any], max_frame_bytes: int | None = None
+) -> SolveRequest:
     """Materialize a wire payload into a SolveRequest.
 
     The wire format names a problem + generator seed rather than
     shipping the table, so identical payloads hash to identical
     fingerprints on the server and dedup/caching work across clients.
+    ``n`` comes from outside: a request whose ``n x n`` result could not
+    be framed under ``max_frame_bytes`` is refused before any table is
+    generated (allocation-bomb guard, like the frame-length check).
     """
-    from .core.gep import (
-        FloydWarshallGep,
-        GaussianEliminationGep,
-        TransitiveClosureGep,
-    )
     from .core.dpspark import make_kernel
-    from .workloads import diagonally_dominant, random_digraph_weights
+    from .workloads import PROBLEM_SPECS, make_problem
 
     problem = payload["problem"]
     n = int(payload["n"])
-    seed = int(payload.get("seed", 0))
-    density = float(payload.get("density", 0.35))
-    specs = {
-        "apsp": FloydWarshallGep,
-        "ge": GaussianEliminationGep,
-        "tc": TransitiveClosureGep,
-    }
-    if problem not in specs:
-        raise ValueError(f"unknown problem {problem!r}")
-    spec = specs[problem]()
-    if problem == "ge":
-        table = diagonally_dominant(n, seed=seed)
-    else:
-        weights = random_digraph_weights(n, density, seed=seed)
-        table = np.isfinite(weights) if problem == "tc" else weights
-    table = table.astype(spec.dtype, copy=False)
+    if max_frame_bytes is not None and problem in PROBLEM_SPECS:
+        result_bytes = n * n * np.dtype(PROBLEM_SPECS[problem]().dtype).itemsize
+        if result_bytes > max_frame_bytes:
+            raise ValueError(
+                f"n={n}: the {result_bytes}-byte result exceeds this "
+                f"server's {max_frame_bytes}-byte frame cap"
+            )
+    spec, table = make_problem(
+        problem, n, int(payload.get("seed", 0)), float(payload.get("density", 0.35))
+    )
     return SolveRequest(
         spec=spec,
         table=table,
@@ -2080,7 +2063,7 @@ def _handle_conn(
                     "tenants": service.sc.memory_manager.tenant_usage(),
                 })
                 return
-            request = _build_request(payload)
+            request = _build_request(payload, max_frame_bytes)
             response = service.solve(
                 request,
                 timeout=payload.get("timeout"),

@@ -74,7 +74,6 @@ from .context import SparkleContext
 from .durable import DurableBlockStore, FsckReport, SolveJournal
 from .errors import (
     BlockNotFoundError,
-    CircuitOpenError,
     CorruptBlockError,
     ExecutorLost,
     FrameTooLargeError,
@@ -170,7 +169,6 @@ __all__ = [
     "ServiceDrainingError",
     "TenantQuotaExceededError",
     "RequestDeadlineExceeded",
-    "CircuitOpenError",
     "FrameTooLargeError",
     "ServiceMetrics",
     "SolveRequest",

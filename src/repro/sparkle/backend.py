@@ -439,7 +439,7 @@ class ProcessBackend(ThreadBackend):
             max_workers=1,
             mp_context=ctx,
             initializer=_worker_init,
-            initargs=(self.supervisor.worker_initargs(ctx, slot=slot),),
+            initargs=(self.supervisor.worker_initargs(slot),),
         )
 
     @property

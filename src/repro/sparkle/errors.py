@@ -32,7 +32,6 @@ __all__ = [
     "ServiceDrainingError",
     "TenantQuotaExceededError",
     "RequestDeadlineExceeded",
-    "CircuitOpenError",
     "FrameTooLargeError",
 ]
 
@@ -376,34 +375,6 @@ class RequestDeadlineExceeded(SparkleError):
 
     def __reduce__(self):
         return (type(self), (self.args[0], self.deadline, self.elapsed))
-
-
-class CircuitOpenError(SparkleError):
-    """The per-backend circuit breaker is open (repeated worker faults).
-
-    Carried on responses so clients can tell "your request failed" apart
-    from "the process backend is sick; requests are being served on the
-    degraded thread path".  ``retry_after`` is the remaining cooldown
-    before the breaker half-opens.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        backend: str | None = None,
-        failures: int = 0,
-        retry_after: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.backend = backend
-        self.failures = failures
-        self.retry_after = retry_after
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.args[0], self.backend, self.failures, self.retry_after),
-        )
 
 
 class LastExecutorProtectedWarning(RuntimeWarning):

@@ -83,8 +83,6 @@ class MemoryManager:
         Nominal execution reservation charged per admitted task (the
         scheduler's backpressure unit).  Defaults to ``budget // 8``
         (0 when unbounded: there is nothing to push back against).
-    pressured_at / critical_at:
-        Occupancy fractions at which pressure escalates.
     executor_resolver:
         ``f(partition) -> executor`` used to attribute task-side
         reservations to a simulated executor (the pool's
@@ -92,27 +90,26 @@ class MemoryManager:
         partition id.
     """
 
+    #: occupancy fractions at which pressure escalates (one value each in
+    #: use, so class attributes rather than constructor options)
+    pressured_at: float = 0.70
+    critical_at: float = 0.90
+
     def __init__(
         self,
         budget_bytes: int | None,
         *,
         metrics=None,
         task_quantum_bytes: int | None = None,
-        pressured_at: float = 0.70,
-        critical_at: float = 0.90,
         executor_resolver: Callable[[int], int] | None = None,
     ) -> None:
         if budget_bytes is not None and budget_bytes < 1:
             raise ValueError("budget_bytes must be >= 1")
-        if not 0.0 < pressured_at <= critical_at <= 1.0:
-            raise ValueError("require 0 < pressured_at <= critical_at <= 1")
         # An infinite budget makes "fits", the occupancy ratio and the
         # admission test come out right with no unbounded special case.
         budget = math.inf if budget_bytes is None else int(budget_bytes)
         self.initial_budget_bytes = budget
         self.budget_bytes = budget
-        self.pressured_at = pressured_at
-        self.critical_at = critical_at
         if task_quantum_bytes is None:
             task_quantum_bytes = max(1, budget // 8) if self.bounded else 0
         if self.bounded and task_quantum_bytes < 1:

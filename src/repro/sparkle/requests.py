@@ -28,11 +28,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import (
-    CircuitOpenError,
-    RequestDeadlineExceeded,
-    ServiceOverloadedError,
-)
+from .errors import RequestDeadlineExceeded, ServiceOverloadedError
 
 __all__ = [
     "SolveRequest",
@@ -40,7 +36,6 @@ __all__ = [
     "solve_fingerprint",
     "ServiceOverloadedError",
     "RequestDeadlineExceeded",
-    "CircuitOpenError",
 ]
 
 

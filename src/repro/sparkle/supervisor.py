@@ -139,18 +139,14 @@ class SupervisionConfig:
     max_task_failures:
         Worker deaths one task may cause before it is quarantined as
         poison (:class:`~repro.sparkle.errors.PoisonTaskError`).
-    respawn_backoff_base / respawn_backoff_cap / respawn_backoff_jitter:
-        Bounded exponential backoff slept before re-forking the pool
-        after the n-th crash: ``min(base·2^(n-1), cap) · (1 + jitter·h)``
-        with ``h`` a deterministic hash fraction.
+
+    The respawn backoff is :class:`WorkerSupervisor` class attributes —
+    one value each in use, so not options.
     """
 
     heartbeat_interval: float | None = 0.25
     task_deadline: float | None = None
     max_task_failures: int = 3
-    respawn_backoff_base: float = 0.05
-    respawn_backoff_cap: float = 1.0
-    respawn_backoff_jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval is not None and self.heartbeat_interval < 0:
@@ -159,10 +155,6 @@ class SupervisionConfig:
             raise ValueError("task_deadline must be > 0 (None disables)")
         if self.max_task_failures < 1:
             raise ValueError("max_task_failures must be >= 1")
-        if self.respawn_backoff_base < 0 or self.respawn_backoff_cap < 0:
-            raise ValueError("respawn backoff must be >= 0")
-        if self.respawn_backoff_jitter < 0:
-            raise ValueError("respawn_backoff_jitter must be >= 0")
 
     @property
     def heartbeats_enabled(self) -> bool:
@@ -218,11 +210,6 @@ class HeartbeatBoard:
             )
         return out
 
-    def reset(self) -> None:
-        """Blank every row (pool respawn: dead pids must not linger)."""
-        if self.cells is not None:
-            self.cells[:] = 0
-
     def reset_row(self, slot: int) -> None:
         """Blank one row (single-slot pool respawn)."""
         if self.cells is not None and 0 <= slot < self.slots:
@@ -246,6 +233,14 @@ class HeartbeatBoard:
 
 class WorkerSupervisor:
     """Driver-side supervision brain for one process-backend pool."""
+
+    #: bounded exponential backoff slept before re-forking a pool after
+    #: its n-th crash: ``min(base·2^(n-1), cap) · (1 + jitter·h)`` with
+    #: ``h`` a deterministic hash fraction (a test that wants no sleep
+    #: sets these on its supervisor)
+    respawn_backoff_base: float = 0.05
+    respawn_backoff_cap: float = 1.0
+    respawn_backoff_jitter: float = 0.25
 
     def __init__(
         self,
@@ -278,23 +273,17 @@ class WorkerSupervisor:
         self._watchdog_stop = threading.Event()
 
     # -- pool wiring ---------------------------------------------------
-    def worker_initargs(self, ctx, slot: int | None = None) -> tuple:
+    def worker_initargs(self, slot: int) -> tuple:
         """Arguments for :func:`_attach_worker` via the pool initializer.
 
-        Called once per pool generation with that pool's multiprocessing
-        context, so the slot-claim lock is always transferable to its
-        workers (fork inherits it; spawn pickles it).  ``slot`` pins the
-        worker to a fixed board row — the per-worker single-slot pools
-        of the batched data plane claim row ``i`` for pool ``i`` instead
-        of scanning for the first free row, so the driver can map a slot
-        to a pid (and the in-flight call token) without races between
-        pools holding different claim locks.
+        ``slot`` is the board row the pool's one worker claims — pool
+        ``i`` owns row ``i``, so the driver can map a slot to a pid (and
+        the in-flight call token) and no two workers contend for a row.
         """
         board = self.board
         return (
             board.name if board is not None else None,
             self.slots,
-            ctx.Lock(),
             self.config.heartbeat_interval or 0.0,
             self.prefix,
             os.getpid(),
@@ -346,11 +335,6 @@ class WorkerSupervisor:
             if self._signal(pid, signal.SIGKILL):
                 killed += 1
         return killed
-
-    def reset_board(self) -> None:
-        with self._board_lock:
-            if self.board is not None:
-                self.board.reset()
 
     def reset_slot(self, slot: int) -> None:
         """Blank one row before respawning that slot's pool — the dead
@@ -464,18 +448,6 @@ class WorkerSupervisor:
             pending, self._degrade_latch = self._degrade_latch, False
             return pending
 
-    def force_degrade(self) -> None:
-        """Arm the degrade latch from outside the crash protocol.
-
-        The solver service's circuit breaker calls this when repeated
-        worker faults trip it: any in-flight ``--degrade-on-crash``
-        solve then falls off the process backend at its next
-        outer-iteration boundary, exactly as if a poison quarantine had
-        fired — one latch, one degrade path.
-        """
-        with self._ledger_lock:
-            self._degrade_latch = True
-
     # -- respawn backoff ----------------------------------------------
     def respawn_delay(self, respawn_index: int) -> float:
         """Deterministic bounded-exponential backoff before respawn n.
@@ -486,11 +458,10 @@ class WorkerSupervisor:
         """
         if respawn_index < 1:
             raise ValueError("respawn_index counts from 1")
-        cfg = self.config
-        base = cfg.respawn_backoff_base * (2.0 ** (respawn_index - 1))
-        delay = min(base, cfg.respawn_backoff_cap)
+        base = self.respawn_backoff_base * (2.0 ** (respawn_index - 1))
+        delay = min(base, self.respawn_backoff_cap)
         jitter = deterministic_fraction(self.seed, "respawn", (respawn_index,))
-        return delay * (1.0 + cfg.respawn_backoff_jitter * jitter)
+        return delay * (1.0 + self.respawn_backoff_jitter * jitter)
 
     # -- lifecycle -----------------------------------------------------
     def destroy(self) -> None:
@@ -510,11 +481,10 @@ _WORKER_BOARD = {"cells": None, "slot": None, "shm": None}
 def _attach_worker(
     board_name: str | None,
     slots: int,
-    claim_lock,
     beat_interval: float,
     prefix: str,
     driver_pid: int,
-    fixed_slot: int | None = None,
+    slot: int,
 ) -> None:  # pragma: no cover - runs in worker processes
     """Pool initializer tail: join the board, start beats + janitor.
 
@@ -523,13 +493,11 @@ def _attach_worker(
     broken), so any failure here degrades to an unsupervised-but-working
     worker.
 
-    ``fixed_slot`` claims exactly that board row (the per-worker
-    single-slot pools of the batched data plane); the legacy shared-pool
-    path (``None``) scans for the first free row under the claim lock.
-    A fixed-slot claim overwrites whatever pid is on the row — by the
-    respawn protocol the previous occupant is dead and the driver has
-    reset the row, so the overwrite is only a belt-and-braces guard
-    against a raced reset.
+    The worker claims board row ``slot`` (every pool is a
+    single-worker pool that owns one row), overwriting whatever pid is
+    on it — by the respawn protocol the previous occupant is dead and
+    the driver has reset the row, so the overwrite is only a
+    belt-and-braces guard against a raced reset.
     """
     try:
         _start_janitor(prefix, driver_pid)
@@ -542,22 +510,11 @@ def _attach_worker(
 
         shm = _shared_memory.SharedMemory(name=board_name)
         cells = np.ndarray((slots, BOARD_COLS), dtype=np.int64, buffer=shm.buf)
-        slot = None
-        with claim_lock:
-            if fixed_slot is not None:
-                if 0 <= fixed_slot < slots:
-                    cells[fixed_slot, COL_TOKEN] = 0
-                    cells[fixed_slot, COL_PID] = os.getpid()
-                    slot = fixed_slot
-            else:
-                for row in range(slots):
-                    if int(cells[row, COL_PID]) == 0:
-                        cells[row, COL_PID] = os.getpid()
-                        slot = row
-                        break
-        if slot is None:
+        if not 0 <= slot < slots:
             shm.close()
             return
+        cells[slot, COL_TOKEN] = 0
+        cells[slot, COL_PID] = os.getpid()
         _WORKER_BOARD["cells"] = cells
         _WORKER_BOARD["slot"] = slot
         _WORKER_BOARD["shm"] = shm  # pin the mapping for process lifetime

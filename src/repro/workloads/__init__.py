@@ -9,6 +9,7 @@ from .graphs import (
     weights_to_networkx,
 )
 from .matrices import augmented_system, diagonally_dominant, random_rhs, spd_matrix
+from .problems import PROBLEM_SPECS, make_problem
 
 __all__ = [
     "random_digraph_weights",
@@ -21,4 +22,6 @@ __all__ = [
     "spd_matrix",
     "augmented_system",
     "random_rhs",
+    "PROBLEM_SPECS",
+    "make_problem",
 ]

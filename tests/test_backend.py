@@ -265,6 +265,22 @@ def test_dispatch_validation(capsys):
     ):
         with pytest.raises(TypeError, match=knob):
             SparkleContext(2, 1, **{knob: 1})
+    # options with one value in use: class attributes of the reader
+    from repro.service import ServiceConfig
+
+    for knob in (
+        "retry_backoff_base", "retry_backoff_cap", "breaker_threshold",
+        "breaker_cooldown", "shed_retry_after", "drain_retry_after",
+        "default_tenant_weight", "tenant_charge_factor",
+    ):
+        with pytest.raises(TypeError, match=knob):
+            ServiceConfig(**{knob: 1})
+    for knob in ("respawn_backoff_base", "respawn_backoff_cap", "respawn_backoff_jitter"):
+        with pytest.raises(TypeError, match=knob):
+            SupervisionConfig(**{knob: 0.0})
+    for knob in ("pressured_at", "critical_at"):
+        with pytest.raises(TypeError, match=knob):
+            MemoryManager(None, **{knob: 0.5})
     mm = MemoryManager(None)
     for build in (
         lambda: ShuffleManager(mm, capacity_bytes=1),
@@ -483,16 +499,14 @@ def _d_calls(count, dtype=np.float64, seed=0):
 
 
 def _process_backend(**kwargs):
-    return ProcessBackend(
+    backend = ProcessBackend(
         2,
         num_workers=1,
-        supervision=SupervisionConfig(
-            heartbeat_interval=0.0,
-            respawn_backoff_base=0.0,
-            respawn_backoff_jitter=0.0,
-        ),
+        supervision=SupervisionConfig(heartbeat_interval=0.0),
         **kwargs,
     )
+    backend.supervisor.respawn_backoff_base = 0.0
+    return backend
 
 
 @needs_shm

@@ -42,7 +42,6 @@ from repro.service import (
     serve_forever,
 )
 from repro.sparkle import (
-    CircuitOpenError,
     FaultPlan,
     FrameTooLargeError,
     JobAborted,
@@ -153,8 +152,6 @@ class TestServiceErrors:
                 "shed", level="critical", queue_depth=7, retry_after=0.25
             ),
             RequestDeadlineExceeded("late", deadline=1.5, elapsed=2.25),
-            CircuitOpenError("open", backend="processes", failures=3,
-                             retry_after=1.0),
             ServiceDrainingError("draining for shutdown", retry_after=0.75),
             FrameTooLargeError("frame too big", length=1 << 40,
                                limit=1 << 20),
@@ -169,7 +166,6 @@ class TestServiceErrors:
 
     def test_retryability_contract(self):
         assert is_retryable(ServiceOverloadedError("shed"))
-        assert is_retryable(CircuitOpenError("open"))
         assert is_retryable(WorkerCrashed("died", 1, "kill"))
         assert not is_retryable(RequestDeadlineExceeded("late"))
         assert not is_retryable(ValueError("config"))
@@ -555,10 +551,16 @@ class TestDeadlines:
 # ---------------------------------------------------------------------------
 
 
+def _breaker(threshold, cooldown, metrics):
+    breaker = CircuitBreaker(metrics)
+    breaker.threshold, breaker.cooldown = threshold, cooldown
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_state_machine_trips_half_opens_closes(self):
         metrics = ServiceMetrics()
-        breaker = CircuitBreaker(2, 0.1, metrics)
+        breaker = _breaker(2, 0.1, metrics)
         assert breaker.allow_offload()
         breaker.record_failure(offloaded=True)
         assert breaker.allow_offload()  # one failure is not a pattern
@@ -576,7 +578,7 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         metrics = ServiceMetrics()
-        breaker = CircuitBreaker(1, 0.05, metrics)
+        breaker = _breaker(1, 0.05, metrics)
         breaker.record_failure(offloaded=True)
         time.sleep(0.06)
         assert breaker.allow_offload()  # probe
@@ -585,7 +587,7 @@ class TestCircuitBreaker:
         assert metrics.circuit_trips == 2
 
     def test_thread_path_failures_never_count(self):
-        breaker = CircuitBreaker(1, 0.05, ServiceMetrics())
+        breaker = _breaker(1, 0.05, ServiceMetrics())
         breaker.record_failure(offloaded=False)
         assert breaker.allow_offload()
 
@@ -598,12 +600,12 @@ class TestCircuitBreaker:
             sc,
             config=ServiceConfig(
                 retries=3,
-                retry_backoff_base=0.001,
-                breaker_threshold=2,
-                breaker_cooldown=0.2,
                 cache_entries=0,  # force engine passes every time
             ),
         )
+        service.retry_backoff_base = 0.001
+        service.breaker.threshold = 2
+        service.breaker.cooldown = 0.2
         original = service._solve
         crashes = []
 
@@ -658,7 +660,6 @@ def _assert_storm_outcomes(outcomes, references):
                     ServiceOverloadedError,
                     ServiceDrainingError,
                     RequestDeadlineExceeded,
-                    CircuitOpenError,
                     WorkerCrashed,
                     JobAborted,
                 ),
@@ -729,9 +730,9 @@ class TestRequestStorm:
         prefix = sc._executors.backend.supervisor.prefix
         service = SolverService(
             sc,
-            config=ServiceConfig(max_queue_depth=32, retries=3,
-                                 retry_backoff_base=0.01),
+            config=ServiceConfig(max_queue_depth=32, retries=3),
         )
+        service.retry_backoff_base = 0.01
         tables = {seed: _table(24, seed) for seed in (0, 1)}
         references = {}
         for seed, table in tables.items():
@@ -929,6 +930,46 @@ class TestSocketHardening:
             sc.stop()
 
     @pytest.mark.timeout(120)
+    def test_unframeable_n_is_refused_before_any_table_is_generated(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.workloads
+
+        generated = []
+        make_problem = repro.workloads.make_problem
+
+        def recording(problem, n, seed, density):
+            generated.append(n)
+            return make_problem(problem, n, seed, density)
+
+        monkeypatch.setattr(repro.workloads, "make_problem", recording)
+        socket_path = str(tmp_path / "solver.sock")
+        sc = _context()
+        service = SolverService(sc)
+        server = _start_server(
+            service, socket_path, max_requests=2, max_frame_bytes=1 << 16
+        )
+        try:
+            # 128 x 128 float64 = 128 KiB: twice what a reply frame may carry
+            reply = send_request(
+                socket_path, {"problem": "apsp", "n": 128, "r": 4}, timeout=60
+            )
+            assert reply["status"] == "error"
+            assert isinstance(reply["error"], ValueError)
+            assert reply["retryable"] is False
+            assert generated == []
+            # the accept loop is still alive and serving
+            reply = send_request(
+                socket_path, {"problem": "apsp", "n": 16, "r": 4}, timeout=60
+            )
+            assert reply["status"] == "ok" and generated == [16]
+            server.join(timeout=30)
+            assert not server.is_alive()
+        finally:
+            service.stop()
+            sc.stop()
+
+    @pytest.mark.timeout(120)
     def test_torn_frame_is_that_connections_problem_only(self, tmp_path):
         socket_path = str(tmp_path / "solver.sock")
         sc = _context()
@@ -1098,7 +1139,7 @@ class TestDrain:
             assert service.draining
             with pytest.raises(ServiceDrainingError) as excinfo:
                 service.submit(_request(seed=1))
-            assert excinfo.value.retry_after == service.config.drain_retry_after
+            assert excinfo.value.retry_after == service.drain_retry_after
             assert is_retryable(excinfo.value)
             assert service.metrics.draining_sheds == 1
             gate.set()

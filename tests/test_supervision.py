@@ -157,8 +157,6 @@ class TestSupervisionConfig:
             SupervisionConfig(task_deadline=0.0)
         with pytest.raises(ValueError):
             SupervisionConfig(max_task_failures=0)
-        with pytest.raises(ValueError):
-            SupervisionConfig(respawn_backoff_jitter=-1.0)
 
     def test_miss_after_is_twice_the_interval(self):
         cfg = SupervisionConfig(heartbeat_interval=0.2)
@@ -181,7 +179,8 @@ class TestHeartbeatBoard:
             assert sorted(board.pids()) == [1234, 5678]
             snap = board.snapshot()
             assert snap[0] == {"slot": 0, "pid": 1234, "beat": 7, "token": 42}
-            board.reset()
+            board.reset_row(0)
+            board.reset_row(1)
             assert board.pids() == []
         finally:
             board.destroy()
@@ -195,12 +194,7 @@ class TestHeartbeatBoard:
 
 class TestRespawnBackoff:
     def test_deterministic_bounded_schedule(self):
-        cfg = SupervisionConfig(
-            heartbeat_interval=0.0,
-            respawn_backoff_base=0.05,
-            respawn_backoff_cap=1.0,
-            respawn_backoff_jitter=0.25,
-        )
+        cfg = SupervisionConfig(heartbeat_interval=0.0)
         a = WorkerSupervisor(cfg, slots=2, prefix="sparkle-bk-a", seed=11)
         b = WorkerSupervisor(cfg, slots=2, prefix="sparkle-bk-b", seed=11)
         try:
@@ -311,10 +305,9 @@ class TestDeadlineEnforcement:
             supervision=SupervisionConfig(
                 heartbeat_interval=0.0,
                 task_deadline=0.4,
-                respawn_backoff_base=0.0,
-                respawn_backoff_jitter=0.0,
             ),
         )
+        backend.supervisor.respawn_backoff_base = 0.0
         try:
             prefix = backend.supervisor.prefix
             start = time.monotonic()
@@ -345,10 +338,9 @@ class TestPoisonQuarantine:
             supervision=SupervisionConfig(
                 heartbeat_interval=0.0,
                 max_task_failures=2,
-                respawn_backoff_base=0.0,
-                respawn_backoff_jitter=0.0,
             ),
         )
+        backend.supervisor.respawn_backoff_base = 0.0
         inner = make_kernel(SPEC, "iterative")
         blob = pickle.dumps(CrashyKernel(inner, os.getpid()))
         try:

@@ -434,6 +434,20 @@ class TestQuotaEnforcement:
             service.stop()
             sc.stop()
 
+    def test_refused_put_on_a_full_cache_evicts_nobody(self):
+        from repro.service import ResultCache
+        from repro.sparkle.memory import MemoryManager
+        from repro.sparkle.metrics import ServiceMetrics
+
+        memory, metrics = MemoryManager(None), ServiceMetrics()
+        memory.set_tenant_quota("hog", 0)
+        cache = ResultCache(2, memory, metrics)
+        assert cache.put("a", _table(seed=0), tenant="victim")
+        assert cache.put("b", _table(seed=1), tenant="victim")
+        assert not cache.put("c", _table(seed=2), tenant="hog")
+        assert len(cache) == 2 and metrics.cache_evictions == 0
+        assert memory.tenant_usage()["hog"]["held_bytes"] == 0
+
 
 # ---------------------------------------------------------------------------
 # token-bucket admission rate limit

@@ -149,3 +149,23 @@ class TestConversions:
         assert g.number_of_nodes() == 8
         for u, v, data in g.edges(data=True):
             assert data["weight"] == pytest.approx(w[u, v])
+
+
+class TestMakeProblem:
+    def test_named_problems_are_the_generators_in_the_spec_dtype(self):
+        from repro.workloads import PROBLEM_SPECS, make_problem
+
+        weights = random_digraph_weights(9, 0.4, seed=5)
+        expected = {
+            "apsp": weights,
+            "tc": np.isfinite(weights),
+            "ge": diagonally_dominant(9, seed=5),
+        }
+        assert set(PROBLEM_SPECS) == set(expected)
+        for problem, table in expected.items():
+            spec, made = make_problem(problem, 9, 5, 0.4)
+            assert isinstance(spec, PROBLEM_SPECS[problem])
+            assert made.dtype == spec.dtype
+            np.testing.assert_array_equal(made, table)
+        with pytest.raises(ValueError, match="unknown problem"):
+            make_problem("lcs", 9, 5, 0.4)
