@@ -8,7 +8,8 @@ test:
 	$(PYTEST) -q
 
 # the CI gate: fail-fast over everything, and hermetic — a run that
-# creates, edits or deletes a file git can see fails
+# creates, edits or deletes a file git can see fails, and so does one
+# that leaves a worker-plane segment (sparkle-*) behind in /dev/shm
 tier1:
 	@before="$$(git status --porcelain)"; \
 	$(PYTEST) -x -q || exit $$?; \
@@ -16,6 +17,11 @@ tier1:
 	if [ "$$before" != "$$after" ]; then \
 		echo "tier1 is not hermetic: git status --porcelain changed:"; \
 		echo "$$after"; exit 1; \
+	fi; \
+	leaked="$$(ls /dev/shm 2>/dev/null | grep '^sparkle-')"; \
+	if [ -n "$$leaked" ]; then \
+		echo "tier1 leaked shared memory: /dev/shm still holds:"; \
+		echo "$$leaked"; exit 1; \
 	fi
 
 # seeded fault-injection + durability/crash-resume + memory-governor +

@@ -32,26 +32,22 @@ recovery can never corrupt the DP table.  A run's recovery cost is
 surfaced on :attr:`SolveReport.recovery`.
 
 Data plane.  Kernel invocations go through :meth:`GepSparkSolver.
-_run_tile_batch` — one call per task — which never mutates its inputs.
-On the default thread backend the iterative kernel takes the task's
-case-D tiles a *stack* at a time (:meth:`~repro.kernels.IterativeKernel.
-run_stacks`: equal geometry, as many as fit its fold budget — 64 8x8
-tiles a call, none from 26x26 up) and the stack of the inputs is the
-private copy of the retry-purity contract above; every other call — A,
-B and C (their operands alias the tile), tiles too large to stack, the
-recursive kernel — takes the historical defensive ``tile.copy()`` and
-one kernel call each.  Every result owns its memory either way.
-On the process backend (``SparkleContext(backend="processes")``)
-picklable kernels are offloaded to worker processes, a task's tile
-updates in one round-trip: the tiles and every operand — shuffled,
-CB-stored or broadcast alike — are pickled out once each in the batch's
-operand pool, the worker updates its own copy of each tile (the pickle
-plus that copy *is* the private copy) and pickles the updated tiles
-back, and intra-tile aliasing (A's ``u=v=w=x``, B's ``v=x``, C's
-``u=x``) is re-established worker-side via the
-:data:`~repro.sparkle.backend.ALIAS_X` sentinel.
-Both paths are bit-identical; the backend-parity property test pins
-that down.
+_run_tile_batch` — one call list per task — which never mutates its
+inputs.  The list is the unit on either side of the process boundary
+(:mod:`repro.kernels.base`): :func:`~repro.kernels.base.update_tiles`
+runs it on the task's thread — the iterative kernel takes the case-D
+tiles a *stack* at a time (:meth:`~repro.kernels.IterativeKernel.
+run_stacks`; the stack of the inputs is the private copy),
+:func:`~repro.kernels.base.update_tile` gives every other call its
+``tile.copy()`` and resolves intra-tile aliasing (A's ``u=v=w=x``, B's
+``v=x``, C's ``u=x``, written :data:`~repro.kernels.base.ALIAS_X` or as
+the tile itself) against the copy.  When the context has a worker plane
+(``SparkleContext(backend="processes")``, ``sc.offload``) and the kernel
+pickles, the same list is pickled to a worker in one round-trip — each
+distinct array once, shuffled, CB-stored or broadcast alike — where the
+same ``update_tile`` runs per call, and the updated tiles are pickled
+back.  Every result owns its memory, and both paths are bit-identical;
+the backend-parity property test pins that down.
 """
 
 from __future__ import annotations
@@ -70,9 +66,9 @@ from ..kernels import (
     LockingKernelStats,
     RecursiveKernel,
 )
+from ..kernels.base import ALIAS_X, update_tile, update_tiles
 from ..kernels.openmp import OmpRuntime
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
-from ..sparkle.backend import ALIAS_X
 from ..sparkle.durable import SolveJournal
 from ..sparkle.errors import (
     BlockNotFoundError,
@@ -318,10 +314,10 @@ class GepSparkSolver:
         )
         self.partitioner = partitioner or HashPartitioner(self.num_partitions)
         self.stats = LockingKernelStats() if collect_stats else None
-        # Kernel pickle probe for process-backend offload: resolved
-        # lazily on first use (False = not probed yet; None = kernel is
-        # not picklable, e.g. RecursiveKernel's OmpRuntime thread-locals,
-        # so tile updates stay on the driver's thread path).
+        # Kernel pickle probe for offload: resolved lazily on first
+        # use (False = not probed yet; None = the kernel does not
+        # pickle — kernels are duck-typed, one may hold a lock — so tile
+        # updates stay on the driver's thread path).
         self._kernel_blob: bytes | None | bool = False
 
     # ------------------------------------------------------------------
@@ -668,59 +664,35 @@ class GepSparkSolver:
         finally:
             self.stats.merge(sink)
 
-    def _thread_updated_tile(self, case, tile, u, v, w, gi0, gj0, gk0, n, sink):
-        """The deterministic thread path: private copy, aliases resolved
-        against it, kernel run in place (never mutates ``tile``)."""
-        x = tile.copy()
-        u2 = x if u is ALIAS_X else u
-        v2 = x if v is ALIAS_X else v
-        w2 = x if w is ALIAS_X else w
-        self.kernel.run(case, x, u2, v2, w2, gi0, gj0, gk0, n, stats=sink)
-        return x
-
     def _run_tile_batch(self, calls: list) -> list:
         """Update one task's tiles *without mutating* them; returns the
         updated arrays in call order.
 
         ``calls`` entries are ``(case, tile, u, v, w, gi0, gj0, gk0,
-        n)``.  ``u``/``v``/``w`` may be the :data:`~repro.sparkle.
-        backend.ALIAS_X` sentinel, meaning "this operand is the tile
-        itself" (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``) — resolved
-        against the private copy on the thread path, or re-established
-        against the worker's own copy of the tile on the process path.
-        Never mutating the input tiles is the retry-purity contract:
-        retried and speculative attempts must see pristine inputs.
+        n)`` (:mod:`repro.kernels.base`; ``u``/``v``/``w`` may be
+        :data:`~repro.kernels.base.ALIAS_X`, "this operand is the tile
+        itself").  Never mutating the input tiles is the retry-purity
+        contract: retried and speculative attempts must see pristine
+        inputs.
 
-        Whenever kernel offload is available the whole list — stage A's
-        single call included — goes to a worker in one round-trip (one
-        kernel call per envelope there: the per-call heartbeat token is
-        what attributes a crash to a tile).  Otherwise the list runs on
-        the thread path: the kernel's ``run_stacks``, where it has one,
-        updates the D tiles it can stack, and each remaining call runs
-        alone on its private copy.  All of these produce bit-identical
-        arrays.  The task's kernel stats are merged into the shared sink
-        once.
+        With a worker plane and a kernel that pickles, the whole list —
+        stage A's single call included — goes to a worker in one
+        round-trip; otherwise :func:`~repro.kernels.base.update_tiles`
+        runs it here.  Both produce bit-identical arrays.  The task's
+        kernel stats are merged into the shared sink once.
         """
-        backend = self.sc._executors.backend
+        offload = self.sc.offload
         blob = (
             self._offload_blob()
-            if backend.supports_kernel_offload and not self._offload_disabled
+            if offload is not None and not self._offload_disabled
             else None
         )
         with self._task_stats() as sink:
-            if blob is not None:
-                return self._updated_tiles_batch(backend, blob, calls, sink)
-            # whatever the kernel did not stack (None) goes tile by tile
-            run_stacks = getattr(self.kernel, "run_stacks", None)
-            results = (
-                run_stacks(calls, sink) if run_stacks else [None] * len(calls)
-            )
-            for idx, call in enumerate(calls):
-                if results[idx] is None:
-                    results[idx] = self._thread_updated_tile(*call, sink)
-            return results
+            if blob is None:
+                return update_tiles(self.kernel, calls, sink)
+            return self._updated_tiles_batch(offload, blob, calls, sink)
 
-    def _updated_tiles_batch(self, backend, blob: bytes, calls: list, sink) -> list:
+    def _updated_tiles_batch(self, offload, blob: bytes, calls: list, sink) -> list:
         """Offload one task's calls, with per-call poison handling.
 
         A :class:`PoisonTaskError` names the exact quarantined call (the
@@ -733,7 +705,7 @@ class GepSparkSolver:
         pending = list(range(len(calls)))
         while pending:
             try:
-                outs = backend.run_kernel_batch(
+                outs = offload.run_kernel_batch(
                     blob, [calls[idx] for idx in pending], want_stats=sink is not None
                 )
             except PoisonTaskError as exc:
@@ -749,7 +721,7 @@ class GepSparkSolver:
                     and tuple(calls[idx][5:8]) == exc.coordinate
                 ] or list(pending)
                 for idx in poisoned:
-                    results[idx] = self._thread_updated_tile(*calls[idx], sink)
+                    results[idx] = update_tile(self.kernel, calls[idx], sink)
                     pending.remove(idx)
                 continue
             for idx, (out, stats) in zip(pending, outs):

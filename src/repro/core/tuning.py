@@ -44,13 +44,19 @@ class TuningAdvice:
         )
 
 
-def candidate_blocks(n: int, *, min_block: int = 128, max_r: int = 256) -> list[int]:
+#: the tuner's search window: the smallest tile worth a task, and the
+#: largest grid whose r³ kernel calls the driver can still schedule
+MIN_BLOCK = 128
+MAX_R = 256
+
+
+def candidate_blocks(n: int) -> list[int]:
     """Power-of-two block sizes dividing ``n`` with a sane grid size."""
     out = []
-    block = min_block
+    block = MIN_BLOCK
     while block <= n:
         r = n // block
-        if n % block == 0 and 2 <= r <= max_r:
+        if n % block == 0 and 2 <= r <= MAX_R:
             out.append(block)
         block *= 2
     if not out and n >= 2:

@@ -53,6 +53,14 @@ class OmpRuntime:
             )
         return self._pool
 
+    def __getstate__(self) -> dict:
+        # the pool and the thread-local are per process: a runtime sent
+        # to a worker (kernel offload) starts with neither
+        return {"num_threads": self.num_threads, "stats": self.stats}
+
+    def __setstate__(self, state: dict) -> None:
+        OmpRuntime.__init__(self, state["num_threads"], state["stats"])
+
     def _nested(self) -> bool:
         return getattr(self._in_parallel, "active", False)
 

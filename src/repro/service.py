@@ -2099,22 +2099,27 @@ def _handle_conn(
                 note_disconnect()
 
 
+#: seconds :func:`send_request` waits before its first reconnect, and
+#: the ceiling the doubling stops at (each wait jittered to 0.5–1.5×)
+RECONNECT_BACKOFF_BASE = 0.05
+RECONNECT_BACKOFF_CAP = 2.0
+
+
 def send_request(
     socket_path: str,
     payload: dict[str, Any],
     *,
     timeout: float = 120.0,
     retries: int = 0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
 ) -> dict[str, Any]:
     """Send one request dict to a running service; returns the reply.
 
     With ``retries > 0`` the client survives a dying, restarting, or
     overloaded server.  Transport failures (connection refused, socket
     file briefly missing, reset mid-reply, timeout) are retried with
-    jittered exponential backoff.  Typed *retryable* error replies that
-    carry a ``retry_after`` hint — overload sheds, drain refusals,
+    jittered exponential backoff (:data:`RECONNECT_BACKOFF_BASE`
+    doubling up to :data:`RECONNECT_BACKOFF_CAP`).  Typed *retryable*
+    error replies that carry a ``retry_after`` hint — overload sheds, drain refusals,
     tenant quota/rate refusals — are retried after sleeping exactly
     that hint: the server knows when its queue (or the tenant's bucket)
     will have drained, so its schedule beats any client-side guess.
@@ -2151,7 +2156,9 @@ def send_request(
                 jitter = deterministic_fraction(
                     0, "reconnect", (key or "", attempt + 1)
                 )
-                delay = min(backoff_base * 2**attempt, backoff_cap)
+                delay = min(
+                    RECONNECT_BACKOFF_BASE * 2**attempt, RECONNECT_BACKOFF_CAP
+                )
                 time.sleep(delay * (0.5 + jitter))
             continue
         finally:

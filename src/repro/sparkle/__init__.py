@@ -49,25 +49,18 @@ bit-identical.  The ``worker_kill``/``worker_hang``/``worker_oom``
 chaos kinds SIGKILL/SIGSTOP *real* worker processes under the same
 seeded determinism contract.
 
-The data plane is pluggable (:mod:`repro.sparkle.backend`): the default
-``threads`` backend is the historical deterministic in-process pool,
-while ``SparkleContext(backend="processes")`` runs one worker process
-per simulated executor and offloads kernel tile updates past the GIL —
-a task's tiles and operands are pickled out to its worker in one batch
-envelope and the updated tiles pickled back; the heartbeat board is the
-only shared-memory segment.  Tasks, shuffle, cache, CB storage and
-broadcast values stay on driver threads under both backends, which
-produce bit-identical results and identical scheduler / byte counts.
+Tasks always run on the executor pool's threads;
+``SparkleContext(backend="processes")`` also has a worker plane
+(:mod:`repro.sparkle.backend`, ``sc.offload``): one worker process per
+simulated executor that kernel tile updates are offloaded to, past the
+GIL — a task's call list is pickled out to its worker as it is and the
+updated tiles pickled back; the heartbeat board is the only
+shared-memory segment.  Shuffle, cache, CB storage and broadcast values
+stay on driver threads either way, and both backends produce
+bit-identical results and identical scheduler / byte counts.
 """
 
-from .backend import (
-    ALIAS_X,
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    ThreadBackend,
-    make_backend,
-)
+from .backend import ALIAS_X, BACKENDS, ProcessBackend
 from .broadcast import Broadcast
 from .chaos import FAULT_KINDS, FaultPlan, FaultSpec
 from .context import SparkleContext
@@ -123,10 +116,7 @@ __all__ = [
     "SparkleContext",
     "ALIAS_X",
     "BACKENDS",
-    "ExecutionBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "make_backend",
     "shm_supported",
     "RDD",
     "Aggregator",

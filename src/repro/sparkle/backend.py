@@ -1,38 +1,32 @@
-"""Pluggable execution backends: deterministic threads or real processes.
+"""The worker plane: kernel math in real processes, supervised.
 
-The engine historically ran every task on one GIL-bound
-``ThreadPoolExecutor``.  :class:`ExecutionBackend` makes that choice
-pluggable (DESIGN.md §12):
+Tasks always run on the executor pool's threads
+(:class:`~repro.sparkle.executors.ExecutorPool`): orchestration thunks
+close over driver state (shuffle maps, locks, fault plans) and cannot
+leave the process.  A context built with ``backend="processes"`` *has*
+a :class:`ProcessBackend` (``sc.offload``) besides — one worker process
+per simulated executor — and the task body sends its *kernel math*, the
+A/B‖C/D tile updates that dominate wall-clock, there (DESIGN.md §12).
 
-* :class:`ThreadBackend` (default) — the original thread pool, verbatim.
-  Orchestration thunks close over driver state (shuffle maps, locks,
-  fault plans), so they can only run in-process; this backend keeps
-  every determinism contract (chaos serialization, trace byte
-  accounting) exactly as before.
-* :class:`ProcessBackend` — orchestration still runs on threads (the
-  thunks are not picklable, by design), but the *kernel math* — the
-  A/B‖C/D tile updates that dominate wall-clock — is offloaded to a
-  worker process per simulated executor.  There is one offload
-  protocol (DESIGN.md §14) and one transport (§12): a task's tile
-  updates travel as one batch to one worker — a single call is a batch
-  of one — and the batch envelope is the only thing that crosses the
-  process boundary.  Every array a batch touches, the tiles being
-  updated and their operands alike, is interned once in the batch's
-  :class:`OperandPool` and pickled out with the envelopes; the worker
-  updates a private copy of each tile and pickles the updated tiles
-  back with their kernel stats.  That is the *only* difference from the
-  thread backend: tasks, shuffle staging, the RDD cache, CB storage and
-  broadcast values stay on driver threads and are held by reference, so
-  every scheduler and byte count is the same on both.
+The unit that crosses the boundary is the task's call list itself
+(:mod:`repro.kernels.base`): one ``pickle`` of the list ships every
+distinct array once (pickle's memo is the operand pool — the pivot tile
+20 D calls share travels once) and :data:`ALIAS_X` arrives as the
+worker's own sentinel.  The worker runs :func:`~repro.kernels.base.
+update_tile` per call — the same function the thread path uses — and
+pickles the updated tiles back with their kernel stats.  That is the
+*only* difference from a context without the plane: tasks, shuffle
+staging, the RDD cache, CB storage and broadcast values stay on driver
+threads and are held by reference, so every scheduler and byte count is
+the same with and without it.
 
 Determinism: kernel offload is synchronous per task and numerically
 identical (the worker runs the same NumPy ops on the same bits), so a
-process-backend solve is bit-identical to a thread-backend one; task
+``processes`` solve is bit-identical to a ``threads`` one; task
 *scheduling* still honours the chaos plane's ``serialize_tasks``
-contract because the offload happens inside the task body.  Caveats are
-documented in DESIGN.md §12 (worker wall-clock attribution).
+contract because the offload happens inside the task body.
 
-Worker lifecycle: the pool is created eagerly in the driver's
+Worker lifecycle: the pools are created eagerly in the driver's
 constructor thread (forking later, mid-solve, from a many-threaded
 driver is the classic fork-safety trap) and torn down with
 ``shutdown(wait=True)`` so no worker outlives the context.  Workers
@@ -61,17 +55,16 @@ from __future__ import annotations
 import atexit
 import hashlib
 import itertools
-import os
 import pickle
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
+from ..kernels.base import ALIAS_X, update_tile
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
 from .metrics import EngineMetrics
@@ -82,181 +75,14 @@ from .supervisor import (
     shm_supported,
 )
 
-__all__ = [
-    "ALIAS_X",
-    "BACKENDS",
-    "ExecutionBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "OperandPool",
-    "make_backend",
-]
-
-#: Kernel-operand sentinel: "this operand aliases the tile being
-#: updated" (cases A/B/C).  The kernel contract encodes the case in the
-#: aliasing pattern, so the alias must be re-established against
-#: whichever materialization of X the backend updates.
-ALIAS_X = object()
-#: what :data:`ALIAS_X` is in a batch envelope (pool indices are >= 0)
-_ALIAS_X_DESC = -1
+__all__ = ["ALIAS_X", "BACKENDS", "ProcessBackend"]
 
 BACKENDS = ("threads", "processes")
 
 
-class ExecutionBackend:
-    """Contract the executor pool and the GEP drivers program against."""
-
-    name: str = "abstract"
-    #: whether :meth:`run_kernel_batch` is available (drivers fall back
-    #: to the copy-then-update-in-place thread path when it is not)
-    supports_kernel_offload: bool = False
-    #: absolute ``time.monotonic()`` ceiling for offload waits, armed by
-    #: ``DAGScheduler.set_job_deadline`` (``None`` = no request deadline)
-    job_deadline: float | None = None
-    #: supervision layer (process backend only; ``None`` means no real
-    #: process boundary, so there is nothing to supervise)
-    supervisor: Any = None
-    supervision: Any = None
-
-    def run_tasks(
-        self, thunks: list[Callable[[], Any]], sequential: bool = False
-    ) -> list[Any]:
-        raise NotImplementedError
-
-    def run_kernel_batch(
-        self, kernel_blob: bytes, calls: list, want_stats: bool = False
-    ) -> list:
-        """Offload one task's tile updates in a single worker round-trip.
-
-        ``calls`` is a list of ``(case, x, u, v, w, gi0, gj0, gk0,
-        n_global)`` tuples; returns ``[(fresh_tile, stats), ...]`` in
-        call order.
-        """
-        raise NotImplementedError(f"{self.name} backend has no kernel offload")
-
-    def shutdown(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-class ThreadBackend(ExecutionBackend):
-    """The historical deterministic thread pool."""
-
-    name = "threads"
-    supports_kernel_offload = False
-
-    def __init__(self, total_slots: int, *, metrics=None) -> None:
-        if total_slots < 1:
-            raise ValueError("total_slots must be >= 1")
-        self.total_slots = total_slots
-        self._metrics = metrics or EngineMetrics()
-        self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.total_slots, thread_name_prefix="executor"
-                )
-            return self._pool
-
-    def run_tasks(
-        self, thunks: list[Callable[[], Any]], sequential: bool = False
-    ) -> list[Any]:
-        """Run a stage's tasks; returns results in task order.
-
-        Exceptions propagate only after every submitted task settles
-        (finished, failed, or cancelled before starting), so a failing
-        task cannot leave stragglers mutating shared shuffle state.  On
-        the first failure, tasks that have not started yet are cancelled
-        rather than run to completion.
-
-        ``sequential`` forces in-order, one-at-a-time execution in the
-        calling thread — the chaos determinism contract (see
-        :mod:`repro.sparkle.chaos`).
-        """
-        if not thunks:
-            return []
-        if sequential or self.total_slots == 1 or len(thunks) == 1:
-            return [t() for t in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(t) for t in thunks]
-        first_error: BaseException | None = None
-        # as_completed drains every future (cancelled ones included), so
-        # by the time we raise, nothing is still running.
-        for fut in as_completed(futures):
-            if fut.cancelled():
-                continue
-            exc = fut.exception()
-            if exc is not None and first_error is None:
-                first_error = exc
-                for other in futures:
-                    other.cancel()
-        if first_error is not None:
-            raise first_error
-        return [fut.result() for fut in futures]
-
-    def shutdown(self) -> None:
-        """Tear the pool down without waiting on queued stragglers.
-
-        ``cancel_futures=True`` cancels every task that has not started
-        yet, so a hung or slow straggler deep in the queue cannot block
-        engine teardown forever; tasks already running are still joined
-        (they may be mutating shared shuffle state).
-        """
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-
-
 # ----------------------------------------------------------------------
-# process backend: the batch envelope's array pool
-# ----------------------------------------------------------------------
-class OperandPool:
-    """Identity-deduplicated array pool of one batch envelope.
-
-    A kernel offload ships one task's tile updates in one round-trip;
-    the arrays they touch overlap heavily (every D update in an
-    iteration reads the same pivot row/column tiles).  Instead of
-    inlining each array per call, the batch ships one flat list and each
-    envelope names its tile and operands by pool index — the pivot
-    crosses the IPC boundary once per batch, not once per tile (the
-    per-batch broadcast dedup of DESIGN.md §14).
-
-    Dedup is by the identity of the array object; arrays are made
-    contiguous on first add.
-    """
-
-    __slots__ = ("_arrays", "_ids")
-
-    def __init__(self) -> None:
-        self._arrays: list[np.ndarray] = []
-        self._ids: dict[int, int] = {}
-
-    def add(self, arr: np.ndarray) -> int:
-        """Intern ``arr`` and return its pool index."""
-        idx = self._ids.get(id(arr))
-        if idx is None:
-            idx = len(self._arrays)
-            self._arrays.append(np.ascontiguousarray(arr))
-            self._ids[id(arr)] = idx
-        return idx
-
-    def payload(self) -> list[np.ndarray]:
-        """The flat array list to ship with the batch envelope."""
-        return self._arrays
-
-
-# ----------------------------------------------------------------------
-# process backend: worker-side machinery (must be module-level for fork
-# AND spawn start methods)
+# worker-side machinery (must be module-level for fork AND spawn start
+# methods)
 # ----------------------------------------------------------------------
 _WORKER_KERNEL_CACHE: dict[bytes, Any] = {}
 
@@ -286,43 +112,29 @@ def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker si
         _attach_worker(*supervision_args)
 
 
-def _resolve_operand(desc, x, pool):
-    """Materialize one of u/v/w from its transport descriptor: absent,
-    the call's own tile (A/B/C aliasing), or an entry of the batch's
-    identity-deduped array pool."""
-    if desc is None:
-        return None
-    if desc == _ALIAS_X_DESC:
-        return x
-    return pool[desc]
-
-
 def _kernel_batch_task(
     kernel_blob: bytes,
-    pool: list,
-    envs: list,
+    calls: list,
+    tokens: list,
+    injects: list,
     want_stats: bool,
 ):  # pragma: no cover - exercised in worker processes
     """Worker body of the offload protocol: one task's tile updates, one
     round-trip (a single call is a batch of one).
 
-    ``pool`` is the batch's identity-deduped array list (the pivot
-    fan-out crosses the IPC boundary once per batch, not once per tile);
-    each envelope is ``(token, inject, case, xi, udesc, vdesc, wdesc,
-    gi0, gj0, gk0, n_global)`` with ``xi`` the pool index of the tile to
-    update.  Returns ``[(updated_tile, stats), ...]`` in envelope order.
+    ``calls`` is the driver's call list as it is; ``tokens`` and
+    ``injects`` run parallel to it.  Returns ``[(updated_tile, stats),
+    ...]`` in call order.  Each call goes through :func:`~repro.kernels.
+    base.update_tile` — one kernel call per token — whose private copy
+    is required, not defensive: pickle memoises, so an array that is one
+    call's tile and another call's operand arrives here as *one* object,
+    and the other call must read the values the driver sent.
 
-    The kernel updates a private copy of ``pool[xi]``.  The copy is
-    required, not defensive: the pool dedups by identity and pickle
-    memoises, so an array that is one call's tile and another call's
-    operand arrives here as *one* object, and the other call must read
-    the values the driver sent.
-
-    Error attribution: the worker publishes each envelope's ``token`` on
+    Error attribution: the worker publishes each call's ``token`` on
     its heartbeat-board row *before* running the call, and the row keeps
     that token until the driver resets the slot — so a crash mid-batch
     leaves the culprit call's token behind for the driver to map back to
-    the exact tile (DESIGN.md §14).
+    the exact tile (DESIGN.md §12).
     """
     from ..kernels.stats import KernelStats
     from .supervisor import worker_begin_task, worker_end_task, worker_self_fault
@@ -335,15 +147,12 @@ def _kernel_batch_task(
         _WORKER_KERNEL_CACHE[kernel_blob] = kernel
     out = []
     try:
-        for token, inject, case, xi, udesc, vdesc, wdesc, gi0, gj0, gk0, n in envs:
+        for call, token, inject in zip(calls, tokens, injects):
             worker_begin_task(token)
             if inject is not None:
                 worker_self_fault(inject)
-            x = pool[xi].copy()
-            u, v, w = (_resolve_operand(d, x, pool) for d in (udesc, vdesc, wdesc))
             stats = KernelStats() if want_stats else None
-            kernel.run(case, x, u, v, w, gi0, gj0, gk0, n, stats=stats)
-            out.append((x, stats))
+            out.append((update_tile(kernel, call, stats), stats))
             worker_end_task()
         return out
     finally:
@@ -365,26 +174,26 @@ class _MemberDeadline(RuntimeError):
         self.cause = cause
 
 
-class ProcessBackend(ThreadBackend):
-    """Thread orchestration plus per-worker process pools for the kernel
-    math (one single-worker pool per slot — see ``__init__``)."""
+class ProcessBackend:
+    """The worker plane a ``backend="processes"`` context has: one
+    single-worker process pool per slot (see ``__init__``) that runs
+    kernel batches under supervision."""
 
-    name = "processes"
+    #: absolute ``time.monotonic()`` ceiling for offload waits, armed by
+    #: ``DAGScheduler.set_job_deadline`` (``None`` = no request deadline)
+    job_deadline: float | None = None
 
     def __init__(
         self,
-        total_slots: int,
         *,
         num_workers: int,
         metrics=None,
-        start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
         fault_plan=None,
     ) -> None:
-        super().__init__(total_slots, metrics=metrics)
         if not shm_supported():  # pragma: no cover - platform gate
             raise RuntimeError(
-                "the process backend's heartbeat board needs "
+                "the worker plane's heartbeat board needs "
                 "multiprocessing.shared_memory"
             )
         import multiprocessing
@@ -392,13 +201,14 @@ class ProcessBackend(ThreadBackend):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
+        self._metrics = metrics or EngineMetrics()
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
-        # Respawned pools always use spawn when the platform has it: a
-        # crash may have left the driver's fork-inherited state suspect,
-        # and a from-scratch interpreter shares nothing with the wreck.
+        # First generation: fork where the platform has it (cheap, and
+        # this is the constructor's thread — see below).  Respawned
+        # pools always use spawn when the platform has it: a crash may
+        # have left the driver's fork-inherited state suspect, and a
+        # from-scratch interpreter shares nothing with the wreck.
+        start_method = "fork" if "fork" in methods else "spawn"
         self._respawn_method = "spawn" if "spawn" in methods else start_method
         self.supervision = supervision or SupervisionConfig()
         self.fault_plan = fault_plan
@@ -428,6 +238,12 @@ class ProcessBackend(ThreadBackend):
         atexit.register(self._emergency_cleanup)
         self.supervisor.start_watchdog()
 
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+
     def _make_pool(self, method: str, slot: int):
         """One worker-slot pool generation, joined to the supervision
         layer on its fixed heartbeat-board row."""
@@ -442,13 +258,9 @@ class ProcessBackend(ThreadBackend):
             initargs=(self.supervisor.worker_initargs(slot),),
         )
 
-    @property
-    def supports_kernel_offload(self) -> bool:  # type: ignore[override]
-        return self._pools is not None
-
     # -- placement -----------------------------------------------------
     def _default_slot(self) -> int:
-        """Worker slot for one batch (DESIGN.md §14 placement rule): the
+        """Worker slot for one batch (DESIGN.md §12 placement rule): the
         running task's partition modulo the worker count (the same
         modulo the executor pool uses for task placement), else
         round-robin for calls outside any task.  A tile's partition is a
@@ -467,18 +279,6 @@ class ProcessBackend(ThreadBackend):
             return self._pools[slot], self._generations[slot]
 
     # -- offload -------------------------------------------------------
-    @staticmethod
-    def _batch_operand_desc(arr, x, pool: OperandPool):
-        """Transport descriptor for one of u/v/w: absent, the call's own
-        tile, or its index in the batch's pool — interned by identity,
-        so an operand shared by many calls (the pivot fan-out) ships
-        once per batch."""
-        if arr is None:
-            return None
-        if arr is ALIAS_X or arr is x:
-            return _ALIAS_X_DESC
-        return pool.add(arr)
-
     def run_kernel(
         self, kernel_blob, case, x, u, v, w, gi0, gj0, gk0, n_global,
         want_stats: bool = False,
@@ -490,19 +290,21 @@ class ProcessBackend(ThreadBackend):
     def run_kernel_batch(
         self, kernel_blob: bytes, calls: list, want_stats: bool = False
     ) -> list:
-        """Pickle the batch out, update every tile in one worker
-        round-trip, take the updated tiles from the reply.
+        """Offload one task's tile updates in a single worker
+        round-trip.
 
-        One envelope list plus one identity-deduped :class:`OperandPool`
-        holding every array the batch touches — each call's tile beside
-        its operands — crosses the process boundary; the worker updates
-        a private copy of each tile and returns ``[(tile, stats), ...]``.
-        The pickle plus that copy *is* the defensive copy the thread
-        path takes (``tile.copy()``): the inputs are never written, and
-        a worker that dies mid-batch takes only its own copies with it,
-        so retry purity needs no reclaim step.  Each result is copied
-        out of the reply (an unpickled array is a view of a ``bytes``
-        object), so callers get writeable arrays that own their memory.
+        ``calls`` is a list of ``(case, x, u, v, w, gi0, gj0, gk0,
+        n_global)`` tuples and crosses the process boundary as it is —
+        one pickle, each distinct array once — beside one heartbeat
+        token and one optional shipped fault per call; returns
+        ``[(fresh_tile, stats), ...]`` in call order.  The worker
+        updates a private copy of each tile (:func:`~repro.kernels.base.
+        update_tile`, the thread path's own function): the inputs are
+        never written, and a worker that dies mid-batch takes only its
+        own copies with it, so retry purity needs no reclaim step.  Each
+        result is copied out of the reply (an unpickled array is a view
+        of a ``bytes`` object), so callers get writeable arrays that own
+        their memory.
 
         Supervised: the wait honours ``task_deadline`` and the job
         deadline (:meth:`_await_member`), a seeded real process fault
@@ -531,32 +333,15 @@ class ProcessBackend(ThreadBackend):
                 )
         slot = self._default_slot()
         pool, generation = self._slot_pool(slot)
-        opool = OperandPool()
-        envs = []
-        for case, x, u, v, w, gi0, gj0, gk0, n_global in calls:
-            inject = (
-                self.fault_plan.worker_fault(case, gi0, gj0, gk0)
-                if self.fault_plan is not None
-                else None
-            )
-            envs.append(
-                (
-                    sup.next_token(),
-                    inject,
-                    case,
-                    opool.add(x),
-                    self._batch_operand_desc(u, x, opool),
-                    self._batch_operand_desc(v, x, opool),
-                    self._batch_operand_desc(w, x, opool),
-                    gi0,
-                    gj0,
-                    gk0,
-                    n_global,
-                )
-            )
+        tokens = [sup.next_token() for _ in calls]
+        plan = self.fault_plan
+        injects = [
+            plan.worker_fault(call[0], *call[5:8]) if plan is not None else None
+            for call in calls
+        ]
         try:
             fut = pool.submit(
-                _kernel_batch_task, kernel_blob, opool.payload(), envs, want_stats
+                _kernel_batch_task, kernel_blob, calls, tokens, injects, want_stats
             )
             self._metrics.dispatch_round_trips += 1
             reply = self._await_member(fut, slot, len(calls))
@@ -582,7 +367,7 @@ class ProcessBackend(ThreadBackend):
                 if not stale:
                     raise
             raise self._handle_member_death(
-                slot, generation, envs, kernel_id, deadline
+                slot, generation, calls, tokens, injects, kernel_id, deadline
             ) from exc
         self._metrics.kernel_offloads += len(calls)
         return [(np.array(x), stats) for x, stats in reply]
@@ -647,7 +432,9 @@ class ProcessBackend(ThreadBackend):
         self,
         slot: int,
         generation: int,
-        envs: list,
+        calls: list,
+        tokens: list,
+        injects: list,
         kernel_id: str,
         deadline: "_MemberDeadline | None",
     ) -> BaseException:
@@ -666,13 +453,14 @@ class ProcessBackend(ThreadBackend):
         tile even though the whole batch died with the worker.
         """
         sup = self.supervisor
-        culprit = next((env for env in envs if env[1] is not None), None)
+        culprit = next((i for i, inj in enumerate(injects) if inj is not None), None)
         if culprit is None:
             tok = sup.token_for_slot(slot)
-            culprit = next((env for env in envs if env[0] == tok), envs[0])
+            culprit = tokens.index(tok) if tok in tokens else 0
         self._metrics.worker_crashes += 1
         self._respawn_slot(slot, generation)
-        _token, inject, case, *_descs, gi0, gj0, gk0, _n = culprit
+        inject = injects[culprit]
+        case, _x, _u, _v, _w, gi0, gj0, gk0, _n = calls[culprit]
         task_sig = (kernel_id, case, gi0, gj0, gk0)
         coordinate = (gi0, gj0, gk0)
         failures = sup.record_failure(task_sig)
@@ -690,14 +478,14 @@ class ProcessBackend(ThreadBackend):
         if deadline is not None:
             return TaskDeadlineExceeded(
                 f"kernel call case={case} tile@{coordinate} (batch of "
-                f"{len(envs)}) SIGKILLed after {deadline.elapsed:.3f}s "
+                f"{len(calls)}) SIGKILLed after {deadline.elapsed:.3f}s "
                 f"(budget {deadline.budget:.3f}s)",
                 deadline=deadline.budget,
                 elapsed=deadline.elapsed,
             )
         return WorkerCrashed(
             f"worker died mid-kernel ({reason}) on case={case} "
-            f"tile@{coordinate} (batch of {len(envs)}); slot {slot} "
+            f"tile@{coordinate} (batch of {len(calls)}); slot {slot} "
             f"respawned (failure {failures}/"
             f"{self.supervision.max_task_failures})",
             reason=reason,
@@ -768,35 +556,3 @@ class ProcessBackend(ThreadBackend):
                 pool.shutdown(wait=True, cancel_futures=True)
         self.supervisor.destroy()
         atexit.unregister(self._emergency_cleanup)
-        super().shutdown()
-
-
-def make_backend(
-    name: str,
-    *,
-    total_slots: int,
-    num_workers: int,
-    metrics=None,
-    supervision: SupervisionConfig | None = None,
-    fault_plan=None,
-) -> ExecutionBackend:
-    """Build a backend by CLI name (``threads`` | ``processes``).
-
-    ``supervision``/``fault_plan`` only bite under
-    ``processes`` — the thread backend has no process boundary, so there
-    is nothing to heartbeat, kill or respawn (its tasks run
-    under the scheduler's own simulated-fault machinery instead).
-    """
-    if name == "threads":
-        backend = ThreadBackend(total_slots, metrics=metrics)
-        backend.supervision = supervision
-        return backend
-    if name == "processes":
-        return ProcessBackend(
-            total_slots,
-            num_workers=num_workers,
-            metrics=metrics,
-            supervision=supervision,
-            fault_plan=fault_plan,
-        )
-    raise ValueError(f"unknown backend {name!r} (expected one of {BACKENDS})")

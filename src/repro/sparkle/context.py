@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..util import sizeof_block
-from .backend import BACKENDS
 from .broadcast import Broadcast
 from .supervisor import SupervisionConfig
 from .chaos import FaultPlan
@@ -79,14 +78,15 @@ class SparkleContext:
         a checkpoint dir is set, else a temporary directory removed in
         :meth:`stop`.  Ignored without ``memory_budget_bytes``.
     backend:
-        Execution backend: ``"threads"`` (default — the historical
-        deterministic in-process pool) or ``"processes"`` (one worker
-        process per simulated executor; kernel tile updates run past the
-        GIL — a task's tiles and their operands are pickled out to its
-        worker in one batch, the updated tiles pickled back).  Results
-        and every scheduler / byte count are identical across backends;
-        ``"threads"`` remains the reference data plane for the chaos /
-        durability / memory determinism contracts.
+        ``"threads"`` (default — tasks and their kernels run on the
+        executor pool's threads) or ``"processes"`` (the same, plus a
+        worker plane, :attr:`offload`: one worker process per simulated
+        executor; kernel tile updates run past the GIL — a task's call
+        list is pickled out to its worker in one batch, the updated
+        tiles pickled back; an unknown name raises ``ValueError``).
+        Results and every scheduler / byte count are identical across
+        backends; ``"threads"`` remains the reference data plane for
+        the chaos / durability / memory determinism contracts.
     heartbeat_interval:
         Process-backend supervision (DESIGN.md §13): seconds between
         expected worker heartbeats; a worker silent for twice this is
@@ -126,10 +126,6 @@ class SparkleContext:
         )
         if self.default_parallelism < 1:
             raise ValueError("default_parallelism must be >= 1")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.backend = backend
         self.metrics = EngineMetrics()
         self.metrics.backend = backend
@@ -147,8 +143,10 @@ class SparkleContext:
             supervision=self.supervision,
             fault_plan=fault_plan,
         )
-        #: worker supervisor of the process backend (None for threads)
-        self.supervisor = getattr(self._executors.backend, "supervisor", None)
+        #: the worker plane of ``backend="processes"`` (None for
+        #: threads) and its supervisor
+        self.offload = self._executors.offload
+        self.supervisor = self.offload.supervisor if self.offload is not None else None
         #: the memory governor — always present, unbounded without a budget
         self.memory_manager = MemoryManager(
             memory_budget_bytes,
@@ -252,7 +250,11 @@ class SparkleContext:
         self.shared_storage.backing = self.durable_store
         return self.durable_store
 
-    def reclaim_solve_state(self, keep_job_traces: int = 64) -> None:
+    #: job traces a context that lives across many solves keeps: the
+    #: ring :meth:`reclaim_solve_state` trims ``metrics.jobs`` to
+    KEEP_JOB_TRACES = 64
+
+    def reclaim_solve_state(self) -> None:
         """Release per-solve engine state between requests (the solver
         service calls this after every engine pass).
 
@@ -268,14 +270,13 @@ class SparkleContext:
         byte-identical to a fresh one as far as the accounting ledgers
         can tell.
 
-        ``keep_job_traces`` bounds the metrics trace ring; aggregate
+        :attr:`KEEP_JOB_TRACES` bounds the metrics trace ring; aggregate
         counters on :class:`~repro.sparkle.metrics.EngineMetrics` are
         untouched (they are cheap and context-lifetime by design).
         """
         self._check_active()
         self._release_solve_state()
-        if keep_job_traces >= 0 and len(self.metrics.jobs) > keep_job_traces:
-            del self.metrics.jobs[: len(self.metrics.jobs) - keep_job_traces]
+        del self.metrics.jobs[: max(0, len(self.metrics.jobs) - self.KEEP_JOB_TRACES)]
 
     def _release_solve_state(self) -> None:
         """Let go of every staged shuffle output, cached block and

@@ -138,9 +138,6 @@ class DurableBlockStore:
     fault_plan:
         Optional :class:`~.chaos.FaultPlan` arming ``torn_write`` /
         ``corrupt_block`` injections.
-    max_write_attempts:
-        Read-back verification rewrites a torn block up to this many
-        times before giving up with :class:`CorruptBlockError`.
     sync:
         ``False`` skips fsyncs on block/manifest writes (atomic renames
         and checksummed reads are kept).  Spill stores use this: spilled
@@ -150,6 +147,9 @@ class DurableBlockStore:
     """
 
     MANIFEST = "MANIFEST.json"
+    #: read-back verification rewrites a torn block up to this many
+    #: times before giving up with :class:`CorruptBlockError`
+    max_write_attempts = 3
 
     def __init__(
         self,
@@ -157,17 +157,13 @@ class DurableBlockStore:
         *,
         metrics=None,
         fault_plan=None,
-        max_write_attempts: int = 3,
         sync: bool = True,
     ) -> None:
-        if max_write_attempts < 1:
-            raise ValueError("max_write_attempts must be >= 1")
         self.root = Path(root)
         self.blocks_dir = self.root / "blocks"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self._metrics = metrics or EngineMetrics()
         self.fault_plan = fault_plan
-        self.max_write_attempts = max_write_attempts
         self.sync = sync
         self._lock = threading.Lock()
         self._manifest: dict[str, dict[str, Any]] = {}

@@ -2,12 +2,13 @@
 
 One :class:`ExecutorPool` models ``num_executors`` executors with
 ``cores_per_executor`` task slots each (the Spark ``executor-cores``
-knob).  Placement, health and blacklisting live here; *execution* is
-delegated to a pluggable :class:`~repro.sparkle.backend.
-ExecutionBackend` — the default deterministic thread pool, or the
-multicore process backend (one worker process per simulated executor)
-that offloads kernel math past the GIL.  Each task is *assigned* to an
-executor deterministically by partition id so metrics and the cost
+knob).  Placement, health and blacklisting live here, and so does
+execution: a stage's tasks always run on the pool's own threads.  With
+``backend="processes"`` the pool also *has* a worker plane
+(:attr:`ExecutorPool.offload`, a :class:`~repro.sparkle.backend.
+ProcessBackend`: one worker process per simulated executor) that task
+bodies send their kernel math to, past the GIL.  Each task is *assigned*
+to an executor deterministically by partition id so metrics and the cost
 model can reason about per-executor load and locality exactly as the
 paper does (one executor per compute node, §V-B).
 
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Any, Callable
 
-from .backend import ExecutionBackend, make_backend
+from .backend import BACKENDS, ProcessBackend
 from .errors import LastExecutorProtectedWarning
 from .metrics import EngineMetrics
 
@@ -40,7 +42,7 @@ class ExecutorPool:
         cores_per_executor: int,
         *,
         metrics=None,
-        backend: str | ExecutionBackend = "threads",
+        backend: str = "threads",
         supervision=None,
         fault_plan=None,
     ) -> None:
@@ -50,17 +52,21 @@ class ExecutorPool:
         self.cores_per_executor = cores_per_executor
         self.total_slots = num_executors * cores_per_executor
         self._metrics = metrics or EngineMetrics()
-        if isinstance(backend, ExecutionBackend):
-            self.backend = backend
-        else:
-            self.backend = make_backend(
-                backend,
-                total_slots=self.total_slots,
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
+        #: the worker plane (``None`` on ``"threads"``: no process
+        #: boundary, so nothing to offload to or supervise)
+        self.offload: ProcessBackend | None = (
+            ProcessBackend(
                 num_workers=num_executors,
                 metrics=self._metrics,
                 supervision=supervision,
                 fault_plan=fault_plan,
             )
+            if backend == "processes"
+            else None
+        )
+        self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._blacklisted: set[int] = set()
         # Atomic snapshot read by executor_for without locking.
@@ -113,24 +119,65 @@ class ExecutorPool:
         return True
 
     # ------------------------------------------------------------------
-    # execution (delegated to the backend)
+    # execution
     # ------------------------------------------------------------------
+    def _ensure_pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.total_slots, thread_name_prefix="executor"
+                )
+            return self._pool
+
     def run_tasks(
         self, thunks: list[Callable[[], Any]], sequential: bool = False
     ) -> list[Any]:
         """Run a stage's tasks; returns results in task order.
 
-        See :meth:`~repro.sparkle.backend.ThreadBackend.run_tasks` for
-        the settle/cancel and ``sequential`` (chaos determinism)
-        semantics, which every backend honours.
-        """
-        return self.backend.run_tasks(thunks, sequential=sequential)
+        Exceptions propagate only after every submitted task settles
+        (finished, failed, or cancelled before starting), so a failing
+        task cannot leave stragglers mutating shared shuffle state.  On
+        the first failure, tasks that have not started yet are cancelled
+        rather than run to completion.
 
-    def _ensure_pool(self):
-        """The backend's thread pool (test/diagnostic hook)."""
-        return self.backend._ensure_pool()
+        ``sequential`` forces in-order, one-at-a-time execution in the
+        calling thread — the chaos determinism contract (see
+        :mod:`repro.sparkle.chaos`).
+        """
+        if not thunks:
+            return []
+        if sequential or self.total_slots == 1 or len(thunks) == 1:
+            return [t() for t in thunks]
+        pool = self._ensure_pool()
+        futures = [pool.submit(t) for t in thunks]
+        first_error: BaseException | None = None
+        # as_completed drains every future (cancelled ones included), so
+        # by the time we raise, nothing is still running.
+        for fut in as_completed(futures):
+            if fut.cancelled():
+                continue
+            exc = fut.exception()
+            if exc is not None and first_error is None:
+                first_error = exc
+                for other in futures:
+                    other.cancel()
+        if first_error is not None:
+            raise first_error
+        return [fut.result() for fut in futures]
 
     def shutdown(self) -> None:
-        """Tear the backend down (threads joined, worker processes
-        reaped, the heartbeat board unlinked)."""
-        self.backend.shutdown()
+        """Reap the worker plane (processes joined, the heartbeat board
+        unlinked), then tear the thread pool down without waiting on
+        queued stragglers.
+
+        ``cancel_futures=True`` cancels every task that has not started
+        yet, so a hung or slow straggler deep in the queue cannot block
+        engine teardown forever; tasks already running are still joined
+        (they may be mutating shared shuffle state).
+        """
+        if self.offload is not None:
+            self.offload.shutdown()
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True, cancel_futures=True)
+                self._pool = None

@@ -180,12 +180,13 @@ class DAGScheduler:
         solver service arms this with each request's remaining budget;
         overruns raise :class:`~.errors.RequestDeadlineExceeded`, which
         is *not* retryable — it propagates straight out of ``run_job``.
-        The backend gets the same instant as the ceiling of its offload
-        waits, so a kernel stuck in a worker is SIGKILLed at the
-        deadline instead of outliving the request.
+        The worker plane, where there is one, gets the same instant as
+        the ceiling of its offload waits, so a kernel stuck in a worker
+        is SIGKILLed at the deadline instead of outliving the request.
         """
         self._job_deadline = deadline
-        self.ctx._executors.backend.job_deadline = deadline
+        if self.ctx.offload is not None:
+            self.ctx.offload.job_deadline = deadline
 
     def _check_deadline(self) -> None:
         deadline = self._job_deadline

@@ -16,6 +16,7 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.core.gep import (
     GaussianEliminationGep,
     TransitiveClosureGep,
 )
+from repro.kernels.base import update_tile, update_tiles
 from repro.sparkle import (
     FaultPlan,
     FaultSpec,
@@ -37,8 +39,9 @@ from repro.sparkle import (
     WorkerCrashed,
     shm_supported,
 )
-from repro.sparkle.backend import ALIAS_X, BACKENDS, ProcessBackend, make_backend
+from repro.sparkle.backend import ALIAS_X, BACKENDS, ProcessBackend
 from repro.sparkle.chaos import CURRENT_TASK
+from repro.sparkle.executors import ExecutorPool
 
 from .conftest import fw_table, ge_table, tc_table
 
@@ -137,7 +140,7 @@ def test_property_dispatch_modes_bit_identical(
     offloaded tile updates produce the same bits AND replay the same
     scheduler shape (jobs/stages/tasks) — offload batches IPC
     round-trips, never the RDD graph — with or without seeded chaos,
-    leaking nothing (DESIGN.md §14)."""
+    leaking nothing (DESIGN.md §12)."""
     spec_cls, make = SPECS[name]
     spec = spec_cls()
     table = make(n, seed=seed)
@@ -176,7 +179,7 @@ def test_batch_dispatch_cuts_round_trips():
     nt = 12
     routed = []
     with SparkleContext(2, 1, backend="processes") as sc:
-        backend = sc._executors.backend
+        backend = sc.offload
         slot_pool = backend._slot_pool
 
         def recording_slot_pool(slot):
@@ -348,20 +351,38 @@ def test_process_backend_actually_offloads():
     assert m.kernel_offloads > 0 and m.dispatch_round_trips > 0
 
 
+class _LockedKernel:
+    """A duck-typed kernel that really cannot be pickled: it holds a
+    lock."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+
+    def run(self, *args, **kwargs):
+        with self.lock:
+            self.inner.run(*args, **kwargs)
+
+    def describe(self):
+        return {"kind": "locked", **self.inner.describe()}
+
+
 def test_unpicklable_kernel_falls_back_to_threads_path():
-    """A kernel that cannot cross a process boundary (the recursive
-    kernel's thread-local OmpRuntime) degrades to the in-process path
-    silently — correct results, zero offloads."""
+    """A kernel that cannot cross a process boundary (one holding a
+    lock) degrades to the in-process path silently — correct results,
+    zero offloads."""
     if not shm_supported():
         pytest.skip("multiprocessing.shared_memory unavailable")
     spec = FloydWarshallGep()
     table = fw_table(16, seed=3)
+    with pytest.raises(TypeError):
+        pickle.dumps(_LockedKernel(make_kernel(spec, "iterative")))
     with SparkleContext(2, 2, backend="processes") as sc:
         solver = GepSparkSolver(
             spec,
             sc,
             r=4,
-            kernel=make_kernel(spec, "recursive", r_shared=2, base_size=4),
+            kernel=_LockedKernel(make_kernel(spec, "iterative")),
             strategy="im",
         )
         out, report = solver.solve(table.copy())
@@ -408,7 +429,7 @@ def test_no_shm_leak_after_clean_solve():
     spec = GaussianEliminationGep()
     seen = set()
     with SparkleContext(2, 2, backend="processes") as sc:
-        backend = sc._executors.backend
+        backend = sc.offload
         prefix = backend.supervisor.prefix
         run_kernel_batch = backend.run_kernel_batch
 
@@ -452,20 +473,18 @@ def test_no_worker_processes_after_stop():
     before = {p.pid for p in multiprocessing.active_children()}
     with SparkleContext(2, 1, backend="processes") as sc:
         sc.parallelize(range(8), 4).map(lambda x: x * x).collect()
-        assert isinstance(sc._executors.backend, ProcessBackend)
+        assert isinstance(sc.offload, ProcessBackend)
     after = {p.pid for p in multiprocessing.active_children()}
     assert after <= before, f"worker processes leaked: {after - before}"
 
 
-@needs_shm
-def test_make_backend_threads_has_no_arena():
-    backend = make_backend("threads", total_slots=2, num_workers=2, metrics=None)
-    try:
-        assert not backend.supports_kernel_offload
-    finally:
-        backend.shutdown()
-    with pytest.raises(ValueError):
-        make_backend("green-threads", total_slots=2, num_workers=2, metrics=None)
+def test_threads_context_has_no_worker_plane():
+    with SparkleContext(2, 2) as sc:
+        assert sc.offload is None and sc.supervisor is None
+    with pytest.raises(ValueError, match="unknown backend"):
+        SparkleContext(2, 2, backend="green-threads")
+    with pytest.raises(ValueError, match="unknown backend"):
+        ExecutorPool(2, 2, backend="green-threads")
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +519,6 @@ def _d_calls(count, dtype=np.float64, seed=0):
 
 def _process_backend(**kwargs):
     backend = ProcessBackend(
-        2,
         num_workers=1,
         supervision=SupervisionConfig(heartbeat_interval=0.0),
         **kwargs,
@@ -585,6 +603,178 @@ def test_worker_killed_mid_batch_leaves_inputs_pristine():
         outs = backend.run_kernel_batch(_FW_BLOB, calls)
     assert [out.tobytes() for out, _ in outs] == [x.tobytes() for x in expect]
     assert [arr.tobytes() for arr in inputs] == before
+
+
+# ----------------------------------------------------------------------
+# the call list is the batch: one updater, pickle's memo the operand pool
+# ----------------------------------------------------------------------
+def test_alias_x_pickles_to_the_modules_own_sentinel():
+    from repro.kernels import base
+
+    assert ALIAS_X is base.ALIAS_X
+    first, (second,) = pickle.loads(pickle.dumps([ALIAS_X, (ALIAS_X,)]))
+    assert first is base.ALIAS_X and second is base.ALIAS_X
+
+
+def _aliased_calls(alias, seed=0):
+    """Cases A, B and C on 6x6 tiles of a 24x24 table, pivot step 1;
+    ``alias(tile)`` is what stands for "this operand is the tile"."""
+    rng = np.random.default_rng(seed)
+
+    def tile():
+        return rng.uniform(1.0, 9.0, (6, 6)) + 20.0 * np.eye(6)
+
+    a, b, c, pivot = tile(), tile(), tile(), tile()
+    return [
+        ("A", a, alias(a), alias(a), alias(a), 6, 6, 6, 24),
+        ("B", b, pivot, alias(b), pivot, 6, 12, 6, 24),
+        ("C", c, alias(c), pivot, pivot, 12, 6, 6, 24),
+    ]
+
+
+@needs_shm
+@pytest.mark.parametrize("spec_cls", [FloydWarshallGep, GaussianEliminationGep])
+def test_literal_and_alias_x_operands_agree_everywhere(spec_cls):
+    """One aliasing rule: an operand that *is* the call's tile means the
+    same as ``ALIAS_X`` — it reads the private copy being updated — from
+    ``update_tile``, from ``update_tiles`` and across the process
+    boundary, and no input array changes."""
+    kernel = make_kernel(spec_cls(), "iterative")
+    symbolic = _aliased_calls(lambda tile: ALIAS_X)
+    literal = _aliased_calls(lambda tile: tile)
+    arrays = [op for call in literal for op in call[1:5]]
+    before = [arr.tobytes() for arr in arrays]
+    expect = [update_tile(kernel, call).tobytes() for call in symbolic]
+    # the rule matters: case A reading the stale original is another answer
+    stale = literal[0][1].copy()
+    kernel.run("A", stale, *literal[0][2:])
+    assert stale.tobytes() != expect[0]
+    with _process_backend() as backend:
+        blob = pickle.dumps(kernel)
+        for calls in (symbolic, literal):
+            answers = (
+                [update_tile(kernel, call) for call in calls],
+                update_tiles(kernel, calls),
+                [out for out, _ in backend.run_kernel_batch(blob, calls)],
+            )
+            for outs in answers:
+                assert [out.tobytes() for out in outs] == expect
+    assert [arr.tobytes() for arr in arrays] == before
+
+
+def test_call_list_pickles_each_distinct_array_once():
+    """What ``OperandPool`` existed to guarantee is a property of the
+    call list: 20 case-D calls sharing one pivot, four row and five
+    column tiles (plus the pivot's own case-A call) cross the boundary
+    in the distinct arrays' bytes plus envelope — and an *equal copy* of
+    one shared operand costs a whole tile more."""
+    from multiprocessing.reduction import ForkingPickler
+
+    rng = np.random.default_rng(7)
+
+    def tile():
+        return rng.uniform(1.0, 9.0, (16, 16))
+
+    pivot = tile()
+    rows = [tile() for _ in range(4)]
+    cols = [tile() for _ in range(5)]
+    calls = [("A", pivot, ALIAS_X, ALIAS_X, ALIAS_X, 16, 16, 16, 96)]
+    for i, u in enumerate(rows):
+        for j, v in enumerate(cols):
+            calls.append(("D", tile(), u, v, pivot, 32 + 16 * i, 32 + 16 * j, 16, 96))
+    tokens, injects = list(range(1, 22)), [None] * 21
+    distinct = {id(op): op for call in calls for op in call[1:5] if op is not ALIAS_X}
+    assert len(distinct) == 30
+    raw = sum(arr.nbytes for arr in distinct.values())
+    size = len(ForkingPickler.dumps((calls, tokens, injects)))
+    assert raw < size < raw + 4096
+    case, x, u, v, w, *at = calls[-1]
+    calls[-1] = (case, x, u, v, pivot.copy(), *at)
+    grown = len(ForkingPickler.dumps((calls, tokens, injects)))
+    assert pivot.nbytes <= grown - size < pivot.nbytes + 256
+
+
+class _RunOnlyKernel:
+    """The duck-typed minimum: ``run`` and nothing else."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def run(self, *args, **kwargs):
+        self.inner.run(*args, **kwargs)
+
+
+class _NoStacksKernel(_RunOnlyKernel):
+    def run_stacks(self, calls, stats=None):
+        raise AssertionError("the worker runs one call per token")
+
+
+@needs_shm
+def test_worker_takes_the_single_call_path_and_run_is_enough():
+    """A batch of stackable D calls offloads correctly through a kernel
+    whose ``run_stacks`` raises (the worker calls ``update_tile`` per
+    call), and a kernel with only ``run`` works through ``update_tiles``
+    and ``run_kernel_batch`` alike."""
+    calls = _d_calls(6, seed=5)
+    expect = [x.tobytes() for x in _thread_path(calls)]
+    inner = make_kernel(_FW, "iterative")
+    assert any(out is not None for out in inner.run_stacks(calls)), "stackable"
+    assert [x.tobytes() for x in update_tiles(_RunOnlyKernel(inner), calls)] == expect
+    with _process_backend() as backend:
+        for kernel in (_NoStacksKernel(inner), _RunOnlyKernel(inner)):
+            outs = backend.run_kernel_batch(pickle.dumps(kernel), calls)
+            assert [out.tobytes() for out, _ in outs] == expect
+
+
+@needs_shm
+@pytest.mark.parametrize("name", ["fw", "ge"])
+def test_recursive_kernel_offloads_and_matches_threads(name):
+    """The paper's kernel family crosses the process boundary (its
+    ``OmpRuntime`` pickles without its pool and thread-local): a
+    recursive solve on ``processes`` offloads every tile update and is
+    bit-identical to ``threads``."""
+    spec_cls, make_table = SPECS[name]
+    spec = spec_cls()
+    table = make_table(96, seed=6)
+    outs = {}
+    for backend in BACKENDS:
+        with SparkleContext(2, 1, backend=backend) as sc:
+            kernel = make_kernel(
+                spec, "recursive", r_shared=2, base_size=8, omp_threads=2
+            )
+            solver = GepSparkSolver(spec, sc, r=4, kernel=kernel, strategy="im")
+            outs[backend], report = solver.solve(table.copy())
+        offloads = report.engine_metrics.kernel_offloads
+        assert (offloads > 0) == (backend == "processes"), (backend, offloads)
+    assert outs["processes"].tobytes() == outs["threads"].tobytes()
+
+
+def test_single_valued_options_are_constants(tmp_path):
+    """Options nobody passed a second value to are attributes of their
+    reader; the removed names raise ``TypeError``."""
+    from repro.core.tuning import candidate_blocks
+    from repro.service import send_request
+    from repro.sparkle import DurableBlockStore
+
+    assert DurableBlockStore.max_write_attempts == 3
+    assert SparkleContext.KEEP_JOB_TRACES == 64
+    removed = [
+        (lambda: DurableBlockStore(tmp_path, max_write_attempts=3), "max_write_attempts"),
+        (lambda: ProcessBackend(num_workers=1, start_method="spawn"), "start_method"),
+        (lambda: ProcessBackend(2, num_workers=1), "positional"),
+        (lambda: ProcessBackend(num_workers=1, total_slots=2), "total_slots"),
+        (lambda: candidate_blocks(4096, max_r=256), "max_r"),
+        (lambda: candidate_blocks(4096, min_block=128), "min_block"),
+        (lambda: send_request("s", {}, backoff_base=0.05), "backoff_base"),
+        (lambda: send_request("s", {}, backoff_cap=2.0), "backoff_cap"),
+    ]
+    with SparkleContext(1, 1) as sc:
+        removed.append(
+            (lambda: sc.reclaim_solve_state(keep_job_traces=64), "keep_job_traces")
+        )
+        for build, name in removed:
+            with pytest.raises(TypeError, match=name):
+                build()
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestRecursiveBeatsBaselineOnModel:
 class TestTuning:
     def test_candidate_blocks(self):
         assert candidate_blocks(4096) == [128, 256, 512, 1024, 2048]
-        assert candidate_blocks(8, min_block=128)  # fallback non-empty
+        assert candidate_blocks(8)  # fallback non-empty
 
     def test_advice_structure(self):
         advice = tune(

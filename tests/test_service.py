@@ -456,7 +456,7 @@ class TestDeadlines:
     @pytest.mark.timeout(240)
     def test_deadline_kills_offloaded_pass_without_shm_leak(self):
         sc = _context(backend="processes", heartbeat_interval=0.0)
-        prefix = sc._executors.backend.supervisor.prefix
+        prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -489,7 +489,7 @@ class TestDeadlines:
         deadline either way, so the stuck *pass* is what is timed: a
         follow-up request queues behind its kill/respawn/cleanup."""
         sc = _context(backend="processes", heartbeat_interval=0.0)
-        prefix = sc._executors.backend.supervisor.prefix
+        prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -508,7 +508,7 @@ class TestDeadlines:
                 assert time.monotonic() - started < 6.0
                 assert np.array_equal(response.result, _reference(8))
                 assert sc.supervision.task_deadline is None
-                assert sc._executors.backend.job_deadline is None
+                assert sc.offload.job_deadline is None
         finally:
             sc.stop()
         assert glob.glob(f"/dev/shm/{prefix}*") == []
@@ -727,7 +727,7 @@ class TestRequestStorm:
             memory_budget_bytes=96 << 20,
             heartbeat_interval=0.0,
         )
-        prefix = sc._executors.backend.supervisor.prefix
+        prefix = sc.offload.supervisor.prefix
         service = SolverService(
             sc,
             config=ServiceConfig(max_queue_depth=32, retries=3),

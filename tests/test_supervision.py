@@ -299,7 +299,6 @@ class TestDeadlineEnforcement:
     def test_running_overrun_is_killed_and_typed(self):
         metrics = EngineMetrics()
         backend = ProcessBackend(
-            2,
             num_workers=1,
             metrics=metrics,
             supervision=SupervisionConfig(
@@ -332,7 +331,6 @@ class TestPoisonQuarantine:
     def test_quarantine_after_max_failures(self):
         metrics = EngineMetrics()
         backend = ProcessBackend(
-            2,
             num_workers=1,
             metrics=metrics,
             supervision=SupervisionConfig(
@@ -399,7 +397,7 @@ class TestWorkerKillAcceptance:
         ) as sc:
             out, _report = _solve(sc, table)
             summ = sc.metrics.summary("supervision")
-            prefix = sc._executors.backend.supervisor.prefix
+            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_kill"] >= 1
         assert summ["worker_crashes"] >= 1
@@ -420,7 +418,7 @@ class TestWorkerKillAcceptance:
         ) as sc:
             out, _report = _solve(sc, table, strategy="im")
             summ = sc.metrics.summary("supervision")
-            prefix = sc._executors.backend.supervisor.prefix
+            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_hang"] >= 1
         # the watchdog converted SIGSTOP silence into a metered kill
@@ -457,7 +455,7 @@ class TestDegradeOnCrash:
             )
             out, report = solver.solve(table)
             summ = sc.metrics.summary("supervision")
-            prefix = sc._executors.backend.supervisor.prefix
+            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert summ["poison_tasks"] >= 1
         assert summ["backend_degradations"] == 1
@@ -587,7 +585,7 @@ class IdentityKernel:
         x += 0.0
 
 backend = ProcessBackend(
-    2, num_workers=2,
+    num_workers=2,
     supervision=SupervisionConfig(heartbeat_interval=0.1),
 )
 x = np.zeros((4, 4))
@@ -668,7 +666,7 @@ class TestDriverDeathCleanup:
     def test_backend_is_a_context_manager(self):
         metrics = EngineMetrics()
         with ProcessBackend(
-            2, num_workers=1, metrics=metrics,
+            num_workers=1, metrics=metrics,
             supervision=SupervisionConfig(heartbeat_interval=0.0),
         ) as backend:
             prefix = backend.supervisor.prefix
@@ -677,4 +675,5 @@ class TestDriverDeathCleanup:
             )
             assert out.shape == (4, 4)
         assert glob.glob(f"/dev/shm/{prefix}*") == []
-        assert not backend.supports_kernel_offload
+        with pytest.raises(RuntimeError, match="shut down"):
+            _run_backend_kernel(backend, pickle.dumps(make_kernel(SPEC, "iterative")))

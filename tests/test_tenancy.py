@@ -814,10 +814,7 @@ class TestSendRequestRetrySchedule:
             tempfile.mkdtemp(prefix="repro-tenancy-"), "nobody.sock"
         )
         with pytest.raises(OSError):
-            send_request(
-                missing, {"op": "stats"}, retries=3,
-                backoff_base=0.05, backoff_cap=2.0,
-            )
+            send_request(missing, {"op": "stats"}, retries=3)
         assert len(sleeps) == 3
         for attempt, slept in enumerate(sleeps):
             base = min(0.05 * 2**attempt, 2.0)
