@@ -9,10 +9,11 @@ test:
 
 # the CI gate: fail-fast over everything, and hermetic — a run that
 # creates, edits or deletes a file git can see fails, and so does one
-# that leaves a worker-plane segment (sparkle-*) behind in /dev/shm
+# that leaves a worker-plane segment (sparkle-*) behind in /dev/shm.
+# It prints its 15 slowest tests: the wall is gated at 2 min (ROADMAP 8).
 tier1:
 	@before="$$(git status --porcelain)"; \
-	$(PYTEST) -x -q || exit $$?; \
+	$(PYTEST) -x -q --durations=15 || exit $$?; \
 	after="$$(git status --porcelain)"; \
 	if [ "$$before" != "$$after" ]; then \
 		echo "tier1 is not hermetic: git status --porcelain changed:"; \

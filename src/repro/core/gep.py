@@ -106,6 +106,12 @@ class GepSpec(abc.ABC):
         and ``v_row`` may be *views aliasing ``x``* (kernel cases A/B/C);
         implementations must therefore materialize any combination of
         ``u_col``/``v_row`` before writing into ``x``.
+
+        ``x`` may be a stack ``(M, rows, cols)`` with ``u_col`` ``(M,
+        rows)`` and ``v_row`` ``(M, cols)`` whose tiles share ``w_kk``
+        and the ``(rows, cols)`` mask: index from the last axes
+        (``u_col[..., :, None]``, ``x[..., mask]``), so every tile gets
+        the operations it would get alone.
         """
 
     def apply_steps(
@@ -182,6 +188,30 @@ class GepSpec(abc.ABC):
             return True
         return self.sigma_mask(gi0, gj0, shape, gk_hi - 1) is None
 
+    def sigma_mask_shared(
+        self, offsets, shape: tuple[int, int], gk_lo: int, gk_hi: int
+    ) -> bool:
+        """True when tiles of ``shape`` at ``offsets`` (``(gi0, gj0)``
+        pairs) get the same :meth:`sigma_mask` at every ``gk`` in
+        ``[gk_lo, gk_hi)`` — what lets a stack of them take the masked
+        per-step path as one.
+
+        Per axis, the tiles share their offset (a pivot row's B panel has
+        one ``gi0``, a pivot column's C panel one ``gj0``) or that axis
+        is unconstrained over the range for every tile (``> k`` holds at
+        the largest step, as in :meth:`sigma_mask_free`).  Overrides with
+        a non-monotone ``sigma_mask`` must override this too.
+        """
+        if gk_hi <= gk_lo:
+            return True
+        last = gk_hi - 1
+
+        def alike(starts, constrained):
+            return not constrained or len(set(starts)) == 1 or min(starts) > last
+
+        gi0s, gj0s = zip(*offsets)
+        return alike(gi0s, self.constrains_i) and alike(gj0s, self.constrains_j)
+
     def k_active(self, gk: int, n: int) -> bool:
         """Whether global step ``gk`` performs any update on an n x n table.
 
@@ -236,11 +266,11 @@ class SemiringGep(GepSpec):
     def apply_k(self, x, u_col, v_row, w_kk, mask):
         sr = self.semiring
         # Materialize the ⊙-combination first: u_col/v_row may alias x.
-        cand = sr.mul(u_col[:, None], v_row[None, :])
+        cand = sr.mul(u_col[..., :, None], v_row[..., None, :])
         if mask is None:
             sr.add_inplace(x, cand)
         else:
-            x[mask] = sr.add(x[mask], cand[mask])
+            x[..., mask] = sr.add(x[..., mask], cand[..., mask])
 
     def apply_steps(self, x, u, v, w, pivot):
         # One semiring product ``x ⊕= u ⊗ v`` instead of ``pivot`` rank-1
@@ -297,14 +327,14 @@ class GaussianEliminationGep(GepSpec):
         return cij - cik * ckj / ckk
 
     def apply_k(self, x, u_col, v_row, w_kk, mask):
-        # np.outer materializes before the in-place subtraction, so
+        # The product materializes before the in-place subtraction, so
         # aliasing views (kernel cases A/B/C) are safe.
-        update = np.outer(u_col, v_row)
+        update = u_col[..., :, None] * v_row[..., None, :]
         update /= w_kk
         if mask is None:
             x -= update
         else:
-            x[mask] -= update[mask]
+            x[..., mask] -= update[..., mask]
 
     def apply_steps(self, x, u, v, w, pivot):
         # The same multiply / divide / subtract per step as apply_k, in

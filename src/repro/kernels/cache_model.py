@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..core.blocked import CASE_FLAGS, fig4_stages
 from ..core.gep import GepSpec
-from .recursive import _splits
+from ..util import near_equal_splits
 
 __all__ = ["LRUCache", "CacheReport", "iterative_gep_misses", "recursive_gep_misses"]
 
@@ -165,10 +165,11 @@ def recursive_gep_misses(
     """Miss count of the r-way recursive kernel on an n x n table.
 
     Walks the divide-&-conquer structure of
-    :class:`~repro.kernels.recursive.RecursiveKernel` (same ``_splits``,
-    same :func:`~repro.core.blocked.rway_stages` schedule) and, at each
-    base case, the per-``k`` traffic of the iterative tile kernel
-    restricted to the tile — which is what the real kernel executes.
+    :class:`~repro.kernels.recursive.RecursiveKernel` (same
+    :func:`~repro.util.near_equal_splits`, same
+    :func:`~repro.core.blocked.rway_stages` schedule) and, at each base
+    case, the per-``k`` traffic of the iterative tile kernel restricted
+    to the tile — which is what the real kernel executes.
     """
     cache = LRUCache(capacity_bytes, line_bytes)
     t = _Table(n)
@@ -202,9 +203,9 @@ def recursive_gep_misses(
         if max(extent_i, extent_j, pivot) <= base_size:
             base(case, xi, xj, ui, uk, vk, vj, wk, gi0, gj0, gk0)
             return
-        bk = _splits(pivot, r_shared)
-        bi = bk if row_aliased else _splits(extent_i, r_shared)
-        bj = bk if col_aliased else _splits(extent_j, r_shared)
+        bk = near_equal_splits(pivot, r_shared)
+        bi = bk if row_aliased else near_equal_splits(extent_i, r_shared)
+        bj = bk if col_aliased else near_equal_splits(extent_j, r_shared)
         ni, nj = len(bi) - 1, len(bj) - 1
         # An operand whose axis aliases the pivot lives in x itself.
         ui_src, uk_src = (xi, xj) if col_aliased else (ui, uk)

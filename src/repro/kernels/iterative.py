@@ -65,27 +65,49 @@ the bits it would have alone:
 * the semiring fold keeps ``k`` as the *leading* axis of its chunked
   broadcast ``(k, M, rows, cols)``, so the ⊕-reduction runs over ``k`` by
   repeated elementwise ⊕ per cell, in step order, ``±0.0`` ties broken as
-  in the step loop, whatever ``M`` is;
+  in the step loop, whatever ``M`` is; an operand aliasing ``x`` (a
+  panel, below) keeps the sequential step loop, over the whole stack;
 * GE stays sequential in ``k``: one multiply, one divide, one subtract
   per step over the whole stack, all elementwise;
 * the tropical guard checks the stack for NaN once and restores and
   redoes, alone and guarded, only the tiles that hold one;
 * Σ_G mask-freedom is checked per tile and ``k_active`` once per stack
-  (one pivot range); a stack with a masked tile or a partly inactive
-  range falls apart into its tiles, each taking the general path;
+  (one pivot range).  A stack with a masked tile or a partly inactive
+  range takes the per-step path as one stack when its tiles share the
+  mask at every step (``GepSpec.sigma_mask_shared``: one ``gi0`` for a
+  B panel, one ``gj0`` for a C panel, or that axis unconstrained over
+  the range) and one pivot tile; otherwise it falls apart into its
+  tiles, each taking the general path;
 * ``KernelStats`` records one base invocation per tile, as ever.
 
+One caveat is NumPy's, not the arithmetic's: which operand's NaN a
+commutative ufunc returns when both are NaN depends on where a cell
+falls in its loop (SIMD body or scalar tail), so on a GE stack ``NaN *
+NaN`` of opposite signs — an input NaN meeting one the arithmetic
+produced — may come out with either sign bit.  A tropical stack never
+keeps such a NaN: a tile that holds one is redone alone.
+
 :meth:`IterativeKernel.run_stacks` is where a task's call list becomes
-stacks: case-D calls only (four distinct tiles; A/B/C alias ``x`` and
-must read what earlier steps wrote), of equal geometry, pivot range and
-the spec's dtype, ``_FOLD_CHUNK_ELEMS // (cells x pivot)`` deep so the
-whole fold stays one cache-resident chunk — 64 tiles at 8x8, 8 at 16x16,
-2 at 25x25; from 26x26 up a tile already fills a call and nothing is
-stacked.  Stacking copies the inputs (that copy *is* the caller's private
+stacks, of tiles with equal geometry, pivot range and the spec's dtype:
+
+* case-D calls (four distinct tiles), ``_FOLD_CHUNK_ELEMS // (cells x
+  pivot)`` deep so the whole fold stays one cache-resident chunk — 64
+  tiles at 8x8, 8 at 16x16, 2 at 25x25; from 26x26 up a tile already
+  fills a call;
+* *panels*: case-B calls of one pivot row — the same ``u`` / ``w``
+  objects and ``gi0`` — or case-C calls of one pivot column — the same
+  ``v`` / ``w`` and ``gj0``.  B and C alias ``x`` and must read what
+  earlier steps wrote, so the aliased operand is the stack itself and
+  ``k`` stays sequential; the shared pivot is ``np.broadcast_to``, not
+  copied.  The steps run one at a time over ``(M, rows, cols)``, so a
+  panel is ``_FOLD_CHUNK_ELEMS // cells`` deep: 512 tiles at 8x8, 3 at
+  96x96, none from 182x182 up.
+
+Stacking copies the inputs (that copy *is* the caller's private
 retry-purity copy) and every result is copied out to own its memory: a
 view would pin its whole stack behind one live tile and report the
-stack's bytes nowhere.  Single-cell tiles, foreign dtypes, ``pure_loop``
-and the odd tile out stay single calls.
+stack's bytes nowhere.  Case A, single-cell tiles, foreign dtypes,
+``pure_loop`` and the odd tile out stay single calls.
 """
 
 from __future__ import annotations
@@ -94,6 +116,7 @@ import numpy as np
 
 from ..core.gep import GepSpec
 from ..semiring import base as _semiring_base
+from .base import ALIAS_X
 from .stats import KernelStats
 
 __all__ = ["gep_tile_update", "gep_tile_update_loop", "IterativeKernel"]
@@ -160,31 +183,40 @@ def gep_tile_update(
                     case, shape[0], shape[1], pivot, shape[0] * shape[1] * pivot
                 )
         return
-    if stacked:
-        # Some tile is masked or the range partly inactive: each goes
-        # alone, step by step, exactly as it would unstacked.
+    if stacked and not (
+        (w is None or w.ndim == 2)
+        and spec.sigma_mask_shared(offsets, shape, gk0, gk0 + pivot)
+    ):
+        # The tiles' masks differ at some step (or each has its own
+        # pivot tile): each goes alone, step by step, exactly as it
+        # would unstacked.
         for m, (i0, j0) in enumerate(offsets):
             wm = w if w is None or w.ndim == 2 else w[m]
             gep_tile_update(
                 spec, x[m], u[m], v[m], wm, i0, j0, gk0, n_global, stats, case
             )
         return
+    # Step by step; a stack here shares its mask at every step (a B or
+    # C panel), so the first tile's offsets stand for all of them.
+    i0, j0 = offsets[0]
     updates = 0
     for kk in range(pivot):
         gk = gk0 + kk
         if not spec.k_active(gk, n_global):
             continue
-        mask = spec.sigma_mask(gi0, gj0, x.shape, gk)
+        mask = spec.sigma_mask(i0, j0, shape, gk)
         if mask is not None:
             active = int(mask.sum())
             if active == 0:
                 continue
             updates += active
         else:
-            updates += x.size
-        spec.apply_k(x, u[:, kk], v[kk, :], None if w is None else w[kk, kk], mask)
+            updates += shape[0] * shape[1]
+        w_kk = None if w is None else w[kk, kk]
+        spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, mask)
     if stats is not None:
-        stats.record_base(case, x.shape[0], x.shape[1], pivot, updates)
+        for _ in offsets:
+            stats.record_base(case, shape[0], shape[1], pivot, updates)
 
 
 def gep_tile_update_loop(
@@ -217,6 +249,31 @@ def gep_tile_update_loop(
                 gj = gj0 + b
                 if spec.sigma(gi, gj, gk):
                     x[a, b] = spec.f(x[a, b], u[a, kk], v[kk, b], w_kk)
+
+
+def _aliases(op, tile) -> bool:
+    return op is ALIAS_X or op is tile
+
+
+def _stack_key(call: tuple) -> tuple | None:
+    """What calls must share to be stacked together; ``None`` for a call
+    that is never stacked (case A, or an aliasing pattern that is not
+    its case's).  Panel operands are keyed by identity — one pivot tile —
+    which fixes their shape; ids are stable while ``calls`` holds them."""
+    case, tile, u, v, w, gi0, gj0, gk0, n_global = call
+    if case == "D":
+        return (
+            "D", gk0, n_global, tile.shape, u.shape, v.shape,
+            tile.dtype, u.dtype, v.dtype,
+            None if w is None else (w.shape, w.dtype),
+        )
+    if _aliases(w, tile):
+        return None
+    if case == "B" and _aliases(v, tile) and not _aliases(u, tile):
+        return ("B", id(u), id(w), gi0, gk0, n_global, tile.shape, tile.dtype)
+    if case == "C" and _aliases(u, tile) and not _aliases(v, tile):
+        return ("C", id(v), id(w), gj0, gk0, n_global, tile.shape, tile.dtype)
+    return None
 
 
 class IterativeKernel:
@@ -263,43 +320,46 @@ class IterativeKernel:
             )
 
     def run_stacks(self, calls: list, stats: KernelStats | None = None) -> list:
-        """Update the stackable case-D tiles of one task's call list.
+        """Update the stackable tiles of one task's call list.
 
         ``calls`` entries are ``(case, tile, u, v, w, gi0, gj0, gk0,
-        n_global)``.  Case-D calls of equal tile geometry, pivot range
-        and the spec's dtype are stacked as deep as the whole fold fits
-        ``_FOLD_CHUNK_ELEMS`` — the stack is the private copy, the input
-        tiles are never written — and each stack is one :meth:`run`.
-        Returns a list aligned with ``calls``: the updated tile (owning
-        its memory, never a view of the stack) or ``None`` for every
-        call left to the caller — other cases, single-cell tiles,
-        foreign dtypes, tiles too large to stack two of, an odd one out.
+        n_global)``.  Calls that agree on :func:`_stack_key` — case-D
+        calls of equal geometry and pivot range, or a panel: case-B calls
+        on one pivot row (the same ``u`` / ``w`` objects and ``gi0``),
+        case-C calls on one pivot column (the same ``v`` / ``w`` and
+        ``gj0``) — in the spec's dtype are stacked as deep as
+        ``_FOLD_CHUNK_ELEMS`` allows, and each stack is one :meth:`run`.
+        A panel's aliased operand is the stack itself (so ``k`` stays
+        sequential) and its shared pivot a broadcast view.  The stack is
+        the private copy: the input tiles are never written.  Returns a
+        list aligned with ``calls``: the updated tile (owning its memory,
+        never a view of the stack) or ``None`` for every call left to the
+        caller — case A, single-cell tiles, foreign dtypes, tiles too
+        large to stack two of, an odd one out.
         """
         results: list = [None] * len(calls)
         if self.pure_loop:
             return results
         groups: dict[tuple, list[int]] = {}
         for idx, call in enumerate(calls):
-            if call[0] != "D":
-                continue
-            _case, tile, u, v, w, _gi0, _gj0, gk0, n_global = call
-            alike = (
-                gk0, n_global, tile.shape, u.shape, v.shape,
-                tile.dtype, u.dtype, v.dtype,
-                None if w is None else (w.shape, w.dtype),
-            )
-            groups.setdefault(alike, []).append(idx)
+            alike = _stack_key(call)
+            if alike is not None:
+                groups.setdefault(alike, []).append(idx)
         dtype = self.spec.dtype
         for members in groups.values():
-            _case, tile, u, v, w, _gi0, _gj0, gk0, n_global = calls[members[0]]
+            case, tile, u, v, w, _gi0, _gj0, gk0, n_global = calls[members[0]]
+            shared = u if case == "B" else v  # a panel's pivot operand
+            operands = (u, v) if case == "D" else (shared,)
+            # a D fold's chunk holds every pivot step; a panel's steps
+            # run one at a time over the stack
+            steps = u.shape[-1] if case == "D" else 1
             if (
-                not tile.ndim == u.ndim == v.ndim == 2
-                or not tile.dtype == u.dtype == v.dtype == dtype
+                tile.size < 2
+                or any(op.ndim != 2 or op.dtype != dtype for op in (tile, *operands))
                 or not (w is None or w.ndim == 2 and w.dtype == dtype)
-                or tile.size < 2
             ):
                 continue
-            depth = _semiring_base._FOLD_CHUNK_ELEMS // max(1, tile.size * u.shape[1])
+            depth = _semiring_base._FOLD_CHUNK_ELEMS // (tile.size * steps)
             if depth < 2:
                 continue
             for at in range(0, len(members), depth):
@@ -310,11 +370,15 @@ class IterativeKernel:
                     *(calls[idx] for idx in part)
                 )
                 x = np.array(tiles)
-                one_w = all(other is w for other in ws)  # the pivot fan-out
-                self.run(
-                    "D", x, np.array(us), np.array(vs),
-                    w if one_w else np.array(ws), gi0s, gj0s, gk0, n_global, stats,
-                )
+                if case == "D":
+                    one_w = all(other is w for other in ws)  # the pivot fan-out
+                    u_s, v_s = np.array(us), np.array(vs)
+                    w_s = w if one_w else np.array(ws)
+                else:
+                    pivots = np.broadcast_to(shared, (len(part),) + shared.shape)
+                    u_s, v_s = (pivots, x) if case == "B" else (x, pivots)
+                    w_s = w
+                self.run(case, x, u_s, v_s, w_s, gi0s, gj0s, gk0, n_global, stats)
                 for idx, updated in zip(part, x):
                     results[idx] = updated.copy()
         return results

@@ -41,16 +41,6 @@ from .stats import KernelStats
 __all__ = ["RecursiveKernel"]
 
 
-def _splits(extent: int, r: int) -> list[int]:
-    """Boundaries of ``min(r, extent)`` near-equal contiguous parts.
-
-    Blocked GEP is correct for *any* contiguous partition of the index
-    range, so uneven splits (when ``r`` does not divide ``extent``) need
-    no virtual padding at this level.
-    """
-    return near_equal_splits(extent, r)
-
-
 class RecursiveKernel:
     """r_shared-way R-DP kernel over a GEP spec.
 
@@ -119,9 +109,9 @@ class RecursiveKernel:
             stats.record_recursion()
         row_aliased, col_aliased = CASE_FLAGS[case]
         r = self.r_shared
-        bk = _splits(pivot, r)
-        bi = bk if row_aliased else _splits(x.shape[0], r)
-        bj = bk if col_aliased else _splits(x.shape[1], r)
+        bk = near_equal_splits(pivot, r)
+        bi = bk if row_aliased else near_equal_splits(x.shape[0], r)
+        bj = bk if col_aliased else near_equal_splits(x.shape[1], r)
         ni, nj = len(bi) - 1, len(bj) - 1
         # An operand whose axis aliases the pivot lives in x itself.
         usrc = x if col_aliased else u

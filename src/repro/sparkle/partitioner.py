@@ -7,6 +7,15 @@ over-provision partitions (2x cores).  §VI's future work proposes
 custom partitioners derived from the kernel dependency structure;
 :class:`GridPartitioner` implements that proposal (and the ablation
 benchmark measures the shuffle-volume difference).
+
+Placement is a pure function of the key (:func:`_stable_hash`), so
+:class:`HashPartitioner` memoises it per grid key: a tile grid has r²
+distinct ``(i, j)`` keys and every shuffle of a solve re-partitions
+them, so the ``repr`` + ``crc32`` is paid once per key, not once per
+record.  The memo changes no placement — a key lands where
+``_stable_hash(key) % n`` puts it whatever was partitioned before — and
+is not part of a partitioner's identity: equality and hashing read the
+constructor parameters only.
 """
 
 from __future__ import annotations
@@ -33,10 +42,17 @@ class Partitioner:
     def partition(self, key: Any) -> int:
         raise NotImplementedError
 
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.__dict__ == other.__dict__
+    def _params(self) -> tuple:
+        """What equality reads: the constructor parameters.  The three
+        partitioners here name theirs, so per-instance state (a memo)
+        never makes two equal partitioners unequal — ``partitionBy``'s
+        no-op test; an ad hoc subclass compares all its attributes."""
+        return tuple(self.__dict__.items())
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and self._params() == other._params()
+
+    def __hash__(self) -> int:
         return hash((type(self).__name__, self.num_partitions))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -44,10 +60,33 @@ class Partitioner:
 
 
 class HashPartitioner(Partitioner):
-    """Spark's default partitioner: stable hash modulo partition count."""
+    """Spark's default partitioner: stable hash modulo partition count.
+
+    Grid keys — exact ``(int, int)`` tuples — are memoised per instance.
+    Only those: ``1``, ``1.0`` and ``True`` (or ``(1, 2)`` and
+    ``(1.0, 2)``) are equal dict keys that print, hence hash, differently,
+    and every other key is hashed as it comes.
+    """
+
+    def __init__(self, num_partitions: int) -> None:
+        super().__init__(num_partitions)
+        self._placed: dict[tuple[int, int], int] = {}
 
     def partition(self, key: Any) -> int:
+        if (
+            type(key) is tuple
+            and len(key) == 2
+            and type(key[0]) is int
+            and type(key[1]) is int
+        ):
+            placed = self._placed.get(key)
+            if placed is None:
+                placed = self._placed[key] = _stable_hash(key) % self.num_partitions
+            return placed
         return _stable_hash(key) % self.num_partitions
+
+    def _params(self) -> tuple:
+        return (self.num_partitions,)
 
 
 class RangePartitioner(Partitioner):
@@ -58,6 +97,9 @@ class RangePartitioner(Partitioner):
         if max_key < 1:
             raise ValueError("max_key must be >= 1")
         self.max_key = max_key
+
+    def _params(self) -> tuple:
+        return (self.num_partitions, self.max_key)
 
     def partition(self, key: Any) -> int:
         k = int(key)
@@ -79,6 +121,9 @@ class GridPartitioner(Partitioner):
         if grid_r < 1:
             raise ValueError("grid_r must be >= 1")
         self.grid_r = grid_r
+
+    def _params(self) -> tuple:
+        return (self.num_partitions, self.grid_r)
 
     def partition(self, key: Any) -> int:
         if (

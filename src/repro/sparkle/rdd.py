@@ -28,6 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from ..util import sizeof_block
 from .partitioner import HashPartitioner, Partitioner
 
 T = TypeVar("T")
@@ -146,10 +147,15 @@ class RDD:
             cached = blocks.get(self.id, split)
             if cached is not None:
                 return iter(cached)
-            data = list(self.compute(split, task))
-            blocks.put(self.id, split, data, level=self._storage_level)
+            data, nbytes = self._materialize(split, task)
+            blocks.put(self.id, split, data, level=self._storage_level, nbytes=nbytes)
             return iter(data)
         return self.compute(split, task)
+
+    def _materialize(self, split: int, task) -> tuple[list, int | None]:
+        """One partition as a list, with its block bytes where they are
+        known without walking the records (``None`` otherwise)."""
+        return list(self.compute(split, task)), None
 
     # -- caching ----------------------------------------------------------
     def persist(self, storage_level: str = "MEMORY_AND_DISK") -> "RDD":
@@ -686,7 +692,8 @@ class ShuffledRDD(RDD):
     def num_partitions(self) -> int:
         return self.partitioner.num_partitions
 
-    def compute(self, split: int, task) -> Iterator:
+    def _fetch(self, split: int, task) -> tuple[list, int]:
+        """This reducer's records and the bytes the fetch read."""
         dep = self._shuffle_dep
         pool = self.ctx._executors
         my_executor = pool.executor_for(split)
@@ -699,7 +706,20 @@ class ShuffledRDD(RDD):
         if task is not None:
             task.shuffle_bytes_read += nbytes
             task.shuffle_bytes_remote += remote
-        agg = dep.aggregator
+        return items, nbytes
+
+    def _materialize(self, split: int, task) -> tuple[list, int | None]:
+        if self._shuffle_dep.aggregator is not None:
+            return super()._materialize(split, task)
+        # The fetch summed ``16 + sizeof_block(value)`` per record; a
+        # cached ``(key, value)`` record is ``8 + sizeof_block(key) +
+        # sizeof_block(value)``, so only the keys are left to size.
+        items, fetched = self._fetch(split, task)
+        return items, fetched + sum(sizeof_block(key) - 8 for key, _value in items)
+
+    def compute(self, split: int, task) -> Iterator:
+        items, _nbytes = self._fetch(split, task)
+        agg = self._shuffle_dep.aggregator
         if agg is None:
             return iter(items)
         combined: dict[Any, Any] = {}

@@ -73,10 +73,17 @@ class BlockManager:
         partition: int,
         items: list,
         level: str = "MEMORY_AND_DISK",
+        nbytes: int | None = None,
     ) -> None:
-        """Reserve-then-cache; evict-to-disk until the reservation fits."""
+        """Reserve-then-cache; evict-to-disk until the reservation fits.
+
+        ``nbytes`` is the block's ``sum(sizeof_block(x) for x in items)``
+        when the caller already knows it (a shuffled partition, sized by
+        its fetch); ``None`` walks the records.
+        """
         key = (rdd_id, partition)
-        nbytes = sum(sizeof_block(x) for x in items)
+        if nbytes is None:
+            nbytes = sum(sizeof_block(x) for x in items)
         mm = self.memory
         owner = mm.current_owner()
         with self._lock:

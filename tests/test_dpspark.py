@@ -262,27 +262,34 @@ def test_bcast_uses_less_shuffle_than_im():
     [
         # toy scale, then the benchmark's two fine-tile (8x8) shapes once
         # each: fw_fine_im and ge_fine_cb
-        ("fw", 32, 4, "im", (1, 22, 168, 191_784, 293_160, 0), (32_768, 64), 40),
+        ("fw", 32, 4, "im", (1, 22, 168, 191_784, 293_160, 0), (32_768, 64), 32),
         ("fw", 192, 24, "im",
-         (1, 122, 968, 43_773_744, 65_670_960, 0), (7_077_888, 13_824), 1_372),
+         (1, 122, 968, 43_773_744, 65_670_960, 0), (7_077_888, 13_824), 450),
         ("ge", 256, 32, "cb",
-         (64, 97, 764, 17_842_176, 68_665_344, 16_506_880), (5_559_680, 11_440), 1_252),
+         (64, 97, 764, 17_842_176, 68_665_344, 16_506_880), (5_559_680, 11_440), 488),
     ],
 )
-def test_stacked_d_calls_leave_plan_and_books_alone(
+def test_stacked_calls_leave_plan_and_books_alone(
     name, n, r, strategy, plan, work, kernel_calls, monkeypatch
 ):
-    """A task's D tiles reach the kernel a stack at a time — far fewer
-    ``IterativeKernel.run`` calls — and nothing the engine counts may
-    notice: the blocked oracle's output, the plan (jobs / stages / tasks),
-    shuffle bytes written and read, storage bytes read, and one kernel
-    invocation recorded per tile, all at their pre-stacking values."""
+    """A task's D tiles, and its B / C tiles as pivot-row / pivot-column
+    panels, reach the kernel a stack at a time — far fewer
+    ``IterativeKernel.run`` calls — and each grid key is hashed once per
+    solve (r², against 82,320 hashes on the 24x24 grid when every record
+    was hashed); nothing the engine counts may notice: the blocked
+    oracle's output, the plan (jobs / stages / tasks), shuffle bytes
+    written and read, storage bytes read, and one kernel invocation
+    recorded per tile, all at their pre-stacking values."""
     from repro.kernels import IterativeKernel
+    from repro.sparkle import partitioner
 
-    ran = []
-    run = IterativeKernel.run
+    ran, hashed = [], []
+    run, stable_hash = IterativeKernel.run, partitioner._stable_hash
     monkeypatch.setattr(
         IterativeKernel, "run", lambda self, *a, **kw: ran.append(1) or run(self, *a, **kw)
+    )
+    monkeypatch.setattr(
+        partitioner, "_stable_hash", lambda key: hashed.append(1) or stable_hash(key)
     )
     spec, make = SPECS[name]
     table = make(n, seed=1)
@@ -292,6 +299,7 @@ def test_stacked_d_calls_leave_plan_and_books_alone(
             collect_stats=True,
         )
     assert len(ran) == kernel_calls
+    assert len(hashed) == r * r
     del ran[:]
     want, _ = run_gep(spec, table, engine="local", r=r)
     assert np.array_equal(got, want)
@@ -310,32 +318,62 @@ def test_stacked_d_calls_leave_plan_and_books_alone(
 
 
 def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
-    """Retry purity on 8x8 tiles, where every D task is stacked: attempts
-    die before they start (``kill``) and after their kernels ran
+    """Retry purity on 8x8 tiles, where every D task is stacked and every
+    B / C task's tiles are a panel: attempts die before they start
+    (``kill``, landing on B / C tasks too) and after their kernels ran
     (``overflow`` fails the map-output write), so tasks recompute from
-    the same inputs.  GE would double-subtract a mutated tile; no input
-    tile's bytes may ever change and every result owns its memory."""
-    spec, make = SPECS["ge"]
-    table = make(32, seed=4)
-    want, _ = run_gep(spec, table, engine="spark", r=4, strategy="im")
+    the same inputs — for GE and FW under IM, and GE under CB.  GE would
+    double-subtract a mutated tile; no input tile's bytes may ever change
+    and every result owns its memory."""
+    from repro.kernels import IterativeKernel
+    from repro.sparkle.chaos import CURRENT_TASK
 
     seen = []  # (input tile, its bytes when the kernel batch got it)
+    bc_sites, killed, panels = set(), set(), []
     batch = GepSparkSolver._run_tile_batch
+    task_fault = FaultPlan.task_fault
+    run = IterativeKernel.run
 
     def watched(self, calls):
         seen.extend((call[1], call[1].tobytes()) for call in calls)
+        if any(call[0] in "BC" for call in calls):
+            tc = CURRENT_TASK.get()
+            bc_sites.add((tc.stage_id, tc.partition))
         results = batch(self, calls)
         for out in results:
             assert out.base is None and out.flags.writeable and out.flags.owndata
         return results
 
+    def noted_fault(self, stage_id, partition, attempt):
+        fault = task_fault(self, stage_id, partition, attempt)
+        if fault == "kill":
+            killed.add((stage_id, partition))
+        return fault
+
+    def noted_run(self, case, x, *rest, **kw):
+        if case in "BC" and x.ndim == 3:
+            panels.append(len(x))
+        return run(self, case, x, *rest, **kw)
+
     monkeypatch.setattr(GepSparkSolver, "_run_tile_batch", watched)
-    plan = FaultPlan(
-        23, [FaultSpec("kill", rate=0.2), FaultSpec("overflow", rate=0.3)]
-    )
-    with SparkleContext(2, 1, fault_plan=plan) as sc:
-        got, _ = run_gep(spec, table, engine="spark", r=4, strategy="im", sc=sc)
-        assert sc.metrics.transient_io_failures >= 1
-        assert sc.metrics.tasks_retried > sc.metrics.transient_io_failures
-    assert got.tobytes() == want.tobytes()
-    assert seen and all(tile.tobytes() == before for tile, before in seen)
+    monkeypatch.setattr(FaultPlan, "task_fault", noted_fault)
+    monkeypatch.setattr(IterativeKernel, "run", noted_run)
+    for name, strategy, faults in [
+        ("ge", "im", [FaultSpec("kill", rate=0.2), FaultSpec("overflow", rate=0.3)]),
+        ("fw", "im", [FaultSpec("kill", rate=0.3)]),
+        ("ge", "cb", [FaultSpec("kill", rate=0.3)]),
+    ]:
+        spec, make = SPECS[name]
+        table = make(64, seed=4)
+        want, _ = run_gep(spec, table, engine="local", r=8)
+        del seen[:], panels[:]
+        bc_sites.clear()
+        killed.clear()
+        with SparkleContext(2, 1, fault_plan=FaultPlan(23, faults)) as sc:
+            got, _ = run_gep(spec, table, engine="spark", r=8, strategy=strategy, sc=sc)
+            if strategy == "im" and name == "ge":
+                assert sc.metrics.transient_io_failures >= 1
+                assert sc.metrics.tasks_retried > sc.metrics.transient_io_failures
+        assert got.tobytes() == want.tobytes()
+        assert seen and all(tile.tobytes() == before for tile, before in seen)
+        assert panels and killed & bc_sites, (name, strategy)

@@ -1,6 +1,7 @@
 """Tile kernels: iterative vs scalar loop, recursive vs iterative,
 aliasing cases, stats accounting, OpenMP runtime behaviour."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.kernels import (
     gep_tile_update,
     gep_tile_update_loop,
 )
+from repro.kernels.base import ALIAS_X, update_tile, update_tiles
 from repro.semiring import MinPlus, Semiring, get_semiring, tropical
 from repro.semiring import base as semiring_base
 
@@ -567,6 +569,120 @@ def test_property_ge_stack_equals_separate_tiles(data):
         assert [out.tobytes() for out in outs] == solo
 
 
+#: Panel alphabets.  GE's has no input NaN: a B / C panel multiplies the
+#: tile itself, which can hold a NaN the arithmetic produced (the
+#: platform's default NaN), and NumPy does not fix which operand's NaN a
+#: commutative ufunc returns (its SIMD body and scalar tail order them
+#: differently), so the sign bit of NaN * NaN of opposite signs depends
+#: on a cell's place in the loop, not on the arithmetic.  Produced NaNs
+#: all share one sign.  The tropical panels keep input NaNs: a tile that
+#: ends with one is redone alone, in the 2-D shape it has solo.
+_PANEL_CELLS = {
+    "fw": (FloydWarshallGep, sum(_ALPHABETS["tropical"], [])),
+    "maxplus": (lambda: SemiringGep("maxplus"), sum(_ALPHABETS["maxplus"], [])),
+    "tc": (TransitiveClosureGep, _ALPHABETS["boolean"][0]),
+    "ge": (GaussianEliminationGep, [c for c in _GE_CELLS if c == c]),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_bc_panel_equals_separate_tiles(data):
+    """A pivot row's B tiles (or a pivot column's C tiles) in one task's
+    call list go to the kernel as panels: each tile bit-identical to
+    ``update_tile`` alone, every input untouched, and one ``record_base``
+    per tile with the same updates.  FW / max-plus / TC / GE, 1..8 tiles
+    with a ragged last one, GE masked (B at ``gi0 == gk0``, C at ``gj0 ==
+    gk0``; a partly inactive pivot range; offsets whose masks differ),
+    and opposite infinities, so a tile of a tropical panel trips the NaN
+    guard and is redone alone."""
+    name = data.draw(st.sampled_from(sorted(_PANEL_CELLS)))
+    make_spec, cells = _PANEL_CELLS[name]
+    spec = make_spec()
+    if name == "ge" and data.draw(st.booleans()):
+        spec = GaussianEliminationGep(n_pivots=data.draw(st.integers(8, 14)))
+    case = data.draw(st.sampled_from("BC"))
+    pivot, depth, extent = (data.draw(st.integers(1, 8)) for _ in range(3))
+    widths = [extent] * (depth - 1) + [data.draw(st.integers(1, extent))]
+    gk0 = 8
+    # the panel's free axis: past the pivot range (one shared mask), or
+    # anywhere (masks may differ and the panel falls apart into tiles)
+    past = data.draw(st.booleans())
+    starts = [
+        gk0 + pivot + 3 * m if past else data.draw(st.integers(0, 20))
+        for m in range(depth)
+    ]
+
+    def tile(rows, cols):
+        drawn = data.draw(st.lists(st.sampled_from(cells), min_size=rows * cols,
+                                   max_size=rows * cols))
+        return np.array(drawn, dtype=spec.dtype).reshape(rows, cols)
+
+    pivot_tile = tile(pivot, pivot)
+    literal = data.draw(st.booleans())  # alias as the tile itself, or ALIAS_X
+    calls = []
+    for width, start in zip(widths, starts):
+        if case == "B":
+            x = tile(pivot, width)
+            alias = x if literal else ALIAS_X
+            calls.append(("B", x, pivot_tile, alias, pivot_tile, gk0, start, gk0, 64))
+        else:
+            x = tile(width, pivot)
+            alias = x if literal else ALIAS_X
+            calls.append(("C", x, alias, pivot_tile, pivot_tile, start, gk0, gk0, 64))
+    pristine = [call[1].tobytes() for call in calls] + [pivot_tile.tobytes()]
+    kernel = IterativeKernel(spec)
+    solo_stats, stats = KernelStats(keep_log=True), KernelStats(keep_log=True)
+    with np.errstate(all="ignore"):
+        solo = [update_tile(kernel, call, solo_stats).tobytes() for call in calls]
+        outs = update_tiles(kernel, calls, stats)
+        stacked = kernel.run_stacks(calls)
+    assert [out.tobytes() for out in outs] == solo
+    assert [call[1].tobytes() for call in calls] + [pivot_tile.tobytes()] == pristine
+    assert Counter(stats.log) == Counter(solo_stats.log)
+    assert stats.updates == solo_stats.updates
+    same_shape = widths.count(extent)
+    panel = same_shape >= 2 and pivot * extent >= 2
+    assert [out is not None for out in stacked] == [
+        panel and width == extent for width in widths
+    ]
+    for out, want in zip(stacked, solo):
+        assert out is None or (out.tobytes() == want and out.base is None)
+
+
+def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
+    """A panel is at most ``_FOLD_CHUNK_ELEMS // tile.size`` deep — 3 at
+    96x96, none from 182x182 up — and shares one pivot: a B call on
+    another pivot object, or another row offset, starts another panel."""
+    depths = []
+    run = IterativeKernel.run
+
+    def recording_run(self, case, x, *rest, **kw):
+        depths.append((case, x.shape[0] if x.ndim == 3 else 1))
+        return run(self, case, x, *rest, **kw)
+
+    monkeypatch.setattr(IterativeKernel, "run", recording_run)
+    rng = np.random.default_rng(8)
+    kernel = IterativeKernel(fw_spec)
+    for edge, tiles, panels in [(96, 7, [3, 3, 1]), (182, 2, [1, 1])]:
+        pivot = rng.random((edge, edge))
+        calls = [
+            ("B", rng.random((edge, edge)), pivot, ALIAS_X, pivot, 0, edge * (m + 1), 0, 4096)
+            for m in range(tiles)
+        ]
+        del depths[:]
+        update_tiles(kernel, calls)
+        assert sorted((d for _c, d in depths), reverse=True) == panels
+    other = rng.random((8, 8))
+    calls = [
+        ("B", rng.random((8, 8)), pivot, ALIAS_X, pivot, 0, 8, 0, 64)
+        for pivot in (other, other, other.copy())
+    ] + [("B", rng.random((8, 8)), other, ALIAS_X, other, 8, 16, 0, 64)]
+    del depths[:]
+    update_tiles(kernel, calls)
+    assert sorted(depths) == [("B", 1), ("B", 1), ("B", 2)]
+
+
 def test_single_cell_tile_keeps_zero_signs(fw_spec):
     """On a 1x1 tile the k axis of the broadcast is the contiguous one,
     which NumPy reduces in SIMD lane order — a different tie-break on
@@ -716,3 +832,25 @@ class TestGuardFallback:
         assert calls == {"fold": 1, "mul": 4}  # one tile's steps, no more
         assert [x.tobytes() for x in xs] == solo
         assert not np.isnan(xs).any()
+
+    def test_one_tile_of_a_panel_trips_the_guard(self, fw_spec, monkeypatch):
+        """A B panel shares its pivot but not its tiles: only the tile
+        whose own row meets the pivot's ``inf`` with ``-inf`` is restored
+        and redone, alone."""
+        rng = np.random.default_rng(12)
+        pivot = rng.integers(1, 20, size=(4, 4)).astype(float)
+        pivot[1, 2] = np.inf
+        tiles = [rng.integers(1, 20, size=(4, 5)).astype(float) for _ in range(4)]
+        tiles[2][2, 3] = -np.inf
+        calls = [
+            ("B", x, pivot, ALIAS_X, pivot, 4, 8 + 5 * m, 4, 32)
+            for m, x in enumerate(tiles)
+        ]
+        kernel = IterativeKernel(fw_spec)
+        solo = [update_tile(kernel, call).tobytes() for call in calls]
+
+        calls_seen = self._count_guarded(monkeypatch)
+        outs = kernel.run_stacks(calls)
+        assert calls_seen == {"fold": 1, "mul": 4}  # one tile's steps, no more
+        assert [out.tobytes() for out in outs] == solo
+        assert np.isinf(outs[2]).any() and not np.isnan(outs[2]).any()

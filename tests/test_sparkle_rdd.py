@@ -1,5 +1,9 @@
 """sparkle engine: RDD transformation and action semantics."""
 
+import sys
+import threading
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from repro.sparkle import (
     RangePartitioner,
     SparkleContext,
 )
+from repro.sparkle import storage
+from repro.util import sizeof_block
 
 
 @pytest.fixture
@@ -198,6 +204,83 @@ class TestPartitioners:
         other = kv.partitionBy(partitioner=HashPartitioner(5))
         assert other is not kv
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_grid_placement_is_the_crc32_table(self, n):
+        """Memoised placement is the stable hash's, in any arrival order:
+        a fresh partitioner, one that saw the grid forwards, and one that
+        saw it backwards all place the 24x24 grid as ``crc32(repr(k)) % n``."""
+        grid = [(i, j) for i in range(24) for j in range(24)]
+        table = [zlib.crc32(repr(k).encode()) % n for k in grid]
+        forwards, backwards = HashPartitioner(n), HashPartitioner(n)
+        assert [forwards.partition(k) for k in grid] == table
+        assert [backwards.partition(k) for k in grid[::-1]] == table[::-1]
+        for p in (forwards, backwards, HashPartitioner(n)):
+            assert [p.partition(k) for k in grid] == table
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_equal_keys_that_print_apart_place_apart(self, n):
+        """``1 == 1.0 == True`` and ``(1, 2) == (1.0, 2)``, but each prints —
+        hence hashes — differently: the memo never lends one's placement
+        to another, whichever arrives first."""
+        keys = [1, 1.0, True, (1, 2), (1.0, 2)]
+        want = [zlib.crc32(repr(k).encode()) % n for k in keys]
+        assert len(set(want[:3])) == 3 and want[3] != want[4]  # discriminating
+        for order in (keys, keys[::-1]):
+            p = HashPartitioner(n)
+            got = {repr(k): p.partition(k) for k in order}
+            assert [got[repr(k)] for k in keys] == want
+            assert [p.partition(k) for k in keys] == want
+
+    def test_shared_memo_under_thread_contention(self):
+        """Tasks of one stage share their partitioner: eight threads, each
+        placing the grid in its own order with a tiny switch interval,
+        all read ``crc32(repr(k)) % n`` — a racing first placement writes
+        the same value twice, never a wrong one."""
+        n, grid = 5, [(i, j) for i in range(24) for j in range(24)]
+        table = {k: zlib.crc32(repr(k).encode()) % n for k in grid}
+        shared = HashPartitioner(n)
+        seen = [None] * 8
+
+        def place(t):
+            order = grid[t % 2 :: 2] + grid[(t + 1) % 2 :: 2]
+            if t % 3:
+                order.reverse()
+            seen[t] = {k: shared.partition(k) for k in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=place, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(got == table for got in seen)
+
+    def test_memoising_partitioner_stays_equal(self, sc):
+        """Equality reads the parameters, not the memo: a partitioner that
+        has placed keys still equals (and hashes like) a fresh one, so
+        re-partitioning by it is still no stage at all."""
+        used = HashPartitioner(4)
+        kv = sc.parallelize([((i, i), i) for i in range(8)], 2).partitionBy(
+            partitioner=used
+        )
+        kv.collect()
+        fresh = HashPartitioner(4)
+        assert used == fresh and hash(used) == hash(fresh)
+        again = kv.partitionBy(partitioner=fresh)
+        assert again is kv
+        again.collect()
+        assert sc.metrics.jobs[-1].num_stages == 1  # the map output is reused
+        kv.partitionBy(partitioner=HashPartitioner(5)).collect()
+        assert sc.metrics.jobs[-1].num_stages == 2  # the contrast: a new shuffle
+        assert GridPartitioner(4, 2) == GridPartitioner(4, 2) != GridPartitioner(4, 3)
+        assert RangePartitioner(4, 9) == RangePartitioner(4, 9) != RangePartitioner(4, 8)
+        assert HashPartitioner(4) != RangePartitioner(4, 4)
+
     def test_partition_by_places_by_hash(self, sc):
         p = HashPartitioner(4)
         kv = sc.parallelize([(i, i) for i in range(16)], 3).partitionBy(partitioner=p)
@@ -226,6 +309,30 @@ class TestCaching:
         rdd.unpersist()
         rdd.collect()
         assert len(calls) == 4
+
+
+    def test_cached_shuffled_partition_is_sized_like_its_records(
+        self, sc, monkeypatch
+    ):
+        """A cached ``partitionBy`` partition takes its bytes from the
+        fetch that read it — no walk over the values — and records
+        exactly ``sum(sizeof_block(r) for r in items)``."""
+        records = [((i, i % 3), ("x", np.arange(i + 1.0))) for i in range(12)]
+        records += [("s", 5), (7, [1, 2.5, "ab"]), (2.0, {"k": np.ones(3)})]
+        shuffled = sc.parallelize(records, 3).partitionBy(4).cache()
+
+        def no_walk(_value):
+            raise AssertionError("the block manager walked a fetched partition")
+
+        monkeypatch.setattr(storage, "sizeof_block", no_walk)
+        shuffled.collect()
+        blocks = sc._block_manager
+        for split in range(4):
+            items = blocks.get(shuffled.id, split)
+            assert items is not None
+            assert blocks._bytes[(shuffled.id, split)] == sum(
+                sizeof_block(r) for r in items
+            )
 
 
 class TestDebugString:
