@@ -3,7 +3,7 @@
 :class:`SolverService` turns the batch GEP solver into a long-lived
 service (DESIGN.md §15).  Concurrent clients call :meth:`SolverService.solve`
 (or :meth:`~SolverService.submit` for a ticket); every request passes
-through four defensive layers before an engine pass runs:
+through five defensive layers before an engine pass runs:
 
 1. **Admission control** — a bounded request queue gated by
    :class:`~repro.sparkle.memory.MemoryManager` pressure.  ``critical``
@@ -15,7 +15,10 @@ through four defensive layers before an engine pass runs:
    (:meth:`~repro.sparkle.requests.SolveRequest.fingerprint`, the same
    identity the resume journal uses) coalesce onto one engine pass, and
    completed results land in a checksummed LRU cache charged to the
-   storage pool (squeezes evict it before it can go stale).
+   storage pool (squeezes evict it before it can go stale).  The cache
+   also knows each live entry by the generator identities of the wire
+   requests that reached it, so a repeat socket request is served
+   without regenerating or re-hashing its input.
 3. **Deadlines** — a per-request wall-clock budget covers queueing and
    the pass itself.  Mid-flight it propagates into the scheduler's
    stage/attempt boundaries and the process backend's offload waits
@@ -83,7 +86,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -295,13 +298,18 @@ class SolveTicket:
             self._outcome = outcome
             return True
 
-    def _fulfill(self, result: np.ndarray, *, from_cache: bool = False) -> None:
+    def _fulfill(
+        self, result: np.ndarray, checksum: str, *, from_cache: bool = False
+    ) -> None:
+        """Complete with ``result``, whose :func:`_checksum` the caller
+        already holds — the reply and the journal reuse it."""
         if not self._settle("completed"):
             return
         self.from_cache = from_cache
         self._response = SolveResponse(
             result=result,
             fingerprint=self.fingerprint,
+            checksum=checksum,
             request_id=self.request.request_id,
             from_cache=from_cache,
             coalesced=self.coalesced,
@@ -309,7 +317,9 @@ class SolveTicket:
         )
         # Durable settle *before* waking the waiter: once a client has
         # seen a reply, a crash-and-resume must never re-run the work.
-        self._service._journal_settle(self, "completed", result=result)
+        self._service._journal_settle(
+            self, "completed", result=result, checksum=checksum
+        )
         m = self._service.metrics
         with self._service._metrics_lock:
             m.requests_completed += 1
@@ -395,7 +405,7 @@ class _Flight:
 
 
 class _CacheEntry:
-    __slots__ = ("array", "checksum", "nbytes", "tenant")
+    __slots__ = ("array", "checksum", "nbytes", "tenant", "identities")
 
     def __init__(
         self, array: np.ndarray, checksum: str, tenant: str | None = None
@@ -406,6 +416,9 @@ class _CacheEntry:
         #: tenant whose quota ledger carries this entry's bytes (None =
         #: anonymous or rehydrated-from-spool: storage-charged only)
         self.tenant = tenant
+        #: request identities known to resolve to this entry; they leave
+        #: the cache's identity map together with the entry
+        self.identities: list[Hashable] = []
 
 
 def _checksum(array: np.ndarray) -> str:
@@ -424,6 +437,15 @@ class ResultCache:
     until it fits (or the entry is simply not cached).  A budget
     squeeze invalidates entries until pressure clears, so the cache
     never pins memory the engine needs.
+
+    Beside the entries sits an identity map: a request's
+    :meth:`~repro.sparkle.requests.SolveRequest.identity` → the
+    fingerprint of the live entry it resolved to, learned only from
+    fingerprints computed from a real table (on ``put`` for the flight's
+    waiters, on a hit).  It lets :meth:`SolverService.submit` find a
+    repeat wire request's entry without generating its table.  An
+    identity leaves with its entry, and the map never holds more than
+    ``max_entries`` identities.
     """
 
     OWNER = "service-cache"
@@ -434,6 +456,7 @@ class ResultCache:
         self._metrics = metrics
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _CacheEntry]" = OrderedDict()
+        self._fingerprints: dict[Hashable, str] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -444,8 +467,18 @@ class ResultCache:
         with self._lock:
             return sum(e.nbytes for e in self._entries.values())
 
-    def get(self, fingerprint: str) -> np.ndarray | None:
-        """A verified copy of the cached result, or None."""
+    def fingerprint_of(self, identity: Hashable) -> str | None:
+        """The fingerprint of the live entry ``identity`` resolved to."""
+        with self._lock:
+            return self._fingerprints.get(identity)
+
+    def get(
+        self, fingerprint: str, identity: Hashable | None = None
+    ) -> tuple[np.ndarray, str] | None:
+        """A verified copy of the cached result and its checksum, or None.
+
+        On a hit, ``identity`` (when given) is learned for this entry.
+        """
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
@@ -458,13 +491,24 @@ class ResultCache:
                 return None
             self._entries.move_to_end(fingerprint)
             self._metrics.cache_hits += 1
+            self._learn_locked((identity,), fingerprint)
             # Callers get a private copy; the cached buffer never escapes.
-            return entry.array.copy()
+            return entry.array.copy(), entry.checksum
 
     def put(
-        self, fingerprint: str, result: np.ndarray, *, tenant: str | None = None
+        self,
+        fingerprint: str,
+        result: np.ndarray,
+        *,
+        tenant: str | None = None,
+        checksum: str | None = None,
+        identities: Iterable[Hashable] = (),
     ) -> bool:
         """Cache a fresh result; False if it could not be admitted.
+
+        ``checksum`` is ``_checksum(result)`` when the caller already
+        holds it; ``identities`` (None for a request without one) are
+        learned for the entry.
 
         When the owning tenant has a quota, the entry's bytes are also
         attributed to its tenant ledger — and a quota breach simply
@@ -475,10 +519,11 @@ class ResultCache:
         if self.max_entries == 0:
             return False
         array = np.ascontiguousarray(result).copy()
-        entry = _CacheEntry(array, _checksum(array), tenant)
+        entry = _CacheEntry(array, checksum or _checksum(array), tenant)
         with self._lock:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
+                self._learn_locked(identities, fingerprint)
                 return True
             # The quota is asked first: a refused put must not have
             # evicted anyone to make room for itself.
@@ -495,6 +540,7 @@ class ResultCache:
                     return False
                 self._evict_lru_locked()
             self._entries[fingerprint] = entry
+            self._learn_locked(identities, fingerprint)
             return True
 
     def invalidate(self, fingerprint: str) -> bool:
@@ -525,8 +571,26 @@ class ResultCache:
         self._drop_locked(next(iter(self._entries)))
         self._metrics.cache_evictions += 1
 
+    def _learn_locked(
+        self, identities: Iterable[Hashable], fingerprint: str
+    ) -> None:
+        entry = self._entries[fingerprint]
+        for identity in identities:
+            # An identity names one input and config, so it maps to one
+            # fingerprint; several may share an entry, hence the bound.
+            if (
+                identity is None
+                or identity in self._fingerprints
+                or len(self._fingerprints) >= self.max_entries
+            ):
+                continue
+            self._fingerprints[identity] = fingerprint
+            entry.identities.append(identity)
+
     def _drop_locked(self, fingerprint: str) -> None:
         entry = self._entries.pop(fingerprint)
+        for identity in entry.identities:
+            del self._fingerprints[identity]
         self._memory.release("storage", self.OWNER, entry.nbytes)
         if entry.tenant is not None:
             self._memory.release_tenant(entry.tenant, entry.nbytes)
@@ -729,6 +793,7 @@ class RequestJournal:
         *,
         fingerprint: str | None = None,
         result: np.ndarray | None = None,
+        checksum: str | None = None,
         error: BaseException | None = None,
     ) -> bool:
         """Durably settle ``key``; False if it already settled (dedup).
@@ -737,6 +802,7 @@ class RequestJournal:
         coalesced keys share one block), then the settle record commits
         it — a crash between the two leaves an unreferenced spool block
         that compaction prunes, never a settle without its result.
+        ``checksum`` is ``_checksum(result)`` when the caller holds it.
         """
         record: dict[str, Any] = {
             "kind": "settled",
@@ -750,7 +816,7 @@ class RequestJournal:
                 return False
             if result is not None and fingerprint is not None:
                 self._spool_put_locked(fingerprint, result)
-                record["result_check"] = _checksum(result)
+                record["result_check"] = checksum or _checksum(result)
             if error is not None:
                 record["error_type"] = type(error).__name__
                 record["error_message"] = str(error)
@@ -979,16 +1045,26 @@ class SolverService:
         directly from the durable spool — no admission, no engine pass.
         ``_replay`` marks resume-driven re-submissions, which are
         already in the WAL and must not be re-appended.
+
+        A request whose :meth:`~SolveRequest.identity` the cache already
+        knows takes its fingerprint from the cache's identity map, so a
+        hit never builds (or hashes) a wire request's table; any other
+        request computes it from the table.  Either way the fingerprint
+        is the same string and everything below is one path.
         """
         if request.deadline is None and self.config.default_deadline is not None:
             request = replace(request, deadline=self.config.default_deadline)
-        fingerprint = request.fingerprint()
+        identity = request.identity()
+        fingerprint = (
+            self.cache.fingerprint_of(identity) if identity is not None else None
+        )
+        if fingerprint is None:
+            fingerprint = request.fingerprint()
         deadline_at = (
             time.monotonic() + request.deadline
             if request.deadline is not None
             else None
         )
-        cached: np.ndarray | None = None
         with self._lock:
             if self._stopped:
                 raise RuntimeError("SolverService is stopped")
@@ -1008,8 +1084,8 @@ class SolverService:
             replayed = self._settled_replay_locked(request, fingerprint, deadline_at)
             if replayed is not None:
                 return replayed
-            cached = self.cache.get(fingerprint)
-            if cached is not None:
+            hit = self.cache.get(fingerprint, identity)
+            if hit is not None:
                 with self._metrics_lock:
                     self.metrics.requests_admitted += 1
                     self.metrics.tenant_event(request.tenant, "cache_hits")
@@ -1027,7 +1103,7 @@ class SolverService:
                     ticket.journal_key = self._journal_admit(
                         request, fingerprint, wire, _replay
                     )
-                ticket._fulfill(cached, from_cache=True)
+                ticket._fulfill(*hit, from_cache=True)
                 return ticket
             flight = self._inflight.get(fingerprint)
             if flight is not None and not flight.done:
@@ -1098,7 +1174,9 @@ class SolverService:
         ticket = SolveTicket(
             self, request, settled.get("fingerprint") or fingerprint, deadline_at
         )
-        ticket._fulfill(result, from_cache=True)
+        # settled_result verified the bytes against the record's checksum
+        checksum = settled.get("result_check") or _checksum(result)
+        ticket._fulfill(result, checksum, from_cache=True)
         return ticket
 
     def _journal_admit(
@@ -1148,6 +1226,7 @@ class SolverService:
         outcome: str,
         *,
         result: np.ndarray | None = None,
+        checksum: str | None = None,
         error: BaseException | None = None,
     ) -> None:
         if self._journal is None or ticket.journal_key is None:
@@ -1157,6 +1236,7 @@ class SolverService:
             outcome,
             fingerprint=ticket.fingerprint,
             result=result,
+            checksum=checksum,
             error=error,
         )
 
@@ -1423,10 +1503,21 @@ class SolverService:
         return result
 
     def _finish_flight(self, flight: _Flight, result: np.ndarray) -> None:
+        # The result is hashed once: the cache entry, the journal's
+        # settle records and every waiter's reply share this checksum.
+        checksum = _checksum(result)
+        with self._lock:
+            identities = [t.request.identity() for t in flight.waiters]
         # Cache before unpublishing the flight: a racing duplicate either
         # coalesces (pre-removal) or hits the cache (post-removal) — it
         # never slips between the two into a redundant engine pass.
-        self.cache.put(flight.fingerprint, result, tenant=flight.tenant)
+        self.cache.put(
+            flight.fingerprint,
+            result,
+            tenant=flight.tenant,
+            checksum=checksum,
+            identities=identities,
+        )
         self._release_flight_charge(flight)
         with self._lock:
             flight.done = True
@@ -1434,7 +1525,7 @@ class SolverService:
                 del self._inflight[flight.fingerprint]
             waiters = list(flight.waiters)
         for ticket in waiters:
-            ticket._fulfill(result)
+            ticket._fulfill(result, checksum)
 
     def _fail_flight(self, flight: _Flight, exc: BaseException) -> None:
         self._release_flight_charge(flight)
@@ -1450,6 +1541,11 @@ class SolverService:
         """Return the flight's in-flight quota bytes exactly once."""
         charge, flight.charge = flight.charge, 0
         self._release_tenant_charge(flight.tenant, charge)
+
+    def _note_input_built(self) -> None:
+        """A wire request's table was generated (``_build_request``)."""
+        with self._metrics_lock:
+            self.metrics.inputs_built += 1
 
     # -- lifecycle -----------------------------------------------------
 
@@ -1522,7 +1618,7 @@ class SolverService:
                     continue
                 payload["deadline"] = remaining
             payload["idempotency_key"] = key
-            request = _build_request(payload)
+            request = _build_request(payload, on_build=self._note_input_built)
             while True:
                 try:
                     ticket = self.submit(request, wire=payload, _replay=True)
@@ -1841,36 +1937,114 @@ def _recv_msg(sock: socket.socket, max_bytes: int | None = None) -> Any:
     return pickle.loads(_recv_exact(sock, length))
 
 
+class _GeneratedTable:
+    """A wire request's input, named by its generator parameters.
+
+    ``make_problem`` gives the same bytes for the same arguments, so
+    ``key`` stands for the table.  The table is generated on the first
+    :meth:`get` and shared by every request copied from the one holding
+    this object (``dataclasses.replace`` passes it along).  Pickles as
+    its key alone.
+    """
+
+    __slots__ = ("key", "_on_build", "_table", "_lock")
+
+    def __init__(
+        self,
+        key: tuple[str, int, int, float],
+        on_build: Callable[[], None] | None = None,
+    ) -> None:
+        #: ``make_problem``'s ``(problem, n, seed, density)``
+        self.key = key
+        self._on_build = on_build
+        self._table: np.ndarray | None = None
+        self._lock = threading.Lock()
+
+    def get(self) -> np.ndarray:
+        with self._lock:
+            if self._table is None:
+                from .workloads import make_problem
+
+                _spec, self._table = make_problem(*self.key)
+                if self._on_build is not None:
+                    self._on_build()
+            return self._table
+
+    def __reduce__(self):
+        return (_GeneratedTable, (self.key,))
+
+
+@dataclass
+class _WireRequest(SolveRequest):
+    """A socket-plane request whose table is generated on first use.
+
+    ``table`` is no constructor field here, so neither ``__post_init__``
+    nor ``dataclasses.replace`` nor pickling reads it; the first read
+    generates it through ``source``.
+    """
+
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    source: _GeneratedTable = field(kw_only=True, repr=False, compare=False)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes the instance lacks: ``table`` is
+        # never stored on it, every read goes to the shared source.
+        if name != "table":
+            raise AttributeError(name)
+        return self.source.get()
+
+    def _check_table(self) -> None:
+        """``make_problem`` tables are square and NaN-free (tested)."""
+
+    def identity(self) -> Hashable:
+        return (
+            self.source.key,
+            self.r,
+            self.strategy,
+            tuple(sorted(self.kernel.describe().items())),
+        )
+
+
 def _build_request(
-    payload: dict[str, Any], max_frame_bytes: int | None = None
+    payload: dict[str, Any],
+    max_frame_bytes: int | None = None,
+    *,
+    on_build: Callable[[], None] | None = None,
 ) -> SolveRequest:
-    """Materialize a wire payload into a SolveRequest.
+    """Turn a wire payload into a SolveRequest without building its table.
 
     The wire format names a problem + generator seed rather than
     shipping the table, so identical payloads hash to identical
     fingerprints on the server and dedup/caching work across clients.
+    The request keeps those parameters as its
+    :meth:`~SolveRequest.identity` and generates the table on first
+    use: the fingerprint of an identity the cache does not know (a
+    miss), a tenant charge, the engine pass, a journal replay, or a
+    caller reading ``.table`` or ``.fingerprint()``.  A cache hit
+    resolved by identity builds nothing.  ``on_build`` is called once,
+    when the table is generated.
+
     ``n`` comes from outside: a request whose ``n x n`` result could not
     be framed under ``max_frame_bytes`` is refused before any table is
     generated (allocation-bomb guard, like the frame-length check).
     """
     from .core.dpspark import make_kernel
-    from .workloads import PROBLEM_SPECS, make_problem
+    from .workloads import PROBLEM_SPECS
 
     problem = payload["problem"]
+    if problem not in PROBLEM_SPECS:
+        raise ValueError(f"unknown problem {problem!r}")
     n = int(payload["n"])
-    if max_frame_bytes is not None and problem in PROBLEM_SPECS:
-        result_bytes = n * n * np.dtype(PROBLEM_SPECS[problem]().dtype).itemsize
+    spec = PROBLEM_SPECS[problem]()
+    if max_frame_bytes is not None:
+        result_bytes = n * n * np.dtype(spec.dtype).itemsize
         if result_bytes > max_frame_bytes:
             raise ValueError(
                 f"n={n}: the {result_bytes}-byte result exceeds this "
                 f"server's {max_frame_bytes}-byte frame cap"
             )
-    spec, table = make_problem(
-        problem, n, int(payload.get("seed", 0)), float(payload.get("density", 0.35))
-    )
-    return SolveRequest(
+    return _WireRequest(
         spec=spec,
-        table=table,
         r=int(payload.get("r", 4)),
         kernel=make_kernel(spec, "iterative"),
         strategy=payload.get("strategy", "im"),
@@ -1879,6 +2053,15 @@ def _build_request(
         request_id=payload.get("request_id"),
         tenant=payload.get("tenant"),
         idempotency_key=payload.get("idempotency_key"),
+        source=_GeneratedTable(
+            (
+                problem,
+                n,
+                int(payload.get("seed", 0)),
+                float(payload.get("density", 0.35)),
+            ),
+            on_build,
+        ),
     )
 
 
@@ -2063,7 +2246,9 @@ def _handle_conn(
                     "tenants": service.sc.memory_manager.tenant_usage(),
                 })
                 return
-            request = _build_request(payload, max_frame_bytes)
+            request = _build_request(
+                payload, max_frame_bytes, on_build=service._note_input_built
+            )
             response = service.solve(
                 request,
                 timeout=payload.get("timeout"),
@@ -2075,7 +2260,7 @@ def _handle_conn(
                 "from_cache": response.from_cache,
                 "coalesced": response.coalesced,
                 "wall_seconds": response.wall_seconds,
-                "result_checksum": _checksum(response.result),
+                "result_checksum": response.checksum,
             }
             if payload.get("return_result"):
                 reply["result"] = response.result

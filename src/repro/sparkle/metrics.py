@@ -399,6 +399,9 @@ class ServiceMetrics(_Registry):
     client_disconnects: int = counter("socket")
     #: stale socket files (dead server, no listener) reclaimed on bind
     stale_sockets_reclaimed: int = counter("socket")
+    #: wire-request input tables generated from their seed: one per
+    #: miss, none for a hit the cache resolves by the request's identity
+    inputs_built: int = counter("socket")
     # ---- tenant isolation / brownout (DESIGN.md §18) ----------------------
     #: admissions refused because the tenant's byte quota was hit
     quota_rejections: int = counter("tenancy")

@@ -13,7 +13,10 @@ table, and the result cache.  All three MUST agree byte-for-byte, which
 is why the GEP solver's ``_fingerprint`` delegates here instead of
 keeping a private copy: a drift between "same solve for resume" and
 "same solve for caching" would let the cache serve a result the journal
-would refuse to resume.
+would refuse to resume.  :meth:`SolveRequest.identity` is the one
+shortcut: a request generated from parameters names its input by them,
+and the service's result cache maps that name to a fingerprint it
+computed from the real table once.
 
 Import direction: ``repro.core`` imports ``repro.sparkle``, never the
 reverse — so this module holds spec/kernel objects opaquely and never
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -124,8 +127,30 @@ class SolveRequest:
             raise ValueError("r must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be > 0 seconds (or None)")
-        if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
+        self._check_table()
+
+    def _check_table(self) -> None:
+        """Refuse a table the engine cannot serve bit-identically.
+
+        A NaN is refused outright: its sign bit is not fixed under the
+        kernel's tile stacking, so a cached result could differ from a
+        solo solve of the same input bit for bit.
+        """
+        table = self.table
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("GEP requires a square table")
+        if table.dtype.kind in "fc" and np.isnan(table).any():
+            raise ValueError("request table holds a NaN")
+
+    def identity(self) -> Hashable | None:
+        """The input's generator identity plus the solve config, or None.
+
+        A request whose table was handed in has no name but its bytes
+        (None); one built from generator parameters returns a hashable
+        key that determines :meth:`fingerprint`, so the result cache can
+        resolve it without building the table.
+        """
+        return None
 
     def fingerprint(self) -> str:
         """The dedup/cache/journal identity of this request's solve."""
@@ -151,6 +176,9 @@ class SolveResponse:
 
     result: np.ndarray
     fingerprint: str
+    #: BLAKE2b-128 of ``result``'s bytes: the cache entry's verified
+    #: checksum on a hit, the one hash of a fresh engine result otherwise
+    checksum: str
     request_id: str | None = None
     #: served from the LRU result cache (no engine pass for this request)
     from_cache: bool = False

@@ -30,8 +30,10 @@ def make_problem(
 
     ``ge`` is a diagonally dominant matrix; ``apsp`` the weights of a
     random digraph of the given edge ``density`` and ``tc`` that graph's
-    adjacency.  Same arguments, same bytes — the service's fingerprint
-    dedup across clients depends on it.
+    adjacency.  Same arguments, same bytes — the service depends on it
+    twice: for fingerprint dedup across clients, and on a cache hit,
+    which the service resolves from these arguments without generating
+    the table at all.  No table holds a NaN.
     """
     if problem not in PROBLEM_SPECS:
         raise ValueError(f"unknown problem {problem!r}")

@@ -516,7 +516,7 @@ circuit_closes
 journal_admits journal_settles journal_torn_records journal_replayed
 journal_compactions journal_records_compacted results_rehydrated
 idempotent_replays resume_coalesced
-frames_rejected client_disconnects stale_sockets_reclaimed
+frames_rejected client_disconnects stale_sockets_reclaimed inputs_built
 quota_rejections rate_limited brownout_sheds brownout_degrades
 brownout_transition_count brownout_level per_tenant
 """.split()
