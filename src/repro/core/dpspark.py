@@ -45,8 +45,8 @@ the tile itself) against the copy.  When the context has a worker plane
 (``SparkleContext(backend="processes")``, ``sc.offload``) and the kernel
 pickles, the same list is pickled to a worker in one round-trip — each
 distinct array once, shuffled, CB-stored or broadcast alike — where the
-same ``update_tile`` runs per call, and the updated tiles are pickled
-back.  Every result owns its memory, and both paths are bit-identical;
+same ``update_tiles`` runs it, stacks included, and the updated tiles
+are pickled back.  Every result owns its memory, and both paths are bit-identical;
 the backend-parity property test pins that down.
 """
 

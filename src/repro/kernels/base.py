@@ -5,10 +5,11 @@ arguments of ``kernel.run`` with the tile to update in place of ``x``.
 A task's tile updates are a list of calls, and that list is the unit of
 the data plane: the driver's threads hand it to :func:`update_tiles`,
 the process plane pickles it to a worker as it is (pickle's memo ships
-each distinct array once) and the worker hands each call to
-:func:`update_tile`.  These two functions are the only place a tile
-gets its private copy and has its aliases resolved, so both sides of
-the process boundary compute the same thing by construction.
+each distinct array once, so operands shared by identity stay shared)
+and the worker hands it to :func:`update_tiles` too.  These two
+functions are the only place a tile gets its private copy and has its
+aliases resolved, so both sides of the process boundary compute the
+same thing — the same stacks included — by construction.
 
 Kernels stay duck-typed: anything with ``run(case, x, u, v, w, gi0,
 gj0, gk0, n_global, stats=)`` is one, and ``run_stacks(calls, stats)``
@@ -60,16 +61,28 @@ def update_tile(kernel, call, stats=None):
     return x
 
 
-def update_tiles(kernel, calls, stats=None) -> list:
+def update_tiles(kernel, calls, stats=None, *, stacks=True, mark=None) -> list:
     """Update one task's tiles; returns the updated arrays in call order.
 
-    The kernel's ``run_stacks``, where it has one, takes the calls it
-    can stack; :func:`update_tile` takes whatever it left (``None``).
-    Both produce the same bytes.
+    The kernel's ``run_stacks``, where it has one (and ``stacks`` is
+    true), takes the calls it can stack; :func:`update_tile` takes
+    whatever it left (``None``).  Both produce the same bytes.
+
+    ``mark(None)`` runs before the stacked phase and ``mark(i)`` before
+    call ``i`` goes through :func:`update_tile`: the process worker
+    publishes its heartbeat token there, which is how a crash is pinned
+    to the stacked phase or to one call (DESIGN.md §13).
     """
-    run_stacks = getattr(kernel, "run_stacks", None)
-    results = run_stacks(calls, stats) if run_stacks else [None] * len(calls)
+    run_stacks = getattr(kernel, "run_stacks", None) if stacks else None
+    if run_stacks is None:
+        results = [None] * len(calls)
+    else:
+        if mark is not None:
+            mark(None)
+        results = run_stacks(calls, stats)
     for idx, call in enumerate(calls):
         if results[idx] is None:
+            if mark is not None:
+                mark(idx)
             results[idx] = update_tile(kernel, call, stats)
     return results

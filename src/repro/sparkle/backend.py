@@ -12,10 +12,12 @@ The unit that crosses the boundary is the task's call list itself
 (:mod:`repro.kernels.base`): one ``pickle`` of the list ships every
 distinct array once (pickle's memo is the operand pool — the pivot tile
 20 D calls share travels once) and :data:`ALIAS_X` arrives as the
-worker's own sentinel.  The worker runs :func:`~repro.kernels.base.
-update_tile` per call — the same function the thread path uses — and
-pickles the updated tiles back with their kernel stats.  That is the
-*only* difference from a context without the plane: tasks, shuffle
+worker's own sentinel.  The worker hands the list to :func:`~repro.
+kernels.base.update_tiles` — the function the thread path uses, so the
+kernel's D stacks and B‖C panels happen on this side too — and pickles
+the updated tiles back with the batch's kernel stats and its
+``kernel.run`` count (``worker_kernel_runs``).  That is the *only*
+difference from a context without the plane: tasks, shuffle
 staging, the RDD cache, CB storage and broadcast values stay on driver
 threads and are held by reference, so every scheduler and byte count is
 the same with and without it.
@@ -26,9 +28,10 @@ identical (the worker runs the same NumPy ops on the same bits), so a
 *scheduling* still honours the chaos plane's ``serialize_tasks``
 contract because the offload happens inside the task body.
 
-Worker lifecycle: the pools are created eagerly in the driver's
-constructor thread (forking later, mid-solve, from a many-threaded
-driver is the classic fork-safety trap) and torn down with
+Worker lifecycle: the pools are created, and their first-generation
+workers started by one awaited no-op each, in the driver's constructor
+thread (forking later, mid-solve, from a many-threaded driver is the
+classic fork-safety trap) and torn down with
 ``shutdown(wait=True)`` so no worker outlives the context.  Workers
 disable ``resource_tracker`` registration for shared memory — the
 driver owns the heartbeat board, the one segment there is, and a worker
@@ -39,11 +42,14 @@ Supervision (DESIGN.md §13): every offloaded batch runs under the
 shared-memory board watched by a driver watchdog, batches carry optional
 wall-clock deadlines, and a worker death (``BrokenProcessPool``) runs
 the crash protocol: respawn the pool under deterministic bounded
-backoff, count the failure against the culprit call's poison budget
-(the dead worker took only its own copies of the tiles with it, so
-there is nothing to reclaim), and surface a *retryable*
+backoff, count the failure against the culprit call's poison budget —
+or, for a death in the batch's stacked phase, against no call, sending
+the batch's calls down the unstacked path from then on (the stack-token
+rule) — and surface a *retryable*
 :class:`~.errors.WorkerCrashed` / :class:`~.errors.TaskDeadlineExceeded`
-so the DAGScheduler's attempt machinery re-runs the task.  A call that
+so the DAGScheduler's attempt machinery re-runs the task (the dead
+worker took only its own copies of the tiles with it, so there is
+nothing to reclaim).  A call that
 kills ``max_task_failures`` fresh workers is quarantined with
 :class:`~.errors.PoisonTaskError`.  Respawned pools use the ``spawn``
 start method: after a crash the safest worker is one that shares no
@@ -64,7 +70,7 @@ from typing import Any
 
 import numpy as np
 
-from ..kernels.base import ALIAS_X, update_tile
+from ..kernels.base import ALIAS_X, update_tiles
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
 from .metrics import EngineMetrics
@@ -85,6 +91,14 @@ BACKENDS = ("threads", "processes")
 # methods)
 # ----------------------------------------------------------------------
 _WORKER_KERNEL_CACHE: dict[bytes, Any] = {}
+#: ``kernel.run`` calls this worker has made; a reply carries the
+#: difference across its batch (``worker_kernel_runs``)
+_WORKER_RUNS = [0]
+
+
+def _worker_ready() -> None:  # pragma: no cover - worker side
+    """The no-op the constructor awaits once per slot: submitting it is
+    what starts a first-generation worker, in the constructor's thread."""
 
 
 def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker side
@@ -112,10 +126,31 @@ def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker si
         _attach_worker(*supervision_args)
 
 
+def _worker_kernel(kernel_blob: bytes):  # pragma: no cover - worker side
+    """The worker's unpickled kernel for ``kernel_blob``, its ``run``
+    counted.  The counter is an instance attribute, so the ``self.run``
+    calls a kernel's ``run_stacks`` makes are counted too."""
+    kernel = _WORKER_KERNEL_CACHE.get(kernel_blob)
+    if kernel is None:
+        kernel = pickle.loads(kernel_blob)
+        run = kernel.run
+
+        def counted(*args, **kwargs):
+            _WORKER_RUNS[0] += 1
+            return run(*args, **kwargs)
+
+        kernel.run = counted
+        if len(_WORKER_KERNEL_CACHE) > 32:
+            _WORKER_KERNEL_CACHE.clear()
+        _WORKER_KERNEL_CACHE[kernel_blob] = kernel
+    return kernel
+
+
 def _kernel_batch_task(
     kernel_blob: bytes,
     calls: list,
     tokens: list,
+    stack_token: int | None,
     injects: list,
     want_stats: bool,
 ):  # pragma: no cover - exercised in worker processes
@@ -123,38 +158,44 @@ def _kernel_batch_task(
     round-trip (a single call is a batch of one).
 
     ``calls`` is the driver's call list as it is; ``tokens`` and
-    ``injects`` run parallel to it.  Returns ``[(updated_tile, stats),
-    ...]`` in call order.  Each call goes through :func:`~repro.kernels.
-    base.update_tile` — one kernel call per token — whose private copy
-    is required, not defensive: pickle memoises, so an array that is one
-    call's tile and another call's operand arrives here as *one* object,
-    and the other call must read the values the driver sent.
+    ``injects`` run parallel to it.  The calls go through
+    :func:`~repro.kernels.base.update_tiles` — the thread path's own
+    function, so the kernel's ``run_stacks`` groups them exactly as it
+    groups a thread task's list (pickle's memo keeps a shared pivot one
+    object, so panels key alike).  Returns ``(runs, tiles, stats)``: the
+    ``kernel.run`` calls made, the updated tiles in call order, and one
+    ``KernelStats`` for the batch (``None`` unless ``want_stats``).
 
-    Error attribution: the worker publishes each call's ``token`` on
-    its heartbeat-board row *before* running the call, and the row keeps
-    that token until the driver resets the slot — so a crash mid-batch
-    leaves the culprit call's token behind for the driver to map back to
-    the exact tile (DESIGN.md §12).
+    Error attribution, the stack-token rule (DESIGN.md §13): shipped
+    faults fire first, in call order, each under its own call's token
+    (every one is fatal, so firing it before the math changes only
+    timing); the stacked phase runs under ``stack_token``; every call
+    it leaves runs under its own token.  A token stays on the worker's
+    heartbeat row until the driver resets the slot, so a death leaves
+    behind either the stack token or the exact culprit call's.  A
+    ``stack_token`` of ``None`` runs every call on its own.
     """
     from ..kernels.stats import KernelStats
     from .supervisor import worker_begin_task, worker_end_task, worker_self_fault
 
-    kernel = _WORKER_KERNEL_CACHE.get(kernel_blob)
-    if kernel is None:
-        kernel = pickle.loads(kernel_blob)
-        if len(_WORKER_KERNEL_CACHE) > 32:
-            _WORKER_KERNEL_CACHE.clear()
-        _WORKER_KERNEL_CACHE[kernel_blob] = kernel
-    out = []
+    kernel = _worker_kernel(kernel_blob)
+    stats = KernelStats() if want_stats else None
+    before = _WORKER_RUNS[0]
     try:
-        for call, token, inject in zip(calls, tokens, injects):
-            worker_begin_task(token)
+        for token, inject in zip(tokens, injects):
             if inject is not None:
+                worker_begin_task(token)
                 worker_self_fault(inject)
-            stats = KernelStats() if want_stats else None
-            out.append((update_tile(kernel, call, stats), stats))
-            worker_end_task()
-        return out
+        tiles = update_tiles(
+            kernel,
+            calls,
+            stats,
+            stacks=stack_token is not None,
+            mark=lambda idx: worker_begin_task(
+                stack_token if idx is None else tokens[idx]
+            ),
+        )
+        return _WORKER_RUNS[0] - before, tiles, stats
     finally:
         worker_end_task()
 
@@ -221,7 +262,7 @@ class ProcessBackend:
         self._pool_lock = threading.Lock()
         self._respawns = 0
         self._rr = itertools.count()
-        # One single-worker pool per slot, created eagerly: fork from
+        # One single-worker pool per slot, started eagerly: fork from
         # the constructor's (driver) thread, before executor threads and
         # their locks exist.  A targeted submit queue per worker is what
         # lets placement address a *specific* worker — a shared
@@ -231,6 +272,15 @@ class ProcessBackend:
             self._make_pool(start_method, slot) for slot in range(num_workers)
         ]
         self._generations = [0] * num_workers
+        # A ProcessPoolExecutor starts its process at the first submit.
+        # Make that submit here and wait for it, so the fork happens in
+        # this thread rather than in an executor thread mid-solve.
+        try:
+            for ready in [pool.submit(_worker_ready) for pool in self._pools]:
+                ready.result()
+        except BaseException:
+            self._emergency_cleanup()
+            raise
         # Reap on unclean-but-orderly exits (sys.exit, uncaught error):
         # kill registered workers, unlink the board.  A SIGKILLed
         # driver never reaches atexit — that case is covered by the
@@ -296,10 +346,11 @@ class ProcessBackend:
         ``calls`` is a list of ``(case, x, u, v, w, gi0, gj0, gk0,
         n_global)`` tuples and crosses the process boundary as it is —
         one pickle, each distinct array once — beside one heartbeat
-        token and one optional shipped fault per call; returns
-        ``[(fresh_tile, stats), ...]`` in call order.  The worker
-        updates a private copy of each tile (:func:`~repro.kernels.base.
-        update_tile`, the thread path's own function): the inputs are
+        token and one optional shipped fault per call, and one stack
+        token for the batch; returns ``[(fresh_tile, stats), ...]`` in
+        call order, the batch's one ``KernelStats`` on the first entry.
+        The worker runs :func:`~repro.kernels.base.update_tiles`, the
+        thread path's own function, stacks included: the inputs are
         never written, and a worker that dies mid-batch takes only its
         own copies with it, so retry purity needs no reclaim step.  Each
         result is copied out of the reply (an unpickled array is a view
@@ -309,9 +360,10 @@ class ProcessBackend:
         Supervised: the wait honours ``task_deadline`` and the job
         deadline (:meth:`_await_member`), a seeded real process fault
         may be shipped along with a call, and a worker death runs the
-        crash protocol (:meth:`_handle_member_death`) with the culprit
-        *call* attributed — quarantine names the exact tile even though
-        the whole batch died with the worker.
+        crash protocol (:meth:`_handle_member_death`).  A batch whose
+        stacked phase once killed a worker runs unstacked from then on
+        (no stack token), so a repeat death is attributed to the exact
+        call and quarantine names the exact tile.
         """
         from concurrent.futures.process import BrokenProcessPool
 
@@ -319,10 +371,10 @@ class ProcessBackend:
             return []
         sup = self.supervisor
         kernel_id = hashlib.blake2b(kernel_blob, digest_size=4).hexdigest()
-        for case, _x, _u, _v, _w, gi0, gj0, gk0, _n in calls:
-            sig = (kernel_id, case, gi0, gj0, gk0)
+        sigs = [(kernel_id, call[0], *call[5:8]) for call in calls]
+        for sig in sigs:
             if sup.is_quarantined(sig):
-                coordinate = (gi0, gj0, gk0)
+                case, coordinate = sig[1], sig[2:]
                 raise PoisonTaskError(
                     f"kernel call case={case} tile@{coordinate} is quarantined "
                     f"(killed {sup.failures(sig)} workers)",
@@ -334,6 +386,9 @@ class ProcessBackend:
         slot = self._default_slot()
         pool, generation = self._slot_pool(slot)
         tokens = [sup.next_token() for _ in calls]
+        stack_token = (
+            sup.next_token() if len(calls) > 1 and not sup.any_unstacked(sigs) else None
+        )
         plan = self.fault_plan
         injects = [
             plan.worker_fault(call[0], *call[5:8]) if plan is not None else None
@@ -341,7 +396,13 @@ class ProcessBackend:
         ]
         try:
             fut = pool.submit(
-                _kernel_batch_task, kernel_blob, calls, tokens, injects, want_stats
+                _kernel_batch_task,
+                kernel_blob,
+                calls,
+                tokens,
+                stack_token,
+                injects,
+                want_stats,
             )
             self._metrics.dispatch_round_trips += 1
             reply = self._await_member(fut, slot, len(calls))
@@ -367,10 +428,12 @@ class ProcessBackend:
                 if not stale:
                     raise
             raise self._handle_member_death(
-                slot, generation, calls, tokens, injects, kernel_id, deadline
+                slot, generation, calls, sigs, tokens, stack_token, injects, deadline
             ) from exc
+        runs, tiles, stats = reply
         self._metrics.kernel_offloads += len(calls)
-        return [(np.array(x), stats) for x, stats in reply]
+        self._metrics.worker_kernel_runs += runs
+        return [(np.array(x), stats if i == 0 else None) for i, x in enumerate(tiles)]
 
     # -- supervision ---------------------------------------------------
     def _await_member(self, fut, slot: int, ncalls: int):
@@ -433,9 +496,10 @@ class ProcessBackend:
         slot: int,
         generation: int,
         calls: list,
+        sigs: list,
         tokens: list,
+        stack_token: int | None,
         injects: list,
-        kernel_id: str,
         deadline: "_MemberDeadline | None",
     ) -> BaseException:
         """The crash protocol: respawn, count; returns the typed
@@ -446,48 +510,57 @@ class ProcessBackend:
         backs off and re-runs.
 
         Culprit attribution, in priority order: the call carrying a
-        driver-shipped fault; the call whose token the dead worker last
-        published on its board row (read *before* the respawn resets the
-        row); the batch's first call.  The failure is counted against
-        that one call's poison budget, so quarantine names the exact
-        tile even though the whole batch died with the worker.
+        driver-shipped fault; the stacked phase, when the dead worker's
+        board row (read *before* the respawn resets it) shows the
+        batch's stack token; the call whose token it shows; the batch's
+        first call.  A culprit call is charged one failure against its
+        poison budget, so quarantine names the exact tile even though
+        the whole batch died with the worker.  A stacked-phase death
+        charges no call — no one tile is to blame — and marks the
+        batch's calls to run unstacked from then on, so a repeat death
+        is charged to its exact call.
         """
         sup = self.supervisor
         culprit = next((i for i, inj in enumerate(injects) if inj is not None), None)
         if culprit is None:
             tok = sup.token_for_slot(slot)
-            culprit = tokens.index(tok) if tok in tokens else 0
+            if stack_token is None or tok != stack_token:
+                culprit = tokens.index(tok) if tok in tokens else 0
         self._metrics.worker_crashes += 1
         self._respawn_slot(slot, generation)
-        inject = injects[culprit]
-        case, _x, _u, _v, _w, gi0, gj0, gk0, _n = calls[culprit]
-        task_sig = (kernel_id, case, gi0, gj0, gk0)
-        coordinate = (gi0, gj0, gk0)
-        failures = sup.record_failure(task_sig)
-        reason = inject or ("deadline" if deadline is not None else "crash")
-        if failures >= self.supervision.max_task_failures:
-            sup.quarantine(task_sig)
-            return PoisonTaskError(
-                f"kernel call case={case} tile@{coordinate} killed "
-                f"{failures} fresh workers ({reason}); quarantined as poison",
-                coordinate=coordinate,
-                case=case,
-                kernel_id=kernel_id,
-                failures=failures,
-            )
+        reason = "deadline" if deadline is not None else "crash"
+        limit = self.supervision.max_task_failures
+        if culprit is None:
+            sup.unstack(sigs)
+            where = "the stacked phase"
+            charged = "no call charged; its calls now run unstacked"
+        else:
+            reason = injects[culprit] or reason
+            sig = sigs[culprit]
+            kernel_id, case, coordinate = sig[0], sig[1], sig[2:]
+            failures = sup.record_failure(sig)
+            if failures >= limit:
+                sup.quarantine(sig)
+                return PoisonTaskError(
+                    f"kernel call case={case} tile@{coordinate} killed "
+                    f"{failures} fresh workers ({reason}); quarantined as poison",
+                    coordinate=coordinate,
+                    case=case,
+                    kernel_id=kernel_id,
+                    failures=failures,
+                )
+            where = f"case={case} tile@{coordinate}"
+            charged = f"failure {failures}/{limit}"
         if deadline is not None:
             return TaskDeadlineExceeded(
-                f"kernel call case={case} tile@{coordinate} (batch of "
-                f"{len(calls)}) SIGKILLed after {deadline.elapsed:.3f}s "
-                f"(budget {deadline.budget:.3f}s)",
+                f"kernel on {where} (batch of {len(calls)}) SIGKILLed after "
+                f"{deadline.elapsed:.3f}s (budget {deadline.budget:.3f}s; {charged})",
                 deadline=deadline.budget,
                 elapsed=deadline.elapsed,
             )
         return WorkerCrashed(
-            f"worker died mid-kernel ({reason}) on case={case} "
-            f"tile@{coordinate} (batch of {len(calls)}); slot {slot} "
-            f"respawned (failure {failures}/"
-            f"{self.supervision.max_task_failures})",
+            f"worker died mid-kernel ({reason}) on {where} (batch of "
+            f"{len(calls)}); slot {slot} respawned ({charged})",
             reason=reason,
             slot=slot,
         )

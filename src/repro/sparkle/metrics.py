@@ -267,6 +267,9 @@ class EngineMetrics(_Registry):
     #: kernel-running task — THE multicore-gap metric (the tile updates
     #: those round-trips carried are ``kernel_offloads``)
     dispatch_round_trips: int = counter("data_plane")
+    #: ``kernel.run`` calls the workers made for those tile updates: a
+    #: stack is one run, as on the thread path
+    worker_kernel_runs: int = counter("data_plane")
     # ---- supervision counters (worker liveness / crash protocol) -------
     #: workers whose heartbeat went silent past the watchdog threshold
     heartbeats_missed: int = counter("supervision")

@@ -576,6 +576,12 @@ class DAGScheduler:
         stall never computes, so it cannot mutate shared state after
         losing.  Both copies are pure recomputations from lineage, so if
         both do finish the results are identical and either is safe.
+
+        A straggler that outlives its stall reads what the copy reads
+        under the same attempt, so the chaos plan's I/O faults fire for
+        it too; its failure is moot, but the fault is counted in
+        ``transient_io_failures`` like the copy's, so the recovery
+        metrics account for every fault the plan fired.
         """
         metrics = self.ctx.metrics
         cancel = threading.Event()
@@ -588,6 +594,8 @@ class DAGScheduler:
             token = CURRENT_TASK.set(straggler_tc)
             try:
                 original["written"] = body(straggler_tc)
+            except TransientIOError:
+                metrics.transient_io_failures += 1
             except BaseException:  # noqa: BLE001 - loser's failure is moot
                 pass
             finally:

@@ -18,7 +18,8 @@ supervision provides on a real cluster.  Three cooperating pieces:
   an undetectable hang (SIGSTOP, C-loop livelock) into the crash the
   protocol below already handles.
 * :class:`WorkerSupervisor` — the driver-side brain the backend calls
-  into: issues call tokens, keeps the per-task crash ledger, decides
+  into: issues call and stack tokens, keeps the per-task crash ledger
+  (with the calls whose stacked phase killed a worker), decides
   poison quarantine after ``max_task_failures`` worker deaths, owns the
   deterministic respawn backoff schedule, and latches the
   degrade-on-crash signal the GEP solver polls at outer-iteration
@@ -268,6 +269,7 @@ class WorkerSupervisor:
         self._ledger_lock = threading.Lock()
         self._failures: dict[tuple, int] = {}
         self._quarantined: set[tuple] = set()
+        self._unstacked: set[tuple] = set()
         self._degrade_latch = False
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop = threading.Event()
@@ -435,6 +437,20 @@ class WorkerSupervisor:
     def is_quarantined(self, task_sig: tuple) -> bool:
         with self._ledger_lock:
             return task_sig in self._quarantined
+
+    def unstack(self, task_sigs: list) -> None:
+        """Mark the calls of a batch that died in its stacked phase: no
+        one call is to blame, so none is charged, and their offloads run
+        one call per token from now on — a repeat death names its call."""
+        with self._ledger_lock:
+            self._unstacked.update(task_sigs)
+
+    def any_unstacked(self, task_sigs: list) -> bool:
+        """Whether a batch holding these calls must run unstacked."""
+        if not self._unstacked:  # the fault-free path takes no lock
+            return False
+        with self._ledger_lock:
+            return any(sig in self._unstacked for sig in task_sigs)
 
     def quarantined(self) -> list[tuple]:
         with self._ledger_lock:

@@ -704,26 +704,73 @@ class _RunOnlyKernel:
         self.inner.run(*args, **kwargs)
 
 
-class _NoStacksKernel(_RunOnlyKernel):
-    def run_stacks(self, calls, stats=None):
-        raise AssertionError("the worker runs one call per token")
-
-
 @needs_shm
-def test_worker_takes_the_single_call_path_and_run_is_enough():
-    """A batch of stackable D calls offloads correctly through a kernel
-    whose ``run_stacks`` raises (the worker calls ``update_tile`` per
-    call), and a kernel with only ``run`` works through ``update_tiles``
-    and ``run_kernel_batch`` alike."""
+def test_worker_runs_the_thread_paths_stacks_and_run_is_enough():
+    """A batch of stackable D calls reaches the worker's kernel as the
+    thread path's stack — one ``kernel.run`` for six tiles — and a
+    kernel with only ``run`` works through ``update_tiles`` and
+    ``run_kernel_batch`` alike, one run per call."""
+    from repro.sparkle.metrics import EngineMetrics
+
     calls = _d_calls(6, seed=5)
     expect = [x.tobytes() for x in _thread_path(calls)]
     inner = make_kernel(_FW, "iterative")
-    assert any(out is not None for out in inner.run_stacks(calls)), "stackable"
+    assert all(out is not None for out in inner.run_stacks(calls)), "one stack"
     assert [x.tobytes() for x in update_tiles(_RunOnlyKernel(inner), calls)] == expect
-    with _process_backend() as backend:
-        for kernel in (_NoStacksKernel(inner), _RunOnlyKernel(inner)):
+    metrics = EngineMetrics()
+    with _process_backend(metrics=metrics) as backend:
+        for kernel, runs in ((inner, 1), (_RunOnlyKernel(inner), 6)):
+            before = metrics.worker_kernel_runs
             outs = backend.run_kernel_batch(pickle.dumps(kernel), calls)
             assert [out.tobytes() for out, _ in outs] == expect
+            assert metrics.worker_kernel_runs - before == runs
+
+
+@needs_shm
+@pytest.mark.batching
+def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
+    """FW n=96 r=12 IM: the workers make exactly the ``kernel.run`` calls
+    the thread path makes for the same solve — its D stacks and B‖C
+    panels — while ``kernel_offloads`` still counts every tile update,
+    and the outputs agree byte for byte."""
+    from repro.kernels import IterativeKernel
+
+    spec = FloydWarshallGep()
+    table = fw_table(96, seed=1)
+    runs = []
+    run = IterativeKernel.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(args[0])
+        return run(self, *args, **kwargs)
+
+    def solve(backend):
+        with SparkleContext(2, 1, backend=backend) as sc:
+            solver = GepSparkSolver(
+                spec, sc, r=12, kernel=make_kernel(spec, "iterative"), strategy="im"
+            )
+            return solver.solve(table.copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IterativeKernel, "run", counted)
+        threads_out, _ = solve("threads")
+    out, report = solve("processes")
+    m = report.engine_metrics
+    assert out.tobytes() == threads_out.tobytes()
+    assert m.kernel_offloads == 12**3
+    assert m.worker_kernel_runs == len(runs)
+    assert len(runs) < 12**3 // 4, "the worker stacks"
+
+
+@needs_shm
+def test_workers_start_with_the_context():
+    """The first-generation workers are forked in the constructor's
+    thread: right after ``SparkleContext(backend="processes")``, with no
+    solve run, every slot has a live worker on its heartbeat row."""
+    with SparkleContext(3, 1, backend="processes") as sc:
+        pids = sc.offload.supervisor.worker_pids()
+        live = {p.pid for p in multiprocessing.active_children()}
+        assert len(pids) == 3 and set(pids) <= live
 
 
 @needs_shm

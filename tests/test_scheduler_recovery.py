@@ -5,6 +5,9 @@ These pin down the recovery machinery the chaos harness
 (tests/test_chaos.py) exercises end-to-end.
 """
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,38 @@ class TestSpeculation:
             assert got == [1, 2, 3, 4]
             assert sc.metrics.speculative_launched == 0
             assert sc.metrics.speculative_wins == 0
+
+    def test_straggler_that_outlives_its_stall_has_its_io_fault_counted(self):
+        """The interleaving behind a flaky chaos count, forced: the copy
+        is held until the straggler has woken and hit the plan's storage
+        fault.  Both fail under the same attempt, the plan fires twice,
+        and ``transient_io_failures`` counts both."""
+        plan = FaultPlan(
+            3, [FaultSpec("slow", 1.0, delay=0.001), FaultSpec("storage", 1.0)]
+        )
+        copy_thread = threading.current_thread()
+        straggled = threading.Event()
+
+        def body(tc):
+            straggler = threading.current_thread() is not copy_thread
+            if not straggler:
+                assert straggled.wait(10.0), "the straggler never woke"
+            try:
+                if plan.io_fault("storage", "block"):
+                    raise TransientIOError("injected storage read fault")
+            finally:
+                if straggler:
+                    straggled.set()
+            return 0
+
+        with SparkleContext(1, 1, fault_plan=plan) as sc:
+            record = sc._scheduler._attempt_with_retries(
+                SimpleNamespace(id=0), 0, body
+            )
+            m = sc.metrics
+            assert record.attempts == 2 and m.tasks_retried == 1
+            assert m.speculative_launched == plan.fired()["slow"] == 1
+            assert m.transient_io_failures == plan.fired()["storage"] == 2
 
     def test_speculation_in_summary(self):
         plan = FaultPlan(21, [FaultSpec("slow", rate=1.0, delay=0.05)])

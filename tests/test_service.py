@@ -124,8 +124,10 @@ class SlowKernel:
         return self.inner.run(*args, **kwargs)
 
     def __getattr__(self, name):
-        # guard against pickle probing attributes before __init__ ran
-        if "inner" not in self.__dict__:
+        # guard against pickle probing attributes before __init__ ran;
+        # and no ``run_stacks``: the inner kernel's would run its own
+        # ``run``, not this sleeping one, on either backend
+        if "inner" not in self.__dict__ or name == "run_stacks":
             raise AttributeError(name)
         return getattr(self.inner, name)
 

@@ -501,7 +501,7 @@ spill_bytes_written spill_bytes_read blocks_spilled shuffle_blocks_spilled
 spill_reads admission_waits admission_wait_seconds pressure_transitions
 mem_squeezes strategy_degradations forced_grants shuffle_partial_cleanups
 execution_peak_bytes storage_peak_bytes shuffles_released cached_rdds_retired
-backend kernel_offloads dispatch_round_trips
+backend kernel_offloads dispatch_round_trips worker_kernel_runs
 heartbeats_missed workers_respawned worker_crashes deadlines_exceeded
 poison_tasks backend_degradations
 broadcast_count storage_puts storage_gets

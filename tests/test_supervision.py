@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
+from repro.kernels import IterativeKernel
+from repro.kernels.base import update_tiles
 from repro.sparkle import (
     BlockNotFoundError,
     CorruptBlockError,
@@ -144,6 +146,44 @@ class CrashyKernel:
         return self.inner.run(
             case, x, u, v, w, gi0, gj0, gk0, n, stats=stats
         )
+
+
+class PoisonTileKernel(IterativeKernel):
+    """The iterative kernel, ``run_stacks`` included, except that a
+    worker process running the tile at ``coordinate`` — alone or inside
+    a stack — SIGKILLs itself."""
+
+    def __init__(self, spec, driver_pid, coordinate):
+        super().__init__(spec)
+        self.driver_pid = driver_pid
+        self.coordinate = coordinate
+
+    def run(self, case, x, u, v, w, gi0, gj0, gk0, n, stats=None):
+        offsets = zip(gi0, gj0) if x.ndim == 3 else [(gi0, gj0)]
+        hit = any((i0, j0, gk0) == self.coordinate for i0, j0 in offsets)
+        if hit and os.getpid() != self.driver_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().run(case, x, u, v, w, gi0, gj0, gk0, n, stats)
+
+
+class SlowStackKernel(IterativeKernel):
+    """Sleeps through any stack; a single tile runs as usual."""
+
+    def run(self, case, x, *args, **kwargs):
+        if x.ndim == 3:
+            time.sleep(60.0)
+        return super().run(case, x, *args, **kwargs)
+
+
+def _stackable_calls(count):
+    """``count`` independent case-D calls on 6x6 tiles of a 24x24 FW
+    table — one stack on the iterative kernel."""
+    rng = np.random.default_rng(count)
+
+    def tile():
+        return rng.uniform(1.0, 9.0, (6, 6))
+
+    return [("D", tile(), tile(), tile(), None, 6 * i, 12, 18, 24) for i in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +405,78 @@ class TestPoisonQuarantine:
                 backend, pickle.dumps(inner), coordinate=(4, 4, 4)
             )
             assert out.shape == (4, 4)
+        finally:
+            backend.shutdown()
+        assert glob.glob(f"/dev/shm/{prefix}*") == []
+
+
+class TestStackedWorker:
+    """The stack-token rule (DESIGN.md §13): a death in a batch's stacked
+    phase charges no call and sends the batch's calls down the unstacked
+    path, where a repeat death is charged to its exact call."""
+
+    @staticmethod
+    def _backend(metrics, **supervision):
+        backend = ProcessBackend(
+            num_workers=1,
+            metrics=metrics,
+            supervision=SupervisionConfig(heartbeat_interval=0.0, **supervision),
+        )
+        backend.supervisor.respawn_backoff_base = 0.0
+        return backend
+
+    @pytest.mark.timeout(120)
+    def test_stack_death_charges_no_call_and_quarantine_names_the_tile(self):
+        calls = _stackable_calls(4)
+        culprit = tuple(calls[2][5:8])
+        expect = [x.tobytes() for x in update_tiles(make_kernel(SPEC, "iterative"), calls)]
+        metrics = EngineMetrics()
+        backend = self._backend(metrics, max_task_failures=2)
+        blob = pickle.dumps(PoisonTileKernel(SPEC, os.getpid(), culprit))
+        try:
+            prefix = backend.supervisor.prefix
+            # 1st death, inside the stack: retryable, and no call is
+            # charged — were one charged, the 2nd death would quarantine
+            with pytest.raises(WorkerCrashed, match="no call charged"):
+                backend.run_kernel_batch(blob, calls)
+            # the retry runs one call per token: this death is the tile's
+            with pytest.raises(WorkerCrashed, match=r"failure 1/2"):
+                backend.run_kernel_batch(blob, calls)
+            with pytest.raises(PoisonTaskError) as excinfo:
+                backend.run_kernel_batch(blob, calls)
+            assert excinfo.value.coordinate == culprit
+            assert excinfo.value.case == "D"
+            assert excinfo.value.failures == 2
+            assert [sig[1:] for sig in backend.supervisor.quarantined()] == [
+                ("D", *culprit)
+            ]
+            assert metrics.worker_crashes == 3 and metrics.poison_tasks == 1
+            # the other calls still offload, stacked, with a sound kernel
+            blob = pickle.dumps(make_kernel(SPEC, "iterative"))
+            outs = backend.run_kernel_batch(blob, calls)
+            assert [out.tobytes() for out, _ in outs] == expect
+            assert metrics.worker_kernel_runs == 1
+        finally:
+            backend.shutdown()
+        assert glob.glob(f"/dev/shm/{prefix}*") == []
+
+    @pytest.mark.timeout(120)
+    def test_deadline_inside_a_stack_is_typed_and_the_retry_completes(self):
+        calls = _stackable_calls(4)
+        expect = [x.tobytes() for x in update_tiles(make_kernel(SPEC, "iterative"), calls)]
+        metrics = EngineMetrics()
+        backend = self._backend(metrics, task_deadline=0.5)
+        blob = pickle.dumps(SlowStackKernel(SPEC))
+        try:
+            prefix = backend.supervisor.prefix
+            with pytest.raises(TaskDeadlineExceeded, match="stack") as excinfo:
+                backend.run_kernel_batch(blob, calls)
+            assert excinfo.value.deadline == pytest.approx(2.0)  # 0.5 s x 4
+            assert metrics.deadlines_exceeded >= 1
+            assert metrics.worker_crashes == 1
+            outs = backend.run_kernel_batch(blob, calls)  # unstacked now
+            assert [out.tobytes() for out, _ in outs] == expect
+            assert metrics.worker_kernel_runs == 4
         finally:
             backend.shutdown()
         assert glob.glob(f"/dev/shm/{prefix}*") == []
