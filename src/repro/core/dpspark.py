@@ -738,6 +738,7 @@ class GepSparkSolver:
         spec, part = self.spec, self.partitioner
         bs = b_range(spec, k, nt)
         cs = c_range(spec, k, nt)
+        a_keys = frozenset({(k, k)})
         b_keys = frozenset((k, j) for j in bs)
         c_keys = frozenset((i, k) for i in cs)
         d_keys = frozenset((i, j) for i in cs for j in bs)
@@ -747,32 +748,33 @@ class GepSparkSolver:
         # ---- stage 1: kernel A on the pivot tile, with consumer copies
         needs_w = spec.needs_w
 
+        # A fan-out shares one role tuple per tile across its consumers
+        # (the shuffle sizes each distinct value once).
         def a_rec(kv):
             (key, tile) = kv
             (x,) = batch([a_call(tile)])
             out = [(key, ("x", x))]
-            for bk_ in b_keys:
-                out.append((bk_, ("uw", x)))
-            for ck_ in c_keys:
-                out.append((ck_, ("vw", x)))
+            uw, vw = ("uw", x), ("vw", x)
+            out.extend((bk_, uw) for bk_ in b_keys)
+            out.extend((ck_, vw) for ck_ in c_keys)
             if needs_w:
                 # Only GEPs whose f reads c[k,k] (e.g. GE) fan the pivot
                 # out to every D consumer — the heavy pattern that makes
                 # IM lose to CB on the GE benchmark (paper §V-C).
-                for dk_ in d_keys:
-                    out.append((dk_, ("w", x)))
+                w = ("w", x)
+                out.extend((dk_, w) for dk_ in d_keys)
             return out
 
         a_out = (
-            dp.filter(lambda kv: kv[0] == (k, k))
+            _selected(dp, a_keys)
             .flatMap(a_rec)
             .partitionBy(partitioner=part)
             .cache()
         )
-        a_updated = a_out.filter(lambda kv: kv[0] == (k, k)).mapValues(lambda rv: rv[1])
+        a_updated = _selected(a_out, a_keys, "untag")
 
         if not bs and not cs:
-            untouched = dp.filter(lambda kv: kv[0] != (k, k))
+            untouched = _selected(dp, a_keys, "reject")
             return self.sc.union([untouched, a_updated]).partitionBy(partitioner=part)
 
         # ---- stage 2: kernels B and C, coupled with pivot copies.
@@ -791,17 +793,16 @@ class GepSparkSolver:
                 i, j = key
                 out.append((key, ("x", x)))
                 if i == k:
-                    out.extend(((ii, j), ("v", x)) for ii in cs)
+                    v = ("v", x)
+                    out.extend(((ii, j), v) for ii in cs)
                 else:
-                    out.extend(((i, jj), ("u", x)) for jj in bs)
+                    u = ("u", x)
+                    out.extend(((i, jj), u) for jj in bs)
             return out
 
         bc_keys = b_keys | c_keys
         bc_in = self.sc.union(
-            [
-                dp.filter(lambda kv: kv[0] in bc_keys).mapValues(lambda t: ("x", t)),
-                a_out.filter(lambda kv: kv[0] in bc_keys),
-            ]
+            [_selected(dp, bc_keys, "tag"), _selected(a_out, bc_keys)]
         )
         bc_out = (
             bc_in.combineByKey(
@@ -811,9 +812,7 @@ class GepSparkSolver:
             .partitionBy(partitioner=part)
             .cache()
         )
-        bc_updated = bc_out.filter(lambda kv: kv[0] in bc_keys).mapValues(
-            lambda rv: rv[1]
-        )
+        bc_updated = _selected(bc_out, bc_keys, "untag")
 
         # ---- stage 3: kernels D, coupled with U/V/W copies — the
         # dominant wave, fused per partition exactly like stage 2.
@@ -827,19 +826,15 @@ class GepSparkSolver:
                 (key, x) for (key, _roles), x in zip(items, batch(calls))
             ]
 
-        d_sources = [
-            dp.filter(lambda kv: kv[0] in d_keys).mapValues(lambda t: ("x", t)),
-            bc_out.filter(lambda kv: kv[0] in d_keys),
-        ]
+        d_sources = [_selected(dp, d_keys, "tag"), _selected(bc_out, d_keys)]
         if needs_w:
-            d_sources.insert(1, a_out.filter(lambda kv: kv[0] in d_keys))
+            d_sources.insert(1, _selected(a_out, d_keys))
         d_in = self.sc.union(d_sources)
         d_updated = d_in.combineByKey(
             _role_create, _role_merge_value, _role_merge_combiners, part
         ).map_partitions(d_part)
 
-        touched = {(k, k)} | bc_keys | d_keys
-        untouched = dp.filter(lambda kv: kv[0] not in touched)
+        untouched = _selected(dp, a_keys | bc_keys | d_keys, "reject")
         return self.sc.union(
             [untouched, a_updated, bc_updated, d_updated]
         ).partitionBy(partitioner=part)
@@ -969,6 +964,31 @@ def _drain_iterator(it) -> int:
     for _ in it:
         n += 1
     return n
+
+
+# ----------------------------------------------------------------------
+# IM selections
+# ----------------------------------------------------------------------
+#: A partition's records by key, one comprehension each: ``select`` keeps
+#: the records whose key is in ``keys``, ``tag`` keeps them with the tile
+#: tagged as the ``("x", tile)`` role a combine couples, ``untag`` keeps
+#: them with a ``(role, tile)`` value cut back to its tile, and
+#: ``reject`` keeps the records whose key is *not* in ``keys``.
+_SELECTIONS = {
+    "select": lambda it, keys: [kv for kv in it if kv[0] in keys],
+    "tag": lambda it, keys: [(key, ("x", tile)) for key, tile in it if key in keys],
+    "untag": lambda it, keys: [(key, rv[1]) for key, rv in it if key in keys],
+    "reject": lambda it, keys: [kv for kv in it if kv[0] not in keys],
+}
+
+
+def _selected(rdd, keys: frozenset, how: str = "select"):
+    """``rdd`` narrowed by one :data:`_SELECTIONS` pass per partition
+    (partitioning preserved)."""
+    pick = _SELECTIONS[how]
+    return rdd.map_partitions(
+        lambda it, _split: pick(it, keys), preserves_partitioning=True
+    )
 
 
 # ----------------------------------------------------------------------

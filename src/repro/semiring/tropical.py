@@ -20,13 +20,15 @@ def _plus_with_infinities(a: np.ndarray, b: np.ndarray, annihilator: float) -> n
     IEEE arithmetic already gives ``inf + finite == inf``; the only case
     needing care is ``inf + (-inf) -> nan``, which must resolve to the
     semiring zero (the annihilator).  We silence the invalid-op warning for
-    that deliberate case only.
+    that deliberate case only.  The common, NaN-free result is detected
+    with the ``.any()`` method (``np.any`` costs about one more ufunc
+    call on a small operand) and the mask is built again only on the
+    rare path.
     """
     with np.errstate(invalid="ignore"):
         out = np.add(a, b)
-    nan_mask = np.isnan(out)
-    if np.any(nan_mask):
-        out = np.where(nan_mask, annihilator, out)
+    if np.isnan(out).any():
+        out = np.where(np.isnan(out), annihilator, out)
     return out
 
 

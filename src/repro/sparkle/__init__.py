@@ -49,8 +49,11 @@ bit-identical.  The ``worker_kill``/``worker_hang``/``worker_oom``
 chaos kinds SIGKILL/SIGSTOP *real* worker processes under the same
 seeded determinism contract.
 
-Tasks always run on the executor pool's threads;
-``SparkleContext(backend="processes")`` also has a worker plane
+Tasks run on the executor pool's task slots: the thread that launches a
+stage is one, and *helper slots* on the pool's threads are the others
+(a helper that has not started by the time the caller runs out of tasks
+is cancelled, so a stage launched from inside a task never waits on a
+busy pool).  ``SparkleContext(backend="processes")`` also has a worker plane
 (:mod:`repro.sparkle.backend`, ``sc.offload``): one worker process per
 simulated executor that kernel tile updates are offloaded to, past the
 GIL — a task's call list is pickled out to its worker as it is and the

@@ -1,7 +1,9 @@
 """The worker plane: kernel math in real processes, supervised.
 
-Tasks always run on the executor pool's threads
-(:class:`~repro.sparkle.executors.ExecutorPool`): orchestration thunks
+Tasks run in the driver process, on the task slots of the
+:class:`~repro.sparkle.executors.ExecutorPool` — the calling thread and
+helper slots on the pool's threads (a helper that never started is
+cancelled, so nested launches cannot deadlock): orchestration thunks
 close over driver state (shuffle maps, locks, fault plans) and cannot
 leave the process.  A context built with ``backend="processes"`` *has*
 a :class:`ProcessBackend` (``sc.offload``) besides — one worker process

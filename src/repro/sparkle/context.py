@@ -79,7 +79,7 @@ class SparkleContext:
         :meth:`stop`.  Ignored without ``memory_budget_bytes``.
     backend:
         ``"threads"`` (default — tasks and their kernels run on the
-        executor pool's threads) or ``"processes"`` (the same, plus a
+        executor pool's task slots) or ``"processes"`` (the same, plus a
         worker plane, :attr:`offload`: one worker process per simulated
         executor; kernel tile updates run past the GIL — a task's call
         list is pickled out to its worker in one batch, the updated

@@ -3,8 +3,13 @@
 One :class:`ExecutorPool` models ``num_executors`` executors with
 ``cores_per_executor`` task slots each (the Spark ``executor-cores``
 knob).  Placement, health and blacklisting live here, and so does
-execution: a stage's tasks always run on the pool's own threads.  With
-``backend="processes"`` the pool also *has* a worker plane
+execution: a stage's tasks run on task slots, and the thread that calls
+:meth:`ExecutorPool.run_tasks` is one of them — the others are *helper
+slots* it submits to the pool's ``total_slots - 1`` threads, each
+claiming tasks until none is left.  A helper that has not started
+when the caller runs out of tasks is cancelled, not waited for, so a
+``run_tasks`` issued from inside a task never blocks behind a busy pool.
+With ``backend="processes"`` the pool also *has* a worker plane
 (:attr:`ExecutorPool.offload`, a :class:`~repro.sparkle.backend.
 ProcessBackend`: one worker process per simulated executor) that task
 bodies send their kernel math to, past the GIL.  Each task is *assigned*
@@ -21,9 +26,10 @@ uses to keep recovery traces reproducible.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable
 
 from .backend import BACKENDS, ProcessBackend
@@ -122,10 +128,16 @@ class ExecutorPool:
     # execution
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
+        # One thread per helper slot a stage can use: the caller is the
+        # other slot.  A thread per slot would spread the tasks' buffers
+        # over one more malloc arena, which measured as higher peak RSS
+        # (EXPERIMENTS.md "A task costs its work").  At least one, for
+        # callers that submit to a one-slot pool directly.
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.total_slots, thread_name_prefix="executor"
+                    max_workers=max(1, self.total_slots - 1),
+                    thread_name_prefix="executor",
                 )
             return self._pool
 
@@ -134,36 +146,53 @@ class ExecutorPool:
     ) -> list[Any]:
         """Run a stage's tasks; returns results in task order.
 
-        Exceptions propagate only after every submitted task settles
-        (finished, failed, or cancelled before starting), so a failing
-        task cannot leave stragglers mutating shared shuffle state.  On
-        the first failure, tasks that have not started yet are cancelled
-        rather than run to completion.
+        The calling thread is a task slot.  A stage runs on ``width =
+        min(total_slots, len(thunks))`` slots — the caller's own and
+        ``width - 1`` *helper slots* submitted to the pool's threads —
+        and every slot claims the next unstarted task from one shared
+        counter until none is left.  That is one future per helper
+        slot, not one per task, at the same concurrency.
 
-        ``sequential`` forces in-order, one-at-a-time execution in the
-        calling thread — the chaos determinism contract (see
-        :mod:`repro.sparkle.chaos`).
+        After the first failure no further task starts.  It propagates
+        only once every started task has settled, so a failing task
+        cannot leave stragglers mutating shared shuffle state.  A helper
+        that has not started by the time the caller's slot runs out of
+        tasks is cancelled rather than waited for: it would find nothing
+        left to claim, and waiting on it could deadlock a ``run_tasks``
+        issued from inside a task while every pool thread is busy.
+
+        ``sequential`` (``width = 1``) runs the tasks in order, one at a
+        time, in the calling thread — the chaos determinism contract
+        (see :mod:`repro.sparkle.chaos`).
         """
-        if not thunks:
-            return []
-        if sequential or self.total_slots == 1 or len(thunks) == 1:
-            return [t() for t in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(t) for t in thunks]
-        first_error: BaseException | None = None
-        # as_completed drains every future (cancelled ones included), so
-        # by the time we raise, nothing is still running.
-        for fut in as_completed(futures):
-            if fut.cancelled():
-                continue
-            exc = fut.exception()
-            if exc is not None and first_error is None:
-                first_error = exc
-                for other in futures:
-                    other.cancel()
-        if first_error is not None:
-            raise first_error
-        return [fut.result() for fut in futures]
+        count = len(thunks)
+        results: list[Any] = [None] * count
+        failures: list[BaseException] = []
+        claim = itertools.count().__next__  # atomic under the GIL
+
+        def slot() -> None:
+            while not failures:
+                index = claim()
+                if index >= count:
+                    return
+                try:
+                    results[index] = thunks[index]()
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    failures.append(exc)
+
+        width = 1 if sequential else min(self.total_slots, count)
+        helpers = (
+            [self._ensure_pool().submit(slot) for _ in range(width - 1)]
+            if width > 1
+            else []
+        )
+        slot()
+        # A cancelled future counts as done only once a pool thread
+        # dequeues it, so only the helpers that started are waited on.
+        wait([helper for helper in helpers if not helper.cancel()])
+        if failures:
+            raise failures[0]
+        return results
 
     def shutdown(self) -> None:
         """Reap the worker plane (processes joined, the heartbeat board

@@ -12,7 +12,9 @@ Placement is a pure function of the key (:func:`_stable_hash`), so
 :class:`HashPartitioner` memoises it per grid key: a tile grid has r²
 distinct ``(i, j)`` keys and every shuffle of a solve re-partitions
 them, so the ``repr`` + ``crc32`` is paid once per key, not once per
-record.  The memo changes no placement — a key lands where
+record.  The memo is :attr:`Partitioner.placed`, which a shuffle map
+task reads inline before it calls :meth:`Partitioner.partition` (on a
+miss only).  The memo changes no placement — a key lands where
 ``_stable_hash(key) % n`` puts it whatever was partitioned before — and
 is not part of a partitioner's identity: equality and hashing read the
 constructor parameters only.
@@ -21,7 +23,8 @@ constructor parameters only.
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 __all__ = ["Partitioner", "HashPartitioner", "GridPartitioner", "RangePartitioner"]
 
@@ -33,6 +36,14 @@ def _stable_hash(key: Any) -> int:
 
 class Partitioner:
     """Maps keys to partition ids ``[0, num_partitions)``."""
+
+    #: Memoised placements: exact ``(int, int)`` grid key -> partition id,
+    #: for the grid keys placed so far.  Empty unless the partitioner
+    #: memoises (:class:`HashPartitioner`).  A lookup hits for any key
+    #: *equal* to a grid key — ``(1.0, 2)`` finds ``(1, 2)`` — so a
+    #: reader takes a hit only for an exact ``(int, int)`` key and calls
+    #: :meth:`partition` otherwise.
+    placed: Mapping[tuple[int, int], int] = MappingProxyType({})
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions < 1:
@@ -70,7 +81,7 @@ class HashPartitioner(Partitioner):
 
     def __init__(self, num_partitions: int) -> None:
         super().__init__(num_partitions)
-        self._placed: dict[tuple[int, int], int] = {}
+        self.placed: dict[tuple[int, int], int] = {}
 
     def partition(self, key: Any) -> int:
         if (
@@ -79,9 +90,9 @@ class HashPartitioner(Partitioner):
             and type(key[0]) is int
             and type(key[1]) is int
         ):
-            placed = self._placed.get(key)
+            placed = self.placed.get(key)
             if placed is None:
-                placed = self._placed[key] = _stable_hash(key) % self.num_partitions
+                placed = self.placed[key] = _stable_hash(key) % self.num_partitions
             return placed
         return _stable_hash(key) % self.num_partitions
 

@@ -268,7 +268,7 @@ class RDD:
 
     def filter(self, pred: Callable[[T], bool]) -> "RDD":
         return self.map_partitions(
-            lambda it, _pid: (x for x in it if pred(x)), preserves_partitioning=True
+            lambda it, _pid: filter(pred, it), preserves_partitioning=True
         )
 
     def mapValues(self, f: Callable[[Any], Any]) -> "RDD":

@@ -381,26 +381,49 @@ class DAGScheduler:
     def _shuffle_map_task(
         self, dep: ShuffleDependency, partition: int, tc: TaskContext
     ) -> int:
-        """Compute the parent partition, bucket by reducer, write shuffle."""
+        """Compute the parent partition, bucket by reducer, write shuffle.
+
+        One pass over the records.  A record's reducer is one lookup in
+        the partitioner's memo (:attr:`~repro.sparkle.partitioner.
+        Partitioner.placed`) when its key is an exact ``(int, int)``
+        grid key already placed, and :meth:`~repro.sparkle.partitioner.
+        Partitioner.partition` otherwise — the memo holds what
+        ``partition`` would answer, so the buckets are the same.
+        """
         agg = dep.aggregator
         part = dep.partitioner
-        buckets: dict[int, list] = {}
-        if agg is not None and agg.map_side_combine:
-            per_bucket: dict[int, dict] = {}
-            for k, v in dep.rdd.iterator(partition, tc):
-                b = part.partition(k)
-                combiners = per_bucket.setdefault(b, {})
-                if k in combiners:
-                    combiners[k] = agg.merge_value(combiners[k], v)
-                else:
-                    combiners[k] = agg.create_combiner(v)
-                tc.records_out += 1
-            buckets = {b: list(c.items()) for b, c in per_bucket.items()}
-        else:
-            for item in dep.rdd.iterator(partition, tc):
-                k = item[0]
-                buckets.setdefault(part.partition(k), []).append(item)
-                tc.records_out += 1
+        placed, place = part.placed, part.partition
+        combine = agg is not None and agg.map_side_combine
+        # one bucket per reducer: its records, or for a map-side combine
+        # its combiners by key
+        per_reducer: list = [{} if combine else [] for _ in range(part.num_partitions)]
+        records = 0
+        for records, item in enumerate(dep.rdd.iterator(partition, tc), 1):
+            k = item[0]
+            b = placed.get(k)
+            # a hit's key is an exact (int, int) only if its members
+            # are ints: it is equal to a pair, so it has two
+            if b is None or not (
+                k.__class__ is tuple
+                and k[0].__class__ is int
+                and k[1].__class__ is int
+            ):
+                b = place(k)
+            if not combine:
+                per_reducer[b].append(item)
+                continue
+            combiners = per_reducer[b]
+            v = item[1]
+            if k in combiners:
+                combiners[k] = agg.merge_value(combiners[k], v)
+            else:
+                combiners[k] = agg.create_combiner(v)
+        tc.records_out += records
+        buckets = {
+            b: list(bucket.items()) if combine else bucket
+            for b, bucket in enumerate(per_reducer)
+            if bucket
+        }
         return self.ctx._shuffle_manager.write(dep.shuffle_id, partition, buckets)
 
     def _run_result_stage(self, stage: Stage, func, trace) -> list[Any]:

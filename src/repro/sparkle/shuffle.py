@@ -35,6 +35,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
+from numpy import ndarray
+
 from ..util import sizeof_block
 from .errors import (
     CorruptBlockError,
@@ -129,13 +131,26 @@ class ShuffleManager:
                 f"injected staging overflow: shuffle {shuffle_id} "
                 f"map partition {map_partition}"
             )
-        # The one walk over the records: every later reader of a size
-        # (fetch, spill, release) looks it up.
+        # The one pass over the records: every later reader of a size
+        # (fetch, spill, release) looks it up.  A record costs
+        # ``16 + sizeof_block(value)`` (the key assumed small/fixed), but
+        # each distinct value object is sized once: fan-out records share
+        # one role tuple, and ``walked`` — keyed by ``id``, which cannot
+        # be reused while the buckets hold the objects — lives for this
+        # write only.  An exact array reports its ``nbytes``, which is
+        # what ``sizeof_block`` would return.
         sizes = {}
+        walked: dict[int, int] = {}
         for reduce_partition, items in buckets.items():
-            size = 16 * len(items)  # key assumed small/fixed
+            size = 16 * len(items)
             for _key, value in items:
-                size += sizeof_block(value)
+                if value.__class__ is ndarray:
+                    size += value.nbytes
+                    continue
+                known = walked.get(id(value))
+                if known is None:
+                    known = walked[id(value)] = sizeof_block(value)
+                size += known
             sizes[reduce_partition] = size
         nbytes = sum(sizes.values())
         key = (shuffle_id, map_partition)

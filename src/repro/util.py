@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import sys
 
+from numpy import ndarray
+
 __all__ = ["near_equal_splits", "sizeof_block"]
 
 
@@ -30,12 +32,15 @@ def sizeof_block(value) -> int:
     shuffle/collect accounting reflects the real data volume, not
     container-header sizes.
 
-    Called per shuffled record and per cached block, so the shapes the
-    engine ships — exact ``tuple`` / ``list`` / ``dict`` of ``str``,
-    ``int``, ``float`` and arrays — are dispatched on ``type(v) is`` in
-    one flat loop per container; everything else (subclasses, sets,
-    bytes, complex, ``None``, unknown objects) takes :func:`_sizeof_other`.
-    Both give the same number for the same payload.
+    Called per distinct shuffled value and per cached block, so the
+    shapes the engine ships — exact ``tuple`` / ``list`` / ``dict`` of
+    arrays, ``str``, ``int`` and ``float`` — are dispatched on ``type(v)
+    is`` in one flat loop per container, arrays first (the members a
+    role tuple or role dict is mostly made of), and an ASCII ``str``
+    (a role tag) is its length without encoding it; everything else
+    (subclasses, sets, bytes, complex, ``None``, unknown objects) takes
+    :func:`_sizeof_other`.  Both give the same number for the same
+    payload.
     """
     kind = type(value)
     if kind is tuple or kind is list:
@@ -47,8 +52,10 @@ def sizeof_block(value) -> int:
     total = 8
     for v in members:
         kind = type(v)
-        if kind is str:
-            total += len(v.encode())
+        if kind is ndarray:
+            total += v.nbytes
+        elif kind is str:
+            total += len(v) if v.isascii() else len(v.encode())
         elif kind is int or kind is float:
             total += 8
         elif kind is tuple or kind is list or kind is dict:

@@ -130,7 +130,8 @@ class TestShuffleAccounting:
         assert sm.live_bytes() == 0
 
     def test_manager_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
-        """``write`` walks the records; ``fetch`` looks the sizes up."""
+        """``write`` walks each distinct non-array value object once (an
+        exact array reads its ``nbytes``); ``fetch`` looks the sizes up."""
         from repro.sparkle import shuffle
 
         walked = []
@@ -142,14 +143,32 @@ class TestShuffleAccounting:
         tile = np.ones((4, 4))
         assert sm.write(sid, 0, {0: [(1, ("x", tile))], 1: [(2, tile), (3, tile)]}) == 441
         assert sm.write(sid, 1, {1: [(4, ("u", tile))]}) == 153
-        assert len(walked) == 4
+        assert [v[0] for v in walked] == ["x", "u"]
         items, nbytes, remote = sm.fetch(sid, 1, 2, remote_map_partition=lambda mp: mp == 1)
         assert [k for k, _v in items] == [2, 3, 4]
         assert (nbytes, remote) == (2 * (16 + 128) + 153, 153)
         assert sm.fetch(sid, 0, 2)[1:] == (153, 0)
         assert sm.fetch(sid, 2, 2) == ([], 0, 0)  # nothing bucketed for it
-        assert len(walked) == 4
+        assert len(walked) == 2
         assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
+
+    def test_manager_sizes_a_shared_fan_out_value_once(self, monkeypatch):
+        """23 fan-out records sharing one role tuple — across buckets —
+        walk it once, and ``write`` returns the per-record formula's
+        total, ``16 + sizeof_block(value)`` a record."""
+        from repro.sparkle import shuffle
+
+        walked = []
+        monkeypatch.setattr(
+            shuffle, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+        )
+        sm = ShuffleManager(MemoryManager(None))
+        shared = ("uw", np.ones((4, 4)))
+        records = [((0, j), shared) for j in range(23)]
+        buckets = {0: records[:10], 1: records[10:]}
+        per_record = 23 * (16 + sizeof_block(shared))
+        assert sm.write(sm.new_shuffle_id(), 0, buckets) == per_record == 23 * 154
+        assert walked == [shared]
 
     @pytest.mark.parametrize("spilled", [False, True])
     def test_manager_discards_drop_the_bucket_sizes(self, tmp_path, spilled):

@@ -288,6 +288,28 @@ class TestPartitioners:
             for k, _v in items:
                 assert p.partition(k) == pid
 
+    def test_map_task_memo_places_equal_keys_that_print_apart_apart(self, sc):
+        """A map task reads the placement memo inline, a hit only for an
+        exact grid key: ``(1.0, 2)``, ``(True, 2)`` and a namedtuple
+        ``(1, 2)`` arriving after ``(1, 2)`` was memoised still land where
+        ``crc32(repr(k)) % n`` puts them."""
+        import collections
+
+        pair = collections.namedtuple("pair", "i j")
+        n = 7
+        keys = [(1, 2), (1.0, 2), (True, 2), pair(1, 2), (1, 2.0), 5]
+        want = [zlib.crc32(repr(k).encode()) % n for k in keys]
+        assert len(set(want)) > 2  # discriminating
+        p = HashPartitioner(n)
+        p.partition((1, 2))  # memoised before the shuffle runs
+        kv = sc.parallelize([(k, i) for i, k in enumerate(keys)], 2)
+        placed = {
+            repr(k): pid
+            for pid, items in enumerate(kv.partitionBy(partitioner=p).glom().collect())
+            for k, _v in items
+        }
+        assert [placed[repr(k)] for k in keys] == want
+
 
 class TestCaching:
     def test_cache_avoids_recompute(self, sc):
