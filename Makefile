@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep
+.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep reach
 
 # full suite
 test:
@@ -98,3 +98,12 @@ scoreboard-digest:
 # BUDGET_SWEEP_ARGS=--memory-only for the MEMORY_ONLY variant.  ~25 s.
 budget-sweep:
 	PYTHONPATH=src $(PYTHON) benchmarks/budget_sweep.py $(BUDGET_SWEEP_ARGS)
+
+# Which src/ definitions a program (the benchmark, the experiments, the
+# examples) reaches and which only tests reach: every process
+# line-traced, tier-1 one module at a time.  Prints the per-file summary
+# and writes the full table to .bench_tmp/reach.txt (EXPERIMENTS.md
+# "What reaches what"); REACH_ARGS="--traces .bench_tmp/reach-traces"
+# tabulates the last run again.  ~15 min.
+reach:
+	$(PYTHON) benchmarks/reach.py $(REACH_ARGS)

@@ -1,40 +1,12 @@
-"""Bench: the extensions — R-Kleene vs GEP kernels, parenthesis DP
-evaluation orders, and the distributed wavefront driver."""
+"""Bench: the parenthesis-DP extension — its two evaluation orders and
+the distributed wavefront driver."""
 
 import numpy as np
 import pytest
 
-from repro.core.gep import FloydWarshallGep
 from repro.core.parenthesis import parenthesis_solve
 from repro.core.parenthesis_spark import parenthesis_solve_spark
-from repro.core.rkleene import apsp_rkleene
-from repro.kernels import RecursiveKernel
 from repro.sparkle import SparkleContext
-from repro.workloads import random_digraph_weights
-
-N = 192
-
-
-def test_bench_rkleene_apsp(benchmark):
-    """Semiring-matmul APSP (the GPU-friendly alternative the paper cites)."""
-    w = random_digraph_weights(N, 0.3, seed=11)
-    out = benchmark(lambda: apsp_rkleene(w, base_size=32))
-    assert out.shape == (N, N)
-
-
-def test_bench_gep_recursive_apsp_same_input(benchmark):
-    """The GEP recursive kernel on the identical input, for comparison."""
-    spec = FloydWarshallGep()
-    w = random_digraph_weights(N, 0.3, seed=11)
-    kern = RecursiveKernel(spec, r_shared=2, base_size=32)
-
-    def run():
-        t = w.copy()
-        np.fill_diagonal(t, 0.0)
-        kern.run("A", t, t, t, t, 0, 0, 0, N)
-        return t
-
-    benchmark(run)
 
 
 @pytest.mark.parametrize("method", ["iterative", "recursive"])

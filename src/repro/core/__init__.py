@@ -12,9 +12,9 @@ scheduling` / :mod:`~repro.core.autogen`), the distributed IM/CB drivers
 
 from .api import run_gep
 from .autogen import derive_by_inlining, rway_algorithm, two_way_algorithm
-from .blocked import blocked_gep_inplace, updated_tiles, virtual_pad, virtual_unpad
+from .blocked import blocked_gep_inplace, updated_tiles
 from .dpspark import GepSparkSolver, SolveReport, make_kernel
-from .fwapsp import floyd_warshall, has_negative_cycle, reconstruct_path, semiring_closure
+from .fwapsp import floyd_warshall, reconstruct_path, semiring_closure
 from .gaussian import (
     PivotError,
     back_substitute,
@@ -34,14 +34,11 @@ from .gep import (
 )
 from .parenthesis import (
     matrix_chain_order,
-    optimal_bst_cost,
     parenthesis_solve,
     render_parenthesization,
 )
 from .parenthesis_spark import parenthesis_solve_spark
-from .predecessors import floyd_warshall_predecessors, path_from_predecessors
-from .rkleene import apsp_rkleene, rkleene_closure, transitive_closure_rkleene
-from .transitive import reachable_from, strongly_connected_pairs, transitive_closure
+from .transitive import transitive_closure
 from .tuning import TuningAdvice, adaptive_tune, tune
 
 __all__ = [
@@ -55,8 +52,6 @@ __all__ = [
     "run_gep",
     "blocked_gep_inplace",
     "updated_tiles",
-    "virtual_pad",
-    "virtual_unpad",
     "rway_algorithm",
     "two_way_algorithm",
     "derive_by_inlining",
@@ -66,7 +61,6 @@ __all__ = [
     "floyd_warshall",
     "semiring_closure",
     "reconstruct_path",
-    "has_negative_cycle",
     "gaussian_solve",
     "forward_eliminate",
     "back_substitute",
@@ -74,19 +68,11 @@ __all__ = [
     "determinant",
     "PivotError",
     "transitive_closure",
-    "reachable_from",
-    "strongly_connected_pairs",
     "tune",
     "adaptive_tune",
     "TuningAdvice",
-    "rkleene_closure",
-    "apsp_rkleene",
-    "transitive_closure_rkleene",
-    "floyd_warshall_predecessors",
-    "path_from_predecessors",
     "parenthesis_solve",
     "parenthesis_solve_spark",
     "matrix_chain_order",
-    "optimal_bst_cost",
     "render_parenthesization",
 ]

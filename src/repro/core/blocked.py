@@ -38,8 +38,6 @@ __all__ = [
     "b_range",
     "c_range",
     "blocked_gep_inplace",
-    "virtual_pad",
-    "virtual_unpad",
 ]
 
 #: case name -> (row_aliased, col_aliased): which of the updated tile's
@@ -217,33 +215,3 @@ def blocked_gep_inplace(
         ]
         run_batch(d_calls)
     return c
-
-
-def virtual_pad(spec: GepSpec, table: np.ndarray, target_n: int) -> np.ndarray:
-    """Embed ``table`` into a ``target_n``-sized table with inert padding.
-
-    Implements the paper's §IV-A virtual padding: the padded cells are
-    chosen (per spec) so no update involving them ever changes a cell in
-    the original index range.
-    """
-    n = table.shape[0]
-    if table.shape[0] != table.shape[1]:
-        raise ValueError("virtual_pad requires a square table")
-    if target_n < n:
-        raise ValueError("target size smaller than table")
-    if target_n == n:
-        return np.array(table, dtype=spec.dtype, copy=True)
-    out = np.empty((target_n, target_n), dtype=spec.dtype)
-    out[:n, :n] = table
-    off_diag = spec.pad_value(0, 1)
-    diag = spec.pad_value(0, 0)
-    out[n:, :] = off_diag
-    out[:, n:] = off_diag
-    idx = np.arange(n, target_n)
-    out[idx, idx] = diag
-    return out
-
-
-def virtual_unpad(table: np.ndarray, n: int) -> np.ndarray:
-    """Extract the original ``n x n`` corner of a padded table."""
-    return table[:n, :n]

@@ -23,7 +23,6 @@ __all__ = [
     "floyd_warshall",
     "semiring_closure",
     "reconstruct_path",
-    "has_negative_cycle",
 ]
 
 
@@ -80,15 +79,6 @@ def semiring_closure(
     if return_report:
         return result, report
     return result
-
-
-def has_negative_cycle(weights: np.ndarray, **options) -> bool:
-    """Whether the graph contains a negative-weight cycle.
-
-    Detected the classic way: a negative diagonal entry after FW.
-    """
-    d = floyd_warshall(weights, **options)
-    return bool((np.diag(d) < 0).any())
 
 
 def reconstruct_path(

@@ -222,16 +222,6 @@ class GepSpec(abc.ABC):
         return 0 <= gk < n
 
     # ------------------------------------------------------------------
-    def pad_value(self, i: int, j: int) -> Any:
-        """Value for virtually-padded cell ``(i, j)`` (paper §IV-A).
-
-        Padding must be inert: padded rows/columns may never change the
-        result on the original index range.  The default (zero off the
-        diagonal, one on it) is correct for semiring specs (isolated
-        vertices) and is overridden where needed.
-        """
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -276,9 +266,6 @@ class SemiringGep(GepSpec):
         # One semiring product ``x ⊕= u ⊗ v`` instead of ``pivot`` rank-1
         # steps; the semiring decides how far it may fuse them.
         self.semiring.fold_steps(x, u, v)
-
-    def pad_value(self, i, j):
-        return self.semiring.one if i == j else self.semiring.zero
 
 
 class FloydWarshallGep(SemiringGep):
@@ -355,11 +342,6 @@ class GaussianEliminationGep(GepSpec):
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)
         return 0 <= gk < hi
-
-    def pad_value(self, i, j):
-        """Unit diagonal, zero elsewhere: padded pivots divide by 1 and a
-        zero ``c[i,k]``/``c[k,j]`` factor keeps every padded update inert."""
-        return 1.0 if i == j else 0.0
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ recurrence is *not* a GEP update::
 
 This module implements the family generically: an iterative
 length-diagonal solver, a cache-friendlier recursive divide-&-conquer
-evaluation (solve halves, then close spanning intervals), split-point
-extraction and two concrete instances (matrix-chain order, optimal
-BST).  The tests validate both evaluation orders against brute-force
+evaluation (solve halves, then close spanning intervals) and one
+concrete instance, matrix-chain order.  The tests validate both evaluation orders against brute-force
 enumeration over all parenthesizations.
 """
 
@@ -24,9 +23,7 @@ import numpy as np
 
 __all__ = [
     "parenthesis_solve",
-    "extract_splits",
     "matrix_chain_order",
-    "optimal_bst_cost",
     "render_parenthesization",
 ]
 
@@ -104,16 +101,6 @@ def _solve_rec(c, split, lo: int, hi: int, cost: CostFn) -> None:
         _close_interval(c, split, i, j, cost)
 
 
-def extract_splits(split: np.ndarray, i: int, j: int) -> list[tuple[int, int, int]]:
-    """The optimal composition tree as ``(i, k, j)`` triples (pre-order)."""
-    if j - i <= 1:
-        return []
-    k = int(split[i, j])
-    if k < 0:
-        raise ValueError(f"interval ({i}, {j}) was never composed")
-    return [(i, k, j)] + extract_splits(split, i, k) + extract_splits(split, k, j)
-
-
 def render_parenthesization(split: np.ndarray, i: int, j: int) -> str:
     """Human-readable bracketing, e.g. ``((A0 A1) A2)``."""
     if j - i == 1:
@@ -146,31 +133,3 @@ def matrix_chain_order(
     c, split = parenthesis_solve(dims.size, cost, method=method)
     n = dims.size
     return float(c[0, n - 1]), render_parenthesization(split, 0, n - 1)
-
-
-def optimal_bst_cost(
-    access_freq: list[float] | np.ndarray, *, method: str = "iterative"
-) -> float:
-    """Expected-search-cost of an optimal binary search tree.
-
-    ``access_freq[t]`` is the access weight of key ``t``; the classic
-    Knuth DP is the parenthesis recurrence with the split-independent
-    merge cost ``w(i, j) = sum(freq[i:j])``.
-    """
-    freq = np.asarray(access_freq, dtype=np.float64)
-    if freq.ndim != 1 or freq.size < 1:
-        raise ValueError("need at least one key")
-    if (freq < 0).any():
-        raise ValueError("frequencies must be non-negative")
-    # Composition-tree view: the n + 1 dummy leaves (key gaps) are the
-    # unit intervals; composing (i, k) + (k, j) roots key k - 1, and the
-    # merge cost charges every key in the subtree once per level — i.e.
-    # keys i .. j-2 for interval (i, j).
-    n = freq.size + 2
-    prefix = np.concatenate([[0.0], np.cumsum(freq)])
-
-    def cost(i: int, ks: np.ndarray, j: int) -> float:
-        return float(prefix[j - 1] - prefix[i])
-
-    c, _split = parenthesis_solve(n, cost, method=method)
-    return float(c[0, n - 1])

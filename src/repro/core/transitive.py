@@ -12,7 +12,7 @@ import numpy as np
 from .api import GepRunOptions, run_gep
 from .gep import TransitiveClosureGep
 
-__all__ = ["transitive_closure", "reachable_from", "strongly_connected_pairs"]
+__all__ = ["transitive_closure"]
 
 
 def _prepare_adjacency(adj: np.ndarray, reflexive: bool) -> np.ndarray:
@@ -50,17 +50,3 @@ def transitive_closure(
     if return_report:
         return result, report
     return result
-
-
-def reachable_from(adjacency: np.ndarray, source: int, **options) -> np.ndarray:
-    """Boolean vector of vertices reachable from ``source``."""
-    closure = transitive_closure(adjacency, **options)
-    if not 0 <= source < closure.shape[0]:
-        raise IndexError("source out of range")
-    return closure[source]
-
-
-def strongly_connected_pairs(adjacency: np.ndarray, **options) -> np.ndarray:
-    """Matrix of mutually-reachable pairs (``closure & closure.T``)."""
-    closure = transitive_closure(adjacency, **options)
-    return closure & closure.T

@@ -25,11 +25,8 @@ methodologies of §IV must (and do) produce the same algorithm.
 from .affine import AffB, LinearConstraint, TileStatus, VARS
 from .dependence import (
     TileAccess,
-    VersionedAccess,
     asap_levels,
     bernstein_dependent,
-    cross_iteration_edges,
-    iteration_read_versions,
     poly_schedule,
     schedule_iteration,
 )
@@ -48,11 +45,8 @@ __all__ = [
     "index_set_split",
     "OVERLAP_SIGNATURES",
     "TileAccess",
-    "VersionedAccess",
     "asap_levels",
     "bernstein_dependent",
-    "cross_iteration_edges",
-    "iteration_read_versions",
     "schedule_iteration",
     "poly_schedule",
 ]

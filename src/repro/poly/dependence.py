@@ -24,11 +24,8 @@ from .tiling import TileClass, TiledGep
 
 __all__ = [
     "TileAccess",
-    "VersionedAccess",
     "bernstein_dependent",
     "asap_levels",
-    "iteration_read_versions",
-    "cross_iteration_edges",
     "schedule_iteration",
     "poly_schedule",
 ]
@@ -128,71 +125,6 @@ def asap_levels(spec: GepSpec, kb: int, nb: int) -> tuple[list[TileClass], list[
     else:
         raise ValueError("dependence relaxation did not converge")
     return tiles, level
-
-
-@dataclass(frozen=True)
-class VersionedAccess:
-    """One iteration point's reads, split by the tile *version* consumed.
-
-    ``pre_reads`` are tiles read at the value they carried entering
-    iteration ``kb`` (version ``kb``); ``post_reads`` are tiles read
-    after being rewritten within iteration ``kb`` by an earlier-stage
-    call (version ``kb + 1``).  A read is post-update iff the same tile
-    is written this iteration by a point with a strictly smaller ASAP
-    level — derived from Bernstein dependences, not asserted by hand.
-    """
-
-    point: tuple[int, int, int]  # (kb, ib, jb)
-    case: str
-    write: tuple[int, int]
-    pre_reads: frozenset[tuple[int, int]]
-    post_reads: frozenset[tuple[int, int]]
-
-
-def iteration_read_versions(spec: GepSpec, kb: int, nb: int) -> list[VersionedAccess]:
-    """Version-resolved access sets for every updated tile of ``kb``."""
-    tiles, level = asap_levels(spec, kb, nb)
-    writer_level = {(t.ib, t.jb): lv for t, lv in zip(tiles, level)}
-    out: list[VersionedAccess] = []
-    for t, lv in zip(tiles, level):
-        acc = TileAccess.of(t.kb, t.ib, t.jb)
-        pre: set[tuple[int, int]] = set()
-        post: set[tuple[int, int]] = set()
-        for read in acc.reads:
-            wl = writer_level.get(read)
-            if wl is not None and wl < lv:
-                post.add(read)
-            else:
-                pre.add(read)
-        out.append(
-            VersionedAccess(acc.point, t.case, acc.write, frozenset(pre), frozenset(post))
-        )
-    return out
-
-
-def cross_iteration_edges(
-    spec: GepSpec, kb: int, nb: int
-) -> dict[tuple[int, int, int], frozenset[tuple[int, int, int]]]:
-    """Tile-level edges from iteration ``kb``'s writes into ``kb + 1``.
-
-    For each updated point of iteration ``kb + 1``, the set of iteration
-    ``kb`` points whose writes it depends on (RAW through its reads, plus
-    the WAW edge on its own output tile).  This is the derived legality
-    relation between consecutive iterations: a ``kb + 1`` point depends
-    on these producers only, not on the whole of iteration ``kb``.
-    """
-    tiled = TiledGep(spec)
-    writes = {
-        (t.ib, t.jb): (t.kb, t.ib, t.jb) for t in tiled.updated_tiles(kb, nb)
-    }
-    out: dict[tuple[int, int, int], frozenset[tuple[int, int, int]]] = {}
-    for t in tiled.updated_tiles(kb + 1, nb):
-        acc = TileAccess.of(t.kb, t.ib, t.jb)
-        deps = {writes[r] for r in acc.reads if r in writes}
-        if acc.write in writes:
-            deps.add(writes[acc.write])
-        out[acc.point] = frozenset(deps)
-    return out
 
 
 def schedule_iteration(spec: GepSpec, kb: int, nb: int) -> list[list[TileClass]]:

@@ -7,11 +7,8 @@ with their identities as *vectorized* NumPy operations so tile kernels can
 apply one ``k``-step to a whole tile at once (the "offload to bare metal"
 idiom the paper gets from Numba/NumPy).
 
-Only the operations the GEP kernels need are required: ``add`` (⊕),
-``mul`` (⊙), the identities, and array constructors.  ``star`` (Kleene
-closure of a scalar) is optional and only needed by closed-semiring
-algorithms such as R-Kleene; the concrete semirings shipped here provide
-it where it is well defined.
+Only the operations the GEP kernels need are defined: ``add`` (⊕),
+``mul`` (⊙), their identities and the in-place ``k``-step fold.
 """
 
 from __future__ import annotations
@@ -94,8 +91,7 @@ class Semiring(abc.ABC):
     """A closed semiring ``(S, ⊕, ⊙, zero, one)`` over NumPy arrays.
 
     Subclasses define the scalar structure; this base class supplies the
-    derived array helpers (constructors, identity matrices, semiring
-    matrix products and closures).
+    sequential ``k``-step fold every GEP kernel runs.
 
     Attributes
     ----------
@@ -149,95 +145,9 @@ class Semiring(abc.ABC):
             self.add_inplace(x, self.mul(u[..., k, None], v[..., None, k, :]))
         return x
 
-    def star(self, a: Any) -> Any:
-        """Kleene closure ``a* = one ⊕ a ⊕ a⊙a ⊕ ...`` of a scalar.
-
-        Only meaningful for *closed* semirings; the default raises.
-        """
-        raise SemiringError(f"semiring {self.name!r} does not define star()")
-
-    # ------------------------------------------------------------------
-    # derived reductions
-    # ------------------------------------------------------------------
-    def add_reduce(self, a: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """⊕-reduction along an axis (default: all elements)."""
-        if axis is None:
-            flat = a.reshape(-1)
-            acc = self.zero
-            # vector tree-reduction: fold in halves to keep it O(n) numpy calls
-            while flat.size > 1:
-                half = flat.size // 2
-                head = self.add(flat[:half], flat[half : 2 * half])
-                tail = flat[2 * half :]
-                flat = np.concatenate([head, tail]) if tail.size else head
-            if flat.size == 1:
-                acc = self.add(np.asarray(acc), flat[0])
-            return self.dtype.type(np.asarray(acc)[()])
-        # axis reduction via successive pairwise folds
-        result = np.moveaxis(a, axis, 0)
-        while result.shape[0] > 1:
-            half = result.shape[0] // 2
-            head = self.add(result[:half], result[half : 2 * half])
-            tail = result[2 * half :]
-            result = np.concatenate([head, tail], axis=0) if tail.shape[0] else head
-        return result[0]
-
-    # ------------------------------------------------------------------
-    # array constructors
-    # ------------------------------------------------------------------
-    def zeros(self, shape: tuple[int, ...] | int) -> np.ndarray:
-        """Array filled with the ⊕-identity."""
-        return np.full(shape, self.zero, dtype=self.dtype)
-
-    def ones(self, shape: tuple[int, ...] | int) -> np.ndarray:
-        """Array filled with the ⊙-identity."""
-        return np.full(shape, self.one, dtype=self.dtype)
-
-    def eye(self, n: int) -> np.ndarray:
-        """Semiring identity matrix: ``one`` on the diagonal, ``zero`` off it."""
-        out = self.zeros((n, n))
-        np.fill_diagonal(out, self.one)
-        return out
-
     def asarray(self, a: Any) -> np.ndarray:
         """Coerce ``a`` to this semiring's dtype."""
         return np.asarray(a, dtype=self.dtype)
-
-    # ------------------------------------------------------------------
-    # derived matrix algebra
-    # ------------------------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Semiring matrix product ``C[i,j] = ⊕_k a[i,k] ⊙ b[k,j]``.
-
-        Implemented as :meth:`fold_steps` into a ``zero`` matrix, so only
-        vectorized ⊕/⊙ are required of subclasses.  Concrete semirings override with faster
-        formulations where possible (e.g. ``@`` for the real field).
-        """
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise SemiringError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return self.fold_steps(self.zeros((a.shape[0], b.shape[1])), a, b)
-
-    def matpow(self, a: np.ndarray, p: int) -> np.ndarray:
-        """Semiring matrix power by repeated squaring (``p >= 0``)."""
-        a = self.asarray(a)
-        if p < 0:
-            raise SemiringError("negative semiring matrix power")
-        result = self.eye(a.shape[0])
-        base = a.copy()
-        while p:
-            if p & 1:
-                result = self.matmul(result, base)
-            base_needed = p >> 1
-            if base_needed:
-                base = self.matmul(base, base)
-            p = base_needed
-        return result
-
-    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Exact elementwise equality (identities compare equal to themselves)."""
-        return bool(np.array_equal(self.asarray(a), self.asarray(b)))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

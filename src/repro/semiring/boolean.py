@@ -39,15 +39,3 @@ class Boolean(Semiring):
             return super().fold_steps(x, u, v)
         fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
         return x
-
-    def star(self, a):
-        """``a* = True`` for every boolean ``a`` (closure always reachable)."""
-        return True
-
-    def matmul(self, a, b):
-        """Boolean product via integer matmul (fast, exact)."""
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0

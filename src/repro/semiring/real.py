@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Semiring, SemiringError
+from .base import Semiring
 
 __all__ = ["RealField", "CountingSemiring"]
 
@@ -32,18 +32,6 @@ class RealField(Semiring):
 
     def mul(self, a, b):
         return np.multiply(a, b)
-
-    def star(self, a):
-        """``a* = 1 / (1 - a)`` for ``|a| < 1`` (geometric series)."""
-        a = float(a)
-        if abs(a) >= 1.0:
-            raise SemiringError(f"star({a}) diverges over the real field")
-        return 1.0 / (1.0 - a)
-
-    def matmul(self, a, b):
-        a = self.asarray(a)
-        b = self.asarray(b)
-        return a @ b
 
 
 class CountingSemiring(Semiring):
@@ -68,8 +56,3 @@ class CountingSemiring(Semiring):
 
     def mul(self, a, b):
         return np.multiply(a, b)
-
-    def matmul(self, a, b):
-        a = self.asarray(a)
-        b = self.asarray(b)
-        return a @ b

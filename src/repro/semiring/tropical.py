@@ -91,32 +91,6 @@ class MinPlus(Semiring):
     def fold_steps(self, x, u, v):
         return _fold_steps_guarded_once(self, x, u, v, np.minimum)
 
-    def star(self, a):
-        """``a* = min(0, a, a+a, ...)``: 0 for ``a >= 0``, ``-inf`` otherwise.
-
-        A negative scalar models a negative cycle through a vertex, whose
-        closure diverges to ``-inf``.
-        """
-        a = float(a)
-        return self.one if a >= 0 else -np.inf
-
-    def matmul(self, a, b):
-        """Min-plus product via broadcast-and-reduce (one temp per row block)."""
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        out = self.zeros((a.shape[0], b.shape[1]))
-        # Row-blocked to bound the (m, k, n) broadcast temporary.
-        row_block = max(1, int(2**20 // max(1, a.shape[1] * b.shape[1])))
-        for start in range(0, a.shape[0], row_block):
-            stop = min(start + row_block, a.shape[0])
-            sums = _plus_with_infinities(
-                a[start:stop, :, None], b[None, :, :], self.zero
-            )
-            out[start:stop] = sums.min(axis=1)
-        return out
-
 
 class MaxPlus(Semiring):
     """The dual tropical semiring ``(R ∪ {-inf}, max, +, -inf, 0)``."""
@@ -138,8 +112,3 @@ class MaxPlus(Semiring):
 
     def fold_steps(self, x, u, v):
         return _fold_steps_guarded_once(self, x, u, v, np.maximum)
-
-    def star(self, a):
-        """0 for ``a <= 0`` (no gain cycles), ``+inf`` otherwise."""
-        a = float(a)
-        return self.one if a <= 0 else np.inf

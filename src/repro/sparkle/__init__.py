@@ -104,7 +104,7 @@ from .metrics import (
     TaskRecord,
 )
 from .requests import SolveRequest, SolveResponse, solve_fingerprint
-from .partitioner import GridPartitioner, HashPartitioner, Partitioner, RangePartitioner
+from .partitioner import GridPartitioner, HashPartitioner, Partitioner
 from .rdd import RDD, Aggregator
 from .scheduler import TaskContext
 from .supervisor import (
@@ -127,7 +127,6 @@ __all__ = [
     "Partitioner",
     "HashPartitioner",
     "GridPartitioner",
-    "RangePartitioner",
     "EngineMetrics",
     "JobTrace",
     "StageRecord",

@@ -208,9 +208,6 @@ class SparkleContext:
             return rdds[0]
         return UnionRDD(self, rdds)
 
-    def empty_rdd(self) -> RDD:
-        return ParallelCollectionRDD(self, [], 1)
-
     # ------------------------------------------------------------------
     # driver services
     # ------------------------------------------------------------------

@@ -3,11 +3,9 @@
 Every typed error here must survive a pickle round-trip with its payload
 intact: the process backend raises them inside worker processes, and
 ``concurrent.futures`` ships worker exceptions back to the driver by
-pickling them.  ``BaseException.__reduce__`` only replays ``self.args``,
-which silently breaks any exception whose ``__init__`` takes more (or
-keyword-only) parameters — so each multi-argument error defines an
-explicit ``__reduce__`` that reconstructs from its full constructor
-signature.
+pickling them.  :meth:`SparkleError.__reduce__` is the one rule for all
+of them: rebuild from ``args`` plus ``__dict__``, never through
+``__init__``.
 """
 
 from __future__ import annotations
@@ -36,8 +34,19 @@ __all__ = [
 ]
 
 
+def _rebuild(cls: type, args: tuple, state: dict) -> "SparkleError":
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(state)
+    return err
+
+
 class SparkleError(RuntimeError):
     """Base class for engine failures."""
+
+    def __reduce__(self):
+        # BaseException's own reduce calls ``cls(*self.args)``, which
+        # breaks every subclass whose constructor takes a payload.
+        return (_rebuild, (type(self), self.args, self.__dict__))
 
 
 class TaskError(SparkleError):
@@ -47,9 +56,6 @@ class TaskError(SparkleError):
         super().__init__(message)
         self.stage_id = stage_id
         self.partition = partition
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.stage_id, self.partition))
 
 
 class TaskKilled(SparkleError):
@@ -72,9 +78,6 @@ class ExecutorLost(SparkleError):
     def __init__(self, message: str, executor: int) -> None:
         super().__init__(message)
         self.executor = executor
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.executor))
 
 
 class TransientIOError(SparkleError):
@@ -100,9 +103,6 @@ class ShuffleFetchFailed(SparkleError):
         self.shuffle_id = shuffle_id
         self.missing = tuple(missing)
 
-    def __reduce__(self):
-        return (type(self), (self.shuffle_id, self.missing))
-
 
 class BlockNotFoundError(SparkleError, KeyError):
     """A block store has no entry for the requested key.
@@ -119,9 +119,6 @@ class BlockNotFoundError(SparkleError, KeyError):
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0] if self.args else ""
 
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.key))
-
 
 class CorruptBlockError(SparkleError):
     """A durable block failed its checksum (torn write, bitrot, tamper).
@@ -135,9 +132,6 @@ class CorruptBlockError(SparkleError):
     def __init__(self, message: str, key=None) -> None:
         super().__init__(message)
         self.key = key
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.key))
 
 
 class JournalError(SparkleError):
@@ -179,9 +173,6 @@ class WorkerCrashed(SparkleError):
         #: fault accounting should charge the real victim
         self.slot = slot
 
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.pid, self.reason, self.slot))
-
 
 class TaskDeadlineExceeded(SparkleError):
     """A supervised task ran past its ``task_deadline``.
@@ -199,9 +190,6 @@ class TaskDeadlineExceeded(SparkleError):
         super().__init__(message)
         self.deadline = deadline
         self.elapsed = elapsed
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.deadline, self.elapsed))
 
 
 class PoisonTaskError(SparkleError):
@@ -230,12 +218,6 @@ class PoisonTaskError(SparkleError):
         self.kernel_id = kernel_id
         self.failures = failures
 
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.args[0], self.coordinate, self.case, self.kernel_id, self.failures),
-        )
-
 
 class ServiceOverloadedError(SparkleError):
     """The solver service shed a request at admission (overload control).
@@ -258,12 +240,6 @@ class ServiceOverloadedError(SparkleError):
         self.queue_depth = queue_depth
         self.retry_after = retry_after
 
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.args[0], self.level, self.queue_depth, self.retry_after),
-        )
-
 
 class ServiceDrainingError(SparkleError):
     """The solver service is draining for shutdown and refuses new work.
@@ -281,9 +257,6 @@ class ServiceDrainingError(SparkleError):
     def __init__(self, message: str, retry_after: float | None = None) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.retry_after))
 
 
 class TenantQuotaExceededError(SparkleError):
@@ -314,18 +287,6 @@ class TenantQuotaExceededError(SparkleError):
         self.quota_bytes = quota_bytes
         self.retry_after = retry_after
 
-    def __reduce__(self):
-        return (
-            type(self),
-            (
-                self.args[0],
-                self.tenant,
-                self.used_bytes,
-                self.quota_bytes,
-                self.retry_after,
-            ),
-        )
-
 
 class FrameTooLargeError(SparkleError):
     """A socket frame announced a length above the server's cap.
@@ -348,9 +309,6 @@ class FrameTooLargeError(SparkleError):
         self.length = length
         self.limit = limit
 
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.length, self.limit))
-
 
 class RequestDeadlineExceeded(SparkleError):
     """A service request ran past its per-request deadline.
@@ -372,9 +330,6 @@ class RequestDeadlineExceeded(SparkleError):
         super().__init__(message)
         self.deadline = deadline
         self.elapsed = elapsed
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.deadline, self.elapsed))
 
 
 class LastExecutorProtectedWarning(RuntimeWarning):

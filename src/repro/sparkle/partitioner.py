@@ -26,7 +26,7 @@ import zlib
 from types import MappingProxyType
 from typing import Any, Mapping
 
-__all__ = ["Partitioner", "HashPartitioner", "GridPartitioner", "RangePartitioner"]
+__all__ = ["Partitioner", "HashPartitioner", "GridPartitioner"]
 
 
 def _stable_hash(key: Any) -> int:
@@ -98,24 +98,6 @@ class HashPartitioner(Partitioner):
 
     def _params(self) -> tuple:
         return (self.num_partitions,)
-
-
-class RangePartitioner(Partitioner):
-    """Contiguous ranges over integer keys (for ordered workloads)."""
-
-    def __init__(self, num_partitions: int, max_key: int) -> None:
-        super().__init__(num_partitions)
-        if max_key < 1:
-            raise ValueError("max_key must be >= 1")
-        self.max_key = max_key
-
-    def _params(self) -> tuple:
-        return (self.num_partitions, self.max_key)
-
-    def partition(self, key: Any) -> int:
-        k = int(key)
-        k = min(max(k, 0), self.max_key - 1)
-        return (k * self.num_partitions) // self.max_key
 
 
 class GridPartitioner(Partitioner):

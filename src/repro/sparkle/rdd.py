@@ -6,10 +6,14 @@ This is the paper's §II in executable form:
   *lineage* — a compute function plus dependencies on parent RDDs;
 * transformations are lazy and classified by dependency kind: *narrow*
   (``map``, ``filter``, ``union`` — pipelined within one stage) vs *wide*
-  (``combineByKey``, ``partitionBy``, ``join`` — requiring a shuffle and
-  starting a new stage);
-* actions (``collect``, ``count``, ``reduce``) hand the final RDD to the
-  DAG scheduler.
+  (``combineByKey``, ``partitionBy`` — requiring a shuffle and starting
+  a new stage);
+* actions (``collect``, ``count``) hand the final RDD to the DAG
+  scheduler.
+
+The operators are the subset the paper's IM and CB programs (Listings
+1–2) use, plus the two that other modules' tests run as engine workloads
+(``reduceByKey``, ``groupByKey``) — DESIGN §2 lists it.
 
 Fault tolerance comes from recomputation: ``compute`` is pure given the
 lineage, so a failed task is simply re-run (see the scheduler's retry
@@ -22,9 +26,7 @@ exactly the discipline PySpark imposes.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -38,8 +40,6 @@ __all__ = [
     "Aggregator",
     "Dependency",
     "NarrowDependency",
-    "OneToOneDependency",
-    "RangeDependency",
     "ShuffleDependency",
     "ParallelCollectionRDD",
     "MapPartitionsRDD",
@@ -61,30 +61,8 @@ class Dependency:
 
 
 class NarrowDependency(Dependency):
-    """Each output partition depends on a bounded set of parent partitions."""
-
-    def parents(self, split: int) -> Sequence[int]:
-        raise NotImplementedError
-
-
-class OneToOneDependency(NarrowDependency):
-    def parents(self, split: int) -> Sequence[int]:
-        return (split,)
-
-
-class RangeDependency(NarrowDependency):
-    """Union-style: parent partition range mapped into the child's space."""
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int) -> None:
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def parents(self, split: int) -> Sequence[int]:
-        if self.out_start <= split < self.out_start + self.length:
-            return (split - self.out_start + self.in_start,)
-        return ()
+    """Each output partition reads a bounded set of parent partitions, so
+    parent and child pipeline within one stage."""
 
 
 @dataclass
@@ -254,10 +232,6 @@ class RDD:
         """Lowest-level narrow transformation: ``f(iterator, split)``."""
         return MapPartitionsRDD(self, f, preserves_partitioning)
 
-    # camelCase alias mirroring the PySpark API used in the listings
-    def mapPartitions(self, f: Callable[[Iterator], Iterable]) -> "RDD":
-        return self.map_partitions(lambda it, _pid: f(it))
-
     def map(self, f: Callable[[T], Any]) -> "RDD":
         return self.map_partitions(lambda it, _pid: (f(x) for x in it))
 
@@ -276,33 +250,8 @@ class RDD:
             lambda it, _pid: ((k, f(v)) for k, v in it), preserves_partitioning=True
         )
 
-    def flatMapValues(self, f: Callable[[Any], Iterable]) -> "RDD":
-        return self.map_partitions(
-            lambda it, _pid: ((k, out) for k, v in it for out in f(v)),
-            preserves_partitioning=True,
-        )
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
-    def keyBy(self, f: Callable[[T], Any]) -> "RDD":
-        return self.map(lambda x: (f(x), x))
-
-    def glom(self) -> "RDD":
-        return self.map_partitions(lambda it, _pid: [list(it)])
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.ctx, [self, other])
-
-    def distinct(self, num_partitions: int | None = None) -> "RDD":
-        return (
-            self.map(lambda x: (x, None))
-            .reduceByKey(lambda a, _b: a, num_partitions)
-            .keys()
-        )
 
     # -- wide transformations ----------------------------------------------
     def _resolve_partitioner(
@@ -351,139 +300,6 @@ class RDD:
             map_side_combine=False,
         )
 
-    def foldByKey(
-        self,
-        zero: Any,
-        f: Callable[[Any, Any], Any],
-        num_partitions: int | Partitioner | None = None,
-    ) -> "RDD":
-        return self.combineByKey(lambda v: f(zero, v), f, f, num_partitions)
-
-    def aggregateByKey(
-        self,
-        zero: Any,
-        seq_func: Callable[[Any, Any], Any],
-        comb_func: Callable[[Any, Any], Any],
-        num_partitions: int | Partitioner | None = None,
-    ) -> "RDD":
-        """Per-key aggregation with a zero value (PySpark semantics)."""
-        import copy
-
-        return self.combineByKey(
-            lambda v: seq_func(copy.deepcopy(zero), v),
-            seq_func,
-            comb_func,
-            num_partitions,
-        )
-
-    def zipWithIndex(self) -> "RDD":
-        """Pair each element with its global index (two-pass, like Spark)."""
-        sizes = self.ctx.run_job(
-            self, lambda it: sum(1 for _ in it), action="zipWithIndex-count"
-        )
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
-
-        def with_index(it: Iterator, pid: int) -> Iterable:
-            base = offsets[pid]
-            return ((x, base + i) for i, x in enumerate(it))
-
-        return self.map_partitions(with_index, preserves_partitioning=True)
-
-    def sortByKey(
-        self, ascending: bool = True, num_partitions: int | None = None
-    ) -> "RDD":
-        """Globally sorted key/value pairs.
-
-        Range-partitions by a driver-side sample of the keys (Spark's
-        approach), then sorts each partition locally; partition order
-        concatenates to the global order.
-        """
-        p = (
-            num_partitions
-            if num_partitions is not None
-            else self.ctx.default_parallelism
-        )
-        keys = sorted(self.keys().collect())
-        if not keys:
-            return self.ctx.empty_rdd()
-        if not ascending:
-            keys = keys[::-1]
-        # Partition boundaries from evenly spaced sample quantiles.
-        cut_points = [keys[(len(keys) * (t + 1)) // p] for t in range(p - 1)]
-
-        class _RangeByBounds(Partitioner):
-            def __init__(self, bounds, ascending):
-                super().__init__(len(bounds) + 1)
-                self.bounds = tuple(bounds)
-                self.ascending = ascending
-
-            def partition(self, key):
-                import bisect
-
-                if self.ascending:
-                    return bisect.bisect_left(self.bounds, key)
-                lo = 0
-                for idx, b in enumerate(self.bounds):
-                    if key > b:
-                        return idx
-                return len(self.bounds)
-
-        shuffled = ShuffledRDD(self, _RangeByBounds(cut_points, ascending), None)
-        return shuffled.map_partitions(
-            lambda it, _pid: iter(
-                sorted(it, key=lambda kv: kv[0], reverse=not ascending)
-            ),
-            preserves_partitioning=True,
-        )
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Bernoulli sample (deterministic per partition and seed)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-
-        def sampler(it: Iterator, pid: int) -> Iterable:
-            import random
-
-            rng = random.Random(seed * 1_000_003 + pid)
-            return (x for x in it if rng.random() < fraction)
-
-        return self.map_partitions(sampler, preserves_partitioning=True)
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce the partition count without a shuffle (narrow)."""
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        return CoalescedRDD(self, num_partitions)
-
-    def cogroup(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        """Group both RDDs by key into ``(key, (list_left, list_right))``."""
-        tagged = self.mapValues(lambda v: (0, v)).union(
-            other.mapValues(lambda v: (1, v))
-        )
-
-        def create(tv):
-            out: tuple[list, list] = ([], [])
-            out[tv[0]].append(tv[1])
-            return out
-
-        def merge_value(acc, tv):
-            acc[tv[0]].append(tv[1])
-            return acc
-
-        def merge_combiners(a, b):
-            a[0].extend(b[0])
-            a[1].extend(b[1])
-            return a
-
-        return tagged.combineByKey(create, merge_value, merge_combiners, num_partitions)
-
-    def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        return self.cogroup(other, num_partitions).flatMapValues(
-            lambda pair: [(l, r) for l in pair[0] for r in pair[1]]
-        )
-
     # -- actions -------------------------------------------------------------
     def collect(self) -> list:
         parts = self.ctx.run_job(self, lambda it: list(it), action="collect")
@@ -493,97 +309,8 @@ class RDD:
         self.ctx._record_collect(out)
         return out
 
-    def collectAsMap(self) -> dict:
-        return dict(self.collect())
-
     def count(self) -> int:
         return sum(self.ctx.run_job(self, lambda it: sum(1 for _ in it), action="count"))
-
-    def first(self) -> Any:
-        got = self.take(1)
-        if not got:
-            raise ValueError("RDD is empty")
-        return got[0]
-
-    def take(self, n: int) -> list:
-        """First ``n`` elements in partition order (computes all partitions —
-        adequate for an in-process engine)."""
-        out: list = []
-        for part in self.ctx.run_job(self, lambda it: list(it), action="take"):
-            for item in part:
-                out.append(item)
-                if len(out) == n:
-                    return out
-        return out
-
-    def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
-        def part_reduce(it: Iterator) -> list:
-            acc = None
-            present = False
-            for x in it:
-                acc = x if not present else f(acc, x)
-                present = True
-            return [acc] if present else []
-
-        pieces = [
-            x for part in self.ctx.run_job(self, part_reduce, action="reduce") for x in part
-        ]
-        if not pieces:
-            raise ValueError("reduce of empty RDD")
-        acc = pieces[0]
-        for x in pieces[1:]:
-            acc = f(acc, x)
-        return acc
-
-    def fold(self, zero: Any, f: Callable[[Any, Any], Any]) -> Any:
-        parts = self.ctx.run_job(
-            self, lambda it: functools.reduce(f, it, zero), action="fold"
-        )
-        acc = zero
-        for p in parts:
-            acc = f(acc, p)
-        return acc
-
-    def countByKey(self) -> dict:
-        out: defaultdict = defaultdict(int)
-        for k, _v in self.collect():
-            out[k] += 1
-        return dict(out)
-
-    def sum(self) -> Any:
-        return self.fold(0, lambda a, b: a + b)
-
-    def max(self) -> Any:
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self) -> Any:
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def mean(self) -> float:
-        total, count = self.map(lambda x: (x, 1)).reduce(
-            lambda a, b: (a[0] + b[0], a[1] + b[1])
-        )
-        return total / count
-
-    def isEmpty(self) -> bool:
-        return not self.take(1)
-
-    def takeOrdered(self, n: int, key: Callable[[Any], Any] | None = None) -> list:
-        """Smallest ``n`` elements (per-partition heaps, then merge)."""
-        import heapq
-
-        parts = self.ctx.run_job(
-            self, lambda it: heapq.nsmallest(n, it, key=key), action="takeOrdered"
-        )
-        return heapq.nsmallest(n, (x for p in parts for x in p), key=key)
-
-    def foreach(self, f: Callable[[Any], None]) -> None:
-        self.ctx.run_job(
-            self, lambda it: [f(x) for x in it] and None, action="foreach"
-        )
-
-    def lookup(self, key: Any) -> list:
-        return [v for k, v in self.collect() if k == key]
 
     def getNumPartitions(self) -> int:
         return self.num_partitions()
@@ -635,7 +362,7 @@ class MapPartitionsRDD(RDD):
     def __init__(
         self, prev: RDD, f: Callable[[Iterator, int], Iterable], preserves: bool
     ) -> None:
-        super().__init__(prev.ctx, [OneToOneDependency(prev)])
+        super().__init__(prev.ctx, [NarrowDependency(prev)])
         self._prev = prev
         self._f = f
         if preserves:
@@ -659,7 +386,7 @@ class UnionRDD(RDD):
         self._offsets: list[tuple[RDD, int, int]] = []
         for rdd in rdds:
             length = rdd.num_partitions()
-            deps.append(RangeDependency(rdd, 0, out_start, length))
+            deps.append(NarrowDependency(rdd))
             self._offsets.append((rdd, out_start, length))
             out_start += length
         self._total = out_start
@@ -737,38 +464,6 @@ class ShuffledRDD(RDD):
                     else agg.merge_value(combined[k], v)
                 )
         return iter(combined.items())
-
-
-class CoalescedRDD(RDD):
-    """Merges parent partitions into fewer output partitions (narrow)."""
-
-    def __init__(self, prev: RDD, num_partitions: int) -> None:
-        parent_n = prev.num_partitions()
-        out_n = max(1, min(num_partitions, parent_n))
-        self._groups = [
-            list(range((parent_n * p) // out_n,
-                       (parent_n * (p + 1)) // out_n))
-            for p in range(out_n)
-        ]
-
-        class _GroupDependency(NarrowDependency):
-            def __init__(self, rdd, groups):
-                super().__init__(rdd)
-                self.groups = groups
-
-            def parents(self, split):
-                return self.groups[split]
-
-        super().__init__(prev.ctx, [_GroupDependency(prev, self._groups)])
-        self._prev = prev
-
-    def num_partitions(self) -> int:
-        return len(self._groups)
-
-    def compute(self, split: int, task) -> Iterator:
-        return itertools.chain.from_iterable(
-            self._prev.iterator(p, task) for p in self._groups[split]
-        )
 
 
 class CheckpointedRDD(RDD):

@@ -11,8 +11,6 @@ from repro.core.blocked import (
     c_range,
     grid_bounds,
     updated_tiles,
-    virtual_pad,
-    virtual_unpad,
 )
 from repro.core.gep import (
     FloydWarshallGep,
@@ -95,16 +93,6 @@ def test_blocked_with_parallel_runtime(name):
     with OmpRuntime(4) as rt:
         blocked_gep_inplace(spec, got, 4, IterativeKernel(spec), runtime=rt)
     assert_tables_equal(got, expect)
-
-
-def test_blocked_with_padding_to_uniform_grid():
-    spec = FloydWarshallGep()
-    n, r = 13, 4
-    t = fw_table(n, seed=1)
-    expect = gep_reference_vectorized(spec, t)
-    padded = virtual_pad(spec, t, 16)
-    blocked_gep_inplace(spec, padded, r, IterativeKernel(spec))
-    assert_tables_equal(virtual_unpad(padded, n), expect)
 
 
 def test_blocked_validations(fw_spec):

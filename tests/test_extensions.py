@@ -1,138 +1,15 @@
-"""Extensions: R-Kleene, predecessors, parenthesis DP, checkpointing."""
+"""Extensions: parenthesis DP, checkpointing."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import floyd_warshall, transitive_closure
 from repro.core.parenthesis import (
-    extract_splits,
     matrix_chain_order,
-    optimal_bst_cost,
     parenthesis_solve,
     render_parenthesization,
 )
-from repro.core.predecessors import (
-    floyd_warshall_predecessors,
-    path_from_predecessors,
-)
-from repro.core.rkleene import (
-    apsp_rkleene,
-    rkleene_closure,
-    transitive_closure_rkleene,
-)
-from repro.semiring import MaxPlus
 from repro.sparkle import SparkleContext
-from repro.workloads import grid_road_network, random_digraph_weights, weights_to_boolean
-
-
-class TestRKleene:
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 64])
-    @pytest.mark.parametrize("base", [1, 4, 16])
-    def test_apsp_equals_floyd_warshall(self, n, base):
-        w = random_digraph_weights(n, 0.3, seed=n + base)
-        np.testing.assert_allclose(
-            apsp_rkleene(w, base_size=base), floyd_warshall(w)
-        )
-
-    @pytest.mark.parametrize("n", [3, 10, 33])
-    def test_boolean_closure(self, n):
-        adj = weights_to_boolean(random_digraph_weights(n, 0.15, seed=n))
-        np.testing.assert_array_equal(
-            transitive_closure_rkleene(adj, base_size=4), transitive_closure(adj)
-        )
-
-    def test_closure_has_reflexive_diagonal(self):
-        w = random_digraph_weights(12, 0.3, seed=1)
-        out = rkleene_closure(w, "tropical", base_size=4)
-        np.testing.assert_allclose(np.diag(out), 0.0)
-
-    def test_maxplus_closure_on_dag(self):
-        # Longest paths on a DAG via the dual semiring.
-        n = 10
-        rng = np.random.default_rng(3)
-        w = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    w[i, j] = rng.uniform(1, 5)
-        out = rkleene_closure(w, MaxPlus(), base_size=4)
-        # Compare with DP over topological order.
-        expect = w.copy()
-        np.fill_diagonal(expect, 0.0)
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                for k in range(i + 1, j):
-                    expect[i, j] = max(expect[i, j], w[i, k] + expect[k, j])
-        np.testing.assert_allclose(out[np.triu_indices(n, 1)],
-                                   expect[np.triu_indices(n, 1)])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rkleene_closure(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            rkleene_closure(np.zeros((2, 2)), base_size=0)
-
-
-@given(
-    n=st.integers(min_value=1, max_value=24),
-    seed=st.integers(min_value=0, max_value=100),
-    base=st.sampled_from([1, 2, 5, 8]),
-)
-@settings(max_examples=30, deadline=None)
-def test_property_rkleene_equals_fw(n, seed, base):
-    w = random_digraph_weights(n, 0.35, seed=seed)
-    np.testing.assert_allclose(apsp_rkleene(w, base_size=base), floyd_warshall(w))
-
-
-class TestPredecessors:
-    def test_paths_are_optimal(self):
-        w = grid_road_network(5, 5, seed=2)
-        d, pred = floyd_warshall_predecessors(w)
-        np.testing.assert_allclose(d, floyd_warshall(w))
-        for src, dst in [(0, 24), (24, 0), (3, 20)]:
-            path = path_from_predecessors(pred, src, dst)
-            assert path[0] == src and path[-1] == dst
-            total = sum(w[a, b] for a, b in zip(path, path[1:]))
-            assert total == pytest.approx(d[src, dst])
-
-    def test_trivial_and_unreachable(self):
-        w = np.full((3, 3), np.inf)
-        np.fill_diagonal(w, 0.0)
-        w[0, 1] = 2.0
-        d, pred = floyd_warshall_predecessors(w)
-        assert path_from_predecessors(pred, 1, 1) == [1]
-        assert path_from_predecessors(pred, 0, 1) == [0, 1]
-        with pytest.raises(ValueError):
-            path_from_predecessors(pred, 1, 0)
-
-    def test_negative_cycle_rejected(self):
-        w = np.array([[0.0, 1.0], [-3.0, 0.0]])
-        with pytest.raises(ValueError):
-            floyd_warshall_predecessors(w)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            floyd_warshall_predecessors(np.zeros((2, 3)))
-        _, pred = floyd_warshall_predecessors(np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            path_from_predecessors(pred, 0, 9)
-
-    @given(
-        n=st.integers(min_value=2, max_value=15),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_property_every_reachable_pair_has_valid_path(self, n, seed):
-        w = random_digraph_weights(n, 0.3, seed=seed)
-        d, pred = floyd_warshall_predecessors(w)
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(d[i, j]):
-                    path = path_from_predecessors(pred, i, j)
-                    total = sum(w[a, b] for a, b in zip(path, path[1:]))
-                    assert total == pytest.approx(d[i, j])
+from repro.workloads import random_digraph_weights
 
 
 def _brute_force_chain(dims):
@@ -173,29 +50,6 @@ class TestParenthesis:
         other, _ = matrix_chain_order(dims, method=method)
         assert it == pytest.approx(other)
 
-    def test_optimal_bst_known_instance(self):
-        # Single key: one comparison.
-        assert optimal_bst_cost([1.0]) == pytest.approx(1.0)
-        # Three uniform keys, balanced tree: 1*1 + 2*2 = 5.
-        assert optimal_bst_cost([1.0, 1.0, 1.0]) == pytest.approx(5.0)
-        # Heavily skewed: the hot key must be the root.
-        assert optimal_bst_cost([100.0, 1.0]) == pytest.approx(100.0 + 2.0)
-
-    def test_optimal_bst_methods_agree(self):
-        rng = np.random.default_rng(6)
-        freq = rng.uniform(0.1, 2.0, size=12)
-        assert optimal_bst_cost(freq, method="recursive") == pytest.approx(
-            optimal_bst_cost(freq, method="iterative")
-        )
-
-    def test_extract_splits_covers_tree(self):
-        _, split = matrix_chain_order([5, 4, 3, 2, 1])[1], None
-        c, split = parenthesis_solve(
-            5, lambda i, ks, j: 0.0, method="iterative"
-        )
-        triples = extract_splits(split, 0, 4)
-        assert len(triples) == 3  # n-2 internal merges
-
     def test_render_counts_leaves(self):
         _, split = parenthesis_solve(4, lambda i, ks, j: 0.0)
         text = render_parenthesization(split, 0, 3)
@@ -210,10 +64,6 @@ class TestParenthesis:
             matrix_chain_order([5])
         with pytest.raises(ValueError):
             matrix_chain_order([5, -1])
-        with pytest.raises(ValueError):
-            optimal_bst_cost([])
-        with pytest.raises(ValueError):
-            optimal_bst_cost([-1.0])
 
 
 class TestCheckpointing:

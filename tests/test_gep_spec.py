@@ -1,11 +1,10 @@
-"""GEP specifications: Σ_G, masks, references, padding."""
+"""GEP specifications: Σ_G, masks, references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocked import virtual_pad, virtual_unpad
 from repro.core.gep import (
     FloydWarshallGep,
     GaussianEliminationGep,
@@ -163,38 +162,6 @@ class TestReferences:
         done = gep_reference_vectorized(spec, sq)
         x = np.linalg.solve(np.triu(done[:n, :n]), done[:n, n])
         np.testing.assert_allclose(x, x_true, rtol=1e-8)
-
-
-class TestPadding:
-    @pytest.mark.parametrize("n,target", [(5, 8), (7, 12), (4, 4)])
-    def test_fw_padding_is_inert(self, fw_spec, n, target):
-        t = fw_table(n, seed=n)
-        plain = gep_reference_vectorized(fw_spec, t)
-        padded = virtual_pad(fw_spec, t, target)
-        done = gep_reference_vectorized(fw_spec, padded)
-        assert_tables_equal(virtual_unpad(done, n), plain)
-
-    @pytest.mark.parametrize("n,target", [(5, 8), (6, 11)])
-    def test_ge_padding_is_inert(self, n, target):
-        spec = GaussianEliminationGep(n_pivots=n - 1)
-        t = ge_table(n, seed=n)
-        plain = gep_reference_vectorized(spec, t)
-        padded = virtual_pad(spec, t, target)
-        done = gep_reference_vectorized(spec, padded)
-        assert_tables_equal(virtual_unpad(done, n), plain)
-
-    def test_tc_padding_is_inert(self, tc_spec):
-        t = tc_table(6, seed=3)
-        plain = gep_reference_vectorized(tc_spec, t)
-        padded = virtual_pad(tc_spec, t, 9)
-        done = gep_reference_vectorized(tc_spec, padded)
-        assert_tables_equal(virtual_unpad(done, 6), plain)
-
-    def test_pad_validates(self, fw_spec):
-        with pytest.raises(ValueError):
-            virtual_pad(fw_spec, np.zeros((3, 3)), 2)
-        with pytest.raises(ValueError):
-            virtual_pad(fw_spec, np.zeros((2, 3)), 4)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100))

@@ -12,11 +12,9 @@ from repro.poly import (
     TiledGep,
     asap_levels,
     bernstein_dependent,
-    cross_iteration_edges,
     TileAccess,
     gep_domain_constraints,
     index_set_split,
-    iteration_read_versions,
     poly_schedule,
     schedule_iteration,
 )
@@ -178,7 +176,7 @@ def test_poly_schedule_equals_methodology_one(spec, nb):
 
 
 # ----------------------------------------------------------------------
-# derived legality: ASAP levels and the cross-iteration relation
+# derived legality: ASAP levels
 # ----------------------------------------------------------------------
 class TestDerivedDependences:
     @pytest.mark.parametrize("spec", [FW, GE, TC], ids=["fw", "ge", "tc"])
@@ -198,39 +196,3 @@ class TestDerivedDependences:
             assert [t.case for st_ in stages for t in st_] == sorted(
                 (t.case for t in tiles), key=expected_rank.get
             )
-
-    def test_read_versions_fw_k0(self):
-        """Version split for FW kb=0, nb=2: A reads its own tile pre;
-        B/C read the pivot post-update; D reads its row/col/pivot
-        operands post-update."""
-        va = {v.point: v for v in iteration_read_versions(FW, 0, 2)}
-        a = va[(0, 0, 0)]
-        assert a.case == "A" and a.post_reads == frozenset()
-        b = va[(0, 0, 1)]
-        assert b.case == "B"
-        assert b.pre_reads == frozenset({(0, 1)})
-        assert b.post_reads == frozenset({(0, 0)})
-        d = va[(0, 1, 1)]
-        assert d.case == "D"
-        assert d.pre_reads == frozenset({(1, 1)})
-        assert d.post_reads == frozenset({(1, 0), (0, 1), (0, 0)})
-
-    def test_cross_iteration_edges_fw(self):
-        """Iteration 1's pivot work depends only on iteration 0's writes
-        to the tiles it reads — not on all of iteration 0."""
-        edges = cross_iteration_edges(FW, 0, 3)
-        # next pivot A(1,1,1) needs k=0's D on (1,1) only
-        assert edges[(1, 1, 1)] == frozenset({(0, 1, 1)})
-        # B(1,1,2): reads (1,2) and pivot (1,1); both written at k=0
-        assert edges[(1, 1, 2)] == frozenset({(0, 1, 2), (0, 1, 1)})
-        # D(1,0,0): reads (0,0),(0,1),(1,0),(1,1) - all written at k=0
-        assert edges[(1, 0, 0)] == frozenset(
-            {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)}
-        )
-
-    def test_cross_iteration_edges_shrink_for_ge(self):
-        """GE's trailing submatrix shrinks: points outside iteration
-        kb+1's active region simply do not appear."""
-        edges = cross_iteration_edges(GE, 0, 3)
-        assert (1, 0, 0) not in edges  # row 0 is retired after k=0
-        assert (1, 1, 1) in edges

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
-import pickle
 import socket
 import struct
 import threading
@@ -37,7 +36,6 @@ from repro.service import (
     _recv_msg,
     _send_msg,
     is_retryable,
-    run_request_storm,
     send_request,
     serve_forever,
 )
@@ -55,6 +53,8 @@ from repro.sparkle import (
 from repro.sparkle.memory import PRESSURE_CRITICAL, MemoryManager
 from repro.sparkle.metrics import ServiceMetrics
 from repro.workloads import random_digraph_weights
+
+from .storms import run_request_storm
 
 pytestmark = pytest.mark.service
 
@@ -142,30 +142,11 @@ class SlowDKernel(SlowKernel):
 
 
 # ---------------------------------------------------------------------------
-# typed service errors (satellite: pickle-safety regression)
+# typed service errors: retryability (pickling: test_supervision.ERROR_SAMPLES)
 # ---------------------------------------------------------------------------
 
 
 class TestServiceErrors:
-    @pytest.mark.parametrize(
-        "exc",
-        [
-            ServiceOverloadedError(
-                "shed", level="critical", queue_depth=7, retry_after=0.25
-            ),
-            RequestDeadlineExceeded("late", deadline=1.5, elapsed=2.25),
-            ServiceDrainingError("draining for shutdown", retry_after=0.75),
-            FrameTooLargeError("frame too big", length=1 << 40,
-                               limit=1 << 20),
-        ],
-        ids=lambda e: type(e).__name__,
-    )
-    def test_pickle_round_trip_preserves_everything(self, exc):
-        clone = pickle.loads(pickle.dumps(exc))
-        assert type(clone) is type(exc)
-        assert clone.args == exc.args
-        assert vars(clone) == vars(exc)
-
     def test_retryability_contract(self):
         assert is_retryable(ServiceOverloadedError("shed"))
         assert is_retryable(WorkerCrashed("died", 1, "kill"))

@@ -18,17 +18,14 @@ from repro.core import (
     floyd_warshall,
     forward_eliminate,
     gaussian_solve,
-    has_negative_cycle,
     lu_decompose,
     reconstruct_path,
     run_gep,
     semiring_closure,
-    strongly_connected_pairs,
     transitive_closure,
 )
 from repro.core.fwapsp import _prepare_weights
 from repro.core.gep import FloydWarshallGep
-from repro.core.transitive import reachable_from
 from repro.sparkle import SparkleContext
 from repro.workloads import (
     diagonally_dominant,
@@ -73,11 +70,6 @@ class TestFloydWarshall:
         before = w.copy()
         floyd_warshall(w)
         np.testing.assert_array_equal(w, before)
-
-    def test_negative_cycle_detection(self):
-        w = np.array([[0.0, 1.0, np.inf], [np.inf, 0.0, -3.0], [1.0, np.inf, 0.0]])
-        assert has_negative_cycle(w)
-        assert not has_negative_cycle(random_digraph_weights(10, 0.4, seed=5))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -202,18 +194,6 @@ class TestTransitiveClosure:
         adj = np.zeros((3, 3), dtype=bool)
         closure = transitive_closure(adj, reflexive=False)
         assert not closure.any()
-
-    def test_reachable_from(self):
-        adj = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        np.testing.assert_array_equal(reachable_from(adj, 0), [True, True, True])
-        with pytest.raises(IndexError):
-            reachable_from(adj, 9)
-
-    def test_strongly_connected_pairs(self):
-        adj = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]], dtype=bool)
-        scc = strongly_connected_pairs(adj)
-        assert scc[0, 1] and scc[1, 0]
-        assert not scc[2, 0]
 
     def test_spark_engine(self):
         adj = weights_to_boolean(random_digraph_weights(18, 0.15, seed=2))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.sparkle import (
     GridPartitioner,
     HashPartitioner,
-    RangePartitioner,
     SparkleContext,
 )
 from repro.sparkle import storage
@@ -44,23 +43,11 @@ class TestBasicTransformations:
         out = rdd.map_partitions(lambda it, pid: [(pid, sum(it))]).collect()
         assert out == [(0, 1), (1, 5), (2, 9)]
 
-    def test_glom_partition_structure(self, sc):
-        parts = sc.parallelize(range(6), 3).glom().collect()
-        assert parts == [[0, 1], [2, 3], [4, 5]]
-
     def test_union_preserves_order(self, sc):
         a = sc.parallelize([1, 2], 2)
         b = sc.parallelize([3], 1)
         assert a.union(b).collect() == [1, 2, 3]
         assert sc.union([a, b, a]).collect() == [1, 2, 3, 1, 2]
-
-    def test_keys_values_keyby(self, sc):
-        kv = sc.parallelize([(1, "a"), (2, "b")], 1)
-        assert kv.keys().collect() == [1, 2]
-        assert kv.values().collect() == ["a", "b"]
-        assert sc.parallelize([3, 4], 1).keyBy(lambda x: x % 2).collect() == [
-            (1, 3), (0, 4),
-        ]
 
     def test_map_values_preserves_partitioner(self, sc):
         p = HashPartitioner(3)
@@ -68,10 +55,6 @@ class TestBasicTransformations:
         mapped = kv.mapValues(lambda v: v + 1)
         assert mapped.partitioner == p
         assert mapped.partitionBy(partitioner=p) is mapped
-
-    def test_distinct(self, sc):
-        out = sc.parallelize([1, 2, 2, 3, 1], 3).distinct(2).collect()
-        assert sorted(out) == [1, 2, 3]
 
     def test_lazy_until_action(self, sc):
         evil = sc.parallelize([1], 1).map(lambda x: 1 / 0)
@@ -103,64 +86,6 @@ class TestPairOperations:
         )
         assert sorted(got["x"]) == [1, 2] and got["y"] == [5]
 
-    def test_fold_by_key(self, sc):
-        kv = sc.parallelize([("a", 2), ("a", 3), ("b", 4)], 2)
-        got = dict(kv.foldByKey(1, lambda a, b: a * b, 2).collect())
-        assert got == {"a": 6, "b": 4}
-
-    def test_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b"), (1, "c")], 2)
-        right = sc.parallelize([(1, "x"), (3, "z")], 2)
-        got = sorted(left.join(right).collect())
-        assert got == [(1, ("a", "x")), (1, ("c", "x"))]
-
-    def test_cogroup(self, sc):
-        left = sc.parallelize([(1, "a")], 1)
-        right = sc.parallelize([(1, "x"), (1, "y"), (2, "w")], 2)
-        got = dict(left.cogroup(right, 2).collect())
-        assert got[1] == (["a"], ["x", "y"])
-        assert got[2] == ([], ["w"])
-
-    def test_count_by_key_and_lookup(self, sc):
-        kv = sc.parallelize([("a", 1), ("a", 2), ("b", 9)], 2)
-        assert kv.countByKey() == {"a": 2, "b": 1}
-        assert kv.lookup("a") == [1, 2]
-
-    def test_collect_as_map(self, sc):
-        assert sc.parallelize([(1, "a")], 1).collectAsMap() == {1: "a"}
-
-
-class TestActions:
-    def test_count_and_first_take(self, sc):
-        rdd = sc.parallelize(range(10), 4)
-        assert rdd.count() == 10
-        assert rdd.first() == 0
-        assert rdd.take(3) == [0, 1, 2]
-        assert rdd.take(99) == list(range(10))
-
-    def test_first_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.empty_rdd().first()
-
-    def test_reduce(self, sc):
-        assert sc.parallelize(range(1, 6), 3).reduce(lambda a, b: a * b) == 120
-
-    def test_reduce_with_empty_partitions(self, sc):
-        assert sc.parallelize([5], 4).reduce(lambda a, b: a + b) == 5
-
-    def test_reduce_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.empty_rdd().reduce(lambda a, b: a + b)
-
-    def test_fold(self, sc):
-        assert sc.parallelize(range(5), 2).fold(0, lambda a, b: a + b) == 10
-
-    def test_foreach_side_effect(self, sc):
-        seen = []
-        sc.parallelize(range(4), 2).foreach(seen.append)
-        assert sorted(seen) == [0, 1, 2, 3]
-
-
 class TestPartitioners:
     def test_hash_deterministic_across_instances(self):
         a, b = HashPartitioner(7), HashPartitioner(7)
@@ -172,12 +97,6 @@ class TestPartitioners:
         assert HashPartitioner(4) == HashPartitioner(4)
         assert HashPartitioner(4) != HashPartitioner(5)
         assert HashPartitioner(4) != GridPartitioner(4, 2)
-
-    def test_range_partitioner_monotone(self):
-        p = RangePartitioner(4, 100)
-        ids = [p.partition(k) for k in range(100)]
-        assert ids == sorted(ids)
-        assert set(ids) == {0, 1, 2, 3}
 
     def test_grid_partitioner_rows_cluster(self):
         p = GridPartitioner(4, 8)
@@ -192,8 +111,6 @@ class TestPartitioners:
     def test_validation(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
-        with pytest.raises(ValueError):
-            RangePartitioner(2, 0)
         with pytest.raises(ValueError):
             GridPartitioner(2, 0)
 
@@ -278,15 +195,12 @@ class TestPartitioners:
         kv.partitionBy(partitioner=HashPartitioner(5)).collect()
         assert sc.metrics.jobs[-1].num_stages == 2  # the contrast: a new shuffle
         assert GridPartitioner(4, 2) == GridPartitioner(4, 2) != GridPartitioner(4, 3)
-        assert RangePartitioner(4, 9) == RangePartitioner(4, 9) != RangePartitioner(4, 8)
-        assert HashPartitioner(4) != RangePartitioner(4, 4)
 
     def test_partition_by_places_by_hash(self, sc):
         p = HashPartitioner(4)
         kv = sc.parallelize([(i, i) for i in range(16)], 3).partitionBy(partitioner=p)
-        for pid, items in enumerate(kv.glom().collect()):
-            for k, _v in items:
-                assert p.partition(k) == pid
+        for pid, k in kv.map_partitions(lambda it, pid: ((pid, k) for k, _v in it)).collect():
+            assert p.partition(k) == pid
 
     def test_map_task_memo_places_equal_keys_that_print_apart_apart(self, sc):
         """A map task reads the placement memo inline, a hit only for an
@@ -303,11 +217,11 @@ class TestPartitioners:
         p = HashPartitioner(n)
         p.partition((1, 2))  # memoised before the shuffle runs
         kv = sc.parallelize([(k, i) for i, k in enumerate(keys)], 2)
-        placed = {
-            repr(k): pid
-            for pid, items in enumerate(kv.partitionBy(partitioner=p).glom().collect())
-            for k, _v in items
-        }
+        placed = dict(
+            kv.partitionBy(partitioner=p)
+            .map_partitions(lambda it, pid: ((repr(k), pid) for k, _v in it))
+            .collect()
+        )
         assert [placed[repr(k)] for k in keys] == want
 
 

@@ -34,13 +34,23 @@ from repro.sparkle import (
     CorruptBlockError,
     ExecutorLost,
     FaultPlan,
+    FrameTooLargeError,
     HeartbeatBoard,
+    JobAborted,
+    JournalError,
     PoisonTaskError,
+    RequestDeadlineExceeded,
+    ResumeMismatchError,
+    ServiceDrainingError,
+    ServiceOverloadedError,
     ShuffleFetchFailed,
     SparkleContext,
     SupervisionConfig,
     TaskDeadlineExceeded,
     TaskError,
+    TaskKilled,
+    TenantQuotaExceededError,
+    TransientIOError,
     WorkerCrashed,
     WorkerSupervisor,
     shm_supported,
@@ -277,17 +287,31 @@ class TestRespawnBackoff:
 # ----------------------------------------------------------------------
 ERROR_SAMPLES = [
     (TaskError, ("boom", 3, 7), {"stage_id": 3, "partition": 7}),
+    (TaskKilled, ("chaos kill",), {}),
     (ExecutorLost, ("gone", 2), {"executor": 2}),
+    (TransientIOError, ("flaky read",), {}),
     (ShuffleFetchFailed, (5, (1, 2)), {"shuffle_id": 5, "missing": (1, 2)}),
     (BlockNotFoundError, ("missing", ("rdd", 1)), {"key": ("rdd", 1)}),
     (CorruptBlockError, ("bad sum", ("rdd", 2)), {"key": ("rdd", 2)}),
-    (WorkerCrashed, ("died", 1234, "worker_kill"),
-     {"pid": 1234, "reason": "worker_kill"}),
+    (JournalError, ("bad version",), {}),
+    (ResumeMismatchError, ("other solve",), {}),
+    (JobAborted, ("gave up",), {}),
+    (WorkerCrashed, ("died", 1234, "worker_kill", 1),
+     {"pid": 1234, "reason": "worker_kill", "slot": 1}),
     (TaskDeadlineExceeded, ("late", 1.5, 2.25),
      {"deadline": 1.5, "elapsed": 2.25}),
     (PoisonTaskError, ("poison", (0, 8, 0), "B", "deadbeef", 3),
      {"coordinate": (0, 8, 0), "case": "B", "kernel_id": "deadbeef",
       "failures": 3}),
+    (ServiceOverloadedError, ("shed", "critical", 7, 0.25),
+     {"level": "critical", "queue_depth": 7, "retry_after": 0.25}),
+    (ServiceDrainingError, ("draining for shutdown", 0.75), {"retry_after": 0.75}),
+    (TenantQuotaExceededError, ("over", "acme", 10, 8, 0.5),
+     {"tenant": "acme", "used_bytes": 10, "quota_bytes": 8, "retry_after": 0.5}),
+    (FrameTooLargeError, ("frame too big", 1 << 40, 1 << 20),
+     {"length": 1 << 40, "limit": 1 << 20}),
+    (RequestDeadlineExceeded, ("late", 1.5, 2.25),
+     {"deadline": 1.5, "elapsed": 2.25}),
 ]
 
 
@@ -306,8 +330,21 @@ class TestErrorPickleSafety:
         clone = pickle.loads(pickle.dumps(err))
         assert type(clone) is cls
         assert str(clone) == str(err)
+        assert clone.args == err.args
+        assert vars(clone) == vars(err)
         for attr, expected in attrs.items():
             assert getattr(clone, attr) == expected
+
+    def test_samples_cover_every_engine_error(self):
+        from repro.sparkle import errors
+
+        engine_errors = {
+            obj for name in errors.__all__
+            if isinstance(obj := getattr(errors, name), type)
+            and issubclass(obj, errors.SparkleError)
+            and obj is not errors.SparkleError
+        }
+        assert engine_errors == {cls for cls, _, _ in ERROR_SAMPLES}
 
     def test_raised_inside_worker(self):
         """concurrent.futures ships worker exceptions back by pickling
