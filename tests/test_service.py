@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
+import pickle
 import socket
 import struct
 import threading
@@ -147,6 +148,25 @@ class SlowDKernel(SlowKernel):
 
 
 class TestServiceErrors:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ServiceOverloadedError(
+                "shed", level="critical", queue_depth=7, retry_after=0.25
+            ),
+            RequestDeadlineExceeded("late", deadline=1.5, elapsed=2.25),
+            ServiceDrainingError("draining for shutdown", retry_after=0.75),
+            FrameTooLargeError("frame too big", length=1 << 40,
+                               limit=1 << 20),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_pickle_round_trip_preserves_everything(self, exc):
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is type(exc)
+        assert clone.args == exc.args
+        assert vars(clone) == vars(exc)
+
     def test_retryability_contract(self):
         assert is_retryable(ServiceOverloadedError("shed"))
         assert is_retryable(WorkerCrashed("died", 1, "kill"))

@@ -71,6 +71,13 @@ class TestFloydWarshall:
         floyd_warshall(w)
         np.testing.assert_array_equal(w, before)
 
+    def test_negative_cycle_detection(self):
+        # a negative cycle shows as a negative diagonal entry after FW
+        w = np.array([[0.0, 1.0, np.inf], [np.inf, 0.0, -3.0], [1.0, np.inf, 0.0]])
+        assert (np.diag(floyd_warshall(w)) < 0).any()
+        d = floyd_warshall(random_digraph_weights(10, 0.4, seed=5))
+        assert not (np.diag(d) < 0).any()
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             floyd_warshall(np.zeros((2, 3)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -289,12 +290,16 @@ class TestBrownoutLadder:
 
 
 class TestQuotaEnforcement:
-    def test_error_is_typed_and_retryable(self):
+    def test_error_is_typed_retryable_and_pickle_safe(self):
         exc = TenantQuotaExceededError(
             "over", tenant="acme", used_bytes=10, quota_bytes=8,
             retry_after=0.5,
         )
         assert is_retryable(exc)
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is TenantQuotaExceededError
+        assert (clone.tenant, clone.used_bytes, clone.quota_bytes,
+                clone.retry_after) == ("acme", 10, 8, 0.5)
 
     @pytest.mark.timeout(120)
     def test_quota_on_unbudgeted_context_is_enforced(self):
