@@ -93,8 +93,8 @@ KEEP: list[tuple[str, str, str]] = [
     ("sparkle/rdd.py", r"RDD\.(reduceByKey|groupByKey|union|count)",
      "an engine workload other modules' tests run"),
     ("sparkle/rdd.py", r"RDD\.(getNumPartitions|to_debug_string)", "other modules' tests read it"),
-    ("sparkle/rdd.py", r"RDD\.checkpoint|(Checkpointed|DurableCheckpoint)RDD(\..*)?",
-     "checkpointing (DESIGN §7): durability suites"),
+    ("sparkle/rdd.py", r"RDD\.checkpoint|CheckpointedRDD(\..*)?",
+     "the in-memory lineage cut: checkpoint_every and the journal's snapshot"),
     ("sparkle/partitioner.py", r"Partitioner\.(__eq__|__hash__)|HashPartitioner\._params",
      "partitioner identity: partitionBy skips the shuffle on an equal partitioner"),
     ("sparkle/partitioner.py", r"GridPartitioner(\..*)?",
@@ -320,11 +320,17 @@ def reached(trace_dir: str) -> dict[str, dict[str, set[int]]]:
     return out
 
 
+def covers(path: str, rel: str) -> bool:
+    """Whether a :data:`KEEP` path (a file, or a directory ending in
+    "/") covers the source file ``rel``."""
+    return rel.startswith(path) if path.endswith("/") else rel == path
+
+
 def keep_reason(rel: str, name: str) -> str | None:
     import re
 
     for path, pattern, reason in KEEP:
-        if (rel.startswith(path) if path.endswith("/") else rel == path) and re.fullmatch(pattern, name):
+        if covers(path, rel) and re.fullmatch(pattern, name):
             return reason
     return None
 

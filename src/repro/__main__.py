@@ -43,69 +43,43 @@ def _load_or_generate(args) -> np.ndarray:
     return make_problem(args.problem, args.n, args.seed, args.density)[1]
 
 
+#: ``solve`` flags only the spark engine reads, by argparse dest (the
+#: flag is the dest with dashes); another engine refuses them
+_SPARK_FLAGS = (
+    "executors", "cores", "backend", "checkpoint_dir", "resume",
+    "max_iterations", "memory_budget", "spill_dir", "degrade_on_pressure",
+    "heartbeat_interval", "task_deadline", "max_task_failures",
+    "degrade_on_crash", "chaos",
+)
+
+
+def _given(**kw) -> dict:
+    """The keyword arguments whose flag was given: an unset flag passes
+    nothing, so the default is its owner's."""
+    return {k: v for k, v in kw.items() if v is not None}
+
+
 def _cmd_solve(args) -> int:
     from repro.core import floyd_warshall, forward_eliminate, transitive_closure
-    from repro.sparkle import FaultPlan, ResumeMismatchError, SparkleContext
+    from repro.sparkle import (
+        FaultPlan, ResumeMismatchError, SparkleContext, SupervisionConfig,
+    )
 
+    # The one check of the CLI's own: every value is checked by the
+    # library code that reads it (a ValueError below exits 2).
+    if args.engine != "spark":
+        for dest in _SPARK_FLAGS:
+            if getattr(args, dest) not in (None, False):
+                flag = "--" + dest.replace("_", "-")
+                print(f"{flag} requires --engine spark", file=sys.stderr)
+                return 2
     fault_plan = None
     if args.chaos is not None:
-        if args.engine != "spark":
-            print("--chaos requires --engine spark", file=sys.stderr)
-            return 2
         try:
             fault_plan = FaultPlan.from_string(args.chaos)
         except ValueError as exc:
             print(f"invalid --chaos spec: {exc}", file=sys.stderr)
             return 2
-    if args.engine != "spark" and args.checkpoint_dir:
-        print("--checkpoint-dir requires --engine spark", file=sys.stderr)
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.memory_budget is not None and args.engine != "spark":
-        print("--memory-budget requires --engine spark", file=sys.stderr)
-        return 2
-    if args.backend != "threads" and args.engine != "spark":
-        print("--backend requires --engine spark", file=sys.stderr)
-        return 2
-    if args.memory_budget is not None and args.memory_budget < 1:
-        print("--memory-budget must be >= 1 byte", file=sys.stderr)
-        return 2
-    if args.memory_budget is None and (args.spill_dir or args.degrade_on_pressure):
-        print(
-            "--spill-dir/--degrade-on-pressure require --memory-budget",
-            file=sys.stderr,
-        )
-        return 2
-    supervision_flags = (
-        args.heartbeat_interval is not None
-        or args.task_deadline is not None
-        or args.max_task_failures is not None
-    )
-    if supervision_flags and args.engine != "spark":
-        print(
-            "--heartbeat-interval/--task-deadline/--max-task-failures "
-            "require --engine spark",
-            file=sys.stderr,
-        )
-        return 2
-    if args.heartbeat_interval is not None and args.heartbeat_interval < 0:
-        print("--heartbeat-interval must be >= 0 (0 disables)", file=sys.stderr)
-        return 2
-    if args.task_deadline is not None and args.task_deadline <= 0:
-        print("--task-deadline must be > 0 seconds", file=sys.stderr)
-        return 2
-    if args.max_task_failures is not None and args.max_task_failures < 1:
-        print("--max-task-failures must be >= 1", file=sys.stderr)
-        return 2
-    if args.degrade_on_crash and args.backend != "processes":
-        print(
-            "--degrade-on-crash requires --backend processes (the threads "
-            "backend has nothing to degrade to)",
-            file=sys.stderr,
-        )
-        return 2
 
     table = _load_or_generate(args)
     kw = dict(
@@ -116,35 +90,34 @@ def _cmd_solve(args) -> int:
         omp_threads=args.omp,
         strategy=args.strategy,
     )
-    ctx_supervision_kw = {}
-    if args.heartbeat_interval is not None:
-        ctx_supervision_kw["heartbeat_interval"] = args.heartbeat_interval
-    if args.task_deadline is not None:
-        ctx_supervision_kw["task_deadline"] = args.task_deadline
-    if args.max_task_failures is not None:
-        ctx_supervision_kw["max_task_failures"] = args.max_task_failures
-    ctx = (
-        SparkleContext(
-            args.executors,
-            args.cores,
-            fault_plan=fault_plan,
-            checkpoint_dir=args.checkpoint_dir or None,
-            memory_budget_bytes=args.memory_budget,
-            spill_dir=args.spill_dir or None,
-            backend=args.backend,
-            **ctx_supervision_kw,
-        )
-        if args.engine == "spark"
-        else None
-    )
+    ctx = None
     try:
-        if ctx is not None:
-            kw["sc"] = ctx
-            kw["resume"] = args.resume
-            kw["max_iterations"] = args.max_iterations
-            kw["degrade_on_pressure"] = args.degrade_on_pressure
-            kw["degrade_on_crash"] = args.degrade_on_crash
         try:
+            if args.engine == "spark":
+                supervision = SupervisionConfig(**_given(
+                    heartbeat_interval=args.heartbeat_interval,
+                    task_deadline=args.task_deadline,
+                    max_task_failures=args.max_task_failures,
+                ))
+                ctx = SparkleContext(
+                    fault_plan=fault_plan,
+                    supervision=supervision,
+                    **_given(
+                        num_executors=args.executors,
+                        cores_per_executor=args.cores,
+                        backend=args.backend,
+                        checkpoint_dir=args.checkpoint_dir,
+                        memory_budget_bytes=args.memory_budget,
+                        spill_dir=args.spill_dir,
+                    ),
+                )
+                kw.update(
+                    sc=ctx,
+                    resume=args.resume,
+                    max_iterations=args.max_iterations,
+                    degrade_on_pressure=args.degrade_on_pressure,
+                    degrade_on_crash=args.degrade_on_crash,
+                )
             if args.problem == "apsp":
                 out, report = floyd_warshall(table, return_report=True, **kw)
             elif args.problem == "tc":
@@ -155,6 +128,9 @@ def _cmd_solve(args) -> int:
                 )
         except ResumeMismatchError as exc:
             print(f"cannot resume: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"solve: {exc}", file=sys.stderr)
             return 2
         partial = report is not None and report.extras.get("partial")
         if partial:
@@ -380,6 +356,18 @@ def _parse_tenant_policies(args):
     return policies, None
 
 
+def _tenant_counters(counters: dict) -> str:
+    """One tenant's request-plane counters, as ``serve`` prints them at
+    exit and ``request --stats`` prints them live."""
+    return (
+        f"requests={counters['requests']} sheds={counters['sheds']} "
+        f"cache_hits={counters['cache_hits']} "
+        f"passes={counters.get('engine_passes', 0)} "
+        f"quota_rejections={counters.get('quota_rejections', 0)} "
+        f"rate_limited={counters.get('rate_limited', 0)}"
+    )
+
+
 def _cmd_serve(args) -> int:
     from repro.service import (
         RequestJournal,
@@ -396,21 +384,29 @@ def _cmd_serve(args) -> int:
     if err is not None:
         print(err, file=sys.stderr)
         return 2
-    sc = SparkleContext(
-        num_executors=args.executors,
-        cores_per_executor=args.cores,
-        backend=args.backend,
-        memory_budget_bytes=args.memory_budget,
-    )
-    config = ServiceConfig(
-        max_queue_depth=args.max_queue_depth,
-        cache_entries=args.cache_entries,
-        retries=args.retries,
-        default_deadline=args.default_deadline,
-        max_frame_bytes=args.max_frame_bytes,
-        tenant_policies=policies,
-        brownout=not args.no_brownout,
-    )
+    try:
+        config = ServiceConfig(
+            tenant_policies=policies,
+            brownout=not args.no_brownout,
+            **_given(
+                max_queue_depth=args.max_queue_depth,
+                cache_entries=args.cache_entries,
+                retries=args.retries,
+                default_deadline=args.default_deadline,
+                max_frame_bytes=args.max_frame_bytes,
+            ),
+        )
+        sc = SparkleContext(
+            **_given(
+                num_executors=args.executors,
+                cores_per_executor=args.cores,
+                backend=args.backend,
+                memory_budget_bytes=args.memory_budget,
+            )
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     journal = RequestJournal(args.journal_dir) if args.journal_dir else None
     service = SolverService(sc, config=config, journal=journal)
     if args.resume:
@@ -419,7 +415,7 @@ def _cmd_serve(args) -> int:
               f"cached result(s), replaying {len(replayed)} in-flight "
               f"request(s) from the journal")
     print(f"serving solves on {args.socket} "
-          f"(backend={args.backend}, executors={args.executors}, "
+          f"(backend={sc.backend}, executors={sc.num_executors}, "
           f"queue<= {config.max_queue_depth}, cache {config.cache_entries} entries"
           + (f", journal {args.journal_dir}" if journal is not None else "")
           + ")")
@@ -445,13 +441,7 @@ def _cmd_serve(args) -> int:
         if per_tenant:
             print("per-tenant:")
             for tenant, counters in sorted(per_tenant.items()):
-                print(f"  {tenant:20s} requests={counters['requests']} "
-                      f"sheds={counters['sheds']} "
-                      f"cache_hits={counters['cache_hits']} "
-                      f"passes={counters.get('engine_passes', 0)} "
-                      f"quota_rejections="
-                      f"{counters.get('quota_rejections', 0)} "
-                      f"rate_limited={counters.get('rate_limited', 0)}")
+                print(f"  {tenant:20s} {_tenant_counters(counters)}")
     return 0
 
 
@@ -489,12 +479,7 @@ def _cmd_request(args) -> int:
             if key != "status":
                 print(f"{key:28s} {value}")
         for tenant, counters in sorted(per_tenant.items()):
-            print(f"tenant {tenant:20s} requests={counters['requests']} "
-                  f"sheds={counters['sheds']} "
-                  f"cache_hits={counters['cache_hits']} "
-                  f"passes={counters.get('engine_passes', 0)} "
-                  f"quota_rejections={counters.get('quota_rejections', 0)} "
-                  f"rate_limited={counters.get('rate_limited', 0)}")
+            print(f"tenant {tenant:20s} {_tenant_counters(counters)}")
         for tenant, ledger in sorted(ledgers.items()):
             quota = ledger.get("quota_bytes")
             print(f"quota {tenant:21s} held={ledger.get('held_bytes', 0)} "
@@ -562,12 +547,12 @@ def main(argv: list[str] | None = None) -> int:
                        help="distribution strategy: im (Listing 1), cb "
                             "(Listing 2), or bcast (CB via broadcast "
                             "variables — a design-space ablation)")
-    solve.add_argument("--executors", type=int, default=4)
-    solve.add_argument("--cores", type=int, default=2)
+    solve.add_argument("--executors", type=int)
+    solve.add_argument("--cores", type=int)
     solve.add_argument(
-        "--backend", choices=("threads", "processes"), default="threads",
-        help="spark-engine execution backend: threads (default, "
-             "deterministic in-process pool) or processes (one worker "
+        "--backend", choices=("threads", "processes"),
+        help="spark-engine execution backend: threads (SparkleContext's "
+             "default, deterministic in-process pool) or processes (one worker "
              "process per executor; kernel tile updates run on multiple "
              "cores, tiles pickled in one batch per task — bit-identical "
              "results)")
@@ -603,9 +588,10 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument(
         "--heartbeat-interval", dest="heartbeat_interval", type=float,
         default=None, metavar="SECONDS",
-        help="worker heartbeat period for the process backend (default "
-             "0.25 s; a worker silent for 2x this is presumed hung and "
-             "SIGKILLed by the driver watchdog; 0 disables heartbeats)")
+        help="worker heartbeat period for the process backend "
+             "(SupervisionConfig's default; a worker silent for 2x this is "
+             "presumed hung and SIGKILLed by the driver watchdog; 0 "
+             "disables heartbeats)")
     solve.add_argument(
         "--task-deadline", dest="task_deadline", type=float, default=None,
         metavar="SECONDS",
@@ -616,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         "--max-task-failures", dest="max_task_failures", type=int,
         default=None, metavar="N",
         help="quarantine a kernel call as poison after it kills N fresh "
-             "workers (default 3)")
+             "workers (SupervisionConfig's default)")
     solve.add_argument(
         "--degrade-on-crash", action="store_true",
         help="fall back from the process backend to the thread path at the "
@@ -661,23 +647,20 @@ def main(argv: list[str] | None = None) -> int:
         help="run the solver as a long-lived service on a Unix socket")
     serve.add_argument("--socket", default="/tmp/repro-solver.sock",
                        help="Unix socket path to listen on")
-    serve.add_argument("--executors", type=int, default=4)
-    serve.add_argument("--cores", type=int, default=2)
-    serve.add_argument("--backend", choices=("threads", "processes"),
-                       default="threads")
+    serve.add_argument("--executors", type=int)
+    serve.add_argument("--cores", type=int)
+    serve.add_argument("--backend", choices=("threads", "processes"))
     serve.add_argument("--memory-budget", dest="memory_budget", type=int,
                        default=None, metavar="BYTES",
                        help="unified engine memory budget; also gates "
                             "request admission (critical pressure sheds)")
     serve.add_argument("--max-queue-depth", dest="max_queue_depth", type=int,
-                       default=16,
                        help="bounded request queue; overflow is shed with a "
                             "typed, retryable ServiceOverloadedError")
     serve.add_argument("--cache-entries", dest="cache_entries", type=int,
-                       default=32,
                        help="LRU result-cache capacity (checksummed; bytes "
                             "charged to the storage pool)")
-    serve.add_argument("--retries", type=int, default=2,
+    serve.add_argument("--retries", type=int,
                        help="engine passes retried per request after a "
                             "transient fault")
     serve.add_argument("--default-deadline", dest="default_deadline",
@@ -691,7 +674,6 @@ def main(argv: list[str] | None = None) -> int:
                             "rehydrate the result cache before serving "
                             "(requires --journal-dir)")
     serve.add_argument("--max-frame-bytes", dest="max_frame_bytes", type=int,
-                       default=256 * 1024 * 1024,
                        help="refuse socket frames announcing more than this "
                             "many bytes (allocation-bomb guard)")
     serve.add_argument("--max-requests", dest="max_requests", type=int,

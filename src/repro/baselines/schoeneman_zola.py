@@ -36,9 +36,9 @@ class SchoenemanZolaAPSP:
     block_size:
         Tile edge length (their tunable "block decomposition parameter";
         ``r = ceil(n / block_size)``).
-    num_partitions:
-        RDD partitions; their guideline (adopted by the paper) is 2x the
-        total core count, which is the context default.
+
+    The partition count is the context's ``default_parallelism``, whose
+    default is their guideline (adopted by the paper): 2x total cores.
     """
 
     def __init__(
@@ -46,13 +46,11 @@ class SchoenemanZolaAPSP:
         sc: SparkleContext,
         *,
         block_size: int = 64,
-        num_partitions: int | None = None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.sc = sc
         self.block_size = block_size
-        self.num_partitions = num_partitions
 
     def solve(
         self, weights: np.ndarray, *, directed: bool = True
@@ -77,6 +75,5 @@ class SchoenemanZolaAPSP:
             r=r,
             kernel=make_kernel(spec, "iterative"),
             strategy="im",
-            num_partitions=self.num_partitions,
         )
         return solver.solve(w)

@@ -11,9 +11,6 @@ closure) funnels through :func:`run_gep`, which selects the engine:
 
 from __future__ import annotations
 
-import inspect
-from typing import Any
-
 import numpy as np
 
 from ..kernels import KernelStats
@@ -22,7 +19,7 @@ from .blocked import blocked_gep_inplace
 from .dpspark import GepSparkSolver, SolveReport, make_kernel
 from .gep import GepSpec, gep_reference_vectorized
 
-__all__ = ["run_gep", "GepRunOptions"]
+__all__ = ["run_gep"]
 
 
 def run_gep(
@@ -37,7 +34,6 @@ def run_gep(
     omp_threads: int = 1,
     strategy: str = "im",
     sc: SparkleContext | None = None,
-    num_partitions: int | None = None,
     partitioner=None,
     collect_stats: bool = False,
     checkpoint_every: int | None = None,
@@ -112,7 +108,6 @@ def run_gep(
                 r=r,
                 kernel=kern,
                 strategy=strategy,
-                num_partitions=num_partitions,
                 partitioner=partitioner,
                 collect_stats=collect_stats,
                 checkpoint_every=checkpoint_every,
@@ -129,19 +124,3 @@ def run_gep(
 
     raise ValueError(f"unknown engine {engine!r} (reference|local|spark)")
 
-
-class GepRunOptions(dict):
-    """Keyword bag forwarded to :func:`run_gep` by the solver wrappers."""
-
-    #: ``run_gep``'s keyword-only parameters, read off its signature
-    KNOWN = frozenset(
-        name
-        for name, p in inspect.signature(run_gep).parameters.items()
-        if p.kind is p.KEYWORD_ONLY
-    )
-
-    def __init__(self, **kw: Any) -> None:
-        unknown = set(kw) - self.KNOWN
-        if unknown:
-            raise TypeError(f"unknown solver options: {sorted(unknown)}")
-        super().__init__(**kw)

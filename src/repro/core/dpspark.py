@@ -201,17 +201,19 @@ class GepSparkSolver:
         variables instead of shared persistent storage (charging
         ``nbytes x executors`` of network instead of storage I/O).  Not
         covered by the cluster cost model.
-    num_partitions:
-        RDD partition count (paper default: 2x total cores).
     partitioner:
-        Partitioner instance; default hash (the paper's choice), or a
-        :class:`~repro.sparkle.GridPartitioner` for the §VI ablation.
+        Partitioner instance; default hash (the paper's choice) over the
+        context's ``default_parallelism`` partitions (the paper's 2x
+        total cores), or a :class:`~repro.sparkle.GridPartitioner` for
+        the §VI ablation.
     collect_stats:
         Record kernel work counters (thread-safe, slight overhead).
     checkpoint_every:
         Truncate the DP RDD's lineage every this many iterations
-        (Spark-style checkpointing) so driver DAG-walk costs stay bounded
-        for large ``r``; ``None`` disables.
+        (Spark-style checkpointing, in memory) so driver DAG-walk costs
+        stay bounded for large ``r``; ``None`` disables.  A journaled
+        solve's per-iteration snapshot already cuts the lineage, so
+        this applies to a solve without a journal.
     resume:
         Resume a crashed solve from its write-ahead journal.  Requires a
         context constructed with ``checkpoint_dir``; the journal's
@@ -238,9 +240,9 @@ class GepSparkSolver:
         bit-identical per iteration, so the degraded result is
         bit-identical too; the switch is recorded on
         ``report.extras["degraded"]`` and metered as
-        ``strategy_degradations``.  No-op without a memory budget (an
-        unbounded governor never reaches ``critical``) or for non-IM
-        strategies.
+        ``strategy_degradations``.  An unbounded context, whose
+        governor never reaches ``critical``, raises ``ValueError``; a CB
+        or bcast solve has nothing to degrade.
     degrade_on_crash:
         Graceful degradation under worker-crash storms: when the
         process backend quarantines a poison task
@@ -252,8 +254,8 @@ class GepSparkSolver:
         backend analogue of the IM→CB fallback.  Recorded on
         ``report.extras["backend_degradations"]`` and metered as
         ``backend_degradations``.  Without this flag a poison task
-        aborts the solve with the typed error.  No-op on the thread
-        backend.
+        aborts the solve with the typed error.  A context without a
+        worker plane (not ``backend="processes"``) raises ``ValueError``.
 
     Durability protocol (when the context has a ``checkpoint_dir``): on
     every completed outer iteration the tile grid is snapshotted into
@@ -273,7 +275,6 @@ class GepSparkSolver:
         r: int,
         kernel,
         strategy: str = "im",
-        num_partitions: int | None = None,
         partitioner: Partitioner | None = None,
         collect_stats: bool = True,
         checkpoint_every: int | None = None,
@@ -295,6 +296,10 @@ class GepSparkSolver:
             raise ValueError(
                 "resume requires a SparkleContext with a checkpoint_dir"
             )
+        if degrade_on_pressure and not sc.memory_manager.bounded:
+            raise ValueError("degrade_on_pressure requires a memory-budgeted context")
+        if degrade_on_crash and sc.offload is None:
+            raise ValueError("degrade_on_crash requires backend='processes'")
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.degrade_on_pressure = degrade_on_pressure
@@ -309,10 +314,7 @@ class GepSparkSolver:
         self.r = r
         self.kernel = kernel
         self.strategy = strategy
-        self.num_partitions = (
-            num_partitions if num_partitions is not None else sc.default_parallelism
-        )
-        self.partitioner = partitioner or HashPartitioner(self.num_partitions)
+        self.partitioner = partitioner or HashPartitioner(sc.default_parallelism)
         self.stats = LockingKernelStats() if collect_stats else None
         # Kernel pickle probe for offload: resolved lazily on first
         # use (False = not probed yet; None = the kernel does not
@@ -364,14 +366,10 @@ class GepSparkSolver:
             if journal is not None:
                 self._journal_begin(journal, fingerprint, n, nt)
             tiles = self._initial_tiles(table, bounds, nt)
-        dp = self.sc.parallelize(tiles, self.num_partitions).partitionBy(
-            partitioner=self.partitioner
-        )
+        dp = self.sc.parallelize(tiles).partitionBy(partitioner=self.partitioner)
 
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
         state = _DriverState(self.strategy, resumed_from)
-        mm = self.sc.memory_manager
-        sup = getattr(self.sc, "supervisor", None)
         for k in range(start_k, nt):
             if not active(k):
                 continue
@@ -384,23 +382,21 @@ class GepSparkSolver:
             # iteration k's intermediates and the previous generation get
             # no reader beyond those just derived: free them as read
             dp.seal()
-            if (
+            if journal is not None:
+                dp = self._journal_iteration(journal, store, dp, k, nt)
+            elif (
                 self.checkpoint_every is not None
                 and (k + 1) % self.checkpoint_every == 0
             ):
                 dp = dp.checkpoint()
-            if journal is not None:
-                dp = self._journal_iteration(journal, store, dp, k, nt)
-            elif (self.degrade_on_pressure and mm.bounded) or (
-                self.degrade_on_crash and sup is not None
-            ):
-                # The DP lineage is lazy: without the journal's
-                # per-iteration snapshot job nothing executes until the
-                # final collect, so the governor would never observe
-                # pressure (nor the supervisor a poison quarantine) at
-                # an iteration boundary.  Drain one probe job so
-                # iteration k's stages run now — stage reuse keeps this
-                # incremental, exactly like the journal path.
+            elif self.degrade_on_pressure or self.degrade_on_crash:
+                # The DP lineage is lazy: without a per-iteration job
+                # (the journal's snapshot, a checkpoint) nothing executes
+                # until the final collect, so the governor would never
+                # observe pressure (nor the supervisor a poison
+                # quarantine) at an iteration boundary.  Drain one probe
+                # job so iteration k's stages run now — stage reuse
+                # keeps this incremental, exactly like the journal path.
                 self.sc.run_job(dp, _drain_iterator, action="pressure_probe")
             if self.on_iteration is not None:
                 self.on_iteration(k)
@@ -440,13 +436,11 @@ class GepSparkSolver:
         """Degrade checks (and the chaos squeeze) before iteration ``k``."""
         metrics = self.sc.metrics
         mm = self.sc.memory_manager
-        sup = getattr(self.sc, "supervisor", None)
         plan = self.sc.fault_plan
         if (
             self.degrade_on_crash
-            and sup is not None
             and not self._offload_disabled
-            and sup.degrade_pending()
+            and self.sc.supervisor.degrade_pending()
         ):
             # Backend degradation at the iteration boundary: a task
             # was quarantined as poison mid-iteration (its tile
@@ -489,7 +483,7 @@ class GepSparkSolver:
             n=n,
             r=self.r,
             kernel=self.kernel.describe(),
-            num_partitions=self.num_partitions,
+            num_partitions=sc.default_parallelism,
             engine_metrics=sc.metrics,
             kernel_stats=self.stats,
             wall_seconds=time.perf_counter() - start,
@@ -509,15 +503,12 @@ class GepSparkSolver:
                 "at_iteration": state.degraded_at,
             }
         if state.backend_degraded_at is not None:
-            sup = getattr(sc, "supervisor", None)
             extras["backend_degradations"] = [
                 {
                     "from": "processes",
                     "to": "threads",
                     "at_iteration": state.backend_degraded_at,
-                    "quarantined_tasks": (
-                        len(sup.quarantined()) if sup is not None else 0
-                    ),
+                    "quarantined_tasks": len(sc.supervisor.quarantined()),
                 }
             ]
         if sc.memory_manager.bounded:

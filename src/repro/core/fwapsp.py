@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .api import GepRunOptions, run_gep
+from .api import run_gep
 from .gep import FloydWarshallGep, SemiringGep
 
 __all__ = [
@@ -55,9 +55,8 @@ def floyd_warshall(weights: np.ndarray, *, return_report: bool = False, **option
     (n, n) distance matrix ``d`` with ``d[i, j]`` the cost of the
     shortest ``i → j`` path (``+inf`` if unreachable).
     """
-    opts = GepRunOptions(**options)
     w = _prepare_weights(weights)
-    result, report = run_gep(FloydWarshallGep(), w, **opts)
+    result, report = run_gep(FloydWarshallGep(), w, **options)
     if return_report:
         return result, report
     return result
@@ -72,10 +71,9 @@ def semiring_closure(
     (boolean) to any registered semiring — the GEP fold
     ``c[i,j] ⊕= c[i,k] ⊙ c[k,j]`` for all ``k``.
     """
-    opts = GepRunOptions(**options)
     spec = SemiringGep(semiring)
     t = spec.semiring.asarray(np.array(table, copy=True))
-    result, report = run_gep(spec, t, **opts)
+    result, report = run_gep(spec, t, **options)
     if return_report:
         return result, report
     return result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .api import GepRunOptions, run_gep
+from .api import run_gep
 from .gep import GaussianEliminationGep
 
 __all__ = [
@@ -73,7 +73,6 @@ def forward_eliminate(
     entries hold the un-normalized multiplier values GEP leaves in
     place) and the eliminated RHS block (``None`` if ``b`` was).
     """
-    opts = GepRunOptions(**options)
     a = _check_square(a)
     n = a.shape[0]
     if b is not None:
@@ -92,7 +91,7 @@ def forward_eliminate(
     idx = np.arange(n, size)
     table[idx, idx] = 1.0
     spec = GaussianEliminationGep(n_pivots=n - 1)
-    done, report = run_gep(spec, table, **opts)
+    done, report = run_gep(spec, table, **options)
     u = done[:n, :n]
     y = done[:n, n:] if m else None
     if b is not None and b.ndim == 1 and y is not None:

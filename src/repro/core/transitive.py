@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .api import GepRunOptions, run_gep
+from .api import run_gep
 from .gep import TransitiveClosureGep
 
 __all__ = ["transitive_closure"]
@@ -44,9 +44,8 @@ def transitive_closure(
     **options:
         Engine options (see :func:`repro.core.api.run_gep`).
     """
-    opts = GepRunOptions(**options)
     t = _prepare_adjacency(adjacency, reflexive)
-    result, report = run_gep(TransitiveClosureGep(), t, **opts)
+    result, report = run_gep(TransitiveClosureGep(), t, **options)
     if return_report:
         return result, report
     return result

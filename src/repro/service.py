@@ -1896,7 +1896,6 @@ def serve_forever(
     *,
     max_requests: int | None = None,
     ready: threading.Event | None = None,
-    max_frame_bytes: int | None = None,
     install_signal_handlers: bool | None = None,
 ) -> int:
     """Accept loop: one connection = one request = one reply.
@@ -1906,10 +1905,11 @@ def serve_forever(
     "error", "error": <pickled typed exception>, "retryable": bool}``.
     ``max_requests`` bounds the loop for tests; returns requests served.
 
-    Per-connection failures — oversized frames, clients torn away
-    mid-frame or mid-reply — are metered and answered (when possible)
-    on that connection only; nothing a single client does can kill the
-    accept loop.
+    Per-connection failures — frames over the service's
+    ``config.max_frame_bytes``, clients torn away mid-frame or
+    mid-reply — are metered and answered (when possible) on that
+    connection only; nothing a single client does can kill the accept
+    loop.
 
     Shutdown follows the §16 drain sequence.  SIGTERM/SIGINT (handlers
     installed when running on the main thread, unless
@@ -1921,8 +1921,6 @@ def serve_forever(
     checkpointed, and the socket file is unlinked last.  The caller
     tears down the service and context only after this returns.
     """
-    if max_frame_bytes is None:
-        max_frame_bytes = service.config.max_frame_bytes
     _reclaim_stale_socket(socket_path, service)
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     served = 0
@@ -1958,7 +1956,7 @@ def serve_forever(
             handlers = [t for t in handlers if t.is_alive()]
             t = threading.Thread(
                 target=_handle_conn,
-                args=(service, conn, max_frame_bytes),
+                args=(service, conn),
                 daemon=True,
             )
             t.start()
@@ -1981,11 +1979,9 @@ def serve_forever(
             os.unlink(socket_path)
 
 
-def _handle_conn(
-    service: SolverService,
-    conn: socket.socket,
-    max_frame_bytes: int | None = None,
-) -> None:
+def _handle_conn(service: SolverService, conn: socket.socket) -> None:
+    max_frame_bytes = service.config.max_frame_bytes
+
     def note_disconnect() -> None:
         with service._metrics_lock:
             service.metrics.client_disconnects += 1

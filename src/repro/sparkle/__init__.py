@@ -18,7 +18,7 @@ executor blacklisting, and every recovery event is metered.
 
 Driver crashes are covered too: :mod:`repro.sparkle.durable` adds a
 checksummed on-disk block store (atomic tmp+rename writes, BLAKE2b
-manifests) behind ``RDD.checkpoint()`` and the CB shared storage, plus
+manifests) behind the CB shared storage and the spill store, plus
 a write-ahead solve journal that the GEP drivers use for
 ``--resume``-able, bit-identical crash recovery; ``torn_write`` and
 ``corrupt_block`` chaos kinds exercise the layer under the same seeded

@@ -57,11 +57,10 @@ class SparkleContext:
         recovery traces are deterministic.
     checkpoint_dir:
         Directory for the durable layer (:class:`~repro.sparkle.durable.
-        DurableBlockStore`).  When set, ``RDD.checkpoint()`` becomes a
-        reliable (on-disk, checksummed) checkpoint, CB shared-storage
-        puts are written through to disk, and the GEP drivers journal
-        iteration snapshots here for ``--resume``.  ``None`` keeps the
-        historical all-in-memory behavior.
+        DurableBlockStore`).  When set, CB shared-storage puts are
+        written through to disk and the GEP drivers journal iteration
+        snapshots here for ``--resume``.  ``None`` keeps everything in
+        memory.
     memory_budget_bytes:
         Byte budget of the unified memory governor (:class:`~repro.
         sparkle.memory.MemoryManager`, always present as
@@ -76,7 +75,8 @@ class SparkleContext:
         Directory for the spill store backing MEMORY_AND_DISK eviction
         and shuffle spill.  Defaults to ``<checkpoint_dir>/spill`` when
         a checkpoint dir is set, else a temporary directory removed in
-        :meth:`stop`.  Ignored without ``memory_budget_bytes``.
+        :meth:`stop`.  Only a budget spills, so a ``spill_dir`` without
+        ``memory_budget_bytes`` raises ``ValueError``.
     backend:
         ``"threads"`` (default — tasks and their kernels run on the
         executor pool's task slots) or ``"processes"`` (the same, plus a
@@ -87,20 +87,12 @@ class SparkleContext:
         Results and every scheduler / byte count are identical across
         backends; ``"threads"`` remains the reference data plane for
         the chaos / durability / memory determinism contracts.
-    heartbeat_interval:
-        Process-backend supervision (DESIGN.md §13): seconds between
-        expected worker heartbeats; a worker silent for twice this is
-        SIGKILLed by the driver watchdog.  ``0`` disables heartbeats and
-        the watchdog.  Ignored by the thread backend (no process
-        boundary to supervise).
-    task_deadline:
-        Optional per-offloaded-kernel-call wall-clock budget (seconds;
-        a task's batch of N calls gets N × this); overruns cancel or
-        kill and retry under the scheduler's backoff.
-    max_task_failures:
-        Worker deaths one kernel call may cause before it is
-        quarantined as poison
-        (:class:`~repro.sparkle.errors.PoisonTaskError`).
+    supervision:
+        The process backend's worker supervision (DESIGN.md §13):
+        heartbeat interval, per-call deadline and poison threshold, as
+        a :class:`~repro.sparkle.supervisor.SupervisionConfig`; ``None``
+        takes its defaults.  The thread backend has no process boundary
+        to supervise.
     """
 
     def __init__(
@@ -113,10 +105,12 @@ class SparkleContext:
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         backend: str = "threads",
-        heartbeat_interval: float = 0.25,
-        task_deadline: float | None = None,
-        max_task_failures: int = 3,
+        supervision: SupervisionConfig | None = None,
     ) -> None:
+        if spill_dir is not None and memory_budget_bytes is None:
+            raise ValueError(
+                "spill_dir requires memory_budget_bytes (only a budget spills)"
+            )
         self.num_executors = num_executors
         self.cores_per_executor = cores_per_executor
         self.default_parallelism = (
@@ -130,10 +124,18 @@ class SparkleContext:
         self.metrics = EngineMetrics()
         self.metrics.backend = backend
         self.fault_plan = fault_plan
-        self.supervision = SupervisionConfig(
-            heartbeat_interval=heartbeat_interval or 0.0,
-            task_deadline=task_deadline,
-            max_task_failures=max_task_failures,
+        self.supervision = supervision or SupervisionConfig()
+        #: the memory governor — always present, unbounded without a
+        #: budget; built before the executor pool, whose worker plane
+        #: an invalid budget must not leave running
+        self.memory_manager = MemoryManager(
+            memory_budget_bytes,
+            metrics=self.metrics,
+            task_quantum_bytes=(
+                max(1, memory_budget_bytes // (4 * self.total_cores))
+                if memory_budget_bytes is not None
+                else None
+            ),
         )
         self._executors = ExecutorPool(
             num_executors,
@@ -143,21 +145,11 @@ class SparkleContext:
             supervision=self.supervision,
             fault_plan=fault_plan,
         )
+        self.memory_manager.executor_resolver = self._executors.executor_for
         #: the worker plane of ``backend="processes"`` (None for
         #: threads) and its supervisor
         self.offload = self._executors.offload
         self.supervisor = self.offload.supervisor if self.offload is not None else None
-        #: the memory governor — always present, unbounded without a budget
-        self.memory_manager = MemoryManager(
-            memory_budget_bytes,
-            metrics=self.metrics,
-            task_quantum_bytes=(
-                max(1, memory_budget_bytes // (4 * self._executors.total_slots))
-                if memory_budget_bytes is not None
-                else None
-            ),
-            executor_resolver=self._executors.executor_for,
-        )
         self.spill_store: DurableBlockStore | None = None
         self._spill_tmpdir: str | None = None
         if self.memory_manager.bounded:
@@ -231,8 +223,8 @@ class SparkleContext:
         """Attach the durable layer (PySpark's ``setCheckpointDir``).
 
         Idempotent for the same directory; rewires shared storage to
-        write through to disk and upgrades ``RDD.checkpoint()`` to
-        reliable checkpointing.
+        write through to disk, and the GEP drivers journal their
+        iteration snapshots to it.
         """
         self._check_active()
         if self.durable_store is not None:

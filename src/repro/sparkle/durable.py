@@ -2,8 +2,8 @@
 
 Everything durable-*sounding* elsewhere in the engine —
 ``RDD.checkpoint()``, the CB strategy's "shared persistent storage"
-(paper §IV-C) — historically lived in driver memory, so a driver crash
-lost the whole multi-iteration solve.  This module is the real thing:
+(paper §IV-C) — lives in driver memory, so on its own a driver crash
+loses the whole multi-iteration solve.  This module is the real thing:
 
 :class:`DurableBlockStore`
     A directory of pickled blocks with per-block BLAKE2b checksums and a
@@ -12,8 +12,8 @@ lost the whole multi-iteration solve.  This module is the real thing:
     detected and rewritten rather than committed; reads re-checksum and
     raise a typed :class:`~.errors.CorruptBlockError` on mismatch, so
     silent bitrot can never surface as wrong data.  Backs
-    :class:`~.storage.SharedStorage` staging, durable RDD checkpoints,
-    and the solver's iteration snapshots.
+    :class:`~.storage.SharedStorage` staging, the spill store, and the
+    solver's iteration snapshots.
 
 :class:`SolveJournal`
     An append-only, per-record-checksummed JSONL write-ahead log.  The

@@ -123,10 +123,9 @@ class BlockNotFoundError(SparkleError, KeyError):
 class CorruptBlockError(SparkleError):
     """A durable block failed its checksum (torn write, bitrot, tamper).
 
-    Never silently surfaces wrong data: consumers either fall back to
-    lineage recomputation (:class:`~repro.sparkle.rdd.
-    DurableCheckpointRDD`), fall back to an earlier journaled snapshot
-    (solver resume), or report it (``repro fsck``).
+    Never silently surfaces wrong data: consumers either recompute from
+    lineage (a spilled block), fall back to an earlier journaled
+    snapshot (solver resume), or report it (``repro fsck``).
     """
 
     def __init__(self, message: str, key=None) -> None:

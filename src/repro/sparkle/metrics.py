@@ -210,8 +210,6 @@ class EngineMetrics(_Registry):
     torn_writes_detected: int = counter("recovery")
     #: checksummed reads that caught silent corruption (bitrot/tamper)
     corrupt_blocks_detected: int = counter("recovery")
-    #: durable checkpoint blocks found corrupt and recomputed from lineage
-    checkpoint_recomputes: int = counter("recovery")
     #: SharedStorage memory misses served from the durable backing store
     storage_backing_reads: int = counter("recovery")
     #: blacklist refusals that protected the last healthy executor

@@ -46,7 +46,6 @@ __all__ = [
     "UnionRDD",
     "ShuffledRDD",
     "CheckpointedRDD",
-    "DurableCheckpointRDD",
 ]
 
 
@@ -196,14 +195,9 @@ class RDD:
         programs (the GEP drivers at large ``r``) use this to bound
         driver DAG-walk costs, at the price of losing recompute-from-
         lineage for the truncated prefix (the checkpointed data itself
-        is the recovery point, exactly as in Spark).
-
-        On a context constructed with ``checkpoint_dir`` this is a
-        *reliable* checkpoint (Spark's ``setCheckpointDir`` semantics):
-        partitions are additionally written to the durable store with
-        checksums, and the returned :class:`DurableCheckpointRDD` falls
-        back to recomputing this RDD's lineage if a stored block is
-        later found corrupt.
+        is the recovery point, exactly as in Spark).  The checkpoint
+        lives in memory, on any context: a journaled GEP solve's durable
+        recovery point is its iteration snapshot, not this.
 
         The replaced lineage is sealed, this RDD included (Spark's
         ``markCheckpointed``): the checkpoint job is its last reader, so
@@ -214,14 +208,7 @@ class RDD:
         """
         self.seal(inclusive=True)
         parts = self.ctx.run_job(self, list, action="checkpoint")
-        store = getattr(self.ctx, "durable_store", None)
-        if store is None:
-            return CheckpointedRDD(self.ctx, parts, self.partitioner)
-        for split, items in enumerate(parts):
-            store.put(("rdd", self.id, split), items)
-        return DurableCheckpointRDD(
-            self.ctx, store, self.id, len(parts), self.partitioner, fallback=self
-        )
+        return CheckpointedRDD(self.ctx, parts, self.partitioner)
 
     # -- narrow transformations -------------------------------------------
     def map_partitions(
@@ -480,40 +467,3 @@ class CheckpointedRDD(RDD):
     def compute(self, split: int, task) -> Iterator:
         return iter(self._parts[split])
 
-
-class DurableCheckpointRDD(RDD):
-    """Reliable checkpoint: partitions read from the durable store.
-
-    Lineage is truncated for scheduling (no deps), but the checkpointed
-    parent is retained as a recovery fallback: if a stored block fails
-    its checksum (:class:`~repro.sparkle.errors.CorruptBlockError`) the
-    partition is recomputed from the parent's lineage inline — corruption
-    degrades to recomputation, never to wrong data.
-    """
-
-    def __init__(
-        self, ctx, store, source_rdd_id: int, num_parts: int, partitioner, fallback=None
-    ) -> None:
-        super().__init__(ctx, [])
-        self._store = store
-        self._source_rdd_id = source_rdd_id
-        self._num_parts = num_parts
-        self._fallback = fallback
-        self.partitioner = partitioner
-
-    def num_partitions(self) -> int:
-        return self._num_parts
-
-    def block_key(self, split: int) -> tuple:
-        return ("rdd", self._source_rdd_id, split)
-
-    def compute(self, split: int, task) -> Iterator:
-        from .errors import BlockNotFoundError, CorruptBlockError
-
-        try:
-            return iter(self._store.get(self.block_key(split)))
-        except (CorruptBlockError, BlockNotFoundError):
-            if self._fallback is None:
-                raise
-            self.ctx.metrics.checkpoint_recomputes += 1
-            return self._fallback.iterator(split, task)

@@ -129,8 +129,8 @@ class SupervisionConfig:
     ----------
     heartbeat_interval:
         Seconds between expected worker heartbeats; the watchdog declares
-        a worker hung after ``2 ×`` this much silence.  ``0``/``None``
-        disables heartbeats and the watchdog (crash detection via
+        a worker hung after ``2 ×`` this much silence.  ``0`` disables
+        heartbeats and the watchdog (crash detection via
         ``BrokenProcessPool`` still works; hangs go undetected unless a
         task deadline is set).
     task_deadline:
@@ -145,12 +145,12 @@ class SupervisionConfig:
     one value each in use, so not options.
     """
 
-    heartbeat_interval: float | None = 0.25
+    heartbeat_interval: float = 0.25
     task_deadline: float | None = None
     max_task_failures: int = 3
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval is not None and self.heartbeat_interval < 0:
+        if self.heartbeat_interval < 0:
             raise ValueError("heartbeat_interval must be >= 0 (0 disables)")
         if self.task_deadline is not None and self.task_deadline <= 0:
             raise ValueError("task_deadline must be > 0 (None disables)")
@@ -164,7 +164,7 @@ class SupervisionConfig:
     @property
     def miss_after(self) -> float:
         """Silence that flags a worker as hung (the ISSUE's 2× bound)."""
-        return 2.0 * (self.heartbeat_interval or 0.0)
+        return 2.0 * self.heartbeat_interval
 
 
 class HeartbeatBoard:
@@ -286,7 +286,7 @@ class WorkerSupervisor:
         return (
             board.name if board is not None else None,
             self.slots,
-            self.config.heartbeat_interval or 0.0,
+            self.config.heartbeat_interval,
             self.prefix,
             os.getpid(),
             slot,
@@ -383,8 +383,7 @@ class WorkerSupervisor:
         window.  ``last_change`` is watchdog-observed, so detection lands
         within one scan period past the 2× threshold.
         """
-        interval = self.config.heartbeat_interval or 0.25
-        period = max(interval / 2.0, 0.01)
+        period = max(self.config.heartbeat_interval / 2.0, 0.01)
         miss_after = self.config.miss_after
         seen: dict[int, list] = {}
         while not self._watchdog_stop.wait(period):
@@ -534,7 +533,7 @@ def _attach_worker(
         _WORKER_BOARD["cells"] = cells
         _WORKER_BOARD["slot"] = slot
         _WORKER_BOARD["shm"] = shm  # pin the mapping for process lifetime
-        if beat_interval and beat_interval > 0:
+        if beat_interval > 0:
             _start_beater(beat_interval)
     except Exception:
         pass

@@ -80,10 +80,7 @@ class TokenBucket:
         burst: int,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate!r}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst!r}")
+        # rate and burst come checked from a TenantPolicy
         self.rate = float(rate)
         self.burst = int(burst)
         self._clock = clock

@@ -11,6 +11,7 @@ served as data: reads raise :class:`CorruptBlockError`, ``fsck``
 reports the damage, and the solvers recover by recomputation.
 """
 
+import ast
 import json
 import os
 import signal
@@ -275,23 +276,34 @@ class TestSolveJournal:
 
 
 # ----------------------------------------------------------------------
-# durable RDD checkpoints and CB shared storage
+# the journal's snapshots and CB shared storage
 # ----------------------------------------------------------------------
 class TestDurableEngineIntegration:
-    def test_reliable_checkpoint_survives_corruption(self, tmp_path):
-        with SparkleContext(2, 2, checkpoint_dir=str(tmp_path / "ck")) as sc:
-            rdd = sc.parallelize(range(32), 4).map(lambda x: x * x)
-            ck = rdd.checkpoint()
-            expect = [x * x for x in range(32)]
-            assert ck.collect() == expect
-            path = sc.durable_store.blocks_dir / DurableBlockStore._filename(
-                repr(ck.block_key(0))
-            )
-            flip_byte(path)
-            # checksum catches the rot; lineage recomputes the partition
-            assert ck.collect() == expect
-            assert sc.metrics.corrupt_blocks_detected >= 1
-            assert sc.metrics.checkpoint_recomputes >= 1
+    @pytest.mark.parametrize("checkpoint_every", [None, 1])
+    @pytest.mark.parametrize("strategy", ["im", "cb"])
+    @pytest.mark.parametrize("name", ["fw", "ge"])
+    def test_journaled_solve_keeps_two_snapshots_and_no_rdd_blocks(
+        self, tmp_path, clean, name, strategy, checkpoint_every
+    ):
+        """The snapshot is a journaled solve's one durable recovery
+        point: the store ends holding the last two journaled iterations'
+        snapshots (older ones pruned) and no ``("rdd", ...)`` block,
+        whatever ``checkpoint_every`` asks."""
+        ckdir = tmp_path / "ck"
+        out, _, _ = solve(
+            TABLES[name], SPECS[name], strategy,
+            ckdir=ckdir, checkpoint_every=checkpoint_every,
+        )
+        assert out.tobytes() == clean[name, strategy].tobytes()
+        keys = [ast.literal_eval(k) for k in DurableBlockStore(ckdir).keys()]
+        journaled = [
+            e["k"] for e in SolveJournal(ckdir).entries() if e["kind"] == "iteration"
+        ]
+        assert len(journaled) > 2  # something was pruned
+        snaps = [key for key in keys if key[0] == "snap"]
+        assert sorted({key[1] for key in snaps}) == journaled[-2:]
+        assert len(snaps) == 2 * R * R
+        assert [key for key in keys if key[0] == "rdd"] == []
 
     def test_shared_storage_miss_is_typed(self):
         with SparkleContext(1, 1) as sc:
@@ -437,9 +449,9 @@ def test_checkpointing_is_bit_identical_under_chaos(
 ):
     """Any checkpoint cadence, journaled to durable storage, under a
     seeded recoverable fault mix (including torn writes, which the
-    store must auto-heal, and post-commit bitrot, which checkpoint
-    reads must detect and recompute around) yields the exact bytes of
-    the clean baseline for FW and GE via IM and CB."""
+    store must auto-heal, and post-commit bitrot of the blocks it
+    writes) yields the exact bytes of the clean baseline for FW and GE
+    via IM and CB."""
     plan = FaultPlan(seed, [
         FaultSpec("kill", 0.05),
         FaultSpec("storage", 0.03),
@@ -496,6 +508,17 @@ CLI_SOLVE = [
 ]
 
 
+#: every ``solve`` flag only the spark engine reads, with a valid value
+SPARK_FLAGS = [
+    ["--executors", "2"], ["--cores", "1"], ["--backend", "threads"],
+    ["--checkpoint-dir", "ck"], ["--resume"], ["--max-iterations", "1"],
+    ["--memory-budget", "4096"], ["--spill-dir", "spill"],
+    ["--degrade-on-pressure"], ["--heartbeat-interval", "0.1"],
+    ["--task-deadline", "1"], ["--max-task-failures", "2"],
+    ["--degrade-on-crash"], ["--chaos", "seed=1"],
+]
+
+
 class TestCli:
     def test_flag_validation(self, tmp_path, capsys):
         assert cli_main(["solve", "apsp", "--resume"]) == 2
@@ -505,6 +528,19 @@ class TestCli:
         ) == 2
         assert cli_main(["fsck", str(tmp_path / "missing")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("engine", ["local", "reference"])
+    @pytest.mark.parametrize("flag", SPARK_FLAGS, ids=lambda flag: flag[0])
+    def test_spark_flag_refused_off_spark(self, tmp_path, capsys, monkeypatch, flag, engine):
+        """A spark-engine flag is never silently ignored: with another
+        engine the solve exits 2 before it runs."""
+        monkeypatch.chdir(tmp_path)  # a relative DIR value stays in tmp
+        argv = ["solve", "apsp", "--n", "16", "--engine", engine, *flag]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag[0]} requires --engine spark" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_staged_solve_resume_and_fsck(self, tmp_path, capsys):
         ckdir = tmp_path / "ck"

@@ -3,7 +3,11 @@ attributes it has, so a deletion that leaves an export behind fails
 here rather than in a user's ``from repro... import``."""
 
 import importlib
+import importlib.util
+import os
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -51,9 +55,26 @@ REMOVED = [
     ("repro.core.gep.GepSpec", "pad_value"),
     ("repro.service", "run_request_storm"),
     ("repro.service", "run_noisy_neighbor_storm"),
+    ("repro.core.api", "GepRunOptions"),
+    ("repro.sparkle.rdd", "DurableCheckpointRDD"),
+    ("repro.sparkle.EngineMetrics", "checkpoint_recomputes"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
+]
+
+
+#: (callable, keyword) deleted as a second owner of a setting: the
+#: partition count is the context's ``default_parallelism``, supervision
+#: a ``SupervisionConfig``, the frame cap ``ServiceConfig.max_frame_bytes``
+REMOVED_KEYWORDS = [
+    ("repro.core.api.run_gep", "num_partitions"),
+    ("repro.core.dpspark.GepSparkSolver", "num_partitions"),
+    ("repro.baselines.SchoenemanZolaAPSP", "num_partitions"),
+    ("repro.sparkle.SparkleContext", "heartbeat_interval"),
+    ("repro.sparkle.SparkleContext", "task_deadline"),
+    ("repro.sparkle.SparkleContext", "max_task_failures"),
+    ("repro.service.serve_forever", "max_frame_bytes"),
 ]
 
 
@@ -87,3 +108,44 @@ def test_removed_names_stay_removed():
     for module in ("repro.core.rkleene", "repro.core.predecessors"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
+
+
+@pytest.mark.parametrize("owner, keyword", REMOVED_KEYWORDS)
+def test_removed_keywords_raise_type_error(owner, keyword):
+    # Python refuses an unknown keyword before it looks for missing
+    # arguments, so the call needs nothing else to fail on the keyword.
+    with pytest.raises(TypeError, match=keyword):
+        _resolve(owner)(**{keyword: 1})
+
+
+def _reach_tool():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_keep_row_names_a_definition():
+    """Each ``benchmarks/reach.py`` ``KEEP`` row matches a definition
+    that exists, so a deletion that strands a row fails here, not at the
+    next 15-minute ``make reach``."""
+    reach = _reach_tool()
+    names: dict[str, list[str]] = {}
+    for dirpath, _dirs, files in os.walk(reach.SRC):
+        for fname in files:
+            if fname.endswith(".py"):
+                path = os.path.join(dirpath, fname)
+                rel = os.path.relpath(path, reach.SRC)
+                names[rel] = [row["name"] for row in reach.rows_of(path)]
+    stranded = [
+        (path, pattern)
+        for path, pattern, _reason in reach.KEEP
+        if not any(
+            re.fullmatch(pattern, name)
+            for rel, defined in names.items()
+            if reach.covers(path, rel)
+            for name in defined
+        )
+    ]
+    assert not stranded, f"KEEP rows naming no definition: {stranded}"

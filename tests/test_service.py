@@ -49,6 +49,7 @@ from repro.sparkle import (
     ServiceOverloadedError,
     SolveRequest,
     SparkleContext,
+    SupervisionConfig,
     WorkerCrashed,
 )
 from repro.sparkle.memory import PRESSURE_CRITICAL, MemoryManager
@@ -316,7 +317,10 @@ class TestResultCache:
     @pytest.mark.timeout(120)
     def test_processes_backend_cache_identical_to_threads(self):
         reference = _reference(2)
-        sc = _context(backend="processes", heartbeat_interval=0.0)
+        sc = _context(
+            backend="processes",
+            supervision=SupervisionConfig(heartbeat_interval=0.0),
+        )
         try:
             with SolverService(sc) as service:
                 fresh = service.solve(_request(seed=2), timeout=90)
@@ -458,7 +462,10 @@ class TestDeadlines:
 
     @pytest.mark.timeout(240)
     def test_deadline_kills_offloaded_pass_without_shm_leak(self):
-        sc = _context(backend="processes", heartbeat_interval=0.0)
+        sc = _context(
+            backend="processes",
+            supervision=SupervisionConfig(heartbeat_interval=0.0),
+        )
         prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
@@ -491,7 +498,10 @@ class TestDeadlines:
         carries ~12 calls).  The waiter's own ticket times out at the
         deadline either way, so the stuck *pass* is what is timed: a
         follow-up request queues behind its kill/respawn/cleanup."""
-        sc = _context(backend="processes", heartbeat_interval=0.0)
+        sc = _context(
+            backend="processes",
+            supervision=SupervisionConfig(heartbeat_interval=0.0),
+        )
         prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
@@ -728,7 +738,7 @@ class TestRequestStorm:
             backend="processes",
             fault_plan=plan,
             memory_budget_bytes=96 << 20,
-            heartbeat_interval=0.0,
+            supervision=SupervisionConfig(heartbeat_interval=0.0),
         )
         prefix = sc.offload.supervisor.prefix
         service = SolverService(
@@ -902,10 +912,8 @@ class TestSocketHardening:
     ):
         socket_path = str(tmp_path / "solver.sock")
         sc = _context()
-        service = SolverService(sc)
-        server = _start_server(
-            service, socket_path, max_requests=2, max_frame_bytes=1 << 16
-        )
+        service = SolverService(sc, config=ServiceConfig(max_frame_bytes=1 << 16))
+        server = _start_server(service, socket_path, max_requests=2)
         try:
             hostile = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             hostile.settimeout(30)
@@ -948,10 +956,8 @@ class TestSocketHardening:
         monkeypatch.setattr(repro.workloads, "make_problem", recording)
         socket_path = str(tmp_path / "solver.sock")
         sc = _context()
-        service = SolverService(sc)
-        server = _start_server(
-            service, socket_path, max_requests=2, max_frame_bytes=1 << 16
-        )
+        service = SolverService(sc, config=ServiceConfig(max_frame_bytes=1 << 16))
+        server = _start_server(service, socket_path, max_requests=2)
         try:
             # 128 x 128 float64 = 128 KiB: twice what a reply frame may carry
             reply = send_request(

@@ -542,7 +542,8 @@ class TestWorkerKillAcceptance:
             baseline, _ = _solve(sc, table)
         plan = FaultPlan.from_string("seed=7,worker_kill=0.25")
         with SparkleContext(
-            2, 2, backend="processes", fault_plan=plan, heartbeat_interval=0.1
+            2, 2, backend="processes", fault_plan=plan,
+            supervision=SupervisionConfig(heartbeat_interval=0.1),
         ) as sc:
             out, _report = _solve(sc, table)
             summ = sc.metrics.summary("supervision")
@@ -563,7 +564,8 @@ class TestWorkerKillAcceptance:
             baseline, _ = _solve(sc, table, strategy="im")
         plan = FaultPlan.from_string("seed=13,worker_hang=0.3")
         with SparkleContext(
-            2, 2, backend="processes", fault_plan=plan, heartbeat_interval=0.1
+            2, 2, backend="processes", fault_plan=plan,
+            supervision=SupervisionConfig(heartbeat_interval=0.1),
         ) as sc:
             out, _report = _solve(sc, table, strategy="im")
             summ = sc.metrics.summary("supervision")
@@ -595,8 +597,9 @@ class TestDegradeOnCrash:
             2,
             2,
             backend="processes",
-            heartbeat_interval=0.1,
-            max_task_failures=1,
+            supervision=SupervisionConfig(
+                heartbeat_interval=0.1, max_task_failures=1
+            ),
         ) as sc:
             solver = GepSparkSolver(
                 SPEC, sc, r=2, kernel=crashy, strategy="im",
@@ -620,8 +623,10 @@ class TestDegradeOnCrash:
         inner = make_kernel(SPEC, "iterative")
         crashy = CrashyKernel(inner, os.getpid())
         with SparkleContext(
-            2, 2, backend="processes", heartbeat_interval=0.1,
-            max_task_failures=1,
+            2, 2, backend="processes",
+            supervision=SupervisionConfig(
+                heartbeat_interval=0.1, max_task_failures=1
+            ),
         ) as sc:
             solver = GepSparkSolver(SPEC, sc, r=2, kernel=crashy, strategy="im")
             with pytest.raises(PoisonTaskError):
@@ -669,7 +674,8 @@ class TestWorkerFaultProperty:
     ):
         plan = FaultPlan.from_string(f"seed={seed},{kind}=0.2")
         with SparkleContext(
-            2, 1, backend=backend, fault_plan=plan, heartbeat_interval=0.1
+            2, 1, backend=backend, fault_plan=plan,
+            supervision=SupervisionConfig(heartbeat_interval=0.1),
         ) as sc:
             solver = GepSparkSolver(
                 SPEC, sc, r=2, kernel=make_kernel(SPEC, "iterative"),
