@@ -9,17 +9,18 @@ test:
 
 # the CI gate: fail-fast over everything, and hermetic — a run that
 # creates, edits or deletes a file git can see fails, and so does one
-# that leaves a worker-plane segment (sparkle-*) behind in /dev/shm.
+# that leaves any entry in /dev/shm that was not there before it.
 # It prints its 15 slowest tests: the wall is gated at 2 min (ROADMAP 8).
 tier1:
 	@before="$$(git status --porcelain)"; \
+	shm_before="$$(ls /dev/shm 2>/dev/null)"; \
 	$(PYTEST) -x -q --durations=15 || exit $$?; \
 	after="$$(git status --porcelain)"; \
 	if [ "$$before" != "$$after" ]; then \
 		echo "tier1 is not hermetic: git status --porcelain changed:"; \
 		echo "$$after"; exit 1; \
 	fi; \
-	leaked="$$(ls /dev/shm 2>/dev/null | grep '^sparkle-')"; \
+	leaked="$$(ls /dev/shm 2>/dev/null | grep -vxF "$$shm_before")"; \
 	if [ -n "$$leaked" ]; then \
 		echo "tier1 leaked shared memory: /dev/shm still holds:"; \
 		echo "$$leaked"; exit 1; \

@@ -69,7 +69,21 @@ KEEP: list[tuple[str, str, str]] = [
      "the one pickle rule: a worker ships its errors by pickling them"),
     ("sparkle/errors.py", r"\w+(\.__init__|\.__str__)?",
      "a typed error of a failure path the chaos suites and soaks drive"),
-    ("sparkle/supervisor.py", r".*", "worker supervision: the supervision suites and soaks drive it"),
+    ("sparkle/supervisor.py", r"HeartbeatBoard\.reset_row|WorkerSupervisor\.(reset_slot|kill_slot|respawn_delay)",
+     "the per-slot respawn after a worker death: supervision and service suites"),
+    ("sparkle/supervisor.py", r"WorkerSupervisor\.(pid_for_slot|_signal)",
+     "the deadline kill of one slot's worker: supervision and service suites"),
+    ("sparkle/supervisor.py", r"WorkerSupervisor\.token_for_slot",
+     "crash attribution: the call a dead worker was running"),
+    ("sparkle/supervisor.py", r"HeartbeatBoard\.pids|WorkerSupervisor\.(worker_pids|kill_workers)",
+     "the atexit reaper kills every registered worker: the driver-death tests"),
+    ("sparkle/supervisor.py",
+     r"WorkerSupervisor\.(record_failure|failures|quarantine|quarantined|degrade_pending)",
+     "poison quarantine and degrade-on-crash: the supervision suites"),
+    ("sparkle/supervisor.py", r"WorkerSupervisor\.unstack",
+     "the stack-token rule: a death inside a stack charges no call"),
+    ("sparkle/supervisor.py", r"worker_self_fault",
+     "the chaos plane's real worker faults: a worker runs it on itself"),
     ("sparkle/durable.py", r".*", "durability: the crash/resume suites and soaks drive it"),
     ("sparkle/tenancy.py", r".*", "tenant isolation: the tenancy soak drives it"),
     ("service.py", r".*", "request-plane failure, resume and cache paths: the service soaks drive them"),

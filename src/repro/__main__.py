@@ -463,9 +463,13 @@ def _cmd_request(args) -> int:
     }
     if args.stats:
         payload = {"op": "stats"}
-    reply = send_request(
-        args.socket, payload, timeout=args.timeout, retries=args.retries
-    )
+    try:
+        reply = send_request(
+            args.socket, payload, timeout=args.timeout, retries=args.retries
+        )
+    except OSError as exc:
+        print(f"cannot reach the service at {args.socket}: {exc}", file=sys.stderr)
+        return 1
     if reply.get("status") != "ok":
         exc = reply.get("error")
         retryable = "retryable" if reply.get("retryable") else "not retryable"

@@ -23,7 +23,8 @@ through five defensive layers before an engine pass runs:
    the pass itself.  Mid-flight it propagates into the scheduler's
    stage/attempt boundaries and the process backend's offload waits
    (``set_job_deadline``), so an overrun SIGKILLs stuck workers and
-   reaps their segments via the PR 5 crash protocol rather than leaking.
+   respawns them through the worker plane's crash protocol rather than
+   leaking them.
 4. **Retry + circuit breaker** — transient engine faults are retried
    with bounded backoff; repeated :class:`~repro.sparkle.errors.WorkerCrashed`
    / :class:`~repro.sparkle.errors.PoisonTaskError` under the process
@@ -1896,7 +1897,6 @@ def serve_forever(
     *,
     max_requests: int | None = None,
     ready: threading.Event | None = None,
-    install_signal_handlers: bool | None = None,
 ) -> int:
     """Accept loop: one connection = one request = one reply.
 
@@ -1912,8 +1912,7 @@ def serve_forever(
     loop.
 
     Shutdown follows the §16 drain sequence.  SIGTERM/SIGINT (handlers
-    installed when running on the main thread, unless
-    ``install_signal_handlers=False``) flip the service to draining —
+    installed when running on the main thread) flip the service to draining —
     new admissions shed with :class:`ServiceDrainingError` — and close
     the listener, so late clients fail fast instead of hanging on a
     half-dead server.  Accepted connections are then joined (their
@@ -1935,11 +1934,7 @@ def serve_forever(
         server.close()
 
     installed: list[tuple[int, Any]] = []
-    if install_signal_handlers is None:
-        install_signal_handlers = (
-            threading.current_thread() is threading.main_thread()
-        )
-    if install_signal_handlers:
+    if threading.current_thread() is threading.main_thread():
         for sig in (signal.SIGTERM, signal.SIGINT):
             installed.append((sig, signal.signal(sig, begin_drain)))
     try:

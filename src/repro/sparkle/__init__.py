@@ -18,7 +18,7 @@ executor blacklisting, and every recovery event is metered.
 
 Driver crashes are covered too: :mod:`repro.sparkle.durable` adds a
 checksummed on-disk block store (atomic tmp+rename writes, BLAKE2b
-manifests) behind the CB shared storage and the spill store, plus
+manifests) behind the solver's iteration snapshots and the spill store, plus
 a write-ahead solve journal that the GEP drivers use for
 ``--resume``-able, bit-identical crash recovery; ``torn_write`` and
 ``corrupt_block`` chaos kinds exercise the layer under the same seeded
@@ -35,7 +35,7 @@ react to by degrading IM→CB mid-solve; the ``mem_squeeze`` chaos kind
 shrinks the budget mid-run under the seeded determinism contract.
 
 Worker liveness is supervised (:mod:`repro.sparkle.supervisor`): under
-the process backend, workers heartbeat into a shared-memory board
+the process backend, workers heartbeat into an anonymous shared board
 watched by a driver-side watchdog (silent workers are SIGKILLed),
 offloaded kernel calls can carry wall-clock deadlines
 (``TaskDeadlineExceeded``), and a worker death runs a full crash
@@ -57,8 +57,8 @@ busy pool).  ``SparkleContext(backend="processes")`` also has a worker plane
 (:mod:`repro.sparkle.backend`, ``sc.offload``): one worker process per
 simulated executor that kernel tile updates are offloaded to, past the
 GIL — a task's call list is pickled out to its worker as it is and the
-updated tiles pickled back; the heartbeat board is the only
-shared-memory segment.  Shuffle, cache, CB storage and broadcast values
+updated tiles pickled back; the heartbeat board is the only shared
+memory, and it has no name.  Shuffle, cache, CB storage and broadcast values
 stay on driver threads either way, and both backends produce
 bit-identical results and identical scheduler / byte counts.
 """
@@ -107,20 +107,13 @@ from .requests import SolveRequest, SolveResponse, solve_fingerprint
 from .partitioner import GridPartitioner, HashPartitioner, Partitioner
 from .rdd import RDD, Aggregator
 from .scheduler import TaskContext
-from .supervisor import (
-    HeartbeatBoard,
-    SupervisionConfig,
-    WorkerSupervisor,
-    purge_segments,
-    shm_supported,
-)
+from .supervisor import HeartbeatBoard, SupervisionConfig, WorkerSupervisor
 
 __all__ = [
     "SparkleContext",
     "ALIAS_X",
     "BACKENDS",
     "ProcessBackend",
-    "shm_supported",
     "RDD",
     "Aggregator",
     "Broadcast",
@@ -169,5 +162,4 @@ __all__ = [
     "SupervisionConfig",
     "WorkerSupervisor",
     "HeartbeatBoard",
-    "purge_segments",
 ]

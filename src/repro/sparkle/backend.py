@@ -34,14 +34,12 @@ Worker lifecycle: the pools are created, and their first-generation
 workers started by one awaited no-op each, in the driver's constructor
 thread (forking later, mid-solve, from a many-threaded driver is the
 classic fork-safety trap) and torn down with
-``shutdown(wait=True)`` so no worker outlives the context.  Workers
-disable ``resource_tracker`` registration for shared memory — the
-driver owns the heartbeat board, the one segment there is, and a worker
-exiting must never unlink it.
+``shutdown(wait=True)`` so no worker outlives the context.
 
 Supervision (DESIGN.md §13): every offloaded batch runs under the
-:mod:`~repro.sparkle.supervisor` layer — workers heartbeat into a
-shared-memory board watched by a driver watchdog, batches carry optional
+:mod:`~repro.sparkle.supervisor` layer — workers heartbeat into an
+anonymous shared board (it has no ``/dev/shm`` name, so nothing can
+leak) watched by a driver watchdog, batches carry optional
 wall-clock deadlines, and a worker death (``BrokenProcessPool``) runs
 the crash protocol: respawn the pool under deterministic bounded
 backoff, count the failure against the culprit call's poison budget —
@@ -76,12 +74,7 @@ from ..kernels.base import ALIAS_X, update_tiles
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
 from .metrics import EngineMetrics
-from .supervisor import (
-    SupervisionConfig,
-    WorkerSupervisor,
-    _attach_worker,
-    shm_supported,
-)
+from .supervisor import SupervisionConfig, WorkerSupervisor, _attach_worker
 
 __all__ = ["ALIAS_X", "BACKENDS", "ProcessBackend"]
 
@@ -101,31 +94,6 @@ _WORKER_RUNS = [0]
 def _worker_ready() -> None:  # pragma: no cover - worker side
     """The no-op the constructor awaits once per slot: submitting it is
     what starts a first-generation worker, in the constructor's thread."""
-
-
-def _worker_init(supervision_args=None) -> None:  # pragma: no cover - worker side
-    """Keep the worker's resource tracker away from the driver-owned
-    heartbeat board, then join the supervision layer.
-
-    Attaching a ``SharedMemory`` registers it with the *worker's*
-    resource tracker, which would unlink the still-live board (with a
-    leak warning) when the worker exits.  The driver's supervisor is its
-    sole owner — tiles never travel through shared memory, so the board
-    is the only segment a worker ever attaches — and the tracker patch
-    must land before that attach.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-
-    def register(name, rtype):
-        if rtype == "shared_memory":
-            return
-        original(name, rtype)
-
-    resource_tracker.register = register
-    if supervision_args is not None:
-        _attach_worker(*supervision_args)
 
 
 def _worker_kernel(kernel_blob: bytes):  # pragma: no cover - worker side
@@ -234,11 +202,6 @@ class ProcessBackend:
         supervision: SupervisionConfig | None = None,
         fault_plan=None,
     ) -> None:
-        if not shm_supported():  # pragma: no cover - platform gate
-            raise RuntimeError(
-                "the worker plane's heartbeat board needs "
-                "multiprocessing.shared_memory"
-            )
         import multiprocessing
 
         if num_workers < 1:
@@ -284,7 +247,7 @@ class ProcessBackend:
             self._emergency_cleanup()
             raise
         # Reap on unclean-but-orderly exits (sys.exit, uncaught error):
-        # kill registered workers, unlink the board.  A SIGKILLed
+        # kill registered workers.  A SIGKILLed
         # driver never reaches atexit — that case is covered by the
         # worker-side janitor thread (supervisor._start_janitor).
         atexit.register(self._emergency_cleanup)
@@ -306,8 +269,8 @@ class ProcessBackend:
         return ProcessPoolExecutor(
             max_workers=1,
             mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(self.supervisor.worker_initargs(slot),),
+            initializer=_attach_worker,
+            initargs=self.supervisor.worker_initargs(slot),
         )
 
     # -- placement -----------------------------------------------------
@@ -485,8 +448,8 @@ class ProcessBackend:
                 if pid is not None:
                     sup._signal(pid, signal.SIGKILL)
                 else:
-                    # No shm board at all: no way to target the one
-                    # worker — reap them all rather than hang.
+                    # The worker never claimed its row: no way to target
+                    # it — reap them all rather than hang.
                     sup.kill_workers()
             except RuntimeError as exc:
                 if kill_elapsed is not None:
@@ -605,7 +568,8 @@ class ProcessBackend:
         """Last-resort reaper for drivers exiting without ``shutdown()``.
 
         Idempotent and exception-proof: kill every registered worker,
-        drop the pool, unlink the board.  The healthy-exit path unregisters this before it can run.
+        drop the pools.  The healthy-exit path unregisters this before it
+        can run.
         """
         try:
             sup = self.supervisor

@@ -57,10 +57,9 @@ class SparkleContext:
         recovery traces are deterministic.
     checkpoint_dir:
         Directory for the durable layer (:class:`~repro.sparkle.durable.
-        DurableBlockStore`).  When set, CB shared-storage puts are
-        written through to disk and the GEP drivers journal iteration
-        snapshots here for ``--resume``.  ``None`` keeps everything in
-        memory.
+        DurableBlockStore`).  When set, the GEP drivers journal
+        iteration snapshots here for ``--resume``.  ``None`` keeps
+        everything in memory.
     memory_budget_bytes:
         Byte budget of the unified memory governor (:class:`~repro.
         sparkle.memory.MemoryManager`, always present as
@@ -222,9 +221,9 @@ class SparkleContext:
     def setCheckpointDir(self, path: str) -> DurableBlockStore:
         """Attach the durable layer (PySpark's ``setCheckpointDir``).
 
-        Idempotent for the same directory; rewires shared storage to
-        write through to disk, and the GEP drivers journal their
-        iteration snapshots to it.
+        Idempotent for the same directory; the GEP drivers journal their
+        iteration snapshots to it — a solve's one durable recovery point
+        (CB shared storage and ``RDD.checkpoint()`` stay in memory).
         """
         self._check_active()
         if self.durable_store is not None:
@@ -236,7 +235,6 @@ class SparkleContext:
         self.durable_store = DurableBlockStore(
             path, metrics=self.metrics, fault_plan=self.fault_plan
         )
-        self.shared_storage.backing = self.durable_store
         return self.durable_store
 
     #: job traces a context that lives across many solves keeps: the

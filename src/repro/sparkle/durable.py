@@ -11,9 +11,9 @@ loses the whole multi-iteration solve.  This module is the real thing:
     ``os.replace``) and verified by read-back, so a torn write is
     detected and rewritten rather than committed; reads re-checksum and
     raise a typed :class:`~.errors.CorruptBlockError` on mismatch, so
-    silent bitrot can never surface as wrong data.  Backs
-    :class:`~.storage.SharedStorage` staging, the spill store, and the
-    solver's iteration snapshots.
+    silent bitrot can never surface as wrong data.  Backs the spill
+    store and the solver's iteration snapshots — a journaled solve's one
+    durable recovery point.
 
 :class:`SolveJournal`
     An append-only, per-record-checksummed JSONL write-ahead log.  The
@@ -429,13 +429,10 @@ class SolveJournal:
         """Atomically rewrite the file to its valid prefix; returns it.
 
         Called on resume so subsequent appends extend committed history
-        rather than a torn tail.
+        rather than a torn tail.  Re-sealing a valid prefix reproduces it
+        byte for byte.
         """
-        entries = self.entries()
-        data = "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
-        _atomic_write(self.path, data.encode())
-        self._cached_entries = len(entries)
-        return entries
+        return self.rewrite(self.entries())
 
     def rewrite(self, records: list[dict]) -> list[dict]:
         """Atomically replace the journal with ``records`` (compaction).

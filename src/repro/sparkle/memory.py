@@ -83,11 +83,6 @@ class MemoryManager:
         Nominal execution reservation charged per admitted task (the
         scheduler's backpressure unit).  Defaults to ``budget // 8``
         (0 when unbounded: there is nothing to push back against).
-    executor_resolver:
-        ``f(partition) -> executor`` used to attribute task-side
-        reservations to a simulated executor (the pool's
-        ``executor_for``); without it task-side owners fall back to the
-        partition id.
     """
 
     #: occupancy fractions at which pressure escalates (one value each in
@@ -101,7 +96,6 @@ class MemoryManager:
         *,
         metrics=None,
         task_quantum_bytes: int | None = None,
-        executor_resolver: Callable[[int], int] | None = None,
     ) -> None:
         if budget_bytes is not None and budget_bytes < 1:
             raise ValueError("budget_bytes must be >= 1")
@@ -115,7 +109,10 @@ class MemoryManager:
         if self.bounded and task_quantum_bytes < 1:
             raise ValueError("task_quantum_bytes must be >= 1")
         self.task_quantum_bytes = int(task_quantum_bytes)
-        self.executor_resolver = executor_resolver
+        #: ``f(partition) -> executor`` attributing task-side reservations
+        #: to a simulated executor (the context sets the pool's
+        #: ``executor_for``); without it task-side owners are partition ids
+        self.executor_resolver: Callable[[int], int] | None = None
         self._metrics = metrics or EngineMetrics()
         self._cond = threading.Condition()
         # pool -> owner -> bytes

@@ -210,8 +210,6 @@ class EngineMetrics(_Registry):
     torn_writes_detected: int = counter("recovery")
     #: checksummed reads that caught silent corruption (bitrot/tamper)
     corrupt_blocks_detected: int = counter("recovery")
-    #: SharedStorage memory misses served from the durable backing store
-    storage_backing_reads: int = counter("recovery")
     #: blacklist refusals that protected the last healthy executor
     last_executor_protected: int = counter("recovery")
     # ---- durability counters (checkpoint store / solve journal) -------

@@ -7,11 +7,10 @@ in (driver-process) memory keyed by ``(rdd_id, partition)``.
 Collect-Broadcast strategy (paper §IV-C): the driver collects blocks and
 writes them here; executors read them back in the next stage.  Reads and
 writes are byte-accounted so the cost model can price the staging I/O
-(SSD on cluster 1, spinning disk on cluster 2 — the Fig. 8 axis).  With
-a :class:`~repro.sparkle.durable.DurableBlockStore` attached as
-``backing`` (a context constructed with ``checkpoint_dir``), every put
-also lands on disk — making the §IV-C storage *actually* persistent —
-and a memory miss falls back to a checksummed durable read.
+(SSD on cluster 1, spinning disk on cluster 2 — the Fig. 8 axis).  It
+is never written through to disk: a journaled solve's one durable
+recovery point is its iteration snapshot, and a resumed solve republishes
+the pivot and panels before any task reads them.
 """
 
 from __future__ import annotations
@@ -224,19 +223,13 @@ class SharedStorage:
     bug.
     """
 
-    def __init__(
-        self,
-        metrics,
-        fault_plan=None,
-        backing=None,
-    ) -> None:
+    def __init__(self, metrics, fault_plan=None) -> None:
         self._data: dict[Any, Any] = {}
         self._bytes: dict[Any, int] = {}
         self._live_bytes = 0
         self._lock = threading.Lock()
         self._metrics = metrics or EngineMetrics()
         self.fault_plan = fault_plan
-        self.backing = backing
 
     def put(self, key: Any, value: Any) -> int:
         """Store a block; returns its byte size.
@@ -252,8 +245,6 @@ class SharedStorage:
             self._bytes[key] = nbytes
             self._metrics.storage_bytes_written += nbytes
             self._metrics.storage_puts += 1
-        if self.backing is not None:
-            self.backing.put(("shared", key), value)
         return nbytes
 
     def get(self, key: Any) -> Any:
@@ -264,19 +255,6 @@ class SharedStorage:
                 self._metrics.storage_bytes_read += self._bytes[key]
                 self._metrics.storage_gets += 1
                 return self._data[key]
-        if self.backing is not None and self.backing.contains(("shared", key)):
-            # Memory lost the block (e.g. a restarted driver) but the
-            # durable layer still has it — checksummed read, re-warmed.
-            value = self.backing.get(("shared", key))
-            with self._lock:
-                nbytes = sizeof_block(value)
-                self._data[key] = value
-                self._live_bytes += nbytes - self._bytes.get(key, 0)
-                self._bytes[key] = nbytes
-                self._metrics.storage_backing_reads += 1
-                self._metrics.storage_bytes_read += nbytes
-                self._metrics.storage_gets += 1
-            return value
         raise BlockNotFoundError(f"shared storage has no block {key!r}", key=key)
 
     def contains(self, key: Any) -> bool:
@@ -284,7 +262,7 @@ class SharedStorage:
             return key in self._data
 
     def clear(self) -> None:
-        """Drop the in-memory view (durable backing blocks are kept)."""
+        """Drop every block."""
         with self._lock:
             self._data.clear()
             self._bytes.clear()

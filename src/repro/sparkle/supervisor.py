@@ -4,13 +4,15 @@ The process backend (DESIGN.md §12) put real OS processes on the hot
 path; this module (§13) gives them the liveness layer Spark's executor
 supervision provides on a real cluster.  Three cooperating pieces:
 
-* :class:`HeartbeatBoard` — a raw shared-memory table, one row per
-  worker slot: ``[pid, beat, token, epoch]``.  Workers claim a row at
-  init (under a lock shipped through the pool initializer) and a
-  daemon thread bumps ``beat`` a few times per heartbeat interval;
-  ``token`` is the supervised kernel call the worker is currently
-  executing, which is how the driver maps a deadline overrun back to a
-  killable pid.
+* :class:`HeartbeatBoard` — an anonymous shared int64 table, one row
+  per worker slot: ``[pid, beat, token]``.  The driver allocates it
+  and hands it to each worker through the pool initializer; worker
+  ``i`` claims row ``i`` and a daemon thread bumps ``beat`` a few times
+  per heartbeat interval; ``token`` is the supervised kernel call the
+  worker is currently executing, which is how the driver maps a
+  deadline overrun back to a killable pid.  The memory has no name, so
+  it dies with the last process that maps it: nothing in ``/dev/shm``
+  can outlive the plane.
 * the **watchdog** — a driver-side daemon thread that scans the board
   every ``heartbeat_interval / 2``.  A claimed row whose ``beat`` has
   not advanced for ``2 × heartbeat_interval`` is declared hung: the
@@ -36,10 +38,9 @@ Worker lifecycle (see DESIGN.md §13 for the full diagram)::
 
 Workers also run a *janitor* thread: if the driver pid they were
 spawned by disappears (SIGKILLed driver — ``atexit`` never runs), they
-purge every ``/dev/shm`` entry under the supervisor's prefix (the
-heartbeat board ``<prefix>-hb`` is the only one: tiles cross the process
-boundary pickled, never through shared memory) and exit, so an
-uncleanly-killed driver leaks neither processes nor segments.
+exit — an orphaned worker holds both ends of its call queue and would
+otherwise block forever — so an uncleanly-killed driver leaks no
+process.
 
 Everything here is deterministic under the chaos contract: respawn
 jitter hashes ``(seed, "respawn", n)`` through the same
@@ -51,71 +52,27 @@ seeded plan before the doomed call is even submitted.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import signal
 import threading
 import time
-import uuid
 from dataclasses import dataclass
+from multiprocessing.sharedctypes import RawArray
+
+import numpy as np
 
 from .chaos import deterministic_fraction
 from .metrics import EngineMetrics
 
-try:  # pragma: no cover - stdlib on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-__all__ = [
-    "SupervisionConfig",
-    "HeartbeatBoard",
-    "WorkerSupervisor",
-    "shm_supported",
-    "purge_segments",
-]
-
-
-def shm_supported() -> bool:
-    """Whether POSIX shared memory is available on this platform."""
-    return _shared_memory is not None
-
-
-def purge_segments(prefix: str) -> int:
-    """Unlink every ``/dev/shm`` entry under a supervisor's prefix; last
-    resort.
-
-    The crash janitor: when the driver dies without running its
-    ``shutdown()`` (SIGKILL, power loss) nobody holds the
-    ``SharedMemory`` handle any more, so orphaned workers sweep the raw
-    names straight off the filesystem before exiting.  Harmless when the
-    tree is already clean; returns the number of entries removed.  Only
-    meaningful on platforms that expose POSIX shm as files (Linux
-    ``/dev/shm``).
-    """
-    if not prefix:
-        raise ValueError("refusing to purge an empty shm prefix")
-    root = "/dev/shm"
-    removed = 0
-    if not os.path.isdir(root):  # pragma: no cover - platform gate
-        return 0
-    for entry in os.listdir(root):
-        if not entry.startswith(prefix):
-            continue
-        try:
-            os.unlink(os.path.join(root, entry))
-            removed += 1
-        except OSError:  # pragma: no cover - raced with another reaper
-            pass
-    return removed
-
+__all__ = ["SupervisionConfig", "HeartbeatBoard", "WorkerSupervisor"]
 
 # Board columns (int64 each).
 COL_PID = 0
 COL_BEAT = 1
 COL_TOKEN = 2
-COL_EPOCH = 3
-BOARD_COLS = 4
+BOARD_COLS = 3
 
 #: How often the worker janitor re-checks that its driver is alive.
 JANITOR_POLL_SECONDS = 0.25
@@ -168,68 +125,24 @@ class SupervisionConfig:
 
 
 class HeartbeatBoard:
-    """Driver-owned shared-memory liveness table, one row per slot."""
+    """Driver-allocated liveness table, one row per slot, in anonymous
+    shared memory (zero-filled; workers receive ``raw`` at start)."""
 
-    def __init__(self, slots: int, name: str) -> None:
-        import numpy as np
-
+    def __init__(self, slots: int) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
         self.slots = slots
-        self.name = name
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=slots * BOARD_COLS * 8, name=name
-        )
-        self.cells = np.ndarray(
-            (slots, BOARD_COLS), dtype=np.int64, buffer=self._shm.buf
-        )
-        self.cells[:] = 0
+        self.raw = RawArray(ctypes.c_int64, slots * BOARD_COLS)
+        self.cells = np.frombuffer(self.raw, dtype=np.int64).reshape(slots, BOARD_COLS)
 
-    # -- driver-side reads --------------------------------------------
     def pids(self) -> list[int]:
         """Pids of every claimed slot (racy by nature; reap tolerates)."""
-        if self.cells is None:
-            return []
         return [int(p) for p in self.cells[:, COL_PID] if int(p) > 0]
-
-    def snapshot(self) -> list[dict]:
-        """Row view for reporting (``repro workers``)."""
-        out = []
-        if self.cells is None:
-            return out
-        for slot in range(self.slots):
-            pid = int(self.cells[slot, COL_PID])
-            if pid <= 0:
-                continue
-            out.append(
-                {
-                    "slot": slot,
-                    "pid": pid,
-                    "beat": int(self.cells[slot, COL_BEAT]),
-                    "token": int(self.cells[slot, COL_TOKEN]),
-                }
-            )
-        return out
 
     def reset_row(self, slot: int) -> None:
         """Blank one row (single-slot pool respawn)."""
-        if self.cells is not None and 0 <= slot < self.slots:
+        if 0 <= slot < self.slots:
             self.cells[slot, :] = 0
-
-    def destroy(self) -> None:
-        if self._shm is None:
-            return
-        # Drop the ndarray's buffer export before closing the mapping.
-        self.cells = None
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a view still pins it
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - janitor raced us
-            pass
 
 
 class WorkerSupervisor:
@@ -248,22 +161,16 @@ class WorkerSupervisor:
         config: SupervisionConfig,
         *,
         slots: int,
-        prefix: str | None = None,
         metrics=None,
         seed: int = 0,
         kill=os.kill,
     ) -> None:
         self.config = config
         self.slots = slots
-        #: name prefix of everything this supervisor puts in ``/dev/shm``
-        #: (the board, ``<prefix>-hb``) — what the janitor purges
-        self.prefix = prefix or f"sparkle-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.metrics = metrics or EngineMetrics()
         self.seed = int(seed)
         self._kill = kill
-        self.board: HeartbeatBoard | None = None
-        if shm_supported():
-            self.board = HeartbeatBoard(slots, f"{self.prefix}-hb")
+        self.board: HeartbeatBoard | None = HeartbeatBoard(slots)
         self._board_lock = threading.Lock()
         self._tokens = itertools.count(1)
         self._ledger_lock = threading.Lock()
@@ -276,18 +183,18 @@ class WorkerSupervisor:
 
     # -- pool wiring ---------------------------------------------------
     def worker_initargs(self, slot: int) -> tuple:
-        """Arguments for :func:`_attach_worker` via the pool initializer.
+        """Arguments for :func:`_attach_worker`, the pool initializer.
 
         ``slot`` is the board row the pool's one worker claims — pool
         ``i`` owns row ``i``, so the driver can map a slot to a pid (and
         the in-flight call token) and no two workers contend for a row.
+        The board's shared array travels as an argument: inherited under
+        ``fork``, its descriptor passed under ``spawn``.
         """
-        board = self.board
         return (
-            board.name if board is not None else None,
+            self.board.raw,
             self.slots,
             self.config.heartbeat_interval,
-            self.prefix,
             os.getpid(),
             slot,
         )
@@ -299,9 +206,7 @@ class WorkerSupervisor:
         """The pid claimed on board row ``slot`` (fixed-slot pools)."""
         with self._board_lock:
             board = self.board
-            if board is None or board.cells is None:
-                return None
-            if not 0 <= slot < board.slots:
+            if board is None or not 0 <= slot < board.slots:
                 return None
             pid = int(board.cells[slot, COL_PID])
             return pid or None
@@ -315,9 +220,7 @@ class WorkerSupervisor:
         """
         with self._board_lock:
             board = self.board
-            if board is None or board.cells is None:
-                return 0
-            if not 0 <= slot < board.slots:
+            if board is None or not 0 <= slot < board.slots:
                 return 0
             return int(board.cells[slot, COL_TOKEN])
 
@@ -390,7 +293,7 @@ class WorkerSupervisor:
             now = time.monotonic()
             with self._board_lock:
                 board = self.board
-                if board is None or board.cells is None:
+                if board is None:
                     continue
                 for slot in range(board.slots):
                     pid = int(board.cells[slot, COL_PID])
@@ -480,28 +383,23 @@ class WorkerSupervisor:
 
     # -- lifecycle -----------------------------------------------------
     def destroy(self) -> None:
+        """Stop the watchdog and drop the board: the driver's mapping
+        goes with the last reference, each worker's with its process."""
         self.stop_watchdog()
         with self._board_lock:
-            board, self.board = self.board, None
-        if board is not None:
-            board.destroy()
+            self.board = None
 
 
 # ----------------------------------------------------------------------
 # worker-side machinery (module-level: importable under fork AND spawn)
 # ----------------------------------------------------------------------
-_WORKER_BOARD = {"cells": None, "slot": None, "shm": None}
+_WORKER_BOARD = {"cells": None, "slot": None}
 
 
 def _attach_worker(
-    board_name: str | None,
-    slots: int,
-    beat_interval: float,
-    prefix: str,
-    driver_pid: int,
-    slot: int,
+    raw, slots: int, beat_interval: float, driver_pid: int, slot: int
 ) -> None:  # pragma: no cover - runs in worker processes
-    """Pool initializer tail: join the board, start beats + janitor.
+    """Pool initializer: join the board, start beats + janitor.
 
     Best-effort by design — supervision must never be the thing that
     breaks a worker (an initializer exception marks the whole pool
@@ -515,24 +413,17 @@ def _attach_worker(
     belt-and-braces guard against a raced reset.
     """
     try:
-        _start_janitor(prefix, driver_pid)
+        _start_janitor(driver_pid)
     except Exception:
         pass
-    if board_name is None:
-        return
     try:
-        import numpy as np
-
-        shm = _shared_memory.SharedMemory(name=board_name)
-        cells = np.ndarray((slots, BOARD_COLS), dtype=np.int64, buffer=shm.buf)
+        cells = np.frombuffer(raw, dtype=np.int64).reshape(slots, BOARD_COLS)
         if not 0 <= slot < slots:
-            shm.close()
             return
         cells[slot, COL_TOKEN] = 0
         cells[slot, COL_PID] = os.getpid()
         _WORKER_BOARD["cells"] = cells
         _WORKER_BOARD["slot"] = slot
-        _WORKER_BOARD["shm"] = shm  # pin the mapping for process lifetime
         if beat_interval > 0:
             _start_beater(beat_interval)
     except Exception:
@@ -554,8 +445,8 @@ def _start_beater(interval: float) -> None:  # pragma: no cover - worker side
     threading.Thread(target=_beat, name="sparkle-heartbeat", daemon=True).start()
 
 
-def _start_janitor(prefix: str, driver_pid: int) -> None:  # pragma: no cover
-    """Exit (and sweep shm) if our driver disappears out from under us."""
+def _start_janitor(driver_pid: int) -> None:  # pragma: no cover
+    """Exit if our driver disappears out from under us."""
 
     def _janitor() -> None:
         while True:
@@ -565,10 +456,7 @@ def _start_janitor(prefix: str, driver_pid: int) -> None:  # pragma: no cover
             except OSError:
                 orphaned = True
             if orphaned:
-                try:
-                    purge_segments(prefix)
-                finally:
-                    os._exit(3)
+                os._exit(3)
 
     threading.Thread(target=_janitor, name="sparkle-janitor", daemon=True).start()
 

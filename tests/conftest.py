@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import os
 import signal
 
 import numpy as np
@@ -112,12 +113,20 @@ def assert_tables_equal(a: np.ndarray, b: np.ndarray, **kw) -> None:
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9, **kw)
 
 
-def assert_quiescent(sc) -> None:
+def shm_entries() -> set[str]:
+    """The names in ``/dev/shm`` now (none where there is no such
+    directory).  A hygiene check diffs two readings, so any entry a run
+    leaves behind fails it, whatever its name."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def assert_quiescent(sc, shm_before: set[str] | None = None) -> None:
     """The conservation invariant of a context at rest — swept by
     ``reclaim_solve_state()`` or stopped: nothing staged, cached, stored
     or spilled, every governor ledger and the tenant overlay at zero;
-    a stopped context also has no worker process and nothing in
-    ``/dev/shm``."""
+    a stopped context with a worker plane also has no worker process
+    and has added nothing to ``/dev/shm`` since ``shm_before``, the
+    reading taken before it was built."""
     usage = sc.memory_manager.usage()
     assert usage["live_bytes"] == 0
     assert usage["execution_bytes"] == usage["storage_bytes"] == 0
@@ -134,5 +143,6 @@ def assert_quiescent(sc) -> None:
         assert len(sc.spill_store) == 0
         assert glob.glob(f"{sc.spill_store.blocks_dir}/*") == []
     if sc._stopped and sc.supervisor is not None:
+        assert shm_before is not None, "pass the /dev/shm reading taken before"
         assert sc.supervisor.worker_pids() == []
-        assert glob.glob(f"/dev/shm/{sc.supervisor.prefix}*") == []
+        assert shm_entries() - shm_before == set()

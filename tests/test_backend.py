@@ -5,15 +5,14 @@ the thread backend plus kernel offload — bit-identical results,
 identical scheduler shape (jobs/stages/tasks), identical shuffle /
 collect / storage bytes, identical kernel work accounting — while the
 tiles a kernel touches cross the process boundary pickled in the batch
-envelope instead of by reference.  Plus the hygiene guarantees: the
-heartbeat board is the only ``/dev/shm`` entry of a context, and neither
-it nor a worker process outlives the context, even when chaos faults
-kill tasks mid-kernel.
+envelope instead of by reference.  Plus the hygiene guarantees: a
+context adds no entry to ``/dev/shm`` (its heartbeat board is anonymous
+shared memory), and no worker process outlives it, even when chaos
+faults kill tasks mid-kernel.
 """
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
 import pickle
 import threading
@@ -37,13 +36,12 @@ from repro.sparkle import (
     SparkleContext,
     SupervisionConfig,
     WorkerCrashed,
-    shm_supported,
 )
 from repro.sparkle.backend import ALIAS_X, BACKENDS, ProcessBackend
 from repro.sparkle.chaos import CURRENT_TASK
 from repro.sparkle.executors import ExecutorPool
 
-from .conftest import fw_table, ge_table, tc_table
+from .conftest import fw_table, ge_table, shm_entries, tc_table
 
 SPECS = {
     "fw": (FloydWarshallGep, fw_table),
@@ -51,18 +49,14 @@ SPECS = {
     "tc": (TransitiveClosureGep, tc_table),
 }
 
-needs_shm = pytest.mark.skipif(
-    not shm_supported(), reason="multiprocessing.shared_memory unavailable"
-)
-
 
 def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None):
     """One solve on an owned context; returns (result, report, leftovers).
 
-    ``leftovers`` is the list of ``/dev/shm`` entries still carrying the
-    context supervisor's prefix *after* the context stopped — the leak
-    probe.
+    ``leftovers`` is the set of ``/dev/shm`` entries that appeared
+    between building the context and after it stopped — the leak probe.
     """
+    shm_before = shm_entries()
     with SparkleContext(
         num_executors=3,
         cores_per_executor=2,
@@ -77,11 +71,7 @@ def _solve(backend, spec, table, *, strategy="im", r=3, fault_plan=None):
             strategy=strategy,
         )
         out, report = solver.solve(table)
-        prefix = sc.supervisor.prefix if sc.supervisor is not None else None
-    leftovers = (
-        glob.glob(f"/dev/shm/{prefix}*") if prefix is not None else []
-    )
-    return out, report, leftovers
+    return out, report, shm_entries() - shm_before
 
 
 def _shape_claims(report):
@@ -92,7 +82,6 @@ def _shape_claims(report):
 # ----------------------------------------------------------------------
 # backend parity (the tentpole acceptance property)
 # ----------------------------------------------------------------------
-@needs_shm
 @given(
     name=st.sampled_from(sorted(SPECS)),
     strategy=st.sampled_from(["im", "cb", "bcast"]),
@@ -112,7 +101,7 @@ def test_property_backends_bit_identical(name, strategy, n, r, seed):
         out, report, leftovers = _solve(
             backend, spec, table.copy(), strategy=strategy, r=r
         )
-        assert leftovers == [], f"leaked shm segments on {backend}: {leftovers}"
+        assert leftovers == set(), f"leaked /dev/shm entries on {backend}: {leftovers}"
         results[backend] = (out, report)
     t_out, t_rep = results["threads"]
     p_out, p_rep = results["processes"]
@@ -122,7 +111,6 @@ def test_property_backends_bit_identical(name, strategy, n, r, seed):
     assert p_rep.engine_metrics.backend == "processes"
 
 
-@needs_shm
 @pytest.mark.batching
 @given(
     name=st.sampled_from(sorted(SPECS)),
@@ -157,7 +145,7 @@ def test_property_dispatch_modes_bit_identical(
         out, report, leftovers = _solve(
             backend, spec, table.copy(), strategy=strategy, r=r, fault_plan=plan
         )
-        assert leftovers == [], f"leaked shm segments on {backend}: {leftovers}"
+        assert leftovers == set(), f"leaked /dev/shm entries on {backend}: {leftovers}"
         results[backend] = (out, report)
     ref_out, ref_rep = results["threads"]
     out, rep = results["processes"]
@@ -167,7 +155,6 @@ def test_property_dispatch_modes_bit_identical(
     )
 
 
-@needs_shm
 @pytest.mark.batching
 def test_batch_dispatch_cuts_round_trips():
     """The whole point, as exact counts: the driver crosses the IPC
@@ -304,7 +291,6 @@ def test_dispatch_validation(capsys):
         run_gep(spec, t, engine="spark", backend="processes")
 
 
-@needs_shm
 @pytest.mark.parametrize("strategy", ["im", "cb", "bcast"])
 def test_kernel_stats_identical_across_backends(strategy):
     """Offloaded kernels report the same work totals as in-process ones."""
@@ -342,7 +328,6 @@ def test_kernel_stats_identical_across_backends(strategy):
         assert t_summary[counter] == p_summary[counter], counter
 
 
-@needs_shm
 def test_process_backend_actually_offloads():
     """The metered offload path runs (not silently falling back)."""
     spec = FloydWarshallGep()
@@ -371,8 +356,6 @@ def test_unpicklable_kernel_falls_back_to_threads_path():
     """A kernel that cannot cross a process boundary (one holding a
     lock) degrades to the in-process path silently — correct results,
     zero offloads."""
-    if not shm_supported():
-        pytest.skip("multiprocessing.shared_memory unavailable")
     spec = FloydWarshallGep()
     table = fw_table(16, seed=3)
     with pytest.raises(TypeError):
@@ -419,23 +402,22 @@ def test_run_gep_backend_validation():
 
 
 # ----------------------------------------------------------------------
-# hygiene: shm segments and worker processes never outlive the context
+# hygiene: nothing in /dev/shm, and no worker outlives the context
 # ----------------------------------------------------------------------
-@needs_shm
 def test_no_shm_leak_after_clean_solve():
     """Mid-solve — read after every offloaded batch, other tasks' batches
-    in flight — the context's only ``/dev/shm`` entry is the heartbeat
-    board; after ``stop()`` there is none."""
+    in flight — the context has added no ``/dev/shm`` entry (the board
+    has no name), and after ``stop()`` it has added none either."""
     spec = GaussianEliminationGep()
+    shm_before = shm_entries()
     seen = set()
     with SparkleContext(2, 2, backend="processes") as sc:
         backend = sc.offload
-        prefix = backend.supervisor.prefix
         run_kernel_batch = backend.run_kernel_batch
 
         def recording_batch(*args, **kwargs):
             out = run_kernel_batch(*args, **kwargs)
-            seen.update(glob.glob(f"/dev/shm/{prefix}*"))
+            seen.update(shm_entries() - shm_before)
             return out
 
         backend.run_kernel_batch = recording_batch
@@ -444,11 +426,11 @@ def test_no_shm_leak_after_clean_solve():
         )
         solver.solve(ge_table(18, seed=5))
         assert sc.metrics.kernel_offloads > 0
-    assert seen == {f"/dev/shm/{prefix}-hb"}
-    assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert sc.supervisor.worker_pids()  # the board was live throughout
+    assert seen == set()
+    assert shm_entries() - shm_before == set()
 
 
-@needs_shm
 def test_no_shm_leak_under_chaos_kill():
     """A chaos-killed task dies between offloads; nothing of it is left
     in ``/dev/shm`` and the retry still produces the fault-free answer."""
@@ -465,10 +447,9 @@ def test_no_shm_leak_under_chaos_kill():
     m = report.engine_metrics
     assert m.tasks_retried > 0, "chaos plan should have fired"
     assert np.array_equal(out, clean)
-    assert leftovers == []
+    assert leftovers == set()
 
 
-@needs_shm
 def test_no_worker_processes_after_stop():
     before = {p.pid for p in multiprocessing.active_children()}
     with SparkleContext(2, 1, backend="processes") as sc:
@@ -527,7 +508,6 @@ def _process_backend(**kwargs):
     return backend
 
 
-@needs_shm
 def test_batch_shared_object_is_one_calls_tile_and_anothers_operand():
     """The same ndarray object is call 0's X and call 1's ``u``: the pool
     ships it once, so the worker must update a *private copy* of call
@@ -549,7 +529,6 @@ def test_batch_shared_object_is_one_calls_tile_and_anothers_operand():
     assert shared.tobytes() == before
 
 
-@needs_shm
 def test_batch_results_round_trip_and_own_their_memory():
     """A transposed (non-contiguous) tile and a float32 tile come back
     bit-identical to the thread path; every result is a writeable array
@@ -586,7 +565,6 @@ class _KillOnce:
         return "worker_kill"
 
 
-@needs_shm
 @pytest.mark.timeout(120)
 def test_worker_killed_mid_batch_leaves_inputs_pristine():
     """``worker_kill`` on call 2 of a batch of 4: the dead worker took
@@ -632,7 +610,6 @@ def _aliased_calls(alias, seed=0):
     ]
 
 
-@needs_shm
 @pytest.mark.parametrize("spec_cls", [FloydWarshallGep, GaussianEliminationGep])
 def test_literal_and_alias_x_operands_agree_everywhere(spec_cls):
     """One aliasing rule: an operand that *is* the call's tile means the
@@ -704,7 +681,6 @@ class _RunOnlyKernel:
         self.inner.run(*args, **kwargs)
 
 
-@needs_shm
 def test_worker_runs_the_thread_paths_stacks_and_run_is_enough():
     """A batch of stackable D calls reaches the worker's kernel as the
     thread path's stack — one ``kernel.run`` for six tiles — and a
@@ -726,7 +702,6 @@ def test_worker_runs_the_thread_paths_stacks_and_run_is_enough():
             assert metrics.worker_kernel_runs - before == runs
 
 
-@needs_shm
 @pytest.mark.batching
 def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
     """FW n=96 r=12 IM: the workers make exactly the ``kernel.run`` calls
@@ -762,7 +737,6 @@ def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
     assert len(runs) < 12**3 // 4, "the worker stacks"
 
 
-@needs_shm
 def test_workers_start_with_the_context():
     """The first-generation workers are forked in the constructor's
     thread: right after ``SparkleContext(backend="processes")``, with no
@@ -773,7 +747,6 @@ def test_workers_start_with_the_context():
         assert len(pids) == 3 and set(pids) <= live
 
 
-@needs_shm
 @pytest.mark.parametrize("name", ["fw", "ge"])
 def test_recursive_kernel_offloads_and_matches_threads(name):
     """The paper's kernel family crosses the process boundary (its
@@ -829,7 +802,7 @@ def test_single_valued_options_are_constants(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "backend",
-    ["threads", pytest.param("processes", marks=needs_shm)],
+    ["threads", "processes"],
 )
 @pytest.mark.parametrize("strategy", ["im", "cb", "bcast"])
 def test_solve_never_mutates_input_or_engine_state(backend, strategy):
@@ -853,7 +826,7 @@ def test_solve_never_mutates_input_or_engine_state(backend, strategy):
 
 @pytest.mark.parametrize(
     "backend",
-    ["threads", pytest.param("processes", marks=needs_shm)],
+    ["threads", "processes"],
 )
 def test_cached_partitions_survive_downstream_mutation_attempts(backend):
     """Zero-copy transport must not let a consumer reach cached arrays:

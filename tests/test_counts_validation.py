@@ -24,7 +24,7 @@ from repro.core.gep import (
     TransitiveClosureGep,
 )
 from repro.kernels import IterativeKernel, KernelStats
-from repro.sparkle import SparkleContext, shm_supported
+from repro.sparkle import SparkleContext
 
 from .conftest import fw_table, ge_table, tc_table
 
@@ -35,7 +35,7 @@ SPECS = {
 }
 
 
-BACKENDS = ("threads", "processes") if shm_supported() else ("threads",)
+BACKENDS = ("threads", "processes")
 
 
 def _run(spec, table, strategy, r):

@@ -58,6 +58,15 @@ REMOVED = [
     ("repro.core.api", "GepRunOptions"),
     ("repro.sparkle.rdd", "DurableCheckpointRDD"),
     ("repro.sparkle.EngineMetrics", "checkpoint_recomputes"),
+    # the heartbeat board is anonymous shared memory: no name to purge
+    ("repro.sparkle", "shm_supported"),
+    ("repro.sparkle.supervisor", "shm_supported"),
+    ("repro.sparkle", "purge_segments"),
+    ("repro.sparkle.supervisor", "purge_segments"),
+    ("repro.sparkle.HeartbeatBoard", "snapshot"),
+    ("repro.sparkle.supervisor", "COL_EPOCH"),
+    ("repro.sparkle.backend", "_worker_init"),
+    ("repro.sparkle.EngineMetrics", "storage_backing_reads"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -66,7 +75,9 @@ REMOVED = [
 
 #: (callable, keyword) deleted as a second owner of a setting: the
 #: partition count is the context's ``default_parallelism``, supervision
-#: a ``SupervisionConfig``, the frame cap ``ServiceConfig.max_frame_bytes``
+#: a ``SupervisionConfig``, the frame cap ``ServiceConfig.max_frame_bytes``;
+#: or deleted with what it configured (the board's ``/dev/shm`` name, CB
+#: storage's write-through) or because no caller passed it
 REMOVED_KEYWORDS = [
     ("repro.core.api.run_gep", "num_partitions"),
     ("repro.core.dpspark.GepSparkSolver", "num_partitions"),
@@ -75,6 +86,11 @@ REMOVED_KEYWORDS = [
     ("repro.sparkle.SparkleContext", "task_deadline"),
     ("repro.sparkle.SparkleContext", "max_task_failures"),
     ("repro.service.serve_forever", "max_frame_bytes"),
+    ("repro.service.serve_forever", "install_signal_handlers"),
+    ("repro.sparkle.MemoryManager", "executor_resolver"),
+    ("repro.sparkle.WorkerSupervisor", "prefix"),
+    ("repro.sparkle.HeartbeatBoard", "name"),
+    ("repro.sparkle.storage.SharedStorage", "backing"),
 ]
 
 

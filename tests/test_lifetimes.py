@@ -22,22 +22,14 @@ import pytest
 from repro.core.api import run_gep
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep, GaussianEliminationGep
-from repro.sparkle import FaultPlan, FaultSpec, SparkleContext, shm_supported
+from repro.sparkle import FaultPlan, FaultSpec, SparkleContext
 
-from .conftest import assert_quiescent, fw_table, ge_table
+from .conftest import assert_quiescent, fw_table, ge_table, shm_entries
 
 pytestmark = pytest.mark.memory
 
 FW = FloydWarshallGep()
-BACKENDS = [
-    "threads",
-    pytest.param(
-        "processes",
-        marks=pytest.mark.skipif(
-            not shm_supported(), reason="multiprocessing.shared_memory unavailable"
-        ),
-    ),
-]
+BACKENDS = ["threads", "processes"]
 
 
 def oracle(spec, table, r):
@@ -71,6 +63,7 @@ def arrays_in(value):
 def test_stop_frees_every_staged_tile_without_the_cyclic_gc(strategy, backend):
     table = fw_table(24, seed=5)
     tiles: list[weakref.ref] = []
+    shm_before = shm_entries()
     gc.collect()
     gc.disable()
     try:
@@ -95,12 +88,12 @@ def test_stop_frees_every_staged_tile_without_the_cyclic_gc(strategy, backend):
         assert [ref() for ref in tiles if ref() is not None] == []
     finally:
         gc.enable()
-    assert_quiescent(sc)
+    assert_quiescent(sc, shm_before)
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
     sc.stop()  # idempotent
-    assert_quiescent(sc)
+    assert_quiescent(sc, shm_before)
     assert np.array_equal(out, oracle(FW, table, 4))
     assert report.summary()["stages"] == sc.metrics.total_stages > 0
     assert report.memory["execution_peak_bytes"] > 0

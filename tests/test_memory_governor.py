@@ -36,7 +36,6 @@ from repro.sparkle import (
     SolveRequest,
     SparkleContext,
     TaskError,
-    shm_supported,
 )
 from repro.sparkle.durable import DurableBlockStore
 from repro.sparkle.shuffle import ShuffleManager
@@ -534,19 +533,7 @@ class TestBudgetedSolve:
 # Ledger conservation: every context has a governor, and it ends at zero
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("budget", [None, 8 * TIGHT_BUDGET])
-@pytest.mark.parametrize(
-    "backend",
-    [
-        "threads",
-        pytest.param(
-            "processes",
-            marks=pytest.mark.skipif(
-                not shm_supported(),
-                reason="multiprocessing.shared_memory unavailable",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("backend", ["threads", "processes"])
 @pytest.mark.parametrize("strategy", ["im", "cb", "bcast"])
 def test_ledgers_return_to_zero_on_every_context(strategy, backend, budget):
     with SparkleContext(2, 1, backend=backend, memory_budget_bytes=budget) as sc:

@@ -7,8 +7,8 @@ without leaks, and the retry/circuit-breaker path — and closes with the
 seeded request-storm chaos soak: ≥16 concurrent clients over a
 process-backend context with worker kills and memory squeezes underneath,
 asserting every admitted request completes bit-identical to a direct
-solve or fails with a typed, retryable error, with zero leaked shm
-segments, worker processes, or cache reservations.
+solve or fails with a typed, retryable error, with zero leaked
+``/dev/shm`` entries, worker processes, or cache reservations.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.sparkle.memory import PRESSURE_CRITICAL, MemoryManager
 from repro.sparkle.metrics import ServiceMetrics
 from repro.workloads import random_digraph_weights
 
+from .conftest import shm_entries
 from .storms import run_request_storm
 
 pytestmark = pytest.mark.service
@@ -462,11 +463,11 @@ class TestDeadlines:
 
     @pytest.mark.timeout(240)
     def test_deadline_kills_offloaded_pass_without_shm_leak(self):
+        shm_before = shm_entries()
         sc = _context(
             backend="processes",
             supervision=SupervisionConfig(heartbeat_interval=0.0),
         )
-        prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -489,7 +490,7 @@ class TestDeadlines:
                 assert sc.supervision.task_deadline is None
         finally:
             sc.stop()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
     @pytest.mark.timeout(240)
     def test_deadline_is_a_ceiling_not_a_per_call_budget(self):
@@ -498,11 +499,11 @@ class TestDeadlines:
         carries ~12 calls).  The waiter's own ticket times out at the
         deadline either way, so the stuck *pass* is what is timed: a
         follow-up request queues behind its kill/respawn/cleanup."""
+        shm_before = shm_entries()
         sc = _context(
             backend="processes",
             supervision=SupervisionConfig(heartbeat_interval=0.0),
         )
-        prefix = sc.offload.supervisor.prefix
         try:
             with SolverService(sc) as service:
                 stuck = SolveRequest(
@@ -524,7 +525,7 @@ class TestDeadlines:
                 assert sc.offload.job_deadline is None
         finally:
             sc.stop()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
     @pytest.mark.timeout(120)
     def test_coalesced_waiters_time_out_individually(self):
@@ -734,13 +735,13 @@ class TestRequestStorm:
         plan = FaultPlan.from_string(
             "seed=23,request_storm=0.3,worker_kill=0.03,mem_squeeze=0.05"
         )
+        shm_before = shm_entries()
         sc = _context(
             backend="processes",
             fault_plan=plan,
             memory_budget_bytes=96 << 20,
             supervision=SupervisionConfig(heartbeat_interval=0.0),
         )
-        prefix = sc.offload.supervisor.prefix
         service = SolverService(
             sc,
             config=ServiceConfig(max_queue_depth=32, retries=3),
@@ -777,8 +778,8 @@ class TestRequestStorm:
         finally:
             service.stop()
             sc.stop()
-        # nothing leaked: shm segments, worker processes, cache bytes
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        # nothing leaked: /dev/shm entries, worker processes, cache bytes
+        assert shm_entries() - shm_before == set()
         assert multiprocessing.active_children() == []
         assert len(service.cache) == 0
 

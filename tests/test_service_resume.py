@@ -37,6 +37,8 @@ from repro.service import (
 )
 from repro.sparkle import FaultPlan, RequestDeadlineExceeded, SparkleContext
 
+from .conftest import shm_entries
+
 pytestmark = pytest.mark.service
 
 SPEC = FloydWarshallGep()
@@ -366,9 +368,7 @@ class TestCrashRestartSoak:
         sock_dir = tempfile.mkdtemp(prefix="repro-soak-")
         sock = os.path.join(sock_dir, "s.sock")
         journal_dir = str(tmp_path / "journal")
-        shm_before = set(os.listdir("/dev/shm")) if os.path.isdir(
-            "/dev/shm"
-        ) else set()
+        shm_before = shm_entries()
 
         state = {"proc": _spawn_server(sock, journal_dir, resume=False)}
         _wait_ready(sock, state["proc"])
@@ -483,5 +483,4 @@ class TestCrashRestartSoak:
         assert fsck.orphans == [], "compaction leaked spool blocks"
 
         # nothing leaked in /dev/shm
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) - shm_before == set()
+        assert shm_entries() - shm_before == set()

@@ -512,7 +512,7 @@ broadcast_bytes storage_bytes_written storage_bytes_read
 tasks_retried partitions_recomputed speculative_launched speculative_wins
 stragglers_cancelled executor_loss_events transient_io_failures backoff_waits
 backoff_seconds_total executors_blacklisted torn_writes_detected
-corrupt_blocks_detected storage_backing_reads
+corrupt_blocks_detected
 last_executor_protected
 durable_puts durable_gets durable_bytes_written durable_bytes_read
 journal_appends journal_entries_replayed resumed_from_iteration

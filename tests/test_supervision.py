@@ -9,7 +9,6 @@ entries — even when the driver itself dies uncleanly (atexit reaper) or
 is SIGKILLed outright (the worker-side janitor).
 """
 
-import glob
 import os
 import pickle
 import signal
@@ -53,21 +52,15 @@ from repro.sparkle import (
     TransientIOError,
     WorkerCrashed,
     WorkerSupervisor,
-    shm_supported,
 )
 from repro.sparkle.backend import ProcessBackend
 from repro.sparkle.memory import MemoryManager
 from repro.sparkle.metrics import EngineMetrics
 from repro.sparkle.supervisor import COL_BEAT, COL_PID, COL_TOKEN
 
-from .conftest import fw_table
+from .conftest import fw_table, shm_entries
 
-pytestmark = [
-    pytest.mark.supervision,
-    pytest.mark.skipif(
-        not shm_supported(), reason="needs multiprocessing.shared_memory"
-    ),
-]
+pytestmark = pytest.mark.supervision
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SPEC = FloydWarshallGep()
@@ -84,7 +77,7 @@ def _subprocess_env():
 def _leaked_children() -> list[tuple[int, str]]:
     """Child processes of this test process, minus the stdlib's
     ``resource_tracker`` (which legitimately lives for process
-    lifetime once shared memory has been used)."""
+    lifetime once a ``spawn`` pool has registered its semaphores)."""
     me = os.getpid()
     out = []
     for entry in os.listdir("/proc"):
@@ -218,35 +211,39 @@ class TestSupervisionConfig:
 
 class TestHeartbeatBoard:
     def test_claim_beat_token_reset(self):
-        name = f"sparkle-test-hb-{os.getpid()}"
-        board = HeartbeatBoard(2, name)
-        try:
-            assert board.pids() == []
-            board.cells[0, COL_PID] = 1234
-            board.cells[0, COL_BEAT] = 7
-            board.cells[0, COL_TOKEN] = 42
-            board.cells[1, COL_PID] = 5678
-            assert sorted(board.pids()) == [1234, 5678]
-            snap = board.snapshot()
-            assert snap[0] == {"slot": 0, "pid": 1234, "beat": 7, "token": 42}
-            board.reset_row(0)
-            board.reset_row(1)
-            assert board.pids() == []
-        finally:
-            board.destroy()
-        assert glob.glob(f"/dev/shm/{name}") == []
+        shm_before = shm_entries()
+        board = HeartbeatBoard(2)
+        assert shm_entries() - shm_before == set()  # the memory has no name
+        assert board.cells.shape == (2, 3) and not board.cells.any()
+        assert board.pids() == []
+        board.cells[0, COL_PID] = 1234
+        board.cells[0, COL_BEAT] = 7
+        board.cells[0, COL_TOKEN] = 42
+        board.cells[1, COL_PID] = 5678
+        assert sorted(board.pids()) == [1234, 5678]
+        # the driver's view and the shared array a worker maps are one memory
+        assert list(board.raw[:3]) == [1234, 7, 42]
+        board.reset_row(0)
+        assert board.pids() == [5678]
+        board.reset_row(1)
+        assert board.pids() == []
+        with pytest.raises(ValueError):
+            HeartbeatBoard(0)
 
     def test_destroy_is_idempotent(self):
-        board = HeartbeatBoard(1, f"sparkle-test-hb2-{os.getpid()}")
-        board.destroy()
-        board.destroy()
+        sup = WorkerSupervisor(SupervisionConfig(heartbeat_interval=0.0), slots=1)
+        assert sup.board is not None
+        sup.destroy()
+        sup.destroy()
+        assert sup.board is None
+        assert sup.worker_pids() == [] and sup.pid_for_slot(0) is None
 
 
 class TestRespawnBackoff:
     def test_deterministic_bounded_schedule(self):
         cfg = SupervisionConfig(heartbeat_interval=0.0)
-        a = WorkerSupervisor(cfg, slots=2, prefix="sparkle-bk-a", seed=11)
-        b = WorkerSupervisor(cfg, slots=2, prefix="sparkle-bk-b", seed=11)
+        a = WorkerSupervisor(cfg, slots=2, seed=11)
+        b = WorkerSupervisor(cfg, slots=2, seed=11)
         try:
             sched_a = [a.respawn_delay(n) for n in range(1, 9)]
             sched_b = [b.respawn_delay(n) for n in range(1, 9)]
@@ -264,7 +261,7 @@ class TestRespawnBackoff:
 
     def test_poison_ledger_and_degrade_latch(self):
         cfg = SupervisionConfig(heartbeat_interval=0.0, max_task_failures=2)
-        sup = WorkerSupervisor(cfg, slots=1, prefix="sparkle-bk-c", seed=0)
+        sup = WorkerSupervisor(cfg, slots=1, seed=0)
         try:
             sig = ("k", "D", 0, 0, 0)
             assert sup.record_failure(sig) == 1
@@ -374,6 +371,7 @@ def _run_backend_kernel(backend, blob, coordinate=(0, 0, 0)):
 class TestDeadlineEnforcement:
     @pytest.mark.timeout(120)
     def test_running_overrun_is_killed_and_typed(self):
+        shm_before = shm_entries()
         metrics = EngineMetrics()
         backend = ProcessBackend(
             num_workers=1,
@@ -385,7 +383,6 @@ class TestDeadlineEnforcement:
         )
         backend.supervisor.respawn_backoff_base = 0.0
         try:
-            prefix = backend.supervisor.prefix
             start = time.monotonic()
             with pytest.raises(TaskDeadlineExceeded) as excinfo:
                 _run_backend_kernel(backend, pickle.dumps(SleepyKernel()))
@@ -400,12 +397,13 @@ class TestDeadlineEnforcement:
             assert metrics.workers_respawned >= 1
         finally:
             backend.shutdown()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
 
 class TestPoisonQuarantine:
     @pytest.mark.timeout(120)
     def test_quarantine_after_max_failures(self):
+        shm_before = shm_entries()
         metrics = EngineMetrics()
         backend = ProcessBackend(
             num_workers=1,
@@ -419,7 +417,6 @@ class TestPoisonQuarantine:
         inner = make_kernel(SPEC, "iterative")
         blob = pickle.dumps(CrashyKernel(inner, os.getpid()))
         try:
-            prefix = backend.supervisor.prefix
             # 1st death: retryable
             with pytest.raises(WorkerCrashed):
                 _run_backend_kernel(backend, blob)
@@ -444,7 +441,42 @@ class TestPoisonQuarantine:
             assert out.shape == (4, 4)
         finally:
             backend.shutdown()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
+
+
+class TestSpawnedWorkerJoinsTheBoard:
+    @pytest.mark.timeout(120)
+    def test_respawned_worker_claims_its_row_and_beats(self):
+        """A respawn starts the slot's worker under ``spawn``: a fresh
+        interpreter that gets the driver's board through the pool
+        initializer, claims its row and beats there — and ``/dev/shm``
+        holds nothing new once the backend is shut down."""
+        shm_before = shm_entries()
+        backend = ProcessBackend(
+            num_workers=1,
+            supervision=SupervisionConfig(heartbeat_interval=0.05),
+        )
+        backend.supervisor.respawn_backoff_base = 0.0
+        blob = pickle.dumps(make_kernel(SPEC, "iterative"))
+        sup = backend.supervisor
+        try:
+            forked = sup.pid_for_slot(0)
+            os.kill(forked, signal.SIGKILL)
+            with pytest.raises(WorkerCrashed):
+                _run_backend_kernel(backend, blob)
+            out, _ = _run_backend_kernel(backend, blob)
+            assert out.shape == (4, 4)
+            spawned = sup.pid_for_slot(0)
+            assert spawned not in (None, forked) and not _pid_dead(spawned)
+            with open(f"/proc/{spawned}/cmdline") as fh:
+                assert "spawn_main" in fh.read()
+            beat = int(sup.board.cells[0, COL_BEAT])
+            assert _wait_until(
+                lambda: int(sup.board.cells[0, COL_BEAT]) > beat, timeout=10.0
+            )
+        finally:
+            backend.shutdown()
+        assert shm_entries() - shm_before == set()
 
 
 class TestStackedWorker:
@@ -464,6 +496,7 @@ class TestStackedWorker:
 
     @pytest.mark.timeout(120)
     def test_stack_death_charges_no_call_and_quarantine_names_the_tile(self):
+        shm_before = shm_entries()
         calls = _stackable_calls(4)
         culprit = tuple(calls[2][5:8])
         expect = [x.tobytes() for x in update_tiles(make_kernel(SPEC, "iterative"), calls)]
@@ -471,7 +504,6 @@ class TestStackedWorker:
         backend = self._backend(metrics, max_task_failures=2)
         blob = pickle.dumps(PoisonTileKernel(SPEC, os.getpid(), culprit))
         try:
-            prefix = backend.supervisor.prefix
             # 1st death, inside the stack: retryable, and no call is
             # charged — were one charged, the 2nd death would quarantine
             with pytest.raises(WorkerCrashed, match="no call charged"):
@@ -495,17 +527,17 @@ class TestStackedWorker:
             assert metrics.worker_kernel_runs == 1
         finally:
             backend.shutdown()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
     @pytest.mark.timeout(120)
     def test_deadline_inside_a_stack_is_typed_and_the_retry_completes(self):
+        shm_before = shm_entries()
         calls = _stackable_calls(4)
         expect = [x.tobytes() for x in update_tiles(make_kernel(SPEC, "iterative"), calls)]
         metrics = EngineMetrics()
         backend = self._backend(metrics, task_deadline=0.5)
         blob = pickle.dumps(SlowStackKernel(SPEC))
         try:
-            prefix = backend.supervisor.prefix
             with pytest.raises(TaskDeadlineExceeded, match="stack") as excinfo:
                 backend.run_kernel_batch(blob, calls)
             assert excinfo.value.deadline == pytest.approx(2.0)  # 0.5 s x 4
@@ -516,7 +548,7 @@ class TestStackedWorker:
             assert metrics.worker_kernel_runs == 4
         finally:
             backend.shutdown()
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
 
 # ----------------------------------------------------------------------
@@ -537,6 +569,7 @@ def _solve(sc, table, strategy="im", **solver_kw):
 class TestWorkerKillAcceptance:
     @pytest.mark.timeout(300)
     def test_solve_survives_seeded_sigkill_bit_identical(self):
+        shm_before = shm_entries()
         table = fw_table(24, seed=3)
         with SparkleContext(2, 2) as sc:
             baseline, _ = _solve(sc, table)
@@ -547,18 +580,17 @@ class TestWorkerKillAcceptance:
         ) as sc:
             out, _report = _solve(sc, table)
             summ = sc.metrics.summary("supervision")
-            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_kill"] >= 1
         assert summ["worker_crashes"] >= 1
         assert summ["workers_respawned"] >= 1
         assert summ["poison_tasks"] == 0  # retries land on attempt 1, clean
-        # no leaked shm entry (the board is the only one under the prefix)
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
         assert _leaked_children() == []
 
     @pytest.mark.timeout(300)
     def test_hung_worker_detected_and_solve_completes(self):
+        shm_before = shm_entries()
         table = fw_table(16, seed=5)
         with SparkleContext(2, 2) as sc:
             baseline, _ = _solve(sc, table, strategy="im")
@@ -569,20 +601,20 @@ class TestWorkerKillAcceptance:
         ) as sc:
             out, _report = _solve(sc, table, strategy="im")
             summ = sc.metrics.summary("supervision")
-            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert plan.fired()["worker_hang"] >= 1
         # the watchdog converted SIGSTOP silence into a metered kill
         assert summ["heartbeats_missed"] >= 1
         assert summ["worker_crashes"] >= 1
         assert summ["workers_respawned"] >= 1
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
         assert _leaked_children() == []
 
 
 class TestDegradeOnCrash:
     @pytest.mark.timeout(300)
     def test_poison_falls_back_to_threads_bit_identical(self):
+        shm_before = shm_entries()
         table = fw_table(16, seed=2)
         # same r as the degraded run: tiling changes float association
         # order, so bit-identity is only promised at equal r
@@ -607,7 +639,6 @@ class TestDegradeOnCrash:
             )
             out, report = solver.solve(table)
             summ = sc.metrics.summary("supervision")
-            prefix = sc.offload.supervisor.prefix
         assert out.tobytes() == baseline.tobytes()
         assert summ["poison_tasks"] >= 1
         assert summ["backend_degradations"] == 1
@@ -615,7 +646,7 @@ class TestDegradeOnCrash:
         assert degradations[0]["from"] == "processes"
         assert degradations[0]["to"] == "threads"
         assert degradations[0]["quarantined_tasks"] >= 1
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
     @pytest.mark.timeout(120)
     def test_poison_without_degrade_flag_aborts(self):
@@ -729,48 +760,58 @@ class TestAdmissionNoSpin:
 # ----------------------------------------------------------------------
 # satellite: driver-death cleanup (atexit reaper + worker janitor)
 # ----------------------------------------------------------------------
+# The driver SIGKILLs slot 0's forked worker, so the round-robin calls
+# crash once and respawn slot 0 under ``spawn``: the workers it reports
+# are one forked and one spawned, both on the driver's board.
 _DRIVER_SCRIPT_HEAD = """
-import os, sys, pickle
+import os, signal, sys, pickle
 import numpy as np
+from repro.core.dpspark import make_kernel
+from repro.core.gep import FloydWarshallGep
+from repro.sparkle import SupervisionConfig, WorkerCrashed
 from repro.sparkle.backend import ProcessBackend
-from repro.sparkle import SupervisionConfig
-
-class IdentityKernel:
-    def run(self, case, x, u, v, w, gi0, gj0, gk0, n, stats=None):
-        x += 0.0
 
 backend = ProcessBackend(
     num_workers=2,
     supervision=SupervisionConfig(heartbeat_interval=0.1),
 )
+backend.supervisor.respawn_backoff_base = 0.0
 x = np.zeros((4, 4))
-blob = pickle.dumps(IdentityKernel())
-backend.run_kernel(blob, "D", x, x, x, x, 0, 0, 0, 4)
-print("PREFIX", backend.supervisor.prefix, flush=True)
+blob = pickle.dumps(make_kernel(FloydWarshallGep(), "iterative"))
+os.kill(backend.supervisor.pid_for_slot(0), signal.SIGKILL)
+for _ in range(3):
+    try:
+        backend.run_kernel(blob, "D", x, x, x, x, 0, 0, 0, 4)
+    except WorkerCrashed:
+        pass
+print("RESPAWNS", backend._metrics.workers_respawned, flush=True)
 print("WORKERS", *backend.supervisor.worker_pids(), flush=True)
 """
 
 
 def _parse_driver_output(line_iter):
-    prefix, workers = None, []
+    """The driver's worker pids, after checking it respawned slot 0."""
+    respawns, workers = None, []
     for line in line_iter:
-        if line.startswith("PREFIX "):
-            prefix = line.split()[1]
+        if line.startswith("RESPAWNS "):
+            respawns = int(line.split()[1])
         elif line.startswith("WORKERS"):
             workers = [int(p) for p in line.split()[1:]]
-    return prefix, workers
+    assert respawns == 1 and len(workers) == 2
+    return workers
 
 
 class TestDriverDeathCleanup:
     @pytest.mark.timeout(120)
     def test_sigkilled_driver_leaks_nothing(self, tmp_path):
-        """SIGKILL the driver mid-flight: atexit never runs, so the
-        worker-side janitor must notice the orphaning, purge the shm
-        segments, and exit."""
+        """SIGKILL the driver mid-flight: atexit never runs, so each
+        worker's janitor must notice the orphaning and exit — the forked
+        one and the spawned one — and ``/dev/shm`` holds nothing new."""
         script = _DRIVER_SCRIPT_HEAD + textwrap.dedent("""
             import time
             time.sleep(120)
         """)
+        shm_before = shm_entries()
         proc = subprocess.Popen(
             [sys.executable, "-c", script],
             env=_subprocess_env(), cwd=REPO_ROOT,
@@ -784,8 +825,7 @@ class TestDriverDeathCleanup:
                 if line.startswith("WORKERS"):
                     break
                 assert line, "driver exited before reporting its workers"
-            prefix, workers = _parse_driver_output(lines)
-            assert prefix and workers
+            workers = _parse_driver_output(lines)
             os.kill(proc.pid, signal.SIGKILL)
             assert proc.wait(timeout=10) == -signal.SIGKILL
             # janitor poll is 0.25 s; give it generous slack
@@ -793,8 +833,8 @@ class TestDriverDeathCleanup:
                 lambda: all(_pid_dead(p) for p in workers), timeout=10.0
             ), f"orphaned workers survived: {workers}"
             assert _wait_until(
-                lambda: glob.glob(f"/dev/shm/{prefix}*") == [], timeout=10.0
-            ), f"leaked shm: {glob.glob(f'/dev/shm/{prefix}*')}"
+                lambda: shm_entries() - shm_before == set(), timeout=10.0
+            ), f"leaked /dev/shm entries: {shm_entries() - shm_before}"
         finally:
             proc.stdout.close()
             if proc.poll() is None:
@@ -803,32 +843,32 @@ class TestDriverDeathCleanup:
     @pytest.mark.timeout(120)
     def test_unclean_exit_runs_atexit_reaper(self):
         """`sys.exit` without `backend.shutdown()`: the atexit reaper
-        must still reap the workers and unlink every segment."""
+        must still reap the workers, and ``/dev/shm`` holds nothing new."""
         script = _DRIVER_SCRIPT_HEAD + "sys.exit(7)\n"
+        shm_before = shm_entries()
         proc = subprocess.run(
             [sys.executable, "-c", script],
             env=_subprocess_env(), cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 7, proc.stderr
-        prefix, workers = _parse_driver_output(proc.stdout.splitlines())
-        assert prefix and workers
+        workers = _parse_driver_output(proc.stdout.splitlines())
         assert _wait_until(
             lambda: all(_pid_dead(p) for p in workers), timeout=10.0
         ), f"workers survived driver exit: {workers}"
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
 
     def test_backend_is_a_context_manager(self):
+        shm_before = shm_entries()
         metrics = EngineMetrics()
         with ProcessBackend(
             num_workers=1, metrics=metrics,
             supervision=SupervisionConfig(heartbeat_interval=0.0),
         ) as backend:
-            prefix = backend.supervisor.prefix
             out, _ = _run_backend_kernel(
                 backend, pickle.dumps(make_kernel(SPEC, "iterative"))
             )
             assert out.shape == (4, 4)
-        assert glob.glob(f"/dev/shm/{prefix}*") == []
+        assert shm_entries() - shm_before == set()
         with pytest.raises(RuntimeError, match="shut down"):
             _run_backend_kernel(backend, pickle.dumps(make_kernel(SPEC, "iterative")))

@@ -60,6 +60,7 @@ from repro.sparkle.tenancy import (
 )
 from repro.workloads import random_digraph_weights
 
+from .conftest import shm_entries
 from .storms import run_noisy_neighbor_storm
 
 pytestmark = pytest.mark.tenancy
@@ -359,6 +360,65 @@ class TestQuotaEnforcement:
             if os.path.exists(sock):
                 os.unlink(sock)
             os.rmdir(sock_dir)
+
+    @pytest.mark.timeout(180)
+    def test_request_cli_round_trip_and_dead_socket(self):
+        """``repro request`` end to end: the result it saves is the
+        solve of the input ``make_problem`` builds from its arguments,
+        bit for bit; the repeat is a cache hit; ``--stats`` reads the
+        service's counters; and an unreachable socket is one line on
+        stderr and exit 1, not a traceback."""
+        from repro.core import floyd_warshall
+        from repro.workloads import make_problem
+
+        def request(sock, *args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "request", "--socket", sock, *args],
+                cwd=str(REPO_ROOT), env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        with tempfile.TemporaryDirectory(prefix="repro-tnc-") as tmp:
+            sock = os.path.join(tmp, "s.sock")
+            out_path = os.path.join(tmp, "apsp.npy")
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--socket", sock,
+                 "--executors", "2", "--cores", "1"],
+                cwd=str(REPO_ROOT), env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            try:
+                _wait_ready(sock, proc)
+                runs = [
+                    request(sock, "apsp", "--n", "16", "--output", out_path)
+                    for _ in range(2)
+                ]
+                for run in runs:
+                    assert run.returncode == 0, run.stderr
+                assert "(cache hit)" not in runs[0].stdout
+                assert "(cache hit)" in runs[1].stdout
+                # the request's defaults: seed 0, density 0.3, r 4
+                _spec, table = make_problem("apsp", 16, 0, 0.3)
+                expect = floyd_warshall(table, engine="local", r=4)
+                assert np.load(out_path).tobytes() == expect.tobytes()
+                stats = request(sock, "--stats")
+                assert stats.returncode == 0, stats.stderr
+                assert any(
+                    line.split() == ["cache_hits", "1"]
+                    for line in stats.stdout.splitlines()
+                ), stats.stdout
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=60)
+                assert proc.returncode == 0, f"drain failed:\n{out}"
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+            dead = request(sock, "apsp", "--n", "16")
+            assert dead.returncode == 1
+            assert "Traceback" not in dead.stderr
+            assert dead.stderr.count("\n") == 1 and sock in dead.stderr
 
     @pytest.mark.timeout(120)
     def test_breach_refuses_only_the_breacher_and_releases_on_settle(self):
@@ -846,9 +906,7 @@ class TestTenantResumeProperty:
     def test_replays_land_in_the_right_tenant_queues(
         self, n_tenants, backend, seed
     ):
-        shm_before = (
-            set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-        )
+        shm_before = shm_entries()
         tenants = [f"t{i}" for i in range(n_tenants)]
         with tempfile.TemporaryDirectory(prefix="repro-tenancy-") as tmp:
             first_life = RequestJournal(os.path.join(tmp, "journal"))
@@ -924,8 +982,7 @@ class TestTenantResumeProperty:
             finally:
                 service.stop()
                 sc.stop()
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) - shm_before == set()
+        assert shm_entries() - shm_before == set()
 
 
 # ---------------------------------------------------------------------------
@@ -988,9 +1045,7 @@ class TestMultiTenantCrashRestart:
         sock_dir = tempfile.mkdtemp(prefix="repro-tnc-")
         sock = os.path.join(sock_dir, "s.sock")
         journal_dir = str(tmp_path / "journal")
-        shm_before = set(os.listdir("/dev/shm")) if os.path.isdir(
-            "/dev/shm"
-        ) else set()
+        shm_before = shm_entries()
 
         state = {"proc": _spawn_tenant_server(sock, journal_dir, resume=False)}
         _wait_ready(sock, state["proc"])
@@ -1106,5 +1161,4 @@ class TestMultiTenantCrashRestart:
 
         journal = RequestJournal(journal_dir)
         assert journal.incomplete() == []
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) - shm_before == set()
+        assert shm_entries() - shm_before == set()
