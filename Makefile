@@ -44,7 +44,8 @@ batching:
 	$(PYTEST) -q -m batching
 
 # solver-as-a-service request plane: admission control, single-flight
-# dedup + result cache, deadlines, circuit breaker, request storms
+# dedup + result cache, deadlines, retries, the poison fallback to
+# threads, request storms
 service:
 	$(PYTEST) -q -m service
 

@@ -77,16 +77,26 @@ KEEP: list[tuple[str, str, str]] = [
      "crash attribution: the call a dead worker was running"),
     ("sparkle/supervisor.py", r"HeartbeatBoard\.pids|WorkerSupervisor\.(worker_pids|kill_workers)",
      "the atexit reaper kills every registered worker: the driver-death tests"),
-    ("sparkle/supervisor.py",
-     r"WorkerSupervisor\.(record_failure|failures|quarantine|quarantined|degrade_pending)",
-     "poison quarantine and degrade-on-crash: the supervision suites"),
+    ("sparkle/supervisor.py", r"WorkerSupervisor\.(record_failure|failures|quarantine|quarantined)",
+     "poison quarantine: the supervision and service suites"),
     ("sparkle/supervisor.py", r"WorkerSupervisor\.unstack",
      "the stack-token rule: a death inside a stack charges no call"),
     ("sparkle/supervisor.py", r"worker_self_fault",
      "the chaos plane's real worker faults: a worker runs it on itself"),
     ("sparkle/durable.py", r".*", "durability: the crash/resume suites and soaks drive it"),
     ("sparkle/tenancy.py", r".*", "tenant isolation: the tenancy soak drives it"),
-    ("service.py", r".*", "request-plane failure, resume and cache paths: the service soaks drive them"),
+    ("service.py", r"is_retryable", "the client's retry contract read off a typed error: service suites"),
+    ("service.py", r"SolveTicket\.outcome", "a request's terminal state (DESIGN §15): service suites"),
+    ("service.py", r"SolveTicket\._fail|SolverService\._fail_flight",
+     "a failed or deadline-cancelled request: the service soaks drive it"),
+    ("service.py", r"ResultCache\.(__len__|live_bytes)", "the leak checks: a stopped service caches nothing"),
+    ("service.py", r"ResultCache\.invalidate", "a test seam: forces a miss on a live entry (the hit suite)"),
+    ("service.py", r"ResultCache\.on_squeeze", "a memory squeeze evicts cached results: the chaos soak"),
+    ("service.py", r"RequestJournal\.(settled_lookup|settled_result|incomplete|spooled)|SolverService\.resume",
+     "hot restart (`repro serve --resume`): the resume suites and the SIGKILL soak"),
+    ("service.py", r"SolverService\.draining", "the drain state a SIGTERM sets: the drain tests"),
+    ("service.py", r"SolverService\.(__enter__|__exit__)", "a `with SolverService(...)` block: service suites"),
+    ("service.py", r"_GeneratedTable\.__reduce__", "a generated table pickles as its key: the hit suite"),
     ("sparkle/backend.py", r".*",
      "process-plane crash and deadline paths: supervision suites (ROADMAP 3 decides the plane)"),
     ("sparkle/scheduler.py", r".*", "recovery: speculation, executor loss, recompute, backoff"),
@@ -98,7 +108,10 @@ KEEP: list[tuple[str, str, str]] = [
     ("sparkle/metrics.py", r"ServiceMetrics\.drain_brownout_transitions", "tenancy: brownout decisions"),
     ("core/dpspark.py", r"GepSparkSolver\.(_journal\w*|_fingerprint|_try_resume)|SolveReport\.recovery",
      "durability and recovery: the crash/resume and chaos suites"),
-    ("core/dpspark.py", r"SolveReport\.memory|_drain_iterator", "memory pressure and worker-crash paths"),
+    ("core/dpspark.py", r"SolveReport\.memory|_drain_iterator",
+     "memory pressure: degrade_on_pressure's probe job"),
+    ("core/dpspark.py", r"GepSparkSolver\._fall_back_to_threads",
+     "the poison fallback to threads: supervision and service suites"),
     ("core/dpspark.py", r"_broadcast_operands", "the bcast strategy (DESIGN §7); no program selects it"),
     ("sparkle/broadcast.py", r".*", "the bcast strategy (DESIGN §7); no program selects it"),
     ("sparkle/context.py", r"SparkleContext\.broadcast", "the bcast strategy (DESIGN §7)"),

@@ -48,8 +48,7 @@ def _load_or_generate(args) -> np.ndarray:
 _SPARK_FLAGS = (
     "executors", "cores", "backend", "checkpoint_dir", "resume",
     "max_iterations", "memory_budget", "spill_dir", "degrade_on_pressure",
-    "heartbeat_interval", "task_deadline", "max_task_failures",
-    "degrade_on_crash", "chaos",
+    "heartbeat_interval", "task_deadline", "max_task_failures", "chaos",
 )
 
 
@@ -116,7 +115,6 @@ def _cmd_solve(args) -> int:
                     resume=args.resume,
                     max_iterations=args.max_iterations,
                     degrade_on_pressure=args.degrade_on_pressure,
-                    degrade_on_crash=args.degrade_on_crash,
                 )
             if args.problem == "apsp":
                 out, report = floyd_warshall(table, return_report=True, **kw)
@@ -168,8 +166,7 @@ def _cmd_solve(args) -> int:
                 print("supervision:", metrics.summary("supervision"))
                 for d in report.extras.get("backend_degradations") or []:
                     print(
-                        f"degraded backend {d['from']}->{d['to']} at outer "
-                        f"iteration {d['at_iteration']} "
+                        f"degraded backend {d['from']}->{d['to']} "
                         f"({d['quarantined_tasks']} poison task(s) "
                         f"quarantined)"
                     )
@@ -310,8 +307,7 @@ def _cmd_report_group(args) -> int:
     else:
         for d in extras.get("backend_degradations") or []:
             print(
-                f"  degraded backend: {d.get('from')}->{d.get('to')} at "
-                f"iteration {d.get('at_iteration')} "
+                f"  degraded backend: {d.get('from')}->{d.get('to')} "
                 f"({d.get('quarantined_tasks')} poison task(s))"
             )
     return 0
@@ -606,13 +602,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-task-failures", dest="max_task_failures", type=int,
         default=None, metavar="N",
         help="quarantine a kernel call as poison after it kills N fresh "
-             "workers (SupervisionConfig's default)")
-    solve.add_argument(
-        "--degrade-on-crash", action="store_true",
-        help="fall back from the process backend to the thread path at the "
-             "next outer-iteration boundary once a kernel call is "
-             "quarantined as poison (bit-identical result); requires "
-             "--backend processes")
+             "workers (SupervisionConfig's default); the solve then "
+             "finishes on the thread path, bit-identical")
     solve.add_argument(
         "--report", metavar="FILE", default=None,
         help="write the full solve report (engine/memory/recovery counters) "

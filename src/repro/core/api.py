@@ -41,7 +41,6 @@ def run_gep(
     max_iterations: int | None = None,
     on_iteration=None,
     degrade_on_pressure: bool = False,
-    degrade_on_crash: bool = False,
 ) -> tuple[np.ndarray, SolveReport | None]:
     """Run one GEP computation; returns ``(result, report_or_None)``.
 
@@ -53,18 +52,15 @@ def run_gep(
     supervision — is configured on the ``SparkleContext`` the caller
     passes.  ``resume``/``max_iterations``/``on_iteration`` drive the
     durable write-ahead journal and crash-resume of a context that has
-    a checkpoint directory, ``degrade_on_pressure`` arms the solver's
-    IM→CB fallback under critical memory pressure, and
-    ``degrade_on_crash`` its processes→threads fallback once a kernel
-    call is quarantined as poison (all spark engine only).
+    a checkpoint directory, and ``degrade_on_pressure`` arms the
+    solver's IM→CB fallback under critical memory pressure (all spark
+    engine only).
     """
     table = np.asarray(table)
     if engine != "spark" and resume:
         raise ValueError("resume requires engine='spark'")
     if engine != "spark" and degrade_on_pressure:
         raise ValueError("degrade_on_pressure requires engine='spark'")
-    if degrade_on_crash and engine != "spark":
-        raise ValueError("degrade_on_crash requires engine='spark'")
     if engine == "reference":
         return gep_reference_vectorized(spec, table), None
 
@@ -115,7 +111,6 @@ def run_gep(
                 max_iterations=max_iterations,
                 on_iteration=on_iteration,
                 degrade_on_pressure=degrade_on_pressure,
-                degrade_on_crash=degrade_on_crash,
             )
             return solver.solve(table)
         finally:

@@ -47,13 +47,16 @@ pickles, the same list is pickled to a worker in one round-trip — each
 distinct array once, shuffled, CB-stored or broadcast alike — where the
 same ``update_tiles`` runs it, stacks included, and the updated tiles
 are pickled back.  Every result owns its memory, and both paths are bit-identical;
-the backend-parity property test pins that down.
+the backend-parity property test pins that down.  So a call the worker
+plane quarantines as poison costs the solve nothing but speed: its task
+reruns on the thread path, and so does every task after it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -66,7 +69,7 @@ from ..kernels import (
     LockingKernelStats,
     RecursiveKernel,
 )
-from ..kernels.base import ALIAS_X, update_tile, update_tiles
+from ..kernels.base import ALIAS_X, update_tiles
 from ..kernels.openmp import OmpRuntime
 from ..sparkle import HashPartitioner, Partitioner, SparkleContext
 from ..sparkle.durable import SolveJournal
@@ -175,7 +178,6 @@ class _DriverState:
     active_strategy: str
     resumed_from: int | None
     degraded_at: int | None = None
-    backend_degraded_at: int | None = None
     completed: int = 0
     partial: bool = False
 
@@ -243,19 +245,15 @@ class GepSparkSolver:
         ``strategy_degradations``.  An unbounded context, whose
         governor never reaches ``critical``, raises ``ValueError``; a CB
         or bcast solve has nothing to degrade.
-    degrade_on_crash:
-        Graceful degradation under worker-crash storms: when the
-        process backend quarantines a poison task
-        (:class:`~repro.sparkle.errors.PoisonTaskError` — one kernel
-        call killed ``max_task_failures`` fresh workers), recompute that
-        call on the driver's deterministic thread path (bit-identical
-        math) and, at the next outer-iteration boundary, turn kernel
-        offload off for the rest of the solve — processes→threads, the
-        backend analogue of the IM→CB fallback.  Recorded on
-        ``report.extras["backend_degradations"]`` and metered as
-        ``backend_degradations``.  Without this flag a poison task
-        aborts the solve with the typed error.  A context without a
-        worker plane (not ``backend="processes"``) raises ``ValueError``.
+
+    A poison kernel call needs no option: when the worker plane
+    quarantines one (:class:`~repro.sparkle.errors.PoisonTaskError` —
+    the call killed ``max_task_failures`` fresh workers), kernel offload
+    is off for the rest of the solve and the task's batch reruns on the
+    driver's thread path — processes→threads, the backend analogue of
+    the IM→CB fallback, with bit-identical math.  Recorded on
+    ``report.extras["backend_degradations"]`` and metered once per solve
+    as ``backend_degradations``.
 
     Durability protocol (when the context has a ``checkpoint_dir``): on
     every completed outer iteration the tile grid is snapshotted into
@@ -282,7 +280,6 @@ class GepSparkSolver:
         max_iterations: int | None = None,
         on_iteration: Callable[[int], None] | None = None,
         degrade_on_pressure: bool = False,
-        degrade_on_crash: bool = False,
     ) -> None:
         if strategy not in ("im", "cb", "bcast"):
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -298,15 +295,13 @@ class GepSparkSolver:
             )
         if degrade_on_pressure and not sc.memory_manager.bounded:
             raise ValueError("degrade_on_pressure requires a memory-budgeted context")
-        if degrade_on_crash and sc.offload is None:
-            raise ValueError("degrade_on_crash requires backend='processes'")
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.degrade_on_pressure = degrade_on_pressure
-        self.degrade_on_crash = degrade_on_crash
-        # Set once a poison quarantine degrades the solve to the thread
-        # path; offload stays off for the rest of this solver's life.
-        self._offload_disabled = False
+        # Set once a poison quarantine sends the solve to the thread
+        # path; offload stays off for the rest of that solve.
+        self._fell_back = False
+        self._fall_back_lock = threading.Lock()
         self.max_iterations = max_iterations
         self.on_iteration = on_iteration
         self.spec = spec
@@ -325,17 +320,6 @@ class GepSparkSolver:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def disable_offload(self) -> None:
-        """Run every kernel tile update on the driver's thread path.
-
-        The same switch the poison-quarantine degrade path throws, made
-        public for the solver service's circuit breaker: with the
-        breaker open, new engine passes skip the process boundary
-        entirely (bit-identical math, nothing left to crash) until the
-        breaker half-opens and lets a probe pass offload again.
-        """
-        self._offload_disabled = True
-
     def solve(self, table: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Run the full GEP on ``table``; returns (result, report)."""
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -369,6 +353,7 @@ class GepSparkSolver:
         dp = self.sc.parallelize(tiles).partitionBy(partitioner=self.partitioner)
 
         self._kept_snapshots = [resumed_from] if resumed_from is not None else []
+        self._fell_back = False
         state = _DriverState(self.strategy, resumed_from)
         for k in range(start_k, nt):
             if not active(k):
@@ -389,12 +374,11 @@ class GepSparkSolver:
                 and (k + 1) % self.checkpoint_every == 0
             ):
                 dp = dp.checkpoint()
-            elif self.degrade_on_pressure or self.degrade_on_crash:
+            elif self.degrade_on_pressure:
                 # The DP lineage is lazy: without a per-iteration job
                 # (the journal's snapshot, a checkpoint) nothing executes
                 # until the final collect, so the governor would never
-                # observe pressure (nor the supervisor a poison
-                # quarantine) at an iteration boundary.  Drain one probe
+                # observe pressure at an iteration boundary.  Drain one probe
                 # job so iteration k's stages run now — stage reuse
                 # keeps this incremental, exactly like the journal path.
                 self.sc.run_job(dp, _drain_iterator, action="pressure_probe")
@@ -437,19 +421,6 @@ class GepSparkSolver:
         metrics = self.sc.metrics
         mm = self.sc.memory_manager
         plan = self.sc.fault_plan
-        if (
-            self.degrade_on_crash
-            and not self._offload_disabled
-            and self.sc.supervisor.degrade_pending()
-        ):
-            # Backend degradation at the iteration boundary: a task
-            # was quarantined as poison mid-iteration (its tile
-            # already recomputed on the thread path); finish the
-            # solve without kernel offload — same math, same bits,
-            # no process boundary left to crash.
-            self._offload_disabled = True
-            state.backend_degraded_at = k
-            metrics.backend_degradations += 1
         if mm.bounded and plan is not None:
             # Chaos: a seeded mid-solve budget shrink (the cluster
             # losing memory headroom).  Driver-side and keyed only by
@@ -502,12 +473,11 @@ class GepSparkSolver:
                 "to": "cb",
                 "at_iteration": state.degraded_at,
             }
-        if state.backend_degraded_at is not None:
+        if self._fell_back:
             extras["backend_degradations"] = [
                 {
                     "from": "processes",
                     "to": "threads",
-                    "at_iteration": state.backend_degraded_at,
                     "quarantined_tasks": len(sc.supervisor.quarantined()),
                 }
             ]
@@ -669,58 +639,40 @@ class GepSparkSolver:
         With a worker plane and a kernel that pickles, the whole list —
         stage A's single call included — goes to a worker in one
         round-trip; otherwise :func:`~repro.kernels.base.update_tiles`
-        runs it here.  Both produce bit-identical arrays.  The task's
-        kernel stats are merged into the shared sink once.
+        runs it here.  Both produce bit-identical arrays.  A
+        :class:`PoisonTaskError` turns offload off for the rest of the
+        solve and reruns the whole batch here, as Spark recomputes a
+        failed task from lineage.  The task's kernel stats are merged
+        into the shared sink once.
         """
         offload = self.sc.offload
         blob = (
             self._offload_blob()
-            if offload is not None and not self._offload_disabled
+            if offload is not None and not self._fell_back
             else None
         )
         with self._task_stats() as sink:
-            if blob is None:
-                return update_tiles(self.kernel, calls, sink)
-            return self._updated_tiles_batch(offload, blob, calls, sink)
+            if blob is not None:
+                try:
+                    outs = offload.run_kernel_batch(
+                        blob, calls, want_stats=sink is not None
+                    )
+                except PoisonTaskError:
+                    self._fall_back_to_threads()
+                else:
+                    for _out, stats in outs:
+                        if stats is not None and sink is not None:
+                            sink.merge(stats)
+                    return [out for out, _stats in outs]
+            return update_tiles(self.kernel, calls, sink)
 
-    def _updated_tiles_batch(self, offload, blob: bytes, calls: list, sink) -> list:
-        """Offload one task's calls, with per-call poison handling.
-
-        A :class:`PoisonTaskError` names the exact quarantined call (the
-        error-attribution contract); under ``degrade_on_crash`` that one
-        call is recomputed on the thread path (bit-identical math) and
-        the remainder re-offloaded — the full processes→threads
-        degradation lands at the next outer-iteration boundary.
-        """
-        results: list = [None] * len(calls)
-        pending = list(range(len(calls)))
-        while pending:
-            try:
-                outs = offload.run_kernel_batch(
-                    blob, [calls[idx] for idx in pending], want_stats=sink is not None
-                )
-            except PoisonTaskError as exc:
-                if not self.degrade_on_crash:
-                    raise
-                # An attribution matching no pending call (should not
-                # happen) recomputes the whole remainder rather than
-                # loop forever.
-                poisoned = [
-                    idx
-                    for idx in pending
-                    if calls[idx][0] == exc.case
-                    and tuple(calls[idx][5:8]) == exc.coordinate
-                ] or list(pending)
-                for idx in poisoned:
-                    results[idx] = update_tile(self.kernel, calls[idx], sink)
-                    pending.remove(idx)
-                continue
-            for idx, (out, stats) in zip(pending, outs):
-                if stats is not None and sink is not None:
-                    sink.merge(stats)
-                results[idx] = out
-            break
-        return results
+    def _fall_back_to_threads(self) -> None:
+        """Turn offload off for the rest of the solve, metered once even
+        when several tasks catch poison at the same moment."""
+        with self._fall_back_lock:
+            if not self._fell_back:
+                self._fell_back = True
+                self.sc.metrics.backend_degradations += 1
 
     # ------------------------------------------------------------------
     # In-Memory strategy (Listing 1)

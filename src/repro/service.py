@@ -25,12 +25,12 @@ through five defensive layers before an engine pass runs:
    (``set_job_deadline``), so an overrun SIGKILLs stuck workers and
    respawns them through the worker plane's crash protocol rather than
    leaking them.
-4. **Retry + circuit breaker** — transient engine faults are retried
-   with bounded backoff; repeated :class:`~repro.sparkle.errors.WorkerCrashed`
-   / :class:`~repro.sparkle.errors.PoisonTaskError` under the process
-   backend trips a breaker that fails the data plane over to in-process
-   threads (``disable_offload`` + the supervisor degrade latch), then
-   half-opens a probe after a cooldown.
+4. **Retry** — transient engine faults are retried with bounded
+   backoff.  A kernel call the process backend quarantines as poison
+   (:class:`~repro.sparkle.errors.PoisonTaskError`) needs no retry: the
+   solver itself finishes that pass on in-process threads, bit-identical,
+   and the quarantine refuses the call's later offloads before any
+   worker runs it.
 5. **Tenant isolation** (DESIGN.md §18) — requests carrying a tenant
    face per-tenant gates: token-bucket admission rate limits and byte
    quotas on the memory governor's tenant ledger (in-flight solve
@@ -122,7 +122,6 @@ __all__ = [
     "ServiceConfig",
     "SolveTicket",
     "ResultCache",
-    "CircuitBreaker",
     "RequestJournal",
     "SolverService",
     "TenantPolicy",
@@ -147,10 +146,6 @@ SERVICE_RETRYABLE = (
     JobAborted,
 )
 
-#: Faults that indict the *process backend* specifically and count
-#: toward tripping the circuit breaker.
-_BREAKER_FAULTS = (WorkerCrashed, PoisonTaskError)
-
 
 def is_retryable(exc: BaseException) -> bool:
     """Should a client resubmit after this failure?
@@ -172,19 +167,6 @@ def is_retryable(exc: BaseException) -> bool:
     if isinstance(exc, RequestDeadlineExceeded):
         return False
     return isinstance(exc, SERVICE_RETRYABLE)
-
-
-def _breaker_fault(exc: BaseException) -> bool:
-    """Does this failure count against the process backend's breaker?
-
-    The scheduler wraps exhausted retries as ``JobAborted(...) from
-    last_exc``, so the real fault rides in ``__cause__``.
-    """
-    if isinstance(exc, _BREAKER_FAULTS):
-        return True
-    if isinstance(exc, JobAborted) and exc.__cause__ is not None:
-        return isinstance(exc.__cause__, _BREAKER_FAULTS)
-    return False
 
 
 @dataclass
@@ -221,8 +203,7 @@ class ServiceConfig:
 
     The retry backoff, the ``retry_after`` hints, the default tenant
     weight and the quota charge factor are :class:`SolverService` class
-    attributes, and the breaker's threshold and cooldown are
-    :class:`CircuitBreaker`'s — one value each in use, so not options.
+    attributes — one value each in use, so not options.
     """
 
     max_queue_depth: int = 16
@@ -240,6 +221,8 @@ class ServiceConfig:
             raise ValueError("cache_entries must be >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.default_deadline is not None and self.default_deadline <= 0:
+            raise ValueError("default_deadline must be > 0 seconds")
         if self.max_frame_bytes < 4096:
             raise ValueError("max_frame_bytes must be >= 4096")
 
@@ -276,10 +259,6 @@ class SolveTicket:
         self._outcome: str | None = None
         self._response: SolveResponse | None = None
         self._error: BaseException | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
 
     @property
     def outcome(self) -> str | None:
@@ -592,73 +571,6 @@ class ResultCache:
             self._memory.release_tenant(entry.tenant, entry.nbytes)
 
 
-class CircuitBreaker:
-    """Closed → open → half-open breaker over the process backend.
-
-    ``threshold`` consecutive worker-crash/poison faults open the
-    circuit: subsequent passes run with offload disabled (the thread
-    path — bit-identical, just slower).  After ``cooldown`` seconds one
-    probe pass half-opens back onto processes; success closes the
-    circuit, another fault reopens it.
-    """
-
-    CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-    #: consecutive breaker-countable faults (worker crashes / poison
-    #: quarantines) before the circuit opens
-    threshold: int = 3
-    #: seconds an open circuit waits before half-opening one probe pass
-    cooldown: float = 2.0
-
-    def __init__(self, metrics: ServiceMetrics) -> None:
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self.state = self.CLOSED
-        self.failures = 0
-        self._opened_at = 0.0
-
-    def allow_offload(self) -> bool:
-        """May the next pass use the process backend?"""
-        with self._lock:
-            if self.state == self.CLOSED:
-                return True
-            if self.state == self.HALF_OPEN:
-                # A probe is already in flight; stay on the safe path.
-                return False
-            if time.monotonic() - self._opened_at >= self.cooldown:
-                self.state = self.HALF_OPEN
-                self._metrics.circuit_half_opens += 1
-                return True
-            return False
-
-    def record_success(self, *, offloaded: bool) -> None:
-        with self._lock:
-            if not offloaded:
-                return
-            if self.state == self.HALF_OPEN:
-                self.state = self.CLOSED
-                self._metrics.circuit_closes += 1
-            self.failures = 0
-
-    def record_failure(self, *, offloaded: bool) -> None:
-        with self._lock:
-            if not offloaded:
-                return
-            self.failures += 1
-            if self.state == self.HALF_OPEN or self.failures >= self.threshold:
-                if self.state != self.OPEN:
-                    self._metrics.circuit_trips += 1
-                self.state = self.OPEN
-                self._opened_at = time.monotonic()
-                self.failures = 0
-
-    def retry_after(self) -> float:
-        with self._lock:
-            if self.state != self.OPEN:
-                return 0.0
-            return max(0.0, self.cooldown - (time.monotonic() - self._opened_at))
-
-
 class RequestJournal:
     """Durable WAL of admitted requests plus a spooled-result store.
 
@@ -936,8 +848,8 @@ class SolverService:
     Thread-safe: any number of client threads may call
     :meth:`submit`/:meth:`solve` concurrently.  Engine passes run one
     at a time on the internal dispatcher thread (see module docstring
-    for why), with admission, dedup, caching, deadlines, retry, and the
-    circuit breaker layered in front.
+    for why), with admission, dedup, caching, deadlines and retry
+    layered in front.
 
     The class attributes below have one value in use, so they are not
     :class:`ServiceConfig` fields; a test that needs another sets the
@@ -998,7 +910,6 @@ class SolverService:
             self.config.cache_entries, sc.memory_manager, self.metrics
         )
         sc.memory_manager.add_squeeze_listener(self.cache.on_squeeze)
-        self.breaker = CircuitBreaker(self.metrics)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="solver-service", daemon=True
         )
@@ -1411,20 +1322,13 @@ class SolverService:
                     elapsed=time.monotonic() - flight.waiters[0]._t0,
                 )
                 break
-            offloaded = (
-                self.sc.backend == "processes" and self.breaker.allow_offload()
-            )
             try:
-                result = self._run_engine_pass(
-                    request, deadline_at, offload=offloaded
-                )
+                result = self._run_engine_pass(request, deadline_at)
             except RequestDeadlineExceeded as exc:
                 last_exc = exc
                 break  # budget spent; retrying cannot help
             except SERVICE_RETRYABLE as exc:
                 last_exc = exc
-                if _breaker_fault(exc):
-                    self.breaker.record_failure(offloaded=offloaded)
                 if attempt <= cfg.retries:
                     with self._metrics_lock:
                         self.metrics.retries += 1
@@ -1439,14 +1343,13 @@ class SolverService:
                 last_exc = exc
                 break
             else:
-                self.breaker.record_success(offloaded=offloaded)
                 self._finish_flight(flight, result)
                 return
         assert last_exc is not None
         self._fail_flight(flight, last_exc)
 
     def _run_engine_pass(
-        self, request: SolveRequest, deadline_at: float | None, *, offload: bool
+        self, request: SolveRequest, deadline_at: float | None
     ) -> np.ndarray:
         """One solver pass with deadline plumbing and state reclamation.
 
@@ -1463,8 +1366,6 @@ class SolverService:
         with self._metrics_lock:
             self.metrics.engine_passes += 1
             self.metrics.tenant_event(request.tenant, "engine_passes")
-            if sc.backend == "processes" and not offload:
-                self.metrics.circuit_failovers += 1
         # Brownout effect, applied per pass from the ladder's current
         # rung: at ``degrade`` and above IM requests are served on the
         # CB strategy (the PR 3 latch: bit-identical output,
@@ -1476,12 +1377,12 @@ class SolverService:
                 self.metrics.brownout_degrades += 1
         sc._scheduler.set_job_deadline(deadline_at)
         try:
-            return self._solve(request, offload)
+            return self._solve(request)
         finally:
             sc._scheduler.set_job_deadline(None)
             sc.reclaim_solve_state()
 
-    def _solve(self, request: SolveRequest, offload: bool) -> np.ndarray:
+    def _solve(self, request: SolveRequest) -> np.ndarray:
         """Build a solver on the shared context and run it (test seam)."""
         from .core.dpspark import GepSparkSolver
 
@@ -1493,8 +1394,6 @@ class SolverService:
             strategy=request.strategy,
             collect_stats=False,
         )
-        if not offload:
-            solver.disable_offload()
         result, _report = solver.solve(request.table)
         return result
 

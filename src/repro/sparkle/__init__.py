@@ -43,9 +43,8 @@ protocol — the pool respawns under deterministic bounded backoff and
 the in-flight call retries through the scheduler's attempt machinery
 (``WorkerCrashed``).  A call
 that kills ``max_task_failures`` fresh workers is quarantined
-(``PoisonTaskError``); the GEP solver's ``--degrade-on-crash`` then
-falls back to the thread backend at the next outer-iteration boundary,
-bit-identical.  The ``worker_kill``/``worker_hang``/``worker_oom``
+(``PoisonTaskError``), and the GEP solver then finishes on the thread
+path, bit-identical.  The ``worker_kill``/``worker_hang``/``worker_oom``
 chaos kinds SIGKILL/SIGSTOP *real* worker processes under the same
 seeded determinism contract.
 

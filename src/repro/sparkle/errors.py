@@ -197,10 +197,10 @@ class PoisonTaskError(SparkleError):
     The task is quarantined — the supervisor refuses to offload it again
     — and the error carries enough to identify *what* is poisonous: the
     kernel id, the update case, and the tile coordinate (global offsets
-    of the tile being updated).  Not retryable through the scheduler;
-    under ``--degrade-on-crash`` the GEP solver instead recomputes the
-    tile on the deterministic thread path and degrades the whole solve
-    to the thread backend at the next outer-iteration boundary.
+    of the tile being updated).  Not retryable through the scheduler:
+    the GEP solver catches it in the task, reruns the task's batch on
+    the deterministic thread path and keeps offload off for the rest of
+    the solve.
     """
 
     def __init__(

@@ -277,7 +277,8 @@ class EngineMetrics(_Registry):
     deadlines_exceeded: int = counter("supervision")
     #: tasks quarantined after killing ``max_task_failures`` fresh workers
     poison_tasks: int = counter("supervision")
-    #: processes→threads backend degradations taken under --degrade-on-crash
+    #: solves that fell back from processes to threads after a poison
+    #: quarantine (once per solve)
     backend_degradations: int = counter("supervision")
     # ---- plan shape, continued: event counts of the staging volumes ----
     # (declared last so the flat view keeps the key order reports pin)
@@ -359,17 +360,12 @@ class ServiceMetrics(_Registry):
     cache_invalidations: int = counter("cache")
     #: cached payloads that failed their checksum on read (never served)
     cache_integrity_failures: int = counter("cache")
-    # ---- engine passes / retry / breaker --------------------------------
+    # ---- engine passes / retry -------------------------------------------
     #: actual ``GepSparkSolver.solve`` invocations (one per coalesced
     #: flight attempt; THE single-flight assertion counter)
     engine_passes: int = counter("engine")
     #: service-level retries of a failed engine pass (with backoff)
     retries: int = counter("engine")
-    circuit_trips: int = counter("engine")
-    #: engine passes run with kernel offload forced off by an open breaker
-    circuit_failovers: int = counter("engine")
-    circuit_half_opens: int = counter("engine")
-    circuit_closes: int = counter("engine")
     # ---- request journal / hot restart (DESIGN.md §16) -------------------
     #: admissions fsync-appended to the durable request WAL
     journal_admits: int = counter("journal")

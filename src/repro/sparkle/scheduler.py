@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from .chaos import CURRENT_TASK, deterministic_fraction
+from .chaos import CURRENT_TASK, jittered_backoff
 from .errors import (
     BlockNotFoundError,
     ExecutorLost,
@@ -457,12 +457,16 @@ class DAGScheduler:
         """
         if self.backoff_base <= 0:
             return 0.0
-        raw = self.backoff_base * (2 ** (attempt - 2))
-        capped = min(raw, self.backoff_cap)
         plan = self.ctx.fault_plan
-        seed = plan.seed if plan is not None else 0
-        frac = deterministic_fraction(seed, "backoff", (stage_id, partition, attempt))
-        return capped * (1.0 + self.backoff_jitter * frac)
+        return jittered_backoff(
+            self.backoff_base,
+            self.backoff_cap,
+            self.backoff_jitter,
+            attempt - 2,
+            plan.seed if plan is not None else 0,
+            "backoff",
+            (stage_id, partition, attempt),
+        )
 
     def _next_attempt(self, stage_id: int, partition: int) -> int:
         with self._attempt_lock:
@@ -521,8 +525,9 @@ class DAGScheduler:
                 continue
             except PoisonTaskError:
                 # Quarantined by the supervision layer: retrying would
-                # only kill more workers.  Propagate typed so the GEP
-                # solver's --degrade-on-crash fallback can catch it.
+                # only kill more workers.  Propagate typed (the GEP
+                # solver catches it inside its task and reruns the
+                # batch on the thread path).
                 raise
             except Exception as exc:
                 raise TaskError(

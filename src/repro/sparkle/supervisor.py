@@ -22,11 +22,8 @@ supervision provides on a real cluster.  Three cooperating pieces:
 * :class:`WorkerSupervisor` — the driver-side brain the backend calls
   into: issues call and stack tokens, keeps the per-task crash ledger
   (with the calls whose stacked phase killed a worker), decides
-  poison quarantine after ``max_task_failures`` worker deaths, owns the
-  deterministic respawn backoff schedule, and latches the
-  degrade-on-crash signal the GEP solver polls at outer-iteration
-  boundaries (clear-on-read, mirroring the memory governor's critical
-  latch).
+  poison quarantine after ``max_task_failures`` worker deaths, and owns
+  the deterministic respawn backoff schedule.
 
 Worker lifecycle (see DESIGN.md §13 for the full diagram)::
 
@@ -42,12 +39,12 @@ exit — an orphaned worker holds both ends of its call queue and would
 otherwise block forever — so an uncleanly-killed driver leaks no
 process.
 
-Everything here is deterministic under the chaos contract: respawn
-jitter hashes ``(seed, "respawn", n)`` through the same
-:func:`~repro.sparkle.chaos.deterministic_fraction` the scheduler's
-task backoff uses, and the real worker faults (``worker_kill`` /
-``worker_hang`` / ``worker_oom``) are decided driver-side from the
-seeded plan before the doomed call is even submitted.
+Everything here is deterministic under the chaos contract: the respawn
+backoff is :func:`~repro.sparkle.chaos.jittered_backoff` of
+``(seed, "respawn", n)``, the scheduler's task backoff formula, and the
+real worker faults (``worker_kill`` / ``worker_hang`` / ``worker_oom``)
+are decided driver-side from the seeded plan before the doomed call is
+even submitted.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from multiprocessing.sharedctypes import RawArray
 
 import numpy as np
 
-from .chaos import deterministic_fraction
+from .chaos import jittered_backoff
 from .metrics import EngineMetrics
 
 __all__ = ["SupervisionConfig", "HeartbeatBoard", "WorkerSupervisor"]
@@ -177,7 +174,6 @@ class WorkerSupervisor:
         self._failures: dict[tuple, int] = {}
         self._quarantined: set[tuple] = set()
         self._unstacked: set[tuple] = set()
-        self._degrade_latch = False
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop = threading.Event()
 
@@ -328,12 +324,11 @@ class WorkerSupervisor:
             return self._failures.get(task_sig, 0)
 
     def quarantine(self, task_sig: tuple) -> None:
-        """Mark a task as poison and latch the degrade signal."""
+        """Mark a task as poison: its offloads are refused from now on."""
         with self._ledger_lock:
             if task_sig in self._quarantined:
                 return
             self._quarantined.add(task_sig)
-            self._degrade_latch = True
         self.metrics.poison_tasks += 1
 
     def is_quarantined(self, task_sig: tuple) -> bool:
@@ -358,14 +353,6 @@ class WorkerSupervisor:
         with self._ledger_lock:
             return sorted(self._quarantined)
 
-    def degrade_pending(self) -> bool:
-        """Clear-on-read poison latch the solver polls at iteration
-        boundaries (same pattern as the memory governor's critical
-        latch): True at most once per quarantine burst."""
-        with self._ledger_lock:
-            pending, self._degrade_latch = self._degrade_latch, False
-            return pending
-
     # -- respawn backoff ----------------------------------------------
     def respawn_delay(self, respawn_index: int) -> float:
         """Deterministic bounded-exponential backoff before respawn n.
@@ -376,10 +363,15 @@ class WorkerSupervisor:
         """
         if respawn_index < 1:
             raise ValueError("respawn_index counts from 1")
-        base = self.respawn_backoff_base * (2.0 ** (respawn_index - 1))
-        delay = min(base, self.respawn_backoff_cap)
-        jitter = deterministic_fraction(self.seed, "respawn", (respawn_index,))
-        return delay * (1.0 + self.respawn_backoff_jitter * jitter)
+        return jittered_backoff(
+            self.respawn_backoff_base,
+            self.respawn_backoff_cap,
+            self.respawn_backoff_jitter,
+            respawn_index - 1,
+            self.seed,
+            "respawn",
+            (respawn_index,),
+        )
 
     # -- lifecycle -----------------------------------------------------
     def destroy(self) -> None:

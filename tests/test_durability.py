@@ -502,7 +502,7 @@ SPARK_FLAGS = [
     ["--memory-budget", "4096"], ["--spill-dir", "spill"],
     ["--degrade-on-pressure"], ["--heartbeat-interval", "0.1"],
     ["--task-deadline", "1"], ["--max-task-failures", "2"],
-    ["--degrade-on-crash"], ["--chaos", "seed=1"],
+    ["--chaos", "seed=1"],
 ]
 
 
@@ -515,6 +515,13 @@ class TestCli:
         ) == 2
         assert cli_main(["fsck", str(tmp_path / "missing")]) == 2
         capsys.readouterr()
+
+    def test_removed_degrade_on_crash_flag_is_unrecognized(self, capsys):
+        # a poison call falls back to threads with no flag at all
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*CLI_SOLVE, "--backend", "processes", "--degrade-on-crash"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --degrade-on-crash" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["local", "reference"])
     @pytest.mark.parametrize("flag", SPARK_FLAGS, ids=lambda flag: flag[0])

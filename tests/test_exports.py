@@ -67,6 +67,15 @@ REMOVED = [
     ("repro.sparkle.supervisor", "COL_EPOCH"),
     ("repro.sparkle.backend", "_worker_init"),
     ("repro.sparkle.EngineMetrics", "storage_backing_reads"),
+    # one processes→threads fallback, the solver's own: no breaker, no latch
+    ("repro.service", "CircuitBreaker"),
+    ("repro.service", "_breaker_fault"),
+    ("repro.core.dpspark.GepSparkSolver", "disable_offload"),
+    ("repro.sparkle.WorkerSupervisor", "degrade_pending"),
+    ("repro.sparkle.ServiceMetrics", "circuit_trips"),
+    ("repro.sparkle.ServiceMetrics", "circuit_failovers"),
+    ("repro.sparkle.ServiceMetrics", "circuit_half_opens"),
+    ("repro.sparkle.ServiceMetrics", "circuit_closes"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -77,7 +86,8 @@ REMOVED = [
 #: partition count is the context's ``default_parallelism``, supervision
 #: a ``SupervisionConfig``, the frame cap ``ServiceConfig.max_frame_bytes``;
 #: or deleted with what it configured (the board's ``/dev/shm`` name, CB
-#: storage's write-through) or because no caller passed it
+#: storage's write-through, the opt-in poison fallback that is now the
+#: solver's default) or because no caller passed it
 REMOVED_KEYWORDS = [
     ("repro.core.api.run_gep", "num_partitions"),
     ("repro.core.dpspark.GepSparkSolver", "num_partitions"),
@@ -91,6 +101,8 @@ REMOVED_KEYWORDS = [
     ("repro.sparkle.WorkerSupervisor", "prefix"),
     ("repro.sparkle.HeartbeatBoard", "name"),
     ("repro.sparkle.storage.SharedStorage", "backing"),
+    ("repro.core.api.run_gep", "degrade_on_crash"),
+    ("repro.core.dpspark.GepSparkSolver", "degrade_on_crash"),
 ]
 
 

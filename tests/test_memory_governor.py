@@ -627,17 +627,15 @@ class TestCli:
     [
         ({"spill_dir": "spill"}, {}, "spill_dir requires memory_budget_bytes"),
         ({}, {"degrade_on_pressure": True}, "degrade_on_pressure requires"),
-        ({}, {"degrade_on_crash": True}, "degrade_on_crash requires"),
     ],
-    ids=["spill_dir-unbounded", "degrade_on_pressure-unbounded", "degrade_on_crash-threads"],
+    ids=["spill_dir-unbounded", "degrade_on_pressure-unbounded"],
 )
 def test_owner_refuses_a_setting_it_would_ignore(
     tmp_path, monkeypatch, context_kw, solver_kw, message
 ):
     """A setting that cannot act on this context raises at its owner
     instead of being a silent no-op: no spill without a budget, no
-    pressure degrade on an unbounded governor, no crash degrade without
-    a worker plane."""
+    pressure degrade on an unbounded governor."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=message):
         with SparkleContext(2, 1, **context_kw) as sc:

@@ -3,7 +3,7 @@
 Covers the four defensive layers of :class:`repro.service.SolverService`
 — admission control under memory pressure, single-flight dedup plus the
 checksummed result cache, per-request deadlines that cancel mid-flight
-without leaks, and the retry/circuit-breaker path — and closes with the
+without leaks, retries, and the poison fallback to threads — and closes with the
 seeded request-storm chaos soak: ≥16 concurrent clients over a
 process-backend context with worker kills and memory squeezes underneath,
 asserting every admitted request completes bit-identical to a direct
@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
+import os
 import pickle
+import signal
 import socket
 import struct
 import threading
@@ -26,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main as cli_main
 from repro.core import floyd_warshall
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
 from repro.service import (
-    CircuitBreaker,
     ResultCache,
     ServiceConfig,
     SolverService,
@@ -175,15 +177,19 @@ class TestServiceErrors:
         assert not is_retryable(RequestDeadlineExceeded("late"))
         assert not is_retryable(ValueError("config"))
 
-    def test_breaker_fault_unwraps_job_aborted_cause(self):
-        from repro.service import _breaker_fault
-
-        aborted = JobAborted("gave up")
-        aborted.__cause__ = WorkerCrashed("died", 2, "kill")
-        assert _breaker_fault(aborted)
-        benign = JobAborted("gave up")
-        benign.__cause__ = ValueError("not a crash")
-        assert not _breaker_fault(benign)
+    @pytest.mark.parametrize("deadline", [0, 0.0, -1.5])
+    def test_default_deadline_must_be_positive(self, deadline, tmp_path, capsys):
+        # every deadline-less request would otherwise fail at submit
+        with pytest.raises(ValueError, match="default_deadline must be > 0"):
+            ServiceConfig(default_deadline=deadline)
+        assert ServiceConfig(default_deadline=None).default_deadline is None
+        sock = str(tmp_path / "s.sock")
+        argv = ["serve", "--socket", sock, "--default-deadline", str(deadline)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "serve: default_deadline must be > 0" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +228,9 @@ class TestAdmission:
         gate = threading.Event()
         service = SolverService(sc, config=ServiceConfig(max_queue_depth=3))
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             tickets = [service.submit(_request(seed=s)) for s in range(3)]
@@ -260,9 +266,9 @@ class TestSingleFlight:
         service = SolverService(sc)
         gate = threading.Event()
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             tickets = [service.submit(_request(seed=5)) for _ in range(6)]
@@ -416,9 +422,9 @@ class TestDeadlines:
         gate = threading.Event()
         service = SolverService(sc)
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             blocker = service.submit(_request(seed=0))
@@ -533,9 +539,9 @@ class TestDeadlines:
         gate = threading.Event()
         service = SolverService(sc)
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             table = _table(24, 9)
@@ -561,95 +567,98 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# retry + circuit breaker
+# retry
 # ---------------------------------------------------------------------------
 
 
-def _breaker(threshold, cooldown, metrics):
-    breaker = CircuitBreaker(metrics)
-    breaker.threshold, breaker.cooldown = threshold, cooldown
-    return breaker
-
-
-class TestCircuitBreaker:
-    def test_state_machine_trips_half_opens_closes(self):
-        metrics = ServiceMetrics()
-        breaker = _breaker(2, 0.1, metrics)
-        assert breaker.allow_offload()
-        breaker.record_failure(offloaded=True)
-        assert breaker.allow_offload()  # one failure is not a pattern
-        breaker.record_failure(offloaded=True)
-        assert not breaker.allow_offload()  # tripped
-        assert metrics.circuit_trips == 1
-        assert breaker.retry_after() > 0
-        time.sleep(0.12)
-        assert breaker.allow_offload()  # half-open probe
-        assert metrics.circuit_half_opens == 1
-        assert not breaker.allow_offload()  # only ONE probe at a time
-        breaker.record_success(offloaded=True)
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert metrics.circuit_closes == 1
-
-    def test_half_open_failure_reopens(self):
-        metrics = ServiceMetrics()
-        breaker = _breaker(1, 0.05, metrics)
-        breaker.record_failure(offloaded=True)
-        time.sleep(0.06)
-        assert breaker.allow_offload()  # probe
-        breaker.record_failure(offloaded=True)
-        assert not breaker.allow_offload()
-        assert metrics.circuit_trips == 2
-
-    def test_thread_path_failures_never_count(self):
-        breaker = _breaker(1, 0.05, ServiceMetrics())
-        breaker.record_failure(offloaded=False)
-        assert breaker.allow_offload()
-
+class TestRetry:
     @pytest.mark.timeout(120)
-    def test_service_fails_over_to_thread_path_and_recovers(self):
+    def test_retryable_fault_is_retried_with_backoff_then_served(self):
         sc = _context()
-        sc.backend = "processes"  # make the breaker arm (no real workers:
-        # _solve is stubbed below, so nothing is actually offloaded)
         service = SolverService(
-            sc,
-            config=ServiceConfig(
-                retries=3,
-                cache_entries=0,  # force engine passes every time
-            ),
+            sc, config=ServiceConfig(retries=3, cache_entries=0)
         )
         service.retry_backoff_base = 0.001
-        service.breaker.threshold = 2
-        service.breaker.cooldown = 0.2
         original = service._solve
         crashes = []
 
-        def flaky(request, offload):
-            if offload:
+        def flaky(request):
+            if len(crashes) < 2:
                 crashes.append(1)
                 raise WorkerCrashed("chaos", pid=1234, reason="test")
-            return original(request, False)
+            return original(request)
 
         service._solve = flaky
         try:
             response = service.solve(_request(seed=4), timeout=60)
-            assert np.array_equal(
-                response.result, _reference(4)
-            )
-            m = service.metrics
-            assert len(crashes) == 2  # threshold crashes, then failover
-            assert m.circuit_trips == 1
-            assert m.circuit_failovers >= 1
-            assert m.retries == 2
-            # after the cooldown the breaker half-opens, probes, closes
-            time.sleep(0.25)
-            crashes.clear()
-            service._solve = original
-            assert service.solve(_request(seed=6), timeout=60)
-            assert m.circuit_half_opens == 1
-            assert m.circuit_closes == 1
+            assert response.result.tobytes() == _reference(4).tobytes()
+            assert service.metrics.retries == 2
+            assert service.metrics.engine_passes == 3
         finally:
             service.stop()
             sc.stop()
+
+
+# ---------------------------------------------------------------------------
+# a poison kernel call: the solver falls back to threads on its own
+# ---------------------------------------------------------------------------
+
+
+class PoisonPivotKernel:
+    """The iterative kernel, except that a worker process running the
+    first pivot tile (case A at ``k = 0``) SIGKILLs itself.  A batch of
+    one call, so the death is charged to that call alone."""
+
+    def __init__(self, inner, driver_pid: int) -> None:
+        self.inner = inner
+        self.driver_pid = driver_pid
+
+    def describe(self) -> dict:
+        return {**self.inner.describe(), "poison": "A@0"}
+
+    def run(self, case, x, u, v, w, gi0, gj0, gk0, n, stats=None):
+        if case == "A" and gk0 == 0 and os.getpid() != self.driver_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.inner.run(case, x, u, v, w, gi0, gj0, gk0, n, stats=stats)
+
+
+class TestPoisonFallback:
+    @pytest.mark.supervision
+    @pytest.mark.timeout(180)
+    def test_poison_call_served_in_one_pass_and_kills_no_more_workers(self):
+        shm_before = shm_entries()
+        sc = _context(
+            backend="processes",
+            supervision=SupervisionConfig(heartbeat_interval=0.0, max_task_failures=1),
+        )
+        service = SolverService(sc, config=ServiceConfig(cache_entries=0))
+        kernel = PoisonPivotKernel(KERNEL, os.getpid())
+        try:
+            first = service.solve(
+                SolveRequest(spec=SPEC, table=_table(24, 4), r=6, kernel=kernel),
+                timeout=120,
+            )
+            assert first.result.tobytes() == _reference(4).tobytes()
+            assert service.metrics.engine_passes == 1
+            assert service.metrics.retries == 0
+            assert sc.metrics.poison_tasks == 1
+            assert sc.metrics.backend_degradations == 1
+            crashes = sc.metrics.worker_crashes
+            assert crashes == 1
+            # the quarantine refuses the call before any worker runs it
+            second = service.solve(
+                SolveRequest(spec=SPEC, table=_table(24, 5), r=6, kernel=kernel),
+                timeout=120,
+            )
+            assert second.result.tobytes() == _reference(5).tobytes()
+            assert sc.metrics.worker_crashes == crashes
+            assert service.metrics.engine_passes == 2
+            assert service.metrics.retries == 0
+            assert sc.metrics.backend_degradations == 2
+        finally:
+            service.stop()
+            sc.stop()
+        assert shm_entries() - shm_before == set()
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +866,10 @@ class TestLifecycle:
         service = SolverService(sc)
         original = service._solve
         entered = threading.Event()
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             entered.set(),
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[2]
         running = service.submit(_request(seed=0))
         # stop(drain=False) fails whatever is still queued: the first
@@ -1137,9 +1146,9 @@ class TestDrain:
         gate = threading.Event()
         service = SolverService(sc)
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             gate.wait(60),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             running = service.submit(_request(seed=0))

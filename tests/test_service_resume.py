@@ -89,9 +89,9 @@ def _gate_solves(service: SolverService) -> threading.Event:
     """Block every engine pass on an event — freezes flights in-flight."""
     gate = threading.Event()
     original = service._solve
-    service._solve = lambda req, offload: (
+    service._solve = lambda req: (
         gate.wait(60),
-        original(req, offload),
+        original(req),
     )[1]
     return gate
 

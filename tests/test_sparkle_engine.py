@@ -530,8 +530,7 @@ requests_received requests_admitted requests_queued requests_shed
 draining_sheds requests_completed requests_failed deadline_cancelled
 single_flight_coalesced cache_hits cache_misses cache_hit_rate
 cache_evictions cache_invalidations cache_integrity_failures
-engine_passes retries circuit_trips circuit_failovers circuit_half_opens
-circuit_closes
+engine_passes retries
 journal_admits journal_settles journal_torn_records journal_replayed
 journal_compactions journal_records_compacted results_rehydrated
 idempotent_replays resume_coalesced

@@ -17,6 +17,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -259,22 +260,21 @@ class TestRespawnBackoff:
             a.destroy()
             b.destroy()
 
-    def test_poison_ledger_and_degrade_latch(self):
+    def test_poison_ledger(self):
         cfg = SupervisionConfig(heartbeat_interval=0.0, max_task_failures=2)
-        sup = WorkerSupervisor(cfg, slots=1, seed=0)
+        metrics = EngineMetrics()
+        sup = WorkerSupervisor(cfg, slots=1, metrics=metrics, seed=0)
         try:
             sig = ("k", "D", 0, 0, 0)
             assert sup.record_failure(sig) == 1
             assert sup.record_failure(sig) == 2
             assert not sup.is_quarantined(sig)
-            assert not sup.degrade_pending()
             sup.quarantine(sig)
             assert sup.is_quarantined(sig)
             assert sup.quarantined() == [sig]
-            assert sup.degrade_pending()  # latched ...
-            assert not sup.degrade_pending()  # ... and clear-on-read
             sup.quarantine(sig)  # re-quarantine is a no-op
-            assert not sup.degrade_pending()
+            assert sup.quarantined() == [sig]
+            assert metrics.poison_tasks == 1
         finally:
             sup.destroy()
 
@@ -421,7 +421,6 @@ class TestPoisonQuarantine:
             with pytest.raises(WorkerCrashed):
                 _run_backend_kernel(backend, blob)
             assert metrics.worker_crashes == 1
-            assert not backend.supervisor.degrade_pending()
             # 2nd death of the same call: poison
             with pytest.raises(PoisonTaskError) as excinfo:
                 _run_backend_kernel(backend, blob)
@@ -429,7 +428,6 @@ class TestPoisonQuarantine:
             assert excinfo.value.coordinate == (0, 0, 0)
             assert excinfo.value.case == "D"
             assert metrics.poison_tasks == 1
-            assert backend.supervisor.degrade_pending()
             # 3rd call: refused up front — no fresh worker is sacrificed
             with pytest.raises(PoisonTaskError):
                 _run_backend_kernel(backend, blob)
@@ -633,10 +631,7 @@ class TestDegradeOnCrash:
                 heartbeat_interval=0.1, max_task_failures=1
             ),
         ) as sc:
-            solver = GepSparkSolver(
-                SPEC, sc, r=2, kernel=crashy, strategy="im",
-                degrade_on_crash=True,
-            )
+            solver = GepSparkSolver(SPEC, sc, r=2, kernel=crashy, strategy="im")
             out, report = solver.solve(table)
             summ = sc.metrics.summary("supervision")
         assert out.tobytes() == baseline.tobytes()
@@ -648,20 +643,74 @@ class TestDegradeOnCrash:
         assert degradations[0]["quarantined_tasks"] >= 1
         assert shm_entries() - shm_before == set()
 
+    @pytest.mark.timeout(60)
+    def test_fallback_is_metered_once_when_tasks_race(self):
+        """Eight tasks catching poison at once count one fallback.  The
+        counter's write sleeps, so a check-then-act without the lock
+        lets every task through and records eight writes."""
+
+        class SlowCounter:
+            def __init__(self):
+                self.writes = []
+
+            @property
+            def backend_degradations(self):
+                return len(self.writes)
+
+            @backend_degradations.setter
+            def backend_degradations(self, value):
+                time.sleep(0.05)
+                self.writes.append(value)
+
+        with SparkleContext(2, 2) as sc:
+            solver = GepSparkSolver(
+                SPEC, sc, r=2, kernel=make_kernel(SPEC, "iterative")
+            )
+            solver.sc = types.SimpleNamespace(metrics=SlowCounter())
+            barrier = threading.Barrier(8)
+
+            def catch_poison():
+                barrier.wait(timeout=10)
+                solver._fall_back_to_threads()
+
+            threads = [threading.Thread(target=catch_poison) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        assert solver.sc.metrics.writes == [1]
+
     @pytest.mark.timeout(120)
-    def test_poison_without_degrade_flag_aborts(self):
-        table = fw_table(8, seed=2)
-        inner = make_kernel(SPEC, "iterative")
-        crashy = CrashyKernel(inner, os.getpid())
+    def test_poison_falls_back_without_a_flag_and_kills_no_more_workers(self):
+        """One task slot, a kernel that kills every worker running it:
+        the first death is poison, and from then on the solve runs on
+        the thread path — no second worker dies."""
+        shm_before = shm_entries()
+        table = fw_table(12, seed=2)
+        with SparkleContext(1, 1) as sc:
+            baseline, _ = _solve(sc, table)
+        crashy = CrashyKernel(make_kernel(SPEC, "iterative"), os.getpid())
         with SparkleContext(
-            2, 2, backend="processes",
+            1, 1, backend="processes",
             supervision=SupervisionConfig(
-                heartbeat_interval=0.1, max_task_failures=1
+                heartbeat_interval=0.0, max_task_failures=1
             ),
         ) as sc:
-            solver = GepSparkSolver(SPEC, sc, r=2, kernel=crashy, strategy="im")
-            with pytest.raises(PoisonTaskError):
-                solver.solve(table)
+            out, report = GepSparkSolver(
+                SPEC, sc, r=3, kernel=crashy, strategy="im"
+            ).solve(table)
+            summ = sc.metrics.summary("supervision")
+            offloads = sc.metrics.kernel_offloads
+        assert out.tobytes() == baseline.tobytes()
+        assert summ["poison_tasks"] == 1
+        assert summ["worker_crashes"] == 1
+        assert summ["backend_degradations"] == 1
+        assert offloads == 0
+        assert report.extras["backend_degradations"] == [
+            {"from": "processes", "to": "threads", "quarantined_tasks": 1}
+        ]
+        assert shm_entries() - shm_before == set()
 
 
 # ----------------------------------------------------------------------

@@ -109,9 +109,9 @@ def _gate_solves(service: SolverService) -> threading.Event:
     """Block every engine pass on an event — freezes flights in-flight."""
     gate = threading.Event()
     original = service._solve
-    service._solve = lambda req, offload: (
+    service._solve = lambda req: (
         gate.wait(60),
-        original(req, offload),
+        original(req),
     )[1]
     return gate
 
@@ -553,15 +553,13 @@ class TestBrownoutEffects:
         service = SolverService(sc)
         seen = []
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             seen.append(req.strategy),
-            original(req, offload),
+            original(req),
         )[1]
         try:
             service.ladder.level = 1  # degrade
-            out = service._run_engine_pass(
-                _request(0, strategy="im"), None, offload=False
-            )
+            out = service._run_engine_pass(_request(0, strategy="im"), None)
             assert seen == ["cb"]  # the PR 3 latch, by request rewrite
             assert out.tobytes() == _reference(0).tobytes()
             assert service.metrics.brownout_degrades == 1
@@ -574,15 +572,13 @@ class TestBrownoutEffects:
         sc = _context()
         service = SolverService(sc, config=ServiceConfig(brownout=False))
         observed = []
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             observed.append(req.strategy),
             np.zeros((2, 2), dtype=SPEC.dtype),
         )[1]
         try:
             service.ladder.level = 2
-            service._run_engine_pass(
-                _request(0, strategy="im"), None, offload=False
-            )
+            service._run_engine_pass(_request(0, strategy="im"), None)
             assert observed == ["im"]
             assert service.metrics.brownout_degrades == 0
         finally:
@@ -688,9 +684,9 @@ class TestNoisyNeighborStorm:
         service = SolverService(sc, config=config)
         pass_order: list[str] = []
         original = service._solve
-        service._solve = lambda req, offload: (
+        service._solve = lambda req: (
             pass_order.append(req.tenant),
-            original(req, offload),
+            original(req),
         )[1]
 
         def make_request(tenant: str, seq: int) -> SolveRequest:
