@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep reach
+.PHONY: test tier1 tier1-nocc robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep reach
 
 # full suite
 test:
@@ -25,6 +25,14 @@ tier1:
 		echo "tier1 leaked shared memory: /dev/shm still holds:"; \
 		echo "$$leaked"; exit 1; \
 	fi
+
+# tier1 with no C compiler and an empty build cache: every tile fold
+# takes the NumPy path (kernels/native.py's fallback), which must stay
+# green on its own.
+tier1-nocc:
+	@cache="$$(mktemp -d)"; \
+	CC=/nonexistent XDG_CACHE_HOME="$$cache" $(MAKE) --no-print-directory tier1; \
+	status=$$?; rm -rf "$$cache"; exit $$status
 
 # seeded fault-injection + durability/crash-resume + memory-governor +
 # worker-supervision + request-plane + tenant-isolation suites (includes

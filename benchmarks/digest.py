@@ -5,12 +5,15 @@ as a digest of one scoreboard set.
     python3 bench/run.py --trace 1 --out .bench_tmp/set.json
     python3 benchmarks/digest.py .bench_tmp/set.json [BENCH_engine.json]
 
-Keeps, per workload of the set, the five end-to-end metrics, the two
-per-layer ratios that place them (``baseline.overhead_ratio`` against
-plain NumPy, ``host.all_cpus_wall_ratio`` for what pinning hides) and the
-exact counts; plus the set's host block and the commit it measured
-(``-dirty``: the working tree differed from that commit).  Nothing is
-measured here, so the trajectory and the scoreboard cannot disagree.
+Keeps, per workload of the set, the five end-to-end metrics, the
+per-layer readings that place them (``baseline.overhead_ratio`` against
+plain NumPy, ``host.all_cpus_wall_ratio`` for what pinning hides,
+``kernels.updates_per_s`` for the kernel's own rate) and the exact
+counts; plus the set's host block and the commit it measured
+(``-dirty``: the working tree differed from that commit).  The digest it
+replaces stays beside it as ``previous`` (without its own ``previous``),
+so the file holds the last step of the trajectory.  Nothing is measured
+here, so the trajectory and the scoreboard cannot disagree.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYER_RATIOS = ("baseline.overhead_ratio", "host.all_cpus_wall_ratio")
+LAYERS = ("baseline.overhead_ratio", "host.all_cpus_wall_ratio", "kernels.updates_per_s")
 
 
 def main(argv: list[str]) -> int:
@@ -48,9 +51,13 @@ def main(argv: list[str]) -> int:
             "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": result["metrics"],
-            "per_layer": {k: layers[k] for k in LAYER_RATIOS if k in layers},
+            "per_layer": {k: layers[k] for k in LAYERS if k in layers},
             "exact_counts": result["exact_counts"],
         }
+    if out.exists():
+        previous = json.loads(out.read_text())
+        previous.pop("previous", None)
+        digest["previous"] = previous
     out.write_text(json.dumps(digest, indent=1) + "\n")
     print(f"{out}: {len(digest['workloads'])} workloads at {commit}")
     return 0

@@ -145,6 +145,11 @@ KEEP: list[tuple[str, str, str]] = [
     ("semiring/", r"(Boolean|RealField|CountingSemiring|MinPlus|MaxPlus)(\.(add|add_inplace|mul|fold_steps))?",
      "a semiring a GEP spec runs on: TC, and the counting and real cross-checks"),
     ("semiring/", r"Semiring\.fold_steps", "the generic fold a semiring without a fused one runs"),
+    ("semiring/base.py", r"fold_steps_idempotent",
+     "the NumPy fold: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
+    ("core/gep.py", r"ge_steps",
+     "GE's NumPy steps: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
+    ("kernels/native.py", r"_build", "the cold-cache build: a program reaches it once per host and cache key"),
     ("semiring/", r"available_semirings", "the registry's public listing"),
     ("core/blocked.py", r"case_of", "Fig. 4's case table the kernel tests check"),
     ("poly/", r"AffB\..*|LinearConstraint\..*|SplitFunction(\..*)?",

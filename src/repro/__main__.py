@@ -182,6 +182,7 @@ def _cmd_solve(args) -> int:
         if args.report and report is not None:
             import json
 
+            print("kernel fold:", report.kernel.get("fold"))
             with open(args.report, "w", encoding="utf-8") as fh:
                 json.dump(report.summary(), fh, indent=2, default=str)
             print(f"report written to {args.report}")

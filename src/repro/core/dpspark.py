@@ -448,12 +448,16 @@ class GepSparkSolver:
     ) -> SolveReport:
         """Assemble the :class:`SolveReport` and its ``extras``."""
         sc = self.sc
+        kernel = self.kernel.describe()
+        if sc.offload is not None and sc.offload.worker_fold is not None:
+            # the workers ran the tiles: report their fold, not ours
+            kernel = {**kernel, "fold": sc.offload.worker_fold}
         report = SolveReport(
             spec_name=self.spec.name,
             strategy=self.strategy,
             n=n,
             r=self.r,
-            kernel=self.kernel.describe(),
+            kernel=kernel,
             num_partitions=sc.default_parallelism,
             engine_metrics=sc.metrics,
             kernel_stats=self.stats,

@@ -71,6 +71,9 @@ class GepSpec(abc.ABC):
     #: relative per-cell-update cost (1.0 = FW's min/+ on doubles); used
     #: by the cluster cost model to derive kernel rates per problem
     update_weight: float = 1.0
+    #: the :mod:`repro.kernels.native` entry point :meth:`apply_steps`
+    #: reaches, or ``None`` when only NumPy computes it
+    native_fold: str | None = None
 
     # ------------------------------------------------------------------
     # scalar semantics (reference / Σ_G)
@@ -245,6 +248,7 @@ class SemiringGep(GepSpec):
     def __init__(self, semiring: Semiring | str, name: str | None = None) -> None:
         self.semiring = get_semiring(semiring)
         self.dtype = self.semiring.dtype
+        self.native_fold = self.semiring.native_fold
         # Boolean folds are byte-wide and branch-free: much cheaper.
         self.update_weight = 0.4 if self.dtype == np.bool_ else 1.0
         self.name = name or f"semiring-gep[{self.semiring.name}]"
@@ -304,6 +308,7 @@ class GaussianEliminationGep(GepSpec):
     constrains_i = True
     constrains_j = True
     update_weight = 1.6  # divide + multiply + subtract per cell
+    native_fold = "ge"
 
     def __init__(self, n_pivots: int | None = None) -> None:
         if n_pivots is not None and n_pivots < 0:
@@ -324,24 +329,37 @@ class GaussianEliminationGep(GepSpec):
             x[..., mask] -= update[..., mask]
 
     def apply_steps(self, x, u, v, w, pivot):
-        # The same multiply / divide / subtract per step as apply_k, in
-        # the same order, through one reused buffer.  GE steps are never
-        # re-associated: floating-point subtraction rounds.  The buffer
-        # is complete before ``x`` is written, so aliasing stays safe.
-        # All three are elementwise, so over a stack (leading axis) each
-        # tile sees the operations it would see alone, step by step.
-        update = np.empty(x.shape, dtype=np.result_type(u, v))
-        w_diag = w.diagonal(axis1=-2, axis2=-1)
-        if w_diag.ndim == 2:  # a pivot tile per stacked tile
-            w_diag = w_diag.T[:, :, None, None]
-        for kk in range(pivot):
-            np.multiply(u[..., kk, None], v[..., None, kk, :], out=update)
-            update /= w_diag[kk]
-            x -= update
+        # The compiled fold runs the same multiply / divide / subtract
+        # per cell and step, in the same order; NumPy runs what it
+        # does not cover.
+        from ..kernels import native  # repro.kernels imports this module
+
+        if u.shape[-1] != pivot or not native.fold(self.native_fold, x, u, v, w):
+            ge_steps(x, u, v, w, pivot)
 
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)
         return 0 <= gk < hi
+
+
+def ge_steps(x, u, v, w, pivot) -> None:
+    """NumPy :meth:`GaussianEliminationGep.apply_steps`.
+
+    The same multiply / divide / subtract per step as ``apply_k``, in
+    the same order, through one reused buffer.  GE steps are never
+    re-associated: floating-point subtraction rounds.  The buffer is
+    complete before ``x`` is written, so aliasing stays safe.  All three
+    are elementwise, so over a stack (leading axis) each tile sees the
+    operations it would see alone, step by step.
+    """
+    update = np.empty(x.shape, dtype=np.result_type(u, v))
+    w_diag = w.diagonal(axis1=-2, axis2=-1)
+    if w_diag.ndim == 2:  # a pivot tile per stacked tile
+        w_diag = w_diag.T[:, :, None, None]
+    for kk in range(pivot):
+        np.multiply(u[..., kk, None], v[..., None, kk, :], out=update)
+        update /= w_diag[kk]
+        x -= update
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Iterative (loop-based) GEP tile kernels.
 
 These are the paper's "iterative kernels": per-``k`` passes over the
-tile, vectorized with NumPy — the offline equivalent of its
-Numba-jitted/NumPy-offloaded kernels.  A deliberately slow pure-Python
-scalar variant (:func:`gep_tile_update_loop`) exists as the reference the
-vectorized kernel is validated against.
+tile, folded by compiled C (:mod:`.native`) where it covers the tile and
+by vectorized NumPy elsewhere — the equivalent of its Numba-jitted /
+native kernels.  A deliberately slow pure-Python scalar variant
+(:func:`gep_tile_update_loop`) exists as the reference the vectorized
+kernel is validated against.
 
 Kernel contract
 ---------------
@@ -32,41 +33,49 @@ Tiles that need a Σ_G mask, or whose pivot range is partly inactive, go
 step by step through ``GepSpec.apply_k``.  Every other tile — all of
 FW/TC, and GE's trailing tiles — is one ``GepSpec.apply_steps`` call:
 
-* **Semiring specs** forward to ``Semiring.fold_steps(x, u, v)``.  For
-  the idempotent semirings (min-plus, max-plus, boolean) operands that
-  cannot share memory with ``x`` (identity, then ``np.may_share_memory``,
-  conservatively) are folded as a k-chunked 3-D broadcast, ⊕-reduced
-  over ``k`` and merged into ``x`` once per chunk; ``min``/``max``/``or``
-  select an operand and never round, so re-associating the steps cannot
-  change a value.  Aliased operands keep sequential ``k`` order (each
-  step reads what the previous wrote) with one reused buffer.  Other
-  semirings keep the sequential ``mul`` + ``add_inplace`` default.
+* **Semiring specs** forward to ``Semiring.fold_steps(x, u, v)``.  The
+  idempotent semirings (min-plus, max-plus, boolean) hand the fold to
+  the compiled C where it covers the layout (float64 / bool, rows
+  contiguous, non-negative strides — :func:`.native.fold`), one call per
+  tile or stack.  Their NumPy fold, the fallback and the tests' oracle,
+  gives the same bits: operands that cannot share memory with ``x``
+  (identity, then ``np.may_share_memory``, conservatively) are folded
+  as a k-chunked 3-D broadcast, ⊕-reduced over ``k`` and merged into
+  ``x`` once per chunk; ``min``/``max``/``or`` select an operand and
+  never round, so re-associating the steps cannot change a value.
+  Aliased operands keep sequential ``k`` order (each step reads what
+  the previous wrote) with one reused buffer.  Other semirings keep the
+  sequential ``mul`` + ``add_inplace`` default.
 * **The tropical ±inf guard runs once per call**, not once per step: the
-  fold runs unguarded, ``np.minimum``/``np.maximum`` keep a NaN once a
-  cell has one, so ``isnan(x).any()`` afterwards detects every
+  fold runs unguarded, ``min``/``max`` keep a NaN once a cell has one
+  (in C as in NumPy), so ``isnan(x).any()`` afterwards detects every
   ``inf + (-inf)``; on a hit the tile is restored and redone through the
   guarded sequential default.  Results are identical either way.
-* **GE** runs its steps in order through one reused buffer — the same
-  multiply, divide and subtract per step.  Floating-point subtraction
-  rounds, so GE steps are never re-associated.
+* **GE** runs its steps in order, in C or through one reused NumPy
+  buffer — the same multiply, divide and subtract per cell and step.
+  Floating-point subtraction rounds, so GE steps are never
+  re-associated.
 
 Stacks
 ------
-A call is cheap arithmetic behind a fixed cost (~30 µs of validation,
-predicates, buffers and ufunc dispatch), and on small tiles the cost is
-everything: an 8x8 tile does 512 cell updates per call.  So the unit of
-the fast path is a *stack*: ``x`` ``(M, rows, cols)``, ``u`` ``(M, rows,
-pivot)``, ``v`` ``(M, pivot, cols)``, ``w`` one pivot tile shared by the
-stack or ``(M, pivot, pivot)``, ``gi0`` / ``gj0`` sequences of ``M``
-offsets, one ``gk0``.  A 2-D tile is the stack of one — the same code,
-indexed from the last axes — and every tile of a stack ends with exactly
-the bits it would have alone:
+Every call pays a fixed cost — validation, Σ_G predicates, the tropical
+guard's copy and NaN check, the call into C or NumPy's ufunc dispatch —
+and an 8x8 tile is only 512 cell updates, so on small tiles that cost is
+most of the call.  So the unit of the fast path is a *stack*: ``x``
+``(M, rows, cols)``, ``u`` ``(M, rows, pivot)``, ``v`` ``(M, pivot,
+cols)``, ``w`` one pivot tile shared by the stack or ``(M, pivot,
+pivot)``, ``gi0`` / ``gj0`` sequences of ``M`` offsets, one ``gk0``.  A
+2-D tile is the stack of one — the same code, indexed from the last
+axes — and every tile of a stack ends with exactly the bits it would
+have alone:
 
-* the semiring fold keeps ``k`` as the *leading* axis of its chunked
-  broadcast ``(k, M, rows, cols)``, so the ⊕-reduction runs over ``k`` by
-  repeated elementwise ⊕ per cell, in step order, ``±0.0`` ties broken as
-  in the step loop, whatever ``M`` is; an operand aliasing ``x`` (a
-  panel, below) keeps the sequential step loop, over the whole stack;
+* the compiled fold takes a whole stack in one call, step by step over
+  all its tiles; NumPy's semiring fold keeps ``k`` as the *leading* axis
+  of its chunked broadcast ``(k, M, rows, cols)``, so the ⊕-reduction
+  runs over ``k`` by repeated elementwise ⊕ per cell, in step order,
+  ``±0.0`` ties broken as in the step loop, whatever ``M`` is; an
+  operand aliasing ``x`` (a panel, below) keeps the sequential step
+  loop, over the whole stack;
 * GE stays sequential in ``k``: one multiply, one divide, one subtract
   per step over the whole stack, all elementwise;
 * the tropical guard checks the stack for NaN once and restores and
@@ -116,6 +125,7 @@ import numpy as np
 
 from ..core.gep import GepSpec
 from ..semiring import base as _semiring_base
+from . import native
 from .base import ALIAS_X
 from .stats import KernelStats
 
@@ -384,5 +394,10 @@ class IterativeKernel:
         return results
 
     def describe(self) -> dict:
-        """Kernel metadata recorded into execution traces."""
-        return {"kind": self.kind, "pure_loop": self.pure_loop}
+        """Kernel metadata recorded into execution traces; ``fold`` says
+        whether the compiled fold or NumPy updates the tiles, and why."""
+        return {
+            "kind": self.kind,
+            "pure_loop": self.pure_loop,
+            "fold": "python loop" if self.pure_loop else native.fold_of(self.spec),
+        }

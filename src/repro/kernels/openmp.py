@@ -1,13 +1,14 @@
 """A simulated OpenMP runtime for the recursive kernels.
 
 The paper offloads its recursive r-way R-DP kernels to C/OpenMP inside
-each Spark executor and tunes ``OMP_NUM_THREADS``.  Offline we cannot
-ship a C extension, so :class:`OmpRuntime` reproduces the *execution
-structure*: ``parallel_for`` runs a batch of independent tasks either
-serially or on a thread pool (NumPy releases the GIL for array ops, so
-threads provide genuine overlap for large tiles), and the runtime keeps
-the work/span accounting the cost model needs to model thread-count
-scaling and oversubscription.
+each Spark executor and tunes ``OMP_NUM_THREADS``.  Here the base-case
+arithmetic is compiled C (:mod:`.native`, built without OpenMP) and
+:class:`OmpRuntime` reproduces the *execution structure* of the parallel
+loops: ``parallel_for`` runs a batch of independent tasks either
+serially or on a thread pool (the compiled fold and NumPy's array ops
+both release the GIL, so threads overlap for large tiles), and the
+runtime keeps the work/span accounting the cost model needs to model
+thread-count scaling and oversubscription.
 
 The runtime is re-entrant: nested ``parallel_for`` calls from recursive
 kernels run their tasks inline on the calling thread (matching OpenMP's

@@ -34,6 +34,7 @@ import numpy as np
 from ..core.blocked import CASE_FLAGS, fig4_stages
 from ..core.gep import GepSpec
 from ..util import near_equal_splits
+from . import native
 from .iterative import gep_tile_update
 from .openmp import OmpRuntime, SerialRuntime
 from .stats import KernelStats
@@ -156,12 +157,14 @@ class RecursiveKernel:
         )
 
     def describe(self) -> dict:
-        """Kernel metadata recorded into execution traces."""
+        """Kernel metadata recorded into execution traces; ``fold`` says
+        whether the compiled fold or NumPy runs the base case, and why."""
         return {
             "kind": self.kind,
             "r_shared": self.r_shared,
             "base_size": self.base_size,
             "omp_threads": self.runtime.num_threads,
+            "fold": native.fold_of(self.spec),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -108,6 +108,9 @@ class Semiring(abc.ABC):
 
     #: registry name; subclasses override.
     name: str = "abstract"
+    #: the :mod:`repro.kernels.native` entry point that folds this
+    #: semiring's tiles, or ``None`` when only NumPy does
+    native_fold: str | None = None
 
     def __init__(self, dtype: Any, zero: Any, one: Any) -> None:
         self.dtype = np.dtype(dtype)

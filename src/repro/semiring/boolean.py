@@ -19,6 +19,7 @@ class Boolean(Semiring):
     """The boolean semiring ``({False, True}, or, and, False, True)``."""
 
     name = "boolean"
+    native_fold = "orand"
 
     def __init__(self) -> None:
         super().__init__(np.bool_, False, True)
@@ -34,8 +35,12 @@ class Boolean(Semiring):
         return np.logical_and(a, b)
 
     def fold_steps(self, x, u, v):
-        """Fused and/or fold — exact in any order, and nothing to guard."""
+        """Fused and/or fold — exact in any order, and nothing to guard:
+        the compiled fold where it covers the layout, else NumPy's."""
+        from ..kernels import native  # repro.kernels imports this package
+
         if not (x.dtype == u.dtype == v.dtype == self.dtype):
             return super().fold_steps(x, u, v)
-        fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
+        if not native.fold(self.native_fold, x, u, v):
+            fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
         return x

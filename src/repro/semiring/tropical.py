@@ -38,7 +38,9 @@ def _fold_steps_guarded_once(
     """Tropical :meth:`Semiring.fold_steps` with the ``inf + (-inf)`` guard
     run once per call instead of once per step, with identical results.
 
-    The fold runs on raw ``np.add`` / ``oplus``.  ``np.minimum`` and
+    The fold runs unguarded: the semiring's compiled fold
+    (:mod:`repro.kernels.native`) where it covers the layout, else raw
+    ``np.add`` / ``oplus`` — the same bits either way.  ``np.minimum`` and
     ``np.maximum`` (and their reductions) propagate NaN, and once a cell
     of ``x`` is NaN every later ⊕ keeps it NaN, so a NaN anywhere in the
     final ``x`` is a complete detector for "some ⊙ produced NaN (or an
@@ -54,11 +56,14 @@ def _fold_steps_guarded_once(
     Tables in another dtype than the semiring's stay on the default so
     ``out=`` never casts.
     """
+    from ..kernels import native  # repro.kernels imports this package
+
     if not (x.dtype == u.dtype == v.dtype == sr.dtype):
         return Semiring.fold_steps(sr, x, u, v)
     pristine = x.copy()
-    with np.errstate(invalid="ignore"):
-        fold_steps_idempotent(x, u, v, np.add, oplus)
+    if not native.fold(sr.native_fold, x, u, v):
+        with np.errstate(invalid="ignore"):
+            fold_steps_idempotent(x, u, v, np.add, oplus)
     if np.isnan(x).any():
         if x.ndim == 2:
             x[...] = pristine
@@ -74,6 +79,7 @@ class MinPlus(Semiring):
     """The tropical semiring ``(R ∪ {+inf}, min, +, +inf, 0)``."""
 
     name = "tropical"
+    native_fold = "minplus"
 
     def __init__(self, dtype=np.float64) -> None:
         super().__init__(dtype, np.inf, 0.0)
@@ -96,6 +102,7 @@ class MaxPlus(Semiring):
     """The dual tropical semiring ``(R ∪ {-inf}, max, +, -inf, 0)``."""
 
     name = "maxplus"
+    native_fold = "maxplus"
 
     def __init__(self, dtype=np.float64) -> None:
         super().__init__(dtype, -np.inf, 0.0)

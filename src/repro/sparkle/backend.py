@@ -70,6 +70,7 @@ from typing import Any
 
 import numpy as np
 
+from ..kernels import native
 from ..kernels.base import ALIAS_X, update_tiles
 from .chaos import CURRENT_TASK
 from .errors import PoisonTaskError, TaskDeadlineExceeded, WorkerCrashed
@@ -132,9 +133,11 @@ def _kernel_batch_task(
     :func:`~repro.kernels.base.update_tiles` — the thread path's own
     function, so the kernel's ``run_stacks`` groups them exactly as it
     groups a thread task's list (pickle's memo keeps a shared pivot one
-    object, so panels key alike).  Returns ``(runs, tiles, stats)``: the
-    ``kernel.run`` calls made, the updated tiles in call order, and one
-    ``KernelStats`` for the batch (``None`` unless ``want_stats``).
+    object, so panels key alike).  Returns ``(runs, tiles, stats,
+    fold)``: the ``kernel.run`` calls made, the updated tiles in call
+    order, one ``KernelStats`` for the batch (``None`` unless
+    ``want_stats``) and the ``fold`` entry of the worker's kernel
+    ``describe()`` (``None`` without one).
 
     Error attribution, the stack-token rule (DESIGN.md §13): shipped
     faults fire first, in call order, each under its own call's token
@@ -149,6 +152,8 @@ def _kernel_batch_task(
     from .supervisor import worker_begin_task, worker_end_task, worker_self_fault
 
     kernel = _worker_kernel(kernel_blob)
+    describe = getattr(kernel, "describe", dict)()
+    fold = describe.get("fold") if isinstance(describe, dict) else None
     stats = KernelStats() if want_stats else None
     before = _WORKER_RUNS[0]
     try:
@@ -165,7 +170,7 @@ def _kernel_batch_task(
                 stack_token if idx is None else tokens[idx]
             ),
         )
-        return _WORKER_RUNS[0] - before, tiles, stats
+        return _WORKER_RUNS[0] - before, tiles, stats, fold
     finally:
         worker_end_task()
 
@@ -193,6 +198,9 @@ class ProcessBackend:
     #: absolute ``time.monotonic()`` ceiling for offload waits, armed by
     #: ``DAGScheduler.set_job_deadline`` (``None`` = no request deadline)
     job_deadline: float | None = None
+    #: the ``fold`` the workers' kernel reported with its last batch:
+    #: what ran the offloaded tiles (``None`` before any batch)
+    worker_fold: str | None = None
 
     def __init__(
         self,
@@ -227,6 +235,10 @@ class ProcessBackend:
         self._pool_lock = threading.Lock()
         self._respawns = 0
         self._rr = itertools.count()
+        # Load (or build) the compiled fold before forking: forked
+        # workers inherit the loaded library instead of each looking
+        # it up again, and never race one another to build it.
+        native.status()
         # One single-worker pool per slot, started eagerly: fork from
         # the constructor's (driver) thread, before executor threads and
         # their locks exist.  A targeted submit queue per worker is what
@@ -395,7 +407,9 @@ class ProcessBackend:
             raise self._handle_member_death(
                 slot, generation, calls, sigs, tokens, stack_token, injects, deadline
             ) from exc
-        runs, tiles, stats = reply
+        runs, tiles, stats, fold = reply
+        if fold is not None:
+            self.worker_fold = fold
         self._metrics.kernel_offloads += len(calls)
         self._metrics.worker_kernel_runs += runs
         return [(np.array(x), stats if i == 0 else None) for i, x in enumerate(tiles)]

@@ -59,7 +59,8 @@ def solve_fingerprint(
     input bytes (which also captures any generator seed).  Scheduling
     knobs (partitioner, executor counts, backend, chaos plans)
     deliberately stay out — they alter traces, never results, so a
-    cached result is valid across all of them.
+    cached result is valid across all of them.  So does the kernel's
+    ``fold`` entry: the compiled and NumPy folds agree bit for bit.
 
     The digest layout is frozen: journals written by earlier releases
     key resume eligibility on it (see ``GepSparkSolver._fingerprint``).
@@ -72,7 +73,7 @@ def solve_fingerprint(
         r,
         nt,
         strategy,
-        sorted(kernel_describe.items()),
+        sorted(item for item in kernel_describe.items() if item[0] != "fold"),
     )
     h.update(repr(config).encode())
     h.update(np.ascontiguousarray(table).tobytes())

@@ -1,0 +1,400 @@
+"""The compiled tile folds (:mod:`repro.kernels.native`).
+
+The NumPy folds are the oracle: on every layout the C covers, each of
+the four entry points must leave exactly the NumPy fold's bytes, and on
+every layout it does not cover it must decline and touch nothing.  The
+build and fallback cases each run in a subprocess with a private
+``XDG_CACHE_HOME``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.gep import (
+    FloydWarshallGep,
+    GaussianEliminationGep,
+    SemiringGep,
+    TransitiveClosureGep,
+    ge_steps,
+)
+from repro.kernels import IterativeKernel, RecursiveKernel, native
+from repro.semiring import MaxPlus, MinPlus
+from repro.semiring.base import Semiring, fold_steps_idempotent
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: values that make ties, infinities and NaN likely in a small fuzz
+SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf])
+
+
+@pytest.fixture
+def compiled():
+    """Skip where this host could not build the library (``make
+    tier1-nocc`` runs the suite so)."""
+    if native.status() != "native":
+        pytest.skip(f"compiled fold unavailable: {native.status()}")
+
+
+def _values(rng, shape, nan=False):
+    pool = np.concatenate([SPECIALS, [np.nan]]) if nan else SPECIALS
+    out = rng.choice(pool, size=shape)
+    plain = rng.random(shape) < 0.4
+    out[plain] = rng.integers(-3, 4, size=int(plain.sum())).astype(float)
+    return out
+
+
+def _numpy_fold(entry, x, u, v, w=None):
+    with np.errstate(all="ignore"):
+        if entry == "ge":
+            ge_steps(x, u, v, w, u.shape[-1])
+        elif entry == "orand":
+            fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
+        else:
+            oplus = np.minimum if entry == "minplus" else np.maximum
+            fold_steps_idempotent(x, u, v, np.add, oplus)
+
+
+def _native_fold(entry, x, u, v, w=None):
+    assert native.fold(entry, x, u, v, w), "the compiled fold declined"
+
+
+def _same_bits(a, b):
+    """``array_equal`` (NaN where NaN) plus equal sign bits, ``±0``
+    included.  A NaN's own sign is left out: where two NaNs meet in one
+    ``+`` either may come out, in NumPy as in C, and the tropical guard
+    redoes every tile that holds a NaN."""
+    assert np.array_equal(a, b, equal_nan=a.dtype != np.bool_)
+    if a.dtype != np.bool_:
+        number = ~np.isnan(a)
+        assert np.array_equal(np.signbit(a[number]), np.signbit(b[number]))
+
+
+def _operands(entry, rng, stack, rows, cols, pivot):
+    lead = () if stack is None else (stack,)
+    if entry == "orand":
+        def make(*shape):  # bytes other than 0 / 1 read as True too
+            return (rng.integers(0, 3, lead + shape) * (rng.random(lead + shape) < 0.3)
+                    ).astype(np.uint8).view(np.bool_)
+    else:
+        def make(*shape):
+            return _values(rng, lead + shape, nan=entry != "ge")
+    x, u, v = make(rows, cols), make(rows, pivot), make(pivot, cols)
+    w = None
+    if entry == "ge":
+        w = _values(rng, (pivot, pivot))
+        if stack is not None and rng.random() < 0.5:  # a pivot tile per tile
+            w = _values(rng, (stack, pivot, pivot))
+    return x, u, v, w
+
+
+def _check(entry, x, u, v, w=None, view=None):
+    """Fold copies of the operands both ways and compare.  ``view``
+    rebuilds aliasing operands from the copy of ``x`` each side gets."""
+    results = []
+    for run in (_numpy_fold, _native_fold):
+        xc = x.copy()
+        run(entry, *(view(xc) if view is not None else (xc, u, v, w)))
+        results.append(xc)
+    _same_bits(*results)
+    if entry in ("ge", "orand"):  # no input NaN here: every byte agrees
+        assert results[0].tobytes() == results[1].tobytes()
+
+
+ENTRIES = ["minplus", "maxplus", "orand", "ge"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_fuzz_matches_numpy_fold(entry, compiled):
+    """Random tiles and stacks — ragged, single-cell, deep and shallow,
+    ±0 ties, ±inf, NaN (GE: produced NaN only) — fold to NumPy's bits."""
+    rng = np.random.default_rng(sum(map(ord, entry)))
+    for _ in range(300):
+        stack = None if rng.random() < 0.4 else int(rng.integers(1, 9))
+        rows, cols, pivot = (int(d) for d in rng.integers(1, 13, size=3))
+        _check(entry, *_operands(entry, rng, stack, rows, cols, pivot))
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_shared_pivot_panels_with_stride_zero(entry, compiled):
+    """A B panel (shared ``u``, ``v`` the stack itself) and a C panel
+    (``u`` the stack, shared ``v``), the pivot broadcast with a stack
+    stride of 0, as ``IterativeKernel.run_stacks`` builds them."""
+    rng = np.random.default_rng(7)
+    x, shared_u, shared_v, w = _operands(entry, rng, None, 6, 6, 6)
+    xs = np.stack([x, x[::-1].copy(), x.T.copy()])
+    bu = np.broadcast_to(shared_u, (3,) + shared_u.shape)
+    bv = np.broadcast_to(shared_v, (3,) + shared_v.shape)
+    assert bu.strides[0] == 0
+    _check(entry, xs, None, None, w, view=lambda c: (c, bu, c, w))  # B panel
+    _check(entry, xs, None, None, w, view=lambda c: (c, c, bv, w))  # C panel
+    _check(entry, xs, bu, bv, w)  # a D stack against one shared pivot pair
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_aliased_cases_and_overlapping_views(entry, compiled):
+    """Cases A (``u = v = w = x``), B (``v = x``), C (``u = x``) and the
+    recursive kernel's sub-views of one tile, which overlap ``x``
+    without being it (``x`` with strided rows)."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 11))
+        x, u, v, w = _operands(entry, rng, None, n, n, n)
+        if entry == "ge":  # a pivot far from 0 keeps the values tame
+            x[np.diag_indices(n)] = 4.0
+        _check(entry, x, u, v, w, view=lambda c: (c, c, c, c if w is not None else None))
+        _check(entry, x, u, v, w, view=lambda c: (c, u, c, w))
+        _check(entry, x, u, v, w, view=lambda c: (c, c, v, w))
+        big = _operands(entry, rng, None, 2 * n, 2 * n, 2 * n)[0]
+        h = n
+
+        def quarter(c):  # update the top-right quarter from its row and column
+            return (c[:h, h:], c[:h, :h], c[:h, h:], c[:h, :h] if w is not None else None)
+
+        _check(entry, big, None, None, w, view=quarter)
+
+        def lower(c):  # a D tile whose u and v interleave with its rows
+            return (c[h:, h:], c[h:, :h], c[:h, h:], c[:h, :h] if w is not None else None)
+
+        _check(entry, big, None, None, w, view=lower)
+
+
+def test_tropical_nan_still_triggers_the_guarded_redo(compiled):
+    """The compiled fold is the unguarded arithmetic only: a produced
+    ``inf + (-inf)`` is NaN afterwards, so the once-per-call guard
+    still restores the tile and redoes it to the semiring zero."""
+    for sr in (MinPlus(), MaxPlus()):
+        x = np.full((3, 4, 4), 5.0)
+        u = np.zeros((3, 4, 2))
+        v = np.zeros((3, 2, 4))
+        u[1, 2, 0], v[1, 0, 3] = np.inf, -np.inf  # only tile 1 meets it
+        raw = x.copy()
+        with np.errstate(invalid="ignore"):
+            assert native.fold(sr.native_fold, raw, u, v)
+        assert np.isnan(raw[1, 2, 3]) and not np.isnan(raw[[0, 2]]).any()
+        out = sr.fold_steps(x.copy(), u, v)
+        expect = x.copy()
+        for m in range(3):  # the guarded sequential default, tile by tile
+            Semiring.fold_steps(sr, expect[m], u[m], v[m])
+        assert not np.isnan(out).any()
+        assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["float32", "strided_columns", "fortran", "negative_stride", "overlapping_rows",
+     "read_only", "shape_mismatch"],
+)
+def test_layouts_outside_the_c_take_the_numpy_path(layout, compiled):
+    """The wrapper checks dtype, contiguity, strides and shapes before
+    every call: what it cannot hand to C it declines, untouched, and
+    ``fold_steps`` still returns NumPy's answer."""
+    rng = np.random.default_rng(3)
+    x, u, v = (rng.random((6, 6)) for _ in range(3))
+    if layout == "float32":
+        x, u, v = (a.astype(np.float32) for a in (x, u, v))
+    elif layout == "strided_columns":
+        x = np.zeros((6, 12))[:, ::2]
+    elif layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "negative_stride":
+        u = u[::-1]
+    elif layout == "overlapping_rows":
+        x = np.lib.stride_tricks.as_strided(np.zeros(40), (6, 6), (8, 8))
+    elif layout == "read_only":
+        x.flags.writeable = False
+    elif layout == "shape_mismatch":
+        u = u[:, :5]
+    before = x.copy()
+    assert native.fold("minplus", x, u, v) is False
+    assert x.tobytes() == before.tobytes()
+    if layout in ("float32", "strided_columns", "fortran", "negative_stride"):
+        expect = x.copy()
+        fold_steps_idempotent(expect, u, v, np.add, np.minimum)
+        MinPlus(x.dtype).fold_steps(x, u, v)
+        assert x.tobytes() == expect.tobytes()
+
+
+def test_ge_without_a_pivot_tile_is_declined(compiled):
+    x = np.ones((2, 2))
+    assert native.fold("ge", x, x.copy(), x.copy()) is False
+    assert native.fold("minplus", x, x.copy(), x.copy(), x.copy()) is False
+
+
+def test_describe_names_the_fold():
+    """Both kernel families say which fold updates their tiles, and a
+    spec no entry point covers says NumPy and why."""
+    for spec in (FloydWarshallGep(), GaussianEliminationGep(), TransitiveClosureGep()):
+        assert IterativeKernel(spec).describe()["fold"] == native.status()
+        assert RecursiveKernel(spec).describe()["fold"] == native.status()
+    assert IterativeKernel(FloydWarshallGep(), pure_loop=True).describe()["fold"] == "python loop"
+    real = SemiringGep("real")
+    assert IterativeKernel(real).describe()["fold"].startswith("numpy: no compiled fold")
+    assert MinPlus(np.float32).native_fold == "minplus"
+    fw32 = SemiringGep(MinPlus(np.float32))
+    assert RecursiveKernel(fw32).describe()["fold"].startswith("numpy: no compiled fold")
+
+
+def test_solve_report_and_cli_print_the_fold(tmp_path, capsys):
+    from repro.__main__ import main as cli_main
+    from repro.core import run_gep
+    from repro.workloads import random_digraph_weights
+
+    _, report = run_gep(FloydWarshallGep(), random_digraph_weights(16, seed=1),
+                        engine="local", r=4)
+    assert report.summary()["kernel"]["fold"] == native.status()
+    path = tmp_path / "r.json"
+    assert cli_main(["solve", "apsp", "--engine", "spark", "--n", "16", "--r", "4",
+                     "--report", str(path)]) == 0
+    assert f"kernel fold: {native.status()}" in capsys.readouterr().out
+    assert json.loads(path.read_text())["kernel"]["fold"] == native.status()
+
+
+def test_process_backend_reports_what_its_workers_ran(monkeypatch):
+    """The report of a ``backend="processes"`` solve carries the fold
+    its workers reported, not the driver's own."""
+    from repro.core import run_gep
+    from repro.sparkle import SparkleContext
+    from repro.workloads import random_digraph_weights
+
+    with SparkleContext(2, 1, backend="processes") as sc:
+        # after the fork: only the driver loses its library
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_status", "numpy: driver only")
+        _, report = run_gep(FloydWarshallGep(), random_digraph_weights(32, seed=2),
+                            engine="spark", r=4, sc=sc)
+        assert sc.metrics.kernel_offloads > 0
+        worker = sc.offload.worker_fold
+    assert IterativeKernel(FloydWarshallGep()).describe()["fold"] == "numpy: driver only"
+    assert worker is not None and worker != "numpy: driver only"
+    assert report.kernel["fold"] == worker
+
+
+# ----------------------------------------------------------------------
+# build and fallback, each in a process of its own
+# ----------------------------------------------------------------------
+def _child(script, cache, cc=None, prefix=()):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    if cc is not None:
+        env["CC"] = cc
+    return subprocess.Popen(
+        [*prefix, sys.executable, "-c", textwrap.dedent(script)],
+        env=env, cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(proc, timeout=120):
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:  # timed out: leave no child behind
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def solve_summary() -> dict:
+    """A small FW (IM) and GE (CB) solve: output bytes and reported fold."""
+    from repro.core import run_gep
+    from repro.sparkle import SparkleContext
+    from repro.workloads import diagonally_dominant, random_digraph_weights
+
+    out = {}
+    for name, spec, table, strategy in (
+        ("fw", FloydWarshallGep(), random_digraph_weights(48, seed=5), "im"),
+        ("ge", GaussianEliminationGep(), diagonally_dominant(48, seed=5), "cb"),
+    ):
+        with SparkleContext(2, 1) as sc:
+            result, report = run_gep(spec, table, engine="spark", r=6,
+                                     strategy=strategy, sc=sc)
+        out[name] = result.tobytes().hex()
+        out[name + "_fold"] = report.kernel["fold"]
+    return out
+
+
+SOLVE = """
+    import json
+    from tests.test_native import solve_summary
+
+    print(json.dumps(solve_summary()))
+"""
+
+
+def test_missing_compiler_solves_bit_identically_on_numpy(tmp_path, compiled):
+    numpy_run = _finish(_child(SOLVE, tmp_path / "cache", cc=str(tmp_path / "nonexistent")))
+    native_run = solve_summary()
+    for name in ("fw", "ge"):
+        assert numpy_run[name + "_fold"].startswith("numpy: no C compiler")
+        assert native_run[name + "_fold"] == "native"
+        assert numpy_run[name] == native_run[name]
+    assert not (tmp_path / "cache").exists()
+
+
+RACE = """
+    import json, threading
+    import numpy as np
+    from repro.kernels import native
+
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append(native.status()))
+               for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    x = np.zeros((4, 4))
+    ok = native.fold("minplus", x, np.ones((4, 4)), np.ones((4, 4)))
+    print(json.dumps({"seen": seen, "fold": ok}))
+"""
+
+
+def test_two_processes_racing_a_cold_cache_both_load(tmp_path, compiled):
+    cache = tmp_path / "cache"
+    procs = [_child(RACE, cache) for _ in range(2)]
+    results = [_finish(proc) for proc in procs]
+    assert results == [{"seen": ["native"] * 4, "fold": True}] * 2
+    files = sorted(p.name for p in (cache / "repro").iterdir())
+    assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+def _read_only(directory: Path) -> list[str]:
+    """A command prefix under which ``directory`` cannot be written."""
+    directory.chmod(0o555)
+    if not os.access(directory, os.W_OK):
+        return []
+    # mode bits do not bind root: bind-mount it read-only in a private
+    # mount namespace instead
+    prefix = ["unshare", "-rm", "sh", "-c", 'mount -o bind,ro "$0" "$0" && exec "$@"',
+              str(directory)]
+    if shutil.which("unshare") is None or subprocess.run(
+        [*prefix, "true"], capture_output=True
+    ).returncode:
+        pytest.skip("cannot make a directory read-only here")
+    return prefix
+
+
+def test_read_only_cache_falls_back_with_the_reason(tmp_path, compiled):
+    cache = tmp_path / "cache"
+    (cache / "repro").mkdir(parents=True)
+    prefix = _read_only(cache / "repro")
+    try:
+        run = _finish(_child(SOLVE, cache, prefix=prefix))
+    finally:
+        (cache / "repro").chmod(0o755)
+    assert run["fw_fold"].startswith("numpy: ")
+    assert "Read-only" in run["fw_fold"] or "Permission denied" in run["fw_fold"]
+    assert list((cache / "repro").iterdir()) == []
