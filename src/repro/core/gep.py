@@ -220,7 +220,9 @@ class GepSpec(abc.ABC):
 
         Specs with a restricted pivot range (e.g. GE, which only pivots
         over the coefficient columns) override this; the default runs
-        every ``k``.
+        every ``k``.  The active steps are a prefix ``[0, hi)`` with
+        ``hi <= n`` — overrides must keep it so: the tile kernels decide
+        a whole pivot range from its first and last step.
         """
         return 0 <= gk < n
 

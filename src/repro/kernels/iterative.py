@@ -69,24 +69,27 @@ pivot)``, ``gi0`` / ``gj0`` sequences of ``M`` offsets, one ``gk0``.  A
 axes — and every tile of a stack ends with exactly the bits it would
 have alone:
 
-* the compiled fold takes a whole stack in one call, step by step over
-  all its tiles; NumPy's semiring fold keeps ``k`` as the *leading* axis
-  of its chunked broadcast ``(k, M, rows, cols)``, so the ⊕-reduction
-  runs over ``k`` by repeated elementwise ⊕ per cell, in step order,
-  ``±0.0`` ties broken as in the step loop, whatever ``M`` is; an
-  operand aliasing ``x`` (a panel, below) keeps the sequential step
+* the compiled fold takes a whole stack in one call — a D stack tile by
+  tile, each cell held in a register across the range's steps, a stack
+  aliasing ``x`` (a panel, below) step by step over all its tiles, each
+  cell's steps in ``k`` order either way; NumPy's semiring fold keeps
+  ``k`` as the *leading* axis of its chunked broadcast ``(k, M, rows,
+  cols)``, so the ⊕-reduction runs over ``k`` by repeated elementwise ⊕
+  per cell, in step order, ``±0.0`` ties broken as in the step loop,
+  whatever ``M`` is; an operand aliasing ``x`` keeps the sequential step
   loop, over the whole stack;
 * GE stays sequential in ``k``: one multiply, one divide, one subtract
   per step over the whole stack, all elementwise;
 * the tropical guard checks the stack for NaN once and restores and
   redoes, alone and guarded, only the tiles that hold one;
 * Σ_G mask-freedom is checked per tile and ``k_active`` once per stack
-  (one pivot range).  A stack with a masked tile or a partly inactive
-  range takes the per-step path as one stack when its tiles share the
-  mask at every step (``GepSpec.sigma_mask_shared``: one ``gi0`` for a
-  B panel, one ``gj0`` for a C panel, or that axis unconstrained over
-  the range) and one pivot tile; otherwise it falls apart into its
-  tiles, each taking the general path;
+  (one pivot range, probed at its two ends).  A stack with a masked
+  tile or a partly inactive range takes the per-step path as one stack
+  when its tiles share the mask at every step
+  (``GepSpec.sigma_mask_shared``: one ``gi0`` for a B panel, one ``gj0``
+  for a C panel, or that axis unconstrained over the range) and one
+  pivot tile; otherwise it falls apart into its tiles, each taking the
+  general path;
 * ``KernelStats`` records one base invocation per tile, as ever.
 
 One caveat is NumPy's, not the arithmetic's: which operand's NaN a
@@ -178,14 +181,18 @@ def gep_tile_update(
         raise ValueError(f"{len(offsets)} offsets for a stack of {len(x)} tiles")
     # Fast path: when no step of this tile's pivot range needs a Σ_G
     # mask (checked once — mask-freedom is monotone in gk) and every
-    # step is active (probed once for a whole stack), the whole pivot
-    # range is one ``apply_steps`` call and the spec fuses the steps as
-    # far as its arithmetic allows.  This is the hot shape: FW/TC tiles
-    # are never masked, and GE tiles strictly below/right of the pivot
-    # stop being masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
+    # step is active (the active steps are a prefix, so the range's two
+    # ends decide it, once for a whole stack), the whole pivot range is
+    # one ``apply_steps`` call and the spec fuses the steps as far as
+    # its arithmetic allows.  This is the hot shape: FW/TC tiles are
+    # never masked, and GE tiles strictly below/right of the pivot stop
+    # being masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
     if all(
         spec.sigma_mask_free(i0, j0, shape, gk0, gk0 + pivot) for i0, j0 in offsets
-    ) and all(spec.k_active(gk0 + kk, n_global) for kk in range(pivot)):
+    ) and (
+        pivot == 0
+        or (spec.k_active(gk0, n_global) and spec.k_active(gk0 + pivot - 1, n_global))
+    ):
         spec.apply_steps(x, u, v, w, pivot)
         if stats is not None:
             for _ in offsets:

@@ -23,11 +23,32 @@ Each folds a whole stack ``(M, rows, cols)`` with ``u`` ``(M, rows, K)``
 and ``v`` ``(M, K, cols)`` (a 2-D tile is the stack of one) in one
 ``ctypes`` call, which releases the GIL.  Every operand has its own
 strides; a stack stride of 0 is a pivot panel shared through
-``np.broadcast_to``.  Step ``k`` copies every tile's ``u`` column and
-``v`` row (and GE's pivot) to scratch before it writes ``x`` — NumPy's
-order, whose step product is complete before ``x`` changes — so
-operands that alias ``x`` (kernel cases A/B/C, the recursive kernel's
-overlapping views) read exactly what they read there.
+``np.broadcast_to``.  The float folds take one of two loop orders,
+chosen in C from the operands' address ranges:
+
+* **Apart** — ``u``, ``v`` (and GE's pivots) span no byte of ``x``, and
+  ``v``'s rows are contiguous: kernel case D, ``run_stacks``' D stacks,
+  the recursive kernel's sub-views of distinct tiles.  Each tile is register-blocked: a 4-row
+  x 16-column block of ``x`` (GCC / Clang ``vector_size`` lanes, no
+  intrinsics) stays in registers across all ``K`` steps, reading one
+  ``v`` row segment and four ``u`` values per step; narrower blocks
+  (one row, eight columns) and a cell-by-cell tail cover the rest.
+  Before any write, min-plus / max-plus scan ``x``, ``u`` and ``v``
+  (eight lanes at a time): with no NaN in any of them and no ``+inf``
+  in one of ``u`` / ``v`` meeting a ``-inf`` in the other, no step can
+  see a NaN, and the plain compare ``x < c ? x : c`` gives the
+  NaN-keeping select's bits, ``±0`` ties included, so the blocks run
+  it; otherwise the same blocks run the NaN-keeping select.
+* **k-outer** — an operand may share memory with ``x`` (kernel cases
+  A/B/C, their panels, the recursive kernel's overlapping views), or
+  ``v``'s columns are strided.  Step
+  ``k`` copies every tile's ``u`` column and ``v`` row (and GE's pivot)
+  to scratch before it writes ``x`` — NumPy's order, whose step product
+  is complete before ``x`` changes — so they read exactly what they
+  read there.
+
+Both run each cell's steps in ``k`` order through one expression, so
+the loop order changes no bit.
 
 :func:`fold` returns ``False``, and the caller runs its NumPy fold,
 for anything the C does not cover: another dtype, an ``x`` whose rows
@@ -60,21 +81,222 @@ __all__ = ["fold", "fold_of", "status"]
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef ptrdiff_t idx;
 
 enum { MINPLUS, MAXPLUS, GE };
 
+#define INLINE static inline __attribute__((always_inline))
+
+/* Eight doubles, the lane mask comparing two of them gives, and one
+   double in every lane (an initializer, not arithmetic: 0.0 + -0.0
+   would lose the sign). */
+typedef double vd __attribute__((vector_size(64)));
+typedef long long vmask __attribute__((vector_size(64)));
+#define BCAST(s) ((vd){(s), (s), (s), (s), (s), (s), (s), (s)})
+
+INLINE vd load(const double *p) { vd t; memcpy(&t, p, sizeof t); return t; }
+INLINE void store(double *p, vd t) { memcpy(p, &t, sizeof t); }
+
+/* One step of one cell: x ⊕ (a + b), or GE's x - a * b / p.  With keep
+   ⊕ is the NaN-keeping select NumPy's minimum / maximum make; without
+   it the plain compare, which agrees with it whenever neither x nor
+   a + b is NaN.  The vector form runs the same expression in every
+   lane. */
+INLINE double step1(int op, int keep, double x, double a, double b, double p)
+{
+    if (op == GE)
+        return x - a * b / p;
+    const double c = a + b;
+    const int take = op == MINPLUS ? x < c : x > c;
+    return (take || (keep && x != x)) ? x : c;
+}
+
+INLINE vd stepv(int op, int keep, vd x, vd a, vd b, vd p)
+{
+    if (op == GE)
+        return x - a * b / p;
+    const vd c = a + b;
+    vmask take = (vmask)(op == MINPLUS ? x < c : x > c);
+    if (keep)
+        take |= (vmask)(x != x);
+    return (vd)((take & (vmask)x) | (~take & (vmask)c));
+}
+
+/* R rows by 8*W columns of x held in registers over all K steps: per
+   step one v row segment and R broadcast u values.  Each cell still
+   takes its steps in k order. */
+INLINE void block(int op, int keep, int R, int W, double *x, idx xr,
+                  const double *u, idx ur, idx uk, const double *v, idx vk,
+                  const double *w, idx wd, idx K)
+{
+    vd acc[4][2], b[2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; r++)
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            acc[r][c] = load(x + r * xr + 8 * c);
+    for (idx k = 0; k < K; k++) {
+        const vd p = BCAST(op == GE ? w[k * wd] : 0.0);
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            b[c] = load(v + k * vk + 8 * c);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; r++) {
+            const vd a = BCAST(u[r * ur + k * uk]);
+#pragma GCC unroll 2
+            for (int c = 0; c < W; c++)
+                acc[r][c] = stepv(op, keep, acc[r][c], a, b[c], p);
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; r++)
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            store(x + r * xr + 8 * c, acc[r][c]);
+}
+
+/* One column strip of W vectors down all rows: 4-row blocks, then
+   single rows. */
+INLINE void strip(int op, int keep, int W, double *x, idx xr, const double *u,
+                  idx ur, idx uk, const double *v, idx vk, const double *w,
+                  idx wd, idx rows, idx K)
+{
+    idx i = 0;
+    for (; i + 4 <= rows; i += 4)
+        block(op, keep, 4, W, x + i * xr, xr, u + i * ur, ur, uk, v, vk, w, wd, K);
+    for (; i < rows; i++)
+        block(op, keep, 1, W, x + i * xr, xr, u + i * ur, ur, uk, v, vk, w, wd, K);
+}
+
+/* One tile, all K steps, register-blocked: 16-column strips, an
+   8-column strip, then the last columns cell by cell. */
+INLINE void tile(int op, int keep, double *x, idx xr, const double *u, idx ur,
+                 idx uk, const double *v, idx vk, const double *w, idx wd,
+                 idx rows, idx cols, idx K)
+{
+    idx j = 0;
+    for (; j + 16 <= cols; j += 16)
+        strip(op, keep, 2, x + j, xr, u, ur, uk, v + j, vk, w, wd, rows, K);
+    if (j + 8 <= cols) {
+        strip(op, keep, 1, x + j, xr, u, ur, uk, v + j, vk, w, wd, rows, K);
+        j += 8;
+    }
+    for (idx i = 0; i < rows; i++)
+        for (idx jj = j; jj < cols; jj++) {
+            double t = x[i * xr + jj];
+            for (idx k = 0; k < K; k++)
+                t = step1(op, keep, t, u[i * ur + k * uk], v[k * vk + jj],
+                          op == GE ? w[k * wd] : 0.0);
+            x[i * xr + jj] = t;
+        }
+}
+
+enum { HAS_NAN = 1, HAS_PINF = 2, HAS_NINF = 4 };
+
+/* Which of NaN, +inf and -inf the M x R x L elements at
+   a + m*ms + r*rs + l*s hold.  Contiguous rows and tiles are scanned as
+   one run, eight lanes at a time. */
+static int scan(const double *a, idx M, idx ms, idx R, idx rs, idx L, idx s)
+{
+    if (s == 1 && rs == L) {
+        L *= R;
+        R = 1;
+        if (ms == L) {
+            L *= M;
+            M = 1;
+        }
+    }
+    const double inf = __builtin_inf();
+    const vd vinf = BCAST(inf);
+    vmask nan = {0}, pinf = {0}, ninf = {0};
+    int f = 0;
+    for (idx m = 0; m < M; m++)
+        for (idx r = 0; r < R; r++) {
+            const double *p = a + m * ms + r * rs;
+            idx l = 0;
+            if (s == 1)
+                for (; l + 8 <= L; l += 8) {
+                    const vd t = load(p + l);
+                    nan |= (vmask)(t != t);
+                    pinf |= (vmask)(t == vinf);
+                    ninf |= (vmask)(t == -vinf);
+                }
+            for (; l < L; l++) {
+                const double t = p[l * s];
+                f |= (t != t ? HAS_NAN : 0) | (t == inf ? HAS_PINF : 0)
+                     | (t == -inf ? HAS_NINF : 0);
+            }
+        }
+    for (int l = 0; l < 8; l++)
+        f |= (nan[l] ? HAS_NAN : 0) | (pinf[l] ? HAS_PINF : 0)
+             | (ninf[l] ? HAS_NINF : 0);
+    return f;
+}
+
+/* Whether the n elements spanned from a and the m spanned from b share
+   no byte. */
+static int apart(const double *a, idx n, const double *b, idx m)
+{
+    const uintptr_t a0 = (uintptr_t)a, b0 = (uintptr_t)b;
+    return a0 + sizeof(double) * (size_t)n <= b0
+           || b0 + sizeof(double) * (size_t)m <= a0;
+}
+
+/* The fold of operands that share no memory with x (kernel case D),
+   v's rows contiguous: every tile register-blocked over all K steps.
+   min-plus / max-plus first scan the operands: with no NaN anywhere and
+   no +inf in u meeting a -inf in v (or the reverse) no step can see a
+   NaN, and the plain compare gives the NaN-keeping select's bits. */
+INLINE void fold_apart(int op, double *x, const double *u, const double *v,
+                       const double *w, idx M, idx rows, idx cols, idx K,
+                       idx xm, idx xr, idx um, idx ur, idx uk, idx vm, idx vk,
+                       idx wm, idx wd)
+{
+    int keep = 1;
+    if (op != GE) {
+        const int fx = scan(x, M, xm, rows, xr, cols, 1);
+        const int fu = scan(u, um ? M : 1, um, rows, ur, K, uk);
+        const int fv = scan(v, vm ? M : 1, vm, K, vk, cols, 1);
+        keep = ((fx | fu | fv) & HAS_NAN)
+               || ((fu & HAS_PINF) && (fv & HAS_NINF))
+               || ((fu & HAS_NINF) && (fv & HAS_PINF));
+    }
+    for (idx m = 0; m < M; m++) {
+        double *xt = x + m * xm;
+        const double *ut = u + m * um, *vt = v + m * vm;
+        if (op == GE)
+            tile(GE, 1, xt, xr, ut, ur, uk, vt, vk, w + m * wm, wd, rows, cols, K);
+        else if (keep)
+            tile(op, 1, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
+        else
+            tile(op, 0, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
+    }
+}
+
 /* K steps over a stack of M tiles.  Tile m's row i of x starts at
    x + m*xm + i*xr (contiguous columns); u[m][i][k] is at
    u + m*um + i*ur + k*uk and v[m][k][j] at v + m*vm + k*vk + j*vc;
-   GE's pivot w[m][k][k] at w + m*wm + k*wd. */
-static inline __attribute__((always_inline)) int fold_f64(
+   GE's pivot w[m][k][k] at w + m*wm + k*wd.  Operands that share no
+   memory with x take fold_apart (when v's rows are contiguous, as the
+   kernels' tiles and stacks are); the rest step k by k below. */
+INLINE int fold_f64(
     int op, double *x, const double *u, const double *v, const double *w,
     idx M, idx rows, idx cols, idx K, idx xm, idx xr, idx um, idx ur,
     idx uk, idx vm, idx vk, idx vc, idx wm, idx wd)
 {
+    const idx xn = (M - 1) * xm + (rows - 1) * xr + cols;
+    if (vc == 1
+        && apart(x, xn, u, (M - 1) * um + (rows - 1) * ur + (K - 1) * uk + 1)
+        && apart(x, xn, v, (M - 1) * vm + (K - 1) * vk + cols)
+        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1))) {
+        fold_apart(op, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk, vm,
+                   vk, wm, wd);
+        return 0;
+    }
     double *col = malloc(sizeof(double) * (size_t)(M * (rows + cols + 1) + 1));
     if (col == NULL)
         return -1;
@@ -93,21 +315,9 @@ static inline __attribute__((always_inline)) int fold_f64(
             for (idx i = 0; i < rows; i++) {
                 double *restrict xi = x + m * xm + i * xr;
                 const double a = col[m * rows + i];
-                if (op == GE) {
-                    const double p = piv[m];
-                    for (idx j = 0; j < cols; j++)
-                        xi[j] = xi[j] - a * vr[j] / p;
-                } else if (op == MINPLUS) {
-                    for (idx j = 0; j < cols; j++) {
-                        const double c = a + vr[j];
-                        xi[j] = (xi[j] < c || xi[j] != xi[j]) ? xi[j] : c;
-                    }
-                } else {
-                    for (idx j = 0; j < cols; j++) {
-                        const double c = a + vr[j];
-                        xi[j] = (xi[j] > c || xi[j] != xi[j]) ? xi[j] : c;
-                    }
-                }
+                const double p = op == GE ? piv[m] : 0.0;
+                for (idx j = 0; j < cols; j++)
+                    xi[j] = step1(op, 1, xi[j], a, vr[j], p);
             }
         }
     }

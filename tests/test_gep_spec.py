@@ -73,6 +73,17 @@ class TestPivotRange:
         assert fw_spec.k_active(0, 4) and fw_spec.k_active(3, 4)
         assert not fw_spec.k_active(4, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 96])
+    def test_active_steps_are_a_prefix(self, n):
+        """``k_active`` holds on ``[0, hi)`` and nowhere else — what lets
+        a tile kernel decide a pivot range from its two ends."""
+        specs = [FloydWarshallGep(), TransitiveClosureGep(), GaussianEliminationGep()]
+        specs += [GaussianEliminationGep(n_pivots=p) for p in (0, 1, n // 2, n, n + 3)]
+        for spec in specs:
+            active = [spec.k_active(gk, n) for gk in range(-2, n + 3)]
+            hi = sum(active)
+            assert active == [False] * 2 + [True] * hi + [False] * (n + 3 - hi), spec
+
     def test_negative_pivots_rejected(self):
         with pytest.raises(ValueError):
             GaussianEliminationGep(n_pivots=-1)

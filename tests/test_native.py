@@ -168,6 +168,89 @@ def test_aliased_cases_and_overlapping_views(entry, compiled):
         _check(entry, big, None, None, w, view=lower)
 
 
+#: column counts that reach every register-block remainder: the
+#: cell-by-cell tail alone, one 8-column block, 8 + tail, one 16-column
+#: block, 16 + 8 + tail, ..., and the benchmark's 96
+BLOCK_COLS = [*range(1, 8), 8, *range(9, 16), 16, *range(17, 41), 96]
+
+#: the values injected into otherwise NaN- and inf-free operands, one
+#: set per side of the min-plus / max-plus precheck's verdict
+PRECHECK_CASES = {
+    "finite": (),
+    "nan_in_x": (("x", np.nan),),
+    "nan_in_u": (("u", np.nan),),
+    "nan_in_v": (("v", np.nan),),
+    "pinf_u_ninf_v": (("u", np.inf), ("v", -np.inf)),
+    "ninf_u_pinf_v": (("u", -np.inf), ("v", np.inf)),
+    "same_sign_inf": (("u", np.inf), ("v", np.inf), ("x", -np.inf), ("x", np.inf)),
+    "same_sign_ninf": (("u", -np.inf), ("v", -np.inf), ("x", np.inf)),
+    "zero_ties": None,  # every operand ±0.0
+}
+
+
+def _blocked_operands(entry, rng, stack, rows, cols, pivot, layout, inject):
+    """Operands of one case-D call (``u`` / ``v`` apart from ``x``) and
+    the ``view`` that lays them out on each side's copy of ``x``:
+    ``strided_rows`` pads ``x``'s rows and tiles, ``shared`` broadcasts
+    one ``u`` / ``v`` over the stack (stride 0), ``transposed`` gives
+    ``u`` and ``v`` strided columns."""
+    lead = () if stack is None else (stack,)
+    shared = layout == "shared" and stack is not None
+    pool = [0.0, -0.0] if inject is None else [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -3.0]
+
+    def make(shape, own=True):
+        return rng.choice(pool, size=(lead if own else ()) + shape)
+
+    x, u, v = make((rows, cols)), make((rows, pivot), not shared), make((pivot, cols), not shared)
+    for name, value in inject or ():
+        a = {"x": x, "u": u, "v": v}[name]
+        a[np.unravel_index(rng.integers(a.size), a.shape)] = value
+    if shared:
+        u, v = (np.broadcast_to(a, lead + a.shape) for a in (u, v))
+        assert u.strides[0] == v.strides[0] == 0
+    elif layout == "transposed":
+        u, v = (np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2) for a in (u, v))
+    w = None
+    if entry == "ge":
+        w = rng.choice([4.0, -2.0, 0.5, 3.0], size=(pivot, pivot))
+        if stack is not None and rng.random() < 0.5:
+            w = rng.choice([4.0, -2.0, 0.5], size=(stack, pivot, pivot))
+    if layout == "strided_rows":
+        big = np.full(lead + (rows + 2, cols + 3), 5.0)
+        big[..., :rows, :cols] = x
+        return big, lambda c: (c[..., :rows, :cols], u, v, w)
+    return x, lambda c: (c, u, v, w)
+
+
+@pytest.mark.parametrize("case", list(PRECHECK_CASES))
+@pytest.mark.parametrize("entry", ["minplus", "maxplus", "ge"])
+def test_register_blocks_and_precheck_match_numpy(entry, case, compiled):
+    """Case-D folds over every register-block remainder — rows mod 4 of
+    0..3, columns 1..40 and 96, K of 1, 2 and 96 — in every case-D
+    layout (a ``v`` with strided columns takes the k-outer loop), on
+    each side of the precheck: NaN in one operand only, opposite
+    infinities in ``u`` and ``v``, same-sign infinities only, ``±0``
+    ties.  Each leaves the NumPy fold's bits; GE's every byte."""
+    rng = np.random.default_rng([sum(map(ord, entry)), sum(map(ord, case))])
+    layouts = ["contiguous", "strided_rows", "shared", "transposed"]
+    for i, cols in enumerate(BLOCK_COLS):
+        rows = 4 * int(rng.integers(0, 3)) + i % 4 or 4
+        pivot = (1, 2, 96)[i % 3]
+        stack = None if rng.random() < 0.3 else int(rng.integers(1, 9))
+        layout = layouts[int(rng.integers(len(layouts)))]
+        x, view = _blocked_operands(
+            entry, rng, stack, rows, cols, pivot, layout, PRECHECK_CASES[case]
+        )
+        results = []
+        for run in (_numpy_fold, _native_fold):
+            xc = x.copy()
+            run(entry, *view(xc))
+            results.append(xc)
+        _same_bits(*results)
+        if entry == "ge":
+            assert results[0].tobytes() == results[1].tobytes()
+
+
 def test_tropical_nan_still_triggers_the_guarded_redo(compiled):
     """The compiled fold is the unguarded arithmetic only: a produced
     ``inf + (-inf)`` is NaN afterwards, so the once-per-call guard
@@ -307,19 +390,34 @@ def _finish(proc, timeout=120):
     return json.loads(out.strip().splitlines()[-1])
 
 
+#: the solves a missing compiler must not change: small FW (IM) and GE
+#: (CB) tables, and FW on the benchmark's 96x96 tiles — with ``+inf``
+#: edges only (the compiled D fold's plain compare), then with one
+#: ``-inf`` entry too (its NaN-keeping select and the tropical redo).
+#: Vertex 150 has no in-edges, so its ``+inf`` column outlives the solve
+#: and meets the ``-inf`` paths.
+SOLVES = ("fw", "ge", "fw96", "fw96_neg")
+
+
 def solve_summary() -> dict:
-    """A small FW (IM) and GE (CB) solve: output bytes and reported fold."""
+    """Each of :data:`SOLVES`: output bytes and reported fold."""
     from repro.core import run_gep
     from repro.sparkle import SparkleContext
     from repro.workloads import diagonally_dominant, random_digraph_weights
 
+    tropical = random_digraph_weights(192, seed=6)
+    tropical[:150, 150] = tropical[151:, 150] = np.inf
+    negative = tropical.copy()
+    negative[17, 130] = -np.inf
     out = {}
-    for name, spec, table, strategy in (
-        ("fw", FloydWarshallGep(), random_digraph_weights(48, seed=5), "im"),
-        ("ge", GaussianEliminationGep(), diagonally_dominant(48, seed=5), "cb"),
+    for name, spec, table, strategy, r in (
+        ("fw", FloydWarshallGep(), random_digraph_weights(48, seed=5), "im", 6),
+        ("ge", GaussianEliminationGep(), diagonally_dominant(48, seed=5), "cb", 6),
+        ("fw96", FloydWarshallGep(), tropical, "im", 2),
+        ("fw96_neg", FloydWarshallGep(), negative, "im", 2),
     ):
         with SparkleContext(2, 1) as sc:
-            result, report = run_gep(spec, table, engine="spark", r=6,
+            result, report = run_gep(spec, table, engine="spark", r=r,
                                      strategy=strategy, sc=sc)
         out[name] = result.tobytes().hex()
         out[name + "_fold"] = report.kernel["fold"]
@@ -337,7 +435,7 @@ SOLVE = """
 def test_missing_compiler_solves_bit_identically_on_numpy(tmp_path, compiled):
     numpy_run = _finish(_child(SOLVE, tmp_path / "cache", cc=str(tmp_path / "nonexistent")))
     native_run = solve_summary()
-    for name in ("fw", "ge"):
+    for name in SOLVES:
         assert numpy_run[name + "_fold"].startswith("numpy: no C compiler")
         assert native_run[name + "_fold"] == "native"
         assert numpy_run[name] == native_run[name]
