@@ -64,7 +64,44 @@ FLUSH_PERIOD_S = 1.0
 KEEP: list[tuple[str, str, str]] = [
     # planes whose drivers are the soaks and the chaos suites
     ("__main__.py", r".*", "the CLI: its tests run it as a user does"),
-    ("sparkle/chaos.py", r".*", "chaos plane: the chaos suites and soaks drive it"),
+    # the chaos plane: each row names the assertion a mutation of the
+    # helper broke (the mutation in brackets)
+    ("sparkle/chaos.py", r"deterministic_fraction",
+     "test_scheduler_recovery TestBackoff::test_fraction_is_pure [hash without the seed]"),
+    ("sparkle/chaos.py", r"jittered_backoff",
+     "test_scheduler_recovery TestBackoff::test_exponential_growth_and_cap [no cap]"),
+    ("sparkle/chaos.py", r"FaultSpec(\.__post_init__)?",
+     "test_scheduler_recovery TestFaultPlanSurface::test_spec_validation [no rate check]"),
+    ("sparkle/chaos.py", r"FaultPlan(\.__init__)?",
+     "test_scheduler_recovery TestFaultPlanSurface::test_spec_validation [no duplicate-kind check]"),
+    ("sparkle/chaos.py", r"FaultPlan\.default",
+     "test_scheduler_recovery TestFaultPlanSurface::test_from_string_bare_seed_arms_default_mix [no kind armed]"),
+    ("sparkle/chaos.py", r"FaultPlan\.from_string",
+     "test_scheduler_recovery TestFaultPlanSurface::test_from_string_parallel_flag [parallel=1 ignored]"),
+    ("sparkle/chaos.py", r"FaultPlan\._decide",
+     "test_scheduler_recovery TestFaultPlanSurface::test_decisions_are_reproducible [rate ignored]"),
+    ("sparkle/chaos.py", r"FaultPlan\.task_fault",
+     "test_scheduler_recovery TestExecutorLossRecovery::test_dropped_map_outputs_are_recomputed [never faults]"),
+    ("sparkle/chaos.py", r"FaultPlan\.io_fault",
+     "test_scheduler_recovery TestTransientIO::test_storage_read_fault_is_retried [never faults]"),
+    ("sparkle/chaos.py", r"FaultPlan\.worker_fault",
+     "test_supervision TestWorkerKillAcceptance::test_solve_survives_seeded_sigkill_bit_identical [never faults]"),
+    ("sparkle/chaos.py", r"FaultPlan\.mem_squeeze",
+     "test_memory_governor TestBudgetedSolve::test_mem_squeeze_is_deterministic_per_seed [never squeezes]"),
+    ("sparkle/chaos.py", r"FaultPlan\.request_fault",
+     "test_service TestRequestStorm::test_sixteen_client_storm_threads [never twists]"),
+    ("sparkle/chaos.py", r"FaultPlan\.driver_kill",
+     "test_service TestDrain::test_storm_with_seeded_driver_kill_twist_drains_midflight [never kills]"),
+    ("sparkle/chaos.py", r"FaultPlan\.noisy_neighbor",
+     "test_tenancy TestNoisyNeighborStorm::test_victim_keeps_weighted_share_and_results_stay_bit_identical [no burst]"),
+    ("sparkle/chaos.py", r"FaultPlan\.durable_fault",
+     "test_durability TestDurableBlockStore::test_torn_write_chaos_auto_heals [never tears]"),
+    ("sparkle/chaos.py", r"FaultPlan\.note",
+     "test_scheduler_recovery TestTransientIO::test_shuffle_overflow_fault_is_retried [counts nothing]"),
+    ("sparkle/chaos.py", r"FaultPlan\.fired",
+     "test_scheduler_recovery TestTransientIO::test_shuffle_overflow_fault_is_retried [reads zeros]"),
+    ("sparkle/chaos.py", r"FaultPlan\.describe",
+     "test_extensions2 TestCli::test_solve_chaos_flag [no seed printed]"),
     ("sparkle/errors.py", r"_rebuild|SparkleError\.__reduce__",
      "the one pickle rule: a worker ships its errors by pickling them"),
     ("sparkle/errors.py", r"\w+(\.__init__|\.__str__)?",
@@ -99,8 +136,13 @@ KEEP: list[tuple[str, str, str]] = [
     ("service.py", r"_GeneratedTable\.__reduce__", "a generated table pickles as its key: the hit suite"),
     ("sparkle/backend.py", r".*",
      "process-plane crash and deadline paths: supervision suites (ROADMAP 3 decides the plane)"),
-    ("sparkle/scheduler.py", r".*", "recovery: speculation, executor loss, recompute, backoff"),
-    ("sparkle/executors.py", r".*", "recovery: executor blacklisting"),
+    ("sparkle/scheduler.py", r"DAGScheduler\.backoff_delay",
+     "test_scheduler_recovery TestBackoff::test_exponential_growth_and_cap [one doubling early]"),
+    ("sparkle/scheduler.py", r"DAGScheduler\._lose_executor",
+     "test_scheduler_recovery TestPlacement::test_faults_never_move_a_partition_and_a_loss_drops_only_its_own "
+     "[drops every executor's outputs]"),
+    ("sparkle/scheduler.py", r"DAGScheduler\._recompute_missing",
+     "test_scheduler_recovery TestExecutorLossRecovery::test_dropped_map_outputs_are_recomputed [recomputes nothing]"),
     ("sparkle/memory.py", r".*", "memory pressure and tenant quotas: memory and tenancy suites"),
     ("sparkle/shuffle.py", r".*", "spill and executor-loss paths: memory and chaos suites"),
     ("sparkle/storage.py", r".*", "spill and eviction under a budget: memory suites"),

@@ -612,10 +612,10 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument(
         "--chaos", metavar="SPEC", default=None,
         help="seeded fault injection for the spark engine: 'seed=42' (default "
-             "fault mix) or e.g. 'seed=7,kill=0.1,lose=0.05,slow=0.1:0.02,"
+             "fault mix) or e.g. 'seed=7,kill=0.1,lose=0.05,"
              "storage=0.05,overflow=0.02,torn_write=0.1,corrupt_block=0.05,"
              "mem_squeeze=0.2' "
-             "(rates per site; slow takes rate:delay_seconds; torn_write/"
+             "(rates per site; torn_write/"
              "corrupt_block need --checkpoint-dir; mem_squeeze needs "
              "--memory-budget; worker_kill/worker_hang/worker_oom "
              "SIGKILL/SIGSTOP real worker processes and need --backend "

@@ -25,9 +25,9 @@ Both produce bit-identical results to the single-node blocked executor
 (and hence to the scalar reference); the integration tests pin that
 down across strategies, kernels, grid shapes and partitioners — and,
 via the seeded chaos harness (:mod:`repro.sparkle.chaos`), under
-injected task kills, executor loss, stragglers and transient I/O
-faults: every kernel works on a private copy of its tile, so retried
-and speculative attempts are pure recomputations from lineage and
+injected task kills, executor loss and transient I/O faults: every
+kernel works on a private copy of its tile, so retried attempts and
+recomputed map partitions are pure recomputations from lineage and
 recovery can never corrupt the DP table.  A run's recovery cost is
 surfaced on :attr:`SolveReport.recovery`.
 
@@ -136,9 +136,8 @@ class SolveReport:
         """Fault-recovery counters for this run (None without an engine).
 
         Nonzero entries quantify how much recovery work (retries,
-        lineage recomputation, speculative copies, backoff) the run
-        absorbed — the overhead the paper's §V failure reports leave
-        unmeasured.
+        lineage recomputation, backoff) the run absorbed — the overhead
+        the paper's §V failure reports leave unmeasured.
         """
         return self.engine_metrics and self.engine_metrics.summary("recovery")
 
@@ -637,8 +636,7 @@ class GepSparkSolver:
         n)`` (:mod:`repro.kernels.base`; ``u``/``v``/``w`` may be
         :data:`~repro.kernels.base.ALIAS_X`, "this operand is the tile
         itself").  Never mutating the input tiles is the retry-purity
-        contract: retried and speculative attempts must see pristine
-        inputs.
+        contract: a retried attempt must see pristine inputs.
 
         With a worker plane and a kernel that pickles, the whole list —
         stage A's single call included — goes to a worker in one

@@ -52,7 +52,7 @@ def update_tile(kernel, call, stats=None):
     reads the copy (A's ``u=v=w=x``, B's ``v=x``, C's ``u=x``: later
     pivot steps must see what earlier ones wrote).  The input tile and
     every operand are left untouched, which is the retry-purity rule:
-    retried and speculative attempts see pristine inputs.
+    a retried attempt sees pristine inputs.
     """
     case, tile, u, v, w, gi0, gj0, gk0, n_global = call
     x = tile.copy()

@@ -11,10 +11,10 @@ and an execution trace for the cluster cost model.
 
 Fault tolerance is chaos-tested: :mod:`repro.sparkle.chaos` injects
 seeded task exceptions, executor loss (dropping staged shuffle outputs
-to exercise lineage recomputation), stragglers (raced by speculative
-copies), and transient storage/broadcast/staging faults; the scheduler
-recovers with deterministic backoff, map-output recomputation, and
-executor blacklisting, and every recovery event is metered.
+to exercise lineage recomputation), and transient storage/broadcast/
+staging faults; the scheduler recovers by one model, lineage
+recomputation — a retry after deterministic backoff, plus map-output
+recomputation on a fetch failure — and every recovery event is metered.
 
 Driver crashes are covered too: :mod:`repro.sparkle.durable` adds a
 checksummed on-disk block store (atomic tmp+rename writes, BLAKE2b
@@ -74,7 +74,6 @@ from .errors import (
     FrameTooLargeError,
     JobAborted,
     JournalError,
-    LastExecutorProtectedWarning,
     PoisonTaskError,
     RequestDeadlineExceeded,
     ResumeMismatchError,
@@ -145,7 +144,6 @@ __all__ = [
     "PRESSURE_OK",
     "PRESSURE_PRESSURED",
     "PRESSURE_CRITICAL",
-    "LastExecutorProtectedWarning",
     "WorkerCrashed",
     "TaskDeadlineExceeded",
     "PoisonTaskError",

@@ -541,7 +541,6 @@ class ProcessBackend:
             f"worker died mid-kernel ({reason}) on {where} (batch of "
             f"{len(calls)}); slot {slot} respawned ({charged})",
             reason=reason,
-            slot=slot,
         )
 
     def _respawn_slot(self, slot: int, observed_generation: int) -> None:

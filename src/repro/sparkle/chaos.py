@@ -2,9 +2,9 @@
 
 Real Spark clusters do not fail politely: tasks throw, executors die and
 take their materialized shuffle outputs with them (forcing lineage
-recomputation, §II), stragglers stall stages, storage reads flake, and
-shuffle staging overflows local disks (the paper's §V failure reports
-for large In-Memory configurations).  A :class:`FaultPlan` injects all
+recomputation, §II), storage reads flake, and shuffle staging
+overflows local disks (the paper's §V failure reports for large
+In-Memory configurations).  A :class:`FaultPlan` injects all
 of these *deterministically* so chaos runs are reproducible and
 assertable.
 
@@ -17,7 +17,7 @@ ordering sensitivity.  A site identifies where the decision is made
 faults the same sites no matter how many times the plan is consulted.
 While a plan is attached, the scheduler additionally runs each stage's
 tasks in partition order (``serialize_tasks``) so recovery *traces* —
-retry counts, recomputed partitions, blacklist events — are also
+retry counts, recomputed partitions, executor losses — are also
 bit-reproducible; set ``serialize_tasks=False`` to chaos-test the fully
 concurrent engine at the price of trace stability.
 
@@ -54,8 +54,6 @@ CURRENT_TASK: ContextVar = ContextVar("sparkle_current_task", default=None)
 #: ``kill``      task attempt dies with a retryable exception
 #: ``lose``      the task's executor is lost; its materialized shuffle
 #:               outputs are dropped so lineage recomputation is exercised
-#: ``slow``      the attempt stalls (straggler); the scheduler may launch
-#:               a speculative copy
 #: ``storage``   transient shared-storage read failure (CB staging I/O)
 #: ``bcast``     transient broadcast-variable read failure
 #: ``overflow``  transient shuffle-staging overflow on a map output write
@@ -96,7 +94,7 @@ CURRENT_TASK: ContextVar = ContextVar("sparkle_current_task", default=None)
 #:                   tenants; decided per ``(client, seq)`` so the burst
 #:                   schedule replays bit-identically
 FAULT_KINDS = (
-    "kill", "lose", "slow", "storage", "bcast", "overflow",
+    "kill", "lose", "storage", "bcast", "overflow",
     "torn_write", "corrupt_block", "mem_squeeze",
     "worker_kill", "worker_hang", "worker_oom",
     "request_storm", "driver_kill", "noisy_neighbor",
@@ -107,7 +105,6 @@ FAULT_KINDS = (
 DEFAULT_RATES = {
     "kill": 0.05,
     "lose": 0.03,
-    "slow": 0.05,
     "storage": 0.03,
     "bcast": 0.0,
     "overflow": 0.02,
@@ -133,8 +130,6 @@ DEFAULT_RATES = {
     # which supplies the hog/victim tenant roles — strictly opt-in.
     "noisy_neighbor": 0.0,
 }
-
-DEFAULT_STRAGGLER_DELAY = 0.05
 
 
 def deterministic_fraction(seed: int, kind: str, site: tuple) -> float:
@@ -181,14 +176,11 @@ class FaultSpec:
         Fire only on task attempts ``<= max_attempt``.  The default of 1
         guarantees recovery (retries run fault-free); raise it past the
         scheduler's retry budget to test :class:`~.errors.JobAborted`.
-    delay:
-        ``slow`` only — seconds the straggler stalls before computing.
     """
 
     kind: str
     rate: float
     max_attempt: int = 1
-    delay: float = DEFAULT_STRAGGLER_DELAY
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -197,8 +189,6 @@ class FaultSpec:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.max_attempt < 1:
             raise ValueError("max_attempt must be >= 1")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
 
 
 class FaultPlan:
@@ -241,12 +231,11 @@ class FaultPlan:
 
     @classmethod
     def from_string(cls, text: str) -> "FaultPlan":
-        """Parse the CLI grammar, e.g. ``"seed=42,kill=0.1,slow=0.1:0.02"``.
+        """Parse the CLI grammar, e.g. ``"seed=42,kill=0.1,lose=0.05"``.
 
-        ``seed=N`` is required.  Fault kinds take ``kind=rate``;
-        ``slow`` optionally takes ``rate:delay_seconds``.  ``parallel=1``
-        disables task serialization (concurrent chaos, unstable traces).
-        A bare ``seed=N`` arms the default mix.
+        ``seed=N`` is required.  Fault kinds take ``kind=rate``.
+        ``parallel=1`` disables task serialization (concurrent chaos,
+        unstable traces).  A bare ``seed=N`` arms the default mix.
         """
         seed: int | None = None
         serialize = True
@@ -260,15 +249,6 @@ class FaultPlan:
                 seed = int(value)
             elif key == "parallel":
                 serialize = not bool(int(value))
-            elif key == "slow":
-                rate_text, _, delay_text = value.partition(":")
-                specs.append(
-                    FaultSpec(
-                        "slow",
-                        float(rate_text),
-                        delay=float(delay_text) if delay_text else DEFAULT_STRAGGLER_DELAY,
-                    )
-                )
             elif key in FAULT_KINDS:
                 specs.append(FaultSpec(key, float(value)))
             else:
@@ -304,13 +284,6 @@ class FaultPlan:
             self.note("kill")
             return "kill"
         return None
-
-    def straggler_delay(self, stage_id: int, partition: int, attempt: int) -> float:
-        """Seconds this attempt should stall (0.0 = not a straggler)."""
-        if self._decide("slow", attempt, (stage_id, partition, attempt)):
-            self.note("slow")
-            return self.specs["slow"].delay
-        return 0.0
 
     def io_fault(self, kind: str, *key) -> bool:
         """Transient I/O fault (``storage``/``bcast``/``overflow``).
@@ -453,10 +426,6 @@ class FaultPlan:
         with self._ledger_lock:
             return dict(self._ledger)
 
-    def total_fired(self) -> int:
-        with self._ledger_lock:
-            return sum(self._ledger.values())
-
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
         for kind in FAULT_KINDS:
@@ -464,8 +433,6 @@ class FaultPlan:
             if spec is None or spec.rate <= 0:
                 continue
             text = f"{kind}={spec.rate:g}"
-            if kind == "slow":
-                text += f":{spec.delay:g}s"
             if spec.max_attempt != 1:
                 text += f"@<={spec.max_attempt}"
             parts.append(text)

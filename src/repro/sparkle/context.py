@@ -51,8 +51,8 @@ class SparkleContext:
         guideline is 2x the total core count, which is also our default.
     fault_plan:
         A :class:`~repro.sparkle.chaos.FaultPlan` arming seeded task
-        exceptions, executor loss, stragglers, transient storage /
-        broadcast / staging faults.  While attached (and
+        exceptions, executor loss, transient storage / broadcast /
+        staging faults.  While attached (and
         ``plan.serialize_tasks``), stage tasks run in partition order so
         recovery traces are deterministic.
     checkpoint_dir:

@@ -22,7 +22,6 @@ __all__ = [
     "JournalError",
     "ResumeMismatchError",
     "JobAborted",
-    "LastExecutorProtectedWarning",
     "WorkerCrashed",
     "TaskDeadlineExceeded",
     "PoisonTaskError",
@@ -162,15 +161,10 @@ class WorkerCrashed(SparkleError):
         message: str,
         pid: int | None = None,
         reason: str = "crash",
-        slot: int | None = None,
     ) -> None:
         super().__init__(message)
         self.pid = pid
         self.reason = reason
-        #: worker slot (== executor id) that died — after a blacklisting
-        #: this may differ from the partition's nominal executor, and
-        #: fault accounting should charge the real victim
-        self.slot = slot
 
 
 class TaskDeadlineExceeded(SparkleError):
@@ -329,13 +323,3 @@ class RequestDeadlineExceeded(SparkleError):
         super().__init__(message)
         self.deadline = deadline
         self.elapsed = elapsed
-
-
-class LastExecutorProtectedWarning(RuntimeWarning):
-    """A blacklist request was refused to keep the last healthy executor.
-
-    The simulated cluster must keep at least one node able to run tasks;
-    refusing silently used to hide that a fault threshold was crossed on
-    the final survivor.  The refusal is also metered as
-    ``EngineMetrics.last_executor_protected``.
-    """

@@ -2,8 +2,8 @@
 
 One :class:`ExecutorPool` models ``num_executors`` executors with
 ``cores_per_executor`` task slots each (the Spark ``executor-cores``
-knob).  Placement, health and blacklisting live here, and so does
-execution: a stage's tasks run on task slots, and the thread that calls
+knob).  Placement lives here, and so does execution: a stage's tasks
+run on task slots, and the thread that calls
 :meth:`ExecutorPool.run_tasks` is one of them — the others are *helper
 slots* it submits to the pool's ``total_slots - 1`` threads, each
 claiming tasks until none is left.  A helper that has not started
@@ -13,13 +13,11 @@ With ``backend="processes"`` the pool also *has* a worker plane
 (:attr:`ExecutorPool.offload`, a :class:`~repro.sparkle.backend.
 ProcessBackend`: one worker process per simulated executor) that task
 bodies send their kernel math to, past the GIL.  Each task is *assigned*
-to an executor deterministically by partition id so metrics and the cost
-model can reason about per-executor load and locality exactly as the
-paper does (one executor per compute node, §V-B).
-
-Fault tolerance hooks: the scheduler can *blacklist* an executor after
-repeated faults — placement then round-robins over the remaining healthy
-executors (at least one always stays healthy) — and can request
+to an executor by partition id, ``partition % num_executors``, fixed for
+the life of the pool, so metrics and the cost model can reason about
+per-executor load and locality exactly as the paper does (one executor
+per compute node, §V-B), and an executor loss drops exactly the map
+outputs of the partitions it owns.  The scheduler can request
 ``sequential`` stage execution, which the chaos determinism contract
 uses to keep recovery traces reproducible.
 """
@@ -28,12 +26,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable
 
 from .backend import BACKENDS, ProcessBackend
-from .errors import LastExecutorProtectedWarning
 from .metrics import EngineMetrics
 
 __all__ = ["ExecutorPool"]
@@ -74,55 +70,10 @@ class ExecutorPool:
         )
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._blacklisted: set[int] = set()
-        # Atomic snapshot read by executor_for without locking.
-        self._healthy: tuple[int, ...] = tuple(range(num_executors))
 
-    # ------------------------------------------------------------------
-    # placement & health
-    # ------------------------------------------------------------------
     def executor_for(self, partition: int) -> int:
-        """Deterministic task placement (round-robin over healthy executors)."""
-        healthy = self._healthy
-        return healthy[partition % len(healthy)]
-
-    @property
-    def healthy_executors(self) -> tuple[int, ...]:
-        return self._healthy
-
-    def is_blacklisted(self, executor: int) -> bool:
-        return executor in self._blacklisted
-
-    def blacklist(self, executor: int) -> bool:
-        """Exclude an executor from placement; True if newly blacklisted.
-
-        Refuses to blacklist the last healthy executor — the simulated
-        cluster must keep at least one node able to run tasks.  The
-        refusal is no longer silent: it emits a typed
-        :class:`~repro.sparkle.errors.LastExecutorProtectedWarning` and
-        is metered as ``EngineMetrics.last_executor_protected``, because
-        a fault threshold crossed on the last survivor is exactly the
-        signal an operator needs to see.
-        """
-        with self._lock:
-            if executor in self._blacklisted:
-                return False
-            if not 0 <= executor < self.num_executors:
-                raise ValueError(f"no such executor {executor}")
-            if len(self._healthy) <= 1:
-                self._metrics.last_executor_protected += 1
-                warnings.warn(
-                    f"refusing to blacklist executor {executor}: it is the "
-                    f"last healthy executor of {self.num_executors}",
-                    LastExecutorProtectedWarning,
-                    stacklevel=2,
-                )
-                return False
-            self._blacklisted.add(executor)
-            self._healthy = tuple(
-                e for e in range(self.num_executors) if e not in self._blacklisted
-            )
-        return True
+        """Deterministic task placement: round-robin over the executors."""
+        return partition % self.num_executors
 
     # ------------------------------------------------------------------
     # execution

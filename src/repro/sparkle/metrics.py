@@ -50,8 +50,6 @@ class TaskRecord:
     end_ts: float = 0.0
     #: total scheduler backoff slept before the winning attempt
     backoff_seconds: float = 0.0
-    #: True when a speculative copy beat a straggling original attempt
-    speculative_win: bool = False
 
 
 @dataclass
@@ -79,10 +77,6 @@ class StageRecord:
     @property
     def total_attempts(self) -> int:
         return sum(t.attempts for t in self.tasks)
-
-    @property
-    def speculative_wins(self) -> int:
-        return sum(1 for t in self.tasks if t.speculative_win)
 
 
 @dataclass
@@ -196,22 +190,14 @@ class EngineMetrics(_Registry):
     #: map partitions recomputed from lineage after their shuffle outputs
     #: were dropped by an executor loss (the §II recovery story, measured)
     partitions_recomputed: int = counter("recovery")
-    speculative_launched: int = counter("recovery")
-    speculative_wins: int = counter("recovery")
-    stragglers_cancelled: int = counter("recovery")
     executor_loss_events: int = counter("recovery")
     transient_io_failures: int = counter("recovery")
     backoff_waits: int = counter("recovery")
     backoff_seconds_total: float = counter("recovery", "s", 0.0)
-    blacklisted_executors: list[int] = counter(
-        "recovery", default=list, key="executors_blacklisted", view=len
-    )
     #: writes that landed truncated and were caught by read-back verify
     torn_writes_detected: int = counter("recovery")
     #: checksummed reads that caught silent corruption (bitrot/tamper)
     corrupt_blocks_detected: int = counter("recovery")
-    #: blacklist refusals that protected the last healthy executor
-    last_executor_protected: int = counter("recovery")
     # ---- durability counters (checkpoint store / solve journal) -------
     durable_puts: int = counter("durability")
     durable_gets: int = counter("durability")

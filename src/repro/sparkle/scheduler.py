@@ -30,15 +30,13 @@ hardened against the chaos plane (:mod:`repro.sparkle.chaos`):
 * a :class:`~.errors.ShuffleFetchFailed` (map outputs dropped by an
   executor loss) first recomputes exactly the missing parent map
   partitions, then retries the fetching task — Spark's map-stage
-  resubmission;
-* straggling attempts race a speculative copy (first result wins, the
-  loser is cancelled);
-* executors accumulating faults past ``blacklist_threshold`` are
-  excluded from placement.
+  resubmission.
 
-Every recovery event is recorded on
-:class:`~repro.sparkle.metrics.EngineMetrics` so reports can price the
-overhead.
+That is the one recovery model (lineage recomputation, the paper's
+§II): placement never changes, so an executor loss drops exactly the
+outputs of the map partitions it owns.  Every recovery event is
+recorded on :class:`~repro.sparkle.metrics.EngineMetrics` so reports
+can price the overhead.
 """
 
 from __future__ import annotations
@@ -130,12 +128,6 @@ class DAGScheduler:
 
     #: retries of a task after its first attempt before the job aborts
     max_task_retries: int = 3
-    #: race straggling task attempts against a speculative copy (first
-    #: result wins, loser cancelled)
-    speculation: bool = True
-    #: faults an executor may accumulate before it is excluded from
-    #: placement (0 disables blacklisting)
-    blacklist_threshold: int = 4
     #: retry backoff: ``base * 2^(attempt-2)`` seconds, capped at
     #: ``backoff_cap``, then stretched by up to ``backoff_jitter`` of
     #: itself (deterministic per site)
@@ -150,8 +142,6 @@ class DAGScheduler:
         # reaches the dependency, so a shared parent is one stage (also
         # the lookup for fetch-failure recomputation).
         self._shuffle_stages: dict[int, Stage] = {}
-        self._executor_faults: dict[int, int] = {}
-        self._fault_lock = threading.Lock()
         # Task attempt ids are cumulative per (stage, partition), like
         # Spark's monotonically increasing TaskAttemptId: a partition
         # re-executed later (partial stage re-run, fetch-failure
@@ -499,9 +489,7 @@ class DAGScheduler:
             start = time.perf_counter()
             token = CURRENT_TASK.set(tc)
             try:
-                shuffle_written, speculative_win = self._run_attempt(
-                    stage, partition, attempt, tc, body
-                )
+                shuffle_written = self._run_attempt(stage, partition, attempt, tc, body)
             except ShuffleFetchFailed as exc:
                 last_exc = exc
                 metrics.tasks_retried += 1
@@ -512,16 +500,6 @@ class DAGScheduler:
                 metrics.tasks_retried += 1
                 if isinstance(exc, TransientIOError):
                     metrics.transient_io_failures += 1
-                if isinstance(exc, ExecutorLost):
-                    faulty = exc.executor
-                elif isinstance(exc, WorkerCrashed) and exc.slot is not None:
-                    # After a blacklisting, the worker slot (partition
-                    # mod workers) need not be the partition's executor;
-                    # charge the fault to the slot that died.
-                    faulty = exc.slot % ctx._executors.num_executors
-                else:
-                    faulty = ctx._executors.executor_for(partition)
-                self._count_executor_fault(faulty)
                 continue
             except PoisonTaskError:
                 # Quarantined by the supervision layer: retrying would
@@ -549,7 +527,6 @@ class DAGScheduler:
                 start_ts=start,
                 end_ts=time.perf_counter(),
                 backoff_seconds=backoff_total,
-                speculative_win=speculative_win,
             )
         raise JobAborted(
             f"stage {stage.id} partition {partition} failed after "
@@ -563,8 +540,9 @@ class DAGScheduler:
         attempt: int,
         tc: TaskContext,
         body: Callable[[TaskContext], int],
-    ) -> tuple[int, bool]:
-        """One attempt, with plan-injected task faults and speculation."""
+    ) -> int:
+        """One attempt, with plan-injected task faults; the shuffle
+        bytes it wrote."""
         plan = self.ctx.fault_plan
         if plan is not None:
             fault = plan.task_fault(stage.id, partition, attempt)
@@ -580,73 +558,7 @@ class DAGScheduler:
                     f"injected task exception: stage {stage.id} "
                     f"partition {partition} attempt {attempt}"
                 )
-            delay = plan.straggler_delay(stage.id, partition, attempt)
-            if delay > 0.0:
-                if self.speculation:
-                    return self._run_speculative(stage, partition, attempt, tc, body, delay)
-                time.sleep(delay)
-        return body(tc), False
-
-    def _run_speculative(
-        self,
-        stage: Stage,
-        partition: int,
-        attempt: int,
-        tc: TaskContext,
-        body: Callable[[TaskContext], int],
-        delay: float,
-    ) -> tuple[int, bool]:
-        """Race a straggling attempt against a speculative copy.
-
-        The original stalls for ``delay`` seconds (the injected
-        straggle); the speculative copy starts immediately.  First result
-        wins and the loser is cancelled — a straggler still inside its
-        stall never computes, so it cannot mutate shared state after
-        losing.  Both copies are pure recomputations from lineage, so if
-        both do finish the results are identical and either is safe.
-
-        A straggler that outlives its stall reads what the copy reads
-        under the same attempt, so the chaos plan's I/O faults fire for
-        it too; its failure is moot, but the fault is counted in
-        ``transient_io_failures`` like the copy's, so the recovery
-        metrics account for every fault the plan fired.
-        """
-        metrics = self.ctx.metrics
-        cancel = threading.Event()
-        original: dict[str, int] = {}
-
-        def straggler() -> None:
-            if cancel.wait(delay):
-                return  # cancelled while stalled: the speculative copy won
-            straggler_tc = TaskContext(stage.id, partition, attempt)
-            token = CURRENT_TASK.set(straggler_tc)
-            try:
-                original["written"] = body(straggler_tc)
-            except TransientIOError:
-                metrics.transient_io_failures += 1
-            except BaseException:  # noqa: BLE001 - loser's failure is moot
-                pass
-            finally:
-                CURRENT_TASK.reset(token)
-
-        thread = threading.Thread(
-            target=straggler,
-            name=f"straggler-s{stage.id}p{partition}",
-            daemon=True,
-        )
-        metrics.speculative_launched += 1
-        thread.start()
-        try:
-            written = body(tc)  # the speculative copy, at full speed
-        finally:
-            cancel.set()
-            thread.join()
-        if "written" in original:
-            # The straggler finished despite the stall — it wins the race.
-            return original["written"], False
-        metrics.speculative_wins += 1
-        metrics.stragglers_cancelled += 1
-        return written, True
+        return body(tc)
 
     def _lose_executor(self, partition: int) -> int:
         """Kill the executor owning ``partition``; drop its shuffle outputs."""
@@ -684,21 +596,8 @@ class DAGScheduler:
         one attempt counter per (stage, partition) for every solve it
         runs; after the solve's RDDs are dead this is pure leak — and
         the stages are what keep those RDDs, and through them a stopped
-        context, reachable.  Executor fault counts survive on purpose —
-        backend health is context-lifetime knowledge, not per-solve.
+        context, reachable.
         """
         self._shuffle_stages.clear()
         with self._attempt_lock:
             self._attempt_counts.clear()
-
-    def _count_executor_fault(self, executor: int) -> None:
-        """Per-executor failure accounting; blacklist past the threshold."""
-        with self._fault_lock:
-            count = self._executor_faults.get(executor, 0) + 1
-            self._executor_faults[executor] = count
-        if (
-            self.blacklist_threshold > 0
-            and count >= self.blacklist_threshold
-            and self.ctx._executors.blacklist(executor)
-        ):
-            self.ctx.metrics.blacklisted_executors.append(executor)

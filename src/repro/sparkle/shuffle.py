@@ -173,8 +173,8 @@ class ShuffleManager:
         """Reserve-then-stage; spill oldest staged outputs until it fits."""
         mm = self.memory
         owner = mm.current_owner()
-        # Idempotent overwrite: retried/speculative map tasks re-stage
-        # the same output.
+        # Idempotent overwrite: a retried or recomputed map task
+        # re-stages the same output.
         self._discard_locked(key)
         self._bucket_bytes[key] = sizes
         self._staged_maps.setdefault(key[0], set()).add(key[1])

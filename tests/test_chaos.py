@@ -42,7 +42,6 @@ def smoke_mix(seed):
     return FaultPlan(seed, [
         FaultSpec("kill", 0.05),
         FaultSpec("lose", 0.01),
-        FaultSpec("slow", 0.05, delay=0.01),
         FaultSpec("storage", 0.03),
         FaultSpec("overflow", 0.02),
     ])
@@ -64,19 +63,17 @@ RATE = st.sampled_from([0.0, 0.05, 0.15, 0.35])
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kill=RATE,
-    slow=RATE,
     storage=RATE,
     overflow=RATE,
     strategy=st.sampled_from(["im", "cb"]),
 )
 def test_any_recoverable_plan_is_bit_identical(
-    clean16, seed, kill, slow, storage, overflow, strategy
+    clean16, seed, kill, storage, overflow, strategy
 ):
     """Seeded faults at max_attempt=1 (guaranteed-recoverable by
     construction) never perturb the FW result, via IM or CB."""
     plan = FaultPlan(seed, [
         FaultSpec("kill", kill),
-        FaultSpec("slow", slow, delay=0.005),
         FaultSpec("storage", storage),
         FaultSpec("overflow", overflow),
     ])
@@ -86,7 +83,6 @@ def test_any_recoverable_plan_is_bit_identical(
     fired = plan.fired()
     assert metrics.tasks_retried >= fired["kill"]
     assert metrics.transient_io_failures == fired["storage"] + fired["overflow"]
-    assert metrics.speculative_launched == fired["slow"]
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +94,7 @@ def test_smoke_matrix(clean16, seed, strategy):
     plan = smoke_mix(seed)
     out, report, metrics = solve_fw(TABLE16, strategy, 4, plan)
     np.testing.assert_array_equal(out, clean16[strategy])
-    assert plan.total_fired() > 0  # the mix is hot at these sizes
+    assert sum(plan.fired().values()) > 0  # the mix is hot at these sizes
     assert metrics.tasks_retried > 0
     # the solver surfaces the chaos provenance on its report
     assert report.recovery == metrics.summary("recovery")
@@ -108,15 +104,14 @@ def test_smoke_matrix(clean16, seed, strategy):
 
 
 # ----------------------------------------------------------------------
-# acceptance: 8x8 tile grid, executor loss + stragglers, trace equality
+# acceptance: 8x8 tile grid, executor loss, trace equality
 # ----------------------------------------------------------------------
 def acceptance_plan():
-    # seed 5 injects executor losses and stragglers on this workload
-    # (asserted below) yet recovers in well under a second.
+    # seed 5 injects executor losses on this workload (asserted below)
+    # yet recovers in well under a second.
     return FaultPlan(5, [
         FaultSpec("kill", 0.02),
         FaultSpec("lose", 0.004),
-        FaultSpec("slow", 0.03, delay=0.05),
         FaultSpec("overflow", 0.01),
     ])
 
@@ -131,7 +126,7 @@ def trace_signature(metrics):
                     s.stage_id,
                     s.kind,
                     [
-                        (t.partition, t.executor, t.attempts, t.speculative_win)
+                        (t.partition, t.executor, t.attempts)
                         for t in s.tasks
                     ],
                 )
@@ -152,10 +147,8 @@ def test_acceptance_fw_8x8_grid_under_chaos():
 
     fired = plan1.fired()
     assert fired["lose"] >= 1
-    assert fired["slow"] >= 1
     summary1 = m1.summary()
     assert summary1["partitions_recomputed"] > 0
-    assert summary1["speculative_launched"] > 0
 
     # identical seed, fresh plan => identical results, metrics and trace
     plan2 = acceptance_plan()

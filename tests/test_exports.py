@@ -76,6 +76,23 @@ REMOVED = [
     ("repro.sparkle.ServiceMetrics", "circuit_failovers"),
     ("repro.sparkle.ServiceMetrics", "circuit_half_opens"),
     ("repro.sparkle.ServiceMetrics", "circuit_closes"),
+    # one recovery model, lineage recompute: no speculation, no
+    # blacklisting, no straggler fault
+    ("repro.sparkle", "LastExecutorProtectedWarning"),
+    ("repro.sparkle.errors", "LastExecutorProtectedWarning"),
+    ("repro.sparkle.scheduler.DAGScheduler", "speculation"),
+    ("repro.sparkle.scheduler.DAGScheduler", "blacklist_threshold"),
+    ("repro.sparkle.scheduler.DAGScheduler", "_run_speculative"),
+    ("repro.sparkle.scheduler.DAGScheduler", "_count_executor_fault"),
+    ("repro.sparkle.executors.ExecutorPool", "blacklist"),
+    ("repro.sparkle.executors.ExecutorPool", "healthy_executors"),
+    ("repro.sparkle.executors.ExecutorPool", "is_blacklisted"),
+    ("repro.sparkle.chaos", "DEFAULT_STRAGGLER_DELAY"),
+    ("repro.sparkle.FaultSpec", "delay"),
+    ("repro.sparkle.FaultPlan", "straggler_delay"),
+    ("repro.sparkle.FaultPlan", "total_fired"),
+    ("repro.sparkle.TaskRecord", "speculative_win"),
+    ("repro.sparkle.StageRecord", "speculative_wins"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -177,3 +194,29 @@ def test_every_keep_row_names_a_definition():
         )
     ]
     assert not stranded, f"KEEP rows naming no definition: {stranded}"
+
+
+def test_removed_recovery_mechanisms_stay_removed(capsys):
+    """Speculation, executor blacklisting and the ``slow`` fault are
+    gone from every surface: import, fault grammar, CLI and counters
+    (``REMOVED`` pins the attributes)."""
+    from repro.__main__ import main
+    from repro.sparkle import EngineMetrics, FaultSpec
+    from repro.sparkle.chaos import FAULT_KINDS
+
+    with pytest.raises(ImportError):
+        from repro.sparkle import LastExecutorProtectedWarning  # noqa: F401
+    with pytest.raises(ValueError, match="unknown fault kind 'slow'") as err:
+        FaultSpec("slow", 0.1)
+    assert "slow" not in FAULT_KINDS and str(FAULT_KINDS) in str(err.value)
+    assert main([
+        "solve", "apsp", "--engine", "spark", "--n", "16",
+        "--chaos", "seed=1,slow=0.1",
+    ]) == 2
+    assert "invalid --chaos spec: unknown --chaos key 'slow'" in capsys.readouterr().err
+    recovery = EngineMetrics().summary("recovery")
+    for key in (
+        "speculative_launched", "speculative_wins", "stragglers_cancelled",
+        "executors_blacklisted", "last_executor_protected",
+    ):
+        assert key not in recovery

@@ -173,7 +173,7 @@ class TestCli:
         assert main([
             "solve", "apsp", "--n", "16", "--engine", "spark",
             "--executors", "2", "--cores", "1",
-            "--chaos", "seed=7,kill=0.2,slow=0.1:0.01",
+            "--chaos", "seed=7,kill=0.2,storage=0.1",
         ]) == 0
         out = capsys.readouterr().out
         assert "APSP solved" in out

@@ -1,12 +1,9 @@
-"""Scheduler hardening units: backoff, speculation, blacklisting,
-fetch-failure recomputation, retry exhaustion.
+"""Scheduler recovery units: backoff, fixed placement, fetch-failure
+recomputation, retry exhaustion.
 
 These pin down the recovery machinery the chaos harness
 (tests/test_chaos.py) exercises end-to-end.
 """
-
-import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,74 +103,6 @@ class TestBackoff:
             tasks = sc.metrics.jobs[-1].stages[-1].tasks
             assert all(t.attempts == 2 for t in tasks)
             assert all(t.backoff_seconds > 0 for t in tasks)
-
-
-# ----------------------------------------------------------------------
-# speculative execution
-# ----------------------------------------------------------------------
-class TestSpeculation:
-    def test_speculative_copy_wins_over_straggler(self):
-        plan = FaultPlan(21, [FaultSpec("slow", rate=1.0, delay=0.2)])
-        with SparkleContext(2, 2, fault_plan=plan) as sc:
-            got = sc.parallelize(range(4), 2).map(lambda x: x * x).collect()
-            assert got == [0, 1, 4, 9]
-            m = sc.metrics
-            assert m.speculative_launched == 2
-            # the stalled originals never finish: the copies win every race
-            assert m.speculative_wins == 2
-            assert m.stragglers_cancelled == 2
-            assert m.tasks_retried == 0  # speculation is not a retry
-            wins = [t.speculative_win for t in m.jobs[-1].stages[-1].tasks]
-            assert wins == [True, True]
-
-    def test_straggler_wins_when_speculation_disabled(self):
-        plan = FaultPlan(21, [FaultSpec("slow", rate=1.0, delay=0.01)])
-        with SparkleContext(2, 2, fault_plan=plan) as sc:
-            sc._scheduler.speculation = False
-            got = sc.parallelize(range(4), 2).map(lambda x: x + 1).collect()
-            assert got == [1, 2, 3, 4]
-            assert sc.metrics.speculative_launched == 0
-            assert sc.metrics.speculative_wins == 0
-
-    def test_straggler_that_outlives_its_stall_has_its_io_fault_counted(self):
-        """The interleaving behind a flaky chaos count, forced: the copy
-        is held until the straggler has woken and hit the plan's storage
-        fault.  Both fail under the same attempt, the plan fires twice,
-        and ``transient_io_failures`` counts both."""
-        plan = FaultPlan(
-            3, [FaultSpec("slow", 1.0, delay=0.001), FaultSpec("storage", 1.0)]
-        )
-        copy_thread = threading.current_thread()
-        straggled = threading.Event()
-
-        def body(tc):
-            straggler = threading.current_thread() is not copy_thread
-            if not straggler:
-                assert straggled.wait(10.0), "the straggler never woke"
-            try:
-                if plan.io_fault("storage", "block"):
-                    raise TransientIOError("injected storage read fault")
-            finally:
-                if straggler:
-                    straggled.set()
-            return 0
-
-        with SparkleContext(1, 1, fault_plan=plan) as sc:
-            record = sc._scheduler._attempt_with_retries(
-                SimpleNamespace(id=0), 0, body
-            )
-            m = sc.metrics
-            assert record.attempts == 2 and m.tasks_retried == 1
-            assert m.speculative_launched == plan.fired()["slow"] == 1
-            assert m.transient_io_failures == plan.fired()["storage"] == 2
-
-    def test_speculation_in_summary(self):
-        plan = FaultPlan(21, [FaultSpec("slow", rate=1.0, delay=0.05)])
-        with SparkleContext(1, 2, fault_plan=plan) as sc:
-            sc.parallelize([1], 1).collect()
-            s = sc.metrics.summary()
-            assert s["speculative_launched"] == 1
-            assert s["speculative_wins"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -288,36 +217,41 @@ class TestTransientIO:
 
 
 # ----------------------------------------------------------------------
-# blacklisting
+# placement
 # ----------------------------------------------------------------------
-class TestBlacklisting:
-    def test_faulty_executor_gets_blacklisted(self):
-        # Every first attempt dies; executors accumulate faults and cross
-        # the threshold, but at least one always stays healthy.
+class TestPlacement:
+    def test_faults_never_move_a_partition_and_a_loss_drops_only_its_own(self):
+        # Every first attempt dies: 12 faults over 3 executors, four each.
         plan = FaultPlan(29, [FaultSpec("kill", rate=1.0)])
         with SparkleContext(3, 1, fault_plan=plan) as sc:
-            sc._scheduler.blacklist_threshold = 2
             got = sc.parallelize(range(12), 12).map(lambda x: -x).collect()
             assert got == [-x for x in range(12)]
-            assert len(sc.metrics.blacklisted_executors) == 2
-            assert len(sc._executors.healthy_executors) == 1
-            assert sc.metrics.summary()["executors_blacklisted"] == 2
+            tasks = sc.metrics.jobs[-1].stages[-1].tasks
+            assert len(tasks) == 12
+            assert all(t.executor == t.partition % 3 for t in tasks)
 
-    def test_threshold_zero_disables_blacklisting(self):
-        plan = FaultPlan(29, [FaultSpec("kill", rate=1.0)])
-        with SparkleContext(3, 1, fault_plan=plan) as sc:
-            sc._scheduler.blacklist_threshold = 0
-            sc.parallelize(range(12), 12).collect()
-            assert sc.metrics.blacklisted_executors == []
-            assert sc._executors.healthy_executors == (0, 1, 2)
+            shuffled = (
+                sc.parallelize([(i, i) for i in range(12)], 12)
+                .reduceByKey(lambda a, b: a + b, 3)
+            )
+            shuffled.collect()
+            sid = shuffled.deps[0].shuffle_id
+            sm = sc._shuffle_manager
+            assert all(sm.has_output(sid, mp) for mp in range(12))
+            assert all(
+                t.executor == t.partition % 3
+                for stage in sc.metrics.jobs[-1].stages
+                for t in stage.tasks
+            )
 
-    def test_lost_executor_attributed_and_blacklisted(self):
-        plan = FaultPlan(31, [FaultSpec("lose", rate=1.0)])
-        with SparkleContext(2, 1, fault_plan=plan) as sc:
-            sc._scheduler.blacklist_threshold = 1
-            sc.parallelize(range(4), 4).collect()
-            assert len(sc.metrics.blacklisted_executors) == 1
-            assert sc.metrics.executor_loss_events >= 1
+            # one injected loss: partition 0's executor, executor 0
+            sc.fault_plan = FaultPlan(0, [FaultSpec("lose", rate=1.0)])
+            sc.parallelize([0], 1).collect()
+            assert sc.fault_plan.fired()["lose"] == 1
+            assert sc.metrics.executor_loss_events == 1
+            assert [mp for mp in range(12) if not sm.has_output(sid, mp)] == [
+                mp for mp in range(12) if mp % 3 == 0
+            ]
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +272,6 @@ class TestRetryExhaustion:
         plan = FaultPlan(41, [FaultSpec("lose", rate=1.0, max_attempt=10**6)])
         with SparkleContext(2, 1, fault_plan=plan) as sc:
             sc._scheduler.max_task_retries = 1
-            sc._scheduler.blacklist_threshold = 0
             with pytest.raises(JobAborted) as err:
                 sc.parallelize([1], 1).collect()
             assert isinstance(err.value.__cause__, ExecutorLost)
@@ -360,11 +293,10 @@ class TestRetryExhaustion:
 class TestFaultPlanSurface:
     def test_from_string_full_grammar(self):
         plan = FaultPlan.from_string(
-            "seed=7,kill=0.1,lose=0.05,slow=0.2:0.01,storage=0.05,overflow=0.02"
+            "seed=7,kill=0.1,lose=0.05,storage=0.2,overflow=0.02"
         )
         assert plan.seed == 7
-        assert plan.specs["slow"].rate == 0.2
-        assert plan.specs["slow"].delay == 0.01
+        assert plan.specs["storage"].rate == 0.2
         assert plan.specs["kill"].rate == 0.1
         assert plan.serialize_tasks is True
         assert "seed=7" in plan.describe()
@@ -393,7 +325,7 @@ class TestFaultPlanSurface:
         with pytest.raises(ValueError):
             FaultSpec("nope", rate=0.5)
         with pytest.raises(ValueError):
-            FaultSpec("slow", rate=0.5, delay=-1)
+            FaultSpec("kill", rate=0.5, max_attempt=0)
         with pytest.raises(ValueError):
             FaultPlan(0, [FaultSpec("kill", 0.1), FaultSpec("kill", 0.2)])
 

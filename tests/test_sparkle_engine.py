@@ -259,7 +259,6 @@ class TestFailureRecovery:
         plan = FaultPlan(3, [FaultSpec("kill", rate=1.0, max_attempt=99)])
         with SparkleContext(1, 1, fault_plan=plan) as sc:
             sc._scheduler.max_task_retries = 2
-            sc._scheduler.blacklist_threshold = 0
             with pytest.raises(JobAborted):
                 sc.parallelize([1], 1).collect()
 
@@ -352,17 +351,9 @@ class TestExecutorPoolSettle:
         finally:
             pool.shutdown()
 
-    def test_blacklist_remaps_placement(self):
+    def test_placement_is_partition_mod_executors(self):
         pool = ExecutorPool(3, 1)
-        assert [pool.executor_for(p) for p in range(3)] == [0, 1, 2]
-        assert pool.blacklist(1) is True
-        assert pool.blacklist(1) is False  # already gone
-        assert pool.healthy_executors == (0, 2)
-        assert all(pool.executor_for(p) in (0, 2) for p in range(8))
-        # the last healthy executor can never be blacklisted
-        assert pool.blacklist(0) is True
-        assert pool.blacklist(2) is False
-        assert pool.healthy_executors == (2,)
+        assert [pool.executor_for(p) for p in range(8)] == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
 class TestBroadcastAndStorage:
@@ -509,11 +500,9 @@ class TestDeterminism:
 ENGINE_KEYS = """
 jobs stages tasks shuffle_bytes remote_shuffle_bytes collect_bytes
 broadcast_bytes storage_bytes_written storage_bytes_read
-tasks_retried partitions_recomputed speculative_launched speculative_wins
-stragglers_cancelled executor_loss_events transient_io_failures backoff_waits
-backoff_seconds_total executors_blacklisted torn_writes_detected
-corrupt_blocks_detected
-last_executor_protected
+tasks_retried partitions_recomputed executor_loss_events
+transient_io_failures backoff_waits backoff_seconds_total
+torn_writes_detected corrupt_blocks_detected
 durable_puts durable_gets durable_bytes_written durable_bytes_read
 journal_appends journal_entries_replayed resumed_from_iteration
 spill_bytes_written spill_bytes_read blocks_spilled shuffle_blocks_spilled
@@ -549,7 +538,7 @@ class TestCounterRegistry:
                 ENGINE_KEYS,
                 ["plan", "recovery", "durability", "memory", "data_plane",
                  "supervision"],
-                {"blacklisted_executors": "executors_blacklisted"},
+                {},
                 (),
             ),
             (

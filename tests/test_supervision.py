@@ -293,8 +293,8 @@ ERROR_SAMPLES = [
     (JournalError, ("bad version",), {}),
     (ResumeMismatchError, ("other solve",), {}),
     (JobAborted, ("gave up",), {}),
-    (WorkerCrashed, ("died", 1234, "worker_kill", 1),
-     {"pid": 1234, "reason": "worker_kill", "slot": 1}),
+    (WorkerCrashed, ("died", 1234, "worker_kill"),
+     {"pid": 1234, "reason": "worker_kill"}),
     (TaskDeadlineExceeded, ("late", 1.5, 2.25),
      {"deadline": 1.5, "elapsed": 2.25}),
     (PoisonTaskError, ("poison", (0, 8, 0), "B", "deadbeef", 3),
