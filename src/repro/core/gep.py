@@ -150,6 +150,30 @@ class GepSpec(abc.ABC):
                 x, u[:, kk], v[kk, :], None if w is None else w_diag[kk], None
             )
 
+    def apply_corner(
+        self,
+        x: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray | None,
+        steps: int,
+        ri: int,
+        cj: int,
+    ) -> bool:
+        """Steps ``kk = 0 .. steps-1`` of a masked tile update in one
+        call, or ``False`` (``x`` untouched) when only the per-step path
+        computes them — the default.
+
+        Step ``kk`` updates the corner of rows ``>= kk + ri`` and columns
+        ``>= kk + cj`` — :meth:`sigma_mask` at ``gk0 + kk`` for a tile at
+        ``(gi0, gj0)``, with ``ri = gk0 - gi0 + 1`` and ``cj = gk0 - gj0
+        + 1`` on the constrained axes and ``-steps`` (every row or
+        column) on the others.  ``x`` may be a stack whose tiles share
+        that corner and ``w``.  An override must leave exactly what
+        :meth:`apply_k` with those masks leaves, aliasing included.
+        """
+        return False
+
     def sigma_mask(
         self, gi0: int, gj0: int, shape: tuple[int, int], gk: int
     ) -> np.ndarray | None:
@@ -190,6 +214,23 @@ class GepSpec(abc.ABC):
         if gk_hi <= gk_lo:
             return True
         return self.sigma_mask(gi0, gj0, shape, gk_hi - 1) is None
+
+    def sigma_mask_free_stack(
+        self, offsets, shape: tuple[int, int], gk_lo: int, gk_hi: int
+    ) -> bool:
+        """:meth:`sigma_mask_free` for every tile of ``shape`` at
+        ``offsets`` (``(gi0, gj0)`` pairs), decided once for a stack.
+
+        Under the base constraints a tile is mask-free when ``gi0`` (if
+        ``i`` is constrained) and ``gj0`` (if ``j`` is) exceed the last
+        step; both are antitone in the offset, so the stack's smallest
+        ``gi0`` and smallest ``gj0`` — one corner that need not be any
+        tile's — decide it for all.  Overrides of :meth:`sigma_mask_free`
+        whose verdict is not monotone in ``gi0`` / ``gj0`` must override
+        this too.
+        """
+        gi0s, gj0s = zip(*offsets)
+        return self.sigma_mask_free(min(gi0s), min(gj0s), shape, gk_lo, gk_hi)
 
     def sigma_mask_shared(
         self, offsets, shape: tuple[int, int], gk_lo: int, gk_hi: int
@@ -338,6 +379,16 @@ class GaussianEliminationGep(GepSpec):
 
         if u.shape[-1] != pivot or not native.fold(self.native_fold, x, u, v, w):
             ge_steps(x, u, v, w, pivot)
+
+    def apply_corner(self, x, u, v, w, steps, ri, cj):
+        # the compiled fold's k-outer loop, each step over its corner:
+        # the same multiply / divide / subtract per cell as apply_k
+        from ..kernels import native
+
+        return native.fold(
+            self.native_fold, x, u[..., :steps], v[..., :steps, :],
+            w[..., :steps, :steps], corner=(ri, cj),
+        )
 
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)

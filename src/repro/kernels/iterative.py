@@ -29,9 +29,20 @@ because Σ_G (or semiring identity no-ops) pins row/column ``kk`` during
 step ``kk``, and because every step materializes its combination before
 writing ``x``.
 
-Tiles that need a Σ_G mask, or whose pivot range is partly inactive, go
-step by step through ``GepSpec.apply_k``.  Every other tile — all of
-FW/TC, and GE's trailing tiles — is one ``GepSpec.apply_steps`` call:
+Tiles that need a Σ_G mask, or whose pivot range is partly inactive,
+take the masked path.  Under the base constraints active step ``kk``
+updates a *corner* of the tile — rows ``>= kk + ri``, columns ``>= kk +
+cj``, with ``ri = gk0 - gi0 + 1`` (``cj = gk0 - gj0 + 1``) on a
+constrained axis and every row (column) on the other — and the active
+steps are a prefix of the range, so the whole masked update is one
+``GepSpec.apply_corner`` call over the active steps: GE's compiled fold
+runs each step over its corner (k-outer, each step's ``u`` column, ``v``
+row and pivot copied before it writes), and ``KernelStats`` counts the
+corner's cells arithmetically.  What it does not cover — no compiler,
+another dtype, a spec with no corner fold — goes step by step through
+``GepSpec.apply_k`` under a ``sigma_mask``, the oracle the corner fold
+is tested against.  Every other tile — all of FW/TC, and GE's trailing
+tiles — is one ``GepSpec.apply_steps`` call:
 
 * **Semiring specs** forward to ``Semiring.fold_steps(x, u, v)``.  The
   idempotent semirings (min-plus, max-plus, boolean) hand the fold to
@@ -82,14 +93,15 @@ have alone:
   per step over the whole stack, all elementwise;
 * the tropical guard checks the stack for NaN once and restores and
   redoes, alone and guarded, only the tiles that hold one;
-* Σ_G mask-freedom is checked per tile and ``k_active`` once per stack
-  (one pivot range, probed at its two ends).  A stack with a masked
-  tile or a partly inactive range takes the per-step path as one stack
-  when its tiles share the mask at every step
-  (``GepSpec.sigma_mask_shared``: one ``gi0`` for a B panel, one ``gj0``
-  for a C panel, or that axis unconstrained over the range) and one
-  pivot tile; otherwise it falls apart into its tiles, each taking the
-  general path;
+* Σ_G mask-freedom is checked once per stack
+  (``GepSpec.sigma_mask_free_stack``: the smallest ``gi0`` and ``gj0``
+  decide it) and ``k_active`` once per stack (one pivot range, probed at
+  its two ends).  A stack with a masked tile or a partly inactive range
+  takes the masked path as one stack — one corner — when its tiles
+  share the mask at every step (``GepSpec.sigma_mask_shared``: one
+  ``gi0`` for a B panel, one ``gj0`` for a C panel, or that axis
+  unconstrained over the range) and one pivot tile; otherwise it falls
+  apart into its tiles, each taking the general path;
 * ``KernelStats`` records one base invocation per tile, as ever.
 
 One caveat is NumPy's, not the arithmetic's: which operand's NaN a
@@ -179,20 +191,15 @@ def gep_tile_update(
     offsets = list(zip(gi0, gj0, strict=True)) if stacked else [(gi0, gj0)]
     if stacked and len(offsets) != len(x):
         raise ValueError(f"{len(offsets)} offsets for a stack of {len(x)} tiles")
-    # Fast path: when no step of this tile's pivot range needs a Σ_G
-    # mask (checked once — mask-freedom is monotone in gk) and every
-    # step is active (the active steps are a prefix, so the range's two
-    # ends decide it, once for a whole stack), the whole pivot range is
-    # one ``apply_steps`` call and the spec fuses the steps as far as
-    # its arithmetic allows.  This is the hot shape: FW/TC tiles are
-    # never masked, and GE tiles strictly below/right of the pivot stop
-    # being masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
-    if all(
-        spec.sigma_mask_free(i0, j0, shape, gk0, gk0 + pivot) for i0, j0 in offsets
-    ) and (
-        pivot == 0
-        or (spec.k_active(gk0, n_global) and spec.k_active(gk0 + pivot - 1, n_global))
-    ):
+    steps = _active_steps(spec, gk0, pivot, n_global)
+    # Fast path: when no step of this stack's pivot range needs a Σ_G
+    # mask (checked once — mask-freedom is monotone in gk and in the
+    # offsets) and every step is active, the whole pivot range is one
+    # ``apply_steps`` call and the spec fuses the steps as far as its
+    # arithmetic allows.  This is the hot shape: FW/TC tiles are never
+    # masked, and GE tiles strictly below/right of the pivot stop being
+    # masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
+    if steps == pivot and spec.sigma_mask_free_stack(offsets, shape, gk0, gk0 + pivot):
         spec.apply_steps(x, u, v, w, pivot)
         if stats is not None:
             for _ in offsets:
@@ -205,35 +212,44 @@ def gep_tile_update(
         and spec.sigma_mask_shared(offsets, shape, gk0, gk0 + pivot)
     ):
         # The tiles' masks differ at some step (or each has its own
-        # pivot tile): each goes alone, step by step, exactly as it
-        # would unstacked.
+        # pivot tile): each goes alone, exactly as it would unstacked.
         for m, (i0, j0) in enumerate(offsets):
             wm = w if w is None or w.ndim == 2 else w[m]
             gep_tile_update(
                 spec, x[m], u[m], v[m], wm, i0, j0, gk0, n_global, stats, case
             )
         return
-    # Step by step; a stack here shares its mask at every step (a B or
-    # C panel), so the first tile's offsets stand for all of them.
+    # Masked: active step kk updates Σ_G's corner, rows >= kk + ri and
+    # columns >= kk + cj.  A stack here shares its mask at every step (a
+    # B or C panel), so the first tile's offsets stand for all of them.
     i0, j0 = offsets[0]
-    updates = 0
-    for kk in range(pivot):
-        gk = gk0 + kk
-        if not spec.k_active(gk, n_global):
-            continue
-        mask = spec.sigma_mask(i0, j0, shape, gk)
-        if mask is not None:
-            active = int(mask.sum())
-            if active == 0:
-                continue
-            updates += active
-        else:
-            updates += shape[0] * shape[1]
-        w_kk = None if w is None else w[kk, kk]
-        spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, mask)
+    ri = gk0 - i0 + 1 if spec.constrains_i else -steps
+    cj = gk0 - j0 + 1 if spec.constrains_j else -steps
+    if not spec.apply_corner(x, u, v, w, steps, ri, cj):
+        for kk in range(steps):
+            mask = spec.sigma_mask(i0, j0, shape, gk0 + kk)
+            if mask is None or mask.any():
+                w_kk = None if w is None else w[kk, kk]
+                spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, mask)
     if stats is not None:
+        updates = sum(
+            max(0, shape[0] - max(0, kk + ri)) * max(0, shape[1] - max(0, kk + cj))
+            for kk in range(steps)
+        )
         for _ in offsets:
             stats.record_base(case, shape[0], shape[1], pivot, updates)
+
+
+def _active_steps(spec: GepSpec, gk0: int, pivot: int, n_global: int) -> int:
+    """How many of the steps ``gk0 .. gk0 + pivot - 1`` are active.  The
+    active steps are a prefix (``GepSpec.k_active``'s contract), so the
+    range's two ends decide the common cases — all of it or none."""
+    if pivot == 0 or not spec.k_active(gk0, n_global):
+        return 0
+    steps = pivot
+    while not spec.k_active(gk0 + steps - 1, n_global):
+        steps -= 1
+    return steps
 
 
 def gep_tile_update_loop(

@@ -17,7 +17,11 @@ builds it on first use with the host's C compiler:
 ``ge``
     Gaussian elimination's ``x = x - ((u * v) / w[k,k])``: the multiply,
     divide and subtract of ``GaussianEliminationGep.apply_steps``, in
-    that order, step by step.
+    that order, step by step.  It also takes Σ_G's *corner* ``(ri,
+    cj)``: step ``k`` updates only rows ``i >= k + ri`` and columns
+    ``j >= k + cj`` of every tile, so a masked tile or panel
+    (``GaussianEliminationGep.apply_corner``) is one call too; it runs
+    k-outer, below, each step over its corner.
 
 Each folds a whole stack ``(M, rows, cols)`` with ``u`` ``(M, rows, K)``
 and ``v`` ``(M, K, cols)`` (a 2-D tile is the stack of one) in one
@@ -38,14 +42,17 @@ chosen in C from the operands' address ranges:
   in one of ``u`` / ``v`` meeting a ``-inf`` in the other, no step can
   see a NaN, and the plain compare ``x < c ? x : c`` gives the
   NaN-keeping select's bits, ``±0`` ties included, so the blocks run
-  it; otherwise the same blocks run the NaN-keeping select.
+  it; otherwise the same blocks run the NaN-keeping select.  Asked
+  for a *clean* fold, min-plus / max-plus fold only such a call — with
+  no NaN able to arise, the tropical guard needs neither its copy nor
+  its check — and decline every other, ``x`` untouched.
 * **k-outer** — an operand may share memory with ``x`` (kernel cases
-  A/B/C, their panels, the recursive kernel's overlapping views), or
-  ``v``'s columns are strided.  Step
-  ``k`` copies every tile's ``u`` column and ``v`` row (and GE's pivot)
-  to scratch before it writes ``x`` — NumPy's order, whose step product
-  is complete before ``x`` changes — so they read exactly what they
-  read there.
+  A/B/C, their panels, the recursive kernel's overlapping views),
+  ``v``'s columns are strided, or GE's corner masks some step.  Step
+  ``k`` copies what every tile reads of its ``u`` column and ``v`` row
+  (and GE's pivot) to scratch before it writes ``x`` — NumPy's order,
+  whose step product is complete before ``x`` changes — so they read
+  exactly what they read there.
 
 Both run each cell's steps in ``k`` order through one expression, so
 the loop order changes no bit.
@@ -250,11 +257,13 @@ static int apart(const double *a, idx n, const double *b, idx m)
    v's rows contiguous: every tile register-blocked over all K steps.
    min-plus / max-plus first scan the operands: with no NaN anywhere and
    no +inf in u meeting a -inf in v (or the reverse) no step can see a
-   NaN, and the plain compare gives the NaN-keeping select's bits. */
-INLINE void fold_apart(int op, double *x, const double *u, const double *v,
-                       const double *w, idx M, idx rows, idx cols, idx K,
-                       idx xm, idx xr, idx um, idx ur, idx uk, idx vm, idx vk,
-                       idx wm, idx wd)
+   NaN, and the plain compare gives the NaN-keeping select's bits.  With
+   clean set, a call the scan does not clear is declined (returns 1),
+   x untouched. */
+INLINE int fold_apart(int op, int clean, double *x, const double *u,
+                      const double *v, const double *w, idx M, idx rows,
+                      idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk,
+                      idx vm, idx vk, idx wm, idx wd)
 {
     int keep = 1;
     if (op != GE) {
@@ -265,6 +274,8 @@ INLINE void fold_apart(int op, double *x, const double *u, const double *v,
                || ((fu & HAS_PINF) && (fv & HAS_NINF))
                || ((fu & HAS_NINF) && (fv & HAS_PINF));
     }
+    if (clean && keep)
+        return 1;
     for (idx m = 0; m < M; m++) {
         double *xt = x + m * xm;
         const double *ut = u + m * um, *vt = v + m * vm;
@@ -275,48 +286,58 @@ INLINE void fold_apart(int op, double *x, const double *u, const double *v,
         else
             tile(op, 0, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
     }
+    return 0;
 }
 
 /* K steps over a stack of M tiles.  Tile m's row i of x starts at
    x + m*xm + i*xr (contiguous columns); u[m][i][k] is at
    u + m*um + i*ur + k*uk and v[m][k][j] at v + m*vm + k*vk + j*vc;
-   GE's pivot w[m][k][k] at w + m*wm + k*wd.  Operands that share no
-   memory with x take fold_apart (when v's rows are contiguous, as the
-   kernels' tiles and stacks are); the rest step k by k below. */
+   GE's pivot w[m][k][k] at w + m*wm + k*wd.  Step k updates the corner
+   of rows i >= k + ri and columns j >= k + cj of every tile (GE's Σ_G;
+   ri = cj = -K is the whole tile at every step).  Whole-tile operands
+   that share no memory with x take fold_apart (when v's rows are
+   contiguous, as the kernels' tiles and stacks are); the rest step k by
+   k below, each step's corner shrinking with k.  With clean set only a
+   call fold_apart proves NaN-free is folded; any other returns 1,
+   x untouched. */
 INLINE int fold_f64(
-    int op, double *x, const double *u, const double *v, const double *w,
-    idx M, idx rows, idx cols, idx K, idx xm, idx xr, idx um, idx ur,
-    idx uk, idx vm, idx vk, idx vc, idx wm, idx wd)
+    int op, int clean, double *x, const double *u, const double *v,
+    const double *w, idx M, idx rows, idx cols, idx K, idx xm, idx xr,
+    idx um, idx ur, idx uk, idx vm, idx vk, idx vc, idx wm, idx wd, idx ri,
+    idx cj)
 {
     const idx xn = (M - 1) * xm + (rows - 1) * xr + cols;
-    if (vc == 1
+    if (K - 1 + ri <= 0 && K - 1 + cj <= 0 && vc == 1
         && apart(x, xn, u, (M - 1) * um + (rows - 1) * ur + (K - 1) * uk + 1)
         && apart(x, xn, v, (M - 1) * vm + (K - 1) * vk + cols)
-        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1))) {
-        fold_apart(op, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk, vm,
-                   vk, wm, wd);
-        return 0;
-    }
+        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1)))
+        return fold_apart(op, clean, x, u, v, w, M, rows, cols, K, xm, xr, um,
+                          ur, uk, vm, vk, wm, wd);
+    if (clean)
+        return 1;
     double *col = malloc(sizeof(double) * (size_t)(M * (rows + cols + 1) + 1));
     if (col == NULL)
         return -1;
     double *row = col + M * rows, *piv = row + M * cols;
     for (idx k = 0; k < K; k++) {
+        const idx i0 = k + ri > 0 ? k + ri : 0, j0 = k + cj > 0 ? k + cj : 0;
+        if (i0 >= rows || j0 >= cols)
+            break; /* the corner only shrinks from here */
         for (idx m = 0; m < M; m++) {
-            for (idx i = 0; i < rows; i++)
+            for (idx i = i0; i < rows; i++)
                 col[m * rows + i] = u[m * um + i * ur + k * uk];
-            for (idx j = 0; j < cols; j++)
+            for (idx j = j0; j < cols; j++)
                 row[m * cols + j] = v[m * vm + k * vk + j * vc];
             if (op == GE)
                 piv[m] = w[m * wm + k * wd];
         }
         for (idx m = 0; m < M; m++) {
             const double *restrict vr = row + m * cols;
-            for (idx i = 0; i < rows; i++) {
+            for (idx i = i0; i < rows; i++) {
                 double *restrict xi = x + m * xm + i * xr;
                 const double a = col[m * rows + i];
                 const double p = op == GE ? piv[m] : 0.0;
-                for (idx j = 0; j < cols; j++)
+                for (idx j = j0; j < cols; j++)
                     xi[j] = step1(op, 1, xi[j], a, vr[j], p);
             }
         }
@@ -327,26 +348,26 @@ INLINE int fold_f64(
 
 int minplus(double *x, const double *u, const double *v, idx M, idx rows,
             idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc)
+            idx vk, idx vc, int clean)
 {
-    return fold_f64(MINPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
-                    uk, vm, vk, vc, 0, 0);
+    return fold_f64(MINPLUS, clean, x, u, v, NULL, M, rows, cols, K, xm, xr,
+                    um, ur, uk, vm, vk, vc, 0, 0, -K, -K);
 }
 
 int maxplus(double *x, const double *u, const double *v, idx M, idx rows,
             idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc)
+            idx vk, idx vc, int clean)
 {
-    return fold_f64(MAXPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
-                    uk, vm, vk, vc, 0, 0);
+    return fold_f64(MAXPLUS, clean, x, u, v, NULL, M, rows, cols, K, xm, xr,
+                    um, ur, uk, vm, vk, vc, 0, 0, -K, -K);
 }
 
 int ge(double *x, const double *u, const double *v, idx M, idx rows,
        idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-       idx vk, idx vc, const double *w, idx wm, idx wd)
+       idx vk, idx vc, const double *w, idx wm, idx wd, idx ri, idx cj)
 {
-    return fold_f64(GE, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk,
-                    vm, vk, vc, wm, wd);
+    return fold_f64(GE, 0, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk,
+                    vm, vk, vc, wm, wd, ri, cj);
 }
 
 int orand(unsigned char *x, const unsigned char *u, const unsigned char *v,
@@ -426,11 +447,19 @@ def fold_of(spec) -> str:
     return status()
 
 
-def fold(entry: str, x, u, v, w=None) -> bool:
+def fold(entry: str, x, u, v, w=None, *, corner=None, clean=False) -> bool:
     """Fold ``u``'s columns and ``v``'s rows into ``x`` in place with the
     compiled ``entry``; ``w`` is GE's pivot tile (one, or one per stacked
     tile).  Returns ``False``, with ``x`` untouched, when the layout or
     the library rules the C out and the caller's NumPy fold must run.
+
+    ``corner`` (``ge`` only) is Σ_G's ``(ri, cj)``: step ``k`` updates
+    rows ``i >= k + ri`` and columns ``j >= k + cj`` of every tile, so
+    ``(-K, -K)``, the default, is the whole tile at every step.  With
+    ``clean`` (``minplus`` / ``maxplus`` only) the C folds only a call it
+    proves NaN-free — operands apart from ``x``, and a precheck that
+    found no NaN and no opposite infinities — and declines every other:
+    ``True`` then means no NaN can have arisen.
 
     ``x``, ``u``, ``v`` and ``w`` stay referenced by this frame for the
     whole call, so every pointer handed to C is live; the C allocates
@@ -442,6 +471,10 @@ def fold(entry: str, x, u, v, w=None) -> bool:
     args = _layout(_DTYPES[entry], x, u, v, w)
     if args is None:
         return False
+    if entry == "ge":
+        args += corner or (-u.shape[-1], -u.shape[-1])
+    elif entry != "orand":
+        args.append(clean)
     if x.size and u.shape[-1]:
         return getattr(lib, entry)(*args) == 0
     return True
@@ -538,7 +571,8 @@ def _load() -> ctypes.CDLL:
     p, n = ctypes.c_void_p, ctypes.c_ssize_t
     for entry in _DTYPES:
         fn = getattr(lib, entry)
-        fn.argtypes = [p, p, p] + [n] * 12 + ([p, n, n] if entry == "ge" else [])
+        extra = {"ge": [p, n, n, n, n], "orand": []}.get(entry, [ctypes.c_int])
+        fn.argtypes = [p, p, p] + [n] * 12 + extra
         fn.restype = ctypes.c_int
     return lib
 

@@ -53,6 +53,14 @@ def _fold_steps_guarded_once(
     NaN are restored and redone, each alone — tiles of a stack never
     read one another, so the rest already hold their guarded values.
 
+    Before any of that, a call whose ``u`` and ``v`` are not ``x`` itself
+    is offered to the compiled fold as a *clean* fold: the C folds it
+    only when the operands are apart from ``x`` and hold no NaN and no
+    opposite infinities — then no NaN can arise, and neither the copy
+    nor the check is needed.  A call it declines is untouched and takes
+    the copy, fold and check above, as do the aliased kernel cases
+    A/B/C and their panels, which are never offered.
+
     Tables in another dtype than the semiring's stay on the default so
     ``out=`` never casts.
     """
@@ -60,6 +68,8 @@ def _fold_steps_guarded_once(
 
     if not (x.dtype == u.dtype == v.dtype == sr.dtype):
         return Semiring.fold_steps(sr, x, u, v)
+    if u is not x and v is not x and native.fold(sr.native_fold, x, u, v, clean=True):
+        return x
     pristine = x.copy()
     if not native.fold(sr.native_fold, x, u, v):
         with np.errstate(invalid="ignore"):

@@ -23,11 +23,12 @@ import pytest
 from repro.core.gep import (
     FloydWarshallGep,
     GaussianEliminationGep,
+    GepSpec,
     SemiringGep,
     TransitiveClosureGep,
     ge_steps,
 )
-from repro.kernels import IterativeKernel, RecursiveKernel, native
+from repro.kernels import IterativeKernel, KernelStats, RecursiveKernel, gep_tile_update, native
 from repro.semiring import MaxPlus, MinPlus
 from repro.semiring.base import Semiring, fold_steps_idempotent
 
@@ -272,6 +273,212 @@ def test_tropical_nan_still_triggers_the_guarded_redo(compiled):
         assert out.tobytes() == expect.tobytes()
 
 
+class Counted(np.ndarray):
+    """An ``x`` whose ``copy`` calls are counted — the tropical guard's
+    pristine copy is ``x.copy()``."""
+
+    copies = 0
+
+    def copy(self, *args, **kwargs):
+        Counted.copies += 1
+        return np.ndarray.copy(self, *args, **kwargs)
+
+
+@pytest.mark.parametrize("sr", [MinPlus(), MaxPlus()], ids=["minplus", "maxplus"])
+def test_tropical_guard_skips_its_copy_on_a_proved_clean_call(sr, monkeypatch, compiled):
+    """A case-D call the compiled precheck clears folds with no pristine
+    copy and no NaN check; opposite infinities (a NaN produced) and an
+    aliased call still copy, and the former is still redone."""
+    monkeypatch.setattr(Counted, "copies", 0)
+    rng = np.random.default_rng(5)
+    x = rng.integers(-3, 4, (3, 6, 5)).astype(float)
+    u = rng.integers(-3, 4, (3, 6, 4)).astype(float)
+    v = rng.integers(-3, 4, (3, 4, 5)).astype(float)
+    u[0, 1, 1] = v[2, 3, 0] = sr.zero  # same-sign infinities stay clean
+    expect = x.copy()
+    for m in range(3):
+        Semiring.fold_steps(sr, expect[m], u[m], v[m])
+
+    clean = x.copy().view(Counted)
+    sr.fold_steps(clean, u, v)
+    assert Counted.copies == 0
+    assert clean.tobytes() == expect.tobytes()
+
+    v[1, 2, 4] = -sr.zero  # meets u's opposite infinity: NaN, then the redo
+    u[1, 3, 2] = sr.zero
+    expect = x.copy()
+    for m in range(3):
+        Semiring.fold_steps(sr, expect[m], u[m], v[m])
+    dirty = x.copy().view(Counted)
+    sr.fold_steps(dirty, u, v)
+    assert Counted.copies == 1
+    assert not np.isnan(dirty).any() and dirty.tobytes() == expect.tobytes()
+
+    tile = x[0].copy().view(Counted)  # v overlaps x without being it
+    sr.fold_steps(tile, u[0, :, :], tile[:4].view(np.ndarray))
+    assert Counted.copies == 2
+    aliased = x[0].copy().view(Counted)
+    sr.fold_steps(aliased, aliased, aliased)
+    assert Counted.copies == 3
+
+
+def test_clean_fold_declines_what_it_cannot_prove(compiled):
+    """``fold(..., clean=True)`` folds only operands apart from ``x`` with
+    nothing for a NaN to come from; it declines the rest untouched."""
+    x = np.arange(12.0).reshape(3, 4)
+    u, v = np.ones((3, 2)), np.ones((2, 4))
+    for a, b, c in ((x.copy(), u, v), (x.copy(), u, v * np.nan), (x.copy(), u * np.inf, -np.inf * v)):
+        before = a.copy()
+        clean = native.fold("minplus", a, b, c, clean=True)
+        assert clean == (not np.isnan(c).any() and not np.isinf(b).any())
+        assert clean or a.tobytes() == before.tobytes()
+    square = x[:, :3].copy()
+    before = square.copy()
+    assert native.fold("maxplus", square, square, square, clean=True) is False
+    assert square.tobytes() == before.tobytes()
+
+
+#: values a masked GE fuzz draws from: ties of ±0, infinities (which
+#: produce NaN — no input NaN, see ``_same_bits``), overflow at ±1e308
+GE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, 1e308, -1e308])
+
+
+def _ge_call(rng, case, stack):
+    """One masked-path GE call as the kernels make it: ``(x, operands,
+    gi0, gj0, gk0, n_global, n_pivots)``, ``operands`` rebuilding the
+    aliased ones from each side's copy of ``x``.  A B panel shares ``u``
+    and ``w`` (stride 0) and its ``gi0``; a C panel ``v``, ``w`` and
+    ``gj0``; offsets around the pivot give empty, partial and full
+    corners, ``n_pivots`` cuts the range before or inside the tile."""
+
+    def values(*shape):
+        out = rng.choice(GE_VALUES, size=shape)
+        plain = rng.random(shape) < 0.5
+        out[plain] = rng.integers(-3, 4, size=int(plain.sum())).astype(float)
+        return out
+
+    rows, cols = (int(d) for d in rng.integers(1, 14, size=2))
+    if case == "A":
+        cols = rows
+    pivot = {"A": rows, "B": rows, "C": cols, "D": int(rng.integers(1, 14))}[case]
+    lead = () if stack is None else (stack,)
+    x = values(*lead, rows, cols)
+    u, v, w = values(rows, pivot), values(pivot, cols), values(pivot, pivot)
+    gk0 = int(rng.integers(0, 24))
+    gi0 = gk0 + int(rng.integers(-rows - 1, pivot + 2))
+    gj0 = gk0 + int(rng.integers(-cols - 1, pivot + 2))
+    if case == "B":
+        gi0 = gk0
+    elif case == "C":
+        gj0 = gk0
+    if stack is not None:
+        # a panel's other offsets are alike, or all past the range
+        spread = rng.random() < 0.5
+        if case == "B":
+            gj0 = [gk0 + pivot + 3 * m if spread else gj0 for m in range(stack)]
+            gi0 = [gi0] * stack
+            u = np.broadcast_to(u, (stack,) + u.shape)
+        elif case == "C":
+            gi0 = [gk0 + pivot + 3 * m if spread else gi0 for m in range(stack)]
+            gj0 = [gj0] * stack
+            v = np.broadcast_to(v, (stack,) + v.shape)
+        else:  # D: different masks, so the stack falls apart
+            gi0, gj0 = [gi0 + m for m in range(stack)], [gj0] * stack
+            u, v = values(stack, rows, pivot), values(stack, pivot, cols)
+    ops = {
+        "A": lambda c: (c, c, c, c),
+        "B": lambda c: (c, u, c, w),
+        "C": lambda c: (c, c, v, w),
+        "D": lambda c: (c, u, v, w),
+    }[case]
+    n_pivots = None if rng.random() < 0.5 else int(rng.integers(0, gk0 + pivot + 2))
+    return x, ops, gi0, gj0, gk0, int(rng.integers(gk0, gk0 + 2 * pivot + 2)), n_pivots
+
+
+def _ge_masked(x, ops, gi0, gj0, gk0, n, n_pivots, corner=True):
+    spec = GaussianEliminationGep(n_pivots)
+    if not corner:
+        spec.apply_corner = lambda *args: False
+    stats = KernelStats(keep_log=True)
+    out = x.copy()
+    with np.errstate(all="ignore"):
+        gep_tile_update(spec, *ops(out), gi0, gj0, gk0, n, stats, "X")
+    return out, stats
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C", "D"])
+def test_ge_corner_fold_matches_the_per_step_path(case, monkeypatch, compiled):
+    """Masked GE tiles and panels through the compiled corner fold leave
+    the NumPy per-step path's bytes and books: case A (``u = v = w =
+    x``), B / C panels on a stride-0 shared pivot, single tiles and
+    stacks, rows and columns 1-13, corners empty, partial and full,
+    ``n_pivots`` cutting the range before or inside it."""
+    corners = []
+    fold = native.fold
+
+    def counted(*args, **kwargs):
+        done = fold(*args, **kwargs)
+        if kwargs.get("corner") is not None:
+            corners.append(done)
+        return done
+
+    monkeypatch.setattr(native, "fold", counted)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(250):
+        stack = None if case == "A" or rng.random() < 0.4 else int(rng.integers(1, 6))
+        call = _ge_call(rng, case, stack)
+        got, got_stats = _ge_masked(*call)
+        want, want_stats = _ge_masked(*call, corner=False)
+        assert got.tobytes() == want.tobytes(), call[2:]
+        assert got_stats == want_stats
+    assert corners and all(corners)
+
+
+def test_ge_corner_fold_declines_float32(compiled):
+    """A float32 GE table has no compiled fold: the corner declines,
+    untouched, and the per-step NumPy path runs."""
+
+    class GeF32(GaussianEliminationGep):
+        dtype = np.dtype(np.float32)
+
+    x = (np.arange(1.0, 17.0).reshape(4, 4) + 40 * np.eye(4)).astype(np.float32)
+    before = x.copy()
+    assert native.fold("ge", x, x, x, x, corner=(1, 1)) is False
+    assert x.tobytes() == before.tobytes()
+    spec = GeF32()
+    assert spec.apply_corner(x, x, x, x, 4, 1, 1) is False
+    got, want = x.copy(), x.copy()
+    gep_tile_update(spec, got, got, got, got, 0, 0, 0, 4)
+    for k in range(4):
+        spec.apply_k(want, want[:, k], want[k, :], want[k, k], spec.sigma_mask(0, 0, (4, 4), k))
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_stack_mask_freedom_is_its_smallest_offsets():
+    """``sigma_mask_free_stack`` is every tile's ``sigma_mask_free``, and
+    a stack whose lowest tile is masked leaves what its tiles leave
+    alone."""
+    spec = GaussianEliminationGep()
+    shape = (4, 4)
+    starts = list(range(0, 20, 2))
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        offsets = [tuple(int(a) for a in rng.choice(starts, 2)) for _ in range(rng.integers(1, 5))]
+        gk_lo = int(rng.integers(0, 16))
+        gk_hi = gk_lo + int(rng.integers(0, 5))
+        assert spec.sigma_mask_free_stack(offsets, shape, gk_lo, gk_hi) == all(
+            spec.sigma_mask_free(i0, j0, shape, gk_lo, gk_hi) for i0, j0 in offsets
+        )
+    x, u, v = (rng.integers(-3, 4, (3, 4, 4)).astype(float) for _ in range(3))
+    w = np.diag([4.0, -2.0, 0.5, 3.0])
+    gi0s, gj0s = [2, 8, 12], [8, 8, 12]  # the first tile straddles gk 4..7
+    stacked = x.copy()
+    gep_tile_update(spec, stacked, u, v, w, gi0s, gj0s, 4, 16)
+    for m in range(3):
+        gep_tile_update(spec, x[m], u[m], v[m], w, gi0s[m], gj0s[m], 4, 16)
+    assert stacked.tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize(
     "layout",
     ["float32", "strided_columns", "fortran", "negative_stride", "overlapping_rows",
@@ -391,12 +598,13 @@ def _finish(proc, timeout=120):
 
 
 #: the solves a missing compiler must not change: small FW (IM) and GE
-#: (CB) tables, and FW on the benchmark's 96x96 tiles — with ``+inf``
-#: edges only (the compiled D fold's plain compare), then with one
-#: ``-inf`` entry too (its NaN-keeping select and the tropical redo).
-#: Vertex 150 has no in-edges, so its ``+inf`` column outlives the solve
-#: and meets the ``-inf`` paths.
-SOLVES = ("fw", "ge", "fw96", "fw96_neg")
+#: (CB) tables, GE (CB) on 8x8 tiles, whose A tiles and B / C panels
+#: take the masked corner fold, and FW on the benchmark's 96x96 tiles —
+#: with ``+inf`` edges only (the compiled D fold's plain compare, proved
+#: clean), then with one ``-inf`` entry too (its NaN-keeping select and
+#: the tropical redo).  Vertex 150 has no in-edges, so its ``+inf``
+#: column outlives the solve and meets the ``-inf`` paths.
+SOLVES = ("fw", "ge", "ge8", "fw96", "fw96_neg")
 
 
 def solve_summary() -> dict:
@@ -413,6 +621,7 @@ def solve_summary() -> dict:
     for name, spec, table, strategy, r in (
         ("fw", FloydWarshallGep(), random_digraph_weights(48, seed=5), "im", 6),
         ("ge", GaussianEliminationGep(), diagonally_dominant(48, seed=5), "cb", 6),
+        ("ge8", GaussianEliminationGep(), diagonally_dominant(64, seed=7), "cb", 8),
         ("fw96", FloydWarshallGep(), tropical, "im", 2),
         ("fw96_neg", FloydWarshallGep(), negative, "im", 2),
     ):
