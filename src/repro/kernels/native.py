@@ -32,17 +32,19 @@ chosen in C from the operands' address ranges:
 
 * **Apart** — ``u``, ``v`` (and GE's pivots) span no byte of ``x``, and
   ``v``'s rows are contiguous: kernel case D, ``run_stacks``' D stacks,
-  the recursive kernel's sub-views of distinct tiles.  Each tile is register-blocked: a 4-row
-  x 16-column block of ``x`` (GCC / Clang ``vector_size`` lanes, no
-  intrinsics) stays in registers across all ``K`` steps, reading one
-  ``v`` row segment and four ``u`` values per step; narrower blocks
-  (one row, eight columns) and a cell-by-cell tail cover the rest.
+  the recursive kernel's sub-views of distinct tiles.  Each tile is
+  register-blocked: a 4-row x 16-column block of ``x`` (GCC / Clang
+  ``vector_size`` lanes) stays in registers across all ``K`` steps,
+  reading one ``v`` row segment and four ``u`` values per step; narrower
+  blocks (one row, eight columns) and a cell-by-cell tail cover the rest.
   Before any write, min-plus / max-plus scan ``x``, ``u`` and ``v``
   (eight lanes at a time): with no NaN in any of them and no ``+inf``
   in one of ``u`` / ``v`` meeting a ``-inf`` in the other, no step can
   see a NaN, and the plain compare ``x < c ? x : c`` gives the
   NaN-keeping select's bits, ``±0`` ties included, so the blocks run
-  it; otherwise the same blocks run the NaN-keeping select.  Asked
+  it — on AVX-512 one ``vminpd`` / ``vmaxpd`` per eight lanes, ``x``
+  first, since MINPD / MAXPD return their second operand on a tie — and
+  otherwise the same blocks run the NaN-keeping select.  Asked
   for a *clean* fold, min-plus / max-plus fold only such a call — with
   no NaN able to arise, the tropical guard needs neither its copy nor
   its check — and decline every other, ``x`` untouched.
@@ -91,6 +93,9 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
 typedef ptrdiff_t idx;
 
@@ -127,6 +132,13 @@ INLINE vd stepv(int op, int keep, vd x, vd a, vd b, vd p)
     if (op == GE)
         return x - a * b / p;
     const vd c = a + b;
+#ifdef __AVX512F__
+    /* MINPD / MAXPD give their second operand on a tie or a NaN, so with
+       x first they are the plain compare in one instruction. */
+    if (!keep)
+        return op == MINPLUS ? (vd)_mm512_min_pd((__m512d)x, (__m512d)c)
+                             : (vd)_mm512_max_pd((__m512d)x, (__m512d)c);
+#endif
     vmask take = (vmask)(op == MINPLUS ? x < c : x > c);
     if (keep)
         take |= (vmask)(x != x);

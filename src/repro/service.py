@@ -14,8 +14,9 @@ through five defensive layers before an engine pass runs:
 2. **Single-flight dedup** — requests with the same solve fingerprint
    (:meth:`~repro.sparkle.requests.SolveRequest.fingerprint`, the same
    identity the resume journal uses) coalesce onto one engine pass, and
-   completed results land in a checksummed LRU cache charged to the
-   storage pool (squeezes evict it before it can go stale).  The cache
+   completed results land in an LRU cache charged to the storage pool
+   (squeezes evict it before it can go stale) whose every read checks a
+   CRC-32 guard, so a buffer changed in place is never served.  The cache
    also knows each live entry by the generator identities of the wire
    requests that reached it, so a repeat socket request is served
    without regenerating or re-hashing its input.
@@ -82,6 +83,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -380,13 +382,15 @@ class _Flight:
 
 
 class _CacheEntry:
-    __slots__ = ("array", "checksum", "nbytes", "tenant", "identities")
+    __slots__ = ("array", "checksum", "guard", "nbytes", "tenant", "identities")
 
     def __init__(
         self, array: np.ndarray, checksum: str, tenant: str | None = None
     ) -> None:
         self.array = array
         self.checksum = checksum
+        #: CRC-32 of ``array`` at admission; every read recomputes it
+        self.guard = _guard(array)
         self.nbytes = int(array.nbytes)
         #: tenant whose quota ledger carries this entry's bytes (None =
         #: anonymous or rehydrated-from-spool: storage-charged only)
@@ -397,21 +401,37 @@ class _CacheEntry:
 
 
 def _checksum(array: np.ndarray) -> str:
+    """A result's content identity: BLAKE2b-128 of its C-order bytes."""
     return hashlib.blake2b(
-        np.ascontiguousarray(array).tobytes(), digest_size=16
+        memoryview(np.ascontiguousarray(array)), digest_size=16
     ).hexdigest()
 
 
-class ResultCache:
-    """Checksummed LRU of solve results, charged to the storage pool.
+def _guard(array: np.ndarray) -> int:
+    """The cache's corruption guard: CRC-32 of a C-contiguous array."""
+    return zlib.crc32(memoryview(array))
 
-    Every hit re-verifies the entry's BLAKE2b checksum — a corrupted or
-    partially-evicted buffer is dropped and treated as a miss rather
-    than served.  Bytes are reserved from the MemoryManager's
-    ``storage`` pool; when a reservation fails the LRU tail is evicted
-    until it fits (or the entry is simply not cached).  A budget
-    squeeze invalidates entries until pressure clears, so the cache
-    never pins memory the engine needs.
+
+class ResultCache:
+    """Guarded LRU of solve results, charged to the storage pool.
+
+    An entry holds a private C-contiguous copy of its result, that
+    result's BLAKE2b-128 checksum (its content identity, handed back
+    with every hit and never recomputed here) and a CRC-32 *guard* of
+    the copy taken on admission.  Every hit recomputes the guard — one
+    CRC-32 pass, no BLAKE2b — and a buffer whose guard no longer matches
+    is counted in ``cache_integrity_failures``, dropped with its
+    identities and treated as a miss rather than served.  The cache is
+    process-local, so what it can meet is accidental corruption, which
+    CRC-32 catches the way Spark's shuffle-block checksums do: every 1-
+    and 2-bit error and every burst up to 32 bits, and a random larger
+    change with probability 1 - 2⁻³².
+
+    Bytes are reserved from the MemoryManager's ``storage`` pool; when a
+    reservation fails the LRU tail is evicted until it fits (or the
+    entry is simply not cached).  A budget squeeze invalidates entries
+    until pressure clears, so the cache never pins memory the engine
+    needs.
 
     Beside the entries sits an identity map: a request's
     :meth:`~repro.sparkle.requests.SolveRequest.identity` → the
@@ -450,7 +470,7 @@ class ResultCache:
     def get(
         self, fingerprint: str, identity: Hashable | None = None
     ) -> tuple[np.ndarray, str] | None:
-        """A verified copy of the cached result and its checksum, or None.
+        """A guard-checked copy of the cached result and its checksum, or None.
 
         On a hit, ``identity`` (when given) is learned for this entry.
         """
@@ -459,7 +479,7 @@ class ResultCache:
             if entry is None:
                 self._metrics.cache_misses += 1
                 return None
-            if _checksum(entry.array) != entry.checksum:
+            if _guard(entry.array) != entry.guard:
                 self._metrics.cache_integrity_failures += 1
                 self._drop_locked(fingerprint)
                 self._metrics.cache_misses += 1

@@ -76,7 +76,7 @@ def solve_fingerprint(
         sorted(item for item in kernel_describe.items() if item[0] != "fold"),
     )
     h.update(repr(config).encode())
-    h.update(np.ascontiguousarray(table).tobytes())
+    h.update(memoryview(np.ascontiguousarray(table)))
     return h.hexdigest()
 
 
@@ -177,7 +177,7 @@ class SolveResponse:
 
     result: np.ndarray
     fingerprint: str
-    #: BLAKE2b-128 of ``result``'s bytes: the cache entry's verified
+    #: BLAKE2b-128 of ``result``'s bytes: the cache entry's stored
     #: checksum on a hit, the one hash of a fresh engine result otherwise
     checksum: str
     request_id: str | None = None

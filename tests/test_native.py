@@ -338,6 +338,38 @@ def test_clean_fold_declines_what_it_cannot_prove(compiled):
     assert square.tobytes() == before.tobytes()
 
 
+#: values with no NaN and no ``-inf`` to meet the ``+inf``: every case-D
+#: call over them clears the precheck and runs the plain compare (one
+#: ``vminpd`` / ``vmaxpd`` per eight lanes on AVX-512); ``±1e308`` overflows
+PLAIN_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("entry", ["minplus", "maxplus"])
+def test_plain_compare_matches_the_numpy_steps_bit_for_bit(entry, compiled):
+    """3,000 case-D calls the precheck proves clean — every register-block
+    remainder, overflow to ``±inf``, ``±0`` ties — fold to the NumPy step
+    loop's bytes; ``±0`` ties in both orders (``x`` +0 meeting a -0 step
+    and the reverse) lead."""
+    rng = np.random.default_rng(sum(map(ord, entry)) + 40)
+    cases = [
+        (np.full((4, 16), 0.0), np.full((4, 3), -0.0), np.full((3, 16), -0.0)),
+        (np.full((4, 16), -0.0), np.full((4, 3), 0.0), np.full((3, 16), -0.0)),
+    ]
+    while len(cases) < 3000:
+        lead = () if rng.random() < 0.4 else (int(rng.integers(1, 5)),)
+        rows, pivot = (int(d) for d in rng.integers(1, 10, size=2))
+        cols = int(rng.choice(BLOCK_COLS))
+        cases.append(tuple(
+            rng.choice(PLAIN_VALUES, size=lead + shape)
+            for shape in ((rows, cols), (rows, pivot), (pivot, cols))
+        ))
+    for x, u, v in cases:
+        expect, got = x.copy(), x.copy()
+        _numpy_fold(entry, expect, u, v)
+        assert native.fold(entry, got, u, v, clean=True)
+        assert got.tobytes() == expect.tobytes()
+
+
 #: values a masked GE fuzz draws from: ties of ±0, infinities (which
 #: produce NaN — no input NaN, see ``_same_bits``), overflow at ±1e308
 GE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, 1e308, -1e308])

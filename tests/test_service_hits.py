@@ -3,8 +3,8 @@
 A wire request carries its generator identity and builds its table only
 on first use; the result cache knows which identities resolve to which
 live entry, so a repeat request is served without regenerating or
-re-hashing its input, and the reply reuses the checksum the hit just
-verified.  These tests pin when the table is built (counted, never
+re-hashing its input, and the reply reuses the checksum stored with the
+entry.  These tests pin when the table is built (counted, never
 timed), the identity map's lifecycle against every way an entry can
 leave the cache, and the NaN refusal at the request boundary.
 """
@@ -12,6 +12,7 @@ leave the cache, and the NaN refusal at the request boundary.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import sys
@@ -104,6 +105,53 @@ class TestWireRequest:
         assert np.array_equal(thawed.table, table)
         assert thawed.identity() == request.identity()
         assert request.fingerprint() == _build_request(_payload()).fingerprint()
+
+
+class TestDigests:
+    """``_checksum`` and ``solve_fingerprint`` hash the contiguous buffer
+    itself; the digests stay those of the ``tobytes()`` formula they
+    replaced, so older journals resume and clients compare the same
+    strings."""
+
+    @staticmethod
+    def _inputs():
+        base = np.arange(20 * 18, dtype=np.float64).reshape(20, 18) - 7.5
+        base[3, 4], base[5, 6] = -0.0, np.inf
+        return {
+            "c_order": base,
+            "f_order": np.asfortranarray(base),
+            "strided": base[1::3, ::2],
+            "transposed": base.T,
+            "bool": base > 0,
+        }
+
+    def test_checksum_equals_the_tobytes_formula(self):
+        for name, table in self._inputs().items():
+            old = hashlib.blake2b(
+                np.ascontiguousarray(table).tobytes(), digest_size=16
+            ).hexdigest()
+            assert _checksum(table) == old, name
+        assert _checksum(np.arange(12.0).reshape(3, 4)) == (
+            "fc9b80fc2698b1dd56513922f2d242d9"
+        )
+
+    def test_fingerprint_equals_the_tobytes_formula(self):
+        describe = {"kind": "iterative", "fold": "native"}
+        for name, table in self._inputs().items():
+            h = hashlib.blake2b(digest_size=16)
+            config = ("floyd-warshall", str(table.dtype), table.shape[0], 2,
+                      4, "im", [("kind", "iterative")])
+            h.update(repr(config).encode())
+            h.update(np.ascontiguousarray(table).tobytes())
+            got = repro.sparkle.requests.solve_fingerprint(
+                "floyd-warshall", table.dtype, table.shape[0], 2, 4, "im",
+                describe, table,
+            )
+            assert got == h.hexdigest(), name
+        assert repro.sparkle.requests.solve_fingerprint(
+            "floyd-warshall", np.float64, 3, 1, 3, "im", {"kind": "iterative"},
+            np.arange(12.0).reshape(3, 4),
+        ) == "1d7213dc4ac06947181d72a150a2d1b3"
 
 
 class TestNanBoundary:
@@ -323,6 +371,97 @@ class TestIdentityMap:
             sc.stop()
 
 
+class TestCacheGuard:
+    """Every read recomputes the entry's CRC-32 guard: a buffer changed
+    in place is counted, dropped with its identity and never served."""
+
+    @pytest.mark.timeout(180)
+    def test_guard_catches_every_in_place_corruption(self):
+        payload = _payload(seed=19, n=128, r=4)
+        reference = _solo(payload)
+        expected = reference.tobytes()
+        rng = np.random.default_rng(2020)
+        nbits = reference.nbytes * 8
+        finite = np.flatnonzero(np.isfinite(reference))
+        zero = int(np.flatnonzero(reference == 0.0)[0])
+        assert not np.signbit(reference.flat[zero])
+
+        def flip_cell_bit(cell, bit):
+            def corrupt(array):
+                bits = array.reshape(-1).view(np.uint64)
+                bits[cell] ^= np.uint64(1) << np.uint64(bit)
+            return corrupt
+
+        def flip_bits(*positions):
+            def corrupt(array):
+                raw = array.reshape(-1).view(np.uint8)
+                for p in positions:
+                    raw[p // 8] ^= np.uint8(1 << (p % 8))
+            return corrupt
+
+        def add_one(array):
+            array.reshape(-1)[finite[len(finite) // 2]] += 1.0
+
+        cell = int(rng.choice(finite))
+        cases = [flip_cell_bit(cell, bit) for bit in range(64)]
+        cases += [flip_bits(int(p)) for p in rng.integers(0, nbits, 1000)]
+        cases += [
+            flip_bits(*map(int, rng.choice(nbits, 2, replace=False)))
+            for _ in range(500)
+        ]
+        cases += [add_one, flip_cell_bit(zero, 63)]  # ... and +0.0 -> -0.0
+
+        sc = _context()
+        try:
+            with SolverService(sc) as service:
+                first = _wire_solve(service, payload)
+                assert first.result.tobytes() == expected
+                fingerprint = first.fingerprint
+                identity = _build_request(payload).identity()
+                cache, metrics = service.cache, service.metrics
+                assert cache.fingerprint_of(identity) == fingerprint
+
+                def caught(corrupt, admitted):
+                    failures = metrics.cache_integrity_failures
+                    array = cache._entries[fingerprint].array
+                    corrupt(array)
+                    assert array.tobytes() != admitted.tobytes()
+                    assert cache.get(fingerprint, identity) is None
+                    assert metrics.cache_integrity_failures == failures + 1
+                    assert fingerprint not in cache._entries
+                    assert cache.fingerprint_of(identity) is None
+                    # what the next request's engine pass admits
+                    assert cache.put(fingerprint, reference,
+                                     checksum=first.checksum,
+                                     identities=[identity])
+                    served, checksum = cache.get(fingerprint, identity)
+                    assert served.tobytes() == expected
+                    assert checksum == first.checksum
+
+                for corrupt in cases:
+                    caught(corrupt, reference)
+                # -0.0 -> +0.0 on an entry admitted holding the -0.0
+                negative = reference.copy()
+                negative.flat[zero] = -0.0
+                assert cache.invalidate(fingerprint)
+                assert cache.put(fingerprint, negative,
+                                 checksum=_checksum(negative),
+                                 identities=[identity])
+                caught(flip_cell_bit(zero, 63), negative)
+                assert metrics.cache_integrity_failures == len(cases) + 1
+                # through the request plane: the next request after a
+                # corruption recomputes and serves the reference bytes
+                add_one(cache._entries[fingerprint].array)
+                again = _wire_solve(service, payload)
+                assert not again.from_cache
+                assert again.result.tobytes() == expected
+                assert metrics.cache_integrity_failures == len(cases) + 2
+                hit = _wire_solve(service, payload)
+                assert hit.from_cache and hit.result.tobytes() == expected
+        finally:
+            sc.stop()
+
+
 def _serve(service, socket_path, max_requests):
     ready = threading.Event()
     server = threading.Thread(
@@ -339,7 +478,8 @@ class TestSocketHit:
     def test_a_hit_generates_nothing_and_hashes_once(
         self, tmp_path, monkeypatch
     ):
-        calls = {"make_problem": 0, "solve_fingerprint": 0, "_checksum": 0}
+        calls = {"make_problem": 0, "solve_fingerprint": 0, "_checksum": 0,
+                 "_guard": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -353,6 +493,7 @@ class TestSocketHit:
         counting(repro.workloads, "make_problem")
         counting(repro.sparkle.requests, "solve_fingerprint")
         counting(repro.service, "_checksum")
+        counting(repro.service, "_guard")
         socket_path = str(tmp_path / "solver.sock")
         payload = {**_payload(seed=16), "return_result": True}
         sc = _context()
@@ -365,15 +506,18 @@ class TestSocketHit:
             miss = send_request(socket_path, payload, timeout=60)
             assert miss["status"] == "ok" and not miss["from_cache"]
             # a miss: one input built, fingerprinted, and its result
-            # hashed once for cache, journal and reply together
+            # hashed once for cache, journal and reply together; the
+            # cache takes its guard on admission
             assert calls == {"make_problem": 1, "solve_fingerprint": 1,
-                             "_checksum": 1}
+                             "_checksum": 1, "_guard": 1}
             for _ in range(hits):
                 before = dict(calls)
                 hit = send_request(socket_path, payload, timeout=60)
                 assert hit["status"] == "ok" and hit["from_cache"]
+                # a hit: one CRC-32 guard pass, no BLAKE2b
                 assert {k: calls[k] - before[k] for k in calls} == {
-                    "make_problem": 0, "solve_fingerprint": 0, "_checksum": 1,
+                    "make_problem": 0, "solve_fingerprint": 0, "_checksum": 0,
+                    "_guard": 1,
                 }
                 assert hit["result_checksum"] == miss["result_checksum"]
                 assert np.array_equal(hit["result"], miss["result"])
