@@ -189,6 +189,10 @@ KEEP: list[tuple[str, str, str]] = [
     ("semiring/", r"Semiring\.fold_steps", "the generic fold a semiring without a fused one runs"),
     ("semiring/base.py", r"fold_steps_idempotent",
      "the NumPy fold: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
+    ("semiring/tropical.py", r"_fold_steps_guarded_once",
+     "the NumPy fold: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
+    ("core/gep.py", r"GaussianEliminationGep\.apply_k|GepSpec\.apply_corner",
+     "the masked per-step path (no corner fold, or no compiler: make tier1-nocc), the corner fold's oracle"),
     ("core/gep.py", r"ge_steps",
      "GE's NumPy steps: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
     ("kernels/native.py", r"_build", "the cold-cache build: a program reaches it once per host and cache key"),

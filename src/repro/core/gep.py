@@ -311,8 +311,12 @@ class SemiringGep(GepSpec):
 
     def apply_steps(self, x, u, v, w, pivot):
         # One semiring product ``x ⊕= u ⊗ v`` instead of ``pivot`` rank-1
-        # steps; the semiring decides how far it may fuse them.
-        self.semiring.fold_steps(x, u, v)
+        # steps: the compiled fold (guarded, final bits) where it covers
+        # the call, else the semiring's NumPy fold.
+        from ..kernels import native  # repro.kernels imports this module
+
+        if not native.fold(self.native_fold, x, u, v):
+            self.semiring.fold_steps(x, u, v)
 
 
 class FloydWarshallGep(SemiringGep):

@@ -44,11 +44,12 @@ another dtype, a spec with no corner fold — goes step by step through
 is tested against.  Every other tile — all of FW/TC, and GE's trailing
 tiles — is one ``GepSpec.apply_steps`` call:
 
-* **Semiring specs** forward to ``Semiring.fold_steps(x, u, v)``.  The
-  idempotent semirings (min-plus, max-plus, boolean) hand the fold to
-  the compiled C where it covers the layout (float64 / bool, rows
-  contiguous, non-negative strides — :func:`.native.fold`), one call per
-  tile or stack.  Their NumPy fold, the fallback and the tests' oracle,
+* **Semiring specs** (``SemiringGep.apply_steps``) hand the fold to
+  the compiled C where it covers the semiring and the layout (min-plus,
+  max-plus, boolean; float64 / bool, rows contiguous, non-negative
+  strides — :func:`.native.fold`), one call per tile or stack with
+  final bits, and to ``Semiring.fold_steps(x, u, v)`` otherwise.  The
+  idempotent semirings' NumPy fold, the fallback and the tests' oracle,
   gives the same bits: operands that cannot share memory with ``x``
   (identity, then ``np.may_share_memory``, conservatively) are folded
   as a k-chunked 3-D broadcast, ⊕-reduced over ``k`` and merged into
@@ -57,9 +58,10 @@ tiles — is one ``GepSpec.apply_steps`` call:
   Aliased operands keep sequential ``k`` order (each step reads what
   the previous wrote) with one reused buffer.  Other semirings keep the
   sequential ``mul`` + ``add_inplace`` default.
-* **The tropical ±inf guard runs once per call**, not once per step: the
-  fold runs unguarded, ``min``/``max`` keep a NaN once a cell has one
-  (in C as in NumPy), so ``isnan(x).any()`` afterwards detects every
+* **The tropical ±inf guard** turns ``inf + (-inf)`` into the semiring
+  zero at every step in C.  NumPy's fold runs it once per call, not once
+  per step: the fold runs unguarded, ``min``/``max`` keep a NaN once a
+  cell has one, so ``isnan(x).any()`` afterwards detects every
   ``inf + (-inf)``; on a hit the tile is restored and redone through the
   guarded sequential default.  Results are identical either way.
 * **GE** runs its steps in order, in C or through one reused NumPy
@@ -69,8 +71,9 @@ tiles — is one ``GepSpec.apply_steps`` call:
 
 Stacks
 ------
-Every call pays a fixed cost — validation, Σ_G predicates, the tropical
-guard's copy and NaN check, the call into C or NumPy's ufunc dispatch —
+Every call pays a fixed cost — validation, Σ_G predicates, the call
+into C or NumPy's ufunc dispatch (and, in NumPy, the tropical guard's
+copy and NaN check) —
 and an 8x8 tile is only 512 cell updates, so on small tiles that cost is
 most of the call.  So the unit of the fast path is a *stack*: ``x``
 ``(M, rows, cols)``, ``u`` ``(M, rows, pivot)``, ``v`` ``(M, pivot,
@@ -91,8 +94,9 @@ have alone:
   loop, over the whole stack;
 * GE stays sequential in ``k``: one multiply, one divide, one subtract
   per step over the whole stack, all elementwise;
-* the tropical guard checks the stack for NaN once and restores and
-  redoes, alone and guarded, only the tiles that hold one;
+* NumPy's tropical guard checks the stack for NaN once and restores
+  and redoes, alone and guarded, only the tiles that hold one (the C
+  guards each step);
 * Σ_G mask-freedom is checked once per stack
   (``GepSpec.sigma_mask_free_stack``: the smallest ``gi0`` and ``gj0``
   decide it) and ``k_active`` once per stack (one pivot range, probed at
@@ -109,7 +113,8 @@ commutative ufunc returns when both are NaN depends on where a cell
 falls in its loop (SIMD body or scalar tail), so on a GE stack ``NaN *
 NaN`` of opposite signs — an input NaN meeting one the arithmetic
 produced — may come out with either sign bit.  A tropical stack never
-keeps such a NaN: a tile that holds one is redone alone.
+meets such a pair: the guard makes every NaN candidate the semiring
+zero.
 
 :meth:`IterativeKernel.run_stacks` is where a task's call list becomes
 stacks, of tiles with equal geometry, pivot range and the spec's dtype:

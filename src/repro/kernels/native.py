@@ -5,12 +5,15 @@ This module holds that code — one C source, four entry points — and
 builds it on first use with the host's C compiler:
 
 ``minplus`` / ``maxplus``
-    ``x[i,j] = x[i,j] ⊕ (u[i,k] + v[k,j])`` for ``k = 0 .. K-1``, ⊕ the
-    NumPy ``minimum`` / ``maximum`` of the same two operands, cell by
-    cell: ``(x < c || x != x) ? x : c`` keeps NumPy's choice on a ``±0``
-    tie (the second operand) and propagates NaN, and the steps of one
-    cell run in ``k`` order, so every chunking NumPy might use gives the
-    same bits.  ``inf + (-inf)`` is left to the caller's NaN guard.
+    The semiring's guarded fold: ``x[i,j] = x[i,j] ⊕ c`` with ``c =
+    u[i,k] + v[k,j]`` for ``k = 0 .. K-1``, where a NaN ``c`` (``inf +
+    (-inf)``, or a NaN operand) is first the semiring zero (``+inf`` /
+    ``-inf``) and ⊕ is the NumPy ``minimum`` / ``maximum`` of the same
+    two operands, cell by cell: ``(x < c || x != x) ? x : c`` keeps
+    NumPy's choice on a ``±0`` tie (the second operand) and keeps a NaN
+    ``x``, and the steps of one cell run in ``k`` order.  So one call
+    leaves exactly the bits of ``MinPlus`` / ``MaxPlus.fold_steps``, NaN
+    included, and no check or redo follows it.
 ``orand``
     ``x = x | (u & v)`` over ``bool`` tiles (results are ``0`` / ``1``,
     as NumPy's logical ufuncs write them).
@@ -38,16 +41,14 @@ chosen in C from the operands' address ranges:
   reading one ``v`` row segment and four ``u`` values per step; narrower
   blocks (one row, eight columns) and a cell-by-cell tail cover the rest.
   Before any write, min-plus / max-plus scan ``x``, ``u`` and ``v``
-  (eight lanes at a time): with no NaN in any of them and no ``+inf``
-  in one of ``u`` / ``v`` meeting a ``-inf`` in the other, no step can
-  see a NaN, and the plain compare ``x < c ? x : c`` gives the
-  NaN-keeping select's bits, ``±0`` ties included, so the blocks run
-  it — on AVX-512 one ``vminpd`` / ``vmaxpd`` per eight lanes, ``x``
-  first, since MINPD / MAXPD return their second operand on a tie — and
-  otherwise the same blocks run the NaN-keeping select.  Asked
-  for a *clean* fold, min-plus / max-plus fold only such a call — with
-  no NaN able to arise, the tropical guard needs neither its copy nor
-  its check — and decline every other, ``x`` untouched.
+  (eight lanes at a time) to pick the faster of two forms of the same
+  step: with no NaN in any of them and no ``+inf`` in one of ``u`` /
+  ``v`` meeting a ``-inf`` in the other, no step can see a NaN, and the
+  plain compare ``x < c ? x : c`` gives the guarded step's bits, ``±0``
+  ties included, so the blocks run it — on AVX-512 one ``vminpd`` /
+  ``vmaxpd`` per eight lanes, ``x`` first, since MINPD / MAXPD return
+  their second operand on a tie — and otherwise the same blocks run the
+  guarded step.  The scan decides speed only.
 * **k-outer** — an operand may share memory with ``x`` (kernel cases
   A/B/C, their panels, the recursive kernel's overlapping views),
   ``v``'s columns are strided, or GE's corner masks some step.  Step
@@ -60,7 +61,8 @@ Both run each cell's steps in ``k`` order through one expression, so
 the loop order changes no bit.
 
 :func:`fold` returns ``False``, and the caller runs its NumPy fold,
-for anything the C does not cover: another dtype, an ``x`` whose rows
+for anything the C does not cover: no entry point (``None``), another
+dtype, an ``x`` whose rows
 are not contiguous or whose tiles could overlap, a negative or
 unaligned stride, mismatched shapes — or no library.  The library is
 built with ``$CC`` (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}
@@ -102,6 +104,8 @@ typedef ptrdiff_t idx;
 enum { MINPLUS, MAXPLUS, GE };
 
 #define INLINE static inline __attribute__((always_inline))
+/* the semiring zero a NaN a + b becomes: +inf for min-plus, -inf for max-plus */
+#define ZERO(op) ((op) == MINPLUS ? __builtin_inf() : -__builtin_inf())
 
 /* Eight doubles, the lane mask comparing two of them gives, and one
    double in every lane (an initializer, not arithmetic: 0.0 + -0.0
@@ -114,15 +118,18 @@ INLINE vd load(const double *p) { vd t; memcpy(&t, p, sizeof t); return t; }
 INLINE void store(double *p, vd t) { memcpy(p, &t, sizeof t); }
 
 /* One step of one cell: x ⊕ (a + b), or GE's x - a * b / p.  With keep
-   ⊕ is the NaN-keeping select NumPy's minimum / maximum make; without
-   it the plain compare, which agrees with it whenever neither x nor
-   a + b is NaN.  The vector form runs the same expression in every
-   lane. */
+   it is the semiring's guarded step: a NaN a + b (inf + (-inf), or a
+   NaN operand) becomes the semiring zero, then ⊕ is the NaN-keeping
+   select NumPy's minimum / maximum make.  Without keep it is the plain
+   compare, which agrees with that whenever neither x nor a + b can be
+   NaN.  The vector form runs the same expression in every lane. */
 INLINE double step1(int op, int keep, double x, double a, double b, double p)
 {
     if (op == GE)
         return x - a * b / p;
-    const double c = a + b;
+    double c = a + b;
+    if (keep && c != c)
+        c = ZERO(op);
     const int take = op == MINPLUS ? x < c : x > c;
     return (take || (keep && x != x)) ? x : c;
 }
@@ -131,7 +138,7 @@ INLINE vd stepv(int op, int keep, vd x, vd a, vd b, vd p)
 {
     if (op == GE)
         return x - a * b / p;
-    const vd c = a + b;
+    vd c = a + b;
 #ifdef __AVX512F__
     /* MINPD / MAXPD give their second operand on a tie or a NaN, so with
        x first they are the plain compare in one instruction. */
@@ -139,6 +146,10 @@ INLINE vd stepv(int op, int keep, vd x, vd a, vd b, vd p)
         return op == MINPLUS ? (vd)_mm512_min_pd((__m512d)x, (__m512d)c)
                              : (vd)_mm512_max_pd((__m512d)x, (__m512d)c);
 #endif
+    if (keep) {
+        const vmask bad = (vmask)(c != c);
+        c = (vd)((bad & (vmask)BCAST(ZERO(op))) | (~bad & (vmask)c));
+    }
     vmask take = (vmask)(op == MINPLUS ? x < c : x > c);
     if (keep)
         take |= (vmask)(x != x);
@@ -269,13 +280,11 @@ static int apart(const double *a, idx n, const double *b, idx m)
    v's rows contiguous: every tile register-blocked over all K steps.
    min-plus / max-plus first scan the operands: with no NaN anywhere and
    no +inf in u meeting a -inf in v (or the reverse) no step can see a
-   NaN, and the plain compare gives the NaN-keeping select's bits.  With
-   clean set, a call the scan does not clear is declined (returns 1),
-   x untouched. */
-INLINE int fold_apart(int op, int clean, double *x, const double *u,
-                      const double *v, const double *w, idx M, idx rows,
-                      idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk,
-                      idx vm, idx vk, idx wm, idx wd)
+   NaN, and the plain compare gives the guarded step's bits. */
+INLINE void fold_apart(int op, double *x, const double *u, const double *v,
+                       const double *w, idx M, idx rows, idx cols, idx K,
+                       idx xm, idx xr, idx um, idx ur, idx uk, idx vm, idx vk,
+                       idx wm, idx wd)
 {
     int keep = 1;
     if (op != GE) {
@@ -286,8 +295,6 @@ INLINE int fold_apart(int op, int clean, double *x, const double *u,
                || ((fu & HAS_PINF) && (fv & HAS_NINF))
                || ((fu & HAS_NINF) && (fv & HAS_PINF));
     }
-    if (clean && keep)
-        return 1;
     for (idx m = 0; m < M; m++) {
         double *xt = x + m * xm;
         const double *ut = u + m * um, *vt = v + m * vm;
@@ -298,7 +305,6 @@ INLINE int fold_apart(int op, int clean, double *x, const double *u,
         else
             tile(op, 0, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
     }
-    return 0;
 }
 
 /* K steps over a stack of M tiles.  Tile m's row i of x starts at
@@ -309,11 +315,9 @@ INLINE int fold_apart(int op, int clean, double *x, const double *u,
    ri = cj = -K is the whole tile at every step).  Whole-tile operands
    that share no memory with x take fold_apart (when v's rows are
    contiguous, as the kernels' tiles and stacks are); the rest step k by
-   k below, each step's corner shrinking with k.  With clean set only a
-   call fold_apart proves NaN-free is folded; any other returns 1,
-   x untouched. */
+   k below, each step's corner shrinking with k. */
 INLINE int fold_f64(
-    int op, int clean, double *x, const double *u, const double *v,
+    int op, double *x, const double *u, const double *v,
     const double *w, idx M, idx rows, idx cols, idx K, idx xm, idx xr,
     idx um, idx ur, idx uk, idx vm, idx vk, idx vc, idx wm, idx wd, idx ri,
     idx cj)
@@ -322,11 +326,11 @@ INLINE int fold_f64(
     if (K - 1 + ri <= 0 && K - 1 + cj <= 0 && vc == 1
         && apart(x, xn, u, (M - 1) * um + (rows - 1) * ur + (K - 1) * uk + 1)
         && apart(x, xn, v, (M - 1) * vm + (K - 1) * vk + cols)
-        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1)))
-        return fold_apart(op, clean, x, u, v, w, M, rows, cols, K, xm, xr, um,
-                          ur, uk, vm, vk, wm, wd);
-    if (clean)
-        return 1;
+        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1))) {
+        fold_apart(op, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk, vm,
+                   vk, wm, wd);
+        return 0;
+    }
     double *col = malloc(sizeof(double) * (size_t)(M * (rows + cols + 1) + 1));
     if (col == NULL)
         return -1;
@@ -360,25 +364,25 @@ INLINE int fold_f64(
 
 int minplus(double *x, const double *u, const double *v, idx M, idx rows,
             idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc, int clean)
+            idx vk, idx vc)
 {
-    return fold_f64(MINPLUS, clean, x, u, v, NULL, M, rows, cols, K, xm, xr,
-                    um, ur, uk, vm, vk, vc, 0, 0, -K, -K);
+    return fold_f64(MINPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
+                    uk, vm, vk, vc, 0, 0, -K, -K);
 }
 
 int maxplus(double *x, const double *u, const double *v, idx M, idx rows,
             idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc, int clean)
+            idx vk, idx vc)
 {
-    return fold_f64(MAXPLUS, clean, x, u, v, NULL, M, rows, cols, K, xm, xr,
-                    um, ur, uk, vm, vk, vc, 0, 0, -K, -K);
+    return fold_f64(MAXPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
+                    uk, vm, vk, vc, 0, 0, -K, -K);
 }
 
 int ge(double *x, const double *u, const double *v, idx M, idx rows,
        idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
        idx vk, idx vc, const double *w, idx wm, idx wd, idx ri, idx cj)
 {
-    return fold_f64(GE, 0, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk,
+    return fold_f64(GE, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk,
                     vm, vk, vc, wm, wd, ri, cj);
 }
 
@@ -459,34 +463,31 @@ def fold_of(spec) -> str:
     return status()
 
 
-def fold(entry: str, x, u, v, w=None, *, corner=None, clean=False) -> bool:
+def fold(entry: str | None, x, u, v, w=None, *, corner=None) -> bool:
     """Fold ``u``'s columns and ``v``'s rows into ``x`` in place with the
     compiled ``entry``; ``w`` is GE's pivot tile (one, or one per stacked
-    tile).  Returns ``False``, with ``x`` untouched, when the layout or
-    the library rules the C out and the caller's NumPy fold must run.
+    tile).  Returns ``False``, with ``x`` untouched, when there is no
+    such entry (``None``: a semiring only NumPy folds) or the layout or
+    the library rules the C out, and the caller's NumPy fold must run.
+    ``True`` means ``x`` holds its final bits: min-plus / max-plus guard
+    ``inf + (-inf)`` in C.
 
     ``corner`` (``ge`` only) is Σ_G's ``(ri, cj)``: step ``k`` updates
     rows ``i >= k + ri`` and columns ``j >= k + cj`` of every tile, so
-    ``(-K, -K)``, the default, is the whole tile at every step.  With
-    ``clean`` (``minplus`` / ``maxplus`` only) the C folds only a call it
-    proves NaN-free — operands apart from ``x``, and a precheck that
-    found no NaN and no opposite infinities — and declines every other:
-    ``True`` then means no NaN can have arisen.
+    ``(-K, -K)``, the default, is the whole tile at every step.
 
     ``x``, ``u``, ``v`` and ``w`` stay referenced by this frame for the
     whole call, so every pointer handed to C is live; the C allocates
     its own scratch.
     """
     lib = _library()
-    if lib is None or (w is None) == (entry == "ge"):
+    if lib is None or entry not in _DTYPES or (w is None) == (entry == "ge"):
         return False
     args = _layout(_DTYPES[entry], x, u, v, w)
     if args is None:
         return False
     if entry == "ge":
         args += corner or (-u.shape[-1], -u.shape[-1])
-    elif entry != "orand":
-        args.append(clean)
     if x.size and u.shape[-1]:
         return getattr(lib, entry)(*args) == 0
     return True
@@ -583,8 +584,7 @@ def _load() -> ctypes.CDLL:
     p, n = ctypes.c_void_p, ctypes.c_ssize_t
     for entry in _DTYPES:
         fn = getattr(lib, entry)
-        extra = {"ge": [p, n, n, n, n], "orand": []}.get(entry, [ctypes.c_int])
-        fn.argtypes = [p, p, p] + [n] * 12 + extra
+        fn.argtypes = [p, p, p] + [n] * 12 + ([p, n, n, n, n] if entry == "ge" else [])
         fn.restype = ctypes.c_int
     return lib
 

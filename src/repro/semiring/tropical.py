@@ -38,42 +38,33 @@ def _fold_steps_guarded_once(
     """Tropical :meth:`Semiring.fold_steps` with the ``inf + (-inf)`` guard
     run once per call instead of once per step, with identical results.
 
-    The fold runs unguarded: the semiring's compiled fold
-    (:mod:`repro.kernels.native`) where it covers the layout, else raw
-    ``np.add`` / ``oplus`` — the same bits either way.  ``np.minimum`` and
-    ``np.maximum`` (and their reductions) propagate NaN, and once a cell
-    of ``x`` is NaN every later ⊕ keeps it NaN, so a NaN anywhere in the
-    final ``x`` is a complete detector for "some ⊙ produced NaN (or an
-    operand held one)".  No NaN means every candidate was NaN-free, so
-    the per-step guard would have been a no-op at every step and the
-    values are the guarded ones.  On a NaN the tile is restored and the
-    call redone through the guarded sequential default — rare: it takes
-    opposite infinities (or NaN) in the operands.  A stack
-    ``(M, rows, cols)`` is checked once, whole; only the tiles holding a
-    NaN are restored and redone, each alone — tiles of a stack never
-    read one another, so the rest already hold their guarded values.
+    This is the NumPy fold: what a tile update runs where the compiled
+    fold (:mod:`repro.kernels.native`, which guards every step itself)
+    does not cover the call — no compiler, another layout — and the
+    oracle the compiled fold is tested against.
 
-    Before any of that, a call whose ``u`` and ``v`` are not ``x`` itself
-    is offered to the compiled fold as a *clean* fold: the C folds it
-    only when the operands are apart from ``x`` and hold no NaN and no
-    opposite infinities — then no NaN can arise, and neither the copy
-    nor the check is needed.  A call it declines is untouched and takes
-    the copy, fold and check above, as do the aliased kernel cases
-    A/B/C and their panels, which are never offered.
+    The fold runs unguarded through raw ``np.add`` / ``oplus``.
+    ``np.minimum`` and ``np.maximum`` (and their reductions) propagate
+    NaN, and once a cell of ``x`` is NaN every later ⊕ keeps it NaN, so a
+    NaN anywhere in the final ``x`` is a complete detector for "some ⊙
+    produced NaN (or an operand held one)".  No NaN means every
+    candidate was NaN-free, so the per-step guard would have been a
+    no-op at every step and the values are the guarded ones.  On a NaN
+    the tile is restored and the call redone through the guarded
+    sequential default — rare: it takes opposite infinities (or NaN) in
+    the operands.  A stack ``(M, rows, cols)`` is checked once, whole;
+    only the tiles holding a NaN are restored and redone, each alone —
+    tiles of a stack never read one another, so the rest already hold
+    their guarded values.
 
     Tables in another dtype than the semiring's stay on the default so
     ``out=`` never casts.
     """
-    from ..kernels import native  # repro.kernels imports this package
-
     if not (x.dtype == u.dtype == v.dtype == sr.dtype):
         return Semiring.fold_steps(sr, x, u, v)
-    if u is not x and v is not x and native.fold(sr.native_fold, x, u, v, clean=True):
-        return x
     pristine = x.copy()
-    if not native.fold(sr.native_fold, x, u, v):
-        with np.errstate(invalid="ignore"):
-            fold_steps_idempotent(x, u, v, np.add, oplus)
+    with np.errstate(invalid="ignore"):
+        fold_steps_idempotent(x, u, v, np.add, oplus)
     if np.isnan(x).any():
         if x.ndim == 2:
             x[...] = pristine

@@ -26,6 +26,7 @@ from repro.kernels import (
     case_of,
     gep_tile_update,
     gep_tile_update_loop,
+    native,
 )
 from repro.kernels.base import ALIAS_X, update_tile, update_tiles
 from repro.semiring import MinPlus, Semiring, get_semiring, tropical
@@ -766,10 +767,41 @@ def test_float32_table_keeps_the_default_fold(fw_spec, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+def _opposite_infinities_tile():
+    rng = np.random.default_rng(9)
+    x0, u, v = (rng.integers(1, 20, size=(4, 4)).astype(float) for _ in range(3))
+    u[1, 2] = np.inf
+    v[2, 3] = -np.inf
+    return x0, u, v
+
+
+def _opposite_infinities_stack():
+    """Four tiles; only tile 2 meets ``inf + (-inf)``."""
+    rng = np.random.default_rng(11)
+    xs, us, vs = (rng.integers(1, 20, size=(4, 4, 4)).astype(float) for _ in range(3))
+    us[2, 1, 2] = np.inf
+    vs[2, 2, 3] = -np.inf
+    return xs, us, vs
+
+
+def _opposite_infinities_panel():
+    """A B panel of four tiles on one pivot; only tile 2's own row meets
+    the pivot's ``inf`` with ``-inf``."""
+    rng = np.random.default_rng(12)
+    pivot = rng.integers(1, 20, size=(4, 4)).astype(float)
+    pivot[1, 2] = np.inf
+    tiles = [rng.integers(1, 20, size=(4, 5)).astype(float) for _ in range(4)]
+    tiles[2][2, 3] = -np.inf
+    return [("B", x, pivot, ALIAS_X, pivot, 4, 8 + 5 * m, 4, 32) for m, x in enumerate(tiles)]
+
+
 class TestGuardFallback:
-    """The ±inf guard runs once per kernel call: a clean tile never takes
-    a guarded step, a tile whose fold meets ``inf + (-inf)`` is redone,
-    whole, through the guarded sequential default."""
+    """The NumPy fold runs the ±inf guard once per kernel call: a clean
+    tile never takes a guarded step, a tile whose fold meets ``inf +
+    (-inf)`` is redone, whole, through the guarded sequential default.
+    The redo tests pin that fallback with the compiled fold declined;
+    their compiled twins pin that the C guards each step itself and
+    takes no guarded NumPy step."""
 
     @staticmethod
     def _count_guarded(monkeypatch):
@@ -788,6 +820,15 @@ class TestGuardFallback:
         monkeypatch.setattr(MinPlus, "mul", counting_mul)
         return calls
 
+    @staticmethod
+    def _decline_native(monkeypatch):
+        monkeypatch.setattr(native, "fold", lambda *args, **kwargs: False)
+
+    @staticmethod
+    def _require_native():
+        if native.status() != "native":
+            pytest.skip(f"compiled fold unavailable: {native.status()}")
+
     def test_clean_tile_takes_no_guarded_step(self, fw_spec, monkeypatch):
         calls = self._count_guarded(monkeypatch)
         t = fw_table(12, seed=4)
@@ -798,10 +839,8 @@ class TestGuardFallback:
         assert calls == {"fold": 0, "mul": 0}
 
     def test_opposite_infinities_redo_the_call_guarded(self, fw_spec, monkeypatch):
-        rng = np.random.default_rng(9)
-        x0, u, v = (rng.integers(1, 20, size=(4, 4)).astype(float) for _ in range(3))
-        u[1, 2] = np.inf
-        v[2, 3] = -np.inf
+        self._decline_native(monkeypatch)
+        x0, u, v = _opposite_infinities_tile()
         want = x0.copy()
         _per_k_loop(fw_spec, want, u, v)  # today's result, computed first
 
@@ -814,13 +853,22 @@ class TestGuardFallback:
         assert got[0, 3] == -np.inf  # finite + (-inf) still wins the min
         assert got[1, 3] == min(x0[1, 3], *(u[1, k] + v[k, 3] for k in (0, 1, 3)))
 
+    def test_compiled_fold_guards_the_call_without_a_redo(self, fw_spec, monkeypatch):
+        self._require_native()
+        x0, u, v = _opposite_infinities_tile()
+        want = x0.copy()
+        _per_k_loop(fw_spec, want, u, v)
+        calls = self._count_guarded(monkeypatch)
+        got = x0.copy()
+        gep_tile_update(fw_spec, got, u, v, None, 4, 8, 0, 12)
+        assert calls == {"fold": 0, "mul": 0}
+        assert got.tobytes() == want.tobytes()
+
     def test_one_tile_of_a_stack_trips_the_guard(self, fw_spec, monkeypatch):
         """The guard checks the stack once; only the tile that met
         ``inf + (-inf)`` is restored and redone, alone."""
-        rng = np.random.default_rng(11)
-        xs, us, vs = (rng.integers(1, 20, size=(4, 4, 4)).astype(float) for _ in range(3))
-        us[2, 1, 2] = np.inf
-        vs[2, 2, 3] = -np.inf
+        self._decline_native(monkeypatch)
+        xs, us, vs = _opposite_infinities_stack()
         solo = []
         for m in range(4):
             out = xs[m].copy()
@@ -833,19 +881,25 @@ class TestGuardFallback:
         assert [x.tobytes() for x in xs] == solo
         assert not np.isnan(xs).any()
 
+    def test_compiled_fold_guards_a_stack_without_a_redo(self, fw_spec, monkeypatch):
+        self._require_native()
+        xs, us, vs = _opposite_infinities_stack()
+        solo = []
+        for m in range(4):
+            out = xs[m].copy()
+            _per_k_loop(fw_spec, out, us[m], vs[m])
+            solo.append(out.tobytes())
+        calls = self._count_guarded(monkeypatch)
+        gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
+        assert calls == {"fold": 0, "mul": 0}
+        assert [x.tobytes() for x in xs] == solo
+
     def test_one_tile_of_a_panel_trips_the_guard(self, fw_spec, monkeypatch):
         """A B panel shares its pivot but not its tiles: only the tile
         whose own row meets the pivot's ``inf`` with ``-inf`` is restored
         and redone, alone."""
-        rng = np.random.default_rng(12)
-        pivot = rng.integers(1, 20, size=(4, 4)).astype(float)
-        pivot[1, 2] = np.inf
-        tiles = [rng.integers(1, 20, size=(4, 5)).astype(float) for _ in range(4)]
-        tiles[2][2, 3] = -np.inf
-        calls = [
-            ("B", x, pivot, ALIAS_X, pivot, 4, 8 + 5 * m, 4, 32)
-            for m, x in enumerate(tiles)
-        ]
+        self._decline_native(monkeypatch)
+        calls = _opposite_infinities_panel()
         kernel = IterativeKernel(fw_spec)
         solo = [update_tile(kernel, call).tobytes() for call in calls]
 
@@ -854,3 +908,17 @@ class TestGuardFallback:
         assert calls_seen == {"fold": 1, "mul": 4}  # one tile's steps, no more
         assert [out.tobytes() for out in outs] == solo
         assert np.isinf(outs[2]).any() and not np.isnan(outs[2]).any()
+
+    def test_compiled_fold_guards_a_panel_without_a_redo(self, fw_spec, monkeypatch):
+        self._require_native()
+        calls = _opposite_infinities_panel()
+        kernel = IterativeKernel(fw_spec)
+        solo = []
+        for _, x, pivot, _, _, *_ in calls:
+            out = x.copy()
+            _per_k_loop(fw_spec, out, pivot, out)
+            solo.append(out.tobytes())
+        calls_seen = self._count_guarded(monkeypatch)
+        outs = kernel.run_stacks(calls)
+        assert calls_seen == {"fold": 0, "mul": 0}
+        assert [out.tobytes() for out in outs] == solo

@@ -1,7 +1,8 @@
 """The compiled tile folds (:mod:`repro.kernels.native`).
 
 The NumPy folds are the oracle: on every layout the C covers, each of
-the four entry points must leave exactly the NumPy fold's bytes, and on
+the four entry points must leave exactly the NumPy fold's bytes — for
+min-plus / max-plus the semiring's guarded fold, NaN included — and on
 every layout it does not cover it must decline and touch nothing.  The
 build and fallback cases each run in a subprocess with a private
 ``XDG_CACHE_HOME``.
@@ -29,7 +30,7 @@ from repro.core.gep import (
     ge_steps,
 )
 from repro.kernels import IterativeKernel, KernelStats, RecursiveKernel, gep_tile_update, native
-from repro.semiring import MaxPlus, MinPlus
+from repro.semiring import MaxPlus, MinPlus, tropical
 from repro.semiring.base import Semiring, fold_steps_idempotent
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -60,24 +61,12 @@ def _numpy_fold(entry, x, u, v, w=None):
             ge_steps(x, u, v, w, u.shape[-1])
         elif entry == "orand":
             fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
-        else:
-            oplus = np.minimum if entry == "minplus" else np.maximum
-            fold_steps_idempotent(x, u, v, np.add, oplus)
+        else:  # the semiring's guarded NumPy fold
+            (MinPlus() if entry == "minplus" else MaxPlus()).fold_steps(x, u, v)
 
 
 def _native_fold(entry, x, u, v, w=None):
     assert native.fold(entry, x, u, v, w), "the compiled fold declined"
-
-
-def _same_bits(a, b):
-    """``array_equal`` (NaN where NaN) plus equal sign bits, ``±0``
-    included.  A NaN's own sign is left out: where two NaNs meet in one
-    ``+`` either may come out, in NumPy as in C, and the tropical guard
-    redoes every tile that holds a NaN."""
-    assert np.array_equal(a, b, equal_nan=a.dtype != np.bool_)
-    if a.dtype != np.bool_:
-        number = ~np.isnan(a)
-        assert np.array_equal(np.signbit(a[number]), np.signbit(b[number]))
 
 
 def _operands(entry, rng, stack, rows, cols, pivot):
@@ -99,16 +88,15 @@ def _operands(entry, rng, stack, rows, cols, pivot):
 
 
 def _check(entry, x, u, v, w=None, view=None):
-    """Fold copies of the operands both ways and compare.  ``view``
-    rebuilds aliasing operands from the copy of ``x`` each side gets."""
+    """Fold copies of the operands both ways and compare every byte.
+    ``view`` rebuilds aliasing operands from the copy of ``x`` each side
+    gets."""
     results = []
     for run in (_numpy_fold, _native_fold):
         xc = x.copy()
         run(entry, *(view(xc) if view is not None else (xc, u, v, w)))
         results.append(xc)
-    _same_bits(*results)
-    if entry in ("ge", "orand"):  # no input NaN here: every byte agrees
-        assert results[0].tobytes() == results[1].tobytes()
+    assert results[0].tobytes() == results[1].tobytes()
 
 
 ENTRIES = ["minplus", "maxplus", "orand", "ge"]
@@ -231,7 +219,7 @@ def test_register_blocks_and_precheck_match_numpy(entry, case, compiled):
     layout (a ``v`` with strided columns takes the k-outer loop), on
     each side of the precheck: NaN in one operand only, opposite
     infinities in ``u`` and ``v``, same-sign infinities only, ``±0``
-    ties.  Each leaves the NumPy fold's bits; GE's every byte."""
+    ties.  Each leaves every byte of the NumPy fold."""
     rng = np.random.default_rng([sum(map(ord, entry)), sum(map(ord, case))])
     layouts = ["contiguous", "strided_rows", "shared", "transposed"]
     for i, cols in enumerate(BLOCK_COLS):
@@ -247,35 +235,47 @@ def test_register_blocks_and_precheck_match_numpy(entry, case, compiled):
             xc = x.copy()
             run(entry, *view(xc))
             results.append(xc)
-        _same_bits(*results)
-        if entry == "ge":
-            assert results[0].tobytes() == results[1].tobytes()
+        assert results[0].tobytes() == results[1].tobytes()
 
 
-def test_tropical_nan_still_triggers_the_guarded_redo(compiled):
-    """The compiled fold is the unguarded arithmetic only: a produced
-    ``inf + (-inf)`` is NaN afterwards, so the once-per-call guard
-    still restores the tile and redoes it to the semiring zero."""
+def _guarded(sr, x, u, v):
+    """The guarded sequential default, tile by tile."""
+    expect = x.copy()
+    for m in range(x.shape[0]):
+        Semiring.fold_steps(sr, expect[m], u[m], v[m])
+    return expect
+
+
+def test_compiled_tropical_fold_guards_opposite_infinities(compiled):
+    """``inf + (-inf)`` is the semiring zero inside the C: one call
+    leaves the guarded bytes, no NaN, for a stack where one tile meets
+    opposite infinities and for the aliased cases A (``u = v = x``), B
+    (``v = x``) and C (``u = x``)."""
     for sr in (MinPlus(), MaxPlus()):
         x = np.full((3, 4, 4), 5.0)
         u = np.zeros((3, 4, 2))
         v = np.zeros((3, 2, 4))
-        u[1, 2, 0], v[1, 0, 3] = np.inf, -np.inf  # only tile 1 meets it
-        raw = x.copy()
-        with np.errstate(invalid="ignore"):
-            assert native.fold(sr.native_fold, raw, u, v)
-        assert np.isnan(raw[1, 2, 3]) and not np.isnan(raw[[0, 2]]).any()
-        out = sr.fold_steps(x.copy(), u, v)
-        expect = x.copy()
-        for m in range(3):  # the guarded sequential default, tile by tile
-            Semiring.fold_steps(sr, expect[m], u[m], v[m])
-        assert not np.isnan(out).any()
-        assert out.tobytes() == expect.tobytes()
+        u[1, 2, 0], v[1, 0, 3] = sr.zero, -sr.zero  # only tile 1 meets it
+        got = x.copy()
+        assert native.fold(sr.native_fold, got, u, v)
+        assert not np.isnan(got).any()
+        assert got.tobytes() == _guarded(sr, x, u, v).tobytes()
+
+        t = np.arange(16.0).reshape(4, 4) - 6.0
+        t[1, 2], t[2, 3] = sr.zero, -sr.zero  # row 1 meets column 3 at k = 2
+        for case in "ABC":
+            x, expect = t.copy(), t.copy()
+            ops = {"A": (x, x), "B": (t, x), "C": (x, t)}[case]
+            expect_ops = {"A": (expect, expect), "B": (t, expect), "C": (expect, t)}[case]
+            Semiring.fold_steps(sr, expect, *expect_ops)
+            assert native.fold(sr.native_fold, x, *ops), case
+            assert not np.isnan(x).any(), case
+            assert x.tobytes() == expect.tobytes(), case
 
 
 class Counted(np.ndarray):
-    """An ``x`` whose ``copy`` calls are counted — the tropical guard's
-    pristine copy is ``x.copy()``."""
+    """An ``x`` whose ``copy`` calls are counted — the NumPy tropical
+    fold's pristine copy is ``x.copy()``."""
 
     copies = 0
 
@@ -285,57 +285,81 @@ class Counted(np.ndarray):
 
 
 @pytest.mark.parametrize("sr", [MinPlus(), MaxPlus()], ids=["minplus", "maxplus"])
-def test_tropical_guard_skips_its_copy_on_a_proved_clean_call(sr, monkeypatch, compiled):
-    """A case-D call the compiled precheck clears folds with no pristine
-    copy and no NaN check; opposite infinities (a NaN produced) and an
-    aliased call still copy, and the former is still redone."""
-    monkeypatch.setattr(Counted, "copies", 0)
+def test_apply_steps_runs_no_copy_and_no_numpy_fold(sr, monkeypatch, compiled):
+    """``SemiringGep.apply_steps`` is one compiled call with final bits:
+    no pristine ``x.copy()`` and no NumPy fold for a case-D stack, for
+    the aliased cases A / B / C, for ``v`` a view overlapping ``x``, or
+    with opposite infinities in the operands."""
+    spec = SemiringGep(sr)
     rng = np.random.default_rng(5)
     x = rng.integers(-3, 4, (3, 6, 5)).astype(float)
     u = rng.integers(-3, 4, (3, 6, 4)).astype(float)
     v = rng.integers(-3, 4, (3, 4, 5)).astype(float)
-    u[0, 1, 1] = v[2, 3, 0] = sr.zero  # same-sign infinities stay clean
-    expect = x.copy()
-    for m in range(3):
-        Semiring.fold_steps(sr, expect[m], u[m], v[m])
+    u[0, 1, 1] = v[2, 3, 0] = sr.zero
+    v[1, 2, 4], u[1, 3, 2] = -sr.zero, sr.zero  # these two meet: inf + (-inf)
+    expect = _guarded(sr, x, u, v)
+    square = x[0, :5, :5].copy()
+    square[1, 2], square[2, 4] = sr.zero, -sr.zero  # row 1 meets column 4
+    aliased = {}
+    for case in "ABC":
+        want = square.copy()
+        ops = {"A": (want, want), "B": (square, want), "C": (want, square)}[case]
+        aliased[case] = Semiring.fold_steps(sr, want, *ops)
 
-    clean = x.copy().view(Counted)
-    sr.fold_steps(clean, u, v)
-    assert Counted.copies == 0
-    assert clean.tobytes() == expect.tobytes()
+    def boom(*args, **kwargs):
+        raise AssertionError("the NumPy fold ran on a compiled host")
 
-    v[1, 2, 4] = -sr.zero  # meets u's opposite infinity: NaN, then the redo
-    u[1, 3, 2] = sr.zero
-    expect = x.copy()
-    for m in range(3):
-        Semiring.fold_steps(sr, expect[m], u[m], v[m])
-    dirty = x.copy().view(Counted)
-    sr.fold_steps(dirty, u, v)
-    assert Counted.copies == 1
-    assert not np.isnan(dirty).any() and dirty.tobytes() == expect.tobytes()
-
+    monkeypatch.setattr(Counted, "copies", 0)
+    monkeypatch.setattr(tropical, "fold_steps_idempotent", boom)
+    monkeypatch.setattr(Semiring, "fold_steps", boom)
+    stack = x.copy().view(Counted)
+    spec.apply_steps(stack, u, v, None, 4)
+    assert not np.isnan(stack).any() and stack.tobytes() == expect.tobytes()
+    for case, want in aliased.items():
+        tile = square.copy().view(Counted)
+        ops = {"A": (tile, tile), "B": (square, tile), "C": (tile, square)}[case]
+        spec.apply_steps(tile, *ops, None, 5)
+        assert tile.tobytes() == want.tobytes(), case
     tile = x[0].copy().view(Counted)  # v overlaps x without being it
-    sr.fold_steps(tile, u[0, :, :], tile[:4].view(np.ndarray))
-    assert Counted.copies == 2
-    aliased = x[0].copy().view(Counted)
-    sr.fold_steps(aliased, aliased, aliased)
-    assert Counted.copies == 3
+    spec.apply_steps(tile, u[0], tile[:4].view(np.ndarray), None, 4)
+    assert Counted.copies == 0
 
 
-def test_clean_fold_declines_what_it_cannot_prove(compiled):
-    """``fold(..., clean=True)`` folds only operands apart from ``x`` with
-    nothing for a NaN to come from; it declines the rest untouched."""
+def test_fold_without_an_entry_declines_untouched():
+    """A semiring with no compiled fold (``native_fold`` ``None``: the
+    counting and real semirings) is declined, ``x`` untouched, so
+    ``apply_steps`` runs its NumPy fold."""
     x = np.arange(12.0).reshape(3, 4)
-    u, v = np.ones((3, 2)), np.ones((2, 4))
-    for a, b, c in ((x.copy(), u, v), (x.copy(), u, v * np.nan), (x.copy(), u * np.inf, -np.inf * v)):
-        before = a.copy()
-        clean = native.fold("minplus", a, b, c, clean=True)
-        assert clean == (not np.isnan(c).any() and not np.isinf(b).any())
-        assert clean or a.tobytes() == before.tobytes()
-    square = x[:, :3].copy()
-    before = square.copy()
-    assert native.fold("maxplus", square, square, square, clean=True) is False
-    assert square.tobytes() == before.tobytes()
+    before = x.copy()
+    assert native.fold(None, x, np.ones((3, 2)), np.ones((2, 4))) is False
+    assert x.tobytes() == before.tobytes()
+
+
+def test_the_semiring_package_imports_no_compiled_code():
+    """``repro.semiring`` is NumPy only: importing it and folding a
+    tropical tile leaves :mod:`repro.kernels.native` unimported.  The
+    top-level ``repro`` package imports every subpackage, so the child
+    registers a bare ``repro`` package and imports ``repro.semiring``
+    alone."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import types
+        import numpy as np
+        sys.modules["repro"] = types.ModuleType("repro")
+        sys.modules["repro"].__path__ = [{str(REPO_ROOT / "src" / "repro")!r}]
+        from repro.semiring import MinPlus
+        x = np.zeros((4, 4))
+        MinPlus().fold_steps(x, np.ones((4, 3)), np.ones((3, 4)))
+        assert x.tolist() == [[0.0] * 4] * 4
+        print(sorted(m for m in sys.modules if m.startswith("repro.kernels")))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 #: values with no NaN and no ``-inf`` to meet the ``+inf``: every case-D
@@ -366,12 +390,13 @@ def test_plain_compare_matches_the_numpy_steps_bit_for_bit(entry, compiled):
     for x, u, v in cases:
         expect, got = x.copy(), x.copy()
         _numpy_fold(entry, expect, u, v)
-        assert native.fold(entry, got, u, v, clean=True)
+        assert native.fold(entry, got, u, v)
         assert got.tobytes() == expect.tobytes()
 
 
 #: values a masked GE fuzz draws from: ties of ±0, infinities (which
-#: produce NaN — no input NaN, see ``_same_bits``), overflow at ±1e308
+#: produce NaN — no input NaN: where an input NaN meets a produced one,
+#: NumPy may return either), overflow at ±1e308
 GE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, 1e308, -1e308])
 
 
@@ -519,7 +544,7 @@ def test_stack_mask_freedom_is_its_smallest_offsets():
 def test_layouts_outside_the_c_take_the_numpy_path(layout, compiled):
     """The wrapper checks dtype, contiguity, strides and shapes before
     every call: what it cannot hand to C it declines, untouched, and
-    ``fold_steps`` still returns NumPy's answer."""
+    ``apply_steps`` still returns NumPy's answer."""
     rng = np.random.default_rng(3)
     x, u, v = (rng.random((6, 6)) for _ in range(3))
     if layout == "float32":
@@ -542,7 +567,7 @@ def test_layouts_outside_the_c_take_the_numpy_path(layout, compiled):
     if layout in ("float32", "strided_columns", "fortran", "negative_stride"):
         expect = x.copy()
         fold_steps_idempotent(expect, u, v, np.add, np.minimum)
-        MinPlus(x.dtype).fold_steps(x, u, v)
+        SemiringGep(MinPlus(x.dtype)).apply_steps(x, u, v, None, 6)
         assert x.tobytes() == expect.tobytes()
 
 
