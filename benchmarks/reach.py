@@ -67,9 +67,7 @@ KEEP: list[tuple[str, str, str]] = [
     # the chaos plane: each row names the assertion a mutation of the
     # helper broke (the mutation in brackets)
     ("sparkle/chaos.py", r"deterministic_fraction",
-     "test_scheduler_recovery TestBackoff::test_fraction_is_pure [hash without the seed]"),
-    ("sparkle/chaos.py", r"jittered_backoff",
-     "test_scheduler_recovery TestBackoff::test_exponential_growth_and_cap [no cap]"),
+     "test_scheduler_recovery TestFaultPlanSurface::test_fraction_is_pure [hash without the seed]"),
     ("sparkle/chaos.py", r"FaultSpec(\.__post_init__)?",
      "test_scheduler_recovery TestFaultPlanSurface::test_spec_validation [no rate check]"),
     ("sparkle/chaos.py", r"FaultPlan(\.__init__)?",
@@ -136,8 +134,6 @@ KEEP: list[tuple[str, str, str]] = [
     ("service.py", r"_GeneratedTable\.__reduce__", "a generated table pickles as its key: the hit suite"),
     ("sparkle/backend.py", r".*",
      "process-plane crash and deadline paths: supervision suites (ROADMAP 3 decides the plane)"),
-    ("sparkle/scheduler.py", r"DAGScheduler\.backoff_delay",
-     "test_scheduler_recovery TestBackoff::test_exponential_growth_and_cap [one doubling early]"),
     ("sparkle/scheduler.py", r"DAGScheduler\._lose_executor",
      "test_scheduler_recovery TestPlacement::test_faults_never_move_a_partition_and_a_loss_drops_only_its_own "
      "[drops every executor's outputs]"),

@@ -136,7 +136,7 @@ class SolveReport:
         """Fault-recovery counters for this run (None without an engine).
 
         Nonzero entries quantify how much recovery work (retries,
-        lineage recomputation, backoff) the run absorbed — the overhead
+        lineage recomputation) the run absorbed — the overhead
         the paper's §V failure reports leave unmeasured.
         """
         return self.engine_metrics and self.engine_metrics.summary("recovery")

@@ -26,8 +26,10 @@ through five defensive layers before an engine pass runs:
    (``set_job_deadline``), so an overrun SIGKILLs stuck workers and
    respawns them through the worker plane's crash protocol rather than
    leaking them.
-4. **Retry** — transient engine faults are retried with bounded
-   backoff.  A kernel call the process backend quarantines as poison
+4. **Retry** — a transient engine fault reruns the pass at once, up
+   to ``ServiceConfig.retries`` times: what it needs (respawned
+   workers, lineage) is ready when the failure surfaces.  A kernel
+   call the process backend quarantines as poison
    (:class:`~repro.sparkle.errors.PoisonTaskError`) needs no retry: the
    solver itself finishes that pass on in-process threads, bit-identical,
    and the quarantine refuses the call's later offloads before any
@@ -132,8 +134,9 @@ __all__ = [
     "is_retryable",
 ]
 
-#: Engine faults worth a service-level retry: the solve may succeed on a
-#: fresh pass (respawned workers, recomputed lineage, relaxed pressure).
+#: Engine faults worth a service-level retry, which reruns the pass at
+#: once: the solve may succeed on a fresh pass (respawned workers,
+#: recomputed lineage, relaxed pressure).
 #: ``RequestDeadlineExceeded`` is deliberately absent — the budget is
 #: spent, retrying cannot help.
 SERVICE_RETRYABLE = (
@@ -203,9 +206,9 @@ class ServiceConfig:
         (degrade → shed under pressure); off leaves only the
         PR 7 admission gates.
 
-    The retry backoff, the ``retry_after`` hints, the default tenant
-    weight and the quota charge factor are :class:`SolverService` class
-    attributes — one value each in use, so not options.
+    The ``retry_after`` hints, the default tenant weight and the quota
+    charge factor are :class:`SolverService` class attributes — one
+    value each in use, so not options.
     """
 
     max_queue_depth: int = 16
@@ -876,10 +879,6 @@ class SolverService:
     attribute on its service.
     """
 
-    #: bounded exponential backoff between engine passes of one flight:
-    #: ``min(base · 2^(attempt-1), cap)`` seconds
-    retry_backoff_base: float = 0.02
-    retry_backoff_cap: float = 0.25
     #: ``retry_after`` hint attached to overload sheds, seconds
     shed_retry_after: float = 0.25
     #: ``retry_after`` hint attached to :class:`ServiceDrainingError`
@@ -1352,12 +1351,6 @@ class SolverService:
                 if attempt <= cfg.retries:
                     with self._metrics_lock:
                         self.metrics.retries += 1
-                    time.sleep(
-                        min(
-                            self.retry_backoff_base * (2 ** (attempt - 1)),
-                            self.retry_backoff_cap,
-                        )
-                    )
                 continue
             except BaseException as exc:  # noqa: BLE001 — typed to the client
                 last_exc = exc

@@ -13,8 +13,8 @@ Fault tolerance is chaos-tested: :mod:`repro.sparkle.chaos` injects
 seeded task exceptions, executor loss (dropping staged shuffle outputs
 to exercise lineage recomputation), and transient storage/broadcast/
 staging faults; the scheduler recovers by one model, lineage
-recomputation — a retry after deterministic backoff, plus map-output
-recomputation on a fetch failure — and every recovery event is metered.
+recomputation — a retry at once, plus map-output recomputation on a
+fetch failure — and every recovery event is metered.
 
 Driver crashes are covered too: :mod:`repro.sparkle.durable` adds a
 checksummed on-disk block store (atomic tmp+rename writes, BLAKE2b

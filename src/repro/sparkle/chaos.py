@@ -41,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "deterministic_fraction",
-    "jittered_backoff",
 ]
 
 #: Per-task accounting handle of the attempt running in this thread (set
@@ -135,31 +134,12 @@ DEFAULT_RATES = {
 def deterministic_fraction(seed: int, kind: str, site: tuple) -> float:
     """Pure hash of ``(seed, kind, site)`` into ``[0, 1)``.
 
-    Shared by the fault plan and the scheduler's backoff jitter so both
+    Shared by the fault plan and the supervisor's respawn jitter so both
     are reproducible from the one chaos seed.
     """
     payload = repr((int(seed), str(kind), tuple(site))).encode()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64
-
-
-def jittered_backoff(
-    base: float,
-    cap: float,
-    jitter: float,
-    doublings: int,
-    seed: int,
-    kind: str,
-    site: tuple,
-) -> float:
-    """``min(base * 2^doublings, cap)`` seconds, stretched by up to
-    ``jitter`` of itself by :func:`deterministic_fraction` of
-    ``(seed, kind, site)`` — the one backoff formula of the scheduler's
-    task retries and the supervisor's worker respawns, so both are
-    reproducible from the chaos seed.
-    """
-    delay = min(base * 2.0**doublings, cap)
-    return delay * (1.0 + jitter * deterministic_fraction(seed, kind, site))
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,9 @@ class WorkerCrashed(SparkleError):
 
     Raised by the supervised process backend after it has already
     respawned the pool (the dead worker held only its own copies of the
-    batch's tiles, so there is nothing to reclaim).  Retryable: the scheduler re-runs the task attempt through
-    the normal backoff machinery, and the retry lands on a fresh worker.
+    batch's tiles, so there is nothing to reclaim).  Retryable: the
+    scheduler re-runs the task attempt at once, and the retry lands on a
+    fresh worker.
     """
 
     def __init__(

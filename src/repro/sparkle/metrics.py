@@ -48,8 +48,6 @@ class TaskRecord:
     #: perf_counter timestamps of the winning attempt's span
     start_ts: float = 0.0
     end_ts: float = 0.0
-    #: total scheduler backoff slept before the winning attempt
-    backoff_seconds: float = 0.0
 
 
 @dataclass
@@ -192,8 +190,6 @@ class EngineMetrics(_Registry):
     partitions_recomputed: int = counter("recovery")
     executor_loss_events: int = counter("recovery")
     transient_io_failures: int = counter("recovery")
-    backoff_waits: int = counter("recovery")
-    backoff_seconds_total: float = counter("recovery", "s", 0.0)
     #: writes that landed truncated and were caught by read-back verify
     torn_writes_detected: int = counter("recovery")
     #: checksummed reads that caught silent corruption (bitrot/tamper)
@@ -350,7 +346,7 @@ class ServiceMetrics(_Registry):
     #: actual ``GepSparkSolver.solve`` invocations (one per coalesced
     #: flight attempt; THE single-flight assertion counter)
     engine_passes: int = counter("engine")
-    #: service-level retries of a failed engine pass (with backoff)
+    #: service-level retries of a failed engine pass (run at once)
     retries: int = counter("engine")
     # ---- request journal / hot restart (DESIGN.md §16) -------------------
     #: admissions fsync-appended to the durable request WAL

@@ -25,8 +25,9 @@ hardened against the chaos plane (:mod:`repro.sparkle.chaos`):
 
 * retryable faults (:class:`~.errors.TaskKilled`,
   :class:`~.errors.ExecutorLost`, :class:`~.errors.TransientIOError`)
-  recompute the task from lineage after exponential backoff with
-  deterministic jitter;
+  recompute the task from lineage at once, as Spark does — every
+  injected fault is a pure hash of its site, so a wait would buy
+  nothing;
 * a :class:`~.errors.ShuffleFetchFailed` (map outputs dropped by an
   executor loss) first recomputes exactly the missing parent map
   partitions, then retries the fetching task — Spark's map-stage
@@ -46,7 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from .chaos import CURRENT_TASK, jittered_backoff
+from .chaos import CURRENT_TASK
 from .errors import (
     BlockNotFoundError,
     ExecutorLost,
@@ -121,19 +122,13 @@ class Stage:
 class DAGScheduler:
     """Builds and runs the stage graph for one context.
 
-    The retry policy is the class attributes below — one value each in
-    use, so they are not constructor options; a test that needs another
-    sets the attribute on its context's scheduler.
+    The retry policy is the class attribute below — one value in use,
+    so it is not a constructor option; a test that needs another sets
+    the attribute on its context's scheduler.
     """
 
     #: retries of a task after its first attempt before the job aborts
     max_task_retries: int = 3
-    #: retry backoff: ``base * 2^(attempt-2)`` seconds, capped at
-    #: ``backoff_cap``, then stretched by up to ``backoff_jitter`` of
-    #: itself (deterministic per site)
-    backoff_base: float = 0.001
-    backoff_cap: float = 0.05
-    backoff_jitter: float = 0.5
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
@@ -437,27 +432,6 @@ class DAGScheduler:
     # ------------------------------------------------------------------
     # retry loop & recovery
     # ------------------------------------------------------------------
-    def backoff_delay(self, stage_id: int, partition: int, attempt: int) -> float:
-        """Pause before retry ``attempt`` (>= 2): capped exponential with
-        deterministic jitter derived from the chaos seed.
-
-        ``base * 2^(attempt-2)``, capped at ``backoff_cap``, stretched by
-        up to ``backoff_jitter`` of itself — same site, same seed, same
-        delay, which the recovery tests pin down.
-        """
-        if self.backoff_base <= 0:
-            return 0.0
-        plan = self.ctx.fault_plan
-        return jittered_backoff(
-            self.backoff_base,
-            self.backoff_cap,
-            self.backoff_jitter,
-            attempt - 2,
-            plan.seed if plan is not None else 0,
-            "backoff",
-            (stage_id, partition, attempt),
-        )
-
     def _next_attempt(self, stage_id: int, partition: int) -> int:
         with self._attempt_lock:
             n = self._attempt_counts.get((stage_id, partition), 0) + 1
@@ -471,20 +445,12 @@ class DAGScheduler:
         ctx = self.ctx
         metrics = ctx.metrics
         last_exc: BaseException | None = None
-        backoff_total = 0.0
-        for local_attempt in range(1, self.max_task_retries + 2):
+        for _ in range(self.max_task_retries + 1):
             # Raised outside the try below, so it bypasses the RETRYABLE
             # classification entirely: a deadline overrun mid-retry-storm
             # cuts the storm instead of riding it to JobAborted.
             self._check_deadline()
             attempt = self._next_attempt(stage.id, partition)
-            if local_attempt > 1:
-                pause = self.backoff_delay(stage.id, partition, attempt)
-                if pause > 0:
-                    metrics.backoff_waits += 1
-                    metrics.backoff_seconds_total += pause
-                    backoff_total += pause
-                    time.sleep(pause)
             tc = TaskContext(stage.id, partition, attempt)
             start = time.perf_counter()
             token = CURRENT_TASK.set(tc)
@@ -526,7 +492,6 @@ class DAGScheduler:
                 wall_seconds=time.perf_counter() - start,
                 start_ts=start,
                 end_ts=time.perf_counter(),
-                backoff_seconds=backoff_total,
             )
         raise JobAborted(
             f"stage {stage.id} partition {partition} failed after "

@@ -27,7 +27,7 @@ outputs go missing when the chaos plane kills an executor and
 :meth:`ShuffleManager.drop_executor_outputs` discards everything that
 executor had staged.  An attached
 :class:`~repro.sparkle.chaos.FaultPlan` can also flake individual map
-writes (transient staging overflow, retried with backoff).
+writes (transient staging overflow, retried at once).
 """
 
 from __future__ import annotations

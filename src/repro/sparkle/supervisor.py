@@ -40,11 +40,11 @@ otherwise block forever — so an uncleanly-killed driver leaks no
 process.
 
 Everything here is deterministic under the chaos contract: the respawn
-backoff is :func:`~repro.sparkle.chaos.jittered_backoff` of
-``(seed, "respawn", n)``, the scheduler's task backoff formula, and the
-real worker faults (``worker_kill`` / ``worker_hang`` / ``worker_oom``)
-are decided driver-side from the seeded plan before the doomed call is
-even submitted.
+backoff is jittered by
+:func:`~repro.sparkle.chaos.deterministic_fraction` of
+``(seed, "respawn", n)``, and the real worker faults (``worker_kill`` /
+``worker_hang`` / ``worker_oom``) are decided driver-side from the
+seeded plan before the doomed call is even submitted.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from multiprocessing.sharedctypes import RawArray
 
 import numpy as np
 
-from .chaos import jittered_backoff
+from .chaos import deterministic_fraction
 from .metrics import EngineMetrics
 
 __all__ = ["SupervisionConfig", "HeartbeatBoard", "WorkerSupervisor"]
@@ -357,21 +357,18 @@ class WorkerSupervisor:
     def respawn_delay(self, respawn_index: int) -> float:
         """Deterministic bounded-exponential backoff before respawn n.
 
-        Same hash stream discipline as the scheduler's task backoff:
-        reproducible from the chaos seed, capped so a crash storm cannot
-        stall the solve unboundedly.
+        ``min(base·2^(n-1), cap)``, stretched by up to ``jitter`` of
+        itself by the chaos seed's hash of the respawn: reproducible,
+        and capped so a crash storm cannot stall the solve unboundedly.
         """
         if respawn_index < 1:
             raise ValueError("respawn_index counts from 1")
-        return jittered_backoff(
-            self.respawn_backoff_base,
+        delay = min(
+            self.respawn_backoff_base * 2.0 ** (respawn_index - 1),
             self.respawn_backoff_cap,
-            self.respawn_backoff_jitter,
-            respawn_index - 1,
-            self.seed,
-            "respawn",
-            (respawn_index,),
         )
+        h = deterministic_fraction(self.seed, "respawn", (respawn_index,))
+        return delay * (1.0 + self.respawn_backoff_jitter * h)
 
     # -- lifecycle -----------------------------------------------------
     def destroy(self) -> None:

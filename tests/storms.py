@@ -118,6 +118,7 @@ def run_noisy_neighbor_storm(
     max_retries: int = 12,
     timeout: float = 120.0,
     on_driver_kill: Callable[[int, int], None] | None = None,
+    queued: threading.Event | None = None,
 ) -> dict[str, list[dict[str, Any]]]:
     """Tenant-isolation chaos soak: one hog tenant vs N victims.
 
@@ -145,12 +146,19 @@ def run_noisy_neighbor_storm(
     ``tenant -> [outcome, ...]`` where each outcome carries ``seq``,
     ``ok``, ``response``/``error``, ``retries``, and ``burst`` (hog
     rows: extras injected before that request).
+
+    ``queued``, if given, is set once every tenant thread has submitted
+    its whole backlog (or given up on it).  A caller that holds engine
+    passes until then measures the weighted share from pass 0, however
+    late the OS schedules a victim thread; without the hold the hog can
+    run passes before a victim's first submit.
     """
     tenants = (hog,) + tuple(victims)
     outcomes: dict[str, list[dict[str, Any]]] = {t: [] for t in tenants}
     burst_tickets: list[SolveTicket] = []
     burst_lock = threading.Lock()
     barrier = threading.Barrier(len(tenants))
+    submitting = [len(tenants)]
     _RETRYABLE = (
         ServiceOverloadedError,
         TenantQuotaExceededError,
@@ -175,34 +183,40 @@ def run_noisy_neighbor_storm(
                 return None
 
     def tenant_loop(index: int, tenant: str) -> None:
-        barrier.wait(timeout=timeout)
         extra_seq = itertools.count(requests_per_tenant)
         pending: list[tuple[dict[str, Any], SolveRequest, SolveTicket | None]] = []
-        for seq in range(requests_per_tenant):
-            if (
-                plan is not None
-                and on_driver_kill is not None
-                and plan.driver_kill(index, seq)
-            ):
-                on_driver_kill(index, seq)
-            burst = 0
-            if tenant == hog and plan is not None:
-                burst = plan.noisy_neighbor(index, seq)
-                for _ in range(burst):
-                    try:
-                        ticket = service.submit(
-                            make_request(tenant, next(extra_seq))
-                        )
-                    except _RETRYABLE:
-                        continue  # a refused burst extra is the point
-                    with burst_lock:
-                        burst_tickets.append(ticket)
-            record: dict[str, Any] = {
-                "tenant": tenant, "seq": seq, "burst": burst, "retries": 0,
-            }
-            request = make_request(tenant, seq)
-            pending.append((record, request, submit_with_retry(record, request)))
-            outcomes[tenant].append(record)
+        try:
+            barrier.wait(timeout=timeout)
+            for seq in range(requests_per_tenant):
+                if (
+                    plan is not None
+                    and on_driver_kill is not None
+                    and plan.driver_kill(index, seq)
+                ):
+                    on_driver_kill(index, seq)
+                burst = 0
+                if tenant == hog and plan is not None:
+                    burst = plan.noisy_neighbor(index, seq)
+                    for _ in range(burst):
+                        try:
+                            ticket = service.submit(
+                                make_request(tenant, next(extra_seq))
+                            )
+                        except _RETRYABLE:
+                            continue  # a refused burst extra is the point
+                        with burst_lock:
+                            burst_tickets.append(ticket)
+                record: dict[str, Any] = {
+                    "tenant": tenant, "seq": seq, "burst": burst, "retries": 0,
+                }
+                request = make_request(tenant, seq)
+                pending.append((record, request, submit_with_retry(record, request)))
+                outcomes[tenant].append(record)
+        finally:
+            with burst_lock:
+                submitting[0] -= 1
+                if submitting[0] == 0 and queued is not None:
+                    queued.set()
         for record, request, ticket in pending:
             while ticket is not None:
                 try:

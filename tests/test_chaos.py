@@ -157,3 +157,50 @@ def test_acceptance_fw_8x8_grid_under_chaos():
     assert plan2.fired() == fired
     assert m2.summary() == summary1
     assert trace_signature(m2) == trace_signature(m1)
+
+
+# ----------------------------------------------------------------------
+# README's chaos example: a retry runs at once
+# ----------------------------------------------------------------------
+def test_readme_chaos_example_retries_at_once(monkeypatch):
+    """``repro solve apsp --engine spark --n 64 --chaos seed=42``
+    through the library: the bytes of the fault-free solve, README's
+    recovery counts, and no ``time.sleep`` from a ``repro`` frame — a
+    retry waits for nothing, since every fault is a pure hash of its
+    site."""
+    import sys
+    import time
+
+    from repro.core import floyd_warshall
+    from repro.workloads import make_problem
+
+    table = make_problem("apsp", 64, 0, 0.3)[1]
+
+    def solve(plan):
+        with SparkleContext(fault_plan=plan) as sc:
+            return floyd_warshall(
+                table, engine="spark", sc=sc, r=4, kernel="recursive",
+                r_shared=4, strategy="im", return_report=True,
+            )
+
+    clean, _ = solve(None)
+    real_sleep = time.sleep
+    repro_sleeps = []
+
+    def sleep(seconds):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller == "repro" or caller.startswith("repro."):
+            repro_sleeps.append((caller, seconds))
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    out, report = solve(FaultPlan.from_string("seed=42"))
+    monkeypatch.undo()
+
+    assert out.tobytes() == clean.tobytes()
+    recovery = report.recovery
+    assert recovery["tasks_retried"] == 249
+    assert recovery["partitions_recomputed"] == 1982
+    assert recovery["executor_loss_events"] == 21
+    assert recovery["transient_io_failures"] == 10
+    assert repro_sleeps == []

@@ -93,6 +93,15 @@ REMOVED = [
     ("repro.sparkle.FaultPlan", "total_fired"),
     ("repro.sparkle.TaskRecord", "speculative_win"),
     ("repro.sparkle.StageRecord", "speculative_wins"),
+    # a retry runs at once: no task backoff, no service pass backoff
+    ("repro.sparkle.scheduler.DAGScheduler", "backoff_base"),
+    ("repro.sparkle.scheduler.DAGScheduler", "backoff_cap"),
+    ("repro.sparkle.scheduler.DAGScheduler", "backoff_jitter"),
+    ("repro.sparkle.scheduler.DAGScheduler", "backoff_delay"),
+    ("repro.service.SolverService", "retry_backoff_base"),
+    ("repro.service.SolverService", "retry_backoff_cap"),
+    ("repro.sparkle.chaos", "jittered_backoff"),
+    ("repro.sparkle.TaskRecord", "backoff_seconds"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -197,9 +206,9 @@ def test_every_keep_row_names_a_definition():
 
 
 def test_removed_recovery_mechanisms_stay_removed(capsys):
-    """Speculation, executor blacklisting and the ``slow`` fault are
-    gone from every surface: import, fault grammar, CLI and counters
-    (``REMOVED`` pins the attributes)."""
+    """Speculation, executor blacklisting, the ``slow`` fault and the
+    retry backoff are gone from every surface: import, fault grammar,
+    CLI and counters (``REMOVED`` pins the attributes)."""
     from repro.__main__ import main
     from repro.sparkle import EngineMetrics, FaultSpec
     from repro.sparkle.chaos import FAULT_KINDS
@@ -218,5 +227,6 @@ def test_removed_recovery_mechanisms_stay_removed(capsys):
     for key in (
         "speculative_launched", "speculative_wins", "stragglers_cancelled",
         "executors_blacklisted", "last_executor_protected",
+        "backoff_waits", "backoff_seconds_total",
     ):
         assert key not in recovery

@@ -1,5 +1,5 @@
-"""Scheduler recovery units: backoff, fixed placement, fetch-failure
-recomputation, retry exhaustion.
+"""Scheduler recovery units: fixed placement, fetch-failure
+recomputation, retry exhaustion, the fault plan's surface.
 
 These pin down the recovery machinery the chaos harness
 (tests/test_chaos.py) exercises end-to-end.
@@ -20,89 +20,6 @@ from repro.sparkle import (
 from repro.sparkle.chaos import deterministic_fraction
 
 pytestmark = pytest.mark.chaos
-
-
-# ----------------------------------------------------------------------
-# backoff
-# ----------------------------------------------------------------------
-class TestBackoff:
-    def _scheduler(self, seed=0, **kw):
-        plan = FaultPlan(seed) if seed is not None else None
-        sc = SparkleContext(1, 1, fault_plan=plan)
-        vars(sc._scheduler).update(kw)
-        return sc, sc._scheduler
-
-    def test_sequence_is_deterministic(self):
-        sc1, sched1 = self._scheduler(seed=42)
-        sc2, sched2 = self._scheduler(seed=42)
-        try:
-            seq1 = [sched1.backoff_delay(3, 1, a) for a in range(2, 6)]
-            seq2 = [sched2.backoff_delay(3, 1, a) for a in range(2, 6)]
-            assert seq1 == seq2
-            # and stable under repeated evaluation of the same site
-            assert sched1.backoff_delay(3, 1, 2) == seq1[0]
-        finally:
-            sc1.stop()
-            sc2.stop()
-
-    def test_different_seeds_jitter_differently(self):
-        sc1, sched1 = self._scheduler(seed=1)
-        sc2, sched2 = self._scheduler(seed=2)
-        try:
-            seq1 = [sched1.backoff_delay(0, 0, a) for a in range(2, 8)]
-            seq2 = [sched2.backoff_delay(0, 0, a) for a in range(2, 8)]
-            assert seq1 != seq2
-        finally:
-            sc1.stop()
-            sc2.stop()
-
-    def test_exponential_growth_and_cap(self):
-        sc, sched = self._scheduler(
-            seed=9, backoff_base=0.001, backoff_cap=0.004, backoff_jitter=0.0
-        )
-        try:
-            assert sched.backoff_delay(0, 0, 2) == pytest.approx(0.001)
-            assert sched.backoff_delay(0, 0, 3) == pytest.approx(0.002)
-            assert sched.backoff_delay(0, 0, 4) == pytest.approx(0.004)
-            assert sched.backoff_delay(0, 0, 5) == pytest.approx(0.004)  # capped
-        finally:
-            sc.stop()
-
-    def test_jitter_bounds(self):
-        sc, sched = self._scheduler(
-            seed=13, backoff_base=0.002, backoff_cap=1.0, backoff_jitter=0.5
-        )
-        try:
-            for attempt in range(2, 7):
-                raw = 0.002 * 2 ** (attempt - 2)
-                got = sched.backoff_delay(5, 7, attempt)
-                assert raw <= got <= raw * 1.5
-        finally:
-            sc.stop()
-
-    def test_disabled_when_base_zero(self):
-        sc, sched = self._scheduler(seed=1, backoff_base=0.0)
-        try:
-            assert sched.backoff_delay(0, 0, 2) == 0.0
-        finally:
-            sc.stop()
-
-    def test_fraction_is_pure(self):
-        a = deterministic_fraction(7, "backoff", (1, 2, 3))
-        b = deterministic_fraction(7, "backoff", (1, 2, 3))
-        assert a == b and 0.0 <= a < 1.0
-        assert deterministic_fraction(8, "backoff", (1, 2, 3)) != a
-
-    def test_backoff_metered_on_retry(self):
-        plan = FaultPlan(1, [FaultSpec("kill", rate=1.0)])
-        with SparkleContext(1, 1, fault_plan=plan) as sc:
-            sc._scheduler.backoff_base = 0.0005
-            sc.parallelize([1, 2], 2).collect()
-            assert sc.metrics.backoff_waits == 2  # one retry per partition
-            assert sc.metrics.backoff_seconds_total > 0
-            tasks = sc.metrics.jobs[-1].stages[-1].tasks
-            assert all(t.attempts == 2 for t in tasks)
-            assert all(t.backoff_seconds > 0 for t in tasks)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +180,6 @@ class TestRetryExhaustion:
         plan = FaultPlan(37, [FaultSpec("kill", rate=1.0, max_attempt=10**6)])
         with SparkleContext(1, 1, fault_plan=plan) as sc:
             sc._scheduler.max_task_retries = 2
-            sc._scheduler.backoff_base = 0.0001
             with pytest.raises(JobAborted, match="after 3 attempts"):
                 sc.parallelize([1], 1).collect()
             assert sc.metrics.tasks_retried == 3
@@ -336,3 +252,9 @@ class TestFaultPlanSurface:
         assert [p1.task_fault(*x) for x in sites] == [p2.task_fault(*x) for x in sites]
         fired = p1.fired()["kill"]
         assert 0 < fired < len(sites)  # rate actually thins the sites
+
+    def test_fraction_is_pure(self):
+        a = deterministic_fraction(7, "backoff", (1, 2, 3))
+        b = deterministic_fraction(7, "backoff", (1, 2, 3))
+        assert a == b and 0.0 <= a < 1.0
+        assert deterministic_fraction(8, "backoff", (1, 2, 3)) != a

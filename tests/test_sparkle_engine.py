@@ -501,7 +501,7 @@ ENGINE_KEYS = """
 jobs stages tasks shuffle_bytes remote_shuffle_bytes collect_bytes
 broadcast_bytes storage_bytes_written storage_bytes_read
 tasks_retried partitions_recomputed executor_loss_events
-transient_io_failures backoff_waits backoff_seconds_total
+transient_io_failures
 torn_writes_detected corrupt_blocks_detected
 durable_puts durable_gets durable_bytes_written durable_bytes_read
 journal_appends journal_entries_replayed resumed_from_iteration

@@ -684,10 +684,17 @@ class TestNoisyNeighborStorm:
         service = SolverService(sc, config=config)
         pass_order: list[str] = []
         original = service._solve
-        service._solve = lambda req: (
-            pass_order.append(req.tenant),
-            original(req),
-        )[1]
+        # No pass runs before every tenant's backlog is queued, so the
+        # window below measures the weighted share, not how late the OS
+        # started the victim's thread.
+        queued = threading.Event()
+
+        def _solve(req):
+            queued.wait(timeout=60)
+            pass_order.append(req.tenant)
+            return original(req)
+
+        service._solve = _solve
 
         def make_request(tenant: str, seq: int) -> SolveRequest:
             seed = {"hog": 1000, "victim": 2000}[tenant] + seq
@@ -699,6 +706,7 @@ class TestNoisyNeighborStorm:
         try:
             outcomes = run_noisy_neighbor_storm(
                 service, make_request, requests_per_tenant=4, plan=plan,
+                queued=queued,
             )
         finally:
             service.stop()
