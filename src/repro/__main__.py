@@ -674,7 +674,8 @@ def main(argv: list[str] | None = None) -> int:
                             "many bytes (allocation-bomb guard)")
     serve.add_argument("--max-requests", dest="max_requests", type=int,
                        default=None,
-                       help="exit after N requests (tests/demos)")
+                       help="exit after N requests, counted per frame, "
+                            "not per connection (tests/demos)")
     serve.add_argument("--tenant-weight", dest="tenant_weight",
                        action="append", default=None, metavar="NAME=W",
                        help="fair-share weight for a tenant in the "

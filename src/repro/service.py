@@ -69,8 +69,9 @@ reconnects with jittered backoff reusing its idempotency key, so a
 mid-response driver loss resolves to the same bytes after restart.
 
 The module also ships a hardened Unix-socket server/client pair backing
-``repro serve`` / ``repro request`` (frame-length caps, per-connection
-fault isolation, stale-socket reclaim).
+``repro serve`` / ``repro request`` (connections kept across requests,
+frame-length caps, per-connection fault isolation, stale-socket
+reclaim).
 """
 
 from __future__ import annotations
@@ -1602,14 +1603,17 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_msg(sock: socket.socket, max_bytes: int | None = None) -> Any:
+def _recv_msg(
+    sock: socket.socket, max_bytes: int | None = None, head: bytes = b""
+) -> Any:
     """Read one length-prefixed pickle frame, refusing oversized ones.
 
-    The length is checked *before* any payload byte is read: a hostile
-    or corrupt 8-byte header must not be able to make the server
-    allocate (or slowly stream) an unbounded buffer.
+    ``head`` is the start of the frame's header when the caller has
+    already read it.  The length is checked *before* any payload byte is
+    read: a hostile or corrupt 8-byte header must not be able to make
+    the server allocate (or slowly stream) an unbounded buffer.
     """
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
+    (length,) = _LEN.unpack(head + _recv_exact(sock, _LEN.size - len(head)))
     if max_bytes is not None and length > max_bytes:
         raise FrameTooLargeError(
             f"frame announces {length} bytes; this server caps frames at "
@@ -1810,25 +1814,30 @@ def serve_forever(
     max_requests: int | None = None,
     ready: threading.Event | None = None,
 ) -> int:
-    """Accept loop: one connection = one request = one reply.
+    """Accept loop: one handler thread per connection, which answers the
+    client's frames in order, one reply each, until the client closes.
 
     Replies are ``{"status": "ok", ...summary...}`` (plus the result
     array when the payload asks ``return_result``) or ``{"status":
     "error", "error": <pickled typed exception>, "retryable": bool}``.
-    ``max_requests`` bounds the loop for tests; returns requests served.
+    ``max_requests`` bounds the loop for tests and counts requests, not
+    connections: every frame begun counts one, whether complete, refused
+    or torn, and so does a connection that closes before its first
+    frame.  Returns the requests counted.
 
     Per-connection failures — frames over the service's
     ``config.max_frame_bytes``, clients torn away mid-frame or
     mid-reply — are metered and answered (when possible) on that
-    connection only; nothing a single client does can kill the accept
-    loop.
+    connection only, which they end; nothing a single client does can
+    kill the accept loop.
 
     Shutdown follows the §16 drain sequence.  SIGTERM/SIGINT (handlers
     installed when running on the main thread) flip the service to draining —
     new admissions shed with :class:`ServiceDrainingError` — and close
     the listener, so late clients fail fast instead of hanging on a
-    half-dead server.  Accepted connections are then joined (their
-    flights finish or deadline-cancel), the request journal is
+    half-dead server.  The read side of every open connection is then
+    shut down: an idle handler exits, one with a frame in flight still
+    sends its reply.  The handlers are joined, the request journal is
     checkpointed, and the socket file is unlinked last.  The caller
     tears down the service and context only after this returns.
     """
@@ -1836,7 +1845,32 @@ def serve_forever(
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     served = 0
     handlers: list[threading.Thread] = []
+    conns: set[socket.socket] = set()  # open connections, under ``lock``
+    lock = threading.Lock()
     stopping = threading.Event()
+
+    def begin_request() -> bool:
+        """Count one request; False once ``max_requests`` are counted."""
+        nonlocal served
+        with lock:
+            if max_requests is not None and served >= max_requests:
+                return False
+            served += 1
+            if served == max_requests:
+                try:
+                    # returns an accept() blocked on another thread
+                    server.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the listener is already closed by a drain
+        return True
+
+    def handle(conn: socket.socket) -> None:
+        try:
+            _handle_conn(service, conn, begin_request)
+        finally:
+            with lock:
+                conns.discard(conn)
+            conn.close()
 
     def begin_drain(signum=None, frame=None):
         service.drain()
@@ -1858,18 +1892,23 @@ def serve_forever(
             try:
                 conn, _ = server.accept()
             except OSError:
-                break  # listener closed by begin_drain
-            served += 1
+                break  # listener closed by begin_drain or begin_request
             handlers = [t for t in handlers if t.is_alive()]
-            t = threading.Thread(
-                target=_handle_conn,
-                args=(service, conn),
-                daemon=True,
-            )
+            with lock:
+                conns.add(conn)
+            t = threading.Thread(target=handle, args=(conn,), daemon=True)
             t.start()
             handlers.append(t)
-        # Every accepted request gets its reply before teardown — both
-        # for bounded test runs and for the drain path.
+        # Every request begun gets its reply before teardown — both for
+        # bounded test runs and for the drain path.  An idle handler
+        # would wait for its client's next frame: shut its read side, so
+        # it reads EOF (a frame already queued is still read and counted).
+        with lock:
+            for conn in conns:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client has already gone
         for t in handlers:
             t.join()
         if service._journal is not None:
@@ -1886,16 +1925,41 @@ def serve_forever(
             os.unlink(socket_path)
 
 
-def _handle_conn(service: SolverService, conn: socket.socket) -> None:
+def _handle_conn(
+    service: SolverService,
+    conn: socket.socket,
+    begin_request: Callable[[], bool],
+) -> None:
+    """Answer one connection's frames in order until the client closes.
+
+    ``begin_request`` counts each request as its first byte arrives and
+    says False once the server takes no more: the connection is then
+    dropped unanswered.  A clean EOF (or a reset) after a reply ends the
+    loop quietly; a refused or torn frame, or a reply the client did not
+    stay for, ends it and is metered.  A connection closed before its
+    first frame counts as one torn request, as it did when every
+    connection carried one (a stale-socket probe is such a connection).
+    The caller closes ``conn``.
+    """
     max_frame_bytes = service.config.max_frame_bytes
 
     def note_disconnect() -> None:
         with service._metrics_lock:
             service.metrics.client_disconnects += 1
 
-    with conn:
+    first = True
+    while True:
         try:
-            payload = _recv_msg(conn, max_bytes=max_frame_bytes)
+            head = conn.recv(_LEN.size)
+        except OSError:
+            head = b""  # a reset, like an EOF
+        if not head and not first:
+            return  # the client is done: every frame was answered
+        first = False
+        if not begin_request():
+            return
+        try:
+            payload = _recv_msg(conn, max_frame_bytes, head=head)
         except FrameTooLargeError as exc:
             with service._metrics_lock:
                 service.metrics.frames_rejected += 1
@@ -1907,54 +1971,122 @@ def _handle_conn(service: SolverService, conn: socket.socket) -> None:
                 note_disconnect()
             return
         except (ConnectionError, OSError):
-            # Torn frame / client vanished mid-send: this connection's
-            # problem only, the accept loop never hears about it.
+            # Torn frame / client vanished mid-send (or before its first
+            # frame): this connection's problem only, the accept loop
+            # never hears about it.
             note_disconnect()
             return
         try:
-            if payload.get("op") == "stats":
-                _send_msg(conn, {
-                    "status": "ok",
-                    **service.metrics.summary(),
-                    "tenants": service.sc.memory_manager.tenant_usage(),
-                })
-                return
-            request = _build_request(
-                payload, max_frame_bytes, on_build=service._note_input_built
-            )
-            response = service.solve(
-                request,
-                timeout=payload.get("timeout"),
-                wire=_journal_payload(payload),
-            )
-            reply: dict[str, Any] = {
-                "status": "ok",
-                "fingerprint": response.fingerprint,
-                "from_cache": response.from_cache,
-                "coalesced": response.coalesced,
-                "wall_seconds": response.wall_seconds,
-                "result_checksum": response.checksum,
-            }
-            if payload.get("return_result"):
-                reply["result"] = response.result
-            _send_msg(conn, reply)
-        except (BrokenPipeError, ConnectionResetError):
+            _send_msg(conn, _answer(service, payload, max_frame_bytes))
+        except OSError:
             # The work settled (and, if journaled, durably so — the
             # client's keyed retry will be served the same result); only
             # the reply was lost.
             note_disconnect()
-        except BaseException as exc:  # noqa: BLE001 — shipped to the client
-            try:
-                _send_msg(
-                    conn,
-                    {
-                        "status": "error",
-                        "error": exc,
-                        "retryable": is_retryable(exc),
-                    },
-                )
-            except OSError:
-                note_disconnect()
+            return
+
+
+def _answer(
+    service: SolverService, payload: dict[str, Any], max_frame_bytes: int
+) -> dict[str, Any]:
+    """The reply to one request frame; a failure is shipped typed."""
+    try:
+        if payload.get("op") == "stats":
+            return {
+                "status": "ok",
+                **service.metrics.summary(),
+                "tenants": service.sc.memory_manager.tenant_usage(),
+            }
+        request = _build_request(
+            payload, max_frame_bytes, on_build=service._note_input_built
+        )
+        response = service.solve(
+            request,
+            timeout=payload.get("timeout"),
+            wire=_journal_payload(payload),
+        )
+    except BaseException as exc:  # noqa: BLE001 — shipped to the client
+        return {"status": "error", "error": exc, "retryable": is_retryable(exc)}
+    reply: dict[str, Any] = {
+        "status": "ok",
+        "fingerprint": response.fingerprint,
+        "from_cache": response.from_cache,
+        "coalesced": response.coalesced,
+        "wall_seconds": response.wall_seconds,
+        "result_checksum": response.checksum,
+    }
+    if payload.get("return_result"):
+        reply["result"] = response.result
+    return reply
+
+
+class _Connection:
+    """A client thread's open connection to one server.
+
+    :func:`send_request` keeps it for the thread's next call to the same
+    socket path from the same process (``key``); it is closed when
+    dropped, so a thread's connection goes with the thread.
+    """
+
+    __slots__ = ("key", "sock")
+
+    def __init__(self, socket_path: str, timeout: float) -> None:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        try:
+            sock.connect(socket_path)
+        except OSError:
+            sock.close()
+            raise
+        self.key = (socket_path, os.getpid())
+        self.sock = sock
+
+    def __del__(self) -> None:
+        if hasattr(self, "sock"):  # not when the connect failed
+            self.sock.close()
+
+
+#: this thread's :class:`_Connection` (``.conn``), if it has one
+_client = threading.local()
+
+
+def _exchange(socket_path: str, payload: dict[str, Any], timeout: float) -> Any:
+    """Send one frame over this thread's connection and read its reply.
+
+    A reused connection that fails before any byte of the reply (EPIPE,
+    ECONNRESET or EOF: the server closed it since, or died) is replaced
+    and the frame sent once more, at once.  Resending is safe: a solve
+    is deterministic, and a keyed one that did settle is served its
+    settled result.  Any other failure drops the connection and raises.
+    """
+    conn = getattr(_client, "conn", None)
+    if conn is not None and conn.key != (socket_path, os.getpid()):
+        conn = None  # another server, or a forked child's inherited socket
+    while True:
+        reused = conn is not None
+        if not reused:
+            _client.conn = None  # drops (closes) this thread's old one
+            conn = _client.conn = _Connection(socket_path, timeout)
+        sock = conn.sock
+        try:
+            sock.settimeout(timeout)
+            _send_msg(sock, payload)
+            head = sock.recv(_LEN.size)
+            if not head:
+                raise ConnectionResetError("the server closed the connection")
+        except (BrokenPipeError, ConnectionResetError):
+            _client.conn = conn = None
+            if reused:
+                continue
+            raise
+        except BaseException:
+            _client.conn = None
+            raise
+        try:
+            return _recv_msg(sock, head=head)
+        except BaseException:
+            _client.conn = None
+            raise
 
 
 #: seconds :func:`send_request` waits before its first reconnect, and
@@ -1971,6 +2103,14 @@ def send_request(
     retries: int = 0,
 ) -> dict[str, Any]:
     """Send one request dict to a running service; returns the reply.
+
+    Each thread keeps one open connection and sends its next request to
+    the same ``socket_path`` over it, so a request pays no connect (and
+    the server no accept and no thread).  A call for another path, or
+    from a forked child, connects afresh.  A kept connection the server
+    has closed since — a restart, a drain — is replaced and the request
+    resent at once, whatever ``retries`` says; a timeout or a reply that
+    fails to unpickle drops the connection.
 
     With ``retries > 0`` the client survives a dying, restarting, or
     overloaded server.  Transport failures (connection refused, socket
@@ -2002,13 +2142,9 @@ def send_request(
     last_exc: Exception | None = None
     reply: dict[str, Any] | None = None
     for attempt in range(retries + 1):
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.settimeout(timeout)
         try:
-            client.connect(socket_path)
-            _send_msg(client, payload)
-            reply = _recv_msg(client)
-        except (OSError, ConnectionError) as exc:
+            reply = _exchange(socket_path, payload, timeout)
+        except OSError as exc:
             last_exc = exc
             if attempt < retries:
                 jitter = deterministic_fraction(
@@ -2019,8 +2155,6 @@ def send_request(
                 )
                 time.sleep(delay * (0.5 + jitter))
             continue
-        finally:
-            client.close()
         error = reply.get("error") if isinstance(reply, dict) else None
         retry_after = getattr(error, "retry_after", None)
         if (

@@ -36,6 +36,8 @@ from repro.service import (
     ResultCache,
     ServiceConfig,
     SolverService,
+    _build_request,
+    _checksum,
     _recv_msg,
     _send_msg,
     is_retryable,
@@ -1080,6 +1082,213 @@ class TestSocketHardening:
             server.join(timeout=30)
             assert not server.is_alive()
         finally:
+            service.stop()
+            sc.stop()
+
+
+# ---------------------------------------------------------------------------
+# one connection, many requests: send_request keeps a connection per
+# thread, and _handle_conn serves its frames until the client closes
+# ---------------------------------------------------------------------------
+
+
+def _count_accepts(monkeypatch) -> list:
+    """Record every connection ``socket.socket.accept`` returns."""
+    accepted: list = []
+    accept = socket.socket.accept
+
+    def counting(self):
+        pair = accept(self)
+        accepted.append(pair[0].fileno())
+        return pair
+
+    monkeypatch.setattr(socket.socket, "accept", counting)
+    return accepted
+
+
+def _serve_counted(service, socket_path, max_requests):
+    """serve_forever on a daemon thread; ``served`` gets its return value."""
+    served: list[int] = []
+    ready = threading.Event()
+    server = threading.Thread(
+        target=lambda: served.append(serve_forever(
+            service, socket_path, max_requests=max_requests, ready=ready
+        )),
+        daemon=True,
+    )
+    server.start()
+    assert ready.wait(30), "server failed to bind"
+    return server, served
+
+
+def _wire_payload(seed: int, **kw) -> dict:
+    return {"problem": "apsp", "n": 16, "seed": seed, "density": 0.4,
+            "r": 2, "return_result": True, **kw}
+
+
+def _wire_solos(seeds) -> dict[int, np.ndarray]:
+    """A service-free engine solve of each seed's wire payload."""
+    sc = _context()
+    try:
+        out = {}
+        for seed in seeds:
+            request = _build_request(_wire_payload(seed))
+            solver = GepSparkSolver(
+                request.spec, sc, r=request.r, kernel=request.kernel,
+                collect_stats=False,
+            )
+            out[seed], _ = solver.solve(np.array(request.table))
+        return out
+    finally:
+        sc.stop()
+
+
+def _fork_child_request(socket_path, payload, out) -> None:
+    try:
+        reply = send_request(socket_path, payload, timeout=60)
+        out.send((reply["status"], reply.get("result_checksum")))
+    except Exception as exc:  # the parent asserts on what it receives
+        out.send(("raised", repr(exc)))
+    finally:
+        out.close()
+
+
+class TestConnectionReuse:
+    @pytest.mark.timeout(120)
+    def test_one_client_thread_is_accepted_once(self, tmp_path, monkeypatch):
+        accepted = _count_accepts(monkeypatch)
+        socket_path = str(tmp_path / "solver.sock")
+        sc = _context()
+        service = SolverService(sc)
+        payload = _wire_payload(3)
+        try:
+            service.solve(_build_request(payload), timeout=60)  # pre-warm
+            server, served = _serve_counted(service, socket_path, 20)
+            replies = [
+                send_request(socket_path, payload, timeout=60)
+                for _ in range(20)
+            ]
+            server.join(timeout=30)
+            assert not server.is_alive()
+            assert served == [20]
+            assert len(accepted) == 1
+            assert all(r["status"] == "ok" and r["from_cache"] for r in replies)
+            assert service.metrics.cache_hits == 20
+        finally:
+            service.stop()
+            sc.stop()
+
+    @pytest.mark.timeout(180)
+    def test_client_threads_keep_their_own_connection(
+        self, tmp_path, monkeypatch
+    ):
+        clients, per_client = 4, 25
+        seeds = {c: [100 * c + i for i in range(per_client)]
+                 for c in range(clients)}
+        solos = _wire_solos([s for c in seeds for s in seeds[c]])
+        accepted = _count_accepts(monkeypatch)
+        socket_path = str(tmp_path / "solver.sock")
+        sc = _context()
+        service = SolverService(sc)
+        replies: dict[int, dict] = {}
+        errors: list[str] = []
+
+        def client(c: int) -> None:
+            for seed in seeds[c]:
+                try:
+                    replies[seed] = send_request(
+                        socket_path, _wire_payload(seed), timeout=60
+                    )
+                except OSError as exc:
+                    errors.append(f"seed {seed}: {exc!r}")
+
+        try:
+            server, served = _serve_counted(
+                service, socket_path, clients * per_client
+            )
+            threads = [threading.Thread(target=client, args=(c,), daemon=True)
+                       for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            server.join(timeout=30)
+            assert not server.is_alive()
+            assert not errors, errors
+            assert served == [clients * per_client]
+            assert len(accepted) == clients
+            # every reply answers its own request, never another thread's
+            for seed, solo in solos.items():
+                assert replies[seed]["status"] == "ok"
+                assert replies[seed]["result"].tobytes() == solo.tobytes()
+        finally:
+            service.stop()
+            sc.stop()
+
+    @pytest.mark.timeout(120)
+    def test_a_kept_connection_reaches_a_restarted_server(
+        self, tmp_path, monkeypatch
+    ):
+        accepted = _count_accepts(monkeypatch)
+        socket_path = str(tmp_path / "solver.sock")
+        sc = _context()
+        service = SolverService(sc)
+        try:
+            first, _ = _serve_counted(service, socket_path, 1)
+            assert send_request(socket_path, {"op": "stats"})["status"] == "ok"
+            first.join(timeout=30)
+            assert not first.is_alive()
+            assert not os.path.exists(socket_path)
+            # this thread still holds its connection to the stopped server
+            second, served = _serve_counted(service, socket_path, 1)
+            reply = send_request(
+                socket_path, _wire_payload(4), timeout=60, retries=0
+            )
+            assert reply["status"] == "ok"
+            second.join(timeout=30)
+            assert not second.is_alive()
+            assert served == [1]
+            assert len(accepted) == 2
+            assert service.metrics.client_disconnects == 0
+        finally:
+            service.stop()
+            sc.stop()
+
+    @pytest.mark.timeout(120)
+    def test_a_forked_child_connects_afresh(self, tmp_path, monkeypatch):
+        accepted = _count_accepts(monkeypatch)
+        socket_path = str(tmp_path / "solver.sock")
+        solos = _wire_solos([5, 6])
+        sc = _context()
+        service = SolverService(sc)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        try:
+            server, served = _serve_counted(service, socket_path, 3)
+            parent = send_request(socket_path, _wire_payload(5), timeout=60)
+            assert parent["status"] == "ok"
+            child = ctx.Process(
+                target=_fork_child_request,
+                args=(socket_path, _wire_payload(6), sender),
+            )
+            child.start()
+            sender.close()
+            assert receiver.poll(60), "the forked child never answered"
+            assert receiver.recv() == ("ok", _checksum(solos[6]))
+            child.join(timeout=30)
+            assert child.exitcode == 0
+            again = send_request(socket_path, _wire_payload(5), timeout=60)
+            assert again["status"] == "ok" and again["from_cache"]
+            for reply in (parent, again):
+                assert reply["result"].tobytes() == solos[5].tobytes()
+            server.join(timeout=30)
+            assert not server.is_alive()
+            assert served == [3]
+            # one connection each: the child never wrote on the parent's
+            assert len(accepted) == 2
+        finally:
+            receiver.close()
             service.stop()
             sc.stop()
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.service
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
 from repro.service import (
@@ -34,6 +35,7 @@ from repro.service import (
     SolverService,
     _build_request,
     send_request,
+    serve_forever,
 )
 from repro.sparkle import FaultPlan, RequestDeadlineExceeded, SparkleContext
 
@@ -484,3 +486,105 @@ class TestCrashRestartSoak:
 
         # nothing leaked in /dev/shm
         assert shm_entries() - shm_before == set()
+
+
+# ---------------------------------------------------------------------------
+# kept connections across restarts and drains: send_request holds one
+# connection per thread, so a restart or a drain finds it open
+# ---------------------------------------------------------------------------
+
+
+def _serve(service: SolverService, sock: str, max_requests: int):
+    ready = threading.Event()
+    server = threading.Thread(
+        target=serve_forever, args=(service, sock),
+        kwargs={"max_requests": max_requests, "ready": ready}, daemon=True,
+    )
+    server.start()
+    assert ready.wait(30), "server failed to bind"
+    return server
+
+
+class TestKeptConnections:
+    @pytest.mark.durability
+    @pytest.mark.timeout(300)
+    def test_a_lost_reply_is_served_once_across_a_restart(
+        self, tmp_path, monkeypatch
+    ):
+        sock = str(tmp_path / "s.sock")
+        journal_dir = tmp_path / "journal"
+        payload = _payload(9, idempotency_key="k-lost", return_result=True)
+        send = repro.service._send_msg
+        lost = threading.Event()
+
+        def losing(conn, obj):
+            # the first solve reply never reaches the client
+            if "fingerprint" in obj and not lost.is_set():
+                lost.set()
+                raise BrokenPipeError("reply lost")
+            send(conn, obj)
+
+        monkeypatch.setattr(repro.service, "_send_msg", losing)
+        sc = _context()
+        first = SolverService(sc, journal=RequestJournal(journal_dir))
+        first_server = _serve(first, sock, max_requests=2)
+        second: dict = {}
+
+        def restart() -> None:
+            first_server.join(timeout=60)
+            first.stop()
+            second["service"] = SolverService(
+                sc, journal=RequestJournal(journal_dir)
+            )
+            second["service"].resume()
+            second["server"] = _serve(second["service"], sock, max_requests=1)
+
+        restarter = threading.Thread(target=restart, daemon=True)
+        try:
+            # this thread's connection is open before the keyed request
+            assert send_request(sock, {"op": "stats"})["status"] == "ok"
+            restarter.start()
+            reply = send_request(sock, payload, timeout=60, retries=10)
+            restarter.join(timeout=60)
+            assert lost.is_set() and "server" in second
+            assert reply["status"] == "ok"
+            assert reply["result"].tobytes() == _reference(9).tobytes()
+            assert first.metrics.client_disconnects == 1
+            assert second["service"].metrics.engine_passes == 0
+            assert second["service"].metrics.idempotent_replays == 1
+            second["server"].join(timeout=30)
+            assert not second["server"].is_alive()
+        finally:
+            restarter.join(timeout=60)
+            first.stop()
+            if "service" in second:
+                second["service"].stop()
+            sc.stop()
+        settles = [
+            e for e in RequestJournal(journal_dir).wal.entries()
+            if e.get("kind") == "settled" and e.get("key") == "k-lost"
+        ]
+        assert len(settles) == 1
+
+    @pytest.mark.resilience
+    @pytest.mark.timeout(120)
+    def test_sigterm_drains_past_an_idle_kept_connection(self, tmp_path):
+        sock_dir = tempfile.mkdtemp(prefix="repro-drain-")
+        sock = os.path.join(sock_dir, "s.sock")
+        proc = _spawn_server(sock, str(tmp_path / "journal"), resume=False)
+        try:
+            _wait_ready(sock, proc)
+            reply = send_request(sock, _payload(2), timeout=60)
+            assert reply["status"] == "ok"
+            # this thread keeps its connection open and sends nothing more
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=10)
+            assert proc.returncode == 0, out
+            assert not os.path.exists(sock)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(sock_dir)
