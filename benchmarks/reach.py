@@ -133,7 +133,7 @@ KEEP: list[tuple[str, str, str]] = [
     ("service.py", r"SolverService\.(__enter__|__exit__)", "a `with SolverService(...)` block: service suites"),
     ("service.py", r"_GeneratedTable\.__reduce__", "a generated table pickles as its key: the hit suite"),
     ("sparkle/backend.py", r".*",
-     "process-plane crash and deadline paths: supervision suites (ROADMAP 3 decides the plane)"),
+     "process-plane crash and deadline paths: supervision suites (ROADMAP item 5 decides the plane)"),
     ("sparkle/scheduler.py", r"DAGScheduler\._lose_executor",
      "test_scheduler_recovery TestPlacement::test_faults_never_move_a_partition_and_a_loss_drops_only_its_own "
      "[drops every executor's outputs]"),
@@ -176,21 +176,15 @@ KEEP: list[tuple[str, str, str]] = [
     ("kernels/stats.py", r"KernelStats(\..*)?",
      "what a collect_stats solve reports; the counts and cost-model tests read it"),
     ("kernels/openmp.py", r".*", "the simulated OpenMP runtime: ROADMAP item 2(c) decides it"),
-    ("experiments/calibration.py", r".*", "ROADMAP item 4 decides it"),
-    ("core/tuning.py", r"adaptive_tune", "ROADMAP item 4 decides it"),
+    ("experiments/calibration.py", r".*", "ROADMAP item 8(c) decides it"),
+    ("core/tuning.py", r"adaptive_tune", "ROADMAP item 8(c) decides it"),
     ("core/tuning.py", r"TuningAdvice\.block", "part of the advice `repro tune` prints"),
     # the paper's other instances and derivations
-    ("semiring/", r"(Boolean|RealField|CountingSemiring|MinPlus|MaxPlus)(\.(add|add_inplace|mul|fold_steps))?",
+    ("semiring/", r"(Boolean|RealField|CountingSemiring|MinPlus|MaxPlus)(\.(add|add_inplace|mul))?",
      "a semiring a GEP spec runs on: TC, and the counting and real cross-checks"),
-    ("semiring/", r"Semiring\.fold_steps", "the generic fold a semiring without a fused one runs"),
-    ("semiring/base.py", r"fold_steps_idempotent",
-     "the NumPy fold: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
-    ("semiring/tropical.py", r"_fold_steps_guarded_once",
-     "the NumPy fold: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
-    ("core/gep.py", r"GaussianEliminationGep\.apply_k|GepSpec\.apply_corner",
-     "the masked per-step path (no corner fold, or no compiler: make tier1-nocc), the corner fold's oracle"),
-    ("core/gep.py", r"ge_steps",
-     "GE's NumPy steps: what runs without a compiler (make tier1-nocc) and the compiled fold's oracle"),
+    ("core/gep.py", r"(Semiring|GaussianElimination)Gep\.apply_k|GepSpec\.apply_corner",
+     "the NumPy fold of every spec, step by step (no compiler: make tier1-nocc; the masked path "
+     "with no corner fold): the compiled folds' oracle"),
     ("kernels/native.py", r"_build", "the cold-cache build: a program reaches it once per host and cache key"),
     ("semiring/", r"available_semirings", "the registry's public listing"),
     ("core/blocked.py", r"case_of", "Fig. 4's case table the kernel tests check"),

@@ -31,37 +31,27 @@ Quickstart
 4.0
 """
 
-from .core import (
-    FloydWarshallGep,
-    GaussianEliminationGep,
-    GepSpec,
-    SemiringGep,
-    TransitiveClosureGep,
-    floyd_warshall,
-    gaussian_solve,
-    lu_decompose,
-    run_gep,
-    semiring_closure,
-    transitive_closure,
-    tune,
-)
-from .sparkle import SparkleContext
+from .util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "SparkleContext",
-    "GepSpec",
-    "SemiringGep",
-    "FloydWarshallGep",
-    "GaussianEliminationGep",
-    "TransitiveClosureGep",
-    "floyd_warshall",
-    "gaussian_solve",
-    "lu_decompose",
-    "transitive_closure",
-    "semiring_closure",
-    "run_gep",
-    "tune",
-]
+#: each public name and the subpackage that defines it, imported on
+#: first use: ``import repro.semiring`` loads the semirings, not the engine
+_EXPORTS = {
+    "SparkleContext": "sparkle",
+    "GepSpec": "core",
+    "SemiringGep": "core",
+    "FloydWarshallGep": "core",
+    "GaussianEliminationGep": "core",
+    "TransitiveClosureGep": "core",
+    "floyd_warshall": "core",
+    "gaussian_solve": "core",
+    "lu_decompose": "core",
+    "transitive_closure": "core",
+    "semiring_closure": "core",
+    "run_gep": "core",
+    "tune": "core",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -10,69 +10,36 @@ scheduling` / :mod:`~repro.core.autogen`), the distributed IM/CB drivers
 :mod:`~repro.core.transitive`).
 """
 
-from .api import run_gep
-from .autogen import derive_by_inlining, rway_algorithm, two_way_algorithm
-from .blocked import blocked_gep_inplace, updated_tiles
-from .dpspark import GepSparkSolver, SolveReport, make_kernel
-from .fwapsp import floyd_warshall, reconstruct_path, semiring_closure
-from .gaussian import (
-    PivotError,
-    back_substitute,
-    determinant,
-    forward_eliminate,
-    gaussian_solve,
-    lu_decompose,
-)
-from .gep import (
-    FloydWarshallGep,
-    GaussianEliminationGep,
-    GepSpec,
-    SemiringGep,
-    TransitiveClosureGep,
-    gep_reference,
-    gep_reference_vectorized,
-)
-from .parenthesis import (
-    matrix_chain_order,
-    parenthesis_solve,
-    render_parenthesization,
-)
-from .parenthesis_spark import parenthesis_solve_spark
-from .transitive import transitive_closure
-from .tuning import TuningAdvice, adaptive_tune, tune
+from ..util import lazy_exports
 
-__all__ = [
-    "GepSpec",
-    "SemiringGep",
-    "FloydWarshallGep",
-    "GaussianEliminationGep",
-    "TransitiveClosureGep",
-    "gep_reference",
-    "gep_reference_vectorized",
-    "run_gep",
-    "blocked_gep_inplace",
-    "updated_tiles",
-    "rway_algorithm",
-    "two_way_algorithm",
-    "derive_by_inlining",
-    "GepSparkSolver",
-    "SolveReport",
-    "make_kernel",
-    "floyd_warshall",
-    "semiring_closure",
-    "reconstruct_path",
-    "gaussian_solve",
-    "forward_eliminate",
-    "back_substitute",
-    "lu_decompose",
-    "determinant",
-    "PivotError",
-    "transitive_closure",
-    "tune",
-    "adaptive_tune",
-    "TuningAdvice",
-    "parenthesis_solve",
-    "parenthesis_solve_spark",
-    "matrix_chain_order",
-    "render_parenthesization",
-]
+#: each public name and the module that defines it, imported on first
+#: use: the solvers import the engine, whose kernels import this
+#: package's ``gep`` and ``blocked``, so nothing is imported up front
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "api": ("run_gep",),
+        "autogen": ("derive_by_inlining", "rway_algorithm", "two_way_algorithm"),
+        "blocked": ("blocked_gep_inplace", "updated_tiles"),
+        "dpspark": ("GepSparkSolver", "SolveReport", "make_kernel"),
+        "fwapsp": ("floyd_warshall", "reconstruct_path", "semiring_closure"),
+        "gaussian": (
+            "PivotError", "back_substitute", "determinant", "forward_eliminate",
+            "gaussian_solve", "lu_decompose",
+        ),
+        "gep": (
+            "FloydWarshallGep", "GaussianEliminationGep", "GepSpec", "SemiringGep",
+            "TransitiveClosureGep", "gep_reference", "gep_reference_vectorized",
+        ),
+        "parenthesis": (
+            "matrix_chain_order", "parenthesis_solve", "render_parenthesization",
+        ),
+        "parenthesis_spark": ("parenthesis_solve_spark",),
+        "transitive": ("transitive_closure",),
+        "tuning": ("TuningAdvice", "adaptive_tune", "tune"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -127,28 +127,28 @@ class GepSpec(abc.ABC):
     ) -> None:
         """All ``pivot`` steps of one tile update, unmasked, in ``k`` order.
 
-        The tile kernels' mask-free fast path: equal to calling
-        :meth:`apply_k` with ``u[:, kk]``, ``v[kk, :]``, ``w[kk, kk]`` and
-        no mask for ``kk = 0 .. pivot-1`` — which is the default.
-        Overrides may fuse the steps but must keep that result exactly,
+        The tile kernels' mask-free fast path, and the one place a tile
+        update picks C or NumPy: the compiled fold (:attr:`native_fold`)
+        where it covers the call, with final bits, else :meth:`apply_k`
+        with ``u[..., :, kk]``, ``v[..., kk, :]``, ``w[..., kk, kk]`` and
+        no mask for ``kk = 0 .. pivot-1``.  Both leave the same bits,
         including when ``u``/``v``/``w`` alias ``x``.
 
         ``x`` may be a stack ``(M, rows, cols)`` with ``u`` ``(M, rows,
         pivot)``, ``v`` ``(M, pivot, cols)`` and ``w`` one pivot tile for
-        the whole stack or ``(M, pivot, pivot)``: every tile gets exactly
-        the update it would get alone.  The default takes them one by
-        one.
+        the whole stack or ``(M, pivot, pivot)``: each step runs over the
+        whole stack, a pivot per tile shaped ``(M, 1, 1)``, so every tile
+        gets exactly the update it would get alone.
         """
-        if x.ndim == 3:
-            for m in range(x.shape[0]):
-                wm = w if w is None or w.ndim == 2 else w[m]
-                self.apply_steps(x[m], u[m], v[m], wm, pivot)
+        from ..kernels import native  # repro.kernels imports this module
+
+        if native.fold(self.native_fold, x, u, v, w if self.needs_w else None):
             return
-        w_diag = None if w is None else w.diagonal()
         for kk in range(pivot):
-            self.apply_k(
-                x, u[:, kk], v[kk, :], None if w is None else w_diag[kk], None
-            )
+            w_kk = w[..., kk, kk] if w is not None else None
+            if w_kk is not None and w_kk.ndim:  # a pivot per tile
+                w_kk = w_kk[:, None, None]
+            self.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
 
     def apply_corner(
         self,
@@ -309,15 +309,6 @@ class SemiringGep(GepSpec):
         else:
             x[..., mask] = sr.add(x[..., mask], cand[..., mask])
 
-    def apply_steps(self, x, u, v, w, pivot):
-        # One semiring product ``x ⊕= u ⊗ v`` instead of ``pivot`` rank-1
-        # steps: the compiled fold (guarded, final bits) where it covers
-        # the call, else the semiring's NumPy fold.
-        from ..kernels import native  # repro.kernels imports this module
-
-        if not native.fold(self.native_fold, x, u, v):
-            self.semiring.fold_steps(x, u, v)
-
 
 class FloydWarshallGep(SemiringGep):
     """FW-APSP: the tropical-semiring GEP instance (paper Fig. 5)."""
@@ -375,15 +366,6 @@ class GaussianEliminationGep(GepSpec):
         else:
             x[..., mask] -= update[..., mask]
 
-    def apply_steps(self, x, u, v, w, pivot):
-        # The compiled fold runs the same multiply / divide / subtract
-        # per cell and step, in the same order; NumPy runs what it
-        # does not cover.
-        from ..kernels import native  # repro.kernels imports this module
-
-        if u.shape[-1] != pivot or not native.fold(self.native_fold, x, u, v, w):
-            ge_steps(x, u, v, w, pivot)
-
     def apply_corner(self, x, u, v, w, steps, ri, cj):
         # the compiled fold's k-outer loop, each step over its corner:
         # the same multiply / divide / subtract per cell as apply_k
@@ -397,26 +379,6 @@ class GaussianEliminationGep(GepSpec):
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)
         return 0 <= gk < hi
-
-
-def ge_steps(x, u, v, w, pivot) -> None:
-    """NumPy :meth:`GaussianEliminationGep.apply_steps`.
-
-    The same multiply / divide / subtract per step as ``apply_k``, in
-    the same order, through one reused buffer.  GE steps are never
-    re-associated: floating-point subtraction rounds.  The buffer is
-    complete before ``x`` is written, so aliasing stays safe.  All three
-    are elementwise, so over a stack (leading axis) each tile sees the
-    operations it would see alone, step by step.
-    """
-    update = np.empty(x.shape, dtype=np.result_type(u, v))
-    w_diag = w.diagonal(axis1=-2, axis2=-1)
-    if w_diag.ndim == 2:  # a pivot tile per stacked tile
-        w_diag = w_diag.T[:, :, None, None]
-    for kk in range(pivot):
-        np.multiply(u[..., kk, None], v[..., None, kk, :], out=update)
-        update /= w_diag[kk]
-        x -= update
 
 
 # ----------------------------------------------------------------------

@@ -42,61 +42,34 @@ corner's cells arithmetically.  What it does not cover — no compiler,
 another dtype, a spec with no corner fold — goes step by step through
 ``GepSpec.apply_k`` under a ``sigma_mask``, the oracle the corner fold
 is tested against.  Every other tile — all of FW/TC, and GE's trailing
-tiles — is one ``GepSpec.apply_steps`` call:
-
-* **Semiring specs** (``SemiringGep.apply_steps``) hand the fold to
-  the compiled C where it covers the semiring and the layout (min-plus,
-  max-plus, boolean; float64 / bool, rows contiguous, non-negative
-  strides — :func:`.native.fold`), one call per tile or stack with
-  final bits, and to ``Semiring.fold_steps(x, u, v)`` otherwise.  The
-  idempotent semirings' NumPy fold, the fallback and the tests' oracle,
-  gives the same bits: operands that cannot share memory with ``x``
-  (identity, then ``np.may_share_memory``, conservatively) are folded
-  as a k-chunked 3-D broadcast, ⊕-reduced over ``k`` and merged into
-  ``x`` once per chunk; ``min``/``max``/``or`` select an operand and
-  never round, so re-associating the steps cannot change a value.
-  Aliased operands keep sequential ``k`` order (each step reads what
-  the previous wrote) with one reused buffer.  Other semirings keep the
-  sequential ``mul`` + ``add_inplace`` default.
-* **The tropical ±inf guard** turns ``inf + (-inf)`` into the semiring
-  zero at every step in C.  NumPy's fold runs it once per call, not once
-  per step: the fold runs unguarded, ``min``/``max`` keep a NaN once a
-  cell has one, so ``isnan(x).any()`` afterwards detects every
-  ``inf + (-inf)``; on a hit the tile is restored and redone through the
-  guarded sequential default.  Results are identical either way.
-* **GE** runs its steps in order, in C or through one reused NumPy
-  buffer — the same multiply, divide and subtract per cell and step.
-  Floating-point subtraction rounds, so GE steps are never
-  re-associated.
+tiles — is one ``GepSpec.apply_steps`` call, the one place a tile
+update picks C or NumPy: the compiled fold where it covers the spec and
+the layout (min-plus, max-plus, boolean and GE; float64 / bool, rows
+contiguous, non-negative strides — :func:`.native.fold`), one call per
+tile or stack with final bits, and otherwise ``GepSpec.apply_k`` once
+per step, unmasked — the fallback and the oracle the compiled fold is
+tested against.  Both take each cell's steps in ``k`` order and never
+re-associate them; the tropical semirings' ±inf guard (``inf + (-inf)``
+is the semiring zero) runs at every step in either.
 
 Stacks
 ------
 Every call pays a fixed cost — validation, Σ_G predicates, the call
-into C or NumPy's ufunc dispatch (and, in NumPy, the tropical guard's
-copy and NaN check) —
-and an 8x8 tile is only 512 cell updates, so on small tiles that cost is
-most of the call.  So the unit of the fast path is a *stack*: ``x``
-``(M, rows, cols)``, ``u`` ``(M, rows, pivot)``, ``v`` ``(M, pivot,
-cols)``, ``w`` one pivot tile shared by the stack or ``(M, pivot,
-pivot)``, ``gi0`` / ``gj0`` sequences of ``M`` offsets, one ``gk0``.  A
-2-D tile is the stack of one — the same code, indexed from the last
-axes — and every tile of a stack ends with exactly the bits it would
-have alone:
+into C or NumPy's ufunc dispatch — and an 8x8 tile is only 512 cell
+updates, so on small tiles that cost is most of the call.  So the unit
+of the fast path is a *stack*: ``x`` ``(M, rows, cols)``, ``u`` ``(M,
+rows, pivot)``, ``v`` ``(M, pivot, cols)``, ``w`` one pivot tile shared
+by the stack or ``(M, pivot, pivot)``, ``gi0`` / ``gj0`` sequences of
+``M`` offsets, one ``gk0``.  A 2-D tile is the stack of one — the same
+code, indexed from the last axes — and every tile of a stack ends with
+exactly the bits it would have alone:
 
 * the compiled fold takes a whole stack in one call — a D stack tile by
   tile, each cell held in a register across the range's steps, a stack
   aliasing ``x`` (a panel, below) step by step over all its tiles, each
-  cell's steps in ``k`` order either way; NumPy's semiring fold keeps
-  ``k`` as the *leading* axis of its chunked broadcast ``(k, M, rows,
-  cols)``, so the ⊕-reduction runs over ``k`` by repeated elementwise ⊕
-  per cell, in step order, ``±0.0`` ties broken as in the step loop,
-  whatever ``M`` is; an operand aliasing ``x`` keeps the sequential step
-  loop, over the whole stack;
-* GE stays sequential in ``k``: one multiply, one divide, one subtract
-  per step over the whole stack, all elementwise;
-* NumPy's tropical guard checks the stack for NaN once and restores
-  and redoes, alone and guarded, only the tiles that hold one (the C
-  guards each step);
+  cell's steps in ``k`` order either way;
+* NumPy takes one ``apply_k`` per step over the whole stack, all
+  elementwise, with GE's pivot per tile shaped ``(M, 1, 1)``;
 * Σ_G mask-freedom is checked once per stack
   (``GepSpec.sigma_mask_free_stack``: the smallest ``gi0`` and ``gj0``
   decide it) and ``k_active`` once per stack (one pivot range, probed at
@@ -110,19 +83,18 @@ have alone:
 
 One caveat is NumPy's, not the arithmetic's: which operand's NaN a
 commutative ufunc returns when both are NaN depends on where a cell
-falls in its loop (SIMD body or scalar tail), so on a GE stack ``NaN *
-NaN`` of opposite signs — an input NaN meeting one the arithmetic
-produced — may come out with either sign bit.  A tropical stack never
-meets such a pair: the guard makes every NaN candidate the semiring
-zero.
+falls in its loop (SIMD body or scalar tail), so when GE's step loop
+runs over a stack, ``NaN * NaN`` of opposite signs — an input NaN
+meeting one the arithmetic produced — may come out with either sign
+bit.  A tropical stack never meets such a pair: the guard makes every
+NaN candidate the semiring zero.
 
 :meth:`IterativeKernel.run_stacks` is where a task's call list becomes
 stacks, of tiles with equal geometry, pivot range and the spec's dtype:
 
 * case-D calls (four distinct tiles), ``_FOLD_CHUNK_ELEMS // (cells x
-  pivot)`` deep so the whole fold stays one cache-resident chunk — 64
-  tiles at 8x8, 8 at 16x16, 2 at 25x25; from 26x26 up a tile already
-  fills a call;
+  pivot)`` deep — 64 tiles at 8x8, 8 at 16x16, 2 at 25x25; from 26x26
+  up a tile already fills a call;
 * *panels*: case-B calls of one pivot row — the same ``u`` / ``w``
   objects and ``gi0`` — or case-C calls of one pivot column — the same
   ``v`` / ``w`` and ``gj0``.  B and C alias ``x`` and must read what
@@ -144,12 +116,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.gep import GepSpec
-from ..semiring import base as _semiring_base
 from . import native
 from .base import ALIAS_X
 from .stats import KernelStats
 
 __all__ = ["gep_tile_update", "gep_tile_update_loop", "IterativeKernel"]
+
+#: how many cell updates one stack holds (:meth:`IterativeKernel.run_stacks`):
+#: a case-D stack's tiles times their pivot steps, or a panel's cells —
+#: 256 KiB of doubles, 64 tiles of 8x8 with all 8 steps.
+_FOLD_CHUNK_ELEMS = 32768
 
 
 def gep_tile_update(
@@ -200,8 +176,8 @@ def gep_tile_update(
     # Fast path: when no step of this stack's pivot range needs a Σ_G
     # mask (checked once — mask-freedom is monotone in gk and in the
     # offsets) and every step is active, the whole pivot range is one
-    # ``apply_steps`` call and the spec fuses the steps as far as its
-    # arithmetic allows.  This is the hot shape: FW/TC tiles are never
+    # ``apply_steps`` call: one compiled fold, or ``apply_k`` step by
+    # step.  This is the hot shape: FW/TC tiles are never
     # masked, and GE tiles strictly below/right of the pivot stop being
     # masked as soon as ``gi0 > gk`` / ``gj0 > gk``.
     if steps == pivot and spec.sigma_mask_free_stack(offsets, shape, gk0, gk0 + pivot):
@@ -397,7 +373,7 @@ class IterativeKernel:
                 or not (w is None or w.ndim == 2 and w.dtype == dtype)
             ):
                 continue
-            depth = _semiring_base._FOLD_CHUNK_ELEMS // (tile.size * steps)
+            depth = _FOLD_CHUNK_ELEMS // (tile.size * steps)
             if depth < 2:
                 continue
             for at in range(0, len(members), depth):

@@ -12,15 +12,16 @@ builds it on first use with the host's C compiler:
     two operands, cell by cell: ``(x < c || x != x) ? x : c`` keeps
     NumPy's choice on a ``±0`` tie (the second operand) and keeps a NaN
     ``x``, and the steps of one cell run in ``k`` order.  So one call
-    leaves exactly the bits of ``MinPlus`` / ``MaxPlus.fold_steps``, NaN
-    included, and no check or redo follows it.
+    leaves exactly the bits of ``SemiringGep.apply_k`` step by step (the
+    semiring's guarded ``mul``, then ``add_inplace``), NaN included, and
+    no check or redo follows it.
 ``orand``
     ``x = x | (u & v)`` over ``bool`` tiles (results are ``0`` / ``1``,
     as NumPy's logical ufuncs write them).
 ``ge``
     Gaussian elimination's ``x = x - ((u * v) / w[k,k])``: the multiply,
-    divide and subtract of ``GaussianEliminationGep.apply_steps``, in
-    that order, step by step.  It also takes Σ_G's *corner* ``(ri,
+    divide and subtract of ``GaussianEliminationGep.apply_k``, in that
+    order, step by step.  It also takes Σ_G's *corner* ``(ri,
     cj)``: step ``k`` updates only rows ``i >= k + ri`` and columns
     ``j >= k + cj`` of every tile, so a masked tile or panel
     (``GaussianEliminationGep.apply_corner``) is one call too; it runs
@@ -60,11 +61,11 @@ chosen in C from the operands' address ranges:
 Both run each cell's steps in ``k`` order through one expression, so
 the loop order changes no bit.
 
-:func:`fold` returns ``False``, and the caller runs its NumPy fold,
-for anything the C does not cover: no entry point (``None``), another
-dtype, an ``x`` whose rows
-are not contiguous or whose tiles could overlap, a negative or
-unaligned stride, mismatched shapes — or no library.  The library is
+:func:`fold` returns ``False``, and ``GepSpec.apply_steps`` runs
+``apply_k`` step by step, for anything the C does not cover: no entry
+point (``None``), another dtype, an ``x`` whose rows are not contiguous
+or whose tiles could overlap, a negative or unaligned stride,
+mismatched shapes — or no library.  The library is
 built with ``$CC`` (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}
 /repro/``, keyed on the source, the compiler's version, the flags and
 the CPU's ISA flags, so a library built for another CPU is never
@@ -480,8 +481,10 @@ def fold(entry: str | None, x, u, v, w=None, *, corner=None) -> bool:
     whole call, so every pointer handed to C is live; the C allocates
     its own scratch.
     """
+    if entry not in _DTYPES or (w is None) == (entry == "ge"):
+        return False
     lib = _library()
-    if lib is None or entry not in _DTYPES or (w is None) == (entry == "ge"):
+    if lib is None:
         return False
     args = _layout(_DTYPES[entry], x, u, v, w)
     if args is None:

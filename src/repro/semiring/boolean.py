@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Semiring, fold_steps_idempotent
+from .base import Semiring
 
 __all__ = ["Boolean"]
 
@@ -33,10 +33,3 @@ class Boolean(Semiring):
 
     def mul(self, a, b):
         return np.logical_and(a, b)
-
-    def fold_steps(self, x, u, v):
-        """Fused and/or fold — exact in any order, and nothing to guard."""
-        if not (x.dtype == u.dtype == v.dtype == self.dtype):
-            return super().fold_steps(x, u, v)
-        fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
-        return x

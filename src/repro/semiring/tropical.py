@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Semiring, fold_steps_idempotent
+from .base import Semiring
 
 __all__ = ["MinPlus", "MaxPlus"]
 
@@ -32,50 +32,6 @@ def _plus_with_infinities(a: np.ndarray, b: np.ndarray, annihilator: float) -> n
     return out
 
 
-def _fold_steps_guarded_once(
-    sr: Semiring, x: np.ndarray, u: np.ndarray, v: np.ndarray, oplus: np.ufunc
-) -> np.ndarray:
-    """Tropical :meth:`Semiring.fold_steps` with the ``inf + (-inf)`` guard
-    run once per call instead of once per step, with identical results.
-
-    This is the NumPy fold: what a tile update runs where the compiled
-    fold (:mod:`repro.kernels.native`, which guards every step itself)
-    does not cover the call — no compiler, another layout — and the
-    oracle the compiled fold is tested against.
-
-    The fold runs unguarded through raw ``np.add`` / ``oplus``.
-    ``np.minimum`` and ``np.maximum`` (and their reductions) propagate
-    NaN, and once a cell of ``x`` is NaN every later ⊕ keeps it NaN, so a
-    NaN anywhere in the final ``x`` is a complete detector for "some ⊙
-    produced NaN (or an operand held one)".  No NaN means every
-    candidate was NaN-free, so the per-step guard would have been a
-    no-op at every step and the values are the guarded ones.  On a NaN
-    the tile is restored and the call redone through the guarded
-    sequential default — rare: it takes opposite infinities (or NaN) in
-    the operands.  A stack ``(M, rows, cols)`` is checked once, whole;
-    only the tiles holding a NaN are restored and redone, each alone —
-    tiles of a stack never read one another, so the rest already hold
-    their guarded values.
-
-    Tables in another dtype than the semiring's stay on the default so
-    ``out=`` never casts.
-    """
-    if not (x.dtype == u.dtype == v.dtype == sr.dtype):
-        return Semiring.fold_steps(sr, x, u, v)
-    pristine = x.copy()
-    with np.errstate(invalid="ignore"):
-        fold_steps_idempotent(x, u, v, np.add, oplus)
-    if np.isnan(x).any():
-        if x.ndim == 2:
-            x[...] = pristine
-            Semiring.fold_steps(sr, x, u, v)
-        else:
-            for m in np.flatnonzero(np.isnan(x).any(axis=(1, 2))):
-                x[m] = pristine[m]
-                Semiring.fold_steps(sr, x[m], u[m], v[m])
-    return x
-
-
 class MinPlus(Semiring):
     """The tropical semiring ``(R ∪ {+inf}, min, +, +inf, 0)``."""
 
@@ -94,9 +50,6 @@ class MinPlus(Semiring):
 
     def mul(self, a, b):
         return _plus_with_infinities(np.asarray(a), np.asarray(b), self.zero)
-
-    def fold_steps(self, x, u, v):
-        return _fold_steps_guarded_once(self, x, u, v, np.minimum)
 
 
 class MaxPlus(Semiring):
@@ -117,6 +70,3 @@ class MaxPlus(Semiring):
 
     def mul(self, a, b):
         return _plus_with_infinities(np.asarray(a), np.asarray(b), self.zero)
-
-    def fold_steps(self, x, u, v):
-        return _fold_steps_guarded_once(self, x, u, v, np.maximum)

@@ -1822,8 +1822,9 @@ def serve_forever(
     "error", "error": <pickled typed exception>, "retryable": bool}``.
     ``max_requests`` bounds the loop for tests and counts requests, not
     connections: every frame begun counts one, whether complete, refused
-    or torn, and so does a connection that closes before its first
-    frame.  Returns the requests counted.
+    or torn.  A connection that closes before its first byte (a
+    stale-socket or readiness probe) counts nothing.  Returns the
+    requests counted.
 
     Per-connection failures — frames over the service's
     ``config.max_frame_bytes``, clients torn away mid-frame or
@@ -1934,12 +1935,11 @@ def _handle_conn(
 
     ``begin_request`` counts each request as its first byte arrives and
     says False once the server takes no more: the connection is then
-    dropped unanswered.  A clean EOF (or a reset) after a reply ends the
-    loop quietly; a refused or torn frame, or a reply the client did not
-    stay for, ends it and is metered.  A connection closed before its
-    first frame counts as one torn request, as it did when every
-    connection carried one (a stale-socket probe is such a connection).
-    The caller closes ``conn``.
+    dropped unanswered.  An EOF (or a reset) before a frame's first byte
+    ends the loop quietly and counts nothing — after the last reply, or
+    on a connection that never sent a frame (a stale-socket probe); a
+    refused or torn frame, or a reply the client did not stay for, ends
+    it and is metered.  The caller closes ``conn``.
     """
     max_frame_bytes = service.config.max_frame_bytes
 
@@ -1947,15 +1947,13 @@ def _handle_conn(
         with service._metrics_lock:
             service.metrics.client_disconnects += 1
 
-    first = True
     while True:
         try:
             head = conn.recv(_LEN.size)
         except OSError:
             head = b""  # a reset, like an EOF
-        if not head and not first:
+        if not head:
             return  # the client is done: every frame was answered
-        first = False
         if not begin_request():
             return
         try:
@@ -1971,9 +1969,8 @@ def _handle_conn(
                 note_disconnect()
             return
         except (ConnectionError, OSError):
-            # Torn frame / client vanished mid-send (or before its first
-            # frame): this connection's problem only, the accept loop
-            # never hears about it.
+            # Torn frame / client vanished mid-send: this connection's
+            # problem only, the accept loop never hears about it.
             note_disconnect()
             return
         try:

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import importlib
 import sys
 
 from numpy import ndarray
 
-__all__ = ["near_equal_splits", "sizeof_block"]
+__all__ = ["lazy_exports", "near_equal_splits", "sizeof_block"]
+
+
+def lazy_exports(package: str, exports: dict[str, str]):
+    """The PEP 562 module ``__getattr__`` of a package whose public names
+    live in its submodules: ``exports`` maps each name to its submodule,
+    imported when the name is first read (``from package import *``
+    included).  A package that imports nothing up front can be imported
+    from any of its submodules without an import cycle."""
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{exports[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
 
 
 def near_equal_splits(extent: int, parts: int) -> list[int]:

@@ -106,6 +106,18 @@ def ge_table(n: int, seed: int = 0) -> np.ndarray:
     return diagonally_dominant(n, seed=seed)
 
 
+def apply_k_steps(spec, x, u, v, w=None) -> None:
+    """The reference tile fold: ``spec.apply_k`` once per pivot step,
+    unmasked, in ``k`` order, over one tile or a whole stack (a pivot
+    tile per stacked tile gives each its own ``(M, 1, 1)`` pivot) — what
+    ``GepSpec.apply_steps`` runs where the compiled fold declines."""
+    for kk in range(u.shape[-1]):
+        w_kk = None if w is None else w[..., kk, kk]
+        if w_kk is not None and w_kk.ndim:
+            w_kk = w_kk[:, None, None]
+        spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
+
+
 def assert_tables_equal(a: np.ndarray, b: np.ndarray, **kw) -> None:
     if a.dtype == np.bool_:
         np.testing.assert_array_equal(a, b)

@@ -26,13 +26,13 @@ from repro.kernels import (
     case_of,
     gep_tile_update,
     gep_tile_update_loop,
+    iterative,
     native,
 )
 from repro.kernels.base import ALIAS_X, update_tile, update_tiles
-from repro.semiring import MinPlus, Semiring, get_semiring, tropical
-from repro.semiring import base as semiring_base
+from repro.semiring import MinPlus, get_semiring
 
-from .conftest import assert_tables_equal, fw_table, ge_table, tc_table
+from .conftest import apply_k_steps, assert_tables_equal, fw_table, ge_table, tc_table
 
 SPECS = {
     "fw": (FloydWarshallGep(), fw_table),
@@ -398,7 +398,7 @@ def test_property_recursive_ge_equals_reference(n, r_shared, base, seed):
 
 
 # ----------------------------------------------------------------------
-# fused semiring fold (``apply_steps`` / ``Semiring.fold_steps``)
+# the mask-free fast path (``GepSpec.apply_steps``: C, or ``apply_k`` per step)
 # ----------------------------------------------------------------------
 _INF, _NAN = float("inf"), float("nan")
 #: value alphabets per semiring: ``tame`` keeps every pivot-diagonal
@@ -413,12 +413,6 @@ _ALPHABETS = {
 }
 
 
-def _per_k_loop(spec, x, u, v):
-    """The sequential reference: one guarded ``apply_k`` per pivot step."""
-    for kk in range(u.shape[1]):
-        spec.apply_k(x, u[:, kk], v[kk, :], None, None)
-
-
 def _case_operands(case, x, u, v):
     """Alias ``u``/``v`` to ``x`` the way kernel case ``case`` does."""
     return (x if case in "AC" else u), (x if case in "AB" else v)
@@ -427,10 +421,11 @@ def _case_operands(case, x, u, v):
 @given(data=st.data())
 @settings(max_examples=400, deadline=None)
 def test_property_fused_fold_equals_sequential_steps(data):
-    """semiring x case x ragged shape x {±inf, -0.0, NaN}: the fused fast
-    path is bit-identical to the per-``k`` ``apply_k`` loop (NaN positions
-    and zero signs included) and equal to the scalar loop; for case D, a
-    stack of 1..5 such tiles is bit-identical to as many separate calls."""
+    """semiring x case x ragged shape x {±inf, -0.0, NaN}: the fast path
+    is bit-identical to the per-``k`` ``apply_k`` loop (NaN positions and
+    zero signs included) and equal to the scalar loop; for case D, a
+    stack of 1..5 such tiles is bit-identical to as many separate calls,
+    and the task path stacks only as deep as the budget allows."""
     name = data.draw(st.sampled_from(sorted(_ALPHABETS)))
     case = data.draw(st.sampled_from("ABCDD"))  # D twice: it alone stacks
     tame, wild = _ALPHABETS[name]
@@ -448,24 +443,23 @@ def test_property_fused_fold_equals_sequential_steps(data):
         return np.array(cells, dtype=spec.dtype).reshape(rows, cols)
 
     x0, u0, v0 = tile(mi, mj), tile(mi, pivot), tile(pivot, mj)
-    # a small budget makes multi-chunk folds (and chunk < 2) reachable
+    # a small budget makes shallow stacks and unstacked groups reachable
     budget = data.draw(st.sampled_from([1, 16, 64, 32768]))
 
-    fused = x0.copy()
-    u, v = _case_operands(case, fused, u0, v0)
-    with mock.patch.object(semiring_base, "_FOLD_CHUNK_ELEMS", budget):
-        gep_tile_update(spec, fused, u, v, None, 3, 5, 0, 64)
+    fast = x0.copy()
+    u, v = _case_operands(case, fast, u0, v0)
+    gep_tile_update(spec, fast, u, v, None, 3, 5, 0, 64)
 
     stepped = x0.copy()
-    _per_k_loop(spec, stepped, *_case_operands(case, stepped, u0, v0))
-    assert fused.tobytes() == stepped.tobytes()
-    assert np.array_equal(fused, stepped, equal_nan=name != "boolean")
+    apply_k_steps(spec, stepped, *_case_operands(case, stepped, u0, v0))
+    assert fast.tobytes() == stepped.tobytes()
+    assert np.array_equal(fast, stepped, equal_nan=name != "boolean")
 
     if case == "D" or not wild_draw:
         looped = x0.copy()
         lu, lv = _case_operands(case, looped, u0, v0)
         gep_tile_update_loop(spec, looped, lu, lv, None, 3, 5, 0, 64)
-        assert np.array_equal(fused, looped, equal_nan=name != "boolean")
+        assert np.array_equal(fast, looped, equal_nan=name != "boolean")
 
     if case != "D":
         return
@@ -481,10 +475,9 @@ def test_property_fused_fold_equals_sequential_steps(data):
         solo.append(out.tobytes())
     xs, us, vs = (np.array(part) for part in zip(*stack))
     calls = [("D", x, u, v, None, 3, 5, 0, 64) for x, u, v in stack]
-    with mock.patch.object(semiring_base, "_FOLD_CHUNK_ELEMS", budget):
-        # whatever the budget, a stack handed to the kernel is folded right
-        # (multi-chunk, or sequentially when two steps do not fit) ...
-        gep_tile_update(spec, xs, us, vs, None, [3] * depth, [5] * depth, 0, 64)
+    # a stack handed to the kernel is folded right whatever its depth ...
+    gep_tile_update(spec, xs, us, vs, None, [3] * depth, [5] * depth, 0, 64)
+    with mock.patch.object(iterative, "_FOLD_CHUNK_ELEMS", budget):
         # ... and the task path stacks only what the budget allows (None:
         # left to the tile-by-tile path), splitting deeper groups
         outs = IterativeKernel(spec).run_stacks(calls)
@@ -651,6 +644,59 @@ def test_property_bc_panel_equals_separate_tiles(data):
         assert out is None or (out.tobytes() == want and out.base is None)
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_numpy_stack_equals_apply_k_tile_by_tile(data):
+    """With the compiled fold declined, ``GepSpec.apply_steps`` over a
+    stack — one ``apply_k`` per step over every tile — leaves each tile
+    the bytes ``apply_k`` leaves it alone, step by step: a D stack with
+    one shared pivot tile or (GE) one per tile, and a B / C panel whose
+    pivot is ``np.broadcast_to`` over the stack and whose aliased
+    operand is the stack itself.  FW / max-plus / TC / GE, ±0, ±inf,
+    NaN (GE panels: produced NaN only, see ``_PANEL_CELLS``)."""
+    name = data.draw(st.sampled_from(sorted(_PANEL_CELLS)))
+    make_spec, cells = _PANEL_CELLS[name]
+    spec = make_spec()
+    case = data.draw(st.sampled_from("BCD"))
+    if name == "ge" and case == "D":
+        cells = _GE_CELLS
+    depth, rows, cols, pivot = (data.draw(st.integers(1, 6)) for _ in range(4))
+    rows = pivot if case == "B" else rows
+    cols = pivot if case == "C" else cols
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        drawn = data.draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size))
+        return np.array(drawn, dtype=spec.dtype).reshape(shape)
+
+    xs = draw(depth, rows, cols)
+    us, vs = draw(depth, rows, pivot), draw(depth, pivot, cols)
+    own_w = spec.needs_w and case == "D" and data.draw(st.booleans())
+    ws = draw(depth, pivot, pivot) if own_w else draw(pivot, pivot)
+    if case == "D" and not spec.needs_w:
+        ws = None
+
+    def operands(x, m=None):
+        """``(u, v, w)`` for tile ``m`` alone, or for the stack (``None``)."""
+        if case == "D":
+            if m is None:
+                return us, vs, ws
+            return us[m], vs[m], ws[m] if own_w else ws
+        shared = ws if m is not None else np.broadcast_to(ws, (depth,) + ws.shape)
+        return (shared, x, ws) if case == "B" else (x, shared, ws)
+
+    with np.errstate(all="ignore"):
+        solo = []
+        for m in range(depth):
+            out = xs[m].copy()
+            apply_k_steps(spec, out, *operands(out, m))
+            solo.append(out.tobytes())
+        stack = xs.copy()
+        with mock.patch.object(native, "fold", lambda *args, **kwargs: False):
+            spec.apply_steps(stack, *operands(stack), pivot)
+    assert [x.tobytes() for x in stack] == solo
+
+
 def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
     """A panel is at most ``_FOLD_CHUNK_ELEMS // tile.size`` deep — 3 at
     96x96, none from 182x182 up — and shares one pivot: a B call on
@@ -685,10 +731,8 @@ def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
 
 
 def test_single_cell_tile_keeps_zero_signs(fw_spec):
-    """On a 1x1 tile the k axis of the broadcast is the contiguous one,
-    which NumPy reduces in SIMD lane order — a different tie-break on
-    ``±0.0`` than the step loop's.  Such tiles stay sequential, and a
-    task's list of them is never stacked."""
+    """A 1x1 tile with a long pivot range keeps the step loop's ``±0.0``
+    tie-breaks, and a task's list of such tiles is never stacked."""
     rng = np.random.default_rng(0)
     cells = np.array([0.0, -0.0, 1.0, np.inf])
     kernel = IterativeKernel(fw_spec)
@@ -702,15 +746,14 @@ def test_single_cell_tile_keeps_zero_signs(fw_spec):
         for x0, u, v in pair:
             got, want = x0.copy(), x0.copy()
             gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
-            _per_k_loop(fw_spec, want, u, v)
+            apply_k_steps(fw_spec, want, u, v)
             assert got.tobytes() == want.tobytes()
 
 
 def test_overlapping_subviews_take_the_sequential_branch(fw_spec):
     """Recursive-kernel shape: ``v`` is a *different view object* over the
-    same cells as ``x`` (so ``v is x`` is false).  Re-associating would
-    read stale pivot rows; ``may_share_memory`` must route the call to
-    the sequential branch."""
+    same cells as ``x`` (so ``v is x`` is false).  Every step must read
+    the pivot rows the previous steps wrote, as the per-``k`` loop does."""
     rng = np.random.default_rng(5)
     base = rng.integers(1, 30, size=(4, 8)).astype(np.float64)
     pristine = base.copy()
@@ -719,10 +762,10 @@ def test_overlapping_subviews_take_the_sequential_branch(fw_spec):
     gep_tile_update(fw_spec, x, u, v, None, 0, 4, 0, 8)
 
     stepped = pristine.copy()
-    _per_k_loop(fw_spec, stepped[:, 4:], stepped[:, :4], stepped[:, 4:])
+    apply_k_steps(fw_spec, stepped[:, 4:], stepped[:, :4], stepped[:, 4:])
     assert base.tobytes() == stepped.tobytes()
-    # the input discriminates: with v detached (independent operands,
-    # hence the fused branch) the answer is a different one
+    # the input discriminates: with v detached (independent operands)
+    # the answer is a different one
     detached = pristine[:, 4:].copy()
     gep_tile_update(
         fw_spec, detached, pristine[:, :4], pristine[:, 4:].copy(), None, 0, 4, 0, 8
@@ -733,25 +776,20 @@ def test_overlapping_subviews_take_the_sequential_branch(fw_spec):
 @pytest.mark.parametrize("name", ["counting", "real"])
 def test_non_idempotent_semirings_keep_the_default_fold(name):
     """``+`` rounds (or overflows) and is not idempotent: these semirings
-    must not inherit a re-associating ``fold_steps``."""
+    have no compiled fold and take ``apply_k`` step by step."""
     sr = get_semiring(name)
-    assert type(sr).fold_steps is Semiring.fold_steps
     spec = SemiringGep(sr)
     rng = np.random.default_rng(2)
     x0, u, v = (rng.integers(0, 5, size=(5, 5)).astype(sr.dtype) for _ in range(3))
     got, want = x0.copy(), x0.copy()
     gep_tile_update(spec, got, u, v, None, 0, 5, 10, 64)
-    _per_k_loop(spec, want, u, v)
+    apply_k_steps(spec, want, u, v)
     assert got.tobytes() == want.tobytes()
 
 
-def test_float32_table_keeps_the_default_fold(fw_spec, monkeypatch):
-    """A table in another dtype than the semiring's never reaches the
-    ``out=`` ufunc path (which would cast): same bits as per-``k``."""
-    def boom(*a, **k):
-        raise AssertionError("fused fold reached with a foreign dtype")
-
-    monkeypatch.setattr(tropical, "fold_steps_idempotent", boom)
+def test_float32_table_keeps_the_default_fold(fw_spec):
+    """A table in another dtype than the semiring's is declined by the
+    compiled fold and folds through ``apply_k``: same bits as per-``k``."""
     rng = np.random.default_rng(3)
     pair = [
         [rng.random((6, 6)).astype(np.float32) for _ in range(3)] for _ in range(2)
@@ -762,7 +800,7 @@ def test_float32_table_keeps_the_default_fold(fw_spec, monkeypatch):
     for x0, u, v in pair:
         got, want = x0.copy(), x0.copy()
         gep_tile_update(fw_spec, got, u, v, None, 0, 6, 12, 64)
-        _per_k_loop(fw_spec, want, u, v)
+        apply_k_steps(fw_spec, want, u, v)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
@@ -796,27 +834,22 @@ def _opposite_infinities_panel():
 
 
 class TestGuardFallback:
-    """The NumPy fold runs the ±inf guard once per kernel call: a clean
-    tile never takes a guarded step, a tile whose fold meets ``inf +
-    (-inf)`` is redone, whole, through the guarded sequential default.
-    The redo tests pin that fallback with the compiled fold declined;
-    their compiled twins pin that the C guards each step itself and
-    takes no guarded NumPy step."""
+    """The tropical ±inf guard — ``inf + (-inf)`` is the semiring zero —
+    runs at every step on both sides of ``GepSpec.apply_steps``.  With
+    the compiled fold declined, NumPy takes one guarded ⊙
+    (``MinPlus.mul``) per step over the whole tile, stack or panel; the
+    compiled twins pin that the C guards each step itself and takes no
+    NumPy step."""
 
     @staticmethod
     def _count_guarded(monkeypatch):
-        calls = {"fold": 0, "mul": 0}
-        default_fold, guarded_mul = Semiring.fold_steps, MinPlus.mul
-
-        def counting_fold(self, x, u, v):
-            calls["fold"] += 1
-            return default_fold(self, x, u, v)
+        calls = {"mul": 0}
+        guarded_mul = MinPlus.mul
 
         def counting_mul(self, a, b):
             calls["mul"] += 1
             return guarded_mul(self, a, b)
 
-        monkeypatch.setattr(Semiring, "fold_steps", counting_fold)
         monkeypatch.setattr(MinPlus, "mul", counting_mul)
         return calls
 
@@ -830,24 +863,25 @@ class TestGuardFallback:
             pytest.skip(f"compiled fold unavailable: {native.status()}")
 
     def test_clean_tile_takes_no_guarded_step(self, fw_spec, monkeypatch):
+        self._require_native()
         calls = self._count_guarded(monkeypatch)
         t = fw_table(12, seed=4)
         x = t[4:8, 8:12].copy()
         gep_tile_update(
             fw_spec, x, t[4:8, 0:4].copy(), t[0:4, 8:12].copy(), None, 4, 8, 0, 12
         )
-        assert calls == {"fold": 0, "mul": 0}
+        assert calls == {"mul": 0}
 
-    def test_opposite_infinities_redo_the_call_guarded(self, fw_spec, monkeypatch):
+    def test_opposite_infinities_fold_guarded_on_numpy(self, fw_spec, monkeypatch):
         self._decline_native(monkeypatch)
         x0, u, v = _opposite_infinities_tile()
         want = x0.copy()
-        _per_k_loop(fw_spec, want, u, v)  # today's result, computed first
+        apply_k_steps(fw_spec, want, u, v)  # the step loop's result, computed first
 
         calls = self._count_guarded(monkeypatch)
         got = x0.copy()
         gep_tile_update(fw_spec, got, u, v, None, 4, 8, 0, 12)
-        assert calls == {"fold": 1, "mul": 4}  # one redo, one mul per step
+        assert calls == {"mul": 4}  # one guarded mul per step
         assert got.tobytes() == want.tobytes()
         assert not np.isnan(got).any()
         assert got[0, 3] == -np.inf  # finite + (-inf) still wins the min
@@ -857,16 +891,17 @@ class TestGuardFallback:
         self._require_native()
         x0, u, v = _opposite_infinities_tile()
         want = x0.copy()
-        _per_k_loop(fw_spec, want, u, v)
+        apply_k_steps(fw_spec, want, u, v)
         calls = self._count_guarded(monkeypatch)
         got = x0.copy()
         gep_tile_update(fw_spec, got, u, v, None, 4, 8, 0, 12)
-        assert calls == {"fold": 0, "mul": 0}
+        assert calls == {"mul": 0}
         assert got.tobytes() == want.tobytes()
 
     def test_one_tile_of_a_stack_trips_the_guard(self, fw_spec, monkeypatch):
-        """The guard checks the stack once; only the tile that met
-        ``inf + (-inf)`` is restored and redone, alone."""
+        """Each step runs over the whole stack: four guarded ⊙ for four
+        steps, and every tile — the one that met ``inf + (-inf)`` too —
+        ends with the bits it gets alone."""
         self._decline_native(monkeypatch)
         xs, us, vs = _opposite_infinities_stack()
         solo = []
@@ -877,7 +912,7 @@ class TestGuardFallback:
 
         calls = self._count_guarded(monkeypatch)
         gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
-        assert calls == {"fold": 1, "mul": 4}  # one tile's steps, no more
+        assert calls == {"mul": 4}  # one guarded mul per step, whole stack
         assert [x.tobytes() for x in xs] == solo
         assert not np.isnan(xs).any()
 
@@ -887,17 +922,17 @@ class TestGuardFallback:
         solo = []
         for m in range(4):
             out = xs[m].copy()
-            _per_k_loop(fw_spec, out, us[m], vs[m])
+            apply_k_steps(fw_spec, out, us[m], vs[m])
             solo.append(out.tobytes())
         calls = self._count_guarded(monkeypatch)
         gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
-        assert calls == {"fold": 0, "mul": 0}
+        assert calls == {"mul": 0}
         assert [x.tobytes() for x in xs] == solo
 
     def test_one_tile_of_a_panel_trips_the_guard(self, fw_spec, monkeypatch):
-        """A B panel shares its pivot but not its tiles: only the tile
-        whose own row meets the pivot's ``inf`` with ``-inf`` is restored
-        and redone, alone."""
+        """A B panel shares its pivot but not its tiles: each step runs
+        over the whole panel, and the tile whose own row meets the
+        pivot's ``inf`` with ``-inf`` ends with the bits it gets alone."""
         self._decline_native(monkeypatch)
         calls = _opposite_infinities_panel()
         kernel = IterativeKernel(fw_spec)
@@ -905,7 +940,7 @@ class TestGuardFallback:
 
         calls_seen = self._count_guarded(monkeypatch)
         outs = kernel.run_stacks(calls)
-        assert calls_seen == {"fold": 1, "mul": 4}  # one tile's steps, no more
+        assert calls_seen == {"mul": 4}  # one guarded mul per step, whole panel
         assert [out.tobytes() for out in outs] == solo
         assert np.isinf(outs[2]).any() and not np.isnan(outs[2]).any()
 
@@ -916,9 +951,9 @@ class TestGuardFallback:
         solo = []
         for _, x, pivot, _, _, *_ in calls:
             out = x.copy()
-            _per_k_loop(fw_spec, out, pivot, out)
+            apply_k_steps(fw_spec, out, pivot, out)
             solo.append(out.tobytes())
         calls_seen = self._count_guarded(monkeypatch)
         outs = kernel.run_stacks(calls)
-        assert calls_seen == {"fold": 0, "mul": 0}
+        assert calls_seen == {"mul": 0}
         assert [out.tobytes() for out in outs] == solo

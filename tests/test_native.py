@@ -1,11 +1,12 @@
 """The compiled tile folds (:mod:`repro.kernels.native`).
 
-The NumPy folds are the oracle: on every layout the C covers, each of
-the four entry points must leave exactly the NumPy fold's bytes — for
-min-plus / max-plus the semiring's guarded fold, NaN included — and on
-every layout it does not cover it must decline and touch nothing.  The
-build and fallback cases each run in a subprocess with a private
-``XDG_CACHE_HOME``.
+The NumPy step loop is the oracle — ``GepSpec.apply_k`` once per pivot
+step, what ``GepSpec.apply_steps`` runs where the C declines: on every
+layout the C covers, each of the four entry points must leave exactly
+its bytes — for min-plus / max-plus the semiring's guarded ⊙, NaN
+included — and on every layout it does not cover it must decline and
+touch nothing.  The build and fallback cases each run in a subprocess
+with a private ``XDG_CACHE_HOME``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from repro.core.gep import (
     GepSpec,
     SemiringGep,
     TransitiveClosureGep,
-    ge_steps,
 )
 from repro.kernels import IterativeKernel, KernelStats, RecursiveKernel, gep_tile_update, native
-from repro.semiring import MaxPlus, MinPlus, tropical
-from repro.semiring.base import Semiring, fold_steps_idempotent
+from repro.semiring import MaxPlus, MinPlus
+
+from .conftest import apply_k_steps
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,14 +56,18 @@ def _values(rng, shape, nan=False):
     return out
 
 
+#: the spec whose ``apply_k`` each entry point computes
+SPECS = {
+    "minplus": SemiringGep(MinPlus()),
+    "maxplus": SemiringGep(MaxPlus()),
+    "orand": TransitiveClosureGep(),
+    "ge": GaussianEliminationGep(),
+}
+
+
 def _numpy_fold(entry, x, u, v, w=None):
     with np.errstate(all="ignore"):
-        if entry == "ge":
-            ge_steps(x, u, v, w, u.shape[-1])
-        elif entry == "orand":
-            fold_steps_idempotent(x, u, v, np.logical_and, np.logical_or)
-        else:  # the semiring's guarded NumPy fold
-            (MinPlus() if entry == "minplus" else MaxPlus()).fold_steps(x, u, v)
+        apply_k_steps(SPECS[entry], x, u, v, w)
 
 
 def _native_fold(entry, x, u, v, w=None):
@@ -239,10 +244,10 @@ def test_register_blocks_and_precheck_match_numpy(entry, case, compiled):
 
 
 def _guarded(sr, x, u, v):
-    """The guarded sequential default, tile by tile."""
+    """The guarded step loop, tile by tile."""
     expect = x.copy()
     for m in range(x.shape[0]):
-        Semiring.fold_steps(sr, expect[m], u[m], v[m])
+        apply_k_steps(SemiringGep(sr), expect[m], u[m], v[m])
     return expect
 
 
@@ -267,15 +272,15 @@ def test_compiled_tropical_fold_guards_opposite_infinities(compiled):
             x, expect = t.copy(), t.copy()
             ops = {"A": (x, x), "B": (t, x), "C": (x, t)}[case]
             expect_ops = {"A": (expect, expect), "B": (t, expect), "C": (expect, t)}[case]
-            Semiring.fold_steps(sr, expect, *expect_ops)
+            apply_k_steps(SemiringGep(sr), expect, *expect_ops)
             assert native.fold(sr.native_fold, x, *ops), case
             assert not np.isnan(x).any(), case
             assert x.tobytes() == expect.tobytes(), case
 
 
 class Counted(np.ndarray):
-    """An ``x`` whose ``copy`` calls are counted — the NumPy tropical
-    fold's pristine copy is ``x.copy()``."""
+    """An ``x`` whose ``copy`` calls are counted: no copy of ``x`` may
+    wrap the compiled call."""
 
     copies = 0
 
@@ -286,8 +291,8 @@ class Counted(np.ndarray):
 
 @pytest.mark.parametrize("sr", [MinPlus(), MaxPlus()], ids=["minplus", "maxplus"])
 def test_apply_steps_runs_no_copy_and_no_numpy_fold(sr, monkeypatch, compiled):
-    """``SemiringGep.apply_steps`` is one compiled call with final bits:
-    no pristine ``x.copy()`` and no NumPy fold for a case-D stack, for
+    """``GepSpec.apply_steps`` is one compiled call with final bits:
+    no ``x.copy()`` and no NumPy step (``apply_k``) for a case-D stack, for
     the aliased cases A / B / C, for ``v`` a view overlapping ``x``, or
     with opposite infinities in the operands."""
     spec = SemiringGep(sr)
@@ -304,14 +309,14 @@ def test_apply_steps_runs_no_copy_and_no_numpy_fold(sr, monkeypatch, compiled):
     for case in "ABC":
         want = square.copy()
         ops = {"A": (want, want), "B": (square, want), "C": (want, square)}[case]
-        aliased[case] = Semiring.fold_steps(sr, want, *ops)
+        apply_k_steps(spec, want, *ops)
+        aliased[case] = want
 
     def boom(*args, **kwargs):
         raise AssertionError("the NumPy fold ran on a compiled host")
 
     monkeypatch.setattr(Counted, "copies", 0)
-    monkeypatch.setattr(tropical, "fold_steps_idempotent", boom)
-    monkeypatch.setattr(Semiring, "fold_steps", boom)
+    monkeypatch.setattr(SemiringGep, "apply_k", boom)
     stack = x.copy().view(Counted)
     spec.apply_steps(stack, u, v, None, 4)
     assert not np.isnan(stack).any() and stack.tobytes() == expect.tobytes()
@@ -335,31 +340,28 @@ def test_fold_without_an_entry_declines_untouched():
     assert x.tobytes() == before.tobytes()
 
 
-def test_the_semiring_package_imports_no_compiled_code():
-    """``repro.semiring`` is NumPy only: importing it and folding a
-    tropical tile leaves :mod:`repro.kernels.native` unimported.  The
-    top-level ``repro`` package imports every subpackage, so the child
-    registers a bare ``repro`` package and imports ``repro.semiring``
-    alone."""
-    script = textwrap.dedent(
-        f"""
-        import sys
-        import types
+def test_the_semiring_package_imports_no_compiled_code(tmp_path):
+    """``repro.semiring`` is NumPy only: importing the real package and
+    taking a guarded tropical step leaves :mod:`repro.kernels` — and
+    everything else of ``repro`` but the semirings and ``repro.util`` —
+    unimported, since ``repro`` resolves its public names on first
+    use."""
+    script = """
+        import json, sys
         import numpy as np
-        sys.modules["repro"] = types.ModuleType("repro")
-        sys.modules["repro"].__path__ = [{str(REPO_ROOT / "src" / "repro")!r}]
         from repro.semiring import MinPlus
+        sr = MinPlus()
         x = np.zeros((4, 4))
-        MinPlus().fold_steps(x, np.ones((4, 3)), np.ones((3, 4)))
+        u, v = np.full((4, 1), np.inf), np.full((1, 4), -np.inf)
+        sr.add_inplace(x, sr.mul(u, v))  # inf + (-inf) is the semiring zero
         assert x.tolist() == [[0.0] * 4] * 4
-        print(sorted(m for m in sys.modules if m.startswith("repro.kernels")))
-        """
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+        print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "repro")))
+    """
+    loaded = _finish(_child(script, tmp_path / "cache"))
+    assert loaded == ["repro", "repro.semiring"] + sorted(
+        f"repro.semiring.{m}" for m in ("base", "boolean", "real", "registry", "tropical")
+    ) + ["repro.util"]
+    assert not (tmp_path / "cache").exists()
 
 
 #: values with no NaN and no ``-inf`` to meet the ``+inf``: every case-D
@@ -565,9 +567,10 @@ def test_layouts_outside_the_c_take_the_numpy_path(layout, compiled):
     assert native.fold("minplus", x, u, v) is False
     assert x.tobytes() == before.tobytes()
     if layout in ("float32", "strided_columns", "fortran", "negative_stride"):
+        spec = SemiringGep(MinPlus(x.dtype))
         expect = x.copy()
-        fold_steps_idempotent(expect, u, v, np.add, np.minimum)
-        SemiringGep(MinPlus(x.dtype)).apply_steps(x, u, v, None, 6)
+        apply_k_steps(spec, expect, u, v)
+        spec.apply_steps(x, u, v, None, 6)
         assert x.tobytes() == expect.tobytes()
 
 
@@ -659,7 +662,7 @@ def _finish(proc, timeout=120):
 #: take the masked corner fold, and FW on the benchmark's 96x96 tiles —
 #: with ``+inf`` edges only (the compiled D fold's plain compare, proved
 #: clean), then with one ``-inf`` entry too (its NaN-keeping select and
-#: the tropical redo).  Vertex 150 has no in-edges, so its ``+inf``
+#: the guarded NumPy step).  Vertex 150 has no in-edges, so its ``+inf``
 #: column outlives the solve and meets the ``-inf`` paths.
 SOLVES = ("fw", "ge", "ge8", "fw96", "fw96_neg")
 

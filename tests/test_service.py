@@ -1074,13 +1074,17 @@ class TestSocketHardening:
         socket_path = str(tmp_path / "solver.sock")
         sc = _context()
         service = SolverService(sc)
-        server = _start_server(service, socket_path, max_requests=1)
+        server, served = _serve_counted(service, socket_path, max_requests=1)
         try:
-            # a second server must refuse to bind over a live listener
+            # a second server must refuse to bind over a live listener;
+            # its probe connection is no request and no disconnect
             with pytest.raises(OSError, match="live service"):
                 serve_forever(service, socket_path, max_requests=1)
+            assert send_request(socket_path, {"op": "stats"})["status"] == "ok"
             server.join(timeout=30)
             assert not server.is_alive()
+            assert served == [1]
+            assert service.metrics.client_disconnects == 0
         finally:
             service.stop()
             sc.stop()
