@@ -118,14 +118,44 @@ KEEP: list[tuple[str, str, str]] = [
      "the stack-token rule: a death inside a stack charges no call"),
     ("sparkle/supervisor.py", r"worker_self_fault",
      "the chaos plane's real worker faults: a worker runs it on itself"),
-    ("sparkle/durable.py", r".*", "durability: the crash/resume suites and soaks drive it"),
-    ("sparkle/tenancy.py", r".*", "tenant isolation: the tenancy soak drives it"),
+    # the durability plane (`--checkpoint-dir`, `--resume`, `repro fsck`)
+    ("sparkle/durable.py", r"FsckReport(\.clean)?",
+     "test_durability TestDurableBlockStore::test_disk_corruption_detected_and_fscked [missing only]"),
+    ("sparkle/durable.py", r"DurableBlockStore\._entry",
+     "test_durability TestDurableBlockStore::test_missing_key_is_typed [a plain KeyError]"),
+    ("sparkle/durable.py", r"DurableBlockStore\.get",
+     "test_durability TestDurableBlockStore::test_corrupt_block_chaos_is_never_served [checksum unchecked]"),
+    ("sparkle/durable.py", r"DurableBlockStore\.__len__",
+     "conftest assert_quiescent via test_lifetimes test_stop_empties_a_budgeted_context_and_its_spill_dir "
+     "[counts one more]"),
+    ("sparkle/durable.py", r"DurableBlockStore\.fsck",
+     "test_durability TestDurableBlockStore::test_disk_corruption_detected_and_fscked [corrupt not reported]"),
+    ("sparkle/durable.py", r"SolveJournal\.exists",
+     "test_durability TestCrashResume::test_kill_then_resume_bit_identical [always False]"),
+    ("sparkle/durable.py", r"SolveJournal\.reset",
+     "test_durability TestCrashResume::test_fresh_solve_in_an_old_directory_starts_a_new_journal [no-op]"),
+    # the tenant isolation plane (`repro serve --tenant-*`, brownout)
+    ("sparkle/tenancy.py", r"TenantPolicy(\.__post_init__)?",
+     "test_tenancy TestTenantPolicy::test_invalid_knobs_are_refused [weight unchecked]"),
+    ("sparkle/tenancy.py", r"TokenBucket(\.__init__)?",
+     "test_tenancy TestRateLimit::test_over_rate_tenant_is_refused_with_retry_after [starts empty]"),
+    ("sparkle/tenancy.py", r"TokenBucket\._refill",
+     "test_tenancy TestTokenBucket::test_tokens_cap_at_burst [no cap at burst]"),
+    ("sparkle/tenancy.py", r"TokenBucket\.try_take",
+     "test_tenancy TestRateLimit::test_over_rate_tenant_is_refused_with_retry_after [takes no token]"),
+    ("sparkle/tenancy.py", r"TokenBucket\.retry_after",
+     "test_tenancy TestTokenBucket::test_grant_schedule_is_a_pure_function_of_the_clock [always 0]"),
+    ("sparkle/tenancy.py", r"DeficitRoundRobin\.drain",
+     "test_service TestLifecycle::test_stop_without_drain_fails_queued_requests_typed [returns nothing]"),
+    ("sparkle/tenancy.py", r"DeficitRoundRobin\.tenants",
+     "test_tenancy TestBrownoutEffects::test_shed_rung_refuses_lowest_weight_tenants_only [no contenders]"),
+    ("sparkle/tenancy.py", r"BrownoutLadder\.name",
+     "test_tenancy TestBrownoutEffects::test_shed_rung_refuses_lowest_weight_tenants_only [always normal]"),
     ("service.py", r"is_retryable", "the client's retry contract read off a typed error: service suites"),
     ("service.py", r"SolveTicket\.outcome", "a request's terminal state (DESIGN §15): service suites"),
     ("service.py", r"SolveTicket\._fail|SolverService\._fail_flight",
      "a failed or deadline-cancelled request: the service soaks drive it"),
     ("service.py", r"ResultCache\.(__len__|live_bytes)", "the leak checks: a stopped service caches nothing"),
-    ("service.py", r"ResultCache\.invalidate", "a test seam: forces a miss on a live entry (the hit suite)"),
     ("service.py", r"ResultCache\.on_squeeze", "a memory squeeze evicts cached results: the chaos soak"),
     ("service.py", r"RequestJournal\.(settled_lookup|settled_result|incomplete|spooled)|SolverService\.resume",
      "hot restart (`repro serve --resume`): the resume suites and the SIGKILL soak"),
@@ -139,10 +169,53 @@ KEEP: list[tuple[str, str, str]] = [
      "[drops every executor's outputs]"),
     ("sparkle/scheduler.py", r"DAGScheduler\._recompute_missing",
      "test_scheduler_recovery TestExecutorLossRecovery::test_dropped_map_outputs_are_recomputed [recomputes nothing]"),
-    ("sparkle/memory.py", r".*", "memory pressure and tenant quotas: memory and tenancy suites"),
-    ("sparkle/shuffle.py", r".*", "spill and executor-loss paths: memory and chaos suites"),
-    ("sparkle/storage.py", r".*", "spill and eviction under a budget: memory suites"),
-    ("sparkle/requests.py", r".*", "request validation and identity: service suites"),
+    # the memory plane (`--memory-budget`, `--degrade-on-pressure`,
+    # `--tenant-quota`); the quiescence ledgers are read by
+    # tests/conftest.py::assert_quiescent, the invariant of a context at rest
+    ("sparkle/memory.py", r"MemoryManager\.critical_since_last_check",
+     "test_memory_governor TestBudgetedSolve::test_degradation_switches_im_to_cb_bit_identically [never latches]"),
+    ("sparkle/memory.py", r"MemoryManager\.set_tenant_quota",
+     "test_tenancy TestQuotaEnforcement::test_quota_on_unbudgeted_context_is_enforced [quota not stored]"),
+    ("sparkle/memory.py", r"MemoryManager\.charge_tenant",
+     "test_tenancy TestQuotaEnforcement::test_quota_on_unbudgeted_context_is_enforced [quota unchecked]"),
+    ("sparkle/memory.py", r"MemoryManager\.release_tenant",
+     "test_tenancy TestQuotaEnforcement::test_breach_refuses_only_the_breacher_and_releases_on_settle [no-op]"),
+    ("sparkle/memory.py", r"MemoryManager\.squeeze",
+     "test_memory_governor TestMemoryManager::test_squeeze_shrinks_with_quantum_floor [budget kept]"),
+    ("sparkle/memory.py", r"MemoryManager\.usage",
+     "conftest assert_quiescent via test_lifetimes test_stop_empties_a_budgeted_context_and_its_spill_dir "
+     "[live_bytes one more]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\.(live_bytes|num_shuffles|num_spilled)",
+     "conftest assert_quiescent via test_lifetimes test_stop_empties_a_budgeted_context_and_its_spill_dir "
+     "[each counts one more]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\._spill_block_key",
+     "test_memory_governor TestShuffleManagerSpill::test_corrupt_spill_surfaces_as_fetch_failure "
+     "[keyed by shuffle only]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\._output_bytes_locked",
+     "test_memory_governor TestShuffleManagerSpill::test_overflow_spills_oldest_and_fetches_back [reads 0]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\._spill_oldest_locked",
+     "test_memory_governor TestShuffleManagerSpill::test_no_spill_store_drops_oldest_for_recompute [newest]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\._spill_buckets_locked",
+     "test_memory_governor TestShuffleManagerSpill::test_overflow_spills_oldest_and_fetches_back "
+     "[spill not booked]"),
+    ("sparkle/shuffle.py", r"ShuffleManager\.drop_executor_outputs",
+     "test_scheduler_recovery TestExecutorLossRecovery::test_dropped_map_outputs_are_recomputed [drops nothing]"),
+    ("sparkle/storage.py", r"(BlockManager|SharedStorage)\.live_bytes|BlockManager\.num_(blocks|spilled)"
+     r"|SharedStorage\.__len__",
+     "conftest assert_quiescent via test_lifetimes test_stop_empties_a_budgeted_context_and_its_spill_dir "
+     "[each counts one more]"),
+    ("sparkle/storage.py", r"BlockManager\._spill_key",
+     "test_memory_governor TestBlockManagerSpill::test_disk_only_puts_race_sweeps_without_tearing_bookkeeping "
+     "[keyed by rdd only]"),
+    ("sparkle/storage.py", r"BlockManager\._evict_one_locked",
+     "test_memory_governor TestBlockManagerSpill::test_eviction_spills_and_reads_back [evicts the newest]"),
+    ("sparkle/storage.py", r"BlockManager\._note_spilled_locked",
+     "test_memory_governor TestBlockManagerSpill::test_eviction_spills_and_reads_back [spill not metered]"),
+    # the request plane
+    ("sparkle/requests.py", r"SolveRequest\._check_table",
+     "test_service_hits TestNanBoundary::test_explicit_table_with_a_nan_is_refused [NaN accepted]"),
+    ("sparkle/requests.py", r"SolveRequest\.identity",
+     "test_service TestRequestStorm::test_sixteen_client_storm_threads [a table request named by its config]"),
     ("sparkle/metrics.py", r"ServiceMetrics\.drain_brownout_transitions", "tenancy: brownout decisions"),
     ("core/dpspark.py", r"GepSparkSolver\.(_journal\w*|_fingerprint|_try_resume)|SolveReport\.recovery",
      "durability and recovery: the crash/resume and chaos suites"),
@@ -151,18 +224,23 @@ KEEP: list[tuple[str, str, str]] = [
     ("core/dpspark.py", r"GepSparkSolver\._fall_back_to_threads",
      "the poison fallback to threads: supervision and service suites"),
     ("core/dpspark.py", r"_broadcast_operands", "the bcast strategy (DESIGN §7); no program selects it"),
-    ("sparkle/broadcast.py", r".*", "the bcast strategy (DESIGN §7); no program selects it"),
+    ("sparkle/broadcast.py", r"Broadcast(\.__init__)?",
+     "the bcast strategy (DESIGN §7): test_sparkle_engine TestBroadcastAndStorage::test_broadcast_value_and_bytes "
+     "[no bytes charged]"),
+    ("sparkle/broadcast.py", r"Broadcast\.value",
+     "the bcast strategy (DESIGN §7): test_scheduler_recovery TestTransientIO::test_broadcast_read_fault_is_retried "
+     "[fault plan unread]"),
     ("sparkle/context.py", r"SparkleContext\.broadcast", "the bcast strategy (DESIGN §7)"),
     ("sparkle/context.py", r"SparkleContext\.setCheckpointDir", "durability: crash/resume suites"),
     ("sparkle/context.py", r"SparkleContext\.total_cores", "executor-cores semantics the engine tests read"),
     ("sparkle/rdd.py", r"RDD\.(reduceByKey|groupByKey|union|count)",
      "an engine workload other modules' tests run"),
     ("sparkle/rdd.py", r"RDD\.(getNumPartitions|to_debug_string)", "other modules' tests read it"),
-    ("sparkle/rdd.py", r"RDD\.checkpoint|CheckpointedRDD(\..*)?",
+    ("sparkle/rdd.py", r"RDD\.checkpoint|CheckpointedRDD(\.(__init__|num_partitions|compute))?",
      "the in-memory lineage cut: checkpoint_every and the journal's snapshot"),
     ("sparkle/partitioner.py", r"Partitioner\.(__eq__|__hash__)|HashPartitioner\._params",
      "partitioner identity: partitionBy skips the shuffle on an equal partitioner"),
-    ("sparkle/partitioner.py", r"GridPartitioner(\..*)?",
+    ("sparkle/partitioner.py", r"GridPartitioner(\.(__init__|_params|partition))?",
      "the §VI grid partitioner benchmarks/bench_ablation.py measures"),
     # oracles, and what ROADMAP items decide
     ("baselines/", r".*", "reference oracle"),
@@ -172,10 +250,23 @@ KEEP: list[tuple[str, str, str]] = [
     ("core/gep.py", r"GepSpec\.__repr__", "cosmetic"),
     ("kernels/iterative.py", r"gep_tile_update_loop", "reference oracle"),
     ("kernels/cache_model.py", r".*", "the locality claim README cites"),
-    ("kernels/stats.py", r"LockingKernelStats(\..*)?", "synchronisation"),
-    ("kernels/stats.py", r"KernelStats(\..*)?",
-     "what a collect_stats solve reports; the counts and cost-model tests read it"),
-    ("kernels/openmp.py", r".*", "the simulated OpenMP runtime: ROADMAP item 2(c) decides it"),
+    # what a collect_stats solve reports (bench solves collect none)
+    ("kernels/stats.py", r"KernelStats(\.record_base)?",
+     "test_dpspark test_kernel_stats_updates_exact [updates not added]"),
+    ("kernels/stats.py", r"KernelStats\.record_recursion",
+     "test_kernels test_recursive_stats_accounting [counts nothing]"),
+    ("kernels/stats.py", r"KernelStats\.record_parallel_for",
+     "test_kernels TestOmpRuntime::test_stats_width_recording [width not kept]"),
+    ("kernels/stats.py", r"KernelStats\.merge",
+     "test_dpspark test_task_local_kernel_stats_equal_the_serial_oracle [other.updates dropped]"),
+    ("kernels/stats.py", r"KernelStats\.total_invocations",
+     "test_blocked test_blocked_stats_total_work [always 0]"),
+    # the simulated OpenMP runtime (ROADMAP item 2(c) decides it): what
+    # only tests reach is how it crosses the process boundary
+    ("kernels/openmp.py", r"OmpRuntime\.__getstate__",
+     "test_backend test_recursive_kernel_offloads_and_matches_threads [ships the thread-local]"),
+    ("kernels/openmp.py", r"OmpRuntime\.__setstate__",
+     "test_backend test_recursive_kernel_offloads_and_matches_threads [no fresh thread-local]"),
     ("experiments/calibration.py", r".*", "ROADMAP item 8(c) decides it"),
     ("core/tuning.py", r"adaptive_tune", "ROADMAP item 8(c) decides it"),
     ("core/tuning.py", r"TuningAdvice\.block", "part of the advice `repro tune` prints"),
@@ -188,7 +279,7 @@ KEEP: list[tuple[str, str, str]] = [
     ("kernels/native.py", r"_build", "the cold-cache build: a program reaches it once per host and cache key"),
     ("semiring/", r"available_semirings", "the registry's public listing"),
     ("core/blocked.py", r"case_of", "Fig. 4's case table the kernel tests check"),
-    ("poly/", r"AffB\..*|LinearConstraint\..*|SplitFunction(\..*)?",
+    ("poly/", r"AffB\.(__sub__|scale)|LinearConstraint\.holds|SplitFunction(\.parallelism_rank)?",
      "methodology 2 (§IV-B), cross-checked against methodology 1"),
     ("cluster/", r".*", "the cost model's exact counts, validated against the engine"),
     ("workloads/", r".*", "an input generator the tests' workloads use"),

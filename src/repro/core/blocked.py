@@ -21,7 +21,6 @@ own right, and the hand-written reference the distributed drivers
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -136,7 +135,6 @@ def blocked_gep_inplace(
     r: int,
     kernel,
     stats=None,
-    runtime=None,
     bounds: list[int] | None = None,
 ) -> np.ndarray:
     """Run the blocked A/B‖C/D schedule on table ``c`` in place.
@@ -152,10 +150,6 @@ def blocked_gep_inplace(
         :class:`~repro.kernels.recursive.RecursiveKernel`.
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats` sink.
-    runtime:
-        Optional :class:`~repro.kernels.openmp.OmpRuntime`; when given,
-        stage-2 and stage-3 tile kernels of each iteration run as
-        parallel-for batches (they write disjoint tiles).
     bounds:
         Explicit tile boundaries (``[0, ..., n]``, strictly increasing).
         Blocked GEP is correct for *any* contiguous partition of the
@@ -185,33 +179,25 @@ def blocked_gep_inplace(
     def tile(i: int, j: int) -> np.ndarray:
         return c[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
 
-    def run_batch(calls: Sequence[tuple]) -> None:
-        if runtime is None:
-            for call in calls:
-                kernel.run(*call, stats=stats)
-        else:
-            runtime.parallel_for(
-                [(lambda cl=call: kernel.run(*cl, stats=stats)) for call in calls]
-            )
-
     for k in range(nt):
         gk0 = bounds[k]
         if not any(spec.k_active(gk, n) for gk in range(gk0, bounds[k + 1])):
             continue
         pivot = tile(k, k)
         kernel.run("A", pivot, pivot, pivot, pivot, gk0, gk0, gk0, n, stats=stats)
-        bc_calls = [
+        # B and C, then D: the views are taken up front, the updates
+        # run in this order
+        calls = [
             ("B", tile(k, j), pivot, tile(k, j), pivot, gk0, bounds[j], gk0, n)
             for j in b_range(spec, k, nt)
         ] + [
             ("C", tile(i, k), tile(i, k), pivot, pivot, bounds[i], gk0, gk0, n)
             for i in c_range(spec, k, nt)
-        ]
-        run_batch(bc_calls)
-        d_calls = [
+        ] + [
             ("D", tile(i, j), tile(i, k), tile(k, j), pivot, bounds[i], bounds[j], gk0, n)
             for i in c_range(spec, k, nt)
             for j in b_range(spec, k, nt)
         ]
-        run_batch(d_calls)
+        for call in calls:
+            kernel.run(*call, stats=stats)
     return c

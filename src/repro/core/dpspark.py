@@ -66,7 +66,6 @@ import numpy as np
 from ..kernels import (
     IterativeKernel,
     KernelStats,
-    LockingKernelStats,
     RecursiveKernel,
 )
 from ..kernels.base import ALIAS_X, update_tiles
@@ -95,7 +94,6 @@ def make_kernel(
     r_shared: int = 2,
     base_size: int = 64,
     omp_threads: int = 1,
-    pure_loop: bool = False,
 ):
     """Build a tile kernel by name: ``"iterative"`` or ``"recursive"``.
 
@@ -104,7 +102,7 @@ def make_kernel(
     applying to the recursive family only.
     """
     if kind == "iterative":
-        return IterativeKernel(spec, pure_loop=pure_loop)
+        return IterativeKernel(spec)
     if kind == "recursive":
         runtime = OmpRuntime(omp_threads)
         return RecursiveKernel(spec, r_shared=r_shared, base_size=base_size, runtime=runtime)
@@ -309,7 +307,8 @@ class GepSparkSolver:
         self.kernel = kernel
         self.strategy = strategy
         self.partitioner = partitioner or HashPartitioner(sc.default_parallelism)
-        self.stats = LockingKernelStats() if collect_stats else None
+        self.stats = KernelStats() if collect_stats else None
+        self._stats_lock = threading.Lock()
         # Kernel pickle probe for offload: resolved lazily on first
         # use (False = not probed yet; None = the kernel does not
         # pickle — kernels are duck-typed, one may hold a lock — so tile
@@ -614,10 +613,10 @@ class GepSparkSolver:
     def _task_stats(self):
         """A task-local stats sink (``None`` when stats are off).
 
-        Kernels record into it lock-free; it is merged into the shared
-        :class:`LockingKernelStats` once, on exit — whatever the task
-        counted before failing included — so the lock is taken per task
-        rather than per tile.
+        Kernels record into it lock-free; it is merged into the solve's
+        :attr:`stats` once, on exit — whatever the task counted before
+        failing included — under one lock around ``merge``, taken per
+        task rather than per tile.
         """
         if self.stats is None:
             yield None
@@ -626,7 +625,8 @@ class GepSparkSolver:
         try:
             yield sink
         finally:
-            self.stats.merge(sink)
+            with self._stats_lock:
+                self.stats.merge(sink)
 
     def _run_tile_batch(self, calls: list) -> list:
         """Update one task's tiles *without mutating* them; returns the

@@ -10,9 +10,9 @@ from .cache_model import (
     recursive_gep_misses,
 )
 from .iterative import IterativeKernel, gep_tile_update, gep_tile_update_loop
-from .openmp import OmpRuntime, SerialRuntime
+from .openmp import OmpRuntime
 from .recursive import RecursiveKernel
-from .stats import KernelInvocation, KernelStats, LockingKernelStats
+from .stats import KernelInvocation, KernelStats
 
 __all__ = [
     "IterativeKernel",
@@ -20,10 +20,8 @@ __all__ = [
     "gep_tile_update",
     "gep_tile_update_loop",
     "OmpRuntime",
-    "SerialRuntime",
     "KernelStats",
     "KernelInvocation",
-    "LockingKernelStats",
     "CASE_FLAGS",
     "case_of",
     "LRUCache",

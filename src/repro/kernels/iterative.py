@@ -107,8 +107,8 @@ stacks, of tiles with equal geometry, pivot range and the spec's dtype:
 Stacking copies the inputs (that copy *is* the caller's private
 retry-purity copy) and every result is copied out to own its memory: a
 view would pin its whole stack behind one live tile and report the
-stack's bytes nowhere.  Case A, single-cell tiles, foreign dtypes,
-``pure_loop`` and the odd tile out stay single calls.
+stack's bytes nowhere.  Case A, foreign dtypes, ``pure_loop`` and the
+odd tile out stay single calls.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ class IterativeKernel:
         the private copy: the input tiles are never written.  Returns a
         list aligned with ``calls``: the updated tile (owning its memory,
         never a view of the stack) or ``None`` for every call left to the
-        caller — case A, single-cell tiles, foreign dtypes, tiles too
-        large to stack two of, an odd one out.
+        caller — case A, foreign dtypes, tiles too large to stack two
+        of, an odd one out.
         """
         results: list = [None] * len(calls)
         if self.pure_loop:
@@ -368,8 +368,7 @@ class IterativeKernel:
             # run one at a time over the stack
             steps = u.shape[-1] if case == "D" else 1
             if (
-                tile.size < 2
-                or any(op.ndim != 2 or op.dtype != dtype for op in (tile, *operands))
+                any(op.ndim != 2 or op.dtype != dtype for op in (tile, *operands))
                 or not (w is None or w.ndim == 2 and w.dtype == dtype)
             ):
                 continue

@@ -6,9 +6,10 @@ arithmetic is compiled C (:mod:`.native`, built without OpenMP) and
 :class:`OmpRuntime` reproduces the *execution structure* of the parallel
 loops: ``parallel_for`` runs a batch of independent tasks either
 serially or on a thread pool (the compiled fold and NumPy's array ops
-both release the GIL, so threads overlap for large tiles), and the
-runtime keeps the work/span accounting the cost model needs to model
-thread-count scaling and oversubscription.
+both release the GIL, so threads overlap for large tiles).  The
+work/span accounting the cost model needs to model thread-count scaling
+and oversubscription is :class:`~.stats.KernelStats`, recorded per
+stage by ``RecursiveKernel._par``.
 
 The runtime is re-entrant: nested ``parallel_for`` calls from recursive
 kernels run their tasks inline on the calling thread (matching OpenMP's
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .stats import KernelStats
-
-__all__ = ["OmpRuntime", "SerialRuntime"]
+__all__ = ["OmpRuntime"]
 
 
 class OmpRuntime:
@@ -34,15 +33,12 @@ class OmpRuntime:
     num_threads:
         The simulated ``OMP_NUM_THREADS``.  ``1`` executes serially with
         zero threading overhead.
-    stats:
-        Optional :class:`KernelStats` sink recording stage widths.
     """
 
-    def __init__(self, num_threads: int = 1, stats: KernelStats | None = None) -> None:
+    def __init__(self, num_threads: int = 1) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         self.num_threads = num_threads
-        self.stats = stats
         self._pool: ThreadPoolExecutor | None = None
         self._in_parallel = threading.local()
 
@@ -57,10 +53,10 @@ class OmpRuntime:
     def __getstate__(self) -> dict:
         # the pool and the thread-local are per process: a runtime sent
         # to a worker (kernel offload) starts with neither
-        return {"num_threads": self.num_threads, "stats": self.stats}
+        return {"num_threads": self.num_threads}
 
     def __setstate__(self, state: dict) -> None:
-        OmpRuntime.__init__(self, state["num_threads"], state["stats"])
+        OmpRuntime.__init__(self, state["num_threads"])
 
     def _nested(self) -> bool:
         return getattr(self._in_parallel, "active", False)
@@ -73,8 +69,6 @@ class OmpRuntime:
         regions — exactly the contract of the paper's ``par_for`` loops.
         """
         tasks = list(tasks)
-        if self.stats is not None:
-            self.stats.record_parallel_for(len(tasks))
         if not tasks:
             return
         if self.num_threads == 1 or len(tasks) == 1 or self._nested():
@@ -103,28 +97,5 @@ class OmpRuntime:
         self._in_parallel.active = True
         task()
 
-    # ------------------------------------------------------------------
-    def map(self, fn: Callable, items: Iterable) -> None:
-        """Convenience: ``parallel_for`` over ``fn(item)`` thunks."""
-        self.parallel_for([(lambda it=item: fn(it)) for item in items])
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "OmpRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OmpRuntime(num_threads={self.num_threads})"
-
-
-class SerialRuntime(OmpRuntime):
-    """Always-serial runtime (``OMP_NUM_THREADS=1``) with no pool."""
-
-    def __init__(self, stats: KernelStats | None = None) -> None:
-        super().__init__(1, stats)

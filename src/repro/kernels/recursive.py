@@ -36,7 +36,7 @@ from ..core.gep import GepSpec
 from ..util import near_equal_splits
 from . import native
 from .iterative import gep_tile_update
-from .openmp import OmpRuntime, SerialRuntime
+from .openmp import OmpRuntime
 from .stats import KernelStats
 
 __all__ = ["RecursiveKernel"]
@@ -56,7 +56,8 @@ class RecursiveKernel:
         kernel.  This is the cache-level tuning knob; the recursion is
         otherwise cache-oblivious.
     runtime:
-        Simulated OpenMP runtime; defaults to serial execution.
+        Simulated OpenMP runtime; defaults to ``OmpRuntime(1)``, serial
+        execution.
     """
 
     kind = "recursive"
@@ -75,7 +76,7 @@ class RecursiveKernel:
         self.spec = spec
         self.r_shared = r_shared
         self.base_size = base_size
-        self.runtime = runtime if runtime is not None else SerialRuntime()
+        self.runtime = runtime if runtime is not None else OmpRuntime(1)
 
     # ------------------------------------------------------------------
     def run(

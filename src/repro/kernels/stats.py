@@ -4,7 +4,9 @@ The cluster cost model (``repro.cluster.costmodel``) prices a traced
 execution from *counts*, not wall-clock: every kernel invocation reports
 how many GEP cell-updates it performed and at which tile geometry.  A
 :class:`KernelStats` collects those counts; kernels accept an optional
-stats sink so production runs can skip accounting entirely.
+stats sink so production runs can skip accounting entirely.  A sink is
+not thread-safe: a distributed solve gives each task its own and merges
+it into the solve's under one lock.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["KernelStats", "KernelInvocation", "LockingKernelStats"]
+__all__ = ["KernelStats", "KernelInvocation"]
 
 
 @dataclass(frozen=True)
@@ -80,34 +82,3 @@ class KernelStats:
     @property
     def total_invocations(self) -> int:
         return sum(self.invocations.values())
-
-
-class LockingKernelStats(KernelStats):
-    """Thread-safe stats sink for kernels running inside executor tasks.
-
-    Engine tasks execute on a thread pool; a shared sink must serialize
-    its counter updates.  Only the mutating entry points take the lock —
-    reads are driver-side, after jobs complete.
-    """
-
-    def __init__(self, keep_log: bool = False) -> None:
-        super().__init__(keep_log=keep_log)
-        import threading
-
-        self._lock = threading.Lock()
-
-    def record_base(self, case, rows, cols, pivot, updates):  # noqa: D102
-        with self._lock:
-            super().record_base(case, rows, cols, pivot, updates)
-
-    def record_recursion(self):  # noqa: D102
-        with self._lock:
-            super().record_recursion()
-
-    def record_parallel_for(self, width):  # noqa: D102
-        with self._lock:
-            super().record_parallel_for(width)
-
-    def merge(self, other):  # noqa: D102
-        with self._lock:
-            super().merge(other)

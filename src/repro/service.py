@@ -542,14 +542,6 @@ class ResultCache:
             self._learn_locked(identities, fingerprint)
             return True
 
-    def invalidate(self, fingerprint: str) -> bool:
-        with self._lock:
-            if fingerprint not in self._entries:
-                return False
-            self._drop_locked(fingerprint)
-            self._metrics.cache_invalidations += 1
-            return True
-
     def clear(self) -> None:
         with self._lock:
             for fp in list(self._entries):

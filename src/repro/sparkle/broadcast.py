@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from ..util import sizeof_block
 from .errors import TransientIOError
@@ -35,7 +35,6 @@ class Broadcast(Generic[T]):
         self.id = bc_id
         self._value = value
         self.nbytes = sizeof_block(value)
-        self._destroyed = False
         self.fault_plan = fault_plan
         metrics = metrics or EngineMetrics()
         metrics.broadcast_bytes += self.nbytes * num_executors
@@ -43,16 +42,9 @@ class Broadcast(Generic[T]):
 
     @property
     def value(self) -> T:
-        if self._destroyed:
-            raise RuntimeError(f"broadcast {self.id} already destroyed")
         if self.fault_plan is not None and self.fault_plan.io_fault("bcast", self.id):
             raise TransientIOError(f"injected broadcast read failure: id={self.id}")
         return self._value
-
-    def destroy(self) -> None:
-        """Release the broadcast (subsequent reads fail)."""
-        self._destroyed = True
-        self._value = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Broadcast(id={self.id}, nbytes={self.nbytes})"

@@ -106,18 +106,6 @@ class FsckReport:
     def clean(self) -> bool:
         return not self.missing and not self.corrupt
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "root": self.root,
-            "blocks_total": self.blocks_total,
-            "blocks_ok": self.blocks_ok,
-            "bytes_verified": self.bytes_verified,
-            "missing": list(self.missing),
-            "corrupt": list(self.corrupt),
-            "orphans": list(self.orphans),
-            "clean": self.clean,
-        }
-
 
 class DurableBlockStore:
     """Checksummed key/block store under one directory (see module doc).
@@ -289,10 +277,6 @@ class DurableBlockStore:
         self._metrics.durable_bytes_read += len(payload)
         return pickle.loads(payload)
 
-    def contains(self, key: Any) -> bool:
-        with self._lock:
-            return repr(key) in self._manifest
-
     def delete(self, key: Any) -> bool:
         """Drop a block (no-op if absent); returns whether it existed."""
         key_repr = repr(key)
@@ -315,11 +299,6 @@ class DurableBlockStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._manifest)
-
-    @property
-    def live_bytes(self) -> int:
-        with self._lock:
-            return sum(e["nbytes"] for e in self._manifest.values())
 
     # ------------------------------------------------------------------
     # integrity sweep

@@ -411,11 +411,6 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def live_bytes(self) -> int:
-        with self._cond:
-            return self._live
-
     def usage(self) -> dict[str, Any]:
         """Snapshot for reports: budget, pools, per-owner ledgers."""
         with self._cond:

@@ -107,6 +107,7 @@ class ShuffleManager:
             self._next_shuffle_id += 1
             return sid
 
+    @property
     def live_bytes(self) -> int:
         """In-memory staged bytes (spilled outputs live on disk)."""
         with self._lock:

@@ -157,11 +157,6 @@ class BlockManager:
         self._metrics.spill_bytes_read += sum(sizeof_block(x) for x in items)
         return items
 
-    def contains(self, rdd_id: int, partition: int) -> bool:
-        with self._lock:
-            key = (rdd_id, partition)
-            return key in self._blocks or key in self._spilled
-
     def evict_rdd(self, rdd_id: int) -> None:
         with self._lock:
             for key in [k for k in self._blocks if k[0] == rdd_id]:
@@ -256,10 +251,6 @@ class SharedStorage:
                 self._metrics.storage_gets += 1
                 return self._data[key]
         raise BlockNotFoundError(f"shared storage has no block {key!r}", key=key)
-
-    def contains(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._data
 
     def clear(self) -> None:
         """Drop every block."""

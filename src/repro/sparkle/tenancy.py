@@ -190,10 +190,6 @@ class DeficitRoundRobin:
         """Tenants with queued work, rotation order."""
         return tuple(self._rotation)
 
-    def depth(self, tenant: str | None) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue else 0
-
 
 #: brownout ladder rungs, in escalation order
 BROWNOUT_LEVELS = ("normal", "degrade", "shed")

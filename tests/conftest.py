@@ -148,7 +148,7 @@ def assert_quiescent(sc, shm_before: set[str] | None = None) -> None:
     shuffles, blocks, storage = (
         sc._shuffle_manager, sc._block_manager, sc.shared_storage
     )
-    assert (shuffles.num_shuffles, shuffles.live_bytes(), shuffles.num_spilled) == (0, 0, 0)
+    assert (shuffles.num_shuffles, shuffles.live_bytes, shuffles.num_spilled) == (0, 0, 0)
     assert (blocks.num_blocks, blocks.live_bytes, blocks.num_spilled) == (0, 0, 0)
     assert (len(storage), storage.live_bytes) == (0, 0)
     if sc.spill_store is not None:

@@ -85,13 +85,14 @@ def test_blocked_recursive_matches_reference(name, r, r_shared, base):
 
 @pytest.mark.parametrize("name", SPECS)
 def test_blocked_with_parallel_runtime(name):
+    """The runtime lives in the recursive kernel: its parallel-for stages
+    run on four threads under the blocked schedule."""
     spec, make = SPECS[name]
     n = 16
     t = make(n, seed=8)
     expect = gep_reference_vectorized(spec, t)
     got = t.copy()
-    with OmpRuntime(4) as rt:
-        blocked_gep_inplace(spec, got, 4, IterativeKernel(spec), runtime=rt)
+    blocked_gep_inplace(spec, got, 4, RecursiveKernel(spec, 2, 2, OmpRuntime(4)))
     assert_tables_equal(got, expect)
 
 

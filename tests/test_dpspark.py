@@ -1,5 +1,8 @@
 """Distributed GEP drivers (IM/CB) — integration against references."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,34 @@ def test_task_local_kernel_stats_equal_the_serial_oracle(name, strategy, kernel)
     key = lambda inv: (inv.case, inv.rows, inv.cols, inv.pivot, inv.updates)
     assert sorted(stats.log, key=key) == sorted(oracle.log, key=key)
     assert report.summary()["kernel_invocations"] == oracle.total_invocations
+
+
+def test_task_sinks_merge_without_losing_an_update():
+    """Eight task threads merge their private sinks into the solve's
+    while the interpreter switches threads every microsecond: the one
+    lock around ``merge`` loses no update."""
+    spec = SPECS["fw"][0]
+    with SparkleContext(2, 1) as sc:
+        solver = GepSparkSolver(spec, sc, r=2, kernel=make_kernel(spec, "iterative"))
+
+        def task():
+            for _ in range(2000):
+                with solver._task_stats() as sink:
+                    sink.record_base("D", 1, 1, 1, 1)
+
+        threads = [threading.Thread(target=task) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert solver.stats.updates == 8 * 2000
+        assert solver.stats.invocations == {"D": 8 * 2000}
 
 
 def test_negative_cycle_table_with_infinities_matches_reference():

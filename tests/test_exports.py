@@ -102,6 +102,25 @@ REMOVED = [
     ("repro.service.SolverService", "retry_backoff_cap"),
     ("repro.sparkle.chaos", "jittered_backoff"),
     ("repro.sparkle.TaskRecord", "backoff_seconds"),
+    # tier-1-only plane helpers: a solve merges each task's private
+    # KernelStats under one lock, RecursiveKernel defaults to
+    # OmpRuntime(1), and the rest had no caller but their own tests
+    ("repro.kernels", "LockingKernelStats"),
+    ("repro.kernels.stats", "LockingKernelStats"),
+    ("repro.kernels", "SerialRuntime"),
+    ("repro.kernels.openmp", "SerialRuntime"),
+    ("repro.kernels.OmpRuntime", "map"),
+    ("repro.kernels.OmpRuntime", "shutdown"),
+    ("repro.kernels.OmpRuntime", "__enter__"),
+    ("repro.sparkle.broadcast.Broadcast", "destroy"),
+    ("repro.sparkle.tenancy.DeficitRoundRobin", "depth"),
+    ("repro.sparkle.durable.FsckReport", "summary"),
+    ("repro.sparkle.MemoryManager", "live_bytes"),
+    ("repro.service.ResultCache", "invalidate"),
+    ("repro.sparkle.storage.BlockManager", "contains"),
+    ("repro.sparkle.storage.SharedStorage", "contains"),
+    ("repro.sparkle.durable.DurableBlockStore", "contains"),
+    ("repro.sparkle.durable.DurableBlockStore", "live_bytes"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -129,6 +148,9 @@ REMOVED_KEYWORDS = [
     ("repro.sparkle.storage.SharedStorage", "backing"),
     ("repro.core.api.run_gep", "degrade_on_crash"),
     ("repro.core.dpspark.GepSparkSolver", "degrade_on_crash"),
+    ("repro.core.dpspark.make_kernel", "pure_loop"),
+    ("repro.core.blocked.blocked_gep_inplace", "runtime"),
+    ("repro.kernels.OmpRuntime", "stats"),
 ]
 
 
@@ -203,6 +225,48 @@ def test_every_keep_row_names_a_definition():
         )
     ]
     assert not stranded, f"KEEP rows naming no definition: {stranded}"
+
+
+#: ``KEEP`` paths that may still keep a whole file or class, each with the
+#: ROADMAP item that decides it
+WHOLE_ROW_EXEMPT = {
+    "__main__.py": "item 10: the CLI, which its tests run as a user does",
+    "baselines/": "item 10: the reference oracles (item 13(a) runs against them)",
+    "cluster/": "item 10: the cost model, validated against the engine (item 8)",
+    "workloads/": "item 10: the input generators the tests' workloads use",
+    "sparkle/backend.py": "item 5 decides the process plane",
+    "sparkle/errors.py": "item 10 leaves the typed errors, one per failure path",
+    "kernels/cache_model.py": "item 8(c) decides the cache simulator",
+    "experiments/calibration.py": "item 8(c) decides the fitter",
+}
+
+#: the plane files whose every row names the assertion a mutation of its
+#: helper broke, the mutation in brackets
+MUTATION_CHECKED = [
+    "sparkle/memory.py", "sparkle/shuffle.py", "sparkle/storage.py",
+    "sparkle/durable.py", "sparkle/tenancy.py", "sparkle/requests.py",
+    "sparkle/broadcast.py", "kernels/openmp.py", "kernels/stats.py",
+]
+
+
+def test_no_whole_file_keep_row():
+    """No ``KEEP`` row keeps a whole file (``.*``) or a whole class
+    (``Name(\\..*)?``) outside :data:`WHOLE_ROW_EXEMPT`: each helper only
+    tests reach earns its own row, so ``make reach`` can tell a dead
+    helper from a recovery path."""
+    reach = _reach_tool()
+    whole = [
+        (path, pattern)
+        for path, pattern, _reason in reach.KEEP
+        if ".*" in pattern and path not in WHOLE_ROW_EXEMPT
+    ]
+    assert not whole, f"KEEP rows keeping a whole file or class: {whole}"
+    unchecked = [
+        (path, pattern)
+        for path, pattern, reason in reach.KEEP
+        if path in MUTATION_CHECKED and not re.search(r"\[[^]]+\]$", reason)
+    ]
+    assert not unchecked, f"KEEP rows naming no [mutation]: {unchecked}"
 
 
 def test_removed_recovery_mechanisms_stay_removed(capsys):

@@ -22,7 +22,6 @@ from repro.kernels import (
     KernelStats,
     OmpRuntime,
     RecursiveKernel,
-    SerialRuntime,
     case_of,
     gep_tile_update,
     gep_tile_update_loop,
@@ -260,12 +259,11 @@ def test_recursive_parallel_equals_serial(name):
     n = 24
     t = make(n, seed=9)
     serial = t.copy()
-    RecursiveKernel(spec, 4, 4, SerialRuntime()).run(
+    RecursiveKernel(spec, 4, 4, OmpRuntime(1)).run(
         "A", serial, serial, serial, serial, 0, 0, 0, n
     )
-    with OmpRuntime(num_threads=4) as rt:
-        par = t.copy()
-        RecursiveKernel(spec, 4, 4, rt).run("A", par, par, par, par, 0, 0, 0, n)
+    par = t.copy()
+    RecursiveKernel(spec, 4, 4, OmpRuntime(4)).run("A", par, par, par, par, 0, 0, 0, n)
     assert_tables_equal(par, serial)
 
 
@@ -315,14 +313,13 @@ def test_case_of_roundtrip():
 class TestOmpRuntime:
     def test_serial_executes_in_order(self):
         seen = []
-        rt = SerialRuntime()
+        rt = OmpRuntime(1)
         rt.parallel_for([lambda i=i: seen.append(i) for i in range(5)])
         assert seen == [0, 1, 2, 3, 4]
 
     def test_parallel_executes_all(self):
         seen = set()
-        with OmpRuntime(3) as rt:
-            rt.parallel_for([lambda i=i: seen.add(i) for i in range(20)])
+        OmpRuntime(3).parallel_for([lambda i=i: seen.add(i) for i in range(20)])
         assert seen == set(range(20))
 
     def test_nested_parallel_for_is_inlined(self):
@@ -331,38 +328,36 @@ class TestOmpRuntime:
         def outer(i):
             rt.parallel_for([lambda j=j: order.append((i, j)) for j in range(3)])
 
-        with OmpRuntime(2) as rt_outer:
-            rt = rt_outer
-            rt.parallel_for([lambda i=i: outer(i) for i in range(4)])
+        rt = OmpRuntime(2)
+        rt.parallel_for([lambda i=i: outer(i) for i in range(4)])
         assert len(order) == 12
 
     def test_exception_propagates(self):
         def boom():
             raise RuntimeError("task failed")
 
-        with OmpRuntime(2) as rt:
-            with pytest.raises(RuntimeError, match="task failed"):
-                rt.parallel_for([boom, lambda: None])
+        with pytest.raises(RuntimeError, match="task failed"):
+            OmpRuntime(2).parallel_for([boom, lambda: None])
 
     def test_empty_batch_is_noop(self):
-        with OmpRuntime(2) as rt:
-            rt.parallel_for([])
+        OmpRuntime(2).parallel_for([])
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
             OmpRuntime(0)
 
-    def test_map_helper(self):
-        out = []
-        SerialRuntime().map(out.append, [1, 2, 3])
-        assert out == [1, 2, 3]
-
-    def test_stats_width_recording(self):
+    def test_stats_width_recording(self, fw_spec):
+        """The recursive kernel records every stage it hands the runtime,
+        with its width: the one recorder of stage widths."""
+        widths = []
+        rt = OmpRuntime(1)
+        run = rt.parallel_for
+        rt.parallel_for = lambda tasks: (widths.append(len(tasks)), run(tasks))
         stats = KernelStats()
-        rt = OmpRuntime(1, stats=stats)
-        rt.parallel_for([lambda: None] * 7)
-        assert stats.max_parallel_width == 7
-        assert stats.parallel_stages == 1
+        t = fw_table(16, seed=1)
+        RecursiveKernel(fw_spec, 2, 4, rt).run("A", t, t, t, t, 0, 0, 0, 16, stats=stats)
+        assert stats.parallel_stages == len(widths) > 0
+        assert stats.max_parallel_width == max(widths)
 
 
 @given(
@@ -485,7 +480,7 @@ def test_property_fused_fold_equals_sequential_steps(data):
     room = budget // (x0.size * pivot)  # tiles per stack the budget allows
     for at, (out, want) in enumerate(zip(outs, solo)):
         odd_one_out = room >= 2 and depth % room == 1 and at == depth - 1
-        assert (out is None) == (x0.size < 2 or room < 2 or odd_one_out)
+        assert (out is None) == (room < 2 or odd_one_out)
         if out is not None:
             assert out.tobytes() == want and out.base is None
     assert [x.tobytes() for x, _u, _v in stack] == pristine
@@ -556,7 +551,7 @@ def test_property_ge_stack_equals_separate_tiles(data):
         outs = IterativeKernel(spec).run_stacks(calls, stats)
         spec.apply_steps(xs, us, vs, ws, pivot)
     assert [x.tobytes() for x in xs] == solo
-    stacked = depth >= 2 and mi * mj >= 2
+    stacked = depth >= 2
     assert [out is not None for out in outs] == [stacked] * depth
     assert stats.invocations == ({"D": depth} if stacked else {})
     if stacked:
@@ -636,7 +631,7 @@ def test_property_bc_panel_equals_separate_tiles(data):
     assert Counter(stats.log) == Counter(solo_stats.log)
     assert stats.updates == solo_stats.updates
     same_shape = widths.count(extent)
-    panel = same_shape >= 2 and pivot * extent >= 2
+    panel = same_shape >= 2
     assert [out is not None for out in stacked] == [
         panel and width == extent for width in widths
     ]
@@ -732,7 +727,7 @@ def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
 
 def test_single_cell_tile_keeps_zero_signs(fw_spec):
     """A 1x1 tile with a long pivot range keeps the step loop's ``±0.0``
-    tie-breaks, and a task's list of such tiles is never stacked."""
+    tie-breaks, alone and stacked with another."""
     rng = np.random.default_rng(0)
     cells = np.array([0.0, -0.0, 1.0, np.inf])
     kernel = IterativeKernel(fw_spec)
@@ -742,12 +737,13 @@ def test_single_cell_tile_keeps_zero_signs(fw_spec):
             for _ in range(2)
         ]
         calls = [("D", x0, u, v, None, 40, 41, 0, 64) for x0, u, v in pair]
-        assert kernel.run_stacks(calls) == [None, None]
-        for x0, u, v in pair:
+        stacked = kernel.run_stacks(calls)
+        for (x0, u, v), out in zip(pair, stacked):
             got, want = x0.copy(), x0.copy()
             gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
             apply_k_steps(fw_spec, want, u, v)
             assert got.tobytes() == want.tobytes()
+            assert out.tobytes() == want.tobytes()
 
 
 def test_overlapping_subviews_take_the_sequential_branch(fw_spec):

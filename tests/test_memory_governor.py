@@ -109,7 +109,7 @@ class TestMemoryManager:
         mm = MemoryManager(1000)
         assert mm.reserve("execution", "e0", 400)
         assert mm.reserve("storage", "e1", 500)
-        assert mm.live_bytes == 900
+        assert mm.usage()["live_bytes"] == 900
         assert not mm.reserve("execution", "e0", 200)  # 1100 > 1000
         mm.release("storage", "e1", 500)
         assert mm.reserve("execution", "e0", 200)
@@ -130,7 +130,7 @@ class TestMemoryManager:
         mm = MemoryManager(100, metrics=metrics)
         assert mm.reserve("execution", "e0", 90)
         assert mm.reserve("execution", "e0", 90, force=True)
-        assert mm.live_bytes == 180
+        assert mm.usage()["live_bytes"] == 180
         assert metrics.forced_grants == 1
         # a force that *fits* is not an oversubscription
         mm.release("execution", "e0", 180)
@@ -141,7 +141,7 @@ class TestMemoryManager:
         mm = MemoryManager(100)
         mm.reserve("storage", "e0", 30)
         mm.release("storage", "e0", 90)
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
         assert mm.usage()["by_owner"]["storage"] == {}
 
     def test_pressure_transitions_are_traced(self):
@@ -167,9 +167,9 @@ class TestMemoryManager:
         mm.reserve("storage", "e0", 100)
         grant = mm.admit_task()
         assert grant == 60
-        assert mm.live_bytes == 160
+        assert mm.usage()["live_bytes"] == 160
         mm.finish_task(grant)
-        assert mm.live_bytes == 100
+        assert mm.usage()["live_bytes"] == 100
 
     def test_admission_backpressure_queues_and_wakes(self):
         metrics = EngineMetrics()
@@ -191,7 +191,7 @@ class TestMemoryManager:
         t.join(timeout=2.0)
         assert metrics.admission_waits == 1
         assert metrics.admission_wait_seconds > 0.0
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
 
     def test_squeeze_shrinks_with_quantum_floor(self):
         metrics = EngineMetrics()
@@ -239,8 +239,8 @@ class TestBlockManagerSpill:
         np.testing.assert_array_equal(got[0], a)
         assert metrics.spill_reads == 1
         assert metrics.spill_bytes_read == 128
-        assert bm.contains(0, 0)
-        assert mm.live_bytes <= 300
+        assert bm.num_spilled == 1  # a read leaves the block spilled
+        assert mm.usage()["live_bytes"] <= 300
 
     def test_memory_only_evicts_by_dropping(self, tmp_path):
         bm, mm, store, metrics = self.make(tmp_path, 300)
@@ -259,14 +259,13 @@ class TestBlockManagerSpill:
         assert bm.num_spilled == 1
         assert metrics.blocks_spilled == 1
         assert metrics.spill_bytes_written == 256
-        assert bm.contains(0, 0)
         np.testing.assert_array_equal(bm.get(0, 0)[0], big)  # verified read
         assert metrics.spill_reads == 1
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
 
     def test_disk_only_puts_race_sweeps_without_tearing_bookkeeping(self, tmp_path):
         # Disk-only puts write outside the lock but must book `_spilled`
-        # under it: evict_rdd / contains iterate and read that set.
+        # under it: evict_rdd / num_spilled iterate and read that set.
         bm, mm, store, metrics = self.make(tmp_path, 64)
         big = [np.zeros(32)]  # 256 B > budget: every put is disk-only
         errors, stop = [], threading.Event()
@@ -290,7 +289,7 @@ class TestBlockManagerSpill:
 
         def sweep():
             bm.evict_rdd(0)
-            bm.contains(1, 3)
+            assert bm.num_spilled >= 0
 
         threads = [guarded(putter(i)) for i in range(3)] + [guarded(sweep)]
         interval = sys.getswitchinterval()
@@ -306,7 +305,7 @@ class TestBlockManagerSpill:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
 
     def test_corrupt_spill_is_never_served(self, tmp_path):
         bm, mm, store, metrics = self.make(tmp_path, 300)
@@ -317,7 +316,7 @@ class TestBlockManagerSpill:
         flip_byte(store.blocks_dir / store._filename(repr(("cache", 0, 0))))
         assert bm.get(0, 0) is None  # checksum caught it: recompute
         assert metrics.corrupt_blocks_detected == 1
-        assert not bm.contains(0, 0)  # marker discarded, put can refresh
+        assert bm.num_spilled == 0  # marker discarded, put can refresh
         assert bm.get(0, 0) is None
 
     def test_unpersist_deletes_spill_files(self, tmp_path):
@@ -329,7 +328,7 @@ class TestBlockManagerSpill:
         assert bm.num_blocks == 0
         assert bm.num_spilled == 0
         assert len(store) == 0
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +358,7 @@ class TestShuffleManagerSpill:
         items, nbytes, _remote = sm.fetch(sid, 0, 3)
         assert [v[0] for _k, v in [(k, v) for k, v in items]] == [0.0, 1.0, 2.0]
         assert metrics.spill_reads == 1
-        assert mm.live_bytes <= 300
+        assert mm.usage()["live_bytes"] <= 300
 
     def test_no_spill_store_drops_oldest_for_recompute(self, tmp_path):
         metrics = EngineMetrics()
@@ -395,10 +394,10 @@ class TestShuffleManagerSpill:
         for mp in range(3):
             sm.write(sid, mp, bucket(np.ones(16)))
         sm.release(sid)
-        assert sm.live_bytes() == 0
+        assert sm.live_bytes == 0
         assert sm.num_spilled == 0
         assert len(store) == 0
-        assert mm.live_bytes == 0
+        assert mm.usage()["live_bytes"] == 0
 
     def test_executor_loss_drops_spilled_outputs_too(self, tmp_path):
         sm, mm, store, metrics = self.make(tmp_path, 300)
@@ -424,9 +423,9 @@ class TestStageAbortCleanup:
             def mapper(x):
                 if x == 15:
                     deadline = time.monotonic() + 5.0
-                    while sm.live_bytes() == 0 and time.monotonic() < deadline:
+                    while sm.live_bytes == 0 and time.monotonic() < deadline:
                         time.sleep(0.001)
-                    staged_at_abort.append(sm.live_bytes())
+                    staged_at_abort.append(sm.live_bytes)
                     raise ValueError("map task dies mid-stage")
                 return (x % 4, np.ones(8))
 
@@ -435,8 +434,8 @@ class TestStageAbortCleanup:
                 pairs.reduceByKey(lambda a, b: a + b).collect()
             assert isinstance(exc_info.value.__cause__, ValueError)
             assert staged_at_abort[0] > 0
-            assert sm.live_bytes() == 0
-            assert sc.memory_manager.live_bytes == 0
+            assert sm.live_bytes == 0
+            assert sc.memory_manager.usage()["live_bytes"] == 0
             assert sc.metrics.shuffle_partial_cleanups >= 1
 
 

@@ -85,6 +85,15 @@ def _wire_solve(service: SolverService, payload: dict):
     return service.solve(request, timeout=60, wire=payload)
 
 
+def _invalidate(cache: ResultCache, fingerprint: str) -> bool:
+    """Force a miss on a live entry: drop it as an eviction does."""
+    with cache._lock:
+        if fingerprint not in cache._entries:
+            return False
+        cache._drop_locked(fingerprint)
+        return True
+
+
 def _counts(service: SolverService) -> tuple[int, int, int]:
     m = service.metrics
     return m.inputs_built, m.engine_passes, m.cache_hits
@@ -210,7 +219,7 @@ class TestIdentityMap:
         cache = ResultCache(2, MemoryManager(None), ServiceMetrics())
         cache.put("fp", np.zeros((1, 1)), identities=["a", "b", "c"])
         assert [cache.fingerprint_of(i) for i in "abc"] == ["fp", "fp", None]
-        cache.invalidate("fp")
+        _invalidate(cache, "fp")
         assert cache.fingerprint_of("a") is None and not cache._fingerprints
 
     @pytest.mark.timeout(180)
@@ -234,7 +243,7 @@ class TestIdentityMap:
                 if how == "evict":
                     _wire_solve(service, _payload(seed=12))
                 elif how == "invalidate":
-                    assert service.cache.invalidate(fingerprint)
+                    assert _invalidate(service.cache, fingerprint)
                 elif how == "squeeze":
                     ballast = 5 << 20
                     sc.memory_manager.reserve(
@@ -277,7 +286,7 @@ class TestIdentityMap:
                 def lookup_then_evict(identity):
                     fingerprint = lookup(identity)
                     if fingerprint is not None:
-                        service.cache.invalidate(fingerprint)
+                        _invalidate(service.cache, fingerprint)
                     return fingerprint
 
                 service.cache.fingerprint_of = lookup_then_evict
@@ -443,7 +452,7 @@ class TestCacheGuard:
                 # -0.0 -> +0.0 on an entry admitted holding the -0.0
                 negative = reference.copy()
                 negative.flat[zero] = -0.0
-                assert cache.invalidate(fingerprint)
+                assert _invalidate(cache, fingerprint)
                 assert cache.put(fingerprint, negative,
                                  checksum=_checksum(negative),
                                  identities=[identity])

@@ -481,7 +481,7 @@ class TestCrashRestartSoak:
         assert journal.torn_records == 0
         assert journal.incomplete() == []
         fsck = journal.spool.fsck()
-        assert fsck.clean, f"spool damaged: {fsck.summary()}"
+        assert fsck.clean, f"spool damaged: {fsck}"
         assert fsck.orphans == [], "compaction leaked spool blocks"
 
         # nothing leaked in /dev/shm

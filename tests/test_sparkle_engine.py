@@ -125,9 +125,9 @@ class TestShuffleAccounting:
         sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
         sm.write(sid, 0, {0: [(1, np.ones(10))]})
-        assert sm.live_bytes() > 0
+        assert sm.live_bytes > 0
         sm.release(sid)
-        assert sm.live_bytes() == 0
+        assert sm.live_bytes == 0
 
     def test_manager_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
         """``write`` walks each distinct non-array value object once (an
@@ -199,7 +199,7 @@ class TestShuffleAccounting:
         assert sm._bucket_bytes[(second, 1)] == {0: 32, 3: 24}
         sm.clear()
         assert sm._bucket_bytes == {} and sm.num_spilled == 0
-        assert mm.live_bytes == 0 and sm.live_bytes() == 0
+        assert mm.usage()["live_bytes"] == 0 and sm.live_bytes == 0
 
     def test_manager_corrupt_spill_block_leaves_no_bucket_sizes(self, tmp_path):
         from repro.sparkle.durable import DurableBlockStore
@@ -365,13 +365,6 @@ class TestBroadcastAndStorage:
             assert out == [128.0] * 4
             assert sc.metrics.broadcast_bytes == arr.nbytes * 4
 
-    def test_broadcast_destroy(self):
-        with SparkleContext(2, 1) as sc:
-            bc = sc.broadcast([1, 2])
-            bc.destroy()
-            with pytest.raises(RuntimeError):
-                _ = bc.value
-
     def test_shared_storage_roundtrip_and_accounting(self):
         with SparkleContext(2, 1) as sc:
             arr = np.ones((8, 8))
@@ -380,7 +373,6 @@ class TestBroadcastAndStorage:
             np.testing.assert_array_equal(got, arr)
             assert sc.metrics.storage_bytes_written == arr.nbytes
             assert sc.metrics.storage_bytes_read == arr.nbytes
-            assert sc.shared_storage.contains(("pivot", 0))
             assert len(sc.shared_storage) == 1
 
     def test_shared_storage_missing_key(self):
@@ -412,8 +404,7 @@ class TestBroadcastAndStorage:
         for rdd_id in range(5):
             bm.put(rdd_id, 0, [arr])
         assert bm.live_bytes <= 3 * blk
-        survivors = [i for i in range(5) if bm.contains(i, 0)]
-        assert bm.live_bytes == len(survivors) * blk
+        assert bm.live_bytes == bm.num_blocks * blk
         bm.put(1, 0, [arr])  # re-insert then overwrite in place
         before = bm.live_bytes
         bm.put(1, 0, [arr])

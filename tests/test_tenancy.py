@@ -216,8 +216,6 @@ class TestDeficitRoundRobin:
         q.push("a", 2)
         q.push(None, 3)  # anonymous requests share the None queue
         assert len(q) == 3
-        assert q.depth("a") == 2
-        assert q.depth("missing") == 0
         assert tuple(q.tenants()) == ("a", None)
         assert q.drain() == [1, 2, 3]
         assert len(q) == 0
