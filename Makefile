@@ -10,7 +10,7 @@ test:
 # the CI gate: fail-fast over everything, and hermetic — a run that
 # creates, edits or deletes a file git can see fails, and so does one
 # that leaves any entry in /dev/shm that was not there before it.
-# It prints its 15 slowest tests: the wall is gated at 2 min (ROADMAP item 13).
+# It prints its 15 slowest tests: the wall is gated at 2 min (ROADMAP item 12).
 tier1:
 	@before="$$(git status --porcelain)"; \
 	shm_before="$$(ls /dev/shm 2>/dev/null)"; \

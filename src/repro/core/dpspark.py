@@ -55,6 +55,7 @@ reruns on the thread path, and so does every task after it.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import pickle
 import threading
 import time
@@ -81,7 +82,7 @@ from ..sparkle.errors import (
 from ..sparkle.metrics import EngineMetrics
 from ..sparkle.rdd import CheckpointedRDD
 from ..sparkle.requests import solve_fingerprint
-from .blocked import b_range, c_range, grid_bounds, updated_tiles
+from .blocked import b_range, c_range, grid_bounds
 from .gep import GepSpec
 
 __all__ = ["GepSparkSolver", "SolveReport", "make_kernel"]
@@ -681,12 +682,8 @@ class GepSparkSolver:
     # ------------------------------------------------------------------
     def _im_iteration(self, dp, k: int, bounds: list[int], nt: int, n: int):
         spec, part = self.spec, self.partitioner
-        bs = b_range(spec, k, nt)
-        cs = c_range(spec, k, nt)
+        bs, cs, b_keys, c_keys, d_keys = _iteration_keys(spec, k, nt)
         a_keys = frozenset({(k, k)})
-        b_keys = frozenset((k, j) for j in bs)
-        c_keys = frozenset((i, k) for i in cs)
-        d_keys = frozenset((i, j) for i in cs for j in bs)
         batch = self._run_tile_batch
         a_call, bc_call, d_call = _call_builders(k, bounds, n)
 
@@ -793,12 +790,15 @@ class GepSparkSolver:
         """One CB-style iteration: pivot-generation tiles are collected
         to the driver, published through ``operands`` (shared storage
         for ``cb``, broadcast variables for ``bcast``) and read back by
-        the consumer kernels instead of being shuffled."""
-        publish_pivot, publish_band = operands
+        the consumer kernels instead of being shuffled.  It selects its
+        tiles as IM does, one comprehension per partition, and each
+        consumer task reads all of its operands with one ``read``."""
+        publish_pivot, publish_band, read = operands
         spec, part = self.spec, self.partitioner
-        tiles = updated_tiles(spec, k, nt)
-        bc_keys = frozenset(tiles["B"] + tiles["C"])
-        d_keys = frozenset(tiles["D"])
+        _bs, _cs, b_keys, c_keys, d_keys = _iteration_keys(spec, k, nt)
+        pivot = (k, k)
+        a_keys = frozenset({pivot})
+        bc_keys = b_keys | c_keys
         batch = self._run_tile_batch
         a_call, bc_call, d_call = _call_builders(k, bounds, n)
 
@@ -806,77 +806,107 @@ class GepSparkSolver:
         def a_rec(tile):
             return batch([a_call(tile)])[0]
 
-        a_block = dp.filter(lambda kv: kv[0] == (k, k)).mapValues(a_rec).cache()
-        pivot = publish_pivot(a_block.collect()[0][1])
+        a_block = _selected(dp, a_keys).mapValues(a_rec).cache()
+        publish_pivot(a_block.collect()[0][1])
 
         if not bc_keys:
-            untouched = dp.filter(lambda kv: kv[0] != (k, k))
+            untouched = _selected(dp, a_keys, "reject")
             return self.sc.union([untouched, a_block]).partitionBy(partitioner=part)
 
-        # ---- stage 2: kernels B and C, reading the published pivot;
-        # the partition's updates form one kernel batch (the read per
-        # record is kept so staging accounting and transient-fault
-        # decisions stay per record).
+        # ---- stage 2: kernels B and C, reading the published pivot once
+        # per record in one read; the partition's updates form one batch
         def bc_part(it, _split):
             items = list(it)
-            calls = [bc_call(key, tile, pivot()) for key, tile in items]
-            return [(key, x) for (key, _t), x in zip(items, batch(calls))]
-
-        bc_blocks = (
-            dp.filter(lambda kv: kv[0] in bc_keys).map_partitions(bc_part).cache()
-        )
-        band = publish_band(bc_blocks.collect())
-
-        # ---- stage 3: kernels D, reading the published operands (lazy)
-        def d_part(it, _split):
-            items = list(it)
+            pivots = read([pivot] * len(items))
             calls = [
-                d_call(
-                    key, tile, band((key[0], k)), band((k, key[1])),
-                    pivot() if spec.needs_w else None,
-                )
-                for key, tile in items
+                bc_call(key, tile, u) for (key, tile), u in zip(items, pivots)
             ]
             return [(key, x) for (key, _t), x in zip(items, batch(calls))]
 
-        d_blocks = dp.filter(lambda kv: kv[0] in d_keys).map_partitions(d_part)
+        bc_blocks = _selected(dp, bc_keys).map_partitions(bc_part).cache()
+        publish_band(bc_blocks.collect())
 
-        touched = {(k, k)} | bc_keys | d_keys
-        untouched = dp.filter(lambda kv: kv[0] not in touched)
+        # ---- stage 3: kernels D, reading the published operands (lazy):
+        # per record its C tile, its B tile and, when f reads c[k,k],
+        # the pivot — in that order, all in one read
+        needs_w = spec.needs_w
+
+        def d_part(it, _split):
+            items = list(it)
+            keys = []
+            for (i, j), _tile in items:
+                keys += ((i, k), (k, j), pivot) if needs_w else ((i, k), (k, j))
+            ops = read(keys)
+            per = 3 if needs_w else 2
+            ws = ops[2::3] if needs_w else itertools.repeat(None)
+            calls = [
+                d_call(key, tile, u, v, w)
+                for (key, tile), u, v, w in zip(items, ops[::per], ops[1::per], ws)
+            ]
+            return [(key, x) for (key, _t), x in zip(items, batch(calls))]
+
+        d_blocks = _selected(dp, d_keys).map_partitions(d_part)
+
+        untouched = _selected(dp, a_keys | bc_keys | d_keys, "reject")
         return self.sc.union(
             [untouched, a_block, bc_blocks, d_blocks]
         ).partitionBy(partitioner=part)
 
 
+def _iteration_keys(spec: GepSpec, k: int, nt: int):
+    """Iteration ``k``'s B columns and C rows, and the B, C and D tile
+    keys they span — what both strategies select by."""
+    bs = b_range(spec, k, nt)
+    cs = c_range(spec, k, nt)
+    b_keys = frozenset((k, j) for j in bs)
+    c_keys = frozenset((i, k) for i in cs)
+    d_keys = frozenset(itertools.product(cs, bs))
+    return bs, cs, b_keys, c_keys, d_keys
+
+
 def _storage_operands(sc: SparkleContext, k: int):
     """CB: iteration ``k``'s operands go through shared persistent
-    storage.  Each publisher returns the reader consumer tasks call."""
+    storage.  Returns the two publishers and the reader consumer tasks
+    call: ``read(keys)`` gives the tiles of grid ``keys`` (the pivot is
+    ``(k, k)``) in order, with one :meth:`~repro.sparkle.storage.
+    SharedStorage.get_many`."""
     storage = sc.shared_storage
+    pivot, pivot_name = (k, k), ("pivot", k)
 
     def publish_pivot(tile):
-        storage.put(("pivot", k), tile)
-        return lambda: storage.get(("pivot", k))
+        storage.put(pivot_name, tile)
 
     def publish_band(blocks: list):
         for key, tile in blocks:
             storage.put(("bc", k, key), tile)
-        return lambda key: storage.get(("bc", k, key))
 
-    return publish_pivot, publish_band
+    def read(keys):
+        return storage.get_many(
+            [pivot_name if key == pivot else ("bc", k, key) for key in keys]
+        )
+
+    return publish_pivot, publish_band, read
 
 
 def _broadcast_operands(sc: SparkleContext, k: int):
-    """bcast (ablation): the same operands as two broadcast variables."""
+    """bcast (ablation): the same operands as two broadcast variables,
+    read with ``Broadcast.value`` once per operand."""
+    pivot = (k, k)
+    published = {}
 
     def publish_pivot(tile):
-        pivot_bc = sc.broadcast(tile)
-        return lambda: pivot_bc.value
+        published["pivot"] = sc.broadcast(tile)
 
     def publish_band(blocks: list):
-        band_bc = sc.broadcast(dict(blocks))
-        return lambda key: band_bc.value[key]
+        published["band"] = sc.broadcast(dict(blocks))
 
-    return publish_pivot, publish_band
+    def read(keys):
+        pivot_bc, band_bc = published["pivot"], published.get("band")
+        return [
+            pivot_bc.value if key == pivot else band_bc.value[key] for key in keys
+        ]
+
+    return publish_pivot, publish_band, read
 
 
 _OPERANDS = {"cb": _storage_operands, "bcast": _broadcast_operands}
@@ -912,7 +942,7 @@ def _drain_iterator(it) -> int:
 
 
 # ----------------------------------------------------------------------
-# IM selections
+# Tile selections (IM and CB)
 # ----------------------------------------------------------------------
 #: A partition's records by key, one comprehension each: ``select`` keeps
 #: the records whose key is in ``keys``, ``tag`` keeps them with the tile

@@ -428,15 +428,8 @@ class MemoryManager:
                     for pool, ledger in self._ledger.items()
                 },
                 "admitted_tasks": self._admitted_tasks,
-                "tenants": {
-                    t: {
-                        "held_bytes": self._tenant_held.get(t, 0),
-                        "quota_bytes": self._tenant_quota.get(t),
-                    }
-                    for t in sorted(
-                        set(self._tenant_held) | set(self._tenant_quota)
-                    )
-                },
+                # _cond's lock is an RLock: re-entering it here is safe
+                "tenants": self.tenant_usage(),
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,7 +5,7 @@ This is the paper's §II in executable form:
 * an :class:`RDD` is an immutable, partitioned collection defined by its
   *lineage* — a compute function plus dependencies on parent RDDs;
 * transformations are lazy and classified by dependency kind: *narrow*
-  (``map``, ``filter``, ``union`` — pipelined within one stage) vs *wide*
+  (``map``, ``map_partitions``, ``union`` — pipelined within one stage) vs *wide*
   (``combineByKey``, ``partitionBy`` — requiring a shuffle and starting
   a new stage);
 * actions (``collect``, ``count``) hand the final RDD to the DAG
@@ -227,11 +227,6 @@ class RDD:
             lambda it, _pid: itertools.chain.from_iterable(f(x) for x in it)
         )
 
-    def filter(self, pred: Callable[[T], bool]) -> "RDD":
-        return self.map_partitions(
-            lambda it, _pid: filter(pred, it), preserves_partitioning=True
-        )
-
     def mapValues(self, f: Callable[[Any], Any]) -> "RDD":
         return self.map_partitions(
             lambda it, _pid: ((k, f(v)) for k, v in it), preserves_partitioning=True
@@ -427,9 +422,20 @@ class ShuffledRDD(RDD):
             return super()._materialize(split, task)
         # The fetch summed ``16 + sizeof_block(value)`` per record; a
         # cached ``(key, value)`` record is ``8 + sizeof_block(key) +
-        # sizeof_block(value)``, so only the keys are left to size.
+        # sizeof_block(value)``, so only the keys are left to size.  An
+        # exact ``(int, int)`` grid key is ``sizeof_block``'s 24 B.
         items, fetched = self._fetch(split, task)
-        return items, fetched + sum(sizeof_block(key) - 8 for key, _value in items)
+        for key, _value in items:
+            if (
+                key.__class__ is tuple
+                and len(key) == 2
+                and key[0].__class__ is int
+                and key[1].__class__ is int
+            ):
+                fetched += 16
+            else:
+                fetched += sizeof_block(key) - 8
+        return items, fetched
 
     def compute(self, split: int, task) -> Iterator:
         items, _nbytes = self._fetch(split, task)

@@ -47,6 +47,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from numpy import ndarray
+
+from ..util import sizeof_block
 from .chaos import CURRENT_TASK
 from .errors import (
     BlockNotFoundError,
@@ -366,7 +369,8 @@ class DAGScheduler:
     def _shuffle_map_task(
         self, dep: ShuffleDependency, partition: int, tc: TaskContext
     ) -> int:
-        """Compute the parent partition, bucket by reducer, write shuffle.
+        """Compute the parent partition, bucket and size it by reducer,
+        write shuffle.
 
         One pass over the records.  A record's reducer is one lookup in
         the partitioner's memo (:attr:`~repro.sparkle.partitioner.
@@ -374,6 +378,15 @@ class DAGScheduler:
         grid key already placed, and :meth:`~repro.sparkle.partitioner.
         Partitioner.partition` otherwise — the memo holds what
         ``partition`` would answer, so the buckets are the same.
+
+        The same pass sizes the record, the one place a map output is
+        sized: ``16 + sizeof_block(value)`` (the key assumed
+        small/fixed).  An exact array reports its ``nbytes``, which is
+        what ``sizeof_block`` would return; any other value is sized
+        once per task through ``walked``, keyed by ``id`` (fan-out
+        records share one role tuple, and an ``id`` cannot be reused
+        while the buckets hold the object).  A map-side combine sizes
+        each combiner once, after the combine.
         """
         agg = dep.aggregator
         part = dep.partitioner
@@ -382,34 +395,61 @@ class DAGScheduler:
         # one bucket per reducer: its records, or for a map-side combine
         # its combiners by key
         per_reducer: list = [{} if combine else [] for _ in range(part.num_partitions)]
+        # the value bytes of each reducer's records (16 a record is
+        # added per bucket below)
+        sizes = [0] * part.num_partitions
         records = 0
-        for records, item in enumerate(dep.rdd.iterator(partition, tc), 1):
-            k = item[0]
-            b = placed.get(k)
-            # a hit's key is an exact (int, int) only if its members
-            # are ints: it is equal to a pair, so it has two
-            if b is None or not (
-                k.__class__ is tuple
-                and k[0].__class__ is int
-                and k[1].__class__ is int
-            ):
-                b = place(k)
-            if not combine:
+        items = dep.rdd.iterator(partition, tc)
+        if combine:
+            for records, (k, v) in enumerate(items, 1):
+                b = placed.get(k)
+                # a hit's key is an exact (int, int) only if its members
+                # are ints: it is equal to a pair, so it has two
+                if b is None or not (
+                    k.__class__ is tuple
+                    and k[0].__class__ is int
+                    and k[1].__class__ is int
+                ):
+                    b = place(k)
+                combiners = per_reducer[b]
+                if k in combiners:
+                    combiners[k] = agg.merge_value(combiners[k], v)
+                else:
+                    combiners[k] = agg.create_combiner(v)
+        else:
+            walked: dict[int, int] = {}
+            for item in items:
+                k = item[0]
+                b = placed.get(k)
+                if b is None or not (
+                    k.__class__ is tuple
+                    and k[0].__class__ is int
+                    and k[1].__class__ is int
+                ):
+                    b = place(k)
                 per_reducer[b].append(item)
-                continue
-            combiners = per_reducer[b]
-            v = item[1]
-            if k in combiners:
-                combiners[k] = agg.merge_value(combiners[k], v)
-            else:
-                combiners[k] = agg.create_combiner(v)
+                v = item[1]
+                if v.__class__ is ndarray:
+                    sizes[b] += v.nbytes
+                    continue
+                known = walked.get(id(v))
+                if known is None:
+                    known = walked[id(v)] = sizeof_block(v)
+                sizes[b] += known
+            records = sum(map(len, per_reducer))
         tc.records_out += records
-        buckets = {
-            b: list(bucket.items()) if combine else bucket
-            for b, bucket in enumerate(per_reducer)
-            if bucket
-        }
-        return self.ctx._shuffle_manager.write(dep.shuffle_id, partition, buckets)
+        buckets = {}
+        for b, bucket in enumerate(per_reducer):
+            if not bucket:
+                continue
+            if combine:
+                bucket = list(bucket.items())
+                sizes[b] = sum(sizeof_block(c) for _k, c in bucket)
+            buckets[b] = bucket
+            sizes[b] += 16 * len(bucket)
+        return self.ctx._shuffle_manager.write(
+            dep.shuffle_id, partition, buckets, {b: sizes[b] for b in buckets}
+        )
 
     def _run_result_stage(self, stage: Stage, func, trace) -> list[Any]:
         record = StageRecord(stage.id, stage.kind, stage.rdd.id, stage.num_tasks)

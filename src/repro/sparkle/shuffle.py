@@ -35,9 +35,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from numpy import ndarray
-
-from ..util import sizeof_block
 from .errors import (
     CorruptBlockError,
     BlockNotFoundError,
@@ -85,8 +82,9 @@ class ShuffleManager:
         # (shuffle_id, map_partition) -> {reduce_partition: [items]}
         self._outputs: dict[tuple[int, int], dict[int, list]] = {}
         # (shuffle_id, map_partition) -> {reduce_partition: nbytes}: every
-        # staged output's buckets, sized once at write — kept in memory
-        # also while the buckets are spilled, dropped by _discard_locked
+        # staged output's buckets, as its map task sized them — kept in
+        # memory also while the buckets are spilled, dropped by
+        # _discard_locked
         self._bucket_bytes: dict[tuple[int, int], dict[int, int]] = {}
         # keys whose buckets live in the spill store, not memory
         self._spilled: set[tuple[int, int]] = set()
@@ -123,8 +121,15 @@ class ShuffleManager:
         shuffle_id: int,
         map_partition: int,
         buckets: dict[int, list],
+        sizes: dict[int, int],
     ) -> int:
-        """Store one map task's buckets; returns bytes written."""
+        """Store one map task's buckets; returns bytes written.
+
+        ``sizes`` holds each bucket's byte size, as the map task that
+        bucketed the records sized them
+        (:meth:`~repro.sparkle.scheduler.DAGScheduler._shuffle_map_task`);
+        every later reader of a size (fetch, spill, release) looks it up.
+        """
         if self.fault_plan is not None and self.fault_plan.io_fault(
             "overflow", shuffle_id, map_partition
         ):
@@ -132,27 +137,6 @@ class ShuffleManager:
                 f"injected staging overflow: shuffle {shuffle_id} "
                 f"map partition {map_partition}"
             )
-        # The one pass over the records: every later reader of a size
-        # (fetch, spill, release) looks it up.  A record costs
-        # ``16 + sizeof_block(value)`` (the key assumed small/fixed), but
-        # each distinct value object is sized once: fan-out records share
-        # one role tuple, and ``walked`` — keyed by ``id``, which cannot
-        # be reused while the buckets hold the objects — lives for this
-        # write only.  An exact array reports its ``nbytes``, which is
-        # what ``sizeof_block`` would return.
-        sizes = {}
-        walked: dict[int, int] = {}
-        for reduce_partition, items in buckets.items():
-            size = 16 * len(items)
-            for _key, value in items:
-                if value.__class__ is ndarray:
-                    size += value.nbytes
-                    continue
-                known = walked.get(id(value))
-                if known is None:
-                    known = walked[id(value)] = sizeof_block(value)
-                size += known
-            sizes[reduce_partition] = size
         nbytes = sum(sizes.values())
         key = (shuffle_id, map_partition)
         with self._lock:
@@ -288,11 +272,12 @@ class ShuffleManager:
                 raise ShuffleFetchFailed(shuffle_id, missing)
             for mp in range(num_map_partitions):
                 key = (shuffle_id, mp)
-                chunk = self._fetch_one_locked(key).get(reduce_partition)
-                if chunk is None:
+                # an output that holds no bucket for this reducer is not
+                # read, from memory or from spill
+                size = self._bucket_bytes[key].get(reduce_partition)
+                if size is None:
                     continue
-                items.extend(chunk)
-                size = self._bucket_bytes[key][reduce_partition]
+                items.extend(self._fetch_one_locked(key)[reduce_partition])
                 nbytes += size
                 if remote_map_partition is not None and remote_map_partition(mp):
                     remote += size

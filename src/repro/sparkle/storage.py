@@ -219,8 +219,8 @@ class SharedStorage:
     """
 
     def __init__(self, metrics, fault_plan=None) -> None:
-        self._data: dict[Any, Any] = {}
-        self._bytes: dict[Any, int] = {}
+        # key -> (value, its byte size): a read is one lookup
+        self._blocks: dict[Any, tuple[Any, int]] = {}
         self._live_bytes = 0
         self._lock = threading.Lock()
         self._metrics = metrics or EngineMetrics()
@@ -235,28 +235,53 @@ class SharedStorage:
         """
         nbytes = sizeof_block(value)
         with self._lock:
-            self._data[key] = value
-            self._live_bytes += nbytes - self._bytes.get(key, 0)
-            self._bytes[key] = nbytes
+            old = self._blocks.get(key)
+            self._blocks[key] = (value, nbytes)
+            self._live_bytes += nbytes - (old[1] if old is not None else 0)
             self._metrics.storage_bytes_written += nbytes
             self._metrics.storage_puts += 1
         return nbytes
 
     def get(self, key: Any) -> Any:
-        if self.fault_plan is not None and self.fault_plan.io_fault("storage", key):
-            raise TransientIOError(f"injected shared-storage read failure: {key!r}")
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys) -> list:
+        """The blocks of ``keys``, in order, under one lock acquisition.
+
+        A CB task reads all of its operands with one call.  Each key
+        occurrence is fault-checked and booked (its bytes and one
+        ``storage_gets``) in order, so a faulted key
+        (:class:`~repro.sparkle.errors.TransientIOError`) or a missing
+        one (:class:`~repro.sparkle.errors.BlockNotFoundError`) raises
+        after the reads before it are booked, as a per-key loop would.
+        """
+        plan = self.fault_plan
+        blocks = self._blocks
+        out: list = []
+        nbytes = 0
         with self._lock:
-            if key in self._data:
-                self._metrics.storage_bytes_read += self._bytes[key]
-                self._metrics.storage_gets += 1
-                return self._data[key]
-        raise BlockNotFoundError(f"shared storage has no block {key!r}", key=key)
+            try:
+                for key in keys:
+                    if plan is not None and plan.io_fault("storage", key):
+                        raise TransientIOError(
+                            f"injected shared-storage read failure: {key!r}"
+                        )
+                    got = blocks.get(key)
+                    if got is None:
+                        raise BlockNotFoundError(
+                            f"shared storage has no block {key!r}", key=key
+                        )
+                    out.append(got[0])
+                    nbytes += got[1]
+            finally:
+                self._metrics.storage_bytes_read += nbytes
+                self._metrics.storage_gets += len(out)
+        return out
 
     def clear(self) -> None:
         """Drop every block."""
         with self._lock:
-            self._data.clear()
-            self._bytes.clear()
+            self._blocks.clear()
             self._live_bytes = 0
 
     @property
@@ -266,4 +291,4 @@ class SharedStorage:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._data)
+            return len(self._blocks)

@@ -277,6 +277,60 @@ def test_bcast_strategy_matches_reference(name):
     assert report.engine_metrics.storage_gets == 0
 
 
+@pytest.mark.parametrize("strategy", ["cb", "bcast"])
+@pytest.mark.parametrize("name", ["fw", "ge"])
+def test_collect_tasks_read_all_operands_in_one_call(name, strategy, monkeypatch):
+    """Every B / C and D task of a CB or bcast solve reads all of its
+    operands with one batched read — for CB one ``SharedStorage.
+    get_many``, and no task calls the per-key ``get`` — and each
+    operand once, as many reads as ``cluster/counts.py`` books."""
+    from repro.cluster import analyze_solve
+    from repro.core import dpspark
+    from repro.sparkle.broadcast import Broadcast
+    from repro.sparkle.storage import SharedStorage
+
+    reads, batches, gets, many, values = [], [], [], [], []
+    make_operands = dpspark._OPERANDS[strategy]
+
+    def counted(sc, k):
+        publish_pivot, publish_band, read = make_operands(sc, k)
+        return publish_pivot, publish_band, (
+            lambda keys: reads.append(len(keys)) or read(keys)
+        )
+
+    monkeypatch.setitem(dpspark._OPERANDS, strategy, counted)
+    batch, get, get_many = (
+        GepSparkSolver._run_tile_batch, SharedStorage.get, SharedStorage.get_many
+    )
+    value = Broadcast.value.fget
+    monkeypatch.setattr(
+        GepSparkSolver, "_run_tile_batch",
+        lambda self, calls: batches.append([c[0] for c in calls]) or batch(self, calls),
+    )
+    monkeypatch.setattr(SharedStorage, "get", lambda self, key: gets.append(key) or get(self, key))
+    monkeypatch.setattr(
+        SharedStorage, "get_many",
+        lambda self, keys: many.append(len(keys)) or get_many(self, keys),
+    )
+    monkeypatch.setattr(Broadcast, "value", property(lambda self: values.append(1) or value(self)))
+    spec, make = SPECS[name]
+    n, r = 24, 4
+    got, report = _solve(spec, make(n, seed=3), strategy, "iterative", r)
+    assert_tables_equal(got, gep_reference_vectorized(spec, make(n, seed=3)))
+    # a B / C or D task's batch (an empty partition's included); A's is
+    # its own
+    consumer_tasks = [calls for calls in batches if calls[:1] != ["A"]]
+    assert len(reads) == len(consumer_tasks) > len(batches) - len(consumer_tasks)
+    booked = sum(it.cb_storage_gets for it in analyze_solve(spec, n, r).iterations)
+    assert sum(reads) == booked
+    assert gets == []
+    if strategy == "cb":
+        assert many == reads and values == []
+        assert report.engine_metrics.storage_gets == booked
+    else:
+        assert many == [] and len(values) == booked
+
+
 def test_bcast_uses_less_shuffle_than_im():
     spec, make = SPECS["ge"]
     t = make(24, seed=14)

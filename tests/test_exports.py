@@ -29,6 +29,7 @@ REMOVED = [
         "countByKey", "fold", "reduce", "takeOrdered", "isEmpty", "mean",
         "first", "take", "foreach", "collectAsMap", "lookup", "keyBy",
         "glom", "keys", "values", "mapPartitions", "sum", "max", "min",
+        "filter",
     )
 ] + [
     ("repro.sparkle.rdd", "OneToOneDependency"),

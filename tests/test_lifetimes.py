@@ -70,9 +70,9 @@ def test_stop_frees_every_staged_tile_without_the_cyclic_gc(strategy, backend):
         sc = SparkleContext(2, 1, backend=backend)
         staged, stored = sc._shuffle_manager.write, sc.shared_storage.put
 
-        def spy_write(shuffle_id, map_partition, buckets):
+        def spy_write(shuffle_id, map_partition, buckets, sizes):
             tiles.extend(weakref.ref(a) for a in arrays_in(buckets))
-            return staged(shuffle_id, map_partition, buckets)
+            return staged(shuffle_id, map_partition, buckets, sizes)
 
         def spy_put(key, value):
             tiles.extend(weakref.ref(a) for a in arrays_in(value))

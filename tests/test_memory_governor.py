@@ -205,6 +205,20 @@ class TestMemoryManager:
         with pytest.raises(ValueError):
             mm.squeeze(1.5)
 
+    def test_usage_reports_the_tenant_snapshot(self):
+        """``usage()["tenants"]`` is ``tenant_usage()`` itself — quotas,
+        holdings and a tenant with only one of them alike."""
+        mm = MemoryManager(10_000)
+        mm.set_tenant_quota("capped", 500)
+        mm.set_tenant_quota("idle", 100)
+        assert mm.charge_tenant("capped", 300)
+        assert mm.charge_tenant("free", 70)
+        assert mm.usage()["tenants"] == mm.tenant_usage() == {
+            "capped": {"held_bytes": 300, "quota_bytes": 500},
+            "free": {"held_bytes": 70, "quota_bytes": None},
+            "idle": {"held_bytes": 0, "quota_bytes": 100},
+        }
+
     def test_squeeze_can_transition_pressure(self):
         metrics = EngineMetrics()
         mm = MemoryManager(1000, task_quantum_bytes=10, metrics=metrics)
@@ -335,8 +349,9 @@ class TestBlockManagerSpill:
 # ShuffleManager spill
 # ----------------------------------------------------------------------
 def bucket(value):
-    """One single-pair reduce bucket: 16 (key) + value bytes."""
-    return {0: [(0, value)]}
+    """One single-pair reduce bucket and its size: 16 (key) + value
+    bytes — ``ShuffleManager.write``'s buckets and sizes arguments."""
+    return {0: [(0, value)]}, {0: 16 + value.nbytes}
 
 
 class TestShuffleManagerSpill:
@@ -351,7 +366,7 @@ class TestShuffleManagerSpill:
         sm, mm, store, metrics = self.make(tmp_path, 300)
         sid = sm.new_shuffle_id()
         for mp in range(3):  # 144 B each; third write exceeds 300
-            sm.write(sid, mp, bucket(np.full(16, float(mp))))
+            sm.write(sid, mp, *bucket(np.full(16, float(mp))))
         assert sm.num_spilled == 1
         assert metrics.shuffle_blocks_spilled == 1
         assert sm.has_output(sid, 0)
@@ -360,13 +375,29 @@ class TestShuffleManagerSpill:
         assert metrics.spill_reads == 1
         assert mm.usage()["live_bytes"] <= 300
 
+    def test_fetch_reads_only_the_outputs_holding_a_bucket_for_it(self, tmp_path):
+        """A reducer never reads back a spilled map output that holds
+        nothing for it; the reducer that has a bucket there does."""
+        sm, mm, store, metrics = self.make(tmp_path, 300)
+        sid = sm.new_shuffle_id()
+        sm.write(sid, 0, *bucket(np.zeros(16)))  # reducer 0's bucket only
+        for mp in (1, 2):  # 144 B each; the third write spills output 0
+            sm.write(sid, mp, {1: [(0, np.full(16, float(mp)))]}, {1: 144})
+        assert sm.num_spilled == 1 and sm.has_output(sid, 0)
+        items, nbytes, _remote = sm.fetch(sid, 1, 3)
+        assert [v[0] for _k, v in items] == [1.0, 2.0] and nbytes == 288
+        assert (metrics.spill_reads, metrics.spill_bytes_read) == (0, 0)
+        items, nbytes, _remote = sm.fetch(sid, 0, 3)
+        assert [v[0] for _k, v in items] == [0.0] and nbytes == 144
+        assert (metrics.spill_reads, metrics.spill_bytes_read) == (1, 144)
+
     def test_no_spill_store_drops_oldest_for_recompute(self, tmp_path):
         metrics = EngineMetrics()
         mm = MemoryManager(300, metrics=metrics, task_quantum_bytes=1)
         sm = ShuffleManager(mm, metrics=metrics)
         sid = sm.new_shuffle_id()
         for mp in range(3):
-            sm.write(sid, mp, bucket(np.ones(16)))
+            sm.write(sid, mp, *bucket(np.ones(16)))
         assert not sm.has_output(sid, 0)  # dropped, not spilled
         with pytest.raises(ShuffleFetchFailed) as exc_info:
             sm.fetch(sid, 0, 3)
@@ -376,7 +407,7 @@ class TestShuffleManagerSpill:
         sm, mm, store, metrics = self.make(tmp_path, 300)
         sid = sm.new_shuffle_id()
         for mp in range(3):
-            sm.write(sid, mp, bucket(np.ones(16)))
+            sm.write(sid, mp, *bucket(np.ones(16)))
         assert sm.num_spilled == 1
         flip_byte(store.blocks_dir / store._filename(repr(("shuffle", sid, 0))))
         with pytest.raises(ShuffleFetchFailed) as exc_info:
@@ -384,7 +415,7 @@ class TestShuffleManagerSpill:
         assert exc_info.value.missing == (0,)
         assert metrics.corrupt_blocks_detected == 1
         # the scheduler's recompute path re-stages the output; idempotent
-        sm.write(sid, 0, bucket(np.ones(16)))
+        sm.write(sid, 0, *bucket(np.ones(16)))
         items, _n, _r = sm.fetch(sid, 0, 3)
         assert len(items) == 3
 
@@ -392,7 +423,7 @@ class TestShuffleManagerSpill:
         sm, mm, store, metrics = self.make(tmp_path, 300)
         sid = sm.new_shuffle_id()
         for mp in range(3):
-            sm.write(sid, mp, bucket(np.ones(16)))
+            sm.write(sid, mp, *bucket(np.ones(16)))
         sm.release(sid)
         assert sm.live_bytes == 0
         assert sm.num_spilled == 0
@@ -403,7 +434,7 @@ class TestShuffleManagerSpill:
         sm, mm, store, metrics = self.make(tmp_path, 300)
         sid = sm.new_shuffle_id()
         for mp in range(3):
-            sm.write(sid, mp, bucket(np.ones(16)))
+            sm.write(sid, mp, *bucket(np.ones(16)))
         dropped = sm.drop_executor_outputs(lambda mp: mp == 0)
         assert (sid, 0) in dropped
         assert not sm.has_output(sid, 0)

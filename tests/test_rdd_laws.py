@@ -54,8 +54,13 @@ OPS = {
         lambda data: [(k, _num(v) * 2 + 1) for k, v in data],
         False,
     ),
-    "filter": (
-        lambda rdd: rdd.filter(lambda kv: _num(kv[1]) % 3 != 0),
+    # a selection the way the drivers select: one comprehension per
+    # partition, partitioning preserved
+    "select": (
+        lambda rdd: rdd.map_partitions(
+            lambda it, _pid: [kv for kv in it if _num(kv[1]) % 3 != 0],
+            preserves_partitioning=True,
+        ),
         lambda data: [(k, v) for k, v in data if _num(v) % 3 != 0],
         False,
     ),
@@ -97,7 +102,9 @@ OPS = {
         True,
     ),
     "union_self_head": (
-        lambda rdd: rdd.union(rdd.filter(lambda kv: _num(kv[1]) > 50)),
+        lambda rdd: rdd.union(
+            rdd.map_partitions(lambda it, _pid: [kv for kv in it if _num(kv[1]) > 50])
+        ),
         lambda data: data + [(k, v) for k, v in data if _num(v) > 50],
         False,
     ),

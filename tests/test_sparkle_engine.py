@@ -107,15 +107,15 @@ class TestShuffleAccounting:
     def test_manager_fetch_order_is_map_partition_order(self):
         sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
-        sm.write(sid, 1, {0: [("k", "late")]})
-        sm.write(sid, 0, {0: [("k", "early")]})
+        sm.write(sid, 1, {0: [("k", "late")]}, {0: 20})
+        sm.write(sid, 0, {0: [("k", "early")]}, {0: 21})
         items, _nbytes, _remote = sm.fetch(sid, 0, 2)
         assert [v for _k, v in items] == ["early", "late"]
 
     def test_manager_missing_output_raises_fetch_failed(self):
         sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
-        sm.write(sid, 0, {0: []})
+        sm.write(sid, 0, {0: []}, {0: 0})
         with pytest.raises(ShuffleFetchFailed) as err:
             sm.fetch(sid, 0, 2)
         assert err.value.shuffle_id == sid
@@ -124,50 +124,82 @@ class TestShuffleAccounting:
     def test_manager_release_frees_bytes(self):
         sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()
-        sm.write(sid, 0, {0: [(1, np.ones(10))]})
+        sm.write(sid, 0, {0: [(1, np.ones(10))]}, {0: 96})
         assert sm.live_bytes > 0
         sm.release(sid)
         assert sm.live_bytes == 0
 
-    def test_manager_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
-        """``write`` walks each distinct non-array value object once (an
-        exact array reads its ``nbytes``); ``fetch`` looks the sizes up."""
-        from repro.sparkle import shuffle
+    @staticmethod
+    def map_tasks(sc, partitions, placement):
+        """Run a shuffle's map tasks over ``partitions`` (explicit record
+        lists), each record going to reducer ``placement[key]``; returns
+        the shuffle id and each task's bytes written."""
+        from repro.sparkle.partitioner import Partitioner
+        from repro.sparkle.rdd import CheckpointedRDD
+        from repro.sparkle.scheduler import TaskContext
+
+        class Placed(Partitioner):
+            def partition(self, key):
+                return placement[key]
+
+        reducers = Placed(max(placement.values()) + 2)  # the last gets nothing
+        dep = CheckpointedRDD(sc, partitions, None).partitionBy(
+            partitioner=reducers
+        )._shuffle_dep
+        written = [
+            sc._scheduler._shuffle_map_task(dep, mp, TaskContext(0, mp, 1))
+            for mp in range(len(partitions))
+        ]
+        return dep.shuffle_id, written
+
+    def test_map_task_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
+        """The map task walks each distinct non-array value object once
+        (an exact array reads its ``nbytes``) as it buckets the records;
+        ``fetch`` looks the sizes up."""
+        from repro.sparkle import scheduler
 
         walked = []
         monkeypatch.setattr(
-            shuffle, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+            scheduler, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
         )
-        sm = ShuffleManager(MemoryManager(None))
-        sid = sm.new_shuffle_id()
         tile = np.ones((4, 4))
-        assert sm.write(sid, 0, {0: [(1, ("x", tile))], 1: [(2, tile), (3, tile)]}) == 441
-        assert sm.write(sid, 1, {1: [(4, ("u", tile))]}) == 153
-        assert [v[0] for v in walked] == ["x", "u"]
-        items, nbytes, remote = sm.fetch(sid, 1, 2, remote_map_partition=lambda mp: mp == 1)
-        assert [k for k, _v in items] == [2, 3, 4]
-        assert (nbytes, remote) == (2 * (16 + 128) + 153, 153)
-        assert sm.fetch(sid, 0, 2)[1:] == (153, 0)
-        assert sm.fetch(sid, 2, 2) == ([], 0, 0)  # nothing bucketed for it
-        assert len(walked) == 2
-        assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
+        with SparkleContext(2, 1) as sc:
+            sm = sc._shuffle_manager
+            sid, written = self.map_tasks(
+                sc,
+                [[(1, ("x", tile)), (2, tile), (3, tile)], [(4, ("u", tile))]],
+                {1: 0, 2: 1, 3: 1, 4: 1},
+            )
+            assert written == [441, 153]
+            assert [v[0] for v in walked] == ["x", "u"]
+            items, nbytes, remote = sm.fetch(
+                sid, 1, 2, remote_map_partition=lambda mp: mp == 1
+            )
+            assert [k for k, _v in items] == [2, 3, 4]
+            assert (nbytes, remote) == (2 * (16 + 128) + 153, 153)
+            assert sm.fetch(sid, 0, 2)[1:] == (153, 0)
+            assert sm.fetch(sid, 2, 2) == ([], 0, 0)  # nothing bucketed for it
+            assert len(walked) == 2
+            assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
 
-    def test_manager_sizes_a_shared_fan_out_value_once(self, monkeypatch):
+    def test_map_task_sizes_a_shared_fan_out_value_once(self, monkeypatch):
         """23 fan-out records sharing one role tuple — across buckets —
-        walk it once, and ``write`` returns the per-record formula's
+        walk it once, and the map task writes the per-record formula's
         total, ``16 + sizeof_block(value)`` a record."""
-        from repro.sparkle import shuffle
+        from repro.sparkle import scheduler
 
         walked = []
         monkeypatch.setattr(
-            shuffle, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+            scheduler, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
         )
-        sm = ShuffleManager(MemoryManager(None))
         shared = ("uw", np.ones((4, 4)))
         records = [((0, j), shared) for j in range(23)]
-        buckets = {0: records[:10], 1: records[10:]}
+        with SparkleContext(2, 1) as sc:
+            _sid, written = self.map_tasks(
+                sc, [records], {key: int(key[1] >= 10) for key, _v in records}
+            )
         per_record = 23 * (16 + sizeof_block(shared))
-        assert sm.write(sm.new_shuffle_id(), 0, buckets) == per_record == 23 * 154
+        assert written == [per_record] and per_record == 23 * 154
         assert walked == [shared]
 
     @pytest.mark.parametrize("spilled", [False, True])
@@ -184,7 +216,7 @@ class TestShuffleAccounting:
 
         def stage(sid):
             for mp in range(3):
-                sm.write(sid, mp, {0: [(0, np.full(16, float(mp)))]})
+                sm.write(sid, mp, {0: [(0, np.full(16, float(mp)))]}, {0: 144})
             assert sm.num_spilled == int(spilled)
             assert set(sm._bucket_bytes) == {(sid, 0), (sid, 1), (sid, 2)}
 
@@ -195,7 +227,9 @@ class TestShuffleAccounting:
         stage(second)
         assert sm.drop_executor_outputs(lambda mp: mp == 0) == [(second, 0)]
         assert set(sm._bucket_bytes) == {(second, 1), (second, 2)}
-        sm.write(second, 1, {0: [(0, np.ones(2))], 3: [(1, np.ones(1))]})  # the retry
+        sm.write(  # the retry
+            second, 1, {0: [(0, np.ones(2))], 3: [(1, np.ones(1))]}, {0: 32, 3: 24}
+        )
         assert sm._bucket_bytes[(second, 1)] == {0: 32, 3: 24}
         sm.clear()
         assert sm._bucket_bytes == {} and sm.num_spilled == 0
@@ -208,7 +242,7 @@ class TestShuffleAccounting:
         sm = ShuffleManager(MemoryManager(300, task_quantum_bytes=1), spill=store)
         sid = sm.new_shuffle_id()
         for mp in range(3):
-            sm.write(sid, mp, {0: [(0, np.ones(16))]})
+            sm.write(sid, mp, {0: [(0, np.ones(16))]}, {0: 144})
         path = store.blocks_dir / store._filename(repr(("shuffle", sid, 0)))
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
@@ -382,6 +416,54 @@ class TestBroadcastAndStorage:
                 sc.shared_storage.get("nope")
             with pytest.raises(KeyError):
                 sc.shared_storage.get("nope")
+
+    @pytest.mark.parametrize("bad", ["faulted", "missing"])
+    def test_get_many_books_what_the_per_key_loop_books(self, bad):
+        """One batched read books and fires what reading its keys one
+        ``get`` at a time does: the reads before a faulted or missing key
+        count, that key raises, and no key after it is fault-checked —
+        three 32 B reads, and one fired fault or none."""
+        from repro.sparkle.chaos import CURRENT_TASK
+        from repro.sparkle.errors import TransientIOError
+        from repro.sparkle.scheduler import TaskContext
+        from repro.sparkle.storage import SharedStorage
+
+        def plan():
+            return FaultPlan(11, [FaultSpec("storage", rate=0.5)])
+
+        tiles = {("bc", 0, (i, 0)): np.full(4, float(i)) for i in range(16)}
+        token = CURRENT_TASK.set(TaskContext(3, 1, 1))
+        try:
+            probe = plan()
+            faulted = [key for key in tiles if probe.io_fault("storage", key)]
+            clean = [key for key in tiles if key not in faulted]
+            missing = next(
+                key for key in (("bc", 0, (i, 1)) for i in range(16))
+                if not probe.io_fault("storage", key)
+            )
+            assert len(faulted) >= 2 and len(clean) >= 2
+            culprit = faulted[0] if bad == "faulted" else missing
+            keys = [clean[0], clean[1], clean[0], culprit, faulted[-1]]
+            error = TransientIOError if bad == "faulted" else BlockNotFoundError
+            booked = []
+            for batched in (False, True):
+                metrics, faults = EngineMetrics(), plan()
+                storage = SharedStorage(metrics, fault_plan=faults)
+                for key, tile in tiles.items():
+                    storage.put(key, tile)
+                with pytest.raises(error):
+                    if batched:
+                        storage.get_many(keys)
+                    else:
+                        for key in keys:
+                            storage.get(key)
+                booked.append(
+                    (metrics.storage_bytes_read, metrics.storage_gets,
+                     faults.fired()["storage"])
+                )
+        finally:
+            CURRENT_TASK.reset(token)
+        assert booked[0] == booked[1] == (3 * 32, 3, int(bad == "faulted"))
 
     def test_shared_storage_live_bytes_running_total(self):
         with SparkleContext(1, 1) as sc:

@@ -30,10 +30,6 @@ class TestBasicTransformations:
             0, 2, 4, 6, 8,
         ]
 
-    def test_filter(self, sc):
-        out = sc.parallelize(range(10), 3).filter(lambda x: x % 2 == 0).collect()
-        assert out == [0, 2, 4, 6, 8]
-
     def test_flat_map(self, sc):
         out = sc.parallelize([1, 2], 1).flatMap(lambda x: [x] * x).collect()
         assert out == [1, 2, 2]
