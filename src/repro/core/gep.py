@@ -129,9 +129,9 @@ class GepSpec(abc.ABC):
 
         The tile kernels' mask-free fast path, and the one place a tile
         update picks C or NumPy: the compiled fold (:attr:`native_fold`)
-        where it covers the call, with final bits, else :meth:`apply_k`
-        with ``u[..., :, kk]``, ``v[..., kk, :]``, ``w[..., kk, kk]`` and
-        no mask for ``kk = 0 .. pivot-1``.  Both leave the same bits,
+        where it covers the call (a 2-D tile), with final bits, else
+        :meth:`apply_k` with ``u[..., :, kk]``, ``v[..., kk, :]``, ``w[...,
+        kk, kk]`` and no mask for ``kk = 0 .. pivot-1``.  Both leave the same bits,
         including when ``u``/``v``/``w`` alias ``x``.
 
         ``x`` may be a stack ``(M, rows, cols)`` with ``u`` ``(M, rows,

@@ -7,9 +7,11 @@ the data plane: the driver's threads hand it to :func:`update_tiles`,
 the process plane pickles it to a worker as it is (pickle's memo ships
 each distinct array once, so operands shared by identity stay shared)
 and the worker hands it to :func:`update_tiles` too.  These two
-functions are the only place a tile gets its private copy and has its
-aliases resolved, so both sides of the process boundary compute the
-same thing — the same stacks included — by construction.
+functions are where a tile gets its private copy and has its aliases
+resolved — directly, or through the kernel's ``run_stacks``, which
+applies the same rule to the copies it makes — so both sides of the
+process boundary compute the same thing, the same batches included, by
+construction.
 
 Kernels stay duck-typed: anything with ``run(case, x, u, v, w, gi0,
 gj0, gk0, n_global, stats=)`` is one, and ``run_stacks(calls, stats)``
@@ -65,14 +67,16 @@ def update_tiles(kernel, calls, stats=None, *, stacks=True, mark=None) -> list:
     """Update one task's tiles; returns the updated arrays in call order.
 
     The kernel's ``run_stacks``, where it has one (and ``stacks`` is
-    true), takes the calls it can stack; :func:`update_tile` takes
+    true, and there is more than one call — the process worker's rule
+    too), takes the calls it can batch; :func:`update_tile` takes
     whatever it left (``None``).  Both produce the same bytes.
 
-    ``mark(None)`` runs before the stacked phase and ``mark(i)`` before
+    ``mark(None)`` runs before the batched phase and ``mark(i)`` before
     call ``i`` goes through :func:`update_tile`: the process worker
     publishes its heartbeat token there, which is how a crash is pinned
-    to the stacked phase or to one call (DESIGN.md §13).
+    to the batched phase or to one call (DESIGN.md §13).
     """
+    stacks = stacks and len(calls) > 1
     run_stacks = getattr(kernel, "run_stacks", None) if stacks else None
     if run_stacks is None:
         results = [None] * len(calls)

@@ -45,31 +45,44 @@ is tested against.  Every other tile — all of FW/TC, and GE's trailing
 tiles — is one ``GepSpec.apply_steps`` call, the one place a tile
 update picks C or NumPy: the compiled fold where it covers the spec and
 the layout (min-plus, max-plus, boolean and GE; float64 / bool, rows
-contiguous, non-negative strides — :func:`.native.fold`), one call per
-tile or stack with final bits, and otherwise ``GepSpec.apply_k`` once
-per step, unmasked — the fallback and the oracle the compiled fold is
-tested against.  Both take each cell's steps in ``k`` order and never
+contiguous, non-negative strides, one 2-D tile — :func:`.native.fold`),
+one call per tile with final bits, and otherwise ``GepSpec.apply_k``
+once per step, unmasked — the fallback and the oracle the compiled fold
+is tested against.  Both take each cell's steps in ``k`` order and never
 re-associate them; the tropical semirings' ±inf guard (``inf + (-inf)``
 is the semiring zero) runs at every step in either.
 
-Stacks
-------
+Batches and stacks
+------------------
 Every call pays a fixed cost — validation, Σ_G predicates, the call
 into C or NumPy's ufunc dispatch — and an 8x8 tile is only 512 cell
 updates, so on small tiles that cost is most of the call.  So the unit
-of the fast path is a *stack*: ``x`` ``(M, rows, cols)``, ``u`` ``(M,
-rows, pivot)``, ``v`` ``(M, pivot, cols)``, ``w`` one pivot tile shared
-by the stack or ``(M, pivot, pivot)``, ``gi0`` / ``gj0`` sequences of
-``M`` offsets, one ``gk0``.  A 2-D tile is the stack of one — the same
-code, indexed from the last axes — and every tile of a stack ends with
-exactly the bits it would have alone:
+of the fast path is a task's whole call list.
+:meth:`IterativeKernel.run_stacks` hands it to :func:`.native.fold_calls`
+first: one C call folds every call into the private copy of its tile
+(``[call[1].copy() for call in calls]``, the caller's retry-purity
+copy, which the result is), resolving ``ALIAS_X`` / the tile itself to
+that copy, cutting each pivot range at the end of the spec's active
+steps (``GepSpec.k_active``'s prefix, found once per table size) and
+deriving Σ_G's corner from the offsets on the constrained axes — the
+same corner and per-tile C fold :func:`gep_tile_update` reaches, so the
+same bits.  ``KernelStats`` records one base invocation per tile, in
+call order.  Per call that is ~1 µs of copy and buffer reads around the
+arithmetic, where the Python stacking below cost ~5 µs.
 
-* the compiled fold takes a whole stack in one call — a D stack tile by
-  tile, each cell held in a register across the range's steps, a stack
-  aliasing ``x`` (a panel, below) step by step over all its tiles, each
-  cell's steps in ``k`` order either way;
+What the C declines — another dtype, a layout it refuses, a spec with
+no compiled fold, no library (``make tier1-nocc``), a kernel subclass
+that overrides :meth:`IterativeKernel.run` — goes to NumPy *stacks*:
+``x`` ``(M, rows, cols)``, ``u`` ``(M, rows, pivot)``, ``v`` ``(M,
+pivot, cols)``, ``w`` one pivot tile shared by the stack or ``(M, pivot,
+pivot)``, ``gi0`` / ``gj0`` sequences of ``M`` offsets, one ``gk0``.  A
+2-D tile is the stack of one — the same code, indexed from the last
+axes — and every tile of a stack ends with exactly the bits it would
+have alone:
+
 * NumPy takes one ``apply_k`` per step over the whole stack, all
-  elementwise, with GE's pivot per tile shaped ``(M, 1, 1)``;
+  elementwise, with GE's pivot per tile shaped ``(M, 1, 1)`` (the C
+  folds 2-D tiles only and declines a stack);
 * Σ_G mask-freedom is checked once per stack
   (``GepSpec.sigma_mask_free_stack``: the smallest ``gi0`` and ``gj0``
   decide it) and ``k_active`` once per stack (one pivot range, probed at
@@ -79,7 +92,7 @@ exactly the bits it would have alone:
   ``gi0`` for a B panel, one ``gj0`` for a C panel, or that axis
   unconstrained over the range) and one pivot tile; otherwise it falls
   apart into its tiles, each taking the general path;
-* ``KernelStats`` records one base invocation per tile, as ever.
+* ``KernelStats`` records one base invocation per tile, in stack order.
 
 One caveat is NumPy's, not the arithmetic's: which operand's NaN a
 commutative ufunc returns when both are NaN depends on where a cell
@@ -89,8 +102,8 @@ meeting one the arithmetic produced — may come out with either sign
 bit.  A tropical stack never meets such a pair: the guard makes every
 NaN candidate the semiring zero.
 
-:meth:`IterativeKernel.run_stacks` is where a task's call list becomes
-stacks, of tiles with equal geometry, pivot range and the spec's dtype:
+The NumPy stacks group tiles with equal geometry, pivot range and the
+spec's dtype:
 
 * case-D calls (four distinct tiles), ``_FOLD_CHUNK_ELEMS // (cells x
   pivot)`` deep — 64 tiles at 8x8, 8 at 16x16, 2 at 25x25; from 26x26
@@ -104,11 +117,10 @@ stacks, of tiles with equal geometry, pivot range and the spec's dtype:
   panel is ``_FOLD_CHUNK_ELEMS // cells`` deep: 512 tiles at 8x8, 3 at
   96x96, none from 182x182 up.
 
-Stacking copies the inputs (that copy *is* the caller's private
-retry-purity copy) and every result is copied out to own its memory: a
-view would pin its whole stack behind one live tile and report the
-stack's bytes nowhere.  Case A, foreign dtypes, ``pure_loop`` and the
-odd tile out stay single calls.
+Stacking copies the inputs (that copy *is* the private copy) and every
+result is copied out to own its memory: a view would pin its whole stack
+behind one live tile and report the stack's bytes nowhere.  Case A,
+foreign dtypes, ``pure_loop`` and the odd tile out stay single calls.
 """
 
 from __future__ import annotations
@@ -233,6 +245,20 @@ def _active_steps(spec: GepSpec, gk0: int, pivot: int, n_global: int) -> int:
     return steps
 
 
+def _active_end(spec: GepSpec, n_global: int) -> int:
+    """The end ``hi`` of the active steps ``[0, hi)`` on an ``n_global``
+    table (``GepSpec.k_active``'s prefix contract), found by bisection:
+    what the C batch cuts each call's pivot range at."""
+    lo, hi = 0, n_global
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if spec.k_active(mid, n_global):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def gep_tile_update_loop(
     spec: GepSpec,
     x: np.ndarray,
@@ -334,29 +360,73 @@ class IterativeKernel:
             )
 
     def run_stacks(self, calls: list, stats: KernelStats | None = None) -> list:
-        """Update the stackable tiles of one task's call list.
+        """Update the tiles of one task's call list that one C call or a
+        NumPy stack can take.
 
         ``calls`` entries are ``(case, tile, u, v, w, gi0, gj0, gk0,
-        n_global)``.  Calls that agree on :func:`_stack_key` — case-D
-        calls of equal geometry and pivot range, or a panel: case-B calls
-        on one pivot row (the same ``u`` / ``w`` objects and ``gi0``),
-        case-C calls on one pivot column (the same ``v`` / ``w`` and
-        ``gj0``) — in the spec's dtype are stacked as deep as
-        ``_FOLD_CHUNK_ELEMS`` allows, and each stack is one :meth:`run`.
-        A panel's aliased operand is the stack itself (so ``k`` stays
-        sequential) and its shared pivot a broadcast view.  The stack is
-        the private copy: the input tiles are never written.  Returns a
-        list aligned with ``calls``: the updated tile (owning its memory,
-        never a view of the stack) or ``None`` for every call left to the
-        caller — case A, foreign dtypes, tiles too large to stack two
-        of, an odd one out.
+        n_global)``.  The whole list goes to :func:`.native.fold_calls`
+        first, folded into private copies of the tiles in one C call;
+        the calls it declines (a foreign dtype, a layout the C refuses, a
+        spec with no compiled fold, no library) are stacked in NumPy
+        (:meth:`_numpy_stacks`).  A subclass that overrides :meth:`run`
+        sees every tile update through it: its calls skip the C batch.
+        The input tiles are never written.  Returns a list aligned with
+        ``calls``: the updated tile (owning its memory, never a view of a
+        stack) or ``None`` for every call left to the caller — with
+        ``pure_loop``, or when NumPy has it: case A, foreign dtypes,
+        tiles too large to stack two of, an odd one out.
         """
         results: list = [None] * len(calls)
         if self.pure_loop:
             return results
+        todo = range(len(calls))
+        if type(self).run is IterativeKernel.run:
+            todo = self._fold_calls(calls, results, stats)
+        if todo:
+            self._numpy_stacks(calls, todo, results, stats)
+        return results
+
+    def _fold_calls(self, calls: list, results: list, stats: KernelStats | None):
+        """The C batch: fold every call it covers into ``results`` (and
+        ``stats``, in call order); returns the indices it declined."""
+        spec = self.spec
+        copies = [call[1].copy() for call in calls]
+        ends = {n: _active_end(spec, n) for n in {call[8] for call in calls}}
+        done = native.fold_calls(
+            spec.native_fold, calls, copies, ALIAS_X, ends,
+            (spec.constrains_i, spec.constrains_j),
+        )
+        if done is None:
+            return range(len(calls))
+        if stats is None and None not in done:
+            results[:] = copies
+            return ()
+        declined = []
+        for idx, updates in enumerate(done):
+            if updates is None:
+                declined.append(idx)
+                continue
+            results[idx] = copies[idx]
+            if stats is not None:
+                case, tile, u, _v, w = calls[idx][:5]
+                pivot = u if w is None else w
+                pivot = tile if _aliases(pivot, tile) else pivot
+                stats.record_base(case, *tile.shape, pivot.shape[-1], updates)
+        return declined
+
+    def _numpy_stacks(self, calls: list, todo, results: list, stats: KernelStats | None):
+        """Stack the calls at indices ``todo`` that agree on
+        :func:`_stack_key` — case-D calls of equal geometry and pivot
+        range, or a panel: case-B calls on one pivot row (the same ``u``
+        / ``w`` objects and ``gi0``), case-C calls on one pivot column
+        (the same ``v`` / ``w`` and ``gj0``) — in the spec's dtype, as
+        deep as ``_FOLD_CHUNK_ELEMS`` allows; each stack is one
+        :meth:`run`.  A panel's aliased operand is the stack itself (so
+        ``k`` stays sequential) and its shared pivot a broadcast view;
+        the stack is the private copy."""
         groups: dict[tuple, list[int]] = {}
-        for idx, call in enumerate(calls):
-            alike = _stack_key(call)
+        for idx in todo:
+            alike = _stack_key(calls[idx])
             if alike is not None:
                 groups.setdefault(alike, []).append(idx)
         dtype = self.spec.dtype
@@ -394,7 +464,6 @@ class IterativeKernel:
                 self.run(case, x, u_s, v_s, w_s, gi0s, gj0s, gk0, n_global, stats)
                 for idx, updated in zip(part, x):
                     results[idx] = updated.copy()
-        return results
 
     def describe(self) -> dict:
         """Kernel metadata recorded into execution traces; ``fold`` says

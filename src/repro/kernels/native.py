@@ -1,8 +1,9 @@
-"""The compiled tile folds: one C call per stack of tiles.
+"""The compiled tile folds: one C call per tile, or per task's batch.
 
-The paper runs its tile kernels as native code inside each executor.
-This module holds that code — one C source, four entry points — and
-builds it on first use with the host's C compiler:
+The paper runs its tile kernels as native code inside each executor,
+handed a partition's blocks.  This module holds that code — one C
+source, two entry points, written against the CPython API — and builds
+it on first use with the host's C compiler.  Four folds share it:
 
 ``minplus`` / ``maxplus``
     The semiring's guarded fold: ``x[i,j] = x[i,j] ⊕ c`` with ``c =
@@ -21,22 +22,42 @@ builds it on first use with the host's C compiler:
 ``ge``
     Gaussian elimination's ``x = x - ((u * v) / w[k,k])``: the multiply,
     divide and subtract of ``GaussianEliminationGep.apply_k``, in that
-    order, step by step.  It also takes Σ_G's *corner* ``(ri,
-    cj)``: step ``k`` updates only rows ``i >= k + ri`` and columns
-    ``j >= k + cj`` of every tile, so a masked tile or panel
-    (``GaussianEliminationGep.apply_corner``) is one call too; it runs
-    k-outer, below, each step over its corner.
+    order, step by step.
 
-Each folds a whole stack ``(M, rows, cols)`` with ``u`` ``(M, rows, K)``
-and ``v`` ``(M, K, cols)`` (a 2-D tile is the stack of one) in one
-``ctypes`` call, which releases the GIL.  Every operand has its own
-strides; a stack stride of 0 is a pivot panel shared through
-``np.broadcast_to``.  The float folds take one of two loop orders,
-chosen in C from the operands' address ranges:
+Every fold also takes Σ_G's *corner* ``(ri, cj)``: step ``k`` updates
+only rows ``i >= k + ri`` and columns ``j >= k + cj`` (``ri = cj = -K``
+is the whole tile at every step), so a masked GE tile is one call too;
+``orand`` takes whole tiles only.  The two entry points:
 
-* **Apart** — ``u``, ``v`` (and GE's pivots) span no byte of ``x``, and
-  ``v``'s rows are contiguous: kernel case D, ``run_stacks``' D stacks,
-  the recursive kernel's sub-views of distinct tiles.  Each tile is
+``fold_one(op, x, u, v, w, corner)`` — :func:`fold`
+    One 2-D tile in place: what ``GepSpec.apply_steps`` /
+    ``apply_corner`` reach for the tile kernels' per-tile path (the
+    recursive kernel's sub-views included).
+``fold_calls(op, calls, copies, alias_x, ends, ci, cj)`` — :func:`fold_calls`
+    One task's whole call list, ``(case, tile, u, v, w, gi0, gj0, gk0,
+    n_global)`` as ``_call_builders`` shapes it, folded into ``copies``
+    (the caller's private copy of each tile).  An operand that is
+    ``alias_x`` or the call's tile itself reads the copy (cases A / B /
+    C).  A call's active steps are ``gk0 .. min(gk0 + K, ends[n_global])
+    - 1`` (``ends``: the end of ``GepSpec.k_active``'s prefix, computed
+    once per task in Python) and its corner comes from the offsets on
+    the constrained axes (``ci`` / ``cj``).  It returns, per call, the
+    cell updates made — or ``None`` for a call it declined, whose copy
+    it left untouched.  Operands shared by several calls (a pivot tile
+    fanned out to a row of D tiles) are read through one buffer.
+
+Both read every operand through the buffer protocol and check its
+layout in C: ``float64`` (``bool`` for ``orand``) items, two axes,
+aligned, non-negative strides, ``x``'s rows contiguous and not
+overlapping, shapes ``u (rows, K)``, ``v (K, cols)``, ``w (K, K)`` (GE
+needs ``w``).  Anything else is declined — ``fold`` returns ``False``
+and the caller's NumPy fold runs.  The arithmetic runs with the GIL
+released.  Each fold takes one of two loop orders, chosen in C from the
+operands' address ranges:
+
+* **Apart** — ``u``, ``v`` (and GE's pivot) span no byte of ``x``, the
+  corner is the whole tile and ``v``'s rows are contiguous: kernel case
+  D, the recursive kernel's sub-views of distinct tiles.  The tile is
   register-blocked: a 4-row x 16-column block of ``x`` (GCC / Clang
   ``vector_size`` lanes) stays in registers across all ``K`` steps,
   reading one ``v`` row segment and four ``u`` values per step; narrower
@@ -51,27 +72,28 @@ chosen in C from the operands' address ranges:
   their second operand on a tie — and otherwise the same blocks run the
   guarded step.  The scan decides speed only.
 * **k-outer** — an operand may share memory with ``x`` (kernel cases
-  A/B/C, their panels, the recursive kernel's overlapping views),
-  ``v``'s columns are strided, or GE's corner masks some step.  Step
-  ``k`` copies what every tile reads of its ``u`` column and ``v`` row
-  (and GE's pivot) to scratch before it writes ``x`` — NumPy's order,
-  whose step product is complete before ``x`` changes — so they read
-  exactly what they read there.
+  A/B/C, the recursive kernel's overlapping views), ``v``'s columns are
+  strided, or the corner masks some step.  Step ``k`` copies the ``u``
+  column and ``v`` row it reads (and reads GE's pivot) before it writes
+  ``x`` — NumPy's order, whose step product is complete before ``x``
+  changes — so they read exactly what they read there.  The scratch for
+  those copies is allocated once per entry call: once per task batch.
 
 Both run each cell's steps in ``k`` order through one expression, so
 the loop order changes no bit.
 
-:func:`fold` returns ``False``, and ``GepSpec.apply_steps`` runs
-``apply_k`` step by step, for anything the C does not cover: no entry
-point (``None``), another dtype, an ``x`` whose rows are not contiguous
-or whose tiles could overlap, a negative or unaligned stride,
-mismatched shapes — or no library.  The library is
-built with ``$CC`` (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}
-/repro/``, keyed on the source, the compiler's version, the flags and
-the CPU's ISA flags, so a library built for another CPU is never
-loaded.  It is published with ``os.replace``, so processes racing a
-cold cache each load one complete file.  A failed build or load is
-recorded and :func:`status` reports it; NumPy runs from then on.
+The library is built with ``$CC`` (default ``cc``) and this
+interpreter's include directory (``Python.h``) into
+``${XDG_CACHE_HOME:-~/.cache}/repro/``, keyed on the source, the
+compiler's version, the flags, the CPU's ISA flags and the
+interpreter's ABI (``SOABI``), so a library built for another CPU or
+another Python is never loaded; a warm cache needs no compiler run and
+no headers.  It is loaded with ``ctypes.PyDLL`` (the entry points take
+and return Python objects and release the GIL themselves) and published
+with ``os.replace``, so processes racing a cold cache each load one
+complete file.  A failed build or load — no compiler, no ``Python.h``,
+an unwritable cache — is recorded and :func:`status` reports it; NumPy
+runs from then on.
 """
 
 from __future__ import annotations
@@ -83,15 +105,18 @@ import platform
 import shlex
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fold", "fold_of", "status"]
+__all__ = ["fold", "fold_calls", "fold_of", "status"]
 
 _SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -100,9 +125,10 @@ _SOURCE = r"""
 #include <immintrin.h>
 #endif
 
-typedef ptrdiff_t idx;
+typedef Py_ssize_t idx;
 
-enum { MINPLUS, MAXPLUS, GE };
+/* the fold codes native.py passes: its _DTYPES order */
+enum { MINPLUS, MAXPLUS, GE, ORAND };
 
 #define INLINE static inline __attribute__((always_inline))
 /* the semiring zero a NaN a + b becomes: +inf for min-plus, -inf for max-plus */
@@ -228,40 +254,35 @@ INLINE void tile(int op, int keep, double *x, idx xr, const double *u, idx ur,
 
 enum { HAS_NAN = 1, HAS_PINF = 2, HAS_NINF = 4 };
 
-/* Which of NaN, +inf and -inf the M x R x L elements at
-   a + m*ms + r*rs + l*s hold.  Contiguous rows and tiles are scanned as
-   one run, eight lanes at a time. */
-static int scan(const double *a, idx M, idx ms, idx R, idx rs, idx L, idx s)
+/* Which of NaN, +inf and -inf the R x L elements at a + r*rs + l*s
+   hold.  Contiguous rows are scanned as one run, eight lanes at a
+   time. */
+static int scan(const double *a, idx R, idx rs, idx L, idx s)
 {
     if (s == 1 && rs == L) {
         L *= R;
         R = 1;
-        if (ms == L) {
-            L *= M;
-            M = 1;
-        }
     }
     const double inf = __builtin_inf();
     const vd vinf = BCAST(inf);
     vmask nan = {0}, pinf = {0}, ninf = {0};
     int f = 0;
-    for (idx m = 0; m < M; m++)
-        for (idx r = 0; r < R; r++) {
-            const double *p = a + m * ms + r * rs;
-            idx l = 0;
-            if (s == 1)
-                for (; l + 8 <= L; l += 8) {
-                    const vd t = load(p + l);
-                    nan |= (vmask)(t != t);
-                    pinf |= (vmask)(t == vinf);
-                    ninf |= (vmask)(t == -vinf);
-                }
-            for (; l < L; l++) {
-                const double t = p[l * s];
-                f |= (t != t ? HAS_NAN : 0) | (t == inf ? HAS_PINF : 0)
-                     | (t == -inf ? HAS_NINF : 0);
+    for (idx r = 0; r < R; r++) {
+        const double *p = a + r * rs;
+        idx l = 0;
+        if (s == 1)
+            for (; l + 8 <= L; l += 8) {
+                const vd t = load(p + l);
+                nan |= (vmask)(t != t);
+                pinf |= (vmask)(t == vinf);
+                ninf |= (vmask)(t == -vinf);
             }
+        for (; l < L; l++) {
+            const double t = p[l * s];
+            f |= (t != t ? HAS_NAN : 0) | (t == inf ? HAS_PINF : 0)
+                 | (t == -inf ? HAS_NINF : 0);
         }
+    }
     for (int l = 0; l < 8; l++)
         f |= (nan[l] ? HAS_NAN : 0) | (pinf[l] ? HAS_PINF : 0)
              | (ninf[l] ? HAS_NINF : 0);
@@ -277,148 +298,379 @@ static int apart(const double *a, idx n, const double *b, idx m)
            || b0 + sizeof(double) * (size_t)m <= a0;
 }
 
-/* The fold of operands that share no memory with x (kernel case D),
-   v's rows contiguous: every tile register-blocked over all K steps.
+/* One call of a fold: x (rows x cols, row stride xr, contiguous
+   columns) takes K steps from u[i][k] at u + i*ur + k*uk, v[k][j] at
+   v + k*vk + j*vc and GE's pivot w[k][k] at w + k*wd; step k updates
+   the corner of rows i >= k + ri and columns j >= k + cj.  Strides are
+   in items. */
+typedef struct {
+    int op;
+    char *x;
+    const char *u, *v, *w;
+    idx rows, cols, K, xr, ur, uk, vk, vc, wd, ri, cj;
+} job;
+
+/* The fold of whole-tile operands that share no memory with x (kernel
+   case D), v's rows contiguous: register-blocked over all K steps.
    min-plus / max-plus first scan the operands: with no NaN anywhere and
    no +inf in u meeting a -inf in v (or the reverse) no step can see a
    NaN, and the plain compare gives the guarded step's bits. */
 INLINE void fold_apart(int op, double *x, const double *u, const double *v,
-                       const double *w, idx M, idx rows, idx cols, idx K,
-                       idx xm, idx xr, idx um, idx ur, idx uk, idx vm, idx vk,
-                       idx wm, idx wd)
+                       const double *w, const job *j)
 {
-    int keep = 1;
-    if (op != GE) {
-        const int fx = scan(x, M, xm, rows, xr, cols, 1);
-        const int fu = scan(u, um ? M : 1, um, rows, ur, K, uk);
-        const int fv = scan(v, vm ? M : 1, vm, K, vk, cols, 1);
-        keep = ((fx | fu | fv) & HAS_NAN)
-               || ((fu & HAS_PINF) && (fv & HAS_NINF))
-               || ((fu & HAS_NINF) && (fv & HAS_PINF));
+    const idx rows = j->rows, cols = j->cols, K = j->K;
+    if (op == GE) {
+        tile(GE, 1, x, j->xr, u, j->ur, j->uk, v, j->vk, w, j->wd, rows, cols, K);
+        return;
     }
-    for (idx m = 0; m < M; m++) {
-        double *xt = x + m * xm;
-        const double *ut = u + m * um, *vt = v + m * vm;
-        if (op == GE)
-            tile(GE, 1, xt, xr, ut, ur, uk, vt, vk, w + m * wm, wd, rows, cols, K);
-        else if (keep)
-            tile(op, 1, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
-        else
-            tile(op, 0, xt, xr, ut, ur, uk, vt, vk, NULL, 0, rows, cols, K);
-    }
+    const int fx = scan(x, rows, j->xr, cols, 1);
+    const int fu = scan(u, rows, j->ur, K, j->uk);
+    const int fv = scan(v, K, j->vk, cols, 1);
+    const int keep = ((fx | fu | fv) & HAS_NAN)
+                     || ((fu & HAS_PINF) && (fv & HAS_NINF))
+                     || ((fu & HAS_NINF) && (fv & HAS_PINF));
+    if (keep)
+        tile(op, 1, x, j->xr, u, j->ur, j->uk, v, j->vk, NULL, 0, rows, cols, K);
+    else
+        tile(op, 0, x, j->xr, u, j->ur, j->uk, v, j->vk, NULL, 0, rows, cols, K);
 }
 
-/* K steps over a stack of M tiles.  Tile m's row i of x starts at
-   x + m*xm + i*xr (contiguous columns); u[m][i][k] is at
-   u + m*um + i*ur + k*uk and v[m][k][j] at v + m*vm + k*vk + j*vc;
-   GE's pivot w[m][k][k] at w + m*wm + k*wd.  Step k updates the corner
-   of rows i >= k + ri and columns j >= k + cj of every tile (GE's Σ_G;
-   ri = cj = -K is the whole tile at every step).  Whole-tile operands
-   that share no memory with x take fold_apart (when v's rows are
-   contiguous, as the kernels' tiles and stacks are); the rest step k by
-   k below, each step's corner shrinking with k. */
-INLINE int fold_f64(
-    int op, double *x, const double *u, const double *v,
-    const double *w, idx M, idx rows, idx cols, idx K, idx xm, idx xr,
-    idx um, idx ur, idx uk, idx vm, idx vk, idx vc, idx wm, idx wd, idx ri,
-    idx cj)
+/* Whole-tile operands apart from x take fold_apart; the rest step k by
+   k, each step's corner shrinking with k, through scratch of rows +
+   cols items. */
+INLINE void fold_f64(int op, const job *j, double *scratch)
 {
-    const idx xn = (M - 1) * xm + (rows - 1) * xr + cols;
-    if (K - 1 + ri <= 0 && K - 1 + cj <= 0 && vc == 1
-        && apart(x, xn, u, (M - 1) * um + (rows - 1) * ur + (K - 1) * uk + 1)
-        && apart(x, xn, v, (M - 1) * vm + (K - 1) * vk + cols)
-        && (op != GE || apart(x, xn, w, (M - 1) * wm + (K - 1) * wd + 1))) {
-        fold_apart(op, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk, vm,
-                   vk, wm, wd);
-        return 0;
+    double *x = (double *)j->x;
+    const double *u = (const double *)j->u, *v = (const double *)j->v;
+    const double *w = (const double *)j->w;
+    const idx rows = j->rows, cols = j->cols, K = j->K;
+    const idx xn = (rows - 1) * j->xr + cols;
+    if (K - 1 + j->ri <= 0 && K - 1 + j->cj <= 0 && j->vc == 1
+        && apart(x, xn, u, (rows - 1) * j->ur + (K - 1) * j->uk + 1)
+        && apart(x, xn, v, (K - 1) * j->vk + cols)
+        && (op != GE || apart(x, xn, w, (K - 1) * j->wd + 1))) {
+        fold_apart(op, x, u, v, w, j);
+        return;
     }
-    double *col = malloc(sizeof(double) * (size_t)(M * (rows + cols + 1) + 1));
-    if (col == NULL)
-        return -1;
-    double *row = col + M * rows, *piv = row + M * cols;
+    double *col = scratch, *row = scratch + rows;
     for (idx k = 0; k < K; k++) {
-        const idx i0 = k + ri > 0 ? k + ri : 0, j0 = k + cj > 0 ? k + cj : 0;
+        const idx i0 = k + j->ri > 0 ? k + j->ri : 0;
+        const idx j0 = k + j->cj > 0 ? k + j->cj : 0;
         if (i0 >= rows || j0 >= cols)
             break; /* the corner only shrinks from here */
-        for (idx m = 0; m < M; m++) {
-            for (idx i = i0; i < rows; i++)
-                col[m * rows + i] = u[m * um + i * ur + k * uk];
-            for (idx j = j0; j < cols; j++)
-                row[m * cols + j] = v[m * vm + k * vk + j * vc];
-            if (op == GE)
-                piv[m] = w[m * wm + k * wd];
-        }
-        for (idx m = 0; m < M; m++) {
-            const double *restrict vr = row + m * cols;
-            for (idx i = i0; i < rows; i++) {
-                double *restrict xi = x + m * xm + i * xr;
-                const double a = col[m * rows + i];
-                const double p = op == GE ? piv[m] : 0.0;
-                for (idx j = j0; j < cols; j++)
-                    xi[j] = step1(op, 1, xi[j], a, vr[j], p);
-            }
+        for (idx i = i0; i < rows; i++)
+            col[i] = u[i * j->ur + k * j->uk];
+        for (idx c = j0; c < cols; c++)
+            row[c] = v[k * j->vk + c * j->vc];
+        const double p = op == GE ? w[k * j->wd] : 0.0;
+        for (idx i = i0; i < rows; i++) {
+            double *restrict xi = x + i * j->xr;
+            const double a = col[i];
+            for (idx c = j0; c < cols; c++)
+                xi[c] = step1(op, 1, xi[c], a, row[c], p);
         }
     }
-    free(col);
-    return 0;
 }
 
-int minplus(double *x, const double *u, const double *v, idx M, idx rows,
-            idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc)
+/* x |= u & v, k-outer, whole tile; NumPy's first or-step writes every
+   cell as 0 / 1, and so does this. */
+static void fold_orand(const job *j, unsigned char *scratch)
 {
-    return fold_f64(MINPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
-                    uk, vm, vk, vc, 0, 0, -K, -K);
-}
-
-int maxplus(double *x, const double *u, const double *v, idx M, idx rows,
-            idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-            idx vk, idx vc)
-{
-    return fold_f64(MAXPLUS, x, u, v, NULL, M, rows, cols, K, xm, xr, um, ur,
-                    uk, vm, vk, vc, 0, 0, -K, -K);
-}
-
-int ge(double *x, const double *u, const double *v, idx M, idx rows,
-       idx cols, idx K, idx xm, idx xr, idx um, idx ur, idx uk, idx vm,
-       idx vk, idx vc, const double *w, idx wm, idx wd, idx ri, idx cj)
-{
-    return fold_f64(GE, x, u, v, w, M, rows, cols, K, xm, xr, um, ur, uk,
-                    vm, vk, vc, wm, wd, ri, cj);
-}
-
-int orand(unsigned char *x, const unsigned char *u, const unsigned char *v,
-          idx M, idx rows, idx cols, idx K, idx xm, idx xr, idx um, idx ur,
-          idx uk, idx vm, idx vk, idx vc)
-{
-    unsigned char *col = malloc((size_t)(M * (rows + cols) + 1));
-    if (col == NULL)
-        return -1;
-    unsigned char *row = col + M * rows;
-    /* NumPy's first or-step writes every cell as 0 / 1; so does this */
-    for (idx m = 0; K > 0 && m < M; m++)
+    unsigned char *x = (unsigned char *)j->x;
+    const unsigned char *u = (const unsigned char *)j->u;
+    const unsigned char *v = (const unsigned char *)j->v;
+    const idx rows = j->rows, cols = j->cols;
+    unsigned char *col = scratch, *row = scratch + rows;
+    for (idx i = 0; j->K > 0 && i < rows; i++)
+        for (idx c = 0; c < cols; c++)
+            x[i * j->xr + c] = x[i * j->xr + c] != 0;
+    for (idx k = 0; k < j->K; k++) {
         for (idx i = 0; i < rows; i++)
-            for (idx j = 0; j < cols; j++)
-                x[m * xm + i * xr + j] = x[m * xm + i * xr + j] != 0;
-    for (idx k = 0; k < K; k++) {
-        for (idx m = 0; m < M; m++) {
-            for (idx i = 0; i < rows; i++)
-                col[m * rows + i] = u[m * um + i * ur + k * uk] != 0;
-            for (idx j = 0; j < cols; j++)
-                row[m * cols + j] = v[m * vm + k * vk + j * vc] != 0;
-        }
-        for (idx m = 0; m < M; m++) {
-            const unsigned char *restrict vr = row + m * cols;
-            for (idx i = 0; i < rows; i++) {
-                unsigned char *restrict xi = x + m * xm + i * xr;
-                if (col[m * rows + i])
-                    for (idx j = 0; j < cols; j++)
-                        xi[j] |= vr[j];
-            }
+            col[i] = u[i * j->ur + k * j->uk] != 0;
+        for (idx c = 0; c < cols; c++)
+            row[c] = v[k * j->vk + c * j->vc] != 0;
+        for (idx i = 0; i < rows; i++) {
+            unsigned char *restrict xi = x + i * j->xr;
+            if (col[i])
+                for (idx c = 0; c < cols; c++)
+                    xi[c] |= row[c];
         }
     }
-    free(col);
+}
+
+/* One job; each float fold specialised for its op. */
+static void run(const job *j, double *scratch)
+{
+    if (j->rows == 0 || j->cols == 0 || j->K == 0)
+        return;
+    switch (j->op) {
+    case MINPLUS:
+        fold_f64(MINPLUS, j, scratch);
+        break;
+    case MAXPLUS:
+        fold_f64(MAXPLUS, j, scratch);
+        break;
+    case GE:
+        fold_f64(GE, j, scratch);
+        break;
+    default:
+        fold_orand(j, (unsigned char *)scratch);
+    }
+}
+
+/* Ask obj for a buffer of op's items (writable for x) and check what C
+   relies on: two axes, the item type, an aligned start and
+   non-negative strides that are whole items.  1 with the buffer held,
+   or 0 with nothing held and no error set. */
+static int operand(PyObject *obj, int op, int writable, Py_buffer *b)
+{
+    if (PyObject_GetBuffer(obj, b, writable ? PyBUF_RECORDS : PyBUF_RECORDS_RO)) {
+        PyErr_Clear();
+        return 0;
+    }
+    const idx size = op == ORAND ? 1 : (idx)sizeof(double);
+    int ok = b->ndim == 2 && b->itemsize == size && b->format != NULL
+             && strcmp(b->format, op == ORAND ? "?" : "d") == 0
+             && (uintptr_t)b->buf % (uintptr_t)size == 0;
+    for (int d = 0; ok && d < 2; d++)
+        ok = b->strides[d] >= 0 && b->strides[d] % size == 0;
+    if (!ok)
+        PyBuffer_Release(b);
+    return ok;
+}
+
+/* Fill j from the buffers of x, u, v and w (NULL: none): 1 when the
+   shapes agree and x's rows are contiguous and apart, else 0. */
+static int shape(int op, const Py_buffer *x, const Py_buffer *u,
+                 const Py_buffer *v, const Py_buffer *w, job *j)
+{
+    const idx size = x->itemsize, rows = x->shape[0], cols = x->shape[1];
+    const idx K = u->shape[1];
+    if (u->shape[0] != rows || v->shape[0] != K || v->shape[1] != cols
+        || (w != NULL && (w->shape[0] != K || w->shape[1] != K))
+        || (op == GE && w == NULL) || x->strides[1] != size
+        || (rows > 1 && x->strides[0] < cols * size))
+        return 0;
+    *j = (job){
+        .op = op, .x = x->buf, .u = u->buf, .v = v->buf,
+        .w = w != NULL ? w->buf : NULL, .rows = rows, .cols = cols, .K = K,
+        .xr = x->strides[0] / size, .ur = u->strides[0] / size,
+        .uk = u->strides[1] / size, .vk = v->strides[0] / size,
+        .vc = v->strides[1] / size,
+        .wd = w != NULL ? (w->strides[0] + w->strides[1]) / size : 0,
+        .ri = -K, .cj = -K,
+    };
+    return 1;
+}
+
+/* Run jobs with the GIL released, through one scratch of `items`
+   doubles; -1 (MemoryError set) when it cannot be had. */
+static int run_all(const job *jobs, idx n, idx items)
+{
+    double *scratch = malloc(sizeof(double) * (size_t)(items + 1));
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    for (idx i = 0; i < n; i++)
+        run(&jobs[i], scratch);
+    Py_END_ALLOW_THREADS
+    free(scratch);
     return 0;
+}
+
+/* One tile in place.  corner is None (the whole tile) or (ri, cj); an
+   operand that is x itself reads x's buffer.  True when folded, False
+   when declined with x untouched. */
+PyObject *fold_one(int op, PyObject *x, PyObject *u, PyObject *v,
+                   PyObject *w, PyObject *corner)
+{
+    idx ri = 0, cj = 0;
+    if (corner != Py_None && !PyArg_ParseTuple(corner, "nn", &ri, &cj))
+        return NULL;
+    Py_buffer b[4];
+    PyObject *objs[4] = {x, u, v, w};
+    const Py_buffer *use[4] = {NULL, NULL, NULL, NULL};
+    int held = 0, ok = 1;
+    for (int i = 0; ok && i < 4; i++) {
+        if (objs[i] == Py_None && i == 3)
+            break;
+        if (i > 0 && objs[i] == x) {
+            use[i] = &b[0];
+        } else if ((ok = operand(objs[i], op, i == 0, &b[held]))) {
+            use[i] = &b[held++];
+        }
+    }
+    job j;
+    int done = ok && shape(op, use[0], use[1], use[2], use[3], &j);
+    if (done && corner != Py_None) {
+        j.ri = ri;
+        j.cj = cj;
+        done = op != ORAND || (j.K - 1 + ri <= 0 && j.K - 1 + cj <= 0);
+    }
+    int err = done ? run_all(&j, 1, j.rows + j.cols) : 0;
+    for (int i = 0; i < held; i++)
+        PyBuffer_Release(&b[i]);
+    if (err)
+        return NULL;
+    return PyBool_FromLong(done);
+}
+
+/* The operands of one batch, each distinct object's buffer asked for
+   once: an open-addressed table from object to slot. */
+typedef struct {
+    PyObject **keys;
+    int *slots; /* index into views, -1 for an object declined */
+    idx cap;
+    Py_buffer *views;
+    idx held;
+} operands;
+
+static const Py_buffer *lookup(operands *t, PyObject *obj, int op)
+{
+    idx h = (idx)(((uintptr_t)obj >> 4) & (uintptr_t)(t->cap - 1));
+    while (t->keys[h] != NULL && t->keys[h] != obj)
+        h = (h + 1) & (t->cap - 1);
+    if (t->keys[h] == NULL) {
+        t->keys[h] = obj;
+        t->slots[h] = operand(obj, op, 0, &t->views[t->held]) ? (int)t->held++ : -1;
+    }
+    return t->slots[h] < 0 ? NULL : &t->views[t->slots[h]];
+}
+
+/* Index n of a call: an int (via __index__) in *out, or 0 with no
+   error set. */
+static int number(PyObject *obj, idx *out)
+{
+    *out = PyNumber_AsSsize_t(obj, NULL);
+    if (*out == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    return 1;
+}
+
+/* A task's call list into copies; see the module docstring.  Returns a
+   list of the cell updates per call (updates[c], -1 while declined),
+   None where declined. */
+PyObject *fold_calls(int op, PyObject *calls, PyObject *copies,
+                     PyObject *alias_x, PyObject *ends, int con_i, int con_j)
+{
+    if (!PyList_Check(calls) || !PyList_Check(copies) || !PyDict_Check(ends)
+        || PyList_GET_SIZE(calls) != PyList_GET_SIZE(copies)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fold_calls takes two lists of one length and a dict");
+        return NULL;
+    }
+    const idx n = PyList_GET_SIZE(calls);
+    idx cap = 8;
+    while (cap < 6 * n)
+        cap *= 2;
+    operands t = {NULL, NULL, cap, NULL, 0};
+    job *jobs = malloc(sizeof(job) * (size_t)(n + 1));
+    Py_buffer *xs = malloc(sizeof(Py_buffer) * (size_t)(n + 1));
+    idx *updates = malloc(sizeof(idx) * (size_t)(n + 1));
+    t.keys = calloc((size_t)cap, sizeof(PyObject *));
+    t.slots = malloc(sizeof(int) * (size_t)cap);
+    t.views = malloc(sizeof(Py_buffer) * (size_t)(3 * n + 1));
+    PyObject *out = NULL;
+    idx xs_held = 0, items = 0, failed = 0;
+    if (!jobs || !xs || !updates || !t.keys || !t.slots || !t.views) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (idx c = 0; c < n; c++) {
+        PyObject *call = PyList_GET_ITEM(calls, c);
+        updates[c] = -1;
+        if (!PyTuple_Check(call) || PyTuple_GET_SIZE(call) != 9) {
+            PyErr_Format(PyExc_TypeError, "call %zd is not a 9-tuple", c);
+            failed = 1;
+            goto release;
+        }
+        PyObject *tile = PyTuple_GET_ITEM(call, 1);
+        Py_buffer *x = &xs[xs_held];
+        if (!operand(PyList_GET_ITEM(copies, c), op, 1, x))
+            continue;
+        xs_held++;
+        const Py_buffer *use[3];
+        int ok = 1;
+        for (int i = 0; ok && i < 3; i++) {
+            PyObject *obj = PyTuple_GET_ITEM(call, 2 + i);
+            if (obj == alias_x || obj == tile)
+                use[i] = x;
+            else if (i == 2 && obj == Py_None)
+                use[i] = NULL;
+            else
+                ok = (use[i] = lookup(&t, obj, op)) != NULL;
+        }
+        idx gi0, gj0, gk0, hi;
+        PyObject *end;
+        job *j = &jobs[c];
+        if (!ok || !shape(op, x, use[0], use[1], use[2], j)
+            || !number(PyTuple_GET_ITEM(call, 5), &gi0)
+            || !number(PyTuple_GET_ITEM(call, 6), &gj0)
+            || !number(PyTuple_GET_ITEM(call, 7), &gk0)
+            || (end = PyDict_GetItemWithError(ends, PyTuple_GET_ITEM(call, 8))) == NULL
+            || !number(end, &hi)) {
+            if (PyErr_Occurred()) {
+                failed = 1;
+                goto release;
+            }
+            continue;
+        }
+        /* the active steps: a prefix of the range, cut at hi */
+        const idx steps = gk0 < 0 || gk0 >= hi ? 0 : (hi - gk0 < j->K ? hi - gk0 : j->K);
+        j->K = steps;
+        j->ri = con_i ? gk0 - gi0 + 1 : -steps;
+        j->cj = con_j ? gk0 - gj0 + 1 : -steps;
+        if (op == ORAND && (steps - 1 + j->ri > 0 || steps - 1 + j->cj > 0))
+            continue;
+        idx cells = 0;
+        for (idx k = 0; k < steps; k++) {
+            const idx i0 = k + j->ri > 0 ? k + j->ri : 0;
+            const idx j0 = k + j->cj > 0 ? k + j->cj : 0;
+            if (i0 < j->rows && j0 < j->cols)
+                cells += (j->rows - i0) * (j->cols - j0);
+        }
+        updates[c] = cells;
+        if (j->rows + j->cols > items)
+            items = j->rows + j->cols;
+    }
+    {
+        /* the folded jobs, packed, then run in one GIL release */
+        idx m = 0;
+        for (idx c = 0; c < n; c++)
+            if (updates[c] >= 0)
+                jobs[m++] = jobs[c];
+        if (run_all(jobs, m, items)) {
+            failed = 1;
+            goto release;
+        }
+    }
+    out = PyList_New(n);
+    for (idx c = 0; out != NULL && c < n; c++) {
+        PyObject *item = updates[c] >= 0 ? PyLong_FromSsize_t(updates[c]) : Py_NewRef(Py_None);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, c, item);
+    }
+release:
+    for (idx i = 0; i < xs_held; i++)
+        PyBuffer_Release(&xs[i]);
+    for (idx i = 0; i < t.held; i++)
+        PyBuffer_Release(&t.views[i]);
+    if (failed)
+        Py_CLEAR(out);
+done:
+    free(jobs);
+    free(xs);
+    free(updates);
+    free(t.keys);
+    free(t.slots);
+    free(t.views);
+    return out;
 }
 """
 
@@ -434,16 +686,17 @@ _FLAGS = (
     "-fPIC",
 )
 
-#: the table dtype each entry point folds
+#: the table dtype each fold folds; the order is the C's fold codes
 _DTYPES = {
     "minplus": np.dtype(np.float64),
     "maxplus": np.dtype(np.float64),
-    "orand": np.dtype(np.bool_),
     "ge": np.dtype(np.float64),
+    "orand": np.dtype(np.bool_),
 }
+_CODES = {entry: code for code, entry in enumerate(_DTYPES)}
 
 _lock = threading.Lock()
-_lib: ctypes.CDLL | None = None
+_lib: ctypes.PyDLL | None = None
 #: ``"native"``, ``"numpy: <why>"``, or ``None`` before the first load
 _status: str | None = None
 
@@ -465,78 +718,44 @@ def fold_of(spec) -> str:
 
 
 def fold(entry: str | None, x, u, v, w=None, *, corner=None) -> bool:
-    """Fold ``u``'s columns and ``v``'s rows into ``x`` in place with the
-    compiled ``entry``; ``w`` is GE's pivot tile (one, or one per stacked
-    tile).  Returns ``False``, with ``x`` untouched, when there is no
-    such entry (``None``: a semiring only NumPy folds) or the layout or
-    the library rules the C out, and the caller's NumPy fold must run.
-    ``True`` means ``x`` holds its final bits: min-plus / max-plus guard
-    ``inf + (-inf)`` in C.
+    """Fold ``u``'s columns and ``v``'s rows into the 2-D tile ``x`` in
+    place with the compiled ``entry``; ``w`` is GE's pivot tile.
+    Returns ``False``, with ``x`` untouched, when there is no such entry
+    (``None``: a semiring only NumPy folds) or the layout or the library
+    rules the C out, and the caller's NumPy fold must run.  ``True``
+    means ``x`` holds its final bits: min-plus / max-plus guard ``inf +
+    (-inf)`` in C.
 
-    ``corner`` (``ge`` only) is Σ_G's ``(ri, cj)``: step ``k`` updates
-    rows ``i >= k + ri`` and columns ``j >= k + cj`` of every tile, so
-    ``(-K, -K)``, the default, is the whole tile at every step.
-
-    ``x``, ``u``, ``v`` and ``w`` stay referenced by this frame for the
-    whole call, so every pointer handed to C is live; the C allocates
-    its own scratch.
+    ``corner`` is Σ_G's ``(ri, cj)``: step ``k`` updates rows ``i >= k
+    + ri`` and columns ``j >= k + cj``; ``None``, the default, is the
+    whole tile at every step (``orand`` takes no other).
     """
     if entry not in _DTYPES or (w is None) == (entry == "ge"):
         return False
     lib = _library()
     if lib is None:
         return False
-    args = _layout(_DTYPES[entry], x, u, v, w)
-    if args is None:
-        return False
-    if entry == "ge":
-        args += corner or (-u.shape[-1], -u.shape[-1])
-    if x.size and u.shape[-1]:
-        return getattr(lib, entry)(*args) == 0
-    return True
+    return lib.fold_one(_CODES[entry], x, u, v, w, corner)
 
 
-def _layout(dtype, x, u, v, w):
-    """The C arguments for a fold of this layout, or ``None`` when the C
-    does not cover it.  Strides go to C in elements."""
-    nd = x.ndim
-    if nd not in (2, 3) or u.ndim != nd or v.ndim != nd:
+def fold_calls(entry: str | None, calls: list, copies: list, alias_x, ends: dict,
+               constrains: tuple[bool, bool]) -> list | None:
+    """Fold a task's ``calls`` into ``copies`` with the compiled
+    ``entry``, one C call (see the module docstring).  ``ends`` maps
+    each call's ``n_global`` to the end of its active steps and
+    ``constrains`` is the spec's ``(constrains_i, constrains_j)``.
+    Returns a list aligned with ``calls`` — the cell updates of each
+    call folded, ``None`` for each one declined (its copy untouched) —
+    or ``None`` when there is no such entry or no library."""
+    if entry not in _DTYPES:
         return None
-    rows, cols = x.shape[-2:]
-    pivot = u.shape[-1]
-    if u.shape != x.shape[:-1] + (pivot,) or v.shape != x.shape[:-2] + (pivot, cols):
+    lib = _library()
+    if lib is None:
         return None
-    operands = (x, u, v) if w is None else (x, u, v, w)
-    size = dtype.itemsize
-    for a in operands:
-        # ``aligned``: the data pointer and every stride C will step by
-        # are multiples of the item size
-        if a.dtype != dtype or not a.flags.aligned or min(a.strides) < 0:
-            return None
-    if w is not None and not (
-        w.shape == (pivot, pivot) or nd == 3 and w.shape == (x.shape[0], pivot, pivot)
-    ):
-        return None
-    if not x.flags.writeable or x.strides[-1] != size:
-        return None
-    xs, us, vs = ([s // size for s in a.strides] for a in (x, u, v))
-    if nd == 2:
-        xs, us, vs = [0, *xs], [0, *us], [0, *vs]
-    M = x.shape[0] if nd == 3 else 1
-    # x's rows and tiles must not overlap: C writes them independently
-    if rows > 1 and xs[1] < cols or M > 1 and xs[0] < (rows - 1) * xs[1] + cols:
-        return None
-    args = [
-        x.ctypes.data, u.ctypes.data, v.ctypes.data, M, rows, cols, pivot,
-        xs[0], xs[1], *us, *vs,
-    ]
-    if w is not None:
-        ws = [s // size for s in w.strides]
-        args += [w.ctypes.data, ws[0] if w.ndim == 3 else 0, ws[-2] + ws[-1]]
-    return args
+    return lib.fold_calls(_CODES[entry], calls, copies, alias_x, ends, *constrains)
 
 
-def _library() -> ctypes.CDLL | None:
+def _library() -> ctypes.PyDLL | None:
     global _lib, _status
     if _status is None:
         with _lock:
@@ -556,6 +775,11 @@ def _cache_dir() -> Path:
     return Path(base) / "repro"
 
 
+def _include_dir() -> Path:
+    """Where this interpreter's ``Python.h`` is."""
+    return Path(sysconfig.get_paths()["include"])
+
+
 def _cpu_flags() -> str:
     """The CPU's ISA flags (``-march=native`` compiles for them)."""
     try:
@@ -568,39 +792,44 @@ def _cpu_flags() -> str:
     return f"{platform.machine()} {platform.processor()}"
 
 
-def _load() -> ctypes.CDLL:
-    """Load the library for this source, compiler, flags and CPU,
-    building it into the cache first if it is not there."""
+def _load() -> ctypes.PyDLL:
+    """Load the library for this source, compiler, flags, CPU and
+    interpreter ABI, building it into the cache first if it is not
+    there."""
     cc = shlex.split(os.environ.get("CC") or "cc")
     if not cc or shutil.which(cc[0]) is None:
         raise OSError(f"no C compiler: {cc[0] if cc else '$CC'!r} not found")
     version = subprocess.run(
         [*cc, "--version"], capture_output=True, text=True, check=True, timeout=60
     ).stdout
+    abi = sysconfig.get_config_var("SOABI")
     key = hashlib.blake2b(
-        repr((_SOURCE, version, _FLAGS, _cpu_flags())).encode(), digest_size=12
+        repr((_SOURCE, version, _FLAGS, _cpu_flags(), abi)).encode(), digest_size=12
     ).hexdigest()
     path = _cache_dir() / f"fold-{key}.so"
     if not path.exists():
         _build(cc, path)
-    lib = ctypes.CDLL(str(path))
-    p, n = ctypes.c_void_p, ctypes.c_ssize_t
-    for entry in _DTYPES:
-        fn = getattr(lib, entry)
-        fn.argtypes = [p, p, p] + [n] * 12 + ([p, n, n, n, n] if entry == "ge" else [])
-        fn.restype = ctypes.c_int
+    lib = ctypes.PyDLL(str(path))
+    obj, i = ctypes.py_object, ctypes.c_int
+    lib.fold_one.argtypes = [i, obj, obj, obj, obj, obj]
+    lib.fold_one.restype = obj
+    lib.fold_calls.argtypes = [i, obj, obj, obj, obj, i, i]
+    lib.fold_calls.restype = obj
     return lib
 
 
 def _build(cc: list[str], path: Path) -> None:
     """Compile into a private file next to ``path``, then publish it with
     one ``os.replace``: a reader sees no file or a complete one."""
+    include = _include_dir()
+    if not (include / "Python.h").is_file():
+        raise OSError(f"no Python.h in {include}")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
         done = subprocess.run(
-            [*cc, *_FLAGS, "-x", "c", "-", "-o", tmp],
+            [*cc, *_FLAGS, f"-I{include}", "-x", "c", "-", "-o", tmp],
             input=_SOURCE, capture_output=True, text=True, timeout=300,
         )
         if done.returncode != 0:

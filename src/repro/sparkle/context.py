@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..util import sizeof_block
 from .broadcast import Broadcast
 from .supervisor import SupervisionConfig
 from .chaos import FaultPlan
@@ -314,10 +313,9 @@ class SparkleContext:
         self._next_rdd_id += 1
         return rid
 
-    def _record_collect(self, items: list) -> None:
+    def _record_collect(self, nbytes: int) -> None:
         """Charge a collect's driver traffic to the current job trace."""
         if self.metrics.jobs:
-            nbytes = sum(sizeof_block(x) for x in items)
             self.metrics.jobs[-1].collect_bytes += nbytes
 
     @property

@@ -30,6 +30,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from numpy import ndarray
+
 from ..util import sizeof_block
 from .partitioner import HashPartitioner, Partitioner
 
@@ -97,6 +99,35 @@ class ShuffleDependency(Dependency):
 # ----------------------------------------------------------------------
 # RDD base
 # ----------------------------------------------------------------------
+def _grid_key(key) -> bool:
+    """Whether ``key`` is an exact ``(int, int)`` tuple: ``sizeof_block``'s
+    24 B, sized without a walk."""
+    return (
+        key.__class__ is tuple
+        and len(key) == 2
+        and key[0].__class__ is int
+        and key[1].__class__ is int
+    )
+
+
+def _records_bytes(items: list) -> int:
+    """``sum(sizeof_block(x) for x in items)``, where a record of an
+    exact grid key and an exact array is ``32 + nbytes`` (8 for the
+    pair, 24 for the key) by arithmetic; any other record is walked."""
+    nbytes = 0
+    for record in items:
+        if (
+            record.__class__ is tuple
+            and len(record) == 2
+            and _grid_key(record[0])
+            and record[1].__class__ is ndarray
+        ):
+            nbytes += 32 + record[1].nbytes
+        else:
+            nbytes += sizeof_block(record)
+    return nbytes
+
+
 class RDD:
     """Base class; see module docstring.  Construct via SparkleContext."""
 
@@ -129,10 +160,11 @@ class RDD:
             return iter(data)
         return self.compute(split, task)
 
-    def _materialize(self, split: int, task) -> tuple[list, int | None]:
-        """One partition as a list, with its block bytes where they are
-        known without walking the records (``None`` otherwise)."""
-        return list(self.compute(split, task)), None
+    def _materialize(self, split: int, task) -> tuple[list, int]:
+        """One partition as a list, with its block bytes
+        (:func:`_records_bytes`)."""
+        items = list(self.compute(split, task))
+        return items, _records_bytes(items)
 
     # -- caching ----------------------------------------------------------
     def persist(self, storage_level: str = "MEMORY_AND_DISK") -> "RDD":
@@ -284,11 +316,19 @@ class RDD:
 
     # -- actions -------------------------------------------------------------
     def collect(self) -> list:
+        """Every record, in partition order.  The driver traffic booked
+        is each partition's ``sizeof_block`` bytes: a cached partition's
+        are the ones its block was booked with, read back, and the rest's
+        are sized by :func:`_records_bytes`."""
         parts = self.ctx.run_job(self, lambda it: list(it), action="collect")
+        blocks = self.ctx._block_manager if self._cached else None
         out: list = []
-        for p in parts:
+        nbytes = 0
+        for split, p in enumerate(parts):
             out.extend(p)
-        self.ctx._record_collect(out)
+            known = None if blocks is None else blocks.nbytes(self.id, split)
+            nbytes += _records_bytes(p) if known is None else known
+        self.ctx._record_collect(nbytes)
         return out
 
     def count(self) -> int:
@@ -417,7 +457,7 @@ class ShuffledRDD(RDD):
             task.shuffle_bytes_remote += remote
         return items, nbytes
 
-    def _materialize(self, split: int, task) -> tuple[list, int | None]:
+    def _materialize(self, split: int, task) -> tuple[list, int]:
         if self._shuffle_dep.aggregator is not None:
             return super()._materialize(split, task)
         # The fetch summed ``16 + sizeof_block(value)`` per record; a
@@ -426,12 +466,7 @@ class ShuffledRDD(RDD):
         # exact ``(int, int)`` grid key is ``sizeof_block``'s 24 B.
         items, fetched = self._fetch(split, task)
         for key, _value in items:
-            if (
-                key.__class__ is tuple
-                and len(key) == 2
-                and key[0].__class__ is int
-                and key[1].__class__ is int
-            ):
+            if _grid_key(key):
                 fetched += 16
             else:
                 fetched += sizeof_block(key) - 8

@@ -157,6 +157,12 @@ class BlockManager:
         self._metrics.spill_bytes_read += sum(sizeof_block(x) for x in items)
         return items
 
+    def nbytes(self, rdd_id: int, partition: int) -> int | None:
+        """The bytes a block in memory was booked with, or ``None`` when
+        it is not in memory (never put, evicted or spilled)."""
+        with self._lock:
+            return self._bytes.get((rdd_id, partition))
+
     def evict_rdd(self, rdd_id: int) -> None:
         with self._lock:
             for key in [k for k in self._blocks if k[0] == rdd_id]:

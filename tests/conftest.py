@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,6 +118,17 @@ def apply_k_steps(spec, x, u, v, w=None) -> None:
         if w_kk is not None and w_kk.ndim:
             w_kk = w_kk[:, None, None]
         spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
+
+
+@contextlib.contextmanager
+def numpy_only():
+    """The compiled folds hidden, as on a host with no compiler: every
+    tile update — the C batch and the per-tile fold alike — declines and
+    NumPy runs (``run_stacks``' stacks, ``apply_k`` step by step)."""
+    from repro.kernels import native
+
+    with mock.patch.multiple(native, _lib=None, _status="numpy: hidden"):
+        yield
 
 
 def assert_tables_equal(a: np.ndarray, b: np.ndarray, **kw) -> None:

@@ -681,21 +681,30 @@ class _RunOnlyKernel:
         self.inner.run(*args, **kwargs)
 
 
-def test_worker_runs_the_thread_paths_stacks_and_run_is_enough():
-    """A batch of stackable D calls reaches the worker's kernel as the
-    thread path's stack — one ``kernel.run`` for six tiles — and a
-    kernel with only ``run`` works through ``update_tiles`` and
+def test_worker_runs_the_thread_paths_stacks_and_run_is_enough(monkeypatch):
+    """A batch of six D calls reaches the worker's kernel as the thread
+    path's batch — one C call and no ``kernel.run``, or without a
+    compiler one ``kernel.run`` for the six tiles' stack — and a kernel
+    with only ``run`` works through ``update_tiles`` and
     ``run_kernel_batch`` alike, one run per call."""
+    from repro.kernels import IterativeKernel, native
     from repro.sparkle.metrics import EngineMetrics
 
     calls = _d_calls(6, seed=5)
     expect = [x.tobytes() for x in _thread_path(calls)]
     inner = make_kernel(_FW, "iterative")
-    assert all(out is not None for out in inner.run_stacks(calls)), "one stack"
+    thread_runs = []
+    run = IterativeKernel.run
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            IterativeKernel, "run", lambda *a, **kw: thread_runs.append(1) or run(*a, **kw)
+        )
+        assert all(out is not None for out in inner.run_stacks(calls)), "one batch"
+    assert len(thread_runs) == (0 if native.status() == "native" else 1)
     assert [x.tobytes() for x in update_tiles(_RunOnlyKernel(inner), calls)] == expect
     metrics = EngineMetrics()
     with _process_backend(metrics=metrics) as backend:
-        for kernel, runs in ((inner, 1), (_RunOnlyKernel(inner), 6)):
+        for kernel, runs in ((inner, len(thread_runs)), (_RunOnlyKernel(inner), 6)):
             before = metrics.worker_kernel_runs
             outs = backend.run_kernel_batch(pickle.dumps(kernel), calls)
             assert [out.tobytes() for out, _ in outs] == expect
@@ -705,9 +714,10 @@ def test_worker_runs_the_thread_paths_stacks_and_run_is_enough():
 @pytest.mark.batching
 def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
     """FW n=96 r=12 IM: the workers make exactly the ``kernel.run`` calls
-    the thread path makes for the same solve — its D stacks and B‖C
-    panels — while ``kernel_offloads`` still counts every tile update,
-    and the outputs agree byte for byte."""
+    the thread path makes for the same solve — one per A tile (a task of
+    one call) and none for the C batches, or without a compiler its D
+    stacks and B‖C panels too — while ``kernel_offloads`` still counts
+    every tile update, and the outputs agree byte for byte."""
     from repro.kernels import IterativeKernel
 
     spec = FloydWarshallGep()

@@ -342,6 +342,11 @@ def test_bcast_uses_less_shuffle_than_im():
     )
 
 
+#: the tasks of one call each solve of the next test makes: every A
+#: tile's, and a partition holding one B / C or D tile
+ONE_CALL_TASKS = {("fw", 32, 4): 16, ("fw", 192, 24): 24, ("ge", 256, 32): 48}
+
+
 @pytest.mark.parametrize(
     "name, n, r, strategy, plan, work, kernel_calls",
     [
@@ -357,15 +362,18 @@ def test_bcast_uses_less_shuffle_than_im():
 def test_stacked_calls_leave_plan_and_books_alone(
     name, n, r, strategy, plan, work, kernel_calls, monkeypatch
 ):
-    """A task's D tiles, and its B / C tiles as pivot-row / pivot-column
-    panels, reach the kernel a stack at a time — far fewer
-    ``IterativeKernel.run`` calls — and each grid key is hashed once per
-    solve (r², against 82,320 hashes on the 24x24 grid when every record
-    was hashed); nothing the engine counts may notice: the blocked
-    oracle's output, the plan (jobs / stages / tasks), shuffle bytes
-    written and read, storage bytes read, and one kernel invocation
-    recorded per tile, all at their pre-stacking values."""
-    from repro.kernels import IterativeKernel
+    """A task's tiles reach the kernel as one C batch — only a task of
+    one call (every A tile, and a partition holding one B / C or D
+    tile) takes ``IterativeKernel.run`` (:data:`ONE_CALL_TASKS`) — or
+    without a compiler its D tiles a stack at a time and its B / C tiles
+    as pivot-row / pivot-column panels (``kernel_calls``); each grid key
+    is hashed once per solve (r², against 82,320 hashes on the 24x24
+    grid when every record was hashed); nothing the engine counts may
+    notice: the blocked oracle's output, the plan (jobs / stages /
+    tasks), shuffle bytes written and read, storage bytes read, and one
+    kernel invocation recorded per tile, all at their pre-stacking
+    values."""
+    from repro.kernels import IterativeKernel, native
     from repro.sparkle import partitioner
 
     ran, hashed = [], []
@@ -383,7 +391,8 @@ def test_stacked_calls_leave_plan_and_books_alone(
             spec, table, engine="spark", r=r, strategy=strategy, sc=sc,
             collect_stats=True,
         )
-    assert len(ran) == kernel_calls
+    one_call_tasks = ONE_CALL_TASKS[name, n, r]
+    assert len(ran) == (one_call_tasks if native.status() == "native" else kernel_calls)
     assert len(hashed) == r * r
     del ran[:]
     want, _ = run_gep(spec, table, engine="local", r=r)
@@ -402,9 +411,35 @@ def test_stacked_calls_leave_plan_and_books_alone(
     assert len(ran) == work[1]  # the oracle still calls once per tile
 
 
+def test_cb_sizes_its_records_without_a_walk(monkeypatch):
+    """A ``ge_fine_cb``-shaped solve (GE n=256, r=32, CB) walks no
+    record tuple through ``sizeof_block`` (3,072 walks before: its cached
+    ``a_block`` / ``bc_blocks`` at put and again at collect, and the
+    final collect) while collect, storage and shuffle bytes keep their
+    exact values."""
+    from repro.sparkle import rdd as rdd_module
+    from repro.sparkle import storage
+
+    walks = []
+    for module in (rdd_module, storage):
+        walk = module.sizeof_block
+        monkeypatch.setattr(
+            module, "sizeof_block",
+            lambda v, _walk=walk: (type(v) is tuple and walks.append(v)) or _walk(v),
+        )
+    spec, make = SPECS["ge"]
+    with SparkleContext(2, 1) as sc:
+        got, report = run_gep(spec, make(256, seed=1), engine="spark", r=32, strategy="cb", sc=sc)
+    m = report.engine_metrics
+    assert walks == []
+    assert sum(job.collect_bytes for job in m.jobs) == 1_114_112
+    assert (m.storage_bytes_read, report.summary()["shuffle_bytes"]) == (16_506_880, 17_842_176)
+
+
 def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
-    """Retry purity on 8x8 tiles, where every D task is stacked and every
-    B / C task's tiles are a panel: attempts die before they start
+    """Retry purity on 8x8 tiles, where every B / C and D task is one C
+    batch (or, without a compiler, every D task is stacked and every B /
+    C task's tiles are a panel): attempts die before they start
     (``kill``, landing on B / C tasks too) and after their kernels ran
     (``overflow`` fails the map-output write), so tasks recompute from
     the same inputs — for GE and FW under IM, and GE under CB.  GE would
@@ -417,7 +452,7 @@ def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
     bc_sites, killed, panels = set(), set(), []
     batch = GepSparkSolver._run_tile_batch
     task_fault = FaultPlan.task_fault
-    run = IterativeKernel.run
+    run_stacks = IterativeKernel.run_stacks
 
     def watched(self, calls):
         seen.extend((call[1], call[1].tobytes()) for call in calls)
@@ -435,14 +470,14 @@ def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
             killed.add((stage_id, partition))
         return fault
 
-    def noted_run(self, case, x, *rest, **kw):
-        if case in "BC" and x.ndim == 3:
-            panels.append(len(x))
-        return run(self, case, x, *rest, **kw)
+    def noted_stacks(self, calls, stats=None):
+        outs = run_stacks(self, calls, stats)
+        panels.extend(1 for call, out in zip(calls, outs) if call[0] in "BC" and out is not None)
+        return outs
 
     monkeypatch.setattr(GepSparkSolver, "_run_tile_batch", watched)
     monkeypatch.setattr(FaultPlan, "task_fault", noted_fault)
-    monkeypatch.setattr(IterativeKernel, "run", noted_run)
+    monkeypatch.setattr(IterativeKernel, "run_stacks", noted_stacks)
     for name, strategy, faults in [
         ("ge", "im", [FaultSpec("kill", rate=0.2), FaultSpec("overflow", rate=0.3)]),
         ("fw", "im", [FaultSpec("kill", rate=0.3)]),

@@ -31,7 +31,14 @@ from repro.kernels import (
 from repro.kernels.base import ALIAS_X, update_tile, update_tiles
 from repro.semiring import MinPlus, get_semiring
 
-from .conftest import apply_k_steps, assert_tables_equal, fw_table, ge_table, tc_table
+from .conftest import (
+    apply_k_steps,
+    assert_tables_equal,
+    fw_table,
+    ge_table,
+    numpy_only,
+    tc_table,
+)
 
 SPECS = {
     "fw": (FloydWarshallGep(), fw_table),
@@ -472,9 +479,10 @@ def test_property_fused_fold_equals_sequential_steps(data):
     calls = [("D", x, u, v, None, 3, 5, 0, 64) for x, u, v in stack]
     # a stack handed to the kernel is folded right whatever its depth ...
     gep_tile_update(spec, xs, us, vs, None, [3] * depth, [5] * depth, 0, 64)
-    with mock.patch.object(iterative, "_FOLD_CHUNK_ELEMS", budget):
-        # ... and the task path stacks only what the budget allows (None:
-        # left to the tile-by-tile path), splitting deeper groups
+    with mock.patch.object(iterative, "_FOLD_CHUNK_ELEMS", budget), numpy_only():
+        # ... and the task path's NumPy stacks take only what the budget
+        # allows (None: left to the tile-by-tile path), splitting deeper
+        # groups
         outs = IterativeKernel(spec).run_stacks(calls)
     assert [x.tobytes() for x in xs] == solo
     room = budget // (x0.size * pivot)  # tiles per stack the budget allows
@@ -487,9 +495,10 @@ def test_property_fused_fold_equals_sequential_steps(data):
 
 
 def test_stack_depth_follows_the_fold_budget(fw_spec, monkeypatch):
-    """A stack is as deep as the whole fold fits ``_FOLD_CHUNK_ELEMS``:
-    64 tiles at 8x8, 8 at 16x16, 2 at 25x25, none from 26x26 up; a deeper
-    group splits, and a tile left over alone is not stacked."""
+    """Without the compiled batch, a NumPy stack is as deep as the whole
+    fold fits ``_FOLD_CHUNK_ELEMS``: 64 tiles at 8x8, 8 at 16x16, 2 at
+    25x25, none from 26x26 up; a deeper group splits, and a tile left
+    over alone is not stacked."""
     depths = []
     run = IterativeKernel.run
 
@@ -507,7 +516,8 @@ def test_stack_depth_follows_the_fold_budget(fw_spec, monkeypatch):
             for _ in range(tiles)
         ]
         del depths[:]
-        outs = IterativeKernel(fw_spec).run_stacks(calls)
+        with numpy_only():
+            outs = IterativeKernel(fw_spec).run_stacks(calls)
         assert depths == stacks
         assert sum(out is None for out in outs) == alone
 
@@ -520,7 +530,8 @@ _GE_CELLS = [0.0, -0.0, 1.0, -2.5, 3.0, 0.1, 1e308, -1e308, 1e-308, _INF, _NAN]
 def test_property_ge_stack_equals_separate_tiles(data):
     """GE twin of the stack check: ``apply_steps`` over a stack — one
     pivot tile for all, or one per tile — gives every tile the bits it
-    gets alone (same multiply / divide / subtract, step by step)."""
+    gets alone (same multiply / divide / subtract, step by step), and so
+    do ``run_stacks``' NumPy stacks."""
     spec = GaussianEliminationGep()
     depth = data.draw(st.integers(1, 5))
     mi, mj, pivot = (data.draw(st.integers(1, 6)) for _ in range(3))
@@ -548,7 +559,8 @@ def test_property_ge_stack_equals_separate_tiles(data):
             spec.apply_steps(out, us[m], vs[m], ws if shared_w else ws[m], pivot)
             solo.append(out.tobytes())
         stats = KernelStats()
-        outs = IterativeKernel(spec).run_stacks(calls, stats)
+        with numpy_only():
+            outs = IterativeKernel(spec).run_stacks(calls, stats)
         spec.apply_steps(xs, us, vs, ws, pivot)
     assert [x.tobytes() for x in xs] == solo
     stacked = depth >= 2
@@ -578,7 +590,8 @@ _PANEL_CELLS = {
 @settings(max_examples=300, deadline=None)
 def test_property_bc_panel_equals_separate_tiles(data):
     """A pivot row's B tiles (or a pivot column's C tiles) in one task's
-    call list go to the kernel as panels: each tile bit-identical to
+    call list go to the C batch, or without it to the kernel as NumPy
+    panels: each tile bit-identical to
     ``update_tile`` alone, every input untouched, and one ``record_base``
     per tile with the same updates.  FW / max-plus / TC / GE, 1..8 tiles
     with a ragged last one, GE masked (B at ``gi0 == gk0``, C at ``gj0 ==
@@ -625,7 +638,8 @@ def test_property_bc_panel_equals_separate_tiles(data):
     with np.errstate(all="ignore"):
         solo = [update_tile(kernel, call, solo_stats).tobytes() for call in calls]
         outs = update_tiles(kernel, calls, stats)
-        stacked = kernel.run_stacks(calls)
+        with numpy_only():
+            stacked = kernel.run_stacks(calls)
     assert [out.tobytes() for out in outs] == solo
     assert [call[1].tobytes() for call in calls] + [pivot_tile.tobytes()] == pristine
     assert Counter(stats.log) == Counter(solo_stats.log)
@@ -693,9 +707,10 @@ def test_property_numpy_stack_equals_apply_k_tile_by_tile(data):
 
 
 def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
-    """A panel is at most ``_FOLD_CHUNK_ELEMS // tile.size`` deep — 3 at
-    96x96, none from 182x182 up — and shares one pivot: a B call on
-    another pivot object, or another row offset, starts another panel."""
+    """Without the compiled batch, a NumPy panel is at most
+    ``_FOLD_CHUNK_ELEMS // tile.size`` deep — 3 at 96x96, none from
+    182x182 up — and shares one pivot: a B call on another pivot object,
+    or another row offset, starts another panel."""
     depths = []
     run = IterativeKernel.run
 
@@ -704,6 +719,8 @@ def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
         return run(self, case, x, *rest, **kw)
 
     monkeypatch.setattr(IterativeKernel, "run", recording_run)
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_status", "numpy: hidden")
     rng = np.random.default_rng(8)
     kernel = IterativeKernel(fw_spec)
     for edge, tiles, panels in [(96, 7, [3, 3, 1]), (182, 2, [1, 1])]:
@@ -851,7 +868,8 @@ class TestGuardFallback:
 
     @staticmethod
     def _decline_native(monkeypatch):
-        monkeypatch.setattr(native, "fold", lambda *args, **kwargs: False)
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_status", "numpy: hidden")
 
     @staticmethod
     def _require_native():
@@ -913,6 +931,8 @@ class TestGuardFallback:
         assert not np.isnan(xs).any()
 
     def test_compiled_fold_guards_a_stack_without_a_redo(self, fw_spec, monkeypatch):
+        """The stack's tiles as one task's D calls: one C batch, no NumPy
+        step, every tile's bits as alone."""
         self._require_native()
         xs, us, vs = _opposite_infinities_stack()
         solo = []
@@ -921,9 +941,11 @@ class TestGuardFallback:
             apply_k_steps(fw_spec, out, us[m], vs[m])
             solo.append(out.tobytes())
         calls = self._count_guarded(monkeypatch)
-        gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
+        outs = IterativeKernel(fw_spec).run_stacks(
+            [("D", xs[m], us[m], vs[m], None, 4, 8, 0, 12) for m in range(4)]
+        )
         assert calls == {"mul": 0}
-        assert [x.tobytes() for x in xs] == solo
+        assert [x.tobytes() for x in outs] == solo
 
     def test_one_tile_of_a_panel_trips_the_guard(self, fw_spec, monkeypatch):
         """A B panel shares its pivot but not its tiles: each step runs

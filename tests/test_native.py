@@ -30,6 +30,7 @@ from repro.core.gep import (
     TransitiveClosureGep,
 )
 from repro.kernels import IterativeKernel, KernelStats, RecursiveKernel, gep_tile_update, native
+from repro.kernels.base import ALIAS_X
 from repro.semiring import MaxPlus, MinPlus
 
 from .conftest import apply_k_steps
@@ -71,7 +72,13 @@ def _numpy_fold(entry, x, u, v, w=None):
 
 
 def _native_fold(entry, x, u, v, w=None):
-    assert native.fold(entry, x, u, v, w), "the compiled fold declined"
+    """The compiled fold of a tile, or of each tile of a stack alone."""
+    if x.ndim == 2:
+        assert native.fold(entry, x, u, v, w), "the compiled fold declined"
+        return
+    for m in range(len(x)):
+        wm = w if w is None or w.ndim == 2 else w[m]
+        assert native.fold(entry, x[m], u[m], v[m], wm), "the compiled fold declined"
 
 
 def _operands(entry, rng, stack, rows, cols, pivot):
@@ -93,9 +100,9 @@ def _operands(entry, rng, stack, rows, cols, pivot):
 
 
 def _check(entry, x, u, v, w=None, view=None):
-    """Fold copies of the operands both ways and compare every byte.
-    ``view`` rebuilds aliasing operands from the copy of ``x`` each side
-    gets."""
+    """Fold copies of the operands both ways — NumPy over the whole tile
+    or stack, C tile by tile — and compare every byte.  ``view`` rebuilds
+    aliasing operands from the copy of ``x`` each side gets."""
     results = []
     for run in (_numpy_fold, _native_fold):
         xc = x.copy()
@@ -120,18 +127,28 @@ def test_fuzz_matches_numpy_fold(entry, compiled):
 
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_shared_pivot_panels_with_stride_zero(entry, compiled):
-    """A B panel (shared ``u``, ``v`` the stack itself) and a C panel
-    (``u`` the stack, shared ``v``), the pivot broadcast with a stack
-    stride of 0, as ``IterativeKernel.run_stacks`` builds them."""
+    """One batch holding a B panel (three calls on one pivot object, ``v``
+    aliasing each tile), a C panel (``u`` aliasing, one shared ``v``) and
+    D calls whose ``u`` / ``v`` are ``np.broadcast_to`` views with a
+    stride of 0 folds every tile to the NumPy fold's bytes."""
     rng = np.random.default_rng(7)
     x, shared_u, shared_v, w = _operands(entry, rng, None, 6, 6, 6)
-    xs = np.stack([x, x[::-1].copy(), x.T.copy()])
-    bu = np.broadcast_to(shared_u, (3,) + shared_u.shape)
-    bv = np.broadcast_to(shared_v, (3,) + shared_v.shape)
-    assert bu.strides[0] == 0
-    _check(entry, xs, None, None, w, view=lambda c: (c, bu, c, w))  # B panel
-    _check(entry, xs, None, None, w, view=lambda c: (c, c, bv, w))  # C panel
-    _check(entry, xs, bu, bv, w)  # a D stack against one shared pivot pair
+    tiles = [x, x[::-1].copy(), x.T.copy()]
+    bu = np.broadcast_to(shared_u[:1], shared_u.shape)  # one row, stride 0
+    bv = np.broadcast_to(shared_v[:, :1], shared_v.shape)  # one column, stride 0
+    assert bu.strides[0] == 0 and bv.strides[1] == 0
+    calls = [("B", t, shared_u, ALIAS_X, w, 0, 6 + 6 * m, 0, 64) for m, t in enumerate(tiles)]
+    calls += [("C", t, t, shared_v, w, 6 + 6 * m, 0, 0, 64) for m, t in enumerate(tiles)]
+    calls += [("D", t, bu, bv, w, 6, 6 + 6 * m, 0, 64) for m, t in enumerate(tiles)]
+    want = []
+    for _case, t, u, v, _w, *_ in calls:
+        out = t.copy()
+        _numpy_fold(entry, out, out if u is t else u, out if v is ALIAS_X else v, w)
+        want.append(out.tobytes())
+    copies = [call[1].copy() for call in calls]
+    done = native.fold_calls(entry, calls, copies, ALIAS_X, {64: 64}, (False, False))
+    assert None not in done
+    assert [c.tobytes() for c in copies] == want
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -262,7 +279,7 @@ def test_compiled_tropical_fold_guards_opposite_infinities(compiled):
         v = np.zeros((3, 2, 4))
         u[1, 2, 0], v[1, 0, 3] = sr.zero, -sr.zero  # only tile 1 meets it
         got = x.copy()
-        assert native.fold(sr.native_fold, got, u, v)
+        _native_fold(sr.native_fold, got, u, v)
         assert not np.isnan(got).any()
         assert got.tobytes() == _guarded(sr, x, u, v).tobytes()
 
@@ -292,9 +309,9 @@ class Counted(np.ndarray):
 @pytest.mark.parametrize("sr", [MinPlus(), MaxPlus()], ids=["minplus", "maxplus"])
 def test_apply_steps_runs_no_copy_and_no_numpy_fold(sr, monkeypatch, compiled):
     """``GepSpec.apply_steps`` is one compiled call with final bits:
-    no ``x.copy()`` and no NumPy step (``apply_k``) for a case-D stack, for
-    the aliased cases A / B / C, for ``v`` a view overlapping ``x``, or
-    with opposite infinities in the operands."""
+    no ``x.copy()`` and no NumPy step (``apply_k``) for each case-D tile,
+    for the aliased cases A / B / C, for ``v`` a view overlapping ``x``,
+    or with opposite infinities in the operands."""
     spec = SemiringGep(sr)
     rng = np.random.default_rng(5)
     x = rng.integers(-3, 4, (3, 6, 5)).astype(float)
@@ -318,7 +335,8 @@ def test_apply_steps_runs_no_copy_and_no_numpy_fold(sr, monkeypatch, compiled):
     monkeypatch.setattr(Counted, "copies", 0)
     monkeypatch.setattr(SemiringGep, "apply_k", boom)
     stack = x.copy().view(Counted)
-    spec.apply_steps(stack, u, v, None, 4)
+    for m in range(len(stack)):
+        spec.apply_steps(stack[m], u[m], v[m], None, 4)
     assert not np.isnan(stack).any() and stack.tobytes() == expect.tobytes()
     for case, want in aliased.items():
         tile = square.copy().view(Counted)
@@ -392,7 +410,7 @@ def test_plain_compare_matches_the_numpy_steps_bit_for_bit(entry, compiled):
     for x, u, v in cases:
         expect, got = x.copy(), x.copy()
         _numpy_fold(entry, expect, u, v)
-        assert native.fold(entry, got, u, v)
+        _native_fold(entry, got, u, v)
         assert got.tobytes() == expect.tobytes()
 
 
@@ -467,18 +485,19 @@ def _ge_masked(x, ops, gi0, gj0, gk0, n, n_pivots, corner=True):
 
 @pytest.mark.parametrize("case", ["A", "B", "C", "D"])
 def test_ge_corner_fold_matches_the_per_step_path(case, monkeypatch, compiled):
-    """Masked GE tiles and panels through the compiled corner fold leave
-    the NumPy per-step path's bytes and books: case A (``u = v = w =
-    x``), B / C panels on a stride-0 shared pivot, single tiles and
-    stacks, rows and columns 1-13, corners empty, partial and full,
-    ``n_pivots`` cutting the range before or inside it."""
+    """Masked GE tiles through the compiled corner fold leave the NumPy
+    per-step path's bytes and books: case A (``u = v = w = x``), B / C
+    on a shared pivot, rows and columns 1-13, corners empty, partial and
+    full, ``n_pivots`` cutting the range before or inside it.  A stack
+    (NumPy's panels) is declined by the C and takes the per-step path on
+    both sides."""
     corners = []
     fold = native.fold
 
     def counted(*args, **kwargs):
         done = fold(*args, **kwargs)
         if kwargs.get("corner") is not None:
-            corners.append(done)
+            corners.append((args[1].ndim, done))
         return done
 
     monkeypatch.setattr(native, "fold", counted)
@@ -490,7 +509,7 @@ def test_ge_corner_fold_matches_the_per_step_path(case, monkeypatch, compiled):
         want, want_stats = _ge_masked(*call, corner=False)
         assert got.tobytes() == want.tobytes(), call[2:]
         assert got_stats == want_stats
-    assert corners and all(corners)
+    assert corners and all(done == (ndim == 2) for ndim, done in corners)
 
 
 def test_ge_corner_fold_declines_float32(compiled):
@@ -630,6 +649,204 @@ def test_process_backend_reports_what_its_workers_ran(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the task batch: IterativeKernel.run_stacks hands a call list to C
+# ----------------------------------------------------------------------
+#: each spec's cell alphabet.  GE draws no input NaN: where an input NaN
+#: meets one the arithmetic produced, NumPy's stacked path may return
+#: either sign (``test_kernels._PANEL_CELLS``); ±inf still produce NaN.
+BATCH_SPECS = {
+    "fw": (FloydWarshallGep, [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+    "ge": (GaussianEliminationGep, [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 4.0, np.inf, -np.inf]),
+    "tc": (TransitiveClosureGep, [False, True]),
+}
+
+
+def _task_calls(name, rng, cases="ABCD"):
+    """One task's call list as ``_call_builders`` shapes it, on a table
+    with ragged ``bounds=``: the pivot tile's A call (``ALIAS_X``), B / C
+    calls on that one pivot object (aliased as ``ALIAS_X`` or as the
+    tile itself), D calls whose ``u`` / ``v`` are shared by a row /
+    column (GE's ``w`` the pivot), every tile pair including GE's masked
+    corners; GE's ``n_pivots`` may cut the range inside a tile.  Returns
+    ``(spec, calls)``."""
+    make_spec, cells = BATCH_SPECS[name]
+    sizes = [int(d) for d in rng.integers(1, 8, size=int(rng.integers(2, 5)))]
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    n = bounds[-1]
+    spec = make_spec()
+    if name == "ge" and rng.random() < 0.6:
+        spec = GaussianEliminationGep(int(rng.integers(0, n + 1)))
+    table = rng.choice(np.array(cells, dtype=spec.dtype), size=(n, n))
+    if name == "ge":
+        table[np.diag_indices(n)] = rng.choice([4.0, -2.0, 0.5], size=n)
+
+    def tile(i, j):
+        return table[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]].copy()
+
+    k = int(rng.integers(len(sizes)))
+    gk0 = bounds[k]
+    pivot = tile(k, k)
+    us = {i: tile(i, k) for i in range(len(sizes))}
+    vs = {j: tile(k, j) for j in range(len(sizes))}
+    w_d = pivot if spec.needs_w else None
+    calls = []
+    if "A" in cases:
+        calls.append(("A", tile(k, k), ALIAS_X, ALIAS_X, ALIAS_X, gk0, gk0, gk0, n))
+    for other in range(len(sizes)):
+        if other == k:
+            continue
+        if "B" in cases:
+            x = tile(k, other)
+            alias = x if rng.random() < 0.5 else ALIAS_X
+            calls.append(("B", x, pivot, alias, pivot, gk0, bounds[other], gk0, n))
+        if "C" in cases:
+            x = tile(other, k)
+            alias = x if rng.random() < 0.5 else ALIAS_X
+            calls.append(("C", x, alias, pivot, pivot, bounds[other], gk0, gk0, n))
+    if "D" in cases:
+        for i in range(len(sizes)):
+            for j in range(len(sizes)):
+                if i != k and j != k:
+                    calls.append(
+                        ("D", tile(i, j), us[i], vs[j], w_d, bounds[i], bounds[j], gk0, n)
+                    )
+    order = rng.permutation(len(calls))
+    return spec, [calls[m] for m in order]
+
+
+def _operand_bytes(calls):
+    return [op.tobytes() for call in calls for op in call[1:5] if isinstance(op, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+@pytest.mark.parametrize("cases", ["A", "B", "C", "D", "ABCD"])
+def test_batch_matches_numpy_and_the_per_tile_path(name, cases):
+    """A task's call list through ``update_tiles`` — one C batch where
+    the library loaded — leaves every tile the bytes of the NumPy path
+    (the compiler hidden: stacks, then ``update_tile``) and of
+    ``gep_tile_update`` tile by tile, writes no input, and books the
+    same ``KernelStats``: equal to the per-tile path's, log included (in
+    call order), and to the NumPy path's up to its stack order."""
+    from collections import Counter
+
+    from repro.kernels.base import update_tile, update_tiles
+
+    from .conftest import numpy_only
+
+    rng = np.random.default_rng([sum(map(ord, name)), sum(map(ord, cases))])
+    for _ in range(40):
+        spec, calls = _task_calls(name, rng, cases)
+        kernel = IterativeKernel(spec)
+        pristine = _operand_bytes(calls)
+        with np.errstate(all="ignore"):
+            batch_stats, tile_stats, numpy_stats = (KernelStats(keep_log=True) for _ in range(3))
+            batch = update_tiles(kernel, calls, batch_stats)
+            tiles = [update_tile(kernel, call, tile_stats) for call in calls]
+            with numpy_only():
+                numpy = update_tiles(kernel, calls, numpy_stats)
+        want = [t.tobytes() for t in tiles]
+        assert [t.tobytes() for t in batch] == want
+        assert [t.tobytes() for t in numpy] == want
+        assert _operand_bytes(calls) == pristine
+        if native.status() == "native":
+            assert batch_stats == tile_stats
+        assert Counter(numpy_stats.log) == Counter(tile_stats.log)
+        assert (numpy_stats.updates, numpy_stats.invocations) == (
+            tile_stats.updates, tile_stats.invocations
+        )
+
+
+def test_batch_declines_what_the_c_does_not_cover(compiled):
+    """float32 calls and calls with a negative-stride operand come back
+    ``None``, their copies untouched, and ``run_stacks`` / ``update_tile``
+    still give them NumPy's bytes; a non-contiguous tile (its copy is
+    contiguous) and an operand with strided columns are folded."""
+    from repro.kernels.base import update_tile, update_tiles
+
+    spec = FloydWarshallGep()
+    rng = np.random.default_rng(4)
+
+    def tile(dtype=np.float64):
+        return rng.choice([0.0, 1.0, 2.5, np.inf, -np.inf], size=(6, 6)).astype(dtype)
+
+    f32 = [("D", tile(np.float32), tile(np.float32), tile(np.float32), None, 6, 6, 0, 24)
+           for _ in range(2)]
+    flipped = [("D", tile(), tile()[::-1], tile(), None, 6, 12, 0, 24)]
+    strided = [("D", np.asfortranarray(tile()), tile(), np.ascontiguousarray(tile().T).T,
+                None, 12, 6, 0, 24)]
+    calls = f32 + flipped + strided
+    copies = [call[1].copy() for call in calls]
+    before = [c.tobytes() for c in copies]
+    done = native.fold_calls("minplus", calls, copies, ALIAS_X, {24: 24}, (False, False))
+    assert [d is None for d in done] == [True, True, True, False]
+    assert [c.tobytes() for c in copies[:3]] == before[:3]
+    kernel = IterativeKernel(spec)
+    with np.errstate(all="ignore"):
+        got = update_tiles(kernel, calls)
+        want = [update_tile(kernel, call) for call in calls]
+    assert got[0].dtype == np.float32
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_batch_releases_every_buffer(compiled):
+    """Every operand's ``sys.getrefcount`` is what it was after a batch
+    that folds everything, one with a declined call, and one that raises
+    (a malformed call after buffers were taken): no ``Py_buffer`` leaks."""
+    from repro.kernels.iterative import _active_end
+
+    spec, calls = _task_calls("ge", np.random.default_rng(8))
+    n = calls[0][8]
+    ops = list({id(op): op for call in calls for op in call[1:5]
+                if isinstance(op, np.ndarray)}.values())
+    copies = [call[1].copy() for call in calls]
+    d = next(call for call in calls if call[0] == "D")
+
+    def counts():
+        return [sys.getrefcount(a) for a in [*ops, *copies]]
+
+    def batch(more):
+        return native.fold_calls("ge", calls + more, copies + [d[1].copy() for _ in more],
+                                 ALIAS_X, {n: _active_end(spec, n)}, (True, True))
+
+    before = counts()
+    with np.errstate(all="ignore"):
+        assert None not in batch([])
+        assert counts() == before
+        assert batch([(*d[:2], d[2][::-1], *d[3:])])[-1] is None  # a negative stride
+        assert counts() == before
+        with pytest.raises(TypeError, match="9-tuple"):
+            batch([d + (None,)])
+    assert counts() == before
+
+
+def test_a_covered_task_is_one_native_call(monkeypatch, compiled):
+    """A task the C covers makes exactly one native call — no
+    ``fold_one``, no ``_stack_key``, no NumPy stack — and ``update_tiles``
+    still marks its batched phase (``mark(None)``, the process worker's
+    stack token) before it, and no call after."""
+    from repro.kernels import iterative
+    from repro.kernels.base import update_tiles
+
+    spec, calls = _task_calls("fw", np.random.default_rng(3))
+    lib = native._library()
+    seen = []
+    for entry in ("fold_one", "fold_calls"):
+        fn = getattr(lib, entry)
+        monkeypatch.setattr(lib, entry, lambda *a, _e=entry, _fn=fn: seen.append(_e) or _fn(*a))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the NumPy stacking ran")
+
+    monkeypatch.setattr(iterative, "_stack_key", refuse)
+    monkeypatch.setattr(IterativeKernel, "_numpy_stacks", refuse)
+    marks = []
+    with np.errstate(all="ignore"):
+        outs = update_tiles(IterativeKernel(spec), calls, mark=marks.append)
+    assert seen == ["fold_calls"] and marks == [None]
+    assert len(outs) == len(calls) and all(out.base is None for out in outs)
+
+
+# ----------------------------------------------------------------------
 # build and fallback, each in a process of its own
 # ----------------------------------------------------------------------
 def _child(script, cache, cc=None, prefix=()):
@@ -707,6 +924,32 @@ def test_missing_compiler_solves_bit_identically_on_numpy(tmp_path, compiled):
     for name in SOLVES:
         assert numpy_run[name + "_fold"].startswith("numpy: no C compiler")
         assert native_run[name + "_fold"] == "native"
+        assert numpy_run[name] == native_run[name]
+    assert not (tmp_path / "cache").exists()
+
+
+HEADERLESS = """
+    import json, pathlib
+    from repro.kernels import native
+
+    native._include_dir = lambda: pathlib.Path(EMPTY)
+    from tests.test_native import solve_summary
+
+    print(json.dumps({"status": native.status(), **solve_summary()}))
+"""
+
+
+def test_missing_python_headers_fall_back_with_the_reason(tmp_path, compiled):
+    """A cold cache and an include directory without ``Python.h``:
+    nothing is built, :func:`~repro.kernels.native.status` names the
+    directory, and every solve is byte-identical on NumPy."""
+    empty = tmp_path / "include"
+    empty.mkdir()
+    numpy_run = _finish(_child(HEADERLESS.replace("EMPTY", repr(str(empty))), tmp_path / "cache"))
+    native_run = solve_summary()
+    assert numpy_run["status"] == f"numpy: no Python.h in {empty}"
+    for name in SOLVES:
+        assert numpy_run[name + "_fold"] == numpy_run["status"]
         assert numpy_run[name] == native_run[name]
     assert not (tmp_path / "cache").exists()
 

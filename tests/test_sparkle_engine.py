@@ -104,6 +104,36 @@ class TestShuffleAccounting:
             sc.parallelize([arr, arr], 2).collect()
             assert sc.metrics.jobs[-1].collect_bytes == 2 * arr.nbytes
 
+    def test_collect_books_a_cached_partitions_bytes_without_a_walk(self, monkeypatch):
+        """A cached partition of grid-keyed arrays is sized by arithmetic
+        when it is put and its booked bytes are what ``collect`` charges:
+        no record is walked, and the books equal ``sizeof_block``'s for
+        grid records, other records (walked) and an evicted block alike."""
+        from repro.sparkle import rdd as rdd_module
+
+        arr, odd = np.ones((4, 4)), np.ones(3)
+        records = [((0, 1), arr), ((1, 1), arr.copy()), ("odd", odd), ((True, 1), odd)]
+        want = sum(sizeof_block(r) for r in records)
+        walked = []
+        walk = rdd_module.sizeof_block
+        monkeypatch.setattr(rdd_module, "sizeof_block", lambda v: walked.append(v) or walk(v))
+        with SparkleContext(2, 2) as sc:
+            cached = sc.parallelize(records, 2).cache()
+            assert cached.collect() == records
+            assert sc.metrics.jobs[-1].collect_bytes == want
+            assert sc._block_manager.live_bytes == want
+            assert walked == records[2:]  # the non-grid records, once, at put
+            del walked[:]
+            sc._block_manager.evict_rdd(cached.id)
+            assert sc._block_manager.nbytes(cached.id, 0) is None
+            cached.unpersist()
+            grid = sc.parallelize(records[:2], 2)
+            grid.collect()
+            assert sc.metrics.jobs[-1].collect_bytes == want - sum(
+                sizeof_block(r) for r in records[2:]
+            )
+            assert walked == []
+
     def test_manager_fetch_order_is_map_partition_order(self):
         sm = ShuffleManager(MemoryManager(None))
         sid = sm.new_shuffle_id()

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.dpspark import GepSparkSolver, make_kernel
 from repro.core.gep import FloydWarshallGep
-from repro.kernels import IterativeKernel
+from repro.kernels import IterativeKernel, native
 from repro.kernels.base import update_tiles
 from repro.sparkle import (
     BlockNotFoundError,
@@ -518,11 +518,12 @@ class TestStackedWorker:
                 ("D", *culprit)
             ]
             assert metrics.worker_crashes == 3 and metrics.poison_tasks == 1
-            # the other calls still offload, stacked, with a sound kernel
+            # the other calls still offload, batched, with a sound kernel:
+            # one C call (no kernel.run), or one NumPy stack without it
             blob = pickle.dumps(make_kernel(SPEC, "iterative"))
             outs = backend.run_kernel_batch(blob, calls)
             assert [out.tobytes() for out, _ in outs] == expect
-            assert metrics.worker_kernel_runs == 1
+            assert metrics.worker_kernel_runs == (0 if native.status() == "native" else 1)
         finally:
             backend.shutdown()
         assert shm_entries() - shm_before == set()
