@@ -169,6 +169,15 @@ KEEP: list[tuple[str, str, str]] = [
      "[drops every executor's outputs]"),
     ("sparkle/scheduler.py", r"DAGScheduler\._recompute_missing",
      "test_scheduler_recovery TestExecutorLossRecovery::test_dropped_map_outputs_are_recomputed [recomputes nothing]"),
+    # the map side's Python loop: the no-compiler path, what the C
+    # declines, and the oracle of native.bucket
+    ("sparkle/scheduler.py", r"_bucket_records",
+     "test_sparkle_engine TestShuffleAccounting::test_map_task_sizes_a_shared_fan_out_value_once "
+     "[walks each record]"),
+    ("sparkle/rdd.py", r"_role_create",
+     "test_native test_bucket_matches_the_python_loop [an empty combiner]"),
+    ("sparkle/rdd.py", r"_role_merge_value",
+     "test_native test_bucket_matches_the_python_loop [drops the value]"),
     # the memory plane (`--memory-budget`, `--degrade-on-pressure`,
     # `--tenant-quota`); the quiescence ledgers are read by
     # tests/conftest.py::assert_quiescent, the invariant of a context at rest

@@ -80,7 +80,7 @@ from ..sparkle.errors import (
     ResumeMismatchError,
 )
 from ..sparkle.metrics import EngineMetrics
-from ..sparkle.rdd import CheckpointedRDD
+from ..sparkle.rdd import ROLE_AGGREGATOR, CheckpointedRDD
 from ..sparkle.requests import solve_fingerprint
 from .blocked import b_range, c_range, grid_bounds
 from .gep import GepSpec
@@ -747,9 +747,7 @@ class GepSparkSolver:
             [_selected(dp, bc_keys, "tag"), _selected(a_out, bc_keys)]
         )
         bc_out = (
-            bc_in.combineByKey(
-                _role_create, _role_merge_value, _role_merge_combiners, part
-            )
+            bc_in.combineByKey(ROLE_AGGREGATOR, num_partitions=part)
             .map_partitions(bc_part)
             .partitionBy(partitioner=part)
             .cache()
@@ -773,7 +771,7 @@ class GepSparkSolver:
             d_sources.insert(1, _selected(a_out, d_keys))
         d_in = self.sc.union(d_sources)
         d_updated = d_in.combineByKey(
-            _role_create, _role_merge_value, _role_merge_combiners, part
+            ROLE_AGGREGATOR, num_partitions=part
         ).map_partitions(d_part)
 
         untouched = _selected(dp, a_keys | bc_keys | d_keys, "reject")
@@ -964,22 +962,3 @@ def _selected(rdd, keys: frozenset, how: str = "select"):
     return rdd.map_partitions(
         lambda it, _split: pick(it, keys), preserves_partitioning=True
     )
-
-
-# ----------------------------------------------------------------------
-# combineByKey role aggregation
-# ----------------------------------------------------------------------
-def _role_create(rv):
-    role, arr = rv
-    return {role: arr}
-
-
-def _role_merge_value(acc, rv):
-    role, arr = rv
-    acc[role] = arr
-    return acc
-
-
-def _role_merge_combiners(a, b):
-    a.update(b)
-    return a

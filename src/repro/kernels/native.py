@@ -1,8 +1,9 @@
-"""The compiled tile folds: one C call per tile, or per task's batch.
+"""The compiled tile folds — one C call per tile, or per task's batch —
+and the shuffle map side, one C call per map task.
 
 The paper runs its tile kernels as native code inside each executor,
 handed a partition's blocks.  This module holds that code — one C
-source, two entry points, written against the CPython API — and builds
+source, three entry points, written against the CPython API — and builds
 it on first use with the host's C compiler.  Four folds share it:
 
 ``minplus`` / ``maxplus``
@@ -27,7 +28,7 @@ it on first use with the host's C compiler.  Four folds share it:
 Every fold also takes Σ_G's *corner* ``(ri, cj)``: step ``k`` updates
 only rows ``i >= k + ri`` and columns ``j >= k + cj`` (``ri = cj = -K``
 is the whole tile at every step), so a masked GE tile is one call too;
-``orand`` takes whole tiles only.  The two entry points:
+``orand`` takes whole tiles only.  The two fold entry points:
 
 ``fold_one(op, x, u, v, w, corner)`` — :func:`fold`
     One 2-D tile in place: what ``GepSpec.apply_steps`` /
@@ -82,6 +83,31 @@ operands' address ranges:
 Both run each cell's steps in ``k`` order through one expression, so
 the loop order changes no bit.
 
+The third entry point is no fold.  In pySpark the map side of a
+shuffle (placing, combining and sizing records) runs in the JVM; here
+it is C too:
+
+``bucket(records, placed, partition, reducers, combine)`` — :func:`bucket`
+    One shuffle map task's record list by reducer, what the scheduler's
+    Python loop (``scheduler._bucket_records``) does, with the GIL held.
+    A record's reducer is the memo ``placed``'s answer for an exact
+    ``(int, int)`` key it holds, else ``partition(key)`` (``placed`` is
+    ``None`` for a partitioner with no memo; the key is looked up, or
+    hashed, first, as ``placed.get`` does).  With ``combine`` it runs
+    the role combine (``rdd.ROLE_AGGREGATOR``): one ``{role: tile}``
+    dict per key, keys and roles in the order they came.  Every record
+    is sized by arithmetic before anything is called — an exact array
+    is its ``nbytes``, an exact ``(ASCII str, exact array)`` role tuple
+    ``8 + len(role) + nbytes``, a combiner ``8 + Σ(len(role) +
+    nbytes)``: ``sizeof_block``'s answers — and a value it cannot size
+    so (or, under ``combine``, one that is no such tuple) declines the
+    task, as do a role seen twice for one key and a reducer that is not
+    an exact ``int`` in ``[0, reducers)``.  It returns ``(buckets,
+    sizes)`` — per reducer its records or ``(key, combiner)`` pairs,
+    and their value bytes — or ``None`` to decline; an exception a key's
+    ``__hash__`` / ``__eq__`` or ``partition`` raises comes out as it
+    is.  A private list holds every record alive across those calls.
+
 The library is built with ``$CC`` (default ``cc``) and this
 interpreter's include directory (``Python.h``) into
 ``${XDG_CACHE_HOME:-~/.cache}/repro/``, keyed on the source, the
@@ -89,11 +115,11 @@ compiler's version, the flags, the CPU's ISA flags and the
 interpreter's ABI (``SOABI``), so a library built for another CPU or
 another Python is never loaded; a warm cache needs no compiler run and
 no headers.  It is loaded with ``ctypes.PyDLL`` (the entry points take
-and return Python objects and release the GIL themselves) and published
+and return Python objects; the folds release the GIL themselves) and published
 with ``os.replace``, so processes racing a cold cache each load one
 complete file.  A failed build or load — no compiler, no ``Python.h``,
 an unwritable cache — is recorded and :func:`status` reports it; NumPy
-runs from then on.
+and the map side's Python loop run from then on.
 """
 
 from __future__ import annotations
@@ -112,7 +138,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fold", "fold_calls", "fold_of", "status"]
+__all__ = ["bucket", "fold", "fold_calls", "fold_of", "status"]
 
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -672,6 +698,213 @@ done:
     free(t.views);
     return out;
 }
+
+/* ---- the map side of a shuffle: bucket ---- */
+
+static PyObject *ndarray_type, *nbytes_name;
+
+/* The bytes sizeof_block gives a value, by arithmetic: an exact array's
+   nbytes, or 8 + len(role) + nbytes for an exact (ASCII str, exact
+   array) pair — the only shape a role combine takes.  -1 declines,
+   -2 is an error raised. */
+static idx value_bytes(PyObject *v, int combine)
+{
+    idx head = 0;
+    if (PyTuple_CheckExact(v) && PyTuple_GET_SIZE(v) == 2) {
+        PyObject *role = PyTuple_GET_ITEM(v, 0);
+        if (!PyUnicode_CheckExact(role))
+            return -1;
+#if PY_VERSION_HEX < 0x030C0000
+        if (PyUnicode_READY(role))
+            return -2;
+#endif
+        if (!PyUnicode_IS_ASCII(role))
+            return -1;
+        head = 8 + PyUnicode_GET_LENGTH(role);
+        v = PyTuple_GET_ITEM(v, 1);
+    } else if (combine) {
+        return -1;
+    }
+    if (Py_TYPE(v) != (PyTypeObject *)ndarray_type)
+        return -1;
+    PyObject *nb = PyObject_GetAttr(v, nbytes_name);
+    if (nb == NULL)
+        return -2;
+    const idx n = PyLong_AsSsize_t(nb);
+    Py_DECREF(nb);
+    return n < 0 ? (PyErr_Occurred() ? -2 : -1) : head + n;
+}
+
+/* A key's reducer in *b: the memo's answer for an exact (int, int) key
+   it holds, else partition(key).  Looking a key up in the memo (or
+   hashing it, without one) first is what the Python loop's
+   placed.get(key) does, so a key whose __hash__ raises raises here
+   too.  1 placed, 0 declined (an answer that is not an int in
+   [0, reducers)), -1 an error raised. */
+static int place(PyObject *key, PyObject *placed, PyObject *partition,
+                 idx reducers, idx *b)
+{
+    const int grid = PyTuple_CheckExact(key) && PyTuple_GET_SIZE(key) == 2
+                     && PyLong_CheckExact(PyTuple_GET_ITEM(key, 0))
+                     && PyLong_CheckExact(PyTuple_GET_ITEM(key, 1));
+    PyObject *hit = NULL, *r;
+    if (placed != Py_None) {
+        hit = PyDict_GetItemWithError(placed, key);
+        if (hit == NULL && PyErr_Occurred())
+            return -1;
+    } else if (!grid && PyObject_Hash(key) == -1) {
+        return -1;
+    }
+    if (hit != NULL && grid)
+        r = Py_NewRef(hit);
+    else if ((r = PyObject_CallOneArg(partition, key)) == NULL)
+        return -1;
+    int ok = PyLong_CheckExact(r);
+    if (ok) {
+        *b = PyLong_AsSsize_t(r);
+        if (*b == -1 && PyErr_Occurred())
+            PyErr_Clear();
+        ok = *b >= 0 && *b < reducers;
+    }
+    Py_DECREF(r);
+    return ok;
+}
+
+/* One map task's records into per-reducer buckets; see the module
+   docstring.  Returns (buckets, value bytes), or None to decline. */
+PyObject *bucket(PyObject *records, PyObject *placed, PyObject *partition,
+                 idx reducers, int combine)
+{
+    if (!PyList_Check(records) || (placed != Py_None && !PyDict_Check(placed))
+        || reducers < 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bucket takes a list, a dict or None, and reducers >= 1");
+        return NULL;
+    }
+    if (ndarray_type == NULL) {
+        /* set last, so a thread that sees it set sees nbytes_name too */
+        PyObject *numpy = PyImport_ImportModule("numpy");
+        PyObject *type = numpy != NULL ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
+        Py_XDECREF(numpy);
+        if (type == NULL)
+            return NULL;
+        if (nbytes_name == NULL
+            && (nbytes_name = PyUnicode_InternFromString("nbytes")) == NULL) {
+            Py_DECREF(type);
+            return NULL;
+        }
+        if (ndarray_type == NULL)
+            ndarray_type = type;
+        else
+            Py_DECREF(type);
+    }
+    /* a private list holds every record (so every key and value) alive
+       across the calls back into Python, whatever they do */
+    PyObject *own = PyList_GetSlice(records, 0, PY_SSIZE_T_MAX);
+    if (own == NULL)
+        return NULL;
+    const idx n = PyList_GET_SIZE(own);
+    idx *bytes = malloc(sizeof(idx) * (size_t)(n + 1));
+    idx *total = calloc((size_t)reducers, sizeof(idx));
+    PyObject *groups = NULL, *sizes = NULL, *out = NULL;
+    int status = -1; /* 1 bucketed, 0 declined, -1 an error raised */
+    if (bytes == NULL || total == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* every record sized before any call back into Python, so what
+       cannot be sized declines with nothing called; a fan-out's records
+       follow each other and share their value */
+    PyObject *last = NULL;
+    idx last_bytes = 0;
+    for (idx i = 0; i < n; i++) {
+        PyObject *rec = PyList_GET_ITEM(own, i);
+        if (!PyTuple_CheckExact(rec) || PyTuple_GET_SIZE(rec) != 2) {
+            status = 0;
+            goto done;
+        }
+        PyObject *v = PyTuple_GET_ITEM(rec, 1);
+        if (v != last) {
+            last = v;
+            last_bytes = value_bytes(v, combine);
+        }
+        if (last_bytes < 0) {
+            status = last_bytes == -1 ? 0 : -1;
+            goto done;
+        }
+        bytes[i] = last_bytes;
+    }
+    if ((groups = PyList_New(reducers)) == NULL)
+        goto done;
+    for (idx b = 0; b < reducers; b++) {
+        PyObject *group = combine ? PyDict_New() : PyList_New(0);
+        if (group == NULL)
+            goto done;
+        PyList_SET_ITEM(groups, b, group);
+    }
+    for (idx i = 0; i < n; i++) {
+        PyObject *rec = PyList_GET_ITEM(own, i);
+        PyObject *key = PyTuple_GET_ITEM(rec, 0);
+        idx b;
+        if ((status = place(key, placed, partition, reducers, &b)) != 1)
+            goto done;
+        status = -1;
+        PyObject *group = PyList_GET_ITEM(groups, b);
+        if (!combine) {
+            if (PyList_Append(group, rec))
+                goto done;
+            total[b] += bytes[i];
+            continue;
+        }
+        /* the role combine: {role: tile} per key, 8 + Σ(len(role) +
+           nbytes) bytes; a role seen twice for one key declines */
+        PyObject *v = PyTuple_GET_ITEM(rec, 1);
+        PyObject *role = PyTuple_GET_ITEM(v, 0), *tile = PyTuple_GET_ITEM(v, 1);
+        PyObject *acc = PyDict_GetItemWithError(group, key);
+        if (acc == NULL) {
+            if (PyErr_Occurred() || (acc = PyDict_New()) == NULL)
+                goto done;
+            const int err = PyDict_SetItem(acc, role, tile) || PyDict_SetItem(group, key, acc);
+            Py_DECREF(acc);
+            if (err)
+                goto done;
+            total[b] += bytes[i];
+            continue;
+        }
+        const int seen = PyDict_Contains(acc, role);
+        if (seen) {
+            status = seen < 0 ? -1 : 0;
+            goto done;
+        }
+        if (PyDict_SetItem(acc, role, tile))
+            goto done;
+        total[b] += bytes[i] - 8;
+    }
+    if ((sizes = PyList_New(reducers)) == NULL)
+        goto done;
+    for (idx b = 0; b < reducers; b++) {
+        PyObject *size = PyLong_FromSsize_t(total[b]);
+        if (size == NULL)
+            goto done;
+        PyList_SET_ITEM(sizes, b, size);
+        if (combine) {
+            PyObject *items = PyDict_Items(PyList_GET_ITEM(groups, b));
+            if (items == NULL || PyList_SetItem(groups, b, items))
+                goto done;
+        }
+    }
+    out = PyTuple_Pack(2, groups, sizes);
+    status = 1;
+done:
+    if (status == 0)
+        out = Py_NewRef(Py_None);
+    Py_DECREF(own);
+    Py_XDECREF(groups);
+    Py_XDECREF(sizes);
+    free(bytes);
+    free(total);
+    return out;
+}
 """
 
 #: No ``-ffast-math``: it would let the compiler reorder, contract and
@@ -755,6 +988,22 @@ def fold_calls(entry: str | None, calls: list, copies: list, alias_x, ends: dict
     return lib.fold_calls(_CODES[entry], calls, copies, alias_x, ends, *constrains)
 
 
+def bucket(records: list, placed: dict | None, partition, reducers: int,
+           combine: bool) -> tuple[list, list] | None:
+    """Bucket one shuffle map task's ``records`` by reducer in one C
+    call (see the module docstring): ``placed`` is the partitioner's
+    memo (``None`` when it has none), ``partition`` its placement
+    function, ``combine`` the role combine.  Returns ``(buckets,
+    sizes)`` — per reducer, its records (its ``(key, {role: tile})``
+    combiners under ``combine``) and their value bytes — or ``None``
+    when it declines or there is no library, and the caller's Python
+    loop must run."""
+    lib = _library()
+    if lib is None:
+        return None
+    return lib.bucket(records, placed, partition, reducers, combine)
+
+
 def _library() -> ctypes.PyDLL | None:
     global _lib, _status
     if _status is None:
@@ -815,6 +1064,8 @@ def _load() -> ctypes.PyDLL:
     lib.fold_one.restype = obj
     lib.fold_calls.argtypes = [i, obj, obj, obj, obj, i, i]
     lib.fold_calls.restype = obj
+    lib.bucket.argtypes = [obj, obj, obj, ctypes.c_ssize_t, i]
+    lib.bucket.restype = obj
     return lib
 
 

@@ -40,6 +40,7 @@ T = TypeVar("T")
 __all__ = [
     "RDD",
     "Aggregator",
+    "ROLE_AGGREGATOR",
     "Dependency",
     "NarrowDependency",
     "ShuffleDependency",
@@ -74,6 +75,30 @@ class Aggregator:
     merge_value: Callable[[Any, Any], Any]
     merge_combiners: Callable[[Any, Any], Any]
     map_side_combine: bool = True
+
+
+def _role_create(rv):
+    role, arr = rv
+    return {role: arr}
+
+
+def _role_merge_value(acc, rv):
+    role, arr = rv
+    acc[role] = arr
+    return acc
+
+
+def _role_merge_combiners(a, b):
+    a.update(b)
+    return a
+
+
+#: The role combine: a ``(role, tile)`` value per record into one
+#: ``{role: tile}`` dict per key — how IM couples a consumer tile with
+#: its operands (DESIGN §20).  The engine owns it: a map task under it is
+#: bucketed and combined in one C call
+#: (:meth:`~repro.sparkle.scheduler.DAGScheduler._shuffle_map_task`).
+ROLE_AGGREGATOR = Aggregator(_role_create, _role_merge_value, _role_merge_combiners)
 
 
 class ShuffleDependency(Dependency):
@@ -290,14 +315,22 @@ class RDD:
 
     def combineByKey(
         self,
-        create_combiner: Callable[[Any], Any],
-        merge_value: Callable[[Any, Any], Any],
-        merge_combiners: Callable[[Any, Any], Any],
+        create_combiner: Callable[[Any], Any] | Aggregator,
+        merge_value: Callable[[Any, Any], Any] | None = None,
+        merge_combiners: Callable[[Any, Any], Any] | None = None,
         num_partitions: int | Partitioner | None = None,
         map_side_combine: bool = True,
     ) -> "RDD":
+        """Combine the values of each key: with the three functions, or
+        with an :class:`Aggregator` in their place (such as
+        :data:`ROLE_AGGREGATOR`)."""
         p = self._resolve_partitioner(num_partitions)
-        agg = Aggregator(create_combiner, merge_value, merge_combiners, map_side_combine)
+        if isinstance(create_combiner, Aggregator):
+            agg = create_combiner
+        else:
+            agg = Aggregator(
+                create_combiner, merge_value, merge_combiners, map_side_combine
+            )
         return ShuffledRDD(self, p, agg)
 
     def reduceByKey(

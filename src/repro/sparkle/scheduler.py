@@ -49,6 +49,7 @@ from typing import Any, Callable, Iterator
 
 from numpy import ndarray
 
+from ..kernels import native
 from ..util import sizeof_block
 from .chaos import CURRENT_TASK
 from .errors import (
@@ -65,7 +66,7 @@ from .errors import (
     WorkerCrashed,
 )
 from .metrics import StageRecord, TaskRecord
-from .rdd import NarrowDependency, RDD, ShuffleDependency
+from .rdd import ROLE_AGGREGATOR, NarrowDependency, RDD, ShuffleDependency
 
 __all__ = ["DAGScheduler", "TaskContext", "Stage"]
 
@@ -372,81 +373,37 @@ class DAGScheduler:
         """Compute the parent partition, bucket and size it by reducer,
         write shuffle.
 
-        One pass over the records.  A record's reducer is one lookup in
-        the partitioner's memo (:attr:`~repro.sparkle.partitioner.
-        Partitioner.placed`) when its key is an exact ``(int, int)``
-        grid key already placed, and :meth:`~repro.sparkle.partitioner.
-        Partitioner.partition` otherwise — the memo holds what
-        ``partition`` would answer, so the buckets are the same.
-
-        The same pass sizes the record, the one place a map output is
-        sized: ``16 + sizeof_block(value)`` (the key assumed
-        small/fixed).  An exact array reports its ``nbytes``, which is
-        what ``sizeof_block`` would return; any other value is sized
-        once per task through ``walked``, keyed by ``id`` (fan-out
-        records share one role tuple, and an ``id`` cannot be reused
-        while the buckets hold the object).  A map-side combine sizes
-        each combiner once, after the combine.
+        One C call buckets the records (:func:`repro.kernels.native.
+        bucket`): it places each record as :func:`_bucket_records` does
+        and sizes it by arithmetic, ``16 + sizeof_block(value)`` a record
+        (the key assumed small/fixed), for the plain path and for the
+        role combine (:data:`~repro.sparkle.rdd.ROLE_AGGREGATOR`).  What
+        it declines — a value it cannot size by arithmetic, a role
+        overwritten within a key — what another map-side aggregator
+        combines, and every task on a host without the library take
+        :func:`_bucket_records`, the Python loop it must equal.
         """
         agg = dep.aggregator
         part = dep.partitioner
-        placed, place = part.placed, part.partition
         combine = agg is not None and agg.map_side_combine
-        # one bucket per reducer: its records, or for a map-side combine
-        # its combiners by key
-        per_reducer: list = [{} if combine else [] for _ in range(part.num_partitions)]
-        # the value bytes of each reducer's records (16 a record is
-        # added per bucket below)
-        sizes = [0] * part.num_partitions
-        records = 0
-        items = dep.rdd.iterator(partition, tc)
-        if combine:
-            for records, (k, v) in enumerate(items, 1):
-                b = placed.get(k)
-                # a hit's key is an exact (int, int) only if its members
-                # are ints: it is equal to a pair, so it has two
-                if b is None or not (
-                    k.__class__ is tuple
-                    and k[0].__class__ is int
-                    and k[1].__class__ is int
-                ):
-                    b = place(k)
-                combiners = per_reducer[b]
-                if k in combiners:
-                    combiners[k] = agg.merge_value(combiners[k], v)
-                else:
-                    combiners[k] = agg.create_combiner(v)
-        else:
-            walked: dict[int, int] = {}
-            for item in items:
-                k = item[0]
-                b = placed.get(k)
-                if b is None or not (
-                    k.__class__ is tuple
-                    and k[0].__class__ is int
-                    and k[1].__class__ is int
-                ):
-                    b = place(k)
-                per_reducer[b].append(item)
-                v = item[1]
-                if v.__class__ is ndarray:
-                    sizes[b] += v.nbytes
-                    continue
-                known = walked.get(id(v))
-                if known is None:
-                    known = walked[id(v)] = sizeof_block(v)
-                sizes[b] += known
-            records = sum(map(len, per_reducer))
-        tc.records_out += records
+        records = list(dep.rdd.iterator(partition, tc))
+        # a memo that is no dict (the empty default) is no memo: what it
+        # holds is what ``partition`` answers
+        placed = part.placed if part.placed.__class__ is dict else None
+        out = None
+        if not combine or agg is ROLE_AGGREGATOR:
+            out = native.bucket(
+                records, placed, part.partition, part.num_partitions, combine
+            )
+        if out is None:
+            out = _bucket_records(records, part, agg if combine else None)
+        per_reducer, sizes = out
+        tc.records_out += len(records)
         buckets = {}
         for b, bucket in enumerate(per_reducer):
-            if not bucket:
-                continue
-            if combine:
-                bucket = list(bucket.items())
-                sizes[b] = sum(sizeof_block(c) for _k, c in bucket)
-            buckets[b] = bucket
-            sizes[b] += 16 * len(bucket)
+            if bucket:
+                buckets[b] = bucket
+                sizes[b] += 16 * len(bucket)
         return self.ctx._shuffle_manager.write(
             dep.shuffle_id, partition, buckets, {b: sizes[b] for b in buckets}
         )
@@ -606,3 +563,73 @@ class DAGScheduler:
         self._shuffle_stages.clear()
         with self._attempt_lock:
             self._attempt_counts.clear()
+
+
+def _bucket_records(records: list, part, agg) -> tuple[list, list]:
+    """A map task's records by reducer, in Python: per reducer its
+    records — or, with a map-side ``agg``, its ``(key, combiner)``
+    pairs — and their value bytes.  What :func:`repro.kernels.native.
+    bucket` declines runs here, and so does every task on a host
+    without the library.
+
+    One pass over the records.  A record's reducer is one lookup in the
+    partitioner's memo (:attr:`~repro.sparkle.partitioner.Partitioner.
+    placed`) when its key is an exact ``(int, int)`` grid key already
+    placed, and :meth:`~repro.sparkle.partitioner.Partitioner.partition`
+    otherwise — the memo holds what ``partition`` would answer, so the
+    buckets are the same.
+
+    The same pass sizes the record: ``sizeof_block(value)``.  An exact
+    array reports its ``nbytes``, which is what ``sizeof_block`` would
+    return; any other value is sized once per task through ``walked``,
+    keyed by ``id`` (fan-out records share one role tuple, and an ``id``
+    cannot be reused while the buckets hold the object).  A map-side
+    combine sizes each combiner once, after the combine.
+    """
+    placed, place = part.placed, part.partition
+    # one bucket per reducer: its records, or for a map-side combine
+    # its combiners by key
+    per_reducer: list = [
+        {} if agg is not None else [] for _ in range(part.num_partitions)
+    ]
+    sizes = [0] * part.num_partitions
+    if agg is not None:
+        for k, v in records:
+            b = placed.get(k)
+            # a hit's key is an exact (int, int) only if its members
+            # are ints: it is equal to a pair, so it has two
+            if b is None or not (
+                k.__class__ is tuple
+                and k[0].__class__ is int
+                and k[1].__class__ is int
+            ):
+                b = place(k)
+            combiners = per_reducer[b]
+            if k in combiners:
+                combiners[k] = agg.merge_value(combiners[k], v)
+            else:
+                combiners[k] = agg.create_combiner(v)
+        for b, combiners in enumerate(per_reducer):
+            per_reducer[b] = bucket = list(combiners.items())
+            sizes[b] = sum(sizeof_block(c) for _k, c in bucket)
+        return per_reducer, sizes
+    walked: dict[int, int] = {}
+    for item in records:
+        k = item[0]
+        b = placed.get(k)
+        if b is None or not (
+            k.__class__ is tuple
+            and k[0].__class__ is int
+            and k[1].__class__ is int
+        ):
+            b = place(k)
+        per_reducer[b].append(item)
+        v = item[1]
+        if v.__class__ is ndarray:
+            sizes[b] += v.nbytes
+            continue
+        known = walked.get(id(v))
+        if known is None:
+            known = walked[id(v)] = sizeof_block(v)
+        sizes[b] += known
+    return per_reducer, sizes

@@ -120,11 +120,31 @@ def apply_k_steps(spec, x, u, v, w=None) -> None:
         spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
 
 
+@pytest.fixture
+def compiled():
+    """Skip where this host could not build the library (``make
+    tier1-nocc`` runs the suite so)."""
+    from repro.kernels import native
+
+    if native.status() != "native":
+        pytest.skip(f"compiled library unavailable: {native.status()}")
+
+
+@pytest.fixture
+def no_library():
+    """:func:`numpy_only` as a fixture: the test runs as on a host with
+    no compiler."""
+    with numpy_only():
+        yield
+
+
 @contextlib.contextmanager
 def numpy_only():
-    """The compiled folds hidden, as on a host with no compiler: every
+    """The compiled library hidden, as on a host with no compiler: every
     tile update — the C batch and the per-tile fold alike — declines and
-    NumPy runs (``run_stacks``' stacks, ``apply_k`` step by step)."""
+    NumPy runs (``run_stacks``' stacks, ``apply_k`` step by step), and
+    every shuffle map task takes the Python loop
+    (``scheduler._bucket_records``)."""
     from repro.kernels import native
 
     with mock.patch.multiple(native, _lib=None, _status="numpy: hidden"):

@@ -436,6 +436,61 @@ def test_cb_sizes_its_records_without_a_walk(monkeypatch):
     assert (m.storage_bytes_read, report.summary()["shuffle_bytes"]) == (16_506_880, 17_842_176)
 
 
+def _count_walks(monkeypatch) -> list:
+    """Every ``sizeof_block`` call the engine makes, appended to the list
+    returned."""
+    from repro.sparkle import broadcast, rdd, scheduler, storage
+
+    walks = []
+    for module in (broadcast, rdd, scheduler, storage):
+        walk = module.sizeof_block
+        monkeypatch.setattr(
+            module, "sizeof_block", lambda v, _walk=walk: walks.append(v) or _walk(v)
+        )
+    return walks
+
+
+@pytest.mark.usefixtures("compiled")
+def test_im_map_tasks_size_their_records_without_a_walk(monkeypatch):
+    """An ``fw_fine_im``-shaped solve (FW n=192, r=24, IM) buckets its
+    map tasks in C, which sizes every record by arithmetic: at most
+    1,000 ``sizeof_block`` calls a solve (29,880 when the map task
+    walked each role combiner; 0 now), while the plan and its shuffle
+    bytes keep their exact values."""
+    walks = _count_walks(monkeypatch)
+    spec, make = SPECS["fw"]
+    table = make(192, seed=1, density=0.3)
+    with SparkleContext(2, 1) as sc:
+        got, report = run_gep(spec, table, engine="spark", r=24, strategy="im", sc=sc)
+    assert len(walks) <= 1_000
+    m, s = report.engine_metrics, report.summary()
+    read = sum(stage.shuffle_bytes_read for job in m.jobs for stage in job.stages)
+    assert (s["stages"], s["tasks"], s["shuffle_bytes"], read) == (
+        122, 968, 43_773_744, 65_670_960
+    )
+    assert np.array_equal(got, run_gep(spec, table, engine="local", r=24)[0])
+
+
+@pytest.mark.parametrize("library", ["compiled", "no_library"])
+def test_grid_partitioner_ablation_books_the_same_bytes(library, request):
+    """``bench_ablation``'s §VI shape (FW n=96, r=4, IM on a
+    ``GridPartitioner``, whose memo is empty, so every record is placed
+    by ``partition``): the same table bytes and shuffle bytes with the C
+    map side and with the Python loop."""
+    request.getfixturevalue(library)
+    spec = FloydWarshallGep()
+    table = fw_table(96, seed=6, density=0.3)
+    with SparkleContext(4, 2, default_parallelism=16) as sc:
+        solver = GepSparkSolver(
+            spec, sc, r=4, kernel=make_kernel(spec, "iterative"),
+            strategy="im", partitioner=GridPartitioner(16, 4),
+        )
+        got, report = solver.solve(table)
+    s = report.summary()
+    assert (s["shuffle_bytes"], s["remote_shuffle_bytes"]) == (1_666_344, 222_396)
+    assert np.array_equal(got, run_gep(spec, table, engine="local", r=4)[0])
+
+
 def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
     """Retry purity on 8x8 tiles, where every B / C and D task is one C
     batch (or, without a compiler, every D task is stacked and every B /

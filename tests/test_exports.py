@@ -241,13 +241,14 @@ WHOLE_ROW_EXEMPT = {
     "experiments/calibration.py": "item 8(c) decides the fitter",
 }
 
-#: the plane files and the compiled fold, whose every row names the
-#: assertion a mutation of its helper broke, the mutation in brackets
+#: the plane files, the scheduler and the compiled library, whose every
+#: row names the assertion a mutation of its helper broke, the mutation
+#: in brackets
 MUTATION_CHECKED = [
     "sparkle/memory.py", "sparkle/shuffle.py", "sparkle/storage.py",
     "sparkle/durable.py", "sparkle/tenancy.py", "sparkle/requests.py",
-    "sparkle/broadcast.py", "kernels/openmp.py", "kernels/stats.py",
-    "kernels/native.py",
+    "sparkle/broadcast.py", "sparkle/scheduler.py", "kernels/openmp.py",
+    "kernels/stats.py", "kernels/native.py",
 ]
 
 

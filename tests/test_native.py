@@ -41,14 +41,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf])
 
 
-@pytest.fixture
-def compiled():
-    """Skip where this host could not build the library (``make
-    tier1-nocc`` runs the suite so)."""
-    if native.status() != "native":
-        pytest.skip(f"compiled fold unavailable: {native.status()}")
-
-
 def _values(rng, shape, nan=False):
     pool = np.concatenate([SPECIALS, [np.nan]]) if nan else SPECIALS
     out = rng.choice(pool, size=shape)
@@ -1008,3 +1000,276 @@ def test_read_only_cache_falls_back_with_the_reason(tmp_path, compiled):
     assert run["fw_fold"].startswith("numpy: ")
     assert "Read-only" in run["fw_fold"] or "Permission denied" in run["fw_fold"]
     assert list((cache / "repro").iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# bucket: one shuffle map task's records by reducer
+# ----------------------------------------------------------------------
+class _Sub(np.ndarray):
+    """An ndarray subclass: ``sizeof_block`` sizes it by ``isinstance``,
+    so ``bucket`` declines it."""
+
+
+def _partitioners():
+    from repro.sparkle.partitioner import GridPartitioner, HashPartitioner, Partitioner
+
+    class AdHoc(Partitioner):
+        """No memo: the default empty ``placed``."""
+
+        def partition(self, key):
+            return sum(map(ord, repr(key))) % self.num_partitions
+
+    return {
+        "hash": lambda: HashPartitioner(5),
+        "grid": lambda: GridPartitioner(5, 4),
+        "adhoc": lambda: AdHoc(5),
+    }
+
+
+PARTITIONERS = _partitioners()
+_GRID = [(i, j) for i in range(4) for j in range(4)]
+#: keys equal to others of another type: (1.0, 2) to (1, 2), True to 1
+_ODD = [(1, 2), (1.0, 2), 1, True, "s", (7, -3), (0,), None]
+
+
+def _record_sets():
+    """name -> (records, combine, whether ``bucket`` takes them)."""
+    a = np.arange(16.0).reshape(4, 4)
+    b = np.ones((2, 3), dtype=np.float32)
+    view = np.arange(32.0).reshape(4, 8)[:, ::2]  # non-contiguous
+    shared = ("uw", a)
+    fan = [(key, shared) for key in _GRID]  # one role tuple, many records
+    roles = [(key, (role, t)) for role, t in zip("xuvw", (a, b, view, a)) for key in _GRID]
+    return {
+        "plain-grid": ([(key, a.copy()) for key in _GRID], False, True),
+        "plain-keys": ([(key, view) for key in _ODD], False, True),
+        "plain-roles": (fan + [(key, ("x", view)) for key in _GRID], False, True),
+        "plain-empty": ([], False, True),
+        "plain-subclass": ([(_GRID[0], a), (_GRID[1], a.view(_Sub))], False, False),
+        "plain-non-ascii": ([(_GRID[0], a), (_GRID[1], ("ü", a))], False, False),
+        "plain-int": ([(_GRID[0], a), (_GRID[1], 5)], False, False),
+        "plain-dict": ([(_GRID[0], {"u": a})], False, False),
+        "plain-role-of-subclass": ([(_GRID[0], ("u", a.view(_Sub)))], False, False),
+        "combine-grid": (roles, True, True),
+        "combine-keys": (
+            [(key, (role, a)) for key, role in zip(_ODD, "xuvwxuvw")], True, True
+        ),
+        "combine-empty": ([], True, True),
+        "combine-overwrite": (roles + [(_GRID[3], ("u", view))], True, False),
+        "combine-array": ([(_GRID[0], a)], True, False),
+        "combine-non-array": ([(_GRID[0], ("x", 5))], True, False),
+        "combine-non-ascii": ([(_GRID[0], ("ü", a))], True, False),
+    }
+
+
+RECORD_SETS = _record_sets()
+
+
+def _python_buckets(records, part, combine):
+    from repro.sparkle.rdd import ROLE_AGGREGATOR
+    from repro.sparkle.scheduler import _bucket_records
+
+    return _bucket_records(records, part, ROLE_AGGREGATOR if combine else None)
+
+
+def _c_buckets(records, part, combine):
+    placed = part.placed
+    memo = placed if placed.__class__ is dict else None
+    return native.bucket(records, memo, part.partition, part.num_partitions, combine)
+
+
+def _shape(buckets, combine):
+    """A bucket list by object identity: each record (plain), or each
+    combiner's key and ``(role, tile)`` pairs in dict order."""
+    if not combine:
+        return [[id(record) for record in bucket] for bucket in buckets]
+    return [
+        [(id(key), [(role, id(tile)) for role, tile in roles.items()]) for key, roles in bucket]
+        for bucket in buckets
+    ]
+
+
+@pytest.mark.parametrize("records", sorted(RECORD_SETS))
+@pytest.mark.parametrize("part", sorted(PARTITIONERS))
+def test_bucket_matches_the_python_loop(part, records, compiled):
+    """Buckets, record order within each, combiner dict order, value
+    bytes and the partitioner's memo afterwards all equal the Python
+    loop's; what ``bucket`` cannot size by arithmetic (an ndarray
+    subclass, a non-ASCII role, a non-array value, a plain value under
+    the role combine) or a role overwritten within one key is declined."""
+    recs, combine, taken = RECORD_SETS[records]
+    py_part, c_part = PARTITIONERS[part](), PARTITIONERS[part]()
+    got = _c_buckets(recs, c_part, combine)
+    if not taken:
+        assert got is None
+        return
+    want_buckets, want_sizes = _python_buckets(recs, py_part, combine)
+    got_buckets, got_sizes = got
+    assert _shape(got_buckets, combine) == _shape(want_buckets, combine)
+    assert got_sizes == want_sizes
+    assert list(c_part.placed.items()) == list(py_part.placed.items())
+
+
+@pytest.mark.parametrize("records", sorted(RECORD_SETS))
+@pytest.mark.parametrize("part", ["hash", "adhoc"])
+def test_map_task_writes_what_the_python_loop_writes(part, records, compiled):
+    """Through the scheduler's map task, with the library and with the
+    compiler hidden: the same bytes written, ``records_out``, fetched
+    records and bytes per reducer and memo (or the same error)."""
+    from repro.sparkle import SparkleContext
+    from repro.sparkle.rdd import ROLE_AGGREGATOR, CheckpointedRDD
+    from repro.sparkle.scheduler import TaskContext
+
+    from .conftest import numpy_only
+
+    recs, combine, _taken = RECORD_SETS[records]
+
+    def map_task():
+        try:
+            return ran()
+        except ValueError as exc:  # a value the role combine cannot unpack
+            return repr(exc)
+
+    def ran():
+        p = PARTITIONERS[part]()
+        with SparkleContext(1, 1) as sc:
+            rdd = CheckpointedRDD(sc, [recs], None)
+            shuffled = (
+                rdd.combineByKey(ROLE_AGGREGATOR, num_partitions=p)
+                if combine else rdd.partitionBy(partitioner=p)
+            )
+            dep, tc = shuffled._shuffle_dep, TaskContext(0, 0, 1)
+            written = sc._scheduler._shuffle_map_task(dep, 0, tc)
+            fetched = [sc._shuffle_manager.fetch(dep.shuffle_id, b, 1) for b in range(5)]
+        buckets = [items for items, _nbytes, _remote in fetched]
+        return (
+            written, tc.records_out, [nbytes for _i, nbytes, _r in fetched],
+            _shape(buckets, combine), list(p.placed.items()),
+        )
+
+    got = map_task()
+    with numpy_only():
+        want = map_task()
+    assert got == want
+    assert isinstance(got, str) or got[1] == len(recs)
+
+
+def _refs(records):
+    """The refcount of every record, key, value and tile."""
+    objs = []
+    for record in records:
+        key, value = record
+        objs += [record, key, value] + ([value[1]] if isinstance(value, tuple) else [])
+    return [sys.getrefcount(o) for o in objs]
+
+
+@pytest.mark.parametrize("combine", [False, True], ids=["plain", "combine"])
+@pytest.mark.parametrize("case", ["accepted", "declined", "raising"])
+def test_bucket_keeps_every_refcount(case, combine, compiled):
+    """After a call that bucketed, declined (late, on an overwritten
+    role, or early, on an unsized value) or raised from ``partition``
+    midway, once its answer is dropped, no record, key, value or tile
+    holds a reference more or fewer."""
+    tiles = [np.full((2, 2), float(t)) for t in range(6)]
+    records = [
+        ((i % 3, i), (role, tiles[i % 6]) if combine or i % 2 else tiles[i % 6])
+        for i, role in enumerate("xuvwxuvwxuvw")
+    ]
+    if case == "declined":
+        records.append(((0, 0), ("x", tiles[0]) if combine else [5]))
+    calls = []
+
+    def partition(key):
+        calls.append(key)
+        if case == "raising" and len(calls) == 7:
+            raise ValueError("placement failed")
+        return key[1] % 4
+
+    before = _refs(records)
+    try:
+        out = native.bucket(records, None, partition, 4, combine)
+    except ValueError:
+        out = "raised"
+    assert (out is None) == (case == "declined")
+    assert (out == "raised") == (case == "raising")
+    del out
+    calls.clear()
+    assert _refs(records) == before
+
+
+class _Unhashable:
+    """A key whose ``__hash__`` raises."""
+
+    def __hash__(self):
+        raise TypeError("no hash for this key")
+
+
+@pytest.mark.parametrize("combine", [False, True], ids=["plain", "combine"])
+@pytest.mark.parametrize("part", sorted(PARTITIONERS))
+def test_bucket_raises_what_the_python_loop_raises(part, combine, compiled):
+    """A key whose ``__hash__`` raises, and a ``partition`` that raises,
+    come out of ``bucket`` as the Python loop's exception: same type,
+    same message."""
+    from repro.sparkle.partitioner import Partitioner
+
+    tile = np.ones((2, 2))
+    value = ("x", tile)
+    records = [((0, 0), value), (_Unhashable(), value)]
+    raised = []
+    for run in (_python_buckets, _c_buckets):
+        with pytest.raises(TypeError) as err:
+            run(records, PARTITIONERS[part](), combine)
+        raised.append(str(err.value))
+    assert raised == ["no hash for this key"] * 2
+
+    class Failing(Partitioner):
+        def partition(self, key):
+            raise LookupError(f"no reducer for {key!r}")
+
+    raised = []
+    for run in (_python_buckets, _c_buckets):
+        with pytest.raises(LookupError) as err:
+            run([((3, 4), value)], Failing(2), combine)
+        raised.append(str(err.value))
+    assert raised == ["no reducer for (3, 4)"] * 2
+
+
+def test_a_failed_placement_is_retried_as_before(compiled):
+    """A ``partition`` that raises a retryable error once fails its map
+    task's first attempt; the retry runs and the job's answer and retry
+    count equal those of the Python loop."""
+    from repro.sparkle import SparkleContext
+    from repro.sparkle.errors import TransientIOError
+    from repro.sparkle.partitioner import Partitioner
+    from repro.sparkle.rdd import ROLE_AGGREGATOR
+
+    from .conftest import numpy_only
+
+    class Flaky(Partitioner):
+        def __init__(self, n):
+            super().__init__(n)
+            self.failed = False
+
+        def partition(self, key):
+            if not self.failed:
+                self.failed = True
+                raise TransientIOError("placement flaked")
+            return key[1] % self.num_partitions
+
+    tiles = [np.full((2, 2), float(t)) for t in range(8)]
+    records = [((t % 2, t), ("x", tile)) for t, tile in enumerate(tiles)]
+
+    def solve():
+        with SparkleContext(2, 1) as sc:
+            rdd = sc.parallelize(records, 2)
+            out = rdd.combineByKey(ROLE_AGGREGATOR, num_partitions=Flaky(3)).collect()
+            return (
+                sorted((key, sorted(roles)) for key, roles in out),
+                sc.metrics.tasks_retried,
+            )
+
+    got = solve()
+    with numpy_only():
+        want = solve()
+    assert got == want
+    assert got[1] == 1

@@ -182,6 +182,7 @@ class TestShuffleAccounting:
         ]
         return dep.shuffle_id, written
 
+    @pytest.mark.usefixtures("no_library")
     def test_map_task_sizes_buckets_once_and_fetch_sums_them(self, monkeypatch):
         """The map task walks each distinct non-array value object once
         (an exact array reads its ``nbytes``) as it buckets the records;
@@ -212,6 +213,7 @@ class TestShuffleAccounting:
             assert len(walked) == 2
             assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
 
+    @pytest.mark.usefixtures("no_library")
     def test_map_task_sizes_a_shared_fan_out_value_once(self, monkeypatch):
         """23 fan-out records sharing one role tuple — across buckets —
         walk it once, and the map task writes the per-record formula's
@@ -231,6 +233,54 @@ class TestShuffleAccounting:
         per_record = 23 * (16 + sizeof_block(shared))
         assert written == [per_record] and per_record == 23 * 154
         assert walked == [shared]
+
+    @pytest.mark.usefixtures("compiled")
+    def test_map_task_buckets_in_c_and_walks_nothing(self, monkeypatch):
+        """The twin of the walk test above on the C path: the same
+        buckets, sizes and fetches, and no value walked."""
+        from repro.sparkle import scheduler
+
+        walked = []
+        monkeypatch.setattr(
+            scheduler, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+        )
+        tile = np.ones((4, 4))
+        with SparkleContext(2, 1) as sc:
+            sm = sc._shuffle_manager
+            sid, written = self.map_tasks(
+                sc,
+                [[(1, ("x", tile)), (2, tile), (3, tile)], [(4, ("u", tile))]],
+                {1: 0, 2: 1, 3: 1, 4: 1},
+            )
+            assert written == [441, 153]
+            items, nbytes, remote = sm.fetch(
+                sid, 1, 2, remote_map_partition=lambda mp: mp == 1
+            )
+            assert [k for k, _v in items] == [2, 3, 4]
+            assert (nbytes, remote) == (2 * (16 + 128) + 153, 153)
+            assert sm.fetch(sid, 0, 2)[1:] == (153, 0)
+            assert sm.fetch(sid, 2, 2) == ([], 0, 0)
+            assert (sm.total_bytes_written, sm.total_bytes_read) == (594, 594)
+        assert walked == []
+
+    @pytest.mark.usefixtures("compiled")
+    def test_map_task_sizes_a_shared_fan_out_value_in_c(self, monkeypatch):
+        """The fan-out twin on the C path: the per-record formula's total
+        and no walk."""
+        from repro.sparkle import scheduler
+
+        walked = []
+        monkeypatch.setattr(
+            scheduler, "sizeof_block", lambda v: walked.append(v) or sizeof_block(v)
+        )
+        shared = ("uw", np.ones((4, 4)))
+        records = [((0, j), shared) for j in range(23)]
+        with SparkleContext(2, 1) as sc:
+            _sid, written = self.map_tasks(
+                sc, [records], {key: int(key[1] >= 10) for key, _v in records}
+            )
+        assert written == [23 * (16 + sizeof_block(shared))] == [23 * 154]
+        assert walked == []
 
     @pytest.mark.parametrize("spilled", [False, True])
     def test_manager_discards_drop_the_bucket_sizes(self, tmp_path, spilled):
