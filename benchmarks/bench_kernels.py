@@ -57,6 +57,29 @@ def test_bench_recursive_kernel(benchmark, name, make, spec, r_shared):
     benchmark(run)
 
 
+@pytest.mark.parametrize("case", "ABCD")
+@pytest.mark.parametrize("n", [8, 96, 256])
+def test_bench_compiled_fold_case(benchmark, n, case):
+    """The compiled min-plus fold of one n x n tile per kernel case: A
+    (``u = v = x``) runs k-outer, B (``v = x``) and C (``u = x``) the
+    two-phase fold, D (operands apart) the register-blocked one.  Each
+    size is one group, so the case gap reads off the table; every row's
+    ``extra_info`` holds its median ns per cell update
+    (``--benchmark-json``).  The tile is not reset between rounds: a
+    finite min-plus fold costs the same on its own output."""
+    from repro.kernels import native
+
+    if native.status() != "native":
+        pytest.skip(f"compiled library unavailable: {native.status()}")
+    rng = np.random.default_rng(n)
+    x, p, q = (rng.integers(0, 100, (n, n)).astype(float) for _ in range(3))
+    u, v = {"A": (x, x), "B": (p, x), "C": (x, p), "D": (p, q)}[case]
+    benchmark.group = f"compiled fold {n}x{n}"
+    benchmark(native.fold, "minplus", x, u, v)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_update"] = benchmark.stats.stats.median / n**3 * 1e9
+
+
 def test_bench_pure_loop_ablation(benchmark):
     """The un-offloaded scalar loop (tiny n — it is ~1000x slower)."""
     n = 32

@@ -53,8 +53,8 @@ aligned, non-negative strides, ``x``'s rows contiguous and not
 overlapping, shapes ``u (rows, K)``, ``v (K, cols)``, ``w (K, K)`` (GE
 needs ``w``).  Anything else is declined — ``fold`` returns ``False``
 and the caller's NumPy fold runs.  The arithmetic runs with the GIL
-released.  Each fold takes one of two loop orders, chosen in C from the
-operands' address ranges:
+released.  Each fold takes one of three loop orders, chosen in C from
+the operands' address ranges:
 
 * **Apart** — ``u``, ``v`` (and GE's pivot) span no byte of ``x``, the
   corner is the whole tile and ``v``'s rows are contiguous: kernel case
@@ -72,16 +72,36 @@ operands' address ranges:
   ``vmaxpd`` per eight lanes, ``x`` first, since MINPD / MAXPD return
   their second operand on a tie — and otherwise the same blocks run the
   guarded step.  The scan decides speed only.
-* **k-outer** — an operand may share memory with ``x`` (kernel cases
-  A/B/C, the recursive kernel's overlapping views), ``v``'s columns are
-  strided, or the corner masks some step.  Step ``k`` copies the ``u``
-  column and ``v`` row it reads (and reads GE's pivot) before it writes
-  ``x`` — NumPy's order, whose step product is complete before ``x``
-  changes — so they read exactly what they read there.  The scratch for
-  those copies is allocated once per entry call: once per task batch.
+* **Two-phase** — a whole-tile min-plus / max-plus call whose ``v`` is
+  ``x`` itself (kernel case B, ``K = rows``) or whose ``u`` is (case C,
+  ``K = cols``), by memory, not by object — ``alias_x``, the tile
+  passed as itself and the recursive kernel's ``v = x`` sub-views alike
+  — the other operand apart from ``x``.  In case B each column evolves
+  alone: per 16- or 8-column strip, phase 1 takes the 4-row blocks in
+  order, applies steps ``0 .. r0-1`` from ``h`` (row ``k`` before step
+  ``k``, which earlier blocks recorded), then for each of its own rows
+  ``s`` records ``h[s]`` and applies step ``s``; phase 2 applies each
+  block's remaining steps from ``h``.  So every step runs on a register
+  block, each cell's steps in ``k`` order, each reading its row as NumPy
+  does; the last columns step k-outer.  Case C is case B on ``x``'s
+  transpose, the pivot read as ``vᵀ``.  The precheck scans ``x`` and
+  the pivot; since ``x`` feeds the steps too, every value formed is a
+  sum of at most ``K + 1`` inputs, so the plain compare runs only with
+  no NaN, at most one sign of infinity, and — when one is present —
+  ``(K + 1)`` times the largest finite magnitude below ``2^1023``, so
+  no finite sum can overflow into the opposite infinity; otherwise the
+  same blocks run the guarded step.
+* **k-outer** — the rest: case A, GE's B / C, an operand overlapping
+  ``x`` without being it (the recursive kernel's quarter views), ``v``'s
+  columns strided outside case C, or the corner masking some step.  Step ``k`` copies
+  the ``u`` column and ``v`` row it reads (and reads GE's pivot) before
+  it writes ``x`` — NumPy's order, whose step product is complete before
+  ``x`` changes — so they read exactly what they read there.
 
-Both run each cell's steps in ``k`` order through one expression, so
-the loop order changes no bit.
+The scratch (the copies, ``h``, case C's transpose) is allocated once
+per entry call: once per task batch.  All three run each cell's steps
+in ``k`` order through one expression, so the loop order changes no
+bit.
 
 The third entry point is no fold.  In pySpark the map side of a
 shuffle (placing, combining and sizing records) runs in the JVM; here
@@ -157,6 +177,7 @@ typedef Py_ssize_t idx;
 enum { MINPLUS, MAXPLUS, GE, ORAND };
 
 #define INLINE static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
 /* the semiring zero a NaN a + b becomes: +inf for min-plus, -inf for max-plus */
 #define ZERO(op) ((op) == MINPLUS ? __builtin_inf() : -__builtin_inf())
 
@@ -281,9 +302,11 @@ INLINE void tile(int op, int keep, double *x, idx xr, const double *u, idx ur,
 enum { HAS_NAN = 1, HAS_PINF = 2, HAS_NINF = 4 };
 
 /* Which of NaN, +inf and -inf the R x L elements at a + r*rs + l*s
-   hold.  Contiguous rows are scanned as one run, eight lanes at a
-   time. */
-static int scan(const double *a, idx R, idx rs, idx L, idx s)
+   hold, and with mag the largest finite magnitude among them raised
+   into *mag, in the same pass.  Contiguous rows are scanned as one run,
+   eight lanes at a time. */
+INLINE int scan_body(const double *a, idx R, idx rs, idx L, idx s, int mag_too,
+                     double *mag)
 {
     if (s == 1 && rs == L) {
         L *= R;
@@ -291,7 +314,10 @@ static int scan(const double *a, idx R, idx rs, idx L, idx s)
     }
     const double inf = __builtin_inf();
     const vd vinf = BCAST(inf);
+    const vmask sign = (vmask)BCAST(-0.0);
     vmask nan = {0}, pinf = {0}, ninf = {0};
+    vd big = BCAST(0.0);
+    double m = 0.0;
     int f = 0;
     for (idx r = 0; r < R; r++) {
         const double *p = a + r * rs;
@@ -302,17 +328,40 @@ static int scan(const double *a, idx R, idx rs, idx L, idx s)
                 nan |= (vmask)(t != t);
                 pinf |= (vmask)(t == vinf);
                 ninf |= (vmask)(t == -vinf);
+                if (mag_too) {
+                    const vd abs = (vd)((vmask)t & ~sign);
+                    const vd fin = (vd)((vmask)(abs < vinf) & (vmask)abs);
+                    const vmask up = (vmask)(fin > big);
+                    big = (vd)((up & (vmask)fin) | (~up & (vmask)big));
+                }
             }
         for (; l < L; l++) {
             const double t = p[l * s];
             f |= (t != t ? HAS_NAN : 0) | (t == inf ? HAS_PINF : 0)
                  | (t == -inf ? HAS_NINF : 0);
+            if (mag_too && __builtin_fabs(t) < inf && __builtin_fabs(t) > m)
+                m = __builtin_fabs(t);
         }
     }
-    for (int l = 0; l < 8; l++)
+    for (int l = 0; l < 8; l++) {
         f |= (nan[l] ? HAS_NAN : 0) | (pinf[l] ? HAS_PINF : 0)
              | (ninf[l] ? HAS_NINF : 0);
+        if (mag_too && big[l] > m)
+            m = big[l];
+    }
+    if (mag_too && m > *mag)
+        *mag = m;
     return f;
+}
+
+static int scan(const double *a, idx R, idx rs, idx L, idx s)
+{
+    return scan_body(a, R, rs, L, s, 0, NULL);
+}
+
+static int scan_mag(const double *a, idx R, idx rs, idx L, idx s, double *mag)
+{
+    return scan_body(a, R, rs, L, s, 1, mag);
 }
 
 /* Whether the n elements spanned from a and the m spanned from b share
@@ -361,9 +410,189 @@ INLINE void fold_apart(int op, double *x, const double *u, const double *v,
         tile(op, 0, x, j->xr, u, j->ur, j->uk, v, j->vk, NULL, 0, rows, cols, K);
 }
 
-/* Whole-tile operands apart from x take fold_apart; the rest step k by
-   k, each step's corner shrinking with k, through scratch of rows +
-   cols items. */
+/* Case B's phase 1 for the R-row block of a column strip at row r0:
+   steps 0 .. r0-1 from h (earlier blocks recorded those rows), then for
+   each of the block's own rows s < K, h[s] = row s as it stands (before
+   step s) and step s over the block.  h's rows are 8*W items apart. */
+INLINE void record(int op, int keep, int R, int W, double *x, idx xr,
+                   const double *u, idx ur, idx uk, double *h, idx r0, idx K)
+{
+    const idx hk = 8 * W;
+    vd acc[4][2], b[2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; r++)
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            acc[r][c] = load(x + r * xr + 8 * c);
+    const vd zero = BCAST(0.0);
+    for (idx k = 0; k < r0 && k < K; k++) {
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            b[c] = load(h + k * hk + 8 * c);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; r++) {
+            const vd a = BCAST(u[r * ur + k * uk]);
+#pragma GCC unroll 2
+            for (int c = 0; c < W; c++)
+                acc[r][c] = stepv(op, keep, acc[r][c], a, b[c], zero);
+        }
+    }
+#pragma GCC unroll 4
+    for (int s = 0; s < R; s++) {
+        const idx k = r0 + s;
+        if (k >= K)
+            break;
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++) {
+            b[c] = acc[s][c];
+            store(h + k * hk + 8 * c, b[c]);
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; r++) {
+            const vd a = BCAST(u[r * ur + k * uk]);
+#pragma GCC unroll 2
+            for (int c = 0; c < W; c++)
+                acc[r][c] = stepv(op, keep, acc[r][c], a, b[c], zero);
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; r++)
+#pragma GCC unroll 2
+        for (int c = 0; c < W; c++)
+            store(x + r * xr + 8 * c, acc[r][c]);
+}
+
+/* Case B over one column strip of W vectors: phase 1 takes the blocks
+   in row order, so h holds every row's value before its own step;
+   phase 2 takes each block's remaining steps r0+R .. K-1 from h. */
+INLINE void panel_strip(int op, int keep, int W, double *x, idx xr, const double *u,
+                        idx ur, idx uk, double *h, idx rows, idx K)
+{
+    const idx hk = 8 * W;
+    idx i = 0;
+    for (; i + 4 <= rows; i += 4)
+        record(op, keep, 4, W, x + i * xr, xr, u + i * ur, ur, uk, h, i, K);
+    for (; i < rows; i++)
+        record(op, keep, 1, W, x + i * xr, xr, u + i * ur, ur, uk, h, i, K);
+    for (i = 0; i + 4 <= rows; i += 4)
+        if (i + 4 < K)
+            block(op, keep, 4, W, x + i * xr, xr, u + i * ur + (i + 4) * uk, ur, uk,
+                  h + (i + 4) * hk, hk, NULL, 0, K - i - 4);
+    for (; i < rows; i++)
+        if (i + 1 < K)
+            block(op, keep, 1, W, x + i * xr, xr, u + i * ur + (i + 1) * uk, ur, uk,
+                  h + (i + 1) * hk, hk, NULL, 0, K - i - 1);
+}
+
+/* Kernel case B, v being x's first K rows (K <= rows): x[i][j] ⊕= u[i][k]
+   + x[k][j], row k read before step k.  Each column evolves alone, so
+   16- and 8-column strips run the two phases of panel_strip through h
+   (K x 16 items), and the last columns step k-outer, cell by cell. */
+INLINE void panel_b(int op, int keep, double *x, idx xr, const double *u, idx ur,
+                    idx uk, double *h, idx rows, idx cols, idx K)
+{
+    idx j = 0;
+    for (; j + 16 <= cols; j += 16)
+        panel_strip(op, keep, 2, x + j, xr, u, ur, uk, h, rows, K);
+    if (j + 8 <= cols) {
+        panel_strip(op, keep, 1, x + j, xr, u, ur, uk, h, rows, K);
+        j += 8;
+    }
+    for (idx k = 0; j < cols && k < K; k++) {
+        for (idx c = j; c < cols; c++)
+            h[c - j] = x[k * xr + c];
+        for (idx i = 0; i < rows; i++)
+            for (idx c = j; c < cols; c++)
+                x[i * xr + c] = step1(op, keep, x[i * xr + c], u[i * ur + k * uk],
+                                      h[c - j], 0.0);
+    }
+}
+
+enum { PANEL_B = 1, PANEL_C };
+
+/* Whether the two-phase fold covers j: a whole-tile min-plus / max-plus
+   call whose v is x's first K rows (PANEL_B) or whose u is x's first K
+   columns (PANEL_C), the other operand sharing no byte with x; else 0.
+   Inline: called out of line from fold_calls' loop over a batch's
+   jobs, it cost GE's 8 x 8 batches ~25 %, which never take it. */
+INLINE int panel(const job *j)
+{
+    if ((j->op != MINPLUS && j->op != MAXPLUS) || j->K - 1 + j->ri > 0
+        || j->K - 1 + j->cj > 0)
+        return 0;
+    const idx xn = (j->rows - 1) * j->xr + j->cols;
+    if (j->v == j->x && j->vk == j->xr && j->vc == 1 && j->K <= j->rows
+        && apart((const double *)j->x, xn, (const double *)j->u,
+                 (j->rows - 1) * j->ur + (j->K - 1) * j->uk + 1))
+        return PANEL_B;
+    if (j->u == j->x && j->ur == j->xr && j->uk == 1 && j->K <= j->cols
+        && apart((const double *)j->x, xn, (const double *)j->v,
+                 (j->K - 1) * j->vk + (j->cols - 1) * j->vc + 1))
+        return PANEL_C;
+    return 0;
+}
+
+/* The scratch items a job needs: the k-outer loop's u column and v row,
+   or the two-phase fold's h (and case C's transposed x). */
+static idx scratch_items(const job *j)
+{
+    const int p = panel(j);
+    const idx need = p ? 16 * j->K + (p == PANEL_C ? j->rows * j->cols : 0) : 0;
+    return need > j->rows + j->cols ? need : j->rows + j->cols;
+}
+
+/* panel_b specialised for each op and each form of the step. */
+NOINLINE void panel_run(int op, int keep, double *x, idx xr, const double *u, idx ur,
+                        idx uk, double *h, idx rows, idx cols, idx K)
+{
+    if (op == MINPLUS && keep)
+        panel_b(MINPLUS, 1, x, xr, u, ur, uk, h, rows, cols, K);
+    else if (op == MINPLUS)
+        panel_b(MINPLUS, 0, x, xr, u, ur, uk, h, rows, cols, K);
+    else if (keep)
+        panel_b(MAXPLUS, 1, x, xr, u, ur, uk, h, rows, cols, K);
+    else
+        panel_b(MAXPLUS, 0, x, xr, u, ur, uk, h, rows, cols, K);
+}
+
+/* Cases B and C, two-phase (see panel_b).  Case C is case B on x's
+   transpose, its pivot read as v's transpose: x[i][j] ⊕= x[i][k] +
+   v[k][j] is xt[j][i] ⊕= v[k][j] + xt[k][i], and a sum's operand order
+   changes no bit the step keeps.  The precheck: x also feeds the steps,
+   so each value ever formed is a sum of at most K + 1 inputs; with no
+   NaN and at most one sign of infinity present, an opposite infinity
+   (and so a NaN step) can only come from finite sums overflowing, which
+   (K + 1) * the largest finite magnitude < 2^1023 rules out.  Then the
+   plain compare gives the guarded step's bits.  Out of line: inlined
+   into fold_f64 it cost the apart fold's blocks ~15 %. */
+NOINLINE void fold_panel(int op, int p, const job *j, double *scratch)
+{
+    double *x = (double *)j->x, *h = scratch;
+    const double *u = (const double *)j->u, *v = (const double *)j->v;
+    const idx rows = j->rows, cols = j->cols, K = j->K;
+    double mag = 0.0;
+    const int f = scan_mag(x, rows, j->xr, cols, 1, &mag)
+                  | (p == PANEL_B ? scan_mag(u, rows, j->ur, K, j->uk, &mag)
+                                  : scan_mag(v, K, j->vk, cols, j->vc, &mag));
+    const int keep = (f & HAS_NAN) || ((f & HAS_PINF) && (f & HAS_NINF))
+                     || ((f & (HAS_PINF | HAS_NINF)) && !((double)(K + 1) * mag < 0x1p1023));
+    if (p == PANEL_B) {
+        panel_run(op, keep, x, j->xr, u, j->ur, j->uk, h, rows, cols, K);
+        return;
+    }
+    double *xt = scratch + 16 * K;
+    for (idx i = 0; i < rows; i++)
+        for (idx c = 0; c < cols; c++)
+            xt[c * rows + i] = x[i * j->xr + c];
+    panel_run(op, keep, xt, rows, v, j->vc, j->vk, h, cols, rows, K);
+    for (idx i = 0; i < rows; i++)
+        for (idx c = 0; c < cols; c++)
+            x[i * j->xr + c] = xt[c * rows + i];
+}
+
+/* Whole-tile operands apart from x take fold_apart, cases B and C
+   fold_panel; the rest step k by k, each step's corner shrinking with
+   k, through scratch of rows + cols items. */
 INLINE void fold_f64(int op, const job *j, double *scratch)
 {
     double *x = (double *)j->x;
@@ -376,6 +605,11 @@ INLINE void fold_f64(int op, const job *j, double *scratch)
         && apart(x, xn, v, (K - 1) * j->vk + cols)
         && (op != GE || apart(x, xn, w, (K - 1) * j->wd + 1))) {
         fold_apart(op, x, u, v, w, j);
+        return;
+    }
+    const int p = op == GE ? 0 : panel(j);
+    if (p) {
+        fold_panel(op, p, j, scratch);
         return;
     }
     double *col = scratch, *row = scratch + rows;
@@ -535,7 +769,7 @@ PyObject *fold_one(int op, PyObject *x, PyObject *u, PyObject *v,
         j.cj = cj;
         done = op != ORAND || (j.K - 1 + ri <= 0 && j.K - 1 + cj <= 0);
     }
-    int err = done ? run_all(&j, 1, j.rows + j.cols) : 0;
+    int err = done ? run_all(&j, 1, scratch_items(&j)) : 0;
     for (int i = 0; i < held; i++)
         PyBuffer_Release(&b[i]);
     if (err)
@@ -660,8 +894,8 @@ PyObject *fold_calls(int op, PyObject *calls, PyObject *copies,
                 cells += (j->rows - i0) * (j->cols - j0);
         }
         updates[c] = cells;
-        if (j->rows + j->cols > items)
-            items = j->rows + j->cols;
+        if (scratch_items(j) > items)
+            items = scratch_items(j);
     }
     {
         /* the folded jobs, packed, then run in one GIL release */

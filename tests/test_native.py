@@ -147,10 +147,12 @@ def test_shared_pivot_panels_with_stride_zero(entry, compiled):
 def test_aliased_cases_and_overlapping_views(entry, compiled):
     """Cases A (``u = v = w = x``), B (``v = x``), C (``u = x``) and the
     recursive kernel's sub-views of one tile, which overlap ``x``
-    without being it (``x`` with strided rows)."""
+    without being it (``x`` with strided rows); tiles of 16, 17 and 33
+    reach the two-phase fold's register blocks and, quartered, its
+    strided rows."""
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 11))
+    for trial in range(23):
+        n = int(rng.integers(2, 11)) if trial < 20 else (16, 17, 33)[trial - 20]
         x, u, v, w = _operands(entry, rng, None, n, n, n)
         if entry == "ge":  # a pivot far from 0 keeps the values tame
             x[np.diag_indices(n)] = 4.0
@@ -252,6 +254,97 @@ def test_register_blocks_and_precheck_match_numpy(entry, case, compiled):
         assert results[0].tobytes() == results[1].tobytes()
 
 
+#: PRECHECK_CASES, plus finite ±1.7e308 sums that overflow into the
+#: infinity opposite a present one: its sign (-1.0: a -inf formed next to
+#: a +inf, which min-plus keeps; 1.0: the reverse, which max-plus keeps)
+PANEL_PRECHECK_CASES = {**PRECHECK_CASES, "overflow_to_ninf": -1.0, "overflow_to_pinf": 1.0}
+
+#: pivot-step counts reaching every 4-row block remainder of case B's
+#: phases (and of case C's, on x's transpose), and the benchmark's 96
+PANEL_STEPS = (1, 2, 3, 7, 96)
+
+
+def _panel_operands(rng, panel, strip, steps, layout, inject):
+    """One case-B (``v`` is ``x``) or case-C (``u`` is ``x``) tile and its
+    pivot: ``strip`` is the axis the register strips run along (B's
+    columns, C's rows), ``steps`` the other.  ``inject`` names ``x`` and
+    the pivot as a case-D call would (B's ``v`` and C's ``u`` are ``x``);
+    an overflow sign plants ``x[k1]`` and a pivot cell at ``sign *
+    1.7e308``, whose sum makes ``x[k2]`` ``sign * inf`` at step ``k1``,
+    which meets a pivot ``-sign * inf`` at step ``k2``.  Returns ``(x,
+    pivot)``, the pivot transposed in memory for ``layout ==
+    "transposed"``."""
+    pool = [0.0, -0.0] if inject is None else [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -3.0]
+    rows, cols = (steps, strip) if panel == "B" else (strip, steps)
+    x, pivot = rng.choice(pool, size=(rows, cols)), rng.choice(pool, size=(steps, steps))
+    # in C's transpose x's columns are rows, and the pivot reads as its transpose
+    xt, pt = (x, pivot) if panel == "B" else (x.T, pivot.T)
+    if isinstance(inject, float) and steps > 1:
+        k1, k2 = sorted(rng.choice(steps, size=2, replace=False))
+        j, i = int(rng.integers(strip)), int(rng.integers(steps))
+        xt[k1, j] = pt[k2, k1] = inject * 1.7e308
+        pt[i, k2] = -inject * np.inf
+    elif isinstance(inject, float):
+        xt[0, 0], pt[0, 0] = inject * 1.7e308, -inject * np.inf
+    for name, value in inject if isinstance(inject, tuple) else ():
+        a = x if name == {"B": "v", "C": "u"}[panel] or name == "x" else pivot
+        a[np.unravel_index(rng.integers(a.size), a.shape)] = value
+    if layout == "transposed":
+        pivot = np.ascontiguousarray(pivot.T).T
+    return x, pivot
+
+
+@pytest.mark.parametrize("case", list(PANEL_PRECHECK_CASES))
+@pytest.mark.parametrize("panel", ["B", "C"])
+@pytest.mark.parametrize("entry", ["minplus", "maxplus"])
+def test_two_phase_panels_and_precheck_match_numpy(entry, panel, case, compiled):
+    """Case-B / case-C folds — the two-phase loop — over every register
+    strip remainder (B's columns, C's rows: 1..40 and 96), 4-row block
+    remainders of K (1, 2, 3, 7, 96), with ``x``'s rows contiguous or
+    strided and the pivot contiguous or transposed, on each side of the
+    precheck — every case-D injection, and finite sums overflowing into
+    the infinity opposite a present one — leave every byte of the NumPy
+    fold: through ``fold`` (``x`` passed as itself, or as a second view
+    of its memory) and through ``fold_calls`` (``ALIAS_X`` or the tile
+    itself; some calls' active steps cut short by ``ends``)."""
+    rng = np.random.default_rng([sum(map(ord, entry)), sum(map(ord, panel + case))])
+    layouts = ["contiguous", "strided_rows", "transposed"]
+    for i, strip in enumerate(BLOCK_COLS):
+        steps = PANEL_STEPS[i % len(PANEL_STEPS)]
+        layout = layouts[int(rng.integers(len(layouts)))]
+        tile, pivot = _panel_operands(rng, panel, strip, steps, layout, PANEL_PRECHECK_CASES[case])
+        rows, cols = tile.shape
+        active = steps if rng.random() < 0.7 else int(rng.integers(0, steps + 1))
+
+        def lay(t):
+            """A private copy of the tile, its rows padded for strided_rows."""
+            if layout != "strided_rows":
+                return t.copy()
+            big = np.full((rows + 2, cols + 3), 5.0)
+            big[:rows, :cols] = t
+            return big[:rows, :cols]
+
+        def numpy_fold(xc, k):
+            u, v = (pivot[:, :k], xc[:k]) if panel == "B" else (xc[:, :k], pivot[:k])
+            _numpy_fold(entry, xc, u, v)
+
+        expect, full = lay(tile), lay(tile)
+        numpy_fold(expect, active)
+        numpy_fold(full, steps)
+        x = lay(tile)
+        other = x if rng.random() < 0.5 else x[:, :]  # the same memory, another object
+        ops = (pivot, other) if panel == "B" else (other, pivot)
+        assert native.fold(entry, x, *ops)
+        assert x.tobytes() == full.tobytes()
+        alias = ALIAS_X if rng.random() < 0.5 else tile
+        u, v = (pivot, alias) if panel == "B" else (alias, pivot)
+        call = (panel, tile, u, v, None, 0, 0, 0, 1000)
+        copies = [lay(tile)]
+        done = native.fold_calls(entry, [call], copies, ALIAS_X, {1000: active}, (False, False))
+        assert done == [rows * cols * active]
+        assert copies[0].tobytes() == expect.tobytes()
+
+
 def _guarded(sr, x, u, v):
     """The guarded step loop, tile by tile."""
     expect = x.copy()
@@ -264,7 +357,8 @@ def test_compiled_tropical_fold_guards_opposite_infinities(compiled):
     """``inf + (-inf)`` is the semiring zero inside the C: one call
     leaves the guarded bytes, no NaN, for a stack where one tile meets
     opposite infinities and for the aliased cases A (``u = v = x``), B
-    (``v = x``) and C (``u = x``)."""
+    (``v = x``) and C (``u = x``) on a 20 x 20 tile, where they meet in
+    the two-phase fold's first phase and in its second."""
     for sr in (MinPlus(), MaxPlus()):
         x = np.full((3, 4, 4), 5.0)
         u = np.zeros((3, 4, 2))
@@ -275,8 +369,9 @@ def test_compiled_tropical_fold_guards_opposite_infinities(compiled):
         assert not np.isnan(got).any()
         assert got.tobytes() == _guarded(sr, x, u, v).tobytes()
 
-        t = np.arange(16.0).reshape(4, 4) - 6.0
+        t = np.arange(400.0).reshape(20, 20) - 150.0
         t[1, 2], t[2, 3] = sr.zero, -sr.zero  # row 1 meets column 3 at k = 2
+        t[13, 17], t[17, 5] = sr.zero, -sr.zero  # row 13 meets column 5 at k = 17
         for case in "ABC":
             x, expect = t.copy(), t.copy()
             ops = {"A": (x, x), "B": (t, x), "C": (x, t)}[case]
