@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 tier1-nocc robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep reach
+.PHONY: test tier1 tier1-nocc robustness supervision batching service soak tenancy smoke scoreboard scoreboard-compare scoreboard-pairs scoreboard-digest budget-sweep gc-ledger reach
 
 # full suite
 test:
@@ -108,6 +108,13 @@ scoreboard-digest:
 # BUDGET_SWEEP_ARGS=--memory-only for the MEMORY_ONLY variant.  ~25 s.
 budget-sweep:
 	PYTHONPATH=src $(PYTHON) benchmarks/budget_sweep.py $(BUDGET_SWEEP_ARGS)
+
+# The cyclic collector's bill per solve on the four engine shapes, one
+# CPU: collections per generation, collector ms, objects collected, and
+# collections inside an engine job (EXPERIMENTS.md "A solve is
+# acyclic").  GC_LEDGER_ARGS="--solves 3 fw_fine_im" for fewer.  ~6 s.
+gc-ledger:
+	PYTHONPATH=src $(PYTHON) benchmarks/gc_ledger.py $(GC_LEDGER_ARGS)
 
 # Which src/ definitions a program (the benchmark, the experiments, the
 # examples) reaches and which only tests reach: every process

@@ -55,6 +55,7 @@ reruns on the thread path, and so does every task after it.
 from __future__ import annotations
 
 import contextlib
+import gc
 import itertools
 import pickle
 import threading
@@ -167,6 +168,37 @@ class SolveReport:
         if self.extras:
             out["extras"] = dict(self.extras)
         return out
+
+
+#: solves running now, and whether the cyclic collector was on before
+#: the first of them paused it (guarded by ``_PAUSE_LOCK``)
+_PAUSE_LOCK = threading.Lock()
+_paused = {"depth": 0, "was_enabled": False}
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the body with the cyclic collector (``gc``) off.
+
+    A solve makes no reference cycle, so refcounting frees everything
+    it drops; what the collector would do inside one is traverse ~10⁵
+    live tuples, lists and dicts and free nothing (DESIGN.md
+    "Lifetimes").  One depth count makes concurrent and nested solves
+    compose: the first entrant records ``gc.isenabled()`` and disables,
+    the last one out re-enables only if the collector was on before.
+    """
+    with _PAUSE_LOCK:
+        if _paused["depth"] == 0:
+            _paused["was_enabled"] = gc.isenabled()
+            gc.disable()
+        _paused["depth"] += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _paused["depth"] -= 1
+            if _paused["depth"] == 0 and _paused["was_enabled"]:
+                gc.enable()
 
 
 @dataclass
@@ -320,7 +352,17 @@ class GepSparkSolver:
     # public API
     # ------------------------------------------------------------------
     def solve(self, table: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """Run the full GEP on ``table``; returns (result, report)."""
+        """Run the full GEP on ``table``; returns (result, report).
+
+        The cyclic collector is paused for the solve: the engine makes
+        no reference cycle, so a collection inside one would free
+        nothing.  A kernel or spec that does make cycles keeps them
+        until the solve returns.
+        """
+        with _collector_paused():
+            return self._solve(table)
+
+    def _solve(self, table: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("GEP requires a square table")
         start = time.perf_counter()

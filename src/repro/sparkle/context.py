@@ -284,12 +284,16 @@ class SparkleContext:
         spill directory goes), so the tiles of its solves die by
         reference count the moment the caller's ``with`` block ends —
         not at some later cyclic collection, which a benchmark life of
-        four solves never reaches.  Metrics and reports stay readable.
-        Idempotent.
+        four solves never reaches.  Nor is the context itself in a
+        cycle: its scheduler's back-reference is cut, so it dies by
+        reference count with its last holder.  Metrics and reports stay
+        readable.  Idempotent.
         """
         if not self._stopped:
             self._executors.shutdown()
             self._release_solve_state()
+            # what the context owns points back to it only here
+            self._scheduler.ctx = None
             if self._spill_tmpdir is not None:
                 shutil.rmtree(self._spill_tmpdir, ignore_errors=True)
                 self._spill_tmpdir = None

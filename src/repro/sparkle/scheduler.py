@@ -135,6 +135,8 @@ class DAGScheduler:
     max_task_retries: int = 3
 
     def __init__(self, ctx) -> None:
+        #: the context; ``None`` once it stops (its ``stop()`` cuts the
+        #: cycle, so a stopped context dies by reference count)
         self.ctx = ctx
         self._next_stage_id = 0
         # shuffle id -> Stage, created the first time a job's walk
@@ -478,6 +480,9 @@ class DAGScheduler:
                 ) from exc
             finally:
                 CURRENT_TASK.reset(token)
+            # a kept failure's traceback holds this frame, whose locals
+            # hold the failure: drop it, or a retried task is a cycle
+            last_exc = None
             return TaskRecord(
                 partition=partition,
                 executor=ctx._executors.executor_for(partition),

@@ -50,6 +50,7 @@ seeded plan before the doomed call is even submitted.
 from __future__ import annotations
 
 import ctypes
+import gc
 import itertools
 import os
 import signal
@@ -400,7 +401,12 @@ def _attach_worker(
     on it — by the respawn protocol the previous occupant is dead and
     the driver has reset the row, so the overwrite is only a
     belt-and-braces guard against a raced reset.
+
+    A worker runs with the cyclic collector on, whatever it forked
+    from: a driver mid-solve has it paused, and a worker's lifetime is
+    not a solve's.
     """
+    gc.enable()
     try:
         _start_janitor(driver_pid)
     except Exception:

@@ -1,30 +1,41 @@
 """Memory lives as long as its readers.
 
-Two lifetimes are pinned down here.  A *stopped context holds nothing*:
-``SparkleContext.stop()`` empties every store, so a solve's tiles die by
-reference count — no cyclic collection needed.  And inside a solve *a
-shuffle lives as long as its readers*: once an RDD is sealed
+Three lifetimes are pinned down here.  A *stopped context holds
+nothing*: ``SparkleContext.stop()`` empties every store, so a solve's
+tiles die by reference count — no cyclic collection needed.  Inside a
+solve *a shuffle lives as long as its readers*: once an RDD is sealed
 (:meth:`RDD.seal`), the scheduler releases its parent shuffle and its
 cached partitions when the last stage of a job that reads them
 completes.  Safety is lineage: anything released is recomputable, and
-the recovery tests drive a retry through released generations.
+the recovery tests drive a retry through released generations.  And *a
+solve makes no reference cycle*: solve + ``stop()`` leaves nothing for
+the cyclic collector, which is why ``GepSparkSolver.solve`` runs with it
+paused (the last two sections).
 
 No test here reads a clock.
 """
 
+import dataclasses
 import gc
+import importlib.util
 import os
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.api import run_gep
 from repro.core.dpspark import GepSparkSolver, make_kernel
-from repro.core.gep import FloydWarshallGep, GaussianEliminationGep
+from repro.core.gep import (
+    FloydWarshallGep,
+    GaussianEliminationGep,
+    TransitiveClosureGep,
+)
 from repro.sparkle import FaultPlan, FaultSpec, SparkleContext
 
-from .conftest import assert_quiescent, fw_table, ge_table, shm_entries
+from .conftest import assert_quiescent, fw_table, ge_table, shm_entries, tc_table
 
 pytestmark = pytest.mark.memory
 
@@ -342,3 +353,210 @@ def test_seeded_executor_loss_recovers_by_recursing_through_released_shuffles(
         assert sc._shuffle_manager.num_shuffles >= 1
     assert_quiescent(sc)
     assert np.array_equal(out, oracle(FW, table, 4))
+
+
+# ----------------------------------------------------------------------
+# (v) a solve makes no reference cycle
+# ----------------------------------------------------------------------
+SPECS = {
+    "fw": (FW, fw_table),
+    "ge": (GaussianEliminationGep(), ge_table),
+    "tc": (TransitiveClosureGep(), tc_table),
+}
+
+
+def cyclic_garbage(spec_name, strategy, backend="threads", plan=None):
+    """Solve and stop with the collector off; then the type names of
+    what a full collection finds, whether the context died by refcount,
+    and the solve's task retries."""
+    spec, table_for = SPECS[spec_name]
+    table = table_for(24, seed=5)
+    gc.collect()
+    gc.disable()
+    try:
+        sc = SparkleContext(2, 1, backend=backend, fault_plan=plan)
+        out, report = solver_for(sc, spec, r=4, strategy=strategy).solve(table)
+        sc.stop()
+        assert np.array_equal(out, oracle(spec, table, 4))
+        retried = sc.metrics.tasks_retried
+        context = weakref.ref(sc)
+        del sc, out, report
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = sorted(type(o).__name__ for o in gc.garbage)
+        return found, context() is None, retried
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("strategy", ["im", "cb", "bcast"])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+def test_solve_and_stop_leave_no_cyclic_garbage(spec_name, strategy, backend):
+    found, context_freed, _ = cyclic_garbage(spec_name, strategy, backend)
+    assert found == []
+    assert context_freed
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize(
+    "kind, strategy",
+    [("kill", "im"), ("lose", "cb"), ("storage", "cb"), ("overflow", "im")],
+)
+def test_a_recovered_solve_leaves_no_cyclic_garbage(kind, strategy):
+    """Retries keep the failure they recovered from only until an
+    attempt succeeds; executor loss recomputes through lineage."""
+    plan = FaultPlan(3, [FaultSpec(kind, rate=0.2)])
+    found, context_freed, retried = cyclic_garbage("fw", strategy, plan=plan)
+    assert retried > 0 and plan.fired()[kind] > 0
+    assert found == []
+    assert context_freed
+
+
+# ----------------------------------------------------------------------
+# (vi) the collector is paused for a solve, and only for a solve
+# ----------------------------------------------------------------------
+def collections_inside(solver, run) -> int:
+    """How many collections start inside ``solver._solve`` (the solve's
+    body) while ``run()`` runs."""
+    inside, starts = [], []
+    body = solver._solve
+
+    def spy(table):
+        inside.append(1)
+        try:
+            return body(table)
+        finally:
+            inside.pop()
+
+    def count(phase, _info):
+        if phase == "start" and inside:
+            starts.append(1)
+
+    solver._solve = spy
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+        del solver._solve
+    return len(starts)
+
+
+def test_a_fine_solve_starts_no_collection():
+    table = fw_table(48, seed=1)
+    with SparkleContext(2, 1) as sc:
+        solver = solver_for(sc, r=12, strategy="im")
+        assert gc.isenabled()
+        # the same body with the collector left on collects
+        assert collections_inside(solver, lambda: solver._solve(table)) > 0
+        assert collections_inside(solver, lambda: solver.solve(table)) == 0
+    assert gc.isenabled()
+
+
+class Stop(Exception):
+    pass
+
+
+def test_the_collector_is_restored_on_return_and_on_an_exception():
+    table = fw_table(16, seed=1)
+    with SparkleContext(2, 1) as sc:
+        seen = []
+
+        def fail(k):
+            seen.append(gc.isenabled())
+            raise Stop
+
+        with pytest.raises(Stop):
+            solver_for(sc, r=4, strategy="im", on_iteration=fail).solve(table)
+        assert seen == [False] and gc.isenabled()
+        solver_for(sc, r=4, strategy="cb").solve(table)
+        assert gc.isenabled()
+
+
+def test_a_caller_who_disabled_the_collector_keeps_it_disabled():
+    table = fw_table(16, seed=1)
+    with SparkleContext(2, 1) as sc:
+        gc.disable()
+        try:
+            solver_for(sc, r=4, strategy="im").solve(table)
+            with pytest.raises(ValueError):
+                solver_for(sc, r=4, strategy="im").solve(table[:, :8])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+def test_concurrent_and_nested_solves_compose():
+    """The collector returns only when the last solve running ends."""
+    table = fw_table(16, seed=1)
+    inside, release = threading.Event(), threading.Event()
+    seen = []
+
+    def hold(k):
+        if k == 0:
+            seen.append(gc.isenabled())
+            inside.set()
+            release.wait()
+
+    def nested(k):
+        if k == 0:
+            with SparkleContext(1, 1) as inner:
+                solver_for(inner, r=2, strategy="im").solve(table)
+            seen.append(gc.isenabled())
+
+    with SparkleContext(1, 1) as held, SparkleContext(1, 1) as sc:
+        first = threading.Thread(
+            target=solver_for(held, r=4, strategy="im", on_iteration=hold).solve,
+            args=(table,),
+        )
+        first.start()
+        try:
+            inside.wait()
+            solver_for(sc, r=4, strategy="cb", on_iteration=nested).solve(table)
+            assert not gc.isenabled()  # the first solve is still running
+        finally:
+            release.set()
+            first.join()
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.supervision
+def test_workers_run_with_the_collector_on_whatever_the_driver_does():
+    """First-generation workers fork in the constructor — here while
+    the driver's collector is off — and respawns use spawn; each runs
+    with its own collector on."""
+    shm_before = shm_entries()
+    gc.disable()
+    try:
+        with SparkleContext(2, 1, backend="processes") as sc:
+            plane = sc.offload
+            assert [p.submit(gc.isenabled).result() for p in plane._pools] == [
+                True,
+                True,
+            ]
+            plane._respawn_slot(0, plane._generations[0])
+            assert plane._respawn_method == "spawn"
+            assert plane._pools[0].submit(gc.isenabled).result()
+    finally:
+        gc.enable()
+    assert_quiescent(sc, shm_before)
+
+
+def test_the_collector_ledger_meters_a_toy_round():
+    """``benchmarks/gc_ledger.py`` (``make gc-ledger``) at toy size: every
+    column per solve, and no collection inside an engine job."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "gc_ledger.py"
+    loader = importlib.util.spec_from_file_location("gc_ledger", path)
+    ledger = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(ledger)
+    for name in ("fw_fine_im", "ge_fine_cb"):
+        toy = dataclasses.replace(ledger.spec.WORKLOADS[name], n=24, r=4)
+        row = ledger.measure(toy, solves=2)
+        assert set(row) == set(ledger.COLUMNS)
+        assert all(value >= 0 for value in row.values())
+        assert row["in_jobs"] == 0
+    assert gc.isenabled()
