@@ -290,16 +290,6 @@ KEEP: list[tuple[str, str, str]] = [
      "test_native test_two_processes_racing_a_cold_cache_both_load [published without os.replace]"),
     ("kernels/native.py", r"_include_dir",
      "test_native test_two_processes_racing_a_cold_cache_both_load [an include directory without Python.h]"),
-    # the NumPy stacks: what the C batch declines (no compiler: make
-    # tier1-nocc; another dtype; a kernel subclass overriding run)
-    ("kernels/iterative.py", r"IterativeKernel\._numpy_stacks",
-     "test_kernels test_stack_depth_follows_the_fold_budget [one tile deeper than the budget]"),
-    ("kernels/iterative.py", r"_stack_key",
-     "test_kernels test_panel_depth_follows_the_fold_budget [B panels keyed without gi0]"),
-    ("kernels/iterative.py", r"_aliases",
-     "test_kernels test_property_bc_panel_equals_separate_tiles [the literal tile not an alias]"),
-    ("core/gep.py", r"GepSpec\.sigma_mask_shared",
-     "test_kernels test_property_bc_panel_equals_separate_tiles [offsets ignored]"),
     ("semiring/", r"available_semirings", "the registry's public listing"),
     ("core/blocked.py", r"case_of", "Fig. 4's case table the kernel tests check"),
     ("poly/", r"AffB\.(__sub__|scale)|LinearConstraint\.holds|SplitFunction(\.parallelism_rank)?",

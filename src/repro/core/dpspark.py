@@ -35,17 +35,17 @@ Data plane.  Kernel invocations go through :meth:`GepSparkSolver.
 _run_tile_batch` — one call list per task — which never mutates its
 inputs.  The list is the unit on either side of the process boundary
 (:mod:`repro.kernels.base`): :func:`~repro.kernels.base.update_tiles`
-runs it on the task's thread — the iterative kernel takes the case-D
-tiles a *stack* at a time (:meth:`~repro.kernels.IterativeKernel.
-run_stacks`; the stack of the inputs is the private copy),
-:func:`~repro.kernels.base.update_tile` gives every other call its
-``tile.copy()`` and resolves intra-tile aliasing (A's ``u=v=w=x``, B's
-``v=x``, C's ``u=x``, written :data:`~repro.kernels.base.ALIAS_X` or as
-the tile itself) against the copy.  When the context has a worker plane
+runs it on the task's thread — the iterative kernel folds the whole
+list in one C call (:meth:`~repro.kernels.IterativeKernel.run_stacks`),
+and :func:`~repro.kernels.base.update_tile` takes every call it
+declines, one at a time.  Either gives each call its ``tile.copy()``
+and resolves intra-tile aliasing (A's ``u=v=w=x``, B's ``v=x``, C's
+``u=x``, written :data:`~repro.kernels.base.ALIAS_X` or as the tile
+itself) against the copy.  When the context has a worker plane
 (``SparkleContext(backend="processes")``, ``sc.offload``) and the kernel
 pickles, the same list is pickled to a worker in one round-trip — each
 distinct array once, shuffled, CB-stored or broadcast alike — where the
-same ``update_tiles`` runs it, stacks included, and the updated tiles
+same ``update_tiles`` runs it, C batch included, and the updated tiles
 are pickled back.  Every result owns its memory, and both paths are bit-identical;
 the backend-parity property test pins that down.  So a call the worker
 plane quarantines as poison costs the solve nothing but speed: its task

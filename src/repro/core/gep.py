@@ -109,12 +109,6 @@ class GepSpec(abc.ABC):
         and ``v_row`` may be *views aliasing ``x``* (kernel cases A/B/C);
         implementations must therefore materialize any combination of
         ``u_col``/``v_row`` before writing into ``x``.
-
-        ``x`` may be a stack ``(M, rows, cols)`` with ``u_col`` ``(M,
-        rows)`` and ``v_row`` ``(M, cols)`` whose tiles share ``w_kk``
-        and the ``(rows, cols)`` mask: index from the last axes
-        (``u_col[..., :, None]``, ``x[..., mask]``), so every tile gets
-        the operations it would get alone.
         """
 
     def apply_steps(
@@ -129,26 +123,18 @@ class GepSpec(abc.ABC):
 
         The tile kernels' mask-free fast path, and the one place a tile
         update picks C or NumPy: the compiled fold (:attr:`native_fold`)
-        where it covers the call (a 2-D tile), with final bits, else
-        :meth:`apply_k` with ``u[..., :, kk]``, ``v[..., kk, :]``, ``w[...,
-        kk, kk]`` and no mask for ``kk = 0 .. pivot-1``.  Both leave the same bits,
-        including when ``u``/``v``/``w`` alias ``x``.
-
-        ``x`` may be a stack ``(M, rows, cols)`` with ``u`` ``(M, rows,
-        pivot)``, ``v`` ``(M, pivot, cols)`` and ``w`` one pivot tile for
-        the whole stack or ``(M, pivot, pivot)``: each step runs over the
-        whole stack, a pivot per tile shaped ``(M, 1, 1)``, so every tile
-        gets exactly the update it would get alone.
+        where it covers the call, with final bits, else :meth:`apply_k`
+        with ``u[:, kk]``, ``v[kk, :]``, ``w[kk, kk]`` and no mask for
+        ``kk = 0 .. pivot-1``.  Both leave the same bits, including when
+        ``u``/``v``/``w`` alias ``x``.
         """
         from ..kernels import native  # repro.kernels imports this module
 
         if native.fold(self.native_fold, x, u, v, w if self.needs_w else None):
             return
         for kk in range(pivot):
-            w_kk = w[..., kk, kk] if w is not None else None
-            if w_kk is not None and w_kk.ndim:  # a pivot per tile
-                w_kk = w_kk[:, None, None]
-            self.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
+            w_kk = None if w is None else w[kk, kk]
+            self.apply_k(x, u[:, kk], v[kk, :], w_kk, None)
 
     def apply_corner(
         self,
@@ -168,8 +154,7 @@ class GepSpec(abc.ABC):
         ``>= kk + cj`` — :meth:`sigma_mask` at ``gk0 + kk`` for a tile at
         ``(gi0, gj0)``, with ``ri = gk0 - gi0 + 1`` and ``cj = gk0 - gj0
         + 1`` on the constrained axes and ``-steps`` (every row or
-        column) on the others.  ``x`` may be a stack whose tiles share
-        that corner and ``w``.  An override must leave exactly what
+        column) on the others.  An override must leave exactly what
         :meth:`apply_k` with those masks leaves, aliasing included.
         """
         return False
@@ -214,47 +199,6 @@ class GepSpec(abc.ABC):
         if gk_hi <= gk_lo:
             return True
         return self.sigma_mask(gi0, gj0, shape, gk_hi - 1) is None
-
-    def sigma_mask_free_stack(
-        self, offsets, shape: tuple[int, int], gk_lo: int, gk_hi: int
-    ) -> bool:
-        """:meth:`sigma_mask_free` for every tile of ``shape`` at
-        ``offsets`` (``(gi0, gj0)`` pairs), decided once for a stack.
-
-        Under the base constraints a tile is mask-free when ``gi0`` (if
-        ``i`` is constrained) and ``gj0`` (if ``j`` is) exceed the last
-        step; both are antitone in the offset, so the stack's smallest
-        ``gi0`` and smallest ``gj0`` — one corner that need not be any
-        tile's — decide it for all.  Overrides of :meth:`sigma_mask_free`
-        whose verdict is not monotone in ``gi0`` / ``gj0`` must override
-        this too.
-        """
-        gi0s, gj0s = zip(*offsets)
-        return self.sigma_mask_free(min(gi0s), min(gj0s), shape, gk_lo, gk_hi)
-
-    def sigma_mask_shared(
-        self, offsets, shape: tuple[int, int], gk_lo: int, gk_hi: int
-    ) -> bool:
-        """True when tiles of ``shape`` at ``offsets`` (``(gi0, gj0)``
-        pairs) get the same :meth:`sigma_mask` at every ``gk`` in
-        ``[gk_lo, gk_hi)`` — what lets a stack of them take the masked
-        per-step path as one.
-
-        Per axis, the tiles share their offset (a pivot row's B panel has
-        one ``gi0``, a pivot column's C panel one ``gj0``) or that axis
-        is unconstrained over the range for every tile (``> k`` holds at
-        the largest step, as in :meth:`sigma_mask_free`).  Overrides with
-        a non-monotone ``sigma_mask`` must override this too.
-        """
-        if gk_hi <= gk_lo:
-            return True
-        last = gk_hi - 1
-
-        def alike(starts, constrained):
-            return not constrained or len(set(starts)) == 1 or min(starts) > last
-
-        gi0s, gj0s = zip(*offsets)
-        return alike(gi0s, self.constrains_i) and alike(gj0s, self.constrains_j)
 
     def k_active(self, gk: int, n: int) -> bool:
         """Whether global step ``gk`` performs any update on an n x n table.
@@ -303,11 +247,11 @@ class SemiringGep(GepSpec):
     def apply_k(self, x, u_col, v_row, w_kk, mask):
         sr = self.semiring
         # Materialize the ⊙-combination first: u_col/v_row may alias x.
-        cand = sr.mul(u_col[..., :, None], v_row[..., None, :])
+        cand = sr.mul(u_col[:, None], v_row[None, :])
         if mask is None:
             sr.add_inplace(x, cand)
         else:
-            x[..., mask] = sr.add(x[..., mask], cand[..., mask])
+            x[mask] = sr.add(x[mask], cand[mask])
 
 
 class FloydWarshallGep(SemiringGep):
@@ -359,12 +303,12 @@ class GaussianEliminationGep(GepSpec):
     def apply_k(self, x, u_col, v_row, w_kk, mask):
         # The product materializes before the in-place subtraction, so
         # aliasing views (kernel cases A/B/C) are safe.
-        update = u_col[..., :, None] * v_row[..., None, :]
+        update = u_col[:, None] * v_row[None, :]
         update /= w_kk
         if mask is None:
             x -= update
         else:
-            x[..., mask] -= update[..., mask]
+            x[mask] -= update[mask]
 
     def apply_corner(self, x, u, v, w, steps, ri, cj):
         # the compiled fold's k-outer loop, each step over its corner:
@@ -372,8 +316,8 @@ class GaussianEliminationGep(GepSpec):
         from ..kernels import native
 
         return native.fold(
-            self.native_fold, x, u[..., :steps], v[..., :steps, :],
-            w[..., :steps, :steps], corner=(ri, cj),
+            self.native_fold, x, u[:, :steps], v[:steps, :],
+            w[:steps, :steps], corner=(ri, cj),
         )
 
     def k_active(self, gk, n):

@@ -68,8 +68,9 @@ def update_tiles(kernel, calls, stats=None, *, stacks=True, mark=None) -> list:
 
     The kernel's ``run_stacks``, where it has one (and ``stacks`` is
     true, and there is more than one call — the process worker's rule
-    too), takes the calls it can batch; :func:`update_tile` takes
-    whatever it left (``None``).  Both produce the same bytes.
+    too), takes the calls it can batch — the iterative kernel's is one
+    C call; :func:`update_tile` takes whatever it left (``None``), one
+    call at a time.  Both produce the same bytes.
 
     ``mark(None)`` runs before the batched phase and ``mark(i)`` before
     call ``i`` goes through :func:`update_tile`: the process worker

@@ -16,7 +16,7 @@ distinct array once (pickle's memo is the operand pool — the pivot tile
 20 D calls share travels once) and :data:`ALIAS_X` arrives as the
 worker's own sentinel.  The worker hands the list to :func:`~repro.
 kernels.base.update_tiles` — the function the thread path uses, so the
-kernel's D stacks and B‖C panels happen on this side too — and pickles
+kernel's C batch happens on this side too — and pickles
 the updated tiles back with the batch's kernel stats and its
 ``kernel.run`` count (``worker_kernel_runs``).  That is the *only*
 difference from a context without the plane: tasks, shuffle
@@ -131,9 +131,9 @@ def _kernel_batch_task(
     ``calls`` is the driver's call list as it is; ``tokens`` and
     ``injects`` run parallel to it.  The calls go through
     :func:`~repro.kernels.base.update_tiles` — the thread path's own
-    function, so the kernel's ``run_stacks`` groups them exactly as it
-    groups a thread task's list (pickle's memo keeps a shared pivot one
-    object, so panels key alike).  Returns ``(runs, tiles, stats,
+    function, so the kernel's ``run_stacks`` batches them exactly as it
+    batches a thread task's list (pickle's memo keeps a shared pivot one
+    object, read through one buffer).  Returns ``(runs, tiles, stats,
     fold)``: the ``kernel.run`` calls made, the updated tiles in call
     order, one ``KernelStats`` for the batch (``None`` unless
     ``want_stats``) and the ``fold`` entry of the worker's kernel
@@ -327,7 +327,7 @@ class ProcessBackend:
         token for the batch; returns ``[(fresh_tile, stats), ...]`` in
         call order, the batch's one ``KernelStats`` on the first entry.
         The worker runs :func:`~repro.kernels.base.update_tiles`, the
-        thread path's own function, stacks included: the inputs are
+        thread path's own function, C batch included: the inputs are
         never written, and a worker that dies mid-batch takes only its
         own copies with it, so retry purity needs no reclaim step.  Each
         result is copied out of the reply (an unpickled array is a view

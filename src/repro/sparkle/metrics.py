@@ -246,7 +246,7 @@ class EngineMetrics(_Registry):
     #: those round-trips carried are ``kernel_offloads``)
     dispatch_round_trips: int = counter("data_plane")
     #: ``kernel.run`` calls the workers made for those tile updates: a
-    #: stack is one run, as on the thread path
+    #: C batch makes none, as on the thread path
     worker_kernel_runs: int = counter("data_plane")
     # ---- supervision counters (worker liveness / crash protocol) -------
     #: workers whose heartbeat went silent past the watchdog threshold

@@ -133,9 +133,10 @@ class SolveRequest:
     def _check_table(self) -> None:
         """Refuse a table the engine cannot serve bit-identically.
 
-        A NaN is refused outright: its sign bit is not fixed under the
-        kernel's tile stacking, so a cached result could differ from a
-        solo solve of the same input bit for bit.
+        A NaN is refused outright: where an input NaN meets one the
+        arithmetic produced, which sign bit comes out is the fold's
+        choice (the C's, or NumPy's ufunc loop's), so a cached result
+        could differ from a solo solve of the same input bit for bit.
         """
         table = self.table
         if table.ndim != 2 or table.shape[0] != table.shape[1]:

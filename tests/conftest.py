@@ -110,14 +110,11 @@ def ge_table(n: int, seed: int = 0) -> np.ndarray:
 
 def apply_k_steps(spec, x, u, v, w=None) -> None:
     """The reference tile fold: ``spec.apply_k`` once per pivot step,
-    unmasked, in ``k`` order, over one tile or a whole stack (a pivot
-    tile per stacked tile gives each its own ``(M, 1, 1)`` pivot) — what
-    ``GepSpec.apply_steps`` runs where the compiled fold declines."""
-    for kk in range(u.shape[-1]):
-        w_kk = None if w is None else w[..., kk, kk]
-        if w_kk is not None and w_kk.ndim:
-            w_kk = w_kk[:, None, None]
-        spec.apply_k(x, u[..., :, kk], v[..., kk, :], w_kk, None)
+    unmasked, in ``k`` order — what ``GepSpec.apply_steps`` runs where
+    the compiled fold declines."""
+    for kk in range(u.shape[1]):
+        w_kk = None if w is None else w[kk, kk]
+        spec.apply_k(x, u[:, kk], v[kk, :], w_kk, None)
 
 
 @pytest.fixture
@@ -142,7 +139,7 @@ def no_library():
 def numpy_only():
     """The compiled library hidden, as on a host with no compiler: every
     tile update — the C batch and the per-tile fold alike — declines and
-    NumPy runs (``run_stacks``' stacks, ``apply_k`` step by step), and
+    NumPy runs (``update_tile`` per call, ``apply_k`` step by step), and
     every shuffle map task takes the Python loop
     (``scheduler._bucket_records``)."""
     from repro.kernels import native

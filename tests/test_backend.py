@@ -684,9 +684,9 @@ class _RunOnlyKernel:
 def test_worker_runs_the_thread_paths_stacks_and_run_is_enough(monkeypatch):
     """A batch of six D calls reaches the worker's kernel as the thread
     path's batch — one C call and no ``kernel.run``, or without a
-    compiler one ``kernel.run`` for the six tiles' stack — and a kernel
-    with only ``run`` works through ``update_tiles`` and
-    ``run_kernel_batch`` alike, one run per call."""
+    compiler one ``kernel.run`` per tile — and a kernel with only
+    ``run`` works through ``update_tiles`` and ``run_kernel_batch``
+    alike, one run per call."""
     from repro.kernels import IterativeKernel, native
     from repro.sparkle.metrics import EngineMetrics
 
@@ -699,8 +699,9 @@ def test_worker_runs_the_thread_paths_stacks_and_run_is_enough(monkeypatch):
         patch.setattr(
             IterativeKernel, "run", lambda *a, **kw: thread_runs.append(1) or run(*a, **kw)
         )
-        assert all(out is not None for out in inner.run_stacks(calls)), "one batch"
-    assert len(thread_runs) == (0 if native.status() == "native" else 1)
+        outs = update_tiles(inner, calls)
+    assert [x.tobytes() for x in outs] == expect
+    assert len(thread_runs) == (0 if native.status() == "native" else 6)
     assert [x.tobytes() for x in update_tiles(_RunOnlyKernel(inner), calls)] == expect
     metrics = EngineMetrics()
     with _process_backend(metrics=metrics) as backend:
@@ -715,10 +716,10 @@ def test_worker_runs_the_thread_paths_stacks_and_run_is_enough(monkeypatch):
 def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
     """FW n=96 r=12 IM: the workers make exactly the ``kernel.run`` calls
     the thread path makes for the same solve — one per A tile (a task of
-    one call) and none for the C batches, or without a compiler its D
-    stacks and B‖C panels too — while ``kernel_offloads`` still counts
-    every tile update, and the outputs agree byte for byte."""
-    from repro.kernels import IterativeKernel
+    one call) and none for the C batches, or without a compiler one per
+    tile — while ``kernel_offloads`` still counts every tile update, and
+    the outputs agree byte for byte."""
+    from repro.kernels import IterativeKernel, native
 
     spec = FloydWarshallGep()
     table = fw_table(96, seed=1)
@@ -744,7 +745,10 @@ def test_worker_kernel_runs_match_the_thread_path(monkeypatch):
     assert out.tobytes() == threads_out.tobytes()
     assert m.kernel_offloads == 12**3
     assert m.worker_kernel_runs == len(runs)
-    assert len(runs) < 12**3 // 4, "the worker stacks"
+    if native.status() == "native":
+        assert len(runs) < 12**3 // 4, "the worker batches"
+    else:
+        assert len(runs) == 12**3, "one run per tile"
 
 
 def test_workers_start_with_the_context():

@@ -348,30 +348,29 @@ ONE_CALL_TASKS = {("fw", 32, 4): 16, ("fw", 192, 24): 24, ("ge", 256, 32): 48}
 
 
 @pytest.mark.parametrize(
-    "name, n, r, strategy, plan, work, kernel_calls",
+    "name, n, r, strategy, plan, work",
     [
         # toy scale, then the benchmark's two fine-tile (8x8) shapes once
         # each: fw_fine_im and ge_fine_cb
-        ("fw", 32, 4, "im", (1, 22, 168, 191_784, 293_160, 0), (32_768, 64), 32),
+        ("fw", 32, 4, "im", (1, 22, 168, 191_784, 293_160, 0), (32_768, 64)),
         ("fw", 192, 24, "im",
-         (1, 122, 968, 43_773_744, 65_670_960, 0), (7_077_888, 13_824), 450),
+         (1, 122, 968, 43_773_744, 65_670_960, 0), (7_077_888, 13_824)),
         ("ge", 256, 32, "cb",
-         (64, 97, 764, 17_842_176, 68_665_344, 16_506_880), (5_559_680, 11_440), 488),
+         (64, 97, 764, 17_842_176, 68_665_344, 16_506_880), (5_559_680, 11_440)),
     ],
 )
 def test_stacked_calls_leave_plan_and_books_alone(
-    name, n, r, strategy, plan, work, kernel_calls, monkeypatch
+    name, n, r, strategy, plan, work, monkeypatch
 ):
     """A task's tiles reach the kernel as one C batch — only a task of
     one call (every A tile, and a partition holding one B / C or D
     tile) takes ``IterativeKernel.run`` (:data:`ONE_CALL_TASKS`) — or
-    without a compiler its D tiles a stack at a time and its B / C tiles
-    as pivot-row / pivot-column panels (``kernel_calls``); each grid key
+    without a compiler one ``IterativeKernel.run`` per tile; each grid key
     is hashed once per solve (r², against 82,320 hashes on the 24x24
     grid when every record was hashed); nothing the engine counts may
     notice: the blocked oracle's output, the plan (jobs / stages /
     tasks), shuffle bytes written and read, storage bytes read, and one
-    kernel invocation recorded per tile, all at their pre-stacking
+    kernel invocation recorded per tile, all at their pre-batching
     values."""
     from repro.kernels import IterativeKernel, native
     from repro.sparkle import partitioner
@@ -392,7 +391,7 @@ def test_stacked_calls_leave_plan_and_books_alone(
             collect_stats=True,
         )
     one_call_tasks = ONE_CALL_TASKS[name, n, r]
-    assert len(ran) == (one_call_tasks if native.status() == "native" else kernel_calls)
+    assert len(ran) == (one_call_tasks if native.status() == "native" else work[1])
     assert len(hashed) == r * r
     del ran[:]
     want, _ = run_gep(spec, table, engine="local", r=r)
@@ -493,18 +492,18 @@ def test_grid_partitioner_ablation_books_the_same_bytes(library, request):
 
 def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
     """Retry purity on 8x8 tiles, where every B / C and D task is one C
-    batch (or, without a compiler, every D task is stacked and every B /
-    C task's tiles are a panel): attempts die before they start
+    batch (or, without a compiler, runs tile by tile through
+    ``update_tile``): attempts die before they start
     (``kill``, landing on B / C tasks too) and after their kernels ran
     (``overflow`` fails the map-output write), so tasks recompute from
     the same inputs — for GE and FW under IM, and GE under CB.  GE would
     double-subtract a mutated tile; no input tile's bytes may ever change
     and every result owns its memory."""
-    from repro.kernels import IterativeKernel
+    from repro.kernels import IterativeKernel, native
     from repro.sparkle.chaos import CURRENT_TASK
 
     seen = []  # (input tile, its bytes when the kernel batch got it)
-    bc_sites, killed, panels = set(), set(), []
+    bc_sites, killed, panels = set(), set(), []  # panels: B / C tiles the C batch took
     batch = GepSparkSolver._run_tile_batch
     task_fault = FaultPlan.task_fault
     run_stacks = IterativeKernel.run_stacks
@@ -551,4 +550,5 @@ def test_stacked_tasks_stay_pure_under_failed_attempts(monkeypatch):
                 assert sc.metrics.tasks_retried > sc.metrics.transient_io_failures
         assert got.tobytes() == want.tobytes()
         assert seen and all(tile.tobytes() == before for tile, before in seen)
-        assert panels and killed & bc_sites, (name, strategy)
+        assert bool(panels) == (native.status() == "native"), (name, strategy)
+        assert killed & bc_sites, (name, strategy)

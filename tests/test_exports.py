@@ -122,6 +122,10 @@ REMOVED = [
     ("repro.sparkle.storage.SharedStorage", "contains"),
     ("repro.sparkle.durable.DurableBlockStore", "contains"),
     ("repro.sparkle.durable.DurableBlockStore", "live_bytes"),
+    # the NumPy stacks' predicates: a tile the C batch declines goes
+    # through update_tile alone
+    ("repro.core.gep.GepSpec", "sigma_mask_free_stack"),
+    ("repro.core.gep.GepSpec", "sigma_mask_shared"),
 ] + [
     ("repro.semiring.Semiring", name)
     for name in ("matmul", "matpow", "star", "eye", "zeros", "ones", "add_reduce", "equal")
@@ -150,6 +154,7 @@ REMOVED_KEYWORDS = [
     ("repro.core.api.run_gep", "degrade_on_crash"),
     ("repro.core.dpspark.GepSparkSolver", "degrade_on_crash"),
     ("repro.core.dpspark.make_kernel", "pure_loop"),
+    ("repro.kernels.IterativeKernel", "pure_loop"),
     ("repro.core.blocked.blocked_gep_inplace", "runtime"),
     ("repro.kernels.OmpRuntime", "stats"),
 ]

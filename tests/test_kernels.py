@@ -1,9 +1,6 @@
 """Tile kernels: iterative vs scalar loop, recursive vs iterative,
 aliasing cases, stats accounting, OpenMP runtime behaviour."""
 
-from collections import Counter
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +22,6 @@ from repro.kernels import (
     case_of,
     gep_tile_update,
     gep_tile_update_loop,
-    iterative,
     native,
 )
 from repro.kernels.base import ALIAS_X, update_tile, update_tiles
@@ -96,8 +92,19 @@ class TestIterativeTileKernel:
         fast = ref.copy()
         slow = ref.copy()
         blocked_gep_inplace(spec, fast, 2, IterativeKernel(spec))
-        blocked_gep_inplace(spec, slow, 2, IterativeKernel(spec, pure_loop=True))
+        blocked_gep_inplace(spec, slow, 2, _LoopKernel(spec))
         assert_tables_equal(fast, slow)
+
+
+class _LoopKernel:
+    """The scalar reference loop as a tile kernel: ``run`` and nothing
+    else."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def run(self, case, x, u, v, w, gi0, gj0, gk0, n_global, stats=None):
+        gep_tile_update_loop(self.spec, x, u, v, w, gi0, gj0, gk0, n_global)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -426,10 +433,10 @@ def test_property_fused_fold_equals_sequential_steps(data):
     """semiring x case x ragged shape x {±inf, -0.0, NaN}: the fast path
     is bit-identical to the per-``k`` ``apply_k`` loop (NaN positions and
     zero signs included) and equal to the scalar loop; for case D, a
-    stack of 1..5 such tiles is bit-identical to as many separate calls,
-    and the task path stacks only as deep as the budget allows."""
+    task of 1..5 such tiles — one C batch, or tile by tile without the
+    library — gives each the bits of a separate call."""
     name = data.draw(st.sampled_from(sorted(_ALPHABETS)))
-    case = data.draw(st.sampled_from("ABCDD"))  # D twice: it alone stacks
+    case = data.draw(st.sampled_from("ABCDD"))  # D twice: it alone has a task half
     tame, wild = _ALPHABETS[name]
     wild_draw = data.draw(st.booleans())
     values = st.sampled_from(tame + (wild if wild_draw else []))
@@ -445,8 +452,6 @@ def test_property_fused_fold_equals_sequential_steps(data):
         return np.array(cells, dtype=spec.dtype).reshape(rows, cols)
 
     x0, u0, v0 = tile(mi, mj), tile(mi, pivot), tile(pivot, mj)
-    # a small budget makes shallow stacks and unstacked groups reachable
-    budget = data.draw(st.sampled_from([1, 16, 64, 32768]))
 
     fast = x0.copy()
     u, v = _case_operands(case, fast, u0, v0)
@@ -475,51 +480,16 @@ def test_property_fused_fold_equals_sequential_steps(data):
         out = x.copy()
         gep_tile_update(spec, out, u, v, None, 3, 5, 0, 64)
         solo.append(out.tobytes())
-    xs, us, vs = (np.array(part) for part in zip(*stack))
     calls = [("D", x, u, v, None, 3, 5, 0, 64) for x, u, v in stack]
-    # a stack handed to the kernel is folded right whatever its depth ...
-    gep_tile_update(spec, xs, us, vs, None, [3] * depth, [5] * depth, 0, 64)
-    with mock.patch.object(iterative, "_FOLD_CHUNK_ELEMS", budget), numpy_only():
-        # ... and the task path's NumPy stacks take only what the budget
-        # allows (None: left to the tile-by-tile path), splitting deeper
-        # groups
-        outs = IterativeKernel(spec).run_stacks(calls)
-    assert [x.tobytes() for x in xs] == solo
-    room = budget // (x0.size * pivot)  # tiles per stack the budget allows
-    for at, (out, want) in enumerate(zip(outs, solo)):
-        odd_one_out = room >= 2 and depth % room == 1 and at == depth - 1
-        assert (out is None) == (room < 2 or odd_one_out)
-        if out is not None:
-            assert out.tobytes() == want and out.base is None
+    kernel = IterativeKernel(spec)
+    outs = update_tiles(kernel, calls)
+    with numpy_only():
+        numpy = update_tiles(kernel, calls)
+    for out in outs + numpy:
+        assert out.base is None
+    assert [out.tobytes() for out in outs] == solo
+    assert [out.tobytes() for out in numpy] == solo
     assert [x.tobytes() for x, _u, _v in stack] == pristine
-
-
-def test_stack_depth_follows_the_fold_budget(fw_spec, monkeypatch):
-    """Without the compiled batch, a NumPy stack is as deep as the whole
-    fold fits ``_FOLD_CHUNK_ELEMS``: 64 tiles at 8x8, 8 at 16x16, 2 at
-    25x25, none from 26x26 up; a deeper group splits, and a tile left
-    over alone is not stacked."""
-    depths = []
-    run = IterativeKernel.run
-
-    def recording_run(self, case, x, *rest, **kw):
-        depths.append(len(x))
-        return run(self, case, x, *rest, **kw)
-
-    monkeypatch.setattr(IterativeKernel, "run", recording_run)
-    rng = np.random.default_rng(6)
-    for edge, tiles, stacks, alone in [
-        (8, 70, [64, 6], 0), (16, 17, [8, 8], 1), (25, 3, [2], 1), (26, 3, [], 3),
-    ]:
-        calls = [
-            ("D", *(rng.random((edge, edge)) for _ in range(3)), None, 0, 0, 0, 64)
-            for _ in range(tiles)
-        ]
-        del depths[:]
-        with numpy_only():
-            outs = IterativeKernel(fw_spec).run_stacks(calls)
-        assert depths == stacks
-        assert sum(out is None for out in outs) == alone
 
 
 _GE_CELLS = [0.0, -0.0, 1.0, -2.5, 3.0, 0.1, 1e308, -1e308, 1e-308, _INF, _NAN]
@@ -528,10 +498,11 @@ _GE_CELLS = [0.0, -0.0, 1.0, -2.5, 3.0, 0.1, 1e308, -1e308, 1e-308, _INF, _NAN]
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_property_ge_stack_equals_separate_tiles(data):
-    """GE twin of the stack check: ``apply_steps`` over a stack — one
-    pivot tile for all, or one per tile — gives every tile the bits it
-    gets alone (same multiply / divide / subtract, step by step), and so
-    do ``run_stacks``' NumPy stacks."""
+    """GE twin of the task check: a task of 1..5 D calls — one pivot tile
+    for all, or one per tile — gives every tile the bits ``apply_steps``
+    gives it alone (same multiply / divide / subtract, step by step),
+    through the C batch and, without the library, tile by tile, with
+    one ``record_base`` per tile either way."""
     spec = GaussianEliminationGep()
     depth = data.draw(st.integers(1, 5))
     mi, mj, pivot = (data.draw(st.integers(1, 6)) for _ in range(3))
@@ -558,26 +529,24 @@ def test_property_ge_stack_equals_separate_tiles(data):
             out = xs[m].copy()
             spec.apply_steps(out, us[m], vs[m], ws if shared_w else ws[m], pivot)
             solo.append(out.tobytes())
-        stats = KernelStats()
+        kernel = IterativeKernel(spec)
+        stats, numpy_stats = KernelStats(), KernelStats()
+        outs = update_tiles(kernel, calls, stats)
         with numpy_only():
-            outs = IterativeKernel(spec).run_stacks(calls, stats)
-        spec.apply_steps(xs, us, vs, ws, pivot)
-    assert [x.tobytes() for x in xs] == solo
-    stacked = depth >= 2
-    assert [out is not None for out in outs] == [stacked] * depth
-    assert stats.invocations == ({"D": depth} if stacked else {})
-    if stacked:
-        assert [out.tobytes() for out in outs] == solo
+            numpy = update_tiles(kernel, calls, numpy_stats)
+    assert [out.tobytes() for out in outs] == solo
+    assert [out.tobytes() for out in numpy] == solo
+    assert stats == numpy_stats and stats.invocations == {"D": depth}
 
 
-#: Panel alphabets.  GE's has no input NaN: a B / C panel multiplies the
-#: tile itself, which can hold a NaN the arithmetic produced (the
-#: platform's default NaN), and NumPy does not fix which operand's NaN a
+#: Panel alphabets.  GE's has no input NaN: a B / C tile multiplies
+#: itself, which can hold a NaN the arithmetic produced (the platform's
+#: default NaN), and NumPy does not fix which operand's NaN a
 #: commutative ufunc returns (its SIMD body and scalar tail order them
 #: differently), so the sign bit of NaN * NaN of opposite signs depends
 #: on a cell's place in the loop, not on the arithmetic.  Produced NaNs
-#: all share one sign.  The tropical panels keep input NaNs: a tile that
-#: ends with one is redone alone, in the 2-D shape it has solo.
+#: all share one sign.  The tropical panels keep input NaNs: the guard
+#: makes every NaN candidate the semiring zero, so no two NaNs meet.
 _PANEL_CELLS = {
     "fw": (FloydWarshallGep, sum(_ALPHABETS["tropical"], [])),
     "maxplus": (lambda: SemiringGep("maxplus"), sum(_ALPHABETS["maxplus"], [])),
@@ -590,14 +559,14 @@ _PANEL_CELLS = {
 @settings(max_examples=300, deadline=None)
 def test_property_bc_panel_equals_separate_tiles(data):
     """A pivot row's B tiles (or a pivot column's C tiles) in one task's
-    call list go to the C batch, or without it to the kernel as NumPy
-    panels: each tile bit-identical to
-    ``update_tile`` alone, every input untouched, and one ``record_base``
-    per tile with the same updates.  FW / max-plus / TC / GE, 1..8 tiles
+    call list go to the C batch, or without it each through
+    ``update_tile``: each tile bit-identical to ``update_tile`` alone,
+    every input untouched, and one ``record_base`` per tile with the
+    same updates, in call order.  FW / max-plus / TC / GE, 1..8 tiles
     with a ragged last one, GE masked (B at ``gi0 == gk0``, C at ``gj0 ==
     gk0``; a partly inactive pivot range; offsets whose masks differ),
     and opposite infinities, so a tile of a tropical panel trips the NaN
-    guard and is redone alone."""
+    guard."""
     name = data.draw(st.sampled_from(sorted(_PANEL_CELLS)))
     make_spec, cells = _PANEL_CELLS[name]
     spec = make_spec()
@@ -608,7 +577,7 @@ def test_property_bc_panel_equals_separate_tiles(data):
     widths = [extent] * (depth - 1) + [data.draw(st.integers(1, extent))]
     gk0 = 8
     # the panel's free axis: past the pivot range (one shared mask), or
-    # anywhere (masks may differ and the panel falls apart into tiles)
+    # anywhere (masks may differ)
     past = data.draw(st.booleans())
     starts = [
         gk0 + pivot + 3 * m if past else data.draw(st.integers(0, 20))
@@ -634,117 +603,23 @@ def test_property_bc_panel_equals_separate_tiles(data):
             calls.append(("C", x, alias, pivot_tile, pivot_tile, start, gk0, gk0, 64))
     pristine = [call[1].tobytes() for call in calls] + [pivot_tile.tobytes()]
     kernel = IterativeKernel(spec)
-    solo_stats, stats = KernelStats(keep_log=True), KernelStats(keep_log=True)
+    solo_stats = KernelStats(keep_log=True)
+    stats, numpy_stats = KernelStats(keep_log=True), KernelStats(keep_log=True)
     with np.errstate(all="ignore"):
         solo = [update_tile(kernel, call, solo_stats).tobytes() for call in calls]
         outs = update_tiles(kernel, calls, stats)
         with numpy_only():
-            stacked = kernel.run_stacks(calls)
+            numpy = update_tiles(kernel, calls, numpy_stats)
     assert [out.tobytes() for out in outs] == solo
+    assert [out.tobytes() for out in numpy] == solo
+    assert all(out.base is None for out in outs + numpy)
     assert [call[1].tobytes() for call in calls] + [pivot_tile.tobytes()] == pristine
-    assert Counter(stats.log) == Counter(solo_stats.log)
-    assert stats.updates == solo_stats.updates
-    same_shape = widths.count(extent)
-    panel = same_shape >= 2
-    assert [out is not None for out in stacked] == [
-        panel and width == extent for width in widths
-    ]
-    for out, want in zip(stacked, solo):
-        assert out is None or (out.tobytes() == want and out.base is None)
-
-
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_property_numpy_stack_equals_apply_k_tile_by_tile(data):
-    """With the compiled fold declined, ``GepSpec.apply_steps`` over a
-    stack — one ``apply_k`` per step over every tile — leaves each tile
-    the bytes ``apply_k`` leaves it alone, step by step: a D stack with
-    one shared pivot tile or (GE) one per tile, and a B / C panel whose
-    pivot is ``np.broadcast_to`` over the stack and whose aliased
-    operand is the stack itself.  FW / max-plus / TC / GE, ±0, ±inf,
-    NaN (GE panels: produced NaN only, see ``_PANEL_CELLS``)."""
-    name = data.draw(st.sampled_from(sorted(_PANEL_CELLS)))
-    make_spec, cells = _PANEL_CELLS[name]
-    spec = make_spec()
-    case = data.draw(st.sampled_from("BCD"))
-    if name == "ge" and case == "D":
-        cells = _GE_CELLS
-    depth, rows, cols, pivot = (data.draw(st.integers(1, 6)) for _ in range(4))
-    rows = pivot if case == "B" else rows
-    cols = pivot if case == "C" else cols
-
-    def draw(*shape):
-        size = int(np.prod(shape))
-        drawn = data.draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size))
-        return np.array(drawn, dtype=spec.dtype).reshape(shape)
-
-    xs = draw(depth, rows, cols)
-    us, vs = draw(depth, rows, pivot), draw(depth, pivot, cols)
-    own_w = spec.needs_w and case == "D" and data.draw(st.booleans())
-    ws = draw(depth, pivot, pivot) if own_w else draw(pivot, pivot)
-    if case == "D" and not spec.needs_w:
-        ws = None
-
-    def operands(x, m=None):
-        """``(u, v, w)`` for tile ``m`` alone, or for the stack (``None``)."""
-        if case == "D":
-            if m is None:
-                return us, vs, ws
-            return us[m], vs[m], ws[m] if own_w else ws
-        shared = ws if m is not None else np.broadcast_to(ws, (depth,) + ws.shape)
-        return (shared, x, ws) if case == "B" else (x, shared, ws)
-
-    with np.errstate(all="ignore"):
-        solo = []
-        for m in range(depth):
-            out = xs[m].copy()
-            apply_k_steps(spec, out, *operands(out, m))
-            solo.append(out.tobytes())
-        stack = xs.copy()
-        with mock.patch.object(native, "fold", lambda *args, **kwargs: False):
-            spec.apply_steps(stack, *operands(stack), pivot)
-    assert [x.tobytes() for x in stack] == solo
-
-
-def test_panel_depth_follows_the_fold_budget(fw_spec, monkeypatch):
-    """Without the compiled batch, a NumPy panel is at most
-    ``_FOLD_CHUNK_ELEMS // tile.size`` deep — 3 at 96x96, none from
-    182x182 up — and shares one pivot: a B call on another pivot object,
-    or another row offset, starts another panel."""
-    depths = []
-    run = IterativeKernel.run
-
-    def recording_run(self, case, x, *rest, **kw):
-        depths.append((case, x.shape[0] if x.ndim == 3 else 1))
-        return run(self, case, x, *rest, **kw)
-
-    monkeypatch.setattr(IterativeKernel, "run", recording_run)
-    monkeypatch.setattr(native, "_lib", None)
-    monkeypatch.setattr(native, "_status", "numpy: hidden")
-    rng = np.random.default_rng(8)
-    kernel = IterativeKernel(fw_spec)
-    for edge, tiles, panels in [(96, 7, [3, 3, 1]), (182, 2, [1, 1])]:
-        pivot = rng.random((edge, edge))
-        calls = [
-            ("B", rng.random((edge, edge)), pivot, ALIAS_X, pivot, 0, edge * (m + 1), 0, 4096)
-            for m in range(tiles)
-        ]
-        del depths[:]
-        update_tiles(kernel, calls)
-        assert sorted((d for _c, d in depths), reverse=True) == panels
-    other = rng.random((8, 8))
-    calls = [
-        ("B", rng.random((8, 8)), pivot, ALIAS_X, pivot, 0, 8, 0, 64)
-        for pivot in (other, other, other.copy())
-    ] + [("B", rng.random((8, 8)), other, ALIAS_X, other, 8, 16, 0, 64)]
-    del depths[:]
-    update_tiles(kernel, calls)
-    assert sorted(depths) == [("B", 1), ("B", 1), ("B", 2)]
+    assert stats == solo_stats and numpy_stats == solo_stats
 
 
 def test_single_cell_tile_keeps_zero_signs(fw_spec):
     """A 1x1 tile with a long pivot range keeps the step loop's ``±0.0``
-    tie-breaks, alone and stacked with another."""
+    tie-breaks, alone and in a task with another."""
     rng = np.random.default_rng(0)
     cells = np.array([0.0, -0.0, 1.0, np.inf])
     kernel = IterativeKernel(fw_spec)
@@ -754,8 +629,8 @@ def test_single_cell_tile_keeps_zero_signs(fw_spec):
             for _ in range(2)
         ]
         calls = [("D", x0, u, v, None, 40, 41, 0, 64) for x0, u, v in pair]
-        stacked = kernel.run_stacks(calls)
-        for (x0, u, v), out in zip(pair, stacked):
+        batched = update_tiles(kernel, calls)
+        for (x0, u, v), out in zip(pair, batched):
             got, want = x0.copy(), x0.copy()
             gep_tile_update(fw_spec, got, u, v, None, 40, 41, 0, 64)
             apply_k_steps(fw_spec, want, u, v)
@@ -807,7 +682,7 @@ def test_float32_table_keeps_the_default_fold(fw_spec):
     pair = [
         [rng.random((6, 6)).astype(np.float32) for _ in range(3)] for _ in range(2)
     ]
-    # ... and a task's list of such tiles is never stacked
+    # ... and the C batch declines a task's list of such tiles
     calls = [("D", x0, u, v, None, 0, 6, 12, 64) for x0, u, v in pair]
     assert IterativeKernel(fw_spec).run_stacks(calls) == [None, None]
     for x0, u, v in pair:
@@ -850,9 +725,9 @@ class TestGuardFallback:
     """The tropical ±inf guard — ``inf + (-inf)`` is the semiring zero —
     runs at every step on both sides of ``GepSpec.apply_steps``.  With
     the compiled fold declined, NumPy takes one guarded ⊙
-    (``MinPlus.mul``) per step over the whole tile, stack or panel; the
-    compiled twins pin that the C guards each step itself and takes no
-    NumPy step."""
+    (``MinPlus.mul``) per step over the whole tile, and a task's tiles
+    one at a time; the compiled twins pin that the C guards each step
+    itself and takes no NumPy step."""
 
     @staticmethod
     def _count_guarded(monkeypatch):
@@ -913,22 +788,26 @@ class TestGuardFallback:
         assert got.tobytes() == want.tobytes()
 
     def test_one_tile_of_a_stack_trips_the_guard(self, fw_spec, monkeypatch):
-        """Each step runs over the whole stack: four guarded ⊙ for four
-        steps, and every tile — the one that met ``inf + (-inf)`` too —
-        ends with the bits it gets alone."""
+        """The stack's tiles as one task's D calls, the C declined: each
+        tile takes its four guarded ⊙ — sixteen in all — and every tile,
+        the one that met ``inf + (-inf)`` too, ends with the bits of the
+        step loop alone."""
         self._decline_native(monkeypatch)
         xs, us, vs = _opposite_infinities_stack()
         solo = []
         for m in range(4):
             out = xs[m].copy()
-            gep_tile_update(fw_spec, out, us[m], vs[m], None, 4, 8, 0, 12)
+            apply_k_steps(fw_spec, out, us[m], vs[m])
             solo.append(out.tobytes())
 
         calls = self._count_guarded(monkeypatch)
-        gep_tile_update(fw_spec, xs, us, vs, None, [4] * 4, [8] * 4, 0, 12)
-        assert calls == {"mul": 4}  # one guarded mul per step, whole stack
-        assert [x.tobytes() for x in xs] == solo
-        assert not np.isnan(xs).any()
+        outs = update_tiles(
+            IterativeKernel(fw_spec),
+            [("D", xs[m], us[m], vs[m], None, 4, 8, 0, 12) for m in range(4)],
+        )
+        assert calls == {"mul": 16}  # one guarded mul per step, per tile
+        assert [out.tobytes() for out in outs] == solo
+        assert not np.isnan(outs).any()
 
     def test_compiled_fold_guards_a_stack_without_a_redo(self, fw_spec, monkeypatch):
         """The stack's tiles as one task's D calls: one C batch, no NumPy
@@ -948,17 +827,22 @@ class TestGuardFallback:
         assert [x.tobytes() for x in outs] == solo
 
     def test_one_tile_of_a_panel_trips_the_guard(self, fw_spec, monkeypatch):
-        """A B panel shares its pivot but not its tiles: each step runs
-        over the whole panel, and the tile whose own row meets the
-        pivot's ``inf`` with ``-inf`` ends with the bits it gets alone."""
+        """A B panel shares its pivot but not its tiles: with the C
+        declined each tile takes its four guarded ⊙, and the tile whose
+        own row meets the pivot's ``inf`` with ``-inf`` ends with the
+        bits of the step loop alone."""
         self._decline_native(monkeypatch)
         calls = _opposite_infinities_panel()
         kernel = IterativeKernel(fw_spec)
-        solo = [update_tile(kernel, call).tobytes() for call in calls]
+        solo = []
+        for _, x, pivot, _, _, *_ in calls:
+            out = x.copy()
+            apply_k_steps(fw_spec, out, pivot, out)
+            solo.append(out.tobytes())
 
         calls_seen = self._count_guarded(monkeypatch)
-        outs = kernel.run_stacks(calls)
-        assert calls_seen == {"mul": 4}  # one guarded mul per step, whole panel
+        outs = update_tiles(kernel, calls)
+        assert calls_seen == {"mul": 16}  # one guarded mul per step, per tile
         assert [out.tobytes() for out in outs] == solo
         assert np.isinf(outs[2]).any() and not np.isnan(outs[2]).any()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -58,19 +59,25 @@ SPECS = {
 }
 
 
+def _tiles(x, u, v, w):
+    """The operands of a tile, or of each tile of a stack ``(M, rows,
+    cols)`` (``w`` one pivot tile for all, or one per tile)."""
+    if x.ndim == 2:
+        return [(x, u, v, w)]
+    return [(x[m], u[m], v[m], w if w is None or w.ndim == 2 else w[m]) for m in range(len(x))]
+
+
 def _numpy_fold(entry, x, u, v, w=None):
+    """The NumPy step loop of a tile, or of each tile of a stack alone."""
     with np.errstate(all="ignore"):
-        apply_k_steps(SPECS[entry], x, u, v, w)
+        for ops in _tiles(x, u, v, w):
+            apply_k_steps(SPECS[entry], *ops)
 
 
 def _native_fold(entry, x, u, v, w=None):
     """The compiled fold of a tile, or of each tile of a stack alone."""
-    if x.ndim == 2:
-        assert native.fold(entry, x, u, v, w), "the compiled fold declined"
-        return
-    for m in range(len(x)):
-        wm = w if w is None or w.ndim == 2 else w[m]
-        assert native.fold(entry, x[m], u[m], v[m], wm), "the compiled fold declined"
+    for ops in _tiles(x, u, v, w):
+        assert native.fold(entry, *ops), "the compiled fold declined"
 
 
 def _operands(entry, rng, stack, rows, cols, pivot):
@@ -92,8 +99,8 @@ def _operands(entry, rng, stack, rows, cols, pivot):
 
 
 def _check(entry, x, u, v, w=None, view=None):
-    """Fold copies of the operands both ways — NumPy over the whole tile
-    or stack, C tile by tile — and compare every byte.  ``view`` rebuilds
+    """Fold copies of the operands both ways — NumPy and C, tile by
+    tile — and compare every byte.  ``view`` rebuilds
     aliasing operands from the copy of ``x`` each side gets."""
     results = []
     for run in (_numpy_fold, _native_fold):
@@ -507,13 +514,13 @@ def test_plain_compare_matches_the_numpy_steps_bit_for_bit(entry, compiled):
 GE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, 1e308, -1e308])
 
 
-def _ge_call(rng, case, stack):
+def _ge_call(rng, case):
     """One masked-path GE call as the kernels make it: ``(x, operands,
     gi0, gj0, gk0, n_global, n_pivots)``, ``operands`` rebuilding the
-    aliased ones from each side's copy of ``x``.  A B panel shares ``u``
-    and ``w`` (stride 0) and its ``gi0``; a C panel ``v``, ``w`` and
-    ``gj0``; offsets around the pivot give empty, partial and full
-    corners, ``n_pivots`` cuts the range before or inside the tile."""
+    aliased ones from each side's copy of ``x``.  A B tile sits on the
+    pivot row (``gi0 == gk0``), a C tile on the pivot column; offsets
+    around the pivot give empty, partial and full corners, ``n_pivots``
+    cuts the range before or inside the tile."""
 
     def values(*shape):
         out = rng.choice(GE_VALUES, size=shape)
@@ -525,8 +532,7 @@ def _ge_call(rng, case, stack):
     if case == "A":
         cols = rows
     pivot = {"A": rows, "B": rows, "C": cols, "D": int(rng.integers(1, 14))}[case]
-    lead = () if stack is None else (stack,)
-    x = values(*lead, rows, cols)
+    x = values(rows, cols)
     u, v, w = values(rows, pivot), values(pivot, cols), values(pivot, pivot)
     gk0 = int(rng.integers(0, 24))
     gi0 = gk0 + int(rng.integers(-rows - 1, pivot + 2))
@@ -535,20 +541,6 @@ def _ge_call(rng, case, stack):
         gi0 = gk0
     elif case == "C":
         gj0 = gk0
-    if stack is not None:
-        # a panel's other offsets are alike, or all past the range
-        spread = rng.random() < 0.5
-        if case == "B":
-            gj0 = [gk0 + pivot + 3 * m if spread else gj0 for m in range(stack)]
-            gi0 = [gi0] * stack
-            u = np.broadcast_to(u, (stack,) + u.shape)
-        elif case == "C":
-            gi0 = [gk0 + pivot + 3 * m if spread else gi0 for m in range(stack)]
-            gj0 = [gj0] * stack
-            v = np.broadcast_to(v, (stack,) + v.shape)
-        else:  # D: different masks, so the stack falls apart
-            gi0, gj0 = [gi0 + m for m in range(stack)], [gj0] * stack
-            u, v = values(stack, rows, pivot), values(stack, pivot, cols)
     ops = {
         "A": lambda c: (c, c, c, c),
         "B": lambda c: (c, u, c, w),
@@ -574,29 +566,27 @@ def _ge_masked(x, ops, gi0, gj0, gk0, n, n_pivots, corner=True):
 def test_ge_corner_fold_matches_the_per_step_path(case, monkeypatch, compiled):
     """Masked GE tiles through the compiled corner fold leave the NumPy
     per-step path's bytes and books: case A (``u = v = w = x``), B / C
-    on a shared pivot, rows and columns 1-13, corners empty, partial and
-    full, ``n_pivots`` cutting the range before or inside it.  A stack
-    (NumPy's panels) is declined by the C and takes the per-step path on
-    both sides."""
+    on the pivot row / column, rows and columns 1-13, corners empty,
+    partial and full, ``n_pivots`` cutting the range before or inside
+    it."""
     corners = []
     fold = native.fold
 
     def counted(*args, **kwargs):
         done = fold(*args, **kwargs)
         if kwargs.get("corner") is not None:
-            corners.append((args[1].ndim, done))
+            corners.append(done)
         return done
 
     monkeypatch.setattr(native, "fold", counted)
     rng = np.random.default_rng(sum(map(ord, case)))
     for _ in range(250):
-        stack = None if case == "A" or rng.random() < 0.4 else int(rng.integers(1, 6))
-        call = _ge_call(rng, case, stack)
+        call = _ge_call(rng, case)
         got, got_stats = _ge_masked(*call)
         want, want_stats = _ge_masked(*call, corner=False)
         assert got.tobytes() == want.tobytes(), call[2:]
         assert got_stats == want_stats
-    assert corners and all(done == (ndim == 2) for ndim, done in corners)
+    assert corners and all(corners)
 
 
 def test_ge_corner_fold_declines_float32(compiled):
@@ -617,31 +607,6 @@ def test_ge_corner_fold_declines_float32(compiled):
     for k in range(4):
         spec.apply_k(want, want[:, k], want[k, :], want[k, k], spec.sigma_mask(0, 0, (4, 4), k))
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-
-
-def test_stack_mask_freedom_is_its_smallest_offsets():
-    """``sigma_mask_free_stack`` is every tile's ``sigma_mask_free``, and
-    a stack whose lowest tile is masked leaves what its tiles leave
-    alone."""
-    spec = GaussianEliminationGep()
-    shape = (4, 4)
-    starts = list(range(0, 20, 2))
-    rng = np.random.default_rng(2)
-    for _ in range(300):
-        offsets = [tuple(int(a) for a in rng.choice(starts, 2)) for _ in range(rng.integers(1, 5))]
-        gk_lo = int(rng.integers(0, 16))
-        gk_hi = gk_lo + int(rng.integers(0, 5))
-        assert spec.sigma_mask_free_stack(offsets, shape, gk_lo, gk_hi) == all(
-            spec.sigma_mask_free(i0, j0, shape, gk_lo, gk_hi) for i0, j0 in offsets
-        )
-    x, u, v = (rng.integers(-3, 4, (3, 4, 4)).astype(float) for _ in range(3))
-    w = np.diag([4.0, -2.0, 0.5, 3.0])
-    gi0s, gj0s = [2, 8, 12], [8, 8, 12]  # the first tile straddles gk 4..7
-    stacked = x.copy()
-    gep_tile_update(spec, stacked, u, v, w, gi0s, gj0s, 4, 16)
-    for m in range(3):
-        gep_tile_update(spec, x[m], u[m], v[m], w, gi0s[m], gj0s[m], 4, 16)
-    assert stacked.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -692,7 +657,6 @@ def test_describe_names_the_fold():
     for spec in (FloydWarshallGep(), GaussianEliminationGep(), TransitiveClosureGep()):
         assert IterativeKernel(spec).describe()["fold"] == native.status()
         assert RecursiveKernel(spec).describe()["fold"] == native.status()
-    assert IterativeKernel(FloydWarshallGep(), pure_loop=True).describe()["fold"] == "python loop"
     real = SemiringGep("real")
     assert IterativeKernel(real).describe()["fold"].startswith("numpy: no compiled fold")
     assert MinPlus(np.float32).native_fold == "minplus"
@@ -739,7 +703,7 @@ def test_process_backend_reports_what_its_workers_ran(monkeypatch):
 # the task batch: IterativeKernel.run_stacks hands a call list to C
 # ----------------------------------------------------------------------
 #: each spec's cell alphabet.  GE draws no input NaN: where an input NaN
-#: meets one the arithmetic produced, NumPy's stacked path may return
+#: meets one the arithmetic produced, NumPy's ufunc loop may return
 #: either sign (``test_kernels._PANEL_CELLS``); ±inf still produce NaN.
 BATCH_SPECS = {
     "fw": (FloydWarshallGep, [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
@@ -810,12 +774,10 @@ def _operand_bytes(calls):
 def test_batch_matches_numpy_and_the_per_tile_path(name, cases):
     """A task's call list through ``update_tiles`` — one C batch where
     the library loaded — leaves every tile the bytes of the NumPy path
-    (the compiler hidden: stacks, then ``update_tile``) and of
+    (the compiler hidden: ``update_tile`` per call) and of
     ``gep_tile_update`` tile by tile, writes no input, and books the
     same ``KernelStats``: equal to the per-tile path's, log included (in
-    call order), and to the NumPy path's up to its stack order."""
-    from collections import Counter
-
+    call order), on both sides."""
     from repro.kernels.base import update_tile, update_tiles
 
     from .conftest import numpy_only
@@ -835,17 +797,13 @@ def test_batch_matches_numpy_and_the_per_tile_path(name, cases):
         assert [t.tobytes() for t in batch] == want
         assert [t.tobytes() for t in numpy] == want
         assert _operand_bytes(calls) == pristine
-        if native.status() == "native":
-            assert batch_stats == tile_stats
-        assert Counter(numpy_stats.log) == Counter(tile_stats.log)
-        assert (numpy_stats.updates, numpy_stats.invocations) == (
-            tile_stats.updates, tile_stats.invocations
-        )
+        assert batch_stats == tile_stats
+        assert numpy_stats == tile_stats
 
 
 def test_batch_declines_what_the_c_does_not_cover(compiled):
     """float32 calls and calls with a negative-stride operand come back
-    ``None``, their copies untouched, and ``run_stacks`` / ``update_tile``
+    ``None``, their copies untouched, and ``update_tile``
     still give them NumPy's bytes; a non-contiguous tile (its copy is
     contiguous) and an operand with strided columns are folded."""
     from repro.kernels.base import update_tile, update_tiles
@@ -908,7 +866,7 @@ def test_batch_releases_every_buffer(compiled):
 
 def test_a_covered_task_is_one_native_call(monkeypatch, compiled):
     """A task the C covers makes exactly one native call — no
-    ``fold_one``, no ``_stack_key``, no NumPy stack — and ``update_tiles``
+    ``fold_one``, no per-tile ``gep_tile_update`` — and ``update_tiles``
     still marks its batched phase (``mark(None)``, the process worker's
     stack token) before it, and no call after."""
     from repro.kernels import iterative
@@ -922,10 +880,9 @@ def test_a_covered_task_is_one_native_call(monkeypatch, compiled):
         monkeypatch.setattr(lib, entry, lambda *a, _e=entry, _fn=fn: seen.append(_e) or _fn(*a))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the NumPy stacking ran")
+        raise AssertionError("a tile took the per-tile path")
 
-    monkeypatch.setattr(iterative, "_stack_key", refuse)
-    monkeypatch.setattr(IterativeKernel, "_numpy_stacks", refuse)
+    monkeypatch.setattr(iterative, "gep_tile_update", refuse)
     marks = []
     with np.errstate(all="ignore"):
         outs = update_tiles(IterativeKernel(spec), calls, mark=marks.append)
@@ -1095,6 +1052,18 @@ def test_read_only_cache_falls_back_with_the_reason(tmp_path, compiled):
     assert run["fw_fold"].startswith("numpy: ")
     assert "Read-only" in run["fw_fold"] or "Permission denied" in run["fw_fold"]
     assert list((cache / "repro").iterdir()) == []
+
+
+def test_the_source_compiles_warning_free(tmp_path, compiled):
+    """The C builds with ``-Wall -Wextra -Werror`` on top of the flags
+    the library is built with."""
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    done = subprocess.run(
+        [*cc, *native._FLAGS, "-Wall", "-Wextra", "-Werror", f"-I{native._include_dir()}",
+         "-x", "c", "-", "-o", str(tmp_path / "fold.so")],
+        input=native._SOURCE, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

@@ -153,35 +153,41 @@ class CrashyKernel:
 
 
 class PoisonTileKernel(IterativeKernel):
-    """The iterative kernel, ``run_stacks`` included, except that a
-    worker process running the tile at ``coordinate`` — alone or inside
-    a stack — SIGKILLs itself."""
+    """The iterative kernel, except that a worker process running the
+    tile at ``coordinate`` — alone, or in a batch (``run_stacks``) that
+    holds it — SIGKILLs itself."""
 
     def __init__(self, spec, driver_pid, coordinate):
         super().__init__(spec)
         self.driver_pid = driver_pid
         self.coordinate = coordinate
 
-    def run(self, case, x, u, v, w, gi0, gj0, gk0, n, stats=None):
-        offsets = zip(gi0, gj0) if x.ndim == 3 else [(gi0, gj0)]
-        hit = any((i0, j0, gk0) == self.coordinate for i0, j0 in offsets)
-        if hit and os.getpid() != self.driver_pid:
+    def _poison(self, gi0, gj0, gk0):
+        if (gi0, gj0, gk0) == self.coordinate and os.getpid() != self.driver_pid:
             os.kill(os.getpid(), signal.SIGKILL)
+
+    def run(self, case, x, u, v, w, gi0, gj0, gk0, n, stats=None):
+        self._poison(gi0, gj0, gk0)
         return super().run(case, x, u, v, w, gi0, gj0, gk0, n, stats)
+
+    def run_stacks(self, calls, stats=None):
+        for call in calls:
+            self._poison(*call[5:8])
+        return super().run_stacks(calls, stats)
 
 
 class SlowStackKernel(IterativeKernel):
-    """Sleeps through any stack; a single tile runs as usual."""
+    """Sleeps through any batch (``run_stacks``); a single tile runs as
+    usual."""
 
-    def run(self, case, x, *args, **kwargs):
-        if x.ndim == 3:
-            time.sleep(60.0)
-        return super().run(case, x, *args, **kwargs)
+    def run_stacks(self, calls, stats=None):
+        time.sleep(60.0)
+        return super().run_stacks(calls, stats)
 
 
 def _stackable_calls(count):
     """``count`` independent case-D calls on 6x6 tiles of a 24x24 FW
-    table — one stack on the iterative kernel."""
+    table — one batch on the iterative kernel."""
     rng = np.random.default_rng(count)
 
     def tile():
@@ -519,11 +525,11 @@ class TestStackedWorker:
             ]
             assert metrics.worker_crashes == 3 and metrics.poison_tasks == 1
             # the other calls still offload, batched, with a sound kernel:
-            # one C call (no kernel.run), or one NumPy stack without it
+            # one C call (no kernel.run), or one run per tile without it
             blob = pickle.dumps(make_kernel(SPEC, "iterative"))
             outs = backend.run_kernel_batch(blob, calls)
             assert [out.tobytes() for out, _ in outs] == expect
-            assert metrics.worker_kernel_runs == (0 if native.status() == "native" else 1)
+            assert metrics.worker_kernel_runs == (0 if native.status() == "native" else 4)
         finally:
             backend.shutdown()
         assert shm_entries() - shm_before == set()
